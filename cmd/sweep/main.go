@@ -9,20 +9,18 @@
 //	sweep -solutions mw-token,proto-token  # restrict the solution dimension
 //	sweep -loss 0,0.05 -subs 4,16          # restrict swept dimensions
 //	sweep -clients 64,128,256              # large-client band (overrides -subs)
-//	sweep -band xl -shards 4               # million-client band (see runner.XLBand)
+//	sweep -band xl                         # million-client band (see runner.XLBand)
 //	sweep -band xl -xlscale 1024           # scaled-down xl smoke (same code paths)
 //	sweep -band churn                      # crash/restart robustness band (runner.ChurnBand)
 //	sweep -band churn -crash 1,10 -mttr 100ms  # override the churn dimensions
 //	sweep -bandfile examples/bands/default.band  # file-defined band (see internal/bandfile)
-//	sweep -shards 4                        # sharded engine; byte-identical output
 //	sweep -format csv -out sweep.csv       # machine-readable output
 //	sweep -cpuprofile cpu.pprof            # profile the sweep (see make profile)
 //
 // The default matrix is all 10 solutions × loss {0, 1, 5, 10}% × clients
 // {2, 8, 32} (runner.DefaultBand). Every scenario's seed is derived from
 // the base seed and the scenario ID, so the report is bit-identical for
-// any -parallel value — and, because -shards only selects the execution
-// engine, for any shard count.
+// any -parallel value.
 // Table output additionally shows per-scenario wall time (never part of
 // the machine-readable renderings).
 package main
@@ -52,7 +50,6 @@ func run() int {
 	resources := flag.String("resources", "2", "comma-separated resource counts")
 	loss := flag.String("loss", "0,0.01,0.05,0.1", "comma-separated link loss rates (fractions)")
 	cycles := flag.Int("cycles", 6, "acquire/hold/release cycles per subscriber")
-	shards := flag.Int("shards", 0, "sim kernels per scenario (0 or 1 = single kernel; results are identical for any value)")
 	band := flag.String("band", "", "named scenario band: default, large, xl, or churn (overrides the dimension flags)")
 	bandfile := flag.String("bandfile", "", "band definition file (.band, see internal/bandfile; overrides the dimension flags)")
 	xlscale := flag.Int("xlscale", 1, "population divisor for -band xl (CI smoke runs use e.g. 1024)")
@@ -75,10 +72,6 @@ func run() int {
 		return 0
 	}
 
-	if *shards < 0 {
-		fmt.Fprintf(os.Stderr, "sweep: -shards: value %d is negative\n", *shards)
-		return 2
-	}
 	if *xlscale < 1 {
 		fmt.Fprintf(os.Stderr, "sweep: -xlscale: value %d is not positive\n", *xlscale)
 		return 2
@@ -98,15 +91,11 @@ func run() int {
 	case "":
 		// Dimension flags below assemble the matrix.
 	case "default":
-		spec := runner.DefaultBand()
-		spec.Shards = *shards
-		scenarios = spec.Scenarios()
+		scenarios = runner.DefaultBand().Scenarios()
 	case "large":
-		m := runner.LargeClientBand()
-		m.Shards = *shards
-		scenarios = m.Scenarios()
+		scenarios = runner.LargeClientBand().Scenarios()
 	case "xl":
-		scenarios = runner.XLBand(*xlscale, *shards)
+		scenarios = runner.XLBand(*xlscale)
 	case "churn":
 		rates, err := parseRates(*crash)
 		if err != nil {
@@ -118,7 +107,7 @@ func run() int {
 			fmt.Fprintf(os.Stderr, "sweep: -mttr: %v\n", err)
 			return 2
 		}
-		scenarios = runner.ChurnBandWith(rates, mttrs, *shards)
+		scenarios = runner.ChurnBandWith(rates, mttrs)
 	default:
 		fmt.Fprintf(os.Stderr, "sweep: -band: unknown band %q (default, large, xl, churn)\n", *band)
 		return 2
@@ -133,12 +122,12 @@ func run() int {
 			fmt.Fprintf(os.Stderr, "sweep: -bandfile: %v\n", err)
 			return 1
 		}
-		if scenarios, err = runner.BandFileScenarios(string(src), *shards); err != nil {
+		if scenarios, err = runner.BandFileScenarios(string(src)); err != nil {
 			fmt.Fprintf(os.Stderr, "sweep: %s: %v\n", *bandfile, err)
 			return 2
 		}
 	}
-	matrix := runner.Matrix{Cycles: *cycles, Shards: *shards}
+	matrix := runner.Matrix{Cycles: *cycles}
 	if sols := strings.TrimSpace(*solutions); sols != "all" {
 		seen := make(map[string]struct{})
 		for _, s := range strings.Split(sols, ",") {

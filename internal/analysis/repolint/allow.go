@@ -13,15 +13,14 @@ import (
 // that reports them. allowcheck validates allow directives against this
 // registry, so adding a check here is what makes it suppressible.
 var Checks = map[string]string{
-	"wallclock":   "simdeterminism",
-	"globalrand":  "simdeterminism",
-	"env":         "simdeterminism",
-	"mapiter":     "mapiter",
-	"poolalias":   "poolalias",
-	"bufleak":     "poolalias",
-	"alloc":       "hotpathalloc",
-	"legacycodec": "legacycodec",
-	"allowdecl":   "allowcheck",
+	"wallclock":  "simdeterminism",
+	"globalrand": "simdeterminism",
+	"env":        "simdeterminism",
+	"mapiter":    "mapiter",
+	"poolalias":  "poolalias",
+	"bufleak":    "poolalias",
+	"alloc":      "hotpathalloc",
+	"allowdecl":  "allowcheck",
 }
 
 const (

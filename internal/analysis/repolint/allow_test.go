@@ -54,15 +54,14 @@ func TestParseAllowArgs(t *testing.T) {
 // the documentation promises is registered, and nothing else is.
 func TestChecksRegistry(t *testing.T) {
 	want := map[string]string{
-		"wallclock":   "simdeterminism",
-		"globalrand":  "simdeterminism",
-		"env":         "simdeterminism",
-		"mapiter":     "mapiter",
-		"poolalias":   "poolalias",
-		"bufleak":     "poolalias",
-		"alloc":       "hotpathalloc",
-		"legacycodec": "legacycodec",
-		"allowdecl":   "allowcheck",
+		"wallclock":  "simdeterminism",
+		"globalrand": "simdeterminism",
+		"env":        "simdeterminism",
+		"mapiter":    "mapiter",
+		"poolalias":  "poolalias",
+		"bufleak":    "poolalias",
+		"alloc":      "hotpathalloc",
+		"allowdecl":  "allowcheck",
 	}
 	if !reflect.DeepEqual(Checks, want) {
 		t.Errorf("Checks registry = %v, want %v", Checks, want)

@@ -10,7 +10,6 @@ func All() []*analysis.Analyzer {
 		Mapiter,
 		Poolalias,
 		Hotpathalloc,
-		Legacycodec,
 		Allowcheck,
 	}
 }

@@ -46,21 +46,11 @@ func TestAllowcheck(t *testing.T) {
 	analysistest.Run(t, "testdata", "example.com/allowdecl", repolint.Allowcheck)
 }
 
-func TestLegacycodec(t *testing.T) {
-	analysistest.Run(t, "testdata", "example.com/legacy", repolint.Legacycodec)
-}
-
-// TestLegacycodecScope proves internal/codec itself is exempt: the
-// package that implements the legacy plane calls it freely.
-func TestLegacycodecScope(t *testing.T) {
-	analysistest.Run(t, "testdata", "repro/internal/codec", repolint.Legacycodec)
-}
-
-// TestAll pins the suite composition: six analyzers, stable order,
+// TestAll pins the suite composition: five analyzers, stable order,
 // every check name routed to the analyzer that implements it.
 func TestAll(t *testing.T) {
 	all := repolint.All()
-	want := []string{"simdeterminism", "mapiter", "poolalias", "hotpathalloc", "legacycodec", "allowcheck"}
+	want := []string{"simdeterminism", "mapiter", "poolalias", "hotpathalloc", "allowcheck"}
 	if len(all) != len(want) {
 		t.Fatalf("All() returned %d analyzers, want %d", len(all), len(want))
 	}

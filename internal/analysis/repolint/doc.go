@@ -24,10 +24,6 @@
 //   - hotpathalloc — in functions annotated //repolint:hotpath, reject
 //     allocating constructs (closures, fmt, interface boxing, map
 //     literals, un-presized appends into fresh slices). Check: alloc.
-//   - legacycodec — outside internal/codec, flag references to the
-//     deprecated reflective entry points codec.Encode, codec.Decode,
-//     and codec.DecodeMessage; new code goes through the compiled
-//     schema and zero-copy MsgView planes. Check: legacycodec.
 //   - allowcheck — validate the //repolint: directives themselves:
 //     unknown check names, empty allow lists, misplaced hotpath
 //     annotations. Check: allowdecl.

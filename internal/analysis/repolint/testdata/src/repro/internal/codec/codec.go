@@ -26,48 +26,3 @@ func (v *MsgView) Bytes(field string) ([]byte, bool) { return v.raw, true }
 
 // Raw returns the field's raw encoding, aliasing the input buffer.
 func (v *MsgView) Raw(field string) ([]byte, bool) { return v.raw, true }
-
-// Value is the dynamically typed value the legacy plane traffics in.
-type Value = any
-
-// Message is a materialized name + fields pair.
-type Message struct{ Name string }
-
-// Encode returns the canonical encoding of v.
-//
-// Deprecated: stub of the deprecated reflective encoder.
-func Encode(v Value) ([]byte, error) { return nil, nil }
-
-// Decode decodes exactly one value.
-//
-// Deprecated: stub of the deprecated reflective decoder.
-func Decode(data []byte) (Value, error) { return nil, nil }
-
-// DecodeMessage parses a wire-form message.
-//
-// Deprecated: stub of the deprecated materializing parser.
-func DecodeMessage(data []byte) (Message, error) { return Message{}, nil }
-
-// Append encodes v into buf; it is a modern primitive, not legacy.
-func Append(buf []byte, v Value) ([]byte, error) { return buf, nil }
-
-// DecodePrefix decodes one value from the front of data; modern.
-func DecodePrefix(data []byte) (Value, int, error) { return nil, 0, nil }
-
-// ParseMessage returns a zero-copy view; the modern read plane.
-func ParseMessage(data []byte) (MsgView, error) { return MsgView{}, nil }
-
-// roundTrip exercises the deprecated surface from inside the package
-// itself: the legacycodec scope test runs on this package and expects
-// no diagnostics (internal/codec implements the legacy plane, so its
-// own references are definitionally legal).
-func roundTrip(v Value) (Value, error) {
-	b, err := Encode(v)
-	if err != nil {
-		return nil, err
-	}
-	if _, err := DecodeMessage(b); err != nil {
-		return nil, err
-	}
-	return Decode(b)
-}

@@ -98,8 +98,8 @@ func (e *ParticipantEntity) FromPeer(_ protocol.Addr, pdu codec.Message) error {
 // BuildProtocol assembles the sequencer protocol over lower for the given
 // participant ids, returning the service boundary (bound per SAP) and the
 // layer for statistics.
-func BuildProtocol(tb sim.Timebase, lower protocol.LowerService, participants []string) (core.Provider, *protocol.Layer, error) {
-	layer := protocol.NewLayer("ordered-chat", tb, lower)
+func BuildProtocol(kern *sim.Kernel, lower protocol.LowerService, participants []string) (core.Provider, *protocol.Layer, error) {
+	layer := protocol.NewLayer("ordered-chat", kern, lower)
 	members := make([]protocol.Addr, len(participants))
 	for i, p := range participants {
 		members[i] = protocol.Addr(p)

@@ -91,7 +91,7 @@ func BenchmarkDecodeMessage(b *testing.B) {
 // envelope into a reused buffer, with the nested record spliced raw —
 // the middleware fan-out path. Steady state must be 0 allocs/op.
 func BenchmarkSchemaEncode(b *testing.B) {
-	inner, err := Encode(benchFieldsRecord())
+	inner, err := Append(nil, benchFieldsRecord())
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -139,7 +139,7 @@ func BenchmarkViewDecode(b *testing.B) {
 // must be 0 allocs/op and ≥2× faster than the legacy
 // EncodeMessage+DecodeMessage pair (BenchmarkLegacyRoundTrip).
 func BenchmarkCodecRoundTrip(b *testing.B) {
-	inner, err := Encode(benchFieldsRecord())
+	inner, err := Append(nil, benchFieldsRecord())
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -24,8 +24,8 @@ import (
 	"slices"
 )
 
-// Errors returned by decoding. Decode wraps them with positional context;
-// match with errors.Is.
+// Errors returned by decoding. DecodePrefix wraps them with positional
+// context; match with errors.Is.
 var (
 	ErrTruncated   = errors.New("codec: truncated input")
 	ErrBadTag      = errors.New("codec: unknown tag")
@@ -71,29 +71,6 @@ type Record = map[string]Value
 // Append encodes v and appends it to buf, returning the extended slice.
 func Append(buf []byte, v Value) ([]byte, error) {
 	return appendValue(buf, v, 0)
-}
-
-// Encode returns the canonical encoding of v.
-//
-// Deprecated: Encode allocates a fresh buffer and walks a dynamically
-// typed Value tree. New code should encode through a compiled schema
-// (CompileSchema + (*Schema).Encoder), which validates field names and
-// order at compile time and reuses pooled buffers; for one-off dynamic
-// values, Append into a caller-managed buffer. Kept for the reflective
-// tooling surface (LTS exploration, test fixtures); repolint flags new
-// uses outside internal/codec.
-func Encode(v Value) ([]byte, error) {
-	return Append(nil, v)
-}
-
-// MustEncode is Encode for values known statically to be encodable; it
-// panics on error. Use it only with literals.
-func MustEncode(v Value) []byte {
-	b, err := Encode(v)
-	if err != nil {
-		panic(err)
-	}
-	return b
 }
 
 func appendValue(buf []byte, v Value, depth int) ([]byte, error) {
@@ -182,25 +159,6 @@ func appendUint(buf []byte, x uint64) []byte {
 
 func zigzag(x int64) uint64   { return uint64((x << 1) ^ (x >> 63)) }
 func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
-
-// Decode decodes exactly one value from data and fails with ErrTrailing if
-// bytes remain. Integers decode as int64, unsigned integers as uint64.
-//
-// Deprecated: Decode materializes the whole value tree on the heap. New
-// code should read wire bytes through the zero-copy view plane
-// (ParseMessage / MsgView), which also enforces canonical key order;
-// DecodePrefix remains for streaming callers. Kept for the reflective
-// tooling surface; repolint flags new uses outside internal/codec.
-func Decode(data []byte) (Value, error) {
-	v, n, err := decodeValue(data, 0)
-	if err != nil {
-		return nil, err
-	}
-	if n != len(data) {
-		return nil, fmt.Errorf("%w: %d of %d bytes consumed", ErrTrailing, n, len(data))
-	}
-	return v, nil
-}
 
 // DecodePrefix decodes one value from the front of data and returns the
 // number of bytes consumed.
@@ -322,11 +280,11 @@ func decodeLenPrefixed(data []byte) ([]byte, int, error) {
 // Equal reports whether two values have identical canonical encodings.
 // It is the equality notion used by trace comparison.
 func Equal(a, b Value) bool {
-	ea, err := Encode(a)
+	ea, err := Append(nil, a)
 	if err != nil {
 		return false
 	}
-	eb, err := Encode(b)
+	eb, err := Append(nil, b)
 	if err != nil {
 		return false
 	}

@@ -12,13 +12,13 @@ import (
 
 func roundTrip(t *testing.T, v Value) Value {
 	t.Helper()
-	data, err := Encode(v)
+	data, err := Append(nil, v)
 	if err != nil {
-		t.Fatalf("Encode(%v): %v", v, err)
+		t.Fatalf("Append(nil, %v): %v", v, err)
 	}
 	out, err := Decode(data)
 	if err != nil {
-		t.Fatalf("Decode(Encode(%v)): %v", v, err)
+		t.Fatalf("Decode(Append(nil, %v)): %v", v, err)
 	}
 	return out
 }
@@ -88,18 +88,18 @@ func TestRoundTripComposites(t *testing.T) {
 func TestCanonicalRecordEncoding(t *testing.T) {
 	a := Record{"x": int64(1), "y": int64(2), "z": "s"}
 	b := Record{"z": "s", "y": int64(2), "x": int64(1)}
-	ea, eb := MustEncode(a), MustEncode(b)
+	ea, eb := mustEncode(a), mustEncode(b)
 	if !reflect.DeepEqual(ea, eb) {
 		t.Fatal("record encoding not canonical under key order")
 	}
 }
 
 func TestUnsupportedType(t *testing.T) {
-	_, err := Encode(struct{ X int }{1})
+	_, err := Append(nil, struct{ X int }{1})
 	if !errors.Is(err, ErrUnsupported) {
 		t.Fatalf("err = %v, want ErrUnsupported", err)
 	}
-	_, err = Encode(Record{"k": make(chan int)})
+	_, err = Append(nil, Record{"k": make(chan int)})
 	if !errors.Is(err, ErrUnsupported) {
 		t.Fatalf("nested err = %v, want ErrUnsupported", err)
 	}
@@ -110,7 +110,7 @@ func TestDepthLimit(t *testing.T) {
 	for i := 0; i < maxDepth+2; i++ {
 		v = List{v}
 	}
-	if _, err := Encode(v); !errors.Is(err, ErrDepth) {
+	if _, err := Append(nil, v); !errors.Is(err, ErrDepth) {
 		t.Fatalf("encode err = %v, want ErrDepth", err)
 	}
 	// Hand-roll a deep encoding to hit the decode-side limit: each level is
@@ -139,7 +139,7 @@ func TestDecodeErrors(t *testing.T) {
 		{"list size lies", []byte{tagList, 100}, ErrSize},
 		{"record size lies", []byte{tagRecord, 100}, ErrSize},
 		{"record non-string key", []byte{tagRecord, 1, tagInt, 2, tagNil}, ErrBadTag},
-		{"trailing", append(MustEncode(int64(1)), 0x00), ErrTrailing},
+		{"trailing", append(mustEncode(int64(1)), 0x00), ErrTrailing},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
@@ -151,8 +151,8 @@ func TestDecodeErrors(t *testing.T) {
 }
 
 func TestDecodePrefix(t *testing.T) {
-	buf := MustEncode(int64(7))
-	buf = append(buf, MustEncode("next")...)
+	buf := mustEncode(int64(7))
+	buf = append(buf, mustEncode("next")...)
 	v, n, err := DecodePrefix(buf)
 	if err != nil {
 		t.Fatalf("DecodePrefix: %v", err)
@@ -186,10 +186,10 @@ func TestDecodePrefixPositions(t *testing.T) {
 	}
 	for _, tt := range values {
 		t.Run(tt.name, func(t *testing.T) {
-			enc := MustEncode(tt.v)
+			enc := mustEncode(tt.v)
 			// Appending a second value must not disturb the first value's
 			// reported length.
-			data := append(append([]byte{}, enc...), MustEncode("tail")...)
+			data := append(append([]byte{}, enc...), mustEncode("tail")...)
 			_, n, err := DecodePrefix(data)
 			if err != nil {
 				t.Fatalf("DecodePrefix: %v", err)
@@ -213,7 +213,7 @@ func TestDecodePrefixPositions(t *testing.T) {
 }
 
 func TestDecodeTrailingReportsPosition(t *testing.T) {
-	enc := MustEncode(int64(7))
+	enc := mustEncode(int64(7))
 	data := append(append([]byte{}, enc...), 0xAA, 0xBB)
 	_, err := Decode(data)
 	if !errors.Is(err, ErrTrailing) {
@@ -303,8 +303,8 @@ func TestMessageDecodeErrors(t *testing.T) {
 		t.Fatal("expected error on empty message")
 	}
 	// A message whose "name" is an int.
-	bad := MustEncode(int64(1))
-	bad = append(bad, MustEncode(Record{})...)
+	bad := mustEncode(int64(1))
+	bad = append(bad, mustEncode(Record{})...)
 	if _, err := DecodeMessage(bad); err == nil || !strings.Contains(err.Error(), "not string") {
 		t.Fatalf("err = %v, want non-string name error", err)
 	}
@@ -364,7 +364,7 @@ func TestPropertyRoundTrip(t *testing.T) {
 		if math.IsNaN(f) {
 			return true // NaN != NaN; covered by TestRoundTripNaN
 		}
-		data, err := Encode(in)
+		data, err := Append(nil, in)
 		if err != nil {
 			return false
 		}

@@ -76,37 +76,6 @@ func AppendMessage(buf []byte, m Message) ([]byte, error) {
 	return buf, nil
 }
 
-// DecodeMessage parses the wire form produced by EncodeMessage.
-//
-// Deprecated: DecodeMessage heap-allocates the field Record on every
-// parse. New code should call ParseMessage, whose MsgView reads fields
-// in place without copying and rejects non-canonical key order; call
-// (MsgView).Message only at the point a materialized Message is truly
-// needed. Kept for the reflective tooling surface; repolint flags new
-// uses outside internal/codec.
-func DecodeMessage(data []byte) (Message, error) {
-	nameV, n, err := DecodePrefix(data)
-	if err != nil {
-		return Message{}, fmt.Errorf("decode message name: %w", err)
-	}
-	name, ok := nameV.(string)
-	if !ok {
-		return Message{}, fmt.Errorf("decode message: name is %T, not string", nameV)
-	}
-	fieldsV, m, err := DecodePrefix(data[n:])
-	if err != nil {
-		return Message{}, fmt.Errorf("decode message %q fields: %w", name, err)
-	}
-	if n+m != len(data) {
-		return Message{}, fmt.Errorf("decode message %q: %w", name, ErrTrailing)
-	}
-	fields, ok := fieldsV.(map[string]Value)
-	if !ok {
-		return Message{}, fmt.Errorf("decode message %q: fields are %T, not record", name, fieldsV)
-	}
-	return Message{Name: name, Fields: fields}, nil
-}
-
 // StringList converts a slice of strings to a List value; it is the wire
 // shape used for resource-identifier sets in the token-based solutions.
 func StringList(items []string) List {

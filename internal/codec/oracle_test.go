@@ -1,0 +1,57 @@
+package codec
+
+import "fmt"
+
+// The tree decoders below are the reference oracle the view plane is
+// checked against (FuzzCodecRoundTrip, TestParseMessageAgreesWithDecodeMessage):
+// they materialize the whole value on the heap, which production code
+// never needs — it reads wire bytes through ParseMessage / MsgView.
+
+// Decode decodes exactly one value from data and fails with ErrTrailing if
+// bytes remain. Integers decode as int64, unsigned integers as uint64.
+func Decode(data []byte) (Value, error) {
+	v, n, err := decodeValue(data, 0)
+	if err != nil {
+		return nil, err
+	}
+	if n != len(data) {
+		return nil, fmt.Errorf("%w: %d of %d bytes consumed", ErrTrailing, n, len(data))
+	}
+	return v, nil
+}
+
+// DecodeMessage parses the wire form produced by EncodeMessage into a
+// materialized Message. Unlike ParseMessage it tolerates non-canonical
+// key order (the fields land in a map).
+func DecodeMessage(data []byte) (Message, error) {
+	nameV, n, err := DecodePrefix(data)
+	if err != nil {
+		return Message{}, fmt.Errorf("decode message name: %w", err)
+	}
+	name, ok := nameV.(string)
+	if !ok {
+		return Message{}, fmt.Errorf("decode message: name is %T, not string", nameV)
+	}
+	fieldsV, m, err := DecodePrefix(data[n:])
+	if err != nil {
+		return Message{}, fmt.Errorf("decode message %q fields: %w", name, err)
+	}
+	if n+m != len(data) {
+		return Message{}, fmt.Errorf("decode message %q: %w", name, ErrTrailing)
+	}
+	fields, ok := fieldsV.(map[string]Value)
+	if !ok {
+		return Message{}, fmt.Errorf("decode message %q: fields are %T, not record", name, fieldsV)
+	}
+	return Message{Name: name, Fields: fields}, nil
+}
+
+// mustEncode returns the canonical encoding of a value known statically
+// to be encodable; it panics on error. Use it only with literals.
+func mustEncode(v Value) []byte {
+	b, err := Append(nil, v)
+	if err != nil {
+		panic(err)
+	}
+	return b
+}

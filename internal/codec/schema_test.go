@@ -44,8 +44,8 @@ func TestSchemaAllValueKinds(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Finish: %v", err)
 	}
-	want := MustEncode("m")
-	wantFields, _ := Encode(Record{
+	want := mustEncode("m")
+	wantFields, _ := Append(nil, Record{
 		"b": true, "f": 3.5, "i": int64(-7), "n": []byte{}, "s": "x",
 		"t": false, "u": uint64(math.MaxUint64), "v": List{"a", int64(1)},
 	})
@@ -85,7 +85,7 @@ func TestSchemaFieldOrderEnforced(t *testing.T) {
 }
 
 func TestSchemaRawSplice(t *testing.T) {
-	inner := MustEncode(Record{"k": "v", "n": int64(3)})
+	inner := mustEncode(Record{"k": "v", "n": int64(3)})
 	s := CompileSchema("fwd", "fields", "topic")
 	e := s.Encoder(nil)
 	e.Raw("fields", inner)

@@ -119,8 +119,8 @@ type MsgView struct {
 // ParseMessage additionally requires the top-level field keys to be in
 // canonical form — strictly ascending, hence unique — which is the only
 // form any encoder in this package produces. Non-canonical messages fail
-// with ErrNonCanonical (the legacy DecodeMessage tolerates them by map
-// overwrite); this is what lets the sorted-order early exit in field
+// with ErrNonCanonical (a map-building decoder would tolerate them by
+// map overwrite); this is what lets the sorted-order early exit in field
 // lookup be exact rather than heuristic.
 func ParseMessage(data []byte) (MsgView, error) {
 	if len(data) == 0 || data[0] != tagString {
@@ -400,7 +400,7 @@ type Visitor interface {
 
 // DecodeInto walks exactly one encoded value, feeding its structure to
 // vis without materializing anything, and fails with ErrTrailing if
-// bytes remain. It is the streaming counterpart of Decode.
+// bytes remain. It is the visitor counterpart of DecodePrefix.
 func DecodeInto(data []byte, vis Visitor) error {
 	n, err := decodeIntoValue(data, vis, 0)
 	if err != nil {

@@ -67,7 +67,7 @@ func TestViewTypedAccessors(t *testing.T) {
 	if val, ok := v.Value("nil"); !ok || val != nil {
 		t.Fatalf("Value(nil) = %v, %v", val, ok)
 	}
-	if raw, ok := v.Raw("u"); !ok || !bytes.Equal(raw, MustEncode(uint64(99))) {
+	if raw, ok := v.Raw("u"); !ok || !bytes.Equal(raw, mustEncode(uint64(99))) {
 		t.Fatalf("Raw(u) = %x, %v", raw, ok)
 	}
 }
@@ -124,10 +124,10 @@ func TestParseMessageRejectsCorrupt(t *testing.T) {
 	good, _ := EncodeMessage(NewMessage("m", Record{"k": "v"}))
 	cases := map[string][]byte{
 		"empty":           nil,
-		"name not string": MustEncode(uint64(1)),
-		"no fields":       MustEncode("m"),
-		"fields not record": append(MustEncode("m"),
-			MustEncode("not-a-record")...),
+		"name not string": mustEncode(uint64(1)),
+		"no fields":       mustEncode("m"),
+		"fields not record": append(mustEncode("m"),
+			mustEncode("not-a-record")...),
 		"trailing":  append(append([]byte{}, good...), 0x00),
 		"truncated": good[:len(good)-1],
 	}
@@ -199,14 +199,14 @@ func TestParseMessageRejectsNonCanonical(t *testing.T) {
 		return append(out, val...)
 	}
 	msg := func(pairs ...[]byte) []byte {
-		out := append(MustEncode("m"), tagRecord, byte(len(pairs)))
+		out := append(mustEncode("m"), tagRecord, byte(len(pairs)))
 		for _, p := range pairs {
 			out = append(out, p...)
 		}
 		return out
 	}
-	unsorted := msg(pair("b", MustEncode(int64(1))), pair("a", MustEncode(int64(2))))
-	duplicate := msg(pair("a", []byte{tagNil}), pair("a", MustEncode(int64(5))))
+	unsorted := msg(pair("b", mustEncode(int64(1))), pair("a", mustEncode(int64(2))))
+	duplicate := msg(pair("a", []byte{tagNil}), pair("a", mustEncode(int64(5))))
 	for name, data := range map[string][]byte{"unsorted": unsorted, "duplicate": duplicate} {
 		t.Run(name, func(t *testing.T) {
 			if _, err := DecodeMessage(data); err != nil {
@@ -271,7 +271,7 @@ func boolName(b bool) string {
 }
 
 func TestDecodeInto(t *testing.T) {
-	data := MustEncode(Record{
+	data := mustEncode(Record{
 		"a": List{int64(1), "x", nil, true},
 		"b": uint64(2),
 		"f": 1.5,
@@ -291,7 +291,7 @@ func TestDecodeInto(t *testing.T) {
 }
 
 func TestDecodeIntoTrailingAndAbort(t *testing.T) {
-	data := append(MustEncode(int64(1)), 0x00)
+	data := append(mustEncode(int64(1)), 0x00)
 	if err := DecodeInto(data, &eventVisitor{}); !errors.Is(err, ErrTrailing) {
 		t.Fatalf("err = %v, want ErrTrailing", err)
 	}
@@ -300,7 +300,7 @@ func TestDecodeIntoTrailingAndAbort(t *testing.T) {
 		t.Fatalf("DecodePrefixInto = %d, %v", n, err)
 	}
 	// Visitor errors abort the walk.
-	nested := MustEncode(Record{"k": List{"deep"}})
+	nested := mustEncode(Record{"k": List{"deep"}})
 	vis := &eventVisitor{fail: "str:deep"}
 	if err := DecodeInto(nested, vis); err == nil {
 		t.Fatal("expected visitor abort to propagate")
@@ -316,7 +316,7 @@ func TestPropertyDecodeIntoMatchesDecode(t *testing.T) {
 		if f, ok := in.(float64); ok && math.IsNaN(f) {
 			continue
 		}
-		data, err := Encode(in)
+		data, err := Append(nil, in)
 		if err != nil {
 			t.Fatalf("Encode: %v", err)
 		}

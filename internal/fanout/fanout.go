@@ -7,13 +7,9 @@
 // memory.
 //
 // The workload is deterministic in Config: equal configs produce equal
-// Results, for any Shards value (the engine is an execution parameter,
-// exactly as in the floor-control workload). Deployment order is pinned
-// so transport endpoint ids equal network slots equal attach order:
-// leaves first (slots 0..L-1), then the root broker, then the publisher,
-// then the subscriber nodes. With Leaves == Shards, every leaf therefore
-// owns exactly the subscriber slots of its own engine shard and the whole
-// leaf→subscriber fan-out is shard-local work.
+// Results. Deployment order is pinned so transport endpoint ids equal
+// network slots equal attach order: leaves first (slots 0..L-1), then
+// the root broker, then the publisher, then the subscriber nodes.
 package fanout
 
 import (
@@ -27,7 +23,6 @@ import (
 	"repro/internal/network"
 	"repro/internal/protocol"
 	"repro/internal/sim"
-	"repro/internal/sim/shard"
 )
 
 // Config parameterizes one fan-out execution. Zero fields take the
@@ -57,11 +52,6 @@ type Config struct {
 	Interval time.Duration
 	// Latency configures every network link.
 	Latency time.Duration
-	// Shards selects the execution engine exactly as in the
-	// floor-control workload: 0 or 1 runs one sim kernel, K>1 shards
-	// the network across K kernels. Never part of scenario identity —
-	// results are byte-identical for every K.
-	Shards int
 	// Seed fixes the simulation; equal seeds give identical runs.
 	Seed int64
 }
@@ -124,10 +114,7 @@ type Result struct {
 func Run(cfg Config) (*Result, error) {
 	cfg.applyDefaults()
 
-	var engine sim.Engine = sim.NewKernel(sim.WithSeed(cfg.Seed))
-	if cfg.Shards > 1 {
-		engine = shard.NewGroup(cfg.Shards, shard.WithSeed(cfg.Seed))
-	}
+	engine := sim.NewKernel(sim.WithSeed(cfg.Seed))
 	net := network.New(engine, network.WithDefaultLink(network.LinkConfig{Latency: cfg.Latency}))
 	transport := protocol.NewUnreliableDatagram(net)
 	profile := middleware.Profile{
@@ -146,8 +133,7 @@ func Run(cfg Config) (*Result, error) {
 
 	// Pin attach order — and therefore transport lows / network slots:
 	// leaves 0..L-1, root, publisher, then subscriber nodes. leaf = low
-	// mod L then maps leaf i to slot residue i, which is also the
-	// sharded engine's slot-affinity partition.
+	// mod L then maps leaf i to slot residue i.
 	for _, leaf := range leaves {
 		if _, err := p.AttachRuntime(leaf); err != nil {
 			return nil, fmt.Errorf("fanout: attach %s: %w", leaf, err)

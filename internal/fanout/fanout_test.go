@@ -50,44 +50,37 @@ func TestFanoutFlatBaseline(t *testing.T) {
 	}
 }
 
-// TestFanoutShardsByteIdentical pins the execution-parameter contract:
-// the sharded engine at K=4 produces the exact numbers a single kernel
-// does, down to the rendered summary line.
-func TestFanoutShardsByteIdentical(t *testing.T) {
-	base := Config{Subscribers: 64, Nodes: 16, Leaves: 4, Events: 5, PayloadBytes: 64}
-	run := func(shards int) (*Result, string, map[string]float64) {
-		cfg := base
-		cfg.Shards = shards
+// TestFanoutRunsByteIdentical pins determinism in Config: two runs of
+// one config produce the exact same numbers, down to the rendered
+// summary line.
+func TestFanoutRunsByteIdentical(t *testing.T) {
+	cfg := Config{Subscribers: 64, Nodes: 16, Leaves: 4, Events: 5, PayloadBytes: 64}
+	run := func() (string, map[string]float64) {
 		res, err := Run(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return res, res.SummaryLine(), res.Summary()
+		return res.SummaryLine(), res.Summary()
 	}
-	_, line1, sum1 := run(1)
-	_, line4, sum4 := run(4)
-	if line1 != line4 {
-		t.Fatalf("summary lines diverge:\nK=1: %s\nK=4: %s", line1, line4)
+	line1, sum1 := run()
+	line2, sum2 := run()
+	if line1 != line2 {
+		t.Fatalf("summary lines diverge:\n%s\n%s", line1, line2)
 	}
-	if len(sum1) != len(sum4) {
-		t.Fatalf("summary key sets diverge: %d vs %d", len(sum1), len(sum4))
+	if len(sum1) != len(sum2) {
+		t.Fatalf("summary key sets diverge: %d vs %d", len(sum1), len(sum2))
 	}
 	for k, v := range sum1 {
-		if sum4[k] != v {
-			t.Errorf("summary[%q]: K=1 %v, K=4 %v", k, v, sum4[k])
+		if sum2[k] != v {
+			t.Errorf("summary[%q]: %v, then %v", k, v, sum2[k])
 		}
 	}
 }
 
-// TestFanoutScenarioID pins the identity contract: Shards never appears,
-// defaults are canonicalized.
+// TestFanoutScenarioID pins the identity contract: defaults are
+// canonicalized.
 func TestFanoutScenarioID(t *testing.T) {
 	a := Config{Subscribers: 100, Nodes: 10, Leaves: 2, Events: 3, PayloadBytes: 16}
-	b := a
-	b.Shards = 8
-	if a.ScenarioID() != b.ScenarioID() {
-		t.Fatalf("Shards leaked into scenario identity: %q vs %q", a.ScenarioID(), b.ScenarioID())
-	}
 	want := "fanout/subs=100/nodes=10/leaves=2/events=3/payload=16"
 	if got := a.ScenarioID(); got != want {
 		t.Fatalf("ScenarioID = %q, want %q", got, want)

@@ -6,9 +6,8 @@ import (
 )
 
 // ScenarioID renders the canonical scenario identifier for the config.
-// Shards is deliberately excluded: it is an execution parameter, results
-// are byte-identical for every value, so it must never perturb derived
-// seeds or sweep output (the same contract as floorcontrol.Config).
+// The Seed is excluded: the sweep runner derives each scenario's seed
+// from this ID.
 func (c Config) ScenarioID() string {
 	d := c
 	d.applyDefaults()

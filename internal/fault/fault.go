@@ -4,13 +4,13 @@
 // partition/heal) event sequence for a run up front. The schedule is a
 // pure function of its inputs — the per-scenario seed and the fault
 // parameters — which is what lets the churn band stay byte-identical at
-// any worker count and shard count: fault draws come from a dedicated
+// any worker count: fault draws come from a dedicated
 // stream and never perturb the engine RNG that feeds link jitter and
 // workload think times.
 //
 // The package is deliberately free of any simulator dependency: it emits
 // plain (offset, kind, node) events. internal/network's FaultPlan binds
-// a schedule to a live network and timebase.
+// a schedule to a live network and kernel.
 package fault
 
 import (

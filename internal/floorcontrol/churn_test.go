@@ -2,6 +2,7 @@ package floorcontrol
 
 import (
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -112,31 +113,45 @@ func TestChurnDeterminism(t *testing.T) {
 }
 
 // TestChurnShardIdentity: the fault plan rides the same deterministic
-// engine as everything else, so a churn run is byte-identical whether it
-// executes on a single kernel or a four-shard group.
+// engine as everything else and shares no state between runs, so a churn
+// run is byte-identical whether it executes alone or alongside copies of
+// itself on other goroutines.
 func TestChurnShardIdentity(t *testing.T) {
+	const copies = 4
 	for _, name := range []string{"mw-callback", "mw-polling", "proto-token", "mda-queue-mq-like"} {
 		cfg := churnConfig(name, 7)
 		a, err := RunWorkload(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		cfg.Shards = 4
-		b, err := RunWorkload(cfg)
-		if err != nil {
-			t.Fatal(err)
+		results := make([]*Result, copies)
+		errs := make([]error, copies)
+		var wg sync.WaitGroup
+		for i := range results {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				results[i], errs[i] = RunWorkload(cfg)
+			}(i)
 		}
-		la, lb := a.Trace.Labels(), b.Trace.Labels()
-		if len(la) != len(lb) {
-			t.Fatalf("%s: K=1 vs K=4 trace lengths differ: %d vs %d", name, len(la), len(lb))
-		}
-		for i := range la {
-			if la[i] != lb[i] {
-				t.Fatalf("%s: K=1 vs K=4 traces diverge at %d", name, i)
+		wg.Wait()
+		la := a.Trace.Labels()
+		for c, b := range results {
+			if errs[c] != nil {
+				t.Fatal(errs[c])
 			}
-		}
-		if a.Crashes != b.Crashes || a.Served != b.Served || a.Availability != b.Availability {
-			t.Fatalf("%s: K=1 vs K=4 churn metrics differ:\n%+v\n%+v", name, a.Summary(), b.Summary())
+			lb := b.Trace.Labels()
+			if len(la) != len(lb) {
+				t.Fatalf("%s: alone vs concurrent copy %d trace lengths differ: %d vs %d", name, c, len(la), len(lb))
+			}
+			for i := range la {
+				if la[i] != lb[i] {
+					t.Fatalf("%s: alone vs concurrent copy %d traces diverge at %d", name, c, i)
+				}
+			}
+			if a.Crashes != b.Crashes || a.Served != b.Served || a.Availability != b.Availability {
+				t.Fatalf("%s: alone vs concurrent copy %d churn metrics differ:\n%+v\n%+v", name, c, a.Summary(), b.Summary())
+			}
 		}
 	}
 }
@@ -199,7 +214,7 @@ func TestChurnRebindPolicyValidation(t *testing.T) {
 
 // TestChurnScenarioIdentity: churn parameters are workload identity —
 // they fork scenario IDs (and hence derived seeds) and surface as
-// params, in contrast to Shards which never does.
+// params.
 func TestChurnScenarioIdentity(t *testing.T) {
 	base := churnConfig("mw-callback", 0)
 	id := base.ScenarioID()
@@ -214,11 +229,6 @@ func TestChurnScenarioIdentity(t *testing.T) {
 	}
 	if !strings.Contains(fo.ScenarioID(), "/rebind=failover") {
 		t.Fatalf("ScenarioID %q missing rebind policy", fo.ScenarioID())
-	}
-	sharded := base
-	sharded.Shards = 4
-	if sharded.ScenarioID() != id {
-		t.Fatal("Shards leaked into the scenario ID")
 	}
 	var faultFree Config
 	faultFree.Solution = "mw-callback"

@@ -54,9 +54,8 @@ type AppPart interface {
 // Env is the substrate a solution builds on. The workload driver prepares
 // it; Build wires components or protocol entities into it.
 type Env struct {
-	// Time is the engine the whole stack schedules on — a *sim.Kernel
-	// for single-threaded runs, a shard.Group for sharded ones.
-	Time     sim.Timebase
+	// Time is the kernel the whole stack schedules on.
+	Time     *sim.Kernel
 	Net      *network.Network
 	Observer *core.Observer
 

@@ -29,9 +29,7 @@ func AllSolutionNames() []string {
 // different workloads get distinct IDs (middleware profiles are keyed by
 // Profile.Name; two custom profiles sharing a name collide). The Seed is
 // deliberately excluded: the sweep runner derives each scenario's seed
-// from this ID. Shards is excluded too — it selects the execution
-// engine, not the workload, and results are byte-identical for every
-// value, so folding it in would needlessly fork derived seeds.
+// from this ID.
 func (c Config) ScenarioID() string {
 	d := c
 	d.applyDefaults()
@@ -63,10 +61,9 @@ func (c Config) ScenarioID() string {
 	if d.RawTransport {
 		sb.WriteString("/raw")
 	}
-	// Churn parameters ARE workload identity — unlike Shards, which only
-	// selects the execution engine, a different crash rate or MTTR is a
-	// different experiment and must fork the scenario ID (and hence the
-	// derived seed and the fault schedule).
+	// Churn parameters are workload identity: a different crash rate or
+	// MTTR is a different experiment and must fork the scenario ID (and
+	// hence the derived seed and the fault schedule).
 	if d.CrashRate > 0 {
 		fmt.Fprintf(&sb, "/crash=%g/mttr=%s", d.CrashRate, d.MTTR)
 		if d.RebindPolicy != RebindNone {

@@ -13,7 +13,6 @@ import (
 	"repro/internal/network"
 	"repro/internal/protocol"
 	"repro/internal/sim"
-	"repro/internal/sim/shard"
 )
 
 // Config parameterizes one workload execution. Zero fields take the
@@ -47,18 +46,12 @@ type Config struct {
 	// solutions; defaults to ProfileCORBALike (the paper's "component
 	// middleware that supports remote invocation").
 	Profile middleware.Profile
-	// Shards selects the execution engine: 0 or 1 runs the scenario on a
-	// single sim kernel, K>1 shards the network across K kernels behind
-	// the same Timebase seam (internal/sim/shard). Shards is an execution
-	// parameter, not part of scenario identity: results are byte-identical
-	// for every K, so it never appears in scenario IDs or sweep output.
-	Shards int
 	// CrashRate enables churn: each fault subject (every subscriber node,
 	// plus the controller node of solutions that support failover) crashes
 	// at this rate per second of virtual time, alternating with repairs of
-	// mean duration MTTR. Zero disables the fault plan entirely — churn
-	// parameters ARE workload identity (unlike Shards), so they appear in
-	// scenario IDs and fold into derived seeds.
+	// mean duration MTTR. Zero disables the fault plan entirely. Churn
+	// parameters are workload identity, so they appear in scenario IDs
+	// and fold into derived seeds.
 	CrashRate float64
 	// MTTR is the mean time to repair a crashed node. Defaults to 100ms
 	// when churn is enabled.
@@ -220,8 +213,7 @@ const faultSeedSalt = 0x6661756c74 // "fault"
 // protocol and MDA solutions keep their coordination behind the service
 // boundary with no per-solution recovery hook, so only their subscriber
 // nodes churn. The plan is drawn from a salted RNG independent of the
-// engine and of shard count, so churn runs stay byte-identical for
-// every K.
+// engine's, so adding churn does not perturb the workload's own draws.
 func scheduleChurn(cfg Config, sol Solution, env *Env, res *Result,
 	transport protocol.LowerService, crashedSub map[string]bool, parked map[string]func()) error {
 	rb, rebindable := sol.(ControllerFailover)
@@ -317,10 +309,7 @@ func RunWorkload(cfg Config) (*Result, error) {
 func RunWorkloadWith(sol Solution, cfg Config) (*Result, error) {
 	cfg.applyDefaults()
 
-	var engine sim.Engine = sim.NewKernel(sim.WithSeed(cfg.Seed))
-	if cfg.Shards > 1 {
-		engine = shard.NewGroup(cfg.Shards, shard.WithSeed(cfg.Seed))
-	}
+	engine := sim.NewKernel(sim.WithSeed(cfg.Seed))
 	net := network.New(engine, network.WithDefaultLink(network.LinkConfig{
 		Latency:  cfg.Latency,
 		LossRate: cfg.LossRate,

@@ -69,7 +69,7 @@ func (c *LogicContext) DeliverToUser(primitive string, params codec.Record) {
 // without pinning a timer allocation; callers that do not need to
 // cancel may discard it.
 func (c *LogicContext) Schedule(d time.Duration, fn func()) sim.TimerRef {
-	return c.dep.tb.ScheduleFuncRef(d, fn)
+	return c.dep.kern.ScheduleFuncRef(d, fn)
 }
 
 // messaging is the realized async-message concept: how directed messages
@@ -86,7 +86,7 @@ type messaging interface {
 // interactions of the deployed logic flow through the typed svc port
 // binding — the raw platform surface stays an SPI underneath.
 type Deployment struct {
-	tb          sim.Timebase
+	kern        *sim.Kernel
 	platform    *middleware.Platform
 	ports       *svc.Binding
 	pim         *PIM
@@ -165,9 +165,9 @@ func (d *Deployment) onDelivered(to ComponentID, from ComponentID, msg codec.Mes
 // Deploy realizes pim on the target platform over the given transport and
 // instantiates its logic: milestones MilestoneAbstractRealization and
 // MilestonePSI made executable.
-func Deploy(tb sim.Timebase, transport protocol.LowerService, pim *PIM, target ConcretePlatform, plan Plan) (*Deployment, error) {
-	if tb == nil || transport == nil {
-		return nil, errors.New("mda: Deploy requires a timebase and transport")
+func Deploy(kern *sim.Kernel, transport protocol.LowerService, pim *PIM, target ConcretePlatform, plan Plan) (*Deployment, error) {
+	if kern == nil || transport == nil {
+		return nil, errors.New("mda: Deploy requires a kernel and transport")
 	}
 	_, realization, err := PlanTrajectory(pim, target)
 	if err != nil {
@@ -180,7 +180,7 @@ func Deploy(tb sim.Timebase, transport protocol.LowerService, pim *PIM, target C
 	if err := validateLogic(logic, plan); err != nil {
 		return nil, err
 	}
-	platform := middleware.New(tb, transport, target.Profile, "mda-broker")
+	platform := middleware.New(kern, transport, target.Profile, "mda-broker")
 	service, err := svc.New(pim.Service)
 	if err != nil {
 		return nil, fmt.Errorf("mda: declare service %q: %w", pim.Service.Name, err)
@@ -190,7 +190,7 @@ func Deploy(tb sim.Timebase, transport protocol.LowerService, pim *PIM, target C
 		return nil, fmt.Errorf("mda: bind service %q: %w", pim.Service.Name, err)
 	}
 	d := &Deployment{
-		tb:          tb,
+		kern:        kern,
 		platform:    platform,
 		ports:       binding,
 		pim:         pim,

@@ -24,12 +24,8 @@ type Option func(*Platform)
 //
 // Subscribers are assigned to leaves by transport endpoint id:
 // leaf = low % len(leaves). Over protocol.UnreliableDatagram endpoint
-// ids equal network slots, so with len(leaves) equal to the engine's
-// shard count K this composes with the sharded engine's default
-// partition (slot % K): a leaf and every subscriber it fans out to
-// live on the same shard, and the entire leaf→subscriber fan-out is
-// shard-local work. Only the publisher→root and root→leaf hops cross
-// shards.
+// ids equal network slots, so a subscriber's leaf is its slot residue
+// modulo the leaf count.
 //
 // Per-client subscription state is O(1): one int32 in the leaf's shard
 // row, one bit in the topic's membership set, and one demux sink at
@@ -94,8 +90,8 @@ func (ft *fedTopic) enroll(low int32, leaves int) int {
 }
 
 // leafIndexOfLocked reports which leaf (if any) the platform node id
-// belongs to. Caller holds p.mu. The leaf table is small (typically
-// the engine's shard count), so a linear scan beats any index.
+// belongs to. Caller holds p.mu. The leaf table is small (a handful of
+// leaves), so a linear scan beats any index.
 func (p *Platform) leafIndexOfLocked(nodeID int32) int {
 	if p.fed == nil {
 		return -1
@@ -112,7 +108,7 @@ func (p *Platform) leafIndexOfLocked(nodeID int32) int {
 // returns its transport endpoint id (-1 on non-indexed transports).
 // Attachment normally happens lazily on first use; XL deployments call
 // this to pin attach order — and therefore transport endpoint ids and
-// shard affinity — before traffic starts.
+// leaf assignment — before traffic starts.
 func (p *Platform) AttachRuntime(node Addr) (int32, error) {
 	id, err := p.ensureRuntime(node)
 	if err != nil {

@@ -123,9 +123,8 @@ func TestFederatedNodeDedup(t *testing.T) {
 }
 
 // TestFederatedShardAssignment checks leaf = transport id % L: with
-// leaves attached first, subscriber nodes land on the leaf owning
-// their slot residue, which is what co-locates the fan-out with the
-// sharded engine's slot % K partition.
+// leaves attached first, subscriber nodes land in the shard row of the
+// leaf owning their slot residue.
 func TestFederatedShardAssignment(t *testing.T) {
 	p, kernel := federatedPlatform(t, "leaf0", "leaf1")
 	// Attach subscribers in a known order: transport ids 3, 4, 5, 6

@@ -297,8 +297,7 @@ func (d *deferredWire) run() {
 // network. Create one with New, register component objects with Register,
 // and interact through the pattern methods.
 type Platform struct {
-	tb         sim.Timebase
-	kern       *sim.Kernel // non-nil when tb is a bare kernel: devirtualized hot path
+	kern       *sim.Kernel
 	transport  protocol.LowerService
 	itransport protocol.IndexedLower // non-nil when transport has the dense plane
 	profile    Profile
@@ -332,11 +331,9 @@ type Platform struct {
 // platform's queue/topic broker; it is attached lazily on first use.
 // Options (WithFederation, …) configure the platform before any
 // runtime attaches.
-func New(tb sim.Timebase, transport protocol.LowerService, profile Profile, broker Addr, opts ...Option) *Platform {
+func New(kern *sim.Kernel, transport protocol.LowerService, profile Profile, broker Addr, opts ...Option) *Platform {
 	it, _ := transport.(protocol.IndexedLower)
-	kern, _ := tb.(*sim.Kernel)
 	p := &Platform{
-		tb:         tb,
 		kern:       kern,
 		transport:  transport,
 		itransport: it,
@@ -355,33 +352,11 @@ func New(tb sim.Timebase, transport protocol.LowerService, profile Profile, brok
 	return p
 }
 
-// scheduleFunc and scheduleFuncRef route timer arming through the
-// concrete kernel when the timebase is one: the per-message dispatch
-// and call-timeout paths are hot, and the interface call defeats
-// inlining (see network.scheduleBatch for the same trade).
-//
-//repolint:hotpath
-func (p *Platform) scheduleFunc(delay time.Duration, fn func()) {
-	if p.kern != nil {
-		p.kern.ScheduleFunc(delay, fn)
-		return
-	}
-	p.tb.ScheduleFunc(delay, fn)
-}
-
-//repolint:hotpath
-func (p *Platform) scheduleFuncRef(delay time.Duration, fn func()) sim.TimerRef {
-	if p.kern != nil {
-		return p.kern.ScheduleFuncRef(delay, fn)
-	}
-	return p.tb.ScheduleFuncRef(delay, fn)
-}
-
 // Profile returns the platform's profile.
 func (p *Platform) Profile() Profile { return p.profile }
 
-// Time returns the platform's timebase.
-func (p *Platform) Time() sim.Timebase { return p.tb }
+// Time returns the platform's kernel.
+func (p *Platform) Time() *sim.Kernel { return p.kern }
 
 // Stats returns a snapshot of platform counters.
 func (p *Platform) Stats() Stats {

@@ -76,7 +76,7 @@ func (p *Platform) Invoke(from Addr, target ObjRef, op string, args codec.Record
 		}
 		p.stats.Unavailables++
 		p.mu.Unlock()
-		p.scheduleFunc(0, func() {
+		p.kern.ScheduleFunc(0, func() {
 			cont(nil, fmt.Errorf("%w: %s is down", ErrUnavailable, down))
 		})
 		return nil
@@ -85,7 +85,7 @@ func (p *Platform) Invoke(from Addr, target ObjRef, op string, args codec.Record
 	id := p.nextCall
 	pc := pendingCall{cont: cont, node: reg.nodeID, caller: fromID}
 	if p.profile.CallTimeout > 0 {
-		pc.timer = p.scheduleFuncRef(p.profile.CallTimeout, func() { p.onCallTimeout(id) })
+		pc.timer = p.kern.ScheduleFuncRef(p.profile.CallTimeout, func() { p.onCallTimeout(id) })
 	}
 	p.pending[id] = pc
 	p.stats.Calls++
@@ -369,7 +369,7 @@ func (p *Platform) onWire(srcAddr Addr, srcLow, atID int32, data []byte) {
 		buf := codec.GetBuffer()
 		buf.B = append(buf.B[:0], data...)
 		d.buf = buf
-		p.scheduleFunc(overhead, d.fn)
+		p.kern.ScheduleFunc(overhead, d.fn)
 		return
 	}
 	p.handleWire(srcAddr, srcLow, atID, data)

@@ -9,7 +9,6 @@ import (
 
 	"repro/internal/fault"
 	"repro/internal/sim"
-	"repro/internal/sim/shard"
 )
 
 // TestCrashDropsTraffic: a crashed node neither sends nor receives, and
@@ -185,61 +184,50 @@ func TestScheduleFaultPlanUnknownNode(t *testing.T) {
 	}
 }
 
-// TestCrashShardAffinity: fault events and deliveries stay deterministic
-// on a sharded engine — the same crash scenario yields identical
-// delivery counts at K=1 and K=4.
-func TestCrashShardAffinity(t *testing.T) {
-	run := func(shards int) Stats {
-		var eng sim.Engine = sim.NewKernel(sim.WithSeed(42))
-		if shards > 1 {
-			eng = shard.NewGroup(shards, shard.WithSeed(42))
-		}
-		n := New(eng, WithDefaultLink(LinkConfig{Latency: time.Millisecond}))
-		const nodes = 8
-		for i := 0; i < nodes; i++ {
-			id := NodeID(string(rune('a' + i)))
-			if err := n.AddNode(id, func(NodeID, []byte) {}); err != nil {
-				t.Fatal(err)
-			}
-		}
-		rng := rand.New(rand.NewSource(9))
-		names := make([]string, nodes)
-		for i := range names {
-			names[i] = string(rune('a' + i))
-		}
-		events, err := fault.Schedule(fault.Spec{
-			CrashRate: 20,
-			MTTR:      20 * time.Millisecond,
-			Horizon:   500 * time.Millisecond,
-		}, names, rng)
-		if err != nil {
+// TestFaultPlanRingTrafficDrops: a fault plan under a ring of periodic
+// sends drops traffic — the crashes are applied while deliveries are in
+// flight. (Unregistered plan nodes are covered by
+// TestScheduleFaultPlanUnknownNode.)
+func TestFaultPlanRingTrafficDrops(t *testing.T) {
+	k := sim.NewKernel(sim.WithSeed(42))
+	n := New(k, WithDefaultLink(LinkConfig{Latency: time.Millisecond}))
+	const nodes = 8
+	for i := 0; i < nodes; i++ {
+		id := NodeID(string(rune('a' + i)))
+		if err := n.AddNode(id, func(NodeID, []byte) {}); err != nil {
 			t.Fatal(err)
 		}
-		if err := n.ScheduleFaultPlan(&FaultPlan{Events: events}); err != nil {
-			t.Fatal(err)
-		}
-		// A ring of periodic sends so traffic crosses every shard
-		// boundary while nodes churn underneath it.
-		for i := 0; i < nodes; i++ {
-			src := NodeID(names[i])
-			dst := NodeID(names[(i+1)%nodes])
-			for tick := time.Duration(0); tick < 500*time.Millisecond; tick += 7 * time.Millisecond {
-				eng.ScheduleFunc(tick, func() {
-					_ = n.Send(src, dst, []byte("tick"))
-				})
-			}
-		}
-		if _, err := eng.Run(); err != nil {
-			t.Fatal(err)
-		}
-		return n.Stats()
 	}
-	s1 := run(1)
-	s4 := run(4)
-	if s1 != s4 {
-		t.Fatalf("stats diverge across shard counts: K=1 %+v, K=4 %+v", s1, s4)
+	rng := rand.New(rand.NewSource(9))
+	names := make([]string, nodes)
+	for i := range names {
+		names[i] = string(rune('a' + i))
 	}
-	if s1.Dropped == 0 {
+	events, err := fault.Schedule(fault.Spec{
+		CrashRate: 20,
+		MTTR:      20 * time.Millisecond,
+		Horizon:   500 * time.Millisecond,
+	}, names, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := n.ScheduleFaultPlan(&FaultPlan{Events: events}); err != nil {
+		t.Fatal(err)
+	}
+	// A ring of periodic sends while nodes churn underneath it.
+	for i := 0; i < nodes; i++ {
+		src := NodeID(names[i])
+		dst := NodeID(names[(i+1)%nodes])
+		for tick := time.Duration(0); tick < 500*time.Millisecond; tick += 7 * time.Millisecond {
+			k.ScheduleFunc(tick, func() {
+				_ = n.Send(src, dst, []byte("tick"))
+			})
+		}
+	}
+	if _, err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if n.Stats().Dropped == 0 {
 		t.Fatal("churn scenario produced no drops — faults not applied?")
 	}
 }

@@ -8,19 +8,11 @@ import (
 )
 
 // FaultPlan binds a pre-drawn fault schedule (internal/fault) to a live
-// network: ScheduleFaultPlan turns every event into a timebase event that
+// network: ScheduleFaultPlan turns every event into a kernel event that
 // mutates network state at its virtual time. The hooks let higher layers
 // react in the same instant — tear down reliable flows, fail pending
 // RPCs, rebind services — after the network-level state change has been
 // applied.
-//
-// Determinism: each event is stamped with the affinity of the affected
-// node's slot (the partition source for link faults), so on a sharded
-// engine the state change executes on the shard that owns that node and
-// orders deterministically against its deliveries and sends. Event times
-// are drawn at nanosecond granularity from a dedicated RNG stream, so
-// collisions with traffic on other shards do not occur in practice; the
-// churn band's K=1-vs-K=4 byte-identity gate is the empirical check.
 type FaultPlan struct {
 	Events []fault.Event
 	// OnCrash runs immediately after the node is crashed, at the event's
@@ -32,9 +24,9 @@ type FaultPlan struct {
 }
 
 // ScheduleFaultPlan schedules every event of the plan on the network's
-// timebase, relative to the current virtual time. All referenced nodes
-// must already be registered (their slots provide the affinity stamps);
-// an unknown node fails the whole call before anything is scheduled.
+// kernel, relative to the current virtual time. All referenced nodes
+// must already be registered; an unknown node fails the whole call
+// before anything is scheduled.
 //
 // A plan event that is invalid when it fires (crashing a crashed node,
 // restarting a live one) panics: schedules from fault.Schedule alternate
@@ -47,8 +39,7 @@ func (n *Network) ScheduleFaultPlan(p *FaultPlan) error {
 	entries := make([]sim.BatchEntry, 0, len(p.Events))
 	for _, ev := range p.Events {
 		id := NodeID(ev.Node)
-		slot, ok := n.SlotOf(id)
-		if !ok {
+		if _, ok := n.SlotOf(id); !ok {
 			return fmt.Errorf("%w: fault plan references %q", ErrUnknownNode, ev.Node)
 		}
 		var fn func()
@@ -80,8 +71,8 @@ func (n *Network) ScheduleFaultPlan(p *FaultPlan) error {
 		default:
 			return fmt.Errorf("network: fault plan: unknown event kind %v", ev.Kind)
 		}
-		entries = append(entries, sim.BatchEntry{Delay: ev.At, Fn: fn, Aff: sim.AffinityOf(slot)})
+		entries = append(entries, sim.BatchEntry{Delay: ev.At, Fn: fn})
 	}
-	n.tb.ScheduleBatch(entries)
+	n.kern.ScheduleBatch(entries)
 	return nil
 }

@@ -5,10 +5,8 @@
 //
 // The network is a set of named nodes joined by configurable links. A link
 // models latency, jitter, probabilistic loss and duplication, and an
-// optional MTU. Delivery is scheduled on a sim.Timebase (a single kernel
-// or a sharded group), so all behaviour is deterministic for a fixed
-// seed; deliveries carry the destination slot as their affinity, which
-// is how a sharded engine routes them to the shard owning the receiver.
+// optional MTU. Delivery is scheduled on a sim.Kernel, so all behaviour
+// is deterministic for a fixed seed.
 //
 // The service offered at this level is an *unreliable datagram* service:
 // higher layers (internal/protocol) build reliable datagram delivery on top
@@ -187,9 +185,8 @@ func (d *delivery) run() {
 
 // Network is the simulated interconnection fabric. Create one with New.
 type Network struct {
-	tb          sim.Timebase
-	kern        *sim.Kernel // non-nil when tb is a bare kernel: devirtualized hot path
-	rng         *rand.Rand  // tb.Rand(), cached: both engines return a stable source
+	kern        *sim.Kernel
+	rng         *rand.Rand // kern.Rand(), cached: the kernel returns a stable source
 	defaultLink LinkConfig
 
 	mu       sync.Mutex
@@ -219,30 +216,24 @@ type Network struct {
 
 type linkKey struct{ src, dst NodeID }
 
-// New creates a network scheduled on tb — a *sim.Kernel for
-// single-threaded runs or a shard.Group for sharded ones; the network
-// is written once against the Timebase seam.
-func New(tb sim.Timebase, opts ...Option) *Network {
+// New creates a network scheduled on kern.
+func New(kern *sim.Kernel, opts ...Option) *Network {
 	n := &Network{
-		tb:          tb,
-		rng:         tb.Rand(),
+		kern:        kern,
+		rng:         kern.Rand(),
 		defaultLink: LinkConfig{Latency: time.Millisecond},
 		slots:       make(map[NodeID]Slot),
 		links:       make(map[linkKey]LinkConfig),
 		partition:   make(map[linkKey]bool),
 	}
-	// The seam is the Timebase interface, but the overwhelmingly common
-	// engine is a bare kernel; keeping the concrete pointer restores the
-	// direct (inlinable) call on the per-datagram schedule path.
-	n.kern, _ = tb.(*sim.Kernel)
 	for _, opt := range opts {
 		opt(n)
 	}
 	return n
 }
 
-// Time returns the timebase the network schedules on.
-func (n *Network) Time() sim.Timebase { return n.tb }
+// Time returns the kernel the network schedules on.
+func (n *Network) Time() *sim.Kernel { return n.kern }
 
 // Register adds a node with a slot-addressed handler and returns its
 // dense slot — the entry point of the map-free plane. Registration is
@@ -505,15 +496,14 @@ func (n *Network) Send(src, dst NodeID, payload []byte) error {
 	if !ok {
 		return fmt.Errorf("%w: destination %q", ErrUnknownNode, dst)
 	}
-	// The batch is staged in the lock-protected scratch slice: a local
-	// array would escape through the Timebase interface call and put an
-	// allocation on the per-datagram path.
+	// The batch is staged in the lock-protected scratch slice, reused
+	// across sends so the per-datagram path does not allocate.
 	entries, err := n.transmitLocked(n.rng, ss, ds, payload, n.scratch[:0])
 	if err != nil {
 		n.scratch = entries[:0]
 		return err
 	}
-	n.scheduleBatch(entries)
+	n.kern.ScheduleBatch(entries)
 	n.scratch = entries[:0]
 	return nil
 }
@@ -532,14 +522,13 @@ func (n *Network) SendSlot(src, dst Slot, payload []byte) error {
 	if int(dst) >= len(n.ids) || dst < 0 {
 		return fmt.Errorf("%w: destination %d", ErrBadSlot, dst) //repolint:allow alloc -- cold: caller passed an invalid slot
 	}
-	// Staged in the scratch slice, not a local array: locals escape
-	// through the Timebase interface call (see Send).
+	// Staged in the scratch slice (see Send).
 	entries, err := n.transmitLocked(n.rng, src, dst, payload, n.scratch[:0])
 	if err != nil {
 		n.scratch = entries[:0]
 		return err
 	}
-	n.scheduleBatch(entries)
+	n.kern.ScheduleBatch(entries)
 	n.scratch = entries[:0]
 	return nil
 }
@@ -575,7 +564,7 @@ func (n *Network) SendMulti(src NodeID, dsts []NodeID, payload []byte) error {
 			firstErr = err
 		}
 	}
-	n.scheduleBatch(entries)
+	n.kern.ScheduleBatch(entries)
 	n.scratch = entries[:0]
 	return firstErr
 }
@@ -607,22 +596,9 @@ func (n *Network) SendMultiSlot(src Slot, dsts []Slot, payload []byte) error {
 			firstErr = err
 		}
 	}
-	n.scheduleBatch(entries)
+	n.kern.ScheduleBatch(entries)
 	n.scratch = entries[:0]
 	return firstErr
-}
-
-// scheduleBatch hands a staged batch to the engine, through the direct
-// kernel call when the timebase is a bare kernel (the interface call
-// defeats inlining and costs measurably on the per-datagram path).
-//
-//repolint:hotpath
-func (n *Network) scheduleBatch(entries []sim.BatchEntry) {
-	if n.kern != nil {
-		n.kern.ScheduleBatch(entries)
-		return
-	}
-	n.tb.ScheduleBatch(entries)
 }
 
 // transmitLocked validates one src→dst datagram, applies partition, loss
@@ -692,10 +668,7 @@ func (n *Network) deliveryLocked(rng *rand.Rand, src, dst Slot, cfg *LinkConfig,
 	}
 	d.src, d.dst, d.buf = src, dst, buf
 	d.dstInc = n.incs[dst]
-	// The affinity stamp is what turns this delivery into a boundary
-	// event when dst's slot lives on another shard; the single-threaded
-	// kernel ignores it.
-	return sim.BatchEntry{Delay: delay, Fn: d.fn, Aff: sim.AffinityOf(dst)}
+	return sim.BatchEntry{Delay: delay, Fn: d.fn}
 }
 
 // Crash marks a node as crashed (fail-stop): from this instant the slot

@@ -47,15 +47,15 @@ type Context struct {
 // Self returns the entity's address.
 func (c *Context) Self() Addr { return c.self }
 
-// Time returns the layer's timebase (for time-dependent behaviour).
-func (c *Context) Time() sim.Timebase { return c.layer.tb }
+// Time returns the layer's kernel (for time-dependent behaviour).
+func (c *Context) Time() *sim.Kernel { return c.layer.kern }
 
 // Schedule runs fn after a virtual delay; entities use it for polling
 // intervals, hold times and timeouts. The returned ref cancels without
 // pinning a timer allocation (see sim.TimerRef); callers that do not
 // need to cancel may discard it.
 func (c *Context) Schedule(delay time.Duration, fn func()) sim.TimerRef {
-	return c.layer.tb.ScheduleFuncRef(delay, fn)
+	return c.layer.kern.ScheduleFuncRef(delay, fn)
 }
 
 // SendPDU encodes and transmits a PDU to the peer entity at dst through
@@ -150,7 +150,7 @@ type entityEntry struct {
 // first resolution).
 type Layer struct {
 	name   string
-	tb     sim.Timebase
+	kern   *sim.Kernel
 	lower  LowerService
 	ilower IndexedLower // non-nil when lower supports the dense plane
 
@@ -168,13 +168,12 @@ type Layer struct {
 	snapDirty bool
 }
 
-// NewLayer creates an empty layer over lower, scheduled on tb (a
-// *sim.Kernel or a shard.Group; the layer never depends on which).
-func NewLayer(name string, tb sim.Timebase, lower LowerService) *Layer {
+// NewLayer creates an empty layer over lower, scheduled on kern.
+func NewLayer(name string, kern *sim.Kernel, lower LowerService) *Layer {
 	il, _ := lower.(IndexedLower)
 	return &Layer{
 		name:   name,
-		tb:     tb,
+		kern:   kern,
 		lower:  lower,
 		ilower: il,
 		ids:    make(map[Addr]int32),
@@ -185,8 +184,8 @@ func NewLayer(name string, tb sim.Timebase, lower LowerService) *Layer {
 // Name returns the layer's display name.
 func (l *Layer) Name() string { return l.name }
 
-// Time returns the layer's timebase.
-func (l *Layer) Time() sim.Timebase { return l.tb }
+// Time returns the layer's kernel.
+func (l *Layer) Time() *sim.Kernel { return l.kern }
 
 // internLocked returns addr's entity slot, assigning one on first sight.
 func (l *Layer) internLocked(addr Addr) int32 {

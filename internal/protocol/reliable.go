@@ -72,8 +72,7 @@ func (c *ReliableDatagramConfig) applyDefaults() {
 // in-flight/hold copies ride pooled buffers. ReliableDatagram implements
 // IndexedLower itself, so layers above can stay on the dense plane.
 type ReliableDatagram struct {
-	tb     sim.Timebase
-	kern   *sim.Kernel // non-nil when tb is a bare kernel: devirtualized timer arming
+	kern   *sim.Kernel
 	lower  LowerService
 	ilower IndexedLower        // non-nil when lower supports the dense plane
 	incp   IncarnationProvider // non-nil when lower reports endpoint incarnations
@@ -170,14 +169,12 @@ type heldPDU struct {
 }
 
 // NewReliableDatagram layers reliability over lower, scheduling timers on
-// tb.
-func NewReliableDatagram(tb sim.Timebase, lower LowerService, cfg ReliableDatagramConfig) *ReliableDatagram {
+// kern.
+func NewReliableDatagram(kern *sim.Kernel, lower LowerService, cfg ReliableDatagramConfig) *ReliableDatagram {
 	cfg.applyDefaults()
 	il, _ := lower.(IndexedLower)
 	ip, _ := lower.(IncarnationProvider)
-	kern, _ := tb.(*sim.Kernel)
 	return &ReliableDatagram{
-		tb:     tb,
 		kern:   kern,
 		lower:  lower,
 		ilower: il,
@@ -185,18 +182,6 @@ func NewReliableDatagram(tb sim.Timebase, lower LowerService, cfg ReliableDatagr
 		cfg:    cfg,
 		ids:    make(map[Addr]int32),
 	}
-}
-
-// scheduleFuncRef arms a retransmit timer through the concrete kernel
-// when the timebase is one — the per-data-message path (see
-// network.scheduleBatch for the same trade).
-//
-//repolint:hotpath
-func (r *ReliableDatagram) scheduleFuncRef(delay time.Duration, fn func()) sim.TimerRef {
-	if r.kern != nil {
-		return r.kern.ScheduleFuncRef(delay, fn)
-	}
-	return r.tb.ScheduleFuncRef(delay, fn)
 }
 
 // Name implements LowerService.
@@ -526,7 +511,7 @@ func (r *ReliableDatagram) armTimerLocked(f *sendFlow) {
 	if f.timer.Pending() {
 		return
 	}
-	f.timer = r.scheduleFuncRef(r.cfg.RetransmitTimeout, f.timerFn)
+	f.timer = r.kern.ScheduleFuncRef(r.cfg.RetransmitTimeout, f.timerFn)
 }
 
 // onTimeout retransmits the whole window (go-back-N).

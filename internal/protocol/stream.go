@@ -201,7 +201,7 @@ func (f *Framing) onSegment(src, dst Addr, segment []byte) {
 // §4.2 in one call: unreliable datagrams (net) → go-back-N reliable
 // datagrams → octet stream → framed PDUs, returning a LowerService ready
 // for application protocols or the middleware platform.
-func NewStreamTransport(tb sim.Timebase, base LowerService, rcfg ReliableDatagramConfig, scfg StreamConfig) *Framing {
-	reliable := NewReliableDatagram(tb, base, rcfg)
+func NewStreamTransport(kern *sim.Kernel, base LowerService, rcfg ReliableDatagramConfig, scfg StreamConfig) *Framing {
+	reliable := NewReliableDatagram(kern, base, rcfg)
 	return NewFraming(NewStream(reliable, scfg), 0)
 }

@@ -8,8 +8,8 @@ import (
 	"repro/internal/floorcontrol"
 )
 
-// Fixed workload shape of file-defined churn bands, identical to
-// ChurnBandWith.
+// Fixed workload shape of every churn band, built in (ChurnBandWith) or
+// file-defined.
 const (
 	churnSubscribers = 4
 	churnResources   = 2
@@ -19,23 +19,21 @@ const (
 
 // BandFileScenarios parses band-file source (see internal/bandfile) and
 // expands every band it declares, in file order, into the scenario list
-// a sweep runs. shards is the execution engine selector threaded into
-// every scenario — like everywhere else it never affects scenario
-// identity or results.
+// a sweep runs.
 //
 // Value validation applies the same rules the cmd/sweep dimension flags
 // enforce: known solution names, positive counts, loss rates in [0, 1),
 // positive crash rates and repair times, and no duplicates in any
 // dimension. A file whose matrix band matches a built-in band expands
 // to the identical scenario list, so its sweep output is byte-identical.
-func BandFileScenarios(src string, shards int) ([]Scenario, error) {
+func BandFileScenarios(src string) ([]Scenario, error) {
 	f, err := bandfile.Parse(src)
 	if err != nil {
 		return nil, err
 	}
 	var out []Scenario
 	for i := range f.Bands {
-		scens, err := expandBand(&f.Bands[i], shards)
+		scens, err := expandBand(&f.Bands[i])
 		if err != nil {
 			return nil, err
 		}
@@ -44,13 +42,13 @@ func BandFileScenarios(src string, shards int) ([]Scenario, error) {
 	return out, nil
 }
 
-func expandBand(b *bandfile.Band, shards int) ([]Scenario, error) {
+func expandBand(b *bandfile.Band) ([]Scenario, error) {
 	solutions, err := checkSolutions(b)
 	if err != nil {
 		return nil, err
 	}
 	if b.Kind == bandfile.KindChurn {
-		return expandChurnBand(b, solutions, shards)
+		return expandChurnBand(b, solutions)
 	}
 	if err := checkPositiveInts(b.Name, "clients", b.Clients); err != nil {
 		return nil, err
@@ -67,7 +65,6 @@ func expandBand(b *bandfile.Band, shards int) ([]Scenario, error) {
 		Resources: b.Resources,
 		Loss:      b.Loss,
 		Cycles:    b.Cycles,
-		Shards:    shards,
 	}.Scenarios(), nil
 }
 
@@ -75,7 +72,7 @@ func expandBand(b *bandfile.Band, shards int) ([]Scenario, error) {
 // then crash rate, then MTTR, with the same fixed workload shape. A
 // file with defaulted dimensions therefore expands to exactly
 // ChurnBand's scenario list.
-func expandChurnBand(b *bandfile.Band, solutions []string, shards int) ([]Scenario, error) {
+func expandChurnBand(b *bandfile.Band, solutions []string) ([]Scenario, error) {
 	if len(b.Clients) > 0 || len(b.Resources) > 0 || b.Cycles != 0 || len(b.Loss) > 0 {
 		return nil, fmt.Errorf("runner: band %q: churn bands fix the workload shape; only crash, mttr, rebind, and deadline vary", b.Name)
 	}
@@ -134,7 +131,6 @@ func expandChurnBand(b *bandfile.Band, solutions []string, shards int) ([]Scenar
 						CrashRate:    rate,
 						MTTR:         mttr,
 						RebindPolicy: policy,
-						Shards:       shards,
 					}))
 				}
 			}

@@ -22,7 +22,7 @@ func readBandFile(t *testing.T, name string) string {
 // DefaultBand(), so its sweep CSV is byte-identical to the recorded
 // golden — at one worker and at eight.
 func TestBandFileDefaultBandGolden(t *testing.T) {
-	scenarios, err := BandFileScenarios(readBandFile(t, "default.band"), 0)
+	scenarios, err := BandFileScenarios(readBandFile(t, "default.band"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +54,7 @@ func scenarioIDs(scens []Scenario) []string {
 // order, so the sweep output is byte-identical by construction
 // (scenario IDs determine derived seeds and row order).
 func TestBandFileChurnEquivalence(t *testing.T) {
-	scenarios, err := BandFileScenarios(readBandFile(t, "churn.band"), 0)
+	scenarios, err := BandFileScenarios(readBandFile(t, "churn.band"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,11 +79,11 @@ func TestBandFileChurnOverrides(t *testing.T) {
   mttr 100 ms
 }
 `
-	scenarios, err := BandFileScenarios(src, 0)
+	scenarios, err := BandFileScenarios(src)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := scenarioIDs(ChurnBandWith([]float64{1, 10}, []time.Duration{100 * time.Millisecond}, 0))
+	want := scenarioIDs(ChurnBandWith([]float64{1, 10}, []time.Duration{100 * time.Millisecond}))
 	got := scenarioIDs(scenarios)
 	if len(got) != len(want) {
 		t.Fatalf("override band expands to %d scenarios, want %d", len(got), len(want))
@@ -109,7 +109,7 @@ band second {
   loss 0
 }
 `
-	scenarios, err := BandFileScenarios(src, 0)
+	scenarios, err := BandFileScenarios(src)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,26 +121,6 @@ band second {
 	if scenarios[0].ID != first[0].ID || scenarios[1].ID != second[0].ID {
 		t.Fatalf("bands out of order: got [%s %s], want [%s %s]",
 			scenarios[0].ID, scenarios[1].ID, first[0].ID, second[0].ID)
-	}
-}
-
-// TestBandFileShardsAreExecutionOnly pins that the shard selector
-// threads into expansion without touching scenario identity.
-func TestBandFileShardsAreExecutionOnly(t *testing.T) {
-	src := readBandFile(t, "default.band")
-	flat, err := BandFileScenarios(src, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sharded, err := BandFileScenarios(src, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, b := scenarioIDs(flat), scenarioIDs(sharded)
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("scenario %d identity changed with shards: %q vs %q", i, a[i], b[i])
-		}
 	}
 }
 
@@ -230,7 +210,7 @@ func TestBandFileErrors(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			_, err := BandFileScenarios(tc.src, 0)
+			_, err := BandFileScenarios(tc.src)
 			if err == nil {
 				t.Fatal("invalid band file accepted")
 			}

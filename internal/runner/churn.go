@@ -22,10 +22,12 @@ var (
 // headline metric is availability (served/offered within the acquire
 // timeout); the gate is zero safety violations across the whole band.
 // Churn parameters are workload identity, so every grid point gets a
-// distinct scenario ID and derived seed; shards stays an execution
-// parameter and the band's CSV is byte-identical for every value.
-func ChurnBand(shards int) []Scenario {
-	return ChurnBandWith(nil, nil, shards)
+// distinct scenario ID and derived seed.
+//
+// The argument is ignored; it stays only so the benchmark's existing
+// ChurnBand(0) call compiles, and goes when that call site changes.
+func ChurnBand(_ int) []Scenario {
+	return ChurnBandWith(nil, nil)
 }
 
 // ChurnBandWith expands the churn band over explicit crash-rate and
@@ -33,7 +35,7 @@ func ChurnBand(shards int) []Scenario {
 // cmd/sweep's -crash and -mttr overrides. Expansion order is
 // deterministic: solution, then rebind policy, then crash rate, then
 // MTTR.
-func ChurnBandWith(rates []float64, mttrs []time.Duration, shards int) []Scenario {
+func ChurnBandWith(rates []float64, mttrs []time.Duration) []Scenario {
 	if len(rates) == 0 {
 		rates = defaultChurnRates
 	}
@@ -53,14 +55,13 @@ func ChurnBandWith(rates []float64, mttrs []time.Duration, shards int) []Scenari
 				for _, mttr := range mttrs {
 					out = append(out, WorkloadScenario(floorcontrol.Config{
 						Solution:     sol,
-						Subscribers:  4,
-						Resources:    2,
-						Cycles:       4,
-						Deadline:     8 * time.Second,
+						Subscribers:  churnSubscribers,
+						Resources:    churnResources,
+						Cycles:       churnCycles,
+						Deadline:     churnDeadline,
 						CrashRate:    rate,
 						MTTR:         mttr,
 						RebindPolicy: policy,
-						Shards:       shards,
 					}))
 				}
 			}

@@ -64,21 +64,21 @@ func TestChurnBandGate(t *testing.T) {
 }
 
 // TestChurnBandDeterminism: the churn band CSV is byte-identical across
-// worker counts and shard counts — crashes, retries, and failovers ride
-// the same deterministic engine as everything else.
+// worker counts and matches the recorded golden — crashes, retries, and
+// failovers ride the same deterministic kernel as everything else.
 func TestChurnBandDeterminism(t *testing.T) {
 	h1 := sweepCSVHash(t, ChurnBand(0), 1)
+	if h1 != goldenChurnBandCSV {
+		t.Fatalf("churn band CSV hash = %s, want %s", h1, goldenChurnBandCSV)
+	}
 	if h8 := sweepCSVHash(t, ChurnBand(0), 8); h8 != h1 {
 		t.Fatalf("churn band CSV diverges across workers: 1 → %s, 8 → %s", h1, h8)
-	}
-	if hK4 := sweepCSVHash(t, ChurnBand(4), 8); hK4 != h1 {
-		t.Fatalf("churn band CSV diverges across shards: K=1 → %s, K=4 → %s", h1, hK4)
 	}
 }
 
 // TestChurnBandWithOverrides: explicit dimensions reshape the band.
 func TestChurnBandWithOverrides(t *testing.T) {
-	scenarios := ChurnBandWith([]float64{1}, nil, 0)
+	scenarios := ChurnBandWith([]float64{1}, nil)
 	if len(scenarios) != 12*3 {
 		t.Fatalf("single-rate band has %d scenarios, want %d", len(scenarios), 12*3)
 	}

@@ -158,38 +158,6 @@ func TestSweepDeterministicAcrossWorkerCounts(t *testing.T) {
 	}
 }
 
-// TestSweepDeterministicAcrossShardCounts is the sharded-engine
-// acceptance guard: the same sweep on a single kernel and on K sharded
-// kernels must aggregate to byte-identical reports. Shards is an
-// execution parameter, not part of scenario identity, so this holds for
-// every K — and composes with worker-count determinism (the K=4 pass
-// runs on 8 workers to exercise both at once).
-func TestSweepDeterministicAcrossShardCounts(t *testing.T) {
-	render := func(shards, workers int) []byte {
-		m := testMatrix()
-		m.Shards = shards
-		rep, err := Sweep(m.Scenarios(), Options{Workers: workers, BaseSeed: 42})
-		if err != nil {
-			t.Fatalf("shards=%d: %v", shards, err)
-		}
-		if err := rep.Err(); err != nil {
-			t.Fatalf("shards=%d: %v", shards, err)
-		}
-		c, err := rep.CSV()
-		if err != nil {
-			t.Fatalf("shards=%d: csv: %v", shards, err)
-		}
-		return c
-	}
-	base := render(0, 1)
-	for _, tc := range []struct{ shards, workers int }{{1, 1}, {2, 1}, {4, 8}} {
-		if got := render(tc.shards, tc.workers); !bytes.Equal(base, got) {
-			t.Errorf("CSV report differs between single kernel and %d shards (%d workers)",
-				tc.shards, tc.workers)
-		}
-	}
-}
-
 // TestBandSpec pins the declarative band surface: DefaultBand is the
 // 120-scenario headline matrix, LargeClientBand lowers through the same
 // spec, and every BandSpec field reaches the expanded Config.
@@ -203,11 +171,9 @@ func TestBandSpec(t *testing.T) {
 		Resources: []int{3},
 		Loss:      []float64{0.02},
 		Cycles:    2,
-		Shards:    4,
 	}
-	m := spec.Matrix()
-	if m.Shards != 4 || m.Cycles != 2 {
-		t.Fatalf("Matrix dropped execution knobs: %+v", m)
+	if m := spec.Matrix(); m.Cycles != 2 {
+		t.Fatalf("Matrix dropped the cycle count: %+v", m)
 	}
 	scenarios := spec.Scenarios()
 	if len(scenarios) != 1 || spec.Size() != 1 {
@@ -219,12 +185,6 @@ func TestBandSpec(t *testing.T) {
 		if sc.Params[k] != v {
 			t.Errorf("Params[%q] = %q, want %q", k, sc.Params[k], v)
 		}
-	}
-	if _, ok := sc.Params["shards"]; ok {
-		t.Error("shards leaked into scenario params; it must stay out of scenario identity")
-	}
-	if strings.Contains(sc.ID, "shard") {
-		t.Errorf("scenario ID %q mentions shards; execution parameters must not affect identity", sc.ID)
 	}
 }
 

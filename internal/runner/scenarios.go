@@ -46,11 +46,6 @@ type Matrix struct {
 	Cycles       int
 	PollInterval time.Duration
 	Latency      time.Duration
-	// Shards selects the execution engine for every scenario (see
-	// floorcontrol.Config.Shards). It is an execution parameter, not a
-	// swept dimension: results are byte-identical for every value, so it
-	// never contributes to scenario IDs, derived seeds, or sweep output.
-	Shards int
 }
 
 func (m Matrix) withDefaults() Matrix {
@@ -92,7 +87,6 @@ func (m Matrix) Scenarios() []Scenario {
 						PollInterval: m.PollInterval,
 						Latency:      m.Latency,
 						LossRate:     loss,
-						Shards:       m.Shards,
 					}
 					out = append(out, WorkloadScenario(cfg))
 				}
@@ -104,12 +98,12 @@ func (m Matrix) Scenarios() []Scenario {
 
 // BandSpec is the declarative description of a scenario band: the swept
 // dimensions a band varies (solutions, client counts, loss rates,
-// resource counts) plus the execution knobs it holds fixed (cycles,
-// shards). It is the single way bands are defined — the named band
-// constructors below are one-line specs, and callers compose ad-hoc
-// bands the same way instead of hand-rolling Matrix literals:
+// resource counts) plus the cycle count it holds fixed. It is the
+// single way bands are defined — the named band constructors below are
+// one-line specs, and callers compose ad-hoc bands the same way instead
+// of hand-rolling Matrix literals:
 //
-//	runner.BandSpec{Clients: []int{64}, Loss: []float64{0.05}, Shards: 4}.Scenarios()
+//	runner.BandSpec{Clients: []int{64}, Loss: []float64{0.05}}.Scenarios()
 //
 // Field names follow the sweep CLI (-clients, -loss), not the workload
 // struct, because a band is a CLI-level concept. Empty dimensions take
@@ -127,9 +121,6 @@ type BandSpec struct {
 	// Cycles fixes the acquire/hold/release cycles per subscriber; zero
 	// takes the workload default.
 	Cycles int
-	// Shards fixes the execution engine (see Matrix.Shards); it never
-	// affects results or scenario identity.
-	Shards int
 }
 
 // Matrix lowers the spec to the cross-product form the expander runs.
@@ -140,7 +131,6 @@ func (s BandSpec) Matrix() Matrix {
 		Resources:   s.Resources,
 		LossRates:   s.Loss,
 		Cycles:      s.Cycles,
-		Shards:      s.Shards,
 	}
 }
 

@@ -34,12 +34,10 @@ func FanoutScenario(cfg fanout.Config) Scenario {
 //     one cycle per client) — the contention workload at population.
 //
 // scale divides every population for CI smoke runs (e.g. scale 1024
-// keeps the same code paths at ~1k subscribers); shards selects the
-// execution engine and, as everywhere, never affects results or
-// scenario identity. Memory is O(1) per client throughout: dense shard
-// rows, membership bits, and streaming histograms — no per-subscriber
-// retained samples.
-func XLBand(scale, shards int) []Scenario {
+// keeps the same code paths at ~1k subscribers). Memory is O(1) per
+// client throughout: dense per-leaf subscriber rows, membership bits,
+// and streaming histograms — no per-subscriber retained samples.
+func XLBand(scale int) []Scenario {
 	if scale < 1 {
 		scale = 1
 	}
@@ -55,14 +53,12 @@ func XLBand(scale, shards int) []Scenario {
 		Leaves:       4,
 		Events:       4,
 		PayloadBytes: 128,
-		Shards:       shards,
 	}
 	floor := floorcontrol.Config{
 		Solution:    "mw-callback",
 		Subscribers: div(100000),
 		Resources:   div(2048),
 		Cycles:      1,
-		Shards:      shards,
 	}
 	return []Scenario{FanoutScenario(fan), WorkloadScenario(floor)}
 }

@@ -196,11 +196,6 @@ func (r TimerRef) Pending() bool {
 type BatchEntry struct {
 	Delay time.Duration
 	Fn    func()
-	// Aff optionally names the routing key (a network slot) this event
-	// belongs to; see Affinity. The single-threaded kernel ignores it; a
-	// sharded engine routes the event to the shard owning the key, which
-	// is how a cross-shard network delivery becomes a boundary event.
-	Aff Affinity
 }
 
 // Kernel is a deterministic discrete-event scheduler over virtual time.
@@ -469,12 +464,7 @@ func (k *Kernel) run(cond func() bool) (int, error) {
 		}
 		at := k.queue.min().at
 		k.now = at
-		// cond is re-evaluated per pop, not just per instant: a claim
-		// bound (RunCond) may fall inside an instant when another shard
-		// holds an interleaved sequence number, and the batch must stop
-		// exactly there. Run's constant-true and RunUntil's same-instant
-		// condition make the extra checks free of behaviour change.
-		for k.queue.len() > 0 && k.queue.min().at == at && (cond == nil || cond()) {
+		for k.queue.len() > 0 && k.queue.min().at == at {
 			t := k.queue.popMin()
 			t.state.Store(stateRunnable)
 			k.batch = append(k.batch, t)

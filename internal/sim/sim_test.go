@@ -281,6 +281,42 @@ func TestEventLimitKeepsClockAtLastExecuted(t *testing.T) {
 	}
 }
 
+// TestEventLimitAbortsMidBatch pins the aborted-batch path: all four
+// events share one instant, so the limit trips mid-batch and the
+// unexecuted tail must go back into the heap under its original keys.
+// The limit is per Run, so a second Run drains the tail in FIFO order.
+func TestEventLimitAbortsMidBatch(t *testing.T) {
+	k := NewKernel(WithEventLimit(2))
+	var got []int
+	for i := 0; i < 4; i++ {
+		k.ScheduleFunc(time.Millisecond, func() { got = append(got, i) })
+	}
+	n, err := k.Run()
+	if err == nil || n != 2 {
+		t.Fatalf("limited Run = (%d, %v), want 2 events and a limit error", n, err)
+	}
+	if k.Pending() != 2 {
+		t.Fatalf("Pending = %d after mid-batch abort, want 2", k.Pending())
+	}
+	if n, err := k.Run(); err != nil || n != 2 {
+		t.Fatalf("second Run = (%d, %v), want (2, nil)", n, err)
+	}
+	want := []int{0, 1, 2, 3} // replay preserves the original FIFO order
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("order %v, want %v", got, want)
+		}
+	}
+}
+
+func TestTimerWhen(t *testing.T) {
+	k := NewKernel()
+	tm := k.Schedule(7*time.Millisecond, func() {})
+	if tm.When() != 7*time.Millisecond {
+		t.Fatalf("When = %v, want 7ms", tm.When())
+	}
+}
+
 func TestStepHonorsStop(t *testing.T) {
 	k := NewKernel()
 	fired := false

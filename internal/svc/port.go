@@ -125,14 +125,14 @@ func (p *Port[Req, Resp]) putState(s *callState[Req, Resp]) {
 //repolint:hotpath
 func (p *Port[Req, Resp]) Call(from middleware.Addr, req Req, cont func(Resp, error)) error {
 	args := p.enc(req)
-	if err := p.cfg.observeOut(p.b.tb, args); err != nil {
+	if err := p.cfg.observeOut(p.b.kern, args); err != nil {
 		return err
 	}
 	s := p.getState()
 	s.cont = cont
 	if p.cfg.deadline > 0 {
 		s.deadline = true
-		s.timer = p.b.tb.ScheduleFuncRef(p.cfg.deadline, s.onDeadline)
+		s.timer = p.b.kern.ScheduleFuncRef(p.cfg.deadline, s.onDeadline)
 	}
 	if err := p.b.plat.Invoke(from, p.target, p.op, args, s.onReply); err != nil {
 		s.timer.Cancel()
@@ -416,7 +416,7 @@ func (e *Export) object() middleware.Object {
 			reply(nil, fmt.Errorf("%w: %q", middleware.ErrUnknownOperation, op))
 			return
 		}
-		e.cfg.observeInOp(e.b.tb, op, args)
+		e.cfg.observeInOp(e.b.kern, op, args)
 		fn(args, reply)
 	})
 }

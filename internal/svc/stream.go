@@ -94,19 +94,19 @@ func (s *Sink[T]) Send(from middleware.Addr, v T) error {
 	switch s.kind {
 	case sinkOneway:
 		args := s.encRec(v)
-		if err := s.cfg.observeOut(s.b.tb, args); err != nil {
+		if err := s.cfg.observeOut(s.b.kern, args); err != nil {
 			return err
 		}
 		return wrapErr(s.b.plat.InvokeOneway(from, s.target, s.op, args))
 	case sinkQueue:
 		m := s.encMsg(v)
-		if err := s.cfg.observeOut(s.b.tb, m.Fields); err != nil {
+		if err := s.cfg.observeOut(s.b.kern, m.Fields); err != nil {
 			return err
 		}
 		return wrapErr(s.b.plat.QueuePut(from, s.name, m))
 	case sinkTopic:
 		m := s.encMsg(v)
-		if err := s.cfg.observeOut(s.b.tb, m.Fields); err != nil {
+		if err := s.cfg.observeOut(s.b.kern, m.Fields); err != nil {
 			return err
 		}
 		return wrapErr(s.b.plat.Publish(from, s.name, m))
@@ -158,7 +158,7 @@ func NewQueueSource[T any](b *Binding, queue string, node middleware.Addr,
 			return
 		}
 		src.received++
-		src.cfg.observeIn(b.tb, m.Fields)
+		src.cfg.observeIn(b.kern, m.Fields)
 		fn(v)
 	}); err != nil {
 		return nil, wrapErr(err)
@@ -194,7 +194,7 @@ func NewTopicSource[T any](b *Binding, topic string, node middleware.Addr,
 		if src.cfg.monitor != nil {
 			// Materialize the params only when a monitor is watching.
 			fields, _ := v.Record("fields")
-			src.cfg.observeIn(b.tb, fields)
+			src.cfg.observeIn(b.kern, fields)
 		}
 		fn(val)
 	}); err != nil {
@@ -227,7 +227,7 @@ func NewTopicSourceMessages[T any](b *Binding, topic string, node middleware.Add
 			return
 		}
 		src.received++
-		src.cfg.observeIn(b.tb, m.Fields)
+		src.cfg.observeIn(b.kern, m.Fields)
 		fn(v)
 	}); err != nil {
 		return nil, wrapErr(err)

@@ -179,7 +179,7 @@ func (s *Service) Bind(p *middleware.Platform, patterns ...middleware.Pattern) (
 		return nil, &classed{class: ErrAlreadyBound, cause: fmt.Errorf("service %q", s.spec.Name)}
 	}
 	s.bound = true
-	return &Binding{svc: s, plat: p, tb: p.Time()}, nil
+	return &Binding{svc: s, plat: p, kern: p.Time()}, nil
 }
 
 // Binding is a Service bound to one middleware platform: the factory for
@@ -189,7 +189,7 @@ func (s *Service) Bind(p *middleware.Platform, patterns ...middleware.Pattern) (
 type Binding struct {
 	svc  *Service
 	plat *middleware.Platform
-	tb   sim.Timebase
+	kern *sim.Kernel
 }
 
 // Service returns the bound service declaration.
@@ -275,7 +275,7 @@ func (b *Binding) applyOptions(op string, opts []PortOption) (portConfig, error)
 
 // observeOut reports an outbound interaction to the endpoint monitor,
 // vetoing on error.
-func (c *portConfig) observeOut(k sim.Timebase, params codec.Record) error {
+func (c *portConfig) observeOut(k *sim.Kernel, params codec.Record) error {
 	if c.monitor == nil {
 		return nil
 	}
@@ -289,7 +289,7 @@ func (c *portConfig) observeOut(k sim.Timebase, params codec.Record) error {
 // observeIn reports an inbound interaction to the endpoint monitor.
 // Violations on the inbound path are recorded by the monitor itself (the
 // delivery already happened on the wire); they do not veto the handler.
-func (c *portConfig) observeIn(k sim.Timebase, params codec.Record) {
+func (c *portConfig) observeIn(k *sim.Kernel, params codec.Record) {
 	if c.monitor == nil {
 		return
 	}
@@ -299,7 +299,7 @@ func (c *portConfig) observeIn(k sim.Timebase, params codec.Record) {
 // observeInOp is observeIn for multi-operation endpoints (exports): the
 // dispatched operation names the event primitive unless the config pins
 // one explicitly.
-func (c *portConfig) observeInOp(k sim.Timebase, op string, params codec.Record) {
+func (c *portConfig) observeInOp(k *sim.Kernel, op string, params codec.Record) {
 	if c.monitor == nil {
 		return
 	}
