@@ -92,6 +92,7 @@ fuzz:
 	$(GO) test -fuzz FuzzKernelOrdering -fuzztime 60s -run XXX ./internal/sim
 	$(GO) test -fuzz FuzzCodecRoundTrip -fuzztime 60s -run XXX ./internal/codec
 	$(GO) test -fuzz FuzzSDLRoundTrip -fuzztime 60s -run XXX ./internal/sdl
+	$(GO) test -fuzz FuzzPlatformWire -fuzztime 60s -run XXX ./internal/middleware
 
 # Coverage profile + per-function summary (the CI coverage job).
 cover:
@@ -181,6 +182,6 @@ help:
 	@echo "sweep-churn      the crash/restart robustness band (availability + safety gate)"
 	@echo "linkcheck        verify relative links + anchors in the top-level docs"
 	@echo "profile          CPU+alloc profiles of the full sweep"
-	@echo "fuzz             bounded kernel + codec + SDL fuzzing"
+	@echo "fuzz             bounded kernel + codec + SDL + middleware-wire fuzzing"
 	@echo "cover            coverage profile + per-function summary"
 	@echo "fig              regenerate every paper figure"

@@ -33,12 +33,13 @@ const (
 	PrimPing   = "ping"
 )
 
-// Compiled parameter-record schemas, one per primitive.
+// Compiled parameter-record schemas, one per primitive: the wire
+// layout of each primitive's argument record on the invocation plane.
 var (
-	SchemaOpen   = codec.CompileSchema(PrimOpen, "id", "seq", "urgent", "tags")
-	SchemaOpened = codec.CompileSchema(PrimOpened, "id", "seq")
-	SchemaClose  = codec.CompileSchema(PrimClose, "id")
-	SchemaPing   = codec.CompileSchema(PrimPing)
+	SchemaOpen   = codec.CompileRecord("id", "seq", "urgent", "tags")
+	SchemaOpened = codec.CompileRecord("id", "seq")
+	SchemaClose  = codec.CompileRecord("id")
+	SchemaPing   = codec.CompileRecord()
 )
 
 // Spec reconstructs the validated service specification.
@@ -136,13 +137,14 @@ func Bind(p *middleware.Platform, patterns ...middleware.Pattern) (*svc.Binding,
 // with (oneway deliveries elide it on the wire).
 type Ack struct{}
 
-// EncodeAck marshals an acknowledgement into an empty reply record.
-func EncodeAck(Ack) codec.Record {
-	return codec.Record{}
+// AppendAck appends an acknowledgement's wire form, the empty reply
+// record, to buf.
+func AppendAck(buf []byte, _ Ack) ([]byte, error) {
+	return append(buf, codec.RawEmptyRecord...), nil
 }
 
-// DecodeAck unmarshals an acknowledgement reply record.
-func DecodeAck(codec.Record) (Ack, error) {
+// DecodeAck decodes an acknowledgement reply record.
+func DecodeAck(codec.MsgView) (Ack, error) {
 	return Ack{}, nil
 }
 
@@ -154,95 +156,69 @@ type OpenParams struct {
 	Tags   []string
 }
 
-// EncodeOpenParams marshals p into the generic parameter record the
-// invocation plane carries.
-func EncodeOpenParams(p OpenParams) codec.Record {
-	f3 := make([]codec.Value, len(p.Tags))
-	for i, v := range p.Tags {
-		f3[i] = v
-	}
-	return codec.Record{
-		"id":     p.Id,
-		"seq":    p.Seq,
-		"urgent": p.Urgent,
-		"tags":   f3,
-	}
-}
-
-// DecodeOpenParams unmarshals a "open" parameter record. Absent parameters
-// decode to zero values; mistyped ones are rejected.
-func DecodeOpenParams(r codec.Record) (OpenParams, error) {
-	var p OpenParams
-	if v, ok := r["id"]; ok {
-		c, ok := v.(string)
-		if !ok {
-			return p, fmt.Errorf("open: parameter %q: want string, got %T", "id", v)
-		}
-		p.Id = c
-	}
-	if v, ok := r["seq"]; ok {
-		switch n := v.(type) {
-		case int64:
-			p.Seq = n
-		case int:
-			p.Seq = int64(n)
-		case int32:
-			p.Seq = int64(n)
-		default:
-			return p, fmt.Errorf("open: parameter %q: want int, got %T", "seq", v)
-		}
-	}
-	if v, ok := r["urgent"]; ok {
-		c, ok := v.(bool)
-		if !ok {
-			return p, fmt.Errorf("open: parameter %q: want bool, got %T", "urgent", v)
-		}
-		p.Urgent = c
-	}
-	if v, ok := r["tags"]; ok {
-		xs, err := codec.ToStringSlice(v)
-		if err != nil {
-			return p, fmt.Errorf("open: parameter %q: %v", "tags", err)
-		}
-		p.Tags = xs
-	}
-	return p, nil
-}
-
-// AppendOpenParams appends the canonical wire form of p to buf through
-// the compiled schema — byte-identical to encoding OpenMessage(p).
+// AppendOpenParams appends the wire form of p's parameter record to buf
+// through the compiled schema — byte-identical to codec.Append of the
+// record OpenMessage(p) carries. It is the argument encoder of the
+// primitive's typed port or sink.
 func AppendOpenParams(buf []byte, p OpenParams) ([]byte, error) {
 	e := SchemaOpen.Encoder(buf)
 	e.Str("id", p.Id)
 	e.Int("seq", p.Seq)
-	{
-		xs := make([]codec.Value, len(p.Tags))
-		for i, v := range p.Tags {
-			xs[i] = v
-		}
-		e.Value("tags", xs)
-	}
+	e.Strings("tags", p.Tags)
 	e.Bool("urgent", p.Urgent)
 	return e.Finish()
+}
+
+// DecodeOpenParams decodes a "open" parameter record from a view of its
+// wire form, copying what it keeps. Absent parameters decode to zero
+// values; mistyped ones are rejected.
+func DecodeOpenParams(v codec.MsgView) (OpenParams, error) {
+	var p OpenParams
+	if s, ok := v.Str("id"); ok {
+		p.Id = string(s)
+	} else if v.Has("id") {
+		return p, fmt.Errorf("open: parameter %q: want string", "id")
+	}
+	if n, ok := v.Int("seq"); ok {
+		p.Seq = n
+	} else if v.Has("seq") {
+		return p, fmt.Errorf("open: parameter %q: want int", "seq")
+	}
+	if b, ok := v.Bool("urgent"); ok {
+		p.Urgent = b
+	} else if v.Has("urgent") {
+		return p, fmt.Errorf("open: parameter %q: want bool", "urgent")
+	}
+	if xs, ok := v.Strings("tags", nil); ok {
+		p.Tags = xs
+	} else if v.Has("tags") {
+		return p, fmt.Errorf("open: parameter %q: want list of strings", "tags")
+	}
+	return p, nil
 }
 
 // OpenMessage wraps p as the named message the queue and topic planes
 // carry.
 func OpenMessage(p OpenParams) codec.Message {
-	return codec.NewMessage(PrimOpen, EncodeOpenParams(p))
+	return codec.NewMessage(PrimOpen, codec.Record{
+		"id":     p.Id,
+		"seq":    p.Seq,
+		"urgent": p.Urgent,
+		"tags":   codec.StringList(p.Tags),
+	})
 }
 
 // NewOpenPort opens a typed RPC port for primitive "open": the user part
 // submits OpenParams to the provider object and the continuation
 // receives the acknowledgement.
 func NewOpenPort(b *svc.Binding, target middleware.ObjRef, opts ...svc.PortOption) (*svc.Port[OpenParams, Ack], error) {
-	return svc.NewPort(b, target, PrimOpen, EncodeOpenParams, DecodeAck, opts...)
+	return svc.NewPort(b, target, PrimOpen, AppendOpenParams, DecodeAck, opts...)
 }
 
 // HandleOpen registers the provider-side handler for primitive "open" on
 // export e.
 func HandleOpen(e *svc.Export, h func(OpenParams, func(Ack, error))) error {
-	return svc.HandleOp(e, PrimOpen, DecodeOpenParams, EncodeAck, h)
+	return svc.HandleOp(e, PrimOpen, DecodeOpenParams, AppendAck, h)
 }
 
 // OpenedParams is the typed parameter record of primitive "opened" (to-user).
@@ -251,43 +227,10 @@ type OpenedParams struct {
 	Seq int64
 }
 
-// EncodeOpenedParams marshals p into the generic parameter record the
-// invocation plane carries.
-func EncodeOpenedParams(p OpenedParams) codec.Record {
-	return codec.Record{
-		"id":  p.Id,
-		"seq": p.Seq,
-	}
-}
-
-// DecodeOpenedParams unmarshals a "opened" parameter record. Absent parameters
-// decode to zero values; mistyped ones are rejected.
-func DecodeOpenedParams(r codec.Record) (OpenedParams, error) {
-	var p OpenedParams
-	if v, ok := r["id"]; ok {
-		c, ok := v.(string)
-		if !ok {
-			return p, fmt.Errorf("opened: parameter %q: want string, got %T", "id", v)
-		}
-		p.Id = c
-	}
-	if v, ok := r["seq"]; ok {
-		switch n := v.(type) {
-		case int64:
-			p.Seq = n
-		case int:
-			p.Seq = int64(n)
-		case int32:
-			p.Seq = int64(n)
-		default:
-			return p, fmt.Errorf("opened: parameter %q: want int, got %T", "seq", v)
-		}
-	}
-	return p, nil
-}
-
-// AppendOpenedParams appends the canonical wire form of p to buf through
-// the compiled schema — byte-identical to encoding OpenedMessage(p).
+// AppendOpenedParams appends the wire form of p's parameter record to buf
+// through the compiled schema — byte-identical to codec.Append of the
+// record OpenedMessage(p) carries. It is the argument encoder of the
+// primitive's typed port or sink.
 func AppendOpenedParams(buf []byte, p OpenedParams) ([]byte, error) {
 	e := SchemaOpened.Encoder(buf)
 	e.Str("id", p.Id)
@@ -295,16 +238,37 @@ func AppendOpenedParams(buf []byte, p OpenedParams) ([]byte, error) {
 	return e.Finish()
 }
 
+// DecodeOpenedParams decodes a "opened" parameter record from a view of its
+// wire form, copying what it keeps. Absent parameters decode to zero
+// values; mistyped ones are rejected.
+func DecodeOpenedParams(v codec.MsgView) (OpenedParams, error) {
+	var p OpenedParams
+	if s, ok := v.Str("id"); ok {
+		p.Id = string(s)
+	} else if v.Has("id") {
+		return p, fmt.Errorf("opened: parameter %q: want string", "id")
+	}
+	if n, ok := v.Int("seq"); ok {
+		p.Seq = n
+	} else if v.Has("seq") {
+		return p, fmt.Errorf("opened: parameter %q: want int", "seq")
+	}
+	return p, nil
+}
+
 // OpenedMessage wraps p as the named message the queue and topic planes
 // carry.
 func OpenedMessage(p OpenedParams) codec.Message {
-	return codec.NewMessage(PrimOpened, EncodeOpenedParams(p))
+	return codec.NewMessage(PrimOpened, codec.Record{
+		"id":  p.Id,
+		"seq": p.Seq,
+	})
 }
 
 // NewOpenedSink opens a typed oneway sink for primitive "opened": the provider
 // delivers OpenedParams to a user-part object without awaiting a reply.
 func NewOpenedSink(b *svc.Binding, target middleware.ObjRef, opts ...svc.PortOption) (*svc.Sink[OpenedParams], error) {
-	return svc.NewOnewaySink(b, target, PrimOpened, EncodeOpenedParams, opts...)
+	return svc.NewOnewaySink(b, target, PrimOpened, AppendOpenedParams, opts...)
 }
 
 // NewOpenedTopicSink opens a typed publisher of "opened" events on topic.
@@ -316,7 +280,7 @@ func NewOpenedTopicSink(b *svc.Binding, topic string, opts ...svc.PortOption) (*
 // DecodeOpenedView decodes a published "opened" event from the zero-copy
 // delivery plane.
 func DecodeOpenedView(v codec.MsgView) (OpenedParams, error) {
-	fields, ok := v.Record("fields")
+	fields, ok := v.View("fields")
 	if !ok {
 		return OpenedParams{}, fmt.Errorf("opened: event carries no parameter record")
 	}
@@ -333,7 +297,7 @@ func NewOpenedTopicSource(b *svc.Binding, topic string, node middleware.Addr, fn
 // HandleOpened registers the user-part handler for primitive "opened"
 // deliveries on export e.
 func HandleOpened(e *svc.Export, h func(OpenedParams, func(Ack, error))) error {
-	return svc.HandleOp(e, PrimOpened, DecodeOpenedParams, EncodeAck, h)
+	return svc.HandleOp(e, PrimOpened, DecodeOpenedParams, AppendAck, h)
 }
 
 // CloseParams is the typed parameter record of primitive "close" (from-user).
@@ -341,94 +305,86 @@ type CloseParams struct {
 	Id string
 }
 
-// EncodeCloseParams marshals p into the generic parameter record the
-// invocation plane carries.
-func EncodeCloseParams(p CloseParams) codec.Record {
-	return codec.Record{
-		"id": p.Id,
-	}
-}
-
-// DecodeCloseParams unmarshals a "close" parameter record. Absent parameters
-// decode to zero values; mistyped ones are rejected.
-func DecodeCloseParams(r codec.Record) (CloseParams, error) {
-	var p CloseParams
-	if v, ok := r["id"]; ok {
-		c, ok := v.(string)
-		if !ok {
-			return p, fmt.Errorf("close: parameter %q: want string, got %T", "id", v)
-		}
-		p.Id = c
-	}
-	return p, nil
-}
-
-// AppendCloseParams appends the canonical wire form of p to buf through
-// the compiled schema — byte-identical to encoding CloseMessage(p).
+// AppendCloseParams appends the wire form of p's parameter record to buf
+// through the compiled schema — byte-identical to codec.Append of the
+// record CloseMessage(p) carries. It is the argument encoder of the
+// primitive's typed port or sink.
 func AppendCloseParams(buf []byte, p CloseParams) ([]byte, error) {
 	e := SchemaClose.Encoder(buf)
 	e.Str("id", p.Id)
 	return e.Finish()
 }
 
+// DecodeCloseParams decodes a "close" parameter record from a view of its
+// wire form, copying what it keeps. Absent parameters decode to zero
+// values; mistyped ones are rejected.
+func DecodeCloseParams(v codec.MsgView) (CloseParams, error) {
+	var p CloseParams
+	if s, ok := v.Str("id"); ok {
+		p.Id = string(s)
+	} else if v.Has("id") {
+		return p, fmt.Errorf("close: parameter %q: want string", "id")
+	}
+	return p, nil
+}
+
 // CloseMessage wraps p as the named message the queue and topic planes
 // carry.
 func CloseMessage(p CloseParams) codec.Message {
-	return codec.NewMessage(PrimClose, EncodeCloseParams(p))
+	return codec.NewMessage(PrimClose, codec.Record{
+		"id": p.Id,
+	})
 }
 
 // NewClosePort opens a typed RPC port for primitive "close": the user part
 // submits CloseParams to the provider object and the continuation
 // receives the acknowledgement.
 func NewClosePort(b *svc.Binding, target middleware.ObjRef, opts ...svc.PortOption) (*svc.Port[CloseParams, Ack], error) {
-	return svc.NewPort(b, target, PrimClose, EncodeCloseParams, DecodeAck, opts...)
+	return svc.NewPort(b, target, PrimClose, AppendCloseParams, DecodeAck, opts...)
 }
 
 // HandleClose registers the provider-side handler for primitive "close" on
 // export e.
 func HandleClose(e *svc.Export, h func(CloseParams, func(Ack, error))) error {
-	return svc.HandleOp(e, PrimClose, DecodeCloseParams, EncodeAck, h)
+	return svc.HandleOp(e, PrimClose, DecodeCloseParams, AppendAck, h)
 }
 
 // PingParams is the typed parameter record of primitive "ping" (from-user).
 type PingParams struct{}
 
-// EncodePingParams marshals p into the generic parameter record the
-// invocation plane carries.
-func EncodePingParams(PingParams) codec.Record {
-	return codec.Record{}
-}
-
-// DecodePingParams unmarshals a "ping" parameter record. Absent parameters
-// decode to zero values; mistyped ones are rejected.
-func DecodePingParams(codec.Record) (PingParams, error) {
-	return PingParams{}, nil
-}
-
-// AppendPingParams appends the canonical wire form of p to buf through
-// the compiled schema — byte-identical to encoding PingMessage(p).
+// AppendPingParams appends the wire form of p's parameter record to buf
+// through the compiled schema — byte-identical to codec.Append of the
+// record PingMessage(p) carries. It is the argument encoder of the
+// primitive's typed port or sink.
 func AppendPingParams(buf []byte, _ PingParams) ([]byte, error) {
 	e := SchemaPing.Encoder(buf)
 	return e.Finish()
 }
 
+// DecodePingParams decodes a "ping" parameter record from a view of its
+// wire form, copying what it keeps. Absent parameters decode to zero
+// values; mistyped ones are rejected.
+func DecodePingParams(codec.MsgView) (PingParams, error) {
+	return PingParams{}, nil
+}
+
 // PingMessage wraps p as the named message the queue and topic planes
 // carry.
-func PingMessage(p PingParams) codec.Message {
-	return codec.NewMessage(PrimPing, EncodePingParams(p))
+func PingMessage(PingParams) codec.Message {
+	return codec.NewMessage(PrimPing, codec.Record{})
 }
 
 // NewPingPort opens a typed RPC port for primitive "ping": the user part
 // submits PingParams to the provider object and the continuation
 // receives the acknowledgement.
 func NewPingPort(b *svc.Binding, target middleware.ObjRef, opts ...svc.PortOption) (*svc.Port[PingParams, Ack], error) {
-	return svc.NewPort(b, target, PrimPing, EncodePingParams, DecodeAck, opts...)
+	return svc.NewPort(b, target, PrimPing, AppendPingParams, DecodeAck, opts...)
 }
 
 // HandlePing registers the provider-side handler for primitive "ping" on
 // export e.
 func HandlePing(e *svc.Export, h func(PingParams, func(Ack, error))) error {
-	return svc.HandleOp(e, PrimPing, DecodePingParams, EncodeAck, h)
+	return svc.HandleOp(e, PrimPing, DecodePingParams, AppendAck, h)
 }
 
 // Provider is the provider face of the service: one handler per from-user

@@ -1,6 +1,6 @@
 // Tests of the kitchen-sink generated package: every parameter kind
-// survives the record and wire codecs, decode rejects mistyped values,
-// and the empty-parameter primitive round-trips over RPC.
+// survives the schema encoder and view decoder, decode rejects mistyped
+// values, and the empty-parameter primitive round-trips over RPC.
 package allkinds_test
 
 import (
@@ -36,8 +36,29 @@ func TestSpecMatchesCommittedSource(t *testing.T) {
 	}
 }
 
-// TestRecordRoundTrip pins Encode/Decode inverse-ness for every kind,
-// including the list conversion through []codec.Value.
+// decodeWire parses an encoded parameter record and decodes it through
+// the generated view decoder.
+func decodeWire(t *testing.T, wire []byte) (allkinds.OpenParams, error) {
+	t.Helper()
+	v, err := codec.ParseRecord(wire)
+	if err != nil {
+		t.Fatalf("parse record: %v", err)
+	}
+	return allkinds.DecodeOpenParams(v)
+}
+
+// legacyWire encodes a parameter record through the generic codec.
+func legacyWire(t *testing.T, r codec.Record) []byte {
+	t.Helper()
+	wire, err := codec.Append(nil, r)
+	if err != nil {
+		t.Fatalf("encode record: %v", err)
+	}
+	return wire
+}
+
+// TestRecordRoundTrip pins Append/Decode inverse-ness over the parameter
+// record's wire form for every kind, including the string list.
 func TestRecordRoundTrip(t *testing.T) {
 	p := allkinds.OpenParams{
 		Id:     "sess-1",
@@ -45,7 +66,11 @@ func TestRecordRoundTrip(t *testing.T) {
 		Urgent: true,
 		Tags:   []string{"a", "b"},
 	}
-	got, err := allkinds.DecodeOpenParams(allkinds.EncodeOpenParams(p))
+	wire, err := allkinds.AppendOpenParams(nil, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := decodeWire(t, wire)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,15 +78,16 @@ func TestRecordRoundTrip(t *testing.T) {
 		t.Fatalf("round trip changed params: %+v != %+v", got, p)
 	}
 	// Absent parameters decode to zero values.
-	zero, err := allkinds.DecodeOpenParams(codec.Record{})
+	zero, err := decodeWire(t, legacyWire(t, codec.Record{}))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(zero, allkinds.OpenParams{}) {
 		t.Fatalf("empty record decoded to %+v", zero)
 	}
-	// Int accepts the narrower machine types the codec may produce.
-	widened, err := allkinds.DecodeOpenParams(codec.Record{"seq": int32(7)})
+	// Int accepts every signed machine type the generic codec may have
+	// encoded (all share one wire form).
+	widened, err := decodeWire(t, legacyWire(t, codec.Record{"seq": int32(7)}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +110,7 @@ func TestDecodeErrors(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			_, err := allkinds.DecodeOpenParams(tc.rec)
+			_, err := decodeWire(t, legacyWire(t, tc.rec))
 			if err == nil {
 				t.Fatal("mistyped parameter accepted")
 			}
@@ -93,40 +119,65 @@ func TestDecodeErrors(t *testing.T) {
 			}
 		})
 	}
+	// A list holding a non-string element is mistyped too.
+	if _, err := decodeWire(t, legacyWire(t, codec.Record{"tags": codec.List{"a", int64(1)}})); err == nil {
+		t.Fatal("list with a non-string element accepted")
+	}
 }
 
-// TestWireParity pins the schema fast path against the generic message
-// codec for every primitive, covering sorted-field emission and the
-// list value conversion.
+// TestWireParity pins, for every primitive, that the schema fast path
+// emits exactly the bytes of the generic codec on the record the
+// Message form carries (sorted-field emission and the string list
+// included), and that the view decoder inverts it.
 func TestWireParity(t *testing.T) {
-	check := func(name string, fast []byte, fastErr error, msg codec.Message) {
+	check := func(name string, fast []byte, fastErr error, msg codec.Message, decode func(codec.MsgView) (any, error), want any) {
 		t.Helper()
 		if fastErr != nil {
 			t.Fatalf("%s: append: %v", name, fastErr)
 		}
-		want, err := codec.EncodeMessage(msg)
-		if err != nil {
-			t.Fatalf("%s: encode: %v", name, err)
+		if !bytes.Equal(fast, legacyWire(t, msg.Fields)) {
+			t.Fatalf("%s: schema path and generic codec disagree", name)
 		}
-		if !bytes.Equal(fast, want) {
-			t.Fatalf("%s: schema path and message codec disagree", name)
+		v, err := codec.ParseRecord(fast)
+		if err != nil {
+			t.Fatalf("%s: parse: %v", name, err)
+		}
+		got, err := decode(v)
+		if err != nil {
+			t.Fatalf("%s: decode: %v", name, err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: decoded %+v, want %+v", name, got, want)
 		}
 	}
-	open := allkinds.OpenParams{Id: "s", Seq: 2, Urgent: true, Tags: []string{"x", "y"}}
-	fast, err := allkinds.AppendOpenParams(nil, open)
-	check("open", fast, err, allkinds.OpenMessage(open))
+	for _, open := range []allkinds.OpenParams{
+		{Id: "s", Seq: 2, Urgent: true, Tags: []string{"x", "y"}},
+		{Id: "s", Seq: -3},
+	} {
+		fast, err := allkinds.AppendOpenParams(nil, open)
+		check("open", fast, err, allkinds.OpenMessage(open),
+			func(v codec.MsgView) (any, error) { return allkinds.DecodeOpenParams(v) }, open)
+	}
 
 	opened := allkinds.OpenedParams{Id: "s", Seq: 2}
-	fast, err = allkinds.AppendOpenedParams(nil, opened)
-	check("opened", fast, err, allkinds.OpenedMessage(opened))
+	fast, err := allkinds.AppendOpenedParams(nil, opened)
+	check("opened", fast, err, allkinds.OpenedMessage(opened),
+		func(v codec.MsgView) (any, error) { return allkinds.DecodeOpenedParams(v) }, opened)
 
 	cl := allkinds.CloseParams{Id: "s"}
 	fast, err = allkinds.AppendCloseParams(nil, cl)
-	check("close", fast, err, allkinds.CloseMessage(cl))
+	check("close", fast, err, allkinds.CloseMessage(cl),
+		func(v codec.MsgView) (any, error) { return allkinds.DecodeCloseParams(v) }, cl)
 
 	ping := allkinds.PingParams{}
 	fast, err = allkinds.AppendPingParams(nil, ping)
-	check("ping", fast, err, allkinds.PingMessage(ping))
+	check("ping", fast, err, allkinds.PingMessage(ping),
+		func(v codec.MsgView) (any, error) { return allkinds.DecodePingParams(v) }, ping)
+
+	ack, err := allkinds.AppendAck(nil, allkinds.Ack{})
+	if err != nil || !bytes.Equal(ack, legacyWire(t, codec.Record{})) {
+		t.Fatalf("ack: % x, %v; want the empty record", ack, err)
+	}
 }
 
 // sessions implements the Provider face with trivial recording

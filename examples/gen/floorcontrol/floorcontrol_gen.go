@@ -30,11 +30,12 @@ const (
 	PrimFree    = "free"
 )
 
-// Compiled parameter-record schemas, one per primitive.
+// Compiled parameter-record schemas, one per primitive: the wire
+// layout of each primitive's argument record on the invocation plane.
 var (
-	SchemaRequest = codec.CompileSchema(PrimRequest, "resid")
-	SchemaGranted = codec.CompileSchema(PrimGranted, "resid")
-	SchemaFree    = codec.CompileSchema(PrimFree, "resid")
+	SchemaRequest = codec.CompileRecord("resid")
+	SchemaGranted = codec.CompileRecord("resid")
+	SchemaFree    = codec.CompileRecord("resid")
 )
 
 // Spec reconstructs the validated service specification.
@@ -115,13 +116,14 @@ func Bind(p *middleware.Platform, patterns ...middleware.Pattern) (*svc.Binding,
 // with (oneway deliveries elide it on the wire).
 type Ack struct{}
 
-// EncodeAck marshals an acknowledgement into an empty reply record.
-func EncodeAck(Ack) codec.Record {
-	return codec.Record{}
+// AppendAck appends an acknowledgement's wire form, the empty reply
+// record, to buf.
+func AppendAck(buf []byte, _ Ack) ([]byte, error) {
+	return append(buf, codec.RawEmptyRecord...), nil
 }
 
-// DecodeAck unmarshals an acknowledgement reply record.
-func DecodeAck(codec.Record) (Ack, error) {
+// DecodeAck decodes an acknowledgement reply record.
+func DecodeAck(codec.MsgView) (Ack, error) {
 	return Ack{}, nil
 }
 
@@ -130,53 +132,48 @@ type RequestParams struct {
 	Resid string
 }
 
-// EncodeRequestParams marshals p into the generic parameter record the
-// invocation plane carries.
-func EncodeRequestParams(p RequestParams) codec.Record {
-	return codec.Record{
-		"resid": p.Resid,
-	}
-}
-
-// DecodeRequestParams unmarshals a "request" parameter record. Absent parameters
-// decode to zero values; mistyped ones are rejected.
-func DecodeRequestParams(r codec.Record) (RequestParams, error) {
-	var p RequestParams
-	if v, ok := r["resid"]; ok {
-		c, ok := v.(string)
-		if !ok {
-			return p, fmt.Errorf("request: parameter %q: want string, got %T", "resid", v)
-		}
-		p.Resid = c
-	}
-	return p, nil
-}
-
-// AppendRequestParams appends the canonical wire form of p to buf through
-// the compiled schema — byte-identical to encoding RequestMessage(p).
+// AppendRequestParams appends the wire form of p's parameter record to buf
+// through the compiled schema — byte-identical to codec.Append of the
+// record RequestMessage(p) carries. It is the argument encoder of the
+// primitive's typed port or sink.
 func AppendRequestParams(buf []byte, p RequestParams) ([]byte, error) {
 	e := SchemaRequest.Encoder(buf)
 	e.Str("resid", p.Resid)
 	return e.Finish()
 }
 
+// DecodeRequestParams decodes a "request" parameter record from a view of its
+// wire form, copying what it keeps. Absent parameters decode to zero
+// values; mistyped ones are rejected.
+func DecodeRequestParams(v codec.MsgView) (RequestParams, error) {
+	var p RequestParams
+	if s, ok := v.Str("resid"); ok {
+		p.Resid = string(s)
+	} else if v.Has("resid") {
+		return p, fmt.Errorf("request: parameter %q: want string", "resid")
+	}
+	return p, nil
+}
+
 // RequestMessage wraps p as the named message the queue and topic planes
 // carry.
 func RequestMessage(p RequestParams) codec.Message {
-	return codec.NewMessage(PrimRequest, EncodeRequestParams(p))
+	return codec.NewMessage(PrimRequest, codec.Record{
+		"resid": p.Resid,
+	})
 }
 
 // NewRequestPort opens a typed RPC port for primitive "request": the user part
 // submits RequestParams to the provider object and the continuation
 // receives the acknowledgement.
 func NewRequestPort(b *svc.Binding, target middleware.ObjRef, opts ...svc.PortOption) (*svc.Port[RequestParams, Ack], error) {
-	return svc.NewPort(b, target, PrimRequest, EncodeRequestParams, DecodeAck, opts...)
+	return svc.NewPort(b, target, PrimRequest, AppendRequestParams, DecodeAck, opts...)
 }
 
 // HandleRequest registers the provider-side handler for primitive "request" on
 // export e.
 func HandleRequest(e *svc.Export, h func(RequestParams, func(Ack, error))) error {
-	return svc.HandleOp(e, PrimRequest, DecodeRequestParams, EncodeAck, h)
+	return svc.HandleOp(e, PrimRequest, DecodeRequestParams, AppendAck, h)
 }
 
 // GrantedParams is the typed parameter record of primitive "granted" (to-user).
@@ -184,46 +181,41 @@ type GrantedParams struct {
 	Resid string
 }
 
-// EncodeGrantedParams marshals p into the generic parameter record the
-// invocation plane carries.
-func EncodeGrantedParams(p GrantedParams) codec.Record {
-	return codec.Record{
-		"resid": p.Resid,
-	}
-}
-
-// DecodeGrantedParams unmarshals a "granted" parameter record. Absent parameters
-// decode to zero values; mistyped ones are rejected.
-func DecodeGrantedParams(r codec.Record) (GrantedParams, error) {
-	var p GrantedParams
-	if v, ok := r["resid"]; ok {
-		c, ok := v.(string)
-		if !ok {
-			return p, fmt.Errorf("granted: parameter %q: want string, got %T", "resid", v)
-		}
-		p.Resid = c
-	}
-	return p, nil
-}
-
-// AppendGrantedParams appends the canonical wire form of p to buf through
-// the compiled schema — byte-identical to encoding GrantedMessage(p).
+// AppendGrantedParams appends the wire form of p's parameter record to buf
+// through the compiled schema — byte-identical to codec.Append of the
+// record GrantedMessage(p) carries. It is the argument encoder of the
+// primitive's typed port or sink.
 func AppendGrantedParams(buf []byte, p GrantedParams) ([]byte, error) {
 	e := SchemaGranted.Encoder(buf)
 	e.Str("resid", p.Resid)
 	return e.Finish()
 }
 
+// DecodeGrantedParams decodes a "granted" parameter record from a view of its
+// wire form, copying what it keeps. Absent parameters decode to zero
+// values; mistyped ones are rejected.
+func DecodeGrantedParams(v codec.MsgView) (GrantedParams, error) {
+	var p GrantedParams
+	if s, ok := v.Str("resid"); ok {
+		p.Resid = string(s)
+	} else if v.Has("resid") {
+		return p, fmt.Errorf("granted: parameter %q: want string", "resid")
+	}
+	return p, nil
+}
+
 // GrantedMessage wraps p as the named message the queue and topic planes
 // carry.
 func GrantedMessage(p GrantedParams) codec.Message {
-	return codec.NewMessage(PrimGranted, EncodeGrantedParams(p))
+	return codec.NewMessage(PrimGranted, codec.Record{
+		"resid": p.Resid,
+	})
 }
 
 // NewGrantedSink opens a typed oneway sink for primitive "granted": the provider
 // delivers GrantedParams to a user-part object without awaiting a reply.
 func NewGrantedSink(b *svc.Binding, target middleware.ObjRef, opts ...svc.PortOption) (*svc.Sink[GrantedParams], error) {
-	return svc.NewOnewaySink(b, target, PrimGranted, EncodeGrantedParams, opts...)
+	return svc.NewOnewaySink(b, target, PrimGranted, AppendGrantedParams, opts...)
 }
 
 // NewGrantedTopicSink opens a typed publisher of "granted" events on topic.
@@ -235,7 +227,7 @@ func NewGrantedTopicSink(b *svc.Binding, topic string, opts ...svc.PortOption) (
 // DecodeGrantedView decodes a published "granted" event from the zero-copy
 // delivery plane.
 func DecodeGrantedView(v codec.MsgView) (GrantedParams, error) {
-	fields, ok := v.Record("fields")
+	fields, ok := v.View("fields")
 	if !ok {
 		return GrantedParams{}, fmt.Errorf("granted: event carries no parameter record")
 	}
@@ -252,7 +244,7 @@ func NewGrantedTopicSource(b *svc.Binding, topic string, node middleware.Addr, f
 // HandleGranted registers the user-part handler for primitive "granted"
 // deliveries on export e.
 func HandleGranted(e *svc.Export, h func(GrantedParams, func(Ack, error))) error {
-	return svc.HandleOp(e, PrimGranted, DecodeGrantedParams, EncodeAck, h)
+	return svc.HandleOp(e, PrimGranted, DecodeGrantedParams, AppendAck, h)
 }
 
 // FreeParams is the typed parameter record of primitive "free" (from-user).
@@ -260,53 +252,48 @@ type FreeParams struct {
 	Resid string
 }
 
-// EncodeFreeParams marshals p into the generic parameter record the
-// invocation plane carries.
-func EncodeFreeParams(p FreeParams) codec.Record {
-	return codec.Record{
-		"resid": p.Resid,
-	}
-}
-
-// DecodeFreeParams unmarshals a "free" parameter record. Absent parameters
-// decode to zero values; mistyped ones are rejected.
-func DecodeFreeParams(r codec.Record) (FreeParams, error) {
-	var p FreeParams
-	if v, ok := r["resid"]; ok {
-		c, ok := v.(string)
-		if !ok {
-			return p, fmt.Errorf("free: parameter %q: want string, got %T", "resid", v)
-		}
-		p.Resid = c
-	}
-	return p, nil
-}
-
-// AppendFreeParams appends the canonical wire form of p to buf through
-// the compiled schema — byte-identical to encoding FreeMessage(p).
+// AppendFreeParams appends the wire form of p's parameter record to buf
+// through the compiled schema — byte-identical to codec.Append of the
+// record FreeMessage(p) carries. It is the argument encoder of the
+// primitive's typed port or sink.
 func AppendFreeParams(buf []byte, p FreeParams) ([]byte, error) {
 	e := SchemaFree.Encoder(buf)
 	e.Str("resid", p.Resid)
 	return e.Finish()
 }
 
+// DecodeFreeParams decodes a "free" parameter record from a view of its
+// wire form, copying what it keeps. Absent parameters decode to zero
+// values; mistyped ones are rejected.
+func DecodeFreeParams(v codec.MsgView) (FreeParams, error) {
+	var p FreeParams
+	if s, ok := v.Str("resid"); ok {
+		p.Resid = string(s)
+	} else if v.Has("resid") {
+		return p, fmt.Errorf("free: parameter %q: want string", "resid")
+	}
+	return p, nil
+}
+
 // FreeMessage wraps p as the named message the queue and topic planes
 // carry.
 func FreeMessage(p FreeParams) codec.Message {
-	return codec.NewMessage(PrimFree, EncodeFreeParams(p))
+	return codec.NewMessage(PrimFree, codec.Record{
+		"resid": p.Resid,
+	})
 }
 
 // NewFreePort opens a typed RPC port for primitive "free": the user part
 // submits FreeParams to the provider object and the continuation
 // receives the acknowledgement.
 func NewFreePort(b *svc.Binding, target middleware.ObjRef, opts ...svc.PortOption) (*svc.Port[FreeParams, Ack], error) {
-	return svc.NewPort(b, target, PrimFree, EncodeFreeParams, DecodeAck, opts...)
+	return svc.NewPort(b, target, PrimFree, AppendFreeParams, DecodeAck, opts...)
 }
 
 // HandleFree registers the provider-side handler for primitive "free" on
 // export e.
 func HandleFree(e *svc.Export, h func(FreeParams, func(Ack, error))) error {
-	return svc.HandleOp(e, PrimFree, DecodeFreeParams, EncodeAck, h)
+	return svc.HandleOp(e, PrimFree, DecodeFreeParams, AppendAck, h)
 }
 
 // Provider is the provider face of the service: one handler per from-user

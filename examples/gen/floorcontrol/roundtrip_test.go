@@ -1,7 +1,7 @@
 // End-to-end tests of the committed generated package: the spec literal
 // matches the committed .svc source, a typed RPC round-trips through a
 // simulated platform, and the schema wire path is byte-identical to the
-// generic message codec.
+// generic record codec.
 package floorcontrol_test
 
 import (
@@ -177,31 +177,48 @@ func TestTopicRoundTrip(t *testing.T) {
 	}
 }
 
-// TestWireParity pins that the schema fast path emits exactly the bytes
-// of the generic message codec for every primitive.
+// TestWireParity pins, for every primitive, that the schema fast path
+// emits exactly the bytes of the generic codec on the record the
+// Message form carries, and that the view decoder inverts it.
 func TestWireParity(t *testing.T) {
-	check := func(name string, fast []byte, fastErr error, msg codec.Message) {
+	check := func(name string, fast []byte, fastErr error, msg codec.Message, decode func(codec.MsgView) (string, error)) {
 		t.Helper()
 		if fastErr != nil {
 			t.Fatalf("%s: append: %v", name, fastErr)
 		}
-		want, err := codec.EncodeMessage(msg)
+		want, err := codec.Append(nil, msg.Fields)
 		if err != nil {
 			t.Fatalf("%s: encode: %v", name, err)
 		}
 		if !bytes.Equal(fast, want) {
-			t.Fatalf("%s: schema path and message codec disagree", name)
+			t.Fatalf("%s: schema path and generic codec disagree", name)
+		}
+		v, err := codec.ParseRecord(fast)
+		if err != nil {
+			t.Fatalf("%s: parse: %v", name, err)
+		}
+		if got, err := decode(v); err != nil || got != "cam-1" {
+			t.Fatalf("%s: decoded %q, %v; want cam-1", name, got, err)
 		}
 	}
 	req := floorcontrol.RequestParams{Resid: "cam-1"}
 	fast, err := floorcontrol.AppendRequestParams(nil, req)
-	check("request", fast, err, floorcontrol.RequestMessage(req))
+	check("request", fast, err, floorcontrol.RequestMessage(req), func(v codec.MsgView) (string, error) {
+		p, err := floorcontrol.DecodeRequestParams(v)
+		return p.Resid, err
+	})
 
 	g := floorcontrol.GrantedParams{Resid: "cam-1"}
 	fast, err = floorcontrol.AppendGrantedParams(nil, g)
-	check("granted", fast, err, floorcontrol.GrantedMessage(g))
+	check("granted", fast, err, floorcontrol.GrantedMessage(g), func(v codec.MsgView) (string, error) {
+		p, err := floorcontrol.DecodeGrantedParams(v)
+		return p.Resid, err
+	})
 
 	fr := floorcontrol.FreeParams{Resid: "cam-1"}
 	fast, err = floorcontrol.AppendFreeParams(nil, fr)
-	check("free", fast, err, floorcontrol.FreeMessage(fr))
+	check("free", fast, err, floorcontrol.FreeMessage(fr), func(v codec.MsgView) (string, error) {
+		p, err := floorcontrol.DecodeFreeParams(v)
+		return p.Resid, err
+	})
 }

@@ -10,7 +10,8 @@ import (
 // bounded in CI (see .github/workflows/ci.yml, fuzz job):
 //
 //   - decoding arbitrary bytes must never panic, whichever decoder is
-//     used (Decode, DecodeMessage, ParseMessage, DecodeInto, skipValue);
+//     used (Decode, DecodeMessage, ParseMessage, ParseRecord, DecodeInto,
+//     skipValue);
 //   - any accepted input is canonical-after-one-trip: re-encoding the
 //     decoded value must be byte-identical under both the legacy encoder
 //     and the schema-compiled encoder, and the decode planes (boxed,
@@ -62,6 +63,22 @@ func FuzzCodecRoundTrip(f *testing.F) {
 			}
 			if !bytes.Equal(re1, re2) {
 				t.Fatalf("encode→decode→re-encode not byte-identical:\n re1 %x\n re2 %x", re1, re2)
+			}
+		}
+
+		// Record plane: ParseRecord accepts a subset of what Decode
+		// accepts as a record (it also rejects non-canonical key order),
+		// and materializes to the same value.
+		if rv, err := ParseRecord(data); err == nil {
+			if decodeErr != nil {
+				t.Fatalf("ParseRecord accepted % x, Decode rejected: %v", data, decodeErr)
+			}
+			fields, err := rv.Fields()
+			if err != nil {
+				t.Fatalf("record view materialization failed on accepted % x: %v", data, err)
+			}
+			if !Equal(Value(fields), v) {
+				t.Fatalf("record view materialized %v, Decode %v", fields, v)
 			}
 		}
 

@@ -46,20 +46,35 @@ type schemaField struct {
 // on duplicate or empty field names — schemas describe fixed wire shapes
 // and are compiled from literals at init time.
 func CompileSchema(name string, fieldNames ...string) *Schema {
+	header := append([]byte{tagString}, binary.AppendUvarint(nil, uint64(len(name)))...)
+	return compile(name, append(header, name...), fieldNames)
+}
+
+// CompileRecord compiles the layout of a bare record with the exact
+// field set given: the same canonical field order as CompileSchema, but
+// no message-name prefix. Its Encoder emits bytes identical to Append of
+// the equivalent Record — the wire form of an RPC argument or result
+// record (see ParseRecord for the matching view). A field that is
+// sometimes omitted makes a different field set: compile one record
+// schema per set.
+func CompileRecord(fieldNames ...string) *Schema {
+	return compile("", nil, fieldNames)
+}
+
+// compile builds a schema whose wire prefix is prefix followed by the
+// record header.
+func compile(name string, prefix []byte, fieldNames []string) *Schema {
 	sorted := slices.Clone(fieldNames)
 	slices.Sort(sorted)
-	s := &Schema{name: name, fields: make([]schemaField, 0, len(sorted))}
-	s.header = append(s.header, tagString)
-	s.header = binary.AppendUvarint(s.header, uint64(len(name)))
-	s.header = append(s.header, name...)
+	s := &Schema{name: name, header: prefix, fields: make([]schemaField, 0, len(sorted))}
 	s.header = append(s.header, tagRecord)
 	s.header = binary.AppendUvarint(s.header, uint64(len(sorted)))
 	for i, f := range sorted {
 		if f == "" {
-			panic(fmt.Sprintf("codec: schema %q: empty field name", name))
+			panic(fmt.Sprintf("codec: %s: empty field name", s))
 		}
 		if i > 0 && sorted[i-1] == f {
-			panic(fmt.Sprintf("codec: schema %q: duplicate field %q", name, f))
+			panic(fmt.Sprintf("codec: %s: duplicate field %q", s, f))
 		}
 		key := make([]byte, 0, 2+len(f))
 		key = append(key, tagString)
@@ -70,7 +85,17 @@ func CompileSchema(name string, fieldNames ...string) *Schema {
 	return s
 }
 
-// Name returns the message name the schema encodes.
+// String names the schema in diagnostics: `schema "name"` for message
+// schemas, `record schema` for bare records.
+func (s *Schema) String() string {
+	if s.header[0] == tagRecord {
+		return "record schema"
+	}
+	return fmt.Sprintf("schema %q", s.name)
+}
+
+// Name returns the message name the schema encodes ("" for a record
+// schema).
 func (s *Schema) Name() string { return s.name }
 
 // Fields returns the field names in canonical (encoding) order. The
@@ -112,8 +137,8 @@ func (e *Encoder) field(name string) bool {
 		return false
 	}
 	if e.next >= len(e.s.fields) || e.s.fields[e.next].name != name {
-		e.err = fmt.Errorf("codec: schema %q: field %q out of order or unknown (expect %q)", //repolint:allow alloc -- cold: schema misuse is a programming error
-			e.s.name, name, e.expect())
+		e.err = fmt.Errorf("codec: %s: field %q out of order or unknown (expect %q)", //repolint:allow alloc -- cold: schema misuse is a programming error
+			e.s, name, e.expect())
 		return false
 	}
 	e.buf = append(e.buf, e.s.fields[e.next].key...)
@@ -193,6 +218,22 @@ func (e *Encoder) Bytes(name string, v []byte) {
 	}
 }
 
+// Strings appends a list-of-strings field — the wire shape of
+// StringList(v) — without boxing the elements.
+//
+//repolint:hotpath
+func (e *Encoder) Strings(name string, v []string) {
+	if e.field(name) {
+		e.buf = append(e.buf, tagList)
+		e.buf = binary.AppendUvarint(e.buf, uint64(len(v)))
+		for _, s := range v {
+			e.buf = append(e.buf, tagString)
+			e.buf = binary.AppendUvarint(e.buf, uint64(len(s)))
+			e.buf = append(e.buf, s...)
+		}
+	}
+}
+
 // Value appends an arbitrary encodable value (nested records and lists
 // included) through the generic encoder. It is the bridge for dynamic
 // payloads carried inside a schema-framed message; unlike the typed
@@ -201,7 +242,7 @@ func (e *Encoder) Value(name string, v Value) {
 	if e.field(name) {
 		buf, err := appendValue(e.buf, v, 1)
 		if err != nil {
-			e.err = fmt.Errorf("codec: schema %q: field %q: %w", e.s.name, name, err)
+			e.err = fmt.Errorf("codec: %s: field %q: %w", e.s, name, err)
 			return
 		}
 		e.buf = buf
@@ -216,7 +257,7 @@ func (e *Encoder) Value(name string, v Value) {
 func (e *Encoder) Raw(name string, tlv []byte) {
 	if e.field(name) {
 		if len(tlv) == 0 {
-			e.err = fmt.Errorf("codec: schema %q: field %q: empty raw value", e.s.name, name)
+			e.err = fmt.Errorf("codec: %s: field %q: empty raw value", e.s, name)
 			return
 		}
 		e.buf = append(e.buf, tlv...)
@@ -230,7 +271,7 @@ func (e *Encoder) Finish() ([]byte, error) {
 		return nil, e.err
 	}
 	if e.next != len(e.s.fields) {
-		return nil, fmt.Errorf("codec: schema %q: missing field %q", e.s.name, e.s.fields[e.next].name)
+		return nil, fmt.Errorf("codec: %s: missing field %q", e.s, e.s.fields[e.next].name)
 	}
 	return e.buf, nil
 }

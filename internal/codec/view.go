@@ -16,13 +16,18 @@ import (
 // buffer. It is valid only until the caller returns control to whoever
 // owns that buffer — for wire messages, until the delivery callback
 // returns (the network recycles delivery buffers). Retain with an
-// explicit copy. Materializing accessors (Record, Message, Value) copy
-// and are safe to retain.
+// explicit copy. A MsgView itself (including one returned by View) is a
+// borrowed window under the same rule. Materializing accessors (Record,
+// Fields, Message, Value, Strings) copy and are safe to retain.
 
 // RawNil is the complete wire encoding of the nil value — the fallback
 // for splicing an absent field into an Encoder with Raw. Callers must
 // not modify it.
 var RawNil = []byte{tagNil}
+
+// RawEmptyRecord is the complete wire encoding of an empty record — the
+// argument or result of a void operation. Callers must not modify it.
+var RawEmptyRecord = []byte{tagRecord, 0}
 
 // skipValue returns the length of the single value at the front of data
 // without materializing it.
@@ -102,13 +107,17 @@ func skipValue(data []byte, depth int) (int, error) {
 }
 
 // MsgView is a zero-copy window on one encoded message (the wire form of
-// EncodeMessage). ParseMessage validates the whole message once; the
-// typed accessors then read individual fields directly from the wire
-// bytes without allocating. See the package aliasing rules above.
+// EncodeMessage, via ParseMessage) or one encoded record (via
+// ParseRecord, or View on an enclosing view). Parsing validates the
+// whole value once; the typed accessors then read individual fields
+// directly from the wire bytes without allocating. See the package
+// aliasing rules above: a view, and every view nested in it, is valid
+// only as long as the bytes it was parsed from.
 type MsgView struct {
 	name   []byte
 	pairs  []byte // the field pairs, immediately after the record header
 	fields int
+	depth  int // nesting level of the record (0 = top level)
 }
 
 // ParseMessage validates data as one complete message and returns a view
@@ -130,44 +139,65 @@ func ParseMessage(data []byte) (MsgView, error) {
 	if err != nil {
 		return MsgView{}, fmt.Errorf("decode message name: %w", err)
 	}
-	rest := data[1+n:]
-	if len(rest) == 0 || rest[0] != tagRecord {
-		return MsgView{}, fmt.Errorf("decode message %q: fields are not a record: %w", name, errOrTruncated(rest))
+	v, err := parseRecord(data[1+n:], 0)
+	if err != nil {
+		return MsgView{}, fmt.Errorf("decode message %q: %w", name, err)
 	}
-	count, cn := binary.Uvarint(rest[1:])
+	v.name = name
+	return v, nil
+}
+
+// ParseRecord validates data as exactly one encoded record value (the
+// wire form of Append on a Record, or of a CompileRecord schema) and
+// returns a view over its fields. It applies the same checks as
+// ParseMessage — well-formed values, canonical key order, no trailing
+// bytes — and the view obeys the same aliasing rules. Name is empty.
+func ParseRecord(data []byte) (MsgView, error) {
+	return parseRecord(data, 0)
+}
+
+// parseRecord validates one record value spanning all of data, nested
+// depth levels below the top.
+func parseRecord(data []byte, depth int) (MsgView, error) {
+	if depth > maxDepth {
+		return MsgView{}, ErrDepth
+	}
+	if len(data) == 0 || data[0] != tagRecord {
+		return MsgView{}, fmt.Errorf("fields are not a record: %w", errOrTruncated(data))
+	}
+	count, cn := binary.Uvarint(data[1:])
 	if cn <= 0 {
-		return MsgView{}, fmt.Errorf("decode message %q fields: %w", name, ErrTruncated)
+		return MsgView{}, fmt.Errorf("fields: %w", ErrTruncated)
 	}
-	if count > uint64(len(rest)) {
-		return MsgView{}, fmt.Errorf("decode message %q fields: %w: record of %d fields in %d bytes",
-			name, ErrSize, count, len(rest))
+	if count > uint64(len(data)) {
+		return MsgView{}, fmt.Errorf("fields: %w: record of %d fields in %d bytes", ErrSize, count, len(data))
 	}
-	pairs := rest[1+cn:]
+	pairs := data[1+cn:]
 	p := pairs
 	var prev []byte
 	for i := uint64(0); i < count; i++ {
 		if len(p) == 0 || p[0] != tagString {
-			return MsgView{}, fmt.Errorf("decode message %q field %d: %w (key must be string)", name, i, ErrBadTag)
+			return MsgView{}, fmt.Errorf("field %d: %w (key must be string)", i, ErrBadTag)
 		}
 		key, kn, err := decodeLenPrefixed(p[1:])
 		if err != nil {
-			return MsgView{}, fmt.Errorf("decode message %q field %d key: %w", name, i, err)
+			return MsgView{}, fmt.Errorf("field %d key: %w", i, err)
 		}
 		if i > 0 && bytes.Compare(prev, key) >= 0 {
-			return MsgView{}, fmt.Errorf("decode message %q: key %q after %q: %w", name, key, prev, ErrNonCanonical)
+			return MsgView{}, fmt.Errorf("key %q after %q: %w", key, prev, ErrNonCanonical)
 		}
 		prev = key
 		p = p[1+kn:]
-		m, err := skipValue(p, 1)
+		m, err := skipValue(p, depth+1)
 		if err != nil {
-			return MsgView{}, fmt.Errorf("decode message %q field %q: %w", name, key, err)
+			return MsgView{}, fmt.Errorf("field %q: %w", key, err)
 		}
 		p = p[m:]
 	}
 	if len(p) != 0 {
-		return MsgView{}, fmt.Errorf("decode message %q: %w", name, ErrTrailing)
+		return MsgView{}, ErrTrailing
 	}
-	return MsgView{name: name, pairs: pairs, fields: int(count)}, nil
+	return MsgView{pairs: pairs, fields: int(count), depth: depth}, nil
 }
 
 // errOrTruncated distinguishes "nothing there" from "wrong tag".
@@ -356,23 +386,81 @@ func (v *MsgView) Value(name string) (Value, bool) {
 	return val, true
 }
 
-// Message materializes the whole view as a boxed Message — the
-// compatibility bridge to APIs that take codec.Message.
-func (v *MsgView) Message() (Message, error) {
+// View returns a view over a nested record field, validated like
+// ParseRecord (canonical keys included), aliasing the input buffer.
+func (v *MsgView) View(name string) (MsgView, bool) {
+	raw := v.lookup(name)
+	if len(raw) == 0 || raw[0] != tagRecord {
+		return MsgView{}, false
+	}
+	nested, err := parseRecord(raw, v.depth+1)
+	if err != nil {
+		return MsgView{}, false
+	}
+	return nested, true
+}
+
+// Has reports whether the named field is present, whatever its type —
+// what tells an absent field from a mistyped one after a typed accessor
+// misses.
+func (v *MsgView) Has(name string) bool { return v.lookup(name) != nil }
+
+// Strings appends the elements of a list-of-strings field to dst as
+// fresh strings (copies, safe to retain). It reports false, with dst
+// unchanged, when the field is absent, not a list, or holds a non-string
+// element.
+func (v *MsgView) Strings(name string, dst []string) ([]string, bool) {
+	raw := v.lookup(name)
+	if len(raw) == 0 || raw[0] != tagList {
+		return dst, false
+	}
+	count, n := binary.Uvarint(raw[1:])
+	if n <= 0 {
+		return dst, false
+	}
+	out := dst
+	p := raw[1+n:]
+	for i := uint64(0); i < count; i++ {
+		if len(p) == 0 || p[0] != tagString {
+			return dst, false
+		}
+		s, sn, err := decodeLenPrefixed(p[1:])
+		if err != nil {
+			return dst, false
+		}
+		out = append(out, string(s))
+		p = p[1+sn:]
+	}
+	return out, true
+}
+
+// Fields materializes every field of the view as a boxed Record
+// (copying; safe to retain).
+func (v *MsgView) Fields() (Record, error) {
 	rec := make(Record, v.fields)
 	p := v.pairs
 	for i := 0; i < v.fields; i++ {
 		key, kn, err := decodeLenPrefixed(p[1:])
 		if err != nil {
-			return Message{}, err
+			return nil, err
 		}
 		p = p[1+kn:]
-		val, n, err := decodeValue(p, 1)
+		val, n, err := decodeValue(p, v.depth+1)
 		if err != nil {
-			return Message{}, fmt.Errorf("decode message %q field %q: %w", v.name, key, err)
+			return nil, fmt.Errorf("decode field %q: %w", key, err)
 		}
 		rec[string(key)] = val
 		p = p[n:]
+	}
+	return rec, nil
+}
+
+// Message materializes the whole view as a boxed Message — the
+// compatibility bridge to APIs that take codec.Message.
+func (v *MsgView) Message() (Message, error) {
+	rec, err := v.Fields()
+	if err != nil {
+		return Message{}, fmt.Errorf("decode message %q: %w", v.name, err)
 	}
 	return Message{Name: string(v.name), Fields: rec}, nil
 }

@@ -126,7 +126,12 @@ type Event struct {
 	At        time.Duration
 	SAP       SAP
 	Primitive string
-	Params    codec.Record
+	// Params is read-only for every consumer (monitors, observers, trace
+	// readers): producers may share one record across many events — the
+	// floor-control workload hands out one record per resource — so a
+	// mutation would rewrite every event sharing it. Copy before
+	// modifying.
+	Params codec.Record
 }
 
 // Label renders the event as an LTS label, parameters in sorted order:

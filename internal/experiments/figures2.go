@@ -110,18 +110,20 @@ func Fig3MiddlewareParadigm(seed int64) (*Report, error) {
 		return nil, err
 	}
 
-	// The server component: a typed export echoing its argument record.
-	identity := func(r codec.Record) codec.Record { return r }
+	// The server component: a typed export echoing its argument record,
+	// marshalled through the generic Record adapters.
+	enc := svc.RecordEncoder(func(r codec.Record) codec.Record { return r })
+	dec := svc.RecordDecoder(func(r codec.Record) (codec.Record, error) { return r, nil })
 	e, err := b.NewExport("server", "node-s")
 	if err != nil {
 		return nil, err
 	}
-	err = svc.HandleOp(e, "echo", nil, identity,
+	err = svc.HandleOp(e, "echo", dec, enc,
 		func(req codec.Record, respond func(codec.Record, error)) { respond(req, nil) })
 	if err != nil {
 		return nil, err
 	}
-	err = svc.HandleOp(e, "put", nil, identity,
+	err = svc.HandleOp(e, "put", dec, enc,
 		func(req codec.Record, respond func(codec.Record, error)) { respond(req, nil) })
 	if err != nil {
 		return nil, err
@@ -138,11 +140,11 @@ func Fig3MiddlewareParadigm(seed int64) (*Report, error) {
 			return nil, err
 		}
 	}
-	echoPort, err := svc.NewPort(b, "server", "echo", identity, func(r codec.Record) (codec.Record, error) { return r, nil })
+	echoPort, err := svc.NewPort(b, "server", "echo", enc, dec)
 	if err != nil {
 		return nil, err
 	}
-	putSink, err := svc.NewOnewaySink(b, "server", "put", identity)
+	putSink, err := svc.NewOnewaySink(b, "server", "put", enc)
 	if err != nil {
 		return nil, err
 	}

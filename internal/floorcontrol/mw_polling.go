@@ -64,12 +64,17 @@ type availReply struct {
 	Available bool
 }
 
-func encAvailReply(a availReply) codec.Record {
-	return codec.Record{"available": a.Available}
+// recAvail is the wire layout of the is_available reply record.
+var recAvail = codec.CompileRecord("available")
+
+func encAvailReply(buf []byte, a availReply) ([]byte, error) {
+	e := recAvail.Encoder(buf)
+	e.Bool("available", a.Available)
+	return e.Finish()
 }
 
-func decAvailReply(r codec.Record) (availReply, error) {
-	avail, _ := r["available"].(bool)
+func decAvailReply(v codec.MsgView) (availReply, error) {
+	avail, _ := v.Bool("available")
 	return availReply{Available: avail}, nil
 }
 

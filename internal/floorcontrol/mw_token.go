@@ -57,20 +57,31 @@ type tokenArgs struct {
 	Gen uint64
 }
 
-func encTokenArgs(t tokenArgs) codec.Record {
-	r := codec.Record{"available": codec.StringList(t.Available)}
-	if t.Gen != 0 {
-		r["gen"] = int64(t.Gen)
+// Wire layouts of the pass argument record, with and without the
+// (churn-only) generation.
+var (
+	recToken    = codec.CompileRecord("available")
+	recTokenGen = codec.CompileRecord("available", "gen")
+)
+
+func encTokenArgs(buf []byte, t tokenArgs) ([]byte, error) {
+	if t.Gen == 0 {
+		e := recToken.Encoder(buf)
+		e.Strings("available", t.Available)
+		return e.Finish()
 	}
-	return r
+	e := recTokenGen.Encoder(buf)
+	e.Strings("available", t.Available)
+	e.Int("gen", int64(t.Gen))
+	return e.Finish()
 }
 
-func decTokenArgs(r codec.Record) (tokenArgs, error) {
-	avail, err := codec.ToStringSlice(r["available"])
-	if err != nil {
-		return tokenArgs{}, fmt.Errorf("malformed token: %w", err)
+func decTokenArgs(v codec.MsgView) (tokenArgs, error) {
+	avail, ok := v.Strings("available", nil)
+	if !ok {
+		return tokenArgs{}, fmt.Errorf("malformed token: available is not a list of strings")
 	}
-	gen, _ := r["gen"].(int64)
+	gen, _ := v.Int("gen")
 	return tokenArgs{Available: avail, Gen: uint64(gen)}, nil
 }
 

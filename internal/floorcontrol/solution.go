@@ -82,12 +82,32 @@ type Env struct {
 	// their exact historical event streams and wire bytes (the golden
 	// band hashes pin this).
 	Churn bool
+
+	// obsParams holds one observation params record per resource, built
+	// once per run and shared by every event observed for that resource
+	// (core.Event.Params is read-only). Never mutated after the run
+	// starts, so reads need no lock.
+	obsParams map[string]codec.Record
+}
+
+// resourceParams builds the shared per-resource observation params.
+func resourceParams(resources []string) map[string]codec.Record {
+	m := make(map[string]codec.Record, len(resources))
+	for _, res := range resources {
+		m[res] = codec.Record{ParamResource: res}
+	}
+	return m
 }
 
 // observe reports a service-primitive execution at a subscriber's SAP to
-// the conformance observer.
+// the conformance observer. The params record is the resource's shared
+// read-only record (a fresh one for a resource outside the deployment).
 func (e *Env) observe(sub, primitive, res string) {
-	_ = e.Observer.Observe(SubscriberSAP(sub), primitive, codec.Record{ParamResource: res}) //nolint:errcheck // violations surface via Observer.Err
+	params, ok := e.obsParams[res]
+	if !ok {
+		params = codec.Record{ParamResource: res}
+	}
+	_ = e.Observer.Observe(SubscriberSAP(sub), primitive, params) //nolint:errcheck // violations surface via Observer.Err
 }
 
 // Solution is one of the six floor-control implementations.
@@ -249,19 +269,37 @@ type ctrlArgs struct {
 	Seq uint64
 }
 
-func encCtrlArgs(a ctrlArgs) codec.Record {
-	r := codec.Record{"subid": a.Sub, ParamResource: a.Res}
-	if a.Seq != 0 {
-		r["seq"] = int64(a.Seq)
+// Wire layouts of the argument records. Seq is kept off the wire when
+// zero, so each optional-field set compiles to its own record schema.
+var (
+	recCtrl     = codec.CompileRecord(ParamResource, "subid")
+	recCtrlSeq  = codec.CompileRecord(ParamResource, "seq", "subid")
+	recGrant    = codec.CompileRecord(ParamResource)
+	recGrantSeq = codec.CompileRecord(ParamResource, "seq")
+)
+
+// encCtrlArgs appends the controller operations' argument record.
+func encCtrlArgs(buf []byte, a ctrlArgs) ([]byte, error) {
+	if a.Seq == 0 {
+		e := recCtrl.Encoder(buf)
+		e.Str(ParamResource, a.Res)
+		e.Str("subid", a.Sub)
+		return e.Finish()
 	}
-	return r
+	e := recCtrlSeq.Encoder(buf)
+	e.Str(ParamResource, a.Res)
+	e.Int("seq", int64(a.Seq))
+	e.Str("subid", a.Sub)
+	return e.Finish()
 }
 
-func decCtrlArgs(r codec.Record) (ctrlArgs, error) {
-	sub, _ := r["subid"].(string)
-	res, _ := r[ParamResource].(string)
-	seq, _ := r["seq"].(int64)
-	return ctrlArgs{Sub: sub, Res: res, Seq: uint64(seq)}, nil
+// decCtrlArgs decodes a controller argument record; absent or mistyped
+// fields decode to zero values.
+func decCtrlArgs(v codec.MsgView) (ctrlArgs, error) {
+	sub, _ := v.Str("subid")
+	res, _ := v.Str(ParamResource)
+	seq, _ := v.Int("seq")
+	return ctrlArgs{Sub: string(sub), Res: string(res), Seq: uint64(seq)}, nil
 }
 
 // seenSeqs records which stamped subscriber submissions a controller has
@@ -302,24 +340,31 @@ type grantArgs struct {
 	Seq uint64
 }
 
-func encGrantArgs(a grantArgs) codec.Record {
-	r := codec.Record{ParamResource: a.Res}
-	if a.Seq != 0 {
-		r["seq"] = int64(a.Seq)
+// encGrantArgs appends the grant callback's argument record.
+func encGrantArgs(buf []byte, a grantArgs) ([]byte, error) {
+	if a.Seq == 0 {
+		e := recGrant.Encoder(buf)
+		e.Str(ParamResource, a.Res)
+		return e.Finish()
 	}
-	return r
+	e := recGrantSeq.Encoder(buf)
+	e.Str(ParamResource, a.Res)
+	e.Int("seq", int64(a.Seq))
+	return e.Finish()
 }
 
-func decGrantArgs(r codec.Record) (grantArgs, error) {
-	res, _ := r[ParamResource].(string)
-	seq, _ := r["seq"].(int64)
-	return grantArgs{Res: res, Seq: uint64(seq)}, nil
+// decGrantArgs decodes a grant argument record.
+func decGrantArgs(v codec.MsgView) (grantArgs, error) {
+	res, _ := v.Str(ParamResource)
+	seq, _ := v.Int("seq")
+	return grantArgs{Res: string(res), Seq: uint64(seq)}, nil
 }
 
 // ack is the empty acknowledgement reply of void operations.
 type ack struct{}
 
-func encAck(ack) codec.Record { return codec.Record{} }
+// encAck appends the empty reply record of a void operation.
+func encAck(buf []byte, _ ack) ([]byte, error) { return append(buf, codec.RawEmptyRecord...), nil }
 
 // resourceQueue is the controller-side bookkeeping shared by the two
 // asymmetric coordination styles: current holder and FIFO waiters, per

@@ -294,10 +294,36 @@ type wireEnvelope struct {
 	Fields codec.Record
 }
 
-// encEnvelope marshals the envelope into the deliver operation's
-// parameter record (nil payloads travel as empty records, as the legacy
-// envelope did).
-func encEnvelope(e wireEnvelope) codec.Record {
+// recEnvelope is the wire layout of the deliver operation's argument
+// record.
+var recEnvelope = codec.CompileRecord("fields", "from", "name")
+
+// encEnvelope appends the deliver operation's argument record (nil
+// payloads travel as empty records, as the legacy envelope did).
+func encEnvelope(buf []byte, e wireEnvelope) ([]byte, error) {
+	enc := recEnvelope.Encoder(buf)
+	if e.Fields == nil {
+		enc.Raw("fields", codec.RawEmptyRecord)
+	} else {
+		enc.Value("fields", e.Fields)
+	}
+	enc.Str("from", string(e.From))
+	enc.Str("name", e.Name)
+	return enc.Finish()
+}
+
+// decEnvelope decodes a deliver argument record. The payload is
+// materialized (copied): it outlives the delivery as a codec.Message.
+func decEnvelope(v codec.MsgView) (wireEnvelope, error) {
+	from, _ := v.Str("from")
+	name, _ := v.Str("name")
+	fields, _ := v.Record("fields")
+	return wireEnvelope{From: ComponentID(from), Name: string(name), Fields: fields}, nil
+}
+
+// envelopeRecord is the envelope as the generic record the queue plane
+// carries (nil payloads as empty records).
+func envelopeRecord(e wireEnvelope) codec.Record {
 	fields := e.Fields
 	if fields == nil {
 		fields = codec.Record{}
@@ -305,23 +331,18 @@ func encEnvelope(e wireEnvelope) codec.Record {
 	return codec.Record{"from": string(e.From), "name": e.Name, "fields": fields}
 }
 
-// decEnvelope unmarshals a deliver parameter record.
-func decEnvelope(r codec.Record) (wireEnvelope, error) {
-	from, _ := r["from"].(string)
-	name, _ := r["name"].(string)
-	fields, _ := r["fields"].(map[string]codec.Value)
-	return wireEnvelope{From: ComponentID(from), Name: name, Fields: fields}, nil
-}
-
 // encQueueEnvelope marshals the envelope as the mda.msg queue message of
 // the async-over-queue adapter.
 func encQueueEnvelope(e wireEnvelope) codec.Message {
-	return codec.NewMessage("mda.msg", encEnvelope(e))
+	return codec.NewMessage("mda.msg", envelopeRecord(e))
 }
 
 // decQueueEnvelope unmarshals one queued mda.msg.
 func decQueueEnvelope(m codec.Message) (wireEnvelope, error) {
-	return decEnvelope(m.Fields)
+	from, _ := m.Fields["from"].(string)
+	name, _ := m.Fields["name"].(string)
+	fields, _ := m.Fields["fields"].(map[string]codec.Value)
+	return wireEnvelope{From: ComponentID(from), Name: name, Fields: fields}, nil
 }
 
 // registerObjects hosts each component as a typed export exposing the
@@ -337,7 +358,7 @@ func (d *Deployment) registerObjects() error {
 		if err != nil {
 			return fmt.Errorf("mda: register %q: %w", id, err)
 		}
-		err = svc.HandleOp(e, "deliver", decEnvelope, func(struct{}) codec.Record { return codec.Record{} },
+		err = svc.HandleOp(e, "deliver", decEnvelope, nil,
 			func(env wireEnvelope, respond func(struct{}, error)) {
 				respond(struct{}{}, nil)
 				d.onDelivered(id, env.From, codec.NewMessage(env.Name, env.Fields))

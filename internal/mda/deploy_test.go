@@ -219,3 +219,36 @@ func TestRealizationAccessors(t *testing.T) {
 		t.Fatalf("concrete = %q", r.Concrete.Name)
 	}
 }
+
+// TestEnvelopeWireParity pins the typed deliver-envelope encoder to the
+// generic codec's bytes of the legacy envelope record (nil payloads as
+// empty records), and the view decoder to its inverse.
+func TestEnvelopeWireParity(t *testing.T) {
+	for _, env := range []wireEnvelope{
+		{From: "a", Name: "ping", Fields: codec.Record{"n": int64(3), "tags": codec.List{"x"}}},
+		{From: "b", Name: "empty"},
+	} {
+		fast, err := encEnvelope(nil, env)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := codec.Append(nil, envelopeRecord(env))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(fast) != string(want) {
+			t.Fatalf("%s: typed encoder % x, generic codec % x", env.Name, fast, want)
+		}
+		view, err := codec.ParseRecord(fast)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := decEnvelope(view)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.From != env.From || got.Name != env.Name || !codec.Equal(got.Fields, envelopeRecord(env)["fields"]) {
+			t.Fatalf("%s: round trip %+v, want %+v", env.Name, got, env)
+		}
+	}
+}

@@ -42,17 +42,18 @@ func (p *Platform) NodeDown(node Addr) {
 		}
 	}
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	conts := make([]func(codec.Record, error), 0, len(ids))
+	conts := make([]func(codec.MsgView, error), 0, len(ids))
 	for _, cid := range ids {
 		pc := p.pending[cid]
 		pc.timer.Cancel() // zero ref is an inert no-op
 		delete(p.pending, cid)
 		conts = append(conts, pc.cont)
+		p.putCallLocked(pc)
 	}
 	p.stats.Unavailables += uint64(len(conts))
 	p.mu.Unlock()
 	for _, cont := range conts {
-		cont(nil, fmt.Errorf("%w: %s crashed", ErrUnavailable, node))
+		cont(codec.MsgView{}, fmt.Errorf("%w: %s crashed", ErrUnavailable, node))
 	}
 }
 

@@ -24,7 +24,7 @@ func TestInvokeDownNodeFailsFast(t *testing.T) {
 	}
 	var callErr error
 	var at time.Duration
-	err := p.Invoke("node-c", "server", "echo", nil, func(_ codec.Record, e error) {
+	err := p.Invoke("node-c", "server", "echo", nil, func(_ codec.MsgView, e error) {
 		callErr, at = e, k.Now()
 	})
 	if err != nil {
@@ -52,12 +52,12 @@ func TestNodeDownFailsPendingCalls(t *testing.T) {
 	profile.CallTimeout = time.Second
 	k, p := newPlatform(t, profile, 0)
 	// A server that never replies: calls stay pending until churn.
-	if err := p.Register("server", "node-s", ObjectFunc(func(string, codec.Record, Reply) {})); err != nil {
+	if err := p.Register("server", "node-s", ObjectFunc(func([]byte, codec.MsgView, Reply) {})); err != nil {
 		t.Fatal(err)
 	}
 	var errs []error
 	for i := 0; i < 3; i++ {
-		if err := p.Invoke("node-c", "server", "hang", nil, func(_ codec.Record, e error) {
+		if err := p.Invoke("node-c", "server", "hang", nil, func(_ codec.MsgView, e error) {
 			errs = append(errs, e)
 		}); err != nil {
 			t.Fatal(err)
@@ -97,8 +97,8 @@ func TestNodeUpRestoresService(t *testing.T) {
 	p.NodeUp("node-s")
 	var result codec.Record
 	var callErr error
-	if err := p.Invoke("node-c", "server", "echo", codec.Record{"x": int64(1)}, func(r codec.Record, e error) {
-		result, callErr = r, e
+	if err := p.Invoke("node-c", "server", "echo", wire(codec.Record{"x": int64(1)}), func(r codec.MsgView, e error) {
+		result, callErr = fields(r), e
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -121,9 +121,9 @@ func TestRebindMovesObject(t *testing.T) {
 		t.Fatalf("Rebind unknown ref: %v, want ErrUnknownObject", err)
 	}
 	served := ""
-	takeover := ObjectFunc(func(op string, args codec.Record, reply Reply) {
-		served = op
-		reply(codec.Record{"home": "node-t"}, nil)
+	takeover := ObjectFunc(func(op []byte, args codec.MsgView, reply Reply) {
+		served = string(op)
+		reply(wire(codec.Record{"home": "node-t"}), nil)
 	})
 	if err := p.Rebind("server", "node-t", takeover); err != nil {
 		t.Fatal(err)
@@ -132,11 +132,11 @@ func TestRebindMovesObject(t *testing.T) {
 		t.Fatalf("Resolve = %q/%v, want node-t", home, ok)
 	}
 	var result codec.Record
-	if err := p.Invoke("node-c", "server", "echo", nil, func(r codec.Record, e error) {
+	if err := p.Invoke("node-c", "server", "echo", nil, func(r codec.MsgView, e error) {
 		if e != nil {
 			t.Error(e)
 		}
-		result = r
+		result = fields(r)
 	}); err != nil {
 		t.Fatal(err)
 	}

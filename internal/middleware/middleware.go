@@ -90,23 +90,34 @@ type Addr = protocol.Addr
 // ObjRef names a registered component object, platform-wide.
 type ObjRef string
 
-// Reply delivers the outcome of an RPC dispatch back to the platform. A
-// nil error with a nil result is valid (void operation).
-type Reply func(result codec.Record, err error)
+// Reply delivers the outcome of an RPC dispatch back to the platform.
+// result is one complete encoded record value — the output of a
+// codec.CompileRecord schema's Encoder or of codec.Append on a Record —
+// and nil stands for the empty record (void operation). The platform
+// copies result onto the wire before Reply returns, so it may live in a
+// pooled buffer the caller recycles afterwards. A Reply runs at most
+// once (later calls are no-ops) and must not be retained past its
+// invocation: the continuation is a pooled cell (see handleCall).
+type Reply func(result []byte, err error)
 
 // Object is a component's dispatch interface: the platform invokes
 // operations by name. Dispatch may reply asynchronously (it is given the
 // reply continuation), which lets components implement callback-style
 // coordination such as deferred grants.
+//
+// op and args are borrowed views of the delivery buffer: they are valid
+// only until Dispatch returns (DESIGN.md §1.3). Decode what the
+// operation needs — copying anything retained — before returning, even
+// when the reply itself is deferred.
 type Object interface {
-	Dispatch(op string, args codec.Record, reply Reply)
+	Dispatch(op []byte, args codec.MsgView, reply Reply)
 }
 
 // ObjectFunc adapts a function to the Object interface.
-type ObjectFunc func(op string, args codec.Record, reply Reply)
+type ObjectFunc func(op []byte, args codec.MsgView, reply Reply)
 
 // Dispatch implements Object.
-func (f ObjectFunc) Dispatch(op string, args codec.Record, reply Reply) { f(op, args, reply) }
+func (f ObjectFunc) Dispatch(op []byte, args codec.MsgView, reply Reply) { f(op, args, reply) }
 
 // Profile models a concrete middleware platform class: which interaction
 // patterns it offers and its per-interaction overhead. Profiles are what
@@ -200,6 +211,10 @@ type Stats struct {
 	EventDeliver uint64
 	// Timeouts counts RPC deadline expirations.
 	Timeouts uint64
+	// Corrupt counts received wire messages dropped as malformed: bytes
+	// that do not parse, or an RPC whose argument or result record is
+	// not a well-formed canonical record.
+	Corrupt uint64
 	// Unavailables counts RPCs failed fast with ErrUnavailable because
 	// the callee node was down (NodeDown) at invoke time or crashed
 	// while the call was pending.
@@ -220,12 +235,62 @@ type registration struct {
 // node id lets NodeDown fail calls whose server crashed before replying;
 // the caller node id lets it fail calls whose client crashed — the
 // restarted incarnation has no client-side call state either, so the
-// reply could never be consumed.
+// reply could never be consumed. Cells are pooled on the platform's free
+// list; the timeout closure is built once per cell, so arming a call
+// timeout allocates nothing in steady state. A cell returns to the pool
+// only once its call is resolved and its timer cancelled or fired, so
+// no live timer can reach a re-armed cell.
 type pendingCall struct {
-	cont   func(codec.Record, error)
-	timer  sim.TimerRef // call timeout; zero ref = none armed
-	node   int32        // callee's platform node id
-	caller int32        // caller's platform node id
+	p         *Platform
+	id        uint64
+	cont      func(codec.MsgView, error)
+	timer     sim.TimerRef // call timeout; zero ref = none armed
+	node      int32        // callee's platform node id
+	caller    int32        // caller's platform node id
+	onTimeout func()       // = c.timeout, built once
+	next      *pendingCall
+}
+
+func (c *pendingCall) timeout() { c.p.onCallTimeout(c.id) }
+
+// getCallLocked pops (or creates) a pending-call cell. Caller holds p.mu.
+func (p *Platform) getCallLocked() *pendingCall {
+	c := p.freeCalls
+	if c != nil {
+		p.freeCalls = c.next
+		c.next = nil
+		return c
+	}
+	c = &pendingCall{p: p}
+	c.onTimeout = c.timeout
+	return c
+}
+
+// putCallLocked recycles a resolved cell. Caller holds p.mu.
+func (p *Platform) putCallLocked(c *pendingCall) {
+	c.cont = nil
+	c.timer = sim.TimerRef{}
+	c.next = p.freeCalls
+	p.freeCalls = c
+}
+
+// replyCell is the pooled reply continuation of one dispatched call: it
+// remembers where the reply travels (call id, caller endpoint, serving
+// node) and carries a Reply built once per cell, so a dispatch hands the
+// object its continuation without allocating. handleCall recycles the
+// cell only when the object replied before Dispatch returned; a reply
+// that escaped the dispatch keeps its cell out of the pool for good
+// (one cell per asynchronous reply, as the per-call closure cost), so a
+// stale duplicate call can only ever hit a disarmed cell.
+type replyCell struct {
+	p       *Platform
+	id      uint64
+	srcAddr Addr
+	srcLow  int32
+	atID    int32
+	armed   bool
+	fn      Reply // = c.respond, built once
+	next    *replyCell
 }
 
 // queueConsumer is one queue subscription, resolved to a dense node id
@@ -314,10 +379,12 @@ type Platform struct {
 	queueSinks [][]queueSink // node id → queue consumers at that node
 	downNodes  []bool        // node id → marked down by NodeDown
 
-	pending  map[uint64]pendingCall
-	nextCall uint64
-	queues   map[string]*queueState
-	topics   map[string]*topicState
+	pending   map[uint64]*pendingCall
+	nextCall  uint64
+	freeCalls *pendingCall
+	freeReply *replyCell
+	queues    map[string]*queueState
+	topics    map[string]*topicState
 
 	freeDeferred *deferredWire
 	stats        Stats
@@ -342,7 +409,7 @@ func New(kern *sim.Kernel, transport protocol.LowerService, profile Profile, bro
 		brokerID:   -1,
 		objects:    make(map[ObjRef]registration),
 		nodes:      make(map[Addr]int32),
-		pending:    make(map[uint64]pendingCall),
+		pending:    make(map[uint64]*pendingCall),
 		queues:     make(map[string]*queueState),
 		topics:     make(map[string]*topicState),
 	}

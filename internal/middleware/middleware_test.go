@@ -25,18 +25,35 @@ func newPlatform(t testing.TB, profile Profile, lossRate float64) (*sim.Kernel, 
 	return k, New(k, transport, profile, "mw-broker")
 }
 
+// wire encodes a record as an RPC argument or result (one encoded
+// record value), panicking on unencodable test input.
+func wire(r codec.Record) []byte {
+	b, err := codec.Append(nil, r)
+	if err != nil {
+		panic(err)
+	}
+	return b
+}
+
+// fields materializes a borrowed record view for assertions.
+func fields(v codec.MsgView) codec.Record {
+	r, err := v.Fields()
+	if err != nil {
+		panic(err)
+	}
+	return r
+}
+
 // echoObject replies with its arguments plus a marker.
 func echoObject() Object {
-	return ObjectFunc(func(op string, args codec.Record, reply Reply) {
-		if op != "echo" {
+	return ObjectFunc(func(op []byte, args codec.MsgView, reply Reply) {
+		if string(op) != "echo" {
 			reply(nil, fmt.Errorf("%w: %q", ErrUnknownOperation, op))
 			return
 		}
-		out := codec.Record{"echoed": true}
-		for k, v := range args {
-			out[k] = v
-		}
-		reply(out, nil)
+		out := fields(args)
+		out["echoed"] = true
+		reply(wire(out), nil)
 	})
 }
 
@@ -47,8 +64,8 @@ func TestRPCRoundTrip(t *testing.T) {
 	}
 	var result codec.Record
 	var callErr error
-	err := p.Invoke("node-c", "server", "echo", codec.Record{"x": int64(7)}, func(r codec.Record, e error) {
-		result, callErr = r, e
+	err := p.Invoke("node-c", "server", "echo", wire(codec.Record{"x": int64(7)}), func(r codec.MsgView, e error) {
+		result, callErr = fields(r), e
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -74,7 +91,7 @@ func TestRPCRemoteError(t *testing.T) {
 		t.Fatal(err)
 	}
 	var callErr error
-	if err := p.Invoke("node-c", "server", "explode", nil, func(_ codec.Record, e error) { callErr = e }); err != nil {
+	if err := p.Invoke("node-c", "server", "explode", nil, func(_ codec.MsgView, e error) { callErr = e }); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := k.Run(); err != nil {
@@ -98,14 +115,14 @@ func TestRPCDeferredReply(t *testing.T) {
 	// replies work.
 	k, p := newPlatform(t, ProfileCORBALike, 0)
 	var saved Reply
-	deferred := ObjectFunc(func(op string, args codec.Record, reply Reply) {
+	deferred := ObjectFunc(func(op []byte, args codec.MsgView, reply Reply) {
 		saved = reply // grant later
 	})
 	if err := p.Register("ctrl", "node-s", deferred); err != nil {
 		t.Fatal(err)
 	}
 	done := false
-	if err := p.Invoke("node-c", "ctrl", "request", nil, func(codec.Record, error) { done = true }); err != nil {
+	if err := p.Invoke("node-c", "ctrl", "request", nil, func(codec.MsgView, error) { done = true }); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := k.Run(); err != nil {
@@ -114,7 +131,7 @@ func TestRPCDeferredReply(t *testing.T) {
 	if done {
 		t.Fatal("reply before controller granted")
 	}
-	saved(codec.Record{"ok": true}, nil)
+	saved(wire(codec.Record{"ok": true}), nil)
 	if _, err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -128,11 +145,11 @@ func TestRPCTimeout(t *testing.T) {
 	profile.CallTimeout = 10 * time.Millisecond
 	k, p := newPlatform(t, profile, 0)
 	// Object that never replies.
-	if err := p.Register("hang", "node-s", ObjectFunc(func(string, codec.Record, Reply) {})); err != nil {
+	if err := p.Register("hang", "node-s", ObjectFunc(func([]byte, codec.MsgView, Reply) {})); err != nil {
 		t.Fatal(err)
 	}
 	var callErr error
-	if err := p.Invoke("node-c", "hang", "op", nil, func(_ codec.Record, e error) { callErr = e }); err != nil {
+	if err := p.Invoke("node-c", "hang", "op", nil, func(_ codec.MsgView, e error) { callErr = e }); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := k.Run(); err != nil {
@@ -194,14 +211,15 @@ func TestRegisterErrors(t *testing.T) {
 func TestOneway(t *testing.T) {
 	k, p := newPlatform(t, ProfileJMSLike, 0)
 	var got []string
-	sink := ObjectFunc(func(op string, args codec.Record, _ Reply) {
-		got = append(got, fmt.Sprintf("%s:%v", op, args["v"]))
+	sink := ObjectFunc(func(op []byte, args codec.MsgView, _ Reply) {
+		v, _ := args.Int("v")
+		got = append(got, fmt.Sprintf("%s:%d", op, v))
 	})
 	if err := p.Register("sink", "node-s", sink); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
-		if err := p.InvokeOneway("node-c", "sink", "put", codec.Record{"v": int64(i)}); err != nil {
+		if err := p.InvokeOneway("node-c", "sink", "put", wire(codec.Record{"v": int64(i)})); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -326,7 +344,7 @@ func TestRPCOverLossyNetwork(t *testing.T) {
 	}
 	completed := 0
 	for i := 0; i < 20; i++ {
-		err := p.Invoke("node-c", "server", "echo", codec.Record{"i": int64(i)}, func(r codec.Record, e error) {
+		err := p.Invoke("node-c", "server", "echo", wire(codec.Record{"i": int64(i)}), func(r codec.MsgView, e error) {
 			if e == nil {
 				completed++
 			}
@@ -351,7 +369,7 @@ func TestDispatchOverheadAddsLatency(t *testing.T) {
 		t.Fatal(err)
 	}
 	var when time.Duration
-	if err := p.Invoke("node-c", "server", "echo", nil, func(codec.Record, error) { when = k.Now() }); err != nil {
+	if err := p.Invoke("node-c", "server", "echo", nil, func(codec.MsgView, error) { when = k.Now() }); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := k.Run(); err != nil {
@@ -396,7 +414,7 @@ func BenchmarkRPCRoundTrip(b *testing.B) {
 	}
 	for i := 0; i < b.N; i++ {
 		done := false
-		if err := p.Invoke("node-c", "server", "echo", codec.Record{"i": int64(i)}, func(codec.Record, error) { done = true }); err != nil {
+		if err := p.Invoke("node-c", "server", "echo", wire(codec.Record{"i": int64(i)}), func(codec.MsgView, error) { done = true }); err != nil {
 			b.Fatal(err)
 		}
 		if _, err := k.Run(); err != nil {
@@ -425,7 +443,7 @@ func TestPlatformOverStreamTransport(t *testing.T) {
 	}
 	completed := 0
 	for i := 0; i < 10; i++ {
-		err := p.Invoke("node-c", "server", "echo", codec.Record{"i": int64(i)}, func(r codec.Record, e error) {
+		err := p.Invoke("node-c", "server", "echo", wire(codec.Record{"i": int64(i)}), func(r codec.MsgView, e error) {
 			if e == nil {
 				completed++
 			}

@@ -1,6 +1,7 @@
 package middleware
 
 import (
+	"errors"
 	"fmt"
 
 	"repro/internal/codec"
@@ -42,15 +43,24 @@ func (p *Platform) finishSend(buf *codec.Buffer, e *codec.Encoder, from Addr, fr
 // caller's identity is the node it invokes from, matching the paper's
 // remote-invocation component middleware of §4.1.
 //
+// args is the operation's argument record already in wire form — one
+// complete encoded record value, as produced by a codec.CompileRecord
+// schema's Encoder or by codec.Append on a Record; nil sends the empty
+// record. It is spliced into the call message verbatim and copied before
+// Invoke returns, so it may live in a pooled buffer.
+//
 // Invoke is asynchronous in virtual time (the simulation has no blocking);
 // cont runs when the reply arrives, or with ErrCallTimeout if the profile
-// sets a timeout that expires first.
-func (p *Platform) Invoke(from Addr, target ObjRef, op string, args codec.Record, cont func(codec.Record, error)) error {
+// sets a timeout that expires first. The result view cont receives
+// aliases the delivery buffer and is valid only until cont returns.
+//
+//repolint:hotpath
+func (p *Platform) Invoke(from Addr, target ObjRef, op string, args []byte, cont func(codec.MsgView, error)) error {
 	if !p.profile.Supports(PatternRPC) {
-		return fmt.Errorf("%w: %s on %q", ErrPatternUnsupported, PatternRPC, p.profile.Name)
+		return fmt.Errorf("%w: %s on %q", ErrPatternUnsupported, PatternRPC, p.profile.Name) //repolint:allow alloc -- cold: profile lacks RPC
 	}
 	if cont == nil {
-		cont = func(codec.Record, error) {}
+		cont = discardResult
 	}
 	fromID, err := p.ensureRuntime(from)
 	if err != nil {
@@ -60,32 +70,18 @@ func (p *Platform) Invoke(from Addr, target ObjRef, op string, args codec.Record
 	reg, ok := p.objects[target]
 	if !ok {
 		p.mu.Unlock()
-		return fmt.Errorf("%w: %q", ErrUnknownObject, target)
+		return fmt.Errorf("%w: %q", ErrUnknownObject, target) //repolint:allow alloc -- cold: unknown target
 	}
 	if p.downNodes[reg.nodeID] || p.downNodes[fromID] {
-		// Fail fast, but asynchronously: callers treat a synchronous
-		// Invoke error as a programming mistake, while ErrUnavailable is
-		// an operational outcome that belongs on the continuation. The
-		// caller's own node being down fails the same way — a crashed
-		// node cannot transmit, so letting the call proceed would leak a
-		// request the wire silently drops and a pending entry nothing
-		// ever resolves.
-		down := p.nodeAddrs[reg.nodeID]
-		if p.downNodes[fromID] {
-			down = p.nodeAddrs[fromID]
-		}
-		p.stats.Unavailables++
-		p.mu.Unlock()
-		p.kern.ScheduleFunc(0, func() {
-			cont(nil, fmt.Errorf("%w: %s is down", ErrUnavailable, down))
-		})
+		p.failFastLocked(reg.nodeID, fromID, cont)
 		return nil
 	}
 	p.nextCall++
 	id := p.nextCall
-	pc := pendingCall{cont: cont, node: reg.nodeID, caller: fromID}
+	pc := p.getCallLocked()
+	pc.id, pc.cont, pc.node, pc.caller = id, cont, reg.nodeID, fromID
 	if p.profile.CallTimeout > 0 {
-		pc.timer = p.kern.ScheduleFuncRef(p.profile.CallTimeout, func() { p.onCallTimeout(id) })
+		pc.timer = p.kern.ScheduleFuncRef(p.profile.CallTimeout, pc.onTimeout)
 	}
 	p.pending[id] = pc
 	p.stats.Calls++
@@ -93,9 +89,12 @@ func (p *Platform) Invoke(from Addr, target ObjRef, op string, args codec.Record
 	to, toLow := p.nodeRefLocked(reg.nodeID)
 	p.mu.Unlock()
 
+	if args == nil {
+		args = codec.RawEmptyRecord
+	}
 	buf := codec.GetBuffer()
 	e := schemaCall.Encoder(buf.B[:0])
-	e.Value("args", args)
+	e.Raw("args", args)
 	e.Uint("id", id)
 	e.Str("op", op)
 	e.Str("target", string(target))
@@ -104,6 +103,7 @@ func (p *Platform) Invoke(from Addr, target ObjRef, op string, args codec.Record
 		if pc, ok := p.pending[id]; ok {
 			pc.timer.Cancel() // zero ref is an inert no-op
 			delete(p.pending, id)
+			p.putCallLocked(pc)
 		}
 		p.mu.Unlock()
 		return err
@@ -111,22 +111,52 @@ func (p *Platform) Invoke(from Addr, target ObjRef, op string, args codec.Record
 	return nil
 }
 
+// discardResult is the continuation of calls whose caller passed none.
+func discardResult(codec.MsgView, error) {}
+
+// discardReply is the reply continuation of oneway dispatches.
+func discardReply([]byte, error) {}
+
+// failFastLocked fails a call whose callee or caller node is down, but
+// asynchronously: callers treat a synchronous Invoke error as a
+// programming mistake, while ErrUnavailable is an operational outcome
+// that belongs on the continuation. The caller's own node being down
+// fails the same way — a crashed node cannot transmit, so letting the
+// call proceed would leak a request the wire silently drops and a
+// pending entry nothing ever resolves. Caller holds p.mu; it is
+// released here.
+func (p *Platform) failFastLocked(calleeID, callerID int32, cont func(codec.MsgView, error)) {
+	down := p.nodeAddrs[calleeID]
+	if p.downNodes[callerID] {
+		down = p.nodeAddrs[callerID]
+	}
+	p.stats.Unavailables++
+	p.mu.Unlock()
+	p.kern.ScheduleFunc(0, func() {
+		cont(codec.MsgView{}, fmt.Errorf("%w: %s is down", ErrUnavailable, down))
+	})
+}
+
 func (p *Platform) onCallTimeout(id uint64) {
 	p.mu.Lock()
 	pc, ok := p.pending[id]
+	var cont func(codec.MsgView, error)
 	if ok {
 		delete(p.pending, id)
 		p.stats.Timeouts++
+		cont = pc.cont
+		p.putCallLocked(pc)
 	}
 	p.mu.Unlock()
 	if ok {
-		pc.cont(nil, fmt.Errorf("%w: call %d", ErrCallTimeout, id))
+		cont(codec.MsgView{}, fmt.Errorf("%w: call %d", ErrCallTimeout, id))
 	}
 }
 
 // InvokeOneway performs fire-and-forget message passing to an object's
-// operation: no reply, no delivery confirmation to the caller.
-func (p *Platform) InvokeOneway(from Addr, target ObjRef, op string, args codec.Record) error {
+// operation: no reply, no delivery confirmation to the caller. args
+// follows the Invoke contract (one encoded record value; nil = empty).
+func (p *Platform) InvokeOneway(from Addr, target ObjRef, op string, args []byte) error {
 	if !p.profile.Supports(PatternOneway) {
 		return fmt.Errorf("%w: %s on %q", ErrPatternUnsupported, PatternOneway, p.profile.Name)
 	}
@@ -144,9 +174,12 @@ func (p *Platform) InvokeOneway(from Addr, target ObjRef, op string, args codec.
 	fromLow := p.nodeLows[fromID]
 	to, toLow := p.nodeRefLocked(reg.nodeID)
 	p.mu.Unlock()
+	if args == nil {
+		args = codec.RawEmptyRecord
+	}
 	buf := codec.GetBuffer()
 	e := schemaOneway.Encoder(buf.B[:0])
-	e.Value("args", args)
+	e.Raw("args", args)
 	e.Str("op", op)
 	e.Str("target", string(target))
 	return p.finishSend(buf, &e, from, fromLow, to, toLow)
@@ -376,11 +409,13 @@ func (p *Platform) onWire(srcAddr Addr, srcLow, atID int32, data []byte) {
 }
 
 // handleWire demarshals the implicit protocol through a zero-copy view
-// and dispatches per message type. Corrupt wire messages are dropped.
+// and dispatches per message type. Corrupt wire messages are dropped and
+// counted (Stats.Corrupt).
 func (p *Platform) handleWire(srcAddr Addr, srcLow, atID int32, data []byte) {
 	v, err := codec.ParseMessage(data)
 	if err != nil {
-		return // corrupt wire message: drop
+		p.countCorrupt()
+		return
 	}
 	switch string(v.Name()) {
 	case "mw.call":
@@ -409,93 +444,191 @@ func (p *Platform) handleWire(srcAddr Addr, srcLow, atID int32, data []byte) {
 	}
 }
 
+// countCorrupt records one dropped malformed wire message.
+func (p *Platform) countCorrupt() {
+	p.mu.Lock()
+	p.stats.Corrupt++
+	p.mu.Unlock()
+}
+
 // lookupLocal finds the object registration for a wire message's target,
-// verifying it is hosted at the receiving node (a dense-id compare). The
-// args record is materialized (copied) here: it crosses into application
-// code via Object.Dispatch and may be retained.
-func (p *Platform) lookupLocal(atID int32, v *codec.MsgView) (Object, string, codec.Record, bool) {
+// verifying it is hosted at the receiving node (a dense-id compare).
+//
+//repolint:hotpath
+func (p *Platform) lookupLocal(atID int32, v *codec.MsgView) (Object, bool) {
 	target, _ := v.Str("target")
-	op, _ := v.Str("op")
-	args, _ := v.Record("args")
 	p.mu.Lock()
 	reg, ok := p.objects[ObjRef(target)]
 	p.mu.Unlock()
 	if !ok || reg.nodeID != atID {
-		return nil, "", nil, false
+		return nil, false
 	}
-	return reg.obj, string(op), args, true
+	return reg.obj, true
 }
 
-// replyRef resolves where a reply from node atID back to the caller
-// should travel: the receiving node's address/low id plus the caller's.
-func (p *Platform) replyRef(atID int32) (Addr, int32) {
+// callArgs returns the argument record of a call or oneway message as a
+// view of the delivery buffer — it crosses into the object's Dispatch
+// borrowed, never materialized. A message whose args field is not a
+// well-formed canonical record is counted corrupt (ok false).
+//
+//repolint:hotpath
+func (p *Platform) callArgs(v *codec.MsgView) (codec.MsgView, bool) {
+	args, ok := v.View("args")
+	if !ok {
+		p.countCorrupt()
+	}
+	return args, ok
+}
+
+// getReplyCell pops (or creates) a reply cell.
+//
+//repolint:hotpath
+func (p *Platform) getReplyCell() *replyCell {
 	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.nodeAddrs[atID], p.nodeLows[atID]
+	c := p.freeReply
+	if c != nil {
+		p.freeReply = c.next
+		c.next = nil
+	}
+	p.mu.Unlock()
+	if c == nil {
+		c = &replyCell{p: p}
+		c.fn = c.respond
+	}
+	return c
 }
 
+// putReplyCell returns a disarmed cell to the pool.
+//
+//repolint:hotpath
+func (p *Platform) putReplyCell(c *replyCell) {
+	c.srcAddr = ""
+	p.mu.Lock()
+	c.next = p.freeReply
+	p.freeReply = c
+	p.mu.Unlock()
+}
+
+// handleCall dispatches one mw.call to its object with a pooled reply
+// cell, recycling the cell when the object replied before Dispatch
+// returned (the common, synchronous case).
+//
+//repolint:hotpath
 func (p *Platform) handleCall(srcAddr Addr, srcLow, atID int32, v *codec.MsgView) {
 	id, _ := v.Uint("id")
-	obj, op, args, ok := p.lookupLocal(atID, v)
+	args, ok := p.callArgs(v)
 	if !ok {
-		at, atLow := p.replyRef(atID)
-		buf := codec.GetBuffer()
-		e := schemaReplyErr.Encoder(buf.B[:0])
-		e.Str("error", "unknown object at node")
-		e.Uint("id", id)
-		_ = p.finishSend(buf, &e, at, atLow, srcAddr, srcLow) //nolint:errcheck
 		return
 	}
-	obj.Dispatch(op, args, func(result codec.Record, err error) {
+	obj, ok := p.lookupLocal(atID, v)
+	if !ok {
 		p.mu.Lock()
-		p.stats.Replies++
+		at, atLow := p.nodeRefLocked(atID)
 		p.mu.Unlock()
-		at, atLow := p.replyRef(atID)
-		buf := codec.GetBuffer()
-		if err != nil {
-			e := schemaReplyErr.Encoder(buf.B[:0])
-			e.Str("error", err.Error())
-			e.Uint("id", id)
-			_ = p.finishSend(buf, &e, at, atLow, srcAddr, srcLow) //nolint:errcheck
-			return
-		}
-		if result == nil {
-			result = codec.Record{}
-		}
-		e := schemaReplyOK.Encoder(buf.B[:0])
-		e.Uint("id", id)
-		e.Value("result", result)
-		_ = p.finishSend(buf, &e, at, atLow, srcAddr, srcLow) //nolint:errcheck
-	})
+		p.sendReply(id, at, atLow, srcAddr, srcLow, nil, errUnknownAtNode)
+		return
+	}
+	op, _ := v.Str("op")
+	c := p.getReplyCell()
+	c.id, c.srcAddr, c.srcLow, c.atID, c.armed = id, srcAddr, srcLow, atID, true
+	obj.Dispatch(op, args, c.fn)
+	if !c.armed {
+		p.putReplyCell(c)
+	}
 }
 
+// errUnknownAtNode is the remote error of a call whose target is not
+// hosted at the receiving node.
+var errUnknownAtNode = errors.New("unknown object at node")
+
+// respond is the object's reply continuation: it counts and sends the
+// mw.reply of the cell's call, at most once per arming.
+//
+//repolint:hotpath
+func (c *replyCell) respond(result []byte, err error) {
+	if !c.armed {
+		return // replied already
+	}
+	c.armed = false
+	p := c.p
+	p.mu.Lock()
+	p.stats.Replies++
+	at, atLow := p.nodeRefLocked(c.atID)
+	p.mu.Unlock()
+	p.sendReply(c.id, at, atLow, c.srcAddr, c.srcLow, result, err)
+}
+
+// sendReply encodes the mw.reply of call id — the error text, or the
+// result record spliced in verbatim (nil = empty record) — and sends it
+// from the serving node (at) back to the caller (srcAddr/srcLow).
+//
+//repolint:hotpath
+func (p *Platform) sendReply(id uint64, at Addr, atLow int32, srcAddr Addr, srcLow int32, result []byte, err error) {
+	buf := codec.GetBuffer()
+	if err != nil {
+		e := schemaReplyErr.Encoder(buf.B[:0])
+		e.Str("error", err.Error())
+		e.Uint("id", id)
+		_ = p.finishSend(buf, &e, at, atLow, srcAddr, srcLow) //nolint:errcheck // reply loss = caller timeout
+		return
+	}
+	if result == nil {
+		result = codec.RawEmptyRecord
+	}
+	e := schemaReplyOK.Encoder(buf.B[:0])
+	e.Uint("id", id)
+	e.Raw("result", result)
+	_ = p.finishSend(buf, &e, at, atLow, srcAddr, srcLow) //nolint:errcheck // reply loss = caller timeout
+}
+
+// handleReply resolves the pending call a mw.reply answers. The result
+// is validated before the pending entry is touched: a malformed reply is
+// dropped like a lost one (the call's timeout, if any, still resolves
+// it).
+//
+//repolint:hotpath
 func (p *Platform) handleReply(v *codec.MsgView) {
 	id, _ := v.Uint("id")
+	errText, hasErr := v.Str("error")
+	var result codec.MsgView
+	if !hasErr {
+		var ok bool
+		if result, ok = v.View("result"); !ok {
+			p.countCorrupt()
+			return
+		}
+	}
 	p.mu.Lock()
 	pc, ok := p.pending[id]
+	var cont func(codec.MsgView, error)
 	if ok {
 		delete(p.pending, id)
 		pc.timer.Cancel() // zero ref is an inert no-op
+		cont = pc.cont
+		p.putCallLocked(pc)
 	}
 	p.mu.Unlock()
 	if !ok {
 		return // late reply after timeout
 	}
-	if _, hasErr := v.Raw("error"); hasErr {
-		s, _ := v.Str("error")
-		pc.cont(nil, fmt.Errorf("%w: %s", ErrRemote, s))
+	if hasErr {
+		cont(codec.MsgView{}, fmt.Errorf("%w: %s", ErrRemote, errText)) //repolint:allow alloc -- cold: remote application error
 		return
 	}
-	result, _ := v.Record("result")
-	pc.cont(result, nil)
+	cont(result, nil)
 }
 
 func (p *Platform) handleOneway(atID int32, v *codec.MsgView) {
-	obj, op, args, ok := p.lookupLocal(atID, v)
+	args, ok := p.callArgs(v)
 	if !ok {
 		return
 	}
-	obj.Dispatch(op, args, func(codec.Record, error) {}) // replies discarded
+	obj, ok := p.lookupLocal(atID, v)
+	if !ok {
+		return
+	}
+	op, _ := v.Str("op")
+	obj.Dispatch(op, args, discardReply) // replies discarded
 }
 
 func (p *Platform) handleEnqueue(v *codec.MsgView) {

@@ -135,14 +135,18 @@ func (m *Model) emitConsts(e *emitter) {
 	}
 	e.p(")")
 	e.emptyLine()
-	e.p("// Compiled parameter-record schemas, one per primitive.")
+	e.p("// Compiled parameter-record schemas, one per primitive: the wire")
+	e.p("// layout of each primitive's argument record on the invocation plane.")
 	e.p("var (")
 	for _, p := range m.Primitives {
-		args := fmt.Sprintf("Prim%s", p.Go)
-		for _, param := range p.Params {
-			args += fmt.Sprintf(", %q", param.Decl.Name)
+		var args string
+		for i, param := range p.Params {
+			if i > 0 {
+				args += ", "
+			}
+			args += fmt.Sprintf("%q", param.Decl.Name)
 		}
-		e.p("\tSchema%s = codec.CompileSchema(%s)", p.Go, args)
+		e.p("\tSchema%s = codec.CompileRecord(%s)", p.Go, args)
 	}
 	e.p(")")
 	e.emptyLine()
@@ -284,13 +288,14 @@ func (m *Model) emitScaffolding(e *emitter) {
 	e.p("// with (oneway deliveries elide it on the wire).")
 	e.p("type Ack struct{}")
 	e.emptyLine()
-	e.p("// EncodeAck marshals an acknowledgement into an empty reply record.")
-	e.p("func EncodeAck(Ack) codec.Record {")
-	e.p("\treturn codec.Record{}")
+	e.p("// AppendAck appends an acknowledgement's wire form, the empty reply")
+	e.p("// record, to buf.")
+	e.p("func AppendAck(buf []byte, _ Ack) ([]byte, error) {")
+	e.p("\treturn append(buf, codec.RawEmptyRecord...), nil")
 	e.p("}")
 	e.emptyLine()
-	e.p("// DecodeAck unmarshals an acknowledgement reply record.")
-	e.p("func DecodeAck(codec.Record) (Ack, error) {")
+	e.p("// DecodeAck decodes an acknowledgement reply record.")
+	e.p("func DecodeAck(codec.MsgView) (Ack, error) {")
 	e.p("\treturn Ack{}, nil")
 	e.p("}")
 	e.emptyLine()
@@ -316,86 +321,12 @@ func (m *Model) emitPrimitive(e *emitter, p Primitive) {
 	}
 	e.emptyLine()
 
-	// Record encoder.
-	e.p("// Encode%sParams marshals p into the generic parameter record the", p.Go)
-	e.p("// invocation plane carries.")
-	if len(p.Params) == 0 {
-		e.p("func Encode%sParams(%sParams) codec.Record {", p.Go, p.Go)
-		e.p("\treturn codec.Record{}")
-	} else {
-		e.p("func Encode%sParams(p %sParams) codec.Record {", p.Go, p.Go)
-		for i, param := range p.Params {
-			if param.Decl.Kind != core.KindStringList {
-				continue
-			}
-			e.p("\tf%d := make([]codec.Value, len(p.%s))", i, param.Go)
-			e.p("\tfor i, v := range p.%s {", param.Go)
-			e.p("\t\tf%d[i] = v", i)
-			e.p("\t}")
-		}
-		e.p("\treturn codec.Record{")
-		for i, param := range p.Params {
-			if param.Decl.Kind == core.KindStringList {
-				e.p("\t\t%q: f%d,", param.Decl.Name, i)
-			} else {
-				e.p("\t\t%q: p.%s,", param.Decl.Name, param.Go)
-			}
-		}
-		e.p("\t}")
-	}
-	e.p("}")
-	e.emptyLine()
-
-	// Record decoder.
-	e.p("// Decode%sParams unmarshals a %q parameter record. Absent parameters", p.Go, name)
-	e.p("// decode to zero values; mistyped ones are rejected.")
-	if len(p.Params) == 0 {
-		e.p("func Decode%sParams(codec.Record) (%sParams, error) {", p.Go, p.Go)
-		e.p("\treturn %sParams{}, nil", p.Go)
-		e.p("}")
-	} else {
-		e.p("func Decode%sParams(r codec.Record) (%sParams, error) {", p.Go, p.Go)
-		e.p("\tvar p %sParams", p.Go)
-		for _, param := range p.Params {
-			pn := param.Decl.Name
-			e.p("\tif v, ok := r[%q]; ok {", pn)
-			switch param.Decl.Kind {
-			case core.KindInt:
-				e.p("\t\tswitch n := v.(type) {")
-				e.p("\t\tcase int64:")
-				e.p("\t\t\tp.%s = n", param.Go)
-				e.p("\t\tcase int:")
-				e.p("\t\t\tp.%s = int64(n)", param.Go)
-				e.p("\t\tcase int32:")
-				e.p("\t\t\tp.%s = int64(n)", param.Go)
-				e.p("\t\tdefault:")
-				e.p("\t\t\treturn p, fmt.Errorf(\"%s: parameter %%q: want int, got %%T\", %q, v)", name, pn)
-				e.p("\t\t}")
-			case core.KindStringList:
-				e.p("\t\txs, err := codec.ToStringSlice(v)")
-				e.p("\t\tif err != nil {")
-				e.p("\t\t\treturn p, fmt.Errorf(\"%s: parameter %%q: %%v\", %q, err)", name, pn)
-				e.p("\t\t}")
-				e.p("\t\tp.%s = xs", param.Go)
-			default:
-				gt := goType(param.Decl.Kind)
-				e.p("\t\tc, ok := v.(%s)", gt)
-				e.p("\t\tif !ok {")
-				e.p("\t\t\treturn p, fmt.Errorf(\"%s: parameter %%q: want %s, got %%T\", %q, v)", name, kindLabel(param.Decl.Kind), pn)
-				e.p("\t\t}")
-				e.p("\t\tp.%s = c", param.Go)
-			}
-			e.p("\t}")
-		}
-		e.p("\treturn p, nil")
-		e.p("}")
-	}
-	e.emptyLine()
-
 	// Schema wire encoder (canonical field order is the schema's sorted
 	// order, not declaration order).
-	e.p("// Append%sParams appends the canonical wire form of p to buf through", p.Go)
-	e.p("// the compiled schema — byte-identical to encoding %sMessage(p).", p.Go)
+	e.p("// Append%sParams appends the wire form of p's parameter record to buf", p.Go)
+	e.p("// through the compiled schema — byte-identical to codec.Append of the")
+	e.p("// record %sMessage(p) carries. It is the argument encoder of the", p.Go)
+	e.p("// primitive's typed port or sink.")
 	if len(p.Params) == 0 {
 		e.p("func Append%sParams(buf []byte, _ %sParams) ([]byte, error) {", p.Go, p.Go)
 		e.p("\te := Schema%s.Encoder(buf)", p.Go)
@@ -410,13 +341,7 @@ func (m *Model) emitPrimitive(e *emitter, p Primitive) {
 			case core.KindBool:
 				e.p("\te.Bool(%q, p.%s)", pn, param.Go)
 			case core.KindStringList:
-				e.p("\t{")
-				e.p("\t\txs := make([]codec.Value, len(p.%s))", param.Go)
-				e.p("\t\tfor i, v := range p.%s {", param.Go)
-				e.p("\t\t\txs[i] = v")
-				e.p("\t\t}")
-				e.p("\t\te.Value(%q, xs)", pn)
-				e.p("\t}")
+				e.p("\te.Strings(%q, p.%s)", pn, param.Go)
 			default:
 				e.p("\te.Str(%q, p.%s)", pn, param.Go)
 			}
@@ -426,11 +351,61 @@ func (m *Model) emitPrimitive(e *emitter, p Primitive) {
 	e.p("}")
 	e.emptyLine()
 
-	// Message wrapper.
+	// View decoder.
+	e.p("// Decode%sParams decodes a %q parameter record from a view of its", p.Go, name)
+	e.p("// wire form, copying what it keeps. Absent parameters decode to zero")
+	e.p("// values; mistyped ones are rejected.")
+	if len(p.Params) == 0 {
+		e.p("func Decode%sParams(codec.MsgView) (%sParams, error) {", p.Go, p.Go)
+		e.p("\treturn %sParams{}, nil", p.Go)
+		e.p("}")
+	} else {
+		e.p("func Decode%sParams(v codec.MsgView) (%sParams, error) {", p.Go, p.Go)
+		e.p("\tvar p %sParams", p.Go)
+		for _, param := range p.Params {
+			pn := param.Decl.Name
+			switch param.Decl.Kind {
+			case core.KindInt:
+				e.p("\tif n, ok := v.Int(%q); ok {", pn)
+				e.p("\t\tp.%s = n", param.Go)
+			case core.KindBool:
+				e.p("\tif b, ok := v.Bool(%q); ok {", pn)
+				e.p("\t\tp.%s = b", param.Go)
+			case core.KindStringList:
+				e.p("\tif xs, ok := v.Strings(%q, nil); ok {", pn)
+				e.p("\t\tp.%s = xs", param.Go)
+			default:
+				e.p("\tif s, ok := v.Str(%q); ok {", pn)
+				e.p("\t\tp.%s = string(s)", param.Go)
+			}
+			e.p("\t} else if v.Has(%q) {", pn)
+			e.p("\t\treturn p, fmt.Errorf(\"%s: parameter %%q: want %s\", %q)", name, kindLabel(param.Decl.Kind), pn)
+			e.p("\t}")
+		}
+		e.p("\treturn p, nil")
+		e.p("}")
+	}
+	e.emptyLine()
+
+	// Message wrapper: the Record form, kept for the queue and topic
+	// planes.
 	e.p("// %sMessage wraps p as the named message the queue and topic planes", p.Go)
 	e.p("// carry.")
-	e.p("func %sMessage(p %sParams) codec.Message {", p.Go, p.Go)
-	e.p("\treturn codec.NewMessage(Prim%s, Encode%sParams(p))", p.Go, p.Go)
+	if len(p.Params) == 0 {
+		e.p("func %sMessage(%sParams) codec.Message {", p.Go, p.Go)
+		e.p("\treturn codec.NewMessage(Prim%s, codec.Record{})", p.Go)
+	} else {
+		e.p("func %sMessage(p %sParams) codec.Message {", p.Go, p.Go)
+		e.p("\treturn codec.NewMessage(Prim%s, codec.Record{", p.Go)
+		for _, param := range p.Params {
+			if param.Decl.Kind == core.KindStringList {
+				e.p("\t\t%q: codec.StringList(p.%s),", param.Decl.Name, param.Go)
+			} else {
+				e.p("\t\t%q: p.%s,", param.Decl.Name, param.Go)
+			}
+		}
+		e.p("\t})")
+	}
 	e.p("}")
 	e.emptyLine()
 
@@ -439,7 +414,7 @@ func (m *Model) emitPrimitive(e *emitter, p Primitive) {
 		e.p("// submits %sParams to the provider object and the continuation", p.Go)
 		e.p("// receives the acknowledgement.")
 		e.p("func New%sPort(b *svc.Binding, target middleware.ObjRef, opts ...svc.PortOption) (*svc.Port[%sParams, Ack], error) {", p.Go, p.Go)
-		e.p("\treturn svc.NewPort(b, target, Prim%s, Encode%sParams, DecodeAck, opts...)", p.Go, p.Go)
+		e.p("\treturn svc.NewPort(b, target, Prim%s, Append%sParams, DecodeAck, opts...)", p.Go, p.Go)
 		e.p("}")
 		e.emptyLine()
 		e.p("// Handle%s registers the provider-side handler for primitive %q on", p.Go, name)
@@ -448,7 +423,7 @@ func (m *Model) emitPrimitive(e *emitter, p Primitive) {
 		e.p("// New%sSink opens a typed oneway sink for primitive %q: the provider", p.Go, name)
 		e.p("// delivers %sParams to a user-part object without awaiting a reply.", p.Go)
 		e.p("func New%sSink(b *svc.Binding, target middleware.ObjRef, opts ...svc.PortOption) (*svc.Sink[%sParams], error) {", p.Go, p.Go)
-		e.p("\treturn svc.NewOnewaySink(b, target, Prim%s, Encode%sParams, opts...)", p.Go, p.Go)
+		e.p("\treturn svc.NewOnewaySink(b, target, Prim%s, Append%sParams, opts...)", p.Go, p.Go)
 		e.p("}")
 		e.emptyLine()
 		e.p("// New%sTopicSink opens a typed publisher of %q events on topic.", p.Go, name)
@@ -460,7 +435,7 @@ func (m *Model) emitPrimitive(e *emitter, p Primitive) {
 		e.p("// Decode%sView decodes a published %q event from the zero-copy", p.Go, name)
 		e.p("// delivery plane.")
 		e.p("func Decode%sView(v codec.MsgView) (%sParams, error) {", p.Go, p.Go)
-		e.p("\tfields, ok := v.Record(\"fields\")")
+		e.p("\tfields, ok := v.View(\"fields\")")
 		e.p("\tif !ok {")
 		e.p("\t\treturn %sParams{}, fmt.Errorf(\"%s: event carries no parameter record\")", p.Go, name)
 		e.p("\t}")
@@ -478,7 +453,7 @@ func (m *Model) emitPrimitive(e *emitter, p Primitive) {
 		e.p("// deliveries on export e.")
 	}
 	e.p("func Handle%s(e *svc.Export, h func(%sParams, func(Ack, error))) error {", p.Go, p.Go)
-	e.p("\treturn svc.HandleOp(e, Prim%s, Decode%sParams, EncodeAck, h)", p.Go, p.Go)
+	e.p("\treturn svc.HandleOp(e, Prim%s, Decode%sParams, AppendAck, h)", p.Go, p.Go)
 	e.p("}")
 	e.emptyLine()
 }

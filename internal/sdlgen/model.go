@@ -128,7 +128,7 @@ func Build(doc *sdl.Document, pkg, source string) (*Model, error) {
 	}
 	for _, fixed := range []string{
 		"ServiceName", "Spec", "Service", "Bind",
-		"Ack", "EncodeAck", "DecodeAck",
+		"Ack", "AppendAck", "DecodeAck",
 		"Provider", "Consumer", "ExportProvider", "ExportConsumer",
 	} {
 		used[fixed] = "the package scaffolding"
@@ -153,7 +153,7 @@ func Build(doc *sdl.Document, pkg, source string) (*Model, error) {
 		owner := fmt.Sprintf("primitive %q", p.Name)
 		stems := []string{
 			"Prim" + g, "Schema" + g, g + "Params",
-			"Encode" + g + "Params", "Decode" + g + "Params", "Append" + g + "Params",
+			"Decode" + g + "Params", "Append" + g + "Params",
 			g + "Message", "Handle" + g,
 		}
 		if p.Direction == core.FromUser {
@@ -253,7 +253,7 @@ func kindLabel(k core.ParamKind) string {
 	case core.KindBool:
 		return "bool"
 	case core.KindStringList:
-		return "list"
+		return "list of strings"
 	default:
 		return "string"
 	}

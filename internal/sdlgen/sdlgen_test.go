@@ -6,8 +6,10 @@ import (
 	"go/format"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -51,6 +53,85 @@ func TestGolden(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestEmitsTypedRPCContract pins the shape of the emitted wire functions
+// for every primitive of both committed specs: a bare-record schema, an
+// append encoder and a view decoder on the byte contract of the svc
+// ports, and no Record-building encoder — the ports and handlers are
+// wired to exactly those functions.
+func TestEmitsTypedRPCContract(t *testing.T) {
+	for _, pkg := range []string{"floorcontrol", "allkinds"} {
+		t.Run(pkg, func(t *testing.T) {
+			src := generateFromRepo(t, pkg)
+			f, err := parser.ParseFile(token.NewFileSet(), pkg+"_gen.go", src, 0)
+			if err != nil {
+				t.Fatalf("parse generated output: %v", err)
+			}
+			sigs := make(map[string]string)
+			for _, d := range f.Decls {
+				if fn, ok := d.(*ast.FuncDecl); ok {
+					sigs[fn.Name.Name] = types.ExprString(fn.Type)
+				}
+			}
+			check := func(name, want string) {
+				t.Helper()
+				if got, ok := sigs[name]; !ok || got != want {
+					t.Errorf("%s: signature %q, want %q", name, got, want)
+				}
+			}
+			check("AppendAck", "func(buf []byte, _ Ack) ([]byte, error)")
+			check("DecodeAck", "func(codec.MsgView) (Ack, error)")
+			spec := generatedSpec(t, pkg)
+			for _, prim := range spec.Primitives {
+				g, err := goName(prim.Name)
+				if err != nil {
+					t.Fatal(err)
+				}
+				arg := "p"
+				if len(prim.Params) == 0 {
+					arg = "_"
+				}
+				check("Append"+g+"Params", "func(buf []byte, "+arg+" "+g+"Params) ([]byte, error)")
+				if len(prim.Params) == 0 {
+					check("Decode"+g+"Params", "func(codec.MsgView) ("+g+"Params, error)")
+				} else {
+					check("Decode"+g+"Params", "func(v codec.MsgView) ("+g+"Params, error)")
+				}
+				if _, ok := sigs["Encode"+g+"Params"]; ok {
+					t.Errorf("Encode%sParams is still emitted", g)
+				}
+				if !regexp.MustCompile(`Schema` + g + `\s+= codec\.CompileRecord\(`).Match(src) {
+					t.Errorf("Schema%s is not a compiled record schema", g)
+				}
+				handle := "svc.HandleOp(e, Prim" + g + ", Decode" + g + "Params, AppendAck, h)"
+				if !bytes.Contains(src, []byte(handle)) {
+					t.Errorf("generated source lacks %q", handle)
+				}
+				wire := "svc.NewPort(b, target, Prim" + g + ", Append" + g + "Params, DecodeAck, opts...)"
+				if prim.Direction == core.ToUser {
+					wire = "svc.NewOnewaySink(b, target, Prim" + g + ", Append" + g + "Params, opts...)"
+				}
+				if !bytes.Contains(src, []byte(wire)) {
+					t.Errorf("generated source lacks %q", wire)
+				}
+			}
+		})
+	}
+}
+
+// generatedSpec parses a committed spec into its validated ServiceSpec.
+func generatedSpec(t *testing.T, name string) *core.ServiceSpec {
+	t.Helper()
+	src, err := os.ReadFile(filepath.Join("..", "..", "examples", "specs", name+".svc"))
+	if err != nil {
+		t.Fatalf("read spec: %v", err)
+	}
+	_, spec, perr := sdl.Parse(string(src))
+	if perr != nil {
+		t.Fatalf("parse %s.svc: %v", name, perr)
+	}
+	return spec
 }
 
 // TestDeterministic pins that generation is a pure function of the

@@ -27,8 +27,8 @@ func TestPortCrashBeforeDeadline(t *testing.T) {
 		t.Fatal(err)
 	}
 	err = svc.HandleOp(e, "ping",
-		func(r codec.Record) (pingReq, error) { n, _ := r["n"].(int64); return pingReq{N: n}, nil },
-		func(r pingResp) codec.Record { return codec.Record{"n": r.N} },
+		decPingReq,
+		encPong,
 		func(req pingReq, respond func(pingResp, error)) {
 			k.ScheduleFunc(50*time.Millisecond, func() { respond(pingResp{N: req.N + 1}, nil) })
 		})
@@ -122,9 +122,10 @@ func TestExportRebindFailover(t *testing.T) {
 	k.ScheduleFunc(time.Millisecond, func() {
 		// Failover: re-home the crashed export, then retry.
 		if err := p.Rebind("server", "node-t", middleware.ObjectFunc(
-			func(op string, args codec.Record, reply middleware.Reply) {
-				n, _ := args["n"].(int64)
-				reply(codec.Record{"n": n + 100}, nil)
+			func(op []byte, args codec.MsgView, reply middleware.Reply) {
+				n, _ := args.Int("n")
+				out, _ := appendN(nil, n+100)
+				reply(out, nil)
 			})); err != nil {
 			t.Error(err)
 			return

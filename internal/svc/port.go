@@ -16,15 +16,19 @@ import (
 // asynchronous in virtual time — the continuation runs when the reply
 // arrives, the deadline expires, or the call fails.
 //
-// Per-call bookkeeping (the reply adapter and the deadline timer) is
-// recycled through a free list, so a steady-state Call adds no heap
-// allocations over the raw platform invoke underneath it.
+// The request travels as bytes from the port to the remote handler: enc
+// appends its wire form into a pooled buffer, the platform splices those
+// bytes into the call message, and the export decodes its typed request
+// from a view of the delivery buffer. Per-call bookkeeping (the reply
+// adapter and the deadline timer) is recycled through a free list, so a
+// steady-state Call adds no heap allocations over the raw platform
+// invoke underneath it.
 type Port[Req, Resp any] struct {
 	b      *Binding
 	target middleware.ObjRef
 	op     string
-	enc    func(Req) codec.Record
-	dec    func(codec.Record) (Resp, error)
+	enc    func([]byte, Req) ([]byte, error)
+	dec    func(codec.MsgView) (Resp, error)
 	cfg    portConfig
 
 	// Call-state pool: a single-slot atomic fast path (sequential calls
@@ -45,18 +49,22 @@ type callState[Req, Resp any] struct {
 	deadline bool         // a deadline was armed for this call
 	fired    bool         // continuation already delivered
 
-	onReply    func(codec.Record, error) // = s.reply, built once
-	onDeadline func()                    // = s.deadline, built once
+	onReply    func(codec.MsgView, error) // = s.reply, built once
+	onDeadline func()                     // = s.deadline, built once
 	next       *callState[Req, Resp]
 }
 
-// NewPort creates a typed RPC port on the binding. enc marshals the
-// request into the operation's parameter record (the same record shape a
-// raw Platform.Invoke caller would pass); dec unmarshals the reply
-// record. dec may be nil for ports whose replies carry no payload (the
-// zero Resp is delivered). The profile must offer the RPC pattern.
+// NewPort creates a typed RPC port on the binding. enc appends the wire
+// form of the request's parameter record to its buffer argument and
+// returns the extended slice — one encoded record value, typically
+// through a codec.CompileRecord schema (the Invoke argument contract);
+// dec decodes the reply from a view of the result record, which is valid
+// only while dec runs. dec may be nil for ports whose replies carry no
+// payload (the zero Resp is delivered). The profile must offer the RPC
+// pattern. RecordEncoder and RecordDecoder adapt codec.Record-based
+// marshallers where allocation does not matter.
 func NewPort[Req, Resp any](b *Binding, target middleware.ObjRef, op string,
-	enc func(Req) codec.Record, dec func(codec.Record) (Resp, error),
+	enc func([]byte, Req) ([]byte, error), dec func(codec.MsgView) (Resp, error),
 	opts ...PortOption) (*Port[Req, Resp], error) {
 	if err := b.supports(middleware.PatternRPC); err != nil {
 		return nil, err
@@ -122,11 +130,24 @@ func (p *Port[Req, Resp]) putState(s *callState[Req, Resp]) {
 // unknown target, unsupported pattern, transport refusal) is returned by
 // Call itself and cont does not run.
 //
+// The request is encoded into a pooled buffer that is recycled before
+// Call returns; a codec.Record is built from it only when a WithMonitor
+// monitor is attached (the event needs boxed params).
+//
 //repolint:hotpath
 func (p *Port[Req, Resp]) Call(from middleware.Addr, req Req, cont func(Resp, error)) error {
-	args := p.enc(req)
-	if err := p.cfg.observeOut(p.b.kern, args); err != nil {
-		return err
+	buf := codec.GetBuffer()
+	args, err := p.enc(buf.B[:0], req)
+	if err != nil {
+		buf.Release()
+		return fmt.Errorf("svc: port %s.%s: marshal request: %w", p.target, p.op, err) //repolint:allow alloc -- cold: encoder failure
+	}
+	buf.B = args
+	if p.cfg.monitor != nil {
+		if err := p.cfg.observeOut(p.b.kern, paramsOf(args)); err != nil {
+			buf.Release()
+			return err
+		}
 	}
 	s := p.getState()
 	s.cont = cont
@@ -134,7 +155,9 @@ func (p *Port[Req, Resp]) Call(from middleware.Addr, req Req, cont func(Resp, er
 		s.deadline = true
 		s.timer = p.b.kern.ScheduleFuncRef(p.cfg.deadline, s.onDeadline)
 	}
-	if err := p.b.plat.Invoke(from, p.target, p.op, args, s.onReply); err != nil {
+	err = p.b.plat.Invoke(from, p.target, p.op, args, s.onReply)
+	buf.Release()
+	if err != nil {
 		s.timer.Cancel()
 		s.reset()
 		p.putState(s)
@@ -160,8 +183,9 @@ func (s *callState[Req, Resp]) reset() {
 // platform's own mutex. With a deadline, the port mutex arbitrates
 // against the expiry event. Either way, the state returns to the pool
 // before the continuation runs (on local copies), so a reentrant Call
-// from inside cont may reuse it safely.
-func (s *callState[Req, Resp]) reply(result codec.Record, err error) {
+// from inside cont may reuse it safely. The result view borrows the
+// delivery buffer: dec must copy whatever Resp retains.
+func (s *callState[Req, Resp]) reply(result codec.MsgView, err error) {
 	p := s.p
 	var late bool
 	var cont func(Resp, error)
@@ -230,13 +254,16 @@ type Export struct {
 // exportOp is one operation's dispatch entry.
 type exportOp struct {
 	name string
-	fn   func(codec.Record, middleware.Reply)
+	fn   func(codec.MsgView, middleware.Reply)
 }
 
-// lookup finds an operation's handler.
-func (e *Export) lookup(op string) func(codec.Record, middleware.Reply) {
+// lookup finds an operation's handler, comparing the borrowed wire name
+// as bytes (no string is built per dispatch).
+//
+//repolint:hotpath
+func (e *Export) lookup(op []byte) func(codec.MsgView, middleware.Reply) {
 	for i := range e.ops {
-		if e.ops[i].name == op {
+		if e.ops[i].name == string(op) {
 			return e.ops[i].fn
 		}
 	}
@@ -281,7 +308,7 @@ func (b *Binding) NewExport(ref middleware.ObjRef, node middleware.Addr, opts ..
 // the port's call-state pool, a single-slot atomic serves sequential
 // dispatches; concurrent ones fall back to the mutex-guarded list.
 type respondPool[Resp any] struct {
-	enc  func(Resp) codec.Record
+	enc  func([]byte, Resp) ([]byte, error)
 	slot atomic.Pointer[respondCell[Resp]]
 	mu   sync.Mutex
 	free *respondCell[Resp]
@@ -294,26 +321,36 @@ type respondCell[Resp any] struct {
 	next  *respondCell[Resp]
 }
 
-// respond marshals and delivers the reply. Respond runs at most once
-// per dispatch: extra calls are no-ops. Recycling is the dispatch
-// wrapper's decision (put), never respond's own — a cell whose respond
-// escaped the handler is abandoned to the GC, so a stale retained
-// respond can only ever hit a disarmed cell, not a re-armed one.
+// respond marshals the reply into a pooled buffer and delivers it (the
+// platform copies it onto the wire before reply returns). Respond runs
+// at most once per dispatch: extra calls are no-ops. Recycling is the
+// dispatch wrapper's decision (put), never respond's own — a cell whose
+// respond escaped the handler is abandoned to the GC, so a stale
+// retained respond can only ever hit a disarmed cell, not a re-armed
+// one.
+//
+//repolint:hotpath
 func (c *respondCell[Resp]) respond(resp Resp, err error) {
 	reply := c.reply
 	if reply == nil {
 		return // respond called twice
 	}
 	c.reply = nil
-	pool := c.pool
-	switch {
-	case err != nil:
+	enc := c.pool.enc
+	if err != nil || enc == nil {
 		reply(nil, err)
-	case pool.enc != nil:
-		reply(pool.enc(resp), nil)
-	default:
-		reply(codec.Record{}, nil)
+		return
 	}
+	buf := codec.GetBuffer()
+	out, err := enc(buf.B[:0], resp)
+	if err != nil {
+		buf.Release()
+		reply(nil, err)
+		return
+	}
+	reply(out, nil)
+	buf.B = out
+	buf.Release()
 }
 
 // put returns a disarmed cell to the pool.
@@ -347,78 +384,99 @@ func (p *respondPool[Resp]) get(reply middleware.Reply) *respondCell[Resp] {
 	return c
 }
 
-// HandleOp adds a typed handler for one operation. dec unmarshals the
-// argument record; it may be nil only for handlers that take the raw
-// record (Req = codec.Record), which HandleOp enforces at registration.
-// enc marshals the response (nil replies an empty record). The handler's
-// respond continuation may escape the handler and be called
-// asynchronously, but must be invoked at most once and never retained
-// past its invocation — the continuation is pooled per operation, so
-// this is the same class of contract as the wire-buffer aliasing rules
-// on network.Handler. The safety net: a duplicate call on a cell that
-// has not been re-armed is a no-op (a cell whose respond escaped the
-// handler is never re-armed, so the async path is fully guarded); only
-// a handler that responds synchronously, retains the continuation
-// anyway, and fires it during a later dispatch of the same operation
-// can misdeliver — a contract violation, never memory unsafety.
+// opHandler is one typed operation behind an export: the request
+// decoder, the application handler and its pooled respond cells.
+type opHandler[Req, Resp any] struct {
+	dec  func(codec.MsgView) (Req, error)
+	h    func(req Req, respond func(Resp, error))
+	pool respondPool[Resp]
+}
+
+// dispatch decodes the request from the borrowed argument view and runs
+// the handler with a pooled respond continuation. A decode failure
+// replies the decoder's error to the caller.
+//
+//repolint:hotpath
+func (o *opHandler[Req, Resp]) dispatch(args codec.MsgView, reply middleware.Reply) {
+	req, err := o.dec(args)
+	if err != nil {
+		reply(nil, err)
+		return
+	}
+	c := o.pool.get(reply)
+	o.h(req, c.fn)
+	// Recycle only when the handler responded synchronously: then the
+	// wrapper holds the only live reference. A respond that escaped the
+	// handler keeps its cell un-pooled (one cell per async dispatch —
+	// the same per-dispatch cost the raw reply closure pays), so its
+	// eventual call, and any stale duplicate, can never touch a
+	// re-armed cell.
+	if c.reply == nil {
+		o.pool.put(c)
+	}
+}
+
+// HandleOp adds a typed handler for one operation. dec decodes the
+// request from a view of the argument record; the view (and every byte
+// slice read through it) borrows the delivery buffer and is valid only
+// while dec runs, so dec must copy whatever Req retains. enc appends the
+// wire form of the response record to its buffer argument (nil replies
+// an empty record). The handler's respond continuation may escape the
+// handler and be called asynchronously, but must be invoked at most once
+// and never retained past its invocation — the continuation is pooled
+// per operation, so this is the same class of contract as the
+// wire-buffer aliasing rules on network.Handler. The safety net: a
+// duplicate call on a cell that has not been re-armed is a no-op (a cell
+// whose respond escaped the handler is never re-armed, so the async path
+// is fully guarded); only a handler that responds synchronously, retains
+// the continuation anyway, and fires it during a later dispatch of the
+// same operation can misdeliver — a contract violation, never memory
+// unsafety.
 func HandleOp[Req, Resp any](e *Export, op string,
-	dec func(codec.Record) (Req, error), enc func(Resp) codec.Record,
+	dec func(codec.MsgView) (Req, error), enc func([]byte, Resp) ([]byte, error),
 	h func(req Req, respond func(Resp, error))) error {
 	if e.registered {
 		return &classed{class: ErrAlreadyBound, cause: fmt.Errorf("export %q already registered", e.ref)}
 	}
-	if h == nil {
-		return fmt.Errorf("svc: export %q: nil handler for %q", e.ref, op)
+	if h == nil || dec == nil {
+		return fmt.Errorf("svc: export %q: nil decoder or handler for %q", e.ref, op)
 	}
-	if dec == nil {
-		var zero Req
-		if _, ok := any(zero).(codec.Record); !ok {
-			return fmt.Errorf("svc: export %q: op %q: nil decoder requires Req = codec.Record, got %T", e.ref, op, zero)
+	for i := range e.ops {
+		if e.ops[i].name == op {
+			return fmt.Errorf("svc: export %q: duplicate handler for %q", e.ref, op)
 		}
 	}
-	if e.lookup(op) != nil {
-		return fmt.Errorf("svc: export %q: duplicate handler for %q", e.ref, op)
-	}
-	pool := &respondPool[Resp]{enc: enc}
-	e.ops = append(e.ops, exportOp{name: op, fn: func(args codec.Record, reply middleware.Reply) {
-		var req Req
-		if dec != nil {
-			var err error
-			if req, err = dec(args); err != nil {
-				reply(nil, err)
-				return
-			}
-		} else if r, ok := any(args).(Req); ok {
-			req = r
-		}
-		c := pool.get(reply)
-		h(req, c.fn)
-		// Recycle only when the handler responded synchronously: then the
-		// wrapper holds the only live reference. A respond that escaped
-		// the handler keeps its cell un-pooled (one cell per async
-		// dispatch — the same per-dispatch cost the raw reply closure
-		// pays), so its eventual call, and any stale duplicate, can never
-		// touch a re-armed cell.
-		if c.reply == nil {
-			pool.put(c)
-		}
-	}})
+	o := &opHandler[Req, Resp]{dec: dec, h: h, pool: respondPool[Resp]{enc: enc}}
+	e.ops = append(e.ops, exportOp{name: op, fn: o.dispatch})
 	return nil
 }
 
-// object builds the export's platform dispatch object. Dispatches to
-// operations without a handler reply middleware.ErrUnknownOperation,
-// exactly as a hand-written component object would.
-func (e *Export) object() middleware.Object {
-	return middleware.ObjectFunc(func(op string, args codec.Record, reply middleware.Reply) {
-		fn := e.lookup(op)
-		if fn == nil {
-			reply(nil, fmt.Errorf("%w: %q", middleware.ErrUnknownOperation, op))
-			return
-		}
-		e.cfg.observeInOp(e.b.kern, op, args)
-		fn(args, reply)
-	})
+// object builds the export's platform dispatch object.
+func (e *Export) object() middleware.Object { return middleware.ObjectFunc(e.dispatch) }
+
+// dispatch routes one inbound call to its operation's handler.
+// Dispatches to operations without a handler reply
+// middleware.ErrUnknownOperation, exactly as a hand-written component
+// object would.
+//
+//repolint:hotpath
+func (e *Export) dispatch(op []byte, args codec.MsgView, reply middleware.Reply) {
+	fn := e.lookup(op)
+	if fn == nil {
+		reply(nil, fmt.Errorf("%w: %q", middleware.ErrUnknownOperation, op)) //repolint:allow alloc -- cold: unknown operation
+		return
+	}
+	if e.cfg.monitor != nil {
+		e.observe(op, args)
+	}
+	fn(args, reply)
+}
+
+// observe reports one inbound dispatch to the export monitor — the cold
+// path that materializes the op name and params.
+func (e *Export) observe(op []byte, args codec.MsgView) {
+	params, _ := args.Fields() //nolint:errcheck // views are validated on receipt
+	e.cfg.observeInOp(e.b.kern, string(op), params)
 }
 
 // Register hosts the export on the platform.

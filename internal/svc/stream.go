@@ -28,18 +28,19 @@ type Sink[T any] struct {
 	cfg  portConfig
 
 	// oneway:
-	target middleware.ObjRef
-	op     string
-	encRec func(T) codec.Record
+	target  middleware.ObjRef
+	op      string
+	encArgs func([]byte, T) ([]byte, error)
 	// queue / topic:
 	name   string
 	encMsg func(T) codec.Message
 }
 
 // NewOnewaySink creates a typed fire-and-forget port to an object's
-// operation (the oneway message-passing pattern).
+// operation (the oneway message-passing pattern). enc follows the
+// NewPort request contract: it appends one encoded argument record.
 func NewOnewaySink[T any](b *Binding, target middleware.ObjRef, op string,
-	enc func(T) codec.Record, opts ...PortOption) (*Sink[T], error) {
+	enc func([]byte, T) ([]byte, error), opts ...PortOption) (*Sink[T], error) {
 	if err := b.supports(middleware.PatternOneway); err != nil {
 		return nil, err
 	}
@@ -50,7 +51,7 @@ func NewOnewaySink[T any](b *Binding, target middleware.ObjRef, op string,
 	if err != nil {
 		return nil, err
 	}
-	return &Sink[T]{b: b, kind: sinkOneway, cfg: cfg, target: target, op: op, encRec: enc}, nil
+	return &Sink[T]{b: b, kind: sinkOneway, cfg: cfg, target: target, op: op, encArgs: enc}, nil
 }
 
 // NewQueueSink creates a typed producer port for a declared queue (the
@@ -93,11 +94,7 @@ func NewTopicSink[T any](b *Binding, topic string,
 func (s *Sink[T]) Send(from middleware.Addr, v T) error {
 	switch s.kind {
 	case sinkOneway:
-		args := s.encRec(v)
-		if err := s.cfg.observeOut(s.b.kern, args); err != nil {
-			return err
-		}
-		return wrapErr(s.b.plat.InvokeOneway(from, s.target, s.op, args))
+		return s.sendOneway(from, v)
 	case sinkQueue:
 		m := s.encMsg(v)
 		if err := s.cfg.observeOut(s.b.kern, m.Fields); err != nil {
@@ -113,6 +110,24 @@ func (s *Sink[T]) Send(from middleware.Addr, v T) error {
 	default:
 		return fmt.Errorf("svc: sink kind %d not wired", s.kind)
 	}
+}
+
+// sendOneway encodes the argument record into a pooled buffer and hands
+// it to the platform, which copies it onto the wire.
+func (s *Sink[T]) sendOneway(from middleware.Addr, v T) error {
+	buf := codec.GetBuffer()
+	defer buf.Release()
+	args, err := s.encArgs(buf.B[:0], v)
+	if err != nil {
+		return fmt.Errorf("svc: oneway sink %s.%s: marshal: %w", s.target, s.op, err)
+	}
+	buf.B = args
+	if s.cfg.monitor != nil {
+		if err := s.cfg.observeOut(s.b.kern, paramsOf(args)); err != nil {
+			return err
+		}
+	}
+	return wrapErr(s.b.plat.InvokeOneway(from, s.target, s.op, args))
 }
 
 // Source is a typed receive endpoint: a queue consumption or topic

@@ -309,3 +309,38 @@ func (c *portConfig) observeInOp(k *sim.Kernel, op string, params codec.Record) 
 	}
 	_ = c.monitor.Observe(core.Event{At: k.Now(), SAP: c.sap, Primitive: prim, Params: params}) //nolint:errcheck // inbound violations surface via the monitor's own state
 }
+
+// paramsOf materializes an encoded argument record as the boxed params
+// of a monitor event — the cold path, taken only when a monitor is
+// attached.
+func paramsOf(args []byte) codec.Record {
+	v, err := codec.ParseRecord(args)
+	if err != nil {
+		return nil
+	}
+	params, _ := v.Fields() //nolint:errcheck // ParseRecord validated the structure
+	return params
+}
+
+// RecordEncoder adapts a codec.Record-building marshaller to the wire
+// contract of NewPort, NewOnewaySink and HandleOp: the record is built
+// and then encoded through the generic (map-sorting) codec. It is the
+// thin bridge for tests, experiments and dynamically shaped payloads;
+// typed hot paths append through a codec.CompileRecord schema instead.
+func RecordEncoder[T any](f func(T) codec.Record) func([]byte, T) ([]byte, error) {
+	return func(buf []byte, v T) ([]byte, error) { return codec.Append(buf, f(v)) }
+}
+
+// RecordDecoder adapts a codec.Record-consuming unmarshaller to the view
+// contract of NewPort and HandleOp: the borrowed view is materialized
+// (copied) into a Record first, so f may retain it.
+func RecordDecoder[T any](f func(codec.Record) (T, error)) func(codec.MsgView) (T, error) {
+	return func(v codec.MsgView) (T, error) {
+		r, err := v.Fields()
+		if err != nil {
+			var zero T
+			return zero, err
+		}
+		return f(r)
+	}
+}

@@ -53,11 +53,28 @@ type pingReq struct{ N int64 }
 
 type pingResp struct{ N int64 }
 
-func encPing(r pingReq) codec.Record { return codec.Record{"n": r.N} }
+// recN is the wire layout of every test request and response: one int
+// field "n".
+var recN = codec.CompileRecord("n")
 
-func decPing(r codec.Record) (pingResp, error) {
-	n, _ := r["n"].(int64)
+func appendN(buf []byte, n int64) ([]byte, error) {
+	e := recN.Encoder(buf)
+	e.Int("n", n)
+	return e.Finish()
+}
+
+func encPing(buf []byte, r pingReq) ([]byte, error) { return appendN(buf, r.N) }
+
+func encPong(buf []byte, r pingResp) ([]byte, error) { return appendN(buf, r.N) }
+
+func decPing(v codec.MsgView) (pingResp, error) {
+	n, _ := v.Int("n")
 	return pingResp{N: n}, nil
+}
+
+func decPingReq(v codec.MsgView) (pingReq, error) {
+	n, _ := v.Int("n")
+	return pingReq{N: n}, nil
 }
 
 // exportEcho registers an export whose "ping" handler echoes n+1.
@@ -68,8 +85,8 @@ func exportEcho(t testing.TB, b *svc.Binding) {
 		t.Fatal(err)
 	}
 	err = svc.HandleOp(e, "ping",
-		func(r codec.Record) (pingReq, error) { n, _ := r["n"].(int64); return pingReq{N: n}, nil },
-		func(r pingResp) codec.Record { return codec.Record{"n": r.N} },
+		decPingReq,
+		encPong,
 		func(req pingReq, respond func(pingResp, error)) { respond(pingResp{N: req.N + 1}, nil) })
 	if err != nil {
 		t.Fatal(err)
@@ -256,8 +273,8 @@ func TestDeadlineFiresContinuationExactlyOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 	err = svc.HandleOp(e, "ping",
-		func(r codec.Record) (pingReq, error) { return pingReq{}, nil },
-		func(r pingResp) codec.Record { return codec.Record{"n": r.N} },
+		decPingReq,
+		encPong,
 		func(req pingReq, respond func(pingResp, error)) { stashed = respond })
 	if err != nil {
 		t.Fatal(err)
@@ -451,8 +468,8 @@ func TestOnewaySink(t *testing.T) {
 		t.Fatal(err)
 	}
 	err = svc.HandleOp(e, "put",
-		func(r codec.Record) (pingReq, error) { n, _ := r["n"].(int64); return pingReq{N: n}, nil },
-		func(struct{}) codec.Record { return codec.Record{} },
+		decPingReq,
+		nil,
 		func(req pingReq, respond func(struct{}, error)) {
 			got = append(got, req.N)
 			respond(struct{}{}, nil)
@@ -511,8 +528,8 @@ func TestRemoteErrorClassification(t *testing.T) {
 		t.Fatal(err)
 	}
 	err = svc.HandleOp(e, "ping",
-		func(codec.Record) (pingReq, error) { return pingReq{}, nil },
-		func(pingResp) codec.Record { return codec.Record{} },
+		decPingReq,
+		encPong,
 		func(_ pingReq, respond func(pingResp, error)) { respond(pingResp{}, errors.New("no")) })
 	if err != nil {
 		t.Fatal(err)
@@ -549,8 +566,8 @@ func TestStaleRespondCannotHijackLaterDispatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	err = svc.HandleOp(e, "ping",
-		func(r codec.Record) (pingReq, error) { n, _ := r["n"].(int64); return pingReq{N: n}, nil },
-		func(r pingResp) codec.Record { return codec.Record{"n": r.N} },
+		decPingReq,
+		encPong,
 		func(req pingReq, respond func(pingResp, error)) {
 			stashed = append(stashed, respond)
 		})
@@ -612,8 +629,8 @@ func TestExportMonitorObservesPerOpPrimitive(t *testing.T) {
 	handle := func(op string) {
 		t.Helper()
 		if err := svc.HandleOp(e, op,
-			func(codec.Record) (pingReq, error) { return pingReq{}, nil },
-			func(pingResp) codec.Record { return codec.Record{} },
+			decPingReq,
+			encPong,
 			func(_ pingReq, respond func(pingResp, error)) { respond(pingResp{}, nil) }); err != nil {
 			t.Fatal(err)
 		}
