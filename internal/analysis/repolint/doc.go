@@ -17,10 +17,10 @@
 //     order-sensitive output (slice appends, float accumulation,
 //     writes, channel sends) with no subsequent sort. Check: mapiter.
 //   - poolalias — enforce the borrowed-buffer aliasing contracts: a
-//     []byte received through network.Handler, protocol.Receiver, a
-//     codec.Visitor method, or a codec.MsgView accessor must not be
-//     retained; every codec.GetBuffer must be released or handed off.
-//     Checks: poolalias, bufleak.
+//     []byte received through network.Handler, protocol.Receiver, the
+//     op parameter of a middleware.Object dispatch, or a codec.MsgView
+//     accessor must not be retained; every codec.GetBuffer must be
+//     released or handed off. Checks: poolalias, bufleak.
 //   - hotpathalloc — in functions annotated //repolint:hotpath, reject
 //     allocating constructs (closures, fmt, interface boxing, map
 //     literals, un-presized appends into fresh slices). Check: alloc.

@@ -13,7 +13,7 @@ import (
 // DESIGN.md §1.2–1.3 and at the top of internal/codec/view.go:
 //
 //   - A []byte received through a network.Handler or protocol.Receiver
-//     parameter, a codec.Visitor method (Str/Bytes/Key), or a
+//     parameter, the op parameter of a middleware.Object dispatch, or a
 //     codec.MsgView borrowing accessor (Name/Str/Bytes/Raw) aliases a
 //     pooled delivery buffer. It is valid only until the function
 //     returns, so it must not be stored in a struct field or global,
@@ -39,9 +39,10 @@ var Poolalias = &analysis.Analyzer{
 
 // Paths of the packages whose types define the borrowing contracts.
 const (
-	codecPath    = "repro/internal/codec"
-	networkPath  = "repro/internal/network"
-	protocolPath = "repro/internal/protocol"
+	codecPath      = "repro/internal/codec"
+	middlewarePath = "repro/internal/middleware"
+	networkPath    = "repro/internal/network"
+	protocolPath   = "repro/internal/protocol"
 )
 
 // msgViewBorrowers are the MsgView accessors documented to return
@@ -51,26 +52,18 @@ var msgViewBorrowers = map[string]bool{
 	"Name": true, "Str": true, "Bytes": true, "Raw": true,
 }
 
-// visitorBorrowMethods are the codec.Visitor methods whose []byte
-// argument aliases the input buffer.
-var visitorBorrowMethods = map[string]bool{
-	"Str": true, "Bytes": true, "Key": true,
-}
-
 func runPoolalias(pass *analysis.Pass) (any, error) {
 	allows := CollectAllows(pass)
 	ins := pass.ResultOf[inspect.Analyzer].(*inspector.Inspector)
 	ins.Preorder([]ast.Node{(*ast.FuncDecl)(nil), (*ast.FuncLit)(nil)}, func(n ast.Node) {
 		var body *ast.BlockStmt
 		var sig *types.Signature
-		var funcName string
 		switch fn := n.(type) {
 		case *ast.FuncDecl:
 			body = fn.Body
 			if obj, ok := pass.TypesInfo.Defs[fn.Name].(*types.Func); ok {
 				sig, _ = obj.Type().(*types.Signature)
 			}
-			funcName = fn.Name.Name
 		case *ast.FuncLit:
 			body = fn.Body
 			sig, _ = pass.TypesInfo.TypeOf(fn).(*types.Signature)
@@ -78,7 +71,7 @@ func runPoolalias(pass *analysis.Pass) (any, error) {
 		if body == nil || sig == nil || isTestFile(pass.Fset, n.Pos()) {
 			return
 		}
-		borrowed := borrowedParams(sig, funcName)
+		borrowed := borrowedParams(sig)
 		collectViewBorrows(pass, body, borrowed)
 		if len(borrowed) > 0 {
 			checkRetention(pass, allows, body, borrowed)
@@ -91,24 +84,23 @@ func runPoolalias(pass *analysis.Pass) (any, error) {
 // borrowedParams returns the []byte parameter objects of fn when its
 // signature is one of the borrowing callback shapes:
 //
-//	func(src network.NodeID, payload []byte)   — network.Handler
-//	func(src protocol.Addr, pdu []byte)        — protocol.Receiver
-//	method Str/Bytes/Key([]byte) error         — codec.Visitor
+//	func(src network.NodeID, payload []byte)                    — network.Handler
+//	func(src protocol.Addr, pdu []byte)                         — protocol.Receiver
+//	func(op []byte, args codec.MsgView, reply middleware.Reply) — Object.Dispatch / ObjectFunc
 //
 // Matching is structural (parameter types, not the named function
 // type), so implementations are caught wherever they are declared.
-func borrowedParams(sig *types.Signature, name string) map[types.Object]bool {
+func borrowedParams(sig *types.Signature) map[types.Object]bool {
 	borrowed := make(map[types.Object]bool)
 	p := sig.Params()
 	handlerShape := p.Len() == 2 && sig.Results().Len() == 0 && isByteSlice(p.At(1).Type()) &&
 		(isNamed(p.At(0).Type(), networkPath, "NodeID") || isNamed(p.At(0).Type(), protocolPath, "Addr"))
-	visitorShape := sig.Recv() != nil && visitorBorrowMethods[name] &&
-		p.Len() == 1 && isByteSlice(p.At(0).Type()) &&
-		sig.Results().Len() == 1 && isErrorType(sig.Results().At(0).Type())
+	dispatchShape := p.Len() == 3 && sig.Results().Len() == 0 && isByteSlice(p.At(0).Type()) &&
+		isNamed(p.At(1).Type(), codecPath, "MsgView") && isNamed(p.At(2).Type(), middlewarePath, "Reply")
 	if handlerShape {
 		borrowed[p.At(1)] = true
 	}
-	if visitorShape {
+	if dispatchShape {
 		borrowed[p.At(0)] = true
 	}
 	// Also mark SlotHandler-shaped callbacks: func(src network.Slot, payload []byte).
@@ -475,10 +467,6 @@ func deref(t types.Type) types.Type {
 		return p.Elem()
 	}
 	return t
-}
-
-func isErrorType(t types.Type) bool {
-	return t.String() == "error"
 }
 
 // isPkgFunc reports whether call invokes the package-level function

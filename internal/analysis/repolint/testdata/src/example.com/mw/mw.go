@@ -1,11 +1,12 @@
 // Package mw is golden test data for the poolalias analyzer: handlers,
-// visitors, and MsgView consumers that retain borrowed []byte slices,
+// dispatch objects, and MsgView consumers that retain borrowed []byte slices,
 // next to the copy idioms that legalize retention, and GetBuffer
 // acquisitions that leak, release, or hand off.
 package mw
 
 import (
 	"repro/internal/codec"
+	"repro/internal/middleware"
 	"repro/internal/network"
 	"repro/internal/protocol"
 )
@@ -83,27 +84,29 @@ func firstName(v *codec.MsgView) []byte {
 	return b // want `poolalias: "b" .* must not be returned`
 }
 
-// collector implements the codec.Visitor borrowing methods.
-type collector struct {
-	keys [][]byte
-	key  []byte
-	n    int
+// object implements the middleware.Object dispatch shape: op aliases
+// the delivery buffer like a handler payload.
+type object struct {
+	lastOp []byte
+	ops    map[string]int
 }
 
-func (c *collector) Str(b []byte) error {
-	c.keys = append(c.keys, b) // want `poolalias: "b" .* must not be stored in field "keys"`
-	return nil
+func (o *object) Dispatch(op []byte, args codec.MsgView, reply middleware.Reply) {
+	o.lastOp = op // want `poolalias: "op" .* must not be stored in field "lastOp"`
 }
 
-func (c *collector) Bytes(b []byte) error {
-	c.n += len(b)
-	return nil
+// count compares and converts op — neither retains it.
+func (o *object) count(op []byte, args codec.MsgView, reply middleware.Reply) {
+	if string(op) == "ping" {
+		reply(nil, nil)
+	}
+	o.ops[string(op)]++
 }
 
-func (c *collector) Key(b []byte) error {
-	c.key = append(c.key[:0], b...)
-	return nil
-}
+// The same shape as a function literal handed to ObjectFunc.
+var _ = middleware.ObjectFunc(func(op []byte, args codec.MsgView, reply middleware.Reply) {
+	lastSeen = op // want `poolalias: "op" .* must not be stored in package variable "lastSeen"`
+})
 
 func (s *sink) allowed(src network.NodeID, payload []byte) {
 	s.last = payload //repolint:allow poolalias -- caller consumes synchronously; golden test of the escape hatch

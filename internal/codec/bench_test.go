@@ -187,20 +187,3 @@ func BenchmarkLegacyRoundTrip(b *testing.B) {
 		}
 	}
 }
-
-// BenchmarkDecodeIntoVisitor walks the envelope through the streaming
-// visitor without materializing. Steady state must be 0 allocs/op.
-func BenchmarkDecodeIntoVisitor(b *testing.B) {
-	data := benchEventWire(b)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		// A message is two concatenated values: name, then fields.
-		n, err := DecodePrefixInto(data, nopVis)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := DecodeInto(data[n:], nopVis); err != nil {
-			b.Fatal(err)
-		}
-	}
-}

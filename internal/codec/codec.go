@@ -24,8 +24,8 @@ import (
 	"slices"
 )
 
-// Errors returned by decoding. DecodePrefix wraps them with positional
-// context; match with errors.Is.
+// Errors returned by decoding, wrapped with positional context; match
+// with errors.Is.
 var (
 	ErrTruncated   = errors.New("codec: truncated input")
 	ErrBadTag      = errors.New("codec: unknown tag")
@@ -160,12 +160,10 @@ func appendUint(buf []byte, x uint64) []byte {
 func zigzag(x int64) uint64   { return uint64((x << 1) ^ (x >> 63)) }
 func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
 
-// DecodePrefix decodes one value from the front of data and returns the
-// number of bytes consumed.
-func DecodePrefix(data []byte) (Value, int, error) {
-	return decodeValue(data, 0)
-}
-
+// decodeValue materializes one value from the front of data, depth
+// levels below the top, and returns the number of bytes consumed. It is
+// the boxed decoder behind the copying MsgView accessors (Fields,
+// Record, Value) and the test oracle.
 func decodeValue(data []byte, depth int) (Value, int, error) {
 	if depth > maxDepth {
 		return nil, 0, ErrDepth

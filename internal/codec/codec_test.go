@@ -245,15 +245,12 @@ func TestDepthLimitBoundary(t *testing.T) {
 	if !strings.Contains(err.Error(), "list element 0") {
 		t.Fatalf("err = %q, want nesting context", err)
 	}
-	// The same boundary holds for the non-materializing walkers.
+	// The same boundary holds for the non-materializing walker.
 	if _, err := skipValue(build(maxDepth), 0); err != nil {
 		t.Fatalf("skipValue at depth %d: %v", maxDepth, err)
 	}
 	if _, err := skipValue(build(maxDepth+1), 0); !errors.Is(err, ErrDepth) {
 		t.Fatalf("skipValue err = %v, want ErrDepth", err)
-	}
-	if err := DecodeInto(build(maxDepth+1), nopVis); !errors.Is(err, ErrDepth) {
-		t.Fatalf("DecodeInto err = %v, want ErrDepth", err)
 	}
 }
 

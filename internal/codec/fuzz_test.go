@@ -10,13 +10,12 @@ import (
 // bounded in CI (see .github/workflows/ci.yml, fuzz job):
 //
 //   - decoding arbitrary bytes must never panic, whichever decoder is
-//     used (Decode, DecodeMessage, ParseMessage, ParseRecord, DecodeInto,
-//     skipValue);
+//     used (Decode, DecodeMessage, ParseMessage, ParseRecord, skipValue);
 //   - any accepted input is canonical-after-one-trip: re-encoding the
 //     decoded value must be byte-identical under both the legacy encoder
-//     and the schema-compiled encoder, and the decode planes (boxed,
-//     view, visitor) must agree — the view plane being strictly stricter
-//     only about canonical key order.
+//     and the schema-compiled encoder, and the two decode planes (the
+//     boxed test oracle and the production view) must agree — the view
+//     plane being strictly stricter only about canonical key order.
 func FuzzCodecRoundTrip(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(mustEncode(int64(-5)))
@@ -31,18 +30,14 @@ func FuzzCodecRoundTrip(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// Never panic, all decode planes.
 		v, decodeErr := Decode(data)
-		_, _ = DecodeMessage(data)   //nolint:errcheck // errors expected
-		_, _ = skipValue(data, 0)    //nolint:errcheck
-		_ = DecodeInto(data, nopVis) //nolint:errcheck
+		_, _ = DecodeMessage(data) //nolint:errcheck // errors expected
+		_, _ = skipValue(data, 0)  //nolint:errcheck
 
-		// The structural walkers must accept exactly what Decode accepts.
+		// The structural walker must accept what Decode accepts.
 		if n, err := skipValue(data, 0); decodeErr == nil {
 			if err != nil || n != len(data) {
 				t.Fatalf("skipValue (%d, %v) disagrees with successful Decode of % x", n, err, data)
 			}
-		}
-		if err := DecodeInto(data, nopVis); (decodeErr == nil) != (err == nil) {
-			t.Fatalf("DecodeInto %v disagrees with Decode %v on % x", err, decodeErr, data)
 		}
 
 		if decodeErr == nil {
@@ -144,21 +139,3 @@ func FuzzCodecRoundTrip(f *testing.F) {
 		}
 	})
 }
-
-// nopVis discards every visitor event.
-var nopVis Visitor = nopVisitor{}
-
-type nopVisitor struct{}
-
-func (nopVisitor) Nil() error            { return nil }
-func (nopVisitor) Bool(bool) error       { return nil }
-func (nopVisitor) Int(int64) error       { return nil }
-func (nopVisitor) Uint(uint64) error     { return nil }
-func (nopVisitor) Float(float64) error   { return nil }
-func (nopVisitor) Str([]byte) error      { return nil }
-func (nopVisitor) Bytes([]byte) error    { return nil }
-func (nopVisitor) ListStart(int) error   { return nil }
-func (nopVisitor) ListEnd() error        { return nil }
-func (nopVisitor) RecordStart(int) error { return nil }
-func (nopVisitor) Key([]byte) error      { return nil }
-func (nopVisitor) RecordEnd() error      { return nil }

@@ -7,6 +7,12 @@ import "fmt"
 // they materialize the whole value on the heap, which production code
 // never needs — it reads wire bytes through ParseMessage / MsgView.
 
+// DecodePrefix decodes one value from the front of data and returns the
+// number of bytes consumed.
+func DecodePrefix(data []byte) (Value, int, error) {
+	return decodeValue(data, 0)
+}
+
 // Decode decodes exactly one value from data and fails with ErrTrailing if
 // bytes remain. Integers decode as int64, unsigned integers as uint64.
 func Decode(data []byte) (Value, error) {

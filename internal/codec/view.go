@@ -8,12 +8,10 @@ import (
 )
 
 // This file is the allocation-free decode plane: MsgView walks a message
-// in place without materializing boxed Value trees, and DecodeInto drives
-// a Visitor over any value for callers that need the full structure.
+// or record in place without materializing boxed Value trees.
 //
 // ALIASING RULES: every []byte returned by a MsgView accessor (Name, Str,
-// Bytes, Raw) and passed to a Visitor (Str, Bytes, Key) aliases the input
-// buffer. It is valid only until the caller returns control to whoever
+// Bytes, Raw) aliases the input buffer. It is valid only until the caller returns control to whoever
 // owns that buffer — for wire messages, until the delivery callback
 // returns (the network recycles delivery buffers). Retain with an
 // explicit copy. A MsgView itself (including one returned by View) is a
@@ -463,145 +461,4 @@ func (v *MsgView) Message() (Message, error) {
 		return Message{}, fmt.Errorf("decode message %q: %w", v.name, err)
 	}
 	return Message{Name: string(v.name), Fields: rec}, nil
-}
-
-// Visitor receives the structure of a value during DecodeInto, in wire
-// order, without any boxing. Str, Bytes and Key arguments alias the
-// input buffer (see the aliasing rules at the top of this file). Any
-// non-nil error aborts the walk and is returned by DecodeInto.
-type Visitor interface {
-	Nil() error
-	Bool(v bool) error
-	Int(v int64) error
-	Uint(v uint64) error
-	Float(v float64) error
-	Str(v []byte) error
-	Bytes(v []byte) error
-	// ListStart/ListEnd bracket a list's count elements.
-	ListStart(count int) error
-	ListEnd() error
-	// RecordStart/RecordEnd bracket a record; Key precedes each value.
-	RecordStart(count int) error
-	Key(k []byte) error
-	RecordEnd() error
-}
-
-// DecodeInto walks exactly one encoded value, feeding its structure to
-// vis without materializing anything, and fails with ErrTrailing if
-// bytes remain. It is the visitor counterpart of DecodePrefix.
-func DecodeInto(data []byte, vis Visitor) error {
-	n, err := decodeIntoValue(data, vis, 0)
-	if err != nil {
-		return err
-	}
-	if n != len(data) {
-		return fmt.Errorf("%w: %d of %d bytes consumed", ErrTrailing, n, len(data))
-	}
-	return nil
-}
-
-// DecodePrefixInto walks one value from the front of data into vis and
-// returns the number of bytes consumed.
-func DecodePrefixInto(data []byte, vis Visitor) (int, error) {
-	return decodeIntoValue(data, vis, 0)
-}
-
-func decodeIntoValue(data []byte, vis Visitor, depth int) (int, error) {
-	if depth > maxDepth {
-		return 0, ErrDepth
-	}
-	if len(data) == 0 {
-		return 0, ErrTruncated
-	}
-	rest := data[1:]
-	switch tag := data[0]; tag {
-	case tagNil:
-		return 1, vis.Nil()
-	case tagFalse:
-		return 1, vis.Bool(false)
-	case tagTrue:
-		return 1, vis.Bool(true)
-	case tagInt:
-		u, n := binary.Uvarint(rest)
-		if n <= 0 {
-			return 0, ErrTruncated
-		}
-		return 1 + n, vis.Int(unzigzag(u))
-	case tagUint:
-		u, n := binary.Uvarint(rest)
-		if n <= 0 {
-			return 0, ErrTruncated
-		}
-		return 1 + n, vis.Uint(u)
-	case tagFloat:
-		if len(rest) < 8 {
-			return 0, ErrTruncated
-		}
-		return 9, vis.Float(math.Float64frombits(binary.BigEndian.Uint64(rest)))
-	case tagString:
-		s, n, err := decodeLenPrefixed(rest)
-		if err != nil {
-			return 0, err
-		}
-		return 1 + n, vis.Str(s)
-	case tagBytes:
-		s, n, err := decodeLenPrefixed(rest)
-		if err != nil {
-			return 0, err
-		}
-		return 1 + n, vis.Bytes(s)
-	case tagList:
-		count, n := binary.Uvarint(rest)
-		if n <= 0 {
-			return 0, ErrTruncated
-		}
-		if count > uint64(len(rest)) {
-			return 0, fmt.Errorf("%w: list of %d elements in %d bytes", ErrSize, count, len(rest))
-		}
-		if err := vis.ListStart(int(count)); err != nil {
-			return 0, err
-		}
-		consumed := 1 + n
-		for i := uint64(0); i < count; i++ {
-			m, err := decodeIntoValue(data[consumed:], vis, depth+1)
-			if err != nil {
-				return 0, fmt.Errorf("list element %d: %w", i, err)
-			}
-			consumed += m
-		}
-		return consumed, vis.ListEnd()
-	case tagRecord:
-		count, n := binary.Uvarint(rest)
-		if n <= 0 {
-			return 0, ErrTruncated
-		}
-		if count > uint64(len(rest)) {
-			return 0, fmt.Errorf("%w: record of %d fields in %d bytes", ErrSize, count, len(rest))
-		}
-		if err := vis.RecordStart(int(count)); err != nil {
-			return 0, err
-		}
-		consumed := 1 + n
-		for i := uint64(0); i < count; i++ {
-			if consumed >= len(data) || data[consumed] != tagString {
-				return 0, fmt.Errorf("record field %d: %w (key must be string)", i, ErrBadTag)
-			}
-			key, kn, err := decodeLenPrefixed(data[consumed+1:])
-			if err != nil {
-				return 0, fmt.Errorf("record field %d key: %w", i, err)
-			}
-			if err := vis.Key(key); err != nil {
-				return 0, err
-			}
-			consumed += 1 + kn
-			m, err := decodeIntoValue(data[consumed:], vis, depth+1)
-			if err != nil {
-				return 0, fmt.Errorf("record field %q: %w", key, err)
-			}
-			consumed += m
-		}
-		return consumed, vis.RecordEnd()
-	default:
-		return 0, fmt.Errorf("%w: 0x%02x", ErrBadTag, tag)
-	}
 }

@@ -3,7 +3,6 @@ package codec
 import (
 	"bytes"
 	"errors"
-	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -234,163 +233,4 @@ func TestSkipValueErrors(t *testing.T) {
 	if _, err := skipValue([]byte{0xEE}, 0); !errors.Is(err, ErrBadTag) {
 		t.Fatalf("err = %v, want ErrBadTag", err)
 	}
-}
-
-// eventVisitor records the walk as a flat trace for assertions.
-type eventVisitor struct {
-	trace []string
-	fail  string // event name to fail on, "" = never
-}
-
-func (v *eventVisitor) emit(s string) error {
-	v.trace = append(v.trace, s)
-	if v.fail == s {
-		return errors.New("visitor abort")
-	}
-	return nil
-}
-
-func (v *eventVisitor) Nil() error              { return v.emit("nil") }
-func (v *eventVisitor) Bool(b bool) error       { return v.emit(boolName(b)) }
-func (v *eventVisitor) Int(x int64) error       { return v.emit("int") }
-func (v *eventVisitor) Uint(x uint64) error     { return v.emit("uint") }
-func (v *eventVisitor) Float(f float64) error   { return v.emit("float") }
-func (v *eventVisitor) Str(b []byte) error      { return v.emit("str:" + string(b)) }
-func (v *eventVisitor) Bytes(b []byte) error    { return v.emit("bytes") }
-func (v *eventVisitor) ListStart(n int) error   { return v.emit("[") }
-func (v *eventVisitor) ListEnd() error          { return v.emit("]") }
-func (v *eventVisitor) RecordStart(n int) error { return v.emit("{") }
-func (v *eventVisitor) Key(k []byte) error      { return v.emit("key:" + string(k)) }
-func (v *eventVisitor) RecordEnd() error        { return v.emit("}") }
-
-func boolName(b bool) string {
-	if b {
-		return "true"
-	}
-	return "false"
-}
-
-func TestDecodeInto(t *testing.T) {
-	data := mustEncode(Record{
-		"a": List{int64(1), "x", nil, true},
-		"b": uint64(2),
-		"f": 1.5,
-		"z": []byte{1},
-	})
-	vis := &eventVisitor{}
-	if err := DecodeInto(data, vis); err != nil {
-		t.Fatalf("DecodeInto: %v", err)
-	}
-	want := []string{
-		"{", "key:a", "[", "int", "str:x", "nil", "true", "]",
-		"key:b", "uint", "key:f", "float", "key:z", "bytes", "}",
-	}
-	if !reflect.DeepEqual(vis.trace, want) {
-		t.Fatalf("trace = %v, want %v", vis.trace, want)
-	}
-}
-
-func TestDecodeIntoTrailingAndAbort(t *testing.T) {
-	data := append(mustEncode(int64(1)), 0x00)
-	if err := DecodeInto(data, &eventVisitor{}); !errors.Is(err, ErrTrailing) {
-		t.Fatalf("err = %v, want ErrTrailing", err)
-	}
-	n, err := DecodePrefixInto(data, &eventVisitor{})
-	if err != nil || n != 2 {
-		t.Fatalf("DecodePrefixInto = %d, %v", n, err)
-	}
-	// Visitor errors abort the walk.
-	nested := mustEncode(Record{"k": List{"deep"}})
-	vis := &eventVisitor{fail: "str:deep"}
-	if err := DecodeInto(nested, vis); err == nil {
-		t.Fatal("expected visitor abort to propagate")
-	}
-}
-
-// Property: DecodeInto visits exactly the values Decode materializes,
-// for random value trees.
-func TestPropertyDecodeIntoMatchesDecode(t *testing.T) {
-	rng := rand.New(rand.NewSource(23))
-	for iter := 0; iter < 200; iter++ {
-		in := randomValue(rng, 3)
-		if f, ok := in.(float64); ok && math.IsNaN(f) {
-			continue
-		}
-		data, err := Append(nil, in)
-		if err != nil {
-			t.Fatalf("Encode: %v", err)
-		}
-		vis := &rebuildVisitor{}
-		if err := DecodeInto(data, vis); err != nil {
-			t.Fatalf("iter %d: DecodeInto: %v", iter, err)
-		}
-		out := vis.result()
-		if !Equal(in, out) {
-			t.Fatalf("iter %d: rebuilt %#v, want %#v", iter, out, in)
-		}
-	}
-}
-
-// rebuildVisitor reconstructs the boxed value from visitor events — the
-// inverse bridge used to cross-check DecodeInto against Decode.
-type rebuildVisitor struct {
-	stack []any    // *List or *Record frames
-	keys  []string // pending key per record frame
-	root  Value
-	has   bool
-}
-
-func (v *rebuildVisitor) push(x Value) error {
-	if len(v.stack) == 0 {
-		v.root, v.has = x, true
-		return nil
-	}
-	switch top := v.stack[len(v.stack)-1].(type) {
-	case *List:
-		*top = append(*top, x)
-	case *Record:
-		(*top)[v.keys[len(v.keys)-1]] = x
-	}
-	return nil
-}
-
-func (v *rebuildVisitor) result() Value { return v.root }
-
-func (v *rebuildVisitor) Nil() error            { return v.push(nil) }
-func (v *rebuildVisitor) Bool(b bool) error     { return v.push(b) }
-func (v *rebuildVisitor) Int(x int64) error     { return v.push(x) }
-func (v *rebuildVisitor) Uint(x uint64) error   { return v.push(x) }
-func (v *rebuildVisitor) Float(f float64) error { return v.push(f) }
-func (v *rebuildVisitor) Str(b []byte) error    { return v.push(string(b)) }
-func (v *rebuildVisitor) Bytes(b []byte) error  { return v.push(append([]byte{}, b...)) }
-
-func (v *rebuildVisitor) ListStart(n int) error {
-	l := make(List, 0, n)
-	v.stack = append(v.stack, &l)
-	return nil
-}
-
-func (v *rebuildVisitor) ListEnd() error {
-	l := v.stack[len(v.stack)-1].(*List)
-	v.stack = v.stack[:len(v.stack)-1]
-	return v.push(*l)
-}
-
-func (v *rebuildVisitor) RecordStart(n int) error {
-	r := make(Record, n)
-	v.stack = append(v.stack, &r)
-	v.keys = append(v.keys, "")
-	return nil
-}
-
-func (v *rebuildVisitor) Key(k []byte) error {
-	v.keys[len(v.keys)-1] = string(k)
-	return nil
-}
-
-func (v *rebuildVisitor) RecordEnd() error {
-	r := v.stack[len(v.stack)-1].(*Record)
-	v.stack = v.stack[:len(v.stack)-1]
-	v.keys = v.keys[:len(v.keys)-1]
-	return v.push(*r)
 }

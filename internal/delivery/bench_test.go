@@ -31,9 +31,8 @@ var benchSink uint64
 // subs subscriber nodes on one topic, and returns the platform, kernel
 // and publisher address. DispatchOverhead is zero so the benchmarks
 // isolate per-message routing cost rather than modelled platform delay.
-// Subscribers attach through sub (SubscribeTopicView for the zero-copy
-// plane, SubscribeTopic for the materializing consumer path).
-func pubSubStack(b *testing.B, subs int, sub func(p *middleware.Platform, node middleware.Addr) error) (*middleware.Platform, *sim.Kernel, middleware.Addr) {
+// Each subscriber is a zero-copy view sink counting into delivered.
+func pubSubStack(b *testing.B, subs int, delivered *int) (*middleware.Platform, *sim.Kernel, middleware.Addr) {
 	b.Helper()
 	kernel := sim.NewKernel(sim.WithSeed(1))
 	net := network.New(kernel)
@@ -43,7 +42,8 @@ func pubSubStack(b *testing.B, subs int, sub func(p *middleware.Platform, node m
 	}
 	p := middleware.New(kernel, protocol.NewUnreliableDatagram(net), profile, "broker")
 	for i := 0; i < subs; i++ {
-		if err := sub(p, middleware.Addr(fmt.Sprintf("sub%d", i))); err != nil {
+		node := middleware.Addr(fmt.Sprintf("sub%d", i))
+		if err := p.SubscribeTopicView("floor", node, func(codec.MsgView) { *delivered++ }); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -93,23 +93,7 @@ func benchPublishDrain(b *testing.B, p *middleware.Platform, kernel *sim.Kernel,
 // the ±20% CI gate and the README performance table track.
 func BenchmarkDeliveryPath(b *testing.B) {
 	delivered := 0
-	p, kernel, pub := pubSubStack(b, 8, func(p *middleware.Platform, node middleware.Addr) error {
-		return p.SubscribeTopicView("floor", node, func(v codec.MsgView) { delivered++ })
-	})
-	benchPublishDrain(b, p, kernel, pub, &delivered, 8)
-}
-
-// BenchmarkDeliveryPathMaterialized is the same 8-subscriber path with
-// materializing SubscribeTopic sinks: it additionally pays one
-// codec.Message materialization per delivery at the application boundary
-// (a retainable map-backed record — the cost is in the consumer handoff,
-// not the routing plane). Tracked so regressions in the compatibility
-// path stay visible next to the zero-copy one.
-func BenchmarkDeliveryPathMaterialized(b *testing.B) {
-	delivered := 0
-	p, kernel, pub := pubSubStack(b, 8, func(p *middleware.Platform, node middleware.Addr) error {
-		return p.SubscribeTopic("floor", node, func(m codec.Message) { delivered++ })
-	})
+	p, kernel, pub := pubSubStack(b, 8, &delivered)
 	benchPublishDrain(b, p, kernel, pub, &delivered, 8)
 }
 
@@ -119,9 +103,7 @@ func BenchmarkDeliveryPathMaterialized(b *testing.B) {
 // demultiplexing.
 func benchBrokerFanout(b *testing.B, subs int) {
 	delivered := 0
-	p, kernel, pub := pubSubStack(b, subs, func(p *middleware.Platform, node middleware.Addr) error {
-		return p.SubscribeTopicView("floor", node, func(v codec.MsgView) { delivered++ })
-	})
+	p, kernel, pub := pubSubStack(b, subs, &delivered)
 	benchPublishDrain(b, p, kernel, pub, &delivered, subs)
 	b.ReportMetric(float64(subs), "subscribers")
 }

@@ -56,7 +56,7 @@ func (c *LogicContext) Self() ComponentID { return c.self }
 // Send transmits a directed message to another component through the
 // realized abstract platform.
 func (c *LogicContext) Send(to ComponentID, msg codec.Message) error {
-	return c.dep.messaging.send(c.self, to, msg)
+	return c.dep.send(c.self, to, msg)
 }
 
 // DeliverToUser executes a to-user service primitive at the SAP bound to
@@ -73,13 +73,16 @@ func (c *LogicContext) Schedule(d time.Duration, fn func()) sim.TimerRef {
 }
 
 // messaging is the realized async-message concept: how directed messages
-// actually travel on a given concrete platform.
-type messaging interface {
+// actually travel on a given concrete platform — one typed send endpoint
+// per target component, all carrying the same deliver envelope.
+type messaging struct {
 	// name identifies the realization for diagnostics.
-	name() string
-	// send delivers msg from one component to another.
-	send(from, to ComponentID, msg codec.Message) error
+	name  string
+	sends map[ComponentID]sendFunc
 }
+
+// sendFunc transmits one deliver envelope from a hosting node.
+type sendFunc func(middleware.Addr, wireEnvelope) error
 
 // Deployment is a running PSI: the PIM's logic instantiated on a concrete
 // platform. Its service boundary is a core.Provider. All middleware
@@ -92,7 +95,7 @@ type Deployment struct {
 	pim         *PIM
 	realization Realization
 	logic       *Logic
-	messaging   messaging
+	messaging   *messaging
 
 	// registered and queued make the endpoint installers idempotent, so
 	// Rerealize can re-run them when migrating to a platform whose
@@ -116,7 +119,7 @@ func (d *Deployment) Realization() Realization { return d.realization }
 
 // MessagingName reports the active async-message realization
 // ("native-oneway", "async-over-sync", "async-over-queue").
-func (d *Deployment) MessagingName() string { return d.messaging.name() }
+func (d *Deployment) MessagingName() string { return d.messaging.name }
 
 // Submit implements core.Provider.
 func (d *Deployment) Submit(sap core.SAP, primitive string, params codec.Record) error {
@@ -151,6 +154,20 @@ func (d *Deployment) deliverToUser(id ComponentID, primitive string, params code
 	if fn != nil {
 		fn(primitive, params)
 	}
+}
+
+// send delivers msg from one component to another through the active
+// realization.
+func (d *Deployment) send(from, to ComponentID, msg codec.Message) error {
+	node, ok := d.logic.Placement[from]
+	if !ok {
+		return fmt.Errorf("mda: unplaced sender %q", from)
+	}
+	send, ok := d.messaging.sends[to]
+	if !ok {
+		return fmt.Errorf("mda: unknown target %q", to)
+	}
+	return send(node, wireEnvelope{From: from, Name: msg.Name, Fields: msg.Fields})
 }
 
 // onDelivered routes an inbound abstract message to its component.
@@ -241,43 +258,66 @@ func validateLogic(logic *Logic, plan Plan) error {
 
 // installMessaging selects and wires the async-message realization matching
 // the concrete platform — the deployed form of the realization's adapters.
-// Receive endpoints are installed first, then the typed send endpoints
-// (sinks or ports) are built once per target component.
+// Receive endpoints are installed first, then one typed send endpoint
+// (sink or port) is built per target component. Every realization
+// carries the same deliver envelope (encEnvelope/decEnvelope):
+//
+//   - native-oneway (CORBA-like oneway, JMS-like message passing): a
+//     oneway sink to the component's deliver operation;
+//   - async-over-sync (Figure 12 recursion on the RMI-like platform): a
+//     synchronous void invocation whose reply is discarded;
+//   - async-over-queue (Figure 12 recursion on the MQ-like platform): a
+//     queue sink feeding the component's inbound queue.
 func (d *Deployment) installMessaging(target ConcretePlatform) error {
+	var (
+		name    string
+		install func() error
+		newSend func(ComponentID) (sendFunc, error)
+	)
 	switch {
 	case target.Profile.Supports(middleware.PatternOneway):
-		if err := d.registerObjects(); err != nil {
-			return err
+		name, install = "native-oneway", d.registerObjects
+		newSend = func(id ComponentID) (sendFunc, error) {
+			sink, err := svc.NewOnewaySink(d.ports, objRef(id), "deliver", encEnvelope)
+			if err != nil {
+				return nil, err
+			}
+			return sink.Send, nil
 		}
-		m, err := newOnewayMessaging(d)
-		if err != nil {
-			return err
-		}
-		d.messaging = m
-		return nil
 	case target.Profile.Supports(middleware.PatternRPC):
-		if err := d.registerObjects(); err != nil {
-			return err
+		name, install = "async-over-sync", d.registerObjects
+		newSend = func(id ComponentID) (sendFunc, error) {
+			port, err := svc.NewPort[wireEnvelope, struct{}](d.ports, objRef(id), "deliver", encEnvelope, nil)
+			if err != nil {
+				return nil, err
+			}
+			return func(node middleware.Addr, env wireEnvelope) error { return port.Call(node, env, nil) }, nil
 		}
-		m, err := newSyncMessaging(d)
-		if err != nil {
-			return err
-		}
-		d.messaging = m
-		return nil
 	case target.Profile.Supports(middleware.PatternQueue):
-		if err := d.subscribeQueues(); err != nil {
-			return err
+		name, install = "async-over-queue", d.subscribeQueues
+		newSend = func(id ComponentID) (sendFunc, error) {
+			sink, err := svc.NewQueueSink(d.ports, queueName(id), queueMsgName, encEnvelope)
+			if err != nil {
+				return nil, err
+			}
+			return sink.Send, nil
 		}
-		m, err := newQueueMessaging(d)
-		if err != nil {
-			return err
-		}
-		d.messaging = m
-		return nil
 	default:
 		return fmt.Errorf("%w: platform %q offers no usable pattern", ErrUnrealizable, target.Name)
 	}
+	if err := install(); err != nil {
+		return err
+	}
+	m := &messaging{name: name, sends: make(map[ComponentID]sendFunc, len(d.logic.Components))}
+	for id := range d.logic.Components {
+		send, err := newSend(id)
+		if err != nil {
+			return fmt.Errorf("mda: %s endpoint for %q: %w", name, id, err)
+		}
+		m.sends[id] = send
+	}
+	d.messaging = m
+	return nil
 }
 
 // objRef names a component's middleware object.
@@ -285,6 +325,9 @@ func objRef(id ComponentID) middleware.ObjRef { return middleware.ObjRef("logic:
 
 // queueName names a component's inbound queue in the queue realization.
 func queueName(id ComponentID) string { return "mda.q." + string(id) }
+
+// queueMsgName names the queue messages carrying deliver envelopes.
+const queueMsgName = "mda.msg"
 
 // wireEnvelope is the typed wire form of an abstract directed message:
 // the sending component, the message name, and the payload record.
@@ -319,30 +362,6 @@ func decEnvelope(v codec.MsgView) (wireEnvelope, error) {
 	name, _ := v.Str("name")
 	fields, _ := v.Record("fields")
 	return wireEnvelope{From: ComponentID(from), Name: string(name), Fields: fields}, nil
-}
-
-// envelopeRecord is the envelope as the generic record the queue plane
-// carries (nil payloads as empty records).
-func envelopeRecord(e wireEnvelope) codec.Record {
-	fields := e.Fields
-	if fields == nil {
-		fields = codec.Record{}
-	}
-	return codec.Record{"from": string(e.From), "name": e.Name, "fields": fields}
-}
-
-// encQueueEnvelope marshals the envelope as the mda.msg queue message of
-// the async-over-queue adapter.
-func encQueueEnvelope(e wireEnvelope) codec.Message {
-	return codec.NewMessage("mda.msg", envelopeRecord(e))
-}
-
-// decQueueEnvelope unmarshals one queued mda.msg.
-func decQueueEnvelope(m codec.Message) (wireEnvelope, error) {
-	from, _ := m.Fields["from"].(string)
-	name, _ := m.Fields["name"].(string)
-	fields, _ := m.Fields["fields"].(map[string]codec.Value)
-	return wireEnvelope{From: ComponentID(from), Name: name, Fields: fields}, nil
 }
 
 // registerObjects hosts each component as a typed export exposing the
@@ -386,7 +405,7 @@ func (d *Deployment) subscribeQueues() error {
 			return fmt.Errorf("mda: declare queue for %q: %w", id, err)
 		}
 		_, err := svc.NewQueueSource(d.ports, queueName(id), d.logic.Placement[id],
-			decQueueEnvelope,
+			decEnvelope,
 			func(env wireEnvelope) {
 				d.onDelivered(id, env.From, codec.NewMessage(env.Name, env.Fields))
 			})
@@ -417,120 +436,4 @@ func (d *Deployment) Rerealize(target ConcretePlatform) error {
 	}
 	d.realization = realization
 	return nil
-}
-
-// sendNode resolves the hosting node of a sending component.
-func (d *Deployment) sendNode(from ComponentID) (middleware.Addr, error) {
-	node, ok := d.logic.Placement[from]
-	if !ok {
-		return "", fmt.Errorf("mda: unplaced sender %q", from)
-	}
-	return node, nil
-}
-
-// onewayMessaging realizes async-message natively (CORBA-like oneway,
-// JMS-like message passing): one typed oneway sink per target component.
-type onewayMessaging struct {
-	d     *Deployment
-	sinks map[ComponentID]*svc.Sink[wireEnvelope]
-}
-
-var _ messaging = (*onewayMessaging)(nil)
-
-func newOnewayMessaging(d *Deployment) (*onewayMessaging, error) {
-	m := &onewayMessaging{d: d, sinks: make(map[ComponentID]*svc.Sink[wireEnvelope], len(d.logic.Components))}
-	for id := range d.logic.Components {
-		sink, err := svc.NewOnewaySink(d.ports, objRef(id), "deliver", encEnvelope)
-		if err != nil {
-			return nil, fmt.Errorf("mda: oneway sink for %q: %w", id, err)
-		}
-		m.sinks[id] = sink
-	}
-	return m, nil
-}
-
-func (m *onewayMessaging) name() string { return "native-oneway" }
-
-func (m *onewayMessaging) send(from, to ComponentID, msg codec.Message) error {
-	node, err := m.d.sendNode(from)
-	if err != nil {
-		return err
-	}
-	sink, ok := m.sinks[to]
-	if !ok {
-		return fmt.Errorf("mda: unknown target %q", to)
-	}
-	return sink.Send(node, wireEnvelope{From: from, Name: msg.Name, Fields: msg.Fields})
-}
-
-// syncMessaging is the async-over-sync adapter (Figure 12 recursion on the
-// RMI-like platform): the directed message is a synchronous void
-// invocation whose reply is discarded — one typed RPC port per target.
-type syncMessaging struct {
-	d     *Deployment
-	ports map[ComponentID]*svc.Port[wireEnvelope, struct{}]
-}
-
-var _ messaging = (*syncMessaging)(nil)
-
-func newSyncMessaging(d *Deployment) (*syncMessaging, error) {
-	m := &syncMessaging{d: d, ports: make(map[ComponentID]*svc.Port[wireEnvelope, struct{}], len(d.logic.Components))}
-	for id := range d.logic.Components {
-		port, err := svc.NewPort[wireEnvelope, struct{}](d.ports, objRef(id), "deliver", encEnvelope, nil)
-		if err != nil {
-			return nil, fmt.Errorf("mda: sync port for %q: %w", id, err)
-		}
-		m.ports[id] = port
-	}
-	return m, nil
-}
-
-func (m *syncMessaging) name() string { return "async-over-sync" }
-
-func (m *syncMessaging) send(from, to ComponentID, msg codec.Message) error {
-	node, err := m.d.sendNode(from)
-	if err != nil {
-		return err
-	}
-	port, ok := m.ports[to]
-	if !ok {
-		return fmt.Errorf("mda: unknown target %q", to)
-	}
-	return port.Call(node, wireEnvelope{From: from, Name: msg.Name, Fields: msg.Fields}, nil)
-}
-
-// queueMessaging is the async-over-queue adapter (Figure 12 recursion on
-// the MQ-like platform): one inbound queue per component, fed through
-// typed queue sinks.
-type queueMessaging struct {
-	d     *Deployment
-	sinks map[ComponentID]*svc.Sink[wireEnvelope]
-}
-
-var _ messaging = (*queueMessaging)(nil)
-
-func newQueueMessaging(d *Deployment) (*queueMessaging, error) {
-	m := &queueMessaging{d: d, sinks: make(map[ComponentID]*svc.Sink[wireEnvelope], len(d.logic.Components))}
-	for id := range d.logic.Components {
-		sink, err := svc.NewQueueSink(d.ports, queueName(id), encQueueEnvelope)
-		if err != nil {
-			return nil, fmt.Errorf("mda: queue sink for %q: %w", id, err)
-		}
-		m.sinks[id] = sink
-	}
-	return m, nil
-}
-
-func (m *queueMessaging) name() string { return "async-over-queue" }
-
-func (m *queueMessaging) send(from, to ComponentID, msg codec.Message) error {
-	node, err := m.d.sendNode(from)
-	if err != nil {
-		return err
-	}
-	sink, ok := m.sinks[to]
-	if !ok {
-		return fmt.Errorf("mda: unknown target %q", to)
-	}
-	return sink.Send(node, wireEnvelope{From: from, Name: msg.Name, Fields: msg.Fields})
 }

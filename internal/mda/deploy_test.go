@@ -220,6 +220,16 @@ func TestRealizationAccessors(t *testing.T) {
 	}
 }
 
+// legacyEnvelope is the generic record form of the deliver envelope
+// (nil payloads as empty records) that the typed encoder is pinned to.
+func legacyEnvelope(e wireEnvelope) codec.Record {
+	fields := e.Fields
+	if fields == nil {
+		fields = codec.Record{}
+	}
+	return codec.Record{"from": string(e.From), "name": e.Name, "fields": fields}
+}
+
 // TestEnvelopeWireParity pins the typed deliver-envelope encoder to the
 // generic codec's bytes of the legacy envelope record (nil payloads as
 // empty records), and the view decoder to its inverse.
@@ -232,7 +242,7 @@ func TestEnvelopeWireParity(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := codec.Append(nil, envelopeRecord(env))
+		want, err := codec.Append(nil, legacyEnvelope(env))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -247,8 +257,75 @@ func TestEnvelopeWireParity(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got.From != env.From || got.Name != env.Name || !codec.Equal(got.Fields, envelopeRecord(env)["fields"]) {
+		if got.From != env.From || got.Name != env.Name || !codec.Equal(got.Fields, legacyEnvelope(env)["fields"]) {
 			t.Fatalf("%s: round trip %+v, want %+v", env.Name, got, env)
+		}
+	}
+}
+
+// sendRecorder is a name-addressed transport that keeps a copy of every
+// message sent through it.
+type sendRecorder struct {
+	protocol.LowerService
+	sent [][]byte
+}
+
+func (r *sendRecorder) Send(from, to protocol.Addr, data []byte) error {
+	r.sent = append(r.sent, append([]byte(nil), data...))
+	return r.LowerService.Send(from, to, data)
+}
+
+// TestQueueEnvelopeWireParity pins the async-over-queue adapter's wire
+// bytes: each mw.enqueue carries the deliver envelope as its field
+// record, byte-identical to the legacy mda.msg queue message — the
+// generic codec's encoding of {from, name, fields} — with and without a
+// payload.
+func TestQueueEnvelopeWireParity(t *testing.T) {
+	for _, params := range []codec.Record{{"n": int64(7), "tags": codec.List{"x"}}, nil} {
+		kernel := sim.NewKernel(sim.WithSeed(3))
+		net := network.New(kernel, network.WithDefaultLink(network.LinkConfig{Latency: time.Millisecond}))
+		rec := &sendRecorder{LowerService: protocol.NewUnreliableDatagram(net)}
+		mq, _ := ConcretePlatformByName("queue-mq-like")
+		sap := core.SAP{Role: "user", ID: "u1"}
+		dep, err := Deploy(kernel, rec, testPIM(t), mq, Plan{SAPs: []core.SAP{sap}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := dep.Submit(sap, "ping", params); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := kernel.Run(); err != nil {
+			t.Fatal(err)
+		}
+		// The ping travels agent → echo server, the pong back.
+		want := map[string]bool{}
+		for _, hop := range []struct {
+			from, to ComponentID
+			name     string
+		}{{"agent:u1", "echo", "ping"}, {"echo", "agent:u1", "pong"}} {
+			legacy := legacyEnvelope(wireEnvelope{From: hop.from, Name: hop.name, Fields: params})
+			wire, err := codec.EncodeMessage(codec.NewMessage("mw.enqueue", codec.Record{
+				"fields": legacy, "name": "mda.msg", "queue": queueName(hop.to),
+			}))
+			if err != nil {
+				t.Fatal(err)
+			}
+			want[string(wire)] = true
+		}
+		enqueues := 0
+		for _, data := range rec.sent {
+			v, err := codec.ParseMessage(data)
+			if err != nil || !v.NameIs("mw.enqueue") {
+				continue
+			}
+			enqueues++
+			if !want[string(data)] {
+				t.Fatalf("params %v: mw.enqueue % x matches no legacy encoding", params, data)
+			}
+			delete(want, string(data))
+		}
+		if enqueues != 2 || len(want) != 0 {
+			t.Fatalf("params %v: %d enqueues, %d legacy encodings unmatched", params, enqueues, len(want))
 		}
 	}
 }

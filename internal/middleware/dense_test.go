@@ -11,7 +11,7 @@ import (
 
 // The tests in this file pin the dense subscriber/queue tables: view
 // sinks, dynamic subscription after traffic has started, and sink
-// ordering across mixed sink kinds.
+// ordering across several sinks on one node.
 
 func densePlatform(t *testing.T) (*Platform, *sim.Kernel) {
 	t.Helper()
@@ -71,7 +71,7 @@ func TestSubscribeAfterTraffic(t *testing.T) {
 	p, kernel := densePlatform(t)
 	counts := map[string]int{}
 	sub := func(node Addr) {
-		if err := p.SubscribeTopic("floor", node, func(m codec.Message) {
+		if err := p.SubscribeTopicView("floor", node, func(codec.MsgView) {
 			counts[string(node)]++
 		}); err != nil {
 			t.Fatal(err)
@@ -97,21 +97,18 @@ func TestSubscribeAfterTraffic(t *testing.T) {
 	}
 }
 
-// TestMixedSinksSubscriptionOrder registers a view sink and a message
-// sink for the same topic on one node and checks both fire, in
-// subscription order, off a single wire event.
+// TestMixedSinksSubscriptionOrder registers two sinks for the same topic
+// on one node and checks both fire, in subscription order, off a single
+// wire event.
 func TestMixedSinksSubscriptionOrder(t *testing.T) {
 	p, kernel := densePlatform(t)
 	var order []string
-	if err := p.SubscribeTopicView("floor", "n1", func(v codec.MsgView) {
-		order = append(order, "view")
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if err := p.SubscribeTopic("floor", "n1", func(m codec.Message) {
-		order = append(order, "msg")
-	}); err != nil {
-		t.Fatal(err)
+	for _, sink := range []string{"first", "second"} {
+		if err := p.SubscribeTopicView("floor", "n1", func(codec.MsgView) {
+			order = append(order, sink)
+		}); err != nil {
+			t.Fatal(err)
+		}
 	}
 	msg := codec.NewMessage("grant", codec.Record{})
 	if err := p.Publish("pub", "floor", msg); err != nil {
@@ -121,7 +118,7 @@ func TestMixedSinksSubscriptionOrder(t *testing.T) {
 	// Two subscriptions on one node → the node receives two wire events,
 	// each firing both sinks (the legacy per-subscription fan-out
 	// semantics, preserved by the dense tables).
-	want := []string{"view", "msg", "view", "msg"}
+	want := []string{"first", "second", "first", "second"}
 	if len(order) != len(want) {
 		t.Fatalf("order = %v, want %v", order, want)
 	}

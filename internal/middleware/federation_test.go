@@ -46,9 +46,9 @@ func TestFederatedFanout(t *testing.T) {
 	got := make(map[string]int)
 	for i := 0; i < nodes; i++ {
 		node := Addr(fmt.Sprintf("n%d", i))
-		if err := p.SubscribeTopic("ticks", node, func(m codec.Message) {
-			if m.Name != "tick" {
-				t.Errorf("node %s got message %q", node, m.Name)
+		if err := p.SubscribeTopicView("ticks", node, func(v codec.MsgView) {
+			if name, _ := v.Str("name"); string(name) != "tick" {
+				t.Errorf("node %s got message %q", node, name)
 			}
 			got[string(node)]++
 		}); err != nil {
@@ -92,14 +92,14 @@ func TestFederatedFanout(t *testing.T) {
 // sink — the federated path must not multiply wire traffic by sinks.
 func TestFederatedNodeDedup(t *testing.T) {
 	p, kernel := federatedPlatform(t, "leaf0")
-	var aView, aMsg, b int
-	if err := p.SubscribeTopicView("floor", "shared", func(v codec.MsgView) { aView++ }); err != nil {
+	var a1, a2, b int
+	if err := p.SubscribeTopicView("floor", "shared", func(codec.MsgView) { a1++ }); err != nil {
 		t.Fatal(err)
 	}
-	if err := p.SubscribeTopic("floor", "shared", func(m codec.Message) { aMsg++ }); err != nil {
+	if err := p.SubscribeTopicView("floor", "shared", func(codec.MsgView) { a2++ }); err != nil {
 		t.Fatal(err)
 	}
-	if err := p.SubscribeTopic("floor", "other", func(m codec.Message) { b++ }); err != nil {
+	if err := p.SubscribeTopicView("floor", "other", func(codec.MsgView) { b++ }); err != nil {
 		t.Fatal(err)
 	}
 	if err := p.Publish("pub", "floor", codec.NewMessage("grant", nil)); err != nil {
@@ -108,8 +108,8 @@ func TestFederatedNodeDedup(t *testing.T) {
 	if _, err := kernel.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if aView != 1 || aMsg != 1 || b != 1 {
-		t.Fatalf("sink fires = %d/%d/%d, want 1/1/1", aView, aMsg, b)
+	if a1 != 1 || a2 != 1 || b != 1 {
+		t.Fatalf("sink fires = %d/%d/%d, want 1/1/1", a1, a2, b)
 	}
 	st := p.Stats()
 	// pub→root, root→leaf0, leaf0→{shared, other}: the shared node gets
@@ -131,7 +131,7 @@ func TestFederatedShardAssignment(t *testing.T) {
 	// (leaves hold 0-1, root holds 2).
 	subs := []Addr{"s3", "s4", "s5", "s6"}
 	for _, s := range subs {
-		if err := p.SubscribeTopic("t", s, func(m codec.Message) {}); err != nil {
+		if err := p.SubscribeTopicView("t", s, func(codec.MsgView) {}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -171,8 +171,9 @@ func TestFederatedMatchesFlatDeliveries(t *testing.T) {
 		got := make(map[string][]uint64)
 		for i := 0; i < 6; i++ {
 			node := Addr(fmt.Sprintf("n%d", i))
-			if err := p.SubscribeTopic("x", node, func(m codec.Message) {
-				seq, _ := m.Fields["seq"].(uint64)
+			if err := p.SubscribeTopicView("x", node, func(v codec.MsgView) {
+				fields, _ := v.View("fields")
+				seq, _ := fields.Uint("seq")
 				got[string(node)] = append(got[string(node)], seq)
 			}); err != nil {
 				t.Fatal(err)
@@ -213,12 +214,12 @@ func TestFederationQueuesUnaffected(t *testing.T) {
 		t.Fatal(err)
 	}
 	var got []string
-	if err := p.QueueSubscribe("work", "consumer", func(m codec.Message) {
-		got = append(got, m.Name)
+	if err := p.QueueSubscribe("work", "consumer", func(v codec.MsgView) {
+		got = append(got, msgName(v))
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if err := p.QueuePut("producer", "work", codec.NewMessage("job", nil)); err != nil {
+	if err := p.QueuePut("producer", "work", "job", nil); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := kernel.Run(); err != nil {
@@ -232,10 +233,10 @@ func TestFederationQueuesUnaffected(t *testing.T) {
 // TestFederationErrors pins the configuration guard rails.
 func TestFederationErrors(t *testing.T) {
 	p, _ := federatedPlatform(t, "leaf0", "leaf1")
-	if err := p.SubscribeTopic("t", "leaf1", func(m codec.Message) {}); !errors.Is(err, ErrFederation) {
+	if err := p.SubscribeTopicView("t", "leaf1", func(codec.MsgView) {}); !errors.Is(err, ErrFederation) {
 		t.Fatalf("subscribing at a leaf: err = %v, want ErrFederation", err)
 	}
-	if err := p.SubscribeTopic("t", "root", func(m codec.Message) {}); !errors.Is(err, ErrFederation) {
+	if err := p.SubscribeTopicView("t", "root", func(codec.MsgView) {}); !errors.Is(err, ErrFederation) {
 		t.Fatalf("subscribing at the root: err = %v, want ErrFederation", err)
 	}
 
@@ -245,7 +246,7 @@ func TestFederationErrors(t *testing.T) {
 	nameOnly := struct{ protocol.LowerService }{protocol.NewUnreliableDatagram(net)}
 	q := New(kernel, nameOnly, Profile{Name: "x", Patterns: []Pattern{PatternPubSub}}, "root",
 		WithFederation("leaf0"))
-	if err := q.SubscribeTopic("t", "n1", func(m codec.Message) {}); !errors.Is(err, ErrFederation) {
+	if err := q.SubscribeTopicView("t", "n1", func(codec.MsgView) {}); !errors.Is(err, ErrFederation) {
 		t.Fatalf("non-indexed transport: err = %v, want ErrFederation", err)
 	}
 

@@ -1,6 +1,7 @@
 package middleware_test
 
 import (
+	"errors"
 	"testing"
 
 	"repro/internal/codec"
@@ -45,14 +46,7 @@ func fuzzPlatform(t *testing.T) (*sim.Kernel, *middleware.Platform) {
 	t.Helper()
 	k := sim.NewKernel(sim.WithSeed(1))
 	p := middleware.New(k, protocol.NewUnreliableDatagram(network.New(k)), middleware.ProfileCORBALike, "broker")
-	s, err := svc.New(&core.ServiceSpec{
-		Name:       "fuzz",
-		Primitives: []core.PrimitiveDef{{Name: "echo", Direction: core.FromUser}},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := s.Bind(p, middleware.PatternRPC, middleware.PatternOneway)
+	b, err := fuzzService(t).Bind(p, middleware.PatternRPC, middleware.PatternOneway)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,6 +71,63 @@ func fuzzPlatform(t *testing.T) (*sim.Kernel, *middleware.Platform) {
 	return k, p
 }
 
+// fuzzService is the typed service every fuzzed platform binds.
+func fuzzService(t *testing.T) *svc.Service {
+	t.Helper()
+	s, err := svc.New(&core.ServiceSpec{
+		Name:       "fuzz",
+		Primitives: []core.PrimitiveDef{{Name: "echo", Direction: core.FromUser}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
+// fuzzQueuePlatform is an MQ-like platform with one declared queue
+// ("jobs") consumed at node-w through a typed queue source, so hostile
+// bytes reach the broker's enqueue path and the consumer's decoder.
+func fuzzQueuePlatform(t *testing.T) (*sim.Kernel, *middleware.Platform) {
+	t.Helper()
+	k := sim.NewKernel(sim.WithSeed(1))
+	p := middleware.New(k, protocol.NewUnreliableDatagram(network.New(k)), middleware.ProfileMQLike, "broker")
+	b, err := fuzzService(t).Bind(p, middleware.PatternQueue)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := b.DeclareQueue("jobs"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := svc.NewQueueSource(b, "jobs", "node-w", decFuzzArgs, func(fuzzArgs) {}); err != nil {
+		t.Fatal(err)
+	}
+	return k, p
+}
+
+// fuzzTopicPlatform is a JMS-like platform with one typed subscriber of
+// topic "news" at node-w, so hostile bytes reach the broker's publish
+// re-framing and the subscriber's decoder.
+func fuzzTopicPlatform(t *testing.T) (*sim.Kernel, *middleware.Platform) {
+	t.Helper()
+	k := sim.NewKernel(sim.WithSeed(1))
+	p := middleware.New(k, protocol.NewUnreliableDatagram(network.New(k)), middleware.ProfileJMSLike, "broker")
+	b, err := fuzzService(t).Bind(p, middleware.PatternPubSub)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dec := func(v codec.MsgView) (fuzzArgs, error) {
+		fields, ok := v.View("fields")
+		if !ok {
+			return fuzzArgs{}, errors.New("event fields are not a record")
+		}
+		return decFuzzArgs(fields)
+	}
+	if _, err := svc.NewTopicSource(b, "news", "node-w", dec, func(fuzzArgs) {}); err != nil {
+		t.Fatal(err)
+	}
+	return k, p
+}
+
 // wireSeed encodes one implicit-protocol message through the generic
 // codec.
 func wireSeed(f *testing.F, name string, fields codec.Record) []byte {
@@ -89,11 +140,13 @@ func wireSeed(f *testing.F, name string, fields codec.Record) []byte {
 }
 
 // FuzzPlatformWire feeds arbitrary bytes to the platform's wire entry
-// point at both ends of a pending typed call. The receive path hands
-// views of these untrusted bytes to the typed decoders, so it must never
-// panic; a message that does not parse is dropped and counted in
-// Stats.Corrupt. Run bounded in CI (see .github/workflows/ci.yml, fuzz
-// job) and by `make fuzz`.
+// point on three platforms: at both ends of a pending typed call, at the
+// broker and the consumer of a queue, and at the broker and the
+// subscriber of a topic. The receive path hands views of these untrusted
+// bytes to the typed decoders, so it must never panic; a message that
+// does not parse is dropped and counted in Stats.Corrupt at every entry
+// point. Run bounded in CI (see .github/workflows/ci.yml, fuzz job) and
+// by `make fuzz`.
 func FuzzPlatformWire(f *testing.F) {
 	args := codec.Record{"seq": int64(3), "subid": "s1", "tags": codec.List{"a", "b"}}
 	call := wireSeed(f, "mw.call", codec.Record{"args": args, "id": uint64(1), "op": "echo", "target": "server"})
@@ -113,19 +166,40 @@ func FuzzPlatformWire(f *testing.F) {
 	f.Add(wireSeed(f, "mw.reply", codec.Record{"id": uint64(1), "result": "not a record"}))
 	f.Add(wireSeed(f, "mw.reply", codec.Record{"error": "boom", "id": uint64(1)}))
 	f.Add(wireSeed(f, "mw.oneway", codec.Record{"args": args, "op": int64(7), "target": "ghost"}))
+	f.Add(wireSeed(f, "mw.enqueue", codec.Record{"fields": args, "name": "job", "queue": "jobs"}))
+	f.Add(wireSeed(f, "mw.enqueue", codec.Record{"fields": "not a record", "name": "job", "queue": "jobs"}))
+	f.Add(wireSeed(f, "mw.deliver", codec.Record{"fields": args, "name": "job", "queue": "jobs"}))
+	f.Add(wireSeed(f, "mw.deliver", codec.Record{"fields": codec.List{}, "name": "job", "queue": "jobs"}))
+	f.Add(wireSeed(f, "mw.publish", codec.Record{"fields": args, "name": "flash", "topic": "news"}))
+	f.Add(wireSeed(f, "mw.event", codec.Record{"fields": args, "name": "flash", "topic": "news"}))
+	f.Add(wireSeed(f, "mw.event", codec.Record{"fields": int64(1), "name": "flash", "topic": "news"}))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		k, p := fuzzPlatform(t)
-		before := p.Stats().Corrupt
-		p.HandleWire("node-c", "node-s", data) // as a request to the server
-		p.HandleWire("node-s", "node-c", data) // as a reply to the caller
-		if _, err := codec.ParseMessage(data); err != nil {
-			if got := p.Stats().Corrupt - before; got != 2 {
-				t.Fatalf("unparseable message counted %d times as corrupt, want 2", got)
+		_, parseErr := codec.ParseMessage(data)
+		for _, fc := range []struct {
+			build func(*testing.T) (*sim.Kernel, *middleware.Platform)
+			hops  [][2]middleware.Addr // {src, at}
+		}{
+			// As a request to the server, and as a reply to the caller.
+			{fuzzPlatform, [][2]middleware.Addr{{"node-c", "node-s"}, {"node-s", "node-c"}}},
+			// As a put at the broker, and as a delivery to the consumer.
+			{fuzzQueuePlatform, [][2]middleware.Addr{{"node-p", "broker"}, {"broker", "node-w"}}},
+			// As a publish at the broker, and as an event at the subscriber.
+			{fuzzTopicPlatform, [][2]middleware.Addr{{"node-p", "broker"}, {"broker", "node-w"}}},
+		} {
+			k, p := fc.build(t)
+			before := p.Stats().Corrupt
+			for _, hop := range fc.hops {
+				p.HandleWire(hop[0], hop[1], data)
 			}
-		}
-		if _, err := k.Run(); err != nil {
-			t.Fatal(err)
+			if parseErr != nil {
+				if got := p.Stats().Corrupt - before; got != uint64(len(fc.hops)) {
+					t.Fatalf("unparseable message counted %d times as corrupt, want %d", got, len(fc.hops))
+				}
+			}
+			if _, err := k.Run(); err != nil {
+				t.Fatal(err)
+			}
 		}
 	})
 }

@@ -212,8 +212,8 @@ type Stats struct {
 	// Timeouts counts RPC deadline expirations.
 	Timeouts uint64
 	// Corrupt counts received wire messages dropped as malformed: bytes
-	// that do not parse, or an RPC whose argument or result record is
-	// not a well-formed canonical record.
+	// that do not parse, an RPC whose argument or result record, or an
+	// enqueue whose field record, is not a well-formed canonical record.
 	Corrupt uint64
 	// Unavailables counts RPCs failed fast with ErrUnavailable because
 	// the callee node was down (NodeDown) at invoke time or crashed
@@ -305,7 +305,13 @@ type queueState struct {
 	consumers []queueConsumer
 	nextRR    int
 	// backlog holds messages put before any consumer subscribed.
-	backlog []codec.Message
+	backlog []queuedMsg
+}
+
+// queuedMsg is one backlogged queue message: its name and encoded field
+// record, copied out of the delivery buffer they arrived in.
+type queuedMsg struct {
+	name, fields []byte
 }
 
 // topicState holds one topic's subscriber table: the per-subscription
@@ -319,17 +325,16 @@ type topicState struct {
 }
 
 // eventSink is one node-local topic subscription (the demux side of the
-// pub/sub pattern). Exactly one of fn/viewFn is set.
+// pub/sub pattern).
 type eventSink struct {
-	topic  string
-	fn     func(codec.Message)
-	viewFn func(codec.MsgView)
+	topic string
+	fn    func(codec.MsgView)
 }
 
 // queueSink is one node-local queue consumption endpoint.
 type queueSink struct {
 	queue string
-	fn    func(codec.Message)
+	fn    func(codec.MsgView)
 }
 
 // deferredWire is a pooled deferred-dispatch record: when the profile

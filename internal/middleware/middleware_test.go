@@ -1,6 +1,7 @@
 package middleware
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"testing"
@@ -33,6 +34,13 @@ func wire(r codec.Record) []byte {
 		panic(err)
 	}
 	return b
+}
+
+// msgName copies the "name" field out of a borrowed queue-delivery or
+// event envelope view.
+func msgName(v codec.MsgView) string {
+	name, _ := v.Str("name")
+	return string(name)
 }
 
 // fields materializes a borrowed record view for assertions.
@@ -174,17 +182,17 @@ func TestPatternGating(t *testing.T) {
 	if err := p.Publish("c", "t", codec.NewMessage("m", nil)); !errors.Is(err, ErrPatternUnsupported) {
 		t.Fatalf("Publish err = %v", err)
 	}
-	if err := p.SubscribeTopic("t", "c", func(codec.Message) {}); !errors.Is(err, ErrPatternUnsupported) {
-		t.Fatalf("SubscribeTopic err = %v", err)
+	if err := p.SubscribeTopicView("t", "c", func(codec.MsgView) {}); !errors.Is(err, ErrPatternUnsupported) {
+		t.Fatalf("SubscribeTopicView err = %v", err)
 	}
 	_, pq := newPlatform(t, ProfileRMILike, 0) // rpc only
 	if err := pq.QueueDeclare("q"); !errors.Is(err, ErrPatternUnsupported) {
 		t.Fatalf("QueueDeclare err = %v", err)
 	}
-	if err := pq.QueuePut("c", "q", codec.NewMessage("m", nil)); !errors.Is(err, ErrPatternUnsupported) {
+	if err := pq.QueuePut("c", "q", "m", nil); !errors.Is(err, ErrPatternUnsupported) {
 		t.Fatalf("QueuePut err = %v", err)
 	}
-	if err := pq.QueueSubscribe("q", "c", func(codec.Message) {}); !errors.Is(err, ErrPatternUnsupported) {
+	if err := pq.QueueSubscribe("q", "c", func(codec.MsgView) {}); !errors.Is(err, ErrPatternUnsupported) {
 		t.Fatalf("QueueSubscribe err = %v", err)
 	}
 }
@@ -243,14 +251,14 @@ func TestQueueRoundRobinDelivery(t *testing.T) {
 		t.Fatalf("err = %v, want ErrDuplicateQueue", err)
 	}
 	var c1, c2 []string
-	if err := p.QueueSubscribe("jobs", "w1", func(m codec.Message) { c1 = append(c1, m.Name) }); err != nil {
+	if err := p.QueueSubscribe("jobs", "w1", func(v codec.MsgView) { c1 = append(c1, msgName(v)) }); err != nil {
 		t.Fatal(err)
 	}
-	if err := p.QueueSubscribe("jobs", "w2", func(m codec.Message) { c2 = append(c2, m.Name) }); err != nil {
+	if err := p.QueueSubscribe("jobs", "w2", func(v codec.MsgView) { c2 = append(c2, msgName(v)) }); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 6; i++ {
-		if err := p.QueuePut("prod", "jobs", codec.NewMessage(fmt.Sprintf("job-%d", i), nil)); err != nil {
+		if err := p.QueuePut("prod", "jobs", fmt.Sprintf("job-%d", i), nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -274,14 +282,14 @@ func TestQueueBacklogBeforeSubscribe(t *testing.T) {
 	if err := p.QueueDeclare("q"); err != nil {
 		t.Fatal(err)
 	}
-	if err := p.QueuePut("prod", "q", codec.NewMessage("early", nil)); err != nil {
+	if err := p.QueuePut("prod", "q", "early", nil); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
 	var got []string
-	if err := p.QueueSubscribe("q", "w", func(m codec.Message) { got = append(got, m.Name) }); err != nil {
+	if err := p.QueueSubscribe("q", "w", func(v codec.MsgView) { got = append(got, msgName(v)) }); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := k.Run(); err != nil {
@@ -294,10 +302,10 @@ func TestQueueBacklogBeforeSubscribe(t *testing.T) {
 
 func TestQueueUnknown(t *testing.T) {
 	_, p := newPlatform(t, ProfileMQLike, 0)
-	if err := p.QueuePut("c", "nope", codec.NewMessage("m", nil)); !errors.Is(err, ErrUnknownQueue) {
+	if err := p.QueuePut("c", "nope", "m", nil); !errors.Is(err, ErrUnknownQueue) {
 		t.Fatalf("err = %v", err)
 	}
-	if err := p.QueueSubscribe("nope", "c", func(codec.Message) {}); !errors.Is(err, ErrUnknownQueue) {
+	if err := p.QueueSubscribe("nope", "c", func(codec.MsgView) {}); !errors.Is(err, ErrUnknownQueue) {
 		t.Fatalf("err = %v", err)
 	}
 	if err := p.QueueSubscribe("nope", "c", nil); err == nil {
@@ -305,13 +313,103 @@ func TestQueueUnknown(t *testing.T) {
 	}
 }
 
+// TestQueueBacklogSurvivesBufferReuse pins that the broker's backlog
+// owns its bytes: messages put before any consumer subscribes arrive
+// byte-intact even after later traffic has recycled the pooled delivery
+// buffers they first arrived in.
+func TestQueueBacklogSurvivesBufferReuse(t *testing.T) {
+	k, p := newPlatform(t, ProfileMQLike, 0)
+	for _, q := range []string{"early", "busy"} {
+		if err := p.QueueDeclare(q); err != nil {
+			t.Fatal(err)
+		}
+	}
+	payload := func(fill byte, i int) []byte {
+		return wire(codec.Record{"blob": bytes.Repeat([]byte{fill}, 64), "i": int64(i)})
+	}
+	var wantNames []string
+	var wantFields [][]byte
+	for i := 0; i < 3; i++ {
+		wantNames = append(wantNames, fmt.Sprintf("m%d", i))
+		wantFields = append(wantFields, payload('a', i))
+		if err := p.QueuePut("prod", "early", wantNames[i], wantFields[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := k.Run(); err != nil { // backlogged at the broker
+		t.Fatal(err)
+	}
+	if err := p.QueueSubscribe("busy", "w2", func(codec.MsgView) {}); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 20; i++ {
+		if err := p.QueuePut("prod", "busy", "noise", payload('z', i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	var gotNames []string
+	var gotFields [][]byte
+	if err := p.QueueSubscribe("early", "w1", func(v codec.MsgView) {
+		gotNames = append(gotNames, msgName(v))
+		raw, _ := v.Raw("fields")
+		gotFields = append(gotFields, append([]byte(nil), raw...))
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if len(gotNames) != len(wantNames) {
+		t.Fatalf("backlog delivered %v, want %v", gotNames, wantNames)
+	}
+	for i := range wantNames {
+		if gotNames[i] != wantNames[i] || !bytes.Equal(gotFields[i], wantFields[i]) {
+			t.Fatalf("backlog message %d = %q % x, want %q % x", i, gotNames[i], gotFields[i], wantNames[i], wantFields[i])
+		}
+	}
+}
+
+// TestEnqueueCorruptFields pins the Corrupt rule on the queue plane: an
+// mw.enqueue whose fields are not a record is dropped at the broker and
+// counted in Stats.Corrupt, like a call whose arguments are not one.
+func TestEnqueueCorruptFields(t *testing.T) {
+	k, p := newPlatform(t, ProfileMQLike, 0)
+	if err := p.QueueDeclare("q"); err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	if err := p.QueueSubscribe("q", "w", func(v codec.MsgView) { got = append(got, msgName(v)) }); err != nil {
+		t.Fatal(err)
+	}
+	enqueue := func(fields codec.Record) []byte {
+		data, err := codec.EncodeMessage(codec.NewMessage("mw.enqueue", fields))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return data
+	}
+	p.HandleWire("prod", "mw-broker", enqueue(codec.Record{"fields": "not a record", "name": "bad", "queue": "q"}))
+	p.HandleWire("prod", "mw-broker", enqueue(codec.Record{"name": "absent", "queue": "q"}))
+	p.HandleWire("prod", "mw-broker", enqueue(codec.Record{"fields": codec.Record{"n": int64(1)}, "name": "good", "queue": "q"}))
+	if _, err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	st := p.Stats()
+	if st.Corrupt != 2 || st.QueueDeliver != 1 || len(got) != 1 || got[0] != "good" {
+		t.Fatalf("Corrupt = %d, QueueDeliver = %d, delivered %v; want 2, 1, [good]", st.Corrupt, st.QueueDeliver, got)
+	}
+}
+
 func TestPubSubFanout(t *testing.T) {
 	k, p := newPlatform(t, ProfileCORBALike, 0)
 	var got1, got2 []string
-	if err := p.SubscribeTopic("news", "n1", func(m codec.Message) { got1 = append(got1, m.Name) }); err != nil {
+	if err := p.SubscribeTopicView("news", "n1", func(v codec.MsgView) { got1 = append(got1, msgName(v)) }); err != nil {
 		t.Fatal(err)
 	}
-	if err := p.SubscribeTopic("news", "n2", func(m codec.Message) { got2 = append(got2, m.Name) }); err != nil {
+	if err := p.SubscribeTopicView("news", "n2", func(v codec.MsgView) { got2 = append(got2, msgName(v)) }); err != nil {
 		t.Fatal(err)
 	}
 	if err := p.Publish("pub", "news", codec.NewMessage("flash", codec.Record{"k": "v"})); err != nil {
@@ -331,7 +429,7 @@ func TestPubSubFanout(t *testing.T) {
 
 func TestPubSubNilSink(t *testing.T) {
 	_, p := newPlatform(t, ProfileCORBALike, 0)
-	if err := p.SubscribeTopic("t", "n", nil); err == nil {
+	if err := p.SubscribeTopicView("t", "n", nil); err == nil {
 		t.Fatal("nil sink accepted")
 	}
 }

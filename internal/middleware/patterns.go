@@ -202,10 +202,13 @@ func (p *Platform) QueueDeclare(name string) error {
 	return nil
 }
 
-// QueuePut enqueues a message. The message travels to the broker node on
-// the wire, then onward to one consumer (round-robin among subscribers),
-// modelling point-to-point MOM semantics.
-func (p *Platform) QueuePut(from Addr, queue string, m codec.Message) error {
+// QueuePut enqueues one message: its name and its field record, already
+// in wire form under the Invoke argument contract (one encoded record
+// value; nil sends the empty record; copied before QueuePut returns).
+// The message travels to the broker node on the wire, then onward to one
+// consumer (round-robin among subscribers), modelling point-to-point MOM
+// semantics.
+func (p *Platform) QueuePut(from Addr, queue, name string, fields []byte) error {
 	if !p.profile.Supports(PatternQueue) {
 		return fmt.Errorf("%w: %s on %q", ErrPatternUnsupported, PatternQueue, p.profile.Name)
 	}
@@ -222,10 +225,13 @@ func (p *Platform) QueuePut(from Addr, queue string, m codec.Message) error {
 	fromLow := p.nodeLows[fromID]
 	p.mu.Unlock()
 	to, toLow := p.brokerRef()
+	if fields == nil {
+		fields = codec.RawEmptyRecord
+	}
 	buf := codec.GetBuffer()
 	e := schemaEnqueue.Encoder(buf.B[:0])
-	e.Value("fields", m.Fields)
-	e.Str("name", m.Name)
+	e.Raw("fields", fields)
+	e.Str("name", name)
 	e.Str("queue", queue)
 	return p.finishSend(buf, &e, from, fromLow, to, toLow)
 }
@@ -235,7 +241,11 @@ func (p *Platform) QueuePut(from Addr, queue string, m codec.Message) error {
 // put before any subscription are retained and delivered on first
 // subscribe. The consumer's node is resolved to dense ids here, once, so
 // deliveries walk no tables.
-func (p *Platform) QueueSubscribe(queue string, node Addr, fn func(codec.Message)) error {
+//
+// fn receives a codec.MsgView over the mw.deliver envelope (fields
+// "queue", "name", "fields") aliasing the delivery buffer: like an RPC
+// argument view it is valid only until fn returns.
+func (p *Platform) QueueSubscribe(queue string, node Addr, fn func(codec.MsgView)) error {
 	if !p.profile.Supports(PatternQueue) {
 		return fmt.Errorf("%w: %s on %q", ErrPatternUnsupported, PatternQueue, p.profile.Name)
 	}
@@ -261,14 +271,16 @@ func (p *Platform) QueueSubscribe(queue string, node Addr, fn func(codec.Message
 	q.backlog = nil
 	p.mu.Unlock()
 	for _, m := range backlog {
-		p.deliverQueued(queue, m)
+		p.deliverQueued(queue, m.name, m.fields)
 	}
 	return nil
 }
 
 // deliverQueued routes one queued message from the broker to the next
-// consumer.
-func (p *Platform) deliverQueued(queue string, m codec.Message) {
+// consumer, splicing the encoded field record into mw.deliver verbatim.
+// Without a consumer the message joins the queue's backlog as a copy:
+// name and fields may alias a delivery buffer.
+func (p *Platform) deliverQueued(queue string, name, fields []byte) {
 	p.mu.Lock()
 	q, ok := p.queues[queue]
 	if !ok {
@@ -276,7 +288,10 @@ func (p *Platform) deliverQueued(queue string, m codec.Message) {
 		return
 	}
 	if len(q.consumers) == 0 {
-		q.backlog = append(q.backlog, m)
+		q.backlog = append(q.backlog, queuedMsg{
+			name:   append([]byte(nil), name...),
+			fields: append([]byte(nil), fields...),
+		})
 		p.mu.Unlock()
 		return
 	}
@@ -291,8 +306,8 @@ func (p *Platform) deliverQueued(queue string, m codec.Message) {
 	p.mu.Unlock()
 	buf := codec.GetBuffer()
 	e := schemaDeliver.Encoder(buf.B[:0])
-	e.Value("fields", m.Fields)
-	e.Str("name", m.Name)
+	e.Raw("fields", fields)
+	e.Str("name", string(name))
 	e.Str("queue", queue)
 	//nolint:errcheck // broker delivery failure = message loss, acceptable for MOM sim
 	_ = p.finishSend(buf, &e, p.broker, fromLow, to, toLow)
@@ -321,27 +336,17 @@ func (p *Platform) Publish(from Addr, topic string, m codec.Message) error {
 	return p.finishSend(buf, &e, from, fromLow, to, toLow)
 }
 
-// SubscribeTopic registers an event sink for a topic. Events arrive
-// materialized as codec.Message values the sink may retain.
-func (p *Platform) SubscribeTopic(topic string, node Addr, fn func(codec.Message)) error {
-	if fn == nil {
-		return fmt.Errorf("middleware: nil sink for topic %q", topic)
-	}
-	return p.subscribeTopic(topic, node, eventSink{topic: topic, fn: fn})
-}
-
 // SubscribeTopicView registers a zero-copy event sink: the sink receives
 // a codec.MsgView over the mw.event envelope (fields "topic", "name",
 // "fields") aliasing the transport's pooled delivery buffer. The view
 // and every byte slice read through it are valid only until the sink
-// returns; retain with an explicit copy (or use SubscribeTopic, whose
-// materialized messages are safe to keep). This is the demux path with
+// returns; retain with an explicit copy. This is the demux path with
 // zero per-event allocations.
 func (p *Platform) SubscribeTopicView(topic string, node Addr, fn func(v codec.MsgView)) error {
 	if fn == nil {
 		return fmt.Errorf("middleware: nil sink for topic %q", topic)
 	}
-	return p.subscribeTopic(topic, node, eventSink{topic: topic, viewFn: fn})
+	return p.subscribeTopic(topic, node, eventSink{topic: topic, fn: fn})
 }
 
 // subscribeTopic resolves the subscriber node to dense ids and appends it
@@ -466,18 +471,19 @@ func (p *Platform) lookupLocal(atID int32, v *codec.MsgView) (Object, bool) {
 	return reg.obj, true
 }
 
-// callArgs returns the argument record of a call or oneway message as a
-// view of the delivery buffer — it crosses into the object's Dispatch
-// borrowed, never materialized. A message whose args field is not a
-// well-formed canonical record is counted corrupt (ok false).
+// recordField returns a record field of a wire message — the arguments
+// of a call or oneway, the fields of an enqueue — as a view of the
+// delivery buffer: it crosses into the consumer borrowed, never
+// materialized. A message whose field is not a well-formed canonical
+// record is counted corrupt (ok false).
 //
 //repolint:hotpath
-func (p *Platform) callArgs(v *codec.MsgView) (codec.MsgView, bool) {
-	args, ok := v.View("args")
+func (p *Platform) recordField(v *codec.MsgView, field string) (codec.MsgView, bool) {
+	rec, ok := v.View(field)
 	if !ok {
 		p.countCorrupt()
 	}
-	return args, ok
+	return rec, ok
 }
 
 // getReplyCell pops (or creates) a reply cell.
@@ -516,7 +522,7 @@ func (p *Platform) putReplyCell(c *replyCell) {
 //repolint:hotpath
 func (p *Platform) handleCall(srcAddr Addr, srcLow, atID int32, v *codec.MsgView) {
 	id, _ := v.Uint("id")
-	args, ok := p.callArgs(v)
+	args, ok := p.recordField(v, "args")
 	if !ok {
 		return
 	}
@@ -619,7 +625,7 @@ func (p *Platform) handleReply(v *codec.MsgView) {
 }
 
 func (p *Platform) handleOneway(atID int32, v *codec.MsgView) {
-	args, ok := p.callArgs(v)
+	args, ok := p.recordField(v, "args")
 	if !ok {
 		return
 	}
@@ -631,34 +637,35 @@ func (p *Platform) handleOneway(atID int32, v *codec.MsgView) {
 	obj.Dispatch(op, args, discardReply) // replies discarded
 }
 
+// handleEnqueue is the broker half of the queue plane: the encoded field
+// record is validated, then spliced into the consumer's mw.deliver
+// without ever being materialized (as handlePublish does for events).
+// An enqueue whose fields are not a record is counted corrupt.
 func (p *Platform) handleEnqueue(v *codec.MsgView) {
+	if _, ok := p.recordField(v, "fields"); !ok {
+		return
+	}
 	queue, _ := v.Str("queue")
 	name, _ := v.Str("name")
-	fields, _ := v.Record("fields")
-	p.deliverQueued(string(queue), codec.NewMessage(string(name), fields))
+	fields, _ := v.Raw("fields")
+	p.deliverQueued(string(queue), name, fields)
 }
 
 // handleDeliver demultiplexes a queue delivery at the consuming node: the
 // node's dense consumer table is scanned for the queue (nodes consume
 // from a handful of queues; the name compare takes Go's pointer-equality
 // fast path for interned literals) and the first matching consumer —
-// subscription order, as the legacy table produced — gets the message.
+// subscription order, as the legacy table produced — gets the envelope.
 func (p *Platform) handleDeliver(atID int32, v *codec.MsgView) {
 	queue, _ := v.Str("queue")
 	p.mu.Lock()
 	sinks := p.queueSinks[atID]
 	p.mu.Unlock()
-	var fn func(codec.Message)
 	for i := range sinks {
 		if sinks[i].queue == string(queue) {
-			fn = sinks[i].fn
-			break
+			sinks[i].fn(*v)
+			return
 		}
-	}
-	if fn != nil {
-		name, _ := v.Str("name")
-		fields, _ := v.Record("fields")
-		fn(codec.NewMessage(string(name), fields))
 	}
 }
 
@@ -723,32 +730,16 @@ func (p *Platform) handlePublish(v *codec.MsgView) {
 }
 
 // handleEvent demultiplexes an event at a subscriber node over the
-// node's dense sink table: view sinks receive the envelope in place
-// (zero-copy, zero-alloc); message sinks share one materialization per
-// event, exactly as the legacy path did. Sinks fire in subscription
-// order.
+// node's dense sink table: every sink matching the topic receives the
+// envelope in place (zero-copy, zero-alloc), in subscription order.
 func (p *Platform) handleEvent(atID int32, v *codec.MsgView) {
 	topic, _ := v.Str("topic")
 	p.mu.Lock()
 	sinks := p.eventSinks[atID]
 	p.mu.Unlock()
-	var msg codec.Message
-	built := false
 	for i := range sinks {
-		s := &sinks[i]
-		if s.topic != string(topic) {
-			continue
+		if sinks[i].topic == string(topic) {
+			sinks[i].fn(*v)
 		}
-		if s.viewFn != nil {
-			s.viewFn(*v)
-			continue
-		}
-		if !built {
-			name, _ := v.Str("name")
-			fields, _ := v.Record("fields")
-			msg = codec.NewMessage(string(name), fields)
-			built = true
-		}
-		s.fn(msg)
 	}
 }

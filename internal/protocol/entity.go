@@ -232,30 +232,14 @@ func (l *Layer) AddEntity(addr Addr, e Entity) error {
 	selfLow := int32(-1)
 	if l.ilower != nil {
 		lowID, err := l.ilower.AttachIndexed(addr, func(lowSrc int32, data []byte) {
-			v, err := codec.ParseMessage(data)
-			if err != nil {
-				return // undecodable PDU: drop
-			}
-			msg, err := v.Message()
-			if err != nil {
-				return
-			}
-			_ = e.FromPeer(l.addrForLower(lowSrc), msg) //nolint:errcheck // entity errors are local design errors surfaced in tests
+			receivePDU(e, l.addrForLower(lowSrc), data)
 		})
 		if err != nil {
 			return fmt.Errorf("protocol: attach %q: %w", addr, err)
 		}
 		selfLow = lowID
 	} else if err := l.lower.Attach(addr, func(src Addr, data []byte) {
-		v, err := codec.ParseMessage(data)
-		if err != nil {
-			return // undecodable PDU: drop
-		}
-		msg, err := v.Message()
-		if err != nil {
-			return
-		}
-		_ = e.FromPeer(src, msg) //nolint:errcheck // entity errors are local design errors surfaced in tests
+		receivePDU(e, src, data)
 	}); err != nil {
 		return fmt.Errorf("protocol: attach %q: %w", addr, err)
 	}
@@ -263,6 +247,20 @@ func (l *Layer) AddEntity(addr Addr, e Entity) error {
 		return fmt.Errorf("protocol: init entity at %q: %w", addr, err)
 	}
 	return nil
+}
+
+// receivePDU decodes one PDU received from src and hands it to e;
+// undecodable PDUs are dropped.
+func receivePDU(e Entity, src Addr, data []byte) {
+	v, err := codec.ParseMessage(data)
+	if err != nil {
+		return
+	}
+	msg, err := v.Message()
+	if err != nil {
+		return
+	}
+	_ = e.FromPeer(src, msg) //nolint:errcheck // entity errors are local design errors surfaced in tests
 }
 
 // Entity returns the entity at addr.

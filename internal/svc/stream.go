@@ -7,33 +7,38 @@ import (
 	"repro/internal/middleware"
 )
 
-// sinkKind selects the wire pattern behind a Sink.
-type sinkKind int
-
-const (
-	sinkOneway sinkKind = iota + 1
-	sinkQueue
-	sinkTopic
-)
-
 // Sink is a typed send-only service port over one of the asynchronous
 // interaction patterns: directed oneway messaging to a target object,
 // store-and-forward queueing, or topic publication. Sends are
 // fire-and-forget; queue and topic sends are marshalled once at the
 // platform and fan out over the dense delivery plane (SendMultiIndexed
-// underneath for topics).
+// underneath for topics). Oneway and queue sinks carry their payload as
+// an encoded record, like a Port's request.
 type Sink[T any] struct {
-	b    *Binding
-	kind sinkKind
-	cfg  portConfig
+	b       *Binding
+	pattern middleware.Pattern
+	cfg     portConfig
+	dest    string // target object, queue or topic
+	name    string // oneway operation or queue message name
+	enc     func([]byte, T) ([]byte, error)
+	encMsg  func(T) codec.Message // topic
+}
 
-	// oneway:
-	target  middleware.ObjRef
-	op      string
-	encArgs func([]byte, T) ([]byte, error)
-	// queue / topic:
-	name   string
-	encMsg func(T) codec.Message
+// bind checks the sink's pattern and encoder and applies its options;
+// the monitor primitive defaults to prim.
+func (s *Sink[T]) bind(prim string, opts []PortOption) (*Sink[T], error) {
+	if err := s.b.supports(s.pattern); err != nil {
+		return nil, err
+	}
+	if s.enc == nil && s.encMsg == nil {
+		return nil, fmt.Errorf("svc: %s sink %q: nil encoder", s.pattern, s.dest)
+	}
+	cfg, err := s.b.applyOptions(prim, opts)
+	if err != nil {
+		return nil, err
+	}
+	s.cfg = cfg
+	return s, nil
 }
 
 // NewOnewaySink creates a typed fire-and-forget port to an object's
@@ -41,93 +46,61 @@ type Sink[T any] struct {
 // NewPort request contract: it appends one encoded argument record.
 func NewOnewaySink[T any](b *Binding, target middleware.ObjRef, op string,
 	enc func([]byte, T) ([]byte, error), opts ...PortOption) (*Sink[T], error) {
-	if err := b.supports(middleware.PatternOneway); err != nil {
-		return nil, err
-	}
-	if enc == nil {
-		return nil, fmt.Errorf("svc: oneway sink %s.%s: nil encoder", target, op)
-	}
-	cfg, err := b.applyOptions(op, opts)
-	if err != nil {
-		return nil, err
-	}
-	return &Sink[T]{b: b, kind: sinkOneway, cfg: cfg, target: target, op: op, encArgs: enc}, nil
+	s := &Sink[T]{b: b, pattern: middleware.PatternOneway, dest: string(target), name: op, enc: enc}
+	return s.bind(op, opts)
 }
 
 // NewQueueSink creates a typed producer port for a declared queue (the
 // point-to-point MOM pattern: each sent value reaches exactly one
-// consumer).
-func NewQueueSink[T any](b *Binding, queue string,
-	enc func(T) codec.Message, opts ...PortOption) (*Sink[T], error) {
-	if err := b.supports(middleware.PatternQueue); err != nil {
-		return nil, err
-	}
-	if enc == nil {
-		return nil, fmt.Errorf("svc: queue sink %q: nil encoder", queue)
-	}
-	cfg, err := b.applyOptions(queue, opts)
-	if err != nil {
-		return nil, err
-	}
-	return &Sink[T]{b: b, kind: sinkQueue, cfg: cfg, name: queue, encMsg: enc}, nil
+// consumer). Each send is a message called name whose field record enc
+// appends, under the NewPort request contract.
+func NewQueueSink[T any](b *Binding, queue, name string,
+	enc func([]byte, T) ([]byte, error), opts ...PortOption) (*Sink[T], error) {
+	s := &Sink[T]{b: b, pattern: middleware.PatternQueue, dest: queue, name: name, enc: enc}
+	return s.bind(queue, opts)
 }
 
 // NewTopicSink creates a typed publisher port for a topic (the event
 // source half of the pub/sub pattern).
 func NewTopicSink[T any](b *Binding, topic string,
 	enc func(T) codec.Message, opts ...PortOption) (*Sink[T], error) {
-	if err := b.supports(middleware.PatternPubSub); err != nil {
-		return nil, err
-	}
-	if enc == nil {
-		return nil, fmt.Errorf("svc: topic sink %q: nil encoder", topic)
-	}
-	cfg, err := b.applyOptions(topic, opts)
-	if err != nil {
-		return nil, err
-	}
-	return &Sink[T]{b: b, kind: sinkTopic, cfg: cfg, name: topic, encMsg: enc}, nil
+	s := &Sink[T]{b: b, pattern: middleware.PatternPubSub, dest: topic, encMsg: enc}
+	return s.bind(topic, opts)
 }
 
 // Send transmits one typed value from the given node. A monitor veto
 // (ErrVetoed) aborts the send; other errors follow the port taxonomy.
 func (s *Sink[T]) Send(from middleware.Addr, v T) error {
-	switch s.kind {
-	case sinkOneway:
-		return s.sendOneway(from, v)
-	case sinkQueue:
+	if s.pattern == middleware.PatternPubSub {
 		m := s.encMsg(v)
 		if err := s.cfg.observeOut(s.b.kern, m.Fields); err != nil {
 			return err
 		}
-		return wrapErr(s.b.plat.QueuePut(from, s.name, m))
-	case sinkTopic:
-		m := s.encMsg(v)
-		if err := s.cfg.observeOut(s.b.kern, m.Fields); err != nil {
-			return err
-		}
-		return wrapErr(s.b.plat.Publish(from, s.name, m))
-	default:
-		return fmt.Errorf("svc: sink kind %d not wired", s.kind)
+		return wrapErr(s.b.plat.Publish(from, s.dest, m))
 	}
+	return s.sendRecord(from, v)
 }
 
-// sendOneway encodes the argument record into a pooled buffer and hands
-// it to the platform, which copies it onto the wire.
-func (s *Sink[T]) sendOneway(from middleware.Addr, v T) error {
+// sendRecord is the oneway and queue send path: the payload record is
+// encoded into a pooled buffer, observed when a monitor is attached,
+// and handed to the platform, which copies it onto the wire.
+func (s *Sink[T]) sendRecord(from middleware.Addr, v T) error {
 	buf := codec.GetBuffer()
 	defer buf.Release()
-	args, err := s.encArgs(buf.B[:0], v)
+	rec, err := s.enc(buf.B[:0], v)
 	if err != nil {
-		return fmt.Errorf("svc: oneway sink %s.%s: marshal: %w", s.target, s.op, err)
+		return fmt.Errorf("svc: %s sink %s.%s: marshal: %w", s.pattern, s.dest, s.name, err)
 	}
-	buf.B = args
+	buf.B = rec
 	if s.cfg.monitor != nil {
-		if err := s.cfg.observeOut(s.b.kern, paramsOf(args)); err != nil {
+		if err := s.cfg.observeOut(s.b.kern, paramsOf(rec)); err != nil {
 			return err
 		}
 	}
-	return wrapErr(s.b.plat.InvokeOneway(from, s.target, s.op, args))
+	if s.pattern == middleware.PatternQueue {
+		return wrapErr(s.b.plat.QueuePut(from, s.dest, s.name, rec))
+	}
+	return wrapErr(s.b.plat.InvokeOneway(from, middleware.ObjRef(s.dest), s.name, rec))
 }
 
 // Source is a typed receive endpoint: a queue consumption or topic
@@ -151,10 +124,20 @@ func (s *Source[T]) Received() uint64 { return s.received }
 // Dropped reports how many deliveries failed to decode.
 func (s *Source[T]) Dropped() uint64 { return s.dropped }
 
+// observe reports one delivered payload record to the source's monitor
+// — the cold path that materializes params.
+func (s *Source[T]) observe(payload codec.MsgView) {
+	params, _ := payload.Fields() //nolint:errcheck // views are validated on receipt
+	s.cfg.observeIn(s.b.kern, params)
+}
+
 // NewQueueSource subscribes node as a consumer of a declared queue,
-// delivering decoded values to fn in arrival order.
+// delivering decoded values to fn in arrival order. dec decodes the
+// message's field record from a view of the delivery buffer (the
+// HandleOp contract: valid only while dec runs); a delivery whose fields
+// are not a record counts as dropped.
 func NewQueueSource[T any](b *Binding, queue string, node middleware.Addr,
-	dec func(codec.Message) (T, error), fn func(T), opts ...PortOption) (*Source[T], error) {
+	dec func(codec.MsgView) (T, error), fn func(T), opts ...PortOption) (*Source[T], error) {
 	if err := b.supports(middleware.PatternQueue); err != nil {
 		return nil, err
 	}
@@ -166,15 +149,22 @@ func NewQueueSource[T any](b *Binding, queue string, node middleware.Addr,
 		return nil, err
 	}
 	src := &Source[T]{b: b, name: queue, node: node, cfg: cfg}
-	if err := b.plat.QueueSubscribe(queue, node, func(m codec.Message) {
-		v, derr := dec(m)
+	if err := b.plat.QueueSubscribe(queue, node, func(v codec.MsgView) {
+		fields, ok := v.View("fields")
+		if !ok {
+			src.dropped++
+			return
+		}
+		val, derr := dec(fields)
 		if derr != nil {
 			src.dropped++
 			return
 		}
 		src.received++
-		src.cfg.observeIn(b.kern, m.Fields)
-		fn(v)
+		if src.cfg.monitor != nil {
+			src.observe(fields)
+		}
+		fn(val)
 	}); err != nil {
 		return nil, wrapErr(err)
 	}
@@ -207,43 +197,10 @@ func NewTopicSource[T any](b *Binding, topic string, node middleware.Addr,
 		}
 		src.received++
 		if src.cfg.monitor != nil {
-			// Materialize the params only when a monitor is watching.
-			fields, _ := v.Record("fields")
-			src.cfg.observeIn(b.kern, fields)
+			fields, _ := v.View("fields")
+			src.observe(fields)
 		}
 		fn(val)
-	}); err != nil {
-		return nil, wrapErr(err)
-	}
-	return src, nil
-}
-
-// NewTopicSourceMessages subscribes node to a topic on the materializing
-// plane: deliveries arrive as retainable codec.Message values. Use
-// NewTopicSource (the view plane) unless the handler must keep the
-// message.
-func NewTopicSourceMessages[T any](b *Binding, topic string, node middleware.Addr,
-	dec func(codec.Message) (T, error), fn func(T), opts ...PortOption) (*Source[T], error) {
-	if err := b.supports(middleware.PatternPubSub); err != nil {
-		return nil, err
-	}
-	if dec == nil || fn == nil {
-		return nil, fmt.Errorf("svc: topic source %q: nil decoder or handler", topic)
-	}
-	cfg, err := b.applyOptions(topic, opts)
-	if err != nil {
-		return nil, err
-	}
-	src := &Source[T]{b: b, name: topic, node: node, cfg: cfg}
-	if err := b.plat.SubscribeTopic(topic, node, func(m codec.Message) {
-		v, derr := dec(m)
-		if derr != nil {
-			src.dropped++
-			return
-		}
-		src.received++
-		src.cfg.observeIn(b.kern, m.Fields)
-		fn(v)
 	}); err != nil {
 		return nil, wrapErr(err)
 	}

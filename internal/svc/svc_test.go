@@ -162,10 +162,10 @@ func TestPortConstructorsCheckPattern(t *testing.T) {
 	}
 	_, pr := stack(t, middleware.ProfileRMILike) // RPC only
 	br := bound(t, pr)
-	if _, err := svc.NewQueueSink(br, "q", func(pingReq) codec.Message { return codec.Message{} }); !errors.Is(err, svc.ErrUnsupportedPattern) {
+	if _, err := svc.NewQueueSink(br, "q", "m", encPing); !errors.Is(err, svc.ErrUnsupportedPattern) {
 		t.Fatalf("queue sink on RMI-like: %v, want ErrUnsupportedPattern", err)
 	}
-	if _, err := svc.NewQueueSource(br, "q", "n", func(codec.Message) (pingReq, error) { return pingReq{}, nil }, func(pingReq) {}); !errors.Is(err, svc.ErrUnsupportedPattern) {
+	if _, err := svc.NewQueueSource(br, "q", "n", decPingReq, func(pingReq) {}); !errors.Is(err, svc.ErrUnsupportedPattern) {
 		t.Fatalf("queue source on RMI-like: %v, want ErrUnsupportedPattern", err)
 	}
 	if _, err := svc.NewTopicSource(br, "t", "n", func(codec.MsgView) (pingReq, error) { return pingReq{}, nil }, func(pingReq) {}); !errors.Is(err, svc.ErrUnsupportedPattern) {
@@ -185,7 +185,7 @@ func TestUnknownServiceTarget(t *testing.T) {
 	}
 	// Queue sends to undeclared queues classify the same way.
 	bq := boundOn(t, middleware.ProfileJMSLike)
-	sink, err := svc.NewQueueSink(bq, "nope", func(r pingReq) codec.Message { return codec.NewMessage("m", nil) })
+	sink, err := svc.NewQueueSink(bq, "nope", "m", encPing)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -420,20 +420,22 @@ func TestTypedPubSubAndQueue(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Queue: typed producer and consumer.
+	// Queue: typed producer and consumer on the record contract.
 	if err := b.DeclareQueue("jobs"); err != nil {
 		t.Fatal(err)
 	}
 	var queueGot []uint64
 	if _, err := svc.NewQueueSource(b, "jobs", "worker",
-		func(m codec.Message) (note, error) {
-			seq, _ := m.Fields["seq"].(uint64)
+		func(v codec.MsgView) (note, error) {
+			seq, _ := v.Uint("seq")
 			return note{Seq: seq}, nil
 		},
 		func(n note) { queueGot = append(queueGot, n.Seq) }); err != nil {
 		t.Fatal(err)
 	}
-	jobs, err := svc.NewQueueSink(b, "jobs", encNote)
+	jobs, err := svc.NewQueueSink(b, "jobs", "note", svc.RecordEncoder(func(n note) codec.Record {
+		return codec.Record{"seq": n.Seq}
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
