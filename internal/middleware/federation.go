@@ -6,8 +6,8 @@ import (
 	"repro/internal/codec"
 )
 
-// ErrFederation reports federation misconfiguration (non-indexed
-// transport, subscribing at a broker address, …).
+// ErrFederation reports federation misconfiguration (subscribing at a
+// broker address).
 var ErrFederation = fmt.Errorf("middleware: federation")
 
 // Option configures a Platform at construction time.
@@ -25,7 +25,8 @@ type Option func(*Platform)
 // Subscribers are assigned to leaves by transport endpoint id:
 // leaf = low % len(leaves). Over protocol.UnreliableDatagram endpoint
 // ids equal network slots, so a subscriber's leaf is its slot residue
-// modulo the leaf count.
+// modulo the leaf count; over a name-only transport they are the
+// protocol.AsIndexed ids, assigned in attach order.
 //
 // Per-client subscription state is O(1): one int32 in the leaf's shard
 // row, one bit in the topic's membership set, and one demux sink at
@@ -35,9 +36,8 @@ type Option func(*Platform)
 // then demuxes to every matching sink at the node, so EventDeliver
 // counts subscriber nodes, not subscriptions, on the federated path.
 //
-// Federation requires a transport implementing protocol.IndexedLower
-// and applies to the pub/sub pattern only; queues stay on the root
-// broker. Leaf and root addresses must not themselves Subscribe.
+// Federation applies to the pub/sub pattern only; queues stay on the
+// root broker. Leaf and root addresses must not themselves Subscribe.
 func WithFederation(leaves ...Addr) Option {
 	return func(p *Platform) {
 		if len(leaves) == 0 {
@@ -105,7 +105,7 @@ func (p *Platform) leafIndexOfLocked(nodeID int32) int {
 }
 
 // AttachRuntime eagerly attaches the platform runtime at node and
-// returns its transport endpoint id (-1 on non-indexed transports).
+// returns its transport endpoint id.
 // Attachment normally happens lazily on first use; XL deployments call
 // this to pin attach order — and therefore transport endpoint ids and
 // leaf assignment — before traffic starts.
@@ -123,9 +123,6 @@ func (p *Platform) AttachRuntime(node Addr) (int32, error) {
 // node is enrolled in its leaf's dense shard row (O(1) state) and the
 // sink joins the node's demux table.
 func (p *Platform) fedSubscribe(topic string, node Addr, sink eventSink) error {
-	if p.itransport == nil {
-		return fmt.Errorf("%w: transport has no indexed plane", ErrFederation)
-	}
 	if node == p.broker {
 		return fmt.Errorf("%w: %q is the root broker; it cannot subscribe", ErrFederation, node)
 	}
@@ -142,17 +139,12 @@ func (p *Platform) fedSubscribe(topic string, node Addr, sink eventSink) error {
 		return err
 	}
 	p.mu.Lock()
-	low := p.nodeLows[nodeID]
-	if low < 0 {
-		p.mu.Unlock()
-		return fmt.Errorf("%w: node %q has no transport endpoint id", ErrFederation, node)
-	}
 	ft := p.fed.topics[topic]
 	if ft == nil {
 		ft = &fedTopic{shards: make([][]int32, len(p.fed.leaves))}
 		p.fed.topics[topic] = ft
 	}
-	li := ft.enroll(low, len(p.fed.leaves))
+	li := ft.enroll(p.nodeLows[nodeID], len(p.fed.leaves))
 	leaf := p.fed.leaves[li]
 	p.eventSinks[nodeID] = append(p.eventSinks[nodeID], sink)
 	p.mu.Unlock()
@@ -176,10 +168,7 @@ func (p *Platform) fedPublish(v *codec.MsgView) {
 		p.mu.Unlock()
 		return
 	}
-	var fromLow int32 = -1
-	if p.brokerID >= 0 {
-		fromLow = p.nodeLows[p.brokerID]
-	}
+	fromLow := p.brokerLowLocked()
 	p.mu.Unlock()
 	rawName, ok := v.Raw("name")
 	if !ok {
@@ -206,20 +195,16 @@ func (p *Platform) fedPublish(v *codec.MsgView) {
 	for li := range p.fed.leaves {
 		p.mu.Lock()
 		empty := len(ft.shards[li]) == 0
-		var leafAddr Addr
 		var leafLow int32 = -1
-		if !empty {
-			leafAddr = p.fed.leaves[li]
-			if id := p.fed.leafIDs[li]; id >= 0 {
-				leafLow = p.nodeLows[id]
-			}
+		if id := p.fed.leafIDs[li]; !empty && id >= 0 {
+			leafLow = p.nodeLows[id]
 		}
 		p.mu.Unlock()
 		if empty {
 			continue
 		}
 		//nolint:errcheck // event delivery failure = event loss, acceptable for pub/sub sim
-		_ = p.sendData(p.broker, fromLow, leafAddr, leafLow, data)
+		_ = p.sendData(fromLow, leafLow, data)
 	}
 	buf.B = data
 	buf.Release()
@@ -251,5 +236,5 @@ func (p *Platform) fedForward(li int32, v *codec.MsgView, data []byte) {
 	leafLow := p.nodeLows[p.fed.leafIDs[li]]
 	p.mu.Unlock()
 	//nolint:errcheck // event delivery failure = event loss, acceptable for pub/sub sim
-	_ = p.itransport.SendMultiIndexed(leafLow, row, data)
+	_ = p.transport.SendMultiIndexed(leafLow, row, data)
 }

@@ -85,8 +85,9 @@ func fuzzService(t *testing.T) *svc.Service {
 }
 
 // fuzzQueuePlatform is an MQ-like platform with one declared queue
-// ("jobs") consumed at node-w through a typed queue source, so hostile
-// bytes reach the broker's enqueue path and the consumer's decoder.
+// ("jobs") consumed at node-w through a typed queue source, and a bare
+// runtime at node-p to send from, so hostile bytes reach the broker's
+// enqueue path and the consumer's decoder.
 func fuzzQueuePlatform(t *testing.T) (*sim.Kernel, *middleware.Platform) {
 	t.Helper()
 	k := sim.NewKernel(sim.WithSeed(1))
@@ -101,12 +102,16 @@ func fuzzQueuePlatform(t *testing.T) (*sim.Kernel, *middleware.Platform) {
 	if _, err := svc.NewQueueSource(b, "jobs", "node-w", decFuzzArgs, func(fuzzArgs) {}); err != nil {
 		t.Fatal(err)
 	}
+	if err := p.AttachNode("node-p"); err != nil {
+		t.Fatal(err)
+	}
 	return k, p
 }
 
 // fuzzTopicPlatform is a JMS-like platform with one typed subscriber of
-// topic "news" at node-w, so hostile bytes reach the broker's publish
-// re-framing and the subscriber's decoder.
+// topic "news" at node-w, and a bare runtime at node-p to send from, so
+// hostile bytes reach the broker's publish re-framing and the
+// subscriber's decoder.
 func fuzzTopicPlatform(t *testing.T) (*sim.Kernel, *middleware.Platform) {
 	t.Helper()
 	k := sim.NewKernel(sim.WithSeed(1))
@@ -123,6 +128,9 @@ func fuzzTopicPlatform(t *testing.T) (*sim.Kernel, *middleware.Platform) {
 		return decFuzzArgs(fields)
 	}
 	if _, err := svc.NewTopicSource(b, "news", "node-w", dec, func(fuzzArgs) {}); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.AttachNode("node-p"); err != nil {
 		t.Fatal(err)
 	}
 	return k, p

@@ -14,11 +14,13 @@
 // 'transforms' the interactions into (implicit) protocols."
 //
 // Every platform node gets a dense small-int id when its runtime
-// attaches; subscriber and consumer tables are compact index sets
-// resolved once at subscribe time, and when the transport supports the
-// dense plane (protocol.IndexedLower) the whole steady-state wire path —
-// receive demux, broker fan-out, reply routing — runs on slot-indexed
-// tables with no map lookups and no allocations.
+// attaches, and a transport endpoint id from the transport's dense plane
+// (protocol.IndexedLower; New wraps any other transport with
+// protocol.AsIndexed). Subscriber and consumer tables are compact index
+// sets resolved once at subscribe time, and the whole steady-state wire
+// path — receive demux, broker fan-out, reply routing — carries endpoint
+// ids only and runs on slot-indexed tables with no map lookups and no
+// allocations.
 //
 // # SPI, not API
 //
@@ -275,22 +277,22 @@ func (p *Platform) putCallLocked(c *pendingCall) {
 }
 
 // replyCell is the pooled reply continuation of one dispatched call: it
-// remembers where the reply travels (call id, caller endpoint, serving
-// node) and carries a Reply built once per cell, so a dispatch hands the
-// object its continuation without allocating. handleCall recycles the
-// cell only when the object replied before Dispatch returned; a reply
-// that escaped the dispatch keeps its cell out of the pool for good
-// (one cell per asynchronous reply, as the per-call closure cost), so a
-// stale duplicate call can only ever hit a disarmed cell.
+// remembers where the reply travels (call id, caller's transport id,
+// serving node) and carries a Reply built once per cell, so a dispatch
+// hands the object its continuation without allocating. handleCall
+// recycles the cell only when the object replied before Dispatch
+// returned; a reply that escaped the dispatch keeps its cell out of the
+// pool for good (one cell per asynchronous reply, as the per-call
+// closure cost), so a stale duplicate call can only ever hit a disarmed
+// cell.
 type replyCell struct {
-	p       *Platform
-	id      uint64
-	srcAddr Addr
-	srcLow  int32
-	atID    int32
-	armed   bool
-	fn      Reply // = c.respond, built once
-	next    *replyCell
+	p     *Platform
+	id    uint64
+	src   int32 // caller's transport endpoint id
+	atID  int32
+	armed bool
+	fn    Reply // = c.respond, built once
+	next  *replyCell
 }
 
 // queueConsumer is one queue subscription, resolved to a dense node id
@@ -314,16 +316,6 @@ type queuedMsg struct {
 	name, fields []byte
 }
 
-// topicState holds one topic's subscriber table: the per-subscription
-// fan-out targets are resolved to node addresses and transport ids once
-// at subscribe time, so Publish fans the encoded event out over dense
-// slices with no per-message table walks.
-type topicState struct {
-	nodes  []Addr  // one entry per subscription, in subscription order
-	lows   []int32 // transport endpoint ids parallel to nodes
-	allLow bool    // every entry of lows is resolved (dense fan-out usable)
-}
-
 // eventSink is one node-local topic subscription (the demux side of the
 // pub/sub pattern).
 type eventSink struct {
@@ -342,20 +334,18 @@ type queueSink struct {
 // buffer and handled after the virtual delay. The closure is built once
 // per pooled object, so deferral allocates nothing in steady state.
 type deferredWire struct {
-	p       *Platform
-	srcAddr Addr
-	srcLow  int32
-	atID    int32
-	buf     *codec.Buffer
-	fn      func()
-	next    *deferredWire
+	p    *Platform
+	src  int32 // sender's transport endpoint id
+	atID int32
+	buf  *codec.Buffer
+	fn   func()
+	next *deferredWire
 }
 
 func (d *deferredWire) run() {
-	d.p.handleWire(d.srcAddr, d.srcLow, d.atID, d.buf.B)
+	d.p.handleWire(d.src, d.atID, d.buf.B)
 	buf := d.buf
 	d.buf = nil
-	d.srcAddr = ""
 	buf.Release()
 	d.p.mu.Lock()
 	d.next = d.p.freeDeferred
@@ -367,11 +357,10 @@ func (d *deferredWire) run() {
 // network. Create one with New, register component objects with Register,
 // and interact through the pattern methods.
 type Platform struct {
-	kern       *sim.Kernel
-	transport  protocol.LowerService
-	itransport protocol.IndexedLower // non-nil when transport has the dense plane
-	profile    Profile
-	broker     Addr
+	kern      *sim.Kernel
+	transport protocol.IndexedLower
+	profile   Profile
+	broker    Addr
 
 	mu        sync.Mutex
 	objects   map[ObjRef]registration
@@ -389,7 +378,7 @@ type Platform struct {
 	freeCalls *pendingCall
 	freeReply *replyCell
 	queues    map[string]*queueState
-	topics    map[string]*topicState
+	topics    map[string][]int32 // topic → one transport id per subscription, in subscription order
 
 	freeDeferred *deferredWire
 	stats        Stats
@@ -399,24 +388,22 @@ type Platform struct {
 	fed *federation
 }
 
-// New creates a platform over transport. The broker address hosts the
-// platform's queue/topic broker; it is attached lazily on first use.
-// Options (WithFederation, …) configure the platform before any
-// runtime attaches.
+// New creates a platform over transport (see protocol.AsIndexed). The
+// broker address hosts the platform's queue/topic broker; it is attached
+// lazily on first use. Options (WithFederation, …) configure the
+// platform before any runtime attaches.
 func New(kern *sim.Kernel, transport protocol.LowerService, profile Profile, broker Addr, opts ...Option) *Platform {
-	it, _ := transport.(protocol.IndexedLower)
 	p := &Platform{
-		kern:       kern,
-		transport:  transport,
-		itransport: it,
-		profile:    profile,
-		broker:     broker,
-		brokerID:   -1,
-		objects:    make(map[ObjRef]registration),
-		nodes:      make(map[Addr]int32),
-		pending:    make(map[uint64]*pendingCall),
-		queues:     make(map[string]*queueState),
-		topics:     make(map[string]*topicState),
+		kern:      kern,
+		transport: protocol.AsIndexed(transport),
+		profile:   profile,
+		broker:    broker,
+		brokerID:  -1,
+		objects:   make(map[ObjRef]registration),
+		nodes:     make(map[Addr]int32),
+		pending:   make(map[uint64]*pendingCall),
+		queues:    make(map[string]*queueState),
+		topics:    make(map[string][]int32),
 	}
 	for _, opt := range opts {
 		opt(p)
@@ -463,23 +450,15 @@ func (p *Platform) ensureRuntime(node Addr) (int32, error) {
 		}
 	}
 	p.mu.Unlock()
-	if p.itransport != nil {
-		low, err := p.itransport.AttachIndexed(node, func(srcLow int32, data []byte) {
-			p.onWire("", srcLow, id, data)
-		})
-		if err != nil {
-			return id, fmt.Errorf("middleware: attach runtime at %q: %w", node, err)
-		}
-		p.mu.Lock()
-		p.nodeLows[id] = low
-		p.mu.Unlock()
-		return id, nil
-	}
-	if err := p.transport.Attach(node, func(src Addr, data []byte) {
-		p.onWire(src, -1, id, data)
-	}); err != nil {
+	low, err := p.transport.AttachIndexed(node, func(src int32, data []byte) {
+		p.onWire(src, id, data)
+	})
+	if err != nil {
 		return id, fmt.Errorf("middleware: attach runtime at %q: %w", node, err)
 	}
+	p.mu.Lock()
+	p.nodeLows[id] = low
+	p.mu.Unlock()
 	return id, nil
 }
 
@@ -513,26 +492,24 @@ func (p *Platform) Resolve(ref ObjRef) (Addr, bool) {
 	return p.nodeAddrs[reg.nodeID], true
 }
 
-// sendData transmits one already-encoded wire message, counting it. The
-// transport copies synchronously (LowerService.Send contract), so data
-// may live in a pooled scratch buffer the caller recycles on return.
-// When both endpoint ids are resolved and the transport is indexed, the
-// send rides the dense plane.
+// sendData transmits one already-encoded wire message between two
+// transport endpoint ids, counting it. The transport copies synchronously
+// (LowerService.Send contract), so data may live in a pooled scratch
+// buffer the caller recycles on return. A negative destination id (a
+// node whose runtime is not attached) fails the send with
+// protocol.ErrUnknownEntity.
 //
 //repolint:hotpath
-func (p *Platform) sendData(from Addr, fromLow int32, to Addr, toLow int32, data []byte) error {
+func (p *Platform) sendData(from, to int32, data []byte) error {
 	p.mu.Lock()
 	p.stats.WireMessages++
 	p.stats.WireBytes += uint64(len(data))
 	p.mu.Unlock()
-	var err error
-	if p.itransport != nil && fromLow >= 0 && toLow >= 0 {
-		err = p.itransport.SendIndexed(fromLow, toLow, data)
-	} else {
-		err = p.transport.Send(from, to, data)
+	if to < 0 {
+		return fmt.Errorf("middleware: wire send from %s: %w", p.transport.EndpointAddr(from), protocol.ErrUnknownEntity) //repolint:allow alloc -- cold: destination not attached
 	}
-	if err != nil {
-		return fmt.Errorf("middleware: wire send %s→%s: %w", from, to, err) //repolint:allow alloc -- cold: transport refused the send
+	if err := p.transport.SendIndexed(from, to, data); err != nil {
+		return fmt.Errorf("middleware: wire send %s→%s: %w", p.transport.EndpointAddr(from), p.transport.EndpointAddr(to), err) //repolint:allow alloc -- cold: transport refused the send
 	}
 	return nil
 }
@@ -540,14 +517,12 @@ func (p *Platform) sendData(from Addr, fromLow int32, to Addr, toLow int32, data
 // sendMultiData transmits one encoded message to every destination in
 // order — the fan-out path behind pub/sub event delivery: the message is
 // marshalled once by the caller and the single buffer serves every
-// subscriber. On an indexed transport with every destination resolved,
-// the fan-out rides the dense batch path (all deliveries scheduled under
-// a single kernel lock); otherwise it degrades to the name-addressed
-// MultiSender or a Send loop with identical semantics. Wire counters
-// advance exactly as if sendData were called once per destination.
+// subscriber over the transport's batch path (all deliveries scheduled
+// under a single kernel lock). Wire counters advance exactly as if
+// sendData were called once per destination.
 //
 //repolint:hotpath
-func (p *Platform) sendMultiData(from Addr, fromLow int32, tos []Addr, toLows []int32, allLow bool, data []byte) error {
+func (p *Platform) sendMultiData(from int32, tos []int32, data []byte) error {
 	if len(tos) == 0 {
 		return nil
 	}
@@ -555,41 +530,17 @@ func (p *Platform) sendMultiData(from Addr, fromLow int32, tos []Addr, toLows []
 	p.stats.WireMessages += uint64(len(tos))
 	p.stats.WireBytes += uint64(len(tos)) * uint64(len(data))
 	p.mu.Unlock()
-	if p.itransport != nil && fromLow >= 0 && allLow {
-		if err := p.itransport.SendMultiIndexed(fromLow, toLows, data); err != nil {
-			return fmt.Errorf("middleware: wire fan-out from %s: %w", from, err) //repolint:allow alloc -- cold: transport refused the fan-out
-		}
-		return nil
+	if err := p.transport.SendMultiIndexed(from, tos, data); err != nil {
+		return fmt.Errorf("middleware: wire fan-out from %s: %w", p.transport.EndpointAddr(from), err) //repolint:allow alloc -- cold: transport refused the fan-out
 	}
-	if ms, ok := p.transport.(protocol.MultiSender); ok {
-		if err := ms.SendMulti(from, tos, data); err != nil {
-			return fmt.Errorf("middleware: wire fan-out from %s: %w", from, err) //repolint:allow alloc -- cold: transport refused the fan-out
-		}
-		return nil
-	}
-	var firstErr error
-	for _, to := range tos {
-		if err := p.transport.Send(from, to, data); err != nil && firstErr == nil {
-			firstErr = fmt.Errorf("middleware: wire send %s→%s: %w", from, to, err) //repolint:allow alloc -- cold: transport refused the send
-		}
-	}
-	return firstErr
+	return nil
 }
 
-// nodeRefLocked returns the address and transport id of a platform node.
-// Caller holds p.mu.
-func (p *Platform) nodeRefLocked(id int32) (Addr, int32) {
-	return p.nodeAddrs[id], p.nodeLows[id]
-}
-
-// brokerRef returns the broker's address and transport id (-1 when the
-// broker runtime is not attached yet — the name-addressed fallback then
-// reports the same unknown-node error the legacy path did).
-func (p *Platform) brokerRef() (Addr, int32) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
+// brokerLowLocked returns the broker's transport id (-1 while its
+// runtime is not attached). Caller holds p.mu.
+func (p *Platform) brokerLowLocked() int32 {
 	if p.brokerID < 0 {
-		return p.broker, -1
+		return -1
 	}
-	return p.broker, p.nodeLows[p.brokerID]
+	return p.nodeLows[p.brokerID]
 }

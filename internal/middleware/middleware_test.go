@@ -384,6 +384,9 @@ func TestEnqueueCorruptFields(t *testing.T) {
 	if err := p.QueueSubscribe("q", "w", func(v codec.MsgView) { got = append(got, msgName(v)) }); err != nil {
 		t.Fatal(err)
 	}
+	if err := p.AttachNode("prod"); err != nil {
+		t.Fatal(err)
+	}
 	enqueue := func(fields codec.Record) []byte {
 		data, err := codec.EncodeMessage(codec.NewMessage("mw.enqueue", fields))
 		if err != nil {

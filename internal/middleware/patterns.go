@@ -23,15 +23,15 @@ var (
 	schemaEvent    = codec.CompileSchema("mw.event", "fields", "name", "topic")
 )
 
-// finishSend completes an encode into buf and transmits it from→to,
-// recycling the buffer either way.
-func (p *Platform) finishSend(buf *codec.Buffer, e *codec.Encoder, from Addr, fromLow int32, to Addr, toLow int32) error {
+// finishSend completes an encode into buf and transmits it between two
+// transport endpoint ids, recycling the buffer either way.
+func (p *Platform) finishSend(buf *codec.Buffer, e *codec.Encoder, from, to int32) error {
 	data, err := e.Finish()
 	if err != nil {
 		buf.Release()
 		return fmt.Errorf("middleware: marshal: %w", err)
 	}
-	sendErr := p.sendData(from, fromLow, to, toLow, data)
+	sendErr := p.sendData(from, to, data)
 	buf.B = data
 	buf.Release()
 	return sendErr
@@ -85,8 +85,7 @@ func (p *Platform) Invoke(from Addr, target ObjRef, op string, args []byte, cont
 	}
 	p.pending[id] = pc
 	p.stats.Calls++
-	fromLow := p.nodeLows[fromID]
-	to, toLow := p.nodeRefLocked(reg.nodeID)
+	fromLow, toLow := p.nodeLows[fromID], p.nodeLows[reg.nodeID]
 	p.mu.Unlock()
 
 	if args == nil {
@@ -98,7 +97,7 @@ func (p *Platform) Invoke(from Addr, target ObjRef, op string, args []byte, cont
 	e.Uint("id", id)
 	e.Str("op", op)
 	e.Str("target", string(target))
-	if err := p.finishSend(buf, &e, from, fromLow, to, toLow); err != nil {
+	if err := p.finishSend(buf, &e, fromLow, toLow); err != nil {
 		p.mu.Lock()
 		if pc, ok := p.pending[id]; ok {
 			pc.timer.Cancel() // zero ref is an inert no-op
@@ -171,8 +170,7 @@ func (p *Platform) InvokeOneway(from Addr, target ObjRef, op string, args []byte
 		return fmt.Errorf("%w: %q", ErrUnknownObject, target)
 	}
 	p.stats.Oneways++
-	fromLow := p.nodeLows[fromID]
-	to, toLow := p.nodeRefLocked(reg.nodeID)
+	fromLow, toLow := p.nodeLows[fromID], p.nodeLows[reg.nodeID]
 	p.mu.Unlock()
 	if args == nil {
 		args = codec.RawEmptyRecord
@@ -182,7 +180,7 @@ func (p *Platform) InvokeOneway(from Addr, target ObjRef, op string, args []byte
 	e.Raw("args", args)
 	e.Str("op", op)
 	e.Str("target", string(target))
-	return p.finishSend(buf, &e, from, fromLow, to, toLow)
+	return p.finishSend(buf, &e, fromLow, toLow)
 }
 
 // QueueDeclare creates a named queue at the platform broker.
@@ -222,9 +220,8 @@ func (p *Platform) QueuePut(from Addr, queue, name string, fields []byte) error 
 		return fmt.Errorf("%w: %q", ErrUnknownQueue, queue)
 	}
 	p.stats.QueuePuts++
-	fromLow := p.nodeLows[fromID]
+	fromLow, toLow := p.nodeLows[fromID], p.brokerLowLocked()
 	p.mu.Unlock()
-	to, toLow := p.brokerRef()
 	if fields == nil {
 		fields = codec.RawEmptyRecord
 	}
@@ -233,7 +230,7 @@ func (p *Platform) QueuePut(from Addr, queue, name string, fields []byte) error 
 	e.Raw("fields", fields)
 	e.Str("name", name)
 	e.Str("queue", queue)
-	return p.finishSend(buf, &e, from, fromLow, to, toLow)
+	return p.finishSend(buf, &e, fromLow, toLow)
 }
 
 // QueueSubscribe adds a consumer for a queue. Each message goes to exactly
@@ -298,11 +295,7 @@ func (p *Platform) deliverQueued(queue string, name, fields []byte) {
 	c := q.consumers[q.nextRR%len(q.consumers)]
 	q.nextRR++
 	p.stats.QueueDeliver++
-	to, toLow := p.nodeRefLocked(c.nodeID)
-	var fromLow int32 = -1
-	if p.brokerID >= 0 {
-		fromLow = p.nodeLows[p.brokerID]
-	}
+	fromLow, toLow := p.brokerLowLocked(), p.nodeLows[c.nodeID]
 	p.mu.Unlock()
 	buf := codec.GetBuffer()
 	e := schemaDeliver.Encoder(buf.B[:0])
@@ -310,7 +303,7 @@ func (p *Platform) deliverQueued(queue string, name, fields []byte) {
 	e.Str("name", string(name))
 	e.Str("queue", queue)
 	//nolint:errcheck // broker delivery failure = message loss, acceptable for MOM sim
-	_ = p.finishSend(buf, &e, p.broker, fromLow, to, toLow)
+	_ = p.finishSend(buf, &e, fromLow, toLow)
 }
 
 // Publish sends a message to every subscriber of a topic (event
@@ -325,15 +318,14 @@ func (p *Platform) Publish(from Addr, topic string, m codec.Message) error {
 	}
 	p.mu.Lock()
 	p.stats.Publishes++
-	fromLow := p.nodeLows[fromID]
+	fromLow, toLow := p.nodeLows[fromID], p.brokerLowLocked()
 	p.mu.Unlock()
-	to, toLow := p.brokerRef()
 	buf := codec.GetBuffer()
 	e := schemaPublish.Encoder(buf.B[:0])
 	e.Value("fields", m.Fields)
 	e.Str("name", m.Name)
 	e.Str("topic", topic)
-	return p.finishSend(buf, &e, from, fromLow, to, toLow)
+	return p.finishSend(buf, &e, fromLow, toLow)
 }
 
 // SubscribeTopicView registers a zero-copy event sink: the sink receives
@@ -368,29 +360,18 @@ func (p *Platform) subscribeTopic(topic string, node Addr, sink eventSink) error
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	t := p.topics[topic]
-	if t == nil {
-		t = &topicState{allLow: true}
-		p.topics[topic] = t
-	}
-	low := p.nodeLows[nodeID]
-	t.nodes = append(t.nodes, node)
-	t.lows = append(t.lows, low)
-	if low < 0 {
-		t.allLow = false
-	}
+	p.topics[topic] = append(p.topics[topic], p.nodeLows[nodeID])
 	p.eventSinks[nodeID] = append(p.eventSinks[nodeID], sink)
 	return nil
 }
 
 // onWire is the platform runtime's receive path at a node, keyed by the
-// node's dense id (srcLow is the transport id of the sender on indexed
-// transports, -1 otherwise — exactly one of srcAddr/srcLow is valid).
+// node's dense id (src is the sender's transport endpoint id).
 // The wire bytes alias the transport's pooled delivery buffer, so when
 // dispatch overhead defers the work, the bytes are copied into a pooled
 // buffer carried by a pooled deferred-dispatch record that lives exactly
 // until the deferred handler finishes.
-func (p *Platform) onWire(srcAddr Addr, srcLow, atID int32, data []byte) {
+func (p *Platform) onWire(src, atID int32, data []byte) {
 	overhead := p.profile.DispatchOverhead
 	if overhead > 0 {
 		p.mu.Lock()
@@ -403,20 +384,20 @@ func (p *Platform) onWire(srcAddr Addr, srcLow, atID int32, data []byte) {
 			d.fn = d.run
 		}
 		p.mu.Unlock()
-		d.srcAddr, d.srcLow, d.atID = srcAddr, srcLow, atID
+		d.src, d.atID = src, atID
 		buf := codec.GetBuffer()
 		buf.B = append(buf.B[:0], data...)
 		d.buf = buf
 		p.kern.ScheduleFunc(overhead, d.fn)
 		return
 	}
-	p.handleWire(srcAddr, srcLow, atID, data)
+	p.handleWire(src, atID, data)
 }
 
 // handleWire demarshals the implicit protocol through a zero-copy view
 // and dispatches per message type. Corrupt wire messages are dropped and
 // counted (Stats.Corrupt).
-func (p *Platform) handleWire(srcAddr Addr, srcLow, atID int32, data []byte) {
+func (p *Platform) handleWire(src, atID int32, data []byte) {
 	v, err := codec.ParseMessage(data)
 	if err != nil {
 		p.countCorrupt()
@@ -424,7 +405,7 @@ func (p *Platform) handleWire(srcAddr Addr, srcLow, atID int32, data []byte) {
 	}
 	switch string(v.Name()) {
 	case "mw.call":
-		p.handleCall(srcAddr, srcLow, atID, &v)
+		p.handleCall(src, atID, &v)
 	case "mw.reply":
 		p.handleReply(&v)
 	case "mw.oneway":
@@ -508,7 +489,6 @@ func (p *Platform) getReplyCell() *replyCell {
 //
 //repolint:hotpath
 func (p *Platform) putReplyCell(c *replyCell) {
-	c.srcAddr = ""
 	p.mu.Lock()
 	c.next = p.freeReply
 	p.freeReply = c
@@ -520,7 +500,7 @@ func (p *Platform) putReplyCell(c *replyCell) {
 // returned (the common, synchronous case).
 //
 //repolint:hotpath
-func (p *Platform) handleCall(srcAddr Addr, srcLow, atID int32, v *codec.MsgView) {
+func (p *Platform) handleCall(src, atID int32, v *codec.MsgView) {
 	id, _ := v.Uint("id")
 	args, ok := p.recordField(v, "args")
 	if !ok {
@@ -529,14 +509,14 @@ func (p *Platform) handleCall(srcAddr Addr, srcLow, atID int32, v *codec.MsgView
 	obj, ok := p.lookupLocal(atID, v)
 	if !ok {
 		p.mu.Lock()
-		at, atLow := p.nodeRefLocked(atID)
+		at := p.nodeLows[atID]
 		p.mu.Unlock()
-		p.sendReply(id, at, atLow, srcAddr, srcLow, nil, errUnknownAtNode)
+		p.sendReply(id, at, src, nil, errUnknownAtNode)
 		return
 	}
 	op, _ := v.Str("op")
 	c := p.getReplyCell()
-	c.id, c.srcAddr, c.srcLow, c.atID, c.armed = id, srcAddr, srcLow, atID, true
+	c.id, c.src, c.atID, c.armed = id, src, atID, true
 	obj.Dispatch(op, args, c.fn)
 	if !c.armed {
 		p.putReplyCell(c)
@@ -559,23 +539,23 @@ func (c *replyCell) respond(result []byte, err error) {
 	p := c.p
 	p.mu.Lock()
 	p.stats.Replies++
-	at, atLow := p.nodeRefLocked(c.atID)
+	at := p.nodeLows[c.atID]
 	p.mu.Unlock()
-	p.sendReply(c.id, at, atLow, c.srcAddr, c.srcLow, result, err)
+	p.sendReply(c.id, at, c.src, result, err)
 }
 
 // sendReply encodes the mw.reply of call id — the error text, or the
 // result record spliced in verbatim (nil = empty record) — and sends it
-// from the serving node (at) back to the caller (srcAddr/srcLow).
+// from the serving node's transport id (at) back to the caller's (to).
 //
 //repolint:hotpath
-func (p *Platform) sendReply(id uint64, at Addr, atLow int32, srcAddr Addr, srcLow int32, result []byte, err error) {
+func (p *Platform) sendReply(id uint64, at, to int32, result []byte, err error) {
 	buf := codec.GetBuffer()
 	if err != nil {
 		e := schemaReplyErr.Encoder(buf.B[:0])
 		e.Str("error", err.Error())
 		e.Uint("id", id)
-		_ = p.finishSend(buf, &e, at, atLow, srcAddr, srcLow) //nolint:errcheck // reply loss = caller timeout
+		_ = p.finishSend(buf, &e, at, to) //nolint:errcheck // reply loss = caller timeout
 		return
 	}
 	if result == nil {
@@ -584,7 +564,7 @@ func (p *Platform) sendReply(id uint64, at Addr, atLow int32, srcAddr Addr, srcL
 	e := schemaReplyOK.Encoder(buf.B[:0])
 	e.Uint("id", id)
 	e.Raw("result", result)
-	_ = p.finishSend(buf, &e, at, atLow, srcAddr, srcLow) //nolint:errcheck // reply loss = caller timeout
+	_ = p.finishSend(buf, &e, at, to) //nolint:errcheck // reply loss = caller timeout
 }
 
 // handleReply resolves the pending call a mw.reply answers. The result
@@ -683,22 +663,11 @@ func (p *Platform) handlePublish(v *codec.MsgView) {
 	}
 	topic, _ := v.Str("topic")
 	p.mu.Lock()
-	t := p.topics[string(topic)]
-	var (
-		nodes  []Addr
-		lows   []int32
-		allLow bool
-	)
-	if t != nil && len(t.nodes) > 0 {
-		nodes, lows, allLow = t.nodes, t.lows, t.allLow
-		p.stats.EventDeliver += uint64(len(nodes))
-	}
-	var fromLow int32 = -1
-	if p.brokerID >= 0 {
-		fromLow = p.nodeLows[p.brokerID]
-	}
+	lows := p.topics[string(topic)]
+	p.stats.EventDeliver += uint64(len(lows))
+	fromLow := p.brokerLowLocked()
 	p.mu.Unlock()
-	if len(nodes) == 0 {
+	if len(lows) == 0 {
 		return
 	}
 	rawName, ok := v.Raw("name")
@@ -724,7 +693,7 @@ func (p *Platform) handlePublish(v *codec.MsgView) {
 		return
 	}
 	//nolint:errcheck // event delivery failure = event loss, acceptable for pub/sub sim
-	_ = p.sendMultiData(p.broker, fromLow, nodes, lows, allLow, data)
+	_ = p.sendMultiData(fromLow, lows, data)
 	buf.B = data
 	buf.Release()
 }

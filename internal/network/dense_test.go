@@ -1,7 +1,9 @@
 package network
 
 import (
+	"errors"
 	"fmt"
+	"reflect"
 	"testing"
 	"time"
 
@@ -190,6 +192,68 @@ func TestSlotPlaneMatchesNamePlane(t *testing.T) {
 		if gotName[i] != gotSlot[i] {
 			t.Fatalf("delivery %d diverges: %q vs %q", i, gotName[i], gotSlot[i])
 		}
+	}
+}
+
+// TestSendMultiSlotMatchesSendLoop drives two identical lossy/jittery
+// networks from the same seed, one fanning each payload out with
+// SendMultiSlot and one with a name-addressed Send loop in destination
+// order, and requires identical delivery traces and counters. A bad
+// slot in the fan-out is skipped and reported after the rest are sent.
+func TestSendMultiSlotMatchesSendLoop(t *testing.T) {
+	names := []NodeID{"b", "c", "d", "b"}
+	run := func(batch bool) ([]string, Stats) {
+		kernel := sim.NewKernel(sim.WithSeed(78))
+		n := New(kernel, WithDefaultLink(LinkConfig{
+			Latency:       time.Millisecond,
+			Jitter:        3 * time.Millisecond,
+			LossRate:      0.3,
+			DuplicateRate: 0.2,
+		}))
+		var got []string
+		for _, id := range []NodeID{"a", "b", "c", "d"} {
+			id := id
+			if err := n.AddNode(id, func(src NodeID, p []byte) {
+				got = append(got, fmt.Sprintf("%v %s→%s %d", kernel.Now(), src, id, p[0]))
+			}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		a, _ := n.SlotOf("a")
+		slots := make([]Slot, 0, len(names)+1)
+		for _, id := range names {
+			s, _ := n.SlotOf(id)
+			slots = append(slots, s)
+		}
+		for i := 0; i < 30; i++ {
+			payload := []byte{byte(i)}
+			if batch {
+				if err := n.SendMultiSlot(a, append(slots, 99), payload); !errors.Is(err, ErrBadSlot) {
+					t.Fatalf("fan-out with a bad slot: err = %v, want ErrBadSlot", err)
+				}
+				continue
+			}
+			for _, id := range names {
+				if err := n.Send("a", id, payload); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		if _, err := kernel.Run(); err != nil {
+			t.Fatal(err)
+		}
+		return got, n.Stats()
+	}
+	gotLoop, statsLoop := run(false)
+	gotBatch, statsBatch := run(true)
+	if statsLoop != statsBatch {
+		t.Fatalf("stats diverge: loop=%+v batch=%+v", statsLoop, statsBatch)
+	}
+	if !reflect.DeepEqual(gotLoop, gotBatch) {
+		t.Fatalf("delivery traces diverge:\n loop  %q\n batch %q", gotLoop, gotBatch)
+	}
+	if statsLoop.Dropped == 0 || len(gotLoop) == 0 {
+		t.Fatalf("workload not exercising loss: %+v", statsLoop)
 	}
 }
 

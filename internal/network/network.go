@@ -23,8 +23,9 @@
 // and the steady-state send and delivery paths — SendSlot,
 // SendMultiSlot and the pooled delivery events they schedule — perform
 // zero map lookups and zero allocations. The string-keyed API (Send,
-// SendMulti, AddNode, SetLink, …) remains as the control plane and as a
-// compatibility wrapper that resolves names to slots on entry.
+// AddNode, SetLink, …) remains as the control plane and resolves names
+// to slots on entry; fan-out exists only on the slot plane
+// (SendMultiSlot).
 // Registering nodes after traffic has started is supported: rows grow
 // (amortised) and in-flight deliveries keep their slots, which stay
 // valid for the network's lifetime.
@@ -533,45 +534,15 @@ func (n *Network) SendSlot(src, dst Slot, payload []byte) error {
 	return nil
 }
 
-// SendMulti transmits payload from src to every destination in order,
-// with per-destination link behaviour exactly as if Send were called once
-// per destination (same random-draw order, so traces are unchanged), but
-// schedules all resulting deliveries through the kernel's batch path in a
-// single lock acquisition. Destinations that fail validation (unknown
-// node, MTU) are skipped; the first such error is returned after all
-// other destinations have been processed.
-func (n *Network) SendMulti(src NodeID, dsts []NodeID, payload []byte) error {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	ss, ok := n.slots[src]
-	if !ok {
-		return fmt.Errorf("%w: source %q", ErrUnknownNode, src)
-	}
-	var firstErr error
-	rng := n.rng
-	entries := n.scratch[:0]
-	for _, dst := range dsts {
-		ds, ok := n.slots[dst]
-		if !ok {
-			if firstErr == nil {
-				firstErr = fmt.Errorf("%w: destination %q", ErrUnknownNode, dst)
-			}
-			continue
-		}
-		var err error
-		entries, err = n.transmitLocked(rng, ss, ds, payload, entries)
-		if err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	n.kern.ScheduleBatch(entries)
-	n.scratch = entries[:0]
-	return firstErr
-}
-
-// SendMultiSlot is the dense-plane SendMulti: the fan-out list is slot
-// addressed and the batch scratch is reused across calls, so steady-state
-// fan-out allocates nothing.
+// SendMultiSlot transmits payload from src to every destination in
+// order, with per-destination link behaviour exactly as if SendSlot were
+// called once per destination (same random-draw order, so traces are
+// unchanged), but schedules all resulting deliveries through the
+// kernel's batch path in a single lock acquisition. Destinations that
+// fail validation (bad slot, MTU) are skipped; the first such error is
+// returned after all other destinations have been processed. The batch
+// scratch is reused across calls, so steady-state fan-out allocates
+// nothing.
 //
 //repolint:hotpath
 func (n *Network) SendMultiSlot(src Slot, dsts []Slot, payload []byte) error {

@@ -16,10 +16,10 @@ import (
 // a reference model of the pre-ring map semantics, flow teardown
 // reclaiming pooled flow structs, and the lazy layer-stats snapshot.
 
-// captureLower is a non-indexed LowerService that records sends so tests
+// captureLower is a name-only LowerService that records sends so tests
 // can replay them to receivers in arbitrary order — the harness for
-// driving the reliable receiver with precise arrival sequences. It also
-// exercises the name-addressed fallback paths of the dense plane.
+// driving the reliable receiver with precise arrival sequences. Layers
+// reach it through the AsIndexed adapter.
 type captureLower struct {
 	receivers map[Addr]Receiver
 	sent      []capturedPDU

@@ -41,7 +41,7 @@ type Context struct {
 	layer   *Layer
 	self    Addr
 	selfID  int32 // layer-local entity slot
-	selfLow int32 // lower-service endpoint id (-1 on non-indexed lowers)
+	selfLow int32 // lower-service endpoint id
 }
 
 // Self returns the entity's address.
@@ -79,12 +79,11 @@ func (c *Context) SendPDU(dst Addr, pdu codec.Message) error {
 }
 
 // SendPDUMulti encodes pdu once and transmits it to every destination in
-// order — the fan-out path for broadcast-style protocol entities. On an
-// indexed lower with every destination resolved, the fan-out rides the
-// dense batch path; otherwise it degrades to a Send loop with identical
-// semantics (including randomness consumption, so traces are unchanged).
-// Layer counters advance exactly as if SendPDU were called once per
-// destination.
+// order — the fan-out path for broadcast-style protocol entities — over
+// the lower service's dense batch path. A destination the lower service
+// cannot resolve is skipped and reported (ErrUnknownEntity) after the
+// others are sent. Layer counters advance exactly as if SendPDU were
+// called once per destination.
 func (c *Context) SendPDUMulti(dsts []Addr, pdu codec.Message) error {
 	if len(dsts) == 0 {
 		return nil
@@ -149,10 +148,9 @@ type entityEntry struct {
 // small-map probe (destination address → lower id, cached after the
 // first resolution).
 type Layer struct {
-	name   string
-	kern   *sim.Kernel
-	lower  LowerService
-	ilower IndexedLower // non-nil when lower supports the dense plane
+	name  string
+	kern  *sim.Kernel
+	lower IndexedLower
 
 	mu         sync.Mutex
 	ids        map[Addr]int32
@@ -168,14 +166,13 @@ type Layer struct {
 	snapDirty bool
 }
 
-// NewLayer creates an empty layer over lower, scheduled on kern.
+// NewLayer creates an empty layer over lower (see AsIndexed), scheduled
+// on kern.
 func NewLayer(name string, kern *sim.Kernel, lower LowerService) *Layer {
-	il, _ := lower.(IndexedLower)
 	return &Layer{
 		name:   name,
 		kern:   kern,
-		lower:  lower,
-		ilower: il,
+		lower:  AsIndexed(lower),
 		ids:    make(map[Addr]int32),
 		dstLow: make(map[Addr]int32),
 	}
@@ -207,7 +204,7 @@ func (l *Layer) addrForLower(lowSrc int32) Addr {
 	}
 	a := l.lowerAddrs[lowSrc]
 	if a == "" {
-		a = l.ilower.EndpointAddr(lowSrc)
+		a = l.lower.EndpointAddr(lowSrc)
 		l.lowerAddrs[lowSrc] = a
 	}
 	l.mu.Unlock()
@@ -229,18 +226,10 @@ func (l *Layer) AddEntity(addr Addr, e Entity) error {
 	l.ents[id].entity = e
 	l.mu.Unlock()
 
-	selfLow := int32(-1)
-	if l.ilower != nil {
-		lowID, err := l.ilower.AttachIndexed(addr, func(lowSrc int32, data []byte) {
-			receivePDU(e, l.addrForLower(lowSrc), data)
-		})
-		if err != nil {
-			return fmt.Errorf("protocol: attach %q: %w", addr, err)
-		}
-		selfLow = lowID
-	} else if err := l.lower.Attach(addr, func(src Addr, data []byte) {
-		receivePDU(e, src, data)
-	}); err != nil {
+	selfLow, err := l.lower.AttachIndexed(addr, func(lowSrc int32, data []byte) {
+		receivePDU(e, l.addrForLower(lowSrc), data)
+	})
+	if err != nil {
 		return fmt.Errorf("protocol: attach %q: %w", addr, err)
 	}
 	if err := e.Init(&Context{layer: l, self: addr, selfID: id, selfLow: selfLow}); err != nil {
@@ -306,59 +295,47 @@ func (l *Layer) countLocked(name string, bytes, n int) {
 	l.types = append(l.types, typeCounter{name: name, n: uint64(n)})
 }
 
-// sendEncoded counts and transmits one already-encoded PDU, using the
-// dense plane when the destination's lower id resolves.
+// sendEncoded counts and transmits one already-encoded PDU to the
+// destination's lower endpoint id.
 func (l *Layer) sendEncoded(c *Context, dst Addr, name string, data []byte) error {
 	l.mu.Lock()
 	l.countLocked(name, len(data), 1)
-	low := int32(-1)
-	if l.ilower != nil && c.selfLow >= 0 {
-		low = l.dstLowLocked(dst)
-	}
+	low := l.dstLowLocked(dst)
 	l.mu.Unlock()
-	if low >= 0 {
-		return l.ilower.SendIndexed(c.selfLow, low, data)
+	if low < 0 {
+		return fmt.Errorf("%w: %q", ErrUnknownEntity, dst)
 	}
-	return l.lower.Send(c.self, dst, data)
+	return l.lower.SendIndexed(c.selfLow, low, data)
 }
 
 // sendEncodedMulti counts and transmits one encoded PDU to every
-// destination, through the dense batch path when every id resolves.
+// destination through the lower service's batch path. Destinations with
+// no lower id are skipped; the first is reported after the batch.
 func (l *Layer) sendEncodedMulti(c *Context, dsts []Addr, name string, data []byte) error {
 	l.mu.Lock()
+	// The batch send happens with l.mu held so the reused scratch slice
+	// cannot be clobbered by a concurrent fan-out. Lock order stays
+	// acyclic: lower services never call back into the layer
+	// synchronously (deliveries are kernel-scheduled).
+	defer l.mu.Unlock()
 	l.countLocked(name, len(data), len(dsts))
-	dense := l.ilower != nil && c.selfLow >= 0
 	lows := l.lowScratch[:0]
-	if dense {
-		for _, dst := range dsts {
-			low := l.dstLowLocked(dst)
-			if low < 0 {
-				dense = false
-				break
-			}
-			lows = append(lows, low)
-		}
-		l.lowScratch = lows[:0]
-	}
-	if dense {
-		// The batch send happens with l.mu held so the reused scratch
-		// slice cannot be clobbered by a concurrent fan-out. Lock order
-		// stays acyclic: lower services never call back into the layer
-		// synchronously (deliveries are kernel-scheduled).
-		defer l.mu.Unlock()
-		return l.ilower.SendMultiIndexed(c.selfLow, lows, data)
-	}
-	l.mu.Unlock()
-	if ms, ok := l.lower.(MultiSender); ok {
-		return ms.SendMulti(c.self, dsts, data)
-	}
-	var firstErr error
+	var unknown error
 	for _, dst := range dsts {
-		if err := l.lower.Send(c.self, dst, data); err != nil && firstErr == nil {
-			firstErr = err
+		low := l.dstLowLocked(dst)
+		if low < 0 {
+			if unknown == nil {
+				unknown = fmt.Errorf("%w: %q", ErrUnknownEntity, dst)
+			}
+			continue
 		}
+		lows = append(lows, low)
 	}
-	return firstErr
+	l.lowScratch = lows[:0]
+	if err := l.lower.SendMultiIndexed(c.selfLow, lows, data); err != nil {
+		return err
+	}
+	return unknown
 }
 
 // dstLowLocked resolves a destination address to its lower endpoint id
@@ -369,7 +346,7 @@ func (l *Layer) dstLowLocked(dst Addr) int32 {
 	if low, ok := l.dstLow[dst]; ok {
 		return low
 	}
-	low, ok := l.ilower.EndpointID(dst)
+	low, ok := l.lower.EndpointID(dst)
 	if !ok {
 		return -1
 	}

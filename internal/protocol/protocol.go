@@ -7,8 +7,10 @@
 // The package provides:
 //
 //   - LowerService: the abstraction of a lower-level data-transfer service;
-//   - IndexedLower: the optional dense-id extension every built-in service
-//     implements, which makes steady-state delivery map-free;
+//   - IndexedLower: its dense-id extension, which makes steady-state
+//     delivery map-free. Every built-in service implements it, and
+//     AsIndexed interns addresses for any service that does not, so the
+//     layers above address their peers by endpoint id only;
 //   - UnreliableDatagram: the raw simulated network as a lower service;
 //   - ReliableDatagram: a go-back-N protocol layer that turns an unreliable
 //     datagram service into reliable, in-order, exactly-once delivery — the
@@ -63,34 +65,33 @@ type LowerService interface {
 	Send(src, dst Addr, pdu []byte) error
 }
 
-// MultiSender is an optional LowerService extension for fan-out: sending
-// one PDU to many destinations in a single call. Implementations must
-// behave exactly as repeated Send calls in destination order (including
-// randomness consumption, so traces stay deterministic), but may batch the
-// underlying work. Callers should type-assert and fall back to a Send
-// loop when the service does not implement it.
+// MultiSender is a name-addressed fan-out extension: sending one PDU to
+// many destinations in a single call. No built-in service implements it
+// and nothing in this repository calls it; fan-out rides
+// IndexedLower.SendMultiIndexed. The declaration remains only for
+// decorators that still name it.
 type MultiSender interface {
 	SendMulti(src Addr, dsts []Addr, pdu []byte) error
 }
 
-// IndexedLower is the optional LowerService extension behind the repo's
-// map-free delivery plane: endpoints receive dense small-int ids at
-// attach time, receivers are handed source ids instead of names, and the
-// id-addressed send paths do zero map lookups in steady state. Ids count
-// up from zero, are assigned in attach (or first-sight) order, and stay
-// valid for the service's lifetime.
+// IndexedLower is the LowerService extension behind the repo's map-free
+// delivery plane: endpoints receive dense small-int ids at attach time,
+// receivers are handed source ids instead of names, and the id-addressed
+// send paths do zero map lookups in steady state. Ids count up from
+// zero, are assigned in attach (or first-sight) order, and stay valid
+// for the service's lifetime.
 //
-// Callers type-assert and fall back to the name-addressed LowerService
-// methods when the extension is absent — behaviour is identical either
-// way (including randomness consumption), only the per-message lookup
-// cost differs.
+// Layer, ReliableDatagram and the middleware Platform speak to their
+// lower service through this interface only: they wrap what they are
+// given with AsIndexed once, at construction.
 type IndexedLower interface {
 	LowerService
 	// AttachIndexed registers r for PDUs addressed to addr and returns
 	// addr's dense endpoint id. Re-attaching replaces the receiver and
 	// returns the same id.
 	AttachIndexed(addr Addr, r IndexedReceiver) (int32, error)
-	// EndpointID resolves an attached address to its dense id.
+	// EndpointID resolves an address to its dense id; ok is false when
+	// the service cannot reach addr.
 	EndpointID(addr Addr) (int32, bool)
 	// EndpointAddr resolves a dense id back to its address ("" for ids
 	// the service never issued).
@@ -100,6 +101,84 @@ type IndexedLower interface {
 	// SendMultiIndexed is the id-addressed fan-out: identical semantics
 	// to repeated SendIndexed calls in destination order.
 	SendMultiIndexed(src int32, dsts []int32, pdu []byte) error
+}
+
+// AsIndexed returns lower as an IndexedLower: unchanged when it already
+// implements the extension, otherwise wrapped in an adapter that interns
+// addresses into dense ids in first-sight order. The adapter forwards
+// every send to lower's name-addressed Send (fan-outs as a Send loop in
+// destination order), so traffic over it is exactly the traffic of the
+// name-addressed methods. A name-only service cannot say which addresses
+// are attached, so the adapter's EndpointID resolves any address.
+func AsIndexed(lower LowerService) IndexedLower {
+	if il, ok := lower.(IndexedLower); ok {
+		return il
+	}
+	return &indexedAdapter{LowerService: lower, ids: make(map[Addr]int32)}
+}
+
+// indexedAdapter is the AsIndexed wrapper of a name-only LowerService.
+type indexedAdapter struct {
+	LowerService
+
+	mu    sync.Mutex
+	ids   map[Addr]int32
+	addrs []Addr // id → address
+}
+
+// intern returns addr's dense id, assigning one on first sight.
+func (a *indexedAdapter) intern(addr Addr) int32 {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	if id, ok := a.ids[addr]; ok {
+		return id
+	}
+	id := int32(len(a.addrs))
+	a.ids[addr] = id
+	a.addrs = append(a.addrs, addr)
+	return id
+}
+
+// AttachIndexed implements IndexedLower over the inner Attach.
+func (a *indexedAdapter) AttachIndexed(addr Addr, r IndexedReceiver) (int32, error) {
+	if r == nil {
+		return -1, fmt.Errorf("protocol: nil receiver for %q", addr)
+	}
+	id := a.intern(addr)
+	if err := a.Attach(addr, func(src Addr, pdu []byte) { r(a.intern(src), pdu) }); err != nil {
+		return -1, err
+	}
+	return id, nil
+}
+
+// EndpointID implements IndexedLower: any address resolves.
+func (a *indexedAdapter) EndpointID(addr Addr) (int32, bool) { return a.intern(addr), true }
+
+// EndpointAddr implements IndexedLower.
+func (a *indexedAdapter) EndpointAddr(id int32) Addr {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	if id < 0 || int(id) >= len(a.addrs) {
+		return ""
+	}
+	return a.addrs[id]
+}
+
+// SendIndexed implements IndexedLower over the inner Send.
+func (a *indexedAdapter) SendIndexed(src, dst int32, pdu []byte) error {
+	return a.Send(a.EndpointAddr(src), a.EndpointAddr(dst), pdu)
+}
+
+// SendMultiIndexed implements IndexedLower as a Send loop in destination
+// order, returning the first error.
+func (a *indexedAdapter) SendMultiIndexed(src int32, dsts []int32, pdu []byte) error {
+	var firstErr error
+	for _, dst := range dsts {
+		if err := a.SendIndexed(src, dst, pdu); err != nil && firstErr == nil {
+			firstErr = err
+		}
+	}
+	return firstErr
 }
 
 // IncarnationProvider is an optional LowerService extension for churn:
@@ -125,8 +204,6 @@ type UnreliableDatagram struct {
 }
 
 var (
-	_ LowerService        = (*UnreliableDatagram)(nil)
-	_ MultiSender         = (*UnreliableDatagram)(nil)
 	_ IndexedLower        = (*UnreliableDatagram)(nil)
 	_ IncarnationProvider = (*UnreliableDatagram)(nil)
 )
@@ -206,12 +283,6 @@ func (u *UnreliableDatagram) Send(src, dst Addr, pdu []byte) error {
 // SendIndexed implements IndexedLower on the network's slot plane.
 func (u *UnreliableDatagram) SendIndexed(src, dst int32, pdu []byte) error {
 	return u.net.SendSlot(src, dst, pdu)
-}
-
-// SendMulti implements MultiSender on the raw network's batch path: all
-// deliveries of the fan-out are scheduled under one kernel lock.
-func (u *UnreliableDatagram) SendMulti(src Addr, dsts []Addr, pdu []byte) error {
-	return u.net.SendMulti(src, dsts, pdu)
 }
 
 // SendMultiIndexed implements IndexedLower on the network's slot batch

@@ -72,11 +72,10 @@ func (c *ReliableDatagramConfig) applyDefaults() {
 // in-flight/hold copies ride pooled buffers. ReliableDatagram implements
 // IndexedLower itself, so layers above can stay on the dense plane.
 type ReliableDatagram struct {
-	kern   *sim.Kernel
-	lower  LowerService
-	ilower IndexedLower        // non-nil when lower supports the dense plane
-	incp   IncarnationProvider // non-nil when lower reports endpoint incarnations
-	cfg    ReliableDatagramConfig
+	kern  *sim.Kernel
+	lower IndexedLower
+	incp  IncarnationProvider // non-nil when lower reports endpoint incarnations
+	cfg   ReliableDatagramConfig
 
 	mu         sync.Mutex
 	ids        map[Addr]int32 // intern: any address seen (attach, send, receive)
@@ -93,15 +92,11 @@ type ReliableDatagram struct {
 // endpoint is the per-address state of the dense plane.
 type endpoint struct {
 	addr    Addr
-	recv    Receiver        // legacy receiver (nil unless attached via Attach)
-	recvIdx IndexedReceiver // dense receiver (nil unless attached via AttachIndexed)
+	recvIdx IndexedReceiver // nil until attached
 	lowID   int32           // lower service id (-1 until resolved)
 }
 
-var (
-	_ LowerService = (*ReliableDatagram)(nil)
-	_ IndexedLower = (*ReliableDatagram)(nil)
-)
+var _ IndexedLower = (*ReliableDatagram)(nil)
 
 // Compiled PDU schemas (field order is canonical/sorted). The *Inc
 // variants carry the incarnation pair and are used only when either
@@ -168,19 +163,17 @@ type heldPDU struct {
 	buf *codec.Buffer // nil = empty slot
 }
 
-// NewReliableDatagram layers reliability over lower, scheduling timers on
-// kern.
+// NewReliableDatagram layers reliability over lower (see AsIndexed),
+// scheduling timers on kern.
 func NewReliableDatagram(kern *sim.Kernel, lower LowerService, cfg ReliableDatagramConfig) *ReliableDatagram {
 	cfg.applyDefaults()
-	il, _ := lower.(IndexedLower)
 	ip, _ := lower.(IncarnationProvider)
 	return &ReliableDatagram{
-		kern:   kern,
-		lower:  lower,
-		ilower: il,
-		incp:   ip,
-		cfg:    cfg,
-		ids:    make(map[Addr]int32),
+		kern:  kern,
+		lower: AsIndexed(lower),
+		incp:  ip,
+		cfg:   cfg,
+		ids:   make(map[Addr]int32),
 	}
 }
 
@@ -220,7 +213,7 @@ func (r *ReliableDatagram) ownIDForLower(lowSrc int32) int32 {
 	if own := r.lowerToOwn[lowSrc]; own >= 0 {
 		return own
 	}
-	addr := r.ilower.EndpointAddr(lowSrc)
+	addr := r.lower.EndpointAddr(lowSrc)
 	own := r.internLocked(addr)
 	r.lowerToOwn[lowSrc] = own
 	r.eps[own].lowID = lowSrc
@@ -229,16 +222,13 @@ func (r *ReliableDatagram) ownIDForLower(lowSrc int32) int32 {
 
 // lowerIDLocked resolves an endpoint's lower-service id, caching it once
 // found. ok=false means the peer is unknown to the lower service (not
-// attached yet); callers fall back to the name-addressed send.
+// attached yet).
 func (r *ReliableDatagram) lowerIDLocked(id int32) (int32, bool) {
 	ep := &r.eps[id]
 	if ep.lowID >= 0 {
 		return ep.lowID, true
 	}
-	if r.ilower == nil {
-		return -1, false
-	}
-	low, ok := r.ilower.EndpointID(ep.addr)
+	low, ok := r.lower.EndpointID(ep.addr)
 	if !ok {
 		return -1, false
 	}
@@ -250,17 +240,16 @@ func (r *ReliableDatagram) lowerIDLocked(id int32) (int32, bool) {
 	return low, true
 }
 
-// Attach implements LowerService.
+// Attach implements LowerService over AttachIndexed, resolving each
+// source id back to its address.
 func (r *ReliableDatagram) Attach(addr Addr, recv Receiver) error {
 	if recv == nil {
 		return fmt.Errorf("protocol: nil receiver for %q", addr)
 	}
-	r.mu.Lock()
-	id := r.internLocked(addr)
-	r.eps[id].recv = recv
-	r.eps[id].recvIdx = nil
-	r.mu.Unlock()
-	return r.attachLower(addr, id)
+	_, err := r.AttachIndexed(addr, func(src int32, pdu []byte) {
+		recv(r.EndpointAddr(src), pdu)
+	})
+	return err
 }
 
 // AttachIndexed implements IndexedLower: the returned id is this layer's
@@ -272,31 +261,21 @@ func (r *ReliableDatagram) AttachIndexed(addr Addr, recv IndexedReceiver) (int32
 	r.mu.Lock()
 	id := r.internLocked(addr)
 	r.eps[id].recvIdx = recv
-	r.eps[id].recv = nil
 	r.mu.Unlock()
-	return id, r.attachLower(addr, id)
-}
-
-// attachLower hooks this layer's receive path for addr into the lower
-// service, on the dense plane when available.
-func (r *ReliableDatagram) attachLower(addr Addr, id int32) error {
-	if r.ilower != nil {
-		lowID, err := r.ilower.AttachIndexed(addr, func(lowSrc int32, pdu []byte) {
-			r.onLowerIndexed(lowSrc, id, pdu)
-		})
-		if err != nil {
-			return err
-		}
-		r.mu.Lock()
-		r.eps[id].lowID = lowID
-		for int(lowID) >= len(r.lowerToOwn) {
-			r.lowerToOwn = append(r.lowerToOwn, -1)
-		}
-		r.lowerToOwn[lowID] = id
-		r.mu.Unlock()
-		return nil
+	lowID, err := r.lower.AttachIndexed(addr, func(lowSrc int32, pdu []byte) {
+		r.dispatch(r.ownIDForLower(lowSrc), id, pdu)
+	})
+	if err != nil {
+		return id, err
 	}
-	return r.lower.Attach(addr, func(src Addr, pdu []byte) { r.onLowerAddr(src, id, pdu) })
+	r.mu.Lock()
+	r.eps[id].lowID = lowID
+	for int(lowID) >= len(r.lowerToOwn) {
+		r.lowerToOwn = append(r.lowerToOwn, -1)
+	}
+	r.lowerToOwn[lowID] = id
+	r.mu.Unlock()
+	return id, nil
 }
 
 // EndpointID implements IndexedLower: only attached addresses resolve.
@@ -307,8 +286,7 @@ func (r *ReliableDatagram) EndpointID(addr Addr) (int32, bool) {
 	if !ok {
 		return -1, false
 	}
-	ep := &r.eps[id]
-	if ep.recv == nil && ep.recvIdx == nil {
+	if r.eps[id].recvIdx == nil {
 		return -1, false
 	}
 	return id, true
@@ -483,18 +461,19 @@ func (r *ReliableDatagram) transmitLocked(src, dst int32, f *sendFlow, seq uint6
 	buf.Release()
 }
 
-// lowerSendLocked transmits raw bytes src→dst through the lower service,
-// on the dense plane when both endpoint ids resolve. Caller holds r.mu.
+// lowerSendLocked transmits raw bytes src→dst through the lower service.
+// An endpoint the lower service cannot resolve fails the send with
+// ErrUnknownEntity. Caller holds r.mu.
 func (r *ReliableDatagram) lowerSendLocked(src, dst int32, data []byte) error {
-	if r.ilower != nil {
-		ls, ok1 := r.lowerIDLocked(src)
-		if ok1 {
-			if ld, ok2 := r.lowerIDLocked(dst); ok2 {
-				return r.ilower.SendIndexed(ls, ld, data)
-			}
-		}
+	ls, ok := r.lowerIDLocked(src)
+	if !ok {
+		return fmt.Errorf("%w: %q", ErrUnknownEntity, r.eps[src].addr)
 	}
-	return r.lower.Send(r.eps[src].addr, r.eps[dst].addr, data)
+	ld, ok := r.lowerIDLocked(dst)
+	if !ok {
+		return fmt.Errorf("%w: %q", ErrUnknownEntity, r.eps[dst].addr)
+	}
+	return r.lower.SendIndexed(ls, ld, data)
 }
 
 // armTimerLocked (re)arms the retransmission timer for a flow with unacked
@@ -541,23 +520,10 @@ func (r *ReliableDatagram) onTimeout(src, dst int32) {
 	r.armTimerLocked(f)
 }
 
-// onLowerIndexed is the dense-plane receive path: both endpoints arrive
-// as ids, translated through cached tables (no hashing in steady state).
-func (r *ReliableDatagram) onLowerIndexed(lowSrc int32, dst int32, pdu []byte) {
-	r.dispatch(r.ownIDForLower(lowSrc), dst, pdu)
-}
-
-// onLowerAddr is the name-addressed receive fallback for non-indexed
-// lower services.
-func (r *ReliableDatagram) onLowerAddr(src Addr, dst int32, pdu []byte) {
-	r.mu.Lock()
-	srcID := r.internLocked(src)
-	r.mu.Unlock()
-	r.dispatch(srcID, dst, pdu)
-}
-
 // dispatch decodes one arriving PDU and hands it to the data or ack
-// handler. The view decode walks the PDU in place — pdu aliases the
+// handler. Both endpoints arrive as own ids, translated from lower ids
+// through cached tables (no hashing in steady state). The view decode
+// walks the PDU in place — pdu aliases the
 // network's pooled delivery buffer, so anything retained past this call
 // must be copied.
 func (r *ReliableDatagram) dispatch(src, dst int32, pdu []byte) {
@@ -666,28 +632,19 @@ func (r *ReliableDatagram) onData(src, dst int32, v *codec.MsgView) {
 	if deliver {
 		r.stats.DataDelivered += 1 + uint64(len(drained))
 	}
-	ep := &r.eps[dst]
-	recv, recvIdx, srcAddr := ep.recv, ep.recvIdx, r.eps[src].addr
+	recv := r.eps[dst].recvIdx
 	// Cumulative ack of everything in order so far (sent for every data
 	// PDU, so a lost ack is repaired by the next one or a retransmit).
 	// It travels dst→src (reverse path).
 	r.sendAckLocked(dst, src, f.expected, myInc, f.peerInc)
 	r.mu.Unlock()
 
-	if recv != nil || recvIdx != nil {
+	if recv != nil {
 		if deliver {
-			if recvIdx != nil {
-				recvIdx(src, payload)
-			} else {
-				recv(srcAddr, payload)
-			}
+			recv(src, payload)
 		}
 		for _, b := range drained {
-			if recvIdx != nil {
-				recvIdx(src, b.B)
-			} else {
-				recv(srcAddr, b.B)
-			}
+			recv(src, b.B)
 		}
 	}
 	for _, b := range drained {
