@@ -94,6 +94,8 @@ fuzz:
 	$(GO) test -fuzz FuzzSDLRoundTrip -fuzztime 60s -run XXX ./internal/sdl
 	$(GO) test -fuzz FuzzPlatformWire -fuzztime 60s -run XXX ./internal/middleware
 	$(GO) test -fuzz FuzzReliableReceive -fuzztime 60s -run XXX ./internal/protocol
+	$(GO) test -fuzz FuzzEntityReceive -fuzztime 60s -run XXX ./internal/floorcontrol
+	$(GO) test -fuzz FuzzBandfileParse -fuzztime 60s -run XXX ./internal/bandfile
 
 # Coverage profile + per-function summary (the CI coverage job).
 cover:
@@ -183,6 +185,6 @@ help:
 	@echo "sweep-churn      the crash/restart robustness band (availability + safety gate)"
 	@echo "linkcheck        verify relative links + anchors in the top-level docs"
 	@echo "profile          CPU+alloc profiles of the full sweep"
-	@echo "fuzz             bounded kernel + codec + SDL + middleware-wire + reliable-receive fuzzing"
+	@echo "fuzz             bounded kernel + codec + SDL + middleware-wire + reliable-receive + entity-receive + band-file fuzzing"
 	@echo "cover            coverage profile + per-function summary"
 	@echo "fig              regenerate every paper figure"

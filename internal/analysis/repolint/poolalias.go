@@ -47,7 +47,7 @@ const (
 
 // msgViewBorrowers are the MsgView accessors documented to return
 // slices aliasing the input buffer (the materializing accessors
-// Record/Value/Message copy and are exempt).
+// Fields/Value/Strings copy and are exempt).
 var msgViewBorrowers = map[string]bool{
 	"Name": true, "Str": true, "Bytes": true, "Raw": true,
 }

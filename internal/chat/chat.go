@@ -7,10 +7,11 @@
 //     with ordering constraints, including a custom application-defined
 //     TotalOrder constraint (core.Constraint is an open interface);
 //  2. an interaction system behind the service boundary: a sequencer
-//     protocol over the reliable-datagram lower service;
+//     protocol over the reliable-datagram lower service, whose ordered
+//     broadcast splices msgid and text from the submit PDU's bytes;
 //  3. a platform-independent service design (PIM) of the same logic over
-//     abstract directed messaging, deployable on every concrete platform
-//     of the Figure 10 trajectory;
+//     abstract directed messaging, sending the protocol's own PDUs,
+//     deployable on every concrete platform of the Figure 10 trajectory;
 //  4. conformance checking of every implementation against the same
 //     specification.
 package chat

@@ -161,14 +161,22 @@ func TestSequencerEntityRejectsBadPDU(t *testing.T) {
 	if err := e.FromUser(PrimSay, nil); err == nil {
 		t.Fatal("sequencer accepted a service user")
 	}
-	if err := e.FromPeer("x", codec.NewMessage("bogus", nil)); err == nil {
+	wire, err := codec.AppendMessage(nil, codec.NewMessage("bogus", nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	bogus, err := codec.ParseMessage(wire)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := e.FromPeer("x", bogus); err == nil {
 		t.Fatal("sequencer accepted bogus PDU")
 	}
 	p := NewParticipantEntity(SequencerAddr)
 	if err := p.FromUser("bogus", nil); err == nil {
 		t.Fatal("participant accepted bogus primitive")
 	}
-	if err := p.FromPeer("x", codec.NewMessage("bogus", nil)); err == nil {
+	if err := p.FromPeer("x", bogus); err == nil {
 		t.Fatal("participant accepted bogus PDU")
 	}
 	_ = k
@@ -204,6 +212,47 @@ func BenchmarkChatProtocol(b *testing.B) {
 		}
 		if res.ConformanceErr != nil {
 			b.Fatal(res.ConformanceErr)
+		}
+	}
+}
+
+// TestPDUWireParity pins the sequencer protocol's PDUs, which the PIM
+// logic sends as its directed messages too, to the generic codec's bytes
+// of their legacy records, including ordered broadcasts of submits that
+// lack msgid or text (spliced as nil, as the record map carried them).
+func TestPDUWireParity(t *testing.T) {
+	for _, say := range []codec.Record{
+		{ParamMsgID: "m1", ParamText: "hi"},
+		{ParamText: "no id"},
+		{ParamMsgID: "no text"},
+	} {
+		submit, err := pduSubmit.Append(nil, say)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want, _ := codec.AppendMessage(nil, codec.NewMessage("submit", say)); string(submit) != string(want) {
+			t.Fatalf("submit % x, legacy % x", submit, want)
+		}
+		if rec, _ := pduSubmit.AppendRecord(nil, say); string(rec) != string(submit[len(submit)-len(rec):]) {
+			t.Fatalf("submit record % x is not the PDU's tail", rec)
+		}
+		view, err := codec.ParseMessage(submit)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bcast := ordered{submit: view, speaker: "s1"}
+		got, err := pduOrdered.Append(nil, bcast)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, _ := codec.AppendMessage(nil, codec.NewMessage("ordered", codec.Record{
+			ParamMsgID: say[ParamMsgID], ParamText: say[ParamText], ParamSpeaker: "s1",
+		}))
+		if string(got) != string(want) {
+			t.Fatalf("ordered % x, legacy % x", got, want)
+		}
+		if rec, _ := pduOrdered.AppendRecord(nil, bcast); string(rec) != string(got[len(got)-len(rec):]) {
+			t.Fatalf("ordered record % x is not the PDU's tail", rec)
 		}
 	}
 }

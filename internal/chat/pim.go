@@ -69,18 +69,13 @@ func (s *sequencerLogic) FromUser(primitive string, _ codec.Record) error {
 }
 
 // OnMessage implements mda.Component.
-func (s *sequencerLogic) OnMessage(from mda.ComponentID, msg codec.Message) error {
-	if msg.Name != pduSubmit {
-		return fmt.Errorf("chat: unexpected message %q at sequencer logic", msg.Name)
+func (s *sequencerLogic) OnMessage(from mda.ComponentID, msg codec.MsgView) error {
+	if !msg.NameIs(pduSubmit.Name()) {
+		return fmt.Errorf("chat: unexpected message %q at sequencer logic", msg.Name())
 	}
-	speaker := strings.TrimPrefix(string(from), "member:")
-	out := codec.NewMessage(pduOrdered, codec.Record{
-		ParamMsgID:   msg.Fields[ParamMsgID],
-		ParamText:    msg.Fields[ParamText],
-		ParamSpeaker: speaker,
-	})
+	out := ordered{submit: msg, speaker: strings.TrimPrefix(string(from), "member:")}
 	for _, m := range s.members {
-		if err := s.ctx.Send(m, out); err != nil {
+		if err := mda.Send(s.ctx, m, pduOrdered, out); err != nil {
 			return err
 		}
 	}
@@ -106,14 +101,15 @@ func (m *memberLogic) FromUser(primitive string, params codec.Record) error {
 	if primitive != PrimSay {
 		return fmt.Errorf("chat: unexpected primitive %q", primitive)
 	}
-	return m.ctx.Send(m.sequencer, codec.NewMessage(pduSubmit, params))
+	return mda.Send(m.ctx, m.sequencer, pduSubmit, params)
 }
 
 // OnMessage implements mda.Component.
-func (m *memberLogic) OnMessage(_ mda.ComponentID, msg codec.Message) error {
-	if msg.Name != pduOrdered {
-		return fmt.Errorf("chat: unexpected message %q at member logic", msg.Name)
+func (m *memberLogic) OnMessage(_ mda.ComponentID, msg codec.MsgView) error {
+	if !msg.NameIs(pduOrdered.Name()) {
+		return fmt.Errorf("chat: unexpected message %q at member logic", msg.Name())
 	}
-	m.ctx.DeliverToUser(PrimDeliver, msg.Fields)
+	params, _ := msg.Fields() //nolint:errcheck // views are validated on receipt
+	m.ctx.DeliverToUser(PrimDeliver, params)
 	return nil
 }

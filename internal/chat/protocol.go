@@ -12,11 +12,41 @@ import (
 // SequencerAddr is the hosting address of the sequencer entity.
 const SequencerAddr protocol.Addr = "sequencer"
 
-// PDU names of the sequencer protocol.
-const (
-	pduSubmit  = "submit"
-	pduOrdered = "ordered"
+// The PDUs of the sequencer protocol: submit carries the say params as
+// the user gave them; ordered is the sequencer's broadcast.
+var (
+	pduSubmit  = protocol.NewPDU("submit", encParams)
+	pduOrdered = protocol.NewPDU("ordered", encOrdered)
 )
+
+func encParams(buf []byte, params codec.Record) ([]byte, error) { return codec.Append(buf, params) }
+
+// ordered is one broadcast: the submit whose msgid and text it splices
+// verbatim (codec.RawNil when absent), and the speaker. The submit view
+// borrows its delivery buffer: encode before the delivery returns.
+type ordered struct {
+	submit  codec.MsgView
+	speaker string
+}
+
+// recOrdered is the wire layout of the ordered record.
+var recOrdered = codec.CompileRecord(ParamMsgID, ParamSpeaker, ParamText)
+
+func encOrdered(buf []byte, o ordered) ([]byte, error) {
+	msgID, ok := o.submit.Raw(ParamMsgID)
+	if !ok {
+		msgID = codec.RawNil
+	}
+	text, ok := o.submit.Raw(ParamText)
+	if !ok {
+		text = codec.RawNil
+	}
+	e := recOrdered.Encoder(buf)
+	e.Raw(ParamMsgID, msgID)
+	e.Str(ParamSpeaker, o.speaker)
+	e.Raw(ParamText, text)
+	return e.Finish()
+}
 
 // SequencerEntity is the protocol's central entity: it imposes the total
 // order by broadcasting utterances in arrival order.
@@ -44,18 +74,13 @@ func (e *SequencerEntity) FromUser(primitive string, _ codec.Record) error {
 }
 
 // FromPeer implements protocol.Entity. The ordered broadcast is encoded
-// once and fanned out to every member through SendPDUMulti, instead of
+// once and fanned out to every member through SendMulti, instead of
 // re-marshalling the same PDU per member.
-func (e *SequencerEntity) FromPeer(src protocol.Addr, pdu codec.Message) error {
-	if pdu.Name != pduSubmit {
-		return fmt.Errorf("chat: unexpected PDU %q at sequencer", pdu.Name)
+func (e *SequencerEntity) FromPeer(src protocol.Addr, pdu codec.MsgView) error {
+	if !pdu.NameIs(pduSubmit.Name()) {
+		return fmt.Errorf("chat: unexpected PDU %q at sequencer", pdu.Name())
 	}
-	bcast := codec.NewMessage(pduOrdered, codec.Record{
-		ParamMsgID:   pdu.Fields[ParamMsgID],
-		ParamText:    pdu.Fields[ParamText],
-		ParamSpeaker: string(src),
-	})
-	return e.ctx.SendPDUMulti(e.members, bcast)
+	return pduOrdered.SendMulti(e.ctx, e.members, ordered{submit: pdu, speaker: string(src)})
 }
 
 // ParticipantEntity translates between chat primitives and the sequencer
@@ -83,15 +108,16 @@ func (e *ParticipantEntity) FromUser(primitive string, params codec.Record) erro
 	if primitive != PrimSay {
 		return fmt.Errorf("chat: unexpected primitive %q", primitive)
 	}
-	return e.ctx.SendPDU(e.sequencer, codec.NewMessage(pduSubmit, params))
+	return pduSubmit.Send(e.ctx, e.sequencer, params)
 }
 
 // FromPeer implements protocol.Entity.
-func (e *ParticipantEntity) FromPeer(_ protocol.Addr, pdu codec.Message) error {
-	if pdu.Name != pduOrdered {
-		return fmt.Errorf("chat: unexpected PDU %q at participant", pdu.Name)
+func (e *ParticipantEntity) FromPeer(_ protocol.Addr, pdu codec.MsgView) error {
+	if !pdu.NameIs(pduOrdered.Name()) {
+		return fmt.Errorf("chat: unexpected PDU %q at participant", pdu.Name())
 	}
-	e.ctx.DeliverToUser(PrimDeliver, pdu.Fields)
+	params, _ := pdu.Fields() //nolint:errcheck // views are validated on receipt
+	e.ctx.DeliverToUser(PrimDeliver, params)
 	return nil
 }
 

@@ -6,9 +6,11 @@ import (
 	"strings"
 )
 
-// Message is a named record: the shape of every PDU on the wire and of
-// every marshalled middleware invocation. Name identifies the message type
-// (for a PDU, its type; for an invocation, the operation).
+// Message is a materialized named record: the boxed form of the wire
+// shape every PDU and middleware message shares (a name followed by a
+// field record). Production code reads that shape through MsgView and
+// writes it through compiled schemas; Message remains for
+// middleware.Platform.Publish and topic sinks, and as the test oracle.
 type Message struct {
 	Name   string
 	Fields Record
@@ -21,12 +23,6 @@ func NewMessage(name string, fields Record) Message {
 		fields = Record{}
 	}
 	return Message{Name: name, Fields: fields}
-}
-
-// Get returns a named field and whether it was present.
-func (m Message) Get(field string) (Value, bool) {
-	v, ok := m.Fields[field]
-	return v, ok
 }
 
 // String renders the message compactly for logs and test failures, with
@@ -50,16 +46,10 @@ func (m Message) String() string {
 	return sb.String()
 }
 
-// EncodeMessage produces the canonical wire form of m: the name as a
-// string value followed by the fields as a record.
-func EncodeMessage(m Message) ([]byte, error) {
-	return AppendMessage(nil, m)
-}
-
-// AppendMessage appends the canonical wire form of m to buf, returning
-// the extended slice — EncodeMessage into a caller-supplied (typically
-// pooled) buffer. For fixed message shapes, a compiled Schema encodes
-// the same bytes without building the Fields map at all.
+// AppendMessage appends the canonical wire form of m to buf — the name
+// as a string value followed by the fields as a record — and returns
+// the extended slice. For fixed message shapes, a compiled Schema
+// encodes the same bytes without building the Fields map at all.
 func AppendMessage(buf []byte, m Message) ([]byte, error) {
 	buf, err := Append(buf, m.Name)
 	if err != nil {

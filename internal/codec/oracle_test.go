@@ -2,10 +2,11 @@ package codec
 
 import "fmt"
 
-// The tree decoders below are the reference oracle the view plane is
-// checked against (FuzzCodecRoundTrip, TestParseMessageAgreesWithDecodeMessage):
-// they materialize the whole value on the heap, which production code
-// never needs — it reads wire bytes through ParseMessage / MsgView.
+// The tree decoders and materializers below are the reference oracle
+// the view plane is checked against (FuzzCodecRoundTrip,
+// TestParseMessageAgreesWithDecodeMessage): they materialize the whole
+// value on the heap, which production code never needs — it reads wire
+// bytes through ParseMessage / MsgView.
 
 // DecodePrefix decodes one value from the front of data and returns the
 // number of bytes consumed.
@@ -50,6 +51,43 @@ func DecodeMessage(data []byte) (Message, error) {
 		return Message{}, fmt.Errorf("decode message %q: fields are %T, not record", name, fieldsV)
 	}
 	return Message{Name: name, Fields: fields}, nil
+}
+
+// EncodeMessage produces the canonical wire form of m: AppendMessage
+// into a fresh buffer.
+func EncodeMessage(m Message) ([]byte, error) {
+	return AppendMessage(nil, m)
+}
+
+// Get returns a named field and whether it was present.
+func (m Message) Get(field string) (Value, bool) {
+	v, ok := m.Fields[field]
+	return v, ok
+}
+
+// Record materializes a nested record field as a boxed Record (copying;
+// safe to retain).
+func (v *MsgView) Record(name string) (Record, bool) {
+	raw := v.lookup(name)
+	if len(raw) == 0 || raw[0] != tagRecord {
+		return nil, false
+	}
+	val, _, err := decodeValue(raw, 0)
+	if err != nil {
+		return nil, false
+	}
+	rec, ok := val.(map[string]Value)
+	return rec, ok
+}
+
+// Message materializes the whole view as a boxed Message, the form the
+// view plane is checked against.
+func (v *MsgView) Message() (Message, error) {
+	rec, err := v.Fields()
+	if err != nil {
+		return Message{}, fmt.Errorf("decode message %q: %w", v.name, err)
+	}
+	return Message{Name: string(v.name), Fields: rec}, nil
 }
 
 // mustEncode returns the canonical encoding of a value known statically

@@ -15,9 +15,12 @@ import "sync"
 //	buf.Release()
 //
 // After Release the buffer (and any slice aliasing buf.B) must not be
-// touched: it will be handed to an unrelated caller.
+// touched: it will be handed to an unrelated caller. Built with
+// -tags poolcheck, Release poisons the released bytes and panics on a
+// second Release before the next GetBuffer.
 type Buffer struct {
-	B []byte
+	check poolState // zero-size unless built with -tags poolcheck
+	B     []byte
 }
 
 // maxPooledCap bounds the capacity of buffers returned to the pool, so a
@@ -32,12 +35,19 @@ var bufferPool = sync.Pool{
 // unspecified length and at least some capacity; callers should start
 // from buf.B[:0].
 func GetBuffer() *Buffer {
-	return bufferPool.Get().(*Buffer)
+	b := bufferPool.Get().(*Buffer)
+	if poolcheck {
+		b.checkGet()
+	}
+	return b
 }
 
 // Release returns the buffer to the pool. Oversized buffers are dropped
 // rather than pooled.
 func (b *Buffer) Release() {
+	if poolcheck {
+		b.checkRelease()
+	}
 	if b == nil || cap(b.B) > maxPooledCap {
 		return
 	}

@@ -12,7 +12,7 @@ import (
 // sequence precomputed at compile time. Encoding through a Schema is a
 // straight append of precomputed headers and scalar payloads into a
 // caller-supplied buffer — no map construction, no per-call sorting, no
-// boxing — and produces bytes identical to EncodeMessage of the
+// boxing — and produces bytes identical to AppendMessage of the
 // equivalent Message.
 //
 // Compile schemas once (package-level vars) and reuse them for every
@@ -207,7 +207,7 @@ func (e *Encoder) Str(name, v string) {
 }
 
 // Bytes appends a byte-slice field. A nil slice encodes as empty bytes,
-// exactly as EncodeMessage does.
+// exactly as AppendMessage does.
 //
 //repolint:hotpath
 func (e *Encoder) Bytes(name string, v []byte) {

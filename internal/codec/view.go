@@ -15,8 +15,8 @@ import (
 // owns that buffer — for wire messages, until the delivery callback
 // returns (the network recycles delivery buffers). Retain with an
 // explicit copy. A MsgView itself (including one returned by View) is a
-// borrowed window under the same rule. Materializing accessors (Record,
-// Fields, Message, Value, Strings) copy and are safe to retain.
+// borrowed window under the same rule. Materializing accessors (Fields,
+// Value, Strings) copy and are safe to retain.
 
 // RawNil is the complete wire encoding of the nil value — the fallback
 // for splicing an absent field into an Encoder with Raw. Callers must
@@ -105,8 +105,8 @@ func skipValue(data []byte, depth int) (int, error) {
 }
 
 // MsgView is a zero-copy window on one encoded message (the wire form of
-// EncodeMessage, via ParseMessage) or one encoded record (via
-// ParseRecord, or View on an enclosing view). Parsing validates the
+// AppendMessage or a message Schema, via ParseMessage) or one encoded
+// record (via ParseRecord, or View on an enclosing view). Parsing validates the
 // whole value once; the typed accessors then read individual fields
 // directly from the wire bytes without allocating. See the package
 // aliasing rules above: a view, and every view nested in it, is valid
@@ -356,21 +356,6 @@ func (v *MsgView) Raw(name string) ([]byte, bool) {
 	return raw, raw != nil
 }
 
-// Record materializes a nested record field as a boxed Record (copying;
-// safe to retain).
-func (v *MsgView) Record(name string) (Record, bool) {
-	raw := v.lookup(name)
-	if len(raw) == 0 || raw[0] != tagRecord {
-		return nil, false
-	}
-	val, _, err := decodeValue(raw, 0)
-	if err != nil {
-		return nil, false
-	}
-	rec, ok := val.(map[string]Value)
-	return rec, ok
-}
-
 // Value materializes any field as a boxed Value (copying).
 func (v *MsgView) Value(name string) (Value, bool) {
 	raw := v.lookup(name)
@@ -451,14 +436,4 @@ func (v *MsgView) Fields() (Record, error) {
 		p = p[n:]
 	}
 	return rec, nil
-}
-
-// Message materializes the whole view as a boxed Message — the
-// compatibility bridge to APIs that take codec.Message.
-func (v *MsgView) Message() (Message, error) {
-	rec, err := v.Fields()
-	if err != nil {
-		return Message{}, fmt.Errorf("decode message %q: %w", v.name, err)
-	}
-	return Message{Name: string(v.name), Fields: rec}, nil
 }

@@ -59,23 +59,36 @@ func (s *MWPolling) ControllerNode() middleware.Addr { return s.ctrl.node() }
 // before the crash stay valid.
 func (s *MWPolling) Failover(node middleware.Addr) error { return s.ctrl.failover(node) }
 
-// availReply is the typed reply of the is_available probe.
+// availReply is the typed answer to an availability probe: the reply of
+// the is_available operation and, with Res set, the is_available_resp
+// PDU of the polling protocol, which names the probed resource.
 type availReply struct {
+	Res       string
 	Available bool
 }
 
-// recAvail is the wire layout of the is_available reply record.
-var recAvail = codec.CompileRecord("available")
+// Wire layouts of the probe answer, without and with the resource.
+var (
+	recAvail    = codec.CompileRecord("available")
+	recAvailRes = codec.CompileRecord("available", ParamResource)
+)
 
 func encAvailReply(buf []byte, a availReply) ([]byte, error) {
-	e := recAvail.Encoder(buf)
+	if a.Res == "" {
+		e := recAvail.Encoder(buf)
+		e.Bool("available", a.Available)
+		return e.Finish()
+	}
+	e := recAvailRes.Encoder(buf)
 	e.Bool("available", a.Available)
+	e.Str(ParamResource, a.Res)
 	return e.Finish()
 }
 
 func decAvailReply(v codec.MsgView) (availReply, error) {
+	res, _ := v.Str(ParamResource)
 	avail, _ := v.Bool("available")
-	return availReply{Available: avail}, nil
+	return availReply{Res: string(res), Available: avail}, nil
 }
 
 // Build implements Solution.

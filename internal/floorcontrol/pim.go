@@ -2,12 +2,12 @@ package floorcontrol
 
 import (
 	"fmt"
-	"sync"
 
 	"repro/internal/codec"
 	"repro/internal/core"
 	"repro/internal/mda"
 	"repro/internal/middleware"
+	"repro/internal/protocol"
 )
 
 // ParadigmMDA marks solutions produced by the model-driven trajectory —
@@ -42,7 +42,7 @@ func PIM(resources []string) *mda.PIM {
 				SAPBinding: make(map[core.SAP]mda.ComponentID),
 			}
 			const controller = mda.ComponentID("controller")
-			logic.Components[controller] = &pimController{q: newResourceQueue(resources)}
+			logic.Components[controller] = &pimController{callbackCtrl: callbackCtrl{q: newResourceQueue(resources)}}
 			logic.Placement[controller] = ctrlNode
 			for _, sap := range plan.SAPs {
 				id := mda.ComponentID("agent:" + sap.ID)
@@ -55,14 +55,19 @@ func PIM(resources []string) *mda.PIM {
 	}
 }
 
+// The directed messages of the PIM logic besides the protocol's granted
+// PDU: like granted, they carry the {resid} grant record.
+var (
+	msgRequest = protocol.NewPDU("request", encGrantArgs)
+	msgFree    = protocol.NewPDU("free", encGrantArgs)
+)
+
 // pimController is the platform-independent coordinator logic: the same
 // coordination as the callback protocol entity, expressed over abstract
 // directed messages instead of PDUs.
 type pimController struct {
+	callbackCtrl
 	ctx *mda.LogicContext
-
-	mu sync.Mutex
-	q  *resourceQueue
 }
 
 var _ mda.Component = (*pimController)(nil)
@@ -79,42 +84,22 @@ func (c *pimController) FromUser(primitive string, _ codec.Record) error {
 }
 
 // OnMessage implements mda.Component.
-func (c *pimController) OnMessage(from mda.ComponentID, msg codec.Message) error {
-	res, _ := msg.Fields[ParamResource].(string)
-	switch msg.Name {
-	case "request":
-		c.mu.Lock()
-		if !c.q.known(res) {
-			c.mu.Unlock()
-			return fmt.Errorf("floorcontrol: request for unknown resource %q", res)
-		}
-		granted := c.q.tryAcquire(string(from), res)
-		if !granted {
-			c.q.enqueue(string(from), res)
-		}
-		c.mu.Unlock()
-		if granted {
-			return c.grant(from, res)
-		}
-		return nil
-	case "free":
-		c.mu.Lock()
-		next, ok, err := c.q.release(string(from), res)
-		c.mu.Unlock()
-		if err != nil {
-			return err
-		}
-		if ok {
-			return c.grant(mda.ComponentID(next), res)
-		}
-		return nil
+func (c *pimController) OnMessage(from mda.ComponentID, msg codec.MsgView) error {
+	a, _ := decGrantArgs(msg)
+	var to string
+	var err error
+	switch {
+	case msg.NameIs(msgRequest.Name()):
+		to, err = c.request(string(from), a.Res)
+	case msg.NameIs(msgFree.Name()):
+		to, err = c.free(string(from), a.Res)
 	default:
-		return fmt.Errorf("floorcontrol: unexpected message %q at controller logic", msg.Name)
+		return fmt.Errorf("floorcontrol: unexpected message %q at controller logic", msg.Name())
 	}
-}
-
-func (c *pimController) grant(to mda.ComponentID, res string) error {
-	return c.ctx.Send(to, codec.NewMessage("granted", codec.Record{ParamResource: res}))
+	if to == "" {
+		return err
+	}
+	return mda.Send(c.ctx, mda.ComponentID(to), pduGranted, grantArgs{Res: a.Res})
 }
 
 // pimAgent is the per-SAP service logic: it maps service primitives to
@@ -137,21 +122,21 @@ func (a *pimAgent) FromUser(primitive string, params codec.Record) error {
 	res, _ := params[ParamResource].(string)
 	switch primitive {
 	case PrimRequest:
-		return a.ctx.Send(a.controller, codec.NewMessage("request", codec.Record{ParamResource: res}))
+		return mda.Send(a.ctx, a.controller, msgRequest, grantArgs{Res: res})
 	case PrimFree:
-		return a.ctx.Send(a.controller, codec.NewMessage("free", codec.Record{ParamResource: res}))
+		return mda.Send(a.ctx, a.controller, msgFree, grantArgs{Res: res})
 	default:
 		return fmt.Errorf("floorcontrol: unexpected primitive %q", primitive)
 	}
 }
 
 // OnMessage implements mda.Component.
-func (a *pimAgent) OnMessage(_ mda.ComponentID, msg codec.Message) error {
-	if msg.Name != "granted" {
-		return fmt.Errorf("floorcontrol: unexpected message %q at agent logic", msg.Name)
+func (a *pimAgent) OnMessage(_ mda.ComponentID, msg codec.MsgView) error {
+	if !msg.NameIs(pduGranted.Name()) {
+		return fmt.Errorf("floorcontrol: unexpected message %q at agent logic", msg.Name())
 	}
-	res, _ := msg.Fields[ParamResource].(string)
-	a.ctx.DeliverToUser(PrimGranted, codec.Record{ParamResource: res})
+	g, _ := decGrantArgs(msg)
+	a.ctx.DeliverToUser(PrimGranted, codec.Record{ParamResource: g.Res})
 	return nil
 }
 

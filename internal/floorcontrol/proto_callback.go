@@ -46,7 +46,7 @@ func (*ProtoCallback) Scattering(n int) Scattering {
 // Build implements Solution.
 func (s *ProtoCallback) Build(env *Env) (map[string]AppPart, error) {
 	return buildProtocolSolution(env, s.Name(), func(layer *protocol.Layer) error {
-		ctrl := &callbackCtrlEntity{q: newResourceQueue(env.Resources)}
+		ctrl := &callbackCtrlEntity{callbackCtrl: callbackCtrl{q: newResourceQueue(env.Resources)}}
 		if err := layer.AddEntity(ctrlNode, ctrl); err != nil {
 			return fmt.Errorf("floorcontrol: add controller entity: %w", err)
 		}
@@ -77,35 +77,60 @@ func (e *callbackSubEntity) Init(ctx *protocol.Context) error {
 // FromUser implements protocol.Entity.
 func (e *callbackSubEntity) FromUser(primitive string, params codec.Record) error {
 	res, _ := params[ParamResource].(string)
+	args := ctrlArgs{Sub: string(e.ctx.Self()), Res: res}
 	switch primitive {
 	case PrimRequest:
-		return e.ctx.SendPDU(e.controller, codec.NewMessage("request",
-			codec.Record{"subid": string(e.ctx.Self()), ParamResource: res}))
+		return pduRequest.Send(e.ctx, e.controller, args)
 	case PrimFree:
-		return e.ctx.SendPDU(e.controller, codec.NewMessage("free",
-			codec.Record{"subid": string(e.ctx.Self()), ParamResource: res}))
+		return pduFree.Send(e.ctx, e.controller, args)
 	default:
 		return fmt.Errorf("floorcontrol: unexpected primitive %q", primitive)
 	}
 }
 
 // FromPeer implements protocol.Entity.
-func (e *callbackSubEntity) FromPeer(_ protocol.Addr, pdu codec.Message) error {
-	if pdu.Name != "granted" {
-		return fmt.Errorf("floorcontrol: unexpected PDU %q at subscriber entity", pdu.Name)
+func (e *callbackSubEntity) FromPeer(_ protocol.Addr, pdu codec.MsgView) error {
+	if !pdu.NameIs(pduGranted.Name()) {
+		return fmt.Errorf("floorcontrol: unexpected PDU %q at subscriber entity", pdu.Name())
 	}
-	res, _ := pdu.Fields[ParamResource].(string)
-	e.ctx.DeliverToUser(PrimGranted, codec.Record{ParamResource: res})
+	g, _ := decGrantArgs(pdu)
+	e.ctx.DeliverToUser(PrimGranted, codec.Record{ParamResource: g.Res})
 	return nil
 }
 
-// callbackCtrlEntity is the controller protocol entity: holder and FIFO
-// queue per resource, granting by PDU.
-type callbackCtrlEntity struct {
-	ctx *protocol.Context
-
+// callbackCtrl is the callback controller's coordination — holder and
+// FIFO queue per resource — shared by the controller protocol entity and
+// the PIM controller logic. request and free return the subscriber to
+// grant res to now ("" for none).
+type callbackCtrl struct {
 	mu sync.Mutex
 	q  *resourceQueue
+}
+
+func (c *callbackCtrl) request(sub, res string) (string, error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if !c.q.known(res) {
+		return "", fmt.Errorf("floorcontrol: request for unknown resource %q", res)
+	}
+	if c.q.tryAcquire(sub, res) {
+		return sub, nil
+	}
+	c.q.enqueue(sub, res)
+	return "", nil
+}
+
+func (c *callbackCtrl) free(sub, res string) (string, error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	next, _, err := c.q.release(sub, res)
+	return next, err
+}
+
+// callbackCtrlEntity is the controller protocol entity, granting by PDU.
+type callbackCtrlEntity struct {
+	callbackCtrl
+	ctx *protocol.Context
 }
 
 var _ protocol.Entity = (*callbackCtrlEntity)(nil)
@@ -122,42 +147,20 @@ func (e *callbackCtrlEntity) FromUser(primitive string, _ codec.Record) error {
 }
 
 // FromPeer implements protocol.Entity.
-func (e *callbackCtrlEntity) FromPeer(src protocol.Addr, pdu codec.Message) error {
-	sub, _ := pdu.Fields["subid"].(string)
-	res, _ := pdu.Fields[ParamResource].(string)
-	switch pdu.Name {
-	case "request":
-		e.mu.Lock()
-		if !e.q.known(res) {
-			e.mu.Unlock()
-			return fmt.Errorf("floorcontrol: request for unknown resource %q", res)
-		}
-		granted := e.q.tryAcquire(sub, res)
-		if !granted {
-			e.q.enqueue(sub, res)
-		}
-		e.mu.Unlock()
-		if granted {
-			return e.grant(sub, res)
-		}
-		return nil
-	case "free":
-		e.mu.Lock()
-		next, ok, err := e.q.release(sub, res)
-		e.mu.Unlock()
-		if err != nil {
-			return err
-		}
-		if ok {
-			return e.grant(next, res)
-		}
-		return nil
+func (e *callbackCtrlEntity) FromPeer(src protocol.Addr, pdu codec.MsgView) error {
+	a, _ := decCtrlArgs(pdu)
+	var to string
+	var err error
+	switch {
+	case pdu.NameIs(pduRequest.Name()):
+		to, err = e.request(a.Sub, a.Res)
+	case pdu.NameIs(pduFree.Name()):
+		to, err = e.free(a.Sub, a.Res)
 	default:
-		return fmt.Errorf("floorcontrol: unexpected PDU %q at controller entity from %s", pdu.Name, src)
+		return fmt.Errorf("floorcontrol: unexpected PDU %q at controller entity from %s", pdu.Name(), src)
 	}
-}
-
-func (e *callbackCtrlEntity) grant(sub, res string) error {
-	return e.ctx.SendPDU(protocol.Addr(sub), codec.NewMessage("granted",
-		codec.Record{ParamResource: res}))
+	if to == "" {
+		return err
+	}
+	return pduGranted.Send(e.ctx, protocol.Addr(to), grantArgs{Res: a.Res})
 }

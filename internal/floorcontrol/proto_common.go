@@ -63,6 +63,18 @@ func (p *serviceAppPart) Release(res string) {
 	}
 }
 
+// The PDUs of the three protocol solutions (Figure 6). Each carries the
+// argument record of its middleware twin (Figure 5), so the protocol and
+// middleware solutions share one wire shape per interaction.
+var (
+	pduRequest   = protocol.NewPDU("request", encCtrlArgs)
+	pduFree      = protocol.NewPDU("free", encCtrlArgs)
+	pduGranted   = protocol.NewPDU("granted", encGrantArgs)
+	pduAvailReq  = protocol.NewPDU("is_available_req", encCtrlArgs)
+	pduAvailResp = protocol.NewPDU("is_available_resp", encAvailReply)
+	pduPass      = protocol.NewPDU("pass", encTokenArgs)
+)
+
 // buildProtocolSolution is the shared assembly for the three protocol
 // solutions: create the layer, install entities, bind SAPs, wrap the
 // service boundary with conformance observation, and hand every

@@ -91,25 +91,23 @@ func (e *pollingSubEntity) FromUser(primitive string, params codec.Record) error
 		e.mu.Unlock()
 		return e.probe(res)
 	case PrimFree:
-		return e.ctx.SendPDU(e.controller, codec.NewMessage("free",
-			codec.Record{"subid": string(e.ctx.Self()), ParamResource: res}))
+		return pduFree.Send(e.ctx, e.controller, ctrlArgs{Sub: string(e.ctx.Self()), Res: res})
 	default:
 		return fmt.Errorf("floorcontrol: unexpected primitive %q", primitive)
 	}
 }
 
 func (e *pollingSubEntity) probe(res string) error {
-	return e.ctx.SendPDU(e.controller, codec.NewMessage("is_available_req",
-		codec.Record{"subid": string(e.ctx.Self()), ParamResource: res}))
+	return pduAvailReq.Send(e.ctx, e.controller, ctrlArgs{Sub: string(e.ctx.Self()), Res: res})
 }
 
 // FromPeer implements protocol.Entity.
-func (e *pollingSubEntity) FromPeer(_ protocol.Addr, pdu codec.Message) error {
-	if pdu.Name != "is_available_resp" {
-		return fmt.Errorf("floorcontrol: unexpected PDU %q at polling subscriber entity", pdu.Name)
+func (e *pollingSubEntity) FromPeer(_ protocol.Addr, pdu codec.MsgView) error {
+	if !pdu.NameIs(pduAvailResp.Name()) {
+		return fmt.Errorf("floorcontrol: unexpected PDU %q at polling subscriber entity", pdu.Name())
 	}
-	res, _ := pdu.Fields[ParamResource].(string)
-	avail, _ := pdu.Fields["available"].(bool)
+	r, _ := decAvailReply(pdu)
+	res, avail := r.Res, r.Available
 	e.mu.Lock()
 	waiting := e.waiting[res]
 	if avail && waiting {
@@ -157,11 +155,11 @@ func (e *pollingCtrlEntity) FromUser(primitive string, _ codec.Record) error {
 }
 
 // FromPeer implements protocol.Entity.
-func (e *pollingCtrlEntity) FromPeer(src protocol.Addr, pdu codec.Message) error {
-	sub, _ := pdu.Fields["subid"].(string)
-	res, _ := pdu.Fields[ParamResource].(string)
-	switch pdu.Name {
-	case "is_available_req":
+func (e *pollingCtrlEntity) FromPeer(src protocol.Addr, pdu codec.MsgView) error {
+	a, _ := decCtrlArgs(pdu)
+	sub, res := a.Sub, a.Res
+	switch {
+	case pdu.NameIs(pduAvailReq.Name()):
 		e.mu.Lock()
 		if !e.q.known(res) {
 			e.mu.Unlock()
@@ -169,14 +167,13 @@ func (e *pollingCtrlEntity) FromPeer(src protocol.Addr, pdu codec.Message) error
 		}
 		got := e.q.tryAcquire(sub, res)
 		e.mu.Unlock()
-		return e.ctx.SendPDU(protocol.Addr(sub), codec.NewMessage("is_available_resp",
-			codec.Record{ParamResource: res, "available": got}))
-	case "free":
+		return pduAvailResp.Send(e.ctx, protocol.Addr(sub), availReply{Res: res, Available: got})
+	case pdu.NameIs(pduFree.Name()):
 		e.mu.Lock()
 		_, _, err := e.q.release(sub, res)
 		e.mu.Unlock()
 		return err
 	default:
-		return fmt.Errorf("floorcontrol: unexpected PDU %q at polling controller from %s", pdu.Name, src)
+		return fmt.Errorf("floorcontrol: unexpected PDU %q at polling controller from %s", pdu.Name(), src)
 	}
 }

@@ -108,15 +108,15 @@ func (e *tokenSubEntity) FromUser(primitive string, params codec.Record) error {
 }
 
 // FromPeer implements protocol.Entity.
-func (e *tokenSubEntity) FromPeer(_ protocol.Addr, pdu codec.Message) error {
-	if pdu.Name != "pass" {
-		return fmt.Errorf("floorcontrol: unexpected PDU %q at token entity", pdu.Name)
+func (e *tokenSubEntity) FromPeer(_ protocol.Addr, pdu codec.MsgView) error {
+	if !pdu.NameIs(pduPass.Name()) {
+		return fmt.Errorf("floorcontrol: unexpected PDU %q at token entity", pdu.Name())
 	}
-	avail, err := codec.ToStringSlice(pdu.Fields["available"])
+	t, err := decTokenArgs(pdu)
 	if err != nil {
-		return fmt.Errorf("floorcontrol: malformed token: %w", err)
+		return fmt.Errorf("floorcontrol: %w", err)
 	}
-	e.onToken(avail)
+	e.onToken(t.Available)
 	return nil
 }
 
@@ -142,8 +142,7 @@ func (e *tokenSubEntity) onToken(avail []string) {
 	}
 	forward := append([]string(nil), avail...)
 	e.ctx.Schedule(e.hop, func() {
-		err := e.ctx.SendPDU(e.next, codec.NewMessage("pass",
-			codec.Record{"available": codec.StringList(forward)}))
+		err := pduPass.Send(e.ctx, e.next, tokenArgs{Available: forward})
 		if err != nil {
 			panic(fmt.Sprintf("floorcontrol: token pass to %q: %v", e.next, err))
 		}

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/codec"
+	"repro/internal/protocol"
 )
 
 // legacyWire encodes a record through the generic codec: the bytes the
@@ -20,20 +21,33 @@ func legacyWire(t *testing.T, r codec.Record) []byte {
 }
 
 // checkParity asserts that a typed encoder's output equals the generic
-// encoding of the legacy record, and that the view decoder inverts it.
-func checkParity[T any](t *testing.T, name string, v T,
+// encoding of the legacy record — a bare record when pdu is empty, else
+// the message named pdu carrying it — and that the view decoder inverts
+// it.
+func checkParity[T any](t *testing.T, name, pdu string, v T,
 	enc func([]byte, T) ([]byte, error), dec func(codec.MsgView) (T, error), legacy codec.Record) {
 	t.Helper()
 	fast, err := enc(nil, v)
 	if err != nil {
 		t.Fatalf("%s: encode: %v", name, err)
 	}
-	if want := legacyWire(t, legacy); !bytes.Equal(fast, want) {
+	want := legacyWire(t, legacy)
+	parse := codec.ParseRecord
+	if pdu != "" {
+		if want, err = codec.AppendMessage(nil, codec.NewMessage(pdu, legacy)); err != nil {
+			t.Fatalf("%s: legacy encode: %v", name, err)
+		}
+		parse = codec.ParseMessage
+	}
+	if !bytes.Equal(fast, want) {
 		t.Fatalf("%s: typed encoder % x, generic codec % x", name, fast, want)
 	}
-	view, err := codec.ParseRecord(fast)
+	view, err := parse(fast)
 	if err != nil {
 		t.Fatalf("%s: parse: %v", name, err)
+	}
+	if !view.NameIs(pdu) {
+		t.Fatalf("%s: parsed name %q, want %q", name, view.Name(), pdu)
 	}
 	got, err := dec(view)
 	if err != nil {
@@ -44,22 +58,23 @@ func checkParity[T any](t *testing.T, name string, v T,
 	}
 }
 
-// TestRPCArgsWireParity pins every floor-control RPC record encoder to
-// the generic codec's bytes — optional fields omitted when zero — so the
-// typed path keeps the wire (and the golden band hashes) unchanged.
+// TestRPCArgsWireParity pins every floor-control RPC record encoder,
+// protocol PDU and PIM directed message to the generic codec's bytes —
+// optional fields omitted when zero — so the typed path keeps the wire
+// (and the golden band hashes) unchanged.
 func TestRPCArgsWireParity(t *testing.T) {
 	for _, seq := range []uint64{0, 7} {
 		legacy := codec.Record{"subid": "s1", ParamResource: "r0"}
 		if seq != 0 {
 			legacy["seq"] = int64(seq)
 		}
-		checkParity(t, "ctrlArgs", ctrlArgs{Sub: "s1", Res: "r0", Seq: seq}, encCtrlArgs, decCtrlArgs, legacy)
+		checkParity(t, "ctrlArgs", "", ctrlArgs{Sub: "s1", Res: "r0", Seq: seq}, encCtrlArgs, decCtrlArgs, legacy)
 
 		legacy = codec.Record{ParamResource: "r0"}
 		if seq != 0 {
 			legacy["seq"] = int64(seq)
 		}
-		checkParity(t, "grantArgs", grantArgs{Res: "r0", Seq: seq}, encGrantArgs, decGrantArgs, legacy)
+		checkParity(t, "grantArgs", "", grantArgs{Res: "r0", Seq: seq}, encGrantArgs, decGrantArgs, legacy)
 	}
 	for _, gen := range []uint64{0, 3} {
 		for _, avail := range [][]string{nil, {"r0", "r1"}} {
@@ -67,12 +82,35 @@ func TestRPCArgsWireParity(t *testing.T) {
 			if gen != 0 {
 				legacy["gen"] = int64(gen)
 			}
-			checkParity(t, "tokenArgs", tokenArgs{Available: avail, Gen: gen}, encTokenArgs, decTokenArgs, legacy)
+			checkParity(t, "tokenArgs", "", tokenArgs{Available: avail, Gen: gen}, encTokenArgs, decTokenArgs, legacy)
 		}
 	}
 	for _, avail := range []bool{true, false} {
-		checkParity(t, "availReply", availReply{Available: avail}, encAvailReply, decAvailReply,
+		checkParity(t, "availReply", "", availReply{Available: avail}, encAvailReply, decAvailReply,
 			codec.Record{"available": avail})
+	}
+
+	// The protocol PDUs (Figure 6), under their legacy names, and the
+	// PIM's directed messages, whose name travels in the envelope.
+	ctrl := codec.Record{"subid": "s1", ParamResource: "r0"}
+	for name, p := range map[string]protocol.PDU[ctrlArgs]{"request": pduRequest, "free": pduFree, "is_available_req": pduAvailReq} {
+		checkParity(t, name, name, ctrlArgs{Sub: "s1", Res: "r0"}, p.Append, decCtrlArgs, ctrl)
+	}
+	res := codec.Record{ParamResource: "r0"}
+	checkParity(t, "granted", "granted", grantArgs{Res: "r0"}, pduGranted.Append, decGrantArgs, res)
+	for name, m := range map[string]protocol.PDU[grantArgs]{"request": msgRequest, "free": msgFree, "granted": pduGranted} {
+		if m.Name() != name {
+			t.Fatalf("PIM message %q named %q", name, m.Name())
+		}
+		checkParity(t, "pim "+name, "", grantArgs{Res: "r0"}, m.AppendRecord, decGrantArgs, res)
+	}
+	for _, avail := range []bool{true, false} {
+		checkParity(t, "is_available_resp", "is_available_resp", availReply{Res: "r0", Available: avail},
+			pduAvailResp.Append, decAvailReply, codec.Record{ParamResource: "r0", "available": avail})
+	}
+	for _, avail := range [][]string{nil, {"r0", "r1"}} {
+		checkParity(t, "pass", "pass", tokenArgs{Available: avail}, pduPass.Append, decTokenArgs,
+			codec.Record{"available": codec.StringList(avail)})
 	}
 	if got, err := encAck(nil, ack{}); err != nil || !bytes.Equal(got, legacyWire(t, codec.Record{})) {
 		t.Fatalf("ack: % x, %v; want the empty record", got, err)

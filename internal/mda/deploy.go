@@ -26,8 +26,9 @@ type ComponentID string
 type Component interface {
 	// Start runs once at deployment, before traffic.
 	Start(ctx *LogicContext) error
-	// OnMessage reacts to a directed message from another component.
-	OnMessage(from ComponentID, msg codec.Message) error
+	// OnMessage reacts to a directed message from another component. The
+	// view borrows the delivery's bytes until OnMessage returns.
+	OnMessage(from ComponentID, msg codec.MsgView) error
 	// FromUser reacts to a from-user service primitive (SAP-bound
 	// components only; others may reject).
 	FromUser(primitive string, params codec.Record) error
@@ -53,10 +54,19 @@ type LogicContext struct {
 // Self returns the component's id.
 func (c *LogicContext) Self() ComponentID { return c.self }
 
-// Send transmits a directed message to another component through the
-// realized abstract platform.
-func (c *LogicContext) Send(to ComponentID, msg codec.Message) error {
-	return c.dep.send(c.self, to, msg)
+// Send transmits one msg carrying v from c's component to another
+// component through the realized abstract platform. A directed message
+// type is declared like a PDU type — a name and a record encoder — and
+// its record is encoded into a pooled buffer the platform copies from.
+func Send[T any](c *LogicContext, to ComponentID, msg protocol.PDU[T], v T) error {
+	buf := codec.GetBuffer()
+	defer buf.Release()
+	fields, err := msg.AppendRecord(buf.B[:0], v)
+	if err != nil {
+		return fmt.Errorf("mda: encode message %q: %w", msg.Name(), err)
+	}
+	buf.B = fields
+	return c.dep.send(c.self, to, msg.Name(), fields)
 }
 
 // DeliverToUser executes a to-user service primitive at the SAP bound to
@@ -156,9 +166,9 @@ func (d *Deployment) deliverToUser(id ComponentID, primitive string, params code
 	}
 }
 
-// send delivers msg from one component to another through the active
-// realization.
-func (d *Deployment) send(from, to ComponentID, msg codec.Message) error {
+// send delivers the message name with its encoded field record from one
+// component to another through the active realization.
+func (d *Deployment) send(from, to ComponentID, name string, fields []byte) error {
 	node, ok := d.logic.Placement[from]
 	if !ok {
 		return fmt.Errorf("mda: unplaced sender %q", from)
@@ -167,16 +177,21 @@ func (d *Deployment) send(from, to ComponentID, msg codec.Message) error {
 	if !ok {
 		return fmt.Errorf("mda: unknown target %q", to)
 	}
-	return send(node, wireEnvelope{From: from, Name: msg.Name, Fields: msg.Fields})
+	return send(node, wireEnvelope{From: from, Name: name, Fields: fields})
 }
 
-// onDelivered routes an inbound abstract message to its component.
-func (d *Deployment) onDelivered(to ComponentID, from ComponentID, msg codec.Message) {
+// onDelivered routes an inbound abstract message to its component; a
+// message that does not parse is dropped.
+func (d *Deployment) onDelivered(to ComponentID, in delivery) {
 	comp, ok := d.logic.Components[to]
 	if !ok {
 		return
 	}
-	_ = comp.OnMessage(from, msg) //nolint:errcheck // component errors are design errors surfaced in tests
+	msg, err := codec.ParseMessage(in.msg)
+	if err != nil {
+		return
+	}
+	_ = comp.OnMessage(in.from, msg) //nolint:errcheck // component errors are design errors surfaced in tests
 }
 
 // Deploy realizes pim on the target platform over the given transport and
@@ -330,38 +345,44 @@ func queueName(id ComponentID) string { return "mda.q." + string(id) }
 const queueMsgName = "mda.msg"
 
 // wireEnvelope is the typed wire form of an abstract directed message:
-// the sending component, the message name, and the payload record.
+// the sending component, the message name, and the encoded payload
+// record, spliced in verbatim.
 type wireEnvelope struct {
 	From   ComponentID
 	Name   string
-	Fields codec.Record
+	Fields []byte
 }
 
 // recEnvelope is the wire layout of the deliver operation's argument
 // record.
 var recEnvelope = codec.CompileRecord("fields", "from", "name")
 
-// encEnvelope appends the deliver operation's argument record (nil
-// payloads travel as empty records, as the legacy envelope did).
+// encEnvelope appends the deliver operation's argument record.
 func encEnvelope(buf []byte, e wireEnvelope) ([]byte, error) {
 	enc := recEnvelope.Encoder(buf)
-	if e.Fields == nil {
-		enc.Raw("fields", codec.RawEmptyRecord)
-	} else {
-		enc.Value("fields", e.Fields)
-	}
+	enc.Raw("fields", e.Fields)
 	enc.Str("from", string(e.From))
 	enc.Str("name", e.Name)
 	return enc.Finish()
 }
 
-// decEnvelope decodes a deliver argument record. The payload is
-// materialized (copied): it outlives the delivery as a codec.Message.
-func decEnvelope(v codec.MsgView) (wireEnvelope, error) {
+// delivery is one received directed message: the sending component and
+// the message's wire form (name, then field record).
+type delivery struct {
+	from ComponentID
+	msg  []byte
+}
+
+// decEnvelope decodes a deliver argument record, copying the message
+// name and payload record out of the delivery buffer as bytes. A
+// malformed name or payload yields a message onDelivered drops.
+func decEnvelope(v codec.MsgView) (delivery, error) {
 	from, _ := v.Str("from")
-	name, _ := v.Str("name")
-	fields, _ := v.Record("fields")
-	return wireEnvelope{From: ComponentID(from), Name: string(name), Fields: fields}, nil
+	name, _ := v.Raw("name")
+	fields, _ := v.Raw("fields")
+	msg := make([]byte, 0, len(name)+len(fields))
+	msg = append(append(msg, name...), fields...)
+	return delivery{from: ComponentID(from), msg: msg}, nil
 }
 
 // registerObjects hosts each component as a typed export exposing the
@@ -378,9 +399,9 @@ func (d *Deployment) registerObjects() error {
 			return fmt.Errorf("mda: register %q: %w", id, err)
 		}
 		err = svc.HandleOp(e, "deliver", decEnvelope, nil,
-			func(env wireEnvelope, respond func(struct{}, error)) {
+			func(in delivery, respond func(struct{}, error)) {
 				respond(struct{}{}, nil)
-				d.onDelivered(id, env.From, codec.NewMessage(env.Name, env.Fields))
+				d.onDelivered(id, in)
 			})
 		if err != nil {
 			return fmt.Errorf("mda: register %q: %w", id, err)
@@ -406,9 +427,7 @@ func (d *Deployment) subscribeQueues() error {
 		}
 		_, err := svc.NewQueueSource(d.ports, queueName(id), d.logic.Placement[id],
 			decEnvelope,
-			func(env wireEnvelope) {
-				d.onDelivered(id, env.From, codec.NewMessage(env.Name, env.Fields))
-			})
+			func(in delivery) { d.onDelivered(id, in) })
 		if err != nil {
 			return fmt.Errorf("mda: subscribe queue for %q: %w", id, err)
 		}

@@ -26,11 +26,24 @@ func (e *echoLogic) FromUser(primitive string, _ codec.Record) error {
 	return fmt.Errorf("echo logic has no SAP (got %q)", primitive)
 }
 
-func (e *echoLogic) OnMessage(from ComponentID, msg codec.Message) error {
-	if msg.Name != "ping" {
-		return fmt.Errorf("unexpected message %q", msg.Name)
+// appendRecord encodes a params record: the echo messages carry the
+// primitive's params as they are.
+func appendRecord(buf []byte, r codec.Record) ([]byte, error) { return codec.Append(buf, r) }
+
+var (
+	msgPing = protocol.NewPDU("ping", appendRecord)
+	msgPong = protocol.NewPDU("pong", appendRecord)
+)
+
+func (e *echoLogic) OnMessage(from ComponentID, msg codec.MsgView) error {
+	if !msg.NameIs(msgPing.Name()) {
+		return fmt.Errorf("unexpected message %q", msg.Name())
 	}
-	return e.ctx.Send(from, codec.NewMessage("pong", msg.Fields))
+	fields, err := msg.Fields()
+	if err != nil {
+		return err
+	}
+	return Send(e.ctx, from, msgPong, fields)
 }
 
 // echoAgent binds a SAP to the echo server.
@@ -47,14 +60,18 @@ func (a *echoAgent) FromUser(primitive string, params codec.Record) error {
 	if primitive != "ping" {
 		return fmt.Errorf("unexpected primitive %q", primitive)
 	}
-	return a.ctx.Send(a.server, codec.NewMessage("ping", params))
+	return Send(a.ctx, a.server, msgPing, params)
 }
 
-func (a *echoAgent) OnMessage(_ ComponentID, msg codec.Message) error {
-	if msg.Name != "pong" {
-		return fmt.Errorf("unexpected message %q", msg.Name)
+func (a *echoAgent) OnMessage(_ ComponentID, msg codec.MsgView) error {
+	if !msg.NameIs(msgPong.Name()) {
+		return fmt.Errorf("unexpected message %q", msg.Name())
 	}
-	a.ctx.DeliverToUser("pong", msg.Fields)
+	fields, err := msg.Fields()
+	if err != nil {
+		return err
+	}
+	a.ctx.DeliverToUser("pong", fields)
 	return nil
 }
 
@@ -222,32 +239,39 @@ func TestRealizationAccessors(t *testing.T) {
 
 // legacyEnvelope is the generic record form of the deliver envelope
 // (nil payloads as empty records) that the typed encoder is pinned to.
-func legacyEnvelope(e wireEnvelope) codec.Record {
-	fields := e.Fields
+func legacyEnvelope(from ComponentID, name string, fields codec.Record) codec.Record {
 	if fields == nil {
 		fields = codec.Record{}
 	}
-	return codec.Record{"from": string(e.From), "name": e.Name, "fields": fields}
+	return codec.Record{"from": string(from), "name": name, "fields": fields}
 }
 
 // TestEnvelopeWireParity pins the typed deliver-envelope encoder to the
 // generic codec's bytes of the legacy envelope record (nil payloads as
 // empty records), and the view decoder to its inverse.
 func TestEnvelopeWireParity(t *testing.T) {
-	for _, env := range []wireEnvelope{
-		{From: "a", Name: "ping", Fields: codec.Record{"n": int64(3), "tags": codec.List{"x"}}},
-		{From: "b", Name: "empty"},
+	for _, tc := range []struct {
+		from   ComponentID
+		name   string
+		fields codec.Record
+	}{
+		{"a", "ping", codec.Record{"n": int64(3), "tags": codec.List{"x"}}},
+		{"b", "empty", nil},
 	} {
-		fast, err := encEnvelope(nil, env)
+		fields, err := appendRecord(nil, tc.fields)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := codec.Append(nil, legacyEnvelope(env))
+		fast, err := encEnvelope(nil, wireEnvelope{From: tc.from, Name: tc.name, Fields: fields})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := codec.Append(nil, legacyEnvelope(tc.from, tc.name, tc.fields))
 		if err != nil {
 			t.Fatal(err)
 		}
 		if string(fast) != string(want) {
-			t.Fatalf("%s: typed encoder % x, generic codec % x", env.Name, fast, want)
+			t.Fatalf("%s: typed encoder % x, generic codec % x", tc.name, fast, want)
 		}
 		view, err := codec.ParseRecord(fast)
 		if err != nil {
@@ -257,8 +281,16 @@ func TestEnvelopeWireParity(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got.From != env.From || got.Name != env.Name || !codec.Equal(got.Fields, legacyEnvelope(env)["fields"]) {
-			t.Fatalf("%s: round trip %+v, want %+v", env.Name, got, env)
+		msg, err := codec.ParseMessage(got.msg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gotFields, err := msg.Fields()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.from != tc.from || !msg.NameIs(tc.name) || !codec.Equal(gotFields, legacyEnvelope(tc.from, tc.name, tc.fields)["fields"]) {
+			t.Fatalf("%s: round trip from %q, %q%v", tc.name, got.from, msg.Name(), gotFields)
 		}
 	}
 }
@@ -303,8 +335,8 @@ func TestQueueEnvelopeWireParity(t *testing.T) {
 			from, to ComponentID
 			name     string
 		}{{"agent:u1", "echo", "ping"}, {"echo", "agent:u1", "pong"}} {
-			legacy := legacyEnvelope(wireEnvelope{From: hop.from, Name: hop.name, Fields: params})
-			wire, err := codec.EncodeMessage(codec.NewMessage("mw.enqueue", codec.Record{
+			legacy := legacyEnvelope(hop.from, hop.name, params)
+			wire, err := codec.AppendMessage(nil, codec.NewMessage("mw.enqueue", codec.Record{
 				"fields": legacy, "name": "mda.msg", "queue": queueName(hop.to),
 			}))
 			if err != nil {

@@ -21,6 +21,10 @@
 //   - Deploy instantiates the PIM's logic on the realized platform,
 //     yielding a running system whose service boundary is a core.Provider
 //     — the PSI, executable and conformance-checkable.
+//
+// Directed messages travel as bytes, like PDUs: a message type is a
+// protocol.PDU, and a Component reads each message it receives through a
+// codec.MsgView valid until OnMessage returns.
 package mda
 
 import (

@@ -43,12 +43,12 @@ func TestSubscribeTopicView(t *testing.T) {
 		topic, _ := v.Str("topic")
 		name, _ := v.Str("name")
 		gotTopic, gotName = string(topic), string(name)
-		fields, ok := v.Record("fields")
+		fields, ok := v.View("fields")
 		if !ok {
 			t.Error("event view has no fields record")
 			return
 		}
-		if s, ok := fields["seq"].(uint64); ok {
+		if s, ok := fields.Uint("seq"); ok {
 			gotSeq = s
 		}
 	})

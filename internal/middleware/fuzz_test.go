@@ -140,7 +140,7 @@ func fuzzTopicPlatform(t *testing.T) (*sim.Kernel, *middleware.Platform) {
 // codec.
 func wireSeed(f *testing.F, name string, fields codec.Record) []byte {
 	f.Helper()
-	data, err := codec.EncodeMessage(codec.NewMessage(name, fields))
+	data, err := codec.AppendMessage(nil, codec.NewMessage(name, fields))
 	if err != nil {
 		f.Fatal(err)
 	}

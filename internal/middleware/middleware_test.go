@@ -388,7 +388,7 @@ func TestEnqueueCorruptFields(t *testing.T) {
 		t.Fatal(err)
 	}
 	enqueue := func(fields codec.Record) []byte {
-		data, err := codec.EncodeMessage(codec.NewMessage("mw.enqueue", fields))
+		data, err := codec.AppendMessage(nil, codec.NewMessage("mw.enqueue", fields))
 		if err != nil {
 			t.Fatal(err)
 		}

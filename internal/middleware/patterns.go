@@ -11,7 +11,7 @@ import (
 // through them appends straight into pooled scratch buffers — no field
 // map is built and no key sorting happens per message. Field order in
 // the encode calls below is the canonical (sorted) order the schemas
-// enforce; the bytes are identical to the legacy EncodeMessage path.
+// enforce; the bytes are identical to the legacy AppendMessage path.
 var (
 	schemaCall     = codec.CompileSchema("mw.call", "args", "id", "op", "target")
 	schemaOneway   = codec.CompileSchema("mw.oneway", "args", "op", "target")

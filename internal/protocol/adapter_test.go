@@ -24,16 +24,26 @@ func (e *logEntity) Init(ctx *Context) error { e.ctx = ctx; return nil }
 
 func (e *logEntity) FromUser(string, codec.Record) error { return nil }
 
-func (e *logEntity) FromPeer(src Addr, pdu codec.Message) error {
-	*e.log = append(*e.log, fmt.Sprintf("%v %s→%s %s%v", e.ctx.Time().Now(), src, e.ctx.Self(), pdu.Name, pdu.Fields))
+func (e *logEntity) FromPeer(src Addr, pdu codec.MsgView) error {
+	i, _ := pdu.Int("i")
+	*e.log = append(*e.log, fmt.Sprintf("%v %s→%s %s i=%d", e.ctx.Time().Now(), src, e.ctx.Self(), pdu.Name(), i))
 	return nil
 }
+
+// recTick is the fan-out PDU's record.
+var recTick = codec.CompileRecord("i")
+
+var pduTick = NewPDU("fan.tick", func(buf []byte, i int64) ([]byte, error) {
+	e := recTick.Encoder(buf)
+	e.Int("i", i)
+	return e.Finish()
+})
 
 // adapterTraffic runs one seeded workload over wrap(udp) and returns the
 // delivery log and the network counters: go-back-N flows a→b and c→b
 // through a ReliableDatagram on a link with loss, duplication and
 // jitter, plus a Layer whose "hub" entity fans every PDU out to three
-// peers with SendPDUMulti.
+// peers with PDU.SendMulti.
 func adapterTraffic(t *testing.T, wrap func(LowerService) LowerService) ([]string, network.Stats) {
 	t.Helper()
 	k, n := newNet(21, network.LinkConfig{
@@ -71,7 +81,7 @@ func adapterTraffic(t *testing.T, wrap func(LowerService) LowerService) ([]strin
 		if err := rd.Send("c", "b", []byte(fmt.Sprintf("c%d", i))); err != nil {
 			t.Fatal(err)
 		}
-		if err := hub.ctx.SendPDUMulti(peers, codec.NewMessage("fan.tick", codec.Record{"i": int64(i)})); err != nil {
+		if err := pduTick.SendMulti(hub.ctx, peers, int64(i)); err != nil {
 			t.Fatal(err)
 		}
 	}

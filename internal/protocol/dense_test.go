@@ -59,7 +59,7 @@ func (c *captureLower) deliver(p capturedPDU) {
 // are canonical, identical to the schema encoder's).
 func encodeData(t *testing.T, seq uint64, payload string) []byte {
 	t.Helper()
-	data, err := codec.EncodeMessage(codec.NewMessage("rdp.data", codec.Record{
+	data, err := codec.AppendMessage(nil, codec.NewMessage("rdp.data", codec.Record{
 		"seq": seq, "payload": []byte(payload),
 	}))
 	if err != nil {

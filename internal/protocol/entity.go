@@ -27,9 +27,10 @@ type Entity interface {
 	// FromUser handles a from-user service primitive executed by the local
 	// user at this entity's service access point.
 	FromUser(primitive string, params codec.Record) error
-	// FromPeer handles a decoded PDU received from a peer entity through
-	// the lower level service.
-	FromPeer(src Addr, pdu codec.Message) error
+	// FromPeer handles a PDU received from a peer entity through the
+	// lower level service. The view, and every byte slice read through
+	// it, borrows the delivery buffer until FromPeer returns.
+	FromPeer(src Addr, pdu codec.MsgView) error
 }
 
 // Context is an entity's window on its layer: its own address, PDU
@@ -58,48 +59,70 @@ func (c *Context) Schedule(delay time.Duration, fn func()) sim.TimerRef {
 	return c.layer.kern.ScheduleFuncRef(delay, fn)
 }
 
-// SendPDU encodes and transmits a PDU to the peer entity at dst through
-// the layer's lower service. The encoding goes into a pooled scratch
-// buffer: lower services copy synchronously (see LowerService.Send), so
-// the buffer is recycled before SendPDU returns.
-func (c *Context) SendPDU(dst Addr, pdu codec.Message) error {
+// PDU is one PDU type of an application protocol: its name, the encoded
+// name every PDU of the type starts with, and the encoder of the field
+// record that follows. Declare one per PDU type as a package-level var.
+type PDU[T any] struct {
+	name string
+	head []byte
+	enc  func([]byte, T) ([]byte, error)
+}
+
+// NewPDU declares the PDU type name whose field record enc appends (one
+// record value — the encoder shape svc ports take).
+func NewPDU[T any](name string, enc func([]byte, T) ([]byte, error)) PDU[T] {
+	head, _ := codec.Append(nil, name) // a string always encodes
+	return PDU[T]{name: name, head: head, enc: enc}
+}
+
+// Name returns the PDU type name.
+func (p PDU[T]) Name() string { return p.name }
+
+// Append appends the wire form of one PDU carrying v to buf.
+func (p PDU[T]) Append(buf []byte, v T) ([]byte, error) {
+	return p.enc(append(buf, p.head...), v)
+}
+
+// AppendRecord appends only the field record of one PDU carrying v.
+func (p PDU[T]) AppendRecord(buf []byte, v T) ([]byte, error) { return p.enc(buf, v) }
+
+// Send transmits one PDU carrying v from c's entity to the peer entity
+// at dst through the layer's lower service. The encoding goes into a
+// pooled scratch buffer: lower services copy synchronously (see
+// LowerService.Send), so the buffer is recycled before Send returns.
+func (p PDU[T]) Send(c *Context, dst Addr, v T) error {
 	buf := codec.GetBuffer()
-	data, err := codec.AppendMessage(buf.B[:0], pdu)
+	defer buf.Release()
+	data, err := p.Append(buf.B[:0], v)
 	if err != nil {
-		buf.Release()
-		return fmt.Errorf("protocol: encode PDU %q: %w", pdu.Name, err)
+		return fmt.Errorf("protocol: encode PDU %q: %w", p.name, err)
 	}
-	err = c.layer.sendEncoded(c, dst, pdu.Name, data)
 	buf.B = data
-	buf.Release()
-	if err != nil {
-		return fmt.Errorf("protocol: send PDU %q %s→%s: %w", pdu.Name, c.self, dst, err)
+	if err := c.layer.sendEncoded(c, dst, p.name, data); err != nil {
+		return fmt.Errorf("protocol: send PDU %q %s→%s: %w", p.name, c.self, dst, err)
 	}
 	return nil
 }
 
-// SendPDUMulti encodes pdu once and transmits it to every destination in
+// SendMulti encodes v once and transmits it to every destination in
 // order — the fan-out path for broadcast-style protocol entities — over
 // the lower service's dense batch path. A destination the lower service
 // cannot resolve is skipped and reported (ErrUnknownEntity) after the
-// others are sent. Layer counters advance exactly as if SendPDU were
+// others are sent. Layer counters advance exactly as if Send were
 // called once per destination.
-func (c *Context) SendPDUMulti(dsts []Addr, pdu codec.Message) error {
+func (p PDU[T]) SendMulti(c *Context, dsts []Addr, v T) error {
 	if len(dsts) == 0 {
 		return nil
 	}
 	buf := codec.GetBuffer()
-	data, err := codec.AppendMessage(buf.B[:0], pdu)
+	defer buf.Release()
+	data, err := p.Append(buf.B[:0], v)
 	if err != nil {
-		buf.Release()
-		return fmt.Errorf("protocol: encode PDU %q: %w", pdu.Name, err)
+		return fmt.Errorf("protocol: encode PDU %q: %w", p.name, err)
 	}
-	defer func() {
-		buf.B = data
-		buf.Release()
-	}()
-	if err := c.layer.sendEncodedMulti(c, dsts, pdu.Name, data); err != nil {
-		return fmt.Errorf("protocol: send PDU %q fan-out from %s: %w", pdu.Name, c.self, err)
+	buf.B = data
+	if err := c.layer.sendEncodedMulti(c, dsts, p.name, data); err != nil {
+		return fmt.Errorf("protocol: send PDU %q fan-out from %s: %w", p.name, c.self, err)
 	}
 	return nil
 }
@@ -157,7 +180,7 @@ type Layer struct {
 	ents       []entityEntry
 	lowerAddrs []Addr         // lower endpoint id → address (receive cache)
 	dstLow     map[Addr]int32 // destination → lower endpoint id (send cache)
-	lowScratch []int32        // fan-out scratch, reused across SendPDUMulti calls
+	lowScratch []int32        // fan-out scratch, reused across SendMulti calls
 
 	pdusSent  uint64
 	bytesSent uint64
@@ -238,18 +261,14 @@ func (l *Layer) AddEntity(addr Addr, e Entity) error {
 	return nil
 }
 
-// receivePDU decodes one PDU received from src and hands it to e;
-// undecodable PDUs are dropped.
+// receivePDU hands e a view of one PDU received from src; undecodable
+// PDUs are dropped.
 func receivePDU(e Entity, src Addr, data []byte) {
 	v, err := codec.ParseMessage(data)
 	if err != nil {
 		return
 	}
-	msg, err := v.Message()
-	if err != nil {
-		return
-	}
-	_ = e.FromPeer(src, msg) //nolint:errcheck // entity errors are local design errors surfaced in tests
+	_ = e.FromPeer(src, v) //nolint:errcheck // entity errors are local design errors surfaced in tests
 }
 
 // Entity returns the entity at addr.

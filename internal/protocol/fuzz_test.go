@@ -11,7 +11,7 @@ import (
 // rdpSeed encodes one reliable-datagram PDU through the generic codec.
 func rdpSeed(f *testing.F, name string, fields codec.Record) []byte {
 	f.Helper()
-	data, err := codec.EncodeMessage(codec.NewMessage(name, fields))
+	data, err := codec.AppendMessage(nil, codec.NewMessage(name, fields))
 	if err != nil {
 		f.Fatal(err)
 	}

@@ -17,7 +17,11 @@
 //     "(reliable datagram)" lower service the paper's Figure 6 assumes;
 //   - Entity, Context and Layer: the framework for writing application
 //     protocols (the floor-control protocols of Figure 6 are Entities) and
-//     exposing the layer's upper boundary as a core.Provider.
+//     exposing the layer's upper boundary as a core.Provider. Entities
+//     exchange PDUs as bytes: a PDU type (NewPDU) appends its name and
+//     field record into a pooled buffer, and the receiving entity reads
+//     it through a codec.MsgView valid until FromPeer returns. Records
+//     are built only for the primitive params at the service boundary.
 package protocol
 
 import (

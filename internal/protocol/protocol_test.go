@@ -238,18 +238,31 @@ func (e *echoEntity) FromUser(primitive string, params codec.Record) error {
 	if primitive != "ping" {
 		return fmt.Errorf("echo: unknown primitive %q", primitive)
 	}
-	return e.ctx.SendPDU(e.peer, codec.NewMessage("echo.req", params))
+	return pduEchoReq.Send(e.ctx, e.peer, params)
 }
 
-func (e *echoEntity) FromPeer(src Addr, pdu codec.Message) error {
-	switch pdu.Name {
-	case "echo.req":
-		return e.ctx.SendPDU(src, codec.NewMessage("echo.resp", pdu.Fields))
-	case "echo.resp":
-		e.ctx.DeliverToUser("pong", pdu.Fields)
+// appendRecord encodes a params record: the echo PDUs carry the
+// primitive's params as they are.
+func appendRecord(buf []byte, r codec.Record) ([]byte, error) { return codec.Append(buf, r) }
+
+var (
+	pduEchoReq  = NewPDU("echo.req", appendRecord)
+	pduEchoResp = NewPDU("echo.resp", appendRecord)
+)
+
+func (e *echoEntity) FromPeer(src Addr, pdu codec.MsgView) error {
+	fields, err := pdu.Fields()
+	if err != nil {
+		return err
+	}
+	switch {
+	case pdu.NameIs(pduEchoReq.Name()):
+		return pduEchoResp.Send(e.ctx, src, fields)
+	case pdu.NameIs(pduEchoResp.Name()):
+		e.ctx.DeliverToUser("pong", fields)
 		return nil
 	default:
-		return fmt.Errorf("echo: unknown PDU %q", pdu.Name)
+		return fmt.Errorf("echo: unknown PDU %q", pdu.Name())
 	}
 }
 

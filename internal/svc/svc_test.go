@@ -404,11 +404,11 @@ func TestTypedPubSubAndQueue(t *testing.T) {
 	var topicGot []uint64
 	src, err := svc.NewTopicSource(b, "news", "sub-1",
 		func(v codec.MsgView) (note, error) {
-			fields, ok := v.Record("fields")
+			fields, ok := v.View("fields")
 			if !ok {
 				return note{}, fmt.Errorf("no fields")
 			}
-			seq, _ := fields["seq"].(uint64)
+			seq, _ := fields.Uint("seq")
 			return note{Seq: seq}, nil
 		},
 		func(n note) { topicGot = append(topicGot, n.Seq) })
