@@ -17,6 +17,7 @@ import (
 	"os"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/floorcontrol"
 )
 
@@ -50,6 +51,7 @@ func run() int {
 		return 0
 	}
 
+	var tr core.Trace
 	res, err := floorcontrol.RunWorkload(floorcontrol.Config{
 		Solution:      *solution,
 		Subscribers:   *subs,
@@ -62,6 +64,7 @@ func run() int {
 		Latency:       *latency,
 		LossRate:      *loss,
 		Seed:          *seed,
+		Trace:         &tr,
 	})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "floorctl: %v\n", err)
@@ -82,11 +85,11 @@ func run() int {
 	if res.ConformanceErr != nil {
 		fmt.Printf("conformance:       VIOLATION — %v\n", res.ConformanceErr)
 	} else {
-		fmt.Printf("conformance:       conforms (%d events checked online)\n", len(res.Trace))
+		fmt.Printf("conformance:       conforms (%d events checked online)\n", len(tr))
 	}
 	if *trace {
 		fmt.Println("\nservice trace:")
-		fmt.Print(res.Trace)
+		fmt.Print(tr)
 	}
 	if res.ConformanceErr != nil || res.Completed != res.Expected {
 		return 1

@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"os"
 
+	"repro/internal/core"
 	"repro/internal/floorcontrol"
 	"repro/internal/lts"
 )
@@ -58,12 +59,14 @@ func run() int {
 
 	failures := 0
 	for _, name := range names {
+		var tr core.Trace
 		res, err := floorcontrol.RunWorkload(floorcontrol.Config{
 			Solution:    name,
 			Subscribers: *subs,
 			Resources:   *resources,
 			Cycles:      *cycles,
 			Seed:        *seed,
+			Trace:       &tr,
 		})
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "svcverify: %s: %v\n", name, err)
@@ -75,13 +78,13 @@ func run() int {
 			online = "FAIL: " + res.ConformanceErr.Error()
 		}
 		offline := "pass"
-		impl := traceLTS(res)
+		impl := traceLTS(res.Solution, tr)
 		r := lts.TraceRefines(impl, spec)
 		if !r.Holds {
 			offline = fmt.Sprintf("FAIL at %v", r.Counterexample)
 		}
 		fmt.Printf("%-22s events=%-4d online(constraints)=%s offline(trace⊑LTS)=%s (explored %d product states)\n",
-			name, len(res.Trace), online, offline, r.StatesExplored)
+			name, len(tr), online, offline, r.StatesExplored)
 		if res.ConformanceErr != nil || !r.Holds {
 			failures++
 		}
@@ -95,10 +98,10 @@ func run() int {
 }
 
 // traceLTS turns an executed trace into a linear LTS for refinement.
-func traceLTS(res *floorcontrol.Result) *lts.LTS {
-	b := lts.NewBuilder(res.Solution + "-trace")
+func traceLTS(solution string, tr core.Trace) *lts.LTS {
+	b := lts.NewBuilder(solution + "-trace")
 	prev := b.State("t0")
-	for i, label := range res.Trace.Labels() {
+	for i, label := range tr.Labels() {
 		next := b.State(fmt.Sprintf("t%d", i+1))
 		b.Transition(prev, label, next)
 		prev = next

@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"os"
 
+	"repro/internal/core"
 	"repro/internal/floorcontrol"
 )
 
@@ -22,9 +23,11 @@ func main() {
 	// Execute the callback protocol solution (Figure 6(a)) under a small
 	// workload: 3 subscribers × 5 acquire/hold/release cycles over 2
 	// shared resources, on a simulated 1ms network.
+	var tr core.Trace
 	res, err := floorcontrol.RunWorkload(floorcontrol.Config{
 		Solution: "proto-callback",
 		Seed:     1,
+		Trace:    &tr,
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "quickstart:", err)
@@ -41,5 +44,5 @@ func main() {
 		os.Exit(1)
 	}
 	fmt.Printf("conformance: every one of the %d observed primitives satisfied the service constraints\n",
-		len(res.Trace))
+		len(tr))
 }

@@ -15,7 +15,8 @@
 //     environment reads. Checks: wallclock, globalrand, env.
 //   - mapiter — flag a `range` over a map whose body feeds
 //     order-sensitive output (slice appends, float accumulation,
-//     writes, channel sends) with no subsequent sort. Check: mapiter.
+//     writes, channel sends, a return whose results mention the range
+//     key or value) with no subsequent sort. Check: mapiter.
 //   - poolalias — enforce the borrowed-buffer aliasing contracts: a
 //     []byte received through network.Handler, protocol.Receiver, the
 //     op parameter of a middleware.Object dispatch, or a codec.MsgView

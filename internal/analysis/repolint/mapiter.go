@@ -4,6 +4,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"slices"
 	"strings"
 
 	"golang.org/x/tools/go/analysis"
@@ -18,7 +19,10 @@ import (
 // to a slice declared outside the loop, accumulating into a float or
 // string declared outside the loop (float addition is not associative;
 // string concatenation is not commutative), calls that write or encode
-// (io writers, fmt printing), and channel sends.
+// (io writers, fmt printing), and channel sends. A return whose results
+// mention the range key or value is flagged too: it selects whichever
+// entry iteration reaches first, so the result (an end-of-trace report
+// naming "the" offending key, say) changes from run to run.
 //
 // An append sink is forgiven when the same slice is passed to a
 // sort.* / slices.Sort* call later in the enclosing function — the
@@ -97,6 +101,7 @@ func checkMapRangeBody(pass *analysis.Pass, allows *Allows, rs *ast.RangeStmt, f
 		return obj, true
 	}
 
+	checkFirstMatchReturns(pass, allows, rs)
 	ast.Inspect(rs.Body, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.AssignStmt:
@@ -150,6 +155,49 @@ func checkMapRangeBody(pass *analysis.Pass, allows *Allows, rs *ast.RangeStmt, f
 				} else if sig, ok := fn.Type().(*types.Signature); ok && sig.Recv() != nil && writeMethods[fn.Name()] {
 					allows.Report(pass, n.Pos(), "mapiter",
 						"%s call inside a map range writes output in iteration order; iterate sorted keys", fn.Name())
+				}
+			}
+		}
+		return true
+	})
+}
+
+// checkFirstMatchReturns flags a return inside the map-range body whose
+// results mention the range key or value. Returns inside function
+// literals leave the literal, not the loop, and are skipped.
+func checkFirstMatchReturns(pass *analysis.Pass, allows *Allows, rs *ast.RangeStmt) {
+	info := pass.TypesInfo
+	var rangeVars []types.Object
+	for _, e := range []ast.Expr{rs.Key, rs.Value} {
+		if id, ok := e.(*ast.Ident); ok && id.Name != "_" {
+			if obj := info.ObjectOf(id); obj != nil {
+				rangeVars = append(rangeVars, obj)
+			}
+		}
+	}
+	if len(rangeVars) == 0 {
+		return
+	}
+	mentions := func(e ast.Expr) bool {
+		found := false
+		ast.Inspect(e, func(n ast.Node) bool {
+			if id, ok := n.(*ast.Ident); ok && slices.Contains(rangeVars, info.ObjectOf(id)) {
+				found = true
+			}
+			return !found
+		})
+		return found
+	}
+	ast.Inspect(rs.Body, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.FuncLit:
+			return false
+		case *ast.ReturnStmt:
+			for _, r := range n.Results {
+				if mentions(r) {
+					allows.Report(pass, n.Pos(), "mapiter",
+						"return inside a map range selects the first match in iteration order; pick a deterministic entry (e.g. the smallest key)")
+					break
 				}
 			}
 		}

@@ -1,7 +1,7 @@
 // Package report is golden test data for the mapiter analyzer: range
 // over a map feeding ordered output (slice appends, float/string
-// accumulation, writes, prints, channel sends) without a subsequent
-// sort.
+// accumulation, writes, prints, channel sends, first-match returns)
+// without a subsequent sort.
 package report
 
 import (
@@ -93,5 +93,54 @@ func goodSlice(xs []int, ch chan int) {
 func suppressed(m map[string]int) {
 	for k := range m {
 		fmt.Println(k) //repolint:allow mapiter -- order is irrelevant in this debug dump
+	}
+}
+
+func badFirstMatchKey(m map[string]int) string {
+	for k, n := range m {
+		if n > 0 {
+			return fmt.Sprintf("key %q pending", k) // want `mapiter: return inside a map range selects the first match`
+		}
+	}
+	return ""
+}
+
+func badFirstMatchValue(m map[string]error) error {
+	for _, err := range m {
+		if err != nil {
+			return err // want `mapiter: return inside a map range selects the first match`
+		}
+	}
+	return nil
+}
+
+// goodAnyMatch: a result that does not depend on which entry matched is
+// the same whatever the iteration order.
+func goodAnyMatch(m map[string]int) bool {
+	for _, n := range m {
+		if n > 0 {
+			return true
+		}
+	}
+	return false
+}
+
+// goodMinKey tracks the smallest matching key instead of returning the
+// first one, and returns after the loop.
+func goodMinKey(m map[string]int) (string, bool) {
+	least, found := "", false
+	for k, n := range m {
+		if n > 0 && (!found || k < least) {
+			least, found = k, true
+		}
+	}
+	return least, found
+}
+
+// goodClosureReturn: a return inside a function literal leaves the
+// literal, not the loop.
+func goodClosureReturn(m map[string]int, visit func(func() string)) {
+	for k := range m {
+		visit(func() string { return k })
 	}
 }

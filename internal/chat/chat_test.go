@@ -25,12 +25,16 @@ func TestSpecValid(t *testing.T) {
 }
 
 func TestProtocolRunConforms(t *testing.T) {
-	res, err := Run(Config{Participants: 3, MessagesEach: 4, Seed: 7, LossRate: 0.1, Jitter: time.Millisecond})
+	var tr core.Trace
+	res, err := Run(Config{Participants: 3, MessagesEach: 4, Seed: 7, LossRate: 0.1, Jitter: time.Millisecond, Trace: &tr})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.ConformanceErr != nil {
-		t.Fatalf("conformance: %v\ntrace:\n%s", res.ConformanceErr, res.Trace)
+		t.Fatalf("conformance: %v\ntrace:\n%s", res.ConformanceErr, tr)
+	}
+	if len(tr) != res.Said+res.Delivered {
+		t.Fatalf("trace holds %d events, want %d says + %d deliveries", len(tr), res.Said, res.Delivered)
 	}
 	want := 3 * 4
 	if res.Said != want {
@@ -151,6 +155,38 @@ func TestTotalOrderMonitorDetectsIncompleteness(t *testing.T) {
 	}
 	if err := m.AtEnd(); err == nil {
 		t.Fatal("incomplete delivery not flagged at end")
+	}
+}
+
+func TestTotalOrderMonitorEndReportDeterministic(t *testing.T) {
+	var want string
+	for run := 0; run < 20; run++ {
+		m := (&TotalOrder{}).NewMonitor()
+		// p1 hears all three messages; p2..p9 each miss the last one.
+		for _, sap := range []string{"p1", "p7", "p3", "p9", "p2", "p5", "p8", "p4", "p6"} {
+			ids := []string{"a", "b"}
+			if sap == "p1" {
+				ids = append(ids, "c")
+			}
+			for _, id := range ids {
+				if err := m.Observe(core.Event{
+					SAP:       ParticipantSAP(sap),
+					Primitive: PrimDeliver,
+					Params:    codec.Record{ParamMsgID: id},
+				}); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		got := m.AtEnd()
+		if got == nil || !strings.Contains(got.Error(), "participant:p2 delivered 2 of 3") {
+			t.Fatalf("run %d: AtEnd() = %v; want the smallest short SAP, participant:p2", run, got)
+		}
+		if run == 0 {
+			want = got.Error()
+		} else if got.Error() != want {
+			t.Fatalf("run %d: %v\nrun 0: %s", run, got, want)
+		}
 	}
 }
 

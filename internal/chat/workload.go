@@ -31,6 +31,9 @@ type Config struct {
 	// Platform, when non-empty, deploys the chat PIM on that concrete
 	// platform (MDA path) instead of the hand-built sequencer protocol.
 	Platform string
+	// Trace, when non-nil, receives every observed service primitive in
+	// order. Nil keeps no trace.
+	Trace *core.Trace
 }
 
 func (c *Config) applyDefaults() {
@@ -61,7 +64,6 @@ type Result struct {
 	NetMessages     uint64
 	NetDropped      uint64
 	ConformanceErr  error
-	Trace           core.Trace
 }
 
 // Run executes the ordered-chat service under load and verifies it
@@ -107,7 +109,11 @@ func Run(cfg Config) (*Result, error) {
 		provider = binding
 	}
 
-	observer, err := core.NewObserver(Spec(), kernel, core.WithEventValidation())
+	obsOpts := []core.ObserverOption{core.WithEventValidation()}
+	if cfg.Trace != nil {
+		obsOpts = append(obsOpts, core.WithTrace(cfg.Trace))
+	}
+	observer, err := core.NewObserver(Spec(), kernel, obsOpts...)
 	if err != nil {
 		return nil, err
 	}
@@ -153,7 +159,6 @@ func Run(cfg Config) (*Result, error) {
 		return nil, err
 	}
 	res.ConformanceErr = observer.Complete()
-	res.Trace = observer.Trace()
 	st := net.Stats()
 	res.NetMessages = st.Sent
 	res.NetDropped = st.Dropped

@@ -34,12 +34,12 @@ func (a *Absence) Description() string {
 
 // NewMonitor implements Constraint.
 func (a *Absence) NewMonitor() Monitor {
-	return &absenceMonitor{spec: a, open: make(map[string]int)}
+	return &absenceMonitor{spec: a, open: make(map[Key]int)}
 }
 
 type absenceMonitor struct {
 	spec *Absence
-	open map[string]int
+	open map[Key]int
 }
 
 func (m *absenceMonitor) Observe(e Event) error {
@@ -51,9 +51,7 @@ func (m *absenceMonitor) Observe(e Event) error {
 	case m.spec.Open:
 		m.open[key]++
 	case m.spec.Close:
-		if m.open[key] > 0 {
-			m.open[key]--
-		}
+		release(m.open, key)
 	}
 	// The forbidden primitive may coincide with neither, either or both of
 	// the delimiters; check after interval bookkeeping so that an opening

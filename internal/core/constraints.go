@@ -4,20 +4,33 @@ import (
 	"fmt"
 )
 
+// Key is a correlation key: a parameter value, optionally scoped to the
+// SAP where the event occurred. It is comparable, so monitors index their
+// state by it directly and no per-event string is built.
+type Key struct {
+	SAP   SAP // zero for SAP-independent (remote) keys
+	Value string
+}
+
+// String renders the key as violation messages show it: "subscriber:s1/r1"
+// for a SAP-scoped key, "r1" otherwise.
+func (k Key) String() string {
+	if k.SAP == (SAP{}) {
+		return k.Value
+	}
+	return k.SAP.String() + "/" + k.Value
+}
+
 // KeyFunc extracts a correlation key from an event — typically the resource
 // identifier, or the (SAP, resource) pair for local constraints. The second
 // result reports whether the event carries a key at all.
-type KeyFunc func(Event) (string, bool)
+type KeyFunc func(Event) (Key, bool)
 
 // KeyParam correlates events by one string parameter (e.g. "resid").
 func KeyParam(param string) KeyFunc {
-	return func(e Event) (string, bool) {
-		v, ok := e.Params[param]
-		if !ok {
-			return "", false
-		}
-		s, ok := v.(string)
-		return s, ok
+	return func(e Event) (Key, bool) {
+		s, ok := e.Params[param].(string)
+		return Key{Value: s}, ok
 	}
 }
 
@@ -25,14 +38,26 @@ func KeyParam(param string) KeyFunc {
 // usual shape of the paper's *local* constraints ("for a given resource
 // identification", at a given access point).
 func KeySAPAndParam(param string) KeyFunc {
-	inner := KeyParam(param)
-	return func(e Event) (string, bool) {
-		k, ok := inner(e)
-		if !ok {
-			return "", false
-		}
-		return e.SAP.String() + "/" + k, true
+	return func(e Event) (Key, bool) {
+		s, ok := e.Params[param].(string)
+		return Key{SAP: e.SAP, Value: s}, ok
 	}
+}
+
+// minKey returns the outstanding key of m that renders smallest, so an
+// end-of-trace report names the same key on every run whatever Go's map
+// iteration order.
+func minKey[V any](m map[Key]V, outstanding func(V) bool) (key Key, val V, found bool) {
+	var least string
+	for k, v := range m {
+		if !outstanding(v) {
+			continue
+		}
+		if s := k.String(); !found || s < least {
+			key, val, least, found = k, v, s, true
+		}
+	}
+	return key, val, found
 }
 
 // Precedes is a safety constraint: an occurrence of Enabled consumes a
@@ -73,12 +98,12 @@ func (p *Precedes) Description() string {
 
 // NewMonitor implements Constraint.
 func (p *Precedes) NewMonitor() Monitor {
-	return &precedesMonitor{spec: p, pending: make(map[string]int)}
+	return &precedesMonitor{spec: p, pending: make(map[Key]int)}
 }
 
 type precedesMonitor struct {
 	spec    *Precedes
-	pending map[string]int
+	pending map[Key]int
 }
 
 func (m *precedesMonitor) Observe(e Event) error {
@@ -111,7 +136,7 @@ func (m *precedesMonitor) Observe(e Event) error {
 			}
 		}
 		if !m.spec.NonConsuming {
-			m.pending[key]--
+			release(m.pending, key)
 		}
 	}
 	return nil
@@ -150,12 +175,12 @@ func (f *EventuallyFollows) Description() string {
 
 // NewMonitor implements Constraint.
 func (f *EventuallyFollows) NewMonitor() Monitor {
-	return &eventuallyMonitor{spec: f, pending: make(map[string]int)}
+	return &eventuallyMonitor{spec: f, pending: make(map[Key]int)}
 }
 
 type eventuallyMonitor struct {
 	spec    *EventuallyFollows
-	pending map[string]int
+	pending map[Key]int
 }
 
 func (m *eventuallyMonitor) Observe(e Event) error {
@@ -165,23 +190,34 @@ func (m *eventuallyMonitor) Observe(e Event) error {
 			m.pending[key]++
 		}
 	case m.spec.Response:
-		if key, ok := m.spec.Key(e); ok && m.pending[key] > 0 {
-			m.pending[key]--
+		if key, ok := m.spec.Key(e); ok {
+			release(m.pending, key)
 		}
 	}
 	return nil
 }
 
 func (m *eventuallyMonitor) AtEnd() error {
-	for key, n := range m.pending {
-		if n > 0 {
-			return &ViolationError{
-				Constraint: m.spec.ConstraintName,
-				Detail:     fmt.Sprintf("%d %s(s) for key %q never followed by %s", n, m.spec.Trigger, key, m.spec.Response),
-			}
-		}
+	key, n, ok := minKey(m.pending, func(n int) bool { return n > 0 })
+	if !ok {
+		return nil
 	}
-	return nil
+	return &ViolationError{
+		Constraint: m.spec.ConstraintName,
+		Detail:     fmt.Sprintf("%d %s(s) for key %q never followed by %s", n, m.spec.Trigger, key, m.spec.Response),
+	}
+}
+
+// release decrements key's count and deletes the key once it drains, so a
+// monitor's map holds only outstanding keys and its size stays bounded by
+// the keys in flight, not by every key ever seen.
+func release(counts map[Key]int, key Key) {
+	switch n := counts[key]; {
+	case n > 1:
+		counts[key] = n - 1
+	case n == 1:
+		delete(counts, key)
+	}
 }
 
 // MutualExclusion is the paper's remote constraint: between an Acquire and
@@ -214,12 +250,12 @@ func (x *MutualExclusion) Description() string {
 
 // NewMonitor implements Constraint.
 func (x *MutualExclusion) NewMonitor() Monitor {
-	return &mutexMonitor{spec: x, holder: make(map[string]SAP)}
+	return &mutexMonitor{spec: x, holder: make(map[Key]SAP)}
 }
 
 type mutexMonitor struct {
 	spec   *MutualExclusion
-	holder map[string]SAP
+	holder map[Key]SAP
 }
 
 func (m *mutexMonitor) Observe(e Event) error {

@@ -15,7 +15,8 @@
 //
 // The package also provides the machinery that makes a specification
 // useful: an Observer that watches primitive executions at runtime and
-// checks every constraint online, trace recording for offline analysis,
+// checks every constraint online (keeping only monitor state; the global
+// trace is recorded for offline analysis only on request, see WithTrace),
 // and a Provider interface that lets application parts be written once
 // against the service and executed over any conforming implementation —
 // the paper's core argument for why "the design of the application is not

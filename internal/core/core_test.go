@@ -366,7 +366,8 @@ func TestObserverDistinctResourcesIndependent(t *testing.T) {
 
 func TestObserverTraceRecording(t *testing.T) {
 	k := sim.NewKernel()
-	obs, err := NewObserver(testSpec(), k)
+	var tr Trace
+	obs, err := NewObserver(testSpec(), k, WithTrace(&tr))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -379,12 +380,61 @@ func TestObserverTraceRecording(t *testing.T) {
 	if _, err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
-	tr := obs.Trace()
 	if len(tr) != 2 || obs.EventCount() != 2 {
 		t.Fatalf("trace = %v", tr)
 	}
 	if tr[0].At != 5*time.Millisecond || tr[1].At != 9*time.Millisecond {
 		t.Fatalf("timestamps = %v, %v", tr[0].At, tr[1].At)
+	}
+}
+
+func TestObserverKeepsNoTraceByDefault(t *testing.T) {
+	obs, err := observe(t, []Event{
+		ev("s1", "request", "r1"),
+		ev("s1", "granted", "r1"),
+		ev("s1", "free", "r1"),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if obs.trace != nil || obs.EventCount() != 3 {
+		t.Fatalf("trace = %v, EventCount = %d; want no trace and 3 events", obs.trace, obs.EventCount())
+	}
+	// Every key drained, so no monitor retains state for it.
+	for _, m := range obs.monitors {
+		var n int
+		switch m := m.(type) {
+		case *precedesMonitor:
+			n = len(m.pending)
+		case *eventuallyMonitor:
+			n = len(m.pending)
+		case *mutexMonitor:
+			n = len(m.holder)
+		}
+		if n != 0 {
+			t.Fatalf("%T holds %d drained keys", m, n)
+		}
+	}
+}
+
+// TestEndOfTraceReportDeterministic pins that an end-of-trace violation
+// names the same key on every run: Go randomizes map iteration per map,
+// so twenty fresh observers with many pending keys would otherwise
+// disagree.
+func TestEndOfTraceReportDeterministic(t *testing.T) {
+	var events []Event
+	for _, s := range []string{"s7", "s3", "s9", "s1", "s5"} {
+		for _, r := range []string{"r2", "r1"} {
+			events = append(events, ev(s, "request", r))
+		}
+	}
+	const want = `constraint "request-eventually-granted" violated at end of trace: ` +
+		`1 request(s) for key "subscriber:s1/r1" never followed by granted`
+	for i := 0; i < 20; i++ {
+		_, err := observe(t, events)
+		if err == nil || err.Error() != want {
+			t.Fatalf("run %d: Complete() = %v\nwant %s", i, err, want)
+		}
 	}
 }
 
@@ -433,11 +483,14 @@ func TestConstraintDescriptions(t *testing.T) {
 
 func TestKeyFuncs(t *testing.T) {
 	e := ev("s1", "request", "r1")
-	if k, ok := KeyParam("resid")(e); !ok || k != "r1" {
+	if k, ok := KeyParam("resid")(e); !ok || k.String() != "r1" {
 		t.Fatalf("KeyParam = %q, %v", k, ok)
 	}
-	if k, ok := KeySAPAndParam("resid")(e); !ok || k != "subscriber:s1/r1" {
+	if k, ok := KeySAPAndParam("resid")(e); !ok || k.String() != "subscriber:s1/r1" {
 		t.Fatalf("KeySAPAndParam = %q, %v", k, ok)
+	}
+	if a, _ := KeySAPAndParam("resid")(ev("s2", "request", "r1")); a == (Key{Value: "r1"}) {
+		t.Fatal("SAP-scoped keys of different SAPs must differ")
 	}
 	if _, ok := KeyParam("missing")(e); ok {
 		t.Fatal("missing param should not produce key")

@@ -16,8 +16,11 @@ type Clock interface {
 }
 
 // Observer watches service-primitive executions at the SAP boundary and
-// checks every constraint of a specification online. It also records the
-// global trace, which offline tooling (LTS refinement, metrics) consumes.
+// checks every constraint of a specification online. It keeps only what
+// its monitors need and an event count, no per-event history: the
+// floor-control monitors hold just the keys still in flight, however long
+// the run. A caller that wants the global trace for offline tooling (LTS
+// refinement, replay, printing) asks for it with WithTrace.
 //
 // The observer is the runtime embodiment of the paper's claim that a
 // service can be "assessed formally": conforming solutions pass through it
@@ -27,7 +30,8 @@ type Observer struct {
 	clock Clock
 
 	mu         sync.Mutex
-	trace      Trace
+	events     int
+	trace      *Trace // nil unless WithTrace
 	monitors   []Monitor
 	violations []error
 	strictKind bool
@@ -40,6 +44,12 @@ type ObserverOption func(*Observer)
 // the primitive declarations (unknown primitives, wrong parameter kinds).
 func WithEventValidation() ObserverOption {
 	return func(o *Observer) { o.strictKind = true }
+}
+
+// WithTrace makes the observer append every observed event to *tr, in
+// observation order. Without it no event is retained.
+func WithTrace(tr *Trace) ObserverOption {
+	return func(o *Observer) { o.trace = tr }
 }
 
 // NewObserver creates an observer for a validated specification.
@@ -71,7 +81,10 @@ func (o *Observer) Observe(sap SAP, primitive string, params codec.Record) error
 	e := Event{At: o.clock.Now(), SAP: sap, Primitive: primitive, Params: params}
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	o.trace = append(o.trace, e)
+	o.events++
+	if o.trace != nil {
+		*o.trace = append(*o.trace, e)
+	}
 	var first error
 	if o.strictKind {
 		if err := o.spec.CheckEvent(e); err != nil {
@@ -123,18 +136,11 @@ func (o *Observer) Violations() []error {
 	return append([]error(nil), o.violations...)
 }
 
-// Trace returns a copy of the recorded global trace.
-func (o *Observer) Trace() Trace {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	return append(Trace(nil), o.trace...)
-}
-
-// EventCount returns the number of observed events without copying.
+// EventCount returns the number of observed events.
 func (o *Observer) EventCount() int {
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	return len(o.trace)
+	return o.events
 }
 
 // Provider is the runtime face of a service, as seen by a user part at its

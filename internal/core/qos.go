@@ -38,12 +38,12 @@ func (c *Capacity) Description() string {
 
 // NewMonitor implements Constraint.
 func (c *Capacity) NewMonitor() Monitor {
-	return &capacityMonitor{spec: c, holders: make(map[string]map[SAP]struct{})}
+	return &capacityMonitor{spec: c, holders: make(map[Key]map[SAP]struct{})}
 }
 
 type capacityMonitor struct {
 	spec    *Capacity
-	holders map[string]map[SAP]struct{}
+	holders map[Key]map[SAP]struct{}
 }
 
 func (m *capacityMonitor) Observe(e Event) error {
@@ -126,12 +126,12 @@ func (d *Deadline) Description() string {
 
 // NewMonitor implements Constraint.
 func (d *Deadline) NewMonitor() Monitor {
-	return &deadlineMonitor{spec: d, pending: make(map[string][]time.Duration)}
+	return &deadlineMonitor{spec: d, pending: make(map[Key][]time.Duration)}
 }
 
 type deadlineMonitor struct {
 	spec    *Deadline
-	pending map[string][]time.Duration
+	pending map[Key][]time.Duration
 	last    time.Duration
 }
 
@@ -166,16 +166,18 @@ func (m *deadlineMonitor) Observe(e Event) error {
 }
 
 func (m *deadlineMonitor) AtEnd() error {
-	for key, q := range m.pending {
-		for _, started := range q {
-			if m.last-started > m.spec.Within {
-				return &ViolationError{
-					Constraint: m.spec.ConstraintName,
-					Detail: fmt.Sprintf("trigger at %v for key %q still unanswered %v past its deadline",
-						started, key, m.last-started-m.spec.Within),
-				}
-			}
-		}
+	// A key's queue is FIFO in trigger time, so its head is its oldest
+	// trigger: the key is overdue exactly when its head is.
+	key, q, ok := minKey(m.pending, func(q []time.Duration) bool {
+		return len(q) > 0 && m.last-q[0] > m.spec.Within
+	})
+	if !ok {
+		return nil
 	}
-	return nil
+	started := q[0]
+	return &ViolationError{
+		Constraint: m.spec.ConstraintName,
+		Detail: fmt.Sprintf("trigger at %v for key %q still unanswered %v past its deadline",
+			started, key, m.last-started-m.spec.Within),
+	}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -232,6 +233,39 @@ func TestDeadlineExpiredPendingAtEnd(t *testing.T) {
 	}
 	if v, ok := AsViolation(verr); !ok || v.Event != nil {
 		t.Fatalf("want end-of-trace violation, got %v", verr)
+	}
+}
+
+func TestDeadlineEndReportDeterministic(t *testing.T) {
+	var want string
+	for i := 0; i < 20; i++ {
+		k := sim.NewKernel()
+		obs, err := NewObserver(deadlineSpec(10*time.Millisecond), k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		k.Schedule(0, func() {
+			for _, s := range []string{"s4", "s2", "s8", "s6"} {
+				for _, r := range []string{"r3", "r1"} {
+					_ = obs.Observe(sap(s), "request", codec.Record{"resid": r}) //nolint:errcheck
+				}
+			}
+		})
+		k.Schedule(50*time.Millisecond, func() {
+			_ = obs.Observe(sap("s9"), "request", codec.Record{"resid": "r9"}) //nolint:errcheck
+		})
+		if _, err := k.Run(); err != nil {
+			t.Fatal(err)
+		}
+		got := fmt.Sprint(obs.Complete())
+		if !strings.Contains(got, `key "subscriber:s2/r1"`) {
+			t.Fatalf("run %d reports %s; want the smallest overdue key subscriber:s2/r1", i, got)
+		}
+		if i == 0 {
+			want = got
+		} else if got != want {
+			t.Fatalf("run %d: %s\nrun 0: %s", i, got, want)
+		}
 	}
 }
 

@@ -201,17 +201,20 @@ func Fig8MiddlewareView(seed int64) (*Report, error) {
 		Cycles:      4,
 		Seed:        seed,
 	}
+	var reliableTrace, rawTrace core.Trace
+	base.Trace = &reliableTrace
 	overReliable, err := floorcontrol.RunWorkload(base)
 	if err != nil {
 		return nil, err
 	}
 	raw := base
 	raw.RawTransport = true
+	raw.Trace = &rawTrace
 	overRaw, err := floorcontrol.RunWorkload(raw)
 	if err != nil {
 		return nil, err
 	}
-	same := traceLabelsEqual(overReliable.Trace, overRaw.Trace)
+	same := traceLabelsEqual(reliableTrace, rawTrace)
 	table := metrics.NewTable("Figure 8 — middleware transport swapped beneath unchanged components",
 		"middleware internal transport", "net msgs", "net bytes", "app-level trace")
 	table.AddRow("reliable-datagram protocol", fmt.Sprintf("%d", overReliable.NetMessages), fmt.Sprintf("%d", overReliable.NetBytes), "baseline")
@@ -254,17 +257,19 @@ func Fig9InteractionSystemView(seed int64) (*Report, error) {
 	table := metrics.NewTable("Figure 9 — protocol swapped behind the same floor-control service",
 		"interaction system", "PDU types", "net msgs", "service trace in service LTS", "app part impl")
 	for _, name := range []string{"proto-callback", "proto-polling", "proto-token"} {
+		var tr core.Trace
 		res, err := floorcontrol.RunWorkload(floorcontrol.Config{
 			Solution:    name,
 			Subscribers: 2,
 			Resources:   1,
 			Cycles:      3,
 			Seed:        seed,
+			Trace:       &tr,
 		})
 		if err != nil {
 			return nil, err
 		}
-		accepted := spec.Accepts(res.Trace.Labels())
+		accepted := spec.Accepts(tr.Labels())
 		verdict := "accepted"
 		if !accepted {
 			return nil, fmt.Errorf("fig9: %s trace rejected by service LTS", name)

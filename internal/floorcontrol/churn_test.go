@@ -34,7 +34,7 @@ func TestChurnAllSolutionsSafe(t *testing.T) {
 	for _, name := range AllSolutionNames() {
 		name := name
 		t.Run(name, func(t *testing.T) {
-			res, err := RunWorkload(churnConfig(name, 42))
+			res, tr, err := runTraced(churnConfig(name, 42))
 			if err != nil {
 				t.Fatalf("RunWorkload: %v", err)
 			}
@@ -43,7 +43,7 @@ func TestChurnAllSolutionsSafe(t *testing.T) {
 			}
 			if !res.SafetyOK {
 				t.Fatalf("%d safety violations under churn; conformance: %v\ntrace:\n%s",
-					res.SafetyViolations, res.ConformanceErr, res.Trace)
+					res.SafetyViolations, res.ConformanceErr, tr)
 			}
 			if res.Crashes == 0 {
 				t.Fatal("fault plan fired no crashes")
@@ -89,15 +89,15 @@ func TestChurnRetryingSolutionsServeEverything(t *testing.T) {
 // identical configs yield identical traces and metrics, crashes and all.
 func TestChurnDeterminism(t *testing.T) {
 	for _, name := range []string{"mw-callback", "mw-token", "proto-token"} {
-		a, err := RunWorkload(churnConfig(name, 7))
+		a, ta, err := runTraced(churnConfig(name, 7))
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := RunWorkload(churnConfig(name, 7))
+		b, tb, err := runTraced(churnConfig(name, 7))
 		if err != nil {
 			t.Fatal(err)
 		}
-		la, lb := a.Trace.Labels(), b.Trace.Labels()
+		la, lb := ta.Labels(), tb.Labels()
 		if len(la) != len(lb) {
 			t.Fatalf("%s: trace lengths differ: %d vs %d", name, len(la), len(lb))
 		}
@@ -120,27 +120,28 @@ func TestChurnShardIdentity(t *testing.T) {
 	const copies = 4
 	for _, name := range []string{"mw-callback", "mw-polling", "proto-token", "mda-queue-mq-like"} {
 		cfg := churnConfig(name, 7)
-		a, err := RunWorkload(cfg)
+		a, ta, err := runTraced(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		results := make([]*Result, copies)
+		traces := make([]core.Trace, copies)
 		errs := make([]error, copies)
 		var wg sync.WaitGroup
 		for i := range results {
 			wg.Add(1)
 			go func(i int) {
 				defer wg.Done()
-				results[i], errs[i] = RunWorkload(cfg)
+				results[i], traces[i], errs[i] = runTraced(cfg)
 			}(i)
 		}
 		wg.Wait()
-		la := a.Trace.Labels()
+		la := ta.Labels()
 		for c, b := range results {
 			if errs[c] != nil {
 				t.Fatal(errs[c])
 			}
-			lb := b.Trace.Labels()
+			lb := traces[c].Labels()
 			if len(la) != len(lb) {
 				t.Fatalf("%s: alone vs concurrent copy %d trace lengths differ: %d vs %d", name, c, len(la), len(lb))
 			}
@@ -276,16 +277,16 @@ func TestChurnTraceRefinesSafetyLTS(t *testing.T) {
 				Seed: seed, Deadline: 8 * time.Second,
 				CrashRate: 5, MTTR: 300 * time.Millisecond,
 			}
-			res, err := RunWorkload(cfg)
+			res, tr, err := runTraced(cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !res.SafetyOK {
 				t.Fatalf("%s seed %d: safety violations", name, seed)
 			}
-			if !spec.Accepts(res.Trace.Labels()) {
+			if !spec.Accepts(tr.Labels()) {
 				t.Fatalf("%s seed %d: churned trace not accepted by safety LTS\n%s",
-					name, seed, res.Trace)
+					name, seed, tr)
 			}
 		}
 	}

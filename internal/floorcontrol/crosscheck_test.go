@@ -81,7 +81,7 @@ func TestPropertyExecutedTracesAlwaysAccepted(t *testing.T) {
 	}
 	spec := ServiceLTS(SubscriberNames(2), ResourceNames(1))
 	prop := func(seed int64, which uint8, cycles uint8) bool {
-		res, err := RunWorkload(Config{
+		res, tr, err := runTraced(Config{
 			Solution:    names[int(which)%len(names)],
 			Subscribers: 2,
 			Resources:   1,
@@ -94,7 +94,7 @@ func TestPropertyExecutedTracesAlwaysAccepted(t *testing.T) {
 		if res.ConformanceErr != nil {
 			return false
 		}
-		return spec.Accepts(res.Trace.Labels())
+		return spec.Accepts(tr.Labels())
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
@@ -117,7 +117,7 @@ func TestPropertyChurnedTracesRefineSafetyLTS(t *testing.T) {
 	}
 	spec := ServiceLTS(SubscriberNames(3), ResourceNames(2))
 	prop := func(seed int64, which, sev uint8) bool {
-		res, err := RunWorkload(Config{
+		res, tr, err := runTraced(Config{
 			Solution:    names[int(which)%len(names)],
 			Subscribers: 3,
 			Resources:   2,
@@ -133,7 +133,7 @@ func TestPropertyChurnedTracesRefineSafetyLTS(t *testing.T) {
 		if !res.SafetyOK {
 			return false
 		}
-		return spec.Accepts(res.Trace.Labels())
+		return spec.Accepts(tr.Labels())
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)

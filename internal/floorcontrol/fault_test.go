@@ -189,11 +189,11 @@ func TestQoSSpecOverRecordedTraces(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, name := range []string{"proto-callback", "mw-token", "mda-queue-mq-like"} {
-		res, err := RunWorkload(Config{Solution: name, Seed: 4, Cycles: 4})
+		_, tr, err := runTraced(Config{Solution: name, Seed: 4, Cycles: 4})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := replayTrace(t, strict, res.Trace); err != nil {
+		if err := replayTrace(t, strict, tr); err != nil {
 			t.Fatalf("%s: QoS-extended spec violated: %v", name, err)
 		}
 	}
@@ -207,11 +207,11 @@ func TestQoSSpecOverRecordedTraces(t *testing.T) {
 		Key:            core.KeySAPAndParam(ParamResource),
 		Within:         time.Microsecond,
 	})
-	res, err := RunWorkload(Config{Solution: "proto-token", Seed: 4, Cycles: 2})
+	_, tr, err := runTraced(Config{Solution: "proto-token", Seed: 4, Cycles: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := replayTrace(t, tight, res.Trace); err == nil {
+	if err := replayTrace(t, tight, tr); err == nil {
 		t.Fatal("1µs grant deadline should be violated by token circulation")
 	}
 }

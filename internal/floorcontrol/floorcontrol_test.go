@@ -137,7 +137,7 @@ func TestRunWorkloadAllSolutionsConform(t *testing.T) {
 	for _, s := range Solutions() {
 		s := s
 		t.Run(s.Name(), func(t *testing.T) {
-			res, err := RunWorkload(Config{Solution: s.Name(), Seed: 42})
+			res, tr, err := runTraced(Config{Solution: s.Name(), Seed: 42})
 			if err != nil {
 				t.Fatalf("RunWorkload: %v", err)
 			}
@@ -145,7 +145,7 @@ func TestRunWorkloadAllSolutionsConform(t *testing.T) {
 				t.Fatalf("completed %d of %d", res.Completed, res.Expected)
 			}
 			if res.ConformanceErr != nil {
-				t.Fatalf("conformance violation: %v\ntrace:\n%s", res.ConformanceErr, res.Trace)
+				t.Fatalf("conformance violation: %v\ntrace:\n%s", res.ConformanceErr, tr)
 			}
 			if res.AcquireLatency.Count() != res.Expected {
 				t.Fatalf("latency samples %d, want %d", res.AcquireLatency.Count(), res.Expected)
@@ -168,15 +168,15 @@ func TestRunWorkloadUnknownSolution(t *testing.T) {
 
 func TestRunWorkloadDeterminism(t *testing.T) {
 	for _, name := range []string{"mw-callback", "proto-token"} {
-		a, err := RunWorkload(Config{Solution: name, Seed: 7})
+		a, ta, err := runTraced(Config{Solution: name, Seed: 7})
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := RunWorkload(Config{Solution: name, Seed: 7})
+		b, tb, err := runTraced(Config{Solution: name, Seed: 7})
 		if err != nil {
 			t.Fatal(err)
 		}
-		la, lb := a.Trace.Labels(), b.Trace.Labels()
+		la, lb := ta.Labels(), tb.Labels()
 		if len(la) != len(lb) {
 			t.Fatalf("%s: trace lengths differ: %d vs %d", name, len(la), len(lb))
 		}
@@ -213,7 +213,7 @@ func TestTraceRefinesServiceLTS(t *testing.T) {
 	for _, s := range Solutions() {
 		s := s
 		t.Run(s.Name(), func(t *testing.T) {
-			res, err := RunWorkload(Config{
+			res, tr, err := runTraced(Config{
 				Solution:    s.Name(),
 				Subscribers: subs,
 				Resources:   ress,
@@ -226,7 +226,7 @@ func TestTraceRefinesServiceLTS(t *testing.T) {
 			if res.ConformanceErr != nil {
 				t.Fatalf("online conformance: %v", res.ConformanceErr)
 			}
-			labels := res.Trace.Labels()
+			labels := tr.Labels()
 			if !spec.Accepts(labels) {
 				t.Fatalf("trace rejected by service LTS:\n%s", strings.Join(labels, "\n"))
 			}
@@ -239,12 +239,12 @@ func TestTraceRefinesServiceLTS(t *testing.T) {
 // trace follows the same request→granted→free discipline.
 func TestProtocolSwapLeavesAppPartUnchanged(t *testing.T) {
 	for _, name := range []string{"proto-callback", "proto-polling", "proto-token"} {
-		res, err := RunWorkload(Config{Solution: name, Subscribers: 2, Resources: 1, Cycles: 2, Seed: 3})
+		_, tr, err := runTraced(Config{Solution: name, Subscribers: 2, Resources: 1, Cycles: 2, Seed: 3})
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, sub := range SubscriberNames(2) {
-			local := res.Trace.AtSAP(SubscriberSAP(sub))
+			local := tr.AtSAP(SubscriberSAP(sub))
 			if len(local)%3 != 0 {
 				t.Fatalf("%s/%s: local trace not whole cycles:\n%s", name, sub, local)
 			}
@@ -372,12 +372,12 @@ func TestResourceQueue(t *testing.T) {
 // TestObserveProviderReportsBothDirections ensures the SAP decorator
 // observes submissions and deliveries.
 func TestObserveProviderReportsBothDirections(t *testing.T) {
-	res, err := RunWorkload(Config{Solution: "proto-callback", Subscribers: 2, Resources: 1, Cycles: 1, Seed: 5})
+	_, tr, err := runTraced(Config{Solution: "proto-callback", Subscribers: 2, Resources: 1, Cycles: 1, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
 	var from, to int
-	for _, e := range res.Trace {
+	for _, e := range tr {
 		switch e.Primitive {
 		case PrimRequest, PrimFree:
 			from++
@@ -402,13 +402,13 @@ func TestMiddlewareSolutionsRequireMatchingProfile(t *testing.T) {
 func TestTraceRefinementViaLTSRefines(t *testing.T) {
 	// Build a linear LTS from an executed trace and check full trace
 	// refinement (not just membership) against the service LTS.
-	res, err := RunWorkload(Config{Solution: "proto-polling", Subscribers: 2, Resources: 1, Cycles: 2, Seed: 17})
+	_, tr, err := runTraced(Config{Solution: "proto-polling", Subscribers: 2, Resources: 1, Cycles: 2, Seed: 17})
 	if err != nil {
 		t.Fatal(err)
 	}
 	b := lts.NewBuilder("executed-trace")
 	prev := b.State("t0")
-	for i, label := range res.Trace.Labels() {
+	for i, label := range tr.Labels() {
 		next := b.State("t" + string(rune('a'+i%26)) + SubscriberNames(1)[0] + fmtInt(i))
 		b.Transition(prev, label, next)
 		prev = next

@@ -70,7 +70,7 @@ func TestMDAWorkloadsConformOnAllPlatforms(t *testing.T) {
 	for _, s := range MDASolutions() {
 		s := s
 		t.Run(s.Name(), func(t *testing.T) {
-			res, err := RunWorkload(Config{
+			res, tr, err := runTraced(Config{
 				Solution:    s.Name(),
 				Subscribers: 2,
 				Resources:   1,
@@ -86,7 +86,7 @@ func TestMDAWorkloadsConformOnAllPlatforms(t *testing.T) {
 			if res.ConformanceErr != nil {
 				t.Fatalf("conformance: %v", res.ConformanceErr)
 			}
-			if !spec.Accepts(res.Trace.Labels()) {
+			if !spec.Accepts(tr.Labels()) {
 				t.Fatal("trace rejected by service LTS")
 			}
 		})

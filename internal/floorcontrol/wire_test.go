@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/codec"
+	"repro/internal/core"
 	"repro/internal/protocol"
 )
 
@@ -160,11 +161,12 @@ func TestObservationParamsReadOnly(t *testing.T) {
 				t.Fatalf("unknown solution %q", name)
 			}
 			c := &envCapture{Solution: sol}
-			res, err := RunWorkloadWith(c, Config{Solution: name, Subscribers: 4, Resources: 3, Cycles: 3, Seed: 11, LossRate: 0.1})
+			var tr core.Trace
+			_, err := RunWorkloadWith(c, Config{Solution: name, Subscribers: 4, Resources: 3, Cycles: 3, Seed: 11, LossRate: 0.1, Trace: &tr})
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, e := range res.Trace {
+			for _, e := range tr {
 				_ = e.Label() // a trace consumer reading every params record
 			}
 			if len(c.env.obsParams) != 3 {
@@ -176,14 +178,14 @@ func TestObservationParamsReadOnly(t *testing.T) {
 				}
 			}
 			shared := 0
-			for _, e := range res.Trace {
+			for _, e := range tr {
 				r, _ := e.Params[ParamResource].(string)
 				if want, ok := c.env.obsParams[r]; ok && reflect.ValueOf(e.Params).Pointer() == reflect.ValueOf(want).Pointer() {
 					shared++
 				}
 			}
-			if shared != len(res.Trace) || shared == 0 {
-				t.Fatalf("%d of %d trace events share their resource's params record", shared, len(res.Trace))
+			if shared != len(tr) || shared == 0 {
+				t.Fatalf("%d of %d trace events share their resource's params record", shared, len(tr))
 			}
 		})
 	}

@@ -73,6 +73,10 @@ type Config struct {
 	// system *below* the middleware/service boundary. Only sensible on
 	// lossless links.
 	RawTransport bool
+	// Trace, when non-nil, receives every observed service primitive in
+	// order (for offline LTS refinement, replay or printing). Nil keeps
+	// no trace: the conformance monitors run online either way.
+	Trace *core.Trace
 }
 
 func (c *Config) applyDefaults() {
@@ -175,8 +179,6 @@ type Result struct {
 	// ConformanceErr is the first service-constraint violation, nil for a
 	// conforming run.
 	ConformanceErr error
-	// Trace is the recorded service trace (for offline LTS refinement).
-	Trace core.Trace
 	// Scattering is the structural Figure-7 metric for this deployment.
 	Scattering Scattering
 
@@ -314,7 +316,11 @@ func RunWorkloadWith(sol Solution, cfg Config) (*Result, error) {
 		Latency:  cfg.Latency,
 		LossRate: cfg.LossRate,
 	}))
-	observer, err := core.NewObserver(Spec(), engine)
+	var obsOpts []core.ObserverOption
+	if cfg.Trace != nil {
+		obsOpts = append(obsOpts, core.WithTrace(cfg.Trace))
+	}
+	observer, err := core.NewObserver(Spec(), engine, obsOpts...)
 	if err != nil {
 		return nil, fmt.Errorf("floorcontrol: observer: %w", err)
 	}
@@ -478,7 +484,6 @@ func RunWorkloadWith(sol Solution, cfg Config) (*Result, error) {
 		res.ParadigmMessages = env.Platform.Stats().WireMessages
 	}
 	res.ConformanceErr = observer.Complete()
-	res.Trace = observer.Trace()
 	if churn {
 		res.Churn = true
 		// Liveness misses (end-of-trace violations, Event == nil) are the

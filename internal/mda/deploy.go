@@ -3,6 +3,9 @@ package mda
 import (
 	"errors"
 	"fmt"
+	"maps"
+	"slices"
+	"strings"
 	"sync"
 	"time"
 
@@ -241,8 +244,8 @@ func Deploy(kern *sim.Kernel, transport protocol.LowerService, pim *PIM, target 
 	if err := d.installMessaging(target); err != nil {
 		return nil, err
 	}
-	for id, comp := range logic.Components {
-		if err := comp.Start(&LogicContext{dep: d, self: id}); err != nil {
+	for _, id := range slices.Sorted(maps.Keys(logic.Components)) {
+		if err := logic.Components[id].Start(&LogicContext{dep: d, self: id}); err != nil {
 			return nil, fmt.Errorf("mda: start component %q: %w", id, err)
 		}
 	}
@@ -253,12 +256,18 @@ func validateLogic(logic *Logic, plan Plan) error {
 	if logic == nil || len(logic.Components) == 0 {
 		return errors.New("mda: logic has no components")
 	}
-	for id := range logic.Components {
+	// Sorted iteration, so an invalid logic is reported the same way on
+	// every run.
+	for _, id := range slices.Sorted(maps.Keys(logic.Components)) {
 		if _, ok := logic.Placement[id]; !ok {
 			return fmt.Errorf("mda: component %q has no placement", id)
 		}
 	}
-	for sap, id := range logic.SAPBinding {
+	saps := slices.SortedFunc(maps.Keys(logic.SAPBinding), func(a, b core.SAP) int {
+		return strings.Compare(a.String(), b.String())
+	})
+	for _, sap := range saps {
+		id := logic.SAPBinding[sap]
 		if _, ok := logic.Components[id]; !ok {
 			return fmt.Errorf("mda: SAP %s bound to unknown component %q", sap, id)
 		}
@@ -324,7 +333,7 @@ func (d *Deployment) installMessaging(target ConcretePlatform) error {
 		return err
 	}
 	m := &messaging{name: name, sends: make(map[ComponentID]sendFunc, len(d.logic.Components))}
-	for id := range d.logic.Components {
+	for _, id := range slices.Sorted(maps.Keys(d.logic.Components)) {
 		send, err := newSend(id)
 		if err != nil {
 			return fmt.Errorf("mda: %s endpoint for %q: %w", name, id, err)
