@@ -109,7 +109,7 @@ sweep:
 # The large-client band: every solution at clients {64,128,256},
 # loss {0,1}% — the fan-out regime the dense routing plane pays for.
 sweep-large:
-	$(GO) run ./cmd/sweep -clients 64,128,256 -loss 0,0.01 -cycles 4
+	$(GO) run ./cmd/sweep -band large
 
 # The million-client band: a 1,048,576-subscriber federated fan-out and
 # a 100,000-client floor-control run (see runner.XLBand and

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/bandfile"
 	"repro/internal/chat"
 	"repro/internal/experiments"
 	"repro/internal/floorcontrol"
@@ -150,12 +151,18 @@ func BenchmarkCaseStudyChatReport(b *testing.B) { benchExperiment(b, "C1") }
 
 // sweepBenchMatrix is the fixed scenario matrix of the sweep benchmarks:
 // all ten solutions × subscribers {2,4,8} × loss {0,5%} = 60 scenarios.
-func sweepBenchMatrix() []runner.Scenario {
-	return runner.Matrix{
-		Subscribers: []int{2, 4, 8},
-		LossRates:   []float64{0, 0.05},
-		Cycles:      4,
-	}.Scenarios()
+func sweepBenchMatrix(b *testing.B) []runner.Scenario {
+	scenarios, err := runner.Expand(bandfile.Band{
+		Name:    "sweep-bench",
+		Kind:    bandfile.KindMatrix,
+		Clients: []int{2, 4, 8},
+		Loss:    []float64{0, 0.05},
+		Cycles:  4,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	return scenarios
 }
 
 // benchSweep runs the full 60-scenario matrix once per iteration on the
@@ -166,7 +173,7 @@ func sweepBenchMatrix() []runner.Scenario {
 // isolates pure scheduling speedup.
 func benchSweep(b *testing.B, workers int) {
 	b.Helper()
-	scenarios := sweepBenchMatrix()
+	scenarios := sweepBenchMatrix(b)
 	b.ReportAllocs()
 	var kernelEvents float64
 	for i := 0; i < b.N; i++ {

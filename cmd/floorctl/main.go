@@ -51,6 +51,10 @@ func run() int {
 		return 0
 	}
 
+	if err := checkFlags(*subs, *resources, *cycles, *loss); err != nil {
+		fmt.Fprintf(os.Stderr, "floorctl: %v\n", err)
+		return 2
+	}
 	var tr core.Trace
 	res, err := floorcontrol.RunWorkload(floorcontrol.Config{
 		Solution:      *solution,
@@ -95,4 +99,21 @@ func run() int {
 		return 1
 	}
 	return 0
+}
+
+// checkFlags rejects the workload values RunWorkload would silently
+// replace with its defaults (counts ≤ 0) and loss rates outside [0, 1).
+func checkFlags(subs, resources, cycles int, loss float64) error {
+	for _, f := range []struct {
+		name string
+		v    int
+	}{{"subs", subs}, {"resources", resources}, {"cycles", cycles}} {
+		if f.v <= 0 {
+			return fmt.Errorf("-%s: value %d is not positive", f.name, f.v)
+		}
+	}
+	if loss < 0 || loss >= 1 {
+		return fmt.Errorf("-loss: rate %g is outside [0, 1)", loss)
+	}
+	return nil
 }

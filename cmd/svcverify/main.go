@@ -36,6 +36,10 @@ func run() int {
 	dot := flag.Bool("dot", false, "print the service LTS in Graphviz dot format and exit")
 	flag.Parse()
 
+	if err := checkFlags(*subs, *resources, *cycles); err != nil {
+		fmt.Fprintf(os.Stderr, "svcverify: %v\n", err)
+		return 2
+	}
 	names := []string{*solution}
 	if *all {
 		names = names[:0]
@@ -108,4 +112,18 @@ func traceLTS(solution string, tr core.Trace) *lts.LTS {
 	}
 	b.Final(prev)
 	return b.MustBuild()
+}
+
+// checkFlags rejects counts ≤ 0: the service LTS would be built over
+// them while RunWorkload silently ran its defaults instead.
+func checkFlags(subs, resources, cycles int) error {
+	for _, f := range []struct {
+		name string
+		v    int
+	}{{"subs", subs}, {"resources", resources}, {"cycles", cycles}} {
+		if f.v <= 0 {
+			return fmt.Errorf("-%s: value %d is not positive", f.name, f.v)
+		}
+	}
+	return nil
 }

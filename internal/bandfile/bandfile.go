@@ -1,9 +1,10 @@
 // Package bandfile implements the scenario-band file format: the
 // declarative face of the sweep bands cmd/sweep runs. Where internal/sdl
 // makes the service definition a data file, bandfile does the same for
-// the experiment matrix — a .band file names the swept dimensions and
-// the runner expands it to the exact scenario list the built-in band
-// constructors produce.
+// the experiment matrix. Band is the one description of a floor-control
+// band: the runner's built-in bands are Band values, cmd/sweep's
+// dimension flags override fields of one, and runner.Expand validates
+// and expands every Band the same way, wherever it came from.
 //
 // A band file holds one or more band blocks:
 //
@@ -24,17 +25,16 @@
 //	}
 //
 // Matrix bands sweep solutions × clients × resources × loss; churn bands
-// sweep solutions × rebind policy × crash rate × MTTR. Statements that
-// only make sense for churn bands (crash, mttr, rebind, deadline) are
-// rejected in matrix bands at parse time, mirroring cmd/sweep's flag
-// guard. Comments run from '#' or '//' to end of line. Durations are
-// "<number> <unit>" with unit us, ms, or s, as in the service definition
-// language.
+// sweep solutions × rebind policy × crash rate × MTTR. Comments run from
+// '#' or '//' to end of line. Durations are "<number> <unit>" with unit
+// us, ms, or s, as in the service definition language.
 //
-// Parse checks form (grammar, duplicate statements, duplicate band
-// names); value semantics (positive counts, loss in [0,1), known
-// solution names) are checked by the consumer, runner.BandFileScenarios,
-// with the same rules the cmd/sweep dimension flags enforce.
+// Parse checks form only (grammar, duplicate statements, duplicate band
+// names). Everything about values is runner.Expand's: known solution
+// names, positive counts, loss in [0,1), no duplicates, and statements
+// the band's kind does not take (crash, mttr, rebind, and deadline only
+// apply to churn bands; churn bands fix clients, resources, loss, and
+// cycles).
 package bandfile
 
 import (
@@ -60,9 +60,9 @@ type File struct {
 	Bands []Band
 }
 
-// Band is one parsed band block. Nil dimension slices mean "defaulted":
-// the expander substitutes the same defaults the built-in band
-// constructors use.
+// Band is one floor-control band, parsed from a band block or built in
+// Go. Nil dimension slices and zero values mean "defaulted":
+// runner.Expand substitutes its defaults.
 type Band struct {
 	Name        string
 	Description string
@@ -378,7 +378,6 @@ func (p *parser) parseBand() (*Band, *SyntaxError) {
 	}
 	b := &Band{Name: name.text, Kind: KindMatrix}
 	seen := make(map[string]token)
-	kindSet := false
 	for {
 		t := p.next()
 		if t.kind == tokRBrace {
@@ -391,23 +390,14 @@ func (p *parser) parseBand() (*Band, *SyntaxError) {
 			return nil, p.errorf(t, "duplicate %q statement (first at %d:%d)", t.text, prev.line, prev.col)
 		}
 		seen[t.text] = t
-		if serr := p.parseStatement(b, t, &kindSet); serr != nil {
+		if serr := p.parseStatement(b, t); serr != nil {
 			return nil, serr
-		}
-	}
-	if b.Kind == KindMatrix {
-		// Mirror cmd/sweep's "-crash/-mttr only apply to -band churn"
-		// guard at the file level.
-		for _, stmt := range []string{"crash", "mttr", "rebind", "deadline"} {
-			if t, present := seen[stmt]; present {
-				return nil, p.errorf(t, "%q only applies to churn bands (band %q is a matrix band)", stmt, b.Name)
-			}
 		}
 	}
 	return b, nil
 }
 
-func (p *parser) parseStatement(b *Band, kw token, kindSet *bool) *SyntaxError {
+func (p *parser) parseStatement(b *Band, kw token) *SyntaxError {
 	switch kw.text {
 	case "description":
 		t, err := p.expect(tokString)
@@ -424,7 +414,6 @@ func (p *parser) parseStatement(b *Band, kw token, kindSet *bool) *SyntaxError {
 			return p.errorf(t, "unknown band kind %q (matrix, churn)", t.text)
 		}
 		b.Kind = t.text
-		*kindSet = true
 	case "solutions":
 		names, err := p.parseIdentList()
 		if err != nil {

@@ -6,6 +6,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/bandfile"
 )
 
 func readBandFile(t *testing.T, name string) string {
@@ -26,7 +28,7 @@ func TestBandFileDefaultBandGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := DefaultBand().Size(); len(scenarios) != want {
+	if want := len(DefaultBand().Scenarios()); len(scenarios) != want {
 		t.Fatalf("default.band expands to %d scenarios, want %d", len(scenarios), want)
 	}
 	if got := sweepCSVHash(t, scenarios, 1); got != goldenDefaultBandCSV {
@@ -70,8 +72,9 @@ func TestBandFileChurnEquivalence(t *testing.T) {
 	}
 }
 
-// TestBandFileChurnOverrides pins the override path against
-// ChurnBandWith with the same dimensions.
+// TestBandFileChurnOverrides pins that a churn band file with explicit
+// dimensions expands to what cmd/sweep's -crash and -mttr overrides of
+// the built-in churn band expand to.
 func TestBandFileChurnOverrides(t *testing.T) {
 	src := `band churn {
   kind churn
@@ -83,14 +86,17 @@ func TestBandFileChurnOverrides(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := scenarioIDs(ChurnBandWith([]float64{1, 10}, []time.Duration{100 * time.Millisecond}))
+	b, _ := NamedBand("churn")
+	b.Crash = []float64{1, 10}
+	b.MTTR = []time.Duration{100 * time.Millisecond}
+	want := scenarioIDs(mustExpand(t, b))
 	got := scenarioIDs(scenarios)
-	if len(got) != len(want) {
-		t.Fatalf("override band expands to %d scenarios, want %d", len(got), len(want))
+	if len(got) != 12*2 || len(got) != len(want) {
+		t.Fatalf("override band expands to %d scenarios, flags to %d, want %d", len(got), len(want), 12*2)
 	}
 	for i := range got {
 		if got[i] != want[i] {
-			t.Fatalf("scenario %d: file %q, ChurnBandWith %q", i, got[i], want[i])
+			t.Fatalf("scenario %d: file %q, flags %q", i, got[i], want[i])
 		}
 	}
 }
@@ -116,11 +122,45 @@ band second {
 	if len(scenarios) != 2 {
 		t.Fatalf("got %d scenarios, want 2", len(scenarios))
 	}
-	first := BandSpec{Solutions: []string{"mw-token"}, Clients: []int{2}, Loss: []float64{0}}.Scenarios()
-	second := BandSpec{Solutions: []string{"proto-token"}, Clients: []int{3}, Loss: []float64{0}}.Scenarios()
-	if scenarios[0].ID != first[0].ID || scenarios[1].ID != second[0].ID {
+	one := func(sol string, clients int) string {
+		return mustExpand(t, bandfile.Band{Kind: bandfile.KindMatrix, Solutions: []string{sol}, Clients: []int{clients}, Loss: []float64{0}})[0].ID
+	}
+	first, second := one("mw-token", 2), one("proto-token", 3)
+	if scenarios[0].ID != first || scenarios[1].ID != second {
 		t.Fatalf("bands out of order: got [%s %s], want [%s %s]",
-			scenarios[0].ID, scenarios[1].ID, first[0].ID, second[0].ID)
+			scenarios[0].ID, scenarios[1].ID, first, second)
+	}
+}
+
+// TestExpandRejectsMisplacedStatements pins that Expand, not the band
+// file parser, rejects a statement the band's kind does not take, so
+// Go-built and flag-built bands get the same check as files.
+func TestExpandRejectsMisplacedStatements(t *testing.T) {
+	matrix, _ := NamedBand("default")
+	churn, _ := NamedBand("churn")
+	cases := []struct {
+		name     string
+		band     bandfile.Band
+		override func(*bandfile.Band)
+		want     string
+	}{
+		{"crash in matrix", matrix, func(b *bandfile.Band) { b.Crash = []float64{1} }, "crash: only applies to churn bands"},
+		{"mttr in matrix", matrix, func(b *bandfile.Band) { b.MTTR = []time.Duration{time.Second} }, "mttr: only applies to churn bands"},
+		{"rebind in matrix", matrix, func(b *bandfile.Band) { b.Rebind = []string{"none"} }, "rebind: only applies to churn bands"},
+		{"deadline in matrix", matrix, func(b *bandfile.Band) { b.Deadline = time.Second }, "deadline: only applies to churn bands"},
+		{"cycles in churn", churn, func(b *bandfile.Band) { b.Cycles = 3 }, "cycles: churn bands fix the workload shape"},
+		{"negative cycles", matrix, func(b *bandfile.Band) { b.Cycles = -1 }, "cycles: -1: not positive"},
+		{"no kind", matrix, func(b *bandfile.Band) { b.Kind = "" }, "unknown kind"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			b := tc.band
+			tc.override(&b)
+			_, err := Expand(b)
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("Expand error %v, want one mentioning %q", err, tc.want)
+			}
+		})
 	}
 }
 

@@ -2,6 +2,8 @@ package runner
 
 import (
 	"testing"
+
+	"repro/internal/bandfile"
 )
 
 // TestChurnBandSize pins the band's shape: ten solutions × 3 crash
@@ -76,13 +78,16 @@ func TestChurnBandDeterminism(t *testing.T) {
 	}
 }
 
-// TestChurnBandWithOverrides: explicit dimensions reshape the band.
+// TestChurnBandWithOverrides: an explicit crash-rate dimension reshapes
+// the churn band, and the reshaped scenarios sweep clean.
 func TestChurnBandWithOverrides(t *testing.T) {
-	scenarios := ChurnBandWith([]float64{1}, nil)
-	if len(scenarios) != 12*3 {
-		t.Fatalf("single-rate band has %d scenarios, want %d", len(scenarios), 12*3)
-	}
-	report, err := Sweep(scenarios[:3], Options{Workers: 3, BaseSeed: 1})
+	band := namedBand(t, "churn", func(b *bandfile.Band) { b.Crash = []float64{1} })
+	checkBandCases(t, bandCase{
+		name: "churn override", band: band, size: 12 * 3,
+		first: "mw-callback" + churnID + "1/mttr=50ms",
+		last:  "mda-queue-mq-like" + churnID + "1/mttr=500ms",
+	})
+	report, err := Sweep(mustExpand(t, band)[:3], Options{Workers: 3, BaseSeed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

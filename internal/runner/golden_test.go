@@ -58,8 +58,7 @@ func TestGoldenLargeBandCSV(t *testing.T) {
 	if testing.Short() {
 		t.Skip("large band takes seconds; skipped in -short")
 	}
-	m := LargeClientBand()
-	if got := sweepCSVHash(t, m.Scenarios(), 8); got != goldenLargeBandCSV {
+	if got := sweepCSVHash(t, builtin("large").Scenarios(), 8); got != goldenLargeBandCSV {
 		t.Fatalf("large band CSV hash = %s, want %s", got, goldenLargeBandCSV)
 	}
 }

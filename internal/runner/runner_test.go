@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
+	"repro/internal/bandfile"
 	"repro/internal/experiments"
 	"repro/internal/floorcontrol"
 )
@@ -108,19 +110,31 @@ func TestSweepPreservesInputOrder(t *testing.T) {
 // The 32-subscriber column matters: large deployments caught a
 // map-iteration-order float instability in the fairness index that small
 // ones slipped past.
-func testMatrix() Matrix {
-	return Matrix{
-		Subscribers: []int{2, 32},
-		LossRates:   []float64{0, 0.05},
-		Cycles:      3,
+func testMatrix(t *testing.T) []Scenario {
+	t.Helper()
+	return mustExpand(t, bandfile.Band{
+		Name:    "test",
+		Kind:    bandfile.KindMatrix,
+		Clients: []int{2, 32},
+		Loss:    []float64{0, 0.05},
+		Cycles:  3,
+	})
+}
+
+func mustExpand(t *testing.T, b bandfile.Band) []Scenario {
+	t.Helper()
+	scenarios, err := Expand(b)
+	if err != nil {
+		t.Fatal(err)
 	}
+	return scenarios
 }
 
 // TestSweepDeterministicAcrossWorkerCounts is the splittable-seed
 // regression guard: the same sweep on 1 worker and on N workers must
 // aggregate to byte-identical reports in every rendering.
 func TestSweepDeterministicAcrossWorkerCounts(t *testing.T) {
-	scenarios := testMatrix().Scenarios()
+	scenarios := testMatrix(t)
 	if len(scenarios) < 40 {
 		t.Fatalf("matrix expands to %d scenarios, want >= 40", len(scenarios))
 	}
@@ -158,34 +172,119 @@ func TestSweepDeterministicAcrossWorkerCounts(t *testing.T) {
 	}
 }
 
-// TestBandSpec pins the declarative band surface: DefaultBand is the
-// 120-scenario headline matrix, LargeClientBand lowers through the same
-// spec, and every BandSpec field reaches the expanded Config.
+// bandCase is one built-in band, possibly overridden the way cmd/sweep
+// overrides it (replace a field of a named band, then Expand): it keeps
+// its scenario count, first and last IDs, and one of its scenarios runs
+// to completion.
+type bandCase struct {
+	name        string
+	band        bandfile.Band
+	size        int
+	first, last string
+	// run is the scenario run end to end; empty means the first.
+	run    string
+	params map[string]string
+}
+
+// namedBand returns the built-in band called name with override, if
+// any, applied.
+func namedBand(t *testing.T, name string, override func(*bandfile.Band)) bandfile.Band {
+	t.Helper()
+	b, ok := NamedBand(name)
+	if !ok {
+		t.Fatalf("no built-in band %q", name)
+	}
+	if override != nil {
+		override(&b)
+	}
+	return b
+}
+
+// churnID is the fixed workload part of every churn scenario ID.
+const churnID = "/subs=4/res=2/cycles=4/loss=0/deadline=8s/crash="
+
+func checkBandCases(t *testing.T, cases ...bandCase) {
+	t.Helper()
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			scenarios := mustExpand(t, tc.band)
+			if len(scenarios) != tc.size {
+				t.Fatalf("expands to %d scenarios, want %d", len(scenarios), tc.size)
+			}
+			if first, last := scenarios[0].ID, scenarios[len(scenarios)-1].ID; first != tc.first || last != tc.last {
+				t.Fatalf("IDs run %q … %q, want %q … %q", first, last, tc.first, tc.last)
+			}
+			for k, v := range tc.params {
+				if got := scenarios[0].Params[k]; got != v {
+					t.Errorf("Params[%q] = %q, want %q", k, got, v)
+				}
+			}
+			sc := scenarios[0]
+			if tc.run != "" {
+				i := slices.IndexFunc(scenarios, func(s Scenario) bool { return s.ID == tc.run })
+				if i < 0 {
+					t.Fatalf("scenario %q not in band", tc.run)
+				}
+				sc = scenarios[i]
+			}
+			out, err := sc.Run(DeriveSeed(42, sc.ID))
+			if err != nil {
+				t.Fatalf("run %s: %v", sc.ID, err)
+			}
+			if tc.band.Kind == bandfile.KindMatrix && (out.Metrics["completed"] != out.Metrics["expected"] || out.Metrics["completed"] == 0) {
+				t.Fatalf("scenario %s incomplete: %v", sc.ID, out.Metrics)
+			}
+		})
+	}
+}
+
+// TestNamedBands pins the default and churn entries of the built-in
+// band table.
+func TestNamedBands(t *testing.T) {
+	checkBandCases(t,
+		bandCase{
+			name: "default", band: namedBand(t, "default", nil), size: 120,
+			first: "mw-callback/subs=2/res=2/cycles=6/loss=0",
+			last:  "mda-queue-mq-like/subs=32/res=2/cycles=6/loss=0.1",
+		},
+		bandCase{
+			name: "churn", band: namedBand(t, "churn", nil), size: 108,
+			first: "mw-callback" + churnID + "0.5/mttr=50ms",
+			last:  "mda-queue-mq-like" + churnID + "5/mttr=500ms",
+		},
+	)
+}
+
+// TestBandSpec pins the matrix override path: every overridden field of
+// a named band reaches the expanded scenario's Params.
 func TestBandSpec(t *testing.T) {
-	if got := DefaultBand().Size(); got != 120 {
-		t.Fatalf("DefaultBand expands to %d scenarios, want 120", got)
-	}
-	spec := BandSpec{
-		Solutions: []string{"proto-token"},
-		Clients:   []int{5},
-		Resources: []int{3},
-		Loss:      []float64{0.02},
-		Cycles:    2,
-	}
-	if m := spec.Matrix(); m.Cycles != 2 {
-		t.Fatalf("Matrix dropped the cycle count: %+v", m)
-	}
-	scenarios := spec.Scenarios()
-	if len(scenarios) != 1 || spec.Size() != 1 {
-		t.Fatalf("spec expands to %d scenarios, want 1", len(scenarios))
-	}
-	sc := scenarios[0]
-	want := map[string]string{"solution": "proto-token", "subscribers": "5", "resources": "3", "cycles": "2", "loss": "0.02"}
-	for k, v := range want {
-		if sc.Params[k] != v {
-			t.Errorf("Params[%q] = %q, want %q", k, sc.Params[k], v)
-		}
-	}
+	checkBandCases(t, bandCase{
+		name: "matrix override",
+		band: namedBand(t, "default", func(b *bandfile.Band) {
+			b.Solutions = []string{"proto-token"}
+			b.Clients = []int{5}
+			b.Resources = []int{3}
+			b.Loss = []float64{0.02}
+			b.Cycles = 2
+		}),
+		size:   1,
+		first:  "proto-token/subs=5/res=3/cycles=2/loss=0.02",
+		last:   "proto-token/subs=5/res=3/cycles=2/loss=0.02",
+		params: map[string]string{"solution": "proto-token", "subscribers": "5", "resources": "3", "cycles": "2", "loss": "0.02"},
+	})
+}
+
+// TestLargeClientBand pins the shape of the large-deployment band (10
+// solutions × {64,128,256} × loss {0,1%}; the CI smoke runs the same
+// band through cmd/sweep) and that one of its heaviest scenarios
+// actually executes.
+func TestLargeClientBand(t *testing.T) {
+	checkBandCases(t, bandCase{
+		name: "large", band: namedBand(t, "large", nil), size: 60,
+		first: "mw-callback/subs=64/res=2/cycles=4/loss=0",
+		last:  "mda-queue-mq-like/subs=256/res=2/cycles=4/loss=0.01",
+		run:   "proto-callback/subs=256/res=2/cycles=4/loss=0",
+	})
 }
 
 // TestFigureScenariosDeterministic runs the figure regenerations through
@@ -237,13 +336,15 @@ func TestWorkloadScenarioSeedOverride(t *testing.T) {
 	}
 }
 
+// TestMatrixSizeMatchesExpansion pins that a matrix band expands to the
+// full cross product of its dimensions, with no repeated scenario ID.
 func TestMatrixSizeMatchesExpansion(t *testing.T) {
-	m := testMatrix()
-	if got := len(m.Scenarios()); got != m.Size() {
-		t.Fatalf("Size() = %d but Scenarios() expands to %d", m.Size(), got)
+	scenarios := testMatrix(t)
+	if want := 10 * 2 * 2; len(scenarios) != want {
+		t.Fatalf("matrix band expands to %d scenarios, want %d", len(scenarios), want)
 	}
 	seen := make(map[string]struct{})
-	for _, s := range m.Scenarios() {
+	for _, s := range scenarios {
 		if _, dup := seen[s.ID]; dup {
 			t.Fatalf("duplicate scenario ID %q", s.ID)
 		}
@@ -263,34 +364,6 @@ func TestTotalMetric(t *testing.T) {
 	if got := rep.TotalMetric("absent"); got != 0 {
 		t.Fatalf("TotalMetric(absent) = %v, want 0", got)
 	}
-}
-
-// TestLargeClientBand pins the shape of the large-deployment band (the
-// CI smoke runs the same matrix through cmd/sweep) and that one of its
-// heaviest scenarios actually executes.
-func TestLargeClientBand(t *testing.T) {
-	m := LargeClientBand()
-	if got := m.Size(); got != 60 {
-		t.Fatalf("LargeClientBand expands to %d scenarios, want 60 (10 solutions × {64,128,256} × loss {0,1%%})", got)
-	}
-	scenarios := m.Scenarios()
-	if len(scenarios) != 60 {
-		t.Fatalf("Scenarios() expands to %d, want 60", len(scenarios))
-	}
-	// Run the largest lossless scenario of one solution end to end.
-	for _, sc := range scenarios {
-		if sc.Params["solution"] == "proto-callback" && sc.Params["subscribers"] == "256" && sc.Params["loss"] == "0" {
-			out, err := sc.Run(DeriveSeed(42, sc.ID))
-			if err != nil {
-				t.Fatalf("run %s: %v", sc.ID, err)
-			}
-			if out.Metrics["completed"] != out.Metrics["expected"] || out.Metrics["completed"] == 0 {
-				t.Fatalf("scenario %s incomplete: %v", sc.ID, out.Metrics)
-			}
-			return
-		}
-	}
-	t.Fatal("expected proto-callback/256/loss=0 scenario not found in band")
 }
 
 // TestWallTimeOnlyInTableString pins that wall time is recorded per
