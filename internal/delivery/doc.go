@@ -10,8 +10,9 @@
 // Names are load-bearing — renaming one silently drops it from the gate
 // until the baseline is refreshed with `make bench-baseline-path`.
 //
-// This suite measures the flat broker at small fan-outs (8–64
-// subscribers); the XL fan-out regime — the federated broker tree at
-// tens of thousands of sinks — has its own suite and baseline in
-// internal/fanout (BENCH_xl.json, `make bench-baseline-xl`).
+// This suite measures the root-only (zero-leaf) broker tree at small
+// fan-outs (8–64 subscriber nodes, one sink each); the XL fan-out
+// regime — the tree with leaf brokers at tens of thousands of sinks —
+// has its own suite and baseline in internal/fanout (BENCH_xl.json,
+// `make bench-baseline-xl`).
 package delivery

@@ -28,8 +28,8 @@ var benchSink uint64
 
 // benchFanout measures the steady-state publish path of a pre-built
 // fan-out world: one publish fully drained per iteration, delivered to
-// subs sinks spread over nodes subscriber nodes, through a federated
-// tree with the given leaf count (0 = flat broker baseline). Reports
+// subs sinks spread over nodes subscriber nodes, through a broker tree
+// with the given leaf count (0 = the root-only baseline). Reports
 // bytes/client — simulated wire bytes per subscriber per event, the
 // encode-once number BENCH_xl.json gates.
 func benchFanout(b *testing.B, subs, nodes, leaves int) {
@@ -99,8 +99,8 @@ func benchFanout(b *testing.B, subs, nodes, leaves int) {
 // publish fully drained (1 + 4 + 1024 wire messages, 65,536 sink fires).
 func BenchmarkFanoutFederated(b *testing.B) { benchFanout(b, 65536, 1024, 4) }
 
-// BenchmarkFanoutFlat is the same sink population on the flat
-// single-broker platform, one sink per node (the flat broker has no
-// per-node dedup) — the baseline the federation tree is measured
+// BenchmarkFanoutFlat is the same sink population on the root-only
+// (zero-leaf) tree with one sink per node, so the root itself sends one
+// wire message per sink — the baseline the federation tree is measured
 // against: 65,536 wire messages per publish instead of 1,029.
 func BenchmarkFanoutFlat(b *testing.B) { benchFanout(b, 65536, 65536, 0) }

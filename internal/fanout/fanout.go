@@ -1,6 +1,6 @@
 // Package fanout is the XL pub/sub fan-out workload: one publisher, one
-// federated broker tree, and up to a million subscriber sinks spread over
-// dense subscriber nodes. It is the scenario the hierarchical broker
+// broker tree (Config.Leaves leaf brokers, or none), and up to a million
+// subscriber sinks spread over dense subscriber nodes. It is the scenario the hierarchical broker
 // federation (middleware.WithFederation) and the streaming metrics plane
 // exist for — populations where any per-subscriber allocation on the
 // publish path, or any retained per-sample metric state, would dominate
@@ -30,17 +30,14 @@ import (
 type Config struct {
 	// Subscribers is the total sink population; sinks are spread
 	// round-robin over Nodes subscriber nodes (Subscribers/Nodes sinks
-	// per node share one wire delivery — the per-node dedup the
-	// federated broker does).
+	// per node share one wire delivery — the broker's per-node dedup).
 	Subscribers int
 	// Nodes is the subscriber node count — the wire fan-out width.
 	Nodes int
 	// Leaves is the federation tree's leaf broker count; 0 runs the
-	// flat single-broker platform (the comparison baseline). Only the
-	// federated broker dedups wire deliveries per node: the flat broker
-	// sends one wire message per subscription and demuxes each to every
-	// co-located sink, so flat baselines should use Nodes == Subscribers
-	// (one sink per node) to keep Delivered == Expected.
+	// root-only tree (the comparison baseline), whose root forwards to
+	// the subscriber nodes itself. Either way the broker sends one wire
+	// message per subscriber node.
 	Leaves int
 	// Events is the number of publishes, spaced Interval apart.
 	Events int
@@ -92,7 +89,7 @@ type Result struct {
 	Expected  uint64
 	// WireMessages/WireBytes are the middleware's own accounting:
 	// publisher→root, root→leaf, and leaf→subscriber-node messages
-	// (one per node, not per sink — federation dedups per node).
+	// (one per node, not per sink — the broker dedups per node).
 	WireMessages uint64
 	WireBytes    uint64
 	// NetMessages/NetBytes count everything on the simulated wire.

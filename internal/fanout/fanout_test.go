@@ -33,20 +33,29 @@ func TestFanoutDelivery(t *testing.T) {
 	}
 }
 
-// TestFanoutFlatBaseline runs the same population on the flat broker
-// (Leaves = 0, one sink per node — the flat broker has no per-node
-// dedup): identical delivery counts, one hop less depth.
+// TestFanoutFlatBaseline runs the population on the root-only
+// (zero-leaf) tree: identical delivery counts, one hop less depth, and
+// one wire message per subscriber node whether each node carries one
+// sink or several.
 func TestFanoutFlatBaseline(t *testing.T) {
-	cfg := Config{Subscribers: 24, Nodes: 24, Leaves: 0, Events: 3}
-	res, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Delivered != res.Expected {
-		t.Fatalf("Delivered = %d, want %d", res.Delivered, res.Expected)
-	}
-	if min := res.Latency.Min(); min != 2*time.Millisecond {
-		t.Fatalf("min delivery latency = %s, want 2ms (2 hops)", time.Duration(min))
+	for _, cfg := range []Config{
+		{Subscribers: 24, Nodes: 24, Leaves: 0, Events: 3},
+		{Subscribers: 24, Nodes: 8, Leaves: 0, Events: 3},
+	} {
+		res, err := Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Delivered != res.Expected {
+			t.Fatalf("%s: Delivered = %d, want %d", cfg.ScenarioID(), res.Delivered, res.Expected)
+		}
+		// Per publish: pub→root, root→each subscriber node.
+		if want := uint64(cfg.Events) * uint64(1+cfg.Nodes); res.WireMessages != want {
+			t.Fatalf("%s: WireMessages = %d, want %d", cfg.ScenarioID(), res.WireMessages, want)
+		}
+		if min := res.Latency.Min(); min != 2*time.Millisecond {
+			t.Fatalf("%s: min delivery latency = %s, want 2ms (2 hops)", cfg.ScenarioID(), time.Duration(min))
+		}
 	}
 }
 

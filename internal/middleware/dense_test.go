@@ -98,8 +98,8 @@ func TestSubscribeAfterTraffic(t *testing.T) {
 }
 
 // TestMixedSinksSubscriptionOrder registers two sinks for the same topic
-// on one node and checks both fire, in subscription order, off a single
-// wire event.
+// on one node and checks both fire once, in subscription order, off a
+// single wire event.
 func TestMixedSinksSubscriptionOrder(t *testing.T) {
 	p, kernel := densePlatform(t)
 	var order []string
@@ -115,10 +115,7 @@ func TestMixedSinksSubscriptionOrder(t *testing.T) {
 		t.Fatal(err)
 	}
 	drainKernel(t, kernel)
-	// Two subscriptions on one node → the node receives two wire events,
-	// each firing both sinks (the legacy per-subscription fan-out
-	// semantics, preserved by the dense tables).
-	want := []string{"first", "second", "first", "second"}
+	want := []string{"first", "second"}
 	if len(order) != len(want) {
 		t.Fatalf("order = %v, want %v", order, want)
 	}
@@ -126,6 +123,10 @@ func TestMixedSinksSubscriptionOrder(t *testing.T) {
 		if order[i] != want[i] {
 			t.Fatalf("order = %v, want %v", order, want)
 		}
+	}
+	// pub→broker, broker→n1: the node gets ONE wire event for its two sinks.
+	if st := p.Stats(); st.WireMessages != 2 || st.EventDeliver != 1 {
+		t.Fatalf("WireMessages = %d, EventDeliver = %d; want 2 and 1", st.WireMessages, st.EventDeliver)
 	}
 }
 

@@ -142,8 +142,8 @@ func TestFederatedShardAssignment(t *testing.T) {
 		t.Fatal(err)
 	}
 	p.mu.Lock()
-	ft := p.fed.topics["t"]
-	shard0, shard1 := ft.shards[0], ft.shards[1]
+	tt := p.topics["t"]
+	shard0, shard1 := tt.rows[0], tt.rows[1]
 	p.mu.Unlock()
 	want0, want1 := []int32{4, 6}, []int32{3, 5}
 	if len(shard0) != len(want0) || shard0[0] != want0[0] || shard0[1] != want0[1] {
@@ -155,11 +155,12 @@ func TestFederatedShardAssignment(t *testing.T) {
 }
 
 // TestFederatedMatchesFlatDeliveries runs the same pub/sub scenario
-// flat and federated and requires identical per-sink delivery
-// sequences — federation changes the wire topology, not observable
-// delivery semantics.
+// flat (the zero-leaf tree) and federated, with two nodes carrying two
+// sinks each, and requires identical per-sink delivery sequences and
+// EventDeliver counts — federation changes the wire topology, not
+// observable delivery semantics.
 func TestFederatedMatchesFlatDeliveries(t *testing.T) {
-	run := func(federated bool) map[string][]uint64 {
+	run := func(federated bool) (map[string][]uint64, uint64) {
 		kernel := sim.NewKernel(sim.WithSeed(5))
 		net := network.New(kernel)
 		profile := Profile{Name: "cmp", Patterns: []Pattern{PatternPubSub}}
@@ -169,12 +170,13 @@ func TestFederatedMatchesFlatDeliveries(t *testing.T) {
 		}
 		p := New(kernel, protocol.NewUnreliableDatagram(net), profile, "root", opts...)
 		got := make(map[string][]uint64)
-		for i := 0; i < 6; i++ {
-			node := Addr(fmt.Sprintf("n%d", i))
+		for i := 0; i < 8; i++ {
+			node := Addr(fmt.Sprintf("n%d", i%6))
+			sink := fmt.Sprintf("%s/%d", node, i)
 			if err := p.SubscribeTopicView("x", node, func(v codec.MsgView) {
 				fields, _ := v.View("fields")
 				seq, _ := fields.Uint("seq")
-				got[string(node)] = append(got[string(node)], seq)
+				got[sink] = append(got[sink], seq)
 			}); err != nil {
 				t.Fatal(err)
 			}
@@ -187,22 +189,22 @@ func TestFederatedMatchesFlatDeliveries(t *testing.T) {
 		if _, err := kernel.Run(); err != nil {
 			t.Fatal(err)
 		}
-		return got
+		return got, p.Stats().EventDeliver
 	}
-	flat, fed := run(false), run(true)
-	if len(flat) != len(fed) {
-		t.Fatalf("node sets differ: flat %d, federated %d", len(flat), len(fed))
+	flat, flatDeliver := run(false)
+	fed, fedDeliver := run(true)
+	if len(flat) != 8 || len(fed) != len(flat) {
+		t.Fatalf("sink sets differ: flat %d, federated %d, want 8", len(flat), len(fed))
 	}
-	for node, seqs := range flat {
-		fs := fed[node]
-		if len(fs) != len(seqs) {
-			t.Fatalf("node %s: flat saw %v, federated saw %v", node, seqs, fs)
+	want := []uint64{0, 1, 2, 3, 4}
+	for sink, seqs := range flat {
+		fs := fed[sink]
+		if fmt.Sprint(seqs) != fmt.Sprint(want) || fmt.Sprint(fs) != fmt.Sprint(want) {
+			t.Fatalf("sink %s: flat saw %v, federated saw %v, want %v", sink, seqs, fs, want)
 		}
-		for i := range seqs {
-			if seqs[i] != fs[i] {
-				t.Fatalf("node %s delivery %d: flat %d, federated %d", node, i, seqs[i], fs[i])
-			}
-		}
+	}
+	if flatDeliver != 6*5 || fedDeliver != flatDeliver {
+		t.Fatalf("EventDeliver: flat %d, federated %d, want %d (subscriber nodes × events)", flatDeliver, fedDeliver, 6*5)
 	}
 }
 
@@ -251,12 +253,23 @@ func TestFederationErrors(t *testing.T) {
 			named, direct, fedNodes*fedEvents)
 	}
 
-	// WithFederation with no leaves is a no-op, not a broken tree.
+	// WithFederation with no leaves is the zero-leaf tree, not a broken
+	// one: the root owns each topic's single row, and still cannot
+	// subscribe.
 	kernel := sim.NewKernel()
 	r := New(kernel, protocol.NewUnreliableDatagram(network.New(kernel)), Profile{Name: "y", Patterns: []Pattern{PatternPubSub}}, "root2",
 		WithFederation())
-	if r.fed != nil {
-		t.Fatal("zero-leaf federation should leave the flat broker")
+	if err := r.SubscribeTopicView("t", "n0", func(codec.MsgView) {}); err != nil {
+		t.Fatal(err)
+	}
+	r.mu.Lock()
+	leaves, rows := len(r.leaves), len(r.topics["t"].rows)
+	r.mu.Unlock()
+	if leaves != 0 || rows != 1 {
+		t.Fatalf("zero-leaf federation: %d leaves, %d rows; want 0 and the root's single row", leaves, rows)
+	}
+	if err := r.SubscribeTopicView("t", "root2", func(codec.MsgView) {}); !errors.Is(err, ErrFederation) {
+		t.Fatalf("subscribing at the zero-leaf root: err = %v, want ErrFederation", err)
 	}
 }
 

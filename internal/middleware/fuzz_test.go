@@ -113,9 +113,35 @@ func fuzzQueuePlatform(t *testing.T) (*sim.Kernel, *middleware.Platform) {
 // hostile bytes reach the broker's publish re-framing and the
 // subscriber's decoder.
 func fuzzTopicPlatform(t *testing.T) (*sim.Kernel, *middleware.Platform) {
+	return topicPlatform(t, "broker")
+}
+
+// fuzzTreePlatform is fuzzTopicPlatform behind a two-leaf federation
+// tree rooted at "root", with node-w in leaf0's row, so hostile bytes
+// also reach the leaf's verbatim forward.
+func fuzzTreePlatform(t *testing.T) (*sim.Kernel, *middleware.Platform) {
+	return topicPlatform(t, "root", "leaf0", "leaf1")
+}
+
+// topicPlatform builds a topic platform brokered at broker through the
+// given leaves. The leaves, the broker and node-p attach first, in that
+// order, so node-w takes transport id len(leaves)+2 and — with two
+// leaves — lands in leaf0's row (leaf = id % leaves).
+func topicPlatform(t *testing.T, broker middleware.Addr, leaves ...middleware.Addr) (*sim.Kernel, *middleware.Platform) {
 	t.Helper()
 	k := sim.NewKernel(sim.WithSeed(1))
-	p := middleware.New(k, protocol.NewUnreliableDatagram(network.New(k)), middleware.ProfileJMSLike, "broker")
+	p := middleware.New(k, protocol.NewUnreliableDatagram(network.New(k)), middleware.ProfileJMSLike, broker,
+		middleware.WithFederation(leaves...))
+	for _, node := range leaves {
+		if err := p.AttachNode(node); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, node := range []middleware.Addr{broker, "node-p"} {
+		if err := p.AttachNode(node); err != nil {
+			t.Fatal(err)
+		}
+	}
 	b, err := fuzzService(t).Bind(p, middleware.PatternPubSub)
 	if err != nil {
 		t.Fatal(err)
@@ -128,9 +154,6 @@ func fuzzTopicPlatform(t *testing.T) (*sim.Kernel, *middleware.Platform) {
 		return decFuzzArgs(fields)
 	}
 	if _, err := svc.NewTopicSource(b, "news", "node-w", dec, func(fuzzArgs) {}); err != nil {
-		t.Fatal(err)
-	}
-	if err := p.AttachNode("node-p"); err != nil {
 		t.Fatal(err)
 	}
 	return k, p
@@ -148,9 +171,10 @@ func wireSeed(f *testing.F, name string, fields codec.Record) []byte {
 }
 
 // FuzzPlatformWire feeds arbitrary bytes to the platform's wire entry
-// point on three platforms: at both ends of a pending typed call, at the
-// broker and the consumer of a queue, and at the broker and the
-// subscriber of a topic. The receive path hands views of these untrusted
+// point on four platforms: at both ends of a pending typed call, at the
+// broker and the consumer of a queue, at the broker and the subscriber
+// of a topic, and at the root, a leaf and the subscriber of a topic on
+// a federation tree. The receive path hands views of these untrusted
 // bytes to the typed decoders, so it must never panic; a message that
 // does not parse is dropped and counted in Stats.Corrupt at every entry
 // point. Run bounded in CI (see .github/workflows/ci.yml, fuzz job) and
@@ -194,6 +218,9 @@ func FuzzPlatformWire(f *testing.F) {
 			{fuzzQueuePlatform, [][2]middleware.Addr{{"node-p", "broker"}, {"broker", "node-w"}}},
 			// As a publish at the broker, and as an event at the subscriber.
 			{fuzzTopicPlatform, [][2]middleware.Addr{{"node-p", "broker"}, {"broker", "node-w"}}},
+			// As a publish at the root, as an event at a leaf, and as an
+			// event at the subscriber.
+			{fuzzTreePlatform, [][2]middleware.Addr{{"node-p", "root"}, {"root", "leaf0"}, {"leaf0", "node-w"}}},
 		} {
 			k, p := fc.build(t)
 			before := p.Stats().Corrupt

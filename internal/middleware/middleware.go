@@ -206,9 +206,8 @@ type Stats struct {
 	QueuePuts    uint64
 	QueueDeliver uint64
 	// Publishes counts topic publishes; EventDeliver counts event
-	// deliveries — per matching subscription on the flat broker, per
-	// subscriber node on the federated path (which forwards one wire
-	// message per node and demuxes to every co-located sink).
+	// deliveries to subscriber nodes — the broker forwards one wire
+	// message per node, which demuxes it to every co-located sink.
 	Publishes    uint64
 	EventDeliver uint64
 	// Timeouts counts RPC deadline expirations.
@@ -323,10 +322,14 @@ type eventSink struct {
 	fn    func(codec.MsgView)
 }
 
-// queueSink is one node-local queue consumption endpoint.
+// queueSink is one queue's consumers at a node, in subscription order.
+// next is the node's round-robin cursor over fns: co-located consumers
+// take the node's deliveries in turn — the broker's round-robin over
+// consumers, restricted to the node.
 type queueSink struct {
 	queue string
-	fn    func(codec.MsgView)
+	fns   []func(codec.MsgView)
+	next  int
 }
 
 // deferredWire is a pooled deferred-dispatch record: when the profile
@@ -370,7 +373,7 @@ type Platform struct {
 	brokerID  int32          // platform node id of the broker (-1 until attached)
 
 	eventSinks [][]eventSink // node id → topic subscriptions at that node
-	queueSinks [][]queueSink // node id → queue consumers at that node
+	queueSinks [][]queueSink // node id → consumed queues at that node
 	downNodes  []bool        // node id → marked down by NodeDown
 
 	pending   map[uint64]*pendingCall
@@ -378,14 +381,15 @@ type Platform struct {
 	freeCalls *pendingCall
 	freeReply *replyCell
 	queues    map[string]*queueState
-	topics    map[string][]int32 // topic → one transport id per subscription, in subscription order
+	topics    map[string]*topicTable
+
+	// leaves are the broker tree's leaf addresses (WithFederation); with
+	// none, the root broker forwards events to subscribers itself.
+	leaves  []Addr
+	leafIDs []int32 // platform node id per leaf, -1 until attached
 
 	freeDeferred *deferredWire
 	stats        Stats
-
-	// fed is non-nil when the pub/sub broker is federated into a
-	// two-level tree (see WithFederation).
-	fed *federation
 }
 
 // New creates a platform over transport (see protocol.AsIndexed). The
@@ -403,7 +407,7 @@ func New(kern *sim.Kernel, transport protocol.LowerService, profile Profile, bro
 		nodes:     make(map[Addr]int32),
 		pending:   make(map[uint64]*pendingCall),
 		queues:    make(map[string]*queueState),
-		topics:    make(map[string][]int32),
+		topics:    make(map[string]*topicTable),
 	}
 	for _, opt := range opts {
 		opt(p)
@@ -442,11 +446,9 @@ func (p *Platform) ensureRuntime(node Addr) (int32, error) {
 	if node == p.broker {
 		p.brokerID = id
 	}
-	if p.fed != nil {
-		for i, leaf := range p.fed.leaves {
-			if node == leaf {
-				p.fed.leafIDs[i] = id
-			}
+	for i, leaf := range p.leaves {
+		if node == leaf {
+			p.leafIDs[i] = id
 		}
 	}
 	p.mu.Unlock()
@@ -514,26 +516,26 @@ func (p *Platform) sendData(from, to int32, data []byte) error {
 	return nil
 }
 
-// sendMultiData transmits one encoded message to every destination in
-// order — the fan-out path behind pub/sub event delivery: the message is
-// marshalled once by the caller and the single buffer serves every
-// subscriber over the transport's batch path (all deliveries scheduled
-// under a single kernel lock). Wire counters advance exactly as if
-// sendData were called once per destination.
+// forward fans one encoded event out from a broker — the root of a
+// zero-leaf tree, or a leaf — to its row of subscriber nodes over the
+// transport's indexed batch path (all deliveries scheduled under a
+// single kernel lock), counting one event delivery and one wire message
+// per node. The single buffer serves every subscriber; it may be
+// pooled, because the transport copies synchronously.
 //
 //repolint:hotpath
-func (p *Platform) sendMultiData(from int32, tos []int32, data []byte) error {
-	if len(tos) == 0 {
-		return nil
+func (p *Platform) forward(from int32, row []int32, data []byte) {
+	if len(row) == 0 {
+		return
 	}
+	n := uint64(len(row))
 	p.mu.Lock()
-	p.stats.WireMessages += uint64(len(tos))
-	p.stats.WireBytes += uint64(len(tos)) * uint64(len(data))
+	p.stats.EventDeliver += n
+	p.stats.WireMessages += n
+	p.stats.WireBytes += n * uint64(len(data))
 	p.mu.Unlock()
-	if err := p.transport.SendMultiIndexed(from, tos, data); err != nil {
-		return fmt.Errorf("middleware: wire fan-out from %s: %w", p.transport.EndpointAddr(from), err) //repolint:allow alloc -- cold: transport refused the fan-out
-	}
-	return nil
+	//nolint:errcheck // event delivery failure = event loss, acceptable for pub/sub sim
+	_ = p.transport.SendMultiIndexed(from, row, data)
 }
 
 // brokerLowLocked returns the broker's transport id (-1 while its

@@ -277,6 +277,36 @@ func TestQueueRoundRobinDelivery(t *testing.T) {
 	}
 }
 
+// TestQueueCoLocatedConsumersRoundRobin puts two of a queue's three
+// consumers on one node: the node hands its deliveries to its own
+// consumers in turn, so all three share the queue evenly.
+func TestQueueCoLocatedConsumersRoundRobin(t *testing.T) {
+	k, p := newPlatform(t, ProfileJMSLike, 0)
+	if err := p.QueueDeclare("jobs"); err != nil {
+		t.Fatal(err)
+	}
+	got := make([][]string, 3)
+	for i, node := range []Addr{"n", "m", "n"} {
+		if err := p.QueueSubscribe("jobs", node, func(v codec.MsgView) { got[i] = append(got[i], msgName(v)) }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 6; i++ {
+		if err := p.QueuePut("prod", "jobs", fmt.Sprintf("job-%d", i), nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	want := [][]string{{"job-0", "job-3"}, {"job-1", "job-4"}, {"job-2", "job-5"}}
+	for i := range want {
+		if fmt.Sprint(got[i]) != fmt.Sprint(want[i]) {
+			t.Fatalf("consumer deliveries = %v, want %v", got, want)
+		}
+	}
+}
+
 func TestQueueBacklogBeforeSubscribe(t *testing.T) {
 	k, p := newPlatform(t, ProfileMQLike, 0)
 	if err := p.QueueDeclare("q"); err != nil {

@@ -3,6 +3,7 @@ package middleware
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"repro/internal/codec"
 )
@@ -234,7 +235,8 @@ func (p *Platform) QueuePut(from Addr, queue, name string, fields []byte) error 
 }
 
 // QueueSubscribe adds a consumer for a queue. Each message goes to exactly
-// one consumer; multiple consumers share the queue round-robin. Messages
+// one consumer; multiple consumers share the queue round-robin, in
+// subscription order, whether or not they share a node. Messages
 // put before any subscription are retained and delivered on first
 // subscribe. The consumer's node is resolved to dense ids here, once, so
 // deliveries walk no tables.
@@ -263,7 +265,14 @@ func (p *Platform) QueueSubscribe(queue string, node Addr, fn func(codec.MsgView
 		return fmt.Errorf("%w: %q", ErrUnknownQueue, queue)
 	}
 	q.consumers = append(q.consumers, queueConsumer{nodeID: nodeID})
-	p.queueSinks[nodeID] = append(p.queueSinks[nodeID], queueSink{queue: queue, fn: fn})
+	sinks := p.queueSinks[nodeID]
+	i := slices.IndexFunc(sinks, func(s queueSink) bool { return s.queue == queue })
+	if i < 0 {
+		i = len(sinks)
+		sinks = append(sinks, queueSink{queue: queue})
+	}
+	sinks[i].fns = append(sinks[i].fns, fn)
+	p.queueSinks[nodeID] = sinks
 	backlog := q.backlog
 	q.backlog = nil
 	p.mu.Unlock()
@@ -341,15 +350,22 @@ func (p *Platform) SubscribeTopicView(topic string, node Addr, fn func(v codec.M
 	return p.subscribeTopic(topic, node, eventSink{topic: topic, fn: fn})
 }
 
-// subscribeTopic resolves the subscriber node to dense ids and appends it
-// to the topic's fan-out table and the node's demux table — the
-// "resolved once at subscribe time" half of the pub/sub fast path.
+// subscribeTopic resolves the subscriber node to dense ids, enrols it
+// in its row of the topic's broker-tree table, and appends the sink to
+// the node's demux table — the "resolved once at subscribe time" half
+// of the pub/sub fast path. Broker addresses (the root, and any leaf)
+// cannot subscribe.
 func (p *Platform) subscribeTopic(topic string, node Addr, sink eventSink) error {
 	if !p.profile.Supports(PatternPubSub) {
 		return fmt.Errorf("%w: %s on %q", ErrPatternUnsupported, PatternPubSub, p.profile.Name)
 	}
-	if p.fed != nil {
-		return p.fedSubscribe(topic, node, sink)
+	if node == p.broker {
+		return fmt.Errorf("%w: %q is the root broker; it cannot subscribe", ErrFederation, node)
+	}
+	for _, leaf := range p.leaves {
+		if node == leaf {
+			return fmt.Errorf("%w: %q is a leaf broker; it cannot subscribe", ErrFederation, node)
+		}
 	}
 	nodeID, err := p.ensureRuntime(node)
 	if err != nil {
@@ -359,9 +375,24 @@ func (p *Platform) subscribeTopic(topic string, node Addr, sink eventSink) error
 		return err
 	}
 	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.topics[topic] = append(p.topics[topic], p.nodeLows[nodeID])
+	tt := p.topics[topic]
+	if tt == nil {
+		tt = &topicTable{rows: make([][]int32, max(1, len(p.leaves)))}
+		p.topics[topic] = tt
+	}
+	low, li := p.nodeLows[nodeID], 0 // the root's row on a zero-leaf tree
+	if len(p.leaves) > 0 {
+		li = int(low) % len(p.leaves)
+	}
+	tt.enroll(low, li)
 	p.eventSinks[nodeID] = append(p.eventSinks[nodeID], sink)
+	p.mu.Unlock()
+	if li < len(p.leaves) {
+		// The leaf runtime must be live before the first publish reaches it.
+		if _, err := p.ensureRuntime(p.leaves[li]); err != nil {
+			return err
+		}
+	}
 	return nil
 }
 
@@ -417,16 +448,7 @@ func (p *Platform) handleWire(src, atID int32, data []byte) {
 	case "mw.publish":
 		p.handlePublish(&v)
 	case "mw.event":
-		if p.fed != nil {
-			p.mu.Lock()
-			li := p.leafIndexOfLocked(atID)
-			p.mu.Unlock()
-			if li >= 0 {
-				p.fedForward(int32(li), &v, data)
-				return
-			}
-		}
-		p.handleEvent(atID, &v)
+		p.handleEvent(atID, &v, data)
 	}
 }
 
@@ -632,42 +654,48 @@ func (p *Platform) handleEnqueue(v *codec.MsgView) {
 }
 
 // handleDeliver demultiplexes a queue delivery at the consuming node: the
-// node's dense consumer table is scanned for the queue (nodes consume
+// node's consumed-queue table is scanned for the queue (nodes consume
 // from a handful of queues; the name compare takes Go's pointer-equality
-// fast path for interned literals) and the first matching consumer —
-// subscription order, as the legacy table produced — gets the envelope.
+// fast path for interned literals) and the node's consumers of that
+// queue take the envelope in turn, in subscription order.
 func (p *Platform) handleDeliver(atID int32, v *codec.MsgView) {
 	queue, _ := v.Str("queue")
+	var fn func(codec.MsgView)
 	p.mu.Lock()
 	sinks := p.queueSinks[atID]
-	p.mu.Unlock()
 	for i := range sinks {
-		if sinks[i].queue == string(queue) {
-			sinks[i].fn(*v)
-			return
+		if s := &sinks[i]; s.queue == string(queue) {
+			fn = s.fns[s.next%len(s.fns)]
+			s.next++
+			break
 		}
+	}
+	p.mu.Unlock()
+	if fn != nil {
+		fn(*v)
 	}
 }
 
-// handlePublish is the broker half of the pub/sub hot path: the event
-// envelope is re-framed as mw.event by splicing the raw name and fields
-// bytes out of the incoming view — the application payload is never
-// rematerialized at the broker — and the single encoded buffer fans out
-// to every subscriber node over the topic's dense tables resolved at
-// subscribe time (one string-keyed topic probe per publish; everything
-// after it is slice-indexed).
+// handlePublish is the root half of the pub/sub hot path: the event
+// envelope is re-framed once as mw.event by splicing the raw name and
+// fields bytes out of the incoming view — the application payload is
+// never rematerialized at the broker — and the single encoded buffer
+// either fans out to the root's own row of subscriber nodes (zero-leaf
+// tree) or goes once to every leaf whose row has subscribers: O(leaves)
+// wire work at the root regardless of subscriber population. One
+// string-keyed topic probe per publish; everything after it is
+// slice-indexed.
 func (p *Platform) handlePublish(v *codec.MsgView) {
-	if p.fed != nil {
-		p.fedPublish(v)
-		return
-	}
 	topic, _ := v.Str("topic")
 	p.mu.Lock()
-	lows := p.topics[string(topic)]
-	p.stats.EventDeliver += uint64(len(lows))
+	tt := p.topics[string(topic)]
 	fromLow := p.brokerLowLocked()
+	var row []int32
+	if tt != nil && len(p.leaves) == 0 {
+		row = tt.rows[0]
+	}
 	p.mu.Unlock()
-	if len(lows) == 0 {
+	if tt == nil {
 		return
 	}
 	rawName, ok := v.Raw("name")
@@ -692,18 +720,47 @@ func (p *Platform) handlePublish(v *codec.MsgView) {
 		buf.Release()
 		return
 	}
-	//nolint:errcheck // event delivery failure = event loss, acceptable for pub/sub sim
-	_ = p.sendMultiData(fromLow, lows, data)
+	p.forward(fromLow, row, data)
+	for li := range p.leaves {
+		p.mu.Lock()
+		empty := len(tt.rows[li]) == 0
+		var leafLow int32 = -1
+		if id := p.leafIDs[li]; !empty && id >= 0 {
+			leafLow = p.nodeLows[id]
+		}
+		p.mu.Unlock()
+		if empty {
+			continue
+		}
+		//nolint:errcheck // event delivery failure = event loss, acceptable for pub/sub sim
+		_ = p.sendData(fromLow, leafLow, data)
+	}
 	buf.B = data
 	buf.Release()
 }
 
-// handleEvent demultiplexes an event at a subscriber node over the
-// node's dense sink table: every sink matching the topic receives the
-// envelope in place (zero-copy, zero-alloc), in subscription order.
-func (p *Platform) handleEvent(atID int32, v *codec.MsgView) {
+// handleEvent routes an event arriving at a node. At a leaf broker it
+// is the leaf half of the hot path: the received wire bytes are re-sent
+// verbatim — no parse beyond the topic probe, no re-encode — to the
+// leaf's row of subscriber nodes (legal because the transport copies
+// synchronously, so the pooled delivery buffer the bytes alias is free
+// to recycle afterwards). At a subscriber node the event is demuxed
+// over the node's dense sink table: every sink matching the topic
+// receives the envelope in place (zero-copy, zero-alloc), in
+// subscription order.
+func (p *Platform) handleEvent(atID int32, v *codec.MsgView, data []byte) {
 	topic, _ := v.Str("topic")
 	p.mu.Lock()
+	if li := p.leafIndexOfLocked(atID); li >= 0 {
+		var row []int32
+		if tt := p.topics[string(topic)]; tt != nil {
+			row = tt.rows[li]
+		}
+		leafLow := p.nodeLows[atID]
+		p.mu.Unlock()
+		p.forward(leafLow, row, data)
+		return
+	}
 	sinks := p.eventSinks[atID]
 	p.mu.Unlock()
 	for i := range sinks {
