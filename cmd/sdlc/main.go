@@ -15,13 +15,19 @@
 //
 //	<role>:<sap-id> <primitive> [<param>=<value> ...]   # comments allowed
 //
-// Values parse as int, bool, or string (in that order).
+// Each value parses as the kind its primitive declares for that
+// parameter: int, bool, string (so resid=7 is the string "7" when resid
+// is declared a string), or list, written comma-separated (a,b,c). A
+// value that does not parse as its declared kind stays a string, which
+// the kind check then reports. Undeclared parameters, which the check
+// also reports, parse as int, bool, or string (in that order).
 package main
 
 import (
 	"bufio"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 	"strings"
@@ -64,7 +70,7 @@ func run() int {
 	}
 	switch {
 	case *check != "":
-		return checkTrace(spec, *check)
+		return checkTrace(spec, *check, os.Stdout, os.Stderr)
 	case *doc:
 		fmt.Print(spec.Document())
 	default:
@@ -79,10 +85,13 @@ type lineClock struct{ line int }
 
 func (c *lineClock) Now() time.Duration { return time.Duration(c.line) }
 
-func checkTrace(spec *core.ServiceSpec, path string) int {
+// checkTrace checks the trace file at path against spec, writing
+// violations and the verdict to stdout and errors to stderr. It returns
+// the exit code: 0 when the trace conforms, 1 otherwise.
+func checkTrace(spec *core.ServiceSpec, path string, stdout, stderr io.Writer) int {
 	f, err := os.Open(path)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "sdlc: %v\n", err)
+		fmt.Fprintf(stderr, "sdlc: %v\n", err)
 		return 1
 	}
 	defer f.Close()
@@ -90,7 +99,7 @@ func checkTrace(spec *core.ServiceSpec, path string) int {
 	clock := &lineClock{}
 	obs, err := core.NewObserver(spec, clock, core.WithEventValidation())
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "sdlc: %v\n", err)
+		fmt.Fprintf(stderr, "sdlc: %v\n", err)
 		return 1
 	}
 	scanner := bufio.NewScanner(f)
@@ -106,39 +115,40 @@ func checkTrace(spec *core.ServiceSpec, path string) int {
 		if line == "" {
 			continue
 		}
-		sap, prim, params, perr := parseTraceLine(line)
+		sap, prim, params, perr := parseTraceLine(spec, line)
 		if perr != nil {
-			fmt.Fprintf(os.Stderr, "sdlc: %s:%d: %v\n", path, lineNo, perr)
+			fmt.Fprintf(stderr, "sdlc: %s:%d: %v\n", path, lineNo, perr)
 			return 1
 		}
 		if verr := obs.Observe(sap, prim, params); verr != nil {
-			fmt.Printf("%s:%d: VIOLATION: %v\n", path, lineNo, verr)
+			fmt.Fprintf(stdout, "%s:%d: VIOLATION: %v\n", path, lineNo, verr)
 			violations++
 		}
 	}
 	if err := scanner.Err(); err != nil {
-		fmt.Fprintf(os.Stderr, "sdlc: %v\n", err)
+		fmt.Fprintf(stderr, "sdlc: %v\n", err)
 		return 1
 	}
 	if err := obs.Complete(); err != nil {
 		// Report only end-of-trace findings not already printed.
 		for _, v := range obs.Violations() {
 			if viol, ok := core.AsViolation(v); ok && viol.Event == nil {
-				fmt.Printf("%s:end: VIOLATION: %v\n", path, v)
+				fmt.Fprintf(stdout, "%s:end: VIOLATION: %v\n", path, v)
 				violations++
 			}
 		}
 	}
 	if violations > 0 {
-		fmt.Printf("%d violation(s) in %d events\n", violations, obs.EventCount())
+		fmt.Fprintf(stdout, "%d violation(s) in %d events\n", violations, obs.EventCount())
 		return 1
 	}
-	fmt.Printf("trace conforms: %d events, all constraints satisfied\n", obs.EventCount())
+	fmt.Fprintf(stdout, "trace conforms: %d events, all constraints satisfied\n", obs.EventCount())
 	return 0
 }
 
-// parseTraceLine parses "<role>:<id> <primitive> [k=v ...]".
-func parseTraceLine(line string) (core.SAP, string, codec.Record, error) {
+// parseTraceLine parses "<role>:<id> <primitive> [k=v ...]", reading each
+// value as the kind spec declares for that parameter of the primitive.
+func parseTraceLine(spec *core.ServiceSpec, line string) (core.SAP, string, codec.Record, error) {
 	fields := strings.Fields(line)
 	if len(fields) < 2 {
 		return core.SAP{}, "", nil, fmt.Errorf("want '<role>:<id> <primitive> [k=v ...]', got %q", line)
@@ -147,23 +157,56 @@ func parseTraceLine(line string) (core.SAP, string, codec.Record, error) {
 	if !ok || role == "" || id == "" {
 		return core.SAP{}, "", nil, fmt.Errorf("bad SAP %q (want role:id)", fields[0])
 	}
+	prim, _ := spec.Primitive(fields[1])
 	params := codec.Record{}
 	for _, kv := range fields[2:] {
 		k, v, ok := strings.Cut(kv, "=")
 		if !ok {
 			return core.SAP{}, "", nil, fmt.Errorf("bad parameter %q (want k=v)", kv)
 		}
-		params[k] = parseValue(v)
+		params[k] = parseValue(declaredKind(prim, k), v)
 	}
 	return core.SAP{Role: role, ID: id}, fields[1], params, nil
 }
 
-func parseValue(v string) codec.Value {
-	if n, err := strconv.ParseInt(v, 10, 64); err == nil {
-		return n
+// declaredKind returns the kind prim declares for parameter name, or the
+// zero ParamKind, which no declaration has, when it declares none.
+func declaredKind(prim core.PrimitiveDef, name string) core.ParamKind {
+	for _, p := range prim.Params {
+		if p.Name == name {
+			return p.Kind
+		}
 	}
-	if b, err := strconv.ParseBool(v); err == nil {
-		return b
+	return 0
+}
+
+// parseValue reads v as kind. A value that does not parse as its
+// declared kind stays a string, for the kind check to report; an
+// undeclared parameter's kind is guessed: int, then bool, then string.
+func parseValue(kind core.ParamKind, v string) codec.Value {
+	switch kind {
+	case core.KindString:
+		return v
+	case core.KindStringList:
+		if v == "" {
+			return codec.List{}
+		}
+		return codec.StringList(strings.Split(v, ","))
+	case core.KindInt:
+		if n, err := strconv.ParseInt(v, 10, 64); err == nil {
+			return n
+		}
+	case core.KindBool:
+		if b, err := strconv.ParseBool(v); err == nil {
+			return b
+		}
+	default:
+		if n, err := strconv.ParseInt(v, 10, 64); err == nil {
+			return n
+		}
+		if b, err := strconv.ParseBool(v); err == nil {
+			return b
+		}
 	}
 	return v
 }

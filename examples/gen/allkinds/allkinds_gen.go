@@ -211,8 +211,8 @@ func OpenMessage(p OpenParams) codec.Message {
 // NewOpenPort opens a typed RPC port for primitive "open": the user part
 // submits OpenParams to the provider object and the continuation
 // receives the acknowledgement.
-func NewOpenPort(b *svc.Binding, target middleware.ObjRef, opts ...svc.PortOption) (*svc.Port[OpenParams, Ack], error) {
-	return svc.NewPort(b, target, PrimOpen, AppendOpenParams, DecodeAck, opts...)
+func NewOpenPort(b *svc.Binding, target middleware.ObjRef) (*svc.Port[OpenParams, Ack], error) {
+	return svc.NewPort(b, target, PrimOpen, AppendOpenParams, DecodeAck)
 }
 
 // HandleOpen registers the provider-side handler for primitive "open" on
@@ -267,14 +267,13 @@ func OpenedMessage(p OpenedParams) codec.Message {
 
 // NewOpenedSink opens a typed oneway sink for primitive "opened": the provider
 // delivers OpenedParams to a user-part object without awaiting a reply.
-func NewOpenedSink(b *svc.Binding, target middleware.ObjRef, opts ...svc.PortOption) (*svc.Sink[OpenedParams], error) {
-	return svc.NewOnewaySink(b, target, PrimOpened, AppendOpenedParams, opts...)
+func NewOpenedSink(b *svc.Binding, target middleware.ObjRef) (*svc.Sink[OpenedParams], error) {
+	return svc.NewOnewaySink(b, target, PrimOpened, AppendOpenedParams)
 }
 
 // NewOpenedTopicSink opens a typed publisher of "opened" events on topic.
-func NewOpenedTopicSink(b *svc.Binding, topic string, opts ...svc.PortOption) (*svc.Sink[OpenedParams], error) {
-	opts = append([]svc.PortOption{svc.WithPrimitive(PrimOpened)}, opts...)
-	return svc.NewTopicSink(b, topic, OpenedMessage, opts...)
+func NewOpenedTopicSink(b *svc.Binding, topic string) (*svc.Sink[OpenedParams], error) {
+	return svc.NewTopicSink(b, topic, OpenedMessage)
 }
 
 // DecodeOpenedView decodes a published "opened" event from the zero-copy
@@ -289,9 +288,8 @@ func DecodeOpenedView(v codec.MsgView) (OpenedParams, error) {
 
 // NewOpenedTopicSource subscribes node to "opened" events on topic, delivering
 // decoded parameters to fn.
-func NewOpenedTopicSource(b *svc.Binding, topic string, node middleware.Addr, fn func(OpenedParams), opts ...svc.PortOption) (*svc.Source[OpenedParams], error) {
-	opts = append([]svc.PortOption{svc.WithPrimitive(PrimOpened)}, opts...)
-	return svc.NewTopicSource(b, topic, node, DecodeOpenedView, fn, opts...)
+func NewOpenedTopicSource(b *svc.Binding, topic string, node middleware.Addr, fn func(OpenedParams)) (*svc.Source[OpenedParams], error) {
+	return svc.NewTopicSource(b, topic, node, DecodeOpenedView, fn)
 }
 
 // HandleOpened registers the user-part handler for primitive "opened"
@@ -339,8 +337,8 @@ func CloseMessage(p CloseParams) codec.Message {
 // NewClosePort opens a typed RPC port for primitive "close": the user part
 // submits CloseParams to the provider object and the continuation
 // receives the acknowledgement.
-func NewClosePort(b *svc.Binding, target middleware.ObjRef, opts ...svc.PortOption) (*svc.Port[CloseParams, Ack], error) {
-	return svc.NewPort(b, target, PrimClose, AppendCloseParams, DecodeAck, opts...)
+func NewClosePort(b *svc.Binding, target middleware.ObjRef) (*svc.Port[CloseParams, Ack], error) {
+	return svc.NewPort(b, target, PrimClose, AppendCloseParams, DecodeAck)
 }
 
 // HandleClose registers the provider-side handler for primitive "close" on
@@ -377,8 +375,8 @@ func PingMessage(PingParams) codec.Message {
 // NewPingPort opens a typed RPC port for primitive "ping": the user part
 // submits PingParams to the provider object and the continuation
 // receives the acknowledgement.
-func NewPingPort(b *svc.Binding, target middleware.ObjRef, opts ...svc.PortOption) (*svc.Port[PingParams, Ack], error) {
-	return svc.NewPort(b, target, PrimPing, AppendPingParams, DecodeAck, opts...)
+func NewPingPort(b *svc.Binding, target middleware.ObjRef) (*svc.Port[PingParams, Ack], error) {
+	return svc.NewPort(b, target, PrimPing, AppendPingParams, DecodeAck)
 }
 
 // HandlePing registers the provider-side handler for primitive "ping" on
@@ -400,8 +398,8 @@ type Provider interface {
 
 // ExportProvider hosts every from-user primitive of h as one platform object
 // (ref, hosted at node) and registers it.
-func ExportProvider(b *svc.Binding, ref middleware.ObjRef, node middleware.Addr, h Provider, opts ...svc.PortOption) (*svc.Export, error) {
-	e, err := b.NewExport(ref, node, opts...)
+func ExportProvider(b *svc.Binding, ref middleware.ObjRef, node middleware.Addr, h Provider) (*svc.Export, error) {
+	e, err := b.NewExport(ref, node)
 	if err != nil {
 		return nil, err
 	}
@@ -429,8 +427,8 @@ type Consumer interface {
 
 // ExportConsumer hosts every to-user primitive of h as one platform object
 // (ref, hosted at node) and registers it.
-func ExportConsumer(b *svc.Binding, ref middleware.ObjRef, node middleware.Addr, h Consumer, opts ...svc.PortOption) (*svc.Export, error) {
-	e, err := b.NewExport(ref, node, opts...)
+func ExportConsumer(b *svc.Binding, ref middleware.ObjRef, node middleware.Addr, h Consumer) (*svc.Export, error) {
+	e, err := b.NewExport(ref, node)
 	if err != nil {
 		return nil, err
 	}

@@ -166,8 +166,8 @@ func RequestMessage(p RequestParams) codec.Message {
 // NewRequestPort opens a typed RPC port for primitive "request": the user part
 // submits RequestParams to the provider object and the continuation
 // receives the acknowledgement.
-func NewRequestPort(b *svc.Binding, target middleware.ObjRef, opts ...svc.PortOption) (*svc.Port[RequestParams, Ack], error) {
-	return svc.NewPort(b, target, PrimRequest, AppendRequestParams, DecodeAck, opts...)
+func NewRequestPort(b *svc.Binding, target middleware.ObjRef) (*svc.Port[RequestParams, Ack], error) {
+	return svc.NewPort(b, target, PrimRequest, AppendRequestParams, DecodeAck)
 }
 
 // HandleRequest registers the provider-side handler for primitive "request" on
@@ -214,14 +214,13 @@ func GrantedMessage(p GrantedParams) codec.Message {
 
 // NewGrantedSink opens a typed oneway sink for primitive "granted": the provider
 // delivers GrantedParams to a user-part object without awaiting a reply.
-func NewGrantedSink(b *svc.Binding, target middleware.ObjRef, opts ...svc.PortOption) (*svc.Sink[GrantedParams], error) {
-	return svc.NewOnewaySink(b, target, PrimGranted, AppendGrantedParams, opts...)
+func NewGrantedSink(b *svc.Binding, target middleware.ObjRef) (*svc.Sink[GrantedParams], error) {
+	return svc.NewOnewaySink(b, target, PrimGranted, AppendGrantedParams)
 }
 
 // NewGrantedTopicSink opens a typed publisher of "granted" events on topic.
-func NewGrantedTopicSink(b *svc.Binding, topic string, opts ...svc.PortOption) (*svc.Sink[GrantedParams], error) {
-	opts = append([]svc.PortOption{svc.WithPrimitive(PrimGranted)}, opts...)
-	return svc.NewTopicSink(b, topic, GrantedMessage, opts...)
+func NewGrantedTopicSink(b *svc.Binding, topic string) (*svc.Sink[GrantedParams], error) {
+	return svc.NewTopicSink(b, topic, GrantedMessage)
 }
 
 // DecodeGrantedView decodes a published "granted" event from the zero-copy
@@ -236,9 +235,8 @@ func DecodeGrantedView(v codec.MsgView) (GrantedParams, error) {
 
 // NewGrantedTopicSource subscribes node to "granted" events on topic, delivering
 // decoded parameters to fn.
-func NewGrantedTopicSource(b *svc.Binding, topic string, node middleware.Addr, fn func(GrantedParams), opts ...svc.PortOption) (*svc.Source[GrantedParams], error) {
-	opts = append([]svc.PortOption{svc.WithPrimitive(PrimGranted)}, opts...)
-	return svc.NewTopicSource(b, topic, node, DecodeGrantedView, fn, opts...)
+func NewGrantedTopicSource(b *svc.Binding, topic string, node middleware.Addr, fn func(GrantedParams)) (*svc.Source[GrantedParams], error) {
+	return svc.NewTopicSource(b, topic, node, DecodeGrantedView, fn)
 }
 
 // HandleGranted registers the user-part handler for primitive "granted"
@@ -286,8 +284,8 @@ func FreeMessage(p FreeParams) codec.Message {
 // NewFreePort opens a typed RPC port for primitive "free": the user part
 // submits FreeParams to the provider object and the continuation
 // receives the acknowledgement.
-func NewFreePort(b *svc.Binding, target middleware.ObjRef, opts ...svc.PortOption) (*svc.Port[FreeParams, Ack], error) {
-	return svc.NewPort(b, target, PrimFree, AppendFreeParams, DecodeAck, opts...)
+func NewFreePort(b *svc.Binding, target middleware.ObjRef) (*svc.Port[FreeParams, Ack], error) {
+	return svc.NewPort(b, target, PrimFree, AppendFreeParams, DecodeAck)
 }
 
 // HandleFree registers the provider-side handler for primitive "free" on
@@ -307,8 +305,8 @@ type Provider interface {
 
 // ExportProvider hosts every from-user primitive of h as one platform object
 // (ref, hosted at node) and registers it.
-func ExportProvider(b *svc.Binding, ref middleware.ObjRef, node middleware.Addr, h Provider, opts ...svc.PortOption) (*svc.Export, error) {
-	e, err := b.NewExport(ref, node, opts...)
+func ExportProvider(b *svc.Binding, ref middleware.ObjRef, node middleware.Addr, h Provider) (*svc.Export, error) {
+	e, err := b.NewExport(ref, node)
 	if err != nil {
 		return nil, err
 	}
@@ -333,8 +331,8 @@ type Consumer interface {
 
 // ExportConsumer hosts every to-user primitive of h as one platform object
 // (ref, hosted at node) and registers it.
-func ExportConsumer(b *svc.Binding, ref middleware.ObjRef, node middleware.Addr, h Consumer, opts ...svc.PortOption) (*svc.Export, error) {
-	e, err := b.NewExport(ref, node, opts...)
+func ExportConsumer(b *svc.Binding, ref middleware.ObjRef, node middleware.Addr, h Consumer) (*svc.Export, error) {
+	e, err := b.NewExport(ref, node)
 	if err != nil {
 		return nil, err
 	}

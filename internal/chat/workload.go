@@ -117,7 +117,7 @@ func Run(cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	observed := observedProvider{inner: provider, obs: observer}
+	observed := observer.Provider(provider)
 
 	res := &Result{PerParticipant: make(map[string]int, cfg.Participants)}
 	saidAt := make(map[string]time.Duration)
@@ -163,22 +163,4 @@ func Run(cfg Config) (*Result, error) {
 	res.NetMessages = st.Sent
 	res.NetDropped = st.Dropped
 	return res, nil
-}
-
-// observedProvider mirrors floorcontrol.ObserveProvider for this package.
-type observedProvider struct {
-	inner core.Provider
-	obs   *core.Observer
-}
-
-func (o observedProvider) Submit(sap core.SAP, primitive string, params codec.Record) error {
-	_ = o.obs.Observe(sap, primitive, params) //nolint:errcheck // violations surface via Complete
-	return o.inner.Submit(sap, primitive, params)
-}
-
-func (o observedProvider) Attach(sap core.SAP, handler func(string, codec.Record)) {
-	o.inner.Attach(sap, func(primitive string, params codec.Record) {
-		_ = o.obs.Observe(sap, primitive, params) //nolint:errcheck
-		handler(primitive, params)
-	})
 }

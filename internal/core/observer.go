@@ -161,3 +161,31 @@ type Provider interface {
 	// twice replaces it.
 	Attach(sap SAP, handler func(primitive string, params codec.Record))
 }
+
+// Provider decorates p so that every primitive crossing the SAP boundary
+// is also reported to the observer: a Submit before it is forwarded, a
+// delivery before the user part's handler runs. User parts stay
+// oblivious — they see a plain Provider. Observation never vetoes: a
+// violating primitive still goes through, and the violation surfaces
+// through Err, Violations and Complete.
+func (o *Observer) Provider(p Provider) Provider {
+	return &observedProvider{inner: p, obs: o}
+}
+
+// observedProvider is the decorator Observer.Provider returns.
+type observedProvider struct {
+	inner Provider
+	obs   *Observer
+}
+
+func (o *observedProvider) Submit(sap SAP, primitive string, params codec.Record) error {
+	_ = o.obs.Observe(sap, primitive, params) //nolint:errcheck // violations surface via Observer.Err
+	return o.inner.Submit(sap, primitive, params)
+}
+
+func (o *observedProvider) Attach(sap SAP, handler func(string, codec.Record)) {
+	o.inner.Attach(sap, func(primitive string, params codec.Record) {
+		_ = o.obs.Observe(sap, primitive, params) //nolint:errcheck // violations surface via Observer.Err
+		handler(primitive, params)
+	})
+}

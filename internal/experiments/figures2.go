@@ -111,9 +111,9 @@ func Fig3MiddlewareParadigm(seed int64) (*Report, error) {
 	}
 
 	// The server component: a typed export echoing its argument record,
-	// marshalled through the generic Record adapters.
-	enc := svc.RecordEncoder(func(r codec.Record) codec.Record { return r })
-	dec := svc.RecordDecoder(func(r codec.Record) (codec.Record, error) { return r, nil })
+	// marshalled through the generic (map-sorting) Record codec.
+	enc := func(buf []byte, r codec.Record) ([]byte, error) { return codec.Append(buf, r) }
+	dec := func(v codec.MsgView) (codec.Record, error) { return v.Fields() }
 	e, err := b.NewExport("server", "node-s")
 	if err != nil {
 		return nil, err

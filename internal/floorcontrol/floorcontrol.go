@@ -24,7 +24,6 @@ package floorcontrol
 import (
 	"fmt"
 
-	"repro/internal/codec"
 	"repro/internal/core"
 	"repro/internal/lts"
 )
@@ -197,33 +196,6 @@ func ServiceLTS(subscribers, resources []string) *lts.LTS {
 		}
 	}
 	return b.MustBuild()
-}
-
-// observedProvider wraps a core.Provider so that every primitive crossing
-// the SAP boundary is also reported to the conformance observer. User
-// parts stay oblivious: they see a plain Provider.
-type observedProvider struct {
-	inner core.Provider
-	obs   *core.Observer
-}
-
-var _ core.Provider = (*observedProvider)(nil)
-
-// ObserveProvider decorates provider with conformance observation.
-func ObserveProvider(provider core.Provider, obs *core.Observer) core.Provider {
-	return &observedProvider{inner: provider, obs: obs}
-}
-
-func (o *observedProvider) Submit(sap core.SAP, primitive string, params codec.Record) error {
-	_ = o.obs.Observe(sap, primitive, params) //nolint:errcheck // violations surface via Observer.Err
-	return o.inner.Submit(sap, primitive, params)
-}
-
-func (o *observedProvider) Attach(sap core.SAP, handler func(string, codec.Record)) {
-	o.inner.Attach(sap, func(primitive string, params codec.Record) {
-		_ = o.obs.Observe(sap, primitive, params) //nolint:errcheck
-		handler(primitive, params)
-	})
 }
 
 // Scattering quantifies the paper's Figure 7: where does the interaction

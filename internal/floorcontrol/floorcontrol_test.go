@@ -370,7 +370,7 @@ func TestResourceQueue(t *testing.T) {
 }
 
 // TestObserveProviderReportsBothDirections ensures the SAP decorator
-// observes submissions and deliveries.
+// (core.Observer.Provider) observes submissions and deliveries.
 func TestObserveProviderReportsBothDirections(t *testing.T) {
 	_, tr, err := runTraced(Config{Solution: "proto-callback", Subscribers: 2, Resources: 1, Cycles: 1, Seed: 5})
 	if err != nil {

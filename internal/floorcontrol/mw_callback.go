@@ -206,7 +206,8 @@ func (c *callbackController) free(a ctrlArgs, respond func(ack, error)) {
 // panics. Under churn the grant is the only copy of the decision, so a
 // transient call failure — the subscriber crashed with the grant
 // pending, the controller's own node down (a crashed node cannot
-// transmit, so the platform fails its invokes fast), or the ack lost —
+// transmit, so the platform fails its invokes fast), or a call timeout
+// (only on a profile that sets a CallTimeout; no built-in one does) —
 // re-arms it after a poll interval. Redelivery is safe because the
 // subscriber dedups grants by Seq when the first copy did land.
 func (c *callbackController) grant(sub, res string, seq uint64) {

@@ -201,7 +201,7 @@ func (s *MDASolution) Build(env *Env) (map[string]AppPart, error) {
 	}
 	s.deployment = dep
 	env.Platform = dep.Platform()
-	provider := ObserveProvider(dep, env.Observer)
+	provider := env.Observer.Provider(dep)
 	parts := make(map[string]AppPart, len(env.Subscribers))
 	for _, sub := range env.Subscribers {
 		parts[sub] = newServiceAppPart(provider, SubscriberSAP(sub))

@@ -94,7 +94,7 @@ func buildProtocolSolution(env *Env, name string, install func(layer *protocol.L
 			return nil, fmt.Errorf("floorcontrol: bind SAP %q: %w", sub, err)
 		}
 	}
-	provider := ObserveProvider(binding, env.Observer)
+	provider := env.Observer.Provider(binding)
 	parts := make(map[string]AppPart, len(env.Subscribers))
 	for _, sub := range env.Subscribers {
 		parts[sub] = newServiceAppPart(provider, SubscriberSAP(sub))

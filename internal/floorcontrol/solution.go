@@ -194,7 +194,8 @@ type ControllerFailover interface {
 
 // retryable reports whether a churn-time call failure is transient: the
 // callee node is down (fail-fast, or the call interrupted by its crash)
-// or the reply was lost to the wire (call timeout). An application-level
+// or the call timed out. A timeout fires only when the profile sets a
+// CallTimeout, and no built-in profile does. An application-level
 // rejection is not retryable — no redelivery can fix it.
 func retryable(err error) bool {
 	return errors.Is(err, svc.ErrUnavailable) || errors.Is(err, svc.ErrTimeout)
@@ -204,7 +205,8 @@ func retryable(err error) bool {
 // port. Fault-free, a submission failure is a deployment bug and panics.
 // Under churn a transient failure — controller crashed and not yet
 // restarted or failed over, the call interrupted mid-flight by a crash,
-// or the reply lost — is retried after a poll interval until it gets
+// or (on a profile that sets a CallTimeout; no built-in one does) the
+// call timed out — is retried after a poll interval until it gets
 // through. Retries resend args verbatim, Seq included: at-least-once
 // submission is safe because the controllers dedup stamped submissions
 // (seenSeqs) and acknowledge duplicates as successes.

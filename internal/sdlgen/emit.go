@@ -413,8 +413,8 @@ func (m *Model) emitPrimitive(e *emitter, p Primitive) {
 		e.p("// New%sPort opens a typed RPC port for primitive %q: the user part", p.Go, name)
 		e.p("// submits %sParams to the provider object and the continuation", p.Go)
 		e.p("// receives the acknowledgement.")
-		e.p("func New%sPort(b *svc.Binding, target middleware.ObjRef, opts ...svc.PortOption) (*svc.Port[%sParams, Ack], error) {", p.Go, p.Go)
-		e.p("\treturn svc.NewPort(b, target, Prim%s, Append%sParams, DecodeAck, opts...)", p.Go, p.Go)
+		e.p("func New%sPort(b *svc.Binding, target middleware.ObjRef) (*svc.Port[%sParams, Ack], error) {", p.Go, p.Go)
+		e.p("\treturn svc.NewPort(b, target, Prim%s, Append%sParams, DecodeAck)", p.Go, p.Go)
 		e.p("}")
 		e.emptyLine()
 		e.p("// Handle%s registers the provider-side handler for primitive %q on", p.Go, name)
@@ -422,14 +422,13 @@ func (m *Model) emitPrimitive(e *emitter, p Primitive) {
 	} else {
 		e.p("// New%sSink opens a typed oneway sink for primitive %q: the provider", p.Go, name)
 		e.p("// delivers %sParams to a user-part object without awaiting a reply.", p.Go)
-		e.p("func New%sSink(b *svc.Binding, target middleware.ObjRef, opts ...svc.PortOption) (*svc.Sink[%sParams], error) {", p.Go, p.Go)
-		e.p("\treturn svc.NewOnewaySink(b, target, Prim%s, Append%sParams, opts...)", p.Go, p.Go)
+		e.p("func New%sSink(b *svc.Binding, target middleware.ObjRef) (*svc.Sink[%sParams], error) {", p.Go, p.Go)
+		e.p("\treturn svc.NewOnewaySink(b, target, Prim%s, Append%sParams)", p.Go, p.Go)
 		e.p("}")
 		e.emptyLine()
 		e.p("// New%sTopicSink opens a typed publisher of %q events on topic.", p.Go, name)
-		e.p("func New%sTopicSink(b *svc.Binding, topic string, opts ...svc.PortOption) (*svc.Sink[%sParams], error) {", p.Go, p.Go)
-		e.p("\topts = append([]svc.PortOption{svc.WithPrimitive(Prim%s)}, opts...)", p.Go)
-		e.p("\treturn svc.NewTopicSink(b, topic, %sMessage, opts...)", p.Go)
+		e.p("func New%sTopicSink(b *svc.Binding, topic string) (*svc.Sink[%sParams], error) {", p.Go, p.Go)
+		e.p("\treturn svc.NewTopicSink(b, topic, %sMessage)", p.Go)
 		e.p("}")
 		e.emptyLine()
 		e.p("// Decode%sView decodes a published %q event from the zero-copy", p.Go, name)
@@ -444,9 +443,8 @@ func (m *Model) emitPrimitive(e *emitter, p Primitive) {
 		e.emptyLine()
 		e.p("// New%sTopicSource subscribes node to %q events on topic, delivering", p.Go, name)
 		e.p("// decoded parameters to fn.")
-		e.p("func New%sTopicSource(b *svc.Binding, topic string, node middleware.Addr, fn func(%sParams), opts ...svc.PortOption) (*svc.Source[%sParams], error) {", p.Go, p.Go, p.Go)
-		e.p("\topts = append([]svc.PortOption{svc.WithPrimitive(Prim%s)}, opts...)", p.Go)
-		e.p("\treturn svc.NewTopicSource(b, topic, node, Decode%sView, fn, opts...)", p.Go)
+		e.p("func New%sTopicSource(b *svc.Binding, topic string, node middleware.Addr, fn func(%sParams)) (*svc.Source[%sParams], error) {", p.Go, p.Go, p.Go)
+		e.p("\treturn svc.NewTopicSource(b, topic, node, Decode%sView, fn)", p.Go)
 		e.p("}")
 		e.emptyLine()
 		e.p("// Handle%s registers the user-part handler for primitive %q", p.Go, name)
@@ -480,8 +478,8 @@ func (m *Model) emitFace(e *emitter, iface, export, side, dir string, prims []Pr
 	e.emptyLine()
 	e.p("// %s hosts every %s primitive of h as one platform object", export, dir)
 	e.p("// (ref, hosted at node) and registers it.")
-	e.p("func %s(b *svc.Binding, ref middleware.ObjRef, node middleware.Addr, h %s, opts ...svc.PortOption) (*svc.Export, error) {", export, iface)
-	e.p("\te, err := b.NewExport(ref, node, opts...)")
+	e.p("func %s(b *svc.Binding, ref middleware.ObjRef, node middleware.Addr, h %s) (*svc.Export, error) {", export, iface)
+	e.p("\te, err := b.NewExport(ref, node)")
 	e.p("\tif err != nil {")
 	e.p("\t\treturn nil, err")
 	e.p("\t}")

@@ -108,9 +108,9 @@ func TestEmitsTypedRPCContract(t *testing.T) {
 				if !bytes.Contains(src, []byte(handle)) {
 					t.Errorf("generated source lacks %q", handle)
 				}
-				wire := "svc.NewPort(b, target, Prim" + g + ", Append" + g + "Params, DecodeAck, opts...)"
+				wire := "svc.NewPort(b, target, Prim" + g + ", Append" + g + "Params, DecodeAck)"
 				if prim.Direction == core.ToUser {
-					wire = "svc.NewOnewaySink(b, target, Prim" + g + ", Append" + g + "Params, opts...)"
+					wire = "svc.NewOnewaySink(b, target, Prim" + g + ", Append" + g + "Params)"
 				}
 				if !bytes.Contains(src, []byte(wire)) {
 					t.Errorf("generated source lacks %q", wire)

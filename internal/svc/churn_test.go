@@ -10,14 +10,14 @@ import (
 	"repro/internal/svc"
 )
 
-// TestPortCrashBeforeDeadline pins the deadline bookkeeping under churn:
-// when the callee crashes before the port deadline fires, the
-// continuation runs exactly once with ErrUnavailable, the deadline timer
-// is cancelled (no second firing at expiry), the pooled call state is
-// reclaimed, and a late reply from the restarted incarnation's handler
-// is dropped instead of resolving anything.
+// TestPortCrashBeforeDeadline pins the call bookkeeping under churn:
+// when the callee crashes before the profile's call timeout fires, the
+// continuation runs exactly once with ErrUnavailable, NodeDown cancels
+// the platform's timeout timer (no second firing at expiry), the pooled
+// call state is reclaimed, and a late reply from the restarted
+// incarnation's handler is dropped instead of resolving anything.
 func TestPortCrashBeforeDeadline(t *testing.T) {
-	k, p := stack(t, middleware.ProfileRMILike)
+	k, p := stack(t, withTimeout(middleware.ProfileRMILike, 100*time.Millisecond))
 	b := bound(t, p, middleware.PatternRPC)
 
 	// A handler that withholds its reply and fires it long after the
@@ -39,7 +39,7 @@ func TestPortCrashBeforeDeadline(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	port, err := svc.NewPort(b, "server", "ping", encPing, decPing, svc.WithDeadline(100*time.Millisecond))
+	port, err := svc.NewPort(b, "server", "ping", encPing, decPing)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +51,7 @@ func TestPortCrashBeforeDeadline(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	// Crash before the deadline: the pending call must fail now, not at
+	// Crash before the timeout: the pending call must fail now, not at
 	// 100ms, and not again when the late reply lands at ~51ms.
 	k.ScheduleFunc(10*time.Millisecond, func() { p.NodeDown("node-s") })
 
@@ -81,7 +81,7 @@ func TestPortCrashBeforeDeadline(t *testing.T) {
 		t.Fatalf("cause chain lost: %v, want middleware.ErrUnavailable reachable", firstErr)
 	}
 	// The second handler invocation also withholds for 50ms, so its
-	// reply resolves at ~251ms — within the 100ms deadline.
+	// reply resolves at ~251ms — within the 100ms timeout.
 	if second != 1 || !errors.Is(secondErr, nil) {
 		t.Fatalf("second call: ran %d, err %v — pooled state not reclaimed?", second, secondErr)
 	}
@@ -90,7 +90,7 @@ func TestPortCrashBeforeDeadline(t *testing.T) {
 		t.Fatalf("Unavailables = %d, want 1", st.Unavailables)
 	}
 	if st.Timeouts != 0 {
-		t.Fatalf("Timeouts = %d, want 0 (deadline timer must be cancelled)", st.Timeouts)
+		t.Fatalf("Timeouts = %d, want 0 (NodeDown must cancel the timeout timer)", st.Timeouts)
 	}
 }
 

@@ -7,29 +7,27 @@ import (
 
 	"repro/internal/codec"
 	"repro/internal/middleware"
-	"repro/internal/sim"
 )
 
 // Port is a typed request/response service port: the RPC pattern with a
-// typed request/response pair, sim-time deadlines and the svc error
-// taxonomy. A port is bound to one (target, operation) pair; calls are
-// asynchronous in virtual time — the continuation runs when the reply
-// arrives, the deadline expires, or the call fails.
+// typed request/response pair and the svc error taxonomy. A port is
+// bound to one (target, operation) pair; calls are asynchronous in
+// virtual time — the continuation runs when the reply arrives, the
+// platform times the call out (the profile's CallTimeout), or the call
+// fails.
 //
 // The request travels as bytes from the port to the remote handler: enc
 // appends its wire form into a pooled buffer, the platform splices those
 // bytes into the call message, and the export decodes its typed request
 // from a view of the delivery buffer. Per-call bookkeeping (the reply
-// adapter and the deadline timer) is recycled through a free list, so a
-// steady-state Call adds no heap allocations over the raw platform
-// invoke underneath it.
+// adapter) is recycled through a free list, so a steady-state Call adds
+// no heap allocations over the raw platform invoke underneath it.
 type Port[Req, Resp any] struct {
 	b      *Binding
 	target middleware.ObjRef
 	op     string
 	enc    func([]byte, Req) ([]byte, error)
 	dec    func(codec.MsgView) (Resp, error)
-	cfg    portConfig
 
 	// Call-state pool: a single-slot atomic fast path (sequential calls
 	// never touch the mutex) over a mutex-guarded overflow list for
@@ -39,19 +37,14 @@ type Port[Req, Resp any] struct {
 	free *callState[Req, Resp]
 }
 
-// callState is one outstanding call's pooled bookkeeping. The reply and
-// deadline closures are built once per pooled object (they capture only
-// the state itself), so re-used states schedule nothing new.
+// callState is one outstanding call's pooled bookkeeping. The reply
+// closure is built once per pooled object (it captures only the state
+// itself), so a re-used state allocates nothing new.
 type callState[Req, Resp any] struct {
-	p        *Port[Req, Resp]
-	cont     func(Resp, error)
-	timer    sim.TimerRef // deadline timer; zero ref = no deadline armed
-	deadline bool         // a deadline was armed for this call
-	fired    bool         // continuation already delivered
-
-	onReply    func(codec.MsgView, error) // = s.reply, built once
-	onDeadline func()                     // = s.deadline, built once
-	next       *callState[Req, Resp]
+	p       *Port[Req, Resp]
+	cont    func(Resp, error)
+	onReply func(codec.MsgView, error) // = s.reply, built once
+	next    *callState[Req, Resp]
 }
 
 // NewPort creates a typed RPC port on the binding. enc appends the wire
@@ -61,22 +54,16 @@ type callState[Req, Resp any] struct {
 // dec decodes the reply from a view of the result record, which is valid
 // only while dec runs. dec may be nil for ports whose replies carry no
 // payload (the zero Resp is delivered). The profile must offer the RPC
-// pattern. RecordEncoder and RecordDecoder adapt codec.Record-based
-// marshallers where allocation does not matter.
+// pattern.
 func NewPort[Req, Resp any](b *Binding, target middleware.ObjRef, op string,
-	enc func([]byte, Req) ([]byte, error), dec func(codec.MsgView) (Resp, error),
-	opts ...PortOption) (*Port[Req, Resp], error) {
+	enc func([]byte, Req) ([]byte, error), dec func(codec.MsgView) (Resp, error)) (*Port[Req, Resp], error) {
 	if err := b.supports(middleware.PatternRPC); err != nil {
 		return nil, err
 	}
 	if enc == nil {
 		return nil, fmt.Errorf("svc: port %s.%s: nil request encoder", target, op)
 	}
-	cfg, err := b.applyOptions(op, opts)
-	if err != nil {
-		return nil, err
-	}
-	return &Port[Req, Resp]{b: b, target: target, op: op, enc: enc, dec: dec, cfg: cfg}, nil
+	return &Port[Req, Resp]{b: b, target: target, op: op, enc: enc, dec: dec}, nil
 }
 
 // Target returns the port's target object reference.
@@ -103,14 +90,13 @@ func (p *Port[Req, Resp]) getState() *callState[Req, Resp] {
 	if s == nil {
 		s = &callState[Req, Resp]{p: p}
 		s.onReply = s.reply
-		s.onDeadline = s.expire
 	}
 	return s
 }
 
 // putState recycles a call state whose platform continuation has
 // resolved (replied, timed out at the platform, or failed to send). The
-// caller must have reset cont/timer/deadline/fired already.
+// caller must have cleared cont already.
 //
 //repolint:hotpath
 func (p *Port[Req, Resp]) putState(s *callState[Req, Resp]) {
@@ -125,14 +111,14 @@ func (p *Port[Req, Resp]) putState(s *callState[Req, Resp]) {
 
 // Call performs the request/response interaction from the given node.
 // cont (which may be nil) runs exactly once: with the decoded reply, or
-// with a taxonomy error — ErrTimeout on deadline/platform-timeout expiry,
-// ErrRemote on a remote application error. A synchronous failure (veto,
-// unknown target, unsupported pattern, transport refusal) is returned by
-// Call itself and cont does not run.
+// with a taxonomy error — ErrTimeout when the platform times the call
+// out, ErrUnavailable when the callee's node goes down, ErrRemote on a
+// remote application error. A synchronous failure (unknown target,
+// unsupported pattern, transport refusal) is returned by Call itself and
+// cont does not run.
 //
 // The request is encoded into a pooled buffer that is recycled before
-// Call returns; a codec.Record is built from it only when a WithMonitor
-// monitor is attached (the event needs boxed params).
+// Call returns.
 //
 //repolint:hotpath
 func (p *Port[Req, Resp]) Call(from middleware.Addr, req Req, cont func(Resp, error)) error {
@@ -143,95 +129,36 @@ func (p *Port[Req, Resp]) Call(from middleware.Addr, req Req, cont func(Resp, er
 		return fmt.Errorf("svc: port %s.%s: marshal request: %w", p.target, p.op, err) //repolint:allow alloc -- cold: encoder failure
 	}
 	buf.B = args
-	if p.cfg.monitor != nil {
-		if err := p.cfg.observeOut(p.b.kern, paramsOf(args)); err != nil {
-			buf.Release()
-			return err
-		}
-	}
 	s := p.getState()
 	s.cont = cont
-	if p.cfg.deadline > 0 {
-		s.deadline = true
-		s.timer = p.b.kern.ScheduleFuncRef(p.cfg.deadline, s.onDeadline)
-	}
 	err = p.b.plat.Invoke(from, p.target, p.op, args, s.onReply)
 	buf.Release()
 	if err != nil {
-		s.timer.Cancel()
-		s.reset()
+		s.cont = nil
 		p.putState(s)
 		return wrapErr(err)
 	}
 	return nil
 }
 
-// reset clears a state's per-call fields before it returns to the pool.
-func (s *callState[Req, Resp]) reset() {
-	var zero func(Resp, error)
-	s.cont = zero
-	s.timer = sim.TimerRef{}
-	s.deadline = false
-	s.fired = false
-}
-
-// reply is the platform continuation: it resolves the call unless the
-// deadline already did, and recycles the state — the platform holds no
-// reference past this point. Without an armed deadline (the common
-// case), reply is the call's only resolver and runs lock-free: the
-// happens-before chain to Call's field writes goes through the
-// platform's own mutex. With a deadline, the port mutex arbitrates
-// against the expiry event. Either way, the state returns to the pool
-// before the continuation runs (on local copies), so a reentrant Call
+// reply is the platform continuation and the call's only resolver: the
+// platform runs it exactly once, on reply, timeout or failure. It runs
+// lock-free — the happens-before chain to Call's field writes goes
+// through the platform's own mutex — and returns the state to the pool
+// before the continuation runs (on a local copy), so a reentrant Call
 // from inside cont may reuse it safely. The result view borrows the
 // delivery buffer: dec must copy whatever Resp retains.
 func (s *callState[Req, Resp]) reply(result codec.MsgView, err error) {
 	p := s.p
-	var late bool
-	var cont func(Resp, error)
-	if !s.deadline {
-		cont = s.cont
-		s.reset()
-	} else {
-		p.mu.Lock()
-		late = s.fired
-		cont = s.cont
-		s.timer.Cancel()
-		s.reset()
-		p.mu.Unlock()
-	}
+	cont := s.cont
+	s.cont = nil
 	p.putState(s)
-	if !late && cont != nil {
+	if cont != nil {
 		var resp Resp
 		if err == nil && p.dec != nil {
 			resp, err = p.dec(result)
 		}
 		cont(resp, wrapErr(err))
-	}
-}
-
-// expire fires the continuation with ErrTimeout exactly once. The state
-// is not recycled here: the platform still references onReply, and the
-// eventual (late) reply returns the state to the pool. If the reply
-// never arrives (request lost on a raw transport), the state stays out
-// of the pool for exactly as long as the platform's own pending-call
-// entry for the same call — configure the profile's CallTimeout as the
-// backstop on lossy transports; its firing reclaims both.
-func (s *callState[Req, Resp]) expire() {
-	p := s.p
-	p.mu.Lock()
-	if s.fired {
-		p.mu.Unlock()
-		return
-	}
-	s.fired = true
-	cont := s.cont
-	var zero func(Resp, error)
-	s.cont = zero
-	p.mu.Unlock()
-	if cont != nil {
-		var resp Resp
-		cont(resp, &classed{class: ErrTimeout, cause: fmt.Errorf("port %s.%s: no reply within %v", p.target, p.op, p.cfg.deadline)})
 	}
 }
 
@@ -242,7 +169,6 @@ type Export struct {
 	b    *Binding
 	ref  middleware.ObjRef
 	node middleware.Addr
-	cfg  portConfig
 
 	// ops is a small linear table (exports host a handful of operations):
 	// dispatch scans it with the length-first string compare, which beats
@@ -271,11 +197,7 @@ func (e *Export) lookup(op []byte) func(codec.MsgView, middleware.Reply) {
 }
 
 // NewExport prepares a typed component object hosted at node under ref.
-// Options apply to every handled operation: a WithMonitor monitor
-// observes each inbound dispatch before its handler runs, with the
-// dispatched operation name as the event primitive (WithPrimitive
-// overrides it with one fixed primitive for single-primitive exports).
-func (b *Binding) NewExport(ref middleware.ObjRef, node middleware.Addr, opts ...PortOption) (*Export, error) {
+func (b *Binding) NewExport(ref middleware.ObjRef, node middleware.Addr) (*Export, error) {
 	if err := b.supports(middleware.PatternRPC); err != nil {
 		// Oneway-only platforms may still export (oneway targets objects);
 		// accept if either invocation pattern is offered.
@@ -283,23 +205,7 @@ func (b *Binding) NewExport(ref middleware.ObjRef, node middleware.Addr, opts ..
 			return nil, err
 		}
 	}
-	// Unlike single-operation endpoints, an export has no one operation
-	// name to default the monitor primitive to: leave it empty so each
-	// dispatch observes under its own op name unless WithPrimitive pins
-	// one (validated against the spec as usual).
-	var cfg portConfig
-	for _, o := range opts {
-		o(&cfg)
-	}
-	if cfg.primitive != "" {
-		if _, ok := b.svc.spec.Primitive(cfg.primitive); !ok {
-			return nil, &classed{
-				class: ErrNoSuchOp,
-				cause: fmt.Errorf("primitive %q not declared by service %q", cfg.primitive, b.svc.spec.Name),
-			}
-		}
-	}
-	return &Export{b: b, ref: ref, node: node, cfg: cfg}, nil
+	return &Export{b: b, ref: ref, node: node}, nil
 }
 
 // respondPool recycles one operation's respond continuations: the cell's
@@ -466,17 +372,7 @@ func (e *Export) dispatch(op []byte, args codec.MsgView, reply middleware.Reply)
 		reply(nil, fmt.Errorf("%w: %q", middleware.ErrUnknownOperation, op)) //repolint:allow alloc -- cold: unknown operation
 		return
 	}
-	if e.cfg.monitor != nil {
-		e.observe(op, args)
-	}
 	fn(args, reply)
-}
-
-// observe reports one inbound dispatch to the export monitor — the cold
-// path that materializes the op name and params.
-func (e *Export) observe(op []byte, args codec.MsgView) {
-	params, _ := args.Fields() //nolint:errcheck // views are validated on receipt
-	e.cfg.observeInOp(e.b.kern, string(op), params)
 }
 
 // Register hosts the export on the platform.
@@ -494,7 +390,8 @@ func (e *Export) Register() error {
 // Rebind re-homes a registered export to a new hosting node — the
 // failover move of a churn policy: the reference keeps its identity,
 // ports calling it re-route on their next Call, and calls in flight to
-// the old home fail via ErrUnavailable or their deadline. The export's
+// the old home fail with ErrUnavailable when it went down, or with
+// ErrTimeout when the profile sets a CallTimeout. The export's
 // handlers serve unchanged at the new node (a fresh dispatch object is
 // installed; application state recovery is the handler's concern).
 func (e *Export) Rebind(node middleware.Addr) error {

@@ -17,27 +17,20 @@ import (
 type Sink[T any] struct {
 	b       *Binding
 	pattern middleware.Pattern
-	cfg     portConfig
 	dest    string // target object, queue or topic
 	name    string // oneway operation or queue message name
 	enc     func([]byte, T) ([]byte, error)
 	encMsg  func(T) codec.Message // topic
 }
 
-// bind checks the sink's pattern and encoder and applies its options;
-// the monitor primitive defaults to prim.
-func (s *Sink[T]) bind(prim string, opts []PortOption) (*Sink[T], error) {
+// bind checks the sink's pattern and encoder.
+func (s *Sink[T]) bind() (*Sink[T], error) {
 	if err := s.b.supports(s.pattern); err != nil {
 		return nil, err
 	}
 	if s.enc == nil && s.encMsg == nil {
 		return nil, fmt.Errorf("svc: %s sink %q: nil encoder", s.pattern, s.dest)
 	}
-	cfg, err := s.b.applyOptions(prim, opts)
-	if err != nil {
-		return nil, err
-	}
-	s.cfg = cfg
 	return s, nil
 }
 
@@ -45,9 +38,9 @@ func (s *Sink[T]) bind(prim string, opts []PortOption) (*Sink[T], error) {
 // operation (the oneway message-passing pattern). enc follows the
 // NewPort request contract: it appends one encoded argument record.
 func NewOnewaySink[T any](b *Binding, target middleware.ObjRef, op string,
-	enc func([]byte, T) ([]byte, error), opts ...PortOption) (*Sink[T], error) {
+	enc func([]byte, T) ([]byte, error)) (*Sink[T], error) {
 	s := &Sink[T]{b: b, pattern: middleware.PatternOneway, dest: string(target), name: op, enc: enc}
-	return s.bind(op, opts)
+	return s.bind()
 }
 
 // NewQueueSink creates a typed producer port for a declared queue (the
@@ -55,35 +48,31 @@ func NewOnewaySink[T any](b *Binding, target middleware.ObjRef, op string,
 // consumer). Each send is a message called name whose field record enc
 // appends, under the NewPort request contract.
 func NewQueueSink[T any](b *Binding, queue, name string,
-	enc func([]byte, T) ([]byte, error), opts ...PortOption) (*Sink[T], error) {
+	enc func([]byte, T) ([]byte, error)) (*Sink[T], error) {
 	s := &Sink[T]{b: b, pattern: middleware.PatternQueue, dest: queue, name: name, enc: enc}
-	return s.bind(queue, opts)
+	return s.bind()
 }
 
 // NewTopicSink creates a typed publisher port for a topic (the event
 // source half of the pub/sub pattern).
 func NewTopicSink[T any](b *Binding, topic string,
-	enc func(T) codec.Message, opts ...PortOption) (*Sink[T], error) {
+	enc func(T) codec.Message) (*Sink[T], error) {
 	s := &Sink[T]{b: b, pattern: middleware.PatternPubSub, dest: topic, encMsg: enc}
-	return s.bind(topic, opts)
+	return s.bind()
 }
 
-// Send transmits one typed value from the given node. A monitor veto
-// (ErrVetoed) aborts the send; other errors follow the port taxonomy.
+// Send transmits one typed value from the given node. Errors follow the
+// port taxonomy.
 func (s *Sink[T]) Send(from middleware.Addr, v T) error {
 	if s.pattern == middleware.PatternPubSub {
-		m := s.encMsg(v)
-		if err := s.cfg.observeOut(s.b.kern, m.Fields); err != nil {
-			return err
-		}
-		return wrapErr(s.b.plat.Publish(from, s.dest, m))
+		return wrapErr(s.b.plat.Publish(from, s.dest, s.encMsg(v)))
 	}
 	return s.sendRecord(from, v)
 }
 
 // sendRecord is the oneway and queue send path: the payload record is
-// encoded into a pooled buffer, observed when a monitor is attached,
-// and handed to the platform, which copies it onto the wire.
+// encoded into a pooled buffer and handed to the platform, which copies
+// it onto the wire.
 func (s *Sink[T]) sendRecord(from middleware.Addr, v T) error {
 	buf := codec.GetBuffer()
 	defer buf.Release()
@@ -92,11 +81,6 @@ func (s *Sink[T]) sendRecord(from middleware.Addr, v T) error {
 		return fmt.Errorf("svc: %s sink %s.%s: marshal: %w", s.pattern, s.dest, s.name, err)
 	}
 	buf.B = rec
-	if s.cfg.monitor != nil {
-		if err := s.cfg.observeOut(s.b.kern, paramsOf(rec)); err != nil {
-			return err
-		}
-	}
 	if s.pattern == middleware.PatternQueue {
 		return wrapErr(s.b.plat.QueuePut(from, s.dest, s.name, rec))
 	}
@@ -107,13 +91,8 @@ func (s *Sink[T]) sendRecord(from middleware.Addr, v T) error {
 // subscription whose deliveries are decoded and handed to the
 // application handler. Decode failures are counted and dropped (wire
 // corruption below the service boundary is not the application's
-// concern); an attached monitor observes each decoded delivery inline
-// before the handler.
+// concern).
 type Source[T any] struct {
-	b        *Binding
-	name     string
-	node     middleware.Addr
-	cfg      portConfig
 	received uint64
 	dropped  uint64
 }
@@ -124,31 +103,20 @@ func (s *Source[T]) Received() uint64 { return s.received }
 // Dropped reports how many deliveries failed to decode.
 func (s *Source[T]) Dropped() uint64 { return s.dropped }
 
-// observe reports one delivered payload record to the source's monitor
-// — the cold path that materializes params.
-func (s *Source[T]) observe(payload codec.MsgView) {
-	params, _ := payload.Fields() //nolint:errcheck // views are validated on receipt
-	s.cfg.observeIn(s.b.kern, params)
-}
-
 // NewQueueSource subscribes node as a consumer of a declared queue,
 // delivering decoded values to fn in arrival order. dec decodes the
 // message's field record from a view of the delivery buffer (the
 // HandleOp contract: valid only while dec runs); a delivery whose fields
 // are not a record counts as dropped.
 func NewQueueSource[T any](b *Binding, queue string, node middleware.Addr,
-	dec func(codec.MsgView) (T, error), fn func(T), opts ...PortOption) (*Source[T], error) {
+	dec func(codec.MsgView) (T, error), fn func(T)) (*Source[T], error) {
 	if err := b.supports(middleware.PatternQueue); err != nil {
 		return nil, err
 	}
 	if dec == nil || fn == nil {
 		return nil, fmt.Errorf("svc: queue source %q: nil decoder or handler", queue)
 	}
-	cfg, err := b.applyOptions(queue, opts)
-	if err != nil {
-		return nil, err
-	}
-	src := &Source[T]{b: b, name: queue, node: node, cfg: cfg}
+	src := &Source[T]{}
 	if err := b.plat.QueueSubscribe(queue, node, func(v codec.MsgView) {
 		fields, ok := v.View("fields")
 		if !ok {
@@ -161,9 +129,6 @@ func NewQueueSource[T any](b *Binding, queue string, node middleware.Addr,
 			return
 		}
 		src.received++
-		if src.cfg.monitor != nil {
-			src.observe(fields)
-		}
 		fn(val)
 	}); err != nil {
 		return nil, wrapErr(err)
@@ -177,18 +142,14 @@ func NewQueueSource[T any](b *Binding, queue string, node middleware.Addr,
 // steady-state delivery costs no allocations beyond what the decoded T
 // itself retains.
 func NewTopicSource[T any](b *Binding, topic string, node middleware.Addr,
-	dec func(codec.MsgView) (T, error), fn func(T), opts ...PortOption) (*Source[T], error) {
+	dec func(codec.MsgView) (T, error), fn func(T)) (*Source[T], error) {
 	if err := b.supports(middleware.PatternPubSub); err != nil {
 		return nil, err
 	}
 	if dec == nil || fn == nil {
 		return nil, fmt.Errorf("svc: topic source %q: nil decoder or handler", topic)
 	}
-	cfg, err := b.applyOptions(topic, opts)
-	if err != nil {
-		return nil, err
-	}
-	src := &Source[T]{b: b, name: topic, node: node, cfg: cfg}
+	src := &Source[T]{}
 	if err := b.plat.SubscribeTopicView(topic, node, func(v codec.MsgView) {
 		val, derr := dec(v)
 		if derr != nil {
@@ -196,10 +157,6 @@ func NewTopicSource[T any](b *Binding, topic string, node middleware.Addr,
 			return
 		}
 		src.received++
-		if src.cfg.monitor != nil {
-			fields, _ := v.View("fields")
-			src.observe(fields)
-		}
 		fn(val)
 	}); err != nil {
 		return nil, wrapErr(err)

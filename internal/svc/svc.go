@@ -8,19 +8,19 @@
 // the service to a middleware.Platform — profile-checked through
 // Profile.Supports — yields typed ports:
 //
-//   - Port[Req, Resp]: request/response with sim-time deadlines, pooled
-//     per-call state (steady-state calls add no allocations over the raw
-//     platform path) and a typed error taxonomy;
+//   - Port[Req, Resp]: request/response with pooled per-call state
+//     (steady-state calls add no allocations over the raw platform path)
+//     and a typed error taxonomy;
 //   - Sink[T] / Source[T]: oneway, queue and topic endpoints built on the
 //     platform's dense fan-out and zero-copy demux planes
 //     (SendMultiIndexed / SubscribeTopicView underneath);
 //   - Export: the server side — typed operation handlers hosted as one
 //     platform object.
 //
-// Every port optionally carries a core.Monitor: conformance observation
-// then runs inline on the wire path (the event is checked before the
-// interaction is transmitted, and a monitor veto aborts it), instead of
-// post-hoc over a recorded trace.
+// Ports take no options: they are typed marshalling over the platform
+// and nothing else. How long a call may take is platform policy (the
+// profile's CallTimeout), and conformance is observed at the SAP, where
+// the service is defined (core.Observer.Provider), not per port.
 //
 // The raw middleware.Platform methods (Invoke, Publish, QueuePut, ...)
 // remain as the service-provider interface underneath this façade; case
@@ -31,18 +31,16 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"time"
 
 	"repro/internal/codec"
 	"repro/internal/core"
 	"repro/internal/middleware"
-	"repro/internal/sim"
 )
 
 // The port error taxonomy. Errors surfaced by ports satisfy errors.Is
 // for exactly one of these classes and for the underlying platform error
-// chain (e.g. a deadline expiry Is both ErrTimeout and, when the
-// platform timed the call out underneath, middleware.ErrCallTimeout).
+// chain (e.g. a call timeout Is both ErrTimeout and
+// middleware.ErrCallTimeout).
 var (
 	// ErrUnsupportedPattern: the bound platform's profile does not offer
 	// the interaction pattern the port needs.
@@ -50,21 +48,19 @@ var (
 	// ErrNoSuchService: the target object or queue is not known to the
 	// platform.
 	ErrNoSuchService = errors.New("svc: unknown service target")
-	// ErrNoSuchOp: the remote object rejected the operation name, or a
-	// port was declared for a primitive its service spec does not define.
+	// ErrNoSuchOp: the platform rejected the operation name
+	// (middleware.ErrUnknownOperation). An export asked for an operation
+	// it does not handle replies an application error instead (ErrRemote).
 	ErrNoSuchOp = errors.New("svc: unknown operation")
-	// ErrTimeout: the call's sim-time deadline (or the platform's own
-	// call timeout) expired before a reply arrived.
-	ErrTimeout = errors.New("svc: call deadline expired")
+	// ErrTimeout: the platform's call timeout (the profile's CallTimeout)
+	// expired before a reply arrived.
+	ErrTimeout = errors.New("svc: call timed out")
 	// ErrAlreadyBound: the service was bound twice, or an export
 	// registered twice.
 	ErrAlreadyBound = errors.New("svc: service already bound")
-	// ErrVetoed: the port's inline monitor rejected the interaction; it
-	// was not transmitted.
-	ErrVetoed = errors.New("svc: interaction vetoed by monitor")
 	// ErrUnavailable: the target's hosting node is down (crashed and not
 	// yet restarted). Distinct from ErrTimeout so retry/rebind policies
-	// can react immediately instead of waiting out a deadline.
+	// can react immediately instead of waiting out a timeout.
 	ErrUnavailable = errors.New("svc: target node unavailable")
 	// ErrRemote: the remote handler replied with an application error.
 	ErrRemote = errors.New("svc: remote error")
@@ -90,8 +86,7 @@ func wrapErr(err error) error {
 		return nil
 	case errors.Is(err, ErrUnsupportedPattern), errors.Is(err, ErrNoSuchService),
 		errors.Is(err, ErrNoSuchOp), errors.Is(err, ErrTimeout),
-		errors.Is(err, ErrVetoed), errors.Is(err, ErrRemote), errors.Is(err, ErrAlreadyBound),
-		errors.Is(err, ErrUnavailable):
+		errors.Is(err, ErrRemote), errors.Is(err, ErrAlreadyBound), errors.Is(err, ErrUnavailable):
 		return err
 	case errors.Is(err, middleware.ErrPatternUnsupported):
 		return &classed{class: ErrUnsupportedPattern, cause: err}
@@ -179,7 +174,7 @@ func (s *Service) Bind(p *middleware.Platform, patterns ...middleware.Pattern) (
 		return nil, &classed{class: ErrAlreadyBound, cause: fmt.Errorf("service %q", s.spec.Name)}
 	}
 	s.bound = true
-	return &Binding{svc: s, plat: p, kern: p.Time()}, nil
+	return &Binding{svc: s, plat: p}, nil
 }
 
 // Binding is a Service bound to one middleware platform: the factory for
@@ -189,7 +184,6 @@ func (s *Service) Bind(p *middleware.Platform, patterns ...middleware.Pattern) (
 type Binding struct {
 	svc  *Service
 	plat *middleware.Platform
-	kern *sim.Kernel
 }
 
 // Service returns the bound service declaration.
@@ -218,129 +212,4 @@ func (b *Binding) DeclareQueue(name string) error {
 // service every middleware provides, lifted to the façade.
 func (b *Binding) Resolve(target middleware.ObjRef) (middleware.Addr, bool) {
 	return b.plat.Resolve(target)
-}
-
-// PortOption configures a port, sink, source or export endpoint.
-type PortOption func(*portConfig)
-
-type portConfig struct {
-	deadline  time.Duration
-	monitor   core.Monitor
-	sap       core.SAP
-	primitive string
-}
-
-// WithDeadline bounds every call on the port by d of virtual time: if no
-// reply arrived, the continuation fires exactly once with ErrTimeout and
-// a late reply is dropped. Zero disables the port deadline (the
-// platform's own profile timeout, if any, still applies).
-func WithDeadline(d time.Duration) PortOption {
-	return func(c *portConfig) { c.deadline = d }
-}
-
-// WithMonitor attaches an inline conformance monitor: every interaction
-// through the endpoint is reported to m as a core.Event at the given SAP
-// — at the current virtual instant, on the wire path, before
-// transmission (outbound) or before the application handler (inbound). A
-// non-nil Observe error vetoes an outbound interaction: it is not sent
-// and the error surfaces as ErrVetoed.
-func WithMonitor(sap core.SAP, m core.Monitor) PortOption {
-	return func(c *portConfig) { c.sap = sap; c.monitor = m }
-}
-
-// WithPrimitive names the service primitive the endpoint realizes.
-// Monitor events then carry this primitive name instead of the wire
-// operation, and the endpoint constructor verifies the primitive exists
-// in the service spec (ErrNoSuchOp otherwise).
-func WithPrimitive(name string) PortOption {
-	return func(c *portConfig) { c.primitive = name }
-}
-
-// applyOptions resolves options against the binding's spec.
-func (b *Binding) applyOptions(op string, opts []PortOption) (portConfig, error) {
-	var cfg portConfig
-	for _, o := range opts {
-		o(&cfg)
-	}
-	if cfg.primitive == "" {
-		cfg.primitive = op
-	} else if _, ok := b.svc.spec.Primitive(cfg.primitive); !ok {
-		return cfg, &classed{
-			class: ErrNoSuchOp,
-			cause: fmt.Errorf("primitive %q not declared by service %q", cfg.primitive, b.svc.spec.Name),
-		}
-	}
-	return cfg, nil
-}
-
-// observeOut reports an outbound interaction to the endpoint monitor,
-// vetoing on error.
-func (c *portConfig) observeOut(k *sim.Kernel, params codec.Record) error {
-	if c.monitor == nil {
-		return nil
-	}
-	e := core.Event{At: k.Now(), SAP: c.sap, Primitive: c.primitive, Params: params}
-	if err := c.monitor.Observe(e); err != nil {
-		return &classed{class: ErrVetoed, cause: err}
-	}
-	return nil
-}
-
-// observeIn reports an inbound interaction to the endpoint monitor.
-// Violations on the inbound path are recorded by the monitor itself (the
-// delivery already happened on the wire); they do not veto the handler.
-func (c *portConfig) observeIn(k *sim.Kernel, params codec.Record) {
-	if c.monitor == nil {
-		return
-	}
-	_ = c.monitor.Observe(core.Event{At: k.Now(), SAP: c.sap, Primitive: c.primitive, Params: params}) //nolint:errcheck // inbound violations surface via the monitor's own state
-}
-
-// observeInOp is observeIn for multi-operation endpoints (exports): the
-// dispatched operation names the event primitive unless the config pins
-// one explicitly.
-func (c *portConfig) observeInOp(k *sim.Kernel, op string, params codec.Record) {
-	if c.monitor == nil {
-		return
-	}
-	prim := c.primitive
-	if prim == "" {
-		prim = op
-	}
-	_ = c.monitor.Observe(core.Event{At: k.Now(), SAP: c.sap, Primitive: prim, Params: params}) //nolint:errcheck // inbound violations surface via the monitor's own state
-}
-
-// paramsOf materializes an encoded argument record as the boxed params
-// of a monitor event — the cold path, taken only when a monitor is
-// attached.
-func paramsOf(args []byte) codec.Record {
-	v, err := codec.ParseRecord(args)
-	if err != nil {
-		return nil
-	}
-	params, _ := v.Fields() //nolint:errcheck // ParseRecord validated the structure
-	return params
-}
-
-// RecordEncoder adapts a codec.Record-building marshaller to the wire
-// contract of NewPort, NewOnewaySink and HandleOp: the record is built
-// and then encoded through the generic (map-sorting) codec. It is the
-// thin bridge for tests, experiments and dynamically shaped payloads;
-// typed hot paths append through a codec.CompileRecord schema instead.
-func RecordEncoder[T any](f func(T) codec.Record) func([]byte, T) ([]byte, error) {
-	return func(buf []byte, v T) ([]byte, error) { return codec.Append(buf, f(v)) }
-}
-
-// RecordDecoder adapts a codec.Record-consuming unmarshaller to the view
-// contract of NewPort and HandleOp: the borrowed view is materialized
-// (copied) into a Record first, so f may retain it.
-func RecordDecoder[T any](f func(codec.Record) (T, error)) func(codec.MsgView) (T, error) {
-	return func(v codec.MsgView) (T, error) {
-		r, err := v.Fields()
-		if err != nil {
-			var zero T
-			return zero, err
-		}
-		return f(r)
-	}
 }

@@ -35,6 +35,12 @@ func stack(t testing.TB, profile middleware.Profile) (*sim.Kernel, *middleware.P
 	return k, middleware.New(k, transport, profile, "mw-broker")
 }
 
+// withTimeout returns profile with its call timeout set to d.
+func withTimeout(profile middleware.Profile, d time.Duration) middleware.Profile {
+	profile.CallTimeout = d
+	return profile
+}
+
 // bound declares and binds the test service in one step.
 func bound(t testing.TB, p *middleware.Platform, patterns ...middleware.Pattern) *svc.Binding {
 	t.Helper()
@@ -222,11 +228,6 @@ func TestUnknownOperation(t *testing.T) {
 	if !errors.Is(callErr, svc.ErrRemote) {
 		t.Fatalf("unknown op reply: %v, want ErrRemote", callErr)
 	}
-	// Declaring a port for a primitive the spec does not define fails at
-	// construction with ErrNoSuchOp.
-	if _, err := svc.NewPort(b, "server", "ping", encPing, decPing, svc.WithPrimitive("levitate")); !errors.Is(err, svc.ErrNoSuchOp) {
-		t.Fatalf("undeclared primitive: %v, want ErrNoSuchOp", err)
-	}
 }
 
 func TestDoubleBind(t *testing.T) {
@@ -264,9 +265,9 @@ func TestDoubleBind(t *testing.T) {
 }
 
 func TestDeadlineFiresContinuationExactlyOnce(t *testing.T) {
-	k, p := stack(t, middleware.ProfileCORBALike)
+	k, p := stack(t, withTimeout(middleware.ProfileCORBALike, 10*time.Millisecond))
 	b := bound(t, p)
-	// A server that replies only when poked — after the deadline.
+	// A server that replies only when poked — after the call timeout.
 	var stashed func(pingResp, error)
 	e, err := b.NewExport("slow", "node-s")
 	if err != nil {
@@ -282,7 +283,7 @@ func TestDeadlineFiresContinuationExactlyOnce(t *testing.T) {
 	if err := e.Register(); err != nil {
 		t.Fatal(err)
 	}
-	port, err := svc.NewPort(b, "slow", "ping", encPing, decPing, svc.WithDeadline(10*time.Millisecond))
+	port, err := svc.NewPort(b, "slow", "ping", encPing, decPing)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -296,7 +297,7 @@ func TestDeadlineFiresContinuationExactlyOnce(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	// Release the stashed reply well after the deadline: the late reply
+	// Release the stashed reply well after the timeout: the late reply
 	// must be dropped, not delivered as a second continuation firing.
 	k.ScheduleFunc(50*time.Millisecond, func() { stashed(pingResp{N: 99}, nil) })
 	if _, err := k.Run(); err != nil {
@@ -305,19 +306,19 @@ func TestDeadlineFiresContinuationExactlyOnce(t *testing.T) {
 	if fired != 1 {
 		t.Fatalf("continuation fired %d times, want exactly 1", fired)
 	}
-	if !errors.Is(firstErr, svc.ErrTimeout) {
-		t.Fatalf("deadline error = %v, want ErrTimeout", firstErr)
+	if !errors.Is(firstErr, svc.ErrTimeout) || !errors.Is(firstErr, middleware.ErrCallTimeout) {
+		t.Fatalf("timeout error = %v, want both svc.ErrTimeout and middleware.ErrCallTimeout", firstErr)
 	}
 	if firedAt != 10*time.Millisecond {
-		t.Fatalf("deadline fired at %v, want 10ms of virtual time", firedAt)
+		t.Fatalf("timeout fired at %v, want 10ms of virtual time", firedAt)
 	}
 }
 
 func TestDeadlineNotFiredOnTimelyReply(t *testing.T) {
-	k, p := stack(t, middleware.ProfileCORBALike)
+	k, p := stack(t, withTimeout(middleware.ProfileCORBALike, time.Second))
 	b := bound(t, p)
 	exportEcho(t, b)
-	port, err := svc.NewPort(b, "server", "ping", encPing, decPing, svc.WithDeadline(time.Second))
+	port, err := svc.NewPort(b, "server", "ping", encPing, decPing)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -338,58 +339,6 @@ func TestDeadlineNotFiredOnTimelyReply(t *testing.T) {
 	}
 	if fired != 3 || callErr != nil {
 		t.Fatalf("fired=%d err=%v, want 3 clean firings", fired, callErr)
-	}
-}
-
-// vetoMonitor rejects every primitive whose "n" parameter is negative.
-type vetoMonitor struct{ seen int }
-
-func (m *vetoMonitor) Observe(e core.Event) error {
-	m.seen++
-	if n, _ := e.Params["n"].(int64); n < 0 {
-		return &core.ViolationError{Constraint: "non-negative", Event: &e, Detail: "n < 0"}
-	}
-	return nil
-}
-
-func (m *vetoMonitor) AtEnd() error { return nil }
-
-func TestMonitorVetoPropagation(t *testing.T) {
-	k, p := stack(t, middleware.ProfileCORBALike)
-	b := bound(t, p)
-	exportEcho(t, b)
-	mon := &vetoMonitor{}
-	sap := core.SAP{Role: "tester", ID: "c1"}
-	port, err := svc.NewPort(b, "server", "ping", encPing, decPing,
-		svc.WithMonitor(sap, mon), svc.WithPrimitive("ping"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	before := p.Stats().Calls
-	err = port.Call("node-c", pingReq{N: -1}, func(pingResp, error) { t.Error("vetoed call must not run its continuation") })
-	if !errors.Is(err, svc.ErrVetoed) {
-		t.Fatalf("vetoed call: %v, want ErrVetoed", err)
-	}
-	var verr *core.ViolationError
-	if !errors.As(err, &verr) || verr.Constraint != "non-negative" {
-		t.Fatalf("veto must carry the monitor's ViolationError, got %v", err)
-	}
-	if p.Stats().Calls != before {
-		t.Fatal("vetoed interaction still reached the platform")
-	}
-	// A conforming call passes through the same monitor and completes.
-	done := false
-	if err := port.Call("node-c", pingReq{N: 7}, func(r pingResp, e error) { done = e == nil && r.N == 8 }); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := k.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if !done {
-		t.Fatal("conforming call did not complete")
-	}
-	if mon.seen != 2 {
-		t.Fatalf("monitor observed %d events, want 2", mon.seen)
 	}
 }
 
@@ -433,9 +382,9 @@ func TestTypedPubSubAndQueue(t *testing.T) {
 		func(n note) { queueGot = append(queueGot, n.Seq) }); err != nil {
 		t.Fatal(err)
 	}
-	jobs, err := svc.NewQueueSink(b, "jobs", "note", svc.RecordEncoder(func(n note) codec.Record {
-		return codec.Record{"seq": n.Seq}
-	}))
+	jobs, err := svc.NewQueueSink(b, "jobs", "note", func(buf []byte, n note) ([]byte, error) {
+		return codec.Append(buf, codec.Record{"seq": n.Seq})
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -605,66 +554,5 @@ func TestStaleRespondCannotHijackLaterDispatch(t *testing.T) {
 	}
 	if len(got) != 2 || got[0] != 101 || got[1] != 102 {
 		t.Fatalf("replies = %v, want [101 102] (stale duplicate suppressed)", got)
-	}
-}
-
-// recordingMonitor collects observed primitive names.
-type recordingMonitor struct{ prims []string }
-
-func (m *recordingMonitor) Observe(e core.Event) error {
-	m.prims = append(m.prims, e.Primitive)
-	return nil
-}
-
-func (m *recordingMonitor) AtEnd() error { return nil }
-
-func TestExportMonitorObservesPerOpPrimitive(t *testing.T) {
-	// An export hosting several operations reports each inbound dispatch
-	// under the dispatched operation's name, not the export's ref.
-	k, p := stack(t, middleware.ProfileCORBALike)
-	b := bound(t, p)
-	mon := &recordingMonitor{}
-	e, err := b.NewExport("server", "node-s", svc.WithMonitor(core.SAP{Role: "srv", ID: "s1"}, mon))
-	if err != nil {
-		t.Fatal(err)
-	}
-	handle := func(op string) {
-		t.Helper()
-		if err := svc.HandleOp(e, op,
-			decPingReq,
-			encPong,
-			func(_ pingReq, respond func(pingResp, error)) { respond(pingResp{}, nil) }); err != nil {
-			t.Fatal(err)
-		}
-	}
-	handle("ping")
-	handle("pong")
-	if err := e.Register(); err != nil {
-		t.Fatal(err)
-	}
-	for _, op := range []string{"ping", "pong", "ping"} {
-		port, err := svc.NewPort(b, "server", op, encPing, decPing)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := port.Call("node-c", pingReq{}, nil); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := k.Run(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want := []string{"ping", "pong", "ping"}
-	if len(mon.prims) != len(want) {
-		t.Fatalf("observed %v, want %v", mon.prims, want)
-	}
-	for i := range want {
-		if mon.prims[i] != want[i] {
-			t.Fatalf("observed %v, want %v", mon.prims, want)
-		}
-	}
-	// A pinned WithPrimitive still wins, and must exist in the spec.
-	if _, err := b.NewExport("x", "n", svc.WithPrimitive("levitate")); !errors.Is(err, svc.ErrNoSuchOp) {
-		t.Fatalf("undeclared export primitive: %v, want ErrNoSuchOp", err)
 	}
 }
