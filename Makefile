@@ -94,6 +94,7 @@ fuzz:
 	$(GO) test -fuzz FuzzSDLRoundTrip -fuzztime 60s -run XXX ./internal/sdl
 	$(GO) test -fuzz FuzzPlatformWire -fuzztime 60s -run XXX ./internal/middleware
 	$(GO) test -fuzz FuzzReliableReceive -fuzztime 60s -run XXX ./internal/protocol
+	$(GO) test -fuzz FuzzFramingReassembly -fuzztime 60s -run XXX ./internal/protocol
 	$(GO) test -fuzz FuzzEntityReceive -fuzztime 60s -run XXX ./internal/floorcontrol
 	$(GO) test -fuzz FuzzBandfileParse -fuzztime 60s -run XXX ./internal/bandfile
 

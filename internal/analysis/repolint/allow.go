@@ -16,6 +16,7 @@ var Checks = map[string]string{
 	"wallclock":  "simdeterminism",
 	"globalrand": "simdeterminism",
 	"env":        "simdeterminism",
+	"sync":       "simdeterminism",
 	"mapiter":    "mapiter",
 	"poolalias":  "poolalias",
 	"bufleak":    "poolalias",

@@ -15,6 +15,13 @@ func TestSimdeterminism(t *testing.T) {
 	analysistest.Run(t, "testdata", "repro/internal/sim", repolint.Simdeterminism)
 }
 
+// TestSimdeterminismSync proves the sync check's edges: a sync import
+// in a simulated layer is reported, and the runner's is not.
+func TestSimdeterminismSync(t *testing.T) {
+	analysistest.Run(t, "testdata", "repro/internal/network", repolint.Simdeterminism)
+	analysistest.Run(t, "testdata", "repro/internal/runner", repolint.Simdeterminism)
+}
+
 // TestGeneratedFilesSkipped proves the generated-file exemption: a file
 // with a standard "Code generated ... DO NOT EDIT." marker draws no
 // diagnostics even inside the deterministic package set, while its

@@ -9,10 +9,11 @@
 //
 // The suite (see DESIGN.md §1.5 for the full contract of each):
 //
-//   - simdeterminism — in the deterministic packages (sim, protocol,
-//     network, middleware, svc, floorcontrol, mda, runner, metrics),
-//     forbid wall-clock time, ambient process randomness, and
-//     environment reads. Checks: wallclock, globalrand, env.
+//   - simdeterminism — in the deterministic packages (sim, core,
+//     protocol, network, fault, middleware, svc, floorcontrol, mda,
+//     runner, metrics), forbid wall-clock time, ambient process
+//     randomness, and environment reads, and (runner excepted) imports
+//     of sync and sync/atomic. Checks: wallclock, globalrand, env, sync.
 //   - mapiter — flag a `range` over a map whose body feeds
 //     order-sensitive output (slice appends, float accumulation,
 //     writes, channel sends, a return whose results mention the range

@@ -3,6 +3,7 @@ package repolint
 import (
 	"go/ast"
 	"go/types"
+	"strconv"
 	"strings"
 
 	"golang.org/x/tools/go/analysis"
@@ -16,9 +17,14 @@ import (
 // parameters and the kernel seed — that is what makes the 120-scenario
 // sweep CSV byte-identical at any worker count. Simulated time comes
 // from sim.Kernel.Now; randomness from the kernel-seeded *rand.Rand.
+//
+// It also forbids importing sync and sync/atomic there, runner
+// excepted: a kernel and everything built on it belong to the one
+// goroutine that runs it, and the runner's worker pool is the only
+// place goroutines meet.
 var Simdeterminism = &analysis.Analyzer{
 	Name:     "simdeterminism",
-	Doc:      "forbid wall-clock, ambient randomness, and env reads in deterministic packages (checks: wallclock, globalrand, env)",
+	Doc:      "forbid wall-clock, ambient randomness, env reads and sync imports in deterministic packages (checks: wallclock, globalrand, env, sync)",
 	Requires: []*analysis.Analyzer{inspect.Analyzer},
 	Run:      runSimdeterminism,
 }
@@ -28,6 +34,7 @@ var Simdeterminism = &analysis.Analyzer{
 // subpackage of it.
 var deterministicPkgs = []string{
 	"repro/internal/sim",
+	"repro/internal/core",
 	"repro/internal/protocol",
 	"repro/internal/network",
 	"repro/internal/fault",
@@ -71,11 +78,26 @@ var envFuncs = map[string]bool{
 	"Getenv": true, "LookupEnv": true, "Environ": true, "ExpandEnv": true,
 }
 
+// concurrentPkg is the one deterministic package that may synchronize:
+// the runner drives independent scenarios on a worker pool.
+const concurrentPkg = "repro/internal/runner"
+
 func runSimdeterminism(pass *analysis.Pass) (any, error) {
 	if !isDeterministicPkg(pass.Pkg.Path()) {
 		return nil, nil
 	}
 	allows := CollectAllows(pass)
+	if pass.Pkg.Path() != concurrentPkg {
+		for _, f := range pass.Files {
+			for _, imp := range f.Imports {
+				path, _ := strconv.Unquote(imp.Path.Value)
+				if (path == "sync" || path == "sync/atomic") && !isTestFile(pass.Fset, imp.Pos()) {
+					allows.Report(pass, imp.Pos(), "sync",
+						"%s imported in deterministic package %s; a kernel and everything built on it belong to one goroutine, so only the runner synchronizes", path, pass.Pkg.Path())
+				}
+			}
+		}
+	}
 	ins := pass.ResultOf[inspect.Analyzer].(*inspector.Inspector)
 	ins.Preorder([]ast.Node{(*ast.SelectorExpr)(nil)}, func(n ast.Node) {
 		sel := n.(*ast.SelectorExpr)

@@ -147,8 +147,8 @@ func Run(cfg Config) (*Result, error) {
 	res := &Result{Expected: uint64(cfg.Subscribers) * uint64(cfg.Events)}
 
 	// One shared sink closure serves every subscription: per-client
-	// state stays O(1) (the platform's demux entry) and the engine's
-	// serial dispatch makes the shared counters race-free at any K.
+	// state stays O(1) (the platform's demux entry), and the kernel runs
+	// one event at a time, so the shared counters need no guard.
 	// curPub is valid because Interval > delivery depth, so no two
 	// publishes are ever in flight together.
 	var curPub time.Duration

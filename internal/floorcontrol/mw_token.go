@@ -2,7 +2,6 @@ package floorcontrol
 
 import (
 	"fmt"
-	"sync"
 
 	"repro/internal/codec"
 	"repro/internal/middleware"
@@ -132,7 +131,6 @@ type mwTokenPart struct {
 	next string
 	pass *svc.Port[tokenArgs, ack]
 
-	mu        sync.Mutex
 	wantRes   string
 	wantDone  func()
 	toRelease []string
@@ -156,12 +154,10 @@ func (p *mwTokenPart) export(b *svc.Binding) error {
 
 func (p *mwTokenPart) onPass(t tokenArgs, respond func(ack, error)) {
 	if t.Gen != 0 {
-		p.mu.Lock()
 		dup := t.Gen <= p.seenGen
 		if !dup {
 			p.seenGen = t.Gen
 		}
-		p.mu.Unlock()
 		if dup {
 			// At-least-once redelivery of a pass whose first copy landed:
 			// the token has moved on. Acknowledging without acting keeps
@@ -179,7 +175,6 @@ func (p *mwTokenPart) onPass(t tokenArgs, respond func(ack, error)) {
 // gen is the generation this part received the token at (zero fault-free);
 // the forwarded token carries gen+1.
 func (p *mwTokenPart) onToken(avail []string, gen uint64) {
-	p.mu.Lock()
 	// Insert releases accumulated since the last visit.
 	avail = append(avail, p.toRelease...)
 	p.toRelease = nil
@@ -197,7 +192,6 @@ func (p *mwTokenPart) onToken(avail []string, gen uint64) {
 			}
 		}
 	}
-	p.mu.Unlock()
 	if granted != nil {
 		p.env.observe(p.sub, PrimGranted, grantedRes)
 		granted()
@@ -239,8 +233,6 @@ func (p *mwTokenPart) forward(avail []string, gen uint64) {
 // Acquire implements AppPart: registers interest; the token visit grants.
 func (p *mwTokenPart) Acquire(res string, done func()) {
 	p.env.observe(p.sub, PrimRequest, res)
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	if p.wantRes != "" {
 		panic(fmt.Sprintf("floorcontrol: %q has outstanding acquire of %q", p.sub, p.wantRes))
 	}
@@ -251,7 +243,5 @@ func (p *mwTokenPart) Acquire(res string, done func()) {
 // next token visit.
 func (p *mwTokenPart) Release(res string) {
 	p.env.observe(p.sub, PrimFree, res)
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	p.toRelease = append(p.toRelease, res)
 }

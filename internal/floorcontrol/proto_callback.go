@@ -2,7 +2,6 @@ package floorcontrol
 
 import (
 	"fmt"
-	"sync"
 
 	"repro/internal/codec"
 	"repro/internal/protocol"
@@ -103,13 +102,10 @@ func (e *callbackSubEntity) FromPeer(_ protocol.Addr, pdu codec.MsgView) error {
 // the PIM controller logic. request and free return the subscriber to
 // grant res to now ("" for none).
 type callbackCtrl struct {
-	mu sync.Mutex
-	q  *resourceQueue
+	q *resourceQueue
 }
 
 func (c *callbackCtrl) request(sub, res string) (string, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	if !c.q.known(res) {
 		return "", fmt.Errorf("floorcontrol: request for unknown resource %q", res)
 	}
@@ -121,8 +117,6 @@ func (c *callbackCtrl) request(sub, res string) (string, error) {
 }
 
 func (c *callbackCtrl) free(sub, res string) (string, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	next, _, err := c.q.release(sub, res)
 	return next, err
 }

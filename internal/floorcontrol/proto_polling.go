@@ -2,7 +2,6 @@ package floorcontrol
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
 	"repro/internal/codec"
@@ -68,7 +67,6 @@ type pollingSubEntity struct {
 	interval   time.Duration
 	ctx        *protocol.Context
 
-	mu      sync.Mutex
 	waiting map[string]bool // resources being polled for
 }
 
@@ -86,9 +84,7 @@ func (e *pollingSubEntity) FromUser(primitive string, params codec.Record) error
 	res, _ := params[ParamResource].(string)
 	switch primitive {
 	case PrimRequest:
-		e.mu.Lock()
 		e.waiting[res] = true
-		e.mu.Unlock()
 		return e.probe(res)
 	case PrimFree:
 		return pduFree.Send(e.ctx, e.controller, ctrlArgs{Sub: string(e.ctx.Self()), Res: res})
@@ -108,12 +104,10 @@ func (e *pollingSubEntity) FromPeer(_ protocol.Addr, pdu codec.MsgView) error {
 	}
 	r, _ := decAvailReply(pdu)
 	res, avail := r.Res, r.Available
-	e.mu.Lock()
 	waiting := e.waiting[res]
 	if avail && waiting {
 		delete(e.waiting, res)
 	}
-	e.mu.Unlock()
 	if !waiting {
 		return nil // stale response
 	}
@@ -122,9 +116,7 @@ func (e *pollingSubEntity) FromPeer(_ protocol.Addr, pdu codec.MsgView) error {
 		return nil
 	}
 	e.ctx.Schedule(e.interval, func() {
-		e.mu.Lock()
 		still := e.waiting[res]
-		e.mu.Unlock()
 		if still {
 			_ = e.probe(res) //nolint:errcheck // probe failure retried on next interval
 		}
@@ -137,8 +129,7 @@ func (e *pollingSubEntity) FromPeer(_ protocol.Addr, pdu codec.MsgView) error {
 type pollingCtrlEntity struct {
 	ctx *protocol.Context
 
-	mu sync.Mutex
-	q  *resourceQueue
+	q *resourceQueue
 }
 
 var _ protocol.Entity = (*pollingCtrlEntity)(nil)
@@ -160,18 +151,13 @@ func (e *pollingCtrlEntity) FromPeer(src protocol.Addr, pdu codec.MsgView) error
 	sub, res := a.Sub, a.Res
 	switch {
 	case pdu.NameIs(pduAvailReq.Name()):
-		e.mu.Lock()
 		if !e.q.known(res) {
-			e.mu.Unlock()
 			return fmt.Errorf("floorcontrol: probe for unknown resource %q", res)
 		}
 		got := e.q.tryAcquire(sub, res)
-		e.mu.Unlock()
 		return pduAvailResp.Send(e.ctx, protocol.Addr(sub), availReply{Res: res, Available: got})
 	case pdu.NameIs(pduFree.Name()):
-		e.mu.Lock()
 		_, _, err := e.q.release(sub, res)
-		e.mu.Unlock()
 		return err
 	default:
 		return fmt.Errorf("floorcontrol: unexpected PDU %q at polling controller from %s", pdu.Name(), src)

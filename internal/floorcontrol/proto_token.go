@@ -2,7 +2,6 @@ package floorcontrol
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
 	"repro/internal/codec"
@@ -72,7 +71,6 @@ type tokenSubEntity struct {
 	hop  time.Duration
 	ctx  *protocol.Context
 
-	mu        sync.Mutex
 	wantRes   string
 	toRelease []string
 }
@@ -90,16 +88,12 @@ func (e *tokenSubEntity) FromUser(primitive string, params codec.Record) error {
 	res, _ := params[ParamResource].(string)
 	switch primitive {
 	case PrimRequest:
-		e.mu.Lock()
-		defer e.mu.Unlock()
 		if e.wantRes != "" {
 			return fmt.Errorf("floorcontrol: outstanding request for %q", e.wantRes)
 		}
 		e.wantRes = res
 		return nil
 	case PrimFree:
-		e.mu.Lock()
-		defer e.mu.Unlock()
 		e.toRelease = append(e.toRelease, res)
 		return nil
 	default:
@@ -122,7 +116,6 @@ func (e *tokenSubEntity) FromPeer(_ protocol.Addr, pdu codec.MsgView) error {
 
 // onToken applies releases, takes a wanted resource, and forwards.
 func (e *tokenSubEntity) onToken(avail []string) {
-	e.mu.Lock()
 	avail = append(avail, e.toRelease...)
 	e.toRelease = nil
 	grantedRes := ""
@@ -136,7 +129,6 @@ func (e *tokenSubEntity) onToken(avail []string) {
 			}
 		}
 	}
-	e.mu.Unlock()
 	if grantedRes != "" {
 		e.ctx.DeliverToUser(PrimGranted, codec.Record{ParamResource: grantedRes})
 	}

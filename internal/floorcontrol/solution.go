@@ -86,7 +86,7 @@ type Env struct {
 	// obsParams holds one observation params record per resource, built
 	// once per run and shared by every event observed for that resource
 	// (core.Event.Params is read-only). Never mutated after the run
-	// starts, so reads need no lock.
+	// starts.
 	obsParams map[string]codec.Record
 }
 
@@ -309,8 +309,7 @@ func decCtrlArgs(v codec.MsgView) (ctrlArgs, error) {
 // Retries can arrive after later fresh submissions from the same
 // subscriber (a limbo free redelivered after the next cycle's request),
 // so this must be an exact per-subscriber set — a high-watermark would
-// silently drop the reordered original. Callers serialize access under
-// the controller mutex.
+// silently drop the reordered original.
 type seenSeqs map[string]map[uint64]struct{}
 
 // dup reports whether (sub, seq) was already processed, recording fresh

@@ -28,10 +28,8 @@ var ErrUnavailable = errors.New("middleware: node unavailable")
 // network. Churn drivers call it from their crash hooks, alongside the
 // transport-level teardown (protocol.ReliableDatagram.NoteRestart).
 func (p *Platform) NodeDown(node Addr) {
-	p.mu.Lock()
 	id, ok := p.nodes[node]
 	if !ok {
-		p.mu.Unlock()
 		return
 	}
 	p.downNodes[id] = true
@@ -48,10 +46,9 @@ func (p *Platform) NodeDown(node Addr) {
 		pc.timer.Cancel() // zero ref is an inert no-op
 		delete(p.pending, cid)
 		conts = append(conts, pc.cont)
-		p.putCallLocked(pc)
+		p.putCall(pc)
 	}
 	p.stats.Unavailables += uint64(len(conts))
-	p.mu.Unlock()
 	for _, cont := range conts {
 		cont(codec.MsgView{}, fmt.Errorf("%w: %s crashed", ErrUnavailable, node))
 	}
@@ -74,8 +71,6 @@ func (p *Platform) AttachNode(node Addr) error {
 // again (the restarted incarnation keeps its registrations — state
 // recovery is the application's concern, not the platform's).
 func (p *Platform) NodeUp(node Addr) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	if id, ok := p.nodes[node]; ok {
 		p.downNodes[id] = false
 	}
@@ -83,8 +78,6 @@ func (p *Platform) NodeUp(node Addr) {
 
 // Down reports whether the node is currently marked down.
 func (p *Platform) Down(node Addr) bool {
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	id, ok := p.nodes[node]
 	return ok && p.downNodes[id]
 }
@@ -103,8 +96,6 @@ func (p *Platform) Rebind(ref ObjRef, node Addr, obj Object) error {
 	if err != nil {
 		return err
 	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	if _, ok := p.objects[ref]; !ok {
 		return fmt.Errorf("%w: %q", ErrUnknownObject, ref)
 	}
@@ -118,7 +109,5 @@ func (p *Platform) Rebind(ref ObjRef, node Addr, obj Object) error {
 // old profile's timers; new interactions are gated and priced by the new
 // one.
 func (p *Platform) SetProfile(profile Profile) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	p.profile = profile
 }

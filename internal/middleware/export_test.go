@@ -7,14 +7,12 @@ package middleware
 // as if it had arrived there from the runtime at src. Both nodes must be
 // attached.
 func (p *Platform) HandleWire(src, node Addr, data []byte) {
-	p.mu.Lock()
 	srcID, srcOK := p.nodes[src]
 	id, ok := p.nodes[node]
 	var srcLow int32
 	if srcOK {
 		srcLow = p.nodeLows[srcID]
 	}
-	p.mu.Unlock()
 	if !ok {
 		panic("middleware: HandleWire on an unattached node")
 	}

@@ -50,7 +50,7 @@ func WithFederation(leaves ...Addr) Option {
 // subscriber node, and handleEvent demuxes them to every co-located
 // sink. Rows grow amortized and are never rebuilt: per-client state is
 // one int32 in a row, one bit in the set, and one demux sink at the
-// node. Guarded by Platform.mu.
+// node.
 type topicTable struct {
 	rows   [][]int32 // row index → subscriber node lows, enrolment order
 	member []uint64  // bitset over transport lows
@@ -70,10 +70,10 @@ func (tt *topicTable) enroll(low int32, li int) {
 	}
 }
 
-// leafIndexOfLocked reports which leaf (if any) the platform node id
-// belongs to. Caller holds p.mu. The leaf table is small (a handful of
+// leafIndexOf reports which leaf (if any) the platform node id
+// belongs to. The leaf table is small (a handful of
 // leaves), so a linear scan beats any index.
-func (p *Platform) leafIndexOfLocked(nodeID int32) int {
+func (p *Platform) leafIndexOf(nodeID int32) int {
 	for i, id := range p.leafIDs {
 		if id == nodeID {
 			return i
@@ -92,7 +92,5 @@ func (p *Platform) AttachRuntime(node Addr) (int32, error) {
 	if err != nil {
 		return -1, err
 	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	return p.nodeLows[id], nil
 }

@@ -141,10 +141,8 @@ func TestFederatedShardAssignment(t *testing.T) {
 	if _, err := kernel.Run(); err != nil {
 		t.Fatal(err)
 	}
-	p.mu.Lock()
 	tt := p.topics["t"]
 	shard0, shard1 := tt.rows[0], tt.rows[1]
-	p.mu.Unlock()
 	want0, want1 := []int32{4, 6}, []int32{3, 5}
 	if len(shard0) != len(want0) || shard0[0] != want0[0] || shard0[1] != want0[1] {
 		t.Fatalf("leaf0 shard = %v, want %v", shard0, want0)
@@ -262,9 +260,7 @@ func TestFederationErrors(t *testing.T) {
 	if err := r.SubscribeTopicView("t", "n0", func(codec.MsgView) {}); err != nil {
 		t.Fatal(err)
 	}
-	r.mu.Lock()
 	leaves, rows := len(r.leaves), len(r.topics["t"].rows)
-	r.mu.Unlock()
 	if leaves != 0 || rows != 1 {
 		t.Fatalf("zero-leaf federation: %d leaves, %d rows; want 0 and the root's single row", leaves, rows)
 	}

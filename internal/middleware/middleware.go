@@ -37,7 +37,6 @@ package middleware
 import (
 	"errors"
 	"fmt"
-	"sync"
 	"time"
 
 	"repro/internal/codec"
@@ -254,8 +253,8 @@ type pendingCall struct {
 
 func (c *pendingCall) timeout() { c.p.onCallTimeout(c.id) }
 
-// getCallLocked pops (or creates) a pending-call cell. Caller holds p.mu.
-func (p *Platform) getCallLocked() *pendingCall {
+// getCall pops (or creates) a pending-call cell.
+func (p *Platform) getCall() *pendingCall {
 	c := p.freeCalls
 	if c != nil {
 		p.freeCalls = c.next
@@ -267,8 +266,8 @@ func (p *Platform) getCallLocked() *pendingCall {
 	return c
 }
 
-// putCallLocked recycles a resolved cell. Caller holds p.mu.
-func (p *Platform) putCallLocked(c *pendingCall) {
+// putCall recycles a resolved cell.
+func (p *Platform) putCall(c *pendingCall) {
 	c.cont = nil
 	c.timer = sim.TimerRef{}
 	c.next = p.freeCalls
@@ -350,10 +349,8 @@ func (d *deferredWire) run() {
 	buf := d.buf
 	d.buf = nil
 	buf.Release()
-	d.p.mu.Lock()
 	d.next = d.p.freeDeferred
 	d.p.freeDeferred = d
-	d.p.mu.Unlock()
 }
 
 // Platform is a simulated middleware platform instance spanning the
@@ -365,7 +362,6 @@ type Platform struct {
 	profile   Profile
 	broker    Addr
 
-	mu        sync.Mutex
 	objects   map[ObjRef]registration
 	nodes     map[Addr]int32 // runtime intern: addr → platform node id
 	nodeAddrs []Addr         // node id → addr
@@ -423,17 +419,13 @@ func (p *Platform) Time() *sim.Kernel { return p.kern }
 
 // Stats returns a snapshot of platform counters.
 func (p *Platform) Stats() Stats {
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	return p.stats
 }
 
 // ensureRuntime attaches the platform's wire-protocol receiver on a node
-// and returns the node's dense platform id. Caller must NOT hold p.mu.
+// and returns the node's dense platform id.
 func (p *Platform) ensureRuntime(node Addr) (int32, error) {
-	p.mu.Lock()
 	if id, ok := p.nodes[node]; ok {
-		p.mu.Unlock()
 		return id, nil
 	}
 	id := int32(len(p.nodeAddrs))
@@ -451,16 +443,13 @@ func (p *Platform) ensureRuntime(node Addr) (int32, error) {
 			p.leafIDs[i] = id
 		}
 	}
-	p.mu.Unlock()
 	low, err := p.transport.AttachIndexed(node, func(src int32, data []byte) {
 		p.onWire(src, id, data)
 	})
 	if err != nil {
 		return id, fmt.Errorf("middleware: attach runtime at %q: %w", node, err)
 	}
-	p.mu.Lock()
 	p.nodeLows[id] = low
-	p.mu.Unlock()
 	return id, nil
 }
 
@@ -473,8 +462,6 @@ func (p *Platform) Register(ref ObjRef, node Addr, obj Object) error {
 	if err != nil {
 		return err
 	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	if _, dup := p.objects[ref]; dup {
 		return fmt.Errorf("%w: %q", ErrDuplicateObject, ref)
 	}
@@ -485,8 +472,6 @@ func (p *Platform) Register(ref ObjRef, node Addr, obj Object) error {
 // Resolve reports the hosting node of an object reference — the naming
 // service every middleware provides.
 func (p *Platform) Resolve(ref ObjRef) (Addr, bool) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	reg, ok := p.objects[ref]
 	if !ok {
 		return "", false
@@ -503,10 +488,8 @@ func (p *Platform) Resolve(ref ObjRef) (Addr, bool) {
 //
 //repolint:hotpath
 func (p *Platform) sendData(from, to int32, data []byte) error {
-	p.mu.Lock()
 	p.stats.WireMessages++
 	p.stats.WireBytes += uint64(len(data))
-	p.mu.Unlock()
 	if to < 0 {
 		return fmt.Errorf("middleware: wire send from %s: %w", p.transport.EndpointAddr(from), protocol.ErrUnknownEntity) //repolint:allow alloc -- cold: destination not attached
 	}
@@ -529,18 +512,16 @@ func (p *Platform) forward(from int32, row []int32, data []byte) {
 		return
 	}
 	n := uint64(len(row))
-	p.mu.Lock()
 	p.stats.EventDeliver += n
 	p.stats.WireMessages += n
 	p.stats.WireBytes += n * uint64(len(data))
-	p.mu.Unlock()
 	//nolint:errcheck // event delivery failure = event loss, acceptable for pub/sub sim
 	_ = p.transport.SendMultiIndexed(from, row, data)
 }
 
-// brokerLowLocked returns the broker's transport id (-1 while its
-// runtime is not attached). Caller holds p.mu.
-func (p *Platform) brokerLowLocked() int32 {
+// brokerLow returns the broker's transport id (-1 while its
+// runtime is not attached).
+func (p *Platform) brokerLow() int32 {
 	if p.brokerID < 0 {
 		return -1
 	}

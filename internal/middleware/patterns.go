@@ -67,19 +67,17 @@ func (p *Platform) Invoke(from Addr, target ObjRef, op string, args []byte, cont
 	if err != nil {
 		return err
 	}
-	p.mu.Lock()
 	reg, ok := p.objects[target]
 	if !ok {
-		p.mu.Unlock()
 		return fmt.Errorf("%w: %q", ErrUnknownObject, target) //repolint:allow alloc -- cold: unknown target
 	}
 	if p.downNodes[reg.nodeID] || p.downNodes[fromID] {
-		p.failFastLocked(reg.nodeID, fromID, cont)
+		p.failFast(reg.nodeID, fromID, cont)
 		return nil
 	}
 	p.nextCall++
 	id := p.nextCall
-	pc := p.getCallLocked()
+	pc := p.getCall()
 	pc.id, pc.cont, pc.node, pc.caller = id, cont, reg.nodeID, fromID
 	if p.profile.CallTimeout > 0 {
 		pc.timer = p.kern.ScheduleFuncRef(p.profile.CallTimeout, pc.onTimeout)
@@ -87,7 +85,6 @@ func (p *Platform) Invoke(from Addr, target ObjRef, op string, args []byte, cont
 	p.pending[id] = pc
 	p.stats.Calls++
 	fromLow, toLow := p.nodeLows[fromID], p.nodeLows[reg.nodeID]
-	p.mu.Unlock()
 
 	if args == nil {
 		args = codec.RawEmptyRecord
@@ -99,13 +96,11 @@ func (p *Platform) Invoke(from Addr, target ObjRef, op string, args []byte, cont
 	e.Str("op", op)
 	e.Str("target", string(target))
 	if err := p.finishSend(buf, &e, fromLow, toLow); err != nil {
-		p.mu.Lock()
 		if pc, ok := p.pending[id]; ok {
 			pc.timer.Cancel() // zero ref is an inert no-op
 			delete(p.pending, id)
-			p.putCallLocked(pc)
+			p.putCall(pc)
 		}
-		p.mu.Unlock()
 		return err
 	}
 	return nil
@@ -117,37 +112,33 @@ func discardResult(codec.MsgView, error) {}
 // discardReply is the reply continuation of oneway dispatches.
 func discardReply([]byte, error) {}
 
-// failFastLocked fails a call whose callee or caller node is down, but
+// failFast fails a call whose callee or caller node is down, but
 // asynchronously: callers treat a synchronous Invoke error as a
 // programming mistake, while ErrUnavailable is an operational outcome
 // that belongs on the continuation. The caller's own node being down
 // fails the same way — a crashed node cannot transmit, so letting the
 // call proceed would leak a request the wire silently drops and a
-// pending entry nothing ever resolves. Caller holds p.mu; it is
-// released here.
-func (p *Platform) failFastLocked(calleeID, callerID int32, cont func(codec.MsgView, error)) {
+// pending entry nothing ever resolves.
+func (p *Platform) failFast(calleeID, callerID int32, cont func(codec.MsgView, error)) {
 	down := p.nodeAddrs[calleeID]
 	if p.downNodes[callerID] {
 		down = p.nodeAddrs[callerID]
 	}
 	p.stats.Unavailables++
-	p.mu.Unlock()
 	p.kern.ScheduleFunc(0, func() {
 		cont(codec.MsgView{}, fmt.Errorf("%w: %s is down", ErrUnavailable, down))
 	})
 }
 
 func (p *Platform) onCallTimeout(id uint64) {
-	p.mu.Lock()
 	pc, ok := p.pending[id]
 	var cont func(codec.MsgView, error)
 	if ok {
 		delete(p.pending, id)
 		p.stats.Timeouts++
 		cont = pc.cont
-		p.putCallLocked(pc)
+		p.putCall(pc)
 	}
-	p.mu.Unlock()
 	if ok {
 		cont(codec.MsgView{}, fmt.Errorf("%w: call %d", ErrCallTimeout, id))
 	}
@@ -164,15 +155,12 @@ func (p *Platform) InvokeOneway(from Addr, target ObjRef, op string, args []byte
 	if err != nil {
 		return err
 	}
-	p.mu.Lock()
 	reg, ok := p.objects[target]
 	if !ok {
-		p.mu.Unlock()
 		return fmt.Errorf("%w: %q", ErrUnknownObject, target)
 	}
 	p.stats.Oneways++
 	fromLow, toLow := p.nodeLows[fromID], p.nodeLows[reg.nodeID]
-	p.mu.Unlock()
 	if args == nil {
 		args = codec.RawEmptyRecord
 	}
@@ -192,8 +180,6 @@ func (p *Platform) QueueDeclare(name string) error {
 	if _, err := p.ensureRuntime(p.broker); err != nil {
 		return err
 	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	if _, dup := p.queues[name]; dup {
 		return fmt.Errorf("%w: %q", ErrDuplicateQueue, name)
 	}
@@ -215,14 +201,11 @@ func (p *Platform) QueuePut(from Addr, queue, name string, fields []byte) error 
 	if err != nil {
 		return err
 	}
-	p.mu.Lock()
 	if _, ok := p.queues[queue]; !ok {
-		p.mu.Unlock()
 		return fmt.Errorf("%w: %q", ErrUnknownQueue, queue)
 	}
 	p.stats.QueuePuts++
-	fromLow, toLow := p.nodeLows[fromID], p.brokerLowLocked()
-	p.mu.Unlock()
+	fromLow, toLow := p.nodeLows[fromID], p.brokerLow()
 	if fields == nil {
 		fields = codec.RawEmptyRecord
 	}
@@ -258,10 +241,8 @@ func (p *Platform) QueueSubscribe(queue string, node Addr, fn func(codec.MsgView
 	if _, err := p.ensureRuntime(p.broker); err != nil {
 		return err
 	}
-	p.mu.Lock()
 	q, ok := p.queues[queue]
 	if !ok {
-		p.mu.Unlock()
 		return fmt.Errorf("%w: %q", ErrUnknownQueue, queue)
 	}
 	q.consumers = append(q.consumers, queueConsumer{nodeID: nodeID})
@@ -275,7 +256,6 @@ func (p *Platform) QueueSubscribe(queue string, node Addr, fn func(codec.MsgView
 	p.queueSinks[nodeID] = sinks
 	backlog := q.backlog
 	q.backlog = nil
-	p.mu.Unlock()
 	for _, m := range backlog {
 		p.deliverQueued(queue, m.name, m.fields)
 	}
@@ -287,10 +267,8 @@ func (p *Platform) QueueSubscribe(queue string, node Addr, fn func(codec.MsgView
 // Without a consumer the message joins the queue's backlog as a copy:
 // name and fields may alias a delivery buffer.
 func (p *Platform) deliverQueued(queue string, name, fields []byte) {
-	p.mu.Lock()
 	q, ok := p.queues[queue]
 	if !ok {
-		p.mu.Unlock()
 		return
 	}
 	if len(q.consumers) == 0 {
@@ -298,14 +276,12 @@ func (p *Platform) deliverQueued(queue string, name, fields []byte) {
 			name:   append([]byte(nil), name...),
 			fields: append([]byte(nil), fields...),
 		})
-		p.mu.Unlock()
 		return
 	}
 	c := q.consumers[q.nextRR%len(q.consumers)]
 	q.nextRR++
 	p.stats.QueueDeliver++
-	fromLow, toLow := p.brokerLowLocked(), p.nodeLows[c.nodeID]
-	p.mu.Unlock()
+	fromLow, toLow := p.brokerLow(), p.nodeLows[c.nodeID]
 	buf := codec.GetBuffer()
 	e := schemaDeliver.Encoder(buf.B[:0])
 	e.Raw("fields", fields)
@@ -325,10 +301,8 @@ func (p *Platform) Publish(from Addr, topic string, m codec.Message) error {
 	if err != nil {
 		return err
 	}
-	p.mu.Lock()
 	p.stats.Publishes++
-	fromLow, toLow := p.nodeLows[fromID], p.brokerLowLocked()
-	p.mu.Unlock()
+	fromLow, toLow := p.nodeLows[fromID], p.brokerLow()
 	buf := codec.GetBuffer()
 	e := schemaPublish.Encoder(buf.B[:0])
 	e.Value("fields", m.Fields)
@@ -374,7 +348,6 @@ func (p *Platform) subscribeTopic(topic string, node Addr, sink eventSink) error
 	if _, err := p.ensureRuntime(p.broker); err != nil {
 		return err
 	}
-	p.mu.Lock()
 	tt := p.topics[topic]
 	if tt == nil {
 		tt = &topicTable{rows: make([][]int32, max(1, len(p.leaves)))}
@@ -386,7 +359,6 @@ func (p *Platform) subscribeTopic(topic string, node Addr, sink eventSink) error
 	}
 	tt.enroll(low, li)
 	p.eventSinks[nodeID] = append(p.eventSinks[nodeID], sink)
-	p.mu.Unlock()
 	if li < len(p.leaves) {
 		// The leaf runtime must be live before the first publish reaches it.
 		if _, err := p.ensureRuntime(p.leaves[li]); err != nil {
@@ -405,7 +377,6 @@ func (p *Platform) subscribeTopic(topic string, node Addr, sink eventSink) error
 func (p *Platform) onWire(src, atID int32, data []byte) {
 	overhead := p.profile.DispatchOverhead
 	if overhead > 0 {
-		p.mu.Lock()
 		d := p.freeDeferred
 		if d != nil {
 			p.freeDeferred = d.next
@@ -414,7 +385,6 @@ func (p *Platform) onWire(src, atID int32, data []byte) {
 			d = &deferredWire{p: p}
 			d.fn = d.run
 		}
-		p.mu.Unlock()
 		d.src, d.atID = src, atID
 		buf := codec.GetBuffer()
 		buf.B = append(buf.B[:0], data...)
@@ -431,7 +401,7 @@ func (p *Platform) onWire(src, atID int32, data []byte) {
 func (p *Platform) handleWire(src, atID int32, data []byte) {
 	v, err := codec.ParseMessage(data)
 	if err != nil {
-		p.countCorrupt()
+		p.stats.Corrupt++
 		return
 	}
 	switch string(v.Name()) {
@@ -452,22 +422,13 @@ func (p *Platform) handleWire(src, atID int32, data []byte) {
 	}
 }
 
-// countCorrupt records one dropped malformed wire message.
-func (p *Platform) countCorrupt() {
-	p.mu.Lock()
-	p.stats.Corrupt++
-	p.mu.Unlock()
-}
-
 // lookupLocal finds the object registration for a wire message's target,
 // verifying it is hosted at the receiving node (a dense-id compare).
 //
 //repolint:hotpath
 func (p *Platform) lookupLocal(atID int32, v *codec.MsgView) (Object, bool) {
 	target, _ := v.Str("target")
-	p.mu.Lock()
 	reg, ok := p.objects[ObjRef(target)]
-	p.mu.Unlock()
 	if !ok || reg.nodeID != atID {
 		return nil, false
 	}
@@ -484,7 +445,7 @@ func (p *Platform) lookupLocal(atID int32, v *codec.MsgView) (Object, bool) {
 func (p *Platform) recordField(v *codec.MsgView, field string) (codec.MsgView, bool) {
 	rec, ok := v.View(field)
 	if !ok {
-		p.countCorrupt()
+		p.stats.Corrupt++
 	}
 	return rec, ok
 }
@@ -493,13 +454,11 @@ func (p *Platform) recordField(v *codec.MsgView, field string) (codec.MsgView, b
 //
 //repolint:hotpath
 func (p *Platform) getReplyCell() *replyCell {
-	p.mu.Lock()
 	c := p.freeReply
 	if c != nil {
 		p.freeReply = c.next
 		c.next = nil
 	}
-	p.mu.Unlock()
 	if c == nil {
 		c = &replyCell{p: p}
 		c.fn = c.respond
@@ -511,10 +470,8 @@ func (p *Platform) getReplyCell() *replyCell {
 //
 //repolint:hotpath
 func (p *Platform) putReplyCell(c *replyCell) {
-	p.mu.Lock()
 	c.next = p.freeReply
 	p.freeReply = c
-	p.mu.Unlock()
 }
 
 // handleCall dispatches one mw.call to its object with a pooled reply
@@ -530,9 +487,7 @@ func (p *Platform) handleCall(src, atID int32, v *codec.MsgView) {
 	}
 	obj, ok := p.lookupLocal(atID, v)
 	if !ok {
-		p.mu.Lock()
 		at := p.nodeLows[atID]
-		p.mu.Unlock()
 		p.sendReply(id, at, src, nil, errUnknownAtNode)
 		return
 	}
@@ -559,10 +514,8 @@ func (c *replyCell) respond(result []byte, err error) {
 	}
 	c.armed = false
 	p := c.p
-	p.mu.Lock()
 	p.stats.Replies++
 	at := p.nodeLows[c.atID]
-	p.mu.Unlock()
 	p.sendReply(c.id, at, c.src, result, err)
 }
 
@@ -602,20 +555,18 @@ func (p *Platform) handleReply(v *codec.MsgView) {
 	if !hasErr {
 		var ok bool
 		if result, ok = v.View("result"); !ok {
-			p.countCorrupt()
+			p.stats.Corrupt++
 			return
 		}
 	}
-	p.mu.Lock()
 	pc, ok := p.pending[id]
 	var cont func(codec.MsgView, error)
 	if ok {
 		delete(p.pending, id)
 		pc.timer.Cancel() // zero ref is an inert no-op
 		cont = pc.cont
-		p.putCallLocked(pc)
+		p.putCall(pc)
 	}
-	p.mu.Unlock()
 	if !ok {
 		return // late reply after timeout
 	}
@@ -661,7 +612,6 @@ func (p *Platform) handleEnqueue(v *codec.MsgView) {
 func (p *Platform) handleDeliver(atID int32, v *codec.MsgView) {
 	queue, _ := v.Str("queue")
 	var fn func(codec.MsgView)
-	p.mu.Lock()
 	sinks := p.queueSinks[atID]
 	for i := range sinks {
 		if s := &sinks[i]; s.queue == string(queue) {
@@ -670,7 +620,6 @@ func (p *Platform) handleDeliver(atID int32, v *codec.MsgView) {
 			break
 		}
 	}
-	p.mu.Unlock()
 	if fn != nil {
 		fn(*v)
 	}
@@ -687,16 +636,14 @@ func (p *Platform) handleDeliver(atID int32, v *codec.MsgView) {
 // slice-indexed.
 func (p *Platform) handlePublish(v *codec.MsgView) {
 	topic, _ := v.Str("topic")
-	p.mu.Lock()
 	tt := p.topics[string(topic)]
-	fromLow := p.brokerLowLocked()
-	var row []int32
-	if tt != nil && len(p.leaves) == 0 {
-		row = tt.rows[0]
-	}
-	p.mu.Unlock()
 	if tt == nil {
 		return
+	}
+	fromLow := p.brokerLow()
+	var row []int32
+	if len(p.leaves) == 0 {
+		row = tt.rows[0]
 	}
 	rawName, ok := v.Raw("name")
 	if !ok {
@@ -722,15 +669,12 @@ func (p *Platform) handlePublish(v *codec.MsgView) {
 	}
 	p.forward(fromLow, row, data)
 	for li := range p.leaves {
-		p.mu.Lock()
-		empty := len(tt.rows[li]) == 0
-		var leafLow int32 = -1
-		if id := p.leafIDs[li]; !empty && id >= 0 {
-			leafLow = p.nodeLows[id]
-		}
-		p.mu.Unlock()
-		if empty {
+		if len(tt.rows[li]) == 0 {
 			continue
+		}
+		var leafLow int32 = -1
+		if id := p.leafIDs[li]; id >= 0 {
+			leafLow = p.nodeLows[id]
 		}
 		//nolint:errcheck // event delivery failure = event loss, acceptable for pub/sub sim
 		_ = p.sendData(fromLow, leafLow, data)
@@ -750,19 +694,16 @@ func (p *Platform) handlePublish(v *codec.MsgView) {
 // subscription order.
 func (p *Platform) handleEvent(atID int32, v *codec.MsgView, data []byte) {
 	topic, _ := v.Str("topic")
-	p.mu.Lock()
-	if li := p.leafIndexOfLocked(atID); li >= 0 {
+	if li := p.leafIndexOf(atID); li >= 0 {
 		var row []int32
 		if tt := p.topics[string(topic)]; tt != nil {
 			row = tt.rows[li]
 		}
 		leafLow := p.nodeLows[atID]
-		p.mu.Unlock()
 		p.forward(leafLow, row, data)
 		return
 	}
 	sinks := p.eventSinks[atID]
-	p.mu.Unlock()
 	for i := range sinks {
 		if sinks[i].topic == string(topic) {
 			sinks[i].fn(*v)

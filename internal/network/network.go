@@ -35,7 +35,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"sync"
 	"time"
 
 	"repro/internal/codec"
@@ -156,7 +155,6 @@ type delivery struct {
 
 func (d *delivery) run() {
 	n := d.n
-	n.mu.Lock()
 	var h SlotHandler
 	if int(d.dst) < len(n.handlers) {
 		if n.crashed[d.dst] || n.incs[d.dst] != d.dstInc {
@@ -171,17 +169,14 @@ func (d *delivery) run() {
 	if h != nil {
 		n.stats.Delivered++
 	}
-	n.mu.Unlock()
 	if h != nil {
 		h(d.src, d.buf.B)
 	}
 	buf := d.buf
 	d.buf = nil
 	buf.Release()
-	n.mu.Lock()
 	d.next = n.freeDeliveries
 	n.freeDeliveries = d
-	n.mu.Unlock()
 }
 
 // Network is the simulated interconnection fabric. Create one with New.
@@ -190,7 +185,6 @@ type Network struct {
 	rng         *rand.Rand // kern.Rand(), cached: the kernel returns a stable source
 	defaultLink LinkConfig
 
-	mu       sync.Mutex
 	slots    map[NodeID]Slot
 	ids      []NodeID      // slot → name
 	handlers []SlotHandler // slot → delivery handler
@@ -244,8 +238,6 @@ func (n *Network) Register(id NodeID, h SlotHandler) (Slot, error) {
 	if h == nil {
 		return -1, fmt.Errorf("network: nil handler for node %q", id)
 	}
-	n.mu.Lock()
-	defer n.mu.Unlock()
 	if _, ok := n.slots[id]; ok {
 		return -1, fmt.Errorf("%w: %q", ErrDuplicateNode, id)
 	}
@@ -256,8 +248,8 @@ func (n *Network) Register(id NodeID, h SlotHandler) (Slot, error) {
 	n.crashed = append(n.crashed, false)
 	n.incs = append(n.incs, 1)
 	n.rows = append(n.rows, nil)
-	n.ensureRowWidthLocked(len(n.ids))
-	n.materializeNodeLocked(id, s)
+	n.ensureRowWidth(len(n.ids))
+	n.materializeNode(id, s)
 	return s, nil
 }
 
@@ -272,14 +264,11 @@ func (n *Network) AddNode(id NodeID, h Handler) error {
 }
 
 // wrapHandler adapts a name-addressed Handler to the slot plane. The
-// source name is resolved under the lock because the slot→name slice may
-// be growing concurrently.
+// source name is resolved per delivery, since the slot→name slice grows
+// as nodes register.
 func (n *Network) wrapHandler(h Handler) SlotHandler {
 	return func(src Slot, payload []byte) {
-		n.mu.Lock()
-		id := n.ids[src]
-		n.mu.Unlock()
-		h(id, payload)
+		h(n.ids[src], payload)
 	}
 }
 
@@ -301,8 +290,6 @@ func (n *Network) SetSlotHandler(id NodeID, h SlotHandler) error {
 }
 
 func (n *Network) setSlotHandler(id NodeID, h SlotHandler) error {
-	n.mu.Lock()
-	defer n.mu.Unlock()
 	s, ok := n.slots[id]
 	if !ok {
 		return fmt.Errorf("%w: %q", ErrUnknownNode, id)
@@ -313,8 +300,6 @@ func (n *Network) setSlotHandler(id NodeID, h SlotHandler) error {
 
 // SlotOf resolves a node name to its dense slot.
 func (n *Network) SlotOf(id NodeID) (Slot, bool) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
 	s, ok := n.slots[id]
 	return s, ok
 }
@@ -322,8 +307,6 @@ func (n *Network) SlotOf(id NodeID) (Slot, bool) {
 // IDOf resolves a slot back to its node name. It returns "" for slots
 // the network never issued.
 func (n *Network) IDOf(s Slot) NodeID {
-	n.mu.Lock()
-	defer n.mu.Unlock()
 	if s < 0 || int(s) >= len(n.ids) {
 		return ""
 	}
@@ -333,25 +316,21 @@ func (n *Network) IDOf(s Slot) NodeID {
 // NumSlots returns the number of slots issued so far (slots are
 // 0..NumSlots-1).
 func (n *Network) NumSlots() int {
-	n.mu.Lock()
-	defer n.mu.Unlock()
 	return len(n.ids)
 }
 
 // Nodes returns the registered node ids in unspecified order.
 func (n *Network) Nodes() []NodeID {
-	n.mu.Lock()
-	defer n.mu.Unlock()
 	out := make([]NodeID, len(n.ids))
 	copy(out, n.ids)
 	return out
 }
 
-// ensureRowWidthLocked grows the row width so materialized rows cover
+// ensureRowWidth grows the row width so materialized rows cover
 // count slots. Growth is geometric and only already-materialized rows
 // are copied — nil rows (the overwhelming majority at scale) cost
 // nothing.
-func (n *Network) ensureRowWidthLocked(count int) {
+func (n *Network) ensureRowWidth(count int) {
 	if count <= n.rowW {
 		return
 	}
@@ -373,20 +352,20 @@ func (n *Network) ensureRowWidthLocked(count int) {
 	n.rowW = w
 }
 
-// rowLocked returns the materialized link row of src, creating it on
+// rowOf returns the materialized link row of src, creating it on
 // first use. Only sources with explicit link configuration ever get a
 // row.
-func (n *Network) rowLocked(src Slot) []linkState {
+func (n *Network) rowOf(src Slot) []linkState {
 	if n.rows[src] == nil {
 		n.rows[src] = make([]linkState, n.rowW)
 	}
 	return n.rows[src]
 }
 
-// materializeNodeLocked fills the link cells involving a newly
+// materializeNode fills the link cells involving a newly
 // registered node from the configuration maps (SetLink/Partition calls
 // may predate registration).
-func (n *Network) materializeNodeLocked(id NodeID, s Slot) {
+func (n *Network) materializeNode(id NodeID, s Slot) {
 	for k, cfg := range n.links {
 		if k.src != id && k.dst != id {
 			continue
@@ -394,7 +373,7 @@ func (n *Network) materializeNodeLocked(id NodeID, s Slot) {
 		si, ok1 := n.slots[k.src]
 		di, ok2 := n.slots[k.dst]
 		if ok1 && ok2 {
-			c := &n.rowLocked(si)[di]
+			c := &n.rowOf(si)[di]
 			c.cfg, c.explicit = cfg, true
 		}
 	}
@@ -405,7 +384,7 @@ func (n *Network) materializeNodeLocked(id NodeID, s Slot) {
 		si, ok1 := n.slots[k.src]
 		di, ok2 := n.slots[k.dst]
 		if ok1 && ok2 {
-			n.rowLocked(si)[di].partitioned = true
+			n.rowOf(si)[di].partitioned = true
 		}
 	}
 }
@@ -416,12 +395,10 @@ func (n *Network) SetLink(src, dst NodeID, cfg LinkConfig) error {
 	if err := cfg.validate(); err != nil {
 		return err
 	}
-	n.mu.Lock()
-	defer n.mu.Unlock()
 	n.links[linkKey{src, dst}] = cfg
 	if si, ok := n.slots[src]; ok {
 		if di, ok := n.slots[dst]; ok {
-			c := &n.rowLocked(si)[di]
+			c := &n.rowOf(si)[di]
 			c.cfg, c.explicit = cfg, true
 		}
 	}
@@ -462,8 +439,6 @@ func (n *Network) HealBoth(a, b NodeID) {
 }
 
 func (n *Network) setPartition(src, dst NodeID, cut bool) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
 	if cut {
 		n.partition[linkKey{src, dst}] = true
 	} else {
@@ -472,7 +447,7 @@ func (n *Network) setPartition(src, dst NodeID, cut bool) {
 	if si, ok := n.slots[src]; ok {
 		if di, ok := n.slots[dst]; ok {
 			if cut {
-				n.rowLocked(si)[di].partitioned = true
+				n.rowOf(si)[di].partitioned = true
 			} else if row := n.rows[si]; row != nil {
 				row[di].partitioned = false
 			}
@@ -487,8 +462,6 @@ func (n *Network) setPartition(src, dst NodeID, cut bool) {
 // Send resolves both names on entry; steady-state senders should resolve
 // once and use SendSlot.
 func (n *Network) Send(src, dst NodeID, payload []byte) error {
-	n.mu.Lock()
-	defer n.mu.Unlock()
 	ss, ok := n.slots[src]
 	if !ok {
 		return fmt.Errorf("%w: source %q", ErrUnknownNode, src)
@@ -497,16 +470,7 @@ func (n *Network) Send(src, dst NodeID, payload []byte) error {
 	if !ok {
 		return fmt.Errorf("%w: destination %q", ErrUnknownNode, dst)
 	}
-	// The batch is staged in the lock-protected scratch slice, reused
-	// across sends so the per-datagram path does not allocate.
-	entries, err := n.transmitLocked(n.rng, ss, ds, payload, n.scratch[:0])
-	if err != nil {
-		n.scratch = entries[:0]
-		return err
-	}
-	n.kern.ScheduleBatch(entries)
-	n.scratch = entries[:0]
-	return nil
+	return n.SendSlot(ss, ds, payload)
 }
 
 // SendSlot is the dense-plane Send: both endpoints are named by slot and
@@ -515,30 +479,25 @@ func (n *Network) Send(src, dst NodeID, payload []byte) error {
 //
 //repolint:hotpath
 func (n *Network) SendSlot(src, dst Slot, payload []byte) error {
-	n.mu.Lock()
-	defer n.mu.Unlock()
 	if int(src) >= len(n.ids) || src < 0 {
 		return fmt.Errorf("%w: source %d", ErrBadSlot, src) //repolint:allow alloc -- cold: caller passed an invalid slot
 	}
 	if int(dst) >= len(n.ids) || dst < 0 {
 		return fmt.Errorf("%w: destination %d", ErrBadSlot, dst) //repolint:allow alloc -- cold: caller passed an invalid slot
 	}
-	// Staged in the scratch slice (see Send).
-	entries, err := n.transmitLocked(n.rng, src, dst, payload, n.scratch[:0])
-	if err != nil {
-		n.scratch = entries[:0]
-		return err
-	}
+	// The deliveries are staged in the scratch slice, reused across sends
+	// so the per-datagram path does not allocate.
+	entries, err := n.transmit(src, dst, payload, n.scratch[:0])
 	n.kern.ScheduleBatch(entries)
 	n.scratch = entries[:0]
-	return nil
+	return err
 }
 
 // SendMultiSlot transmits payload from src to every destination in
 // order, with per-destination link behaviour exactly as if SendSlot were
 // called once per destination (same random-draw order, so traces are
-// unchanged), but schedules all resulting deliveries through the
-// kernel's batch path in a single lock acquisition. Destinations that
+// unchanged), but schedules all resulting deliveries in one kernel
+// ScheduleBatch call. Destinations that
 // fail validation (bad slot, MTU) are skipped; the first such error is
 // returned after all other destinations have been processed. The batch
 // scratch is reused across calls, so steady-state fan-out allocates
@@ -546,13 +505,10 @@ func (n *Network) SendSlot(src, dst Slot, payload []byte) error {
 //
 //repolint:hotpath
 func (n *Network) SendMultiSlot(src Slot, dsts []Slot, payload []byte) error {
-	n.mu.Lock()
-	defer n.mu.Unlock()
 	if int(src) >= len(n.ids) || src < 0 {
 		return fmt.Errorf("%w: source %d", ErrBadSlot, src) //repolint:allow alloc -- cold: caller passed an invalid slot
 	}
 	var firstErr error
-	rng := n.rng
 	entries := n.scratch[:0]
 	for _, dst := range dsts {
 		if int(dst) >= len(n.ids) || dst < 0 {
@@ -562,7 +518,7 @@ func (n *Network) SendMultiSlot(src Slot, dsts []Slot, payload []byte) error {
 			continue
 		}
 		var err error
-		entries, err = n.transmitLocked(rng, src, dst, payload, entries)
+		entries, err = n.transmit(src, dst, payload, entries)
 		if err != nil && firstErr == nil {
 			firstErr = err
 		}
@@ -572,14 +528,13 @@ func (n *Network) SendMultiSlot(src Slot, dsts []Slot, payload []byte) error {
 	return firstErr
 }
 
-// transmitLocked validates one src→dst datagram, applies partition, loss
+// transmit validates one src→dst datagram, applies partition, loss
 // and duplication, and appends the resulting delivery events (0, 1 or 2)
-// to entries. It must be called with n.mu held, and consumes kernel
-// randomness in a fixed order (loss, jitter, duplicate, duplicate jitter)
-// to keep traces deterministic.
+// to entries. It consumes kernel randomness in a fixed order (loss,
+// jitter, duplicate, duplicate jitter) to keep traces deterministic.
 //
 //repolint:hotpath
-func (n *Network) transmitLocked(rng *rand.Rand, src, dst Slot, payload []byte, entries []sim.BatchEntry) ([]sim.BatchEntry, error) {
+func (n *Network) transmit(src, dst Slot, payload []byte, entries []sim.BatchEntry) ([]sim.BatchEntry, error) {
 	// Unconfigured sources have a nil row — the default-link fast path
 	// that keeps link state O(N) on XL fabrics.
 	var cell *linkState
@@ -603,31 +558,32 @@ func (n *Network) transmitLocked(rng *rand.Rand, src, dst Slot, payload []byte, 
 		n.stats.Dropped++
 		return entries, nil
 	}
+	rng := n.rng
 	if cfg.LossRate > 0 && rng.Float64() < cfg.LossRate {
 		n.stats.Dropped++
 		return entries, nil
 	}
 	buf := codec.GetBuffer()
 	buf.B = append(buf.B[:0], payload...)
-	entries = append(entries, n.deliveryLocked(rng, src, dst, cfg, buf))
+	entries = append(entries, n.newDelivery(src, dst, cfg, buf))
 	if cfg.DuplicateRate > 0 && rng.Float64() < cfg.DuplicateRate {
 		dup := codec.GetBuffer()
 		dup.B = append(dup.B[:0], payload...)
-		entries = append(entries, n.deliveryLocked(rng, src, dst, cfg, dup))
+		entries = append(entries, n.newDelivery(src, dst, cfg, dup))
 	}
 	return entries, nil
 }
 
-// deliveryLocked draws the link jitter and builds the delivery event for
-// one datagram copy from the pooled delivery free list. It must be
-// called with n.mu held. The pooled buffer is recycled as soon as the
-// handler returns (see Handler's aliasing contract).
+// newDelivery draws the link jitter and builds the delivery event for
+// one datagram copy from the pooled delivery free list. The pooled
+// buffer is recycled as soon as the handler returns (see Handler's
+// aliasing contract).
 //
 //repolint:hotpath
-func (n *Network) deliveryLocked(rng *rand.Rand, src, dst Slot, cfg *LinkConfig, buf *codec.Buffer) sim.BatchEntry {
+func (n *Network) newDelivery(src, dst Slot, cfg *LinkConfig, buf *codec.Buffer) sim.BatchEntry {
 	delay := cfg.Latency
 	if cfg.Jitter > 0 {
-		delay += time.Duration(rng.Int63n(int64(cfg.Jitter)))
+		delay += time.Duration(n.rng.Int63n(int64(cfg.Jitter)))
 	}
 	d := n.freeDeliveries
 	if d != nil {
@@ -649,8 +605,6 @@ func (n *Network) deliveryLocked(rng *rand.Rand, src, dst Slot, cfg *LinkConfig,
 // already-crashed node is an error (fault plans alternate crash/restart
 // per node; a double crash indicates a scheduling bug).
 func (n *Network) Crash(id NodeID) error {
-	n.mu.Lock()
-	defer n.mu.Unlock()
 	s, ok := n.slots[id]
 	if !ok {
 		return fmt.Errorf("%w: %q", ErrUnknownNode, id)
@@ -668,8 +622,6 @@ func (n *Network) Crash(id NodeID) error {
 // arrival; new traffic flows normally. Higher layers observe the
 // incarnation change (IncarnationOfSlot) to tear down stale flow state.
 func (n *Network) Restart(id NodeID) error {
-	n.mu.Lock()
-	defer n.mu.Unlock()
 	s, ok := n.slots[id]
 	if !ok {
 		return fmt.Errorf("%w: %q", ErrUnknownNode, id)
@@ -685,8 +637,6 @@ func (n *Network) Restart(id NodeID) error {
 // Crashed reports whether a node is currently crashed. Unknown nodes
 // report false.
 func (n *Network) Crashed(id NodeID) bool {
-	n.mu.Lock()
-	defer n.mu.Unlock()
 	s, ok := n.slots[id]
 	return ok && n.crashed[s]
 }
@@ -694,8 +644,6 @@ func (n *Network) Crashed(id NodeID) bool {
 // CrashedSlot is the dense-plane Crashed. Out-of-range slots report
 // false.
 func (n *Network) CrashedSlot(s Slot) bool {
-	n.mu.Lock()
-	defer n.mu.Unlock()
 	return s >= 0 && int(s) < len(n.crashed) && n.crashed[s]
 }
 
@@ -703,8 +651,6 @@ func (n *Network) CrashedSlot(s Slot) bool {
 // that has never crashed; each Restart increments it). Unknown nodes
 // report 0.
 func (n *Network) Incarnation(id NodeID) uint32 {
-	n.mu.Lock()
-	defer n.mu.Unlock()
 	s, ok := n.slots[id]
 	if !ok {
 		return 0
@@ -715,8 +661,6 @@ func (n *Network) Incarnation(id NodeID) uint32 {
 // IncarnationOfSlot is the dense-plane Incarnation. Out-of-range slots
 // report 0.
 func (n *Network) IncarnationOfSlot(s Slot) uint32 {
-	n.mu.Lock()
-	defer n.mu.Unlock()
 	if s < 0 || int(s) >= len(n.incs) {
 		return 0
 	}
@@ -725,15 +669,11 @@ func (n *Network) IncarnationOfSlot(s Slot) uint32 {
 
 // Stats returns a snapshot of the network counters.
 func (n *Network) Stats() Stats {
-	n.mu.Lock()
-	defer n.mu.Unlock()
 	return n.stats
 }
 
 // ResetStats zeroes the network counters; experiments call it between
 // warm-up and measurement phases.
 func (n *Network) ResetStats() {
-	n.mu.Lock()
-	defer n.mu.Unlock()
 	n.stats = Stats{}
 }

@@ -2,7 +2,6 @@ package protocol
 
 import (
 	"fmt"
-	"sync"
 	"testing"
 	"time"
 
@@ -234,55 +233,60 @@ func TestReliableNoteRestartCancelsTimers(t *testing.T) {
 }
 
 // TestReliableChurnTeardownRace: flow teardown (CloseFlow, NoteRestart)
-// racing sends and crash/restart cycles from concurrent goroutines. The
-// run is not deterministic — the point is that the locking holds under
-// the race detector and the kernel drains cleanly afterwards.
+// interleaved with sends and crash/restart cycles, driven by kernel
+// events of eight peers on staggered clocks so teardowns land while
+// retransmit timers and deliveries of every flow are in flight. The
+// kernel must drain cleanly afterwards.
 func TestReliableChurnTeardownRace(t *testing.T) {
 	k, n := newNet(16, network.LinkConfig{Latency: time.Millisecond})
 	r := NewReliableDatagram(k, NewUnreliableDatagram(n), ReliableDatagramConfig{
 		RetransmitTimeout: 2 * time.Millisecond,
 	})
-	const peers = 8
+	const peers, rounds = 8, 300
 	names := make([]Addr, peers)
 	for i := range names {
 		names[i] = Addr(fmt.Sprintf("n%d", i))
 	}
+	delivered := 0
 	for _, id := range names {
-		if err := r.Attach(id, func(Addr, []byte) {}); err != nil {
+		if err := r.Attach(id, func(Addr, []byte) { delivered++ }); err != nil {
 			t.Fatal(err)
 		}
 	}
-	var wg sync.WaitGroup
 	for g := 0; g < peers; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			src := names[g]
-			dst := names[(g+1)%peers]
-			payload := []byte("x")
-			for i := 0; i < 300; i++ {
-				_ = r.Send(src, dst, payload)
-				if i%17 == 0 {
-					r.CloseFlow(src, dst)
-				}
-				if i%29 == 0 {
-					// Each goroutine owns its node, so the
-					// crash/restart alternation cannot collide.
-					if err := n.Crash(src); err != nil {
-						t.Error(err)
-						return
-					}
-					if err := n.Restart(src); err != nil {
-						t.Error(err)
-						return
-					}
-					r.NoteRestart(src)
-				}
+		src := names[g]
+		dst := names[(g+1)%peers]
+		payload := []byte("x")
+		i := 0
+		var round func()
+		round = func() {
+			_ = r.Send(src, dst, payload)
+			if i%17 == 0 {
+				r.CloseFlow(src, dst)
 			}
-		}(g)
+			if i%29 == 0 {
+				// Each peer owns its node, so the crash/restart
+				// alternation cannot collide.
+				if err := n.Crash(src); err != nil {
+					t.Error(err)
+					return
+				}
+				if err := n.Restart(src); err != nil {
+					t.Error(err)
+					return
+				}
+				r.NoteRestart(src)
+			}
+			if i++; i < rounds {
+				k.ScheduleFunc(time.Duration(100+13*g)*time.Microsecond, round)
+			}
+		}
+		k.ScheduleFunc(time.Duration(g)*time.Microsecond, round)
 	}
-	wg.Wait()
 	if _, err := k.Run(); err != nil {
 		t.Fatal(err)
+	}
+	if delivered == 0 {
+		t.Fatal("no datagram was delivered")
 	}
 }

@@ -3,7 +3,6 @@ package protocol
 import (
 	"errors"
 	"fmt"
-	"sync"
 	"time"
 
 	"repro/internal/codec"
@@ -175,7 +174,6 @@ type Layer struct {
 	kern  *sim.Kernel
 	lower IndexedLower
 
-	mu         sync.Mutex
 	ids        map[Addr]int32
 	ents       []entityEntry
 	lowerAddrs []Addr         // lower endpoint id → address (receive cache)
@@ -207,8 +205,8 @@ func (l *Layer) Name() string { return l.name }
 // Time returns the layer's kernel.
 func (l *Layer) Time() *sim.Kernel { return l.kern }
 
-// internLocked returns addr's entity slot, assigning one on first sight.
-func (l *Layer) internLocked(addr Addr) int32 {
+// intern returns addr's entity slot, assigning one on first sight.
+func (l *Layer) intern(addr Addr) int32 {
 	if id, ok := l.ids[addr]; ok {
 		return id
 	}
@@ -221,7 +219,6 @@ func (l *Layer) internLocked(addr Addr) int32 {
 // addrForLower resolves a lower endpoint id to its address through a
 // cached dense table (one lower query per id, ever).
 func (l *Layer) addrForLower(lowSrc int32) Addr {
-	l.mu.Lock()
 	for int(lowSrc) >= len(l.lowerAddrs) {
 		l.lowerAddrs = append(l.lowerAddrs, "")
 	}
@@ -230,7 +227,6 @@ func (l *Layer) addrForLower(lowSrc int32) Addr {
 		a = l.lower.EndpointAddr(lowSrc)
 		l.lowerAddrs[lowSrc] = a
 	}
-	l.mu.Unlock()
 	return a
 }
 
@@ -240,14 +236,11 @@ func (l *Layer) AddEntity(addr Addr, e Entity) error {
 	if e == nil {
 		return fmt.Errorf("protocol: nil entity at %q", addr)
 	}
-	l.mu.Lock()
-	id := l.internLocked(addr)
+	id := l.intern(addr)
 	if l.ents[id].entity != nil {
-		l.mu.Unlock()
 		return fmt.Errorf("%w: %q", ErrDuplicate, addr)
 	}
 	l.ents[id].entity = e
-	l.mu.Unlock()
 
 	selfLow, err := l.lower.AttachIndexed(addr, func(lowSrc int32, data []byte) {
 		receivePDU(e, l.addrForLower(lowSrc), data)
@@ -273,8 +266,6 @@ func receivePDU(e Entity, src Addr, data []byte) {
 
 // Entity returns the entity at addr.
 func (l *Layer) Entity(addr Addr) (Entity, bool) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
 	id, ok := l.ids[addr]
 	if !ok || l.ents[id].entity == nil {
 		return nil, false
@@ -285,23 +276,19 @@ func (l *Layer) Entity(addr Addr) (Entity, bool) {
 // SetUpcall registers the local user handler for to-user primitives at
 // addr.
 func (l *Layer) SetUpcall(addr Addr, fn func(primitive string, params codec.Record)) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	id := l.internLocked(addr)
+	id := l.intern(addr)
 	l.ents[id].upcall = fn
 }
 
 func (l *Layer) deliverUp(id int32, primitive string, params codec.Record) {
-	l.mu.Lock()
 	fn := l.ents[id].upcall
-	l.mu.Unlock()
 	if fn != nil {
 		fn(primitive, params)
 	}
 }
 
-// countLocked advances the interned PDU-type counters. Caller holds l.mu.
-func (l *Layer) countLocked(name string, bytes, n int) {
+// countPDU advances the interned PDU-type counters.
+func (l *Layer) countPDU(name string, bytes, n int) {
 	l.pdusSent += uint64(n)
 	l.bytesSent += uint64(n) * uint64(bytes)
 	l.snapDirty = true
@@ -317,10 +304,8 @@ func (l *Layer) countLocked(name string, bytes, n int) {
 // sendEncoded counts and transmits one already-encoded PDU to the
 // destination's lower endpoint id.
 func (l *Layer) sendEncoded(c *Context, dst Addr, name string, data []byte) error {
-	l.mu.Lock()
-	l.countLocked(name, len(data), 1)
-	low := l.dstLowLocked(dst)
-	l.mu.Unlock()
+	l.countPDU(name, len(data), 1)
+	low := l.resolveDst(dst)
 	if low < 0 {
 		return fmt.Errorf("%w: %q", ErrUnknownEntity, dst)
 	}
@@ -331,17 +316,14 @@ func (l *Layer) sendEncoded(c *Context, dst Addr, name string, data []byte) erro
 // destination through the lower service's batch path. Destinations with
 // no lower id are skipped; the first is reported after the batch.
 func (l *Layer) sendEncodedMulti(c *Context, dsts []Addr, name string, data []byte) error {
-	l.mu.Lock()
-	// The batch send happens with l.mu held so the reused scratch slice
-	// cannot be clobbered by a concurrent fan-out. Lock order stays
-	// acyclic: lower services never call back into the layer
-	// synchronously (deliveries are kernel-scheduled).
-	defer l.mu.Unlock()
-	l.countLocked(name, len(data), len(dsts))
+	// The scratch slice is reused across fan-outs: lower services never
+	// call back into the layer synchronously (deliveries are
+	// kernel-scheduled), so no nested fan-out can clobber it.
+	l.countPDU(name, len(data), len(dsts))
 	lows := l.lowScratch[:0]
 	var unknown error
 	for _, dst := range dsts {
-		low := l.dstLowLocked(dst)
+		low := l.resolveDst(dst)
 		if low < 0 {
 			if unknown == nil {
 				unknown = fmt.Errorf("%w: %q", ErrUnknownEntity, dst)
@@ -357,11 +339,10 @@ func (l *Layer) sendEncodedMulti(c *Context, dsts []Addr, name string, data []by
 	return unknown
 }
 
-// dstLowLocked resolves a destination address to its lower endpoint id
+// resolveDst resolves a destination address to its lower endpoint id
 // through the send cache. Unresolved destinations (peer not attached
-// yet) are not cached, so late attachment is picked up. Caller holds
-// l.mu.
-func (l *Layer) dstLowLocked(dst Addr) int32 {
+// yet) are not cached, so late attachment is picked up.
+func (l *Layer) resolveDst(dst Addr) int32 {
 	if low, ok := l.dstLow[dst]; ok {
 		return low
 	}
@@ -376,8 +357,6 @@ func (l *Layer) dstLowLocked(dst Addr) int32 {
 // Stats returns a snapshot of the layer counters. The ByType map is
 // rebuilt lazily: unchanged counters return the same (read-only) map.
 func (l *Layer) Stats() LayerStats {
-	l.mu.Lock()
-	defer l.mu.Unlock()
 	if l.snapshot == nil || l.snapDirty {
 		m := make(map[string]uint64, len(l.types))
 		for _, c := range l.types {
@@ -396,7 +375,6 @@ func (l *Layer) Stats() LayerStats {
 type ServiceBinding struct {
 	layer *Layer
 
-	mu   sync.Mutex
 	saps map[core.SAP]sapBinding
 }
 
@@ -416,8 +394,6 @@ func NewServiceBinding(layer *Layer) *ServiceBinding {
 
 // Bind associates a SAP with the entity at addr.
 func (b *ServiceBinding) Bind(sap core.SAP, addr Addr) error {
-	b.mu.Lock()
-	defer b.mu.Unlock()
 	e, ok := b.layer.Entity(addr)
 	if !ok {
 		return fmt.Errorf("%w: %q", ErrUnknownEntity, addr)
@@ -432,9 +408,7 @@ func (b *ServiceBinding) Bind(sap core.SAP, addr Addr) error {
 // Submit implements core.Provider: the from-user primitive is handed to
 // the entity serving the SAP.
 func (b *ServiceBinding) Submit(sap core.SAP, primitive string, params codec.Record) error {
-	b.mu.Lock()
 	bind, ok := b.saps[sap]
-	b.mu.Unlock()
 	if !ok {
 		return fmt.Errorf("%w: %s", ErrNotBound, sap)
 	}
@@ -446,9 +420,7 @@ func (b *ServiceBinding) Submit(sap core.SAP, primitive string, params codec.Rec
 
 // Attach implements core.Provider.
 func (b *ServiceBinding) Attach(sap core.SAP, handler func(primitive string, params codec.Record)) {
-	b.mu.Lock()
 	bind, ok := b.saps[sap]
-	b.mu.Unlock()
 	if !ok {
 		return
 	}

@@ -2,6 +2,7 @@ package protocol
 
 import (
 	"bytes"
+	"encoding/binary"
 	"testing"
 
 	"repro/internal/codec"
@@ -99,5 +100,93 @@ func FuzzReliableReceive(f *testing.F) {
 		if !bytes.Equal(pdu, data) {
 			t.Fatal("the receive path modified the PDU bytes")
 		}
+	})
+}
+
+// FuzzFramingReassembly drives Framing.onSegment, the receive path that
+// reads a length prefix out of octets from the lower service. data is
+// split into frames of at most maxFrame bytes (lengths drawn from cuts),
+// length-prefixed, and the stream is cut into segments at points drawn
+// from cuts: the receiver must see exactly those frames, in order, with
+// the same bytes. Then data itself is fed, as arbitrary stream octets, on
+// a second flow cut the same way: that must never panic and never
+// deliver a frame over maxFrame. Segments are fed from one scratch
+// buffer that is overwritten after every call, so a layer that retained
+// a segment would deliver corrupt frames. Run bounded in CI (see
+// .github/workflows/ci.yml, fuzz job) and by `make fuzz`.
+func FuzzFramingReassembly(f *testing.F) {
+	f.Add([]byte("hello, framing"), []byte{3, 1, 4, 1, 5, 9, 2, 6})
+	f.Add([]byte{}, []byte{})
+	f.Add([]byte("one frame, one segment"), []byte{})
+	f.Add([]byte{0, 0, 0, 2, 'h', 'i', 0, 0, 0, 0}, []byte{0, 2, 7})
+	f.Add([]byte{0, 0, 0, 200, 1, 2, 3}, []byte{1})                   // prefix over maxFrame
+	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0, 0, 0, 1, 'x'}, []byte{4}) // max uint32 prefix
+
+	const maxFrame = 64
+	f.Fuzz(func(t *testing.T, data, cuts []byte) {
+		if len(data) > 4096 {
+			t.Skip("input too long")
+		}
+		// pick draws the i-th value from cuts modulo m (m when cuts is
+		// empty, so an empty cut list means "as large as allowed").
+		pick := func(i, m int) int {
+			if len(cuts) == 0 {
+				return m
+			}
+			return int(cuts[i%len(cuts)]) % (m + 1)
+		}
+		fr := NewFraming(NewStream(newCaptureLower(), StreamConfig{}), maxFrame)
+		var got [][]byte
+		if err := fr.Attach("b", func(_ Addr, frame []byte) {
+			if len(frame) > maxFrame {
+				t.Fatalf("delivered a %d-byte frame, limit %d", len(frame), maxFrame)
+			}
+			got = append(got, append([]byte(nil), frame...))
+		}); err != nil {
+			t.Fatal(err)
+		}
+		feed := func(src Addr, stream []byte) {
+			scratch := make([]byte, 0, len(stream))
+			for j := 0; len(stream) > 0; j++ {
+				n := min(len(stream), pick(2*j+1, 16))
+				if n == 0 {
+					fr.onSegment(src, "b", scratch[:0]) // an empty segment, then one octet
+					n = 1
+				}
+				scratch = append(scratch[:0], stream[:n]...)
+				fr.onSegment(src, "b", scratch)
+				for k := range scratch {
+					scratch[k] = 0xEE
+				}
+				stream = stream[n:]
+			}
+		}
+
+		var want [][]byte
+		var stream []byte
+		for i, rest := 0, data; len(rest) > 0; i++ {
+			n := min(len(rest), pick(2*i, maxFrame))
+			if n == 0 {
+				want = append(want, []byte{}) // an empty frame, then one octet
+				stream = binary.BigEndian.AppendUint32(stream, 0)
+				n = 1
+			}
+			want = append(want, rest[:n])
+			stream = binary.BigEndian.AppendUint32(stream, uint32(n))
+			stream = append(stream, rest[:n]...)
+			rest = rest[n:]
+		}
+		feed("a", stream)
+		if len(got) != len(want) {
+			t.Fatalf("delivered %d frames, want %d", len(got), len(want))
+		}
+		for i := range want {
+			if !bytes.Equal(got[i], want[i]) {
+				t.Fatalf("frame %d = %x, want %x", i, got[i], want[i])
+			}
+		}
+
+		got = nil
+		feed("z", data)
 	})
 }

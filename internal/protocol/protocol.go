@@ -27,7 +27,6 @@ package protocol
 import (
 	"errors"
 	"fmt"
-	"sync"
 
 	"repro/internal/network"
 )
@@ -125,15 +124,12 @@ func AsIndexed(lower LowerService) IndexedLower {
 type indexedAdapter struct {
 	LowerService
 
-	mu    sync.Mutex
 	ids   map[Addr]int32
 	addrs []Addr // id → address
 }
 
 // intern returns addr's dense id, assigning one on first sight.
 func (a *indexedAdapter) intern(addr Addr) int32 {
-	a.mu.Lock()
-	defer a.mu.Unlock()
 	if id, ok := a.ids[addr]; ok {
 		return id
 	}
@@ -160,8 +156,6 @@ func (a *indexedAdapter) EndpointID(addr Addr) (int32, bool) { return a.intern(a
 
 // EndpointAddr implements IndexedLower.
 func (a *indexedAdapter) EndpointAddr(id int32) Addr {
-	a.mu.Lock()
-	defer a.mu.Unlock()
 	if id < 0 || int(id) >= len(a.addrs) {
 		return ""
 	}
@@ -203,7 +197,6 @@ type IncarnationProvider interface {
 type UnreliableDatagram struct {
 	net *network.Network
 
-	mu       sync.Mutex
 	attached map[Addr]int32 // addr → network slot
 }
 
@@ -238,8 +231,6 @@ func (u *UnreliableDatagram) AttachIndexed(addr Addr, r IndexedReceiver) (int32,
 	if r == nil {
 		return -1, fmt.Errorf("protocol: nil receiver for %q", addr)
 	}
-	u.mu.Lock()
-	defer u.mu.Unlock()
 	h := network.SlotHandler(r)
 	if slot, ok := u.attached[addr]; ok {
 		return slot, u.net.SetSlotHandler(addr, h)
@@ -261,8 +252,6 @@ func (u *UnreliableDatagram) AttachIndexed(addr Addr, r IndexedReceiver) (int32,
 
 // EndpointID implements IndexedLower.
 func (u *UnreliableDatagram) EndpointID(addr Addr) (int32, bool) {
-	u.mu.Lock()
-	defer u.mu.Unlock()
 	slot, ok := u.attached[addr]
 	return slot, ok
 }

@@ -2,7 +2,6 @@ package protocol
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
 	"repro/internal/codec"
@@ -77,7 +76,6 @@ type ReliableDatagram struct {
 	incp  IncarnationProvider // non-nil when lower reports endpoint incarnations
 	cfg   ReliableDatagramConfig
 
-	mu         sync.Mutex
 	ids        map[Addr]int32 // intern: any address seen (attach, send, receive)
 	eps        []endpoint     // own id → endpoint state
 	lowerToOwn []int32        // lower endpoint id → own id (-1 unknown)
@@ -182,13 +180,11 @@ func (r *ReliableDatagram) Name() string { return "reliable-datagram/" + r.lower
 
 // Stats returns a snapshot of the layer counters.
 func (r *ReliableDatagram) Stats() ReliableStats {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	return r.stats
 }
 
-// internLocked returns addr's dense id, assigning one on first sight.
-func (r *ReliableDatagram) internLocked(addr Addr) int32 {
+// intern returns addr's dense id, assigning one on first sight.
+func (r *ReliableDatagram) intern(addr Addr) int32 {
 	if id, ok := r.ids[addr]; ok {
 		return id
 	}
@@ -205,8 +201,6 @@ func (r *ReliableDatagram) internLocked(addr Addr) int32 {
 // id, interning the address on first sight and caching the translation so
 // the steady state never hashes.
 func (r *ReliableDatagram) ownIDForLower(lowSrc int32) int32 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	for int(lowSrc) >= len(r.lowerToOwn) {
 		r.lowerToOwn = append(r.lowerToOwn, -1)
 	}
@@ -214,16 +208,16 @@ func (r *ReliableDatagram) ownIDForLower(lowSrc int32) int32 {
 		return own
 	}
 	addr := r.lower.EndpointAddr(lowSrc)
-	own := r.internLocked(addr)
+	own := r.intern(addr)
 	r.lowerToOwn[lowSrc] = own
 	r.eps[own].lowID = lowSrc
 	return own
 }
 
-// lowerIDLocked resolves an endpoint's lower-service id, caching it once
+// lowerID resolves an endpoint's lower-service id, caching it once
 // found. ok=false means the peer is unknown to the lower service (not
 // attached yet).
-func (r *ReliableDatagram) lowerIDLocked(id int32) (int32, bool) {
+func (r *ReliableDatagram) lowerID(id int32) (int32, bool) {
 	ep := &r.eps[id]
 	if ep.lowID >= 0 {
 		return ep.lowID, true
@@ -258,30 +252,24 @@ func (r *ReliableDatagram) AttachIndexed(addr Addr, recv IndexedReceiver) (int32
 	if recv == nil {
 		return -1, fmt.Errorf("protocol: nil receiver for %q", addr)
 	}
-	r.mu.Lock()
-	id := r.internLocked(addr)
+	id := r.intern(addr)
 	r.eps[id].recvIdx = recv
-	r.mu.Unlock()
 	lowID, err := r.lower.AttachIndexed(addr, func(lowSrc int32, pdu []byte) {
 		r.dispatch(r.ownIDForLower(lowSrc), id, pdu)
 	})
 	if err != nil {
 		return id, err
 	}
-	r.mu.Lock()
 	r.eps[id].lowID = lowID
 	for int(lowID) >= len(r.lowerToOwn) {
 		r.lowerToOwn = append(r.lowerToOwn, -1)
 	}
 	r.lowerToOwn[lowID] = id
-	r.mu.Unlock()
 	return id, nil
 }
 
 // EndpointID implements IndexedLower: only attached addresses resolve.
 func (r *ReliableDatagram) EndpointID(addr Addr) (int32, bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	id, ok := r.ids[addr]
 	if !ok {
 		return -1, false
@@ -294,17 +282,15 @@ func (r *ReliableDatagram) EndpointID(addr Addr) (int32, bool) {
 
 // EndpointAddr implements IndexedLower.
 func (r *ReliableDatagram) EndpointAddr(id int32) Addr {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	if id < 0 || int(id) >= len(r.eps) {
 		return ""
 	}
 	return r.eps[id].addr
 }
 
-// sendFlowLocked returns the send flow src→dst, creating (or recycling)
+// sendFlowFor returns the send flow src→dst, creating (or recycling)
 // it on first use.
-func (r *ReliableDatagram) sendFlowLocked(src, dst int32) *sendFlow {
+func (r *ReliableDatagram) sendFlowFor(src, dst int32) *sendFlow {
 	row := r.sendRows[src]
 	if int(dst) >= len(row) {
 		// Grow geometrically to just past dst, not to len(r.eps): on
@@ -343,12 +329,12 @@ func (r *ReliableDatagram) sendFlowLocked(src, dst int32) *sendFlow {
 	return f
 }
 
-// recvFlowLocked returns the receive flow src→dst (src is the data
+// recvFlowFor returns the receive flow src→dst (src is the data
 // sender), creating (or recycling) it on first use.
-func (r *ReliableDatagram) recvFlowLocked(src, dst int32) *recvFlow {
+func (r *ReliableDatagram) recvFlowFor(src, dst int32) *recvFlow {
 	row := r.recvRows[src]
 	if int(dst) >= len(row) {
-		// Same geometric growth as sendFlowLocked: keep per-source rows
+		// Same geometric growth as sendFlowFor: keep per-source rows
 		// proportional to the peers actually spoken to.
 		need := int(dst) + 1
 		if d := 2 * len(row); d > need {
@@ -383,21 +369,17 @@ func (r *ReliableDatagram) recvFlowLocked(src, dst int32) *recvFlow {
 // Send implements LowerService: payload is queued on the (src,dst) flow
 // and delivered reliably and in order.
 func (r *ReliableDatagram) Send(src, dst Addr, payload []byte) error {
-	r.mu.Lock()
-	srcID := r.internLocked(src)
-	dstID := r.internLocked(dst)
-	r.mu.Unlock()
+	srcID := r.intern(src)
+	dstID := r.intern(dst)
 	return r.SendIndexed(srcID, dstID, payload)
 }
 
 // SendIndexed implements IndexedLower: the dense-plane Send.
 func (r *ReliableDatagram) SendIndexed(src, dst int32, payload []byte) error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	if src < 0 || int(src) >= len(r.eps) || dst < 0 || int(dst) >= len(r.eps) {
 		return fmt.Errorf("protocol: reliable send: id out of range (%d→%d)", src, dst)
 	}
-	f := r.sendFlowLocked(src, dst)
+	f := r.sendFlowFor(src, dst)
 	if f.broken != nil {
 		return f.broken
 	}
@@ -408,9 +390,9 @@ func (r *ReliableDatagram) SendIndexed(src, dst int32, payload []byte) error {
 	f.inFlight = append(f.inFlight, pending{seq: seq, buf: buf})
 	// Transmit immediately if within window.
 	if seq < f.base+uint64(r.cfg.Window) {
-		r.transmitLocked(src, dst, f, seq, buf.B)
+		r.transmit(src, dst, f, seq, buf.B)
 	}
-	r.armTimerLocked(f)
+	r.armTimer(f)
 	return nil
 }
 
@@ -427,12 +409,12 @@ func (r *ReliableDatagram) SendMultiIndexed(src int32, dsts []int32, payload []b
 	return firstErr
 }
 
-// transmitLocked sends one data PDU, encoded through the compiled schema
+// transmit sends one data PDU, encoded through the compiled schema
 // into a pooled buffer (the lower service copies synchronously, so the
-// buffer is recycled on return). Caller holds r.mu. Incarnation fields
+// buffer is recycled on return). Incarnation fields
 // ride only when a value exceeds 1, so fault-free traffic keeps the
 // legacy wire shape byte for byte.
-func (r *ReliableDatagram) transmitLocked(src, dst int32, f *sendFlow, seq uint64, payload []byte) {
+func (r *ReliableDatagram) transmit(src, dst int32, f *sendFlow, seq uint64, payload []byte) {
 	buf := codec.GetBuffer()
 	var data []byte
 	var err error
@@ -454,34 +436,33 @@ func (r *ReliableDatagram) transmitLocked(src, dst int32, f *sendFlow, seq uint6
 		panic(fmt.Sprintf("protocol: encode data PDU: %v", err))
 	}
 	r.stats.DataSent++
-	if err := r.lowerSendLocked(src, dst, data); err != nil {
+	if err := r.lowerSend(src, dst, data); err != nil {
 		f.broken = fmt.Errorf("protocol: flow %s→%s: %w", r.eps[src].addr, r.eps[dst].addr, err)
 	}
 	buf.B = data
 	buf.Release()
 }
 
-// lowerSendLocked transmits raw bytes src→dst through the lower service.
+// lowerSend transmits raw bytes src→dst through the lower service.
 // An endpoint the lower service cannot resolve fails the send with
-// ErrUnknownEntity. Caller holds r.mu.
-func (r *ReliableDatagram) lowerSendLocked(src, dst int32, data []byte) error {
-	ls, ok := r.lowerIDLocked(src)
+// ErrUnknownEntity.
+func (r *ReliableDatagram) lowerSend(src, dst int32, data []byte) error {
+	ls, ok := r.lowerID(src)
 	if !ok {
 		return fmt.Errorf("%w: %q", ErrUnknownEntity, r.eps[src].addr)
 	}
-	ld, ok := r.lowerIDLocked(dst)
+	ld, ok := r.lowerID(dst)
 	if !ok {
 		return fmt.Errorf("%w: %q", ErrUnknownEntity, r.eps[dst].addr)
 	}
 	return r.lower.SendIndexed(ls, ld, data)
 }
 
-// armTimerLocked (re)arms the retransmission timer for a flow with unacked
+// armTimer (re)arms the retransmission timer for a flow with unacked
 // data. The timer rides the kernel's free-list ScheduleFuncRef path: arms
 // and cancels recycle the same Timer structs, so steady-state window
-// traffic schedules retransmission cover without allocating. Caller holds
-// r.mu.
-func (r *ReliableDatagram) armTimerLocked(f *sendFlow) {
+// traffic schedules retransmission cover without allocating.
+func (r *ReliableDatagram) armTimer(f *sendFlow) {
 	if len(f.inFlight) == 0 {
 		f.timer.Cancel()
 		f.timer = sim.TimerRef{}
@@ -495,8 +476,6 @@ func (r *ReliableDatagram) armTimerLocked(f *sendFlow) {
 
 // onTimeout retransmits the whole window (go-back-N).
 func (r *ReliableDatagram) onTimeout(src, dst int32) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	f := r.sendRows[src][dst]
 	if f == nil || len(f.inFlight) == 0 {
 		return
@@ -514,10 +493,10 @@ func (r *ReliableDatagram) onTimeout(src, dst int32) {
 			break
 		}
 		r.stats.Retransmits++
-		r.transmitLocked(src, dst, f, p.seq, p.buf.B)
+		r.transmit(src, dst, f, p.seq, p.buf.B)
 	}
 	f.timer = sim.TimerRef{}
-	r.armTimerLocked(f)
+	r.armTimer(f)
 }
 
 // dispatch decodes one arriving PDU and hands it to the data or ack
@@ -560,7 +539,6 @@ func (r *ReliableDatagram) onData(src, dst int32, v *codec.MsgView) {
 	payload, _ := v.Bytes("payload")
 	inc, rinc := pduIncs(v)
 
-	r.mu.Lock()
 	myInc := r.incs[dst]
 	if rinc > myInc {
 		// The sender has seen a later incarnation of this endpoint than
@@ -576,11 +554,10 @@ func (r *ReliableDatagram) onData(src, dst int32, v *codec.MsgView) {
 		// is how a retransmitting sender discovers the restart instead
 		// of retransmitting into the void forever.
 		r.stats.StaleDrops++
-		r.sendAckLocked(dst, src, 0, myInc, inc)
-		r.mu.Unlock()
+		r.sendAck(dst, src, 0, myInc, inc)
 		return
 	}
-	f := r.recvFlowLocked(src, dst) // direction of data flow
+	f := r.recvFlowFor(src, dst) // direction of data flow
 	switch {
 	case f.peerInc == 0:
 		// First data on a fresh flow: baseline the sender incarnation
@@ -594,7 +571,6 @@ func (r *ReliableDatagram) onData(src, dst int32, v *codec.MsgView) {
 		// Ghost from a dead incarnation of the sender: no delivery, no
 		// ack (the old incarnation is gone; nothing listens for one).
 		r.stats.StaleDrops++
-		r.mu.Unlock()
 		return
 	case inc > f.peerInc:
 		// The sender restarted: its numbering reset to zero and its view
@@ -603,12 +579,12 @@ func (r *ReliableDatagram) onData(src, dst int32, v *codec.MsgView) {
 		// the application — and tear down the reverse send flow, whose
 		// in-flight state targets the dead incarnation.
 		r.stats.FlowResets++
-		f.resetLocked()
+		f.reset()
 		f.peerInc = inc
 		if inc > r.incs[src] {
 			r.incs[src] = inc
 		}
-		r.closeSendFlowLocked(dst, src)
+		r.closeSendFlow(dst, src)
 	}
 	// deliver marks the common case (in-order arrival): the aliased
 	// payload is handed to the receiver synchronously, with no copy and
@@ -622,12 +598,12 @@ func (r *ReliableDatagram) onData(src, dst int32, v *codec.MsgView) {
 		f.expected++
 		deliver = true
 		// Drain any buffered successors the gap was hiding.
-		drained = f.drainLocked(drained)
+		drained = f.drain(drained)
 	case seq < f.expected:
 		r.stats.Duplicates++
 	default:
 		r.stats.OutOfOrder++
-		f.holdLocked(seq, payload, r.cfg.ReorderBuffer)
+		f.hold(seq, payload, r.cfg.ReorderBuffer)
 	}
 	if deliver {
 		r.stats.DataDelivered += 1 + uint64(len(drained))
@@ -636,8 +612,7 @@ func (r *ReliableDatagram) onData(src, dst int32, v *codec.MsgView) {
 	// Cumulative ack of everything in order so far (sent for every data
 	// PDU, so a lost ack is repaired by the next one or a retransmit).
 	// It travels dst→src (reverse path).
-	r.sendAckLocked(dst, src, f.expected, myInc, f.peerInc)
-	r.mu.Unlock()
+	r.sendAck(dst, src, f.expected, myInc, f.peerInc)
 
 	if recv != nil {
 		if deliver {
@@ -652,10 +627,10 @@ func (r *ReliableDatagram) onData(src, dst int32, v *codec.MsgView) {
 	}
 }
 
-// holdLocked buffers one out-of-order PDU, respecting the ReorderBuffer
+// hold buffers one out-of-order PDU, respecting the ReorderBuffer
 // occupancy cap and duplicate-hold semantics of the original map-based
 // buffer.
-func (f *recvFlow) holdLocked(seq uint64, payload []byte, limit int) {
+func (f *recvFlow) hold(seq uint64, payload []byte, limit int) {
 	if limit <= 0 {
 		return
 	}
@@ -702,9 +677,9 @@ func (f *recvFlow) holdLocked(seq uint64, payload []byte, limit int) {
 	f.held++
 }
 
-// drainLocked pops consecutively held PDUs starting at f.expected,
+// drain pops consecutively held PDUs starting at f.expected,
 // advancing it past each.
-func (f *recvFlow) drainLocked(drained []*codec.Buffer) []*codec.Buffer {
+func (f *recvFlow) drain(drained []*codec.Buffer) []*codec.Buffer {
 	ringCap := uint64(len(f.ring))
 	for f.held > 0 {
 		if ringCap > 0 {
@@ -731,11 +706,11 @@ func (f *recvFlow) drainLocked(drained []*codec.Buffer) []*codec.Buffer {
 	return drained
 }
 
-// sendAckLocked encodes and transmits one cumulative ack from→to (the
+// sendAck encodes and transmits one cumulative ack from→to (the
 // reverse path of a data flow). inc is the acker's own incarnation, rinc
 // the data sender's; both ride the wire only when either exceeds 1, so
-// fault-free acks keep the legacy shape. Caller holds r.mu.
-func (r *ReliableDatagram) sendAckLocked(from, to int32, cum uint64, inc, rinc uint32) {
+// fault-free acks keep the legacy shape.
+func (r *ReliableDatagram) sendAck(from, to int32, cum uint64, inc, rinc uint32) {
 	ackBuf := codec.GetBuffer()
 	var data []byte
 	var err error
@@ -756,7 +731,7 @@ func (r *ReliableDatagram) sendAckLocked(from, to int32, cum uint64, inc, rinc u
 	r.stats.AcksSent++
 	// Errors indicate an unregistered peer, which retransmission cannot
 	// fix either; ignore.
-	_ = r.lowerSendLocked(from, to, data) //nolint:errcheck
+	_ = r.lowerSend(from, to, data) //nolint:errcheck
 	ackBuf.B = data
 	ackBuf.Release()
 }
@@ -767,8 +742,6 @@ func (r *ReliableDatagram) onAck(src, dst int32, v *codec.MsgView) {
 		return
 	}
 	inc, rinc := pduIncs(v)
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	if rinc < r.incs[dst] {
 		// Ghost ack addressed to a previous incarnation of this sender:
 		// our numbering restarted at zero since, so the cum value would
@@ -802,7 +775,7 @@ func (r *ReliableDatagram) onAck(src, dst int32, v *codec.MsgView) {
 		if inc > r.incs[src] {
 			r.incs[src] = inc
 		}
-		r.closeSendFlowLocked(dst, src)
+		r.closeSendFlow(dst, src)
 		return
 	}
 	if cum <= f.base {
@@ -831,12 +804,12 @@ func (r *ReliableDatagram) onAck(src, dst int32, v *codec.MsgView) {
 	newLimit := f.base + uint64(r.cfg.Window)
 	for _, p := range f.inFlight {
 		if p.seq >= oldLimit && p.seq < newLimit {
-			r.transmitLocked(dst, src, f, p.seq, p.buf.B)
+			r.transmit(dst, src, f, p.seq, p.buf.B)
 		}
 	}
 	f.timer.Cancel()
 	f.timer = sim.TimerRef{}
-	r.armTimerLocked(f)
+	r.armTimer(f)
 }
 
 // CloseFlow tears down the directed flow pair between local and peer:
@@ -848,21 +821,19 @@ func (r *ReliableDatagram) onAck(src, dst int32, v *codec.MsgView) {
 // Send to the same peer starts a fresh flow at sequence zero (and clears
 // any broken-flow state), exactly as if the pair had never communicated.
 func (r *ReliableDatagram) CloseFlow(local, peer Addr) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	localID, ok1 := r.ids[local]
 	peerID, ok2 := r.ids[peer]
 	if !ok1 || !ok2 {
 		return
 	}
-	r.closeSendFlowLocked(localID, peerID)
-	r.closeRecvFlowLocked(peerID, localID)
+	r.closeSendFlow(localID, peerID)
+	r.closeRecvFlow(peerID, localID)
 }
 
-// closeSendFlowLocked tears down the send flow local→peer: unacked
+// closeSendFlow tears down the send flow local→peer: unacked
 // in-flight buffers are released, the retransmit timer is cancelled, and
-// the flow struct returns to the free list. Caller holds r.mu.
-func (r *ReliableDatagram) closeSendFlowLocked(local, peer int32) {
+// the flow struct returns to the free list.
+func (r *ReliableDatagram) closeSendFlow(local, peer int32) {
 	row := r.sendRows[local]
 	if int(peer) >= len(row) {
 		return
@@ -885,10 +856,10 @@ func (r *ReliableDatagram) closeSendFlowLocked(local, peer int32) {
 	row[peer] = nil
 }
 
-// closeRecvFlowLocked tears down the receive flow sender→local,
+// closeRecvFlow tears down the receive flow sender→local,
 // releasing held out-of-order buffers and returning the struct to the
-// free list. Caller holds r.mu.
-func (r *ReliableDatagram) closeRecvFlowLocked(sender, local int32) {
+// free list.
+func (r *ReliableDatagram) closeRecvFlow(sender, local int32) {
 	row := r.recvRows[sender]
 	if int(local) >= len(row) {
 		return
@@ -897,16 +868,16 @@ func (r *ReliableDatagram) closeRecvFlowLocked(sender, local int32) {
 	if f == nil {
 		return
 	}
-	f.resetLocked()
+	f.reset()
 	f.free = r.freeRecv
 	r.freeRecv = f
 	row[local] = nil
 }
 
-// resetLocked drops every held out-of-order PDU and rewinds the flow to
+// reset drops every held out-of-order PDU and rewinds the flow to
 // sequence zero — the in-place teardown used when the peer restarts
 // mid-flow (old-numbering PDUs must never surface in the new flow).
-func (f *recvFlow) resetLocked() {
+func (f *recvFlow) reset() {
 	for i := range f.ring {
 		if f.ring[i].buf != nil {
 			f.ring[i].buf.Release()
@@ -932,15 +903,13 @@ func (f *recvFlow) resetLocked() {
 // data PDU is answered by a bare ack carrying the new incarnation — and
 // tear their halves down lazily.
 func (r *ReliableDatagram) NoteRestart(addr Addr) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	id, ok := r.ids[addr]
 	if !ok {
 		return
 	}
 	refreshed := false
 	if r.incp != nil {
-		if low, lok := r.lowerIDLocked(id); lok {
+		if low, lok := r.lowerID(id); lok {
 			if inc := r.incp.IncarnationOf(low); inc > 0 {
 				r.incs[id] = inc
 				refreshed = true
@@ -951,9 +920,9 @@ func (r *ReliableDatagram) NoteRestart(addr Addr) {
 		r.incs[id]++
 	}
 	for peer := range r.sendRows[id] {
-		r.closeSendFlowLocked(id, int32(peer))
+		r.closeSendFlow(id, int32(peer))
 	}
 	for sender := range r.recvRows {
-		r.closeRecvFlowLocked(int32(sender), id)
+		r.closeRecvFlow(int32(sender), id)
 	}
 }

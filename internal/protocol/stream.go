@@ -3,7 +3,6 @@ package protocol
 import (
 	"encoding/binary"
 	"fmt"
-	"sync"
 
 	"repro/internal/codec"
 	"repro/internal/sim"
@@ -25,7 +24,6 @@ import (
 type Stream struct {
 	lower LowerService
 
-	mu        sync.Mutex
 	receivers map[Addr]StreamReceiver
 	chunkSize int
 }
@@ -67,13 +65,9 @@ func (s *Stream) AttachStream(addr Addr, r StreamReceiver) error {
 	if r == nil {
 		return fmt.Errorf("protocol: nil stream receiver for %q", addr)
 	}
-	s.mu.Lock()
 	s.receivers[addr] = r
-	s.mu.Unlock()
 	return s.lower.Attach(addr, func(src Addr, chunk []byte) {
-		s.mu.Lock()
 		recv := s.receivers[addr]
-		s.mu.Unlock()
 		if recv != nil {
 			recv(src, chunk)
 		}
@@ -103,7 +97,6 @@ func (s *Stream) Write(src, dst Addr, data []byte) error {
 type Framing struct {
 	stream *Stream
 
-	mu        sync.Mutex
 	receivers map[Addr]Receiver
 	// buffers holds partial frames per (receiver, sender) pair.
 	buffers map[flowKey][]byte
@@ -135,9 +128,7 @@ func (f *Framing) Attach(addr Addr, r Receiver) error {
 	if r == nil {
 		return fmt.Errorf("protocol: nil receiver for %q", addr)
 	}
-	f.mu.Lock()
 	f.receivers[addr] = r
-	f.mu.Unlock()
 	return f.stream.AttachStream(addr, func(src Addr, segment []byte) {
 		f.onSegment(src, addr, segment)
 	})
@@ -162,15 +153,15 @@ func (f *Framing) Send(src, dst Addr, pdu []byte) error {
 // onSegment accumulates stream octets and emits completed frames. Frames
 // are carved into pooled buffers that are recycled as soon as the
 // receiver returns (Receiver aliasing contract).
+//
+// Frames are delivered as they are carved: a receiver cannot re-enter
+// onSegment, because every lower service delivers in a later kernel
+// event, never inside the sender's call.
 func (f *Framing) onSegment(src, dst Addr, segment []byte) {
 	key := flowKey{src, dst}
-	f.mu.Lock()
 	buf := append(f.buffers[key], segment...)
-	var frames []*codec.Buffer
-	for {
-		if len(buf) < 4 {
-			break
-		}
+	recv := f.receivers[dst]
+	for len(buf) >= 4 {
 		size := binary.BigEndian.Uint32(buf)
 		if size > f.maxFrame {
 			// Corrupt length: drop the flow's buffer; the reliable layers
@@ -181,20 +172,15 @@ func (f *Framing) onSegment(src, dst Addr, segment []byte) {
 		if uint32(len(buf)-4) < size {
 			break
 		}
-		frame := codec.GetBuffer()
-		frame.B = append(frame.B[:0], buf[4:4+size]...)
-		frames = append(frames, frame)
+		if recv != nil {
+			frame := codec.GetBuffer()
+			frame.B = append(frame.B[:0], buf[4:4+size]...)
+			recv(src, frame.B)
+			frame.Release()
+		}
 		buf = buf[4+size:]
 	}
 	f.buffers[key] = buf
-	recv := f.receivers[dst]
-	f.mu.Unlock()
-	for _, frame := range frames {
-		if recv != nil {
-			recv(src, frame.B)
-		}
-		frame.Release()
-	}
 }
 
 // NewStreamTransport assembles the full canonical stack of the paper's

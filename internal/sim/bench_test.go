@@ -128,7 +128,7 @@ func BenchmarkScheduleCancel(b *testing.B) {
 }
 
 // BenchmarkFanOutBatch64 measures the batch path used by network
-// fan-out: 64 events scheduled under one lock, then drained.
+// fan-out: 64 events scheduled in one call, then drained.
 func BenchmarkFanOutBatch64(b *testing.B) {
 	b.ReportAllocs()
 	k := NewKernel()

@@ -1,90 +1,117 @@
 package sim
 
 import (
-	"sync"
-	"sync/atomic"
+	"errors"
 	"testing"
 	"time"
 )
 
-// TestConcurrentCancelDuringRun races external Cancel calls against the
-// running kernel. The schedule packs many events into few instants so the
-// run loop executes large same-instant batches, which is exactly where
-// Cancel and the dispatch loop contend on the per-timer state word.
-// Every timer must either fire or be cancelled — never both, never
-// neither.
+// TestConcurrentCancelDuringRun cancels events from inside handlers of the
+// same instant. The schedule packs many events into few instants, and every
+// third handler cancels a later sibling (still queued), an earlier one
+// (already fired or cancelled) and a later one twice. Every timer must
+// either fire or be cancelled — never both, never neither.
 func TestConcurrentCancelDuringRun(t *testing.T) {
-	const n = 20000
+	const n, instants = 20000, 40
 	k := NewKernel()
-	var fired atomic.Int64
+	fired := make([]bool, n)
+	cancelled := make([]bool, n)
 	timers := make([]*Timer, n)
-	for i := range timers {
-		timers[i] = k.Schedule(time.Duration(i%40)*time.Microsecond, func() { fired.Add(1) })
+	cancel := func(j int) {
+		if j < 0 || j >= n || !timers[j].Cancel() {
+			return
+		}
+		if fired[j] || cancelled[j] {
+			t.Errorf("Cancel(%d) reported true for a timer that already fired or was cancelled", j)
+		}
+		cancelled[j] = true
 	}
-
-	var cancelled atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < 4; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := w; i < n; i += 4 {
-				if i%3 == 0 && timers[i].Cancel() {
-					cancelled.Add(1)
-				}
+	for i := range timers {
+		timers[i] = k.Schedule(time.Duration(i%instants)*time.Microsecond, func() {
+			if cancelled[i] {
+				t.Errorf("cancelled timer %d fired", i)
 			}
-		}(w)
+			fired[i] = true
+			if i%3 == 0 {
+				cancel(i + instants)
+				cancel(i - instants)
+				cancel(i + 2*instants)
+				cancel(i + 2*instants)
+			}
+		})
 	}
 
 	executed, err := k.Run()
-	wg.Wait()
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	if int64(executed) != fired.Load() {
-		t.Fatalf("Run reported %d events, handlers saw %d", executed, fired.Load())
+	nFired, nCancelled := 0, 0
+	for i := range fired {
+		if fired[i] == cancelled[i] {
+			t.Fatalf("timer %d: fired %v, cancelled %v", i, fired[i], cancelled[i])
+		}
+		if fired[i] {
+			nFired++
+		} else {
+			nCancelled++
+		}
 	}
-	if got := fired.Load() + cancelled.Load(); got != n {
-		t.Fatalf("fired %d + cancelled %d = %d, want %d", fired.Load(), cancelled.Load(), got, n)
+	if executed != nFired {
+		t.Fatalf("Run reported %d events, handlers saw %d", executed, nFired)
 	}
-	if k.Executed() != uint64(fired.Load()) {
-		t.Fatalf("Executed = %d, want %d", k.Executed(), fired.Load())
+	if nCancelled == 0 {
+		t.Fatal("no handler cancelled a sibling")
+	}
+	if k.Executed() != uint64(nFired) {
+		t.Fatalf("Executed = %d, want %d", k.Executed(), nFired)
 	}
 }
 
-// TestConcurrentScheduleDuringRun races external ScheduleFunc calls (a
-// concurrency-safe public entry point) against a draining kernel: all
-// events scheduled before Run finishes its final batch must be counted
-// by the end of the second drain.
+// TestConcurrentScheduleDuringRun schedules from a handler-driven producer
+// while the kernel drains, and splits the drain over several Run calls by
+// stopping the kernel from the producer: every scheduled event must be
+// counted by the end of the last Run.
 func TestConcurrentScheduleDuringRun(t *testing.T) {
-	const n = 5000
+	const n, perTick = 5000, 50
 	k := NewKernel()
-	var fired atomic.Int64
-	count := func() { fired.Add(1) }
+	fired := 0
+	count := func() { fired++ }
 
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for i := 0; i < n; i++ {
-			k.ScheduleFunc(time.Duration(i%7)*time.Microsecond, count)
+	scheduled, ticks := 0, 0
+	var produce func()
+	produce = func() {
+		for i := 0; i < perTick && scheduled < n; i++ {
+			k.ScheduleFunc(time.Duration(scheduled%7)*time.Microsecond, count)
+			scheduled++
 		}
-	}()
+		ticks++
+		if ticks%10 == 0 {
+			k.Stop()
+		}
+		if scheduled < n {
+			k.ScheduleFunc(3*time.Microsecond, produce)
+		}
+	}
+	k.ScheduleFunc(0, produce)
 
-	// Keep draining until the producer is done and the queue is empty.
+	runs := 0
 	for {
-		if _, err := k.Run(); err != nil {
+		runs++
+		_, err := k.Run()
+		if err == nil {
+			break
+		}
+		if !errors.Is(err, ErrStopped) {
 			t.Fatalf("Run: %v", err)
 		}
-		select {
-		case <-done:
-			if _, err := k.Run(); err != nil {
-				t.Fatalf("final Run: %v", err)
-			}
-			if fired.Load() != n {
-				t.Fatalf("fired %d, want %d", fired.Load(), n)
-			}
-			return
-		default:
-		}
+	}
+	if runs < 2 {
+		t.Fatalf("drained in %d Run calls, want the producer to split it", runs)
+	}
+	if fired != n {
+		t.Fatalf("fired %d, want %d", fired, n)
+	}
+	if k.Pending() != 0 {
+		t.Fatalf("Pending = %d after the final Run, want 0", k.Pending())
 	}
 }

@@ -7,10 +7,20 @@
 // events in the same order, which makes conformance traces reproducible and
 // experiments comparable.
 //
-// The kernel is intentionally single-threaded: events run one at a time, in
-// (time, sequence) order. Public entry points are safe for concurrent use,
-// but event handlers themselves always execute sequentially, and Run, RunUntil
-// and Step must not be called re-entrantly from inside a handler.
+// The kernel is single-threaded: events run one at a time, in (time,
+// sequence) order, and Run, RunUntil and Step must not be called
+// re-entrantly from inside a handler.
+//
+// # Ownership
+//
+// A kernel, and every network, protocol layer, platform, port and
+// observer built on it, belongs to the one goroutine that runs it. None
+// of them takes a lock: scheduling, cancelling and every layer's state
+// change happen either inside event handlers or on the owning goroutine
+// between runs. Parallelism is the runner's policy, not a property of
+// the simulated layers: the runner gives every scenario its own kernel
+// and drives each on one worker goroutine, so scenarios share no
+// simulated state.
 //
 // # Hot path
 //
@@ -21,22 +31,18 @@
 //   - fire-and-forget scheduling (ScheduleFunc, ScheduleBatch) recycles
 //     Timer structs through a free list, so steady-state scheduling does
 //     not allocate;
-//   - the run loop pops all events of one instant in a single critical
-//     section and executes them outside the lock, coordinating with
-//     concurrent Cancel through a per-timer atomic state word instead of
-//     re-locking per event.
+//   - the run loop pops one event, recycles its timer and runs it, so a
+//     timer is pending exactly while it sits in the heap.
 //
-// Handle-returning scheduling (Schedule, ScheduleAt) stays fully
-// concurrency-safe: a Timer whose handle escaped is never recycled, so a
-// stale handle can never alias a later timer.
+// A Timer whose handle escaped (Schedule, ScheduleAt) is never recycled,
+// so a stale handle can never alias a later timer.
 package sim
 
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
-	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -60,18 +66,9 @@ func WithEventLimit(n int) Option {
 	return func(k *Kernel) { k.eventLimit = n }
 }
 
-// Timer lifecycle states. Transitions into and out of statePending happen
-// under the kernel mutex; the stateRunnable→stateDone transition is a CAS
-// raced between the run loop (about to execute) and Cancel, which is what
-// keeps the batch execution path lock-free.
-const (
-	stateDone     int32 = iota // fired, cancelled, or on the free list
-	statePending               // in the heap
-	stateRunnable              // popped into the current run batch
-)
-
 // Timer is a handle to a scheduled event. The zero value is not meaningful;
-// timers are created by Kernel.Schedule and Kernel.ScheduleAt.
+// timers are created by Kernel.Schedule and Kernel.ScheduleAt. A timer is
+// pending exactly while it is in the kernel's heap (index >= 0).
 type Timer struct {
 	kernel  *Kernel
 	seq     uint64
@@ -79,7 +76,6 @@ type Timer struct {
 	fn      func()
 	index   int32 // heap index; -1 while not in the heap
 	escaped bool  // handle returned to a caller; never recycled
-	state   atomic.Int32
 }
 
 // When reports the virtual time at which the timer will fire (or fired).
@@ -88,43 +84,19 @@ func (t *Timer) When() time.Duration { return t.at }
 // Cancel removes the timer from the schedule. It reports whether the timer
 // was still pending (true) or had already fired or been cancelled (false).
 // An event at the instant currently being executed can still be cancelled
-// by an earlier event of the same instant, exactly as if it were in the
-// heap.
+// by an earlier event of the same instant: it is still in the heap.
 func (t *Timer) Cancel() bool {
-	if t == nil || t.kernel == nil {
+	if !t.Pending() {
 		return false
 	}
-	k := t.kernel
-	k.mu.Lock()
-	defer k.mu.Unlock()
-	switch t.state.Load() {
-	case statePending:
-		k.queue.remove(int(t.index))
-		t.state.Store(stateDone)
-		t.fn = nil
-		k.pending.Add(-1)
-		return true
-	case stateRunnable:
-		// The timer sits in an executing batch; race the run loop for it.
-		if t.state.CompareAndSwap(stateRunnable, stateDone) {
-			t.fn = nil
-			k.pending.Add(-1)
-			return true
-		}
-		return false
-	default:
-		return false
-	}
+	t.kernel.queue.remove(int(t.index))
+	t.fn = nil
+	return true
 }
 
 // Pending reports whether the timer is still scheduled.
 func (t *Timer) Pending() bool {
-	if t == nil || t.kernel == nil {
-		return false
-	}
-	t.kernel.mu.Lock()
-	defer t.kernel.mu.Unlock()
-	return t.state.Load() != stateDone
+	return t != nil && t.kernel != nil && t.index >= 0
 }
 
 // TimerRef is a lightweight, recyclable handle to a fire-and-forget
@@ -147,48 +119,23 @@ type TimerRef struct {
 // whether it was still pending. Cancelling a fired, already-cancelled or
 // recycled timer is a safe no-op returning false.
 func (r TimerRef) Cancel() bool {
+	if !r.Pending() {
+		return false
+	}
 	t := r.t
-	if t == nil || t.kernel == nil {
-		return false
-	}
 	k := t.kernel
-	k.mu.Lock()
-	defer k.mu.Unlock()
-	if t.seq != r.seq {
-		return false // recycled into a later event: stale ref
-	}
-	switch t.state.Load() {
-	case statePending:
-		k.queue.remove(int(t.index))
-		t.state.Store(stateDone)
-		t.fn = nil
-		k.pending.Add(-1)
-		// Unlike an escaped *Timer handle, the ref self-invalidates via
-		// the seq check, so a cancelled timer can go straight back to the
-		// free list — this is what keeps arm/cancel loops allocation-free.
-		k.free = append(k.free, t)
-		return true
-	case stateRunnable:
-		if t.state.CompareAndSwap(stateRunnable, stateDone) {
-			t.fn = nil
-			k.pending.Add(-1)
-			return true
-		}
-		return false
-	default:
-		return false
-	}
+	k.queue.remove(int(t.index))
+	t.fn = nil
+	// Unlike an escaped *Timer handle, the ref self-invalidates via the
+	// seq check, so a cancelled timer can go straight back to the free
+	// list — this is what keeps arm/cancel loops allocation-free.
+	k.free = append(k.free, t)
+	return true
 }
 
 // Pending reports whether the referenced timer is still scheduled.
 func (r TimerRef) Pending() bool {
-	t := r.t
-	if t == nil || t.kernel == nil {
-		return false
-	}
-	t.kernel.mu.Lock()
-	defer t.kernel.mu.Unlock()
-	return t.seq == r.seq && t.state.Load() != stateDone
+	return r.t.Pending() && r.t.seq == r.seq
 }
 
 // BatchEntry describes one fire-and-forget event for ScheduleBatch. A
@@ -201,22 +148,14 @@ type BatchEntry struct {
 // Kernel is a deterministic discrete-event scheduler over virtual time.
 // Create one with NewKernel; the zero value is not usable.
 type Kernel struct {
-	mu         sync.Mutex
 	now        time.Duration
 	seq        uint64
 	queue      timerHeap
 	free       []*Timer // recycled non-escaped timers
-	batch      []*Timer // events of the instant being executed
 	rng        *rand.Rand
 	eventLimit int
-
-	stopped  atomic.Bool
-	executed atomic.Uint64
-	// pending mirrors queue length + runnable batch entries so Pending
-	// can serve the stats path lock-free, like the executed counter. It
-	// is incremented on schedule and decremented exactly once per event
-	// on execution or successful cancellation.
-	pending atomic.Int64
+	stopped    bool
+	executed   uint64
 }
 
 // NewKernel returns a kernel at virtual time zero.
@@ -229,30 +168,19 @@ func NewKernel(opts ...Option) *Kernel {
 }
 
 // Now returns the current virtual time.
-func (k *Kernel) Now() time.Duration {
-	k.mu.Lock()
-	defer k.mu.Unlock()
-	return k.now
-}
+func (k *Kernel) Now() time.Duration { return k.now }
 
 // Executed returns the total number of events executed so far. It is used
 // by experiments as a platform-neutral proxy for computational work.
-func (k *Kernel) Executed() uint64 { return k.executed.Load() }
+func (k *Kernel) Executed() uint64 { return k.executed }
 
-// Pending returns the number of scheduled, not yet executed events. It
-// reads a cached length maintained alongside the heap, so the stats
-// path never contends with the scheduling hot path for the kernel lock
-// (the same pattern as Executed).
-func (k *Kernel) Pending() int { return int(k.pending.Load()) }
+// Pending returns the number of scheduled, not yet executed events.
+func (k *Kernel) Pending() int { return k.queue.len() }
 
 // Rand returns the kernel's deterministic random source. It must only be
 // used from inside event handlers (or before the simulation starts) to keep
 // runs reproducible.
-func (k *Kernel) Rand() *rand.Rand {
-	k.mu.Lock()
-	defer k.mu.Unlock()
-	return k.rng
-}
+func (k *Kernel) Rand() *rand.Rand { return k.rng }
 
 // Schedule arranges for fn to run after delay of virtual time. A negative
 // delay is treated as zero. Events scheduled for the same instant run in
@@ -262,23 +190,13 @@ func (k *Kernel) Rand() *rand.Rand {
 // underlying Timer is never recycled. Callers that do not need to cancel
 // should prefer ScheduleFunc, which is allocation-free at steady state.
 func (k *Kernel) Schedule(delay time.Duration, fn func()) *Timer {
-	if delay < 0 {
-		delay = 0
-	}
-	k.mu.Lock()
-	defer k.mu.Unlock()
-	return k.scheduleLocked(k.now+delay, fn, true)
+	return k.schedule(k.now+max(delay, 0), fn, true)
 }
 
 // ScheduleAt arranges for fn to run at absolute virtual time at. Times in
 // the past are clamped to the current instant.
 func (k *Kernel) ScheduleAt(at time.Duration, fn func()) *Timer {
-	k.mu.Lock()
-	defer k.mu.Unlock()
-	if at < k.now {
-		at = k.now
-	}
-	return k.scheduleLocked(at, fn, true)
+	return k.schedule(max(at, k.now), fn, true)
 }
 
 // ScheduleFunc is the fire-and-forget fast path: like Schedule, but it
@@ -287,12 +205,7 @@ func (k *Kernel) ScheduleAt(at time.Duration, fn func()) *Timer {
 //
 //repolint:hotpath
 func (k *Kernel) ScheduleFunc(delay time.Duration, fn func()) {
-	if delay < 0 {
-		delay = 0
-	}
-	k.mu.Lock()
-	k.scheduleLocked(k.now+delay, fn, false)
-	k.mu.Unlock()
+	k.schedule(k.now+max(delay, 0), fn, false)
 }
 
 // ScheduleFuncRef is ScheduleFunc with a cancellable TimerRef: the timer
@@ -302,39 +215,25 @@ func (k *Kernel) ScheduleFunc(delay time.Duration, fn func()) {
 // path needs Schedule's cancellation without its per-call Timer
 // allocation.
 func (k *Kernel) ScheduleFuncRef(delay time.Duration, fn func()) TimerRef {
-	if delay < 0 {
-		delay = 0
-	}
-	k.mu.Lock()
-	defer k.mu.Unlock()
-	t := k.scheduleLocked(k.now+delay, fn, false)
+	t := k.schedule(k.now+max(delay, 0), fn, false)
 	return TimerRef{t: t, seq: t.seq}
 }
 
-// ScheduleBatch schedules every entry under a single lock acquisition, in
-// slice order (so same-instant entries fire FIFO in slice order). Like
-// ScheduleFunc it returns no handles and recycles timers. It is the entry
-// point used by the simulated network for link delivery and by the
-// middleware platform for pub/sub fan-out.
+// ScheduleBatch schedules every entry in slice order (so same-instant
+// entries fire FIFO in slice order). Like ScheduleFunc it returns no
+// handles and recycles timers. It is the entry point used by the
+// simulated network for link delivery and by the middleware platform for
+// pub/sub fan-out.
 //
 //repolint:hotpath
 func (k *Kernel) ScheduleBatch(entries []BatchEntry) {
-	if len(entries) == 0 {
-		return
-	}
-	k.mu.Lock()
-	defer k.mu.Unlock()
 	for i := range entries {
-		d := entries[i].Delay
-		if d < 0 {
-			d = 0
-		}
-		k.scheduleLocked(k.now+d, entries[i].Fn, false)
+		k.schedule(k.now+max(entries[i].Delay, 0), entries[i].Fn, false)
 	}
 }
 
 //repolint:hotpath
-func (k *Kernel) scheduleLocked(at time.Duration, fn func(), escaped bool) *Timer {
+func (k *Kernel) schedule(at time.Duration, fn func(), escaped bool) *Timer {
 	if fn == nil {
 		panic("sim: Schedule called with nil function")
 	}
@@ -351,30 +250,21 @@ func (k *Kernel) scheduleLocked(at time.Duration, fn func(), escaped bool) *Time
 	t.at = at
 	t.fn = fn
 	t.escaped = escaped
-	t.state.Store(statePending)
-	k.pending.Add(1)
 	k.queue.push(t)
 	return t
 }
 
-// recycleBatchLocked returns executed (or cancelled) non-escaped timers of
-// the previous batch to the free list. Timers that were pushed back into
-// the heap by an aborted batch are statePending and skipped.
-//
-//repolint:hotpath
-func (k *Kernel) recycleBatchLocked() {
-	for i, t := range k.batch {
-		if !t.escaped && t.state.Load() == stateDone {
-			k.free = append(k.free, t)
-		}
-		k.batch[i] = nil
-	}
-	k.batch = k.batch[:0]
-}
-
 // Stop aborts any in-progress Run at the next event boundary. Pending
 // events remain queued.
-func (k *Kernel) Stop() { k.stopped.Store(true) }
+func (k *Kernel) Stop() { k.stopped = true }
+
+// consumeStop reports whether Stop was called since the last run
+// boundary, clearing the flag.
+func (k *Kernel) consumeStop() bool {
+	stopped := k.stopped
+	k.stopped = false
+	return stopped
+}
 
 // Step executes the single next event, if any, advancing virtual time to
 // the event's instant. It reports whether an event was executed. Like the
@@ -383,128 +273,68 @@ func (k *Kernel) Stop() { k.stopped.Store(true) }
 //
 //repolint:hotpath
 func (k *Kernel) Step() bool {
-	k.mu.Lock()
-	k.recycleBatchLocked()
-	if k.stopped.CompareAndSwap(true, false) {
-		k.mu.Unlock()
+	if k.consumeStop() || k.queue.len() == 0 {
 		return false
 	}
-	if k.queue.len() == 0 {
-		k.mu.Unlock()
-		return false
-	}
+	k.fire()
+	return true
+}
+
+// fire pops the earliest event, advances the clock to it, recycles its
+// timer and runs it. The timer is recycled before the handler runs, so a
+// handler that schedules may reuse it at once; a stale TimerRef to it is
+// inert by its sequence number.
+//
+//repolint:hotpath
+func (k *Kernel) fire() {
 	t := k.queue.popMin()
-	t.state.Store(stateDone)
-	k.pending.Add(-1)
 	k.now = t.at
-	k.executed.Add(1)
+	k.executed++
 	fn := t.fn
 	t.fn = nil
 	if !t.escaped {
 		k.free = append(k.free, t)
 	}
-	k.mu.Unlock()
 	fn()
-	return true
 }
 
 // Run executes events until the queue is empty. It returns the number of
 // events executed. It returns ErrStopped if Stop was called, or an error if
 // the configured event limit was exceeded.
 func (k *Kernel) Run() (int, error) {
-	return k.run(nil)
+	return k.run(math.MaxInt64)
 }
 
 // RunUntil executes events with timestamps <= deadline, then advances the
 // clock to the deadline (even if no event fired exactly there). Events
-// scheduled after the deadline stay queued.
+// scheduled after the deadline stay queued. A run cut short by Stop or
+// the event limit leaves the clock at the last executed event, so a
+// later run still fires the events before the deadline in time order.
 func (k *Kernel) RunUntil(deadline time.Duration) (int, error) {
-	n, err := k.run(func() bool {
-		return k.queue.min().at <= deadline
-	})
-	k.mu.Lock()
-	if k.now < deadline {
+	n, err := k.run(deadline)
+	if err == nil && k.now < deadline {
 		k.now = deadline
 	}
-	k.mu.Unlock()
 	return n, err
 }
 
-// run executes events while cond (evaluated under the lock, with a
-// non-empty queue) holds; a nil cond means "always" and skips the
-// per-pop indirect call on the unconditional Run path.
-//
-// Each loop iteration pops every event of the earliest instant into a
-// batch in one critical section and executes the batch outside the lock:
-// the mutex is taken per instant, not per event. Handlers scheduling new
-// work for the same instant are still ordered correctly — their sequence
-// numbers exceed those of the batch, so they join the next batch of the
-// same instant. Stop and the event limit are checked between events
-// (lock-free), and an aborted batch pushes its unexecuted tail back into
-// the heap with the original (at, seq) keys, which restores the exact
-// order.
-func (k *Kernel) run(cond func() bool) (int, error) {
+// run executes events with timestamps <= deadline one at a time. Stop
+// and the event limit are checked between events; the limit is checked
+// before the clock advances, so the error (and Now) report the last
+// executed instant, not the next one.
+func (k *Kernel) run(deadline time.Duration) (int, error) {
 	executed := 0
 	for {
-		k.mu.Lock()
-		k.recycleBatchLocked()
-		if k.stopped.CompareAndSwap(true, false) {
-			k.mu.Unlock()
+		if k.consumeStop() {
 			return executed, ErrStopped
 		}
-		if k.queue.len() == 0 || (cond != nil && !cond()) {
-			k.mu.Unlock()
+		if k.queue.len() == 0 || k.queue.min().at > deadline {
 			return executed, nil
 		}
-		// Check the limit before advancing the clock so the error (and
-		// Now) report the last *executed* instant, not the next one.
 		if k.eventLimit > 0 && executed >= k.eventLimit {
-			k.mu.Unlock()
 			return executed, fmt.Errorf("sim: event limit %d exceeded at t=%v", k.eventLimit, k.now)
 		}
-		at := k.queue.min().at
-		k.now = at
-		for k.queue.len() > 0 && k.queue.min().at == at {
-			t := k.queue.popMin()
-			t.state.Store(stateRunnable)
-			k.batch = append(k.batch, t)
-		}
-		k.mu.Unlock()
-
-		for i, t := range k.batch {
-			if k.stopped.CompareAndSwap(true, false) {
-				k.abortBatchFrom(i)
-				return executed, ErrStopped
-			}
-			// i > 0 here: the boundary check above guarantees budget for
-			// the batch's first event, so an exhausted limit mid-batch
-			// always follows an executed event of this same instant.
-			if k.eventLimit > 0 && executed >= k.eventLimit {
-				k.abortBatchFrom(i)
-				return executed, fmt.Errorf("sim: event limit %d exceeded at t=%v", k.eventLimit, at)
-			}
-			if !t.state.CompareAndSwap(stateRunnable, stateDone) {
-				continue // cancelled while in the batch
-			}
-			fn := t.fn
-			t.fn = nil
-			k.pending.Add(-1)
-			k.executed.Add(1)
-			fn()
-			executed++
-		}
+		k.fire()
+		executed++
 	}
-}
-
-// abortBatchFrom pushes the unexecuted batch tail starting at index i back
-// into the heap and recycles the executed prefix.
-func (k *Kernel) abortBatchFrom(i int) {
-	k.mu.Lock()
-	for _, t := range k.batch[i:] {
-		if t.state.CompareAndSwap(stateRunnable, statePending) {
-			k.queue.push(t)
-		}
-	}
-	k.recycleBatchLocked()
-	k.mu.Unlock()
 }

@@ -198,6 +198,42 @@ func TestRunUntilAdvancesClockWithoutEvents(t *testing.T) {
 	}
 }
 
+// TestRunUntilStoppedKeepsClockMonotonic: a RunUntil cut short by Stop
+// (or the event limit) must leave the clock at the last executed event,
+// not at the deadline — otherwise the events it left queued before the
+// deadline would later fire with the clock moving backwards.
+func TestRunUntilStoppedKeepsClockMonotonic(t *testing.T) {
+	for _, limited := range []bool{false, true} {
+		var k *Kernel
+		if limited {
+			k = NewKernel(WithEventLimit(1))
+		} else {
+			k = NewKernel()
+		}
+		var firedAt []time.Duration
+		k.Schedule(5*time.Microsecond, func() {
+			firedAt = append(firedAt, k.Now())
+			if !limited {
+				k.Stop()
+			}
+		})
+		k.Schedule(7*time.Microsecond, func() { firedAt = append(firedAt, k.Now()) })
+		n, err := k.RunUntil(10 * time.Microsecond)
+		if err == nil || n != 1 {
+			t.Fatalf("limited=%v: RunUntil = (%d, %v), want 1 event and an error", limited, n, err)
+		}
+		if k.Now() != 5*time.Microsecond {
+			t.Fatalf("limited=%v: Now = %v after the cut-short RunUntil, want 5µs", limited, k.Now())
+		}
+		if _, err := k.Run(); err != nil {
+			t.Fatalf("limited=%v: Run: %v", limited, err)
+		}
+		if len(firedAt) != 2 || firedAt[1] != 7*time.Microsecond {
+			t.Fatalf("limited=%v: events fired at %v, want [5µs 7µs]", limited, firedAt)
+		}
+	}
+}
+
 func TestStop(t *testing.T) {
 	k := NewKernel()
 	count := 0
@@ -281,10 +317,10 @@ func TestEventLimitKeepsClockAtLastExecuted(t *testing.T) {
 	}
 }
 
-// TestEventLimitAbortsMidBatch pins the aborted-batch path: all four
-// events share one instant, so the limit trips mid-batch and the
-// unexecuted tail must go back into the heap under its original keys.
-// The limit is per Run, so a second Run drains the tail in FIFO order.
+// TestEventLimitAbortsMidBatch: all four events share one instant, so
+// the limit trips between events of that instant and the unexecuted ones
+// must stay queued under their original keys. The limit is per Run, so a
+// second Run drains them in FIFO order.
 func TestEventLimitAbortsMidBatch(t *testing.T) {
 	k := NewKernel(WithEventLimit(2))
 	var got []int
@@ -296,7 +332,7 @@ func TestEventLimitAbortsMidBatch(t *testing.T) {
 		t.Fatalf("limited Run = (%d, %v), want 2 events and a limit error", n, err)
 	}
 	if k.Pending() != 2 {
-		t.Fatalf("Pending = %d after mid-batch abort, want 2", k.Pending())
+		t.Fatalf("Pending = %d after a mid-instant abort, want 2", k.Pending())
 	}
 	if n, err := k.Run(); err != nil || n != 2 {
 		t.Fatalf("second Run = (%d, %v), want (2, nil)", n, err)
@@ -622,14 +658,14 @@ func TestScheduleFuncRefRecycles(t *testing.T) {
 }
 
 // TestScheduleFuncRefCancelInBatch cancels a same-instant ref from an
-// earlier event of the same batch (the stateRunnable CAS path).
+// earlier event of the same instant.
 func TestScheduleFuncRefCancelInBatch(t *testing.T) {
 	k := NewKernel()
 	fired := false
 	var ref TimerRef
 	k.ScheduleFunc(time.Millisecond, func() {
 		if !ref.Cancel() {
-			t.Error("in-batch Cancel should report true")
+			t.Error("same-instant Cancel should report true")
 		}
 	})
 	ref = k.ScheduleFuncRef(time.Millisecond, func() { fired = true })
@@ -637,6 +673,6 @@ func TestScheduleFuncRefCancelInBatch(t *testing.T) {
 		t.Fatalf("Run: %v", err)
 	}
 	if fired {
-		t.Fatal("ref cancelled within its own batch still fired")
+		t.Fatal("ref cancelled within its own instant still fired")
 	}
 }

@@ -2,8 +2,6 @@ package svc
 
 import (
 	"fmt"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/codec"
 	"repro/internal/middleware"
@@ -29,12 +27,7 @@ type Port[Req, Resp any] struct {
 	enc    func([]byte, Req) ([]byte, error)
 	dec    func(codec.MsgView) (Resp, error)
 
-	// Call-state pool: a single-slot atomic fast path (sequential calls
-	// never touch the mutex) over a mutex-guarded overflow list for
-	// concurrent outstanding calls.
-	slot atomic.Pointer[callState[Req, Resp]]
-	mu   sync.Mutex
-	free *callState[Req, Resp]
+	free *callState[Req, Resp] // call-state free list
 }
 
 // callState is one outstanding call's pooled bookkeeping. The reply
@@ -72,25 +65,18 @@ func (p *Port[Req, Resp]) Target() middleware.ObjRef { return p.target }
 // Op returns the port's wire operation name.
 func (p *Port[Req, Resp]) Op() string { return p.op }
 
-// getState pops (or creates) a pooled call state: the single slot first,
-// the overflow list second, a fresh allocation last.
+// getState pops (or creates) a pooled call state.
 //
 //repolint:hotpath
 func (p *Port[Req, Resp]) getState() *callState[Req, Resp] {
-	if s := p.slot.Swap(nil); s != nil {
-		return s
-	}
-	p.mu.Lock()
 	s := p.free
-	if s != nil {
-		p.free = s.next
-		s.next = nil
-	}
-	p.mu.Unlock()
 	if s == nil {
 		s = &callState[Req, Resp]{p: p}
 		s.onReply = s.reply
+		return s
 	}
+	p.free = s.next
+	s.next = nil
 	return s
 }
 
@@ -100,13 +86,8 @@ func (p *Port[Req, Resp]) getState() *callState[Req, Resp] {
 //
 //repolint:hotpath
 func (p *Port[Req, Resp]) putState(s *callState[Req, Resp]) {
-	if p.slot.CompareAndSwap(nil, s) {
-		return
-	}
-	p.mu.Lock()
 	s.next = p.free
 	p.free = s
-	p.mu.Unlock()
 }
 
 // Call performs the request/response interaction from the given node.
@@ -142,12 +123,11 @@ func (p *Port[Req, Resp]) Call(from middleware.Addr, req Req, cont func(Resp, er
 }
 
 // reply is the platform continuation and the call's only resolver: the
-// platform runs it exactly once, on reply, timeout or failure. It runs
-// lock-free — the happens-before chain to Call's field writes goes
-// through the platform's own mutex — and returns the state to the pool
-// before the continuation runs (on a local copy), so a reentrant Call
-// from inside cont may reuse it safely. The result view borrows the
-// delivery buffer: dec must copy whatever Resp retains.
+// platform runs it exactly once, on reply, timeout or failure. It
+// returns the state to the pool before the continuation runs (on a local
+// copy), so a reentrant Call from inside cont may reuse it safely. The
+// result view borrows the delivery buffer: dec must copy whatever Resp
+// retains.
 func (s *callState[Req, Resp]) reply(result codec.MsgView, err error) {
 	p := s.p
 	cont := s.cont
@@ -210,13 +190,9 @@ func (b *Binding) NewExport(ref middleware.ObjRef, node middleware.Addr) (*Expor
 
 // respondPool recycles one operation's respond continuations: the cell's
 // typed closure is built once per pooled object, so a steady-state
-// dispatch hands the handler a respond function without allocating. Like
-// the port's call-state pool, a single-slot atomic serves sequential
-// dispatches; concurrent ones fall back to the mutex-guarded list.
+// dispatch hands the handler a respond function without allocating.
 type respondPool[Resp any] struct {
 	enc  func([]byte, Resp) ([]byte, error)
-	slot atomic.Pointer[respondCell[Resp]]
-	mu   sync.Mutex
 	free *respondCell[Resp]
 }
 
@@ -261,28 +237,17 @@ func (c *respondCell[Resp]) respond(resp Resp, err error) {
 
 // put returns a disarmed cell to the pool.
 func (p *respondPool[Resp]) put(c *respondCell[Resp]) {
-	if p.slot.CompareAndSwap(nil, c) {
-		return
-	}
-	p.mu.Lock()
 	c.next = p.free
 	p.free = c
-	p.mu.Unlock()
 }
 
 // get pops (or creates) a cell bound to one dispatch's reply.
 func (p *respondPool[Resp]) get(reply middleware.Reply) *respondCell[Resp] {
-	c := p.slot.Swap(nil)
-	if c == nil {
-		p.mu.Lock()
-		c = p.free
-		if c != nil {
-			p.free = c.next
-			c.next = nil
-		}
-		p.mu.Unlock()
-	}
-	if c == nil {
+	c := p.free
+	if c != nil {
+		p.free = c.next
+		c.next = nil
+	} else {
 		c = &respondCell[Resp]{pool: p}
 		c.fn = c.respond
 	}

@@ -30,7 +30,6 @@ package svc
 import (
 	"errors"
 	"fmt"
-	"sync"
 
 	"repro/internal/codec"
 	"repro/internal/core"
@@ -114,7 +113,6 @@ type Service struct {
 	spec    *core.ServiceSpec
 	schemas map[string]*codec.Schema // primitive name → compiled param record schema
 
-	mu    sync.Mutex
 	bound bool
 }
 
@@ -168,8 +166,6 @@ func (s *Service) Bind(p *middleware.Platform, patterns ...middleware.Pattern) (
 			}
 		}
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	if s.bound {
 		return nil, &classed{class: ErrAlreadyBound, cause: fmt.Errorf("service %q", s.spec.Name)}
 	}
