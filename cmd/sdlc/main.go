@@ -20,7 +20,8 @@
 // is declared a string), or list, written comma-separated (a,b,c). A
 // value that does not parse as its declared kind stays a string, which
 // the kind check then reports. Undeclared parameters, which the check
-// also reports, parse as int, bool, or string (in that order).
+// also reports, parse as int, bool, or string (in that order). A
+// parameter given twice on one line is an error.
 package main
 
 import (
@@ -28,7 +29,9 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"maps"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -97,7 +100,7 @@ func checkTrace(spec *core.ServiceSpec, path string, stdout, stderr io.Writer) i
 	defer f.Close()
 
 	clock := &lineClock{}
-	obs, err := core.NewObserver(spec, clock, core.WithEventValidation())
+	obs, err := core.NewObserver(spec, clock)
 	if err != nil {
 		fmt.Fprintf(stderr, "sdlc: %v\n", err)
 		return 1
@@ -146,9 +149,11 @@ func checkTrace(spec *core.ServiceSpec, path string, stdout, stderr io.Writer) i
 	return 0
 }
 
-// parseTraceLine parses "<role>:<id> <primitive> [k=v ...]", reading each
-// value as the kind spec declares for that parameter of the primitive.
-func parseTraceLine(spec *core.ServiceSpec, line string) (core.SAP, string, codec.Record, error) {
+// parseTraceLine parses "<role>:<id> <primitive> [k=v ...]" and encodes
+// the params as one record, reading each value as the kind spec declares
+// for that parameter of the primitive. A parameter given twice is an
+// error, as is one with an empty name.
+func parseTraceLine(spec *core.ServiceSpec, line string) (core.SAP, string, []byte, error) {
 	fields := strings.Fields(line)
 	if len(fields) < 2 {
 		return core.SAP{}, "", nil, fmt.Errorf("want '<role>:<id> <primitive> [k=v ...]', got %q", line)
@@ -158,13 +163,25 @@ func parseTraceLine(spec *core.ServiceSpec, line string) (core.SAP, string, code
 		return core.SAP{}, "", nil, fmt.Errorf("bad SAP %q (want role:id)", fields[0])
 	}
 	prim, _ := spec.Primitive(fields[1])
-	params := codec.Record{}
+	values := make(map[string]string, len(fields)-2)
 	for _, kv := range fields[2:] {
 		k, v, ok := strings.Cut(kv, "=")
-		if !ok {
+		if !ok || k == "" {
 			return core.SAP{}, "", nil, fmt.Errorf("bad parameter %q (want k=v)", kv)
 		}
-		params[k] = parseValue(declaredKind(prim, k), v)
+		if _, dup := values[k]; dup {
+			return core.SAP{}, "", nil, fmt.Errorf("parameter %q given twice", k)
+		}
+		values[k] = v
+	}
+	schema := codec.CompileRecord(slices.Collect(maps.Keys(values))...)
+	e := schema.Encoder(nil)
+	for _, k := range schema.Fields() {
+		appendValue(&e, k, declaredKind(prim, k), values[k])
+	}
+	params, err := e.Finish()
+	if err != nil {
+		return core.SAP{}, "", nil, err
 	}
 	return core.SAP{Role: role, ID: id}, fields[1], params, nil
 }
@@ -180,33 +197,30 @@ func declaredKind(prim core.PrimitiveDef, name string) core.ParamKind {
 	return 0
 }
 
-// parseValue reads v as kind. A value that does not parse as its
+// appendValue appends v as kind. A value that does not parse as its
 // declared kind stays a string, for the kind check to report; an
-// undeclared parameter's kind is guessed: int, then bool, then string.
-func parseValue(kind core.ParamKind, v string) codec.Value {
-	switch kind {
-	case core.KindString:
-		return v
-	case core.KindStringList:
-		if v == "" {
-			return codec.List{}
+// undeclared parameter's kind (0) is guessed: int, then bool, then
+// string.
+func appendValue(e *codec.Encoder, name string, kind core.ParamKind, v string) {
+	if kind == core.KindStringList {
+		var items []string
+		if v != "" {
+			items = strings.Split(v, ",")
 		}
-		return codec.StringList(strings.Split(v, ","))
-	case core.KindInt:
+		e.Strings(name, items)
+		return
+	}
+	if kind == core.KindInt || kind == 0 {
 		if n, err := strconv.ParseInt(v, 10, 64); err == nil {
-			return n
-		}
-	case core.KindBool:
-		if b, err := strconv.ParseBool(v); err == nil {
-			return b
-		}
-	default:
-		if n, err := strconv.ParseInt(v, 10, 64); err == nil {
-			return n
-		}
-		if b, err := strconv.ParseBool(v); err == nil {
-			return b
+			e.Int(name, n)
+			return
 		}
 	}
-	return v
+	if kind == core.KindBool || kind == 0 {
+		if b, err := strconv.ParseBool(v); err == nil {
+			e.Bool(name, b)
+			return
+		}
+	}
+	e.Str(name, v)
 }

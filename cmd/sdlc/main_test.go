@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
-	"reflect"
 	"strings"
 	"testing"
 
@@ -22,6 +21,17 @@ func mustSpec(t *testing.T, src string) *core.ServiceSpec {
 		t.Fatal(err)
 	}
 	return spec
+}
+
+// rec encodes a params record through the generic codec: the oracle a
+// parsed trace line's params must equal byte for byte.
+func rec(t *testing.T, r codec.Record) []byte {
+	t.Helper()
+	b, err := codec.Append(nil, r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
 }
 
 // check writes trace to a file, checks it against spec and returns the
@@ -56,9 +66,9 @@ func TestParseValuesByDeclaredKind(t *testing.T) {
 	if sap != (core.SAP{Role: "producer", ID: "p1"}) || prim != "open" {
 		t.Fatalf("sap %v, primitive %q", sap, prim)
 	}
-	want := codec.Record{"id": "42", "seq": int64(7), "urgent": true, "tags": codec.List{"a", "b"}}
-	if !reflect.DeepEqual(params, want) {
-		t.Fatalf("params = %#v, want %#v", params, want)
+	want := rec(t, codec.Record{"id": "42", "seq": int64(7), "urgent": true, "tags": codec.List{"a", "b"}})
+	if !bytes.Equal(params, want) {
+		t.Fatalf("params = % x, want % x", params, want)
 	}
 	if err := spec.CheckEvent(core.Event{SAP: sap, Primitive: prim, Params: params}); err != nil {
 		t.Fatalf("declared kinds rejected: %v", err)
@@ -81,9 +91,9 @@ func TestParseUndeclaredParameterGuessesKind(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := codec.Record{"resid": "r1", "n": int64(3), "ok": false, "word": "hi"}
-	if !reflect.DeepEqual(params, want) {
-		t.Fatalf("params = %#v, want %#v", params, want)
+	want := rec(t, codec.Record{"resid": "r1", "n": int64(3), "ok": false, "word": "hi"})
+	if !bytes.Equal(params, want) {
+		t.Fatalf("params = % x, want % x", params, want)
 	}
 	// Validation still flags the undeclared parameters.
 	code, out := check(t, spec, "subscriber:s1 request resid=r1 n=3\n")
@@ -98,6 +108,7 @@ func TestMalformedTraceLine(t *testing.T) {
 		"subscriber:s1",               // no primitive
 		"subscriber request resid=r1", // SAP without an id
 		"subscriber:s1 request resid", // parameter without a value
+		"subscriber:s1 request =r1",   // parameter without a name
 	} {
 		if _, _, _, err := parseTraceLine(spec, line); err == nil {
 			t.Errorf("%q parsed", line)
@@ -105,5 +116,16 @@ func TestMalformedTraceLine(t *testing.T) {
 		if code, out := check(t, spec, line+"\n"); code != 1 || !strings.Contains(out, "trace.txt:1:") {
 			t.Errorf("%q: exit %d, output:\n%s", line, code, out)
 		}
+	}
+}
+
+// TestRepeatedParameterRejected: a parameter given twice is a parse
+// error naming the line, not a silent last-value-wins.
+func TestRepeatedParameterRejected(t *testing.T) {
+	spec := mustSpec(t, specs.FloorControl)
+	trace := "subscriber:s1 request resid=r1 resid=r2\nsubscriber:s1 granted resid=r2\nsubscriber:s1 free resid=r2\n"
+	code, out := check(t, spec, trace)
+	if code != 1 || !strings.Contains(out, `trace.txt:1: parameter "resid" given twice`) {
+		t.Fatalf("exit %d, output:\n%s", code, out)
 	}
 }

@@ -118,8 +118,8 @@ func Spec() *core.ServiceSpec {
 	}
 }
 
-// Service declares the typed service: the spec validated and every
-// primitive's parameter record schema-compiled by internal/svc.
+// Service declares the typed service, its spec validated by
+// internal/svc.
 func Service() (*svc.Service, error) {
 	return svc.New(Spec())
 }
@@ -157,8 +157,7 @@ type OpenParams struct {
 }
 
 // AppendOpenParams appends the wire form of p's parameter record to buf
-// through the compiled schema — byte-identical to codec.Append of the
-// record OpenMessage(p) carries. It is the argument encoder of the
+// through the compiled schema. It is the argument encoder of the
 // primitive's typed port or sink.
 func AppendOpenParams(buf []byte, p OpenParams) ([]byte, error) {
 	e := SchemaOpen.Encoder(buf)
@@ -197,17 +196,6 @@ func DecodeOpenParams(v codec.MsgView) (OpenParams, error) {
 	return p, nil
 }
 
-// OpenMessage wraps p as the named message the queue and topic planes
-// carry.
-func OpenMessage(p OpenParams) codec.Message {
-	return codec.NewMessage(PrimOpen, codec.Record{
-		"id":     p.Id,
-		"seq":    p.Seq,
-		"urgent": p.Urgent,
-		"tags":   codec.StringList(p.Tags),
-	})
-}
-
 // NewOpenPort opens a typed RPC port for primitive "open": the user part
 // submits OpenParams to the provider object and the continuation
 // receives the acknowledgement.
@@ -228,8 +216,7 @@ type OpenedParams struct {
 }
 
 // AppendOpenedParams appends the wire form of p's parameter record to buf
-// through the compiled schema — byte-identical to codec.Append of the
-// record OpenedMessage(p) carries. It is the argument encoder of the
+// through the compiled schema. It is the argument encoder of the
 // primitive's typed port or sink.
 func AppendOpenedParams(buf []byte, p OpenedParams) ([]byte, error) {
 	e := SchemaOpened.Encoder(buf)
@@ -256,15 +243,6 @@ func DecodeOpenedParams(v codec.MsgView) (OpenedParams, error) {
 	return p, nil
 }
 
-// OpenedMessage wraps p as the named message the queue and topic planes
-// carry.
-func OpenedMessage(p OpenedParams) codec.Message {
-	return codec.NewMessage(PrimOpened, codec.Record{
-		"id":  p.Id,
-		"seq": p.Seq,
-	})
-}
-
 // NewOpenedSink opens a typed oneway sink for primitive "opened": the provider
 // delivers OpenedParams to a user-part object without awaiting a reply.
 func NewOpenedSink(b *svc.Binding, target middleware.ObjRef) (*svc.Sink[OpenedParams], error) {
@@ -273,7 +251,7 @@ func NewOpenedSink(b *svc.Binding, target middleware.ObjRef) (*svc.Sink[OpenedPa
 
 // NewOpenedTopicSink opens a typed publisher of "opened" events on topic.
 func NewOpenedTopicSink(b *svc.Binding, topic string) (*svc.Sink[OpenedParams], error) {
-	return svc.NewTopicSink(b, topic, OpenedMessage)
+	return svc.NewTopicSink(b, topic, PrimOpened, AppendOpenedParams)
 }
 
 // DecodeOpenedView decodes a published "opened" event from the zero-copy
@@ -304,8 +282,7 @@ type CloseParams struct {
 }
 
 // AppendCloseParams appends the wire form of p's parameter record to buf
-// through the compiled schema — byte-identical to codec.Append of the
-// record CloseMessage(p) carries. It is the argument encoder of the
+// through the compiled schema. It is the argument encoder of the
 // primitive's typed port or sink.
 func AppendCloseParams(buf []byte, p CloseParams) ([]byte, error) {
 	e := SchemaClose.Encoder(buf)
@@ -326,14 +303,6 @@ func DecodeCloseParams(v codec.MsgView) (CloseParams, error) {
 	return p, nil
 }
 
-// CloseMessage wraps p as the named message the queue and topic planes
-// carry.
-func CloseMessage(p CloseParams) codec.Message {
-	return codec.NewMessage(PrimClose, codec.Record{
-		"id": p.Id,
-	})
-}
-
 // NewClosePort opens a typed RPC port for primitive "close": the user part
 // submits CloseParams to the provider object and the continuation
 // receives the acknowledgement.
@@ -351,8 +320,7 @@ func HandleClose(e *svc.Export, h func(CloseParams, func(Ack, error))) error {
 type PingParams struct{}
 
 // AppendPingParams appends the wire form of p's parameter record to buf
-// through the compiled schema — byte-identical to codec.Append of the
-// record PingMessage(p) carries. It is the argument encoder of the
+// through the compiled schema. It is the argument encoder of the
 // primitive's typed port or sink.
 func AppendPingParams(buf []byte, _ PingParams) ([]byte, error) {
 	e := SchemaPing.Encoder(buf)
@@ -364,12 +332,6 @@ func AppendPingParams(buf []byte, _ PingParams) ([]byte, error) {
 // values; mistyped ones are rejected.
 func DecodePingParams(codec.MsgView) (PingParams, error) {
 	return PingParams{}, nil
-}
-
-// PingMessage wraps p as the named message the queue and topic planes
-// carry.
-func PingMessage(PingParams) codec.Message {
-	return codec.NewMessage(PrimPing, codec.Record{})
 }
 
 // NewPingPort opens a typed RPC port for primitive "ping": the user part

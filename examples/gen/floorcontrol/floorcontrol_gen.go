@@ -42,7 +42,7 @@ var (
 func Spec() *core.ServiceSpec {
 	return &core.ServiceSpec{
 		Name:        ServiceName,
-		Description: "coordinated exclusive access to named resources",
+		Description: "coordinated, exclusive, non-preemptive access to named shared resources",
 		Roles: []core.RoleDef{
 			{Name: RoleSubscriber, Min: 2, Max: 0},
 		},
@@ -60,6 +60,7 @@ func Spec() *core.ServiceSpec {
 		Constraints: []core.Constraint{
 			&core.Precedes{
 				ConstraintName: "granted-follows-request",
+				ConstraintDesc: "the execution of granted follows the execution of request (for a given resource identification)",
 				ScopeKind:      core.ScopeLocal,
 				Trigger:        PrimRequest,
 				Enabled:        PrimGranted,
@@ -67,6 +68,7 @@ func Spec() *core.ServiceSpec {
 			},
 			&core.Precedes{
 				ConstraintName: "free-follows-granted",
+				ConstraintDesc: "the execution of free follows the execution of granted (for a given resource identification)",
 				ScopeKind:      core.ScopeLocal,
 				Trigger:        PrimGranted,
 				Enabled:        PrimFree,
@@ -74,12 +76,14 @@ func Spec() *core.ServiceSpec {
 			},
 			&core.MutualExclusion{
 				ConstraintName: "exclusive-grant",
+				ConstraintDesc: "a resource is only granted to one subscriber at a time",
 				Acquire:        PrimGranted,
 				Release:        PrimFree,
 				Key:            core.KeyParam("resid"),
 			},
 			&core.EventuallyFollows{
 				ConstraintName: "request-eventually-granted",
+				ConstraintDesc: "the execution of granted eventually follows the execution of request (liveness; subscribers are cooperative)",
 				ScopeKind:      core.ScopeLocal,
 				Trigger:        PrimRequest,
 				Response:       PrimGranted,
@@ -87,6 +91,7 @@ func Spec() *core.ServiceSpec {
 			},
 			&core.Absence{
 				ConstraintName: "no-request-while-held",
+				ConstraintDesc: "a subscriber does not re-request a resource it currently holds (cooperative use, §4)",
 				ScopeKind:      core.ScopeLocal,
 				Open:           PrimGranted,
 				Close:          PrimFree,
@@ -97,8 +102,8 @@ func Spec() *core.ServiceSpec {
 	}
 }
 
-// Service declares the typed service: the spec validated and every
-// primitive's parameter record schema-compiled by internal/svc.
+// Service declares the typed service, its spec validated by
+// internal/svc.
 func Service() (*svc.Service, error) {
 	return svc.New(Spec())
 }
@@ -133,8 +138,7 @@ type RequestParams struct {
 }
 
 // AppendRequestParams appends the wire form of p's parameter record to buf
-// through the compiled schema — byte-identical to codec.Append of the
-// record RequestMessage(p) carries. It is the argument encoder of the
+// through the compiled schema. It is the argument encoder of the
 // primitive's typed port or sink.
 func AppendRequestParams(buf []byte, p RequestParams) ([]byte, error) {
 	e := SchemaRequest.Encoder(buf)
@@ -153,14 +157,6 @@ func DecodeRequestParams(v codec.MsgView) (RequestParams, error) {
 		return p, fmt.Errorf("request: parameter %q: want string", "resid")
 	}
 	return p, nil
-}
-
-// RequestMessage wraps p as the named message the queue and topic planes
-// carry.
-func RequestMessage(p RequestParams) codec.Message {
-	return codec.NewMessage(PrimRequest, codec.Record{
-		"resid": p.Resid,
-	})
 }
 
 // NewRequestPort opens a typed RPC port for primitive "request": the user part
@@ -182,8 +178,7 @@ type GrantedParams struct {
 }
 
 // AppendGrantedParams appends the wire form of p's parameter record to buf
-// through the compiled schema — byte-identical to codec.Append of the
-// record GrantedMessage(p) carries. It is the argument encoder of the
+// through the compiled schema. It is the argument encoder of the
 // primitive's typed port or sink.
 func AppendGrantedParams(buf []byte, p GrantedParams) ([]byte, error) {
 	e := SchemaGranted.Encoder(buf)
@@ -204,14 +199,6 @@ func DecodeGrantedParams(v codec.MsgView) (GrantedParams, error) {
 	return p, nil
 }
 
-// GrantedMessage wraps p as the named message the queue and topic planes
-// carry.
-func GrantedMessage(p GrantedParams) codec.Message {
-	return codec.NewMessage(PrimGranted, codec.Record{
-		"resid": p.Resid,
-	})
-}
-
 // NewGrantedSink opens a typed oneway sink for primitive "granted": the provider
 // delivers GrantedParams to a user-part object without awaiting a reply.
 func NewGrantedSink(b *svc.Binding, target middleware.ObjRef) (*svc.Sink[GrantedParams], error) {
@@ -220,7 +207,7 @@ func NewGrantedSink(b *svc.Binding, target middleware.ObjRef) (*svc.Sink[Granted
 
 // NewGrantedTopicSink opens a typed publisher of "granted" events on topic.
 func NewGrantedTopicSink(b *svc.Binding, topic string) (*svc.Sink[GrantedParams], error) {
-	return svc.NewTopicSink(b, topic, GrantedMessage)
+	return svc.NewTopicSink(b, topic, PrimGranted, AppendGrantedParams)
 }
 
 // DecodeGrantedView decodes a published "granted" event from the zero-copy
@@ -251,8 +238,7 @@ type FreeParams struct {
 }
 
 // AppendFreeParams appends the wire form of p's parameter record to buf
-// through the compiled schema — byte-identical to codec.Append of the
-// record FreeMessage(p) carries. It is the argument encoder of the
+// through the compiled schema. It is the argument encoder of the
 // primitive's typed port or sink.
 func AppendFreeParams(buf []byte, p FreeParams) ([]byte, error) {
 	e := SchemaFree.Encoder(buf)
@@ -271,14 +257,6 @@ func DecodeFreeParams(v codec.MsgView) (FreeParams, error) {
 		return p, fmt.Errorf("free: parameter %q: want string", "resid")
 	}
 	return p, nil
-}
-
-// FreeMessage wraps p as the named message the queue and topic planes
-// carry.
-func FreeMessage(p FreeParams) codec.Message {
-	return codec.NewMessage(PrimFree, codec.Record{
-		"resid": p.Resid,
-	})
 }
 
 // NewFreePort opens a typed RPC port for primitive "free": the user part

@@ -178,15 +178,16 @@ func TestTopicRoundTrip(t *testing.T) {
 }
 
 // TestWireParity pins, for every primitive, that the schema fast path
-// emits exactly the bytes of the generic codec on the record the
-// Message form carries, and that the view decoder inverts it.
+// emits exactly the bytes of the generic codec on the equivalent
+// record, and that the view decoder inverts it.
 func TestWireParity(t *testing.T) {
-	check := func(name string, fast []byte, fastErr error, msg codec.Message, decode func(codec.MsgView) (string, error)) {
+	legacy := codec.Record{"resid": "cam-1"}
+	check := func(name string, fast []byte, fastErr error, decode func(codec.MsgView) (string, error)) {
 		t.Helper()
 		if fastErr != nil {
 			t.Fatalf("%s: append: %v", name, fastErr)
 		}
-		want, err := codec.Append(nil, msg.Fields)
+		want, err := codec.Append(nil, legacy)
 		if err != nil {
 			t.Fatalf("%s: encode: %v", name, err)
 		}
@@ -203,21 +204,21 @@ func TestWireParity(t *testing.T) {
 	}
 	req := floorcontrol.RequestParams{Resid: "cam-1"}
 	fast, err := floorcontrol.AppendRequestParams(nil, req)
-	check("request", fast, err, floorcontrol.RequestMessage(req), func(v codec.MsgView) (string, error) {
+	check("request", fast, err, func(v codec.MsgView) (string, error) {
 		p, err := floorcontrol.DecodeRequestParams(v)
 		return p.Resid, err
 	})
 
 	g := floorcontrol.GrantedParams{Resid: "cam-1"}
 	fast, err = floorcontrol.AppendGrantedParams(nil, g)
-	check("granted", fast, err, floorcontrol.GrantedMessage(g), func(v codec.MsgView) (string, error) {
+	check("granted", fast, err, func(v codec.MsgView) (string, error) {
 		p, err := floorcontrol.DecodeGrantedParams(v)
 		return p.Resid, err
 	})
 
 	fr := floorcontrol.FreeParams{Resid: "cam-1"}
 	fast, err = floorcontrol.AppendFreeParams(nil, fr)
-	check("free", fast, err, floorcontrol.FreeMessage(fr), func(v codec.MsgView) (string, error) {
+	check("free", fast, err, func(v codec.MsgView) (string, error) {
 		p, err := floorcontrol.DecodeFreeParams(v)
 		return p.Resid, err
 	})

@@ -18,8 +18,12 @@ package chat
 
 import (
 	"fmt"
+	"slices"
 
+	"repro/examples/specs"
+	"repro/internal/codec"
 	"repro/internal/core"
+	"repro/internal/sdl"
 )
 
 // Role and primitive names of the ordered-chat service.
@@ -39,48 +43,26 @@ const (
 // ParticipantSAP names the SAP of one participant.
 func ParticipantSAP(id string) core.SAP { return core.SAP{Role: RoleParticipant, ID: id} }
 
+// specDoc is the ordered-chat service definition, parsed once from its
+// source, examples/specs/chat.svc.
+var specDoc = sdl.MustParse(specs.OrderedChat)
+
 // Spec returns the ordered-chat service definition: every utterance is
 // eventually delivered to every participant, deliveries never precede
 // their utterance, and all participants observe one shared total order.
+// The total order is this package's TotalOrder constraint, which has no
+// SDL clause. Every call compiles a fresh spec.
 func Spec() *core.ServiceSpec {
-	return &core.ServiceSpec{
-		Name:        "ordered-chat",
-		Description: "multiparty chat with totally ordered delivery",
-		Roles:       []core.RoleDef{{Name: RoleParticipant, Min: 2}},
-		Primitives: []core.PrimitiveDef{
-			{Name: PrimSay, Direction: core.FromUser, Params: []core.ParamDef{
-				{Name: ParamMsgID, Kind: core.KindString},
-				{Name: ParamText, Kind: core.KindString},
-			}},
-			{Name: PrimDeliver, Direction: core.ToUser, Params: []core.ParamDef{
-				{Name: ParamMsgID, Kind: core.KindString},
-				{Name: ParamText, Kind: core.KindString},
-				{Name: ParamSpeaker, Kind: core.KindString},
-			}},
-		},
-		Constraints: []core.Constraint{
-			&core.Precedes{
-				ConstraintName:   "no-spurious-delivery",
-				ConstraintDesc:   "a message is only delivered after it was said (any SAP)",
-				ScopeKind:        core.ScopeRemote,
-				Trigger:          PrimSay,
-				Enabled:          PrimDeliver,
-				Key:              core.KeyParam(ParamMsgID),
-				AllowPendingMany: true,
-				NonConsuming:     true,
-			},
-			&TotalOrder{},
-			&core.EventuallyFollows{
-				ConstraintName: "say-eventually-self-delivered",
-				ConstraintDesc: "every speaker eventually hears its own utterance",
-				ScopeKind:      core.ScopeLocal,
-				Trigger:        PrimSay,
-				Response:       PrimDeliver,
-				Key:            core.KeySAPAndParam(ParamMsgID),
-			},
-		},
-	}
+	spec, _ := specDoc.Compile() //nolint:errcheck // MustParse compiled it once already
+	spec.Constraints = slices.Insert(spec.Constraints, 1, core.Constraint(&TotalOrder{}))
+	return spec
 }
+
+// saySchema is the layout of the say primitive's parameter record.
+var saySchema = func() *codec.Schema {
+	p, _ := Spec().Primitive(PrimSay)
+	return p.Schema()
+}()
 
 // TotalOrder is the case study's application-defined constraint: the
 // msgid sequences delivered at any two SAPs must be prefix-compatible
@@ -115,7 +97,9 @@ func (m *orderMonitor) Observe(e core.Event) error {
 	if e.Primitive != PrimDeliver {
 		return nil
 	}
-	id, _ := e.Params[ParamMsgID].(string)
+	v, _ := codec.ParseRecord(e.Params) //nolint:errcheck // a malformed record reads as an empty id
+	b, _ := v.Str(ParamMsgID)
+	id := string(b)
 	seq := append(m.perSAP[e.SAP], id)
 	m.perSAP[e.SAP] = seq
 	i := len(seq) - 1

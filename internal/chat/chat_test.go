@@ -115,13 +115,22 @@ func TestUnknownPlatform(t *testing.T) {
 	}
 }
 
+// rec encodes a params record through the generic codec.
+func rec(r codec.Record) []byte {
+	b, err := codec.Append(nil, r)
+	if err != nil {
+		panic(err)
+	}
+	return b
+}
+
 func TestTotalOrderMonitorDetectsDivergence(t *testing.T) {
 	m := (&TotalOrder{}).NewMonitor()
 	deliver := func(sap, id string) error {
 		return m.Observe(core.Event{
 			SAP:       ParticipantSAP(sap),
 			Primitive: PrimDeliver,
-			Params:    codec.Record{ParamMsgID: id},
+			Params:    rec(codec.Record{ParamMsgID: id}),
 		})
 	}
 	if err := deliver("p1", "a"); err != nil {
@@ -148,7 +157,7 @@ func TestTotalOrderMonitorDetectsIncompleteness(t *testing.T) {
 		if err := m.Observe(core.Event{
 			SAP:       ParticipantSAP(e.sap),
 			Primitive: PrimDeliver,
-			Params:    codec.Record{ParamMsgID: e.id},
+			Params:    rec(codec.Record{ParamMsgID: e.id}),
 		}); err != nil {
 			t.Fatal(err)
 		}
@@ -172,7 +181,7 @@ func TestTotalOrderMonitorEndReportDeterministic(t *testing.T) {
 				if err := m.Observe(core.Event{
 					SAP:       ParticipantSAP(sap),
 					Primitive: PrimDeliver,
-					Params:    codec.Record{ParamMsgID: id},
+					Params:    rec(codec.Record{ParamMsgID: id}),
 				}); err != nil {
 					t.Fatal(err)
 				}
@@ -262,15 +271,15 @@ func TestPDUWireParity(t *testing.T) {
 		{ParamText: "no id"},
 		{ParamMsgID: "no text"},
 	} {
-		submit, err := pduSubmit.Append(nil, say)
+		submit, err := pduSubmit.Append(nil, rec(say))
 		if err != nil {
 			t.Fatal(err)
 		}
 		if want, _ := codec.AppendMessage(nil, codec.NewMessage("submit", say)); string(submit) != string(want) {
 			t.Fatalf("submit % x, legacy % x", submit, want)
 		}
-		if rec, _ := pduSubmit.AppendRecord(nil, say); string(rec) != string(submit[len(submit)-len(rec):]) {
-			t.Fatalf("submit record % x is not the PDU's tail", rec)
+		if fields, _ := pduSubmit.AppendRecord(nil, rec(say)); string(fields) != string(submit[len(submit)-len(fields):]) {
+			t.Fatalf("submit record % x is not the PDU's tail", fields)
 		}
 		view, err := codec.ParseMessage(submit)
 		if err != nil {
@@ -287,8 +296,8 @@ func TestPDUWireParity(t *testing.T) {
 		if string(got) != string(want) {
 			t.Fatalf("ordered % x, legacy % x", got, want)
 		}
-		if rec, _ := pduOrdered.AppendRecord(nil, bcast); string(rec) != string(got[len(got)-len(rec):]) {
-			t.Fatalf("ordered record % x is not the PDU's tail", rec)
+		if fields, _ := pduOrdered.AppendRecord(nil, bcast); string(fields) != string(got[len(got)-len(fields):]) {
+			t.Fatalf("ordered record % x is not the PDU's tail", fields)
 		}
 	}
 }

@@ -64,7 +64,7 @@ func (s *sequencerLogic) Start(ctx *mda.LogicContext) error {
 }
 
 // FromUser implements mda.Component.
-func (s *sequencerLogic) FromUser(primitive string, _ codec.Record) error {
+func (s *sequencerLogic) FromUser(primitive string, _ []byte) error {
 	return fmt.Errorf("chat: sequencer logic has no service user (got %q)", primitive)
 }
 
@@ -86,6 +86,7 @@ func (s *sequencerLogic) OnMessage(from mda.ComponentID, msg codec.MsgView) erro
 type memberLogic struct {
 	ctx       *mda.LogicContext
 	sequencer mda.ComponentID
+	params    []byte // deliver params scratch
 }
 
 var _ mda.Component = (*memberLogic)(nil)
@@ -97,7 +98,7 @@ func (m *memberLogic) Start(ctx *mda.LogicContext) error {
 }
 
 // FromUser implements mda.Component.
-func (m *memberLogic) FromUser(primitive string, params codec.Record) error {
+func (m *memberLogic) FromUser(primitive string, params []byte) error {
 	if primitive != PrimSay {
 		return fmt.Errorf("chat: unexpected primitive %q", primitive)
 	}
@@ -109,7 +110,7 @@ func (m *memberLogic) OnMessage(_ mda.ComponentID, msg codec.MsgView) error {
 	if !msg.NameIs(pduOrdered.Name()) {
 		return fmt.Errorf("chat: unexpected message %q at member logic", msg.Name())
 	}
-	params, _ := msg.Fields() //nolint:errcheck // views are validated on receipt
-	m.ctx.DeliverToUser(PrimDeliver, params)
+	m.params, _ = deliverParams(m.params[:0], msg) //nolint:errcheck // raw splices of a parsed view always encode
+	m.ctx.DeliverToUser(PrimDeliver, m.params)
 	return nil
 }

@@ -12,14 +12,16 @@ import (
 // SequencerAddr is the hosting address of the sequencer entity.
 const SequencerAddr protocol.Addr = "sequencer"
 
-// The PDUs of the sequencer protocol: submit carries the say params as
-// the user gave them; ordered is the sequencer's broadcast.
+// The PDUs of the sequencer protocol: submit carries the say params
+// record verbatim, as the user gave it; ordered is the sequencer's
+// broadcast.
 var (
-	pduSubmit  = protocol.NewPDU("submit", encParams)
+	pduSubmit  = protocol.NewPDU("submit", appendVerbatim)
 	pduOrdered = protocol.NewPDU("ordered", encOrdered)
 )
 
-func encParams(buf []byte, params codec.Record) ([]byte, error) { return codec.Append(buf, params) }
+// appendVerbatim appends an already-encoded record.
+func appendVerbatim(buf, rec []byte) ([]byte, error) { return append(buf, rec...), nil }
 
 // ordered is one broadcast: the submit whose msgid and text it splices
 // verbatim (codec.RawNil when absent), and the speaker. The submit view
@@ -29,7 +31,8 @@ type ordered struct {
 	speaker string
 }
 
-// recOrdered is the wire layout of the ordered record.
+// recOrdered is the wire layout of the ordered record, which is also the
+// deliver primitive's parameter record.
 var recOrdered = codec.CompileRecord(ParamMsgID, ParamSpeaker, ParamText)
 
 func encOrdered(buf []byte, o ordered) ([]byte, error) {
@@ -46,6 +49,12 @@ func encOrdered(buf []byte, o ordered) ([]byte, error) {
 	e.Str(ParamSpeaker, o.speaker)
 	e.Raw(ParamText, text)
 	return e.Finish()
+}
+
+// deliverParams re-encodes an ordered broadcast as the deliver params.
+func deliverParams(buf []byte, ord codec.MsgView) ([]byte, error) {
+	speaker, _ := ord.Str(ParamSpeaker)
+	return encOrdered(buf, ordered{submit: ord, speaker: string(speaker)})
 }
 
 // SequencerEntity is the protocol's central entity: it imposes the total
@@ -69,7 +78,7 @@ func (e *SequencerEntity) Init(ctx *protocol.Context) error {
 }
 
 // FromUser implements protocol.Entity; the sequencer serves no SAP.
-func (e *SequencerEntity) FromUser(primitive string, _ codec.Record) error {
+func (e *SequencerEntity) FromUser(primitive string, _ []byte) error {
 	return fmt.Errorf("chat: sequencer has no service user (got %q)", primitive)
 }
 
@@ -88,6 +97,7 @@ func (e *SequencerEntity) FromPeer(src protocol.Addr, pdu codec.MsgView) error {
 type ParticipantEntity struct {
 	ctx       *protocol.Context
 	sequencer protocol.Addr
+	params    []byte // deliver params scratch
 }
 
 var _ protocol.Entity = (*ParticipantEntity)(nil)
@@ -104,7 +114,7 @@ func (e *ParticipantEntity) Init(ctx *protocol.Context) error {
 }
 
 // FromUser implements protocol.Entity.
-func (e *ParticipantEntity) FromUser(primitive string, params codec.Record) error {
+func (e *ParticipantEntity) FromUser(primitive string, params []byte) error {
 	if primitive != PrimSay {
 		return fmt.Errorf("chat: unexpected primitive %q", primitive)
 	}
@@ -116,8 +126,8 @@ func (e *ParticipantEntity) FromPeer(_ protocol.Addr, pdu codec.MsgView) error {
 	if !pdu.NameIs(pduOrdered.Name()) {
 		return fmt.Errorf("chat: unexpected PDU %q at participant", pdu.Name())
 	}
-	params, _ := pdu.Fields() //nolint:errcheck // views are validated on receipt
-	e.ctx.DeliverToUser(PrimDeliver, params)
+	e.params, _ = deliverParams(e.params[:0], pdu) //nolint:errcheck // raw splices of a parsed view always encode
+	e.ctx.DeliverToUser(PrimDeliver, e.params)
 	return nil
 }
 

@@ -109,7 +109,7 @@ func Run(cfg Config) (*Result, error) {
 		provider = binding
 	}
 
-	obsOpts := []core.ObserverOption{core.WithEventValidation()}
+	var obsOpts []core.ObserverOption
 	if cfg.Trace != nil {
 		obsOpts = append(obsOpts, core.WithTrace(cfg.Trace))
 	}
@@ -124,16 +124,17 @@ func Run(cfg Config) (*Result, error) {
 	for i, sap := range saps {
 		sap := sap
 		pid := participants[i]
-		observed.Attach(sap, func(prim string, params codec.Record) {
+		observed.Attach(sap, func(prim string, params []byte) {
 			if prim != PrimDeliver {
 				return
 			}
 			res.Delivered++
 			res.PerParticipant[sap.ID]++
-			id, _ := params[ParamMsgID].(string)
-			speaker, _ := params[ParamSpeaker].(string)
-			if speaker == sap.ID {
-				if t0, ok := saidAt[id]; ok {
+			v, _ := codec.ParseRecord(params) //nolint:errcheck // a malformed record reads as empty fields
+			id, _ := v.Str(ParamMsgID)
+			speaker, _ := v.Str(ParamSpeaker)
+			if string(speaker) == sap.ID {
+				if t0, ok := saidAt[string(id)]; ok {
 					res.DeliveryLatency.Add(kernel.Now() - t0)
 				}
 			}
@@ -143,11 +144,14 @@ func Run(cfg Config) (*Result, error) {
 			kernel.ScheduleFunc(time.Duration(kernel.Rand().Int63n(int64(cfg.Spread))), func() {
 				id := fmt.Sprintf("%s-%d", pid, m)
 				saidAt[id] = kernel.Now()
-				params := codec.Record{
-					ParamMsgID: id,
-					ParamText:  fmt.Sprintf("hello %d from %s", m, pid),
+				e := saySchema.Encoder(nil)
+				e.Str(ParamMsgID, id)
+				e.Str(ParamText, fmt.Sprintf("hello %d from %s", m, pid))
+				params, err := e.Finish()
+				if err == nil {
+					err = observed.Submit(sap, PrimSay, params)
 				}
-				if err := observed.Submit(sap, PrimSay, params); err != nil {
+				if err != nil {
 					panic(fmt.Sprintf("chat: say: %v", err))
 				}
 				res.Said++

@@ -274,25 +274,3 @@ func decodeLenPrefixed(data []byte) ([]byte, int, error) {
 	}
 	return data[n : n+int(size)], n + int(size), nil
 }
-
-// Equal reports whether two values have identical canonical encodings.
-// It is the equality notion used by trace comparison.
-func Equal(a, b Value) bool {
-	ea, err := Append(nil, a)
-	if err != nil {
-		return false
-	}
-	eb, err := Append(nil, b)
-	if err != nil {
-		return false
-	}
-	if len(ea) != len(eb) {
-		return false
-	}
-	for i := range ea {
-		if ea[i] != eb[i] {
-			return false
-		}
-	}
-	return true
-}

@@ -1,10 +1,6 @@
 package codec
 
-import (
-	"fmt"
-	"sort"
-	"strings"
-)
+import "fmt"
 
 // Message is a materialized named record: the boxed form of the wire
 // shape every PDU and middleware message shares (a name followed by a
@@ -25,27 +21,6 @@ func NewMessage(name string, fields Record) Message {
 	return Message{Name: name, Fields: fields}
 }
 
-// String renders the message compactly for logs and test failures, with
-// fields in sorted order.
-func (m Message) String() string {
-	keys := make([]string, 0, len(m.Fields))
-	for k := range m.Fields {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	var sb strings.Builder
-	sb.WriteString(m.Name)
-	sb.WriteByte('(')
-	for i, k := range keys {
-		if i > 0 {
-			sb.WriteString(", ")
-		}
-		fmt.Fprintf(&sb, "%s=%v", k, m.Fields[k])
-	}
-	sb.WriteByte(')')
-	return sb.String()
-}
-
 // AppendMessage appends the canonical wire form of m to buf — the name
 // as a string value followed by the fields as a record — and returns
 // the extended slice. For fixed message shapes, a compiled Schema
@@ -64,16 +39,6 @@ func AppendMessage(buf []byte, m Message) ([]byte, error) {
 		return nil, fmt.Errorf("encode message %q: %w", m.Name, err)
 	}
 	return buf, nil
-}
-
-// StringList converts a slice of strings to a List value; it is the wire
-// shape used for resource-identifier sets in the token-based solutions.
-func StringList(items []string) List {
-	out := make(List, len(items))
-	for i, s := range items {
-		out[i] = s
-	}
-	return out
 }
 
 // ToStringSlice converts a decoded List of strings back into []string.

@@ -1,6 +1,10 @@
 package codec
 
-import "fmt"
+import (
+	"fmt"
+	"sort"
+	"strings"
+)
 
 // The tree decoders and materializers below are the reference oracle
 // the view plane is checked against (FuzzCodecRoundTrip,
@@ -98,4 +102,93 @@ func mustEncode(v Value) []byte {
 		panic(err)
 	}
 	return b
+}
+
+// Equal reports whether two values have identical canonical encodings.
+// It is the equality notion used by trace comparison.
+func Equal(a, b Value) bool {
+	ea, err := Append(nil, a)
+	if err != nil {
+		return false
+	}
+	eb, err := Append(nil, b)
+	if err != nil {
+		return false
+	}
+	if len(ea) != len(eb) {
+		return false
+	}
+	for i := range ea {
+		if ea[i] != eb[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// String renders the message compactly for logs and test failures, with
+// fields in sorted order.
+func (m Message) String() string {
+	keys := make([]string, 0, len(m.Fields))
+	for k := range m.Fields {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	var sb strings.Builder
+	sb.WriteString(m.Name)
+	sb.WriteByte('(')
+	for i, k := range keys {
+		if i > 0 {
+			sb.WriteString(", ")
+		}
+		fmt.Fprintf(&sb, "%s=%v", k, m.Fields[k])
+	}
+	sb.WriteByte(')')
+	return sb.String()
+}
+
+// StringList converts a slice of strings to a List value; it is the wire
+// shape used for resource-identifier sets in the token-based solutions.
+func StringList(items []string) List {
+	out := make(List, len(items))
+	for i, s := range items {
+		out[i] = s
+	}
+	return out
+}
+
+// Fields materializes every field of the view as a boxed Record
+// (copying; safe to retain).
+func (v *MsgView) Fields() (Record, error) {
+	rec := make(Record, v.fields)
+	p := v.pairs
+	for i := 0; i < v.fields; i++ {
+		key, kn, err := decodeLenPrefixed(p[1:])
+		if err != nil {
+			return nil, err
+		}
+		p = p[1+kn:]
+		val, n, err := decodeValue(p, v.depth+1)
+		if err != nil {
+			return nil, fmt.Errorf("decode field %q: %w", key, err)
+		}
+		rec[string(key)] = val
+		p = p[n:]
+	}
+	return rec, nil
+}
+
+// Value appends an arbitrary encodable value (nested records and lists
+// included) through the generic encoder. It is the bridge for dynamic
+// payloads carried inside a schema-framed message; unlike the typed
+// methods it may allocate while sorting nested record keys.
+func (e *Encoder) Value(name string, v Value) {
+	if e.field(name) {
+		buf, err := appendValue(e.buf, v, 1)
+		if err != nil {
+			e.err = fmt.Errorf("codec: %s: field %q: %w", e.s, name, err)
+			return
+		}
+		e.buf = buf
+	}
 }

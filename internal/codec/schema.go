@@ -234,21 +234,6 @@ func (e *Encoder) Strings(name string, v []string) {
 	}
 }
 
-// Value appends an arbitrary encodable value (nested records and lists
-// included) through the generic encoder. It is the bridge for dynamic
-// payloads carried inside a schema-framed message; unlike the typed
-// methods it may allocate while sorting nested record keys.
-func (e *Encoder) Value(name string, v Value) {
-	if e.field(name) {
-		buf, err := appendValue(e.buf, v, 1)
-		if err != nil {
-			e.err = fmt.Errorf("codec: %s: field %q: %w", e.s, name, err)
-			return
-		}
-		e.buf = buf
-	}
-}
-
 // Raw appends a field whose value is already in wire form (one complete
 // TLV value, e.g. obtained from MsgView.Raw). The bytes are spliced in
 // verbatim — the zero-copy path for forwarding a decoded field without

@@ -388,6 +388,18 @@ func (v *MsgView) View(name string) (MsgView, bool) {
 // misses.
 func (v *MsgView) Has(name string) bool { return v.lookup(name) != nil }
 
+// Keys appends the view's field names to dst, in wire (canonical)
+// order, as fresh strings (copies, safe to retain).
+func (v *MsgView) Keys(dst []string) []string {
+	for p, i := v.pairs, 0; i < v.fields; i++ {
+		key, kn, _ := decodeLenPrefixed(p[1:]) // validated at parse
+		n, _ := skipValue(p[1+kn:], 0)
+		dst = append(dst, string(key))
+		p = p[1+kn+n:]
+	}
+	return dst
+}
+
 // Strings appends the elements of a list-of-strings field to dst as
 // fresh strings (copies, safe to retain). It reports false, with dst
 // unchanged, when the field is absent, not a list, or holds a non-string
@@ -415,25 +427,4 @@ func (v *MsgView) Strings(name string, dst []string) ([]string, bool) {
 		p = p[1+sn:]
 	}
 	return out, true
-}
-
-// Fields materializes every field of the view as a boxed Record
-// (copying; safe to retain).
-func (v *MsgView) Fields() (Record, error) {
-	rec := make(Record, v.fields)
-	p := v.pairs
-	for i := 0; i < v.fields; i++ {
-		key, kn, err := decodeLenPrefixed(p[1:])
-		if err != nil {
-			return nil, err
-		}
-		p = p[1+kn:]
-		val, n, err := decodeValue(p, v.depth+1)
-		if err != nil {
-			return nil, fmt.Errorf("decode field %q: %w", key, err)
-		}
-		rec[string(key)] = val
-		p = p[n:]
-	}
-	return rec, nil
 }

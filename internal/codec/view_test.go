@@ -234,3 +234,21 @@ func TestSkipValueErrors(t *testing.T) {
 		t.Fatalf("err = %v, want ErrBadTag", err)
 	}
 }
+
+func TestViewKeys(t *testing.T) {
+	data, err := Append(nil, Record{"b": int64(1), "a": "x", "c": List{"y"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	v, err := ParseRecord(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := v.Keys([]string{"kept"}); !reflect.DeepEqual(got, []string{"kept", "a", "b", "c"}) {
+		t.Fatalf("Keys = %q, want the field names in canonical order after dst", got)
+	}
+	var empty MsgView
+	if got := empty.Keys(nil); len(got) != 0 {
+		t.Fatalf("zero view Keys = %q", got)
+	}
+}

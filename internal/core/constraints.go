@@ -29,7 +29,7 @@ type KeyFunc func(Event) (Key, bool)
 // KeyParam correlates events by one string parameter (e.g. "resid").
 func KeyParam(param string) KeyFunc {
 	return func(e Event) (Key, bool) {
-		s, ok := e.Params[param].(string)
+		s, ok := e.str(param)
 		return Key{Value: s}, ok
 	}
 }
@@ -39,7 +39,7 @@ func KeyParam(param string) KeyFunc {
 // identification", at a given access point).
 func KeySAPAndParam(param string) KeyFunc {
 	return func(e Event) (Key, bool) {
-		s, ok := e.Params[param].(string)
+		s, ok := e.str(param)
 		return Key{SAP: e.SAP, Value: s}, ok
 	}
 }

@@ -26,7 +26,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"strings"
 	"time"
 
@@ -105,6 +104,17 @@ func (p PrimitiveDef) Signature() string {
 	return p.Name + "(" + strings.Join(parts, ", ") + ")"
 }
 
+// Schema compiles the layout of the primitive's parameter record, the
+// one form params take at the SAP: a bare record (codec.CompileRecord)
+// of exactly the declared names. Compile it once and reuse it.
+func (p PrimitiveDef) Schema() *codec.Schema {
+	names := make([]string, len(p.Params))
+	for i, param := range p.Params {
+		names[i] = param.Name
+	}
+	return codec.CompileRecord(names...)
+}
+
 // RoleDef declares a role users may play at SAPs (e.g. "subscriber").
 type RoleDef struct {
 	Name string
@@ -127,35 +137,72 @@ type Event struct {
 	At        time.Duration
 	SAP       SAP
 	Primitive string
-	// Params is read-only for every consumer (monitors, observers, trace
-	// readers): producers may share one record across many events — the
-	// floor-control workload hands out one record per resource — so a
-	// mutation would rewrite every event sharing it. Copy before
-	// modifying.
-	Params codec.Record
+	// Params is the primitive's encoded parameter record (the layout of
+	// PrimitiveDef.Schema), borrowed: it is valid only while the call
+	// passing the event runs, and read-only. The trace WithTrace records
+	// and the events of retained violations hold copies.
+	Params []byte
+
+	// obs is the Observer checking the event (nil otherwise), and view
+	// the params it parsed.
+	obs  *Observer
+	view codec.MsgView
+}
+
+// str reads a string parameter. Under an Observer the value is interned
+// in its table, found by its bytes (m[string(b)] does not allocate), so
+// a value seen before costs no allocation; the table is cleared at 1,024
+// entries, so values that never recur (per-message ids) cannot grow it.
+func (e *Event) str(name string) (string, bool) {
+	v := e.view
+	if e.obs == nil {
+		v, _ = codec.ParseRecord(e.Params) //nolint:errcheck // a malformed record has no parameters
+	}
+	b, ok := v.Str(name)
+	if !ok || e.obs == nil {
+		return string(b), ok
+	}
+	strs := e.obs.strs
+	s, seen := strs[string(b)]
+	if !seen {
+		if len(strs) >= 1024 {
+			clear(strs)
+		}
+		s = string(b)
+		strs[s] = s
+	}
+	return s, true
 }
 
 // Label renders the event as an LTS label, parameters in sorted order:
 // "granted@subscriber:s1(resid=r1)".
 func (e Event) Label() string {
-	keys := make([]string, 0, len(e.Params))
-	for k := range e.Params {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
 	var sb strings.Builder
 	sb.WriteString(e.Primitive)
 	sb.WriteByte('@')
 	sb.WriteString(e.SAP.String())
 	sb.WriteByte('(')
-	for i, k := range keys {
+	v, err := codec.ParseRecord(e.Params)
+	if err != nil {
+		sb.WriteString("<malformed params>")
+	}
+	for i, k := range v.Keys(nil) {
 		if i > 0 {
 			sb.WriteByte(',')
 		}
-		fmt.Fprintf(&sb, "%s=%v", k, e.Params[k])
+		val, _ := v.Value(k)
+		fmt.Fprintf(&sb, "%s=%v", k, val)
 	}
 	sb.WriteByte(')')
 	return sb.String()
+}
+
+// retained returns a copy of e whose Params no longer borrow the
+// producer's buffer.
+func (e Event) retained() Event {
+	e.Params = append([]byte(nil), e.Params...)
+	e.obs, e.view = nil, codec.MsgView{}
+	return e
 }
 
 func (e Event) String() string {

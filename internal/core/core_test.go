@@ -11,6 +11,16 @@ import (
 	"repro/internal/sim"
 )
 
+// rec encodes a parameter record the way producers hand params to the
+// SAP (the layout PrimitiveDef.Schema compiles is the same bytes).
+func rec(r codec.Record) []byte {
+	b, err := codec.Append(nil, r)
+	if err != nil {
+		panic(err)
+	}
+	return b
+}
+
 // testSpec returns a floor-control-shaped specification, mirroring the
 // paper's Figure 5.
 func testSpec() *ServiceSpec {
@@ -113,7 +123,7 @@ func TestPrimitiveAndRoleLookup(t *testing.T) {
 
 func TestCheckEvent(t *testing.T) {
 	s := testSpec()
-	good := Event{SAP: sap("s1"), Primitive: "request", Params: codec.Record{"resid": "r1"}}
+	good := Event{SAP: sap("s1"), Primitive: "request", Params: rec(codec.Record{"resid": "r1"})}
 	if err := s.CheckEvent(good); err != nil {
 		t.Fatalf("good event rejected: %v", err)
 	}
@@ -122,11 +132,11 @@ func TestCheckEvent(t *testing.T) {
 		e    Event
 		want error
 	}{
-		{"unknown primitive", Event{SAP: sap("s1"), Primitive: "steal", Params: codec.Record{}}, ErrUnknownPrimitive},
-		{"unknown role", Event{SAP: SAP{Role: "martian", ID: "m"}, Primitive: "request", Params: codec.Record{"resid": "r"}}, ErrUnknownRole},
-		{"missing param", Event{SAP: sap("s1"), Primitive: "request", Params: codec.Record{}}, ErrBadParams},
-		{"extra param", Event{SAP: sap("s1"), Primitive: "request", Params: codec.Record{"resid": "r", "x": "y"}}, ErrBadParams},
-		{"wrong kind", Event{SAP: sap("s1"), Primitive: "request", Params: codec.Record{"resid": int64(7)}}, ErrBadParams},
+		{"unknown primitive", Event{SAP: sap("s1"), Primitive: "steal", Params: rec(codec.Record{})}, ErrUnknownPrimitive},
+		{"unknown role", Event{SAP: SAP{Role: "martian", ID: "m"}, Primitive: "request", Params: rec(codec.Record{"resid": "r"})}, ErrUnknownRole},
+		{"missing param", Event{SAP: sap("s1"), Primitive: "request", Params: rec(codec.Record{})}, ErrBadParams},
+		{"extra param", Event{SAP: sap("s1"), Primitive: "request", Params: rec(codec.Record{"resid": "r", "x": "y"})}, ErrBadParams},
+		{"wrong kind", Event{SAP: sap("s1"), Primitive: "request", Params: rec(codec.Record{"resid": int64(7)})}, ErrBadParams},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
@@ -151,13 +161,13 @@ func TestCheckKindAll(t *testing.T) {
 			},
 		}},
 	}
-	e := Event{SAP: SAP{Role: "r", ID: "1"}, Primitive: "p", Params: codec.Record{
-		"s": "x", "i": int64(3), "b": true, "l": codec.StringList([]string{"a"}),
-	}}
+	e := Event{SAP: SAP{Role: "r", ID: "1"}, Primitive: "p", Params: rec(codec.Record{
+		"s": "x", "i": int64(3), "b": true, "l": codec.List{"a"},
+	})}
 	if err := spec.CheckEvent(e); err != nil {
 		t.Fatalf("all-kinds event rejected: %v", err)
 	}
-	e.Params["i"] = "not an int"
+	e.Params = rec(codec.Record{"s": "x", "i": "not an int", "b": true, "l": codec.List{"a"}})
 	if err := spec.CheckEvent(e); !errors.Is(err, ErrBadParams) {
 		t.Fatalf("err = %v, want ErrBadParams", err)
 	}
@@ -167,7 +177,7 @@ func TestEventLabel(t *testing.T) {
 	e := Event{
 		SAP:       sap("s1"),
 		Primitive: "granted",
-		Params:    codec.Record{"resid": "r1", "attempt": int64(2)},
+		Params:    rec(codec.Record{"resid": "r1", "attempt": int64(2)}),
 	}
 	want := "granted@subscriber:s1(attempt=2,resid=r1)"
 	if got := e.Label(); got != want {
@@ -177,9 +187,9 @@ func TestEventLabel(t *testing.T) {
 
 func TestTraceHelpers(t *testing.T) {
 	tr := Trace{
-		{SAP: sap("s1"), Primitive: "request", Params: codec.Record{"resid": "r1"}},
-		{SAP: sap("s2"), Primitive: "request", Params: codec.Record{"resid": "r2"}},
-		{SAP: sap("s1"), Primitive: "granted", Params: codec.Record{"resid": "r1"}},
+		{SAP: sap("s1"), Primitive: "request", Params: rec(codec.Record{"resid": "r1"})},
+		{SAP: sap("s2"), Primitive: "request", Params: rec(codec.Record{"resid": "r2"})},
+		{SAP: sap("s1"), Primitive: "granted", Params: rec(codec.Record{"resid": "r1"})},
 	}
 	if got := tr.AtSAP(sap("s1")); len(got) != 2 {
 		t.Fatalf("AtSAP = %d events, want 2", len(got))
@@ -247,7 +257,7 @@ func observe(t *testing.T, events []Event) (*Observer, error) {
 }
 
 func ev(sapID, prim, res string) Event {
-	return Event{SAP: sap(sapID), Primitive: prim, Params: codec.Record{"resid": res}}
+	return Event{SAP: sap(sapID), Primitive: prim, Params: rec(codec.Record{"resid": res})}
 }
 
 func TestObserverConformingRun(t *testing.T) {
@@ -372,10 +382,10 @@ func TestObserverTraceRecording(t *testing.T) {
 		t.Fatal(err)
 	}
 	k.Schedule(5*time.Millisecond, func() {
-		_ = obs.Observe(sap("s1"), "request", codec.Record{"resid": "r1"}) //nolint:errcheck
+		_ = obs.Observe(sap("s1"), "request", rec(codec.Record{"resid": "r1"})) //nolint:errcheck
 	})
 	k.Schedule(9*time.Millisecond, func() {
-		_ = obs.Observe(sap("s1"), "granted", codec.Record{"resid": "r1"}) //nolint:errcheck
+		_ = obs.Observe(sap("s1"), "granted", rec(codec.Record{"resid": "r1"})) //nolint:errcheck
 	})
 	if _, err := k.Run(); err != nil {
 		t.Fatal(err)
@@ -440,11 +450,11 @@ func TestEndOfTraceReportDeterministic(t *testing.T) {
 
 func TestObserverStrictValidation(t *testing.T) {
 	k := sim.NewKernel()
-	obs, err := NewObserver(testSpec(), k, WithEventValidation())
+	obs, err := NewObserver(testSpec(), k)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := obs.Observe(sap("s1"), "bogus", codec.Record{}); !errors.Is(err, ErrUnknownPrimitive) {
+	if err := obs.Observe(sap("s1"), "bogus", rec(codec.Record{})); !errors.Is(err, ErrUnknownPrimitive) {
 		t.Fatalf("err = %v, want ErrUnknownPrimitive", err)
 	}
 }
@@ -498,9 +508,13 @@ func TestKeyFuncs(t *testing.T) {
 	if _, ok := KeySAPAndParam("missing")(e); ok {
 		t.Fatal("missing param should not produce SAP key")
 	}
-	e.Params["num"] = int64(3)
+	e.Params = rec(codec.Record{"resid": "r1", "num": int64(3)})
 	if _, ok := KeyParam("num")(e); ok {
 		t.Fatal("non-string param should not produce key")
+	}
+	e.Params = []byte("not a record")
+	if _, ok := KeyParam("resid")(e); ok {
+		t.Fatal("malformed params should not produce key")
 	}
 }
 
@@ -540,7 +554,7 @@ func TestNonConsumingPrecedes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	params := codec.Record{"msgid": "m1"}
+	params := rec(codec.Record{"msgid": "m1"})
 	if err := obs.Observe(SAP{Role: "p", ID: "1"}, "say", params); err != nil {
 		t.Fatal(err)
 	}
@@ -552,7 +566,7 @@ func TestNonConsumingPrecedes(t *testing.T) {
 		}
 	}
 	// But an unsaid message may not be delivered.
-	if err := obs.Observe(SAP{Role: "p", ID: "1"}, "deliver", codec.Record{"msgid": "ghost"}); err == nil {
+	if err := obs.Observe(SAP{Role: "p", ID: "1"}, "deliver", rec(codec.Record{"msgid": "ghost"})); err == nil {
 		t.Fatal("spurious delivery not flagged")
 	}
 }

@@ -32,20 +32,15 @@ type Observer struct {
 	trace      *Trace // nil unless WithTrace
 	monitors   []Monitor
 	violations []error
-	strictKind bool
+	strs       map[string]string // interned key values (see Event.str)
 }
 
 // ObserverOption configures an Observer.
 type ObserverOption func(*Observer)
 
-// WithEventValidation makes the observer also validate each event against
-// the primitive declarations (unknown primitives, wrong parameter kinds).
-func WithEventValidation() ObserverOption {
-	return func(o *Observer) { o.strictKind = true }
-}
-
 // WithTrace makes the observer append every observed event to *tr, in
-// observation order. Without it no event is retained.
+// observation order, each with its own copy of the params. Without it no
+// event is retained.
 func WithTrace(tr *Trace) ObserverOption {
 	return func(o *Observer) { o.trace = tr }
 }
@@ -58,7 +53,7 @@ func NewObserver(spec *ServiceSpec, clock Clock, opts ...ObserverOption) (*Obser
 	if clock == nil {
 		return nil, errors.New("observer: nil clock")
 	}
-	o := &Observer{spec: spec, clock: clock}
+	o := &Observer{spec: spec, clock: clock, strs: make(map[string]string)}
 	for _, c := range spec.Constraints {
 		o.monitors = append(o.monitors, c.NewMonitor())
 	}
@@ -71,32 +66,44 @@ func NewObserver(spec *ServiceSpec, clock Clock, opts ...ObserverOption) (*Obser
 // Spec returns the specification being observed.
 func (o *Observer) Spec() *ServiceSpec { return o.spec }
 
-// Observe records the execution of a primitive at a SAP and checks it
-// against every constraint. It returns the first violation, which is also
-// retained (see Err and Violations). Observe never blocks the observed
-// system: violations are reported, not enforced.
-func (o *Observer) Observe(sap SAP, primitive string, params codec.Record) error {
+// Observe records the execution of a primitive at a SAP, with params (its
+// encoded parameter record) borrowed for the call, validates it
+// (ServiceSpec.CheckEvent) and checks it against every constraint. It
+// returns the first violation, which is also retained (see Err and
+// Violations). Observe never blocks the observed system: violations are
+// reported, not enforced.
+//
+//repolint:hotpath
+func (o *Observer) Observe(sap SAP, primitive string, params []byte) error {
 	e := Event{At: o.clock.Now(), SAP: sap, Primitive: primitive, Params: params}
+	if v, err := codec.ParseRecord(params); err == nil {
+		e.obs, e.view = o, v // parsed once, for validation and every monitor
+	}
 	o.events++
 	if o.trace != nil {
-		*o.trace = append(*o.trace, e)
+		*o.trace = append(*o.trace, e.retained())
 	}
-	var first error
-	if o.strictKind {
-		if err := o.spec.CheckEvent(e); err != nil {
-			first = err
-			o.violations = append(o.violations, err)
-		}
+	first := o.spec.CheckEvent(e)
+	if first != nil {
+		o.retain(first)
 	}
 	for _, m := range o.monitors {
 		if err := m.Observe(e); err != nil {
 			if first == nil {
 				first = err
 			}
-			o.violations = append(o.violations, err)
+			o.retain(err)
 		}
 	}
 	return first
+}
+
+// retain keeps a violation, its event detached from the params buffer.
+func (o *Observer) retain(err error) {
+	if v, ok := AsViolation(err); ok && v.Event != nil {
+		*v.Event = v.Event.retained()
+	}
+	o.violations = append(o.violations, err)
 }
 
 // Complete closes the observation window, running end-of-trace (liveness)
@@ -143,11 +150,12 @@ func (o *Observer) EventCount() int {
 // implemented".
 type Provider interface {
 	// Submit executes a from-user primitive at the given SAP.
-	Submit(sap SAP, primitive string, params codec.Record) error
+	// params is its encoded parameter record, borrowed for the call.
+	Submit(sap SAP, primitive string, params []byte) error
 	// Attach registers the handler that receives to-user primitives
-	// delivered at the given SAP. A SAP has at most one handler; attaching
-	// twice replaces it.
-	Attach(sap SAP, handler func(primitive string, params codec.Record))
+	// delivered at the given SAP (params borrowed likewise). A SAP has at
+	// most one handler; attaching twice replaces it.
+	Attach(sap SAP, handler func(primitive string, params []byte))
 }
 
 // Provider decorates p so that every primitive crossing the SAP boundary
@@ -166,13 +174,13 @@ type observedProvider struct {
 	obs   *Observer
 }
 
-func (o *observedProvider) Submit(sap SAP, primitive string, params codec.Record) error {
+func (o *observedProvider) Submit(sap SAP, primitive string, params []byte) error {
 	_ = o.obs.Observe(sap, primitive, params) //nolint:errcheck // violations surface via Observer.Err
 	return o.inner.Submit(sap, primitive, params)
 }
 
-func (o *observedProvider) Attach(sap SAP, handler func(string, codec.Record)) {
-	o.inner.Attach(sap, func(primitive string, params codec.Record) {
+func (o *observedProvider) Attach(sap SAP, handler func(string, []byte)) {
+	o.inner.Attach(sap, func(primitive string, params []byte) {
 		_ = o.obs.Observe(sap, primitive, params) //nolint:errcheck // violations surface via Observer.Err
 		handler(primitive, params)
 	})

@@ -13,16 +13,16 @@ type stubProvider struct {
 	obs       *Observer
 	submitted []string
 	seenAt    []int // obs.EventCount() when each Submit arrived
-	handler   func(string, codec.Record)
+	handler   func(string, []byte)
 }
 
-func (p *stubProvider) Submit(_ SAP, primitive string, _ codec.Record) error {
+func (p *stubProvider) Submit(_ SAP, primitive string, _ []byte) error {
 	p.submitted = append(p.submitted, primitive)
 	p.seenAt = append(p.seenAt, p.obs.EventCount())
 	return nil
 }
 
-func (p *stubProvider) Attach(_ SAP, handler func(string, codec.Record)) { p.handler = handler }
+func (p *stubProvider) Attach(_ SAP, handler func(string, []byte)) { p.handler = handler }
 
 func TestObserverProviderObservesBothDirections(t *testing.T) {
 	obs, err := NewObserver(testSpec(), sim.NewKernel())
@@ -33,7 +33,7 @@ func TestObserverProviderObservesBothDirections(t *testing.T) {
 	p := obs.Provider(inner)
 
 	// Submit: observed first, then forwarded.
-	if err := p.Submit(sap("s1"), "request", codec.Record{"resid": "r1"}); err != nil {
+	if err := p.Submit(sap("s1"), "request", rec(codec.Record{"resid": "r1"})); err != nil {
 		t.Fatal(err)
 	}
 	if len(inner.submitted) != 1 || inner.seenAt[0] != 1 {
@@ -43,11 +43,11 @@ func TestObserverProviderObservesBothDirections(t *testing.T) {
 	// Delivery: observed before the user part's handler runs.
 	var handled []string
 	var countInHandler int
-	p.Attach(sap("s1"), func(prim string, _ codec.Record) {
+	p.Attach(sap("s1"), func(prim string, _ []byte) {
 		handled = append(handled, prim)
 		countInHandler = obs.EventCount()
 	})
-	inner.handler("granted", codec.Record{"resid": "r1"})
+	inner.handler("granted", rec(codec.Record{"resid": "r1"}))
 	if len(handled) != 1 || handled[0] != "granted" || countInHandler != 2 {
 		t.Fatalf("handled %v with event count %d, want [granted] at 2", handled, countInHandler)
 	}
@@ -64,7 +64,7 @@ func TestObserverProviderDoesNotVeto(t *testing.T) {
 	inner := &stubProvider{obs: obs}
 	// free before any grant violates free-follows-granted: the primitive
 	// is still forwarded, and the violation surfaces through Err.
-	if err := obs.Provider(inner).Submit(sap("s1"), "free", codec.Record{"resid": "r1"}); err != nil {
+	if err := obs.Provider(inner).Submit(sap("s1"), "free", rec(codec.Record{"resid": "r1"})); err != nil {
 		t.Fatalf("Submit = %v, want the inner provider's nil", err)
 	}
 	if len(inner.submitted) != 1 || inner.submitted[0] != "free" {

@@ -34,7 +34,7 @@ func TestCapacityAllowsUpToLimit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	params := codec.Record{"resid": "r1"}
+	params := rec(codec.Record{"resid": "r1"})
 	if err := obs.Observe(sap("s1"), "granted", params); err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +59,7 @@ func TestCapacityDoubleAcquireSameSAP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	params := codec.Record{"resid": "r1"}
+	params := rec(codec.Record{"resid": "r1"})
 	_ = obs.Observe(sap("s1"), "granted", params) //nolint:errcheck
 	if err := obs.Observe(sap("s1"), "granted", params); err == nil {
 		t.Fatal("double acquire by same SAP not flagged")
@@ -72,7 +72,7 @@ func TestCapacityForeignRelease(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	params := codec.Record{"resid": "r1"}
+	params := rec(codec.Record{"resid": "r1"})
 	if err := obs.Observe(sap("s1"), "free", params); err == nil {
 		t.Fatal("release without hold not flagged")
 	}
@@ -84,10 +84,10 @@ func TestCapacityDistinctKeysIndependent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := obs.Observe(sap("s1"), "granted", codec.Record{"resid": "r1"}); err != nil {
+	if err := obs.Observe(sap("s1"), "granted", rec(codec.Record{"resid": "r1"})); err != nil {
 		t.Fatal(err)
 	}
-	if err := obs.Observe(sap("s2"), "granted", codec.Record{"resid": "r2"}); err != nil {
+	if err := obs.Observe(sap("s2"), "granted", rec(codec.Record{"resid": "r2"})); err != nil {
 		t.Fatalf("distinct key flagged: %v", err)
 	}
 }
@@ -122,7 +122,7 @@ func TestPropertyCapacityOracle(t *testing.T) {
 			if isAcquire {
 				id := SAP{Role: "r", ID: string(rune('a' + nextSAP%26))}
 				nextSAP++
-				e := Event{SAP: id, Primitive: "acq", Params: codec.Record{"k": "x"}}
+				e := Event{SAP: id, Primitive: "acq", Params: rec(codec.Record{"k": "x"})}
 				err := m.Observe(e)
 				wantErr := holders[id.ID] || len(holders) >= limit
 				if (err != nil) != wantErr {
@@ -141,7 +141,7 @@ func TestPropertyCapacityOracle(t *testing.T) {
 				if victim == "" {
 					continue
 				}
-				e := Event{SAP: SAP{Role: "r", ID: victim}, Primitive: "rel", Params: codec.Record{"k": "x"}}
+				e := Event{SAP: SAP{Role: "r", ID: victim}, Primitive: "rel", Params: rec(codec.Record{"k": "x"})}
 				if err := m.Observe(e); err != nil {
 					return false
 				}
@@ -179,7 +179,7 @@ func TestDeadlineMet(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	params := codec.Record{"resid": "r1"}
+	params := rec(codec.Record{"resid": "r1"})
 	k.Schedule(0, func() { _ = obs.Observe(sap("s1"), "request", params) })                  //nolint:errcheck
 	k.Schedule(5*time.Millisecond, func() { _ = obs.Observe(sap("s1"), "granted", params) }) //nolint:errcheck
 	if _, err := k.Run(); err != nil {
@@ -196,7 +196,7 @@ func TestDeadlineMissed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	params := codec.Record{"resid": "r1"}
+	params := rec(codec.Record{"resid": "r1"})
 	k.Schedule(0, func() { _ = obs.Observe(sap("s1"), "request", params) })                   //nolint:errcheck
 	k.Schedule(25*time.Millisecond, func() { _ = obs.Observe(sap("s1"), "granted", params) }) //nolint:errcheck
 	if _, err := k.Run(); err != nil {
@@ -218,11 +218,11 @@ func TestDeadlineExpiredPendingAtEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	params := codec.Record{"resid": "r1"}
+	params := rec(codec.Record{"resid": "r1"})
 	k.Schedule(0, func() { _ = obs.Observe(sap("s1"), "request", params) }) //nolint:errcheck
 	// A later unrelated event moves the monitor's clock past the deadline.
 	k.Schedule(50*time.Millisecond, func() {
-		_ = obs.Observe(sap("s2"), "request", codec.Record{"resid": "r2"}) //nolint:errcheck
+		_ = obs.Observe(sap("s2"), "request", rec(codec.Record{"resid": "r2"})) //nolint:errcheck
 	})
 	if _, err := k.Run(); err != nil {
 		t.Fatal(err)
@@ -247,12 +247,12 @@ func TestDeadlineEndReportDeterministic(t *testing.T) {
 		k.Schedule(0, func() {
 			for _, s := range []string{"s4", "s2", "s8", "s6"} {
 				for _, r := range []string{"r3", "r1"} {
-					_ = obs.Observe(sap(s), "request", codec.Record{"resid": r}) //nolint:errcheck
+					_ = obs.Observe(sap(s), "request", rec(codec.Record{"resid": r})) //nolint:errcheck
 				}
 			}
 		})
 		k.Schedule(50*time.Millisecond, func() {
-			_ = obs.Observe(sap("s9"), "request", codec.Record{"resid": "r9"}) //nolint:errcheck
+			_ = obs.Observe(sap("s9"), "request", rec(codec.Record{"resid": "r9"})) //nolint:errcheck
 		})
 		if _, err := k.Run(); err != nil {
 			t.Fatal(err)
@@ -276,7 +276,7 @@ func TestDeadlineUnmatchedResponseIgnored(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Response without trigger: Deadline leaves this to Precedes.
-	if err := obs.Observe(sap("s1"), "granted", codec.Record{"resid": "r1"}); err != nil {
+	if err := obs.Observe(sap("s1"), "granted", rec(codec.Record{"resid": "r1"})); err != nil {
 		t.Fatalf("unmatched response flagged by deadline: %v", err)
 	}
 }
@@ -305,7 +305,7 @@ func TestDeadlineFIFOPerKey(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	params := codec.Record{"resid": "r1"}
+	params := rec(codec.Record{"resid": "r1"})
 	// Two requests, two responses: FIFO matching means the first response
 	// answers the first request.
 	k.Schedule(0, func() { _ = obs.Observe(sap("s1"), "request", params) })                   //nolint:errcheck
@@ -342,7 +342,7 @@ func TestAbsenceConstraint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	params := codec.Record{"resid": "r1"}
+	params := rec(codec.Record{"resid": "r1"})
 	for _, prim := range []string{"request", "granted"} {
 		if err := obs.Observe(sap("s1"), prim, params); err != nil {
 			t.Fatalf("%s flagged: %v", prim, err)
@@ -356,7 +356,7 @@ func TestAbsenceConstraint(t *testing.T) {
 	if err := obs.Observe(sap("s2"), "request", params); err != nil {
 		t.Fatalf("other SAP flagged: %v", err)
 	}
-	if err := obs.Observe(sap("s1"), "request", codec.Record{"resid": "r2"}); err != nil {
+	if err := obs.Observe(sap("s1"), "request", rec(codec.Record{"resid": "r2"})); err != nil {
 		t.Fatalf("other resource flagged: %v", err)
 	}
 	// Close the interval; request is fine again.

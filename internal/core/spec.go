@@ -102,8 +102,9 @@ func (s *ServiceSpec) Role(name string) (RoleDef, bool) {
 }
 
 // CheckEvent validates that an event is well-formed with respect to the
-// specification: known role, known primitive, parameters matching the
-// declaration (no missing, no extra, kinds correct).
+// specification: known role, known primitive, and params that are one
+// encoded record matching the declaration (no missing, no extra, kinds
+// correct).
 func (s *ServiceSpec) CheckEvent(e Event) error {
 	if _, ok := s.Role(e.SAP.Role); !ok && len(s.Roles) > 0 {
 		return fmt.Errorf("%w: %q (event %s)", ErrUnknownRole, e.SAP.Role, e.Label())
@@ -112,45 +113,51 @@ func (s *ServiceSpec) CheckEvent(e Event) error {
 	if !ok {
 		return fmt.Errorf("%w: %q (event %s)", ErrUnknownPrimitive, e.Primitive, e.Label())
 	}
-	if len(e.Params) != len(p.Params) {
-		return fmt.Errorf("%w: %q got %d params, declared %d", ErrBadParams, p.Name, len(e.Params), len(p.Params))
+	v := &e.view
+	if e.obs == nil { // not parsed by an Observer
+		var err error
+		if *v, err = codec.ParseRecord(e.Params); err != nil {
+			return fmt.Errorf("%w: %q params: %v", ErrBadParams, p.Name, err)
+		}
+	}
+	if v.Len() != len(p.Params) {
+		return fmt.Errorf("%w: %q got %d params, declared %d", ErrBadParams, p.Name, v.Len(), len(p.Params))
 	}
 	for _, decl := range p.Params {
-		v, present := e.Params[decl.Name]
-		if !present {
+		if !v.Has(decl.Name) {
 			return fmt.Errorf("%w: %q missing parameter %q", ErrBadParams, p.Name, decl.Name)
 		}
-		if err := checkKind(decl.Kind, v); err != nil {
+		if err := checkKind(v, decl); err != nil {
 			return fmt.Errorf("%w: %q parameter %q: %v", ErrBadParams, p.Name, decl.Name, err)
 		}
 	}
 	return nil
 }
 
-func checkKind(kind ParamKind, v codec.Value) error {
-	switch kind {
+// checkKind checks that present parameter decl has its declared kind.
+func checkKind(v *codec.MsgView, decl ParamDef) error {
+	var ok bool
+	switch decl.Kind {
 	case KindString:
-		if _, ok := v.(string); !ok {
-			return fmt.Errorf("want string, got %T", v)
-		}
+		_, ok = v.Str(decl.Name)
 	case KindInt:
-		switch v.(type) {
-		case int, int32, int64:
-		default:
-			return fmt.Errorf("want int, got %T", v)
-		}
+		_, ok = v.Int(decl.Name)
 	case KindBool:
-		if _, ok := v.(bool); !ok {
-			return fmt.Errorf("want bool, got %T", v)
-		}
+		_, ok = v.Bool(decl.Name)
 	case KindStringList:
-		if _, err := codec.ToStringSlice(v); err != nil {
-			return fmt.Errorf("want list<string>: %v", err)
-		}
+		_, ok = v.Strings(decl.Name, nil)
 	default:
-		return fmt.Errorf("unknown kind %v", kind)
+		return fmt.Errorf("unknown kind %v", decl.Kind)
 	}
-	return nil
+	if ok {
+		return nil
+	}
+	got, _ := v.Value(decl.Name)
+	if decl.Kind == KindStringList {
+		_, err := codec.ToStringSlice(got)
+		return fmt.Errorf("want list<string>: %v", err)
+	}
+	return fmt.Errorf("want %s, got %T", decl.Kind, got)
 }
 
 // Document renders the specification in the style of the paper's Figure 5:

@@ -159,13 +159,18 @@ func Fig5ServiceConformance(seed int64) (*Report, error) {
 	}
 	table := metrics.NewTable("Figure 5 — the floor-control service, checked",
 		"scenario", "verdict", "violated constraint")
+	request, _ := spec.Primitive(floorcontrol.PrimRequest)
+	params := request.Schema() // every primitive carries {resid}
 	for _, sc := range scenarios {
 		obs, err := core.NewObserver(spec, kernel)
 		if err != nil {
 			return nil, err
 		}
 		for _, e := range sc.events {
-			_ = obs.Observe(floorcontrol.SubscriberSAP(e[0]), e[1], map[string]any{"resid": e[2]}) //nolint:errcheck
+			enc := params.Encoder(nil)
+			enc.Str(floorcontrol.ParamResource, e[2])
+			rec, _ := enc.Finish()
+			_ = obs.Observe(floorcontrol.SubscriberSAP(e[0]), e[1], rec) //nolint:errcheck
 		}
 		verr := obs.Complete()
 		verdict := "conforms"

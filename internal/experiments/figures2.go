@@ -111,20 +111,29 @@ func Fig3MiddlewareParadigm(seed int64) (*Report, error) {
 	}
 
 	// The server component: a typed export echoing its argument record,
-	// marshalled through the generic (map-sorting) Record codec.
-	enc := func(buf []byte, r codec.Record) ([]byte, error) { return codec.Append(buf, r) }
-	dec := func(v codec.MsgView) (codec.Record, error) { return v.Fields() }
+	// {i}, marshalled through the echo primitive's compiled schema.
+	echo, _ := service.Spec().Primitive("echo")
+	schema := echo.Schema()
+	enc := func(buf []byte, i int64) ([]byte, error) {
+		e := schema.Encoder(buf)
+		e.Int("i", i)
+		return e.Finish()
+	}
+	dec := func(v codec.MsgView) (int64, error) {
+		i, _ := v.Int("i")
+		return i, nil
+	}
 	e, err := b.NewExport("server", "node-s")
 	if err != nil {
 		return nil, err
 	}
 	err = svc.HandleOp(e, "echo", dec, enc,
-		func(req codec.Record, respond func(codec.Record, error)) { respond(req, nil) })
+		func(req int64, respond func(int64, error)) { respond(req, nil) })
 	if err != nil {
 		return nil, err
 	}
 	err = svc.HandleOp(e, "put", dec, enc,
-		func(req codec.Record, respond func(codec.Record, error)) { respond(req, nil) })
+		func(req int64, respond func(int64, error)) { respond(req, nil) })
 	if err != nil {
 		return nil, err
 	}
@@ -148,17 +157,18 @@ func Fig3MiddlewareParadigm(seed int64) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	newsSink, err := svc.NewTopicSink(b, "news", func(struct{}) codec.Message { return codec.NewMessage("flash", nil) })
+	newsSink, err := svc.NewTopicSink(b, "news", "flash",
+		func(buf []byte, _ struct{}) ([]byte, error) { return append(buf, codec.RawEmptyRecord...), nil })
 	if err != nil {
 		return nil, err
 	}
 	const rounds = 5
 	for i := 0; i < rounds; i++ {
-		if err := echoPort.Call("node-c", codec.Record{"i": int64(i)},
-			func(codec.Record, error) { rpcDone++ }); err != nil {
+		if err := echoPort.Call("node-c", int64(i),
+			func(int64, error) { rpcDone++ }); err != nil {
 			return nil, err
 		}
-		if err := putSink.Send("node-c", codec.Record{"i": int64(i)}); err != nil {
+		if err := putSink.Send("node-c", int64(i)); err != nil {
 			return nil, err
 		}
 		onewayDone++

@@ -6,7 +6,6 @@ import (
 	"testing/quick"
 	"time"
 
-	"repro/internal/codec"
 	"repro/internal/core"
 	"repro/internal/sim"
 )
@@ -46,6 +45,7 @@ func TestPropertyLTSAgreesWithMonitors(t *testing.T) {
 			return false
 		}
 		var labels []string
+		var params paramBuf
 		monitorsOK := true
 		for i := 0; i < n; i++ {
 			sub := subs[rng.Intn(len(subs))]
@@ -54,7 +54,7 @@ func TestPropertyLTSAgreesWithMonitors(t *testing.T) {
 			e := core.Event{
 				SAP:       SubscriberSAP(sub),
 				Primitive: prim,
-				Params:    codec.Record{ParamResource: res},
+				Params:    params.of(res),
 			}
 			labels = append(labels, e.Label())
 			if obs.Observe(e.SAP, e.Primitive, e.Params) != nil {

@@ -54,7 +54,7 @@ func FuzzEntityReceive(f *testing.F) {
 		legacyPDU(f, "granted", codec.Record{ParamResource: "r0"}),
 		legacyPDU(f, "is_available_req", ctrl),
 		legacyPDU(f, "is_available_resp", codec.Record{ParamResource: "r0", "available": true}),
-		legacyPDU(f, "pass", codec.Record{"available": codec.StringList([]string{"r0"})}),
+		legacyPDU(f, "pass", codec.Record{"available": codec.List{"r0"}}),
 		legacyPDU(f, "pass", codec.Record{"available": "r0"}),
 		legacyPDU(f, "submit", codec.Record{chat.ParamMsgID: "m1", chat.ParamText: "hi"}),
 		legacyPDU(f, "ordered", codec.Record{chat.ParamMsgID: "m1", chat.ParamSpeaker: "s1", chat.ParamText: "hi"}),
@@ -153,12 +153,17 @@ func chatAfterGarbage(t *testing.T, data []byte, msgID string) {
 
 	sap := chat.ParticipantSAP("p1")
 	delivered := false
-	provider.Attach(sap, func(prim string, params codec.Record) {
-		if prim == chat.PrimDeliver && params[chat.ParamMsgID] == msgID {
+	provider.Attach(sap, func(prim string, params []byte) {
+		v, _ := codec.ParseRecord(params) //nolint:errcheck // a malformed record has no msgid
+		if id, _ := v.Str(chat.ParamMsgID); prim == chat.PrimDeliver && string(id) == msgID {
 			delivered = true
 		}
 	})
-	if err := provider.Submit(sap, chat.PrimSay, codec.Record{chat.ParamMsgID: msgID, chat.ParamText: "hi"}); err != nil {
+	say, err := codec.Append(nil, codec.Record{chat.ParamMsgID: msgID, chat.ParamText: "hi"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := provider.Submit(sap, chat.PrimSay, say); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := kernel.RunUntil(kernel.Now() + time.Second); err != nil {

@@ -24,8 +24,11 @@ package floorcontrol
 import (
 	"fmt"
 
+	"repro/examples/specs"
+	"repro/internal/codec"
 	"repro/internal/core"
 	"repro/internal/lts"
+	"repro/internal/sdl"
 )
 
 // RoleSubscriber is the single role of the floor-control service.
@@ -42,7 +45,8 @@ const (
 // primitive.
 const ParamResource = "resid"
 
-// Spec returns the floor-control service definition of Figure 5:
+// specDoc is the floor-control service definition of Figure 5, parsed
+// once from its one source, examples/specs/floorcontrol.svc:
 //
 //	request (ResourceId resid);   from-user
 //	granted (ResourceId resid);   to-user
@@ -52,59 +56,62 @@ const ParamResource = "resid"
 // with the paper's constraints: granted eventually follows request
 // (local), free follows granted (local), and a resource is only granted to
 // one subscriber at a time (remote).
+var specDoc = sdl.MustParse(specs.FloorControl)
+
+// Spec returns the floor-control service definition (see specDoc),
+// compiled afresh on every call so callers may adjust their copy.
 func Spec() *core.ServiceSpec {
-	return &core.ServiceSpec{
-		Name:        "floor-control",
-		Description: "coordinated, exclusive, non-preemptive access to named shared resources",
-		Roles:       []core.RoleDef{{Name: RoleSubscriber, Min: 2}},
-		Primitives: []core.PrimitiveDef{
-			{Name: PrimRequest, Direction: core.FromUser, Params: []core.ParamDef{{Name: ParamResource, Kind: core.KindString}}},
-			{Name: PrimGranted, Direction: core.ToUser, Params: []core.ParamDef{{Name: ParamResource, Kind: core.KindString}}},
-			{Name: PrimFree, Direction: core.FromUser, Params: []core.ParamDef{{Name: ParamResource, Kind: core.KindString}}},
-		},
-		Constraints: []core.Constraint{
-			&core.Precedes{
-				ConstraintName: "granted-follows-request",
-				ConstraintDesc: "the execution of granted follows the execution of request (for a given resource identification)",
-				ScopeKind:      core.ScopeLocal,
-				Trigger:        PrimRequest,
-				Enabled:        PrimGranted,
-				Key:            core.KeySAPAndParam(ParamResource),
-			},
-			&core.Precedes{
-				ConstraintName: "free-follows-granted",
-				ConstraintDesc: "the execution of free follows the execution of granted (for a given resource identification)",
-				ScopeKind:      core.ScopeLocal,
-				Trigger:        PrimGranted,
-				Enabled:        PrimFree,
-				Key:            core.KeySAPAndParam(ParamResource),
-			},
-			&core.MutualExclusion{
-				ConstraintName: "exclusive-grant",
-				ConstraintDesc: "a resource is only granted to one subscriber at a time",
-				Acquire:        PrimGranted,
-				Release:        PrimFree,
-				Key:            core.KeyParam(ParamResource),
-			},
-			&core.EventuallyFollows{
-				ConstraintName: "request-eventually-granted",
-				ConstraintDesc: "the execution of granted eventually follows the execution of request (liveness; subscribers are cooperative)",
-				ScopeKind:      core.ScopeLocal,
-				Trigger:        PrimRequest,
-				Response:       PrimGranted,
-				Key:            core.KeySAPAndParam(ParamResource),
-			},
-			&core.Absence{
-				ConstraintName: "no-request-while-held",
-				ConstraintDesc: "a subscriber does not re-request a resource it currently holds (cooperative use, §4)",
-				ScopeKind:      core.ScopeLocal,
-				Open:           PrimGranted,
-				Close:          PrimFree,
-				Forbidden:      PrimRequest,
-				Key:            core.KeySAPAndParam(ParamResource),
-			},
-		},
+	spec, _ := specDoc.Compile() //nolint:errcheck // MustParse compiled it once already
+	return spec
+}
+
+// sapParams is the parameter record every floor-control primitive carries
+// across the SAP, {resid}, in the layout the service definition declares.
+var sapParams = func() *codec.Schema {
+	p, _ := Spec().Primitive(PrimRequest)
+	return p.Schema()
+}()
+
+// paramBuf is a scratch buffer its owner encodes primitive params into
+// (the sapParams layout). Every owner keeps its own: the params are lent
+// to one SAP call, and the owner's next call reuses the bytes.
+type paramBuf []byte
+
+// of encodes the params {resid: res}.
+func (b *paramBuf) of(res string) []byte {
+	e := sapParams.Encoder((*b)[:0])
+	e.Str(ParamResource, res)
+	*b, _ = e.Finish() //nolint:errcheck // a string field always encodes
+	return *b
+}
+
+// resNames interns resource ids read from encoded params: each of a
+// deployment's resources maps to itself, so resolving one by its bytes
+// (m[string(b)]) allocates nothing. An id outside the deployment is
+// copied.
+type resNames map[string]string
+
+func newResNames(resources []string) resNames {
+	n := make(resNames, len(resources))
+	for _, res := range resources {
+		n[res] = res
 	}
+	return n
+}
+
+// of returns the resid of a params or grant record ("" when it has none).
+func (n resNames) of(v codec.MsgView) string {
+	b, _ := v.Str(ParamResource)
+	if res, ok := n[string(b)]; ok {
+		return res
+	}
+	return string(b)
+}
+
+// resid returns the resid of encoded params.
+func (n resNames) resid(params []byte) string {
+	v, _ := codec.ParseRecord(params) //nolint:errcheck // malformed params have no resid
+	return n.of(v)
 }
 
 // SubscriberSAP names the SAP of one subscriber.

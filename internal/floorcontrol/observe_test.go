@@ -3,7 +3,6 @@ package floorcontrol
 import (
 	"testing"
 
-	"repro/internal/codec"
 	"repro/internal/core"
 	"repro/internal/sim"
 )
@@ -60,10 +59,10 @@ func TestObserveAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	sap := SubscriberSAP("s1")
-	params := codec.Record{ParamResource: "r1"}
+	var params paramBuf
 	cycle := func() {
 		for _, prim := range []string{PrimRequest, PrimGranted, PrimFree} {
-			if err := obs.Observe(sap, prim, params); err != nil {
+			if err := obs.Observe(sap, prim, params.of("r1")); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -25,6 +25,7 @@ const ParadigmMDA Paradigm = "mda"
 // RMI-like (async-over-sync) and MQ-like (async-over-queue).
 func PIM(resources []string) *mda.PIM {
 	resources = append([]string(nil), resources...)
+	names := newResNames(resources)
 	return &mda.PIM{
 		Name:    "floor-control-pim",
 		Service: Spec(),
@@ -46,7 +47,7 @@ func PIM(resources []string) *mda.PIM {
 			logic.Placement[controller] = ctrlNode
 			for _, sap := range plan.SAPs {
 				id := mda.ComponentID("agent:" + sap.ID)
-				logic.Components[id] = &pimAgent{controller: controller}
+				logic.Components[id] = &pimAgent{controller: controller, names: names}
 				logic.Placement[id] = middleware.Addr(sap.ID)
 				logic.SAPBinding[sap] = id
 			}
@@ -79,7 +80,7 @@ func (c *pimController) Start(ctx *mda.LogicContext) error {
 }
 
 // FromUser implements mda.Component; the controller serves no SAP.
-func (c *pimController) FromUser(primitive string, _ codec.Record) error {
+func (c *pimController) FromUser(primitive string, _ []byte) error {
 	return fmt.Errorf("floorcontrol: controller logic has no service user (got %q)", primitive)
 }
 
@@ -107,6 +108,8 @@ func (c *pimController) OnMessage(from mda.ComponentID, msg codec.MsgView) error
 type pimAgent struct {
 	controller mda.ComponentID
 	ctx        *mda.LogicContext
+	names      resNames
+	params     paramBuf
 }
 
 var _ mda.Component = (*pimAgent)(nil)
@@ -118,8 +121,8 @@ func (a *pimAgent) Start(ctx *mda.LogicContext) error {
 }
 
 // FromUser implements mda.Component.
-func (a *pimAgent) FromUser(primitive string, params codec.Record) error {
-	res, _ := params[ParamResource].(string)
+func (a *pimAgent) FromUser(primitive string, params []byte) error {
+	res := a.names.resid(params)
 	switch primitive {
 	case PrimRequest:
 		return mda.Send(a.ctx, a.controller, msgRequest, grantArgs{Res: res})
@@ -135,8 +138,7 @@ func (a *pimAgent) OnMessage(_ mda.ComponentID, msg codec.MsgView) error {
 	if !msg.NameIs(pduGranted.Name()) {
 		return fmt.Errorf("floorcontrol: unexpected message %q at agent logic", msg.Name())
 	}
-	g, _ := decGrantArgs(msg)
-	a.ctx.DeliverToUser(PrimGranted, codec.Record{ParamResource: g.Res})
+	a.ctx.DeliverToUser(PrimGranted, a.params.of(a.names.of(msg)))
 	return nil
 }
 
@@ -204,7 +206,7 @@ func (s *MDASolution) Build(env *Env) (map[string]AppPart, error) {
 	provider := env.Observer.Provider(dep)
 	parts := make(map[string]AppPart, len(env.Subscribers))
 	for _, sub := range env.Subscribers {
-		parts[sub] = newServiceAppPart(provider, SubscriberSAP(sub))
+		parts[sub] = newServiceAppPart(provider, SubscriberSAP(sub), env.names)
 	}
 	return parts, nil
 }

@@ -50,7 +50,7 @@ func (s *ProtoCallback) Build(env *Env) (map[string]AppPart, error) {
 			return fmt.Errorf("floorcontrol: add controller entity: %w", err)
 		}
 		for _, sub := range env.Subscribers {
-			if err := layer.AddEntity(protocol.Addr(sub), &callbackSubEntity{controller: ctrlNode}); err != nil {
+			if err := layer.AddEntity(protocol.Addr(sub), &callbackSubEntity{controller: ctrlNode, names: env.names}); err != nil {
 				return fmt.Errorf("floorcontrol: add subscriber entity %q: %w", sub, err)
 			}
 		}
@@ -63,6 +63,8 @@ func (s *ProtoCallback) Build(env *Env) (map[string]AppPart, error) {
 type callbackSubEntity struct {
 	controller protocol.Addr
 	ctx        *protocol.Context
+	names      resNames
+	params     paramBuf
 }
 
 var _ protocol.Entity = (*callbackSubEntity)(nil)
@@ -74,9 +76,8 @@ func (e *callbackSubEntity) Init(ctx *protocol.Context) error {
 }
 
 // FromUser implements protocol.Entity.
-func (e *callbackSubEntity) FromUser(primitive string, params codec.Record) error {
-	res, _ := params[ParamResource].(string)
-	args := ctrlArgs{Sub: string(e.ctx.Self()), Res: res}
+func (e *callbackSubEntity) FromUser(primitive string, params []byte) error {
+	args := ctrlArgs{Sub: string(e.ctx.Self()), Res: e.names.resid(params)}
 	switch primitive {
 	case PrimRequest:
 		return pduRequest.Send(e.ctx, e.controller, args)
@@ -92,8 +93,7 @@ func (e *callbackSubEntity) FromPeer(_ protocol.Addr, pdu codec.MsgView) error {
 	if !pdu.NameIs(pduGranted.Name()) {
 		return fmt.Errorf("floorcontrol: unexpected PDU %q at subscriber entity", pdu.Name())
 	}
-	g, _ := decGrantArgs(pdu)
-	e.ctx.DeliverToUser(PrimGranted, codec.Record{ParamResource: g.Res})
+	e.ctx.DeliverToUser(PrimGranted, e.params.of(e.names.of(pdu)))
 	return nil
 }
 
@@ -136,7 +136,7 @@ func (e *callbackCtrlEntity) Init(ctx *protocol.Context) error {
 }
 
 // FromUser implements protocol.Entity: the controller has no local user.
-func (e *callbackCtrlEntity) FromUser(primitive string, _ codec.Record) error {
+func (e *callbackCtrlEntity) FromUser(primitive string, _ []byte) error {
 	return fmt.Errorf("floorcontrol: controller entity has no service user (got %q)", primitive)
 }
 

@@ -3,7 +3,6 @@ package floorcontrol
 import (
 	"fmt"
 
-	"repro/internal/codec"
 	"repro/internal/core"
 	"repro/internal/protocol"
 )
@@ -17,6 +16,8 @@ import (
 type serviceAppPart struct {
 	provider core.Provider
 	sap      core.SAP
+	names    resNames
+	params   paramBuf
 
 	pending map[string]func() // resource → completion
 }
@@ -24,17 +25,17 @@ type serviceAppPart struct {
 var _ AppPart = (*serviceAppPart)(nil)
 
 // newServiceAppPart attaches the part to its SAP.
-func newServiceAppPart(provider core.Provider, sap core.SAP) *serviceAppPart {
-	p := &serviceAppPart{provider: provider, sap: sap, pending: make(map[string]func())}
+func newServiceAppPart(provider core.Provider, sap core.SAP, names resNames) *serviceAppPart {
+	p := &serviceAppPart{provider: provider, sap: sap, names: names, pending: make(map[string]func())}
 	provider.Attach(sap, p.onPrimitive)
 	return p
 }
 
-func (p *serviceAppPart) onPrimitive(primitive string, params codec.Record) {
+func (p *serviceAppPart) onPrimitive(primitive string, params []byte) {
 	if primitive != PrimGranted {
 		return
 	}
-	res, _ := params[ParamResource].(string)
+	res := p.names.resid(params)
 	done := p.pending[res]
 	delete(p.pending, res)
 	if done != nil {
@@ -45,14 +46,14 @@ func (p *serviceAppPart) onPrimitive(primitive string, params codec.Record) {
 // Acquire implements AppPart by executing the request primitive.
 func (p *serviceAppPart) Acquire(res string, done func()) {
 	p.pending[res] = done
-	if err := p.provider.Submit(p.sap, PrimRequest, codec.Record{ParamResource: res}); err != nil {
+	if err := p.provider.Submit(p.sap, PrimRequest, p.params.of(res)); err != nil {
 		panic(fmt.Sprintf("floorcontrol: request at %s: %v", p.sap, err))
 	}
 }
 
 // Release implements AppPart by executing the free primitive.
 func (p *serviceAppPart) Release(res string) {
-	if err := p.provider.Submit(p.sap, PrimFree, codec.Record{ParamResource: res}); err != nil {
+	if err := p.provider.Submit(p.sap, PrimFree, p.params.of(res)); err != nil {
 		panic(fmt.Sprintf("floorcontrol: free at %s: %v", p.sap, err))
 	}
 }
@@ -91,7 +92,7 @@ func buildProtocolSolution(env *Env, name string, install func(layer *protocol.L
 	provider := env.Observer.Provider(binding)
 	parts := make(map[string]AppPart, len(env.Subscribers))
 	for _, sub := range env.Subscribers {
-		parts[sub] = newServiceAppPart(provider, SubscriberSAP(sub))
+		parts[sub] = newServiceAppPart(provider, SubscriberSAP(sub), env.names)
 	}
 	return parts, nil
 }

@@ -52,7 +52,7 @@ func (s *ProtoPolling) Build(env *Env) (map[string]AppPart, error) {
 			return fmt.Errorf("floorcontrol: add controller entity: %w", err)
 		}
 		for _, sub := range env.Subscribers {
-			e := &pollingSubEntity{controller: ctrlNode, interval: env.PollInterval}
+			e := &pollingSubEntity{controller: ctrlNode, interval: env.PollInterval, names: env.names}
 			if err := layer.AddEntity(protocol.Addr(sub), e); err != nil {
 				return fmt.Errorf("floorcontrol: add subscriber entity %q: %w", sub, err)
 			}
@@ -66,6 +66,8 @@ type pollingSubEntity struct {
 	controller protocol.Addr
 	interval   time.Duration
 	ctx        *protocol.Context
+	names      resNames
+	params     paramBuf
 
 	waiting map[string]bool // resources being polled for
 }
@@ -80,8 +82,8 @@ func (e *pollingSubEntity) Init(ctx *protocol.Context) error {
 }
 
 // FromUser implements protocol.Entity.
-func (e *pollingSubEntity) FromUser(primitive string, params codec.Record) error {
-	res, _ := params[ParamResource].(string)
+func (e *pollingSubEntity) FromUser(primitive string, params []byte) error {
+	res := e.names.resid(params)
 	switch primitive {
 	case PrimRequest:
 		e.waiting[res] = true
@@ -112,7 +114,7 @@ func (e *pollingSubEntity) FromPeer(_ protocol.Addr, pdu codec.MsgView) error {
 		return nil // stale response
 	}
 	if avail {
-		e.ctx.DeliverToUser(PrimGranted, codec.Record{ParamResource: res})
+		e.ctx.DeliverToUser(PrimGranted, e.params.of(res))
 		return nil
 	}
 	e.ctx.Schedule(e.interval, func() {
@@ -141,7 +143,7 @@ func (e *pollingCtrlEntity) Init(ctx *protocol.Context) error {
 }
 
 // FromUser implements protocol.Entity.
-func (e *pollingCtrlEntity) FromUser(primitive string, _ codec.Record) error {
+func (e *pollingCtrlEntity) FromUser(primitive string, _ []byte) error {
 	return fmt.Errorf("floorcontrol: controller entity has no service user (got %q)", primitive)
 }
 

@@ -51,7 +51,7 @@ func (s *ProtoToken) Build(env *Env) (map[string]AppPart, error) {
 		entities := make([]*tokenSubEntity, len(env.Subscribers))
 		for i, sub := range env.Subscribers {
 			next := env.Subscribers[(i+1)%len(env.Subscribers)]
-			e := &tokenSubEntity{next: protocol.Addr(next), hop: env.TokenHopDelay}
+			e := &tokenSubEntity{next: protocol.Addr(next), hop: env.TokenHopDelay, names: env.names}
 			if err := layer.AddEntity(protocol.Addr(sub), e); err != nil {
 				return fmt.Errorf("floorcontrol: add token entity %q: %w", sub, err)
 			}
@@ -67,9 +67,11 @@ func (s *ProtoToken) Build(env *Env) (map[string]AppPart, error) {
 
 // tokenSubEntity is one ring position.
 type tokenSubEntity struct {
-	next protocol.Addr
-	hop  time.Duration
-	ctx  *protocol.Context
+	next   protocol.Addr
+	hop    time.Duration
+	ctx    *protocol.Context
+	names  resNames
+	params paramBuf
 
 	wantRes   string
 	toRelease []string
@@ -84,8 +86,8 @@ func (e *tokenSubEntity) Init(ctx *protocol.Context) error {
 }
 
 // FromUser implements protocol.Entity.
-func (e *tokenSubEntity) FromUser(primitive string, params codec.Record) error {
-	res, _ := params[ParamResource].(string)
+func (e *tokenSubEntity) FromUser(primitive string, params []byte) error {
+	res := e.names.resid(params)
 	switch primitive {
 	case PrimRequest:
 		if e.wantRes != "" {
@@ -130,7 +132,7 @@ func (e *tokenSubEntity) onToken(avail []string) {
 		}
 	}
 	if grantedRes != "" {
-		e.ctx.DeliverToUser(PrimGranted, codec.Record{ParamResource: grantedRes})
+		e.ctx.DeliverToUser(PrimGranted, e.params.of(grantedRes))
 	}
 	forward := append([]string(nil), avail...)
 	e.ctx.Schedule(e.hop, func() {

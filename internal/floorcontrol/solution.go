@@ -83,31 +83,18 @@ type Env struct {
 	// band hashes pin this).
 	Churn bool
 
-	// obsParams holds one observation params record per resource, built
-	// once per run and shared by every event observed for that resource
-	// (core.Event.Params is read-only). Never mutated after the run
-	// starts.
-	obsParams map[string]codec.Record
-}
-
-// resourceParams builds the shared per-resource observation params.
-func resourceParams(resources []string) map[string]codec.Record {
-	m := make(map[string]codec.Record, len(resources))
-	for _, res := range resources {
-		m[res] = codec.Record{ParamResource: res}
-	}
-	return m
+	// names interns the run's resource ids (see resNames); obsBuf is the
+	// scratch buffer observe encodes params into.
+	names  resNames
+	obsBuf paramBuf
 }
 
 // observe reports a service-primitive execution at a subscriber's SAP to
-// the conformance observer. The params record is the resource's shared
-// read-only record (a fresh one for a resource outside the deployment).
+// the conformance observer, with params {resid: res}.
+//
+//repolint:hotpath
 func (e *Env) observe(sub, primitive, res string) {
-	params, ok := e.obsParams[res]
-	if !ok {
-		params = codec.Record{ParamResource: res}
-	}
-	_ = e.Observer.Observe(SubscriberSAP(sub), primitive, params) //nolint:errcheck // violations surface via Observer.Err
+	_ = e.Observer.Observe(SubscriberSAP(sub), primitive, e.obsBuf.of(res)) //nolint:errcheck // violations surface via Observer.Err
 }
 
 // Solution is one of the six floor-control implementations.

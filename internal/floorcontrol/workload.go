@@ -340,7 +340,7 @@ func RunWorkloadWith(sol Solution, cfg Config) (*Result, error) {
 		TokenHopDelay: cfg.TokenHopDelay,
 		Churn:         churn,
 	}
-	env.obsParams = resourceParams(env.Resources)
+	env.names = newResNames(env.Resources)
 	var transport protocol.LowerService = protocol.NewReliableDatagram(engine, protocol.NewUnreliableDatagram(net), protocol.ReliableDatagramConfig{})
 	if cfg.RawTransport {
 		transport = protocol.NewUnreliableDatagram(net)

@@ -32,8 +32,9 @@ type Component interface {
 	// view borrows the delivery's bytes until OnMessage returns.
 	OnMessage(from ComponentID, msg codec.MsgView) error
 	// FromUser reacts to a from-user service primitive (SAP-bound
-	// components only; others may reject).
-	FromUser(primitive string, params codec.Record) error
+	// components only; others may reject), its encoded params borrowed
+	// until FromUser returns.
+	FromUser(primitive string, params []byte) error
 }
 
 // Logic is an instantiated set of components with placement and SAP
@@ -72,8 +73,9 @@ func Send[T any](c *LogicContext, to ComponentID, msg protocol.PDU[T], v T) erro
 }
 
 // DeliverToUser executes a to-user service primitive at the SAP bound to
-// this component. It is a no-op without a binding or handler.
-func (c *LogicContext) DeliverToUser(primitive string, params codec.Record) {
+// this component, lending the handler its encoded params for the call.
+// It is a no-op without a binding or handler.
+func (c *LogicContext) DeliverToUser(primitive string, params []byte) {
 	c.dep.deliverToUser(c.self, primitive, params)
 }
 
@@ -117,7 +119,7 @@ type Deployment struct {
 
 	sapOf   map[ComponentID]core.SAP
 	binding map[core.SAP]ComponentID
-	upcalls map[core.SAP]func(string, codec.Record)
+	upcalls map[core.SAP]func(string, []byte)
 }
 
 var _ core.Provider = (*Deployment)(nil)
@@ -133,7 +135,7 @@ func (d *Deployment) Realization() Realization { return d.realization }
 func (d *Deployment) MessagingName() string { return d.messaging.name }
 
 // Submit implements core.Provider.
-func (d *Deployment) Submit(sap core.SAP, primitive string, params codec.Record) error {
+func (d *Deployment) Submit(sap core.SAP, primitive string, params []byte) error {
 	id, ok := d.binding[sap]
 	if !ok {
 		return fmt.Errorf("mda: SAP %s not bound", sap)
@@ -146,13 +148,13 @@ func (d *Deployment) Submit(sap core.SAP, primitive string, params codec.Record)
 }
 
 // Attach implements core.Provider.
-func (d *Deployment) Attach(sap core.SAP, handler func(string, codec.Record)) {
+func (d *Deployment) Attach(sap core.SAP, handler func(string, []byte)) {
 	d.upcalls[sap] = handler
 }
 
-func (d *Deployment) deliverToUser(id ComponentID, primitive string, params codec.Record) {
+func (d *Deployment) deliverToUser(id ComponentID, primitive string, params []byte) {
 	sap, ok := d.sapOf[id]
-	var fn func(string, codec.Record)
+	var fn func(string, []byte)
 	if ok {
 		fn = d.upcalls[sap]
 	}
@@ -227,7 +229,7 @@ func Deploy(kern *sim.Kernel, transport protocol.LowerService, pim *PIM, target 
 		queued:      make(map[ComponentID]bool, len(logic.Components)),
 		sapOf:       make(map[ComponentID]core.SAP, len(logic.SAPBinding)),
 		binding:     make(map[core.SAP]ComponentID, len(logic.SAPBinding)),
-		upcalls:     make(map[core.SAP]func(string, codec.Record)),
+		upcalls:     make(map[core.SAP]func(string, []byte)),
 	}
 	for sap, id := range logic.SAPBinding {
 		d.binding[sap] = id

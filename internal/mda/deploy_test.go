@@ -1,6 +1,7 @@
 package mda
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"testing"
@@ -22,13 +23,41 @@ var _ Component = (*echoLogic)(nil)
 
 func (e *echoLogic) Start(ctx *LogicContext) error { e.ctx = ctx; return nil }
 
-func (e *echoLogic) FromUser(primitive string, _ codec.Record) error {
+func (e *echoLogic) FromUser(primitive string, _ []byte) error {
 	return fmt.Errorf("echo logic has no SAP (got %q)", primitive)
 }
 
-// appendRecord encodes a params record: the echo messages carry the
-// primitive's params as they are.
-func appendRecord(buf []byte, r codec.Record) ([]byte, error) { return codec.Append(buf, r) }
+// appendRecord appends an encoded params record: the echo messages
+// carry the primitive's params as they are.
+func appendRecord(buf, rec []byte) ([]byte, error) { return append(buf, rec...), nil }
+
+// rec encodes a params record through the generic codec (nil encodes
+// the empty record).
+func rec(r codec.Record) []byte {
+	b, err := codec.Append(nil, r)
+	if err != nil {
+		panic(err)
+	}
+	return b
+}
+
+// fieldsOf decodes (copies) an encoded params record.
+func fieldsOf(params []byte) codec.Record {
+	v, err := codec.ParseRecord(params)
+	if err != nil {
+		return nil
+	}
+	return recordOf(v)
+}
+
+// recordOf materializes (copies) every field of a view.
+func recordOf(v codec.MsgView) codec.Record {
+	r := codec.Record{}
+	for _, k := range v.Keys(nil) {
+		r[k], _ = v.Value(k)
+	}
+	return r
+}
 
 var (
 	msgPing = protocol.NewPDU("ping", appendRecord)
@@ -39,11 +68,7 @@ func (e *echoLogic) OnMessage(from ComponentID, msg codec.MsgView) error {
 	if !msg.NameIs(msgPing.Name()) {
 		return fmt.Errorf("unexpected message %q", msg.Name())
 	}
-	fields, err := msg.Fields()
-	if err != nil {
-		return err
-	}
-	return Send(e.ctx, from, msgPong, fields)
+	return Send(e.ctx, from, msgPong, rec(recordOf(msg)))
 }
 
 // echoAgent binds a SAP to the echo server.
@@ -56,7 +81,7 @@ var _ Component = (*echoAgent)(nil)
 
 func (a *echoAgent) Start(ctx *LogicContext) error { a.ctx = ctx; return nil }
 
-func (a *echoAgent) FromUser(primitive string, params codec.Record) error {
+func (a *echoAgent) FromUser(primitive string, params []byte) error {
 	if primitive != "ping" {
 		return fmt.Errorf("unexpected primitive %q", primitive)
 	}
@@ -67,11 +92,7 @@ func (a *echoAgent) OnMessage(_ ComponentID, msg codec.MsgView) error {
 	if !msg.NameIs(msgPong.Name()) {
 		return fmt.Errorf("unexpected message %q", msg.Name())
 	}
-	fields, err := msg.Fields()
-	if err != nil {
-		return err
-	}
-	a.ctx.DeliverToUser("pong", fields)
+	a.ctx.DeliverToUser("pong", rec(recordOf(msg)))
 	return nil
 }
 
@@ -108,12 +129,12 @@ func TestDeployEchoOnAllPlatforms(t *testing.T) {
 			}
 			sap := core.SAP{Role: "user", ID: "u1"}
 			var got []codec.Record
-			dep.Attach(sap, func(prim string, params codec.Record) {
+			dep.Attach(sap, func(prim string, params []byte) {
 				if prim == "pong" {
-					got = append(got, params)
+					got = append(got, fieldsOf(params))
 				}
 			})
-			if err := dep.Submit(sap, "ping", codec.Record{"n": int64(7)}); err != nil {
+			if err := dep.Submit(sap, "ping", rec(codec.Record{"n": int64(7)})); err != nil {
 				t.Fatal(err)
 			}
 			if _, err := kernel.Run(); err != nil {
@@ -137,8 +158,8 @@ func TestAdapterWireCostVisible(t *testing.T) {
 	for _, name := range []string{"rpc-corba-like", "rpc-rmi-like", "queue-mq-like"} {
 		kernel, dep := deployEcho(t, name)
 		sap := core.SAP{Role: "user", ID: "u1"}
-		dep.Attach(sap, func(string, codec.Record) {})
-		if err := dep.Submit(sap, "ping", nil); err != nil {
+		dep.Attach(sap, func(string, []byte) {})
+		if err := dep.Submit(sap, "ping", rec(nil)); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := kernel.Run(); err != nil {
@@ -220,7 +241,7 @@ type middlewareAddr = protocol.Addr
 
 func TestSubmitUnboundSAP(t *testing.T) {
 	_, dep := deployEcho(t, "rpc-corba-like")
-	err := dep.Submit(core.SAP{Role: "user", ID: "ghost"}, "ping", nil)
+	err := dep.Submit(core.SAP{Role: "user", ID: "ghost"}, "ping", rec(nil))
 	if err == nil {
 		t.Fatal("submit at unbound SAP accepted")
 	}
@@ -258,10 +279,7 @@ func TestEnvelopeWireParity(t *testing.T) {
 		{"a", "ping", codec.Record{"n": int64(3), "tags": codec.List{"x"}}},
 		{"b", "empty", nil},
 	} {
-		fields, err := appendRecord(nil, tc.fields)
-		if err != nil {
-			t.Fatal(err)
-		}
+		fields := rec(tc.fields)
 		fast, err := encEnvelope(nil, wireEnvelope{From: tc.from, Name: tc.name, Fields: fields})
 		if err != nil {
 			t.Fatal(err)
@@ -285,11 +303,9 @@ func TestEnvelopeWireParity(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		gotFields, err := msg.Fields()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got.from != tc.from || !msg.NameIs(tc.name) || !codec.Equal(gotFields, legacyEnvelope(tc.from, tc.name, tc.fields)["fields"]) {
+		gotFields := recordOf(msg)
+		wantFields := legacyEnvelope(tc.from, tc.name, tc.fields)["fields"].(codec.Record)
+		if got.from != tc.from || !msg.NameIs(tc.name) || !bytes.Equal(rec(gotFields), rec(wantFields)) {
 			t.Fatalf("%s: round trip from %q, %q%v", tc.name, got.from, msg.Name(), gotFields)
 		}
 	}
@@ -316,14 +332,14 @@ func TestQueueEnvelopeWireParity(t *testing.T) {
 	for _, params := range []codec.Record{{"n": int64(7), "tags": codec.List{"x"}}, nil} {
 		kernel := sim.NewKernel(sim.WithSeed(3))
 		net := network.New(kernel, network.WithDefaultLink(network.LinkConfig{Latency: time.Millisecond}))
-		rec := &sendRecorder{LowerService: protocol.NewUnreliableDatagram(net)}
+		recorder := &sendRecorder{LowerService: protocol.NewUnreliableDatagram(net)}
 		mq, _ := ConcretePlatformByName("queue-mq-like")
 		sap := core.SAP{Role: "user", ID: "u1"}
-		dep, err := Deploy(kernel, rec, testPIM(t), mq, Plan{SAPs: []core.SAP{sap}})
+		dep, err := Deploy(kernel, recorder, testPIM(t), mq, Plan{SAPs: []core.SAP{sap}})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := dep.Submit(sap, "ping", params); err != nil {
+		if err := dep.Submit(sap, "ping", rec(params)); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := kernel.Run(); err != nil {
@@ -345,7 +361,7 @@ func TestQueueEnvelopeWireParity(t *testing.T) {
 			want[string(wire)] = true
 		}
 		enqueues := 0
-		for _, data := range rec.sent {
+		for _, data := range recorder.sent {
 			v, err := codec.ParseMessage(data)
 			if err != nil || !v.NameIs("mw.enqueue") {
 				continue

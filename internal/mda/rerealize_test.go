@@ -28,12 +28,12 @@ func TestRerealizeMidRun(t *testing.T) {
 			kernel, dep := deployEcho(t, tc.from)
 			sap := core.SAP{Role: "user", ID: "u1"}
 			var got []codec.Record
-			dep.Attach(sap, func(prim string, params codec.Record) {
+			dep.Attach(sap, func(prim string, params []byte) {
 				if prim == "pong" {
-					got = append(got, params)
+					got = append(got, fieldsOf(params))
 				}
 			})
-			if err := dep.Submit(sap, "ping", codec.Record{"n": int64(1)}); err != nil {
+			if err := dep.Submit(sap, "ping", rec(codec.Record{"n": int64(1)})); err != nil {
 				t.Fatal(err)
 			}
 			if _, err := kernel.Run(); err != nil {
@@ -60,7 +60,7 @@ func TestRerealizeMidRun(t *testing.T) {
 				t.Fatalf("realization platform = %q, want %q", dep.Realization().Concrete.Name, tc.to)
 			}
 
-			if err := dep.Submit(sap, "ping", codec.Record{"n": int64(2)}); err != nil {
+			if err := dep.Submit(sap, "ping", rec(codec.Record{"n": int64(2)})); err != nil {
 				t.Fatal(err)
 			}
 			if _, err := kernel.Run(); err != nil {
@@ -86,12 +86,12 @@ func TestRerealizeIdempotent(t *testing.T) {
 	}
 	sap := core.SAP{Role: "user", ID: "u1"}
 	pongs := 0
-	dep.Attach(sap, func(prim string, _ codec.Record) {
+	dep.Attach(sap, func(prim string, _ []byte) {
 		if prim == "pong" {
 			pongs++
 		}
 	})
-	if err := dep.Submit(sap, "ping", nil); err != nil {
+	if err := dep.Submit(sap, "ping", rec(nil)); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := kernel.Run(); err != nil {

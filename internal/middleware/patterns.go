@@ -292,8 +292,21 @@ func (p *Platform) deliverQueued(queue string, name, fields []byte) {
 }
 
 // Publish sends a message to every subscriber of a topic (event
-// source/sink pattern).
+// source/sink pattern): PublishRecord of its encoded field record.
 func (p *Platform) Publish(from Addr, topic string, m codec.Message) error {
+	buf := codec.GetBuffer()
+	defer buf.Release()
+	fields, err := codec.Append(buf.B[:0], m.Fields)
+	if err != nil {
+		return fmt.Errorf("middleware: marshal: %w", err)
+	}
+	buf.B = fields
+	return p.PublishRecord(from, topic, m.Name, fields)
+}
+
+// PublishRecord publishes the event name, its field record already in
+// wire form under the Invoke argument contract.
+func (p *Platform) PublishRecord(from Addr, topic, name string, fields []byte) error {
 	if !p.profile.Supports(PatternPubSub) {
 		return fmt.Errorf("%w: %s on %q", ErrPatternUnsupported, PatternPubSub, p.profile.Name)
 	}
@@ -303,10 +316,13 @@ func (p *Platform) Publish(from Addr, topic string, m codec.Message) error {
 	}
 	p.stats.Publishes++
 	fromLow, toLow := p.nodeLows[fromID], p.brokerLow()
+	if fields == nil {
+		fields = codec.RawEmptyRecord
+	}
 	buf := codec.GetBuffer()
 	e := schemaPublish.Encoder(buf.B[:0])
-	e.Value("fields", m.Fields)
-	e.Str("name", m.Name)
+	e.Raw("fields", fields)
+	e.Str("name", name)
 	e.Str("topic", topic)
 	return p.finishSend(buf, &e, fromLow, toLow)
 }

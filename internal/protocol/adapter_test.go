@@ -22,7 +22,7 @@ type logEntity struct {
 
 func (e *logEntity) Init(ctx *Context) error { e.ctx = ctx; return nil }
 
-func (e *logEntity) FromUser(string, codec.Record) error { return nil }
+func (e *logEntity) FromUser(string, []byte) error { return nil }
 
 func (e *logEntity) FromPeer(src Addr, pdu codec.MsgView) error {
 	i, _ := pdu.Int("i")

@@ -24,8 +24,9 @@ type Entity interface {
 	// traffic; entities keep the context for sending PDUs and upcalls.
 	Init(ctx *Context) error
 	// FromUser handles a from-user service primitive executed by the local
-	// user at this entity's service access point.
-	FromUser(primitive string, params codec.Record) error
+	// user at this entity's service access point, its encoded params
+	// borrowed until FromUser returns.
+	FromUser(primitive string, params []byte) error
 	// FromPeer handles a PDU received from a peer entity through the
 	// lower level service. The view, and every byte slice read through
 	// it, borrows the delivery buffer until FromPeer returns.
@@ -126,9 +127,10 @@ func (p PDU[T]) SendMulti(c *Context, dsts []Addr, v T) error {
 	return nil
 }
 
-// DeliverToUser executes a to-user service primitive at this entity's SAP.
-// It is a no-op if the user part has not attached a handler.
-func (c *Context) DeliverToUser(primitive string, params codec.Record) {
+// DeliverToUser executes a to-user service primitive at this entity's SAP,
+// lending the handler its encoded params for the call. It is a no-op if
+// the user part has not attached a handler.
+func (c *Context) DeliverToUser(primitive string, params []byte) {
 	c.layer.deliverUp(c.selfID, primitive, params)
 }
 
@@ -158,7 +160,7 @@ type typeCounter struct {
 type entityEntry struct {
 	addr   Addr
 	entity Entity
-	upcall func(primitive string, params codec.Record)
+	upcall func(primitive string, params []byte)
 }
 
 // Layer binds protocol entities (one per address) over a lower-level
@@ -275,12 +277,12 @@ func (l *Layer) Entity(addr Addr) (Entity, bool) {
 
 // SetUpcall registers the local user handler for to-user primitives at
 // addr.
-func (l *Layer) SetUpcall(addr Addr, fn func(primitive string, params codec.Record)) {
+func (l *Layer) SetUpcall(addr Addr, fn func(primitive string, params []byte)) {
 	id := l.intern(addr)
 	l.ents[id].upcall = fn
 }
 
-func (l *Layer) deliverUp(id int32, primitive string, params codec.Record) {
+func (l *Layer) deliverUp(id int32, primitive string, params []byte) {
 	fn := l.ents[id].upcall
 	if fn != nil {
 		fn(primitive, params)
@@ -407,7 +409,7 @@ func (b *ServiceBinding) Bind(sap core.SAP, addr Addr) error {
 
 // Submit implements core.Provider: the from-user primitive is handed to
 // the entity serving the SAP.
-func (b *ServiceBinding) Submit(sap core.SAP, primitive string, params codec.Record) error {
+func (b *ServiceBinding) Submit(sap core.SAP, primitive string, params []byte) error {
 	bind, ok := b.saps[sap]
 	if !ok {
 		return fmt.Errorf("%w: %s", ErrNotBound, sap)
@@ -419,7 +421,7 @@ func (b *ServiceBinding) Submit(sap core.SAP, primitive string, params codec.Rec
 }
 
 // Attach implements core.Provider.
-func (b *ServiceBinding) Attach(sap core.SAP, handler func(primitive string, params codec.Record)) {
+func (b *ServiceBinding) Attach(sap core.SAP, handler func(primitive string, params []byte)) {
 	bind, ok := b.saps[sap]
 	if !ok {
 		return

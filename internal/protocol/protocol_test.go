@@ -234,16 +234,43 @@ type echoEntity struct {
 
 func (e *echoEntity) Init(ctx *Context) error { e.ctx = ctx; return nil }
 
-func (e *echoEntity) FromUser(primitive string, params codec.Record) error {
+func (e *echoEntity) FromUser(primitive string, params []byte) error {
 	if primitive != "ping" {
 		return fmt.Errorf("echo: unknown primitive %q", primitive)
 	}
 	return pduEchoReq.Send(e.ctx, e.peer, params)
 }
 
-// appendRecord encodes a params record: the echo PDUs carry the
-// primitive's params as they are.
-func appendRecord(buf []byte, r codec.Record) ([]byte, error) { return codec.Append(buf, r) }
+// appendRecord appends an encoded params record: the echo PDUs carry
+// the primitive's params as they are.
+func appendRecord(buf, rec []byte) ([]byte, error) { return append(buf, rec...), nil }
+
+// rec encodes a params record through the generic codec.
+func rec(r codec.Record) []byte {
+	b, err := codec.Append(nil, r)
+	if err != nil {
+		panic(err)
+	}
+	return b
+}
+
+// fieldsOf decodes (copies) an encoded params record.
+func fieldsOf(params []byte) codec.Record {
+	v, err := codec.ParseRecord(params)
+	if err != nil {
+		return nil
+	}
+	return recordOf(v)
+}
+
+// recordOf materializes (copies) every field of a view.
+func recordOf(v codec.MsgView) codec.Record {
+	r := codec.Record{}
+	for _, k := range v.Keys(nil) {
+		r[k], _ = v.Value(k)
+	}
+	return r
+}
 
 var (
 	pduEchoReq  = NewPDU("echo.req", appendRecord)
@@ -251,15 +278,12 @@ var (
 )
 
 func (e *echoEntity) FromPeer(src Addr, pdu codec.MsgView) error {
-	fields, err := pdu.Fields()
-	if err != nil {
-		return err
-	}
+	params := rec(recordOf(pdu))
 	switch {
 	case pdu.NameIs(pduEchoReq.Name()):
-		return pduEchoResp.Send(e.ctx, src, fields)
+		return pduEchoResp.Send(e.ctx, src, params)
 	case pdu.NameIs(pduEchoResp.Name()):
-		e.ctx.DeliverToUser("pong", fields)
+		e.ctx.DeliverToUser("pong", params)
 		return nil
 	default:
 		return fmt.Errorf("echo: unknown PDU %q", pdu.Name())
@@ -281,12 +305,12 @@ func TestLayerEchoProtocol(t *testing.T) {
 		t.Fatal(err)
 	}
 	var pongs []codec.Record
-	binding.Attach(sapA, func(prim string, params codec.Record) {
+	binding.Attach(sapA, func(prim string, params []byte) {
 		if prim == "pong" {
-			pongs = append(pongs, params)
+			pongs = append(pongs, fieldsOf(params))
 		}
 	})
-	if err := binding.Submit(sapA, "ping", codec.Record{"n": int64(1)}); err != nil {
+	if err := binding.Submit(sapA, "ping", rec(codec.Record{"n": int64(1)})); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := k.Run(); err != nil {
@@ -339,7 +363,7 @@ func TestServiceBindingErrors(t *testing.T) {
 		t.Fatalf("err = %v, want ErrDuplicate", err)
 	}
 	// Attach at unbound SAP is a silent no-op.
-	b.Attach(core.SAP{Role: "user", ID: "ghost"}, func(string, codec.Record) {})
+	b.Attach(core.SAP{Role: "user", ID: "ghost"}, func(string, []byte) {})
 	// Entity error surfaces through Submit.
 	if err := b.Submit(sap, "warp", nil); err == nil {
 		t.Fatal("entity error not propagated")

@@ -81,7 +81,9 @@ func (k KeyDecl) compile() core.KeyFunc {
 type ConstraintDecl struct {
 	Name  string
 	Scope core.Scope
-	Form  ConstraintForm
+	// Description is the optional quoted text after the name.
+	Description string
+	Form        ConstraintForm
 	// First and Second are the two primitives of the clause:
 	// precedes First -> Second, eventually First -> Second,
 	// mutex acquire First release Second, absent Forbidden between
@@ -109,6 +111,7 @@ func (c ConstraintDecl) compile() core.Constraint {
 	case FormPrecedes:
 		return &core.Precedes{
 			ConstraintName:   c.Name,
+			ConstraintDesc:   c.Description,
 			ScopeKind:        c.Scope,
 			Trigger:          c.First,
 			Enabled:          c.Second,
@@ -119,6 +122,7 @@ func (c ConstraintDecl) compile() core.Constraint {
 	case FormEventually:
 		return &core.EventuallyFollows{
 			ConstraintName: c.Name,
+			ConstraintDesc: c.Description,
 			ScopeKind:      c.Scope,
 			Trigger:        c.First,
 			Response:       c.Second,
@@ -127,6 +131,7 @@ func (c ConstraintDecl) compile() core.Constraint {
 	case FormMutex:
 		return &core.MutualExclusion{
 			ConstraintName: c.Name,
+			ConstraintDesc: c.Description,
 			Acquire:        c.First,
 			Release:        c.Second,
 			Key:            c.Key.compile(),
@@ -134,6 +139,7 @@ func (c ConstraintDecl) compile() core.Constraint {
 	case FormCapacity:
 		return &core.Capacity{
 			ConstraintName: c.Name,
+			ConstraintDesc: c.Description,
 			Acquire:        c.First,
 			Release:        c.Second,
 			Key:            c.Key.compile(),
@@ -142,6 +148,7 @@ func (c ConstraintDecl) compile() core.Constraint {
 	case FormAbsent:
 		return &core.Absence{
 			ConstraintName: c.Name,
+			ConstraintDesc: c.Description,
 			ScopeKind:      c.Scope,
 			Open:           c.First,
 			Close:          c.Second,
@@ -151,6 +158,7 @@ func (c ConstraintDecl) compile() core.Constraint {
 	case FormDeadline:
 		return &core.Deadline{
 			ConstraintName: c.Name,
+			ConstraintDesc: c.Description,
 			ScopeKind:      c.Scope,
 			Trigger:        c.First,
 			Response:       c.Second,
@@ -244,7 +252,11 @@ func Format(d *Document) string {
 		if c.Scope == core.ScopeRemote {
 			scope = "remote"
 		}
-		fmt.Fprintf(&sb, "  constraint %s %s:\n    ", scope, c.Name)
+		fmt.Fprintf(&sb, "  constraint %s %s", scope, c.Name)
+		if c.Description != "" {
+			sb.WriteString(" " + quoteSDL(c.Description))
+		}
+		sb.WriteString(":\n    ")
 		switch c.Form {
 		case FormPrecedes:
 			fmt.Fprintf(&sb, "precedes %s -> %s key %s", c.First, c.Second, c.Key)

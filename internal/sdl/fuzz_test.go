@@ -27,7 +27,7 @@ func FuzzSDLRoundTrip(f *testing.F) {
     precedes open -> done key sap+param id allow-multiple non-consuming
   constraint local b:
     eventually open -> done key param id
-  constraint remote c:
+  constraint remote c "one \"holder\" at a time":
     mutex acquire open release done key param id
   constraint remote d:
     capacity 3 acquire open release done key param id

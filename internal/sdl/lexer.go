@@ -19,11 +19,13 @@
 //	    precedes request -> granted key sap+param resid
 //	  constraint local  free-follows-granted:
 //	    precedes granted -> free key sap+param resid
-//	  constraint remote exclusive-grant:
+//	  constraint remote exclusive-grant "a resource is only granted to one subscriber at a time":
 //	    mutex acquire granted release free key param resid
 //	  constraint local  request-eventually-granted:
 //	    eventually request -> granted key sap+param resid
 //	}
+//
+// A constraint may carry a quoted description after its name.
 //
 // Parse compiles such text into both a declarative Document (AST, used by
 // Format for round-tripping) and an executable *core.ServiceSpec whose

@@ -28,6 +28,16 @@ func Parse(src string) (*Document, *core.ServiceSpec, error) {
 	return doc, spec, nil
 }
 
+// MustParse parses a definition embedded in the program, panicking if it
+// is invalid; the returned Document then compiles without error.
+func MustParse(src string) *Document {
+	doc, _, err := Parse(src)
+	if err != nil {
+		panic(fmt.Sprintf("sdl: embedded service definition: %v", err))
+	}
+	return doc
+}
+
 type parser struct {
 	toks []token
 	pos  int
@@ -228,7 +238,7 @@ func paramKind(name string) (core.ParamKind, bool) {
 
 // parseConstraint parses
 //
-//	constraint local|remote <name> :
+//	constraint local|remote <name> ["<description>"] :
 //	  precedes  A -> B key <key> [allow-multiple]
 //	  eventually A -> B key <key>
 //	  mutex acquire A release B key <key>
@@ -251,6 +261,10 @@ func (p *parser) parseConstraint() (ConstraintDecl, *SyntaxError) {
 	if err != nil {
 		return ConstraintDecl{}, err
 	}
+	decl := ConstraintDecl{Name: name.text, Scope: scope}
+	if p.cur().kind == tokString {
+		decl.Description = p.advance().text
+	}
 	if _, err := p.expect(tokColon); err != nil {
 		return ConstraintDecl{}, err
 	}
@@ -258,7 +272,6 @@ func (p *parser) parseConstraint() (ConstraintDecl, *SyntaxError) {
 	if err != nil {
 		return ConstraintDecl{}, err
 	}
-	decl := ConstraintDecl{Name: name.text, Scope: scope}
 	switch formTok.text {
 	case "precedes", "eventually":
 		if formTok.text == "precedes" {

@@ -35,6 +35,15 @@ service floor-control {
 }
 `
 
+// rec encodes a params record through the generic codec.
+func rec(r codec.Record) []byte {
+	b, err := codec.Append(nil, r)
+	if err != nil {
+		panic(err)
+	}
+	return b
+}
+
 func parseFloorControl(t *testing.T) (*Document, *core.ServiceSpec) {
 	t.Helper()
 	doc, spec, err := Parse(floorControlSDL)
@@ -72,7 +81,7 @@ func TestParsedSpecEnforcesConstraints(t *testing.T) {
 	}
 	sap := core.SAP{Role: "subscriber", ID: "s1"}
 	// Violation: granted with no request.
-	if verr := obs.Observe(sap, "granted", codec.Record{"resid": "r1"}); verr == nil {
+	if verr := obs.Observe(sap, "granted", rec(codec.Record{"resid": "r1"})); verr == nil {
 		t.Fatal("parsed constraint did not fire")
 	}
 	v, ok := core.AsViolation(obs.Err())
@@ -90,7 +99,7 @@ func TestParsedMutexConstraint(t *testing.T) {
 	}
 	s1 := core.SAP{Role: "subscriber", ID: "s1"}
 	s2 := core.SAP{Role: "subscriber", ID: "s2"}
-	params := codec.Record{"resid": "r1"}
+	params := rec(codec.Record{"resid": "r1"})
 	_ = obs.Observe(s1, "request", params) //nolint:errcheck
 	_ = obs.Observe(s2, "request", params) //nolint:errcheck
 	_ = obs.Observe(s1, "granted", params) //nolint:errcheck
@@ -267,7 +276,7 @@ func TestPropertyLexerTotal(t *testing.T) {
 // Property: Format∘Parse is the identity on documents produced by the
 // parser (tested over a generated family of specs).
 func TestPropertyRoundTripGenerated(t *testing.T) {
-	prop := func(nPrims uint8, withSAP bool, scope bool) bool {
+	prop := func(nPrims uint8, withSAP bool, scope bool, desc string) bool {
 		n := int(nPrims%4) + 2
 		var sb strings.Builder
 		sb.WriteString("service generated {\n  role r [1..*]\n")
@@ -287,7 +296,11 @@ func TestPropertyRoundTripGenerated(t *testing.T) {
 		if scope {
 			sc = "remote"
 		}
-		sb.WriteString("  constraint " + sc + " c1: precedes pa -> pb key " + key + "\n}\n")
+		sb.WriteString("  constraint " + sc + " c1")
+		if desc != "" {
+			sb.WriteString(" " + quoteSDL(desc))
+		}
+		sb.WriteString(": precedes pa -> pb key " + key + "\n}\n")
 		doc, _, err := Parse(sb.String())
 		if err != nil {
 			return false
@@ -300,6 +313,45 @@ func TestPropertyRoundTripGenerated(t *testing.T) {
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestConstraintDescription: the optional quoted text after a
+// constraint's name becomes its description, on every form; without one
+// the constraint describes itself from its clause.
+func TestConstraintDescription(t *testing.T) {
+	src := `service described {
+  primitive a(id: string) from-user
+  primitive b(id: string) to-user
+  constraint local p "p text": precedes a -> b key param id
+  constraint local e "e text": eventually a -> b key param id
+  constraint remote m "m text": mutex acquire a release b key param id
+  constraint remote c "c text": capacity 2 acquire a release b key param id
+  constraint local d "d text": deadline a -> b within 5 ms key param id
+  constraint local x "x text": absent b between a and b key param id
+  constraint local plain: precedes a -> b key param id
+}
+`
+	doc, spec, err := Parse(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, want := range []string{"p text", "e text", "m text", "c text", "d text", "x text"} {
+		if got := doc.Constraints[i].Description; got != want {
+			t.Errorf("constraint %d: Description = %q, want %q", i, got, want)
+		}
+		if got := spec.Constraints[i].Description(); got != want {
+			t.Errorf("constraint %d: compiled description %q, want %q", i, got, want)
+		}
+	}
+	if got := spec.Constraints[6].Description(); got != "b may only occur after an unmatched a (same key)" {
+		t.Errorf("undescribed constraint reads %q", got)
+	}
+	if !strings.Contains(Format(doc), `constraint local p "p text":`) {
+		t.Errorf("Format drops the description:\n%s", Format(doc))
+	}
+	if _, _, err := Parse(strings.Replace(src, `"p text":`, `"p text" "again":`, 1)); err == nil {
+		t.Error("two descriptions accepted")
 	}
 }
 
@@ -334,13 +386,13 @@ service multicast {
 		t.Fatal(err)
 	}
 	p1 := core.SAP{Role: "p", ID: "1"}
-	_ = obs.Observe(p1, "say", codec.Record{"msgid": "m"}) //nolint:errcheck
+	_ = obs.Observe(p1, "say", rec(codec.Record{"msgid": "m"})) //nolint:errcheck
 	for i := 0; i < 3; i++ {
-		if err := obs.Observe(p1, "deliver", codec.Record{"msgid": "m"}); err != nil {
+		if err := obs.Observe(p1, "deliver", rec(codec.Record{"msgid": "m"})); err != nil {
 			t.Fatalf("non-consuming delivery %d flagged: %v", i, err)
 		}
 	}
-	if err := obs.Observe(p1, "deliver", codec.Record{"msgid": "other"}); err == nil {
+	if err := obs.Observe(p1, "deliver", rec(codec.Record{"msgid": "other"})); err == nil {
 		t.Fatal("spurious delivery accepted")
 	}
 }
@@ -391,7 +443,7 @@ service timed-pool {
 	if err != nil {
 		t.Fatal(err)
 	}
-	params := codec.Record{"resid": "r"}
+	params := rec(codec.Record{"resid": "r"})
 	for i := 1; i <= 3; i++ {
 		id := core.SAP{Role: "client", ID: fmt.Sprintf("c%d", i)}
 		_ = obs.Observe(id, "request", params) //nolint:errcheck
@@ -465,7 +517,7 @@ service held {
 		t.Fatal(err)
 	}
 	s1 := core.SAP{Role: "p", ID: "1"}
-	params := codec.Record{"resid": "r"}
+	params := rec(codec.Record{"resid": "r"})
 	_ = obs.Observe(s1, "request", params) //nolint:errcheck
 	_ = obs.Observe(s1, "granted", params) //nolint:errcheck
 	if err := obs.Observe(s1, "request", params); err == nil {

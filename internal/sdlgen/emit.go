@@ -201,76 +201,61 @@ func (m *Model) emitSpec(e *emitter) {
 }
 
 func (m *Model) emitConstraint(e *emitter, c sdl.ConstraintDecl) {
-	scope := "core.ScopeLocal"
-	if c.Scope == core.ScopeRemote {
-		scope = "core.ScopeRemote"
+	// The core type of each form and the fields its two primitives fill.
+	var typ, first, second string
+	switch c.Form {
+	case sdl.FormPrecedes:
+		typ, first, second = "Precedes", "Trigger", "Enabled"
+	case sdl.FormEventually:
+		typ, first, second = "EventuallyFollows", "Trigger", "Response"
+	case sdl.FormMutex:
+		typ, first, second = "MutualExclusion", "Acquire", "Release"
+	case sdl.FormCapacity:
+		typ, first, second = "Capacity", "Acquire", "Release"
+	case sdl.FormDeadline:
+		typ, first, second = "Deadline", "Trigger", "Response"
+	case sdl.FormAbsent:
+		typ, first, second = "Absence", "Open", "Close"
+	}
+	e.p("\t\t\t&core.%s{", typ)
+	e.p("\t\t\t\tConstraintName: %q,", c.Name)
+	if c.Description != "" {
+		e.p("\t\t\t\tConstraintDesc: %q,", c.Description)
+	}
+	if c.Form != sdl.FormMutex && c.Form != sdl.FormCapacity { // remote by nature
+		scope := "core.ScopeLocal"
+		if c.Scope == core.ScopeRemote {
+			scope = "core.ScopeRemote"
+		}
+		e.p("\t\t\t\tScopeKind: %s,", scope)
+	}
+	e.p("\t\t\t\t%s: %s,", first, m.primConst(c.First))
+	e.p("\t\t\t\t%s: %s,", second, m.primConst(c.Second))
+	if c.Form == sdl.FormAbsent {
+		e.p("\t\t\t\tForbidden: %s,", m.primConst(c.Forbidden))
 	}
 	key := fmt.Sprintf("core.KeyParam(%q)", c.Key.Param)
 	if c.Key.WithSAP {
 		key = fmt.Sprintf("core.KeySAPAndParam(%q)", c.Key.Param)
 	}
-	switch c.Form {
-	case sdl.FormPrecedes:
-		e.p("\t\t\t&core.Precedes{")
-		e.p("\t\t\t\tConstraintName: %q,", c.Name)
-		e.p("\t\t\t\tScopeKind:      %s,", scope)
-		e.p("\t\t\t\tTrigger:        %s,", m.primConst(c.First))
-		e.p("\t\t\t\tEnabled:        %s,", m.primConst(c.Second))
-		e.p("\t\t\t\tKey:            %s,", key)
-		if c.AllowMultiple {
-			e.p("\t\t\t\tAllowPendingMany: true,")
-		}
-		if c.NonConsuming {
-			e.p("\t\t\t\tNonConsuming: true,")
-		}
-		e.p("\t\t\t},")
-	case sdl.FormEventually:
-		e.p("\t\t\t&core.EventuallyFollows{")
-		e.p("\t\t\t\tConstraintName: %q,", c.Name)
-		e.p("\t\t\t\tScopeKind:      %s,", scope)
-		e.p("\t\t\t\tTrigger:        %s,", m.primConst(c.First))
-		e.p("\t\t\t\tResponse:       %s,", m.primConst(c.Second))
-		e.p("\t\t\t\tKey:            %s,", key)
-		e.p("\t\t\t},")
-	case sdl.FormMutex:
-		e.p("\t\t\t&core.MutualExclusion{")
-		e.p("\t\t\t\tConstraintName: %q,", c.Name)
-		e.p("\t\t\t\tAcquire:        %s,", m.primConst(c.First))
-		e.p("\t\t\t\tRelease:        %s,", m.primConst(c.Second))
-		e.p("\t\t\t\tKey:            %s,", key)
-		e.p("\t\t\t},")
-	case sdl.FormCapacity:
-		e.p("\t\t\t&core.Capacity{")
-		e.p("\t\t\t\tConstraintName: %q,", c.Name)
-		e.p("\t\t\t\tAcquire:        %s,", m.primConst(c.First))
-		e.p("\t\t\t\tRelease:        %s,", m.primConst(c.Second))
-		e.p("\t\t\t\tKey:            %s,", key)
-		e.p("\t\t\t\tLimit:          %d,", c.Limit)
-		e.p("\t\t\t},")
-	case sdl.FormDeadline:
-		e.p("\t\t\t&core.Deadline{")
-		e.p("\t\t\t\tConstraintName: %q,", c.Name)
-		e.p("\t\t\t\tScopeKind:      %s,", scope)
-		e.p("\t\t\t\tTrigger:        %s,", m.primConst(c.First))
-		e.p("\t\t\t\tResponse:       %s,", m.primConst(c.Second))
-		e.p("\t\t\t\tKey:            %s,", key)
-		e.p("\t\t\t\tWithin:         %s,", goDuration(c.Within))
-		e.p("\t\t\t},")
-	case sdl.FormAbsent:
-		e.p("\t\t\t&core.Absence{")
-		e.p("\t\t\t\tConstraintName: %q,", c.Name)
-		e.p("\t\t\t\tScopeKind:      %s,", scope)
-		e.p("\t\t\t\tOpen:           %s,", m.primConst(c.First))
-		e.p("\t\t\t\tClose:          %s,", m.primConst(c.Second))
-		e.p("\t\t\t\tForbidden:      %s,", m.primConst(c.Forbidden))
-		e.p("\t\t\t\tKey:            %s,", key)
-		e.p("\t\t\t},")
+	e.p("\t\t\t\tKey: %s,", key)
+	switch {
+	case c.AllowMultiple:
+		e.p("\t\t\t\tAllowPendingMany: true,")
+	case c.Form == sdl.FormCapacity:
+		e.p("\t\t\t\tLimit: %d,", c.Limit)
+	case c.Form == sdl.FormDeadline:
+		e.p("\t\t\t\tWithin: %s,", goDuration(c.Within))
 	}
+	if c.NonConsuming {
+		e.p("\t\t\t\tNonConsuming: true,")
+	}
+	e.p("\t\t\t},")
 }
 
 func (m *Model) emitScaffolding(e *emitter) {
-	e.p("// Service declares the typed service: the spec validated and every")
-	e.p("// primitive's parameter record schema-compiled by internal/svc.")
+	e.p("// Service declares the typed service, its spec validated by")
+	e.p("// internal/svc.")
 	e.p("func Service() (*svc.Service, error) {")
 	e.p("\treturn svc.New(Spec())")
 	e.p("}")
@@ -324,8 +309,7 @@ func (m *Model) emitPrimitive(e *emitter, p Primitive) {
 	// Schema wire encoder (canonical field order is the schema's sorted
 	// order, not declaration order).
 	e.p("// Append%sParams appends the wire form of p's parameter record to buf", p.Go)
-	e.p("// through the compiled schema — byte-identical to codec.Append of the")
-	e.p("// record %sMessage(p) carries. It is the argument encoder of the", p.Go)
+	e.p("// through the compiled schema. It is the argument encoder of the")
 	e.p("// primitive's typed port or sink.")
 	if len(p.Params) == 0 {
 		e.p("func Append%sParams(buf []byte, _ %sParams) ([]byte, error) {", p.Go, p.Go)
@@ -387,28 +371,6 @@ func (m *Model) emitPrimitive(e *emitter, p Primitive) {
 	}
 	e.emptyLine()
 
-	// Message wrapper: the Record form, kept for the queue and topic
-	// planes.
-	e.p("// %sMessage wraps p as the named message the queue and topic planes", p.Go)
-	e.p("// carry.")
-	if len(p.Params) == 0 {
-		e.p("func %sMessage(%sParams) codec.Message {", p.Go, p.Go)
-		e.p("\treturn codec.NewMessage(Prim%s, codec.Record{})", p.Go)
-	} else {
-		e.p("func %sMessage(p %sParams) codec.Message {", p.Go, p.Go)
-		e.p("\treturn codec.NewMessage(Prim%s, codec.Record{", p.Go)
-		for _, param := range p.Params {
-			if param.Decl.Kind == core.KindStringList {
-				e.p("\t\t%q: codec.StringList(p.%s),", param.Decl.Name, param.Go)
-			} else {
-				e.p("\t\t%q: p.%s,", param.Decl.Name, param.Go)
-			}
-		}
-		e.p("\t})")
-	}
-	e.p("}")
-	e.emptyLine()
-
 	if p.FromUser {
 		e.p("// New%sPort opens a typed RPC port for primitive %q: the user part", p.Go, name)
 		e.p("// submits %sParams to the provider object and the continuation", p.Go)
@@ -428,7 +390,7 @@ func (m *Model) emitPrimitive(e *emitter, p Primitive) {
 		e.emptyLine()
 		e.p("// New%sTopicSink opens a typed publisher of %q events on topic.", p.Go, name)
 		e.p("func New%sTopicSink(b *svc.Binding, topic string) (*svc.Sink[%sParams], error) {", p.Go, p.Go)
-		e.p("\treturn svc.NewTopicSink(b, topic, %sMessage)", p.Go)
+		e.p("\treturn svc.NewTopicSink(b, topic, Prim%s, Append%sParams)", p.Go, p.Go)
 		e.p("}")
 		e.emptyLine()
 		e.p("// Decode%sView decodes a published %q event from the zero-copy", p.Go, name)

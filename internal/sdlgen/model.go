@@ -153,8 +153,7 @@ func Build(doc *sdl.Document, pkg, source string) (*Model, error) {
 		owner := fmt.Sprintf("primitive %q", p.Name)
 		stems := []string{
 			"Prim" + g, "Schema" + g, g + "Params",
-			"Decode" + g + "Params", "Append" + g + "Params",
-			g + "Message", "Handle" + g,
+			"Decode" + g + "Params", "Append" + g + "Params", "Handle" + g,
 		}
 		if p.Direction == core.FromUser {
 			stems = append(stems, "New"+g+"Port")

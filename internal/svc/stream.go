@@ -12,15 +12,14 @@ import (
 // store-and-forward queueing, or topic publication. Sends are
 // fire-and-forget; queue and topic sends are marshalled once at the
 // platform and fan out over the dense delivery plane (SendMultiIndexed
-// underneath for topics). Oneway and queue sinks carry their payload as
-// an encoded record, like a Port's request.
+// underneath for topics). Every sink carries its payload as an encoded
+// record, like a Port's request.
 type Sink[T any] struct {
 	b       *Binding
 	pattern middleware.Pattern
 	dest    string // target object, queue or topic
-	name    string // oneway operation or queue message name
+	name    string // oneway operation, queue message or topic event name
 	enc     func([]byte, T) ([]byte, error)
-	encMsg  func(T) codec.Message // topic
 }
 
 // bind checks the sink's pattern and encoder.
@@ -28,7 +27,7 @@ func (s *Sink[T]) bind() (*Sink[T], error) {
 	if err := s.b.supports(s.pattern); err != nil {
 		return nil, err
 	}
-	if s.enc == nil && s.encMsg == nil {
+	if s.enc == nil {
 		return nil, fmt.Errorf("svc: %s sink %q: nil encoder", s.pattern, s.dest)
 	}
 	return s, nil
@@ -54,26 +53,18 @@ func NewQueueSink[T any](b *Binding, queue, name string,
 }
 
 // NewTopicSink creates a typed publisher port for a topic (the event
-// source half of the pub/sub pattern).
-func NewTopicSink[T any](b *Binding, topic string,
-	enc func(T) codec.Message) (*Sink[T], error) {
-	s := &Sink[T]{b: b, pattern: middleware.PatternPubSub, dest: topic, encMsg: enc}
+// source half of the pub/sub pattern): each send publishes an event
+// called name whose field record enc appends.
+func NewTopicSink[T any](b *Binding, topic, name string,
+	enc func([]byte, T) ([]byte, error)) (*Sink[T], error) {
+	s := &Sink[T]{b: b, pattern: middleware.PatternPubSub, dest: topic, name: name, enc: enc}
 	return s.bind()
 }
 
-// Send transmits one typed value from the given node. Errors follow the
-// port taxonomy.
+// Send transmits one typed value from the given node: the payload record
+// is encoded into a pooled buffer and handed to the platform, which
+// copies it onto the wire. Errors follow the port taxonomy.
 func (s *Sink[T]) Send(from middleware.Addr, v T) error {
-	if s.pattern == middleware.PatternPubSub {
-		return wrapErr(s.b.plat.Publish(from, s.dest, s.encMsg(v)))
-	}
-	return s.sendRecord(from, v)
-}
-
-// sendRecord is the oneway and queue send path: the payload record is
-// encoded into a pooled buffer and handed to the platform, which copies
-// it onto the wire.
-func (s *Sink[T]) sendRecord(from middleware.Addr, v T) error {
 	buf := codec.GetBuffer()
 	defer buf.Release()
 	rec, err := s.enc(buf.B[:0], v)
@@ -81,8 +72,11 @@ func (s *Sink[T]) sendRecord(from middleware.Addr, v T) error {
 		return fmt.Errorf("svc: %s sink %s.%s: marshal: %w", s.pattern, s.dest, s.name, err)
 	}
 	buf.B = rec
-	if s.pattern == middleware.PatternQueue {
+	switch s.pattern {
+	case middleware.PatternQueue:
 		return wrapErr(s.b.plat.QueuePut(from, s.dest, s.name, rec))
+	case middleware.PatternPubSub:
+		return wrapErr(s.b.plat.PublishRecord(from, s.dest, s.name, rec))
 	}
 	return wrapErr(s.b.plat.InvokeOneway(from, middleware.ObjRef(s.dest), s.name, rec))
 }

@@ -3,9 +3,8 @@
 // *service concept* is the unit applications program against — in the
 // code itself.
 //
-// A Service is declared from a validated core.ServiceSpec (its primitive
-// parameter records are schema-compiled once, at declaration). Binding
-// the service to a middleware.Platform — profile-checked through
+// A Service is declared from a validated core.ServiceSpec. Binding the
+// service to a middleware.Platform — profile-checked through
 // Profile.Supports — yields typed ports:
 //
 //   - Port[Req, Resp]: request/response with pooled per-call state
@@ -31,7 +30,6 @@ import (
 	"errors"
 	"fmt"
 
-	"repro/internal/codec"
 	"repro/internal/core"
 	"repro/internal/middleware"
 )
@@ -106,20 +104,16 @@ func wrapErr(err error) error {
 	}
 }
 
-// Service is a typed-port service declaration: a validated specification
-// whose primitive parameter records are schema-compiled once. It is the
-// Figure 11 "service definition" made bindable.
+// Service is a typed-port service declaration: a validated
+// specification, the Figure 11 "service definition" made bindable. A
+// primitive's parameter record layout is its core.PrimitiveDef.Schema.
 type Service struct {
-	spec    *core.ServiceSpec
-	schemas map[string]*codec.Schema // primitive name → compiled param record schema
+	spec *core.ServiceSpec
 
 	bound bool
 }
 
-// New declares a service from a specification. The spec is validated and
-// each primitive's parameter record is compiled to a codec.Schema, so
-// typed ports (and tooling) can encode primitive parameters without
-// per-message key sorting.
+// New declares a service from a specification, which is validated.
 func New(spec *core.ServiceSpec) (*Service, error) {
 	if spec == nil {
 		return nil, errors.New("svc: nil service spec")
@@ -127,25 +121,11 @@ func New(spec *core.ServiceSpec) (*Service, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, fmt.Errorf("svc: invalid service spec: %w", err)
 	}
-	s := &Service{spec: spec, schemas: make(map[string]*codec.Schema, len(spec.Primitives))}
-	for _, p := range spec.Primitives {
-		names := make([]string, len(p.Params))
-		for i, param := range p.Params {
-			names[i] = param.Name
-		}
-		s.schemas[p.Name] = codec.CompileSchema(p.Name, names...)
-	}
-	return s, nil
+	return &Service{spec: spec}, nil
 }
 
 // Spec returns the service specification.
 func (s *Service) Spec() *core.ServiceSpec { return s.spec }
-
-// Schema returns the compiled parameter-record schema of a primitive.
-func (s *Service) Schema(primitive string) (*codec.Schema, bool) {
-	sc, ok := s.schemas[primitive]
-	return sc, ok
-}
 
 // Bind binds the service to a platform, yielding the port factory. The
 // platform profile is checked against every pattern the service's ports

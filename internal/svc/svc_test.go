@@ -163,7 +163,7 @@ func TestPortConstructorsCheckPattern(t *testing.T) {
 	if _, err := svc.NewOnewaySink(bq, "x", "op", encPing); !errors.Is(err, svc.ErrUnsupportedPattern) {
 		t.Fatalf("oneway sink on MQ-like: %v, want ErrUnsupportedPattern", err)
 	}
-	if _, err := svc.NewTopicSink(bq, "t", func(pingReq) codec.Message { return codec.Message{} }); !errors.Is(err, svc.ErrUnsupportedPattern) {
+	if _, err := svc.NewTopicSink(bq, "t", "m", encPing); !errors.Is(err, svc.ErrUnsupportedPattern) {
 		t.Fatalf("topic sink on MQ-like: %v, want ErrUnsupportedPattern", err)
 	}
 	_, pr := stack(t, middleware.ProfileRMILike) // RPC only
@@ -347,7 +347,7 @@ func TestTypedPubSubAndQueue(t *testing.T) {
 	b := bound(t, p, middleware.PatternQueue, middleware.PatternPubSub)
 
 	type note struct{ Seq uint64 }
-	encNote := func(n note) codec.Message { return codec.NewMessage("note", codec.Record{"seq": n.Seq}) }
+	encNote := func(buf []byte, n note) ([]byte, error) { return codec.Append(buf, codec.Record{"seq": n.Seq}) }
 
 	// Topic: typed publisher, zero-copy typed subscriber.
 	var topicGot []uint64
@@ -364,7 +364,7 @@ func TestTypedPubSubAndQueue(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	topic, err := svc.NewTopicSink(b, "news", encNote)
+	topic, err := svc.NewTopicSink(b, "news", "note", encNote)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -382,9 +382,7 @@ func TestTypedPubSubAndQueue(t *testing.T) {
 		func(n note) { queueGot = append(queueGot, n.Seq) }); err != nil {
 		t.Fatal(err)
 	}
-	jobs, err := svc.NewQueueSink(b, "jobs", "note", func(buf []byte, n note) ([]byte, error) {
-		return codec.Append(buf, codec.Record{"seq": n.Seq})
-	})
+	jobs, err := svc.NewQueueSink(b, "jobs", "note", encNote)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -448,26 +446,15 @@ func TestOnewaySink(t *testing.T) {
 	}
 }
 
-func TestSpecValidationAndSchemas(t *testing.T) {
+func TestSpecValidation(t *testing.T) {
 	if _, err := svc.New(nil); err == nil {
 		t.Fatal("nil spec accepted")
 	}
 	if _, err := svc.New(&core.ServiceSpec{}); err == nil {
 		t.Fatal("invalid spec accepted")
 	}
-	s, err := svc.New(testSpec())
-	if err != nil {
+	if _, err := svc.New(testSpec()); err != nil {
 		t.Fatal(err)
-	}
-	sc, ok := s.Schema("ping")
-	if !ok {
-		t.Fatal("ping schema not compiled")
-	}
-	if got := sc.Fields(); len(got) != 1 || got[0] != "n" {
-		t.Fatalf("ping schema fields = %v", got)
-	}
-	if _, ok := s.Schema("levitate"); ok {
-		t.Fatal("undeclared primitive has a schema")
 	}
 }
 
