@@ -1,11 +1,11 @@
 package mda
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"maps"
 	"slices"
-	"strings"
 	"time"
 
 	"repro/internal/codec"
@@ -258,7 +258,7 @@ func validateLogic(logic *Logic, plan Plan) error {
 		}
 	}
 	saps := slices.SortedFunc(maps.Keys(logic.SAPBinding), func(a, b core.SAP) int {
-		return strings.Compare(a.String(), b.String())
+		return cmp.Or(cmp.Compare(a.Role, b.Role), cmp.Compare(a.ID, b.ID))
 	})
 	for _, sap := range saps {
 		id := logic.SAPBinding[sap]

@@ -311,16 +311,16 @@ func TestEnvelopeWireParity(t *testing.T) {
 	}
 }
 
-// sendRecorder is a name-addressed transport that keeps a copy of every
-// message sent through it.
+// sendRecorder is a transport that keeps a copy of every message sent
+// through it.
 type sendRecorder struct {
 	protocol.LowerService
 	sent [][]byte
 }
 
-func (r *sendRecorder) Send(from, to protocol.Addr, data []byte) error {
+func (r *sendRecorder) SendIndexed(from, to int32, data []byte) error {
 	r.sent = append(r.sent, append([]byte(nil), data...))
-	return r.LowerService.Send(from, to, data)
+	return r.LowerService.SendIndexed(from, to, data)
 }
 
 // TestQueueEnvelopeWireParity pins the async-over-queue adapter's wire

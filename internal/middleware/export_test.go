@@ -9,15 +9,11 @@ package middleware
 func (p *Platform) HandleWire(src, node Addr, data []byte) {
 	srcID, srcOK := p.nodes[src]
 	id, ok := p.nodes[node]
-	var srcLow int32
-	if srcOK {
-		srcLow = p.nodeLows[srcID]
-	}
 	if !ok {
 		panic("middleware: HandleWire on an unattached node")
 	}
 	if !srcOK {
 		panic("middleware: HandleWire from an unattached node")
 	}
-	p.handleWire(srcLow, id, data)
+	p.handleWire(srcID, id, data)
 }

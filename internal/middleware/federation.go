@@ -25,11 +25,11 @@ type Option func(*Platform)
 // topology is an execution parameter only — every sink observes the
 // same deliveries either way.
 //
-// Subscribers are assigned to leaves by transport endpoint id:
-// leaf = low % len(leaves). Over protocol.UnreliableDatagram endpoint
-// ids equal network slots, so a subscriber's leaf is its slot residue
-// modulo the leaf count; over a name-only transport they are the
-// protocol.AsIndexed ids, assigned in attach order.
+// Subscribers are assigned to leaves by node id, which is the
+// transport's endpoint id: leaf = id % len(leaves). Over
+// protocol.UnreliableDatagram, and any service layered on it, endpoint
+// ids are network slots, so a subscriber's leaf is its slot residue
+// modulo the leaf count.
 //
 // Federation applies to the pub/sub pattern only; queues stay on the
 // root broker.
@@ -44,7 +44,7 @@ func WithFederation(leaves ...Addr) Option {
 }
 
 // topicTable is one topic's subscriber table on the broker tree: a
-// dense row of subscriber-node transport ids per leaf (the root's
+// dense row of subscriber node ids per leaf (the root's
 // single row on a zero-leaf tree), plus a membership bitset that dedups
 // nodes carrying several sinks — events are forwarded once per
 // subscriber node, and handleEvent demuxes them to every co-located
@@ -52,26 +52,24 @@ func WithFederation(leaves ...Addr) Option {
 // one int32 in a row, one bit in the set, and one demux sink at the
 // node.
 type topicTable struct {
-	rows   [][]int32 // row index → subscriber node lows, enrolment order
-	member []uint64  // bitset over transport lows
+	rows   [][]int32 // row index → subscriber node ids, enrolment order
+	member []uint64  // bitset over node ids
 }
 
-// enroll adds a subscriber node (by transport low id) to row li of the
-// topic. Idempotent per node: re-enrolment of a node already in a row
-// is a bit test.
-func (tt *topicTable) enroll(low int32, li int) {
-	w, b := int(low)>>6, uint(low)&63
+// enroll adds a subscriber node to row li of the topic. Idempotent per
+// node: re-enrolment of a node already in a row is a bit test.
+func (tt *topicTable) enroll(node int32, li int) {
+	w, b := int(node)>>6, uint(node)&63
 	for w >= len(tt.member) {
 		tt.member = append(tt.member, 0)
 	}
 	if tt.member[w]&(1<<b) == 0 {
 		tt.member[w] |= 1 << b
-		tt.rows[li] = append(tt.rows[li], low)
+		tt.rows[li] = append(tt.rows[li], node)
 	}
 }
 
-// leafIndexOf reports which leaf (if any) the platform node id
-// belongs to. The leaf table is small (a handful of
+// leafIndexOf reports which leaf (if any) the node id belongs to. The leaf table is small (a handful of
 // leaves), so a linear scan beats any index.
 func (p *Platform) leafIndexOf(nodeID int32) int {
 	for i, id := range p.leafIDs {
@@ -83,14 +81,8 @@ func (p *Platform) leafIndexOf(nodeID int32) int {
 }
 
 // AttachRuntime eagerly attaches the platform runtime at node and
-// returns its transport endpoint id.
+// returns its node id (its transport endpoint id).
 // Attachment normally happens lazily on first use; XL deployments call
-// this to pin attach order — and therefore transport endpoint ids and
-// leaf assignment — before traffic starts.
-func (p *Platform) AttachRuntime(node Addr) (int32, error) {
-	id, err := p.ensureRuntime(node)
-	if err != nil {
-		return -1, err
-	}
-	return p.nodeLows[id], nil
-}
+// this to pin attach order — and therefore endpoint ids and leaf
+// assignment — before traffic starts.
+func (p *Platform) AttachRuntime(node Addr) (int32, error) { return p.ensureRuntime(node) }

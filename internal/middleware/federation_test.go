@@ -240,17 +240,6 @@ func TestFederationErrors(t *testing.T) {
 		t.Fatalf("subscribing at the root: err = %v, want ErrFederation", err)
 	}
 
-	// A name-only transport federates through protocol.AsIndexed: every
-	// event reaches every subscriber, exactly as over the indexed one.
-	direct := federatedDeliveries(t, func(l protocol.LowerService) protocol.LowerService { return l })
-	named := federatedDeliveries(t, func(l protocol.LowerService) protocol.LowerService {
-		return struct{ protocol.LowerService }{l}
-	})
-	if direct != fedNodes*fedEvents || named != direct {
-		t.Fatalf("delivered %d over the name-only transport, %d over the indexed one; want %d both",
-			named, direct, fedNodes*fedEvents)
-	}
-
 	// WithFederation with no leaves is the zero-leaf tree, not a broken
 	// one: the root owns each topic's single row, and still cannot
 	// subscribe.
@@ -267,31 +256,4 @@ func TestFederationErrors(t *testing.T) {
 	if err := r.SubscribeTopicView("t", "root2", func(codec.MsgView) {}); !errors.Is(err, ErrFederation) {
 		t.Fatalf("subscribing at the zero-leaf root: err = %v, want ErrFederation", err)
 	}
-}
-
-const fedNodes, fedEvents = 6, 4
-
-// federatedDeliveries publishes fedEvents events through a two-leaf
-// tree over wrap(udp) to fedNodes subscriber nodes and returns the
-// number of sink fires.
-func federatedDeliveries(t *testing.T, wrap func(protocol.LowerService) protocol.LowerService) int {
-	t.Helper()
-	kernel := sim.NewKernel(sim.WithSeed(11))
-	p := New(kernel, wrap(protocol.NewUnreliableDatagram(network.New(kernel))),
-		Profile{Name: "x", Patterns: []Pattern{PatternPubSub}}, "root", WithFederation("leaf0", "leaf1"))
-	delivered := 0
-	for i := 0; i < fedNodes; i++ {
-		if err := p.SubscribeTopicView("t", Addr(fmt.Sprintf("n%d", i)), func(codec.MsgView) { delivered++ }); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for e := 0; e < fedEvents; e++ {
-		if err := p.Publish("pub", "t", codec.NewMessage("tick", nil)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, err := kernel.Run(); err != nil {
-		t.Fatal(err)
-	}
-	return delivered
 }

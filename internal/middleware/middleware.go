@@ -13,14 +13,12 @@
 // dependent on the protocol-centred paradigm: ... the middleware
 // 'transforms' the interactions into (implicit) protocols."
 //
-// Every platform node gets a dense small-int id when its runtime
-// attaches, and a transport endpoint id from the transport's dense plane
-// (protocol.IndexedLower; New wraps any other transport with
-// protocol.AsIndexed). Subscriber and consumer tables are compact index
-// sets resolved once at subscribe time, and the whole steady-state wire
-// path — receive demux, broker fan-out, reply routing — carries endpoint
-// ids only and runs on slot-indexed tables with no map lookups and no
-// allocations.
+// A platform node's id is the endpoint id the transport assigns its
+// runtime at attach time; there is no second id space to translate.
+// Subscriber and consumer tables are compact index sets resolved once
+// at subscribe time, and the whole steady-state wire path — receive
+// demux, broker fan-out, reply routing — carries endpoint ids only and
+// runs on id-indexed tables with no map lookups and no allocations.
 //
 // # SPI, not API
 //
@@ -225,7 +223,7 @@ type Stats struct {
 	WireBytes    uint64
 }
 
-// registration is a hosted object; the hosting node is held by dense id.
+// registration is a hosted object; the hosting node is held by id.
 type registration struct {
 	nodeID int32
 	obj    Object
@@ -275,9 +273,9 @@ func (p *Platform) putCall(c *pendingCall) {
 }
 
 // replyCell is the pooled reply continuation of one dispatched call: it
-// remembers where the reply travels (call id, caller's transport id,
-// serving node) and carries a Reply built once per cell, so a dispatch
-// hands the object its continuation without allocating. handleCall
+// remembers where the reply travels (call id, caller node, serving node)
+// and carries a Reply built once per cell, so a dispatch hands the
+// object its continuation without allocating. handleCall
 // recycles the cell only when the object replied before Dispatch
 // returned; a reply that escaped the dispatch keeps its cell out of the
 // pool for good (one cell per asynchronous reply, as the per-call
@@ -286,14 +284,14 @@ func (p *Platform) putCall(c *pendingCall) {
 type replyCell struct {
 	p     *Platform
 	id    uint64
-	src   int32 // caller's transport endpoint id
-	atID  int32
+	src   int32 // caller node
+	atID  int32 // serving node
 	armed bool
 	fn    Reply // = c.respond, built once
 	next  *replyCell
 }
 
-// queueConsumer is one queue subscription, resolved to a dense node id
+// queueConsumer is one queue subscription, resolved to a node id
 // for the broker's round-robin pick; the consumer callback itself lives
 // in the node's queueSinks demux table.
 type queueConsumer struct {
@@ -337,8 +335,8 @@ type queueSink struct {
 // per pooled object, so deferral allocates nothing in steady state.
 type deferredWire struct {
 	p    *Platform
-	src  int32 // sender's transport endpoint id
-	atID int32
+	src  int32 // sending node
+	atID int32 // receiving node
 	buf  *codec.Buffer
 	fn   func()
 	next *deferredWire
@@ -358,15 +356,15 @@ func (d *deferredWire) run() {
 // and interact through the pattern methods.
 type Platform struct {
 	kern      *sim.Kernel
-	transport protocol.IndexedLower
+	transport protocol.LowerService
 	profile   Profile
 	broker    Addr
 
-	objects   map[ObjRef]registration
-	nodes     map[Addr]int32 // runtime intern: addr → platform node id
-	nodeAddrs []Addr         // node id → addr
-	nodeLows  []int32        // node id → transport endpoint id (-1 unresolved)
-	brokerID  int32          // platform node id of the broker (-1 until attached)
+	// A node id is the transport's endpoint id for the node. The
+	// node-indexed tables grow to cover every attached node's id.
+	objects  map[ObjRef]registration
+	nodes    map[Addr]int32 // attached runtimes: addr → node id
+	brokerID int32          // node id of the broker (-1 until attached)
 
 	eventSinks [][]eventSink // node id → topic subscriptions at that node
 	queueSinks [][]queueSink // node id → consumed queues at that node
@@ -382,20 +380,20 @@ type Platform struct {
 	// leaves are the broker tree's leaf addresses (WithFederation); with
 	// none, the root broker forwards events to subscribers itself.
 	leaves  []Addr
-	leafIDs []int32 // platform node id per leaf, -1 until attached
+	leafIDs []int32 // node id per leaf, -1 until attached
 
 	freeDeferred *deferredWire
 	stats        Stats
 }
 
-// New creates a platform over transport (see protocol.AsIndexed). The
-// broker address hosts the platform's queue/topic broker; it is attached
-// lazily on first use. Options (WithFederation, …) configure the
-// platform before any runtime attaches.
+// New creates a platform over transport. The broker address hosts the
+// platform's queue/topic broker; it is attached lazily on first use.
+// Options (WithFederation, …) configure the platform before any runtime
+// attaches.
 func New(kern *sim.Kernel, transport protocol.LowerService, profile Profile, broker Addr, opts ...Option) *Platform {
 	p := &Platform{
 		kern:      kern,
-		transport: protocol.AsIndexed(transport),
+		transport: transport,
 		profile:   profile,
 		broker:    broker,
 		brokerID:  -1,
@@ -423,18 +421,24 @@ func (p *Platform) Stats() Stats {
 }
 
 // ensureRuntime attaches the platform's wire-protocol receiver on a node
-// and returns the node's dense platform id.
+// and returns the node's id.
 func (p *Platform) ensureRuntime(node Addr) (int32, error) {
 	if id, ok := p.nodes[node]; ok {
 		return id, nil
 	}
-	id := int32(len(p.nodeAddrs))
+	var id int32
+	id, err := p.transport.AttachIndexed(node, func(src int32, data []byte) {
+		p.onWire(src, id, data)
+	})
+	if err != nil {
+		return -1, fmt.Errorf("middleware: attach runtime at %q: %w", node, err)
+	}
 	p.nodes[node] = id
-	p.nodeAddrs = append(p.nodeAddrs, node)
-	p.nodeLows = append(p.nodeLows, -1)
-	p.eventSinks = append(p.eventSinks, nil)
-	p.queueSinks = append(p.queueSinks, nil)
-	p.downNodes = append(p.downNodes, false)
+	for int(id) >= len(p.downNodes) {
+		p.eventSinks = append(p.eventSinks, nil)
+		p.queueSinks = append(p.queueSinks, nil)
+		p.downNodes = append(p.downNodes, false)
+	}
 	if node == p.broker {
 		p.brokerID = id
 	}
@@ -443,13 +447,6 @@ func (p *Platform) ensureRuntime(node Addr) (int32, error) {
 			p.leafIDs[i] = id
 		}
 	}
-	low, err := p.transport.AttachIndexed(node, func(src int32, data []byte) {
-		p.onWire(src, id, data)
-	})
-	if err != nil {
-		return id, fmt.Errorf("middleware: attach runtime at %q: %w", node, err)
-	}
-	p.nodeLows[id] = low
 	return id, nil
 }
 
@@ -476,13 +473,13 @@ func (p *Platform) Resolve(ref ObjRef) (Addr, bool) {
 	if !ok {
 		return "", false
 	}
-	return p.nodeAddrs[reg.nodeID], true
+	return p.transport.EndpointAddr(reg.nodeID), true
 }
 
 // sendData transmits one already-encoded wire message between two
-// transport endpoint ids, counting it. The transport copies synchronously
-// (LowerService.Send contract), so data may live in a pooled scratch
-// buffer the caller recycles on return. A negative destination id (a
+// nodes, counting it. The transport copies synchronously
+// (LowerService.SendIndexed contract), so data may live in a pooled
+// scratch buffer the caller recycles on return. A negative destination id (a
 // node whose runtime is not attached) fails the send with
 // protocol.ErrUnknownEntity.
 //
@@ -500,11 +497,11 @@ func (p *Platform) sendData(from, to int32, data []byte) error {
 }
 
 // forward fans one encoded event out from a broker — the root of a
-// zero-leaf tree, or a leaf — to its row of subscriber nodes over the
-// transport's indexed batch path (all deliveries scheduled under a
-// single kernel lock), counting one event delivery and one wire message
-// per node. The single buffer serves every subscriber; it may be
-// pooled, because the transport copies synchronously.
+// zero-leaf tree, or a leaf — to its row of subscriber nodes in one
+// SendMultiIndexed call on the transport, counting one event delivery
+// and one wire message per node. The single buffer serves every
+// subscriber; it may be pooled, because the transport copies
+// synchronously.
 //
 //repolint:hotpath
 func (p *Platform) forward(from int32, row []int32, data []byte) {
@@ -517,13 +514,4 @@ func (p *Platform) forward(from int32, row []int32, data []byte) {
 	p.stats.WireBytes += n * uint64(len(data))
 	//nolint:errcheck // event delivery failure = event loss, acceptable for pub/sub sim
 	_ = p.transport.SendMultiIndexed(from, row, data)
-}
-
-// brokerLow returns the broker's transport id (-1 while its
-// runtime is not attached).
-func (p *Platform) brokerLow() int32 {
-	if p.brokerID < 0 {
-		return -1
-	}
-	return p.nodeLows[p.brokerID]
 }

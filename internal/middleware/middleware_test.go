@@ -633,3 +633,18 @@ func TestPlatformOverStreamTransport(t *testing.T) {
 		t.Fatalf("completed %d of 10 over the stream transport", completed)
 	}
 }
+
+// TestSendToUnattachedBroker pins the unknown-destination rule: a
+// publish before anything attached the broker's runtime fails with
+// protocol.ErrUnknownEntity instead of reaching the transport.
+func TestSendToUnattachedBroker(t *testing.T) {
+	k := sim.NewKernel()
+	p := New(k, protocol.NewUnreliableDatagram(network.New(k)), ProfileCORBALike, "broker")
+	err := p.Publish("pub", "news", codec.NewMessage("ev", nil))
+	if !errors.Is(err, protocol.ErrUnknownEntity) {
+		t.Fatalf("Publish to an unattached broker: err = %v, want ErrUnknownEntity", err)
+	}
+	if st := p.Stats(); st.WireMessages != 1 {
+		t.Fatalf("WireMessages = %d, want 1 (the refused send is still counted)", st.WireMessages)
+	}
+}

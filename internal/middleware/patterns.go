@@ -84,8 +84,6 @@ func (p *Platform) Invoke(from Addr, target ObjRef, op string, args []byte, cont
 	}
 	p.pending[id] = pc
 	p.stats.Calls++
-	fromLow, toLow := p.nodeLows[fromID], p.nodeLows[reg.nodeID]
-
 	if args == nil {
 		args = codec.RawEmptyRecord
 	}
@@ -95,7 +93,7 @@ func (p *Platform) Invoke(from Addr, target ObjRef, op string, args []byte, cont
 	e.Uint("id", id)
 	e.Str("op", op)
 	e.Str("target", string(target))
-	if err := p.finishSend(buf, &e, fromLow, toLow); err != nil {
+	if err := p.finishSend(buf, &e, fromID, reg.nodeID); err != nil {
 		if pc, ok := p.pending[id]; ok {
 			pc.timer.Cancel() // zero ref is an inert no-op
 			delete(p.pending, id)
@@ -120,9 +118,9 @@ func discardReply([]byte, error) {}
 // call proceed would leak a request the wire silently drops and a
 // pending entry nothing ever resolves.
 func (p *Platform) failFast(calleeID, callerID int32, cont func(codec.MsgView, error)) {
-	down := p.nodeAddrs[calleeID]
+	down := p.transport.EndpointAddr(calleeID)
 	if p.downNodes[callerID] {
-		down = p.nodeAddrs[callerID]
+		down = p.transport.EndpointAddr(callerID)
 	}
 	p.stats.Unavailables++
 	p.kern.ScheduleFunc(0, func() {
@@ -160,7 +158,6 @@ func (p *Platform) InvokeOneway(from Addr, target ObjRef, op string, args []byte
 		return fmt.Errorf("%w: %q", ErrUnknownObject, target)
 	}
 	p.stats.Oneways++
-	fromLow, toLow := p.nodeLows[fromID], p.nodeLows[reg.nodeID]
 	if args == nil {
 		args = codec.RawEmptyRecord
 	}
@@ -169,7 +166,7 @@ func (p *Platform) InvokeOneway(from Addr, target ObjRef, op string, args []byte
 	e.Raw("args", args)
 	e.Str("op", op)
 	e.Str("target", string(target))
-	return p.finishSend(buf, &e, fromLow, toLow)
+	return p.finishSend(buf, &e, fromID, reg.nodeID)
 }
 
 // QueueDeclare creates a named queue at the platform broker.
@@ -205,7 +202,6 @@ func (p *Platform) QueuePut(from Addr, queue, name string, fields []byte) error 
 		return fmt.Errorf("%w: %q", ErrUnknownQueue, queue)
 	}
 	p.stats.QueuePuts++
-	fromLow, toLow := p.nodeLows[fromID], p.brokerLow()
 	if fields == nil {
 		fields = codec.RawEmptyRecord
 	}
@@ -214,14 +210,14 @@ func (p *Platform) QueuePut(from Addr, queue, name string, fields []byte) error 
 	e.Raw("fields", fields)
 	e.Str("name", name)
 	e.Str("queue", queue)
-	return p.finishSend(buf, &e, fromLow, toLow)
+	return p.finishSend(buf, &e, fromID, p.brokerID)
 }
 
 // QueueSubscribe adds a consumer for a queue. Each message goes to exactly
 // one consumer; multiple consumers share the queue round-robin, in
 // subscription order, whether or not they share a node. Messages
 // put before any subscription are retained and delivered on first
-// subscribe. The consumer's node is resolved to dense ids here, once, so
+// subscribe. The consumer's node is resolved to its id here, once, so
 // deliveries walk no tables.
 //
 // fn receives a codec.MsgView over the mw.deliver envelope (fields
@@ -281,14 +277,13 @@ func (p *Platform) deliverQueued(queue string, name, fields []byte) {
 	c := q.consumers[q.nextRR%len(q.consumers)]
 	q.nextRR++
 	p.stats.QueueDeliver++
-	fromLow, toLow := p.brokerLow(), p.nodeLows[c.nodeID]
 	buf := codec.GetBuffer()
 	e := schemaDeliver.Encoder(buf.B[:0])
 	e.Raw("fields", fields)
 	e.Str("name", string(name))
 	e.Str("queue", queue)
 	//nolint:errcheck // broker delivery failure = message loss, acceptable for MOM sim
-	_ = p.finishSend(buf, &e, fromLow, toLow)
+	_ = p.finishSend(buf, &e, p.brokerID, c.nodeID)
 }
 
 // Publish sends a message to every subscriber of a topic (event
@@ -315,7 +310,6 @@ func (p *Platform) PublishRecord(from Addr, topic, name string, fields []byte) e
 		return err
 	}
 	p.stats.Publishes++
-	fromLow, toLow := p.nodeLows[fromID], p.brokerLow()
 	if fields == nil {
 		fields = codec.RawEmptyRecord
 	}
@@ -324,7 +318,7 @@ func (p *Platform) PublishRecord(from Addr, topic, name string, fields []byte) e
 	e.Raw("fields", fields)
 	e.Str("name", name)
 	e.Str("topic", topic)
-	return p.finishSend(buf, &e, fromLow, toLow)
+	return p.finishSend(buf, &e, fromID, p.brokerID)
 }
 
 // SubscribeTopicView registers a zero-copy event sink: the sink receives
@@ -340,7 +334,7 @@ func (p *Platform) SubscribeTopicView(topic string, node Addr, fn func(v codec.M
 	return p.subscribeTopic(topic, node, eventSink{topic: topic, fn: fn})
 }
 
-// subscribeTopic resolves the subscriber node to dense ids, enrols it
+// subscribeTopic resolves the subscriber node to its id, enrols it
 // in its row of the topic's broker-tree table, and appends the sink to
 // the node's demux table — the "resolved once at subscribe time" half
 // of the pub/sub fast path. Broker addresses (the root, and any leaf)
@@ -369,11 +363,11 @@ func (p *Platform) subscribeTopic(topic string, node Addr, sink eventSink) error
 		tt = &topicTable{rows: make([][]int32, max(1, len(p.leaves)))}
 		p.topics[topic] = tt
 	}
-	low, li := p.nodeLows[nodeID], 0 // the root's row on a zero-leaf tree
+	li := 0 // the root's row on a zero-leaf tree
 	if len(p.leaves) > 0 {
-		li = int(low) % len(p.leaves)
+		li = int(nodeID) % len(p.leaves)
 	}
-	tt.enroll(low, li)
+	tt.enroll(nodeID, li)
 	p.eventSinks[nodeID] = append(p.eventSinks[nodeID], sink)
 	if li < len(p.leaves) {
 		// The leaf runtime must be live before the first publish reaches it.
@@ -384,8 +378,8 @@ func (p *Platform) subscribeTopic(topic string, node Addr, sink eventSink) error
 	return nil
 }
 
-// onWire is the platform runtime's receive path at a node, keyed by the
-// node's dense id (src is the sender's transport endpoint id).
+// onWire is the platform runtime's receive path at node atID (src is
+// the sending node).
 // The wire bytes alias the transport's pooled delivery buffer, so when
 // dispatch overhead defers the work, the bytes are copied into a pooled
 // buffer carried by a pooled deferred-dispatch record that lives exactly
@@ -439,7 +433,7 @@ func (p *Platform) handleWire(src, atID int32, data []byte) {
 }
 
 // lookupLocal finds the object registration for a wire message's target,
-// verifying it is hosted at the receiving node (a dense-id compare).
+// verifying it is hosted at the receiving node (an id compare).
 //
 //repolint:hotpath
 func (p *Platform) lookupLocal(atID int32, v *codec.MsgView) (Object, bool) {
@@ -503,8 +497,7 @@ func (p *Platform) handleCall(src, atID int32, v *codec.MsgView) {
 	}
 	obj, ok := p.lookupLocal(atID, v)
 	if !ok {
-		at := p.nodeLows[atID]
-		p.sendReply(id, at, src, nil, errUnknownAtNode)
+		p.sendReply(id, atID, src, nil, errUnknownAtNode)
 		return
 	}
 	op, _ := v.Str("op")
@@ -531,13 +524,12 @@ func (c *replyCell) respond(result []byte, err error) {
 	c.armed = false
 	p := c.p
 	p.stats.Replies++
-	at := p.nodeLows[c.atID]
-	p.sendReply(c.id, at, c.src, result, err)
+	p.sendReply(c.id, c.atID, c.src, result, err)
 }
 
 // sendReply encodes the mw.reply of call id — the error text, or the
 // result record spliced in verbatim (nil = empty record) — and sends it
-// from the serving node's transport id (at) back to the caller's (to).
+// from the serving node (at) back to the caller (to).
 //
 //repolint:hotpath
 func (p *Platform) sendReply(id uint64, at, to int32, result []byte, err error) {
@@ -656,7 +648,6 @@ func (p *Platform) handlePublish(v *codec.MsgView) {
 	if tt == nil {
 		return
 	}
-	fromLow := p.brokerLow()
 	var row []int32
 	if len(p.leaves) == 0 {
 		row = tt.rows[0]
@@ -683,17 +674,13 @@ func (p *Platform) handlePublish(v *codec.MsgView) {
 		buf.Release()
 		return
 	}
-	p.forward(fromLow, row, data)
-	for li := range p.leaves {
+	p.forward(p.brokerID, row, data)
+	for li, leaf := range p.leafIDs {
 		if len(tt.rows[li]) == 0 {
 			continue
 		}
-		var leafLow int32 = -1
-		if id := p.leafIDs[li]; id >= 0 {
-			leafLow = p.nodeLows[id]
-		}
 		//nolint:errcheck // event delivery failure = event loss, acceptable for pub/sub sim
-		_ = p.sendData(fromLow, leafLow, data)
+		_ = p.sendData(p.brokerID, leaf, data)
 	}
 	buf.B = data
 	buf.Release()
@@ -715,8 +702,7 @@ func (p *Platform) handleEvent(atID int32, v *codec.MsgView, data []byte) {
 		if tt := p.topics[string(topic)]; tt != nil {
 			row = tt.rows[li]
 		}
-		leafLow := p.nodeLows[atID]
-		p.forward(leafLow, row, data)
+		p.forward(atID, row, data)
 		return
 	}
 	sinks := p.eventSinks[atID]

@@ -16,43 +16,93 @@ import (
 // a reference model of the pre-ring map semantics, flow teardown
 // reclaiming pooled flow structs, and the lazy layer-stats snapshot.
 
-// captureLower is a name-only LowerService that records sends so tests
-// can replay them to receivers in arbitrary order — the harness for
-// driving the reliable receiver with precise arrival sequences. Layers
-// reach it through the AsIndexed adapter.
+// testEndpoints is the id plane of the test lower services: ids are
+// assigned in attach order.
+type testEndpoints struct {
+	ids   map[Addr]int32
+	addrs []Addr            // id → address
+	recvs []IndexedReceiver // id → receiver
+}
+
+func (e *testEndpoints) AttachIndexed(addr Addr, r IndexedReceiver) (int32, error) {
+	if r == nil {
+		return -1, fmt.Errorf("protocol: nil receiver for %q", addr)
+	}
+	id, ok := e.ids[addr]
+	if !ok {
+		if e.ids == nil {
+			e.ids = make(map[Addr]int32)
+		}
+		id = int32(len(e.addrs))
+		e.ids[addr] = id
+		e.addrs = append(e.addrs, addr)
+		e.recvs = append(e.recvs, nil)
+	}
+	e.recvs[id] = r
+	return id, nil
+}
+
+func (e *testEndpoints) EndpointID(addr Addr) (int32, bool) {
+	id, ok := e.ids[addr]
+	return id, ok
+}
+
+func (e *testEndpoints) EndpointAddr(id int32) Addr {
+	if id < 0 || int(id) >= len(e.addrs) {
+		return ""
+	}
+	return e.addrs[id]
+}
+
+// captureLower is a lower service that records sends so tests can
+// replay them to receivers in arbitrary order — the harness for driving
+// the reliable receiver with precise arrival sequences.
 type captureLower struct {
-	receivers map[Addr]Receiver
-	sent      []capturedPDU
+	testEndpoints
+	sent []capturedPDU
 }
 
 type capturedPDU struct {
-	src, dst Addr
+	src, dst int32
 	pdu      []byte
 }
 
-func newCaptureLower() *captureLower {
-	return &captureLower{receivers: make(map[Addr]Receiver)}
-}
+func newCaptureLower() *captureLower { return &captureLower{} }
 
 func (c *captureLower) Name() string { return "capture" }
 
-func (c *captureLower) Attach(addr Addr, r Receiver) error {
-	c.receivers[addr] = r
+func (c *captureLower) Attach(addr Addr, r Receiver) error { return attachByName(c, addr, r) }
+
+func (c *captureLower) Send(src, dst Addr, pdu []byte) error { return sendByName(c, src, dst, pdu) }
+
+func (c *captureLower) SendIndexed(src, dst int32, pdu []byte) error {
+	c.sent = append(c.sent, capturedPDU{src: src, dst: dst, pdu: append([]byte(nil), pdu...)})
 	return nil
 }
 
-func (c *captureLower) Send(src, dst Addr, pdu []byte) error {
-	buf := make([]byte, len(pdu))
-	copy(buf, pdu)
-	c.sent = append(c.sent, capturedPDU{src: src, dst: dst, pdu: buf})
+func (c *captureLower) SendMultiIndexed(src int32, dsts []int32, pdu []byte) error {
+	for _, dst := range dsts {
+		_ = c.SendIndexed(src, dst, pdu) //nolint:errcheck // never fails
+	}
 	return nil
 }
 
 // deliver replays one captured PDU to its destination's receiver.
 func (c *captureLower) deliver(p capturedPDU) {
-	if r := c.receivers[p.dst]; r != nil {
-		r(p.src, p.pdu)
+	if int(p.dst) < len(c.recvs) {
+		c.recvs[p.dst](p.src, p.pdu)
 	}
+}
+
+// attachPeer attaches a receiver-less peer at the lower service itself,
+// as the source of hand-made PDUs, and returns its id.
+func (c *captureLower) attachPeer(t testing.TB, addr Addr) int32 {
+	t.Helper()
+	id, err := c.AttachIndexed(addr, func(int32, []byte) {})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return id
 }
 
 // encodeData builds one rdp.data PDU through the public codec (the bytes
@@ -116,14 +166,16 @@ func runHoldSequence(t *testing.T, cfg ReliableDatagramConfig, arrivals []uint64
 	lower := newCaptureLower()
 	rd := NewReliableDatagram(kernel, lower, cfg)
 	var delivered []string
-	if err := rd.Attach("b", func(src Addr, pdu []byte) {
+	b, err := rd.AttachIndexed("b", func(src int32, pdu []byte) {
 		delivered = append(delivered, string(pdu))
-	}); err != nil {
+	})
+	if err != nil {
 		t.Fatal(err)
 	}
+	a := lower.attachPeer(t, "a")
 	for _, seq := range arrivals {
 		pdu := encodeData(t, seq, fmt.Sprintf("p%d", seq))
-		lower.deliver(capturedPDU{src: "a", dst: "b", pdu: pdu})
+		lower.deliver(capturedPDU{src: a, dst: b, pdu: pdu})
 	}
 	return delivered, rd.Stats()
 }
@@ -280,7 +332,8 @@ func TestCloseFlowReclaimsAndRestarts(t *testing.T) {
 	if rd.freeSend == nil || rd.freeRecv == nil {
 		t.Fatal("CloseFlow did not reclaim flow structs to the free lists")
 	}
-	aID, bID := rd.ids["a"], rd.ids["b"]
+	aID, _ := rd.EndpointID("a")
+	bID, _ := rd.EndpointID("b")
 	if rd.sendRows[aID][bID] != nil || rd.recvRows[aID][bID] != nil {
 		t.Fatal("CloseFlow left flow table entries behind")
 	}
@@ -370,9 +423,10 @@ func TestLayerStatsLazySnapshot(t *testing.T) {
 	}
 }
 
-// TestReliableIndexedPlane smoke-tests the IndexedLower surface of the
+// TestReliableIndexedPlane smoke-tests the id-addressed surface of the
 // reliability layer itself: indexed attach, id-addressed send, and id
-// round-trips through EndpointID/EndpointAddr.
+// round-trips through EndpointID/EndpointAddr. Its ids are the lower
+// service's.
 func TestReliableIndexedPlane(t *testing.T) {
 	kernel := sim.NewKernel(sim.WithSeed(9))
 	net := network.New(kernel)
@@ -398,6 +452,9 @@ func TestReliableIndexedPlane(t *testing.T) {
 	}
 	if _, ok := rd.EndpointID("nope"); ok {
 		t.Fatal("EndpointID resolved an unattached address")
+	}
+	if slot, _ := net.SlotOf("b"); bID != slot {
+		t.Fatalf("id of b = %d, want its network slot %d", bID, slot)
 	}
 	if err := rd.SendIndexed(aID, bID, []byte("dense")); err != nil {
 		t.Fatal(err)

@@ -35,14 +35,12 @@ type Entity interface {
 
 // Context is an entity's window on its layer: its own address, PDU
 // transmission, timers and the upcall to its local service user. The
-// entity's own dense ids (layer slot, lower endpoint id) are resolved
-// once at AddEntity time and cached here, so per-PDU work touches only
-// slice-indexed tables.
+// entity's endpoint id is resolved once at AddEntity time and cached
+// here, so per-PDU work touches only id-indexed tables.
 type Context struct {
-	layer   *Layer
-	self    Addr
-	selfID  int32 // layer-local entity slot
-	selfLow int32 // lower-service endpoint id
+	layer  *Layer
+	self   Addr
+	selfID int32 // endpoint id at the lower service
 }
 
 // Self returns the entity's address.
@@ -106,7 +104,7 @@ func (p PDU[T]) Send(c *Context, dst Addr, v T) error {
 
 // SendMulti encodes v once and transmits it to every destination in
 // order — the fan-out path for broadcast-style protocol entities — over
-// the lower service's dense batch path. A destination the lower service
+// the lower service's batch path. A destination the lower service
 // cannot resolve is skipped and reported (ErrUnknownEntity) after the
 // others are sent. Layer counters advance exactly as if Send were
 // called once per destination.
@@ -156,9 +154,8 @@ type typeCounter struct {
 	n    uint64
 }
 
-// entityEntry is the per-slot state of a layer's dense entity table.
+// entityEntry is the per-endpoint state of a layer's entity table.
 type entityEntry struct {
-	addr   Addr
 	entity Entity
 	upcall func(primitive string, params []byte)
 }
@@ -167,20 +164,16 @@ type entityEntry struct {
 // service: the structure the paper's Figure 2 depicts. Its upper boundary
 // is a service; expose it to user parts with NewServiceBinding.
 //
-// Entities, upcalls and stats counters live in dense slot-indexed tables
-// resolved once at AddEntity time; per-message work does at most one
-// small-map probe (destination address → lower id, cached after the
-// first resolution).
+// Entities and upcalls live in a table indexed by the lower service's
+// endpoint ids; per-message work does at most one map probe, the lower
+// service's resolution of the destination address.
 type Layer struct {
 	name  string
 	kern  *sim.Kernel
-	lower IndexedLower
+	lower LowerService
 
-	ids        map[Addr]int32
-	ents       []entityEntry
-	lowerAddrs []Addr         // lower endpoint id → address (receive cache)
-	dstLow     map[Addr]int32 // destination → lower endpoint id (send cache)
-	lowScratch []int32        // fan-out scratch, reused across SendMulti calls
+	ents       []entityEntry // endpoint id → entity (zero until added)
+	lowScratch []int32       // fan-out scratch, reused across SendMulti calls
 
 	pdusSent  uint64
 	bytesSent uint64
@@ -189,16 +182,9 @@ type Layer struct {
 	snapDirty bool
 }
 
-// NewLayer creates an empty layer over lower (see AsIndexed), scheduled
-// on kern.
+// NewLayer creates an empty layer over lower, scheduled on kern.
 func NewLayer(name string, kern *sim.Kernel, lower LowerService) *Layer {
-	return &Layer{
-		name:   name,
-		kern:   kern,
-		lower:  AsIndexed(lower),
-		ids:    make(map[Addr]int32),
-		dstLow: make(map[Addr]int32),
-	}
+	return &Layer{name: name, kern: kern, lower: lower}
 }
 
 // Name returns the layer's display name.
@@ -207,29 +193,11 @@ func (l *Layer) Name() string { return l.name }
 // Time returns the layer's kernel.
 func (l *Layer) Time() *sim.Kernel { return l.kern }
 
-// intern returns addr's entity slot, assigning one on first sight.
-func (l *Layer) intern(addr Addr) int32 {
-	if id, ok := l.ids[addr]; ok {
-		return id
-	}
-	id := int32(len(l.ents))
-	l.ids[addr] = id
-	l.ents = append(l.ents, entityEntry{addr: addr})
-	return id
-}
-
-// addrForLower resolves a lower endpoint id to its address through a
-// cached dense table (one lower query per id, ever).
-func (l *Layer) addrForLower(lowSrc int32) Addr {
-	for int(lowSrc) >= len(l.lowerAddrs) {
-		l.lowerAddrs = append(l.lowerAddrs, "")
-	}
-	a := l.lowerAddrs[lowSrc]
-	if a == "" {
-		a = l.lower.EndpointAddr(lowSrc)
-		l.lowerAddrs[lowSrc] = a
-	}
-	return a
+// entityID resolves the address of an entity of this layer to its
+// endpoint id.
+func (l *Layer) entityID(addr Addr) (int32, bool) {
+	id, ok := l.lower.EndpointID(addr)
+	return id, ok && int(id) < len(l.ents) && l.ents[id].entity != nil
 }
 
 // AddEntity installs e at addr: attaches it to the lower service and
@@ -238,19 +206,20 @@ func (l *Layer) AddEntity(addr Addr, e Entity) error {
 	if e == nil {
 		return fmt.Errorf("protocol: nil entity at %q", addr)
 	}
-	id := l.intern(addr)
-	if l.ents[id].entity != nil {
+	if _, dup := l.entityID(addr); dup {
 		return fmt.Errorf("%w: %q", ErrDuplicate, addr)
 	}
-	l.ents[id].entity = e
-
-	selfLow, err := l.lower.AttachIndexed(addr, func(lowSrc int32, data []byte) {
-		receivePDU(e, l.addrForLower(lowSrc), data)
+	id, err := l.lower.AttachIndexed(addr, func(src int32, data []byte) {
+		receivePDU(e, l.lower.EndpointAddr(src), data)
 	})
 	if err != nil {
 		return fmt.Errorf("protocol: attach %q: %w", addr, err)
 	}
-	if err := e.Init(&Context{layer: l, self: addr, selfID: id, selfLow: selfLow}); err != nil {
+	for int(id) >= len(l.ents) {
+		l.ents = append(l.ents, entityEntry{})
+	}
+	l.ents[id].entity = e
+	if err := e.Init(&Context{layer: l, self: addr, selfID: id}); err != nil {
 		return fmt.Errorf("protocol: init entity at %q: %w", addr, err)
 	}
 	return nil
@@ -268,18 +237,19 @@ func receivePDU(e Entity, src Addr, data []byte) {
 
 // Entity returns the entity at addr.
 func (l *Layer) Entity(addr Addr) (Entity, bool) {
-	id, ok := l.ids[addr]
-	if !ok || l.ents[id].entity == nil {
+	id, ok := l.entityID(addr)
+	if !ok {
 		return nil, false
 	}
 	return l.ents[id].entity, true
 }
 
 // SetUpcall registers the local user handler for to-user primitives at
-// addr.
+// the entity at addr; it is a no-op when the layer has no entity there.
 func (l *Layer) SetUpcall(addr Addr, fn func(primitive string, params []byte)) {
-	id := l.intern(addr)
-	l.ents[id].upcall = fn
+	if id, ok := l.entityID(addr); ok {
+		l.ents[id].upcall = fn
+	}
 }
 
 func (l *Layer) deliverUp(id int32, primitive string, params []byte) {
@@ -304,19 +274,19 @@ func (l *Layer) countPDU(name string, bytes, n int) {
 }
 
 // sendEncoded counts and transmits one already-encoded PDU to the
-// destination's lower endpoint id.
+// destination's endpoint id.
 func (l *Layer) sendEncoded(c *Context, dst Addr, name string, data []byte) error {
 	l.countPDU(name, len(data), 1)
-	low := l.resolveDst(dst)
-	if low < 0 {
+	id, ok := l.lower.EndpointID(dst)
+	if !ok {
 		return fmt.Errorf("%w: %q", ErrUnknownEntity, dst)
 	}
-	return l.lower.SendIndexed(c.selfLow, low, data)
+	return l.lower.SendIndexed(c.selfID, id, data)
 }
 
 // sendEncodedMulti counts and transmits one encoded PDU to every
 // destination through the lower service's batch path. Destinations with
-// no lower id are skipped; the first is reported after the batch.
+// no endpoint id are skipped; the first is reported after the batch.
 func (l *Layer) sendEncodedMulti(c *Context, dsts []Addr, name string, data []byte) error {
 	// The scratch slice is reused across fan-outs: lower services never
 	// call back into the layer synchronously (deliveries are
@@ -325,35 +295,20 @@ func (l *Layer) sendEncodedMulti(c *Context, dsts []Addr, name string, data []by
 	lows := l.lowScratch[:0]
 	var unknown error
 	for _, dst := range dsts {
-		low := l.resolveDst(dst)
-		if low < 0 {
+		id, ok := l.lower.EndpointID(dst)
+		if !ok {
 			if unknown == nil {
 				unknown = fmt.Errorf("%w: %q", ErrUnknownEntity, dst)
 			}
 			continue
 		}
-		lows = append(lows, low)
+		lows = append(lows, id)
 	}
 	l.lowScratch = lows[:0]
-	if err := l.lower.SendMultiIndexed(c.selfLow, lows, data); err != nil {
+	if err := l.lower.SendMultiIndexed(c.selfID, lows, data); err != nil {
 		return err
 	}
 	return unknown
-}
-
-// resolveDst resolves a destination address to its lower endpoint id
-// through the send cache. Unresolved destinations (peer not attached
-// yet) are not cached, so late attachment is picked up.
-func (l *Layer) resolveDst(dst Addr) int32 {
-	if low, ok := l.dstLow[dst]; ok {
-		return low
-	}
-	low, ok := l.lower.EndpointID(dst)
-	if !ok {
-		return -1
-	}
-	l.dstLow[dst] = low
-	return low
 }
 
 // Stats returns a snapshot of the layer counters. The ByType map is

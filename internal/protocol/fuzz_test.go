@@ -66,8 +66,10 @@ func FuzzReliableReceive(f *testing.F) {
 		if err := rd.Attach("c", func(Addr, []byte) {}); err != nil {
 			t.Fatal(err)
 		}
+		a := lower.attachPeer(t, "a")
+		b, _ := rd.EndpointID("b")
 		pdu := append([]byte(nil), data...)
-		lower.deliver(capturedPDU{src: "a", dst: "b", pdu: pdu})
+		lower.deliver(capturedPDU{src: a, dst: b, pdu: pdu})
 		lower.pump()
 
 		// The fresh flow expects seq 0: only an rdp.data carrying it, for
@@ -135,26 +137,28 @@ func FuzzFramingReassembly(f *testing.F) {
 			}
 			return int(cuts[i%len(cuts)]) % (m + 1)
 		}
-		fr := NewFraming(NewStream(newCaptureLower(), StreamConfig{}), maxFrame)
+		lower := newCaptureLower()
+		fr := NewFraming(NewStream(lower, StreamConfig{}), maxFrame)
 		var got [][]byte
-		if err := fr.Attach("b", func(_ Addr, frame []byte) {
+		b, err := fr.AttachIndexed("b", func(_ int32, frame []byte) {
 			if len(frame) > maxFrame {
 				t.Fatalf("delivered a %d-byte frame, limit %d", len(frame), maxFrame)
 			}
 			got = append(got, append([]byte(nil), frame...))
-		}); err != nil {
+		})
+		if err != nil {
 			t.Fatal(err)
 		}
-		feed := func(src Addr, stream []byte) {
+		feed := func(src int32, stream []byte) {
 			scratch := make([]byte, 0, len(stream))
 			for j := 0; len(stream) > 0; j++ {
 				n := min(len(stream), pick(2*j+1, 16))
 				if n == 0 {
-					fr.onSegment(src, "b", scratch[:0]) // an empty segment, then one octet
+					fr.onSegment(src, b, scratch[:0]) // an empty segment, then one octet
 					n = 1
 				}
 				scratch = append(scratch[:0], stream[:n]...)
-				fr.onSegment(src, "b", scratch)
+				fr.onSegment(src, b, scratch)
 				for k := range scratch {
 					scratch[k] = 0xEE
 				}
@@ -176,7 +180,7 @@ func FuzzFramingReassembly(f *testing.F) {
 			stream = append(stream, rest[:n]...)
 			rest = rest[n:]
 		}
-		feed("a", stream)
+		feed(lower.attachPeer(t, "a"), stream)
 		if len(got) != len(want) {
 			t.Fatalf("delivered %d frames, want %d", len(got), len(want))
 		}
@@ -187,6 +191,6 @@ func FuzzFramingReassembly(f *testing.F) {
 		}
 
 		got = nil
-		feed("z", data)
+		feed(lower.attachPeer(t, "z"), data)
 	})
 }

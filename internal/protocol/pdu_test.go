@@ -3,33 +3,52 @@ package protocol
 import (
 	"testing"
 
+	"repro/internal/codec"
 	"repro/internal/sim"
 )
 
-// discardLower is a name-only lower service that drops every PDU, so a
-// send through it costs exactly the layer's own work.
-type discardLower struct{}
+// ctxEntity is an entity that only keeps its context, for tests that
+// send from it.
+type ctxEntity struct{ ctx *Context }
 
-func (discardLower) Name() string                  { return "discard" }
-func (discardLower) Attach(Addr, Receiver) error   { return nil }
-func (discardLower) Send(Addr, Addr, []byte) error { return nil }
+func (e *ctxEntity) Init(ctx *Context) error            { e.ctx = ctx; return nil }
+func (e *ctxEntity) FromUser(string, []byte) error      { return nil }
+func (e *ctxEntity) FromPeer(Addr, codec.MsgView) error { return nil }
 
-// TestPDUSendAllocs pins the allocation-free send path: once the
-// destination ids are cached, sending a compiled-record PDU through a
-// Layer — to one peer or fanned out — allocates nothing.
+// recTick is the fan-out PDU's record.
+var recTick = codec.CompileRecord("i")
+
+var pduTick = NewPDU("fan.tick", func(buf []byte, i int64) ([]byte, error) {
+	e := recTick.Encoder(buf)
+	e.Int("i", i)
+	return e.Finish()
+})
+
+// discardLower is a lower service that drops every PDU, so a send
+// through it costs exactly the layer's own work.
+type discardLower struct{ testEndpoints }
+
+func (*discardLower) Name() string                                  { return "discard" }
+func (d *discardLower) Attach(addr Addr, r Receiver) error          { return attachByName(d, addr, r) }
+func (d *discardLower) Send(src, dst Addr, pdu []byte) error        { return sendByName(d, src, dst, pdu) }
+func (*discardLower) SendIndexed(int32, int32, []byte) error        { return nil }
+func (*discardLower) SendMultiIndexed(int32, []int32, []byte) error { return nil }
+
+// TestPDUSendAllocs pins the allocation-free send path: sending a
+// compiled-record PDU through a Layer — to one peer or fanned out —
+// allocates nothing.
 func TestPDUSendAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race runtime drops sync.Pool items at random")
 	}
-	layer := NewLayer("allocs", sim.NewKernel(), discardLower{})
-	var log []string
-	hub := &logEntity{log: &log}
+	layer := NewLayer("allocs", sim.NewKernel(), &discardLower{})
+	hub := &ctxEntity{}
 	peers := []Addr{"p1", "p2", "p3"}
 	if err := layer.AddEntity("hub", hub); err != nil {
 		t.Fatal(err)
 	}
 	for _, p := range peers {
-		if err := layer.AddEntity(p, &logEntity{log: &log}); err != nil {
+		if err := layer.AddEntity(p, &ctxEntity{}); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -342,6 +342,45 @@ func TestLayerErrors(t *testing.T) {
 	}
 }
 
+// TestUnknownEndpointEveryLayer pins the one unknown-endpoint rule: a
+// send to an address the service below never attached fails at once
+// with ErrUnknownEntity, at every layer of the stack.
+func TestUnknownEndpointEveryLayer(t *testing.T) {
+	attachThenSend := func(l LowerService) error {
+		if err := l.Attach("a", func(Addr, []byte) {}); err != nil {
+			return err
+		}
+		return l.Send("a", "ghost", []byte("x"))
+	}
+	for _, tc := range []struct {
+		name string
+		send func(*sim.Kernel, *UnreliableDatagram) error
+	}{
+		{"UnreliableDatagram", func(_ *sim.Kernel, udp *UnreliableDatagram) error {
+			return attachThenSend(udp)
+		}},
+		{"ReliableDatagram", func(k *sim.Kernel, udp *UnreliableDatagram) error {
+			return attachThenSend(NewReliableDatagram(k, udp, ReliableDatagramConfig{}))
+		}},
+		{"Framing", func(k *sim.Kernel, udp *UnreliableDatagram) error {
+			return attachThenSend(NewStreamTransport(k, udp, ReliableDatagramConfig{}, StreamConfig{}))
+		}},
+		{"Layer", func(k *sim.Kernel, udp *UnreliableDatagram) error {
+			layer := NewLayer("unknown", k, udp)
+			e := &ctxEntity{}
+			if err := layer.AddEntity("a", e); err != nil {
+				return err
+			}
+			return pduTick.Send(e.ctx, "ghost", 1)
+		}},
+	} {
+		k, n := newNet(1, network.LinkConfig{})
+		if err := tc.send(k, NewUnreliableDatagram(n)); !errors.Is(err, ErrUnknownEntity) {
+			t.Errorf("%s: send to an unattached address: err = %v, want ErrUnknownEntity", tc.name, err)
+		}
+	}
+}
+
 func TestServiceBindingErrors(t *testing.T) {
 	k, n := newNet(1, network.LinkConfig{})
 	layer := NewLayer("x", k, NewUnreliableDatagram(n))

@@ -65,36 +65,28 @@ func (c *ReliableDatagramConfig) applyDefaults() {
 // detected peer restart tears the flow down through the CloseFlow
 // free-list path so the next Send restarts at sequence zero.
 //
-// Both PDU shapes are schema-compiled and decoded through codec.MsgView,
-// and all per-flow state lives in dense tables keyed by interned small-int
-// endpoint ids: the steady-state data path does zero map lookups and the
-// in-flight/hold copies ride pooled buffers. ReliableDatagram implements
-// IndexedLower itself, so layers above can stay on the dense plane.
+// Both PDU shapes are schema-compiled and decoded through codec.MsgView.
+// An endpoint's id is its lower service's id, and all per-flow state
+// lives in tables indexed by it: the steady-state data path does zero
+// map lookups and the in-flight/hold copies ride pooled buffers.
 type ReliableDatagram struct {
 	kern  *sim.Kernel
-	lower IndexedLower
+	lower LowerService
 	incp  IncarnationProvider // non-nil when lower reports endpoint incarnations
 	cfg   ReliableDatagramConfig
 
-	ids        map[Addr]int32 // intern: any address seen (attach, send, receive)
-	eps        []endpoint     // own id → endpoint state
-	lowerToOwn []int32        // lower endpoint id → own id (-1 unknown)
-	incs       []uint32       // own id → last known incarnation (1 until a restart is learned)
-	sendRows   [][]*sendFlow  // [srcID][dstID] → flow (nil until first send)
-	recvRows   [][]*recvFlow  // [srcID][dstID] → flow (src = data sender)
-	freeSend   *sendFlow
-	freeRecv   *recvFlow
-	stats      ReliableStats
+	// The tables below are indexed by endpoint id and grow to cover
+	// every id attached here or heard from.
+	recvs    []IndexedReceiver // id → receiver (nil until attached here)
+	incs     []uint32          // id → last known incarnation (1 until a restart is learned)
+	sendRows [][]*sendFlow     // [srcID][dstID] → flow (nil until first send)
+	recvRows [][]*recvFlow     // [srcID][dstID] → flow (src = data sender)
+	freeSend *sendFlow
+	freeRecv *recvFlow
+	stats    ReliableStats
 }
 
-// endpoint is the per-address state of the dense plane.
-type endpoint struct {
-	addr    Addr
-	recvIdx IndexedReceiver // nil until attached
-	lowID   int32           // lower service id (-1 until resolved)
-}
-
-var _ IndexedLower = (*ReliableDatagram)(nil)
+var _ LowerService = (*ReliableDatagram)(nil)
 
 // Compiled PDU schemas (field order is canonical/sorted). The *Inc
 // variants carry the incarnation pair and are used only when either
@@ -161,18 +153,12 @@ type heldPDU struct {
 	buf *codec.Buffer // nil = empty slot
 }
 
-// NewReliableDatagram layers reliability over lower (see AsIndexed),
-// scheduling timers on kern.
+// NewReliableDatagram layers reliability over lower, scheduling timers
+// on kern.
 func NewReliableDatagram(kern *sim.Kernel, lower LowerService, cfg ReliableDatagramConfig) *ReliableDatagram {
 	cfg.applyDefaults()
 	ip, _ := lower.(IncarnationProvider)
-	return &ReliableDatagram{
-		kern:  kern,
-		lower: AsIndexed(lower),
-		incp:  ip,
-		cfg:   cfg,
-		ids:   make(map[Addr]int32),
-	}
+	return &ReliableDatagram{kern: kern, lower: lower, incp: ip, cfg: cfg}
 }
 
 // Name implements LowerService.
@@ -183,110 +169,53 @@ func (r *ReliableDatagram) Stats() ReliableStats {
 	return r.stats
 }
 
-// intern returns addr's dense id, assigning one on first sight.
-func (r *ReliableDatagram) intern(addr Addr) int32 {
-	if id, ok := r.ids[addr]; ok {
-		return id
+// cover grows the endpoint tables to cover id.
+func (r *ReliableDatagram) cover(id int32) {
+	for int(id) >= len(r.recvs) {
+		r.recvs = append(r.recvs, nil)
+		r.incs = append(r.incs, 1)
+		r.sendRows = append(r.sendRows, nil)
+		r.recvRows = append(r.recvRows, nil)
 	}
-	id := int32(len(r.eps))
-	r.ids[addr] = id
-	r.eps = append(r.eps, endpoint{addr: addr, lowID: -1})
-	r.incs = append(r.incs, 1)
-	r.sendRows = append(r.sendRows, nil)
-	r.recvRows = append(r.recvRows, nil)
-	return id
 }
 
-// ownIDForLower translates a lower-service endpoint id to this layer's
-// id, interning the address on first sight and caching the translation so
-// the steady state never hashes.
-func (r *ReliableDatagram) ownIDForLower(lowSrc int32) int32 {
-	for int(lowSrc) >= len(r.lowerToOwn) {
-		r.lowerToOwn = append(r.lowerToOwn, -1)
-	}
-	if own := r.lowerToOwn[lowSrc]; own >= 0 {
-		return own
-	}
-	addr := r.lower.EndpointAddr(lowSrc)
-	own := r.intern(addr)
-	r.lowerToOwn[lowSrc] = own
-	r.eps[own].lowID = lowSrc
-	return own
+// attached reports whether id is an endpoint attached here.
+func (r *ReliableDatagram) attached(id int32) bool {
+	return id >= 0 && int(id) < len(r.recvs) && r.recvs[id] != nil
 }
 
-// lowerID resolves an endpoint's lower-service id, caching it once
-// found. ok=false means the peer is unknown to the lower service (not
-// attached yet).
-func (r *ReliableDatagram) lowerID(id int32) (int32, bool) {
-	ep := &r.eps[id]
-	if ep.lowID >= 0 {
-		return ep.lowID, true
-	}
-	low, ok := r.lower.EndpointID(ep.addr)
-	if !ok {
-		return -1, false
-	}
-	ep.lowID = low
-	for int(low) >= len(r.lowerToOwn) {
-		r.lowerToOwn = append(r.lowerToOwn, -1)
-	}
-	r.lowerToOwn[low] = id
-	return low, true
-}
+// Attach implements LowerService.
+func (r *ReliableDatagram) Attach(addr Addr, recv Receiver) error { return attachByName(r, addr, recv) }
 
-// Attach implements LowerService over AttachIndexed, resolving each
-// source id back to its address.
-func (r *ReliableDatagram) Attach(addr Addr, recv Receiver) error {
-	if recv == nil {
-		return fmt.Errorf("protocol: nil receiver for %q", addr)
-	}
-	_, err := r.AttachIndexed(addr, func(src int32, pdu []byte) {
-		recv(r.EndpointAddr(src), pdu)
-	})
-	return err
-}
-
-// AttachIndexed implements IndexedLower: the returned id is this layer's
-// dense endpoint id (receivers are handed peer ids from the same space).
+// AttachIndexed implements LowerService: the returned id is the lower
+// service's id for addr, and receivers are handed peer ids from the
+// same space.
 func (r *ReliableDatagram) AttachIndexed(addr Addr, recv IndexedReceiver) (int32, error) {
 	if recv == nil {
 		return -1, fmt.Errorf("protocol: nil receiver for %q", addr)
 	}
-	id := r.intern(addr)
-	r.eps[id].recvIdx = recv
-	lowID, err := r.lower.AttachIndexed(addr, func(lowSrc int32, pdu []byte) {
-		r.dispatch(r.ownIDForLower(lowSrc), id, pdu)
-	})
+	var id int32
+	id, err := r.lower.AttachIndexed(addr, func(src int32, pdu []byte) { r.dispatch(src, id, pdu) })
 	if err != nil {
-		return id, err
+		return -1, err
 	}
-	r.eps[id].lowID = lowID
-	for int(lowID) >= len(r.lowerToOwn) {
-		r.lowerToOwn = append(r.lowerToOwn, -1)
-	}
-	r.lowerToOwn[lowID] = id
+	r.cover(id)
+	r.recvs[id] = recv
 	return id, nil
 }
 
-// EndpointID implements IndexedLower: only attached addresses resolve.
+// EndpointID implements LowerService: only addresses attached here
+// resolve.
 func (r *ReliableDatagram) EndpointID(addr Addr) (int32, bool) {
-	id, ok := r.ids[addr]
-	if !ok {
-		return -1, false
-	}
-	if r.eps[id].recvIdx == nil {
+	id, ok := r.lower.EndpointID(addr)
+	if !ok || !r.attached(id) {
 		return -1, false
 	}
 	return id, true
 }
 
-// EndpointAddr implements IndexedLower.
-func (r *ReliableDatagram) EndpointAddr(id int32) Addr {
-	if id < 0 || int(id) >= len(r.eps) {
-		return ""
-	}
-	return r.eps[id].addr
-}
+// EndpointAddr implements LowerService.
+func (r *ReliableDatagram) EndpointAddr(id int32) Addr { return r.lower.EndpointAddr(id) }
 
 // sendFlowFor returns the send flow src→dst, creating (or recycling)
 // it on first use.
@@ -300,8 +229,8 @@ func (r *ReliableDatagram) sendFlowFor(src, dst int32) *sendFlow {
 		if d := 2 * len(row); d > need {
 			need = d
 		}
-		if need > len(r.eps) {
-			need = len(r.eps)
+		if need > len(r.recvs) {
+			need = len(r.recvs)
 		}
 		grown := make([]*sendFlow, need)
 		copy(grown, row)
@@ -340,8 +269,8 @@ func (r *ReliableDatagram) recvFlowFor(src, dst int32) *recvFlow {
 		if d := 2 * len(row); d > need {
 			need = d
 		}
-		if need > len(r.eps) {
-			need = len(r.eps)
+		if need > len(r.recvs) {
+			need = len(r.recvs)
 		}
 		grown := make([]*recvFlow, need)
 		copy(grown, row)
@@ -366,18 +295,18 @@ func (r *ReliableDatagram) recvFlowFor(src, dst int32) *recvFlow {
 	return f
 }
 
-// Send implements LowerService: payload is queued on the (src,dst) flow
-// and delivered reliably and in order.
+// Send implements LowerService.
 func (r *ReliableDatagram) Send(src, dst Addr, payload []byte) error {
-	srcID := r.intern(src)
-	dstID := r.intern(dst)
-	return r.SendIndexed(srcID, dstID, payload)
+	return sendByName(r, src, dst, payload)
 }
 
-// SendIndexed implements IndexedLower: the dense-plane Send.
+// SendIndexed implements LowerService: payload is queued on the
+// (src,dst) flow and delivered reliably and in order. Both endpoints
+// must be attached here; otherwise the send fails with
+// ErrUnknownEntity.
 func (r *ReliableDatagram) SendIndexed(src, dst int32, payload []byte) error {
-	if src < 0 || int(src) >= len(r.eps) || dst < 0 || int(dst) >= len(r.eps) {
-		return fmt.Errorf("protocol: reliable send: id out of range (%d→%d)", src, dst)
+	if !r.attached(src) || !r.attached(dst) {
+		return fmt.Errorf("%w: reliable send %d→%d", ErrUnknownEntity, src, dst)
 	}
 	f := r.sendFlowFor(src, dst)
 	if f.broken != nil {
@@ -396,7 +325,7 @@ func (r *ReliableDatagram) SendIndexed(src, dst int32, payload []byte) error {
 	return nil
 }
 
-// SendMultiIndexed implements IndexedLower as a SendIndexed loop: each
+// SendMultiIndexed implements LowerService as a SendIndexed loop: each
 // destination is an independent reliable flow, so there is no batch to
 // share beyond what the unreliable layer below already batches.
 func (r *ReliableDatagram) SendMultiIndexed(src int32, dsts []int32, payload []byte) error {
@@ -436,26 +365,11 @@ func (r *ReliableDatagram) transmit(src, dst int32, f *sendFlow, seq uint64, pay
 		panic(fmt.Sprintf("protocol: encode data PDU: %v", err))
 	}
 	r.stats.DataSent++
-	if err := r.lowerSend(src, dst, data); err != nil {
-		f.broken = fmt.Errorf("protocol: flow %s→%s: %w", r.eps[src].addr, r.eps[dst].addr, err)
+	if err := r.lower.SendIndexed(src, dst, data); err != nil {
+		f.broken = fmt.Errorf("protocol: flow %s→%s: %w", r.EndpointAddr(src), r.EndpointAddr(dst), err)
 	}
 	buf.B = data
 	buf.Release()
-}
-
-// lowerSend transmits raw bytes src→dst through the lower service.
-// An endpoint the lower service cannot resolve fails the send with
-// ErrUnknownEntity.
-func (r *ReliableDatagram) lowerSend(src, dst int32, data []byte) error {
-	ls, ok := r.lowerID(src)
-	if !ok {
-		return fmt.Errorf("%w: %q", ErrUnknownEntity, r.eps[src].addr)
-	}
-	ld, ok := r.lowerID(dst)
-	if !ok {
-		return fmt.Errorf("%w: %q", ErrUnknownEntity, r.eps[dst].addr)
-	}
-	return r.lower.SendIndexed(ls, ld, data)
 }
 
 // armTimer (re)arms the retransmission timer for a flow with unacked
@@ -483,7 +397,7 @@ func (r *ReliableDatagram) onTimeout(src, dst int32) {
 	f.retries++
 	if r.cfg.MaxRetransmits > 0 && f.retries > r.cfg.MaxRetransmits {
 		f.broken = fmt.Errorf("protocol: flow %s→%s: retransmit limit %d exceeded",
-			r.eps[src].addr, r.eps[dst].addr, r.cfg.MaxRetransmits)
+			r.EndpointAddr(src), r.EndpointAddr(dst), r.cfg.MaxRetransmits)
 		f.timer = sim.TimerRef{}
 		return
 	}
@@ -500,9 +414,7 @@ func (r *ReliableDatagram) onTimeout(src, dst int32) {
 }
 
 // dispatch decodes one arriving PDU and hands it to the data or ack
-// handler. Both endpoints arrive as own ids, translated from lower ids
-// through cached tables (no hashing in steady state). The view decode
-// walks the PDU in place — pdu aliases the
+// handler. The view decode walks the PDU in place — pdu aliases the
 // network's pooled delivery buffer, so anything retained past this call
 // must be copied.
 func (r *ReliableDatagram) dispatch(src, dst int32, pdu []byte) {
@@ -510,6 +422,7 @@ func (r *ReliableDatagram) dispatch(src, dst int32, pdu []byte) {
 	if err != nil {
 		return // corrupted frame: drop silently, retransmission recovers
 	}
+	r.cover(src)
 	switch {
 	case v.NameIs("rdp.data"):
 		r.onData(src, dst, &v)
@@ -608,7 +521,7 @@ func (r *ReliableDatagram) onData(src, dst int32, v *codec.MsgView) {
 	if deliver {
 		r.stats.DataDelivered += 1 + uint64(len(drained))
 	}
-	recv := r.eps[dst].recvIdx
+	recv := r.recvs[dst]
 	// Cumulative ack of everything in order so far (sent for every data
 	// PDU, so a lost ack is repaired by the next one or a retransmit).
 	// It travels dst→src (reverse path).
@@ -731,7 +644,7 @@ func (r *ReliableDatagram) sendAck(from, to int32, cum uint64, inc, rinc uint32)
 	r.stats.AcksSent++
 	// Errors indicate an unregistered peer, which retransmission cannot
 	// fix either; ignore.
-	_ = r.lowerSend(from, to, data) //nolint:errcheck
+	_ = r.lower.SendIndexed(from, to, data) //nolint:errcheck
 	ackBuf.B = data
 	ackBuf.Release()
 }
@@ -820,9 +733,10 @@ func (r *ReliableDatagram) onAck(src, dst int32, v *codec.MsgView) {
 // path for long-running deployments that churn through peers. A later
 // Send to the same peer starts a fresh flow at sequence zero (and clears
 // any broken-flow state), exactly as if the pair had never communicated.
+// A pair with an endpoint not attached here has no flows; it is ignored.
 func (r *ReliableDatagram) CloseFlow(local, peer Addr) {
-	localID, ok1 := r.ids[local]
-	peerID, ok2 := r.ids[peer]
+	localID, ok1 := r.EndpointID(local)
+	peerID, ok2 := r.EndpointID(peer)
 	if !ok1 || !ok2 {
 		return
 	}
@@ -901,19 +815,18 @@ func (f *recvFlow) reset() {
 // does not report incarnations). Peers are not touched here: they
 // discover the restart through the wire incarnation handshake — a stale
 // data PDU is answered by a bare ack carrying the new incarnation — and
-// tear their halves down lazily.
+// tear their halves down lazily. An address not attached here is
+// ignored.
 func (r *ReliableDatagram) NoteRestart(addr Addr) {
-	id, ok := r.ids[addr]
+	id, ok := r.EndpointID(addr)
 	if !ok {
 		return
 	}
 	refreshed := false
 	if r.incp != nil {
-		if low, lok := r.lowerID(id); lok {
-			if inc := r.incp.IncarnationOf(low); inc > 0 {
-				r.incs[id] = inc
-				refreshed = true
-			}
+		if inc := r.incp.IncarnationOf(id); inc > 0 {
+			r.incs[id] = inc
+			refreshed = true
 		}
 	}
 	if !refreshed {

@@ -22,17 +22,26 @@ func newStreamPair(t *testing.T, seed int64, loss float64, chunk int) (*sim.Kern
 	return k, NewStream(reliable, StreamConfig{ChunkSize: chunk})
 }
 
+// attachPair attaches recv at "b" and a silent receiver at "a",
+// returning both endpoint ids.
+func attachPair(t *testing.T, s *Stream, recv StreamReceiver) (a, b int32) {
+	t.Helper()
+	b, err := s.AttachStream("b", recv)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a, err = s.AttachStream("a", func(int32, []byte) {}); err != nil {
+		t.Fatal(err)
+	}
+	return a, b
+}
+
 func TestStreamDeliversOctetSequence(t *testing.T) {
 	k, s := newStreamPair(t, 1, 0, 8)
 	var got bytes.Buffer
-	if err := s.AttachStream("b", func(_ Addr, seg []byte) { got.Write(seg) }); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.AttachStream("a", func(Addr, []byte) {}); err != nil {
-		t.Fatal(err)
-	}
+	a, b := attachPair(t, s, func(_ int32, seg []byte) { got.Write(seg) })
 	payload := []byte("the quick brown fox jumps over the lazy dog")
-	if err := s.Write("a", "b", payload); err != nil {
+	if err := s.Write(a, b, payload); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := k.Run(); err != nil {
@@ -46,13 +55,8 @@ func TestStreamDeliversOctetSequence(t *testing.T) {
 func TestStreamChunksLargeWrites(t *testing.T) {
 	k, s := newStreamPair(t, 1, 0, 10)
 	segments := 0
-	if err := s.AttachStream("b", func(Addr, []byte) { segments++ }); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.AttachStream("a", func(Addr, []byte) {}); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Write("a", "b", make([]byte, 95)); err != nil {
+	a, b := attachPair(t, s, func(int32, []byte) { segments++ })
+	if err := s.Write(a, b, make([]byte, 95)); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := k.Run(); err != nil {
@@ -66,17 +70,12 @@ func TestStreamChunksLargeWrites(t *testing.T) {
 func TestStreamUnderLoss(t *testing.T) {
 	k, s := newStreamPair(t, 9, 0.3, 16)
 	var got bytes.Buffer
-	if err := s.AttachStream("b", func(_ Addr, seg []byte) { got.Write(seg) }); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.AttachStream("a", func(Addr, []byte) {}); err != nil {
-		t.Fatal(err)
-	}
+	a, b := attachPair(t, s, func(_ int32, seg []byte) { got.Write(seg) })
 	var want bytes.Buffer
 	for i := 0; i < 20; i++ {
 		chunk := []byte(fmt.Sprintf("message-%02d|", i))
 		want.Write(chunk)
-		if err := s.Write("a", "b", chunk); err != nil {
+		if err := s.Write(a, b, chunk); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -90,7 +89,7 @@ func TestStreamUnderLoss(t *testing.T) {
 
 func TestStreamNilReceiver(t *testing.T) {
 	_, s := newStreamPair(t, 1, 0, 8)
-	if err := s.AttachStream("x", nil); err == nil {
+	if _, err := s.AttachStream("x", nil); err == nil {
 		t.Fatal("nil receiver accepted")
 	}
 }
