@@ -19,9 +19,10 @@
 //     writes, channel sends, a return whose results mention the range
 //     key or value) with no subsequent sort. Check: mapiter.
 //   - poolalias — enforce the borrowed-buffer aliasing contracts: a
-//     []byte received through network.Handler, protocol.Receiver, the
-//     op parameter of a middleware.Object dispatch, or a codec.MsgView
-//     accessor must not be retained; every codec.GetBuffer must be
+//     []byte received through a delivery callback (network.SlotHandler,
+//     protocol.Receiver, protocol.IndexedReceiver,
+//     protocol.StreamReceiver), the op parameter of a middleware.Object
+//     dispatch, or a codec.MsgView accessor must not be retained; every codec.GetBuffer must be
 //     released or handed off. Checks: poolalias, bufleak.
 //   - hotpathalloc — in functions annotated //repolint:hotpath, reject
 //     allocating constructs (closures, fmt, interface boxing, map

@@ -12,7 +12,8 @@ import (
 // Poolalias enforces the pooled-buffer aliasing contracts documented in
 // DESIGN.md §1.2–1.3 and at the top of internal/codec/view.go:
 //
-//   - A []byte received through a network.Handler or protocol.Receiver
+//   - A []byte received through a delivery callback (network.SlotHandler,
+//     protocol.Receiver, protocol.IndexedReceiver, protocol.StreamReceiver)
 //     parameter, the op parameter of a middleware.Object dispatch, or a
 //     codec.MsgView borrowing accessor (Name/Str/Bytes/Raw) aliases a
 //     pooled delivery buffer. It is valid only until the function
@@ -42,7 +43,6 @@ const (
 	codecPath      = "repro/internal/codec"
 	middlewarePath = "repro/internal/middleware"
 	networkPath    = "repro/internal/network"
-	protocolPath   = "repro/internal/protocol"
 )
 
 // msgViewBorrowers are the MsgView accessors documented to return
@@ -84,30 +84,38 @@ func runPoolalias(pass *analysis.Pass) (any, error) {
 // borrowedParams returns the []byte parameter objects of fn when its
 // signature is one of the borrowing callback shapes:
 //
-//	func(src network.NodeID, payload []byte)                    — network.Handler
-//	func(src protocol.Addr, pdu []byte)                         — protocol.Receiver
+//	func(src network.NodeID, payload []byte)                    — protocol.Receiver (Addr = network.NodeID)
+//	func(src int32, payload []byte)                             — network.SlotHandler (Slot = int32),
+//	                                                              protocol.IndexedReceiver, protocol.StreamReceiver
 //	func(op []byte, args codec.MsgView, reply middleware.Reply) — Object.Dispatch / ObjectFunc
 //
-// Matching is structural (parameter types, not the named function
-// type), so implementations are caught wherever they are declared.
+// Matching is structural (parameter types after resolving aliases, not
+// the named function type), so implementations are caught wherever they
+// are declared.
 func borrowedParams(sig *types.Signature) map[types.Object]bool {
 	borrowed := make(map[types.Object]bool)
 	p := sig.Params()
-	handlerShape := p.Len() == 2 && sig.Results().Len() == 0 && isByteSlice(p.At(1).Type()) &&
-		(isNamed(p.At(0).Type(), networkPath, "NodeID") || isNamed(p.At(0).Type(), protocolPath, "Addr"))
-	dispatchShape := p.Len() == 3 && sig.Results().Len() == 0 && isByteSlice(p.At(0).Type()) &&
-		isNamed(p.At(1).Type(), codecPath, "MsgView") && isNamed(p.At(2).Type(), middlewarePath, "Reply")
-	if handlerShape {
+	if sig.Results().Len() != 0 {
+		return borrowed
+	}
+	if p.Len() == 2 && isByteSlice(p.At(1).Type()) && isDeliverySource(p.At(0).Type()) {
 		borrowed[p.At(1)] = true
 	}
-	if dispatchShape {
+	if p.Len() == 3 && isByteSlice(p.At(0).Type()) &&
+		isNamed(p.At(1).Type(), codecPath, "MsgView") && isNamed(p.At(2).Type(), middlewarePath, "Reply") {
 		borrowed[p.At(0)] = true
 	}
-	// Also mark SlotHandler-shaped callbacks: func(src network.Slot, payload []byte).
-	if p.Len() == 2 && sig.Results().Len() == 0 && isByteSlice(p.At(1).Type()) && isNamed(p.At(0).Type(), networkPath, "Slot") {
-		borrowed[p.At(1)] = true
-	}
 	return borrowed
+}
+
+// isDeliverySource reports whether t types the source parameter of a
+// delivery callback: a node name (network.NodeID) or an endpoint id
+// (int32, which network.Slot aliases).
+func isDeliverySource(t types.Type) bool {
+	if b, ok := types.Unalias(t).(*types.Basic); ok {
+		return b.Kind() == types.Int32
+	}
+	return isNamed(t, networkPath, "NodeID")
 }
 
 // collectViewBorrows adds objects bound to the result of a borrowing
@@ -454,7 +462,7 @@ func isByteSlice(t types.Type) bool {
 // isNamed reports whether t (or its alias target) is the named type
 // pkgPath.name.
 func isNamed(t types.Type, pkgPath, name string) bool {
-	n, ok := t.(*types.Named)
+	n, ok := types.Unalias(t).(*types.Named)
 	if !ok {
 		return false
 	}

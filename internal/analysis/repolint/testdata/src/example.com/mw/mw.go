@@ -70,12 +70,39 @@ func (s *sink) keep(src network.NodeID, payload []byte) {
 	_, _ = n, first
 }
 
-// onSlot covers the dense-plane SlotHandler shape, and the
-// element-append form append(dst, b) that stores the slice header.
+// onSlot covers the SlotHandler shape (network.Slot aliases int32), and
+// the element-append form append(dst, b) that stores the slice header.
 var slotSeen [][]byte
 
 func onSlot(src network.Slot, payload []byte) {
 	slotSeen = append(slotSeen, payload) // want `poolalias: "payload" .* must not be stored in package variable "slotSeen"`
+}
+
+// onAddr is a protocol.Receiver: protocol.Addr aliases network.NodeID.
+func onAddr(src protocol.Addr, pdu []byte) {
+	lastSeen = pdu // want `poolalias: "pdu" .* must not be stored in package variable "lastSeen"`
+}
+
+// onID is the id-addressed receiver shape, declared with a plain int32
+// source as IndexedReceiver and StreamReceiver are.
+func (s *sink) onID(src int32, pdu []byte) {
+	s.last = pdu // want `poolalias: "pdu" .* must not be stored in field "last"`
+}
+
+// The same shape as a literal handed to an AttachIndexed-style call.
+var _ = protocol.IndexedReceiver(func(src int32, pdu []byte) {
+	slotSeen = append(slotSeen, pdu) // want `poolalias: "pdu" .* must not be stored in package variable "slotSeen"`
+})
+
+// keepID copies before retaining: the id-addressed shape's true negative.
+func (s *sink) keepID(src int32, pdu []byte) {
+	s.last = append(s.last[:0], pdu...)
+}
+
+// notACallback has an int64 source: not a delivery shape, so storing
+// its slice is not reported.
+func (s *sink) notACallback(n int64, b []byte) {
+	s.last = b
 }
 
 // firstName borrows from a MsgView accessor and returns the alias.

@@ -16,11 +16,8 @@ type guarded struct {
 // NodeID identifies a node.
 type NodeID string
 
-// Slot is a dense node index.
-type Slot int32
+// Slot is a dense node index: an alias, as in the real package.
+type Slot = int32
 
-// Handler receives a datagram; payload aliases a pooled buffer.
-type Handler func(src NodeID, payload []byte)
-
-// SlotHandler is the dense-plane variant of Handler.
+// SlotHandler receives a datagram; payload aliases a pooled buffer.
 type SlotHandler func(src Slot, payload []byte)

@@ -92,21 +92,21 @@ func Fig1DistributedSystem(seed int64) (*Report, error) {
 	kernel := sim.NewKernel(sim.WithSeed(seed))
 	net := network.New(kernel, network.WithDefaultLink(network.LinkConfig{Latency: time.Millisecond}))
 	const parts = 4
-	received := make(map[network.NodeID]int, parts)
+	received := make([]int, parts)
 	nodes := make([]network.NodeID, parts)
-	for i := 0; i < parts; i++ {
-		id := network.NodeID(fmt.Sprintf("app-part-%d", i+1))
-		nodes[i] = id
-		if err := net.AddNode(id, func(dst network.NodeID) network.Handler {
-			return func(network.NodeID, []byte) { received[dst]++ }
-		}(id)); err != nil {
+	slots := make([]network.Slot, parts)
+	for i := range nodes {
+		nodes[i] = network.NodeID(fmt.Sprintf("app-part-%d", i+1))
+		s, err := net.Register(nodes[i], func(network.Slot, []byte) { received[i]++ })
+		if err != nil {
 			return nil, err
 		}
+		slots[i] = s
 	}
-	for _, src := range nodes {
-		for _, dst := range nodes {
+	for i, src := range slots {
+		for _, dst := range slots {
 			if src != dst {
-				if err := net.Send(src, dst, []byte("hello from "+src)); err != nil {
+				if err := net.SendSlot(src, dst, []byte("hello from "+nodes[i])); err != nil {
 					return nil, err
 				}
 			}
@@ -117,8 +117,8 @@ func Fig1DistributedSystem(seed int64) (*Report, error) {
 	}
 	table := metrics.NewTable("Figure 1 — model of a distributed system (application)",
 		"app part", "messages received")
-	for _, id := range nodes {
-		table.AddRow(string(id), fmt.Sprintf("%d", received[id]))
+	for i, id := range nodes {
+		table.AddRow(string(id), fmt.Sprintf("%d", received[i]))
 	}
 	st := net.Stats()
 	return &Report{

@@ -93,8 +93,13 @@ func fuzzNet(t *testing.T) (*sim.Kernel, *network.Network) {
 // the layer process it.
 func inject(t *testing.T, kernel *sim.Kernel, net *network.Network, data []byte, addrs []protocol.Addr) {
 	t.Helper()
+	src, _ := net.SlotOf(fuzzSrc)
 	for _, a := range addrs {
-		if err := net.Send(fuzzSrc, a, data); err != nil {
+		dst, ok := net.SlotOf(a)
+		if !ok {
+			t.Fatalf("fuzz target %q is not registered", a)
+		}
+		if err := net.SendSlot(src, dst, data); err != nil {
 			t.Fatal(err)
 		}
 	}

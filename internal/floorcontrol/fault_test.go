@@ -62,8 +62,12 @@ func TestPartitionHealedPreservesService(t *testing.T) {
 		})
 	}
 	// Cut s2 ↔ ctrl just before its request would reach the controller.
-	net.PartitionBoth("s2", "ctrl")
-	kernel.Schedule(60*time.Millisecond, func() { net.HealBoth("s2", "ctrl") })
+	net.Partition("s2", "ctrl")
+	net.Partition("ctrl", "s2")
+	kernel.Schedule(60*time.Millisecond, func() {
+		net.Heal("s2", "ctrl")
+		net.Heal("ctrl", "s2")
+	})
 
 	if _, err := kernel.RunUntil(2 * time.Second); err != nil {
 		t.Fatal(err)
@@ -87,7 +91,8 @@ func TestPartitionHealedPreservesService(t *testing.T) {
 // only liveness — and the observer attributes it correctly.
 func TestPartitionNeverHealedIsLivenessViolation(t *testing.T) {
 	kernel, net, observer, parts := buildProtoEnv(t, 5, 2, 1)
-	net.PartitionBoth("s2", "ctrl")
+	net.Partition("s2", "ctrl")
+	net.Partition("ctrl", "s2")
 
 	s1done := false
 	kernel.Schedule(0, func() {

@@ -79,11 +79,10 @@ func (c *LogicContext) DeliverToUser(primitive string, params []byte) {
 	c.dep.deliverToUser(c.self, primitive, params)
 }
 
-// Schedule runs fn after a virtual delay. The returned ref cancels
-// without pinning a timer allocation; callers that do not need to
-// cancel may discard it.
+// Schedule runs fn after a virtual delay. The returned ref cancels the
+// event; callers that do not need to cancel may discard it.
 func (c *LogicContext) Schedule(d time.Duration, fn func()) sim.TimerRef {
-	return c.dep.kern.ScheduleFuncRef(d, fn)
+	return c.dep.kern.Schedule(d, fn)
 }
 
 // messaging is the realized async-message concept: how directed messages

@@ -80,7 +80,7 @@ func (p *Platform) Invoke(from Addr, target ObjRef, op string, args []byte, cont
 	pc := p.getCall()
 	pc.id, pc.cont, pc.node, pc.caller = id, cont, reg.nodeID, fromID
 	if p.profile.CallTimeout > 0 {
-		pc.timer = p.kern.ScheduleFuncRef(p.profile.CallTimeout, pc.onTimeout)
+		pc.timer = p.kern.Schedule(p.profile.CallTimeout, pc.onTimeout)
 	}
 	p.pending[id] = pc
 	p.stats.Calls++

@@ -21,10 +21,10 @@ func TestCrashDropsTraffic(t *testing.T) {
 	if !n.Crashed("b") || n.Crashed("a") {
 		t.Fatalf("Crashed: a=%v b=%v, want false/true", n.Crashed("a"), n.Crashed("b"))
 	}
-	if err := n.Send("a", "b", []byte("to-dead")); err != nil {
+	if err := n.SendSlot(slotA, slotB, []byte("to-dead")); err != nil {
 		t.Fatal(err)
 	}
-	if err := n.Send("b", "a", []byte("from-dead")); err != nil {
+	if err := n.SendSlot(slotB, slotA, []byte("from-dead")); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := k.Run(); err != nil {
@@ -44,7 +44,7 @@ func TestCrashDropsTraffic(t *testing.T) {
 // restarted by then, because the restart is a fresh incarnation.
 func TestCrashDropsInFlight(t *testing.T) {
 	k, n, cap := newPair(t, LinkConfig{Latency: 10 * time.Millisecond})
-	if err := n.Send("a", "b", []byte("in-flight")); err != nil {
+	if err := n.SendSlot(slotA, slotB, []byte("in-flight")); err != nil {
 		t.Fatal(err)
 	}
 	k.ScheduleFunc(2*time.Millisecond, func() {
@@ -57,7 +57,7 @@ func TestCrashDropsInFlight(t *testing.T) {
 			t.Error(err)
 		}
 		// A fresh send to the restarted incarnation must deliver.
-		if err := n.Send("a", "b", []byte("post-restart")); err != nil {
+		if err := n.SendSlot(slotA, slotB, []byte("post-restart")); err != nil {
 			t.Error(err)
 		}
 	})
@@ -77,12 +77,8 @@ func TestCrashDropsInFlight(t *testing.T) {
 // lifecycle misuse errors are typed.
 func TestRestartIncarnation(t *testing.T) {
 	_, n, _ := newPair(t, LinkConfig{})
-	if inc := n.Incarnation("b"); inc != 1 {
+	if inc := n.IncarnationOfSlot(slotB); inc != 1 {
 		t.Fatalf("initial incarnation = %d, want 1", inc)
-	}
-	s, _ := n.SlotOf("b")
-	if inc := n.IncarnationOfSlot(s); inc != 1 {
-		t.Fatalf("initial slot incarnation = %d, want 1", inc)
 	}
 	if err := n.Restart("b"); !errors.Is(err, ErrNotCrashed) {
 		t.Fatalf("Restart on live node: %v, want ErrNotCrashed", err)
@@ -96,20 +92,17 @@ func TestRestartIncarnation(t *testing.T) {
 	if err := n.Restart("b"); err != nil {
 		t.Fatal(err)
 	}
-	if inc := n.Incarnation("b"); inc != 2 {
+	if inc := n.IncarnationOfSlot(slotB); inc != 2 {
 		t.Fatalf("incarnation after restart = %d, want 2", inc)
 	}
-	if !n.CrashedSlot(-1) == false || n.CrashedSlot(s) {
-		t.Fatalf("CrashedSlot misreports")
+	if n.Crashed("b") || n.Crashed("nope") {
+		t.Fatalf("Crashed misreports a restarted or unknown node")
 	}
 	if err := n.Crash("nope"); !errors.Is(err, ErrUnknownNode) {
 		t.Fatalf("Crash unknown: %v, want ErrUnknownNode", err)
 	}
 	if err := n.Restart("nope"); !errors.Is(err, ErrUnknownNode) {
 		t.Fatalf("Restart unknown: %v, want ErrUnknownNode", err)
-	}
-	if inc := n.Incarnation("nope"); inc != 0 {
-		t.Fatalf("unknown incarnation = %d, want 0", inc)
 	}
 	if inc := n.IncarnationOfSlot(99); inc != 0 {
 		t.Fatalf("out-of-range slot incarnation = %d, want 0", inc)
@@ -138,7 +131,7 @@ func TestScheduleFaultPlan(t *testing.T) {
 	// dropped (a→b partitioned). t=21ms: delivered (healed, restarted).
 	send := func(at time.Duration, msg string) {
 		k.ScheduleFunc(at, func() {
-			if err := n.Send("a", "b", []byte(msg)); err != nil {
+			if err := n.SendSlot(slotA, slotB, []byte(msg)); err != nil {
 				t.Error(err)
 			}
 		})
@@ -161,26 +154,45 @@ func TestScheduleFaultPlan(t *testing.T) {
 	if !reflect.DeepEqual(got, []string{"up", "healed"}) {
 		t.Fatalf("delivered %v, want [up healed]", got)
 	}
-	if n.Incarnation("b") != 2 {
-		t.Fatalf("incarnation = %d, want 2", n.Incarnation("b"))
+	if n.IncarnationOfSlot(slotB) != 2 {
+		t.Fatalf("incarnation = %d, want 2", n.IncarnationOfSlot(slotB))
 	}
 }
 
-// TestScheduleFaultPlanUnknownNode: the whole plan is rejected before
-// anything is scheduled.
+// TestScheduleFaultPlanUnknownNode: a plan that names an unregistered
+// node — as an event's node or as a partition's or heal's peer — is
+// rejected whole, before anything (here, an earlier valid crash) is
+// scheduled.
 func TestScheduleFaultPlanUnknownNode(t *testing.T) {
-	k, n, _ := newPair(t, LinkConfig{})
-	err := n.ScheduleFaultPlan(&FaultPlan{Events: []fault.Event{
-		{At: time.Millisecond, Kind: fault.Crash, Node: "ghost"},
-	}})
-	if !errors.Is(err, ErrUnknownNode) {
-		t.Fatalf("err = %v, want ErrUnknownNode", err)
+	bad := []fault.Event{
+		{At: 2 * time.Millisecond, Kind: fault.Crash, Node: "ghost"},
+		{At: 2 * time.Millisecond, Kind: fault.Partition, Node: "a", Peer: "ghost"},
+		{At: 2 * time.Millisecond, Kind: fault.Heal, Node: "a", Peer: "ghost"},
 	}
+	for _, ev := range bad {
+		t.Run(ev.Kind.String(), func(t *testing.T) {
+			k, n, _ := newPair(t, LinkConfig{})
+			err := n.ScheduleFaultPlan(&FaultPlan{Events: []fault.Event{
+				{At: time.Millisecond, Kind: fault.Crash, Node: "b"},
+				ev,
+			}})
+			if !errors.Is(err, ErrUnknownNode) {
+				t.Fatalf("err = %v, want ErrUnknownNode", err)
+			}
+			if k.Pending() != 0 {
+				t.Fatalf("rejected plan left %d events scheduled", k.Pending())
+			}
+			if _, err := k.Run(); err != nil {
+				t.Fatal(err)
+			}
+			if n.Crashed("b") || len(n.partition) != 0 {
+				t.Fatalf("rejected plan changed the network: crashed=%v cuts=%v", n.Crashed("b"), n.partition)
+			}
+		})
+	}
+	_, n, _ := newPair(t, LinkConfig{})
 	if err := n.ScheduleFaultPlan(nil); err != nil {
 		t.Fatalf("nil plan: %v", err)
-	}
-	if _, err := k.Run(); err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -194,7 +206,7 @@ func TestFaultPlanRingTrafficDrops(t *testing.T) {
 	const nodes = 8
 	for i := 0; i < nodes; i++ {
 		id := NodeID(string(rune('a' + i)))
-		if err := n.AddNode(id, func(NodeID, []byte) {}); err != nil {
+		if _, err := n.Register(id, func(Slot, []byte) {}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -216,11 +228,10 @@ func TestFaultPlanRingTrafficDrops(t *testing.T) {
 	}
 	// A ring of periodic sends while nodes churn underneath it.
 	for i := 0; i < nodes; i++ {
-		src := NodeID(names[i])
-		dst := NodeID(names[(i+1)%nodes])
+		src, dst := Slot(i), Slot((i+1)%nodes)
 		for tick := time.Duration(0); tick < 500*time.Millisecond; tick += 7 * time.Millisecond {
 			k.ScheduleFunc(tick, func() {
-				_ = n.Send(src, dst, []byte("tick"))
+				_ = n.SendSlot(src, dst, []byte("tick"))
 			})
 		}
 	}

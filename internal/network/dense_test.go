@@ -12,8 +12,8 @@ import (
 
 // The tests in this file pin the dense routing plane's edge cases:
 // dynamic registration growing the link grid mid-run, partition toggling
-// between slot-addressed sends, and the slot plane consuming randomness
-// exactly as the name-addressed plane does (the property the sweep's
+// between slot-addressed sends, and fan-out consuming randomness exactly
+// as a loop of single sends does (the property the sweep's
 // byte-identical CSV rests on).
 
 // TestRegisterAfterTrafficGridGrowth registers nodes after traffic has
@@ -69,8 +69,8 @@ func TestRegisterAfterTrafficGridGrowth(t *testing.T) {
 	if s, ok := n.SlotOf("a"); !ok || s != a {
 		t.Fatalf("slot of a changed across growth: %d → %d", a, s)
 	}
-	if n.NumSlots() != 6 {
-		t.Fatalf("NumSlots = %d, want 6", n.NumSlots())
+	if s, _ := n.SlotOf("f"); s != 5 {
+		t.Fatalf("slot of f = %d, want 5", s)
 	}
 
 	// The pre-registration partition must be live in the rebuilt grid.
@@ -138,67 +138,10 @@ func TestPartitionToggleMidRun(t *testing.T) {
 	}
 }
 
-// TestSlotPlaneMatchesNamePlane drives two identical lossy/jittery
-// networks from the same seed, one through the name-addressed Send and
-// one through SendSlot, and requires identical delivery traces: the slot
-// plane must consume kernel randomness exactly like the compatibility
-// plane (the invariant behind the sweep's byte-identical CSV).
-func TestSlotPlaneMatchesNamePlane(t *testing.T) {
-	run := func(useSlots bool) ([]string, Stats) {
-		kernel := sim.NewKernel(sim.WithSeed(77))
-		n := New(kernel, WithDefaultLink(LinkConfig{
-			Latency:       time.Millisecond,
-			Jitter:        3 * time.Millisecond,
-			LossRate:      0.3,
-			DuplicateRate: 0.2,
-		}))
-		var got []string
-		if err := n.AddNode("a", func(src NodeID, p []byte) {}); err != nil {
-			t.Fatal(err)
-		}
-		if err := n.AddNode("b", func(src NodeID, p []byte) {
-			got = append(got, string(p))
-		}); err != nil {
-			t.Fatal(err)
-		}
-		a, _ := n.SlotOf("a")
-		b, _ := n.SlotOf("b")
-		for i := 0; i < 40; i++ {
-			payload := []byte{byte(i)}
-			var err error
-			if useSlots {
-				err = n.SendSlot(a, b, payload)
-			} else {
-				err = n.Send("a", "b", payload)
-			}
-			if err != nil {
-				t.Fatal(err)
-			}
-		}
-		if _, err := kernel.Run(); err != nil {
-			t.Fatal(err)
-		}
-		return got, n.Stats()
-	}
-	gotName, statsName := run(false)
-	gotSlot, statsSlot := run(true)
-	if statsName != statsSlot {
-		t.Fatalf("stats diverge: name=%+v slot=%+v", statsName, statsSlot)
-	}
-	if len(gotName) != len(gotSlot) {
-		t.Fatalf("delivery counts diverge: %d vs %d", len(gotName), len(gotSlot))
-	}
-	for i := range gotName {
-		if gotName[i] != gotSlot[i] {
-			t.Fatalf("delivery %d diverges: %q vs %q", i, gotName[i], gotSlot[i])
-		}
-	}
-}
-
 // TestSendMultiSlotMatchesSendLoop drives two identical lossy/jittery
 // networks from the same seed, one fanning each payload out with
-// SendMultiSlot and one with a name-addressed Send loop in destination
-// order, and requires identical delivery traces and counters. A bad
+// SendMultiSlot and one with a SendSlot loop in destination order, and
+// requires identical delivery traces and counters. A bad
 // slot in the fan-out is skipped and reported after the rest are sent.
 func TestSendMultiSlotMatchesSendLoop(t *testing.T) {
 	names := []NodeID{"b", "c", "d", "b"}
@@ -212,9 +155,8 @@ func TestSendMultiSlotMatchesSendLoop(t *testing.T) {
 		}))
 		var got []string
 		for _, id := range []NodeID{"a", "b", "c", "d"} {
-			id := id
-			if err := n.AddNode(id, func(src NodeID, p []byte) {
-				got = append(got, fmt.Sprintf("%v %s→%s %d", kernel.Now(), src, id, p[0]))
+			if _, err := n.Register(id, func(src Slot, p []byte) {
+				got = append(got, fmt.Sprintf("%v %s→%s %d", kernel.Now(), n.IDOf(src), id, p[0]))
 			}); err != nil {
 				t.Fatal(err)
 			}
@@ -233,8 +175,8 @@ func TestSendMultiSlotMatchesSendLoop(t *testing.T) {
 				}
 				continue
 			}
-			for _, id := range names {
-				if err := n.Send("a", id, payload); err != nil {
+			for _, dst := range slots {
+				if err := n.SendSlot(a, dst, payload); err != nil {
 					t.Fatal(err)
 				}
 			}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/fault"
-	"repro/internal/sim"
 )
 
 // FaultPlan binds a pre-drawn fault schedule (internal/fault) to a live
@@ -24,24 +23,36 @@ type FaultPlan struct {
 }
 
 // ScheduleFaultPlan schedules every event of the plan on the network's
-// kernel, relative to the current virtual time. All referenced nodes
-// must already be registered; an unknown node fails the whole call
-// before anything is scheduled.
+// kernel, relative to the current virtual time. Every referenced node
+// (an event's Node, and the Peer of a Partition or Heal) must already be
+// registered; an unknown node fails the whole call before anything is
+// scheduled.
 //
 // A plan event that is invalid when it fires (crashing a crashed node,
 // restarting a live one) panics: schedules from fault.Schedule alternate
 // correctly by construction, so this only trips on a scheduling bug, and
 // a deterministic panic beats a silently diverging run.
 func (n *Network) ScheduleFaultPlan(p *FaultPlan) error {
-	if p == nil || len(p.Events) == 0 {
+	if p == nil {
 		return nil
 	}
-	entries := make([]sim.BatchEntry, 0, len(p.Events))
 	for _, ev := range p.Events {
-		id := NodeID(ev.Node)
-		if _, ok := n.SlotOf(id); !ok {
-			return fmt.Errorf("%w: fault plan references %q", ErrUnknownNode, ev.Node)
+		refs := []string{ev.Node}
+		switch ev.Kind {
+		case fault.Crash, fault.Restart:
+		case fault.Partition, fault.Heal:
+			refs = append(refs, ev.Peer)
+		default:
+			return fmt.Errorf("network: fault plan: unknown event kind %v", ev.Kind)
 		}
+		for _, ref := range refs {
+			if _, ok := n.slots[NodeID(ref)]; !ok {
+				return fmt.Errorf("%w: fault plan references %q", ErrUnknownNode, ref)
+			}
+		}
+	}
+	for _, ev := range p.Events {
+		id, peer := NodeID(ev.Node), NodeID(ev.Peer)
 		var fn func()
 		switch ev.Kind {
 		case fault.Crash:
@@ -63,16 +74,11 @@ func (n *Network) ScheduleFaultPlan(p *FaultPlan) error {
 				}
 			}
 		case fault.Partition:
-			peer := NodeID(ev.Peer)
 			fn = func() { n.Partition(id, peer) }
 		case fault.Heal:
-			peer := NodeID(ev.Peer)
 			fn = func() { n.Heal(id, peer) }
-		default:
-			return fmt.Errorf("network: fault plan: unknown event kind %v", ev.Kind)
 		}
-		entries = append(entries, sim.BatchEntry{Delay: ev.At, Fn: fn})
+		n.kern.ScheduleFunc(ev.At, fn)
 	}
-	n.kern.ScheduleBatch(entries)
 	return nil
 }

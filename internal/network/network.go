@@ -12,20 +12,20 @@
 // higher layers (internal/protocol) build reliable datagram delivery on top
 // of it, exactly as the protocol-centred paradigm prescribes.
 //
-// # Dense routing plane
+// # Data plane by slot, control plane by name
 //
-// Every node receives a dense small-int Slot at registration. Handlers
-// live in a slot-indexed slice and link state (config, partition flag)
-// lives in lazily materialized per-source rows: a source with no
-// explicit SetLink/Partition call has a nil row and pays one pointer of
-// memory, so a million-node fabric with default links costs O(N), not
-// O(N²). Sources that are configured get a dense fromSlot-indexed row,
-// and the steady-state send and delivery paths — SendSlot,
-// SendMultiSlot and the pooled delivery events they schedule — perform
-// zero map lookups and zero allocations. The string-keyed API (Send,
-// AddNode, SetLink, …) remains as the control plane and resolves names
-// to slots on entry; fan-out exists only on the slot plane
-// (SendMultiSlot).
+// Every node receives a dense small-int Slot at registration, and the
+// data plane is addressed by slot only: SendSlot and SendMultiSlot send,
+// and a SlotHandler receives. Handlers live in a slot-indexed slice and
+// link state (config, partition flag) lives in lazily materialized
+// per-source rows: a source with no explicit SetLink/Partition call has
+// a nil row and pays one pointer of memory, so a million-node fabric
+// with default links costs O(N), not O(N²). Sources that are configured
+// get a dense toSlot-indexed row, and the steady-state send and delivery
+// paths — SendSlot, SendMultiSlot and the pooled delivery events they
+// schedule — perform zero map lookups and zero allocations. The control
+// plane (SetLink, Partition, Heal, Crash, Restart, SlotOf) is addressed
+// by name and resolves names to slots on entry.
 // Registering nodes after traffic has started is supported: rows grow
 // (amortised) and in-flight deliveries keep their slots, which stay
 // valid for the network's lifetime.
@@ -61,7 +61,8 @@ type NodeID string
 // dense id tables ([]int32) interoperate without conversions.
 type Slot = int32
 
-// Handler receives datagrams delivered to a node.
+// SlotHandler receives datagrams delivered to a node. The source is
+// identified by its slot, so the delivery path resolves no names.
 //
 // The payload slice is a pooled delivery buffer owned by the network: it
 // is valid only until the handler returns, after which it is recycled
@@ -69,11 +70,6 @@ type Slot = int32
 // call (buffering, reassembly) must copy them; decoding with
 // internal/codec's materializing APIs copies implicitly, while MsgView
 // accessors alias and must not outlive the call.
-type Handler func(src NodeID, payload []byte)
-
-// SlotHandler is the dense-plane variant of Handler: the source is
-// identified by its slot, so the delivery path resolves no names. The
-// same payload aliasing contract as Handler applies.
 type SlotHandler func(src Slot, payload []byte)
 
 // LinkConfig describes the behaviour of a directed link.
@@ -155,22 +151,14 @@ type delivery struct {
 
 func (d *delivery) run() {
 	n := d.n
-	var h SlotHandler
-	if int(d.dst) < len(n.handlers) {
-		if n.crashed[d.dst] || n.incs[d.dst] != d.dstInc {
-			// The destination crashed while this datagram was in flight
-			// (a restart bumps the incarnation, so the old stamp no
-			// longer matches): the datagram arrives at a dead host.
-			n.stats.Dropped++
-		} else {
-			h = n.handlers[d.dst]
-		}
-	}
-	if h != nil {
+	if n.crashed[d.dst] || n.incs[d.dst] != d.dstInc {
+		// The destination crashed while this datagram was in flight
+		// (a restart bumps the incarnation, so the old stamp no
+		// longer matches): the datagram arrives at a dead host.
+		n.stats.Dropped++
+	} else {
 		n.stats.Delivered++
-	}
-	if h != nil {
-		h(d.src, d.buf.B)
+		n.handlers[d.dst](d.src, d.buf.B)
 	}
 	buf := d.buf
 	d.buf = nil
@@ -205,7 +193,6 @@ type Network struct {
 	partition map[linkKey]bool
 
 	freeDeliveries *delivery
-	scratch        []sim.BatchEntry
 	stats          Stats
 }
 
@@ -230,8 +217,8 @@ func New(kern *sim.Kernel, opts ...Option) *Network {
 // Time returns the kernel the network schedules on.
 func (n *Network) Time() *sim.Kernel { return n.kern }
 
-// Register adds a node with a slot-addressed handler and returns its
-// dense slot — the entry point of the map-free plane. Registration is
+// Register adds a node with its delivery handler and returns its dense
+// slot, the node's address on the data plane. Registration is
 // valid at any time, including after traffic has started: the link grid
 // grows to cover the new slot and existing slots are unaffected.
 func (n *Network) Register(id NodeID, h SlotHandler) (Slot, error) {
@@ -253,43 +240,11 @@ func (n *Network) Register(id NodeID, h SlotHandler) (Slot, error) {
 	return s, nil
 }
 
-// AddNode registers a node and its name-addressed delivery handler (the
-// compatibility plane; Register is the dense equivalent).
-func (n *Network) AddNode(id NodeID, h Handler) error {
-	if h == nil {
-		return fmt.Errorf("network: nil handler for node %q", id)
-	}
-	_, err := n.Register(id, n.wrapHandler(h))
-	return err
-}
-
-// wrapHandler adapts a name-addressed Handler to the slot plane. The
-// source name is resolved per delivery, since the slot→name slice grows
-// as nodes register.
-func (n *Network) wrapHandler(h Handler) SlotHandler {
-	return func(src Slot, payload []byte) {
-		h(n.ids[src], payload)
-	}
-}
-
-// SetHandler replaces the delivery handler of an existing node.
-func (n *Network) SetHandler(id NodeID, h Handler) error {
-	if h == nil {
-		return fmt.Errorf("network: nil handler for node %q", id)
-	}
-	return n.setSlotHandler(id, n.wrapHandler(h))
-}
-
-// SetSlotHandler replaces the delivery handler of an existing node with a
-// slot-addressed one.
+// SetSlotHandler replaces the delivery handler of an existing node.
 func (n *Network) SetSlotHandler(id NodeID, h SlotHandler) error {
 	if h == nil {
 		return fmt.Errorf("network: nil handler for node %q", id)
 	}
-	return n.setSlotHandler(id, h)
-}
-
-func (n *Network) setSlotHandler(id NodeID, h SlotHandler) error {
 	s, ok := n.slots[id]
 	if !ok {
 		return fmt.Errorf("%w: %q", ErrUnknownNode, id)
@@ -311,19 +266,6 @@ func (n *Network) IDOf(s Slot) NodeID {
 		return ""
 	}
 	return n.ids[s]
-}
-
-// NumSlots returns the number of slots issued so far (slots are
-// 0..NumSlots-1).
-func (n *Network) NumSlots() int {
-	return len(n.ids)
-}
-
-// Nodes returns the registered node ids in unspecified order.
-func (n *Network) Nodes() []NodeID {
-	out := make([]NodeID, len(n.ids))
-	copy(out, n.ids)
-	return out
 }
 
 // ensureRowWidth grows the row width so materialized rows cover
@@ -405,14 +347,6 @@ func (n *Network) SetLink(src, dst NodeID, cfg LinkConfig) error {
 	return nil
 }
 
-// SetLinkBoth configures both directions between a and b.
-func (n *Network) SetLinkBoth(a, b NodeID, cfg LinkConfig) error {
-	if err := n.SetLink(a, b, cfg); err != nil {
-		return err
-	}
-	return n.SetLink(b, a, cfg)
-}
-
 // Partition cuts the directed link src→dst: datagrams are silently
 // dropped, as in a network partition. Toggling mid-run is supported and
 // affects only datagrams sent after the call (in-flight deliveries
@@ -421,21 +355,9 @@ func (n *Network) Partition(src, dst NodeID) {
 	n.setPartition(src, dst, true)
 }
 
-// PartitionBoth cuts both directions between a and b.
-func (n *Network) PartitionBoth(a, b NodeID) {
-	n.Partition(a, b)
-	n.Partition(b, a)
-}
-
 // Heal restores the directed link src→dst after a Partition.
 func (n *Network) Heal(src, dst NodeID) {
 	n.setPartition(src, dst, false)
-}
-
-// HealBoth restores both directions between a and b.
-func (n *Network) HealBoth(a, b NodeID) {
-	n.Heal(a, b)
-	n.Heal(b, a)
 }
 
 func (n *Network) setPartition(src, dst NodeID, cut bool) {
@@ -455,26 +377,10 @@ func (n *Network) setPartition(src, dst NodeID, cut bool) {
 	}
 }
 
-// Send transmits payload from src to dst as an unreliable datagram. The
-// payload is copied, so the caller may reuse its buffer. Send never blocks;
-// delivery (if any) happens later in virtual time.
-//
-// Send resolves both names on entry; steady-state senders should resolve
-// once and use SendSlot.
-func (n *Network) Send(src, dst NodeID, payload []byte) error {
-	ss, ok := n.slots[src]
-	if !ok {
-		return fmt.Errorf("%w: source %q", ErrUnknownNode, src)
-	}
-	ds, ok := n.slots[dst]
-	if !ok {
-		return fmt.Errorf("%w: destination %q", ErrUnknownNode, dst)
-	}
-	return n.SendSlot(ss, ds, payload)
-}
-
-// SendSlot is the dense-plane Send: both endpoints are named by slot and
-// the whole path — link lookup, loss/jitter draws, delivery scheduling —
+// SendSlot transmits payload from src to dst as an unreliable datagram.
+// The payload is copied, so the caller may reuse its buffer. SendSlot
+// never blocks; delivery (if any) happens later in virtual time. The
+// whole path — link lookup, loss/jitter draws, delivery scheduling —
 // performs no map lookups and no allocations in steady state.
 //
 //repolint:hotpath
@@ -485,23 +391,14 @@ func (n *Network) SendSlot(src, dst Slot, payload []byte) error {
 	if int(dst) >= len(n.ids) || dst < 0 {
 		return fmt.Errorf("%w: destination %d", ErrBadSlot, dst) //repolint:allow alloc -- cold: caller passed an invalid slot
 	}
-	// The deliveries are staged in the scratch slice, reused across sends
-	// so the per-datagram path does not allocate.
-	entries, err := n.transmit(src, dst, payload, n.scratch[:0])
-	n.kern.ScheduleBatch(entries)
-	n.scratch = entries[:0]
-	return err
+	return n.transmit(src, dst, payload)
 }
 
 // SendMultiSlot transmits payload from src to every destination in
-// order, with per-destination link behaviour exactly as if SendSlot were
-// called once per destination (same random-draw order, so traces are
-// unchanged), but schedules all resulting deliveries in one kernel
-// ScheduleBatch call. Destinations that
-// fail validation (bad slot, MTU) are skipped; the first such error is
-// returned after all other destinations have been processed. The batch
-// scratch is reused across calls, so steady-state fan-out allocates
-// nothing.
+// order, exactly as if SendSlot were called once per destination (same
+// random draws, same delivery order). Destinations that fail validation
+// (bad slot, MTU) are skipped; the first such error is returned after
+// all other destinations have been processed.
 //
 //repolint:hotpath
 func (n *Network) SendMultiSlot(src Slot, dsts []Slot, payload []byte) error {
@@ -509,7 +406,6 @@ func (n *Network) SendMultiSlot(src Slot, dsts []Slot, payload []byte) error {
 		return fmt.Errorf("%w: source %d", ErrBadSlot, src) //repolint:allow alloc -- cold: caller passed an invalid slot
 	}
 	var firstErr error
-	entries := n.scratch[:0]
 	for _, dst := range dsts {
 		if int(dst) >= len(n.ids) || dst < 0 {
 			if firstErr == nil {
@@ -517,24 +413,20 @@ func (n *Network) SendMultiSlot(src Slot, dsts []Slot, payload []byte) error {
 			}
 			continue
 		}
-		var err error
-		entries, err = n.transmit(src, dst, payload, entries)
-		if err != nil && firstErr == nil {
+		if err := n.transmit(src, dst, payload); err != nil && firstErr == nil {
 			firstErr = err
 		}
 	}
-	n.kern.ScheduleBatch(entries)
-	n.scratch = entries[:0]
 	return firstErr
 }
 
 // transmit validates one src→dst datagram, applies partition, loss
-// and duplication, and appends the resulting delivery events (0, 1 or 2)
-// to entries. It consumes kernel randomness in a fixed order (loss,
-// jitter, duplicate, duplicate jitter) to keep traces deterministic.
+// and duplication, and schedules the resulting deliveries (0, 1 or 2).
+// It consumes kernel randomness in a fixed order (loss, jitter,
+// duplicate, duplicate jitter) to keep traces deterministic.
 //
 //repolint:hotpath
-func (n *Network) transmit(src, dst Slot, payload []byte, entries []sim.BatchEntry) ([]sim.BatchEntry, error) {
+func (n *Network) transmit(src, dst Slot, payload []byte) error {
 	// Unconfigured sources have a nil row — the default-link fast path
 	// that keeps link state O(N) on XL fabrics.
 	var cell *linkState
@@ -546,7 +438,7 @@ func (n *Network) transmit(src, dst Slot, payload []byte, entries []sim.BatchEnt
 		}
 	}
 	if cfg.MTU > 0 && len(payload) > cfg.MTU {
-		return entries, fmt.Errorf("%w: %d > %d (link %s→%s)", ErrTooLarge, len(payload), cfg.MTU, n.ids[src], n.ids[dst]) //repolint:allow alloc -- cold: oversized datagram is rejected, not transmitted
+		return fmt.Errorf("%w: %d > %d (link %s→%s)", ErrTooLarge, len(payload), cfg.MTU, n.ids[src], n.ids[dst]) //repolint:allow alloc -- cold: oversized datagram is rejected, not transmitted
 	}
 	n.stats.Sent++
 	n.stats.BytesSent += uint64(len(payload))
@@ -556,31 +448,31 @@ func (n *Network) transmit(src, dst Slot, payload []byte, entries []sim.BatchEnt
 	// delivery time via the incarnation stamp instead).
 	if (cell != nil && cell.partitioned) || n.crashed[src] || n.crashed[dst] {
 		n.stats.Dropped++
-		return entries, nil
+		return nil
 	}
 	rng := n.rng
 	if cfg.LossRate > 0 && rng.Float64() < cfg.LossRate {
 		n.stats.Dropped++
-		return entries, nil
+		return nil
 	}
 	buf := codec.GetBuffer()
 	buf.B = append(buf.B[:0], payload...)
-	entries = append(entries, n.newDelivery(src, dst, cfg, buf))
+	n.newDelivery(src, dst, cfg, buf)
 	if cfg.DuplicateRate > 0 && rng.Float64() < cfg.DuplicateRate {
 		dup := codec.GetBuffer()
 		dup.B = append(dup.B[:0], payload...)
-		entries = append(entries, n.newDelivery(src, dst, cfg, dup))
+		n.newDelivery(src, dst, cfg, dup)
 	}
-	return entries, nil
+	return nil
 }
 
-// newDelivery draws the link jitter and builds the delivery event for
-// one datagram copy from the pooled delivery free list. The pooled
-// buffer is recycled as soon as the handler returns (see Handler's
-// aliasing contract).
+// newDelivery draws the link jitter and schedules the delivery event for
+// one datagram copy, taken from the pooled delivery free list. The
+// pooled buffer is recycled as soon as the handler returns (see
+// SlotHandler's aliasing contract).
 //
 //repolint:hotpath
-func (n *Network) newDelivery(src, dst Slot, cfg *LinkConfig, buf *codec.Buffer) sim.BatchEntry {
+func (n *Network) newDelivery(src, dst Slot, cfg *LinkConfig, buf *codec.Buffer) {
 	delay := cfg.Latency
 	if cfg.Jitter > 0 {
 		delay += time.Duration(n.rng.Int63n(int64(cfg.Jitter)))
@@ -595,7 +487,7 @@ func (n *Network) newDelivery(src, dst Slot, cfg *LinkConfig, buf *codec.Buffer)
 	}
 	d.src, d.dst, d.buf = src, dst, buf
 	d.dstInc = n.incs[dst]
-	return sim.BatchEntry{Delay: delay, Fn: d.fn}
+	n.kern.ScheduleFunc(delay, d.fn)
 }
 
 // Crash marks a node as crashed (fail-stop): from this instant the slot
@@ -641,25 +533,9 @@ func (n *Network) Crashed(id NodeID) bool {
 	return ok && n.crashed[s]
 }
 
-// CrashedSlot is the dense-plane Crashed. Out-of-range slots report
-// false.
-func (n *Network) CrashedSlot(s Slot) bool {
-	return s >= 0 && int(s) < len(n.crashed) && n.crashed[s]
-}
-
-// Incarnation returns a node's current incarnation number (1 for a node
-// that has never crashed; each Restart increments it). Unknown nodes
-// report 0.
-func (n *Network) Incarnation(id NodeID) uint32 {
-	s, ok := n.slots[id]
-	if !ok {
-		return 0
-	}
-	return n.incs[s]
-}
-
-// IncarnationOfSlot is the dense-plane Incarnation. Out-of-range slots
-// report 0.
+// IncarnationOfSlot returns a node's current incarnation number (1 for a
+// node that has never crashed; each Restart increments it). Out-of-range
+// slots report 0.
 func (n *Network) IncarnationOfSlot(s Slot) uint32 {
 	if s < 0 || int(s) >= len(n.incs) {
 		return 0
@@ -670,10 +546,4 @@ func (n *Network) IncarnationOfSlot(s Slot) uint32 {
 // Stats returns a snapshot of the network counters.
 func (n *Network) Stats() Stats {
 	return n.stats
-}
-
-// ResetStats zeroes the network counters; experiments call it between
-// warm-up and measurement phases.
-func (n *Network) ResetStats() {
-	n.stats = Stats{}
 }

@@ -11,12 +11,12 @@ import (
 
 type capture struct {
 	payloads [][]byte
-	sources  []NodeID
+	sources  []Slot
 	times    []time.Duration
 }
 
-func (c *capture) handler(k *sim.Kernel) Handler {
-	return func(src NodeID, payload []byte) {
+func (c *capture) handler(k *sim.Kernel) SlotHandler {
+	return func(src Slot, payload []byte) {
 		c.sources = append(c.sources, src)
 		// The payload aliases a pooled delivery buffer: copy to retain.
 		c.payloads = append(c.payloads, append([]byte(nil), payload...))
@@ -24,15 +24,19 @@ func (c *capture) handler(k *sim.Kernel) Handler {
 	}
 }
 
+// The slots newPair gives its nodes "a" and "b": slots count up from
+// zero in registration order.
+const slotA, slotB Slot = 0, 1
+
 func newPair(t *testing.T, cfg LinkConfig, opts ...sim.Option) (*sim.Kernel, *Network, *capture) {
 	t.Helper()
 	k := sim.NewKernel(opts...)
 	n := New(k, WithDefaultLink(cfg))
 	cap := &capture{}
-	if err := n.AddNode("a", func(NodeID, []byte) {}); err != nil {
+	if _, err := n.Register("a", func(Slot, []byte) {}); err != nil {
 		t.Fatal(err)
 	}
-	if err := n.AddNode("b", cap.handler(k)); err != nil {
+	if _, err := n.Register("b", cap.handler(k)); err != nil {
 		t.Fatal(err)
 	}
 	return k, n, cap
@@ -40,7 +44,7 @@ func newPair(t *testing.T, cfg LinkConfig, opts ...sim.Option) (*sim.Kernel, *Ne
 
 func TestDeliveryWithLatency(t *testing.T) {
 	k, n, cap := newPair(t, LinkConfig{Latency: 5 * time.Millisecond})
-	if err := n.Send("a", "b", []byte("hello")); err != nil {
+	if err := n.SendSlot(slotA, slotB, []byte("hello")); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := k.Run(); err != nil {
@@ -49,8 +53,8 @@ func TestDeliveryWithLatency(t *testing.T) {
 	if len(cap.payloads) != 1 || string(cap.payloads[0]) != "hello" {
 		t.Fatalf("payloads = %q", cap.payloads)
 	}
-	if cap.sources[0] != "a" {
-		t.Fatalf("src = %q, want a", cap.sources[0])
+	if cap.sources[0] != slotA {
+		t.Fatalf("src = %d, want %d", cap.sources[0], slotA)
 	}
 	if cap.times[0] != 5*time.Millisecond {
 		t.Fatalf("delivered at %v, want 5ms", cap.times[0])
@@ -60,7 +64,7 @@ func TestDeliveryWithLatency(t *testing.T) {
 func TestPayloadCopiedAtBoundary(t *testing.T) {
 	k, n, cap := newPair(t, LinkConfig{})
 	buf := []byte("original")
-	if err := n.Send("a", "b", buf); err != nil {
+	if err := n.SendSlot(slotA, slotB, buf); err != nil {
 		t.Fatal(err)
 	}
 	copy(buf, "MUTATED!")
@@ -72,19 +76,24 @@ func TestPayloadCopiedAtBoundary(t *testing.T) {
 	}
 }
 
+// TestUnknownNodes: a slot the network never issued is rejected on
+// either end of a send.
 func TestUnknownNodes(t *testing.T) {
 	_, n, _ := newPair(t, LinkConfig{})
-	if err := n.Send("a", "nope", nil); !errors.Is(err, ErrUnknownNode) {
-		t.Fatalf("err = %v, want ErrUnknownNode", err)
+	if err := n.SendSlot(slotA, 7, nil); !errors.Is(err, ErrBadSlot) {
+		t.Fatalf("err = %v, want ErrBadSlot", err)
 	}
-	if err := n.Send("nope", "b", nil); !errors.Is(err, ErrUnknownNode) {
-		t.Fatalf("err = %v, want ErrUnknownNode", err)
+	if err := n.SendSlot(-1, slotB, nil); !errors.Is(err, ErrBadSlot) {
+		t.Fatalf("err = %v, want ErrBadSlot", err)
+	}
+	if n.IDOf(7) != "" {
+		t.Fatalf("IDOf(7) = %q for an unissued slot, want \"\"", n.IDOf(7))
 	}
 }
 
 func TestDuplicateNode(t *testing.T) {
 	_, n, _ := newPair(t, LinkConfig{})
-	err := n.AddNode("a", func(NodeID, []byte) {})
+	_, err := n.Register("a", func(Slot, []byte) {})
 	if !errors.Is(err, ErrDuplicateNode) {
 		t.Fatalf("err = %v, want ErrDuplicateNode", err)
 	}
@@ -93,28 +102,28 @@ func TestDuplicateNode(t *testing.T) {
 func TestNilHandlerRejected(t *testing.T) {
 	k := sim.NewKernel()
 	n := New(k)
-	if err := n.AddNode("x", nil); err == nil {
+	if _, err := n.Register("x", nil); err == nil {
 		t.Fatal("expected error for nil handler")
 	}
-	if err := n.SetHandler("x", nil); err == nil {
-		t.Fatal("expected error for nil handler in SetHandler")
+	if err := n.SetSlotHandler("x", nil); err == nil {
+		t.Fatal("expected error for nil handler in SetSlotHandler")
 	}
 }
 
 func TestSetHandlerUnknownNode(t *testing.T) {
 	k := sim.NewKernel()
 	n := New(k)
-	if err := n.SetHandler("ghost", func(NodeID, []byte) {}); !errors.Is(err, ErrUnknownNode) {
+	if err := n.SetSlotHandler("ghost", func(Slot, []byte) {}); !errors.Is(err, ErrUnknownNode) {
 		t.Fatalf("err = %v, want ErrUnknownNode", err)
 	}
 }
 
 func TestMTU(t *testing.T) {
 	_, n, _ := newPair(t, LinkConfig{MTU: 4})
-	if err := n.Send("a", "b", []byte("12345")); !errors.Is(err, ErrTooLarge) {
+	if err := n.SendSlot(slotA, slotB, []byte("12345")); !errors.Is(err, ErrTooLarge) {
 		t.Fatalf("err = %v, want ErrTooLarge", err)
 	}
-	if err := n.Send("a", "b", []byte("1234")); err != nil {
+	if err := n.SendSlot(slotA, slotB, []byte("1234")); err != nil {
 		t.Fatalf("send at MTU: %v", err)
 	}
 }
@@ -122,7 +131,7 @@ func TestMTU(t *testing.T) {
 func TestLossRateFullLoss(t *testing.T) {
 	k, n, cap := newPair(t, LinkConfig{LossRate: 1})
 	for i := 0; i < 20; i++ {
-		if err := n.Send("a", "b", []byte{byte(i)}); err != nil {
+		if err := n.SendSlot(slotA, slotB, []byte{byte(i)}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -142,7 +151,7 @@ func TestLossRateStatistical(t *testing.T) {
 	k, n, cap := newPair(t, LinkConfig{LossRate: 0.5}, sim.WithSeed(7))
 	const total = 2000
 	for i := 0; i < total; i++ {
-		if err := n.Send("a", "b", []byte{1}); err != nil {
+		if err := n.SendSlot(slotA, slotB, []byte{1}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -157,7 +166,7 @@ func TestLossRateStatistical(t *testing.T) {
 
 func TestDuplication(t *testing.T) {
 	k, n, cap := newPair(t, LinkConfig{DuplicateRate: 1})
-	if err := n.Send("a", "b", []byte("x")); err != nil {
+	if err := n.SendSlot(slotA, slotB, []byte("x")); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := k.Run(); err != nil {
@@ -175,11 +184,11 @@ func TestDuplication(t *testing.T) {
 func TestJitterCausesReordering(t *testing.T) {
 	k, n, _ := newPair(t, LinkConfig{Latency: time.Millisecond, Jitter: 10 * time.Millisecond}, sim.WithSeed(3))
 	var order []byte
-	if err := n.SetHandler("b", func(_ NodeID, p []byte) { order = append(order, p[0]) }); err != nil {
+	if err := n.SetSlotHandler("b", func(_ Slot, p []byte) { order = append(order, p[0]) }); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 50; i++ {
-		if err := n.Send("a", "b", []byte{byte(i)}); err != nil {
+		if err := n.SendSlot(slotA, slotB, []byte{byte(i)}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -203,8 +212,8 @@ func TestJitterCausesReordering(t *testing.T) {
 
 func TestPartitionAndHeal(t *testing.T) {
 	k, n, cap := newPair(t, LinkConfig{})
-	n.PartitionBoth("a", "b")
-	if err := n.Send("a", "b", []byte("lost")); err != nil {
+	n.Partition("a", "b")
+	if err := n.SendSlot(slotA, slotB, []byte("lost")); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := k.Run(); err != nil {
@@ -213,8 +222,8 @@ func TestPartitionAndHeal(t *testing.T) {
 	if len(cap.payloads) != 0 {
 		t.Fatal("partitioned link delivered a datagram")
 	}
-	n.HealBoth("a", "b")
-	if err := n.Send("a", "b", []byte("ok")); err != nil {
+	n.Heal("a", "b")
+	if err := n.SendSlot(slotA, slotB, []byte("ok")); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := k.Run(); err != nil {
@@ -229,17 +238,19 @@ func TestPartitionIsDirected(t *testing.T) {
 	k := sim.NewKernel()
 	n := New(k)
 	var toA, toB int
-	if err := n.AddNode("a", func(NodeID, []byte) { toA++ }); err != nil {
+	a, err := n.Register("a", func(Slot, []byte) { toA++ })
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := n.AddNode("b", func(NodeID, []byte) { toB++ }); err != nil {
+	b, err := n.Register("b", func(Slot, []byte) { toB++ })
+	if err != nil {
 		t.Fatal(err)
 	}
 	n.Partition("a", "b")
-	if err := n.Send("a", "b", []byte("x")); err != nil {
+	if err := n.SendSlot(a, b, []byte("x")); err != nil {
 		t.Fatal(err)
 	}
-	if err := n.Send("b", "a", []byte("y")); err != nil {
+	if err := n.SendSlot(b, a, []byte("y")); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := k.Run(); err != nil {
@@ -255,7 +266,7 @@ func TestPerLinkConfigOverridesDefault(t *testing.T) {
 	if err := n.SetLink("a", "b", LinkConfig{Latency: 42 * time.Millisecond}); err != nil {
 		t.Fatal(err)
 	}
-	if err := n.Send("a", "b", []byte("x")); err != nil {
+	if err := n.SendSlot(slotA, slotB, []byte("x")); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := k.Run(); err != nil {
@@ -284,10 +295,13 @@ func TestLinkConfigValidation(t *testing.T) {
 	}
 }
 
+// TestStatsAndReset: Stats counts sends, deliveries and bytes, and
+// returns a snapshot that later traffic does not change. Counters are
+// per network, so a fresh network is the reset: it starts at zero.
 func TestStatsAndReset(t *testing.T) {
 	k, n, _ := newPair(t, LinkConfig{})
 	for i := 0; i < 3; i++ {
-		if err := n.Send("a", "b", []byte("xyz")); err != nil {
+		if err := n.SendSlot(slotA, slotB, []byte("xyz")); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -298,17 +312,14 @@ func TestStatsAndReset(t *testing.T) {
 	if st.Sent != 3 || st.Delivered != 3 || st.BytesSent != 9 {
 		t.Fatalf("stats = %+v", st)
 	}
-	n.ResetStats()
-	if st := n.Stats(); st.Sent != 0 {
-		t.Fatalf("stats after reset = %+v", st)
+	if err := n.SendSlot(slotA, slotB, []byte("w")); err != nil {
+		t.Fatal(err)
 	}
-}
-
-func TestNodesListing(t *testing.T) {
-	_, n, _ := newPair(t, LinkConfig{})
-	ids := n.Nodes()
-	if len(ids) != 2 {
-		t.Fatalf("Nodes() = %v", ids)
+	if st.Sent != 3 || n.Stats().Sent != 4 {
+		t.Fatalf("snapshot Sent = %d, live Sent = %d; want 3 and 4", st.Sent, n.Stats().Sent)
+	}
+	if st := New(k).Stats(); st != (Stats{}) {
+		t.Fatalf("fresh network stats = %+v, want zero", st)
 	}
 }
 
@@ -322,14 +333,14 @@ func TestPropertyLosslessDeliversAll(t *testing.T) {
 			Jitter:  time.Duration(jitterMs) * time.Millisecond,
 		}))
 		delivered := 0
-		if err := n.AddNode("a", func(NodeID, []byte) {}); err != nil {
+		if _, err := n.Register("a", func(Slot, []byte) {}); err != nil {
 			return false
 		}
-		if err := n.AddNode("b", func(NodeID, []byte) { delivered++ }); err != nil {
+		if _, err := n.Register("b", func(Slot, []byte) { delivered++ }); err != nil {
 			return false
 		}
 		for i := 0; i < int(count); i++ {
-			if err := n.Send("a", "b", []byte{byte(i)}); err != nil {
+			if err := n.SendSlot(slotA, slotB, []byte{byte(i)}); err != nil {
 				return false
 			}
 		}
@@ -346,16 +357,16 @@ func TestPropertyLosslessDeliversAll(t *testing.T) {
 func BenchmarkSendDeliver(b *testing.B) {
 	k := sim.NewKernel()
 	n := New(k)
-	if err := n.AddNode("a", func(NodeID, []byte) {}); err != nil {
+	if _, err := n.Register("a", func(Slot, []byte) {}); err != nil {
 		b.Fatal(err)
 	}
-	if err := n.AddNode("b", func(NodeID, []byte) {}); err != nil {
+	if _, err := n.Register("b", func(Slot, []byte) {}); err != nil {
 		b.Fatal(err)
 	}
 	payload := []byte("0123456789abcdef")
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if err := n.Send("a", "b", payload); err != nil {
+		if err := n.SendSlot(slotA, slotB, payload); err != nil {
 			b.Fatal(err)
 		}
 		if _, err := k.Run(); err != nil {

@@ -362,8 +362,10 @@ func TestCloseFlowReclaimsAndRestarts(t *testing.T) {
 func TestCloseFlowClearsBroken(t *testing.T) {
 	kernel := sim.NewKernel(sim.WithSeed(5))
 	net := network.New(kernel)
-	if err := net.SetLinkBoth("a", "b", network.LinkConfig{LossRate: 1}); err != nil {
-		t.Fatal(err)
+	for _, link := range [][2]network.NodeID{{"a", "b"}, {"b", "a"}} {
+		if err := net.SetLink(link[0], link[1], network.LinkConfig{LossRate: 1}); err != nil {
+			t.Fatal(err)
+		}
 	}
 	rd := NewReliableDatagram(kernel, NewUnreliableDatagram(net), ReliableDatagramConfig{
 		Window: 2, MaxRetransmits: 2,

@@ -50,11 +50,10 @@ func (c *Context) Self() Addr { return c.self }
 func (c *Context) Time() *sim.Kernel { return c.layer.kern }
 
 // Schedule runs fn after a virtual delay; entities use it for polling
-// intervals, hold times and timeouts. The returned ref cancels without
-// pinning a timer allocation (see sim.TimerRef); callers that do not
-// need to cancel may discard it.
+// intervals, hold times and timeouts. The returned ref cancels the event
+// (see sim.TimerRef); callers that do not need to cancel may discard it.
 func (c *Context) Schedule(delay time.Duration, fn func()) sim.TimerRef {
-	return c.layer.kern.ScheduleFuncRef(delay, fn)
+	return c.layer.kern.Schedule(delay, fn)
 }
 
 // PDU is one PDU type of an application protocol: its name, the encoded

@@ -211,7 +211,8 @@ func TestReliableDatagramWindowRespected(t *testing.T) {
 	if err := r.Attach("b", func(Addr, []byte) {}); err != nil {
 		t.Fatal(err)
 	}
-	n.PartitionBoth("a", "b")
+	n.Partition("a", "b")
+	n.Partition("b", "a")
 	for i := 0; i < 10; i++ {
 		if err := r.Send("a", "b", []byte{byte(i)}); err != nil {
 			t.Fatal(err)

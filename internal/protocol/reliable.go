@@ -373,9 +373,9 @@ func (r *ReliableDatagram) transmit(src, dst int32, f *sendFlow, seq uint64, pay
 }
 
 // armTimer (re)arms the retransmission timer for a flow with unacked
-// data. The timer rides the kernel's free-list ScheduleFuncRef path: arms
-// and cancels recycle the same Timer structs, so steady-state window
-// traffic schedules retransmission cover without allocating.
+// data. Kernel timers recycle through the kernel's free list on fire and
+// on cancel, so steady-state window traffic schedules retransmission
+// cover without allocating.
 func (r *ReliableDatagram) armTimer(f *sendFlow) {
 	if len(f.inFlight) == 0 {
 		f.timer.Cancel()
@@ -385,7 +385,7 @@ func (r *ReliableDatagram) armTimer(f *sendFlow) {
 	if f.timer.Pending() {
 		return
 	}
-	f.timer = r.kern.ScheduleFuncRef(r.cfg.RetransmitTimeout, f.timerFn)
+	f.timer = r.kern.Schedule(r.cfg.RetransmitTimeout, f.timerFn)
 }
 
 // onTimeout retransmits the whole window (go-back-N).

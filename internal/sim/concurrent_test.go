@@ -16,7 +16,7 @@ func TestConcurrentCancelDuringRun(t *testing.T) {
 	k := NewKernel()
 	fired := make([]bool, n)
 	cancelled := make([]bool, n)
-	timers := make([]*Timer, n)
+	timers := make([]TimerRef, n)
 	cancel := func(j int) {
 		if j < 0 || j >= n || !timers[j].Cancel() {
 			return

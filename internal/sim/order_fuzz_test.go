@@ -8,9 +8,10 @@ import (
 
 // This file checks the kernel's ordering contract — heap invariant plus
 // FIFO-at-same-instant — against a tiny reference scheduler, across
-// arbitrary interleavings of Schedule, ScheduleAt, ScheduleBatch, Cancel,
-// Step, Stop and RunUntil. The fuzz corpus seeds are distilled from the
-// op mixes of the real experiment traces: floor-control workload cycles
+// arbitrary interleavings of Schedule (with delays that may reach into
+// the past), runs of ScheduleFunc calls, Cancel, Step, Stop and
+// RunUntil. The fuzz corpus seeds are distilled from the op mixes of
+// the real experiment traces: floor-control workload cycles
 // (think/hold delays with a deadline stop), polling loops (many
 // same-instant schedules), token-ring hops (chained short delays) and
 // middleware fan-out (batched same-instant events).
@@ -149,9 +150,6 @@ func checkHeapInvariant(t *testing.T, k *Kernel) {
 		if int(x.index) != i {
 			t.Fatalf("timer at heap slot %d has index %d", i, x.index)
 		}
-		if !x.Pending() {
-			t.Fatalf("timer at heap slot %d not pending", i)
-		}
 		if i > 0 {
 			p := (i - 1) >> 2
 			if timerLess(x, k.queue.a[p]) {
@@ -181,7 +179,7 @@ func runOrderingProgram(t *testing.T, program []byte) {
 	}
 	// handles holds cancellable timers side by side with the reference
 	// sequence numbers they correspond to.
-	var handles []*Timer
+	var handles []TimerRef
 	var handleSeqs []uint64
 
 	for i := 0; i+1 < len(program); i += 2 {
@@ -193,22 +191,20 @@ func runOrderingProgram(t *testing.T, program []byte) {
 			handles = append(handles, k.Schedule(arg*time.Microsecond, record(id)))
 			_, seq := ref.schedule(ref.now+arg*time.Microsecond, false)
 			handleSeqs = append(handleSeqs, seq)
-		case 2: // ScheduleAt, possibly in the past
+		case 2: // Schedule for an absolute instant, possibly in the past
 			id := nextID
 			nextID++
-			handles = append(handles, k.ScheduleAt(arg*16*time.Microsecond, record(id)))
+			handles = append(handles, k.Schedule(arg*16*time.Microsecond-k.Now(), record(id)))
 			_, seq := ref.schedule(arg*16*time.Microsecond, false)
 			handleSeqs = append(handleSeqs, seq)
-		case 3: // ScheduleBatch (fire-and-forget, FIFO within the batch)
-			entries := make([]BatchEntry, 3)
-			for j := range entries {
+		case 3: // a batch: a run of handle-less ScheduleFunc calls
+			for j := range 3 {
 				d := (arg + time.Duration(j)*13) * time.Microsecond
 				id := nextID
 				nextID++
-				entries[j] = BatchEntry{Delay: d, Fn: record(id)}
+				k.ScheduleFunc(d, record(id))
 				ref.schedule(ref.now+d, false)
 			}
-			k.ScheduleBatch(entries)
 		case 4: // spawner: handler schedules a same-instant child
 			id := nextID
 			nextID++
@@ -284,7 +280,7 @@ func FuzzKernelOrdering(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 0, 0, 0, 3, 0, 6, 0, 6, 0, 6, 0, 6, 0, 7, 251})
 	// Token-ring shape: chained short delays with cancellations.
 	f.Add([]byte{0, 3, 0, 6, 0, 9, 5, 1, 0, 12, 5, 0, 7, 249})
-	// Middleware fan-out shape: batches, a spawner, past-time ScheduleAt.
+	// Middleware fan-out shape: batches, a spawner, past-time schedules.
 	f.Add([]byte{3, 50, 4, 50, 3, 50, 2, 1, 7, 252, 2, 200, 7, 244})
 	// Stop/Step interleavings.
 	f.Add([]byte{0, 10, 7, 5, 6, 0, 0, 10, 6, 0, 7, 5, 7, 247, 6, 0})

@@ -28,14 +28,14 @@
 //
 //   - the pending queue is a concrete 4-ary min-heap ([timerHeap]) with no
 //     container/heap interface boxing;
-//   - fire-and-forget scheduling (ScheduleFunc, ScheduleBatch) recycles
-//     Timer structs through a free list, so steady-state scheduling does
-//     not allocate;
+//   - every timer recycles through a free list as soon as it fires or is
+//     cancelled, so steady-state scheduling does not allocate, with or
+//     without a handle;
 //   - the run loop pops one event, recycles its timer and runs it, so a
 //     timer is pending exactly while it sits in the heap.
 //
-// A Timer whose handle escaped (Schedule, ScheduleAt) is never recycled,
-// so a stale handle can never alias a later timer.
+// A [TimerRef] names its timer by sequence number, so a ref kept after
+// its event fired or was cancelled stays inert when the timer is reused.
 package sim
 
 import (
@@ -66,58 +66,34 @@ func WithEventLimit(n int) Option {
 	return func(k *Kernel) { k.eventLimit = n }
 }
 
-// Timer is a handle to a scheduled event. The zero value is not meaningful;
-// timers are created by Kernel.Schedule and Kernel.ScheduleAt. A timer is
-// pending exactly while it is in the kernel's heap (index >= 0).
-type Timer struct {
-	kernel  *Kernel
-	seq     uint64
-	at      time.Duration
-	fn      func()
-	index   int32 // heap index; -1 while not in the heap
-	escaped bool  // handle returned to a caller; never recycled
+// timer is one scheduled event, an element of the kernel's heap. Timers
+// recycle through the kernel's free list; a timer is pending exactly
+// while it is in the heap (index >= 0).
+type timer struct {
+	kernel *Kernel
+	seq    uint64
+	at     time.Duration
+	fn     func()
+	index  int32 // heap index; -1 while not in the heap
 }
 
-// When reports the virtual time at which the timer will fire (or fired).
-func (t *Timer) When() time.Duration { return t.at }
-
-// Cancel removes the timer from the schedule. It reports whether the timer
-// was still pending (true) or had already fired or been cancelled (false).
-// An event at the instant currently being executed can still be cancelled
-// by an earlier event of the same instant: it is still in the heap.
-func (t *Timer) Cancel() bool {
-	if !t.Pending() {
-		return false
-	}
-	t.kernel.queue.remove(int(t.index))
-	t.fn = nil
-	return true
-}
-
-// Pending reports whether the timer is still scheduled.
-func (t *Timer) Pending() bool {
-	return t != nil && t.kernel != nil && t.index >= 0
-}
-
-// TimerRef is a lightweight, recyclable handle to a fire-and-forget
-// timer, created by Kernel.ScheduleFuncRef. Unlike *Timer handles from
-// Schedule, a TimerRef does not pin the underlying Timer struct: the
-// kernel recycles it through the free list as soon as the event fires or
-// is cancelled, and the ref validates itself against the timer's unique
-// sequence number — a stale ref (whose timer has been recycled into a
-// later event) is simply inert. That makes TimerRef the right handle for
-// hot paths that arm and cancel timers per message (e.g. retransmission
-// timers) without allocating a Timer per arm.
+// TimerRef is a cancellable handle to an event scheduled by
+// Kernel.Schedule. It does not pin the event's timer: the kernel recycles
+// the timer as soon as the event fires or is cancelled, and the ref
+// checks itself against the timer's unique sequence number, so a stale
+// ref (whose timer now carries a later event) is inert.
 //
 // The zero TimerRef is valid and inert: Cancel and Pending return false.
 type TimerRef struct {
-	t   *Timer
+	t   *timer
 	seq uint64
 }
 
-// Cancel removes the referenced timer from the schedule, reporting
-// whether it was still pending. Cancelling a fired, already-cancelled or
-// recycled timer is a safe no-op returning false.
+// Cancel removes the referenced event from the schedule, reporting
+// whether it was still pending. Cancelling a fired or already-cancelled
+// event is a no-op returning false. An event at the instant currently
+// being executed can still be cancelled by an earlier event of the same
+// instant: it is still in the heap.
 func (r TimerRef) Cancel() bool {
 	if !r.Pending() {
 		return false
@@ -126,23 +102,13 @@ func (r TimerRef) Cancel() bool {
 	k := t.kernel
 	k.queue.remove(int(t.index))
 	t.fn = nil
-	// Unlike an escaped *Timer handle, the ref self-invalidates via the
-	// seq check, so a cancelled timer can go straight back to the free
-	// list — this is what keeps arm/cancel loops allocation-free.
 	k.free = append(k.free, t)
 	return true
 }
 
-// Pending reports whether the referenced timer is still scheduled.
+// Pending reports whether the referenced event is still scheduled.
 func (r TimerRef) Pending() bool {
-	return r.t.Pending() && r.t.seq == r.seq
-}
-
-// BatchEntry describes one fire-and-forget event for ScheduleBatch. A
-// negative Delay is treated as zero.
-type BatchEntry struct {
-	Delay time.Duration
-	Fn    func()
+	return r.t != nil && r.t.index >= 0 && r.t.seq == r.seq
 }
 
 // Kernel is a deterministic discrete-event scheduler over virtual time.
@@ -151,7 +117,7 @@ type Kernel struct {
 	now        time.Duration
 	seq        uint64
 	queue      timerHeap
-	free       []*Timer // recycled non-escaped timers
+	free       []*timer // recycled timers
 	rng        *rand.Rand
 	eventLimit int
 	stopped    bool
@@ -182,76 +148,38 @@ func (k *Kernel) Pending() int { return k.queue.len() }
 // runs reproducible.
 func (k *Kernel) Rand() *rand.Rand { return k.rng }
 
-// Schedule arranges for fn to run after delay of virtual time. A negative
-// delay is treated as zero. Events scheduled for the same instant run in
-// scheduling order (FIFO).
-//
-// Schedule returns a cancellable handle; because the handle escapes, the
-// underlying Timer is never recycled. Callers that do not need to cancel
-// should prefer ScheduleFunc, which is allocation-free at steady state.
-func (k *Kernel) Schedule(delay time.Duration, fn func()) *Timer {
-	return k.schedule(k.now+max(delay, 0), fn, true)
-}
-
-// ScheduleAt arranges for fn to run at absolute virtual time at. Times in
-// the past are clamped to the current instant.
-func (k *Kernel) ScheduleAt(at time.Duration, fn func()) *Timer {
-	return k.schedule(max(at, k.now), fn, true)
-}
-
-// ScheduleFunc is the fire-and-forget fast path: like Schedule, but it
-// returns no handle, which lets the kernel recycle the timer through its
-// free list. Steady-state ScheduleFunc+Run does not allocate.
+// Schedule arranges for fn to run after delay of virtual time and
+// returns a handle that can cancel it. A negative delay is treated as
+// zero. Events scheduled for the same instant run in scheduling order
+// (FIFO). Steady-state Schedule+Run and Schedule+Cancel do not allocate.
 //
 //repolint:hotpath
-func (k *Kernel) ScheduleFunc(delay time.Duration, fn func()) {
-	k.schedule(k.now+max(delay, 0), fn, false)
-}
-
-// ScheduleFuncRef is ScheduleFunc with a cancellable TimerRef: the timer
-// still recycles through the free list (scheduling stays allocation-free
-// at steady state), and the returned ref self-invalidates once the event
-// fires, is cancelled, or the struct is recycled. Use it where a hot
-// path needs Schedule's cancellation without its per-call Timer
-// allocation.
-func (k *Kernel) ScheduleFuncRef(delay time.Duration, fn func()) TimerRef {
-	t := k.schedule(k.now+max(delay, 0), fn, false)
-	return TimerRef{t: t, seq: t.seq}
-}
-
-// ScheduleBatch schedules every entry in slice order (so same-instant
-// entries fire FIFO in slice order). Like ScheduleFunc it returns no
-// handles and recycles timers. It is the entry point used by the
-// simulated network for link delivery and by the middleware platform for
-// pub/sub fan-out.
-//
-//repolint:hotpath
-func (k *Kernel) ScheduleBatch(entries []BatchEntry) {
-	for i := range entries {
-		k.schedule(k.now+max(entries[i].Delay, 0), entries[i].Fn, false)
-	}
-}
-
-//repolint:hotpath
-func (k *Kernel) schedule(at time.Duration, fn func(), escaped bool) *Timer {
+func (k *Kernel) Schedule(delay time.Duration, fn func()) TimerRef {
 	if fn == nil {
 		panic("sim: Schedule called with nil function")
 	}
 	k.seq++
-	var t *Timer
+	var t *timer
 	if n := len(k.free); n > 0 {
 		t = k.free[n-1]
 		k.free[n-1] = nil
 		k.free = k.free[:n-1]
 	} else {
-		t = &Timer{kernel: k}
+		t = &timer{kernel: k}
 	}
 	t.seq = k.seq
-	t.at = at
+	t.at = k.now + max(delay, 0)
 	t.fn = fn
-	t.escaped = escaped
 	k.queue.push(t)
-	return t
+	return TimerRef{t: t, seq: t.seq}
+}
+
+// ScheduleFunc is Schedule for callers that never cancel: it returns no
+// handle.
+//
+//repolint:hotpath
+func (k *Kernel) ScheduleFunc(delay time.Duration, fn func()) {
+	k.Schedule(delay, fn)
 }
 
 // Stop aborts any in-progress Run at the next event boundary. Pending
@@ -292,9 +220,7 @@ func (k *Kernel) fire() {
 	k.executed++
 	fn := t.fn
 	t.fn = nil
-	if !t.escaped {
-		k.free = append(k.free, t)
-	}
+	k.free = append(k.free, t)
 	fn()
 }
 

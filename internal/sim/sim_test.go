@@ -64,16 +64,20 @@ func TestNegativeDelayClampsToNow(t *testing.T) {
 	}
 }
 
+// TestScheduleAtPastClamps schedules, from a handler at 10ms, an event
+// for 1ms (a negative delay): it must fire at the current instant, never
+// moving the clock backwards.
 func TestScheduleAtPastClamps(t *testing.T) {
 	k := NewKernel()
+	var firedAt time.Duration = -1
 	k.Schedule(10*time.Millisecond, func() {
-		k.ScheduleAt(time.Millisecond, func() {}) // in the past
+		k.Schedule(time.Millisecond-k.Now(), func() { firedAt = k.Now() })
 	})
 	if _, err := k.Run(); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	if k.Now() != 10*time.Millisecond {
-		t.Fatalf("Now = %v, want 10ms", k.Now())
+	if firedAt != 10*time.Millisecond || k.Now() != 10*time.Millisecond {
+		t.Fatalf("past event fired at %v, Now = %v; want both 10ms", firedAt, k.Now())
 	}
 }
 
@@ -113,6 +117,9 @@ func TestCancel(t *testing.T) {
 	if timer.Cancel() {
 		t.Fatal("second Cancel should report false")
 	}
+	if timer.Pending() {
+		t.Fatal("cancelled timer should not be pending")
+	}
 	if _, err := k.Run(); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -147,16 +154,6 @@ func TestCancelAfterFire(t *testing.T) {
 	}
 	if timer.Pending() {
 		t.Fatal("fired timer should not be pending")
-	}
-}
-
-func TestCancelNil(t *testing.T) {
-	var timer *Timer
-	if timer.Cancel() {
-		t.Fatal("nil timer Cancel should be false")
-	}
-	if timer.Pending() {
-		t.Fatal("nil timer Pending should be false")
 	}
 }
 
@@ -345,14 +342,6 @@ func TestEventLimitAbortsMidBatch(t *testing.T) {
 	}
 }
 
-func TestTimerWhen(t *testing.T) {
-	k := NewKernel()
-	tm := k.Schedule(7*time.Millisecond, func() {})
-	if tm.When() != 7*time.Millisecond {
-		t.Fatalf("When = %v, want 7ms", tm.When())
-	}
-}
-
 func TestStepHonorsStop(t *testing.T) {
 	k := NewKernel()
 	fired := false
@@ -373,32 +362,17 @@ func TestStepHonorsStop(t *testing.T) {
 	}
 }
 
+// TestScheduleFuncFIFOWithSchedule mixes the handle and handle-less
+// calls: one (time, sequence) order covers both, and a negative delay
+// clamps to the current instant.
 func TestScheduleFuncFIFOWithSchedule(t *testing.T) {
 	k := NewKernel()
 	var got []int
-	k.Schedule(time.Millisecond, func() { got = append(got, 1) })
-	k.ScheduleFunc(time.Millisecond, func() { got = append(got, 2) })
-	k.Schedule(time.Millisecond, func() { got = append(got, 3) })
-	if _, err := k.Run(); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	for i, want := range []int{1, 2, 3} {
-		if got[i] != want {
-			t.Fatalf("mixed-path FIFO violated: %v", got)
-		}
-	}
-}
-
-func TestScheduleBatchOrdering(t *testing.T) {
-	k := NewKernel()
-	var got []int
 	k.Schedule(2*time.Millisecond, func() { got = append(got, 10) })
-	k.ScheduleBatch([]BatchEntry{
-		{Delay: 2 * time.Millisecond, Fn: func() { got = append(got, 11) }},
-		{Delay: time.Millisecond, Fn: func() { got = append(got, 12) }},
-		{Delay: 2 * time.Millisecond, Fn: func() { got = append(got, 13) }},
-		{Delay: -time.Second, Fn: func() { got = append(got, 14) }}, // clamps to now
-	})
+	k.ScheduleFunc(2*time.Millisecond, func() { got = append(got, 11) })
+	k.ScheduleFunc(time.Millisecond, func() { got = append(got, 12) })
+	k.Schedule(2*time.Millisecond, func() { got = append(got, 13) })
+	k.ScheduleFunc(-time.Second, func() { got = append(got, 14) })
 	n, err := k.Run()
 	if err != nil {
 		t.Fatalf("Run: %v", err)
@@ -409,41 +383,51 @@ func TestScheduleBatchOrdering(t *testing.T) {
 	want := []int{14, 12, 10, 11, 13}
 	for i := range want {
 		if got[i] != want[i] {
-			t.Fatalf("batch order %v, want %v", got, want)
+			t.Fatalf("mixed-path order %v, want %v", got, want)
 		}
 	}
 }
 
-func TestScheduleBatchNilFuncPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic on nil batch function")
-		}
-	}()
-	NewKernel().ScheduleBatch([]BatchEntry{{Fn: nil}})
-}
-
-// TestFreeListReuse pins the allocation-free steady state: after warm-up,
-// the fire-and-forget path must recycle timers instead of allocating.
+// TestFreeListReuse pins the allocation-free steady state: after
+// warm-up, every timer recycles through the free list, whether it was
+// scheduled with or without a handle and whether it fired or was
+// cancelled.
 func TestFreeListReuse(t *testing.T) {
-	k := NewKernel()
 	fn := func() {}
-	for i := 0; i < 100; i++ {
-		k.ScheduleFunc(time.Duration(i)*time.Microsecond, fn)
+	cycles := []struct {
+		name  string
+		cycle func(t *testing.T, k *Kernel)
+	}{
+		{"ScheduleFunc_Run", func(t *testing.T, k *Kernel) {
+			for i := 0; i < 100; i++ {
+				k.ScheduleFunc(time.Duration(i)*time.Microsecond, fn)
+			}
+			if _, err := k.Run(); err != nil {
+				t.Fatalf("Run: %v", err)
+			}
+		}},
+		{"Schedule_Run", func(t *testing.T, k *Kernel) {
+			for i := 0; i < 100; i++ {
+				k.Schedule(time.Duration(i)*time.Microsecond, fn)
+			}
+			if _, err := k.Run(); err != nil {
+				t.Fatalf("Run: %v", err)
+			}
+		}},
+		{"Schedule_Cancel", func(t *testing.T, k *Kernel) {
+			if !k.Schedule(time.Hour, fn).Cancel() {
+				t.Fatal("Cancel of a pending timer reported false")
+			}
+		}},
 	}
-	if _, err := k.Run(); err != nil {
-		t.Fatalf("warm-up Run: %v", err)
-	}
-	allocs := testing.AllocsPerRun(50, func() {
-		for i := 0; i < 100; i++ {
-			k.ScheduleFunc(time.Duration(i)*time.Microsecond, fn)
-		}
-		if _, err := k.Run(); err != nil {
-			t.Fatalf("Run: %v", err)
-		}
-	})
-	if allocs > 1 {
-		t.Fatalf("steady-state ScheduleFunc+Run allocates %.1f per 100-event cycle, want ~0", allocs)
+	for _, c := range cycles {
+		t.Run(c.name, func(t *testing.T) {
+			k := NewKernel()
+			c.cycle(t, k) // warm-up: fills the free list
+			if allocs := testing.AllocsPerRun(50, func() { c.cycle(t, k) }); allocs != 0 {
+				t.Fatalf("steady-state %s allocates %.1f per cycle, want 0", c.name, allocs)
+			}
+		})
 	}
 }
 
@@ -502,12 +486,20 @@ func TestExecutedCounter(t *testing.T) {
 }
 
 func TestNilFuncPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic on nil function")
-		}
-	}()
-	NewKernel().Schedule(0, nil)
+	calls := map[string]func(k *Kernel){
+		"Schedule":     func(k *Kernel) { k.Schedule(0, nil) },
+		"ScheduleFunc": func(k *Kernel) { k.ScheduleFunc(0, nil) },
+	}
+	for name, call := range calls {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: expected panic on nil function", name)
+				}
+			}()
+			call(NewKernel())
+		}()
+	}
 }
 
 // Property: for any set of non-negative delays, events fire in
@@ -545,7 +537,7 @@ func TestPropertyCancelSubset(t *testing.T) {
 	prop := func(delays []uint8, mask []bool) bool {
 		k := NewKernel()
 		fired := 0
-		var timers []*Timer
+		var timers []TimerRef
 		for _, d := range delays {
 			timers = append(timers, k.Schedule(time.Duration(d)*time.Millisecond, func() { fired++ }))
 		}
@@ -580,30 +572,6 @@ func BenchmarkScheduleRun(b *testing.B) {
 	}
 }
 
-func TestScheduleFuncRefCancel(t *testing.T) {
-	k := NewKernel()
-	fired := false
-	ref := k.ScheduleFuncRef(time.Second, func() { fired = true })
-	if !ref.Pending() {
-		t.Fatal("ref should be pending")
-	}
-	if !ref.Cancel() {
-		t.Fatal("Cancel should report true for pending ref")
-	}
-	if ref.Cancel() {
-		t.Fatal("second Cancel should report false")
-	}
-	if ref.Pending() {
-		t.Fatal("cancelled ref should not be pending")
-	}
-	if _, err := k.Run(); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	if fired {
-		t.Fatal("cancelled ref fired")
-	}
-}
-
 func TestTimerRefZeroValueInert(t *testing.T) {
 	var ref TimerRef
 	if ref.Cancel() {
@@ -615,45 +583,37 @@ func TestTimerRefZeroValueInert(t *testing.T) {
 }
 
 // TestTimerRefStaleAfterRecycle pins the aliasing guarantee: once a
-// fire-and-forget timer fires and its struct is recycled into a later
-// event, a retained ref to the earlier event must be inert — it must not
-// cancel (or report pending for) the recycled timer.
+// timer fires or is cancelled and is recycled into a later event, a
+// retained ref to the earlier event must be inert — it must not cancel
+// (or report pending for) the recycled timer.
 func TestTimerRefStaleAfterRecycle(t *testing.T) {
 	k := NewKernel()
-	ref := k.ScheduleFuncRef(0, func() {})
+	firedRef := k.Schedule(0, func() {})
 	if _, err := k.Run(); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	if ref.Cancel() {
+	if firedRef.Cancel() {
 		t.Fatal("Cancel after fire should report false")
 	}
-	// Burn through the free list until the original struct is reused.
+	cancelledRef := k.Schedule(time.Hour, func() { t.Error("cancelled event fired") })
+	if !cancelledRef.Cancel() {
+		t.Fatal("Cancel of a pending timer reported false")
+	}
+	// Burn through the free list until both original timers are reused.
 	fired := 0
 	for i := 0; i < 16; i++ {
-		k.ScheduleFuncRef(0, func() { fired++ })
+		k.Schedule(0, func() { fired++ })
 	}
-	if ref.Cancel() || ref.Pending() {
-		t.Fatal("stale ref must stay inert after its timer is recycled")
+	for _, ref := range []TimerRef{firedRef, cancelledRef} {
+		if ref.Cancel() || ref.Pending() {
+			t.Fatal("stale ref must stay inert after its timer is recycled")
+		}
 	}
 	if _, err := k.Run(); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
 	if fired != 16 {
 		t.Fatalf("stale ref cancelled a recycled timer: fired %d of 16", fired)
-	}
-}
-
-// TestScheduleFuncRefRecycles verifies the ref path still rides the free
-// list: an arm/fire/re-arm loop must not allocate at steady state.
-func TestScheduleFuncRefRecycles(t *testing.T) {
-	k := NewKernel()
-	allocs := testing.AllocsPerRun(1000, func() {
-		ref := k.ScheduleFuncRef(0, func() {})
-		_ = ref
-		k.Step()
-	})
-	if allocs > 0 {
-		t.Fatalf("ScheduleFuncRef+Step allocated %.1f per op, want 0", allocs)
 	}
 }
 
@@ -668,7 +628,7 @@ func TestScheduleFuncRefCancelInBatch(t *testing.T) {
 			t.Error("same-instant Cancel should report true")
 		}
 	})
-	ref = k.ScheduleFuncRef(time.Millisecond, func() { fired = true })
+	ref = k.Schedule(time.Millisecond, func() { fired = true })
 	if _, err := k.Run(); err != nil {
 		t.Fatalf("Run: %v", err)
 	}

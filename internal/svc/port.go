@@ -296,7 +296,7 @@ func (o *opHandler[Req, Resp]) dispatch(args codec.MsgView, reply middleware.Rep
 // handler and be called asynchronously, but must be invoked at most once
 // and never retained past its invocation — the continuation is pooled
 // per operation, so this is the same class of contract as the
-// wire-buffer aliasing rules on network.Handler. The safety net: a
+// wire-buffer aliasing rules on network.SlotHandler. The safety net: a
 // duplicate call on a cell that has not been re-armed is a no-op (a cell
 // whose respond escaped the handler is never re-armed, so the async path
 // is fully guarded); only a handler that responds synchronously, retains
