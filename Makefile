@@ -89,14 +89,14 @@ bench-regression:
 
 # The CI fuzz job, locally (bounded).
 fuzz:
-	$(GO) test -fuzz FuzzKernelOrdering -fuzztime 60s -run XXX ./internal/sim
-	$(GO) test -fuzz FuzzCodecRoundTrip -fuzztime 60s -run XXX ./internal/codec
-	$(GO) test -fuzz FuzzSDLRoundTrip -fuzztime 60s -run XXX ./internal/sdl
-	$(GO) test -fuzz FuzzPlatformWire -fuzztime 60s -run XXX ./internal/middleware
-	$(GO) test -fuzz FuzzReliableReceive -fuzztime 60s -run XXX ./internal/protocol
-	$(GO) test -fuzz FuzzFramingReassembly -fuzztime 60s -run XXX ./internal/protocol
-	$(GO) test -fuzz FuzzEntityReceive -fuzztime 60s -run XXX ./internal/floorcontrol
-	$(GO) test -fuzz FuzzBandfileParse -fuzztime 60s -run XXX ./internal/bandfile
+	$(GO) test -fuzz FuzzKernelOrdering -fuzztime 60s -fuzzminimizetime 1s -run XXX ./internal/sim
+	$(GO) test -fuzz FuzzCodecRoundTrip -fuzztime 60s -fuzzminimizetime 1s -run XXX ./internal/codec
+	$(GO) test -fuzz FuzzSDLRoundTrip -fuzztime 60s -fuzzminimizetime 1s -run XXX ./internal/sdl
+	$(GO) test -fuzz FuzzPlatformWire -fuzztime 60s -fuzzminimizetime 1s -run XXX ./internal/middleware
+	$(GO) test -fuzz FuzzReliableReceive -fuzztime 60s -fuzzminimizetime 1s -run XXX ./internal/protocol
+	$(GO) test -fuzz FuzzFramingReassembly -fuzztime 60s -fuzzminimizetime 1s -run XXX ./internal/protocol
+	$(GO) test -fuzz FuzzEntityReceive -fuzztime 60s -fuzzminimizetime 1s -run XXX ./internal/floorcontrol
+	$(GO) test -fuzz FuzzBandfileParse -fuzztime 60s -fuzzminimizetime 1s -run XXX ./internal/bandfile
 
 # Coverage profile + per-function summary (the CI coverage job).
 cover:

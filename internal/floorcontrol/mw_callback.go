@@ -110,6 +110,8 @@ type callbackController struct {
 	// so a grant issued later (when a waiter is promoted on free) echoes
 	// the request it answers.
 	reqSeq map[string]uint64
+	// grantSends recycles the churn retry records of grant.
+	grantSends freeList[grantSend]
 }
 
 // export hosts the controller's typed operations at ctrlNode.
@@ -198,21 +200,47 @@ func (c *callbackController) free(a ctrlArgs, respond func(ack, error)) {
 // re-arms it after a poll interval. Redelivery is safe because the
 // subscriber dedups grants by Seq when the first copy did land.
 func (c *callbackController) grant(sub, res string, seq uint64) {
-	home := c.home
-	var cont func(ack, error)
-	if c.env.Churn {
-		cont = func(_ ack, err error) {
-			switch {
-			case err == nil:
-			case retryable(err):
-				c.env.Time.ScheduleFunc(c.env.PollInterval, func() { c.grant(sub, res, seq) })
-			default:
-				panic(fmt.Sprintf("floorcontrol: grant to %q: %v", sub, err))
-			}
-		}
+	if !c.env.Churn {
+		(&grantSend{c: c, sub: sub, res: res, seq: seq}).send()
+		return
 	}
-	if err := c.grants[sub].Call(home, grantArgs{Res: res, Seq: seq}, cont); err != nil {
-		panic(fmt.Sprintf("floorcontrol: grant to %q: %v", sub, err))
+	g := c.grantSends.pop()
+	if g == nil {
+		g = &grantSend{c: c}
+		g.cont, g.resend = g.done, g.send
+	}
+	g.sub, g.res, g.seq = sub, res, seq
+	g.send()
+}
+
+// grantSend is one logical grant: its subscriber, resource and Seq, and
+// under churn the continuation and re-arm function, bound once per
+// record (callbackController.grantSends recycles them). Fault-free, cont
+// is nil. Every attempt goes from the controller's current home, so a
+// retry after a failover leaves from the standby.
+type grantSend struct {
+	c        *callbackController
+	sub, res string
+	seq      uint64
+	cont     func(ack, error) // = g.done
+	resend   func()           // = g.send
+}
+
+func (g *grantSend) send() {
+	c := g.c
+	if err := c.grants[g.sub].Call(c.home, grantArgs{Res: g.res, Seq: g.seq}, g.cont); err != nil {
+		panic(fmt.Sprintf("floorcontrol: grant to %q: %v", g.sub, err))
+	}
+}
+
+func (g *grantSend) done(_ ack, err error) {
+	switch {
+	case err == nil:
+		g.c.grantSends.push(g)
+	case retryable(err):
+		g.c.env.Time.ScheduleFunc(g.c.env.PollInterval, g.resend)
+	default:
+		panic(fmt.Sprintf("floorcontrol: grant to %q: %v", g.sub, err))
 	}
 }
 

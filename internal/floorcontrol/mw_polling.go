@@ -206,7 +206,8 @@ type mwPollingPart struct {
 	isAvailable *svc.Port[ctrlArgs, availReply]
 	free        *svc.Port[ctrlArgs, ack]
 
-	seq uint64 // submission counter (churn only)
+	seq   uint64             // submission counter (churn only)
+	loops freeList[pollLoop] // recycled acquire loops
 }
 
 var _ AppPart = (*mwPollingPart)(nil)
@@ -228,25 +229,55 @@ func (p *mwPollingPart) Acquire(res string, done func()) {
 // the test-and-set is idempotent per acquire because the controller keys
 // the holder by Seq, so a lost true reply is recovered by the next probe.
 func (p *mwPollingPart) poll(res string, done func(), seq uint64) {
-	err := p.isAvailable.Call(middleware.Addr(p.sub), ctrlArgs{Sub: p.sub, Res: res, Seq: seq},
-		func(result availReply, err error) {
-			if err != nil {
-				if p.env.Churn && retryable(err) {
-					p.env.Time.ScheduleFunc(p.env.PollInterval, func() { p.poll(res, done, seq) })
-					return
-				}
-				panic(fmt.Sprintf("floorcontrol: is_available from %q: %v", p.sub, err))
-			}
-			if result.Available {
-				p.env.observe(p.sub, PrimGranted, res)
-				done()
-				return
-			}
-			p.env.Time.ScheduleFunc(p.env.PollInterval, func() { p.poll(res, done, seq) })
-		})
-	if err != nil {
+	l := p.loops.pop()
+	if l == nil {
+		l = &pollLoop{p: p}
+		l.cont, l.repoll = l.reply, l.probe
+	}
+	l.res, l.done, l.seq = res, done, seq
+	l.probe()
+}
+
+// pollLoop is one logical acquire's polling loop: the acquire's resource,
+// completion and Seq, and the probe continuation and re-poll function,
+// bound once per record (mwPollingPart.loops recycles them), so a probe
+// allocates nothing in steady state.
+type pollLoop struct {
+	p      *mwPollingPart
+	res    string
+	done   func()
+	seq    uint64
+	cont   func(availReply, error) // = l.reply
+	repoll func()                  // = l.probe
+}
+
+func (l *pollLoop) probe() {
+	p := l.p
+	if err := p.isAvailable.Call(middleware.Addr(p.sub), ctrlArgs{Sub: p.sub, Res: l.res, Seq: l.seq}, l.cont); err != nil {
 		panic(fmt.Sprintf("floorcontrol: is_available invoke from %q: %v", p.sub, err))
 	}
+}
+
+// reply handles one probe's outcome. A grant recycles the loop before
+// done runs, so an Acquire from inside done may reuse it.
+func (l *pollLoop) reply(result availReply, err error) {
+	p := l.p
+	if err != nil {
+		if p.env.Churn && retryable(err) {
+			p.env.Time.ScheduleFunc(p.env.PollInterval, l.repoll)
+			return
+		}
+		panic(fmt.Sprintf("floorcontrol: is_available from %q: %v", p.sub, err))
+	}
+	if result.Available {
+		res, done := l.res, l.done
+		l.done = nil
+		p.loops.push(l)
+		p.env.observe(p.sub, PrimGranted, res)
+		done()
+		return
+	}
+	p.env.Time.ScheduleFunc(p.env.PollInterval, l.repoll)
 }
 
 // Release implements AppPart.

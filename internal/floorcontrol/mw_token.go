@@ -135,6 +135,7 @@ type mwTokenPart struct {
 	wantDone  func()
 	toRelease []string
 	seenGen   uint64 // highest token generation accepted (churn only)
+	hops      freeList[tokenHop]
 }
 
 var _ AppPart = (*mwTokenPart)(nil)
@@ -196,36 +197,62 @@ func (p *mwTokenPart) onToken(avail []string, gen uint64) {
 		p.env.observe(p.sub, PrimGranted, grantedRes)
 		granted()
 	}
-	forward := append([]string(nil), avail...)
-	nextGen := gen
-	if gen != 0 {
-		nextGen = gen + 1
+	h := p.hops.pop()
+	if h == nil {
+		h = &tokenHop{p: p}
+		h.cont, h.forward = h.done, h.pass
 	}
-	p.env.Time.ScheduleFunc(p.env.TokenHopDelay, func() { p.forward(forward, nextGen) })
+	h.avail = append(h.avail[:0], avail...)
+	h.gen = gen
+	if gen != 0 {
+		h.gen = gen + 1
+	}
+	p.env.Time.ScheduleFunc(p.env.TokenHopDelay, h.forward)
 }
 
-// forward passes the token to the ring successor. Fault-free, a
-// submission failure is a deployment bug and panics. Under churn the
-// token is the single carrier of liveness, so a transient pass failure —
-// successor down, this part's own node down (a crashed node cannot
-// transmit, so the platform fails its invokes fast), or the pass
-// interrupted by a crash — is retried with the same generation after a
-// hop delay; the successor's generation dedup makes redelivery safe when
-// the first copy did land.
-func (p *mwTokenPart) forward(avail []string, gen uint64) {
+// tokenHop is one forward of the token: the list and generation it
+// carries, and the pass continuation and the forward function, bound
+// once per record (mwTokenPart.hops recycles them), so a hop and its
+// retries allocate nothing in steady state. Fault-free, no continuation
+// is passed and the record is recycled as soon as the pass is sent.
+type tokenHop struct {
+	p       *mwTokenPart
+	avail   []string
+	gen     uint64
+	cont    func(ack, error) // = h.done
+	forward func()           // = h.pass
+}
+
+// pass passes the token to the ring successor. Fault-free, a submission
+// failure is a deployment bug and panics. Under churn the token is the
+// single carrier of liveness, so a transient pass failure — successor
+// down, this part's own node down (a crashed node cannot transmit, so
+// the platform fails its invokes fast), or the pass interrupted by a
+// crash — is retried with the same generation after a hop delay; the
+// successor's generation dedup makes redelivery safe when the first
+// copy did land.
+func (h *tokenHop) pass() {
+	p := h.p
 	var cont func(ack, error)
 	if p.env.Churn {
-		cont = func(_ ack, err error) {
-			switch {
-			case err == nil:
-			case retryable(err):
-				p.env.Time.ScheduleFunc(p.env.TokenHopDelay, func() { p.forward(avail, gen) })
-			default:
-				panic(fmt.Sprintf("floorcontrol: pass from %q to %q: %v", p.sub, p.next, err))
-			}
-		}
+		cont = h.cont
 	}
-	if err := p.pass.Call(middleware.Addr(p.sub), tokenArgs{Available: avail, Gen: gen}, cont); err != nil {
+	if err := p.pass.Call(middleware.Addr(p.sub), tokenArgs{Available: h.avail, Gen: h.gen}, cont); err != nil {
+		panic(fmt.Sprintf("floorcontrol: pass from %q to %q: %v", p.sub, p.next, err))
+	}
+	if cont == nil {
+		p.hops.push(h)
+	}
+}
+
+func (h *tokenHop) done(_ ack, err error) {
+	p := h.p
+	switch {
+	case err == nil:
+		p.hops.push(h)
+	case retryable(err):
+		p.env.Time.ScheduleFunc(p.env.TokenHopDelay, h.forward)
+	default:
 		panic(fmt.Sprintf("floorcontrol: pass from %q to %q: %v", p.sub, p.next, err))
 	}
 }

@@ -87,6 +87,8 @@ type Env struct {
 	// scratch buffer observe encodes params into.
 	names  resNames
 	obsBuf paramBuf
+	// ctrlSends recycles the churn retry records of sendCtrl.
+	ctrlSends freeList[ctrlSend]
 }
 
 // observe reports a service-primitive execution at a subscriber's SAP to
@@ -188,6 +190,25 @@ func retryable(err error) bool {
 	return errors.Is(err, svc.ErrUnavailable) || errors.Is(err, svc.ErrTimeout)
 }
 
+// freeList recycles the records of churn retry loops. A record is built
+// with its continuation and re-arm function bound once, and returns to
+// its list when its logical send is through, so a retry, and in steady
+// state a whole loop, allocates nothing.
+type freeList[T any] struct{ free []*T }
+
+// pop returns a recycled record, or nil when there is none.
+func (l *freeList[T]) pop() *T {
+	n := len(l.free)
+	if n == 0 {
+		return nil
+	}
+	r := l.free[n-1]
+	l.free = l.free[:n-1]
+	return r
+}
+
+func (l *freeList[T]) push(r *T) { l.free = append(l.free, r) }
+
 // sendCtrl invokes a void controller operation through a shared typed
 // port. Fault-free, a submission failure is a deployment bug and panics.
 // Under churn a transient failure — controller crashed and not yet
@@ -198,20 +219,46 @@ func retryable(err error) bool {
 // submission is safe because the controllers dedup stamped submissions
 // (seenSeqs) and acknowledge duplicates as successes.
 func sendCtrl(env *Env, port *svc.Port[ctrlArgs, ack], from middleware.Addr, args ctrlArgs, op string) {
-	var cont func(ack, error)
-	if env.Churn {
-		cont = func(_ ack, err error) {
-			switch {
-			case err == nil:
-			case retryable(err):
-				env.Time.ScheduleFunc(env.PollInterval, func() { sendCtrl(env, port, from, args, op) })
-			default:
-				panic(fmt.Sprintf("floorcontrol: %s from %q: %v", op, from, err))
-			}
-		}
+	if !env.Churn {
+		(&ctrlSend{port: port, from: from, args: args, op: op}).send()
+		return
 	}
-	if err := port.Call(from, args, cont); err != nil {
-		panic(fmt.Sprintf("floorcontrol: %s from %q: %v", op, from, err))
+	s := env.ctrlSends.pop()
+	if s == nil {
+		s = &ctrlSend{env: env}
+		s.cont, s.resend = s.done, s.send
+	}
+	s.port, s.from, s.args, s.op = port, from, args, op
+	s.send()
+}
+
+// ctrlSend is one logical controller submission: what a retry resends,
+// and under churn the continuation and re-arm function, bound once per
+// record (Env.ctrlSends recycles them). Fault-free, cont is nil.
+type ctrlSend struct {
+	env    *Env
+	port   *svc.Port[ctrlArgs, ack]
+	from   middleware.Addr
+	args   ctrlArgs
+	op     string
+	cont   func(ack, error) // = s.done
+	resend func()           // = s.send
+}
+
+func (s *ctrlSend) send() {
+	if err := s.port.Call(s.from, s.args, s.cont); err != nil {
+		panic(fmt.Sprintf("floorcontrol: %s from %q: %v", s.op, s.from, err))
+	}
+}
+
+func (s *ctrlSend) done(_ ack, err error) {
+	switch {
+	case err == nil:
+		s.env.ctrlSends.push(s)
+	case retryable(err):
+		s.env.Time.ScheduleFunc(s.env.PollInterval, s.resend)
+	default:
+		panic(fmt.Sprintf("floorcontrol: %s from %q: %v", s.op, s.from, err))
 	}
 }
 

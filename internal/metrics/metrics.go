@@ -14,6 +14,7 @@ package metrics
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -108,30 +109,29 @@ func (h *Histogram) Add(d time.Duration) {
 // compactLevel sorts level i and promotes alternating elements (weight
 // doubled) to level i+1, cascading if that level overflows. An odd
 // trailing element stays behind so total weight is preserved exactly.
+// Promoted elements are appended straight into level i+1 and level i is
+// reset in place, so once every level has grown to its working size,
+// compaction allocates nothing.
 func (h *Histogram) compactLevel(i int) {
 	lv := h.levels[i]
-	sortInt64s(lv)
+	slices.Sort(lv)
 	pairs := lv
-	var hold int64
 	odd := len(lv)%2 == 1
 	if odd {
-		hold = lv[len(lv)-1]
 		pairs = lv[:len(lv)-1]
 	}
 	off := int((h.coins >> uint(i)) & 1)
 	h.coins ^= 1 << uint(i)
-	promoted := make([]int64, 0, len(pairs)/2)
-	for j := off; j < len(pairs); j += 2 {
-		promoted = append(promoted, pairs[j])
-	}
-	h.levels[i] = h.levels[i][:0]
-	if odd {
-		h.levels[i] = append(h.levels[i], hold)
-	}
 	if i+1 >= len(h.levels) {
-		h.levels = append(h.levels, nil)
+		h.levels = append(h.levels, make([]int64, 0, len(pairs)/2))
 	}
-	h.levels[i+1] = append(h.levels[i+1], promoted...)
+	for j := off; j < len(pairs); j += 2 {
+		h.levels[i+1] = append(h.levels[i+1], pairs[j])
+	}
+	h.levels[i] = lv[:0]
+	if odd {
+		h.levels[i] = append(h.levels[i], lv[len(lv)-1])
+	}
 	h.compacted = true
 	if len(h.levels[i+1]) > sketchK {
 		h.compactLevel(i + 1)
@@ -184,7 +184,7 @@ func (h *Histogram) StdDev() time.Duration {
 // (exact-mode fast path, used only before any compaction).
 func (h *Histogram) ensureSorted0() {
 	if !h.sorted0 {
-		sortInt64s(h.levels[0])
+		slices.Sort(h.levels[0])
 		h.sorted0 = true
 	}
 }
@@ -283,11 +283,6 @@ func (h *Histogram) Summary() string {
 		h.P95().Round(time.Microsecond),
 		h.Max().Round(time.Microsecond),
 		h.Count())
-}
-
-// sortInt64s sorts an int64 slice ascending.
-func sortInt64s(xs []int64) {
-	sort.Slice(xs, func(i, j int) bool { return xs[i] < xs[j] })
 }
 
 // Table accumulates rows and renders them with aligned columns — the

@@ -2,6 +2,7 @@ package metrics
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -31,7 +32,7 @@ func TestSketchExactBelowK(t *testing.T) {
 		ref = append(ref, v)
 	}
 	sorted := append([]int64(nil), ref...)
-	sortInt64s(sorted)
+	slices.Sort(sorted)
 	for q := 0.0; q <= 1.0; q += 0.001 {
 		got := int64(h.Quantile(q))
 		want := exactQuantile(sorted, q)
@@ -91,7 +92,7 @@ func TestSketchErrorBound(t *testing.T) {
 				h.Add(time.Duration(v))
 				ref = append(ref, v)
 			}
-			sortInt64s(ref)
+			slices.Sort(ref)
 			bound := int(errBound(int64(tc.n)))
 			if bound <= 0 {
 				t.Fatalf("%s: errBound(%d) = %d, want positive past sketchK", tc.name, tc.n, bound)
@@ -156,6 +157,54 @@ func TestHistogramMemoryFlat(t *testing.T) {
 	}
 	if got, limit := h.retained(), 12*sketchK; got > limit {
 		t.Fatalf("retained %d raw values after %d adds, want <= %d", got, n, limit)
+	}
+}
+
+// TestSketchQuantilesPinned pins Quantile at n = 2^20 for a fixed
+// sequence, with one query midway, to recorded values: how a level's
+// storage is managed during compaction must not move a single quantile.
+func TestSketchQuantilesPinned(t *testing.T) {
+	rng := rand.New(rand.NewSource(2024))
+	var h Histogram
+	for i := 0; i < 1<<20; i++ {
+		h.Add(time.Duration(rng.Int63n(1e9)))
+		if i == 1<<19 {
+			if got := h.P50(); got != 498783310 {
+				t.Fatalf("midway P50 = %d, want 498783310", got)
+			}
+		}
+	}
+	for _, c := range []struct {
+		q    float64
+		want time.Duration
+	}{
+		{0, 964}, {0.001, 1101482}, {0.01, 9868980}, {0.1, 99393365},
+		{0.25, 248933438}, {0.5, 499188227}, {0.75, 750234690}, {0.9, 900090495},
+		{0.95, 950031974}, {0.99, 990154174}, {0.999, 998900201}, {1, 999999261},
+	} {
+		if got := h.Quantile(c.q); got != c.want {
+			t.Errorf("Quantile(%v) = %d, want %d", c.q, got, c.want)
+		}
+	}
+}
+
+// TestHistogramAddAllocatesNothing pins that compaction reuses the
+// levels' storage: once a histogram's levels exist and have grown to
+// their working size, Add allocates nothing, compactions included.
+func TestHistogramAddAllocatesNothing(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	var h Histogram
+	for i := 0; i < 1<<18; i++ {
+		h.Add(time.Duration(rng.Int63n(1e9)))
+	}
+	// Each run makes 2^13 adds, at least one level-0 compaction.
+	allocs := testing.AllocsPerRun(16, func() {
+		for i := 0; i < 1<<13; i++ {
+			h.Add(time.Duration(rng.Int63n(1e9)))
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("2^13 adds allocate %.0f, want 0", allocs)
 	}
 }
 

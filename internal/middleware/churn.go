@@ -3,7 +3,7 @@ package middleware
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/codec"
 )
@@ -13,8 +13,20 @@ import (
 // fast with this error instead of burning the full call timeout; pending
 // calls whose callee crashes mid-flight are failed the moment the crash
 // is observed (NodeDown). Callers distinguish it from ErrCallTimeout to
-// drive retry/rebind policy.
+// drive retry/rebind policy; svc.ErrUnavailable is this same value.
+//
+// A failed call receives one of its node's two wrapping errors,
+// "<node> is down" (invoked while down) or "<node> crashed" (pending when
+// it went down). Each node's pair is built once, the first time the node
+// goes down, and shared by every call that fails on it, so failing a call
+// allocates nothing.
 var ErrUnavailable = errors.New("middleware: node unavailable")
+
+// unavailErrs is one node's pair of ErrUnavailable errors.
+type unavailErrs struct {
+	down    error // "<node> is down": failFast
+	crashed error // "<node> crashed": NodeDown
+}
 
 // NodeDown marks a platform node as crashed. Every pending RPC whose
 // callee OR caller is hosted there fails immediately with ErrUnavailable:
@@ -33,13 +45,23 @@ func (p *Platform) NodeDown(node Addr) {
 		return
 	}
 	p.downNodes[id] = true
+	for int(id) >= len(p.unavail) {
+		p.unavail = append(p.unavail, unavailErrs{})
+	}
+	if p.unavail[id].down == nil {
+		p.unavail[id] = unavailErrs{
+			down:    fmt.Errorf("%w: %s is down", ErrUnavailable, node),
+			crashed: fmt.Errorf("%w: %s crashed", ErrUnavailable, node),
+		}
+	}
+	crashed := p.unavail[id].crashed
 	var ids []uint64
 	for cid, pc := range p.pending {
 		if pc.node == id || pc.caller == id {
 			ids = append(ids, cid)
 		}
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	slices.Sort(ids)
 	conts := make([]func(codec.MsgView, error), 0, len(ids))
 	for _, cid := range ids {
 		pc := p.pending[cid]
@@ -50,7 +72,7 @@ func (p *Platform) NodeDown(node Addr) {
 	}
 	p.stats.Unavailables += uint64(len(conts))
 	for _, cont := range conts {
-		cont(codec.MsgView{}, fmt.Errorf("%w: %s crashed", ErrUnavailable, node))
+		cont(codec.MsgView{}, crashed)
 	}
 }
 

@@ -234,22 +234,33 @@ type registration struct {
 // the caller node id lets it fail calls whose client crashed — the
 // restarted incarnation has no client-side call state either, so the
 // reply could never be consumed. Cells are pooled on the platform's free
-// list; the timeout closure is built once per cell, so arming a call
-// timeout allocates nothing in steady state. A cell returns to the pool
-// only once its call is resolved and its timer cancelled or fired, so
-// no live timer can reach a re-armed cell.
+// list; the timeout and fail-fast functions are built once per cell, so
+// arming a call timeout or failing a call fast allocates nothing in
+// steady state. A cell returns to the pool only once its call is
+// resolved and its timer cancelled or fired, so no live timer can reach
+// a re-armed cell.
 type pendingCall struct {
 	p         *Platform
 	id        uint64
 	cont      func(codec.MsgView, error)
 	timer     sim.TimerRef // call timeout; zero ref = none armed
-	node      int32        // callee's platform node id
+	node      int32        // callee's platform node id; a fail-fast cell's down node
 	caller    int32        // caller's platform node id
 	onTimeout func()       // = c.timeout, built once
+	onFail    func()       // = c.fail, built once
 	next      *pendingCall
 }
 
 func (c *pendingCall) timeout() { c.p.onCallTimeout(c.id) }
+
+// fail runs a fail-fast cell's continuation with its down node's "is
+// down" error, recycling the cell first so a reentrant Invoke may reuse
+// it.
+func (c *pendingCall) fail() {
+	cont, err := c.cont, c.p.unavail[c.node].down
+	c.p.putCall(c)
+	cont(codec.MsgView{}, err)
+}
 
 // getCall pops (or creates) a pending-call cell.
 func (p *Platform) getCall() *pendingCall {
@@ -261,6 +272,7 @@ func (p *Platform) getCall() *pendingCall {
 	}
 	c = &pendingCall{p: p}
 	c.onTimeout = c.timeout
+	c.onFail = c.fail
 	return c
 }
 
@@ -369,6 +381,7 @@ type Platform struct {
 	eventSinks [][]eventSink // node id → topic subscriptions at that node
 	queueSinks [][]queueSink // node id → consumed queues at that node
 	downNodes  []bool        // node id → marked down by NodeDown
+	unavail    []unavailErrs // node id → its ErrUnavailable errors; grown by NodeDown
 
 	pending   map[uint64]*pendingCall
 	nextCall  uint64

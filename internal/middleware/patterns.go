@@ -116,16 +116,20 @@ func discardReply([]byte, error) {}
 // that belongs on the continuation. The caller's own node being down
 // fails the same way — a crashed node cannot transmit, so letting the
 // call proceed would leak a request the wire silently drops and a
-// pending entry nothing ever resolves.
+// pending entry nothing ever resolves. The continuation rides a pooled
+// call cell, and the error is the down node's shared "is down" value, so
+// failing a call allocates nothing in steady state.
+//
+//repolint:hotpath
 func (p *Platform) failFast(calleeID, callerID int32, cont func(codec.MsgView, error)) {
-	down := p.transport.EndpointAddr(calleeID)
+	down := calleeID
 	if p.downNodes[callerID] {
-		down = p.transport.EndpointAddr(callerID)
+		down = callerID
 	}
 	p.stats.Unavailables++
-	p.kern.ScheduleFunc(0, func() {
-		cont(codec.MsgView{}, fmt.Errorf("%w: %s is down", ErrUnavailable, down))
-	})
+	c := p.getCall()
+	c.cont, c.node = cont, down
+	p.kern.ScheduleFunc(0, c.onFail)
 }
 
 func (p *Platform) onCallTimeout(id uint64) {

@@ -56,7 +56,7 @@ type Option func(*Kernel)
 // WithSeed sets the seed of the kernel's deterministic random source.
 // The default seed is 1.
 func WithSeed(seed int64) Option {
-	return func(k *Kernel) { k.rng = rand.New(rand.NewSource(seed)) }
+	return func(k *Kernel) { k.seed = seed }
 }
 
 // WithEventLimit bounds the total number of events a single Run call may
@@ -119,17 +119,20 @@ type Kernel struct {
 	queue      timerHeap
 	free       []*timer // recycled timers
 	rng        *rand.Rand
+	seed       int64 // of rng, set by WithSeed
 	eventLimit int
 	stopped    bool
 	executed   uint64
 }
 
-// NewKernel returns a kernel at virtual time zero.
+// NewKernel returns a kernel at virtual time zero. Its random source is
+// built once, after the options have set the seed.
 func NewKernel(opts ...Option) *Kernel {
-	k := &Kernel{rng: rand.New(rand.NewSource(1))}
+	k := &Kernel{seed: 1}
 	for _, opt := range opts {
 		opt(k)
 	}
+	k.rng = rand.New(rand.NewSource(k.seed))
 	return k
 }
 

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"errors"
+	"math/rand"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -428,6 +429,35 @@ func TestFreeListReuse(t *testing.T) {
 				t.Fatalf("steady-state %s allocates %.1f per cycle, want 0", c.name, allocs)
 			}
 		})
+	}
+}
+
+// TestSeedStream pins the kernel's random source: NewKernel(WithSeed(s))
+// draws the stream of rand.New(rand.NewSource(s)), and a kernel without
+// WithSeed draws seed 1's. The source is built once, after the options,
+// so a seeded kernel costs no more allocation than an unseeded one.
+func TestSeedStream(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		k    *Kernel
+		seed int64
+	}{
+		{"default", NewKernel(), 1},
+		{"seed 42", NewKernel(WithSeed(42)), 42},
+		{"seed -7", NewKernel(WithSeed(-7), WithEventLimit(5)), -7},
+		{"last seed wins", NewKernel(WithSeed(3), WithSeed(9)), 9},
+	} {
+		want := rand.New(rand.NewSource(c.seed))
+		for i := 0; i < 100; i++ {
+			if got, w := c.k.Rand().Int63(), want.Int63(); got != w {
+				t.Fatalf("%s: draw %d = %d, want %d", c.name, i, got, w)
+			}
+		}
+	}
+	unseeded := testing.AllocsPerRun(20, func() { NewKernel() })
+	seeded := testing.AllocsPerRun(20, func() { NewKernel(WithSeed(42)) })
+	if seeded > unseeded+1 { // +1: the option's closure
+		t.Errorf("NewKernel(WithSeed) allocates %.0f, NewKernel %.0f: the source is built twice", seeded, unseeded)
 	}
 }
 

@@ -146,3 +146,69 @@ func TestExportRebindFailover(t *testing.T) {
 		t.Fatalf("Resolve = %q/%v, want node-t", home, ok)
 	}
 }
+
+// TestFailedCallAllocatesNothing pins the fail-fast path of a port call
+// to a down node: once warm, the call, its trip through the kernel to
+// the continuation and a retry policy's errors.Is checks allocate
+// nothing. The error is both svc.ErrUnavailable and
+// middleware.ErrUnavailable, and it names the down node: the callee, or
+// the caller when the caller's own node is down. A call pending when its
+// callee goes down fails with the node's "crashed" error instead.
+func TestFailedCallAllocatesNothing(t *testing.T) {
+	k, p := stack(t, middleware.ProfileRMILike)
+	b := bound(t, p, middleware.PatternRPC)
+	exportEcho(t, b)
+	port, err := svc.NewPort(b, "server", "ping", encPing, decPing)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// A call pending when the callee goes down.
+	var crashedErr error
+	if err := port.Call("node-c", pingReq{N: 1}, func(_ pingResp, e error) { crashedErr = e }); err != nil {
+		t.Fatal(err)
+	}
+	p.NodeDown("node-s")
+	if got, want := crashedErr.Error(), "middleware: node unavailable: node-s crashed"; got != want {
+		t.Fatalf("crashed error = %q, want %q", got, want)
+	}
+
+	var failed int
+	var lastErr error
+	cont := func(_ pingResp, e error) {
+		if errors.Is(e, svc.ErrUnavailable) || errors.Is(e, svc.ErrTimeout) {
+			failed++
+		}
+		lastErr = e
+	}
+	call := func() {
+		if err := port.Call("node-c", pingReq{N: 1}, cont); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := k.Run(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	call()
+	if !errors.Is(lastErr, svc.ErrUnavailable) || !errors.Is(lastErr, middleware.ErrUnavailable) {
+		t.Fatalf("call to a down node: %v, want both svc.ErrUnavailable and middleware.ErrUnavailable", lastErr)
+	}
+	if got, want := lastErr.Error(), "middleware: node unavailable: node-s is down"; got != want {
+		t.Fatalf("down error = %q, want %q", got, want)
+	}
+	allocs := testing.AllocsPerRun(200, call)
+	if failed != 202 {
+		t.Fatalf("%d continuations saw a retryable error, want 202", failed)
+	}
+	if !raceEnabled && allocs != 0 {
+		t.Errorf("a failed call allocates %.1f/op, want 0", allocs)
+	}
+
+	// The caller's own node down: the error names the caller.
+	p.NodeUp("node-s")
+	p.NodeDown("node-c")
+	call()
+	if got, want := lastErr.Error(), "middleware: node unavailable: node-c is down"; got != want {
+		t.Fatalf("caller-down error = %q, want %q", got, want)
+	}
+}

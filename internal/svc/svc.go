@@ -36,8 +36,12 @@ import (
 
 // The port error taxonomy. Errors surfaced by ports satisfy errors.Is
 // for exactly one of these classes and for the underlying platform error
-// chain (e.g. a call timeout Is both ErrTimeout and
-// middleware.ErrCallTimeout).
+// chain. The three classes a call's continuation can see are the
+// platform's own sentinels — ErrTimeout is middleware.ErrCallTimeout,
+// ErrUnavailable is middleware.ErrUnavailable and ErrRemote is
+// middleware.ErrRemote — so the platform's error reaches the caller as
+// it is, and classifying it allocates nothing. The other classes wrap
+// the platform error they classify.
 var (
 	// ErrUnsupportedPattern: the bound platform's profile does not offer
 	// the interaction pattern the port needs.
@@ -50,21 +54,24 @@ var (
 	// it does not handle replies an application error instead (ErrRemote).
 	ErrNoSuchOp = errors.New("svc: unknown operation")
 	// ErrTimeout: the platform's call timeout (the profile's CallTimeout)
-	// expired before a reply arrived.
-	ErrTimeout = errors.New("svc: call timed out")
+	// expired before a reply arrived. It is middleware.ErrCallTimeout.
+	ErrTimeout = middleware.ErrCallTimeout
 	// ErrAlreadyBound: the service was bound twice, or an export
 	// registered twice.
 	ErrAlreadyBound = errors.New("svc: service already bound")
 	// ErrUnavailable: the target's hosting node is down (crashed and not
 	// yet restarted). Distinct from ErrTimeout so retry/rebind policies
-	// can react immediately instead of waiting out a timeout.
-	ErrUnavailable = errors.New("svc: target node unavailable")
+	// can react immediately instead of waiting out a timeout. It is
+	// middleware.ErrUnavailable.
+	ErrUnavailable = middleware.ErrUnavailable
 	// ErrRemote: the remote handler replied with an application error.
-	ErrRemote = errors.New("svc: remote error")
+	// It is middleware.ErrRemote.
+	ErrRemote = middleware.ErrRemote
 )
 
 // classed pairs a taxonomy class with the underlying cause so that
-// errors.Is matches both chains.
+// errors.Is matches both: Is matches the class, and Unwrap leads on to
+// the cause's chain. Neither allocates.
 type classed struct {
 	class error
 	cause error
@@ -72,18 +79,23 @@ type classed struct {
 
 func (e *classed) Error() string { return e.class.Error() + ": " + e.cause.Error() }
 
-func (e *classed) Unwrap() []error { return []error{e.class, e.cause} }
+// Is reports whether target is the error's class.
+func (e *classed) Is(target error) bool { return target == e.class }
+
+func (e *classed) Unwrap() error { return e.cause }
 
 // wrapErr classifies a platform error into the svc taxonomy, keeping the
-// original chain reachable. nil maps to nil; already-classified errors
-// pass through.
+// original chain reachable. nil maps to nil; already-classified errors,
+// the platform sentinel classes among them, pass through.
+//
+//repolint:hotpath
 func wrapErr(err error) error {
 	switch {
 	case err == nil:
 		return nil
-	case errors.Is(err, ErrUnsupportedPattern), errors.Is(err, ErrNoSuchService),
-		errors.Is(err, ErrNoSuchOp), errors.Is(err, ErrTimeout),
-		errors.Is(err, ErrRemote), errors.Is(err, ErrAlreadyBound), errors.Is(err, ErrUnavailable):
+	case errors.Is(err, ErrUnavailable), errors.Is(err, ErrTimeout), errors.Is(err, ErrRemote),
+		errors.Is(err, ErrUnsupportedPattern), errors.Is(err, ErrNoSuchService),
+		errors.Is(err, ErrNoSuchOp), errors.Is(err, ErrAlreadyBound):
 		return err
 	case errors.Is(err, middleware.ErrPatternUnsupported):
 		return &classed{class: ErrUnsupportedPattern, cause: err}
@@ -93,12 +105,6 @@ func wrapErr(err error) error {
 		return &classed{class: ErrNoSuchOp, cause: err}
 	case errors.Is(err, middleware.ErrDuplicateObject), errors.Is(err, middleware.ErrDuplicateQueue):
 		return &classed{class: ErrAlreadyBound, cause: err}
-	case errors.Is(err, middleware.ErrCallTimeout):
-		return &classed{class: ErrTimeout, cause: err}
-	case errors.Is(err, middleware.ErrUnavailable):
-		return &classed{class: ErrUnavailable, cause: err}
-	case errors.Is(err, middleware.ErrRemote):
-		return &classed{class: ErrRemote, cause: err}
 	default:
 		return err
 	}
