@@ -48,13 +48,13 @@ func (*MWCallback) Scattering(n int) Scattering {
 }
 
 // ControllerNode implements ControllerFailover.
-func (s *MWCallback) ControllerNode() middleware.Addr { return s.ctrl.node() }
+func (s *MWCallback) ControllerNode() middleware.Addr { return s.ctrl.exp.Node() }
 
 // Failover implements ControllerFailover: re-home the controller export
 // onto node. The queue state lives in the component, not the node, so it
 // survives the move — the paper's centralized coordinator made mobile by
 // the platform's live rebinding.
-func (s *MWCallback) Failover(node middleware.Addr) error { return s.ctrl.failover(node) }
+func (s *MWCallback) Failover(node middleware.Addr) error { return s.ctrl.exp.Rebind(node) }
 
 // Build implements Solution.
 func (s *MWCallback) Build(env *Env) (map[string]AppPart, error) {
@@ -64,7 +64,7 @@ func (s *MWCallback) Build(env *Env) (map[string]AppPart, error) {
 	}
 	ctrl := &callbackController{env: env, q: newResourceQueue(env.Resources),
 		grants: make(map[string]*svc.Port[grantArgs, ack], len(env.Subscribers)),
-		home:   ctrlNode, seen: make(seenSeqs), reqSeq: make(map[string]uint64)}
+		reqSeq: make(map[string]uint64)}
 	if err := ctrl.export(b); err != nil {
 		return nil, fmt.Errorf("floorcontrol: register controller: %w", err)
 	}
@@ -100,18 +100,14 @@ func (s *MWCallback) Build(env *Env) (map[string]AppPart, error) {
 // callback port per subscriber.
 type callbackController struct {
 	env    *Env
-	exp    *svc.Export
+	exp    *svc.Export // hosts the controller; moves on failover
 	grants map[string]*svc.Port[grantArgs, ack]
 
-	q    *resourceQueue
-	home middleware.Addr // current hosting node (moves on failover)
-	seen seenSeqs
+	q *resourceQueue
 	// reqSeq remembers the Seq of each subscriber's outstanding request,
 	// so a grant issued later (when a waiter is promoted on free) echoes
 	// the request it answers.
 	reqSeq map[string]uint64
-	// grantSends recycles the churn retry records of grant.
-	grantSends freeList[grantSend]
 }
 
 // export hosts the controller's typed operations at ctrlNode.
@@ -130,27 +126,12 @@ func (c *callbackController) export(b *svc.Binding) error {
 	return e.Register()
 }
 
-// node returns the controller's current hosting node.
-func (c *callbackController) node() middleware.Addr {
-	return c.home
-}
-
-// failover re-homes the controller export onto node and routes future
-// grants from there.
-func (c *callbackController) failover(node middleware.Addr) error {
-	if err := c.exp.Rebind(node); err != nil {
-		return err
-	}
-	c.home = node
-	return nil
-}
-
 func (c *callbackController) requestPermission(a ctrlArgs, respond func(ack, error)) {
 	if !c.q.known(a.Res) {
 		respond(ack{}, fmt.Errorf("unknown resource %q", a.Res))
 		return
 	}
-	if c.seen.dup(a.Sub, a.Seq) {
+	if c.q.dup(a.Sub, a.Seq) {
 		// At-least-once redelivery: the intention is already registered
 		// (the first ack was lost to a crash) and a grant is delivered
 		// or in retry. Ack again without touching the queue.
@@ -169,7 +150,7 @@ func (c *callbackController) requestPermission(a ctrlArgs, respond func(ack, err
 }
 
 func (c *callbackController) free(a ctrlArgs, respond func(ack, error)) {
-	if c.seen.dup(a.Sub, a.Seq) {
+	if c.q.dup(a.Sub, a.Seq) {
 		// Redelivered free: already released (and possibly re-granted).
 		respond(ack{}, nil)
 		return
@@ -191,57 +172,16 @@ func (c *callbackController) free(a ctrlArgs, respond func(ack, error)) {
 
 // grant invokes the grant operation of the subscriber's callback
 // interface through the typed port; seq echoes the request being
-// answered. Fault-free, a submission failure is a deployment bug and
-// panics. Under churn the grant is the only copy of the decision, so a
-// transient call failure — the subscriber crashed with the grant
-// pending, the controller's own node down (a crashed node cannot
-// transmit, so the platform fails its invokes fast), or a call timeout
-// (only on a profile that sets a CallTimeout; no built-in one does) —
-// re-arms it after a poll interval. Redelivery is safe because the
-// subscriber dedups grants by Seq when the first copy did land.
+// answered. The grant is the only copy of the decision, so under churn
+// a transient failure — the subscriber crashed with the grant pending,
+// or the controller's own node down (a crashed node cannot transmit, so
+// the platform fails its invokes fast) — re-arms it after a poll
+// interval (Env.again). Every attempt leaves from the controller
+// export's current node, so a retry after a failover leaves from the
+// standby. Redelivery is safe because the subscriber dedups grants by
+// Seq when the first copy did land.
 func (c *callbackController) grant(sub, res string, seq uint64) {
-	if !c.env.Churn {
-		(&grantSend{c: c, sub: sub, res: res, seq: seq}).send()
-		return
-	}
-	g := c.grantSends.pop()
-	if g == nil {
-		g = &grantSend{c: c}
-		g.cont, g.resend = g.done, g.send
-	}
-	g.sub, g.res, g.seq = sub, res, seq
-	g.send()
-}
-
-// grantSend is one logical grant: its subscriber, resource and Seq, and
-// under churn the continuation and re-arm function, bound once per
-// record (callbackController.grantSends recycles them). Fault-free, cont
-// is nil. Every attempt goes from the controller's current home, so a
-// retry after a failover leaves from the standby.
-type grantSend struct {
-	c        *callbackController
-	sub, res string
-	seq      uint64
-	cont     func(ack, error) // = g.done
-	resend   func()           // = g.send
-}
-
-func (g *grantSend) send() {
-	c := g.c
-	if err := c.grants[g.sub].Call(c.home, grantArgs{Res: g.res, Seq: g.seq}, g.cont); err != nil {
-		panic(fmt.Sprintf("floorcontrol: grant to %q: %v", g.sub, err))
-	}
-}
-
-func (g *grantSend) done(_ ack, err error) {
-	switch {
-	case err == nil:
-		g.c.grantSends.push(g)
-	case retryable(err):
-		g.c.env.Time.ScheduleFunc(g.c.env.PollInterval, g.resend)
-	default:
-		panic(fmt.Sprintf("floorcontrol: grant to %q: %v", g.sub, err))
-	}
+	c.grants[sub].CallRetry(c.exp, grantArgs{Res: res, Seq: seq}, 0, c.env.PollInterval, c.env.acked())
 }
 
 // pendingGrant is one outstanding acquire at a subscriber part: the
@@ -266,6 +206,9 @@ type mwCallbackPart struct {
 }
 
 var _ AppPart = (*mwCallbackPart)(nil)
+
+// Node implements svc.Caller: the part calls from its subscriber's node.
+func (p *mwCallbackPart) Node() middleware.Addr { return middleware.Addr(p.sub) }
 
 // export hosts the part's grant callback interface.
 func (p *mwCallbackPart) export(b *svc.Binding) error {
@@ -308,7 +251,7 @@ func (p *mwCallbackPart) Acquire(res string, done func()) {
 		args.Seq = p.seq
 	}
 	p.pending[res] = pendingGrant{done: done, seq: args.Seq}
-	sendCtrl(p.env, p.request, middleware.Addr(p.sub), args, "request_permission")
+	p.request.CallRetry(p, args, 0, p.env.PollInterval, p.env.acked())
 }
 
 // Release implements AppPart.
@@ -319,5 +262,5 @@ func (p *mwCallbackPart) Release(res string) {
 		p.seq++
 		args.Seq = p.seq
 	}
-	sendCtrl(p.env, p.free, middleware.Addr(p.sub), args, "free")
+	p.free.CallRetry(p, args, 0, p.env.PollInterval, p.env.acked())
 }

@@ -51,12 +51,12 @@ func (*MWPolling) Scattering(n int) Scattering {
 }
 
 // ControllerNode implements ControllerFailover.
-func (s *MWPolling) ControllerNode() middleware.Addr { return s.ctrl.node() }
+func (s *MWPolling) ControllerNode() middleware.Addr { return s.ctrl.exp.Node() }
 
 // Failover implements ControllerFailover: re-home the controller export
 // onto node. The holder table moves with the component, so grants held
 // before the crash stay valid.
-func (s *MWPolling) Failover(node middleware.Addr) error { return s.ctrl.failover(node) }
+func (s *MWPolling) Failover(node middleware.Addr) error { return s.ctrl.exp.Rebind(node) }
 
 // availReply is the typed answer to an availability probe: the reply of
 // the is_available operation and, with Res set, the is_available_resp
@@ -96,8 +96,8 @@ func (s *MWPolling) Build(env *Env) (map[string]AppPart, error) {
 	if err != nil {
 		return nil, err
 	}
-	ctrl := &pollingController{q: newResourceQueue(env.Resources), home: ctrlNode,
-		seen: make(seenSeqs), holderSeq: make(map[string]uint64, len(env.Resources))}
+	ctrl := &pollingController{q: newResourceQueue(env.Resources),
+		holderSeq: make(map[string]uint64, len(env.Resources))}
 	if err := ctrl.export(b); err != nil {
 		return nil, fmt.Errorf("floorcontrol: register controller: %w", err)
 	}
@@ -114,7 +114,9 @@ func (s *MWPolling) Build(env *Env) (map[string]AppPart, error) {
 	}
 	parts := make(map[string]AppPart, len(env.Subscribers))
 	for _, sub := range env.Subscribers {
-		parts[sub] = &mwPollingPart{env: env, sub: sub, isAvailable: isAvailable, free: free}
+		part := &mwPollingPart{env: env, sub: sub, isAvailable: isAvailable, free: free}
+		part.onProbe = part.probed
+		parts[sub] = part
 	}
 	return parts, nil
 }
@@ -123,11 +125,9 @@ func (s *MWPolling) Build(env *Env) (map[string]AppPart, error) {
 // semantics. It keeps no wait queues: waiting is the pollers' problem,
 // which is precisely the structural weakness the paper highlights.
 type pollingController struct {
-	exp *svc.Export
+	exp *svc.Export // hosts the controller; moves on failover
 
-	q    *resourceQueue
-	home middleware.Addr
-	seen seenSeqs
+	q *resourceQueue
 	// holderSeq remembers the Seq of the probe that acquired each
 	// resource. A redelivered probe of that same acquire (its true reply
 	// was lost to a crash) is answered true again; a probe of a *new*
@@ -153,20 +153,6 @@ func (c *pollingController) export(b *svc.Binding) error {
 	return e.Register()
 }
 
-// node returns the controller's current hosting node.
-func (c *pollingController) node() middleware.Addr {
-	return c.home
-}
-
-// failover re-homes the controller export onto node.
-func (c *pollingController) failover(node middleware.Addr) error {
-	if err := c.exp.Rebind(node); err != nil {
-		return err
-	}
-	c.home = node
-	return nil
-}
-
 func (c *pollingController) isAvailable(a ctrlArgs, respond func(availReply, error)) {
 	if !c.q.known(a.Res) {
 		respond(availReply{}, fmt.Errorf("unknown resource %q", a.Res))
@@ -185,7 +171,7 @@ func (c *pollingController) isAvailable(a ctrlArgs, respond func(availReply, err
 }
 
 func (c *pollingController) free(a ctrlArgs, respond func(ack, error)) {
-	if c.seen.dup(a.Sub, a.Seq) {
+	if c.q.dup(a.Sub, a.Seq) {
 		// Redelivered free: already released.
 		respond(ack{}, nil)
 		return
@@ -206,78 +192,47 @@ type mwPollingPart struct {
 	isAvailable *svc.Port[ctrlArgs, availReply]
 	free        *svc.Port[ctrlArgs, ack]
 
-	seq   uint64             // submission counter (churn only)
-	loops freeList[pollLoop] // recycled acquire loops
+	seq      uint64 // submission counter (churn only)
+	wantRes  string // the outstanding acquire's resource
+	wantDone func()
+	onProbe  func(availReply, error) bool // = p.probed, built once
 }
 
 var _ AppPart = (*mwPollingPart)(nil)
 
-// Acquire implements AppPart: poll until is_available returns true.
+// Node implements svc.Caller: the part polls from its subscriber's node.
+func (p *mwPollingPart) Node() middleware.Addr { return middleware.Addr(p.sub) }
+
+// Acquire implements AppPart: poll until is_available returns true. The
+// loop is one at-least-once call whose every probe carries the acquire's
+// Seq, so the controller's test-and-set, keyed by Seq, stays idempotent
+// per acquire and a lost true reply is recovered by the next probe.
 func (p *mwPollingPart) Acquire(res string, done func()) {
 	p.env.observe(p.sub, PrimRequest, res)
-	var seq uint64
+	args := ctrlArgs{Sub: p.sub, Res: res}
 	if p.env.Churn {
 		p.seq++
-		seq = p.seq
+		args.Seq = p.seq
 	}
-	p.poll(res, done, seq)
+	p.wantRes, p.wantDone = res, done
+	p.isAvailable.CallRetry(p, args, 0, p.env.PollInterval, p.onProbe)
 }
 
-// poll drives one logical acquire; every probe of the loop carries the
-// acquire's Seq. Under churn a transient probe failure — controller down,
-// or the probe interrupted by a crash — re-polls instead of panicking:
-// the test-and-set is idempotent per acquire because the controller keys
-// the holder by Seq, so a lost true reply is recovered by the next probe.
-func (p *mwPollingPart) poll(res string, done func(), seq uint64) {
-	l := p.loops.pop()
-	if l == nil {
-		l = &pollLoop{p: p}
-		l.cont, l.repoll = l.reply, l.probe
-	}
-	l.res, l.done, l.seq = res, done, seq
-	l.probe()
-}
-
-// pollLoop is one logical acquire's polling loop: the acquire's resource,
-// completion and Seq, and the probe continuation and re-poll function,
-// bound once per record (mwPollingPart.loops recycles them), so a probe
-// allocates nothing in steady state.
-type pollLoop struct {
-	p      *mwPollingPart
-	res    string
-	done   func()
-	seq    uint64
-	cont   func(availReply, error) // = l.reply
-	repoll func()                  // = l.probe
-}
-
-func (l *pollLoop) probe() {
-	p := l.p
-	if err := p.isAvailable.Call(middleware.Addr(p.sub), ctrlArgs{Sub: p.sub, Res: l.res, Seq: l.seq}, l.cont); err != nil {
-		panic(fmt.Sprintf("floorcontrol: is_available invoke from %q: %v", p.sub, err))
-	}
-}
-
-// reply handles one probe's outcome. A grant recycles the loop before
-// done runs, so an Acquire from inside done may reuse it.
-func (l *pollLoop) reply(result availReply, err error) {
-	p := l.p
+// probed is the polling loop's policy: a probe that reads unavailable
+// polls again after a poll interval, as a transient failure does under
+// churn (Env.again); a true reply completes the acquire.
+func (p *mwPollingPart) probed(r availReply, err error) bool {
 	if err != nil {
-		if p.env.Churn && retryable(err) {
-			p.env.Time.ScheduleFunc(p.env.PollInterval, l.repoll)
-			return
-		}
-		panic(fmt.Sprintf("floorcontrol: is_available from %q: %v", p.sub, err))
+		return p.env.again(err)
 	}
-	if result.Available {
-		res, done := l.res, l.done
-		l.done = nil
-		p.loops.push(l)
-		p.env.observe(p.sub, PrimGranted, res)
-		done()
-		return
+	if !r.Available {
+		return true
 	}
-	p.env.Time.ScheduleFunc(p.env.PollInterval, l.repoll)
+	res, done := p.wantRes, p.wantDone
+	p.wantDone = nil
+	p.env.observe(p.sub, PrimGranted, res)
+	done()
+	return false
 }
 
 // Release implements AppPart.
@@ -288,5 +243,5 @@ func (p *mwPollingPart) Release(res string) {
 		p.seq++
 		args.Seq = p.seq
 	}
-	sendCtrl(p.env, p.free, middleware.Addr(p.sub), args, "free")
+	p.free.CallRetry(p, args, 0, p.env.PollInterval, p.env.acked())
 }

@@ -135,10 +135,12 @@ type mwTokenPart struct {
 	wantDone  func()
 	toRelease []string
 	seenGen   uint64 // highest token generation accepted (churn only)
-	hops      freeList[tokenHop]
 }
 
 var _ AppPart = (*mwTokenPart)(nil)
+
+// Node implements svc.Caller: the part passes from its subscriber's node.
+func (p *mwTokenPart) Node() middleware.Addr { return middleware.Addr(p.sub) }
 
 // export exposes the pass operation to the previous subscriber in the
 // ring.
@@ -175,6 +177,14 @@ func (p *mwTokenPart) onPass(t tokenArgs, respond func(ack, error)) {
 // resource, inserts releases, and forwards the token after the hop delay.
 // gen is the generation this part received the token at (zero fault-free);
 // the forwarded token carries gen+1.
+//
+// The token is the single carrier of liveness, so the forward is an
+// at-least-once call: under churn a transient pass failure — successor
+// down, this part's own node down (a crashed node cannot transmit, so
+// the platform fails its invokes fast), or the pass interrupted by a
+// crash — is retried with the same generation every hop delay
+// (Env.again). The successor's generation dedup makes redelivery safe
+// when the first copy did land.
 func (p *mwTokenPart) onToken(avail []string, gen uint64) {
 	// Insert releases accumulated since the last visit.
 	avail = append(avail, p.toRelease...)
@@ -197,64 +207,11 @@ func (p *mwTokenPart) onToken(avail []string, gen uint64) {
 		p.env.observe(p.sub, PrimGranted, grantedRes)
 		granted()
 	}
-	h := p.hops.pop()
-	if h == nil {
-		h = &tokenHop{p: p}
-		h.cont, h.forward = h.done, h.pass
-	}
-	h.avail = append(h.avail[:0], avail...)
-	h.gen = gen
 	if gen != 0 {
-		h.gen = gen + 1
+		gen++
 	}
-	p.env.Time.ScheduleFunc(p.env.TokenHopDelay, h.forward)
-}
-
-// tokenHop is one forward of the token: the list and generation it
-// carries, and the pass continuation and the forward function, bound
-// once per record (mwTokenPart.hops recycles them), so a hop and its
-// retries allocate nothing in steady state. Fault-free, no continuation
-// is passed and the record is recycled as soon as the pass is sent.
-type tokenHop struct {
-	p       *mwTokenPart
-	avail   []string
-	gen     uint64
-	cont    func(ack, error) // = h.done
-	forward func()           // = h.pass
-}
-
-// pass passes the token to the ring successor. Fault-free, a submission
-// failure is a deployment bug and panics. Under churn the token is the
-// single carrier of liveness, so a transient pass failure — successor
-// down, this part's own node down (a crashed node cannot transmit, so
-// the platform fails its invokes fast), or the pass interrupted by a
-// crash — is retried with the same generation after a hop delay; the
-// successor's generation dedup makes redelivery safe when the first
-// copy did land.
-func (h *tokenHop) pass() {
-	p := h.p
-	var cont func(ack, error)
-	if p.env.Churn {
-		cont = h.cont
-	}
-	if err := p.pass.Call(middleware.Addr(p.sub), tokenArgs{Available: h.avail, Gen: h.gen}, cont); err != nil {
-		panic(fmt.Sprintf("floorcontrol: pass from %q to %q: %v", p.sub, p.next, err))
-	}
-	if cont == nil {
-		p.hops.push(h)
-	}
-}
-
-func (h *tokenHop) done(_ ack, err error) {
-	p := h.p
-	switch {
-	case err == nil:
-		p.hops.push(h)
-	case retryable(err):
-		p.env.Time.ScheduleFunc(p.env.TokenHopDelay, h.forward)
-	default:
-		panic(fmt.Sprintf("floorcontrol: pass from %q to %q: %v", p.sub, p.next, err))
-	}
+	delay := p.env.TokenHopDelay
+	p.pass.CallRetry(p, tokenArgs{Available: avail, Gen: gen}, delay, delay, p.env.acked())
 }
 
 // Acquire implements AppPart: registers interest; the token visit grants.

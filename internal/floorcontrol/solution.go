@@ -76,19 +76,22 @@ type Env struct {
 	Layer *protocol.Layer
 
 	// Churn is set when the workload runs under a crash/restart fault
-	// plan. Solutions then arm their recovery machinery — idempotent
-	// retries, probe deadlines, token redelivery dedup. The machinery
-	// must stay fully inert when Churn is false: fault-free runs keep
-	// their exact historical event streams and wire bytes (the golden
-	// band hashes pin this).
+	// plan. The middleware solutions' at-least-once calls
+	// (svc.Port.CallRetry, with again as their policy) then retry
+	// transient failures, their submissions carry Seq/Gen stamps, and
+	// controllers and parts dedup redelivery by them. Fault-free, the
+	// same calls never re-arm and no stamp goes on the wire: fault-free
+	// runs keep their exact historical event streams and wire bytes (the
+	// golden band hashes pin this). Protocol solutions arm probe
+	// deadlines and token redelivery dedup in their entities.
 	Churn bool
 
 	// names interns the run's resource ids (see resNames); obsBuf is the
 	// scratch buffer observe encodes params into.
 	names  resNames
 	obsBuf paramBuf
-	// ctrlSends recycles the churn retry records of sendCtrl.
-	ctrlSends freeList[ctrlSend]
+	// ackPolicy is again for void calls, built once (see acked).
+	ackPolicy func(ack, error) bool
 }
 
 // observe reports a service-primitive execution at a subscriber's SAP to
@@ -181,85 +184,33 @@ type ControllerFailover interface {
 	Failover(node middleware.Addr) error
 }
 
-// retryable reports whether a churn-time call failure is transient: the
-// callee node is down (fail-fast, or the call interrupted by its crash)
-// or the call timed out. A timeout fires only when the profile sets a
-// CallTimeout, and no built-in profile does. An application-level
-// rejection is not retryable — no redelivery can fix it.
-func retryable(err error) bool {
-	return errors.Is(err, svc.ErrUnavailable) || errors.Is(err, svc.ErrTimeout)
-}
-
-// freeList recycles the records of churn retry loops. A record is built
-// with its continuation and re-arm function bound once, and returns to
-// its list when its logical send is through, so a retry, and in steady
-// state a whole loop, allocates nothing.
-type freeList[T any] struct{ free []*T }
-
-// pop returns a recycled record, or nil when there is none.
-func (l *freeList[T]) pop() *T {
-	n := len(l.free)
-	if n == 0 {
-		return nil
-	}
-	r := l.free[n-1]
-	l.free = l.free[:n-1]
-	return r
-}
-
-func (l *freeList[T]) push(r *T) { l.free = append(l.free, r) }
-
-// sendCtrl invokes a void controller operation through a shared typed
-// port. Fault-free, a submission failure is a deployment bug and panics.
-// Under churn a transient failure — controller crashed and not yet
-// restarted or failed over, the call interrupted mid-flight by a crash,
-// or (on a profile that sets a CallTimeout; no built-in one does) the
-// call timed out — is retried after a poll interval until it gets
-// through. Retries resend args verbatim, Seq included: at-least-once
-// submission is safe because the controllers dedup stamped submissions
-// (seenSeqs) and acknowledge duplicates as successes.
-func sendCtrl(env *Env, port *svc.Port[ctrlArgs, ack], from middleware.Addr, args ctrlArgs, op string) {
-	if !env.Churn {
-		(&ctrlSend{port: port, from: from, args: args, op: op}).send()
-		return
-	}
-	s := env.ctrlSends.pop()
-	if s == nil {
-		s = &ctrlSend{env: env}
-		s.cont, s.resend = s.done, s.send
-	}
-	s.port, s.from, s.args, s.op = port, from, args, op
-	s.send()
-}
-
-// ctrlSend is one logical controller submission: what a retry resends,
-// and under churn the continuation and re-arm function, bound once per
-// record (Env.ctrlSends recycles them). Fault-free, cont is nil.
-type ctrlSend struct {
-	env    *Env
-	port   *svc.Port[ctrlArgs, ack]
-	from   middleware.Addr
-	args   ctrlArgs
-	op     string
-	cont   func(ack, error) // = s.done
-	resend func()           // = s.send
-}
-
-func (s *ctrlSend) send() {
-	if err := s.port.Call(s.from, s.args, s.cont); err != nil {
-		panic(fmt.Sprintf("floorcontrol: %s from %q: %v", s.op, s.from, err))
-	}
-}
-
-func (s *ctrlSend) done(_ ack, err error) {
+// again is the middleware solutions' recovery policy: the done of every
+// at-least-once call they make (svc.Port.CallRetry). A success ends the
+// call. Under churn a transient failure goes again: the callee node is
+// down (fail-fast, or the call interrupted by its crash), or the call
+// timed out, which fires only when the profile sets a CallTimeout (no
+// built-in one does). Any other failure, such as an application-level
+// rejection no redelivery can fix, and fault-free every failure, is a
+// deployment bug and panics. Redelivery is safe because every stamped
+// submission is deduped at its receiver (resourceQueue.dup, and the
+// grant and token Seq/Gen checks).
+func (e *Env) again(err error) bool {
 	switch {
 	case err == nil:
-		s.env.ctrlSends.push(s)
-	case retryable(err):
-		s.env.Time.ScheduleFunc(s.env.PollInterval, s.resend)
-	default:
-		panic(fmt.Sprintf("floorcontrol: %s from %q: %v", s.op, s.from, err))
+		return false
+	case e.Churn && (errors.Is(err, svc.ErrUnavailable) || errors.Is(err, svc.ErrTimeout)):
+		return true
 	}
+	panic(fmt.Sprintf("floorcontrol: call failed: %v", err))
+}
+
+// acked returns again as the done of a void call, built once per run so
+// a call allocates nothing for its policy.
+func (e *Env) acked() func(ack, error) bool {
+	if e.ackPolicy == nil {
+		e.ackPolicy = func(_ ack, err error) bool { return e.again(err) }
+	}
+	return e.ackPolicy
 }
 
 // bindService declares the floor-control service over the env's
@@ -338,32 +289,6 @@ func decCtrlArgs(v codec.MsgView) (ctrlArgs, error) {
 	return ctrlArgs{Sub: string(sub), Res: string(res), Seq: uint64(seq)}, nil
 }
 
-// seenSeqs records which stamped subscriber submissions a controller has
-// already processed, absorbing at-least-once redelivery under churn.
-// Retries can arrive after later fresh submissions from the same
-// subscriber (a limbo free redelivered after the next cycle's request),
-// so this must be an exact per-subscriber set — a high-watermark would
-// silently drop the reordered original.
-type seenSeqs map[string]map[uint64]struct{}
-
-// dup reports whether (sub, seq) was already processed, recording fresh
-// stamped submissions. Unstamped (fault-free) submissions never dedup.
-func (s seenSeqs) dup(sub string, seq uint64) bool {
-	if seq == 0 {
-		return false
-	}
-	m := s[sub]
-	if m == nil {
-		m = make(map[uint64]struct{})
-		s[sub] = m
-	}
-	if _, ok := m[seq]; ok {
-		return true
-	}
-	m[seq] = struct{}{}
-	return false
-}
-
 // grantArgs is the typed payload of the controller→subscriber grant
 // callback.
 type grantArgs struct {
@@ -403,21 +328,47 @@ func encAck(buf []byte, _ ack) ([]byte, error) { return append(buf, codec.RawEmp
 
 // resourceQueue is the controller-side bookkeeping shared by the two
 // asymmetric coordination styles: current holder and FIFO waiters, per
-// resource.
+// resource, and the stamped submissions already processed.
 type resourceQueue struct {
 	holder  map[string]string   // resource → subscriber ("" = free)
 	waiters map[string][]string // resource → FIFO of subscribers
+	// seen holds each subscriber's processed Seqs, absorbing
+	// at-least-once redelivery under churn. Retries can arrive after
+	// later fresh submissions from the same subscriber (a limbo free
+	// redelivered after the next cycle's request), so this must be an
+	// exact per-subscriber set — a high-watermark would silently drop
+	// the reordered original.
+	seen map[string]map[uint64]struct{}
 }
 
 func newResourceQueue(resources []string) *resourceQueue {
 	q := &resourceQueue{
 		holder:  make(map[string]string, len(resources)),
 		waiters: make(map[string][]string, len(resources)),
+		seen:    make(map[string]map[uint64]struct{}),
 	}
 	for _, r := range resources {
 		q.holder[r] = ""
 	}
 	return q
+}
+
+// dup reports whether (sub, seq) was already processed, recording fresh
+// stamped submissions. Unstamped (fault-free) submissions never dedup.
+func (q *resourceQueue) dup(sub string, seq uint64) bool {
+	if seq == 0 {
+		return false
+	}
+	m := q.seen[sub]
+	if m == nil {
+		m = make(map[uint64]struct{})
+		q.seen[sub] = m
+	}
+	if _, ok := m[seq]; ok {
+		return true
+	}
+	m[seq] = struct{}{}
+	return false
 }
 
 // known reports whether the resource is managed.

@@ -15,7 +15,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 	"strings"
 	"time"
 	"unicode/utf8"
@@ -138,16 +137,6 @@ func (h *Histogram) compactLevel(i int) {
 	}
 }
 
-// retained reports how many raw values the sketch currently stores —
-// bounded by sketchK per level regardless of Count.
-func (h *Histogram) retained() int {
-	n := 0
-	for _, lv := range h.levels {
-		n += len(lv)
-	}
-	return n
-}
-
 // Count returns the number of samples.
 func (h *Histogram) Count() int { return int(h.count) }
 
@@ -221,28 +210,32 @@ func (h *Histogram) Quantile(q float64) time.Duration {
 // rankSelect answers the nearest-rank query over the weighted sketch:
 // each item at level i covers 2^i consecutive ranks, total weight is
 // exactly count, and the item whose rank interval contains target is
-// returned.
+// returned. Each level is sorted in place (compaction sorts a level
+// before promoting anyway, and a nearest-rank answer does not depend on
+// item order) and the levels are merged through cursors on the stack,
+// so a query allocates nothing.
 func (h *Histogram) rankSelect(target int64) int64 {
-	type vw struct {
-		v int64
-		w int64
+	for _, lv := range h.levels {
+		slices.Sort(lv)
 	}
-	items := make([]vw, 0, h.retained())
-	for i, lv := range h.levels {
-		w := int64(1) << uint(i)
-		for _, v := range lv {
-			items = append(items, vw{v, w})
-		}
-	}
-	sort.Slice(items, func(a, b int) bool { return items[a].v < items[b].v })
+	var cur [64]int // one cursor per level; weights are int64, so at most 64
 	var acc int64
-	for _, it := range items {
-		if target < acc+it.w {
-			return it.v
+	for {
+		best := -1
+		for i, lv := range h.levels {
+			if cur[i] < len(lv) && (best < 0 || lv[cur[i]] < h.levels[best][cur[best]]) {
+				best = i
+			}
 		}
-		acc += it.w
+		if best < 0 {
+			return h.max
+		}
+		acc += int64(1) << uint(best)
+		if target < acc {
+			return h.levels[best][cur[best]]
+		}
+		cur[best]++
 	}
-	return h.max
 }
 
 // P50 is the median (see Quantile for the exactness regime and the

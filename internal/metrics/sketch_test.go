@@ -1,6 +1,7 @@
 package metrics
 
 import (
+	"fmt"
 	"math/rand"
 	"slices"
 	"sort"
@@ -15,6 +16,16 @@ import (
 func exactQuantile(sorted []int64, q float64) int64 {
 	idx := int(q*float64(len(sorted)-1) + 0.5)
 	return sorted[idx]
+}
+
+// retained reports how many raw values the sketch currently stores —
+// bounded by sketchK per level regardless of Count.
+func (h *Histogram) retained() int {
+	n := 0
+	for _, lv := range h.levels {
+		n += len(lv)
+	}
+	return n
 }
 
 // TestSketchExactBelowK pins that the sketch is byte-identical to the
@@ -205,6 +216,30 @@ func TestHistogramAddAllocatesNothing(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("2^13 adds allocate %.0f, want 0", allocs)
+	}
+}
+
+// TestQuantileAllocatesNothing pins that a query on a compacted
+// histogram sorts its levels in place and merges them without a copy:
+// P99 allocates nothing, and Summary allocates no more than formatting
+// its five values costs (its result is a new string).
+func TestQuantileAllocatesNothing(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	var h Histogram
+	for i := 0; i < 20000; i++ {
+		h.Add(time.Duration(rng.Int63n(1e9)))
+	}
+	_ = h.Summary() // the first query sorts the levels
+	if a := testing.AllocsPerRun(50, func() { _ = h.P99() }); a != 0 {
+		t.Errorf("P99 allocates %.0f/op, want 0", a)
+	}
+	mean, p50 := h.Mean().Round(time.Microsecond), h.P50().Round(time.Microsecond)
+	p95, max, n := h.P95().Round(time.Microsecond), h.Max().Round(time.Microsecond), h.Count()
+	format := testing.AllocsPerRun(50, func() {
+		_ = fmt.Sprintf("mean=%v p50=%v p95=%v max=%v (n=%d)", mean, p50, p95, max, n)
+	})
+	if a := testing.AllocsPerRun(50, func() { _ = h.Summary() }); a > format {
+		t.Errorf("Summary allocates %.0f/op, want at most %.0f (its formatting alone)", a, format)
 	}
 }
 

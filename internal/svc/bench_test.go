@@ -1,8 +1,10 @@
 package svc_test
 
 import (
+	"errors"
 	"fmt"
 	"testing"
+	"time"
 
 	"repro/internal/codec"
 	"repro/internal/middleware"
@@ -144,6 +146,62 @@ func BenchmarkSvcCall(b *testing.B) {
 	b.StopTimer()
 	if done != b.N {
 		b.Fatalf("completed %d calls, want %d", done, b.N)
+	}
+}
+
+// BenchmarkSvcCallRetry measures one at-least-once call whose first
+// attempt fails fast (the callee is down) and whose retry succeeds:
+// encode once, fail-fast attempt, policy, re-arm, second attempt, full
+// round trip, policy again. The call record, its encoded request and
+// its re-arm are pooled, so a warm retried call allocates nothing.
+func BenchmarkSvcCallRetry(b *testing.B) {
+	kernel, p := rpcStack(b)
+	binding := bound(b, p, middleware.PatternRPC)
+	e, err := binding.NewExport("server", "node-s")
+	if err != nil {
+		b.Fatal(err)
+	}
+	err = svc.HandleOp(e, "echo",
+		decBenchReq, encBenchResp,
+		func(req benchReq, respond func(benchResp, error)) { respond(benchResp{N: req.N + 1}, nil) })
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := e.Register(); err != nil {
+		b.Fatal(err)
+	}
+	port, err := svc.NewPort(binding, "server", "echo", encBenchReq, decBenchResp)
+	if err != nil {
+		b.Fatal(err)
+	}
+	done, failed := 0, 0
+	policy := func(_ benchResp, err error) bool {
+		if err != nil {
+			if !errors.Is(err, svc.ErrUnavailable) {
+				b.Fatal(err)
+			}
+			failed++
+			p.NodeUp("node-s")
+			return true
+		}
+		done++
+		return false
+	}
+	call := func(n uint64) {
+		p.NodeDown("node-s")
+		port.CallRetry(at("node-c"), benchReq{N: n}, 0, time.Microsecond, policy)
+		drainB(b, kernel)
+	}
+	call(1)
+	done, failed = 0, 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		call(uint64(i))
+	}
+	b.StopTimer()
+	if done != b.N || failed != b.N {
+		b.Fatalf("%d calls succeeded after %d failures, want %d of each", done, failed, b.N)
 	}
 }
 

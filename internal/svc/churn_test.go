@@ -204,11 +204,188 @@ func TestFailedCallAllocatesNothing(t *testing.T) {
 		t.Errorf("a failed call allocates %.1f/op, want 0", allocs)
 	}
 
+	// A warm retried call: two fail-fast attempts re-armed, then the
+	// policy gives up on the third.
+	tries := 0
+	policy := func(_ pingResp, e error) bool {
+		tries++
+		return tries%3 != 0 && errors.Is(e, svc.ErrUnavailable)
+	}
+	retried := func() {
+		port.CallRetry(at("node-c"), pingReq{N: 1}, 0, time.Millisecond, policy)
+		if _, err := k.Run(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	retried()
+	allocs = testing.AllocsPerRun(200, retried)
+	if tries != 3*202 {
+		t.Fatalf("the policy ran %d times, want %d", tries, 3*202)
+	}
+	if !raceEnabled && allocs != 0 {
+		t.Errorf("a retried call allocates %.1f/op, want 0", allocs)
+	}
+
 	// The caller's own node down: the error names the caller.
 	p.NodeUp("node-s")
 	p.NodeDown("node-c")
 	call()
 	if got, want := lastErr.Error(), "middleware: node unavailable: node-c is down"; got != want {
 		t.Fatalf("caller-down error = %q, want %q", got, want)
+	}
+}
+
+// at is a caller fixed at one node.
+type at middleware.Addr
+
+func (a at) Node() middleware.Addr { return middleware.Addr(a) }
+
+// outcome is one attempt's result as a CallRetry policy saw it.
+type outcome struct {
+	at  time.Duration
+	n   int64
+	err error
+}
+
+// retryUntilUp runs one at-least-once ping (n = 41) against node-s,
+// which is down until 25ms, retrying every 10ms while the callee is
+// unavailable. It returns every outcome the policy saw and the platform.
+func retryUntilUp(t *testing.T, enc func([]byte, pingReq) ([]byte, error)) ([]outcome, *middleware.Platform) {
+	t.Helper()
+	k, p := stack(t, middleware.ProfileRMILike)
+	b := bound(t, p, middleware.PatternRPC)
+	exportEcho(t, b)
+	port, err := svc.NewPort(b, "server", "ping", enc, decPing)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.NodeDown("node-s")
+	k.ScheduleFunc(25*time.Millisecond, func() { p.NodeUp("node-s") })
+	var seen []outcome
+	port.CallRetry(at("node-c"), pingReq{N: 41}, 0, 10*time.Millisecond, func(r pingResp, err error) bool {
+		seen = append(seen, outcome{k.Now(), r.N, err})
+		return errors.Is(err, svc.ErrUnavailable)
+	})
+	if _, err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	return seen, p
+}
+
+// TestCallRetryRearmsEveryUntilSuccess: a call to a down node re-arms
+// exactly every later, each failure reaching the policy at the instant
+// its attempt leaves, and stops on the first success.
+func TestCallRetryRearmsEveryUntilSuccess(t *testing.T) {
+	seen, p := retryUntilUp(t, encPing)
+	if len(seen) != 4 {
+		t.Fatalf("policy ran %d times, want 3 failures and 1 success: %+v", len(seen), seen)
+	}
+	for i, o := range seen[:3] {
+		if want := time.Duration(i) * 10 * time.Millisecond; o.at != want || !errors.Is(o.err, svc.ErrUnavailable) {
+			t.Errorf("attempt %d: failed at %v with %v, want ErrUnavailable at %v", i, o.at, o.err, want)
+		}
+	}
+	if last := seen[3]; last.err != nil || last.n != 42 || last.at <= 30*time.Millisecond {
+		t.Errorf("last attempt: %+v, want n=42 after the 30ms attempt", last)
+	}
+	if st := p.Stats(); st.Calls != 1 || st.Unavailables != 3 {
+		t.Errorf("platform saw %d calls and %d unavailables, want 1 and 3", st.Calls, st.Unavailables)
+	}
+}
+
+// TestCallRetryEncodesOnce: the request is encoded once per logical
+// send, and every attempt sends those bytes.
+func TestCallRetryEncodesOnce(t *testing.T) {
+	encodes := 0
+	seen, _ := retryUntilUp(t, func(buf []byte, r pingReq) ([]byte, error) {
+		encodes++
+		return encPing(buf, r)
+	})
+	if len(seen) != 4 || seen[3].n != 42 {
+		t.Fatalf("outcomes %+v, want 3 retries then the echo n=42", seen)
+	}
+	if encodes != 1 {
+		t.Errorf("encoder ran %d times over 3 retries, want once", encodes)
+	}
+}
+
+// TestCallRetryStopsWhenDoneSaysNo: a policy that answers false ends the
+// call at once, whatever the outcome — and every outcome reaches it: a
+// failed attempt, a synchronous platform refusal, an encoder failure.
+func TestCallRetryStopsWhenDoneSaysNo(t *testing.T) {
+	k, p := stack(t, middleware.ProfileRMILike)
+	b := bound(t, p, middleware.PatternRPC)
+	exportEcho(t, b)
+	badEnc := func([]byte, pingReq) ([]byte, error) { return nil, errors.New("unencodable") }
+	for _, c := range []struct {
+		name   string
+		target middleware.ObjRef
+		enc    func([]byte, pingReq) ([]byte, error)
+		want   error
+	}{
+		{"callee down", "server", encPing, svc.ErrUnavailable},
+		{"unknown target", "nowhere", encPing, svc.ErrNoSuchService},
+		{"encoder failure", "server", badEnc, nil},
+	} {
+		port, err := svc.NewPort(b, c.target, "ping", c.enc, decPing)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p.NodeDown("node-s")
+		var errs []error
+		port.CallRetry(at("node-c"), pingReq{N: 1}, 0, time.Millisecond, func(_ pingResp, err error) bool {
+			errs = append(errs, err)
+			return false
+		})
+		if _, err := k.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if len(errs) != 1 || errs[0] == nil || (c.want != nil && !errors.Is(errs[0], c.want)) {
+			t.Errorf("%s: policy saw %v, want one %v", c.name, errs, c.want)
+		}
+	}
+}
+
+// TestCallRetryFollowsRebind: an Export is a Caller, and every attempt
+// leaves from its current node, so a component re-homed between
+// attempts retries from its new node.
+func TestCallRetryFollowsRebind(t *testing.T) {
+	k, p := stack(t, middleware.ProfileRMILike)
+	b := bound(t, p, middleware.PatternRPC)
+	exportEcho(t, b)
+	client, err := b.NewExport("client", "node-x")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := client.Register(); err != nil {
+		t.Fatal(err)
+	}
+	port, err := svc.NewPort(b, "server", "ping", encPing, decPing)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.NodeDown("node-x")
+	var errs []error
+	port.CallRetry(client, pingReq{N: 1}, 0, time.Millisecond, func(_ pingResp, err error) bool {
+		errs = append(errs, err)
+		if err == nil {
+			return false
+		}
+		if err := client.Rebind("node-y"); err != nil {
+			t.Fatal(err)
+		}
+		return true
+	})
+	if _, err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if len(errs) != 2 || errs[1] != nil {
+		t.Fatalf("outcomes %v, want one failure from node-x then a success", errs)
+	}
+	if got, want := errs[0].Error(), "middleware: node unavailable: node-x is down"; got != want {
+		t.Errorf("first attempt: %q, want %q", got, want)
+	}
+	if client.Node() != "node-y" {
+		t.Errorf("client node = %q, want node-y", client.Node())
 	}
 }

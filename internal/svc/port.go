@@ -2,6 +2,7 @@ package svc
 
 import (
 	"fmt"
+	"time"
 
 	"repro/internal/codec"
 	"repro/internal/middleware"
@@ -15,11 +16,14 @@ import (
 // fails.
 //
 // The request travels as bytes from the port to the remote handler: enc
-// appends its wire form into a pooled buffer, the platform splices those
-// bytes into the call message, and the export decodes its typed request
-// from a view of the delivery buffer. Per-call bookkeeping (the reply
-// adapter) is recycled through a free list, so a steady-state Call adds
-// no heap allocations over the raw platform invoke underneath it.
+// appends its wire form into bytes owned by the call's pooled record,
+// the platform splices those bytes into the call message, and the export
+// decodes its typed request from a view of the delivery buffer. The
+// per-call record (the encoded request and the reply adapter) is
+// recycled through a free list that every port of the same type on the
+// binding shares, so a steady-state Call or CallRetry adds no heap
+// allocations over the raw platform invoke underneath it, and a port
+// per callee costs no records of its own.
 type Port[Req, Resp any] struct {
 	b      *Binding
 	target middleware.ObjRef
@@ -27,16 +31,47 @@ type Port[Req, Resp any] struct {
 	enc    func([]byte, Req) ([]byte, error)
 	dec    func(codec.MsgView) (Resp, error)
 
-	free *callState[Req, Resp] // call-state free list
+	pool *callPool[Req, Resp]
 }
 
-// callState is one outstanding call's pooled bookkeeping. The reply
-// closure is built once per pooled object (it captures only the state
-// itself), so a re-used state allocates nothing new.
+// callPool is the free list of one port type's call records, shared by
+// every port of that type on a binding.
+type callPool[Req, Resp any] struct{ free *callState[Req, Resp] }
+
+// poolFor returns the binding's call-record pool for ports of type
+// Port[Req, Resp], creating it on first use.
+func poolFor[Req, Resp any](b *Binding) *callPool[Req, Resp] {
+	for _, pl := range b.pools {
+		if pl, ok := pl.(*callPool[Req, Resp]); ok {
+			return pl
+		}
+	}
+	pl := &callPool[Req, Resp]{}
+	b.pools = append(b.pools, pl)
+	return pl
+}
+
+// Caller is the calling side of an at-least-once call: the component
+// whose hosting node each attempt leaves from. An Export is a Caller, so
+// a component re-homed by Rebind retries from its new node.
+type Caller interface {
+	Node() middleware.Addr
+}
+
+// callState is one logical call's pooled record: the request, encoded
+// once into bytes the record owns, and what resolves the call — Call's
+// continuation, or CallRetry's caller, interval and policy. Its reply and
+// retry functions are built once per record (they capture only the
+// record), so a re-used record allocates nothing new.
 type callState[Req, Resp any] struct {
 	p       *Port[Req, Resp]
+	args    []byte
 	cont    func(Resp, error)
+	from    Caller
+	every   time.Duration
+	done    func(Resp, error) bool
 	onReply func(codec.MsgView, error) // = s.reply, built once
+	onRetry func()                     // = s.attempt, built once
 	next    *callState[Req, Resp]
 }
 
@@ -56,7 +91,7 @@ func NewPort[Req, Resp any](b *Binding, target middleware.ObjRef, op string,
 	if enc == nil {
 		return nil, fmt.Errorf("svc: port %s.%s: nil request encoder", target, op)
 	}
-	return &Port[Req, Resp]{b: b, target: target, op: op, enc: enc, dec: dec}, nil
+	return &Port[Req, Resp]{b: b, target: target, op: op, enc: enc, dec: dec, pool: poolFor[Req, Resp](b)}, nil
 }
 
 // Target returns the port's target object reference.
@@ -65,56 +100,61 @@ func (p *Port[Req, Resp]) Target() middleware.ObjRef { return p.target }
 // Op returns the port's wire operation name.
 func (p *Port[Req, Resp]) Op() string { return p.op }
 
-// getState pops (or creates) a pooled call state.
+// getState pops (or creates) a pooled call record for this port.
 //
 //repolint:hotpath
 func (p *Port[Req, Resp]) getState() *callState[Req, Resp] {
-	s := p.free
+	s := p.pool.free
 	if s == nil {
-		s = &callState[Req, Resp]{p: p}
-		s.onReply = s.reply
-		return s
+		s = &callState[Req, Resp]{}
+		s.onReply, s.onRetry = s.reply, s.attempt
+	} else {
+		p.pool.free = s.next
+		s.next = nil
 	}
-	p.free = s.next
-	s.next = nil
+	s.p = p
 	return s
 }
 
-// putState recycles a call state whose platform continuation has
-// resolved (replied, timed out at the platform, or failed to send). The
-// caller must have cleared cont already.
+// putState recycles a call record whose call has resolved. The caller
+// must have cleared cont, from and done already.
 //
 //repolint:hotpath
 func (p *Port[Req, Resp]) putState(s *callState[Req, Resp]) {
-	s.next = p.free
-	p.free = s
+	s.next = p.pool.free
+	p.pool.free = s
+}
+
+// start pops a call record and encodes req into the bytes it owns.
+//
+//repolint:hotpath
+func (p *Port[Req, Resp]) start(req Req) (*callState[Req, Resp], error) {
+	s := p.getState()
+	args, err := p.enc(s.args[:0], req)
+	if err != nil {
+		p.putState(s)
+		return nil, fmt.Errorf("svc: port %s.%s: marshal request: %w", p.target, p.op, err) //repolint:allow alloc -- cold: encoder failure
+	}
+	s.args = args
+	return s, nil
 }
 
 // Call performs the request/response interaction from the given node.
 // cont (which may be nil) runs exactly once: with the decoded reply, or
 // with a taxonomy error — ErrTimeout when the platform times the call
 // out, ErrUnavailable when the callee's node goes down, ErrRemote on a
-// remote application error. A synchronous failure (unknown target,
-// unsupported pattern, transport refusal) is returned by Call itself and
-// cont does not run.
-//
-// The request is encoded into a pooled buffer that is recycled before
-// Call returns.
+// remote application error. A synchronous failure (encoder failure,
+// unknown target, unsupported pattern, transport refusal) is returned by
+// Call itself and cont does not run.
 //
 //repolint:hotpath
 func (p *Port[Req, Resp]) Call(from middleware.Addr, req Req, cont func(Resp, error)) error {
-	buf := codec.GetBuffer()
-	args, err := p.enc(buf.B[:0], req)
+	s, err := p.start(req)
 	if err != nil {
-		buf.Release()
-		return fmt.Errorf("svc: port %s.%s: marshal request: %w", p.target, p.op, err) //repolint:allow alloc -- cold: encoder failure
+		return err
 	}
-	buf.B = args
-	s := p.getState()
 	s.cont = cont
-	err = p.b.plat.Invoke(from, p.target, p.op, args, s.onReply)
-	buf.Release()
-	if err != nil {
+	if err := p.b.plat.Invoke(from, p.target, p.op, s.args, s.onReply); err != nil {
 		s.cont = nil
 		p.putState(s)
 		return wrapErr(err)
@@ -122,23 +162,64 @@ func (p *Port[Req, Resp]) Call(from middleware.Addr, req Req, cont func(Resp, er
 	return nil
 }
 
-// reply is the platform continuation and the call's only resolver: the
-// platform runs it exactly once, on reply, timeout or failure. It
-// returns the state to the pool before the continuation runs (on a local
-// copy), so a reentrant Call from inside cont may reuse it safely. The
-// result view borrows the delivery buffer: dec must copy whatever Resp
-// retains.
-func (s *callState[Req, Resp]) reply(result codec.MsgView, err error) {
+// CallRetry performs an at-least-once request/response interaction: the
+// retry mechanism, with the policy left to the caller. The request is
+// encoded once, and every attempt sends those same bytes from the node
+// from reports at that instant. The first attempt leaves after the
+// given delay (at once when it is zero). After each attempt done sees
+// its outcome, as Call's continuation would — a synchronous platform
+// refusal included — and answers whether to go again: true re-arms the
+// call every later, false ends it. If req fails to encode, done sees
+// that error once and the call ends, since there is nothing to resend.
+func (p *Port[Req, Resp]) CallRetry(from Caller, req Req, after, every time.Duration, done func(Resp, error) bool) {
+	s, err := p.start(req)
+	if err != nil {
+		var none Resp
+		done(none, err)
+		return
+	}
+	s.from, s.every, s.done = from, every, done
+	if after > 0 {
+		p.b.plat.Time().ScheduleFunc(after, s.onRetry)
+		return
+	}
+	s.attempt()
+}
+
+// attempt sends one attempt of a CallRetry. A synchronous refusal is an
+// outcome like any other: it goes to reply, and so to the policy.
+//
+//repolint:hotpath
+func (s *callState[Req, Resp]) attempt() {
 	p := s.p
-	cont := s.cont
-	s.cont = nil
+	if err := p.b.plat.Invoke(s.from.Node(), p.target, p.op, s.args, s.onReply); err != nil {
+		s.reply(codec.MsgView{}, err)
+	}
+}
+
+// reply is the platform continuation and the attempt's only resolver:
+// the platform runs it exactly once, on reply, timeout or failure. A
+// CallRetry's policy may re-arm the record; otherwise the record returns
+// to the pool before cont runs (on a local copy), so a reentrant Call
+// from inside cont may reuse it safely. The result view borrows the
+// delivery buffer: dec must copy whatever Resp retains.
+//
+//repolint:hotpath
+func (s *callState[Req, Resp]) reply(result codec.MsgView, err error) {
+	p, cont, done := s.p, s.cont, s.done
+	var resp Resp
+	if err == nil && p.dec != nil {
+		resp, err = p.dec(result)
+	}
+	err = wrapErr(err)
+	if done != nil && done(resp, err) {
+		p.b.plat.Time().ScheduleFunc(s.every, s.onRetry)
+		return
+	}
+	s.cont, s.from, s.done = nil, nil, nil
 	p.putState(s)
 	if cont != nil {
-		var resp Resp
-		if err == nil && p.dec != nil {
-			resp, err = p.dec(result)
-		}
-		cont(resp, wrapErr(err))
+		cont(resp, err)
 	}
 }
 
@@ -148,7 +229,7 @@ func (s *callState[Req, Resp]) reply(result codec.MsgView, err error) {
 type Export struct {
 	b    *Binding
 	ref  middleware.ObjRef
-	node middleware.Addr
+	node middleware.Addr // current hosting node (moves on Rebind)
 
 	// ops is a small linear table (exports host a handful of operations):
 	// dispatch scans it with the length-first string compare, which beats
@@ -175,6 +256,10 @@ func (e *Export) lookup(op []byte) func(codec.MsgView, middleware.Reply) {
 	}
 	return nil
 }
+
+// Node returns the export's current hosting node. It makes an Export a
+// Caller: a component that retries from its export follows a Rebind.
+func (e *Export) Node() middleware.Addr { return e.node }
 
 // NewExport prepares a typed component object hosted at node under ref.
 func (b *Binding) NewExport(ref middleware.ObjRef, node middleware.Addr) (*Export, error) {

@@ -9,7 +9,10 @@
 //
 //   - Port[Req, Resp]: request/response with pooled per-call state
 //     (steady-state calls add no allocations over the raw platform path)
-//     and a typed error taxonomy;
+//     and a typed error taxonomy. Call runs once; CallRetry is the
+//     at-least-once call — the request encoded once, every attempt sent
+//     from its Caller's current node, and a caller-supplied policy that
+//     decides after each outcome whether to go again;
 //   - Sink[T] / Source[T]: oneway, queue and topic endpoints built on the
 //     platform's dense fan-out and zero-copy demux planes
 //     (SendMultiIndexed / SubscribeTopicView underneath);
@@ -17,7 +20,8 @@
 //     platform object.
 //
 // Ports take no options: they are typed marshalling over the platform
-// and nothing else. How long a call may take is platform policy (the
+// and nothing else. CallRetry holds the retry mechanism only; the
+// interval and which outcomes retry are the caller's policy. How long a call may take is platform policy (the
 // profile's CallTimeout), and conformance is observed at the SAP, where
 // the service is defined (core.Observer.Provider), not per port.
 //
@@ -166,6 +170,8 @@ func (s *Service) Bind(p *middleware.Platform, patterns ...middleware.Pattern) (
 type Binding struct {
 	svc  *Service
 	plat *middleware.Platform
+
+	pools []any // call-record pools, one per port type (poolFor)
 }
 
 // Service returns the bound service declaration.
