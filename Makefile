@@ -91,6 +91,7 @@ bench-regression:
 fuzz:
 	$(GO) test -fuzz FuzzKernelOrdering -fuzztime 60s -fuzzminimizetime 1s -run XXX ./internal/sim
 	$(GO) test -fuzz FuzzCodecRoundTrip -fuzztime 60s -fuzzminimizetime 1s -run XXX ./internal/codec
+	$(GO) test -fuzz FuzzSchemaParse -fuzztime 90s -fuzzminimizetime 1s -run XXX ./internal/codec
 	$(GO) test -fuzz FuzzSDLRoundTrip -fuzztime 60s -fuzzminimizetime 1s -run XXX ./internal/sdl
 	$(GO) test -fuzz FuzzPlatformWire -fuzztime 60s -fuzzminimizetime 1s -run XXX ./internal/middleware
 	$(GO) test -fuzz FuzzReliableReceive -fuzztime 60s -fuzzminimizetime 1s -run XXX ./internal/protocol

@@ -187,3 +187,57 @@ func BenchmarkLegacyRoundTrip(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkSchemaParse is the slot plane on the two hottest messages:
+// one slot parse of an rdp.data PDU and of an mw.call whose nested
+// argument record is then resolved, with every field of each read by
+// slot. Steady state must be 0 allocs/op.
+func BenchmarkSchemaParse(b *testing.B) {
+	seeds := slotSeeds(b)
+	rdp, call := seeds[0], seeds[3]
+	rdpSet, mwSet, argsSchema := fuzzSets[0], fuzzSets[1], fuzzRecords[0]
+	var (
+		sInc, sPayload, sRinc, sSeq = slotRdpData.Slot("inc"), slotRdpData.Slot("payload"), slotRdpData.Slot("rinc"), slotRdpData.Slot("seq")
+		sArgs, sID, sOp, sTarget    = slotMwCall.Slot("args"), slotMwCall.Slot("id"), slotMwCall.Slot("op"), slotMwCall.Slot("target")
+		sRes, sSeqArg, sSub         = argsSchema.Slot("resid"), argsSchema.Slot("seq"), argsSchema.Slot("subid")
+	)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		var sl, as Slots
+		if err := rdpSet.Parse(rdp, &sl); err != nil {
+			b.Fatal(err)
+		}
+		_, _ = sl.UintAt(sInc)
+		_, _ = sl.UintAt(sRinc)
+		if _, ok := sl.UintAt(sSeq); !ok {
+			b.Fatal("missing seq")
+		}
+		if _, ok := sl.BytesAt(sPayload); !ok {
+			b.Fatal("missing payload")
+		}
+		if err := mwSet.Parse(call, &sl); err != nil {
+			b.Fatal(err)
+		}
+		if _, ok := sl.UintAt(sID); !ok {
+			b.Fatal("missing id")
+		}
+		if _, ok := sl.StrAt(sOp); !ok {
+			b.Fatal("missing op")
+		}
+		if _, ok := sl.StrAt(sTarget); !ok {
+			b.Fatal("missing target")
+		}
+		args, ok := sl.RecordAt(sArgs)
+		if !ok {
+			b.Fatal("missing args")
+		}
+		argsSchema.Resolve(&args, &as)
+		_, _ = as.IntAt(sSeqArg)
+		if _, ok := as.StrAt(sRes); !ok {
+			b.Fatal("missing resid")
+		}
+		if _, ok := as.StrAt(sSub); !ok {
+			b.Fatal("missing subid")
+		}
+	}
+}

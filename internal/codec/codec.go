@@ -263,8 +263,12 @@ func decodeValue(data []byte, depth int) (Value, int, error) {
 }
 
 // decodeLenPrefixed returns the payload of a uvarint-length-prefixed field
-// and the bytes consumed (length prefix + payload).
+// and the bytes consumed (length prefix + payload). A length below 128
+// (every key, most strings) is one byte and read without a varint loop.
 func decodeLenPrefixed(data []byte) ([]byte, int, error) {
+	if len(data) > 0 && data[0] < 0x80 && int(data[0]) < len(data) {
+		return data[1 : 1+data[0]], 1 + int(data[0]), nil
+	}
 	size, n := binary.Uvarint(data)
 	if n <= 0 {
 		return nil, 0, ErrTruncated

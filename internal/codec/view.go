@@ -8,7 +8,10 @@ import (
 )
 
 // This file is the allocation-free decode plane: MsgView walks a message
-// or record in place without materializing boxed Value trees.
+// or record in place without materializing boxed Value trees. One
+// parser, parseRecord, validates every message and record; given a
+// schema it also keeps the offsets of the schema's fields for the slot
+// accessors of slots.go.
 //
 // ALIASING RULES: every []byte returned by a MsgView accessor (Name, Str,
 // Bytes, Raw) aliases the input buffer. It is valid only until the caller returns control to whoever
@@ -16,7 +19,9 @@ import (
 // returns (the network recycles delivery buffers). Retain with an
 // explicit copy. A MsgView itself (including one returned by View) is a
 // borrowed window under the same rule. Materializing accessors (Fields,
-// Value, Strings) copy and are safe to retain.
+// Value, Strings) copy and are safe to retain. The same rules hold for a
+// Slots and for every value its slot accessors (StrAt, BytesAt, RawAt,
+// RecordAt, View) return; StringsAt copies.
 
 // RawNil is the complete wire encoding of the nil value — the fallback
 // for splicing an absent field into an Encoder with Raw. Callers must
@@ -130,19 +135,33 @@ type MsgView struct {
 // map overwrite); this is what lets the sorted-order early exit in field
 // lookup be exact rather than heuristic.
 func ParseMessage(data []byte) (MsgView, error) {
+	var v MsgView
+	err := parseMessage(&v, data, nil, nil)
+	return v, err
+}
+
+// parseMessage validates one message into *v. When set is non-nil it is
+// the slot pass of parseRecord against the set's schema for the
+// message's name, recorded in at (see SchemaSet.Parse).
+func parseMessage(v *MsgView, data []byte, set *SchemaSet, out *Slots) error {
 	if len(data) == 0 || data[0] != tagString {
-		return MsgView{}, fmt.Errorf("decode message name: %w", errOrTruncated(data))
+		return fmt.Errorf("decode message name: %w", errOrTruncated(data))
 	}
 	name, n, err := decodeLenPrefixed(data[1:])
 	if err != nil {
-		return MsgView{}, fmt.Errorf("decode message name: %w", err)
+		return fmt.Errorf("decode message name: %w", err)
 	}
-	v, err := parseRecord(data[1+n:], 0)
-	if err != nil {
-		return MsgView{}, fmt.Errorf("decode message %q: %w", name, err)
+	var s *Schema
+	var at *[MaxSlots]span
+	if set != nil {
+		s = set.byName(name)
+		out.schema, at = s, &out.at
+	}
+	if err := parseRecord(v, data[1+n:], 0, s, at); err != nil {
+		return fmt.Errorf("decode message %q: %w", name, err)
 	}
 	v.name = name
-	return v, nil
+	return nil
 }
 
 // ParseRecord validates data as exactly one encoded record value (the
@@ -151,51 +170,92 @@ func ParseMessage(data []byte) (MsgView, error) {
 // ParseMessage — well-formed values, canonical key order, no trailing
 // bytes — and the view obeys the same aliasing rules. Name is empty.
 func ParseRecord(data []byte) (MsgView, error) {
-	return parseRecord(data, 0)
+	var v MsgView
+	err := parseRecord(&v, data, 0, nil, nil)
+	return v, err
 }
 
 // parseRecord validates one record value spanning all of data, nested
-// depth levels below the top.
-func parseRecord(data []byte, depth int) (MsgView, error) {
+// depth levels below the top, into *v. It is the one parser of the
+// decode plane. With a schema s it is also the slot pass: while it walks
+// the pairs it validates anyway, it records in at the value offset of
+// every field of s it meets, so a consumer then reads each field by Slot
+// without a second walk. Acceptance does not depend on s — a field s
+// lacks is validated and skipped, a field s has that the record lacks
+// leaves its slot empty.
+func parseRecord(v *MsgView, data []byte, depth int, s *Schema, at *[MaxSlots]span) error {
 	if depth > maxDepth {
-		return MsgView{}, ErrDepth
+		return ErrDepth
 	}
 	if len(data) == 0 || data[0] != tagRecord {
-		return MsgView{}, fmt.Errorf("fields are not a record: %w", errOrTruncated(data))
+		return fmt.Errorf("fields are not a record: %w", errOrTruncated(data))
 	}
 	count, cn := binary.Uvarint(data[1:])
 	if cn <= 0 {
-		return MsgView{}, fmt.Errorf("fields: %w", ErrTruncated)
+		return fmt.Errorf("fields: %w", ErrTruncated)
 	}
 	if count > uint64(len(data)) {
-		return MsgView{}, fmt.Errorf("fields: %w: record of %d fields in %d bytes", ErrSize, count, len(data))
+		return fmt.Errorf("fields: %w: record of %d fields in %d bytes", ErrSize, count, len(data))
+	}
+	var fields []schemaField
+	if s != nil {
+		fields = s.slotted()
+	}
+	if at != nil {
+		*at = [MaxSlots]span{}
 	}
 	pairs := data[1+cn:]
 	p := pairs
 	var prev []byte
+	prevSlot := false
+	j := 0 // the next schema field a key can match: keys ascend
 	for i := uint64(0); i < count; i++ {
 		if len(p) == 0 || p[0] != tagString {
-			return MsgView{}, fmt.Errorf("field %d: %w (key must be string)", i, ErrBadTag)
+			return fmt.Errorf("field %d: %w (key must be string)", i, ErrBadTag)
 		}
 		key, kn, err := decodeLenPrefixed(p[1:])
 		if err != nil {
-			return MsgView{}, fmt.Errorf("field %d key: %w", i, err)
+			return fmt.Errorf("field %d key: %w", i, err)
 		}
-		if i > 0 && bytes.Compare(prev, key) >= 0 {
-			return MsgView{}, fmt.Errorf("key %q after %q: %w", key, prev, ErrNonCanonical)
+		k := matchField(fields, j, key)
+		// Two keys that both matched schema fields ascend already: j
+		// only moves forward over strictly ascending names.
+		if i > 0 && (k < 0 || !prevSlot) && bytes.Compare(prev, key) >= 0 {
+			return fmt.Errorf("key %q after %q: %w", key, prev, ErrNonCanonical)
 		}
-		prev = key
+		prev, prevSlot = key, k >= 0
 		p = p[1+kn:]
 		m, err := skipValue(p, depth+1)
 		if err != nil {
-			return MsgView{}, fmt.Errorf("field %q: %w", key, err)
+			return fmt.Errorf("field %q: %w", key, err)
+		}
+		if k >= 0 {
+			off := len(pairs) - len(p)
+			at[k] = span{off: off, end: off + m}
+			j = k + 1
 		}
 		p = p[m:]
 	}
 	if len(p) != 0 {
-		return MsgView{}, ErrTrailing
+		return ErrTrailing
 	}
-	return MsgView{pairs: pairs, fields: int(count), depth: depth}, nil
+	*v = MsgView{pairs: pairs, fields: int(count), depth: depth}
+	return nil
+}
+
+// matchField returns the index of the field named key among fields[j:],
+// or -1. Names are compared by length first, so a miss rarely reads the
+// bytes; the fields before j were met already or sort before an earlier
+// key.
+//
+//repolint:hotpath
+func matchField(fields []schemaField, j int, key []byte) int {
+	for k := j; k < len(fields); k++ {
+		if fields[k].name == string(key) {
+			return k
+		}
+	}
+	return -1
 }
 
 // errOrTruncated distinguishes "nothing there" from "wrong tag".
@@ -274,43 +334,17 @@ func compareKey(key []byte, name string) int {
 // Uint returns a tagUint field.
 //
 //repolint:hotpath
-func (v *MsgView) Uint(name string) (uint64, bool) {
-	raw := v.lookup(name)
-	if len(raw) == 0 || raw[0] != tagUint {
-		return 0, false
-	}
-	u, n := binary.Uvarint(raw[1:])
-	return u, n > 0
-}
+func (v *MsgView) Uint(name string) (uint64, bool) { return rawUint(v.lookup(name)) }
 
 // Int returns a tagInt field.
 //
 //repolint:hotpath
-func (v *MsgView) Int(name string) (int64, bool) {
-	raw := v.lookup(name)
-	if len(raw) == 0 || raw[0] != tagInt {
-		return 0, false
-	}
-	u, n := binary.Uvarint(raw[1:])
-	return unzigzag(u), n > 0
-}
+func (v *MsgView) Int(name string) (int64, bool) { return rawInt(v.lookup(name)) }
 
 // Bool returns a boolean field.
 //
 //repolint:hotpath
-func (v *MsgView) Bool(name string) (val, ok bool) {
-	raw := v.lookup(name)
-	if len(raw) == 0 {
-		return false, false
-	}
-	switch raw[0] {
-	case tagTrue:
-		return true, true
-	case tagFalse:
-		return false, true
-	}
-	return false, false
-}
+func (v *MsgView) Bool(name string) (val, ok bool) { return rawBool(v.lookup(name)) }
 
 // Float returns a tagFloat field.
 //
@@ -326,26 +360,12 @@ func (v *MsgView) Float(name string) (float64, bool) {
 // Str returns the payload of a string field, aliasing the input buffer.
 //
 //repolint:hotpath
-func (v *MsgView) Str(name string) ([]byte, bool) {
-	raw := v.lookup(name)
-	if len(raw) == 0 || raw[0] != tagString {
-		return nil, false
-	}
-	s, _, err := decodeLenPrefixed(raw[1:])
-	return s, err == nil
-}
+func (v *MsgView) Str(name string) ([]byte, bool) { return rawLenPrefixed(v.lookup(name), tagString) }
 
 // Bytes returns the payload of a bytes field, aliasing the input buffer.
 //
 //repolint:hotpath
-func (v *MsgView) Bytes(name string) ([]byte, bool) {
-	raw := v.lookup(name)
-	if len(raw) == 0 || raw[0] != tagBytes {
-		return nil, false
-	}
-	s, _, err := decodeLenPrefixed(raw[1:])
-	return s, err == nil
-}
+func (v *MsgView) Bytes(name string) ([]byte, bool) { return rawLenPrefixed(v.lookup(name), tagBytes) }
 
 // Raw returns the complete TLV encoding of the named field's value,
 // aliasing the input buffer — ready to splice into an Encoder with Raw.
@@ -371,17 +391,7 @@ func (v *MsgView) Value(name string) (Value, bool) {
 
 // View returns a view over a nested record field, validated like
 // ParseRecord (canonical keys included), aliasing the input buffer.
-func (v *MsgView) View(name string) (MsgView, bool) {
-	raw := v.lookup(name)
-	if len(raw) == 0 || raw[0] != tagRecord {
-		return MsgView{}, false
-	}
-	nested, err := parseRecord(raw, v.depth+1)
-	if err != nil {
-		return MsgView{}, false
-	}
-	return nested, true
-}
+func (v *MsgView) View(name string) (MsgView, bool) { return rawRecord(v.lookup(name), v.depth+1) }
 
 // Has reports whether the named field is present, whatever its type —
 // what tells an absent field from a mistyped one after a typed accessor
@@ -405,7 +415,69 @@ func (v *MsgView) Keys(dst []string) []string {
 // unchanged, when the field is absent, not a list, or holds a non-string
 // element.
 func (v *MsgView) Strings(name string, dst []string) ([]string, bool) {
-	raw := v.lookup(name)
+	return rawStrings(v.lookup(name), dst)
+}
+
+// The value readers below decode one complete TLV value (nil = absent
+// field) as the named and the slot accessors return it, so the two
+// planes cannot disagree on what a field holds.
+
+//repolint:hotpath
+func rawUint(raw []byte) (uint64, bool) {
+	if len(raw) == 0 || raw[0] != tagUint {
+		return 0, false
+	}
+	u, n := binary.Uvarint(raw[1:])
+	return u, n > 0
+}
+
+//repolint:hotpath
+func rawInt(raw []byte) (int64, bool) {
+	if len(raw) == 0 || raw[0] != tagInt {
+		return 0, false
+	}
+	u, n := binary.Uvarint(raw[1:])
+	return unzigzag(u), n > 0
+}
+
+//repolint:hotpath
+func rawBool(raw []byte) (val, ok bool) {
+	if len(raw) == 0 {
+		return false, false
+	}
+	switch raw[0] {
+	case tagTrue:
+		return true, true
+	case tagFalse:
+		return false, true
+	}
+	return false, false
+}
+
+// rawLenPrefixed returns the payload of a string or bytes value (tag).
+//
+//repolint:hotpath
+func rawLenPrefixed(raw []byte, tag byte) ([]byte, bool) {
+	if len(raw) == 0 || raw[0] != tag {
+		return nil, false
+	}
+	s, _, err := decodeLenPrefixed(raw[1:])
+	return s, err == nil
+}
+
+// rawRecord parses a record value nested depth levels down.
+func rawRecord(raw []byte, depth int) (MsgView, bool) {
+	if len(raw) == 0 || raw[0] != tagRecord {
+		return MsgView{}, false
+	}
+	var nested MsgView
+	if err := parseRecord(&nested, raw, depth, nil, nil); err != nil {
+		return MsgView{}, false
+	}
+	return nested, true
+}
+
+func rawStrings(raw []byte, dst []string) ([]string, bool) {
 	if len(raw) == 0 || raw[0] != tagList {
 		return dst, false
 	}

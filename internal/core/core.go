@@ -143,35 +143,22 @@ type Event struct {
 	// and the events of retained violations hold copies.
 	Params []byte
 
-	// obs is the Observer checking the event (nil otherwise), and view
-	// the params it parsed.
-	obs  *Observer
-	view codec.MsgView
+	// obs is the Observer checking the event (nil otherwise): it holds
+	// the params parsed against the primitive's schema while the event
+	// is observed.
+	obs *Observer
 }
 
-// str reads a string parameter. Under an Observer the value is interned
-// in its table, found by its bytes (m[string(b)] does not allocate), so
-// a value seen before costs no allocation; the table is cleared at 1,024
-// entries, so values that never recur (per-message ids) cannot grow it.
+// str reads a string parameter. Under an Observer it reads the slot the
+// observer parsed (see Observer.param); otherwise it parses the params
+// and reads the parameter by name.
 func (e *Event) str(name string) (string, bool) {
-	v := e.view
-	if e.obs == nil {
-		v, _ = codec.ParseRecord(e.Params) //nolint:errcheck // a malformed record has no parameters
+	if e.obs != nil {
+		return e.obs.param(e, name)
 	}
+	v, _ := codec.ParseRecord(e.Params) //nolint:errcheck // a malformed record has no parameters
 	b, ok := v.Str(name)
-	if !ok || e.obs == nil {
-		return string(b), ok
-	}
-	strs := e.obs.strs
-	s, seen := strs[string(b)]
-	if !seen {
-		if len(strs) >= 1024 {
-			clear(strs)
-		}
-		s = string(b)
-		strs[s] = s
-	}
-	return s, true
+	return string(b), ok
 }
 
 // Label renders the event as an LTS label, parameters in sorted order:
@@ -201,7 +188,7 @@ func (e Event) Label() string {
 // producer's buffer.
 func (e Event) retained() Event {
 	e.Params = append([]byte(nil), e.Params...)
-	e.obs, e.view = nil, codec.MsgView{}
+	e.obs = nil
 	return e
 }
 

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"repro/internal/codec"
@@ -32,7 +33,58 @@ type Observer struct {
 	trace      *Trace // nil unless WithTrace
 	monitors   []Monitor
 	violations []error
-	strs       map[string]string // interned key values (see Event.str)
+	strs       map[string]string // interned key values (see intern)
+
+	// prims holds each primitive of the spec with its parameter record
+	// schema, compiled once here. While an event is observed, cur is its
+	// primitive when its params parsed into slots (nil otherwise: an
+	// unknown primitive or malformed params take the by-name path), and
+	// key caches the one parameter the monitors correlate by, so the
+	// monitors of one event read it once.
+	prims []observedPrim
+	cur   *observedPrim
+	slots codec.Slots
+	key   struct {
+		set, ok   bool
+		name, val string
+	}
+}
+
+// observedPrim is one primitive of the observed spec: its declaration,
+// the schema of its parameter record and the slot of each declared
+// parameter, in declaration order. A primitive whose parameters cannot
+// be slots (an empty name, more than codec.MaxSlots) has no schema.
+type observedPrim struct {
+	def    PrimitiveDef
+	schema *codec.Schema
+	slots  [codec.MaxSlots]codec.Slot
+}
+
+// observedPrims compiles the parameter schema of every primitive of
+// spec once. Primitives that declare the same parameter names (every
+// floor-control primitive carries {resid}) share one schema.
+func observedPrims(spec *ServiceSpec) []observedPrim {
+	prims := make([]observedPrim, len(spec.Primitives))
+	for i, p := range spec.Primitives {
+		op := &prims[i]
+		op.def = p
+		if len(p.Params) > codec.MaxSlots || slices.ContainsFunc(p.Params, func(d ParamDef) bool { return d.Name == "" }) {
+			continue
+		}
+		for _, q := range prims[:i] {
+			if q.schema != nil && slices.EqualFunc(q.def.Params, p.Params, func(a, b ParamDef) bool { return a.Name == b.Name }) {
+				op.schema = q.schema
+				break
+			}
+		}
+		if op.schema == nil {
+			op.schema = p.Schema()
+		}
+		for k, param := range p.Params {
+			op.slots[k] = op.schema.Slot(param.Name)
+		}
+	}
+	return prims
 }
 
 // ObserverOption configures an Observer.
@@ -53,7 +105,8 @@ func NewObserver(spec *ServiceSpec, clock Clock, opts ...ObserverOption) (*Obser
 	if clock == nil {
 		return nil, errors.New("observer: nil clock")
 	}
-	o := &Observer{spec: spec, clock: clock, strs: make(map[string]string)}
+	o := &Observer{spec: spec, clock: clock, strs: make(map[string]string), prims: observedPrims(spec),
+		monitors: make([]Monitor, 0, len(spec.Constraints))}
 	for _, c := range spec.Constraints {
 		o.monitors = append(o.monitors, c.NewMonitor())
 	}
@@ -75,9 +128,17 @@ func (o *Observer) Spec() *ServiceSpec { return o.spec }
 //
 //repolint:hotpath
 func (o *Observer) Observe(sap SAP, primitive string, params []byte) error {
-	e := Event{At: o.clock.Now(), SAP: sap, Primitive: primitive, Params: params}
-	if v, err := codec.ParseRecord(params); err == nil {
-		e.obs, e.view = o, v // parsed once, for validation and every monitor
+	e := Event{At: o.clock.Now(), SAP: sap, Primitive: primitive, Params: params, obs: o}
+	// Parsed once against the primitive's schema, for validation and
+	// every monitor.
+	o.cur, o.key.set = nil, false
+	for i := range o.prims {
+		if p := &o.prims[i]; p.def.Name == primitive {
+			if p.schema != nil && p.schema.ParseRecord(params, &o.slots) == nil {
+				o.cur = p
+			}
+			break
+		}
 	}
 	o.events++
 	if o.trace != nil {
@@ -96,6 +157,78 @@ func (o *Observer) Observe(sap SAP, primitive string, params []byte) error {
 		}
 	}
 	return first
+}
+
+// param reads the string parameter name of e, the event being observed.
+// The first read of an event resolves it; later reads of the same name
+// (every monitor correlating by it) return the cached value. The value
+// is interned (see intern).
+//
+//repolint:hotpath
+func (o *Observer) param(e *Event, name string) (string, bool) {
+	if o.key.set && o.key.name == name {
+		return o.key.val, o.key.ok
+	}
+	b, ok := o.paramBytes(e, name)
+	val := ""
+	if ok {
+		val = o.intern(b)
+	}
+	o.key.set, o.key.ok, o.key.name, o.key.val = true, ok, name, val
+	return val, ok
+}
+
+// paramBytes reads the string parameter name: by slot when it is a
+// declared parameter of a primitive parsed into slots, otherwise by name.
+func (o *Observer) paramBytes(e *Event, name string) ([]byte, bool) {
+	if p := o.cur; p != nil {
+		for i, decl := range p.def.Params {
+			if decl.Name == name {
+				return o.slots.StrAt(p.slots[i])
+			}
+		}
+		return o.slots.View().Str(name)
+	}
+	v, _ := codec.ParseRecord(e.Params) //nolint:errcheck // a malformed record has no parameters
+	return v.Str(name)
+}
+
+// intern returns b as a string from the observer's table, found by its
+// bytes (m[string(b)] does not allocate), so a value seen before costs no
+// allocation; the table is cleared at 1,024 entries, so values that never
+// recur (per-message ids) cannot grow it.
+//
+//repolint:hotpath
+func (o *Observer) intern(b []byte) string {
+	s, seen := o.strs[string(b)]
+	if !seen {
+		if len(o.strs) >= 1024 {
+			clear(o.strs)
+		}
+		s = string(b)
+		o.strs[s] = s
+	}
+	return s
+}
+
+// checkParams is ServiceSpec.CheckEvent's parameter check of the event
+// being observed, read from its slots: exactly the declared parameters,
+// each of its declared kind.
+func (o *Observer) checkParams(p PrimitiveDef) error {
+	v := o.slots.View()
+	if v.Len() != len(p.Params) {
+		return fmt.Errorf("%w: %q got %d params, declared %d", ErrBadParams, p.Name, v.Len(), len(p.Params))
+	}
+	for i, decl := range p.Params {
+		slot := o.cur.slots[i]
+		if !o.slots.Has(slot) {
+			return fmt.Errorf("%w: %q missing parameter %q", ErrBadParams, p.Name, decl.Name)
+		}
+		if !kindAt(&o.slots, slot, decl.Kind) {
+			return fmt.Errorf("%w: %q parameter %q: %v", ErrBadParams, p.Name, decl.Name, checkKind(v, decl))
+		}
+	}
+	return nil
 }
 
 // retain keeps a violation, its event detached from the params buffer.

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"testing"
 	"time"
+	"unsafe"
 
 	"repro/internal/codec"
 )
@@ -169,5 +170,57 @@ func TestObserveAllocatesNothing(t *testing.T) {
 	}
 	if obs.Complete() != nil {
 		t.Fatalf("conforming cycles reported %v", obs.Violations())
+	}
+}
+
+// TestByValueViewSizes pins the size of the two views copied by value
+// on every delivery and observation: codec.MsgView (through Event,
+// Object.Dispatch and the argument decoders) and Event (once per
+// monitor). Field offsets kept inside MsgView ([8]uint32 more) made the
+// default band slower, with runtime.duffcopy at 4.3 % of its CPU, so
+// the offsets live in codec.Slots, on the parser's stack, instead. Event
+// no longer carries a parsed view (the observer keeps the slots), which
+// took it from 152 to 88 bytes on 64-bit platforms. Growing either is a
+// measured decision, not a side effect.
+func TestByValueViewSizes(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("sizes are pinned for 64-bit platforms")
+	}
+	if got := unsafe.Sizeof(codec.MsgView{}); got != 64 {
+		t.Errorf("codec.MsgView is %d bytes, pinned at 64", got)
+	}
+	if got := unsafe.Sizeof(Event{}); got != 88 {
+		t.Errorf("core.Event is %d bytes, pinned at 88", got)
+	}
+}
+
+// TestMonitorsKeyedByDifferentParams: the observer reads a correlation
+// key once per event for all monitors, so monitors keyed by different
+// parameters of one event must each still see their own parameter.
+func TestMonitorsKeyedByDifferentParams(t *testing.T) {
+	params := []ParamDef{{Name: "x", Kind: KindString}, {Name: "y", Kind: KindString}}
+	spec := &ServiceSpec{
+		Name: "two-keys",
+		Primitives: []PrimitiveDef{
+			{Name: "q", Direction: FromUser, Params: params},
+			{Name: "p", Direction: ToUser, Params: params},
+		},
+		Constraints: []Constraint{
+			&Precedes{ConstraintName: "by-x", Trigger: "q", Enabled: "p", Key: KeyParam("x")},
+			&Precedes{ConstraintName: "by-y", Trigger: "q", Enabled: "p", Key: KeyParam("y")},
+		},
+	}
+	obs, err := NewObserver(spec, zeroClock{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	at := SAP{Role: "r", ID: "1"}
+	if err := obs.Observe(at, "q", rec(codec.Record{"x": "1", "y": "2"})); err != nil {
+		t.Fatal(err)
+	}
+	err = obs.Observe(at, "p", rec(codec.Record{"x": "1", "y": "3"}))
+	v, ok := AsViolation(err)
+	if !ok || v.Constraint != "by-y" || len(obs.Violations()) != 1 {
+		t.Fatalf("violations = %v, want by-y alone", obs.Violations())
 	}
 }

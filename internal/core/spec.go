@@ -113,12 +113,12 @@ func (s *ServiceSpec) CheckEvent(e Event) error {
 	if !ok {
 		return fmt.Errorf("%w: %q (event %s)", ErrUnknownPrimitive, e.Primitive, e.Label())
 	}
-	v := &e.view
-	if e.obs == nil { // not parsed by an Observer
-		var err error
-		if *v, err = codec.ParseRecord(e.Params); err != nil {
-			return fmt.Errorf("%w: %q params: %v", ErrBadParams, p.Name, err)
-		}
+	if o := e.obs; o != nil && o.cur != nil {
+		return o.checkParams(p)
+	}
+	v, err := codec.ParseRecord(e.Params)
+	if err != nil {
+		return fmt.Errorf("%w: %q params: %v", ErrBadParams, p.Name, err)
 	}
 	if v.Len() != len(p.Params) {
 		return fmt.Errorf("%w: %q got %d params, declared %d", ErrBadParams, p.Name, v.Len(), len(p.Params))
@@ -127,11 +127,26 @@ func (s *ServiceSpec) CheckEvent(e Event) error {
 		if !v.Has(decl.Name) {
 			return fmt.Errorf("%w: %q missing parameter %q", ErrBadParams, p.Name, decl.Name)
 		}
-		if err := checkKind(v, decl); err != nil {
+		if err := checkKind(&v, decl); err != nil {
 			return fmt.Errorf("%w: %q parameter %q: %v", ErrBadParams, p.Name, decl.Name, err)
 		}
 	}
 	return nil
+}
+
+// kindAt reports whether the value in slot i has kind k.
+func kindAt(sl *codec.Slots, i codec.Slot, k ParamKind) (ok bool) {
+	switch k {
+	case KindString:
+		_, ok = sl.StrAt(i)
+	case KindInt:
+		_, ok = sl.IntAt(i)
+	case KindBool:
+		_, ok = sl.BoolAt(i)
+	case KindStringList:
+		_, ok = sl.StringsAt(i, nil)
+	}
+	return ok
 }
 
 // checkKind checks that present parameter decl has its declared kind.

@@ -65,12 +65,22 @@ func Spec() *core.ServiceSpec {
 	return spec
 }
 
+// runSpec is the service definition every run observes and binds its
+// middleware service to. Nothing in a run writes to a ServiceSpec, so
+// runs share this one compile read-only.
+var runSpec = Spec()
+
 // sapParams is the parameter record every floor-control primitive carries
 // across the SAP, {resid}, in the layout the service definition declares.
-var sapParams = func() *codec.Schema {
-	p, _ := Spec().Primitive(PrimRequest)
-	return p.Schema()
-}()
+// Every record that names a resource — params, grants, PDUs — reads it
+// through slotResid.
+var (
+	sapParams = func() *codec.Schema {
+		p, _ := runSpec.Primitive(PrimRequest)
+		return p.Schema()
+	}()
+	slotResid = sapParams.Slot(ParamResource)
+)
 
 // paramBuf is a scratch buffer its owner encodes primitive params into
 // (the sapParams layout). Every owner keeps its own: the params are lent
@@ -101,7 +111,15 @@ func newResNames(resources []string) resNames {
 
 // of returns the resid of a params or grant record ("" when it has none).
 func (n resNames) of(v codec.MsgView) string {
-	b, _ := v.Str(ParamResource)
+	var sl codec.Slots
+	sapParams.Resolve(&v, &sl)
+	return n.at(&sl)
+}
+
+// at returns the resid in slot slotResid of a record parsed against
+// sapParams ("" when it has none).
+func (n resNames) at(sl *codec.Slots) string {
+	b, _ := sl.StrAt(slotResid)
 	if res, ok := n[string(b)]; ok {
 		return res
 	}
@@ -110,8 +128,9 @@ func (n resNames) of(v codec.MsgView) string {
 
 // resid returns the resid of encoded params.
 func (n resNames) resid(params []byte) string {
-	v, _ := codec.ParseRecord(params) //nolint:errcheck // malformed params have no resid
-	return n.of(v)
+	var sl codec.Slots
+	_ = sapParams.ParseRecord(params, &sl) //nolint:errcheck // malformed params have no resid
+	return n.at(&sl)
 }
 
 // SubscriberSAP names the SAP of one subscriber.

@@ -66,10 +66,14 @@ type availReply struct {
 	Available bool
 }
 
-// Wire layouts of the probe answer, without and with the resource.
+// Wire layouts of the probe answer, without and with the resource; the
+// decoder reads both through the recAvailRes superset by slot.
 var (
 	recAvail    = codec.CompileRecord("available")
 	recAvailRes = codec.CompileRecord("available", ParamResource)
+
+	slotAvail    = recAvailRes.Slot("available")
+	slotAvailRes = recAvailRes.Slot(ParamResource)
 )
 
 func encAvailReply(buf []byte, a availReply) ([]byte, error) {
@@ -85,8 +89,10 @@ func encAvailReply(buf []byte, a availReply) ([]byte, error) {
 }
 
 func decAvailReply(v codec.MsgView) (availReply, error) {
-	res, _ := v.Str(ParamResource)
-	avail, _ := v.Bool("available")
+	var sl codec.Slots
+	recAvailRes.Resolve(&v, &sl)
+	res, _ := sl.StrAt(slotAvailRes)
+	avail, _ := sl.BoolAt(slotAvail)
 	return availReply{Res: string(res), Available: avail}, nil
 }
 

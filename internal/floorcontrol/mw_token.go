@@ -61,6 +61,9 @@ type tokenArgs struct {
 var (
 	recToken    = codec.CompileRecord("available")
 	recTokenGen = codec.CompileRecord("available", "gen")
+
+	slotTokenAvail = recTokenGen.Slot("available")
+	slotTokenGen   = recTokenGen.Slot("gen")
 )
 
 func encTokenArgs(buf []byte, t tokenArgs) ([]byte, error) {
@@ -76,11 +79,13 @@ func encTokenArgs(buf []byte, t tokenArgs) ([]byte, error) {
 }
 
 func decTokenArgs(v codec.MsgView) (tokenArgs, error) {
-	avail, ok := v.Strings("available", nil)
+	var sl codec.Slots
+	recTokenGen.Resolve(&v, &sl)
+	avail, ok := sl.StringsAt(slotTokenAvail, nil)
 	if !ok {
 		return tokenArgs{}, fmt.Errorf("malformed token: available is not a list of strings")
 	}
-	gen, _ := v.Int("gen")
+	gen, _ := sl.IntAt(slotTokenGen)
 	return tokenArgs{Available: avail, Gen: uint64(gen)}, nil
 }
 

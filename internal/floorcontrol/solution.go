@@ -223,7 +223,7 @@ func bindService(env *Env, solution string) (*svc.Binding, error) {
 	if env.Platform == nil {
 		return nil, fmt.Errorf("floorcontrol: %s requires a middleware platform", solution)
 	}
-	service, err := svc.New(Spec())
+	service, err := svc.New(runSpec)
 	if err != nil {
 		return nil, fmt.Errorf("floorcontrol: %s: %w", solution, err)
 	}
@@ -257,12 +257,19 @@ type ctrlArgs struct {
 }
 
 // Wire layouts of the argument records. Seq is kept off the wire when
-// zero, so each optional-field set compiles to its own record schema.
+// zero, so each optional-field set compiles to its own record schema;
+// the decoders read both shapes through the *Seq superset by slot.
 var (
 	recCtrl     = codec.CompileRecord(ParamResource, "subid")
 	recCtrlSeq  = codec.CompileRecord(ParamResource, "seq", "subid")
 	recGrant    = codec.CompileRecord(ParamResource)
 	recGrantSeq = codec.CompileRecord(ParamResource, "seq")
+
+	slotCtrlRes  = recCtrlSeq.Slot(ParamResource)
+	slotCtrlSeq  = recCtrlSeq.Slot("seq")
+	slotCtrlSub  = recCtrlSeq.Slot("subid")
+	slotGrantRes = recGrantSeq.Slot(ParamResource)
+	slotGrantSeq = recGrantSeq.Slot("seq")
 )
 
 // encCtrlArgs appends the controller operations' argument record.
@@ -283,9 +290,11 @@ func encCtrlArgs(buf []byte, a ctrlArgs) ([]byte, error) {
 // decCtrlArgs decodes a controller argument record; absent or mistyped
 // fields decode to zero values.
 func decCtrlArgs(v codec.MsgView) (ctrlArgs, error) {
-	sub, _ := v.Str("subid")
-	res, _ := v.Str(ParamResource)
-	seq, _ := v.Int("seq")
+	var sl codec.Slots
+	recCtrlSeq.Resolve(&v, &sl)
+	sub, _ := sl.StrAt(slotCtrlSub)
+	res, _ := sl.StrAt(slotCtrlRes)
+	seq, _ := sl.IntAt(slotCtrlSeq)
 	return ctrlArgs{Sub: string(sub), Res: string(res), Seq: uint64(seq)}, nil
 }
 
@@ -315,8 +324,10 @@ func encGrantArgs(buf []byte, a grantArgs) ([]byte, error) {
 
 // decGrantArgs decodes a grant argument record.
 func decGrantArgs(v codec.MsgView) (grantArgs, error) {
-	res, _ := v.Str(ParamResource)
-	seq, _ := v.Int("seq")
+	var sl codec.Slots
+	recGrantSeq.Resolve(&v, &sl)
+	res, _ := sl.StrAt(slotGrantRes)
+	seq, _ := sl.IntAt(slotGrantSeq)
 	return grantArgs{Res: string(res), Seq: uint64(seq)}, nil
 }
 

@@ -320,7 +320,7 @@ func RunWorkloadWith(sol Solution, cfg Config) (*Result, error) {
 	if cfg.Trace != nil {
 		obsOpts = append(obsOpts, core.WithTrace(cfg.Trace))
 	}
-	observer, err := core.NewObserver(Spec(), engine, obsOpts...)
+	observer, err := core.NewObserver(runSpec, engine, obsOpts...)
 	if err != nil {
 		return nil, fmt.Errorf("floorcontrol: observer: %w", err)
 	}

@@ -22,6 +22,34 @@ var (
 	schemaDeliver  = codec.CompileSchema("mw.deliver", "fields", "name", "queue")
 	schemaPublish  = codec.CompileSchema("mw.publish", "fields", "name", "topic")
 	schemaEvent    = codec.CompileSchema("mw.event", "fields", "name", "topic")
+
+	// schemaReply is the read side of both reply shapes: a reply fills
+	// either its error or its result slot.
+	schemaReply = codec.CompileSchema("mw.reply", "error", "id", "result")
+
+	// mwSchemas validates every wire message once and resolves its
+	// fields for the handlers, which read them by the slots below.
+	mwSchemas = codec.NewSchemaSet(schemaCall, schemaOneway, schemaReply,
+		schemaEnqueue, schemaDeliver, schemaPublish, schemaEvent)
+
+	slotCallArgs     = schemaCall.Slot("args")
+	slotCallID       = schemaCall.Slot("id")
+	slotCallOp       = schemaCall.Slot("op")
+	slotCallTarget   = schemaCall.Slot("target")
+	slotOnewayArgs   = schemaOneway.Slot("args")
+	slotOnewayOp     = schemaOneway.Slot("op")
+	slotOnewayTarget = schemaOneway.Slot("target")
+	slotReplyError   = schemaReply.Slot("error")
+	slotReplyID      = schemaReply.Slot("id")
+	slotReplyResult  = schemaReply.Slot("result")
+	slotEnqFields    = schemaEnqueue.Slot("fields")
+	slotEnqName      = schemaEnqueue.Slot("name")
+	slotEnqQueue     = schemaEnqueue.Slot("queue")
+	slotDeliverQueue = schemaDeliver.Slot("queue")
+	slotPubFields    = schemaPublish.Slot("fields")
+	slotPubName      = schemaPublish.Slot("name")
+	slotPubTopic     = schemaPublish.Slot("topic")
+	slotEventTopic   = schemaEvent.Slot("topic")
 )
 
 // finishSend completes an encode into buf and transmits it between two
@@ -409,30 +437,30 @@ func (p *Platform) onWire(src, atID int32, data []byte) {
 	p.handleWire(src, atID, data)
 }
 
-// handleWire demarshals the implicit protocol through a zero-copy view
+// handleWire demarshals the implicit protocol through one slot parse
 // and dispatches per message type. Corrupt wire messages are dropped and
 // counted (Stats.Corrupt).
 func (p *Platform) handleWire(src, atID int32, data []byte) {
-	v, err := codec.ParseMessage(data)
-	if err != nil {
+	var sl codec.Slots
+	if err := mwSchemas.Parse(data, &sl); err != nil {
 		p.stats.Corrupt++
 		return
 	}
-	switch string(v.Name()) {
-	case "mw.call":
-		p.handleCall(src, atID, &v)
-	case "mw.reply":
-		p.handleReply(&v)
-	case "mw.oneway":
-		p.handleOneway(atID, &v)
-	case "mw.enqueue":
-		p.handleEnqueue(&v)
-	case "mw.deliver":
-		p.handleDeliver(atID, &v)
-	case "mw.publish":
-		p.handlePublish(&v)
-	case "mw.event":
-		p.handleEvent(atID, &v, data)
+	switch sl.Schema() {
+	case schemaCall:
+		p.handleCall(src, atID, &sl)
+	case schemaReply:
+		p.handleReply(&sl)
+	case schemaOneway:
+		p.handleOneway(atID, &sl)
+	case schemaEnqueue:
+		p.handleEnqueue(&sl)
+	case schemaDeliver:
+		p.handleDeliver(atID, &sl)
+	case schemaPublish:
+		p.handlePublish(&sl)
+	case schemaEvent:
+		p.handleEvent(atID, &sl, data)
 	}
 }
 
@@ -440,8 +468,7 @@ func (p *Platform) handleWire(src, atID int32, data []byte) {
 // verifying it is hosted at the receiving node (an id compare).
 //
 //repolint:hotpath
-func (p *Platform) lookupLocal(atID int32, v *codec.MsgView) (Object, bool) {
-	target, _ := v.Str("target")
+func (p *Platform) lookupLocal(atID int32, target []byte) (Object, bool) {
 	reg, ok := p.objects[ObjRef(target)]
 	if !ok || reg.nodeID != atID {
 		return nil, false
@@ -456,8 +483,8 @@ func (p *Platform) lookupLocal(atID int32, v *codec.MsgView) (Object, bool) {
 // record is counted corrupt (ok false).
 //
 //repolint:hotpath
-func (p *Platform) recordField(v *codec.MsgView, field string) (codec.MsgView, bool) {
-	rec, ok := v.View(field)
+func (p *Platform) recordField(sl *codec.Slots, field codec.Slot) (codec.MsgView, bool) {
+	rec, ok := sl.RecordAt(field)
 	if !ok {
 		p.stats.Corrupt++
 	}
@@ -493,18 +520,19 @@ func (p *Platform) putReplyCell(c *replyCell) {
 // returned (the common, synchronous case).
 //
 //repolint:hotpath
-func (p *Platform) handleCall(src, atID int32, v *codec.MsgView) {
-	id, _ := v.Uint("id")
-	args, ok := p.recordField(v, "args")
+func (p *Platform) handleCall(src, atID int32, sl *codec.Slots) {
+	id, _ := sl.UintAt(slotCallID)
+	args, ok := p.recordField(sl, slotCallArgs)
 	if !ok {
 		return
 	}
-	obj, ok := p.lookupLocal(atID, v)
+	target, _ := sl.StrAt(slotCallTarget)
+	obj, ok := p.lookupLocal(atID, target)
 	if !ok {
 		p.sendReply(id, atID, src, nil, errUnknownAtNode)
 		return
 	}
-	op, _ := v.Str("op")
+	op, _ := sl.StrAt(slotCallOp)
 	c := p.getReplyCell()
 	c.id, c.src, c.atID, c.armed = id, src, atID, true
 	obj.Dispatch(op, args, c.fn)
@@ -560,13 +588,13 @@ func (p *Platform) sendReply(id uint64, at, to int32, result []byte, err error) 
 // it).
 //
 //repolint:hotpath
-func (p *Platform) handleReply(v *codec.MsgView) {
-	id, _ := v.Uint("id")
-	errText, hasErr := v.Str("error")
+func (p *Platform) handleReply(sl *codec.Slots) {
+	id, _ := sl.UintAt(slotReplyID)
+	errText, hasErr := sl.StrAt(slotReplyError)
 	var result codec.MsgView
 	if !hasErr {
 		var ok bool
-		if result, ok = v.View("result"); !ok {
+		if result, ok = sl.RecordAt(slotReplyResult); !ok {
 			p.stats.Corrupt++
 			return
 		}
@@ -589,16 +617,17 @@ func (p *Platform) handleReply(v *codec.MsgView) {
 	cont(result, nil)
 }
 
-func (p *Platform) handleOneway(atID int32, v *codec.MsgView) {
-	args, ok := p.recordField(v, "args")
+func (p *Platform) handleOneway(atID int32, sl *codec.Slots) {
+	args, ok := p.recordField(sl, slotOnewayArgs)
 	if !ok {
 		return
 	}
-	obj, ok := p.lookupLocal(atID, v)
+	target, _ := sl.StrAt(slotOnewayTarget)
+	obj, ok := p.lookupLocal(atID, target)
 	if !ok {
 		return
 	}
-	op, _ := v.Str("op")
+	op, _ := sl.StrAt(slotOnewayOp)
 	obj.Dispatch(op, args, discardReply) // replies discarded
 }
 
@@ -606,13 +635,13 @@ func (p *Platform) handleOneway(atID int32, v *codec.MsgView) {
 // record is validated, then spliced into the consumer's mw.deliver
 // without ever being materialized (as handlePublish does for events).
 // An enqueue whose fields are not a record is counted corrupt.
-func (p *Platform) handleEnqueue(v *codec.MsgView) {
-	if _, ok := p.recordField(v, "fields"); !ok {
+func (p *Platform) handleEnqueue(sl *codec.Slots) {
+	if _, ok := p.recordField(sl, slotEnqFields); !ok {
 		return
 	}
-	queue, _ := v.Str("queue")
-	name, _ := v.Str("name")
-	fields, _ := v.Raw("fields")
+	queue, _ := sl.StrAt(slotEnqQueue)
+	name, _ := sl.StrAt(slotEnqName)
+	fields, _ := sl.RawAt(slotEnqFields)
 	p.deliverQueued(string(queue), name, fields)
 }
 
@@ -621,8 +650,8 @@ func (p *Platform) handleEnqueue(v *codec.MsgView) {
 // from a handful of queues; the name compare takes Go's pointer-equality
 // fast path for interned literals) and the node's consumers of that
 // queue take the envelope in turn, in subscription order.
-func (p *Platform) handleDeliver(atID int32, v *codec.MsgView) {
-	queue, _ := v.Str("queue")
+func (p *Platform) handleDeliver(atID int32, sl *codec.Slots) {
+	queue, _ := sl.StrAt(slotDeliverQueue)
 	var fn func(codec.MsgView)
 	sinks := p.queueSinks[atID]
 	for i := range sinks {
@@ -633,7 +662,7 @@ func (p *Platform) handleDeliver(atID int32, v *codec.MsgView) {
 		}
 	}
 	if fn != nil {
-		fn(*v)
+		fn(*sl.View())
 	}
 }
 
@@ -646,8 +675,8 @@ func (p *Platform) handleDeliver(atID int32, v *codec.MsgView) {
 // wire work at the root regardless of subscriber population. One
 // string-keyed topic probe per publish; everything after it is
 // slice-indexed.
-func (p *Platform) handlePublish(v *codec.MsgView) {
-	topic, _ := v.Str("topic")
+func (p *Platform) handlePublish(sl *codec.Slots) {
+	topic, _ := sl.StrAt(slotPubTopic)
 	tt := p.topics[string(topic)]
 	if tt == nil {
 		return
@@ -656,15 +685,15 @@ func (p *Platform) handlePublish(v *codec.MsgView) {
 	if len(p.leaves) == 0 {
 		row = tt.rows[0]
 	}
-	rawName, ok := v.Raw("name")
+	rawName, ok := sl.RawAt(slotPubName)
 	if !ok {
 		rawName = codec.RawNil
 	}
-	rawFields, ok := v.Raw("fields")
+	rawFields, ok := sl.RawAt(slotPubFields)
 	if !ok {
 		rawFields = codec.RawNil
 	}
-	rawTopic, ok := v.Raw("topic")
+	rawTopic, ok := sl.RawAt(slotPubTopic)
 	if !ok {
 		rawTopic = codec.RawNil
 	}
@@ -699,8 +728,8 @@ func (p *Platform) handlePublish(v *codec.MsgView) {
 // over the node's dense sink table: every sink matching the topic
 // receives the envelope in place (zero-copy, zero-alloc), in
 // subscription order.
-func (p *Platform) handleEvent(atID int32, v *codec.MsgView, data []byte) {
-	topic, _ := v.Str("topic")
+func (p *Platform) handleEvent(atID int32, sl *codec.Slots, data []byte) {
+	topic, _ := sl.StrAt(slotEventTopic)
 	if li := p.leafIndexOf(atID); li >= 0 {
 		var row []int32
 		if tt := p.topics[string(topic)]; tt != nil {
@@ -712,7 +741,7 @@ func (p *Platform) handleEvent(atID int32, v *codec.MsgView, data []byte) {
 	sinks := p.eventSinks[atID]
 	for i := range sinks {
 		if sinks[i].topic == string(topic) {
-			sinks[i].fn(*v)
+			sinks[i].fn(*sl.View())
 		}
 	}
 }

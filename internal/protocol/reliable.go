@@ -65,7 +65,7 @@ func (c *ReliableDatagramConfig) applyDefaults() {
 // detected peer restart tears the flow down through the CloseFlow
 // free-list path so the next Send restarts at sequence zero.
 //
-// Both PDU shapes are schema-compiled and decoded through codec.MsgView.
+// Both PDU shapes are schema-compiled and read by slot (codec.Slots).
 // An endpoint's id is its lower service's id, and all per-flow state
 // lives in tables indexed by it: the steady-state data path does zero
 // map lookups and the in-flight/hold copies ride pooled buffers.
@@ -91,14 +91,24 @@ var _ LowerService = (*ReliableDatagram)(nil)
 // Compiled PDU schemas (field order is canonical/sorted). The *Inc
 // variants carry the incarnation pair and are used only when either
 // value exceeds 1, so fault-free runs emit exactly the legacy bytes.
-// Receivers look fields up by name on the parsed view, so both shapes of
-// each message name decode through one path (absent fields default to
-// incarnation 1).
+// Receivers parse against the *Inc supersets, so both shapes of each
+// message name decode through one path: an absent incarnation is an
+// empty slot and reads as incarnation 1.
 var (
 	schemaRdpData    = codec.CompileSchema("rdp.data", "seq", "payload")
 	schemaRdpAck     = codec.CompileSchema("rdp.ack", "cum")
 	schemaRdpDataInc = codec.CompileSchema("rdp.data", "seq", "payload", "inc", "rinc")
 	schemaRdpAckInc  = codec.CompileSchema("rdp.ack", "cum", "inc", "rinc")
+
+	rdpSchemas = codec.NewSchemaSet(schemaRdpDataInc, schemaRdpAckInc)
+
+	slotDataSeq     = schemaRdpDataInc.Slot("seq")
+	slotDataPayload = schemaRdpDataInc.Slot("payload")
+	slotDataInc     = schemaRdpDataInc.Slot("inc")
+	slotDataRinc    = schemaRdpDataInc.Slot("rinc")
+	slotAckCum      = schemaRdpAckInc.Slot("cum")
+	slotAckInc      = schemaRdpAckInc.Slot("inc")
+	slotAckRinc     = schemaRdpAckInc.Slot("rinc")
 )
 
 // ReliableStats counts layer-internal work: experiments use it to report
@@ -414,43 +424,39 @@ func (r *ReliableDatagram) onTimeout(src, dst int32) {
 }
 
 // dispatch decodes one arriving PDU and hands it to the data or ack
-// handler. The view decode walks the PDU in place — pdu aliases the
+// handler. The slot parse walks the PDU in place — pdu aliases the
 // network's pooled delivery buffer, so anything retained past this call
 // must be copied.
 func (r *ReliableDatagram) dispatch(src, dst int32, pdu []byte) {
-	v, err := codec.ParseMessage(pdu)
-	if err != nil {
+	var sl codec.Slots
+	if err := rdpSchemas.Parse(pdu, &sl); err != nil {
 		return // corrupted frame: drop silently, retransmission recovers
 	}
 	r.cover(src)
-	switch {
-	case v.NameIs("rdp.data"):
-		r.onData(src, dst, &v)
-	case v.NameIs("rdp.ack"):
-		r.onAck(src, dst, &v)
+	switch sl.Schema() {
+	case schemaRdpDataInc:
+		r.onData(src, dst, &sl)
+	case schemaRdpAckInc:
+		r.onAck(src, dst, &sl)
 	}
 }
 
-// pduIncs extracts the incarnation pair of a parsed PDU; absent fields
-// (the legacy wire shape) decode as incarnation 1.
-func pduIncs(v *codec.MsgView) (inc, rinc uint32) {
-	inc, rinc = 1, 1
-	if x, ok := v.Uint("inc"); ok {
-		inc = uint32(x)
+// incAt reads the incarnation in slot i of a parsed PDU; an empty slot
+// (the legacy wire shape) reads as incarnation 1.
+func incAt(sl *codec.Slots, i codec.Slot) uint32 {
+	if x, ok := sl.UintAt(i); ok {
+		return uint32(x)
 	}
-	if x, ok := v.Uint("rinc"); ok {
-		rinc = uint32(x)
-	}
-	return inc, rinc
+	return 1
 }
 
-func (r *ReliableDatagram) onData(src, dst int32, v *codec.MsgView) {
-	seq, ok := v.Uint("seq")
+func (r *ReliableDatagram) onData(src, dst int32, sl *codec.Slots) {
+	seq, ok := sl.UintAt(slotDataSeq)
 	if !ok {
 		return
 	}
-	payload, _ := v.Bytes("payload")
-	inc, rinc := pduIncs(v)
+	payload, _ := sl.BytesAt(slotDataPayload)
+	inc, rinc := incAt(sl, slotDataInc), incAt(sl, slotDataRinc)
 
 	myInc := r.incs[dst]
 	if rinc > myInc {
@@ -649,12 +655,12 @@ func (r *ReliableDatagram) sendAck(from, to int32, cum uint64, inc, rinc uint32)
 	ackBuf.Release()
 }
 
-func (r *ReliableDatagram) onAck(src, dst int32, v *codec.MsgView) {
-	cum, ok := v.Uint("cum")
+func (r *ReliableDatagram) onAck(src, dst int32, sl *codec.Slots) {
+	cum, ok := sl.UintAt(slotAckCum)
 	if !ok {
 		return
 	}
-	inc, rinc := pduIncs(v)
+	inc, rinc := incAt(sl, slotAckInc), incAt(sl, slotAckRinc)
 	if rinc < r.incs[dst] {
 		// Ghost ack addressed to a previous incarnation of this sender:
 		// our numbering restarted at zero since, so the cum value would

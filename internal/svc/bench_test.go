@@ -98,11 +98,16 @@ func drainB(b *testing.B, kernel *sim.Kernel) {
 
 // BenchmarkSvcCall measures one typed port call, round trip fully
 // drained: request encoded through the port, carried to the typed
-// export, dispatched, replied, decoded, continuation fired. This is the
-// number the acceptance gate tracks against BenchmarkRawPlatformInvoke —
-// the façade must stay within 10% and add zero allocations per op over
-// the raw platform path (the pooled call-state and respond-cell paths
-// are what make that hold).
+// export, dispatched, replied, decoded, continuation fired. The CI gate
+// (cmd/benchcmp against BENCH_svc.json) compares each benchmark with
+// its own baseline, not this one with BenchmarkRawPlatformInvoke; what
+// the pooled call-state and respond-cell paths guarantee is that the
+// façade adds zero allocations per op over the raw platform path. Its
+// time is not within 10 % of the raw path: the typed encode, the op
+// table and the argument decode cost about a third more. Measured with
+// `go test -run XXX -bench 'SvcCall$|RawPlatformInvoke' -benchtime 500ms
+// -count 6 ./internal/svc`, twice, on a 2-vCPU Xeon container: medians
+// of 12 samples 2,527 vs 1,882 ns/op (ratio 1.34).
 func BenchmarkSvcCall(b *testing.B) {
 	kernel, p := rpcStack(b)
 	binding := bound(b, p, middleware.PatternRPC)
