@@ -98,6 +98,7 @@ fuzz:
 	$(GO) test -fuzz FuzzFramingReassembly -fuzztime 60s -fuzzminimizetime 1s -run XXX ./internal/protocol
 	$(GO) test -fuzz FuzzEntityReceive -fuzztime 60s -fuzzminimizetime 1s -run XXX ./internal/floorcontrol
 	$(GO) test -fuzz FuzzBandfileParse -fuzztime 60s -fuzzminimizetime 1s -run XXX ./internal/bandfile
+	$(GO) test -fuzz FuzzObserve -fuzztime 60s -fuzzminimizetime 1s -run XXX ./internal/core
 
 # Coverage profile + per-function summary (the CI coverage job).
 cover:
@@ -187,6 +188,6 @@ help:
 	@echo "sweep-churn      the crash/restart robustness band (availability + safety gate)"
 	@echo "linkcheck        verify relative links + anchors in the top-level docs"
 	@echo "profile          CPU+alloc profiles of the full sweep"
-	@echo "fuzz             bounded kernel + codec + SDL + middleware-wire + reliable-receive + entity-receive + band-file fuzzing"
+	@echo "fuzz             bounded kernel + codec + SDL + middleware-wire + reliable-receive + entity-receive + band-file + observer fuzzing"
 	@echo "cover            coverage profile + per-function summary"
 	@echo "fig              regenerate every paper figure"

@@ -26,6 +26,7 @@ package main
 
 import (
 	"bufio"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -43,41 +44,48 @@ import (
 )
 
 func main() {
-	os.Exit(run())
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-func run() int {
-	specPath := flag.String("spec", "", "service definition file (.svc)")
-	doc := flag.Bool("doc", false, "print the Figure-5-style service document instead of canonical SDL")
-	check := flag.String("check", "", "trace file to check against the specification")
-	example := flag.Bool("example", false, "print the committed example definition (examples/specs/floorcontrol.svc) and exit")
-	flag.Parse()
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("sdlc", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	specPath := fs.String("spec", "", "service definition file (.svc)")
+	doc := fs.Bool("doc", false, "print the Figure-5-style service document instead of canonical SDL")
+	check := fs.String("check", "", "trace file to check against the specification")
+	example := fs.Bool("example", false, "print the committed example definition (examples/specs/floorcontrol.svc) and exit")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
 
 	if *example {
-		fmt.Print(specs.FloorControl)
+		fmt.Fprint(stdout, specs.FloorControl)
 		return 0
 	}
 	if *specPath == "" {
-		fmt.Fprintln(os.Stderr, "sdlc: -spec required (or -example)")
+		fmt.Fprintln(stderr, "sdlc: -spec required (or -example)")
 		return 2
 	}
 	src, err := os.ReadFile(*specPath)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "sdlc: %v\n", err)
+		fmt.Fprintf(stderr, "sdlc: %v\n", err)
 		return 1
 	}
 	document, spec, perr := sdl.Parse(string(src))
 	if perr != nil {
-		fmt.Fprintf(os.Stderr, "sdlc: %s: %v\n", *specPath, perr)
+		fmt.Fprintf(stderr, "sdlc: %s: %v\n", *specPath, perr)
 		return 1
 	}
 	switch {
 	case *check != "":
-		return checkTrace(spec, *check, os.Stdout, os.Stderr)
+		return checkTrace(spec, *check, stdout, stderr)
 	case *doc:
-		fmt.Print(spec.Document())
+		fmt.Fprint(stdout, spec.Document())
 	default:
-		fmt.Print(sdl.Format(document))
+		fmt.Fprint(stdout, sdl.Format(document))
 	}
 	return 0
 }

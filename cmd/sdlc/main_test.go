@@ -129,3 +129,26 @@ func TestRepeatedParameterRejected(t *testing.T) {
 		t.Fatalf("exit %d, output:\n%s", code, out)
 	}
 }
+
+// TestCheckRejectsUnslottableSpec: a primitive of more parameters than
+// the observer reads by slot fails validation, and -check reports it
+// naming the primitive instead of checking the trace.
+func TestCheckRejectsUnslottableSpec(t *testing.T) {
+	dir := t.TempDir()
+	svc := filepath.Join(dir, "wide.svc")
+	src := "service wide {\n  primitive p(a: int, b: int, c: int, d: int, e: int, f: int, g: int, h: int, i: int) from-user\n}\n"
+	trace := filepath.Join(dir, "trace.txt")
+	for path, body := range map[string]string{svc: src, trace: ""} {
+		if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var stdout, stderr bytes.Buffer
+	code := run([]string{"-spec", svc, "-check", trace}, &stdout, &stderr)
+	if want := `primitive "p" declares 9 parameters, more than 8`; code != 1 || !strings.Contains(stderr.String(), want) {
+		t.Fatalf("exit %d, stderr %q, want exit 1 reporting %q", code, stderr.String(), want)
+	}
+	if stdout.Len() != 0 {
+		t.Fatalf("stdout %q, want nothing checked", stdout.String())
+	}
+}

@@ -154,7 +154,7 @@ type Event struct {
 // and reads the parameter by name.
 func (e *Event) str(name string) (string, bool) {
 	if e.obs != nil {
-		return e.obs.param(e, name)
+		return e.obs.param(name)
 	}
 	v, _ := codec.ParseRecord(e.Params) //nolint:errcheck // a malformed record has no parameters
 	b, ok := v.Str(name)

@@ -105,6 +105,52 @@ func TestSpecValidateErrors(t *testing.T) {
 	}
 }
 
+// TestSpecValidateParamSlots: Validate accepts a primitive only when
+// every parameter can be read by slot — named, at most codec.MaxSlots
+// of them — and CheckEvent reports an unvalidated spec that breaks the
+// rule instead of panicking.
+func TestSpecValidateParamSlots(t *testing.T) {
+	withParams := func(n int) *ServiceSpec {
+		s := testSpec()
+		s.Primitives[0].Params = nil
+		for i := range n {
+			s.Primitives[0].Params = append(s.Primitives[0].Params, ParamDef{Name: fmt.Sprintf("p%d", i), Kind: KindInt})
+		}
+		return s
+	}
+	eight := withParams(codec.MaxSlots)
+	if err := eight.Validate(); err != nil {
+		t.Fatalf("%d parameters rejected: %v", codec.MaxSlots, err)
+	}
+	r := codec.Record{}
+	for _, p := range eight.Primitives[0].Params {
+		r[p.Name] = int64(1)
+	}
+	obs, err := NewObserver(eight, zeroClock{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := obs.Observe(sap("s1"), "request", rec(r)); err != nil {
+		t.Fatalf("Observe of all %d parameters: %v", codec.MaxSlots, err)
+	}
+	unnamed := testSpec()
+	unnamed.Primitives[0].Params[0].Name = ""
+	for _, c := range []struct {
+		spec *ServiceSpec
+		want string
+	}{
+		{withParams(codec.MaxSlots + 1), `core: primitive "request" declares 9 parameters, more than 8`},
+		{unnamed, `core: primitive "request" has unnamed parameter`},
+	} {
+		if err := c.spec.Validate(); err == nil || err.Error() != c.want {
+			t.Errorf("Validate = %v, want %q", err, c.want)
+		}
+		if err := c.spec.CheckEvent(Event{SAP: sap("s1"), Primitive: "request", Params: rec(r)}); err == nil || err.Error() != c.want {
+			t.Errorf("CheckEvent = %v, want %q", err, c.want)
+		}
+	}
+}
+
 func TestPrimitiveAndRoleLookup(t *testing.T) {
 	s := testSpec()
 	if p, ok := s.Primitive("request"); !ok || p.Direction != FromUser {

@@ -37,12 +37,12 @@ type Observer struct {
 
 	// prims holds each primitive of the spec with its parameter record
 	// schema, compiled once here. While an event is observed, cur is its
-	// primitive when its params parsed into slots (nil otherwise: an
-	// unknown primitive or malformed params take the by-name path), and
-	// key caches the one parameter the monitors correlate by, so the
-	// monitors of one event read it once.
-	prims []observedPrim
-	cur   *observedPrim
+	// primitive (nil when the spec declares none of its name), slots its
+	// params parsed against cur's schema (against noParams for an
+	// unknown primitive), and key caches the one parameter the monitors
+	// correlate by, so the monitors of one event read it once.
+	prims []slottedPrim
+	cur   *slottedPrim
 	slots codec.Slots
 	key   struct {
 		set, ok   bool
@@ -50,39 +50,28 @@ type Observer struct {
 	}
 }
 
-// observedPrim is one primitive of the observed spec: its declaration,
-// the schema of its parameter record and the slot of each declared
-// parameter, in declaration order. A primitive whose parameters cannot
-// be slots (an empty name, more than codec.MaxSlots) has no schema.
-type observedPrim struct {
-	def    PrimitiveDef
-	schema *codec.Schema
-	slots  [codec.MaxSlots]codec.Slot
-}
+// noParams is the schema an unknown primitive's params are parsed
+// against: no slots, only the view.
+var noParams = codec.CompileRecord()
 
 // observedPrims compiles the parameter schema of every primitive of
-// spec once. Primitives that declare the same parameter names (every
-// floor-control primitive carries {resid}) share one schema.
-func observedPrims(spec *ServiceSpec) []observedPrim {
-	prims := make([]observedPrim, len(spec.Primitives))
+// spec, a valid one, once. Primitives that declare the same parameter
+// names (every floor-control primitive carries {resid}) share one
+// schema.
+func observedPrims(spec *ServiceSpec) []slottedPrim {
+	prims := make([]slottedPrim, len(spec.Primitives))
 	for i, p := range spec.Primitives {
-		op := &prims[i]
-		op.def = p
-		if len(p.Params) > codec.MaxSlots || slices.ContainsFunc(p.Params, func(d ParamDef) bool { return d.Name == "" }) {
-			continue
-		}
+		var schema *codec.Schema
 		for _, q := range prims[:i] {
-			if q.schema != nil && slices.EqualFunc(q.def.Params, p.Params, func(a, b ParamDef) bool { return a.Name == b.Name }) {
-				op.schema = q.schema
+			if slices.EqualFunc(q.def.Params, p.Params, func(a, b ParamDef) bool { return a.Name == b.Name }) {
+				schema = q.schema
 				break
 			}
 		}
-		if op.schema == nil {
-			op.schema = p.Schema()
+		if schema == nil {
+			schema = p.Schema()
 		}
-		for k, param := range p.Params {
-			op.slots[k] = op.schema.Slot(param.Name)
-		}
+		prims[i] = slotPrim(p, schema)
 	}
 	return prims
 }
@@ -129,22 +118,22 @@ func (o *Observer) Spec() *ServiceSpec { return o.spec }
 //repolint:hotpath
 func (o *Observer) Observe(sap SAP, primitive string, params []byte) error {
 	e := Event{At: o.clock.Now(), SAP: sap, Primitive: primitive, Params: params, obs: o}
-	// Parsed once against the primitive's schema, for validation and
-	// every monitor.
+	// The primitive is found once, and its params parsed once against
+	// its schema, for validation and every monitor.
 	o.cur, o.key.set = nil, false
+	schema := noParams
 	for i := range o.prims {
 		if p := &o.prims[i]; p.def.Name == primitive {
-			if p.schema != nil && p.schema.ParseRecord(params, &o.slots) == nil {
-				o.cur = p
-			}
+			o.cur, schema = p, p.schema
 			break
 		}
 	}
+	perr := schema.ParseRecord(params, &o.slots)
 	o.events++
 	if o.trace != nil {
 		*o.trace = append(*o.trace, e.retained())
 	}
-	first := o.spec.CheckEvent(e)
+	first := o.spec.checkEvent(e, o.cur, &o.slots, perr)
 	if first != nil {
 		o.retain(first)
 	}
@@ -159,17 +148,17 @@ func (o *Observer) Observe(sap SAP, primitive string, params []byte) error {
 	return first
 }
 
-// param reads the string parameter name of e, the event being observed.
+// param reads the string parameter name of the event being observed.
 // The first read of an event resolves it; later reads of the same name
 // (every monitor correlating by it) return the cached value. The value
 // is interned (see intern).
 //
 //repolint:hotpath
-func (o *Observer) param(e *Event, name string) (string, bool) {
+func (o *Observer) param(name string) (string, bool) {
 	if o.key.set && o.key.name == name {
 		return o.key.val, o.key.ok
 	}
-	b, ok := o.paramBytes(e, name)
+	b, ok := o.paramBytes(name)
 	val := ""
 	if ok {
 		val = o.intern(b)
@@ -179,18 +168,17 @@ func (o *Observer) param(e *Event, name string) (string, bool) {
 }
 
 // paramBytes reads the string parameter name: by slot when it is a
-// declared parameter of a primitive parsed into slots, otherwise by name.
-func (o *Observer) paramBytes(e *Event, name string) ([]byte, bool) {
+// declared parameter, otherwise from the parsed view. Params that did
+// not parse leave every slot and the view empty, so they carry none.
+func (o *Observer) paramBytes(name string) ([]byte, bool) {
 	if p := o.cur; p != nil {
 		for i, decl := range p.def.Params {
 			if decl.Name == name {
 				return o.slots.StrAt(p.slots[i])
 			}
 		}
-		return o.slots.View().Str(name)
 	}
-	v, _ := codec.ParseRecord(e.Params) //nolint:errcheck // a malformed record has no parameters
-	return v.Str(name)
+	return o.slots.View().Str(name)
 }
 
 // intern returns b as a string from the observer's table, found by its
@@ -209,26 +197,6 @@ func (o *Observer) intern(b []byte) string {
 		o.strs[s] = s
 	}
 	return s
-}
-
-// checkParams is ServiceSpec.CheckEvent's parameter check of the event
-// being observed, read from its slots: exactly the declared parameters,
-// each of its declared kind.
-func (o *Observer) checkParams(p PrimitiveDef) error {
-	v := o.slots.View()
-	if v.Len() != len(p.Params) {
-		return fmt.Errorf("%w: %q got %d params, declared %d", ErrBadParams, p.Name, v.Len(), len(p.Params))
-	}
-	for i, decl := range p.Params {
-		slot := o.cur.slots[i]
-		if !o.slots.Has(slot) {
-			return fmt.Errorf("%w: %q missing parameter %q", ErrBadParams, p.Name, decl.Name)
-		}
-		if !kindAt(&o.slots, slot, decl.Kind) {
-			return fmt.Errorf("%w: %q parameter %q: %v", ErrBadParams, p.Name, decl.Name, checkKind(v, decl))
-		}
-	}
-	return nil
 }
 
 // retain keeps a violation, its event detached from the params buffer.

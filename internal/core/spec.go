@@ -47,12 +47,8 @@ func (s *ServiceSpec) Validate() error {
 		if p.Direction != FromUser && p.Direction != ToUser {
 			return fmt.Errorf("core: primitive %q has invalid direction", p.Name)
 		}
-		seenParam := make(map[string]struct{}, len(p.Params))
-		for _, param := range p.Params {
-			if _, dup := seenParam[param.Name]; dup {
-				return fmt.Errorf("core: primitive %q declares parameter %q twice", p.Name, param.Name)
-			}
-			seenParam[param.Name] = struct{}{}
+		if err := p.validateParams(); err != nil {
+			return err
 		}
 	}
 	seenRole := make(map[string]struct{}, len(s.Roles))
@@ -81,6 +77,25 @@ func (s *ServiceSpec) Validate() error {
 	return nil
 }
 
+// validateParams checks that every parameter of p can be read by slot:
+// named, declared once, at most codec.MaxSlots of them.
+func (p PrimitiveDef) validateParams() error {
+	if len(p.Params) > codec.MaxSlots {
+		return fmt.Errorf("core: primitive %q declares %d parameters, more than %d", p.Name, len(p.Params), codec.MaxSlots)
+	}
+	seenParam := make(map[string]struct{}, len(p.Params))
+	for _, param := range p.Params {
+		if param.Name == "" {
+			return fmt.Errorf("core: primitive %q has unnamed parameter", p.Name)
+		}
+		if _, dup := seenParam[param.Name]; dup {
+			return fmt.Errorf("core: primitive %q declares parameter %q twice", p.Name, param.Name)
+		}
+		seenParam[param.Name] = struct{}{}
+	}
+	return nil
+}
+
 // Primitive looks up a primitive declaration by name.
 func (s *ServiceSpec) Primitive(name string) (PrimitiveDef, bool) {
 	for _, p := range s.Primitives {
@@ -104,31 +119,74 @@ func (s *ServiceSpec) Role(name string) (RoleDef, bool) {
 // CheckEvent validates that an event is well-formed with respect to the
 // specification: known role, known primitive, and params that are one
 // encoded record matching the declaration (no missing, no extra, kinds
-// correct).
+// correct). It parses the params against the primitive's schema, which
+// it compiles per call; an Observer checks with the schema it compiled
+// once.
 func (s *ServiceSpec) CheckEvent(e Event) error {
+	var (
+		prim *slottedPrim
+		sl   codec.Slots
+		perr error
+	)
+	if p, ok := s.Primitive(e.Primitive); ok {
+		if err := p.validateParams(); err != nil {
+			return err
+		}
+		sp := slotPrim(p, p.Schema())
+		prim, perr = &sp, sp.schema.ParseRecord(e.Params, &sl)
+	}
+	return s.checkEvent(e, prim, &sl, perr)
+}
+
+// checkEvent is CheckEvent of an event whose primitive is prim (nil when
+// the spec declares none of its name) and whose params parsed into sl
+// against prim's schema, perr the parse error.
+func (s *ServiceSpec) checkEvent(e Event, prim *slottedPrim, sl *codec.Slots, perr error) error {
 	if _, ok := s.Role(e.SAP.Role); !ok && len(s.Roles) > 0 {
 		return fmt.Errorf("%w: %q (event %s)", ErrUnknownRole, e.SAP.Role, e.Label())
 	}
-	p, ok := s.Primitive(e.Primitive)
-	if !ok {
+	if prim == nil {
 		return fmt.Errorf("%w: %q (event %s)", ErrUnknownPrimitive, e.Primitive, e.Label())
 	}
-	if o := e.obs; o != nil && o.cur != nil {
-		return o.checkParams(p)
+	if perr != nil {
+		return fmt.Errorf("%w: %q params: %v", ErrBadParams, prim.def.Name, perr)
 	}
-	v, err := codec.ParseRecord(e.Params)
-	if err != nil {
-		return fmt.Errorf("%w: %q params: %v", ErrBadParams, p.Name, err)
+	return checkParams(prim, sl)
+}
+
+// slottedPrim is a primitive with the schema of its parameter record and
+// the slot of each declared parameter, in declaration order.
+type slottedPrim struct {
+	def    PrimitiveDef
+	schema *codec.Schema
+	slots  [codec.MaxSlots]codec.Slot
+}
+
+// slotPrim resolves the slot of every parameter of p, a primitive whose
+// parameters validateParams accepts, in schema: p.Schema() or another
+// compiled from the same names.
+func slotPrim(p PrimitiveDef, schema *codec.Schema) slottedPrim {
+	sp := slottedPrim{def: p, schema: schema}
+	for i, param := range p.Params {
+		sp.slots[i] = schema.Slot(param.Name)
 	}
-	if v.Len() != len(p.Params) {
-		return fmt.Errorf("%w: %q got %d params, declared %d", ErrBadParams, p.Name, v.Len(), len(p.Params))
+	return sp
+}
+
+// checkParams checks params parsed into sl against the schema of prim:
+// exactly the declared parameters, each of its declared kind.
+func checkParams(prim *slottedPrim, sl *codec.Slots) error {
+	p := &prim.def
+	if n := sl.View().Len(); n != len(p.Params) {
+		return fmt.Errorf("%w: %q got %d params, declared %d", ErrBadParams, p.Name, n, len(p.Params))
 	}
-	for _, decl := range p.Params {
-		if !v.Has(decl.Name) {
+	for i, decl := range p.Params {
+		slot := prim.slots[i]
+		if !sl.Has(slot) {
 			return fmt.Errorf("%w: %q missing parameter %q", ErrBadParams, p.Name, decl.Name)
 		}
-		if err := checkKind(&v, decl); err != nil {
-			return fmt.Errorf("%w: %q parameter %q: %v", ErrBadParams, p.Name, decl.Name, err)
+		if !kindAt(sl, slot, decl.Kind) {
+			return fmt.Errorf("%w: %q parameter %q: %v", ErrBadParams, p.Name, decl.Name, kindMismatch(sl.View(), decl))
 		}
 	}
 	return nil
@@ -149,30 +207,18 @@ func kindAt(sl *codec.Slots, i codec.Slot, k ParamKind) (ok bool) {
 	return ok
 }
 
-// checkKind checks that present parameter decl has its declared kind.
-func checkKind(v *codec.MsgView, decl ParamDef) error {
-	var ok bool
-	switch decl.Kind {
-	case KindString:
-		_, ok = v.Str(decl.Name)
-	case KindInt:
-		_, ok = v.Int(decl.Name)
-	case KindBool:
-		_, ok = v.Bool(decl.Name)
-	case KindStringList:
-		_, ok = v.Strings(decl.Name, nil)
-	default:
-		return fmt.Errorf("unknown kind %v", decl.Kind)
-	}
-	if ok {
-		return nil
-	}
+// kindMismatch renders why present parameter decl, which kindAt
+// rejected, is not of its declared kind.
+func kindMismatch(v *codec.MsgView, decl ParamDef) error {
 	got, _ := v.Value(decl.Name)
-	if decl.Kind == KindStringList {
+	switch decl.Kind {
+	case KindString, KindInt, KindBool:
+		return fmt.Errorf("want %s, got %T", decl.Kind, got)
+	case KindStringList:
 		_, err := codec.ToStringSlice(got)
 		return fmt.Errorf("want list<string>: %v", err)
 	}
-	return fmt.Errorf("want %s, got %T", decl.Kind, got)
+	return fmt.Errorf("unknown kind %v", decl.Kind)
 }
 
 // Document renders the specification in the style of the paper's Figure 5:

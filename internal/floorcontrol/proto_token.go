@@ -75,6 +75,15 @@ type tokenSubEntity struct {
 
 	wantRes   string
 	toRelease []string
+
+	// held holds the availability list of each token this entity
+	// forwards after its hop delay, oldest first; pass, built once in
+	// Init, forwards the oldest. The ring's own traffic keeps one token
+	// in circulation, so held has at most one entry, but a pass PDU
+	// forged by another sender is a second token: the queue gives each
+	// its own list, in the order the kernel fires the equal-delay hops.
+	held [][]string
+	pass func()
 }
 
 var _ protocol.Entity = (*tokenSubEntity)(nil)
@@ -82,6 +91,7 @@ var _ protocol.Entity = (*tokenSubEntity)(nil)
 // Init implements protocol.Entity.
 func (e *tokenSubEntity) Init(ctx *protocol.Context) error {
 	e.ctx = ctx
+	e.pass = e.passOldest
 	return nil
 }
 
@@ -117,6 +127,7 @@ func (e *tokenSubEntity) FromPeer(_ protocol.Addr, pdu codec.MsgView) error {
 }
 
 // onToken applies releases, takes a wanted resource, and forwards.
+// avail is the entity's own: freshly decoded, or the initial list.
 func (e *tokenSubEntity) onToken(avail []string) {
 	avail = append(avail, e.toRelease...)
 	e.toRelease = nil
@@ -134,11 +145,17 @@ func (e *tokenSubEntity) onToken(avail []string) {
 	if grantedRes != "" {
 		e.ctx.DeliverToUser(PrimGranted, e.params.of(grantedRes))
 	}
-	forward := append([]string(nil), avail...)
-	e.ctx.Schedule(e.hop, func() {
-		err := pduPass.Send(e.ctx, e.next, tokenArgs{Available: forward})
-		if err != nil {
-			panic(fmt.Sprintf("floorcontrol: token pass to %q: %v", e.next, err))
-		}
-	})
+	e.held = append(e.held, avail)
+	e.ctx.Schedule(e.hop, e.pass)
+}
+
+// passOldest forwards the oldest held token to the next ring position.
+func (e *tokenSubEntity) passOldest() {
+	avail := e.held[0]
+	n := copy(e.held, e.held[1:])
+	e.held[n] = nil
+	e.held = e.held[:n]
+	if err := pduPass.Send(e.ctx, e.next, tokenArgs{Available: avail}); err != nil {
+		panic(fmt.Sprintf("floorcontrol: token pass to %q: %v", e.next, err))
+	}
 }

@@ -356,8 +356,14 @@ type wireEnvelope struct {
 }
 
 // recEnvelope is the wire layout of the deliver operation's argument
-// record.
-var recEnvelope = codec.CompileRecord("fields", "from", "name")
+// record, and the slots decEnvelope reads it by.
+var (
+	recEnvelope = codec.CompileRecord("fields", "from", "name")
+
+	slotEnvFields = recEnvelope.Slot("fields")
+	slotEnvFrom   = recEnvelope.Slot("from")
+	slotEnvName   = recEnvelope.Slot("name")
+)
 
 // encEnvelope appends the deliver operation's argument record.
 func encEnvelope(buf []byte, e wireEnvelope) ([]byte, error) {
@@ -375,13 +381,16 @@ type delivery struct {
 	msg  []byte
 }
 
-// decEnvelope decodes a deliver argument record, copying the message
-// name and payload record out of the delivery buffer as bytes. A
-// malformed name or payload yields a message onDelivered drops.
+// decEnvelope decodes a deliver argument record, read by slot in one
+// walk, copying the message name and payload record out of the
+// delivery buffer as bytes. A malformed name or payload yields a
+// message onDelivered drops.
 func decEnvelope(v codec.MsgView) (delivery, error) {
-	from, _ := v.Str("from")
-	name, _ := v.Raw("name")
-	fields, _ := v.Raw("fields")
+	var sl codec.Slots
+	recEnvelope.Resolve(&v, &sl)
+	from, _ := sl.StrAt(slotEnvFrom)
+	name, _ := sl.RawAt(slotEnvName)
+	fields, _ := sl.RawAt(slotEnvFields)
 	msg := make([]byte, 0, len(name)+len(fields))
 	msg = append(append(msg, name...), fields...)
 	return delivery{from: ComponentID(from), msg: msg}, nil

@@ -391,40 +391,6 @@ func TestCloseFlowClearsBroken(t *testing.T) {
 	}
 }
 
-// TestLayerStatsLazySnapshot pins the satellite fix: Stats() must not
-// materialize a fresh ByType map when counters are unchanged, must
-// rebuild once they change, and previously returned snapshots must stay
-// immutable.
-func TestLayerStatsLazySnapshot(t *testing.T) {
-	l := NewLayer("test", sim.NewKernel(), newCaptureLower())
-	l.countPDU("pdu.x", 10, 1)
-	l.countPDU("pdu.y", 20, 2)
-
-	s1 := l.Stats()
-	s2 := l.Stats()
-	if reflect.ValueOf(s1.ByType).Pointer() != reflect.ValueOf(s2.ByType).Pointer() {
-		t.Fatal("Stats with unchanged counters allocated a fresh ByType map")
-	}
-	if s1.ByType["pdu.x"] != 1 || s1.ByType["pdu.y"] != 2 {
-		t.Fatalf("snapshot content wrong: %v", s1.ByType)
-	}
-
-	l.countPDU("pdu.x", 10, 3)
-	s3 := l.Stats()
-	if reflect.ValueOf(s3.ByType).Pointer() == reflect.ValueOf(s1.ByType).Pointer() {
-		t.Fatal("Stats after counter change returned the stale snapshot map")
-	}
-	if s3.ByType["pdu.x"] != 4 {
-		t.Fatalf("rebuilt snapshot wrong: %v", s3.ByType)
-	}
-	if s1.ByType["pdu.x"] != 1 {
-		t.Fatalf("old snapshot mutated: %v", s1.ByType)
-	}
-	if s3.PDUsSent != 6 || s3.BytesSent != 10+40+30 {
-		t.Fatalf("scalar counters wrong: %+v", s3)
-	}
-}
-
 // TestReliableIndexedPlane smoke-tests the id-addressed surface of the
 // reliability layer itself: indexed attach, id-addressed send, and id
 // round-trips through EndpointID/EndpointAddr. Its ids are the lower

@@ -95,7 +95,7 @@ func (p PDU[T]) Send(c *Context, dst Addr, v T) error {
 		return fmt.Errorf("protocol: encode PDU %q: %w", p.name, err)
 	}
 	buf.B = data
-	if err := c.layer.sendEncoded(c, dst, p.name, data); err != nil {
+	if err := c.layer.sendEncoded(c, dst, data); err != nil {
 		return fmt.Errorf("protocol: send PDU %q %s→%s: %w", p.name, c.self, dst, err)
 	}
 	return nil
@@ -118,7 +118,7 @@ func (p PDU[T]) SendMulti(c *Context, dsts []Addr, v T) error {
 		return fmt.Errorf("protocol: encode PDU %q: %w", p.name, err)
 	}
 	buf.B = data
-	if err := c.layer.sendEncodedMulti(c, dsts, p.name, data); err != nil {
+	if err := c.layer.sendEncodedMulti(c, dsts, data); err != nil {
 		return fmt.Errorf("protocol: send PDU %q fan-out from %s: %w", p.name, c.self, err)
 	}
 	return nil
@@ -133,24 +133,9 @@ func (c *Context) DeliverToUser(primitive string, params []byte) {
 
 // LayerStats counts the PDU traffic a layer generated — the measurable
 // footprint of a protocol solution.
-//
-// ByType is a lazily rebuilt snapshot shared between Stats callers:
-// treat it as read-only. A fresh map is materialized only when counters
-// changed since the last snapshot, so polling Stats in a loop does not
-// allocate.
 type LayerStats struct {
 	PDUsSent  uint64
 	BytesSent uint64
-	ByType    map[string]uint64
-}
-
-// typeCounter is one interned per-PDU-type slot. Lookup is a linear scan
-// with Go's pointer-equality string fast path: PDU names are string
-// literals, so the steady-state stats hot path never hashes (layers see
-// a handful of PDU types; the scan beats a map well past that).
-type typeCounter struct {
-	name string
-	n    uint64
 }
 
 // entityEntry is the per-endpoint state of a layer's entity table.
@@ -176,9 +161,6 @@ type Layer struct {
 
 	pdusSent  uint64
 	bytesSent uint64
-	types     []typeCounter
-	snapshot  map[string]uint64
-	snapDirty bool
 }
 
 // NewLayer creates an empty layer over lower, scheduled on kern.
@@ -258,24 +240,16 @@ func (l *Layer) deliverUp(id int32, primitive string, params []byte) {
 	}
 }
 
-// countPDU advances the interned PDU-type counters.
-func (l *Layer) countPDU(name string, bytes, n int) {
+// countPDU advances the layer counters by n PDUs of the given size.
+func (l *Layer) countPDU(bytes, n int) {
 	l.pdusSent += uint64(n)
 	l.bytesSent += uint64(n) * uint64(bytes)
-	l.snapDirty = true
-	for i := range l.types {
-		if l.types[i].name == name {
-			l.types[i].n += uint64(n)
-			return
-		}
-	}
-	l.types = append(l.types, typeCounter{name: name, n: uint64(n)})
 }
 
 // sendEncoded counts and transmits one already-encoded PDU to the
 // destination's endpoint id.
-func (l *Layer) sendEncoded(c *Context, dst Addr, name string, data []byte) error {
-	l.countPDU(name, len(data), 1)
+func (l *Layer) sendEncoded(c *Context, dst Addr, data []byte) error {
+	l.countPDU(len(data), 1)
 	id, ok := l.lower.EndpointID(dst)
 	if !ok {
 		return fmt.Errorf("%w: %q", ErrUnknownEntity, dst)
@@ -286,11 +260,11 @@ func (l *Layer) sendEncoded(c *Context, dst Addr, name string, data []byte) erro
 // sendEncodedMulti counts and transmits one encoded PDU to every
 // destination through the lower service's batch path. Destinations with
 // no endpoint id are skipped; the first is reported after the batch.
-func (l *Layer) sendEncodedMulti(c *Context, dsts []Addr, name string, data []byte) error {
+func (l *Layer) sendEncodedMulti(c *Context, dsts []Addr, data []byte) error {
 	// The scratch slice is reused across fan-outs: lower services never
 	// call back into the layer synchronously (deliveries are
 	// kernel-scheduled), so no nested fan-out can clobber it.
-	l.countPDU(name, len(data), len(dsts))
+	l.countPDU(len(data), len(dsts))
 	lows := l.lowScratch[:0]
 	var unknown error
 	for _, dst := range dsts {
@@ -310,18 +284,9 @@ func (l *Layer) sendEncodedMulti(c *Context, dsts []Addr, name string, data []by
 	return unknown
 }
 
-// Stats returns a snapshot of the layer counters. The ByType map is
-// rebuilt lazily: unchanged counters return the same (read-only) map.
+// Stats returns a snapshot of the layer counters.
 func (l *Layer) Stats() LayerStats {
-	if l.snapshot == nil || l.snapDirty {
-		m := make(map[string]uint64, len(l.types))
-		for _, c := range l.types {
-			m[c.name] = c.n
-		}
-		l.snapshot = m
-		l.snapDirty = false
-	}
-	return LayerStats{PDUsSent: l.pdusSent, BytesSent: l.bytesSent, ByType: l.snapshot}
+	return LayerStats{PDUsSent: l.pdusSent, BytesSent: l.bytesSent}
 }
 
 // ServiceBinding exposes a layer's upper boundary as a core.Provider by

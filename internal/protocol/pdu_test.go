@@ -67,7 +67,7 @@ func TestPDUSendAllocs(t *testing.T) {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
 	}
-	if st := layer.Stats(); st.ByType["fan.tick"] != 201*4 {
-		t.Fatalf("layer counted %d fan.tick PDUs, want %d", st.ByType["fan.tick"], 201*4)
+	if st := layer.Stats(); st.PDUsSent != 201*4 {
+		t.Fatalf("layer counted %d PDUs, want %d", st.PDUsSent, 201*4)
 	}
 }
