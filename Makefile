@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test generate bench bench-smoke bench-kernel bench-codec bench-path bench-svc bench-xl bench-baseline bench-baseline-codec bench-baseline-path bench-baseline-svc bench-baseline-xl bench-regression sweep sweep-large sweep-xl sweep-churn linkcheck profile fig fuzz cover fmt vet repolint lint check clean help
+.PHONY: all build test generate bench bench-smoke bench-kernel bench-codec bench-path bench-svc bench-xl bench-baseline bench-baseline-codec bench-baseline-path bench-baseline-svc bench-baseline-xl bench-regression sweep sweep-large sweep-xl sweep-churn linkcheck profile profile-floor-xl fig fuzz cover fmt vet repolint lint check clean help
 
 all: check
 
@@ -139,6 +139,17 @@ profile:
 		-cpuprofile cpu.pprof -memprofile mem.pprof
 	@echo "wrote cpu.pprof and mem.pprof — inspect with: go tool pprof -top cpu.pprof"
 
+# CPU profile of the XL band's floor-control scenario at 1/16 (6,250
+# clients: the shape of perfbench's floor-xl), 20 passes on one
+# processor (writes cpu-floor-xl.pprof), and the share of that CPU spent
+# in map probes, stores and deletes (the "Showing nodes" line).
+profile-floor-xl:
+	@mkdir -p bin
+	$(GO) test -run XXX -bench BenchmarkXLFloor -benchtime 20x -cpu 1 \
+		-cpuprofile cpu-floor-xl.pprof -o bin/repro.test .
+	$(GO) tool pprof -top -focus='runtime\.map(access|assign|delete)' \
+		bin/repro.test cpu-floor-xl.pprof | sed -n '1,20p'
+
 # Regenerate every paper figure.
 fig:
 	$(GO) run ./cmd/benchfig
@@ -188,6 +199,7 @@ help:
 	@echo "sweep-churn      the crash/restart robustness band (availability + safety gate)"
 	@echo "linkcheck        verify relative links + anchors in the top-level docs"
 	@echo "profile          CPU+alloc profiles of the full sweep"
+	@echo "profile-floor-xl CPU profile of floor-xl's shape + its map-operation share"
 	@echo "fuzz             bounded kernel + codec + SDL + middleware-wire + reliable-receive + entity-receive + band-file + observer fuzzing"
 	@echo "cover            coverage profile + per-function summary"
 	@echo "fig              regenerate every paper figure"

@@ -220,3 +220,30 @@ func BenchmarkKernelEventThroughput(b *testing.B) {
 		b.ReportMetric(float64(events)/elapsed, "kernel-events/s")
 	}
 }
+
+// BenchmarkXLFloor runs the XL band's floor-control scenario (the
+// callback middleware solution of Fig. 4(a)) at 1/16 of its population —
+// 6,250 clients, 128 resources, one cycle, the shape of perfbench's
+// floor-xl — once per iteration on one sweep worker. `make
+// profile-floor-xl` profiles it.
+func BenchmarkXLFloor(b *testing.B) {
+	var floor []runner.Scenario
+	for _, sc := range runner.XLBand(16) {
+		if sc.Params["solution"] == "mw-callback" {
+			floor = append(floor, sc)
+		}
+	}
+	if len(floor) != 1 {
+		b.Fatalf("the XL band holds %d mw-callback scenarios, want 1", len(floor))
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		rep, err := runner.Sweep(floor, runner.Options{Workers: 1, BaseSeed: 42})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := rep.Err(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

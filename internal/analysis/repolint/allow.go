@@ -21,6 +21,7 @@ var Checks = map[string]string{
 	"poolalias":  "poolalias",
 	"bufleak":    "poolalias",
 	"alloc":      "hotpathalloc",
+	"strmap":     "hotpathalloc",
 	"allowdecl":  "allowcheck",
 }
 

@@ -62,6 +62,7 @@ func TestChecksRegistry(t *testing.T) {
 		"poolalias":  "poolalias",
 		"bufleak":    "poolalias",
 		"alloc":      "hotpathalloc",
+		"strmap":     "hotpathalloc",
 		"allowdecl":  "allowcheck",
 	}
 	if !reflect.DeepEqual(Checks, want) {

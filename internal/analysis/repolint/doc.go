@@ -26,7 +26,9 @@
 //     released or handed off. Checks: poolalias, bufleak.
 //   - hotpathalloc — in functions annotated //repolint:hotpath, reject
 //     allocating constructs (closures, fmt, interface boxing, map
-//     literals, un-presized appends into fresh slices). Check: alloc.
+//     literals, un-presized appends into fresh slices), and probes,
+//     stores and deletes in maps whose key type contains a string.
+//     Checks: alloc, strmap.
 //   - allowcheck — validate the //repolint: directives themselves:
 //     unknown check names, empty allow lists, misplaced hotpath
 //     annotations. Check: allowdecl.

@@ -28,9 +28,16 @@ import (
 // an if that never runs in the steady state) is annotated with
 // //repolint:allow alloc -- <why> rather than restructured, keeping the
 // annotation next to the allocation it justifies.
+//
+// Check strmap flags what costs a hot path without allocating: indexing,
+// assigning or deleting in a map whose key type contains a string, which
+// hashes the string and chases it on every call. A per-event path
+// resolves names once, at bind or build time, and indexes dense slices;
+// a probe that has to stay (a name read off the wire, resolved once per
+// message) carries //repolint:allow strmap -- <why>.
 var Hotpathalloc = &analysis.Analyzer{
 	Name:     "hotpathalloc",
-	Doc:      "reject allocating constructs in //repolint:hotpath functions (check: alloc)",
+	Doc:      "reject allocating constructs and string-keyed map probes in //repolint:hotpath functions (checks: alloc, strmap)",
 	Requires: []*analysis.Analyzer{inspect.Analyzer},
 	Run:      runHotpathalloc,
 }
@@ -77,6 +84,11 @@ func checkHotBody(pass *analysis.Pass, allows *Allows, decl *ast.FuncDecl) {
 					allows.Report(pass, n.Pos(), "alloc",
 						"map literal allocates in hot path %s", decl.Name.Name)
 				}
+			}
+		case *ast.IndexExpr:
+			if stringKeyedMap(info.TypeOf(n.X)) {
+				allows.Report(pass, n.Pos(), "strmap",
+					"string-keyed map probe in hot path %s; resolve the name once and index a dense slice", decl.Name.Name)
 			}
 		case *ast.CallExpr:
 			checkHotCall(pass, allows, decl, n)
@@ -136,6 +148,11 @@ func checkHotCall(pass *analysis.Pass, allows *Allows, decl *ast.FuncDecl, call 
 				if len(call.Args) > 0 {
 					checkFreshAppend(pass, allows, decl, call.Args[0])
 				}
+			case "delete":
+				if len(call.Args) > 0 && stringKeyedMap(info.TypeOf(call.Args[0])) {
+					allows.Report(pass, call.Pos(), "strmap",
+						"string-keyed map delete in hot path %s; resolve the name once and index a dense slice", decl.Name.Name)
+				}
 			}
 			return
 		}
@@ -171,6 +188,32 @@ func checkHotCall(pass *analysis.Pass, allows *Allows, decl *ast.FuncDecl, call 
 		}
 		checkBoxing(pass, allows, decl, pt, arg)
 	}
+}
+
+// stringKeyedMap reports whether t is a map whose key type contains a
+// string: a string itself, or an array or struct holding one.
+func stringKeyedMap(t types.Type) bool {
+	if t == nil {
+		return false
+	}
+	m, ok := t.Underlying().(*types.Map)
+	return ok && containsString(m.Key())
+}
+
+func containsString(t types.Type) bool {
+	switch t := t.Underlying().(type) {
+	case *types.Basic:
+		return t.Info()&types.IsString != 0
+	case *types.Array:
+		return containsString(t.Elem())
+	case *types.Struct:
+		for i := 0; i < t.NumFields(); i++ {
+			if containsString(t.Field(i).Type()) {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // checkBoxing reports when expr, of concrete non-pointer type, meets an

@@ -1,5 +1,6 @@
 // Package hot is golden test data for the hotpathalloc analyzer:
-// allocating constructs inside //repolint:hotpath functions.
+// allocating constructs and string-keyed map probes inside
+// //repolint:hotpath functions.
 package hot
 
 import "fmt"
@@ -86,13 +87,75 @@ func hotPointer(p *point) any {
 	return p
 }
 
+//repolint:hotpath
+func hotStrMapRead(m map[string]int, k string) int {
+	return m[k] // want `strmap: string-keyed map probe in hot path hotStrMapRead`
+}
+
+//repolint:hotpath
+func hotStrMapCommaOk(m map[string]int, k []byte) bool {
+	_, ok := m[string(k)] // want `strmap: string-keyed map probe in hot path hotStrMapCommaOk`
+	return ok
+}
+
+//repolint:hotpath
+func hotStrMapWrite(m map[string]int, k string) {
+	m[k]++ // want `strmap: string-keyed map probe in hot path hotStrMapWrite`
+}
+
+//repolint:hotpath
+func hotStrMapDelete(m map[string]int, k string) {
+	delete(m, k) // want `strmap: string-keyed map delete in hot path hotStrMapDelete`
+}
+
+type named string
+
+type key struct {
+	id   int
+	name named
+}
+
+// hotStructKey: a struct key holding a string (here a named string type)
+// hashes the string all the same.
+//
+//repolint:hotpath
+func hotStructKey(m map[key]bool, k key) bool {
+	return m[k] // want `strmap: string-keyed map probe in hot path hotStructKey`
+}
+
+//repolint:hotpath
+func hotArrayKey(m map[[2]string]bool, k [2]string) bool {
+	return m[k] // want `strmap: string-keyed map probe in hot path hotArrayKey`
+}
+
+// hotDense: an int-keyed map and a slice indexed by a resolved id hash
+// no string, so no diagnostic.
+//
+//repolint:hotpath
+func hotDense(m map[int]string, s []string, id int) string {
+	delete(m, id+1)
+	return m[id] + s[id]
+}
+
+//repolint:hotpath
+func hotStrMapAllowed(m map[string]int, k string) int {
+	return m[k] //repolint:allow strmap -- golden test of the escape hatch
+}
+
+//repolint:hotpath
+func hotStrMapWrongAllow(m map[string]int, k string) int {
+	return m[k] //repolint:allow alloc -- the wrong check must not mask this; want `strmap: string-keyed map probe`
+}
+
 // cold is not annotated: the same constructs are legal here.
 func cold(xs []int) []int {
 	var out []int
 	m := map[int]bool{}
+	names := map[string]int{}
 	for _, x := range xs {
 		out = append(out, x)
 		m[x] = true
+		names[fmt.Sprint(x)]++
 	}
 	_ = fmt.Sprint(len(m))
 	return out

@@ -34,35 +34,39 @@ func (a *Absence) Description() string {
 
 // NewMonitor implements Constraint.
 func (a *Absence) NewMonitor() Monitor {
-	return &absenceMonitor{spec: a, open: make(map[Key]int)}
+	return &absenceMonitor{spec: a}
 }
 
 type absenceMonitor struct {
 	spec *Absence
-	open map[Key]int
+	keyed
+	open []int32 // key id → open intervals
 }
 
+//repolint:hotpath
 func (m *absenceMonitor) Observe(e Event) error {
 	key, ok := m.spec.Key(e)
 	if !ok {
 		return nil
 	}
+	id := m.id(&e, key)
+	n := at(&m.open, id)
 	switch e.Primitive {
 	case m.spec.Open:
-		m.open[key]++
+		if *n == 0 {
+			m.hold(id)
+		}
+		*n++
 	case m.spec.Close:
-		release(m.open, key)
+		if release(n) {
+			m.drop(id)
+		}
 	}
 	// The forbidden primitive may coincide with neither, either or both of
 	// the delimiters; check after interval bookkeeping so that an opening
 	// event that is itself forbidden is caught on re-entry only.
-	if e.Primitive == m.spec.Forbidden && e.Primitive != m.spec.Open && m.open[key] > 0 {
-		ev := e
-		return &ViolationError{
-			Constraint: m.spec.ConstraintName,
-			Event:      &ev,
-			Detail:     fmt.Sprintf("%s during open %s/%s interval for key %q", m.spec.Forbidden, m.spec.Open, m.spec.Close, key),
-		}
+	if e.Primitive == m.spec.Forbidden && e.Primitive != m.spec.Open && *n > 0 {
+		return violation(m.spec.ConstraintName, e, "%s during open %s/%s interval for key %q", m.spec.Forbidden, m.spec.Open, m.spec.Close, key) //repolint:allow alloc -- cold: a violation
 	}
 	return nil
 }

@@ -5,8 +5,9 @@ import (
 )
 
 // Key is a correlation key: a parameter value, optionally scoped to the
-// SAP where the event occurred. It is comparable, so monitors index their
-// state by it directly and no per-event string is built.
+// SAP where the event occurred. Monitors index their state by its dense
+// id (see keyTable), so no per-event string is built or hashed per
+// monitor.
 type Key struct {
 	SAP   SAP // zero for SAP-independent (remote) keys
 	Value string
@@ -42,22 +43,6 @@ func KeySAPAndParam(param string) KeyFunc {
 		s, ok := e.str(param)
 		return Key{SAP: e.SAP, Value: s}, ok
 	}
-}
-
-// minKey returns the outstanding key of m that renders smallest, so an
-// end-of-trace report names the same key on every run whatever Go's map
-// iteration order.
-func minKey[V any](m map[Key]V, outstanding func(V) bool) (key Key, val V, found bool) {
-	var least string
-	for k, v := range m {
-		if !outstanding(v) {
-			continue
-		}
-		if s := k.String(); !found || s < least {
-			key, val, least, found = k, v, s, true
-		}
-	}
-	return key, val, found
 }
 
 // Precedes is a safety constraint: an occurrence of Enabled consumes a
@@ -98,14 +83,16 @@ func (p *Precedes) Description() string {
 
 // NewMonitor implements Constraint.
 func (p *Precedes) NewMonitor() Monitor {
-	return &precedesMonitor{spec: p, pending: make(map[Key]int)}
+	return &precedesMonitor{spec: p}
 }
 
 type precedesMonitor struct {
-	spec    *Precedes
-	pending map[Key]int
+	spec *Precedes
+	keyed
+	pending []int32 // key id → unmatched triggers
 }
 
+//repolint:hotpath
 func (m *precedesMonitor) Observe(e Event) error {
 	switch e.Primitive {
 	case m.spec.Trigger:
@@ -113,30 +100,27 @@ func (m *precedesMonitor) Observe(e Event) error {
 		if !ok {
 			return nil
 		}
-		if !m.spec.AllowPendingMany && m.pending[key] > 0 {
-			ev := e
-			return &ViolationError{
-				Constraint: m.spec.ConstraintName,
-				Event:      &ev,
-				Detail:     fmt.Sprintf("%s re-issued while already pending for key %q", m.spec.Trigger, key),
-			}
+		id := m.id(&e, key)
+		n := at(&m.pending, id)
+		if !m.spec.AllowPendingMany && *n > 0 {
+			return violation(m.spec.ConstraintName, e, "%s re-issued while already pending for key %q", m.spec.Trigger, key) //repolint:allow alloc -- cold: a violation
 		}
-		m.pending[key]++
+		if *n == 0 {
+			m.hold(id)
+		}
+		*n++
 	case m.spec.Enabled:
 		key, ok := m.spec.Key(e)
 		if !ok {
 			return nil
 		}
-		if m.pending[key] == 0 {
-			ev := e
-			return &ViolationError{
-				Constraint: m.spec.ConstraintName,
-				Event:      &ev,
-				Detail:     fmt.Sprintf("%s without prior %s for key %q", m.spec.Enabled, m.spec.Trigger, key),
-			}
+		id := m.id(&e, key)
+		n := at(&m.pending, id)
+		if *n == 0 {
+			return violation(m.spec.ConstraintName, e, "%s without prior %s for key %q", m.spec.Enabled, m.spec.Trigger, key) //repolint:allow alloc -- cold: a violation
 		}
-		if !m.spec.NonConsuming {
-			release(m.pending, key)
+		if !m.spec.NonConsuming && release(n) {
+			m.drop(id)
 		}
 	}
 	return nil
@@ -175,49 +159,57 @@ func (f *EventuallyFollows) Description() string {
 
 // NewMonitor implements Constraint.
 func (f *EventuallyFollows) NewMonitor() Monitor {
-	return &eventuallyMonitor{spec: f, pending: make(map[Key]int)}
+	return &eventuallyMonitor{spec: f}
 }
 
 type eventuallyMonitor struct {
-	spec    *EventuallyFollows
-	pending map[Key]int
+	spec *EventuallyFollows
+	keyed
+	pending []int32 // key id → triggers not yet followed
 }
 
+//repolint:hotpath
 func (m *eventuallyMonitor) Observe(e Event) error {
 	switch e.Primitive {
 	case m.spec.Trigger:
 		if key, ok := m.spec.Key(e); ok {
-			m.pending[key]++
+			id := m.id(&e, key)
+			n := at(&m.pending, id)
+			if *n == 0 {
+				m.hold(id)
+			}
+			*n++
 		}
 	case m.spec.Response:
 		if key, ok := m.spec.Key(e); ok {
-			release(m.pending, key)
+			if id := m.id(&e, key); release(at(&m.pending, id)) {
+				m.drop(id)
+			}
 		}
 	}
 	return nil
 }
 
 func (m *eventuallyMonitor) AtEnd() error {
-	key, n, ok := minKey(m.pending, func(n int) bool { return n > 0 })
+	id, ok := minKeyID(m.keys, m.pending, func(n int32) bool { return n > 0 })
 	if !ok {
 		return nil
 	}
 	return &ViolationError{
 		Constraint: m.spec.ConstraintName,
-		Detail:     fmt.Sprintf("%d %s(s) for key %q never followed by %s", n, m.spec.Trigger, key, m.spec.Response),
+		Detail: fmt.Sprintf("%d %s(s) for key %q never followed by %s",
+			m.pending[id], m.spec.Trigger, m.keys.keys[id], m.spec.Response),
 	}
 }
 
-// release decrements key's count and deletes the key once it drains, so a
-// monitor's map holds only outstanding keys and its size stays bounded by
-// the keys in flight, not by every key ever seen.
-func release(counts map[Key]int, key Key) {
-	switch n := counts[key]; {
-	case n > 1:
-		counts[key] = n - 1
-	case n == 1:
-		delete(counts, key)
+// release decrements a key's count if it has any, and reports whether
+// the key drained.
+func release(n *int32) bool {
+	if *n == 0 {
+		return false
 	}
+	*n--
+	return *n == 0
 }
 
 // MutualExclusion is the paper's remote constraint: between an Acquire and
@@ -250,14 +242,22 @@ func (x *MutualExclusion) Description() string {
 
 // NewMonitor implements Constraint.
 func (x *MutualExclusion) NewMonitor() Monitor {
-	return &mutexMonitor{spec: x, holder: make(map[Key]SAP)}
+	return &mutexMonitor{spec: x}
 }
 
 type mutexMonitor struct {
-	spec   *MutualExclusion
-	holder map[Key]SAP
+	spec *MutualExclusion
+	keyed
+	holder []holding // key id → its holder
 }
 
+// holding is a key's holder, when held.
+type holding struct {
+	sap  SAP
+	held bool
+}
+
+//repolint:hotpath
 func (m *mutexMonitor) Observe(e Event) error {
 	key, ok := m.spec.Key(e)
 	if !ok {
@@ -265,36 +265,31 @@ func (m *mutexMonitor) Observe(e Event) error {
 	}
 	switch e.Primitive {
 	case m.spec.Acquire:
-		if holder, held := m.holder[key]; held {
-			ev := e
-			return &ViolationError{
-				Constraint: m.spec.ConstraintName,
-				Event:      &ev,
-				Detail:     fmt.Sprintf("resource %q already held by %s", key, holder),
-			}
+		id := m.id(&e, key)
+		h := at(&m.holder, id)
+		if h.held {
+			return violation(m.spec.ConstraintName, e, "resource %q already held by %s", key, h.sap) //repolint:allow alloc -- cold: a violation
 		}
-		m.holder[key] = e.SAP
+		*h = holding{sap: e.SAP, held: true}
+		m.hold(id)
 	case m.spec.Release:
-		holder, held := m.holder[key]
-		if !held {
-			ev := e
-			return &ViolationError{
-				Constraint: m.spec.ConstraintName,
-				Event:      &ev,
-				Detail:     fmt.Sprintf("release of %q which is not held", key),
-			}
+		id := m.id(&e, key)
+		h := at(&m.holder, id)
+		if !h.held {
+			return violation(m.spec.ConstraintName, e, "release of %q which is not held", key) //repolint:allow alloc -- cold: a violation
 		}
-		if holder != e.SAP {
-			ev := e
-			return &ViolationError{
-				Constraint: m.spec.ConstraintName,
-				Event:      &ev,
-				Detail:     fmt.Sprintf("release of %q by %s but holder is %s", key, e.SAP, holder),
-			}
+		if h.sap != e.SAP {
+			return violation(m.spec.ConstraintName, e, "release of %q by %s but holder is %s", key, e.SAP, h.sap) //repolint:allow alloc -- cold: a violation
 		}
-		delete(m.holder, key)
+		*h = holding{}
+		m.drop(id)
 	}
 	return nil
+}
+
+// violation reports constraint violated at event e, which it retains.
+func violation(constraint string, e Event, format string, args ...any) error {
+	return &ViolationError{Constraint: constraint, Event: &e, Detail: fmt.Sprintf(format, args...)}
 }
 
 func (m *mutexMonitor) AtEnd() error { return nil }

@@ -458,17 +458,82 @@ func TestObserverKeepsNoTraceByDefault(t *testing.T) {
 	}
 	// Every key drained, so no monitor retains state for it.
 	for _, m := range obs.monitors {
-		var n int
-		switch m := m.(type) {
-		case *precedesMonitor:
-			n = len(m.pending)
-		case *eventuallyMonitor:
-			n = len(m.pending)
-		case *mutexMonitor:
-			n = len(m.holder)
-		}
-		if n != 0 {
+		if n, _ := keyState(m); n != 0 {
 			t.Fatalf("%T holds %d drained keys", m, n)
+		}
+	}
+}
+
+// keyState returns how many keys monitor m holds state for, and the
+// length of its per-key state slice.
+func keyState(m Monitor) (held, length int) {
+	count := func(n int, nonzero func(int) bool) (int, int) {
+		for i := range n {
+			if nonzero(i) {
+				held++
+			}
+		}
+		return held, n
+	}
+	switch m := m.(type) {
+	case *precedesMonitor:
+		return count(len(m.pending), func(i int) bool { return m.pending[i] != 0 })
+	case *eventuallyMonitor:
+		return count(len(m.pending), func(i int) bool { return m.pending[i] != 0 })
+	case *mutexMonitor:
+		return count(len(m.holder), func(i int) bool { return m.holder[i] != holding{} })
+	case *absenceMonitor:
+		return count(len(m.open), func(i int) bool { return m.open[i] != 0 })
+	case *capacityMonitor:
+		return count(len(m.holders), func(i int) bool { return len(m.holders[i]) != 0 })
+	case *deadlineMonitor:
+		return count(len(m.pending), func(i int) bool { return len(m.pending[i]) != 0 })
+	}
+	return 0, 0
+}
+
+// TestObserverStateBoundedByKeysInFlight drives 5,000 request→granted→
+// free cycles, each on a resource id never seen before (as per-message
+// ids are), two cycles in flight at a time. The key table keeps at most
+// keptKeys drained keys beside those in flight and then frees them for
+// reuse, so neither it nor any monitor's state grows with the run.
+func TestObserverStateBoundedByKeysInFlight(t *testing.T) {
+	obs, err := NewObserver(testSpec(), sim.NewKernel())
+	if err != nil {
+		t.Fatal(err)
+	}
+	const cycles = 5000
+	observe := func(i int, prim string) {
+		if err := obs.Observe(sap(fmt.Sprintf("s%d", i%5)), prim, rec(codec.Record{"resid": fmt.Sprintf("m%d", i)})); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := range cycles + 1 {
+		if i < cycles {
+			observe(i, "request")
+			observe(i, "granted")
+		}
+		if i > 0 {
+			observe(i-1, "free")
+		}
+	}
+	if err := obs.Complete(); err != nil {
+		t.Fatal(err)
+	}
+	// Two cycles in flight hold two SAP-scoped keys and their two
+	// resource keys. Past those the table keeps keptKeys drained ones,
+	// plus the two keys an event may add before the sweep that ends it.
+	const bound = 4 + keptKeys + 2
+	keys := obs.keys
+	if n := len(keys.keys); n > bound {
+		t.Fatalf("key table grew to %d ids over %d distinct resources", n, cycles)
+	}
+	if n := len(keys.pairs) + len(keys.values); n != len(keys.keys)-len(keys.free) {
+		t.Fatalf("key table holds %d keys (%d ids, %d free)", n, len(keys.keys), len(keys.free))
+	}
+	for _, m := range obs.monitors {
+		if held, n := keyState(m); held != 0 || n > len(keys.keys) {
+			t.Fatalf("%T holds %d keys in a state of %d entries", m, held, n)
 		}
 	}
 }

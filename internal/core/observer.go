@@ -19,7 +19,8 @@ type Clock interface {
 // checks every constraint of a specification online. It keeps only what
 // its monitors need and an event count, no per-event history: the
 // floor-control monitors hold just the keys still in flight, however long
-// the run. A caller that wants the global trace for offline tooling (LTS
+// the run, in slices indexed by each key's dense id (see keyTable). A
+// caller that wants the global trace for offline tooling (LTS
 // refinement, replay, printing) asks for it with WithTrace.
 //
 // The observer is the runtime embodiment of the paper's claim that a
@@ -33,20 +34,24 @@ type Observer struct {
 	trace      *Trace // nil unless WithTrace
 	monitors   []Monitor
 	violations []error
-	strs       map[string]string // interned key values (see intern)
+	keys       *keyTable // the monitors' key ids
 
 	// prims holds each primitive of the spec with its parameter record
 	// schema, compiled once here. While an event is observed, cur is its
-	// primitive (nil when the spec declares none of its name), slots its
-	// params parsed against cur's schema (against noParams for an
-	// unknown primitive), and key caches the one parameter the monitors
-	// correlate by, so the monitors of one event read it once.
+	// primitive (nil when the spec declares none of its name), sap its
+	// SAP, slots its params parsed against cur's schema (against
+	// noParams for an unknown primitive), and key caches the one
+	// parameter the monitors correlate by, with the ids of its key at
+	// the event's SAP (local) and of its SAP-independent key (remote),
+	// so the monitors of one event resolve it once.
 	prims []slottedPrim
 	cur   *slottedPrim
+	sap   SAP
 	slots codec.Slots
 	key   struct {
-		set, ok   bool
-		name, val string
+		set, ok       bool
+		name, val     string
+		local, remote int32
 	}
 }
 
@@ -94,10 +99,14 @@ func NewObserver(spec *ServiceSpec, clock Clock, opts ...ObserverOption) (*Obser
 	if clock == nil {
 		return nil, errors.New("observer: nil clock")
 	}
-	o := &Observer{spec: spec, clock: clock, strs: make(map[string]string), prims: observedPrims(spec),
+	o := &Observer{spec: spec, clock: clock, keys: newKeyTable(), prims: observedPrims(spec),
 		monitors: make([]Monitor, 0, len(spec.Constraints))}
 	for _, c := range spec.Constraints {
-		o.monitors = append(o.monitors, c.NewMonitor())
+		m := c.NewMonitor()
+		if km, ok := m.(keyedMonitor); ok {
+			km.useKeys(o.keys)
+		}
+		o.monitors = append(o.monitors, m)
 	}
 	for _, opt := range opts {
 		opt(o)
@@ -120,7 +129,7 @@ func (o *Observer) Observe(sap SAP, primitive string, params []byte) error {
 	e := Event{At: o.clock.Now(), SAP: sap, Primitive: primitive, Params: params, obs: o}
 	// The primitive is found once, and its params parsed once against
 	// its schema, for validation and every monitor.
-	o.cur, o.key.set = nil, false
+	o.cur, o.sap, o.key.set = nil, sap, false
 	schema := noParams
 	for i := range o.prims {
 		if p := &o.prims[i]; p.def.Name == primitive {
@@ -145,26 +154,29 @@ func (o *Observer) Observe(sap SAP, primitive string, params []byte) error {
 			o.retain(err)
 		}
 	}
+	o.keys.sweep()
 	return first
 }
 
 // param reads the string parameter name of the event being observed.
-// The first read of an event resolves it; later reads of the same name
-// (every monitor correlating by it) return the cached value. The value
-// is interned (see intern).
+// The first read of an event resolves it, and the ids of its keys (see
+// keyID); later reads of the same name (every monitor correlating by
+// it) return the cached value. The value is the key table's string, so
+// a value seen before costs no allocation.
 //
 //repolint:hotpath
 func (o *Observer) param(name string) (string, bool) {
-	if o.key.set && o.key.name == name {
-		return o.key.val, o.key.ok
+	c := &o.key
+	if c.set && c.name == name {
+		return c.val, c.ok
 	}
 	b, ok := o.paramBytes(name)
-	val := ""
+	c.set, c.ok, c.name, c.val = true, ok, name, ""
 	if ok {
-		val = o.intern(b)
+		c.local, c.remote = o.keys.pair(o.sap, b)
+		c.val = o.keys.keys[c.remote].Value
 	}
-	o.key.set, o.key.ok, o.key.name, o.key.val = true, ok, name, val
-	return val, ok
+	return c.val, ok
 }
 
 // paramBytes reads the string parameter name: by slot when it is a
@@ -181,22 +193,21 @@ func (o *Observer) paramBytes(name string) ([]byte, bool) {
 	return o.slots.View().Str(name)
 }
 
-// intern returns b as a string from the observer's table, found by its
-// bytes (m[string(b)] does not allocate), so a value seen before costs no
-// allocation; the table is cleared at 1,024 entries, so values that never
-// recur (per-message ids) cannot grow it.
+// keyID returns the dense id of k, a key of the event being observed.
+// A key built from the cached parameter — at the event's SAP, or
+// SAP-independent — has its id at hand; any other is looked up.
 //
 //repolint:hotpath
-func (o *Observer) intern(b []byte) string {
-	s, seen := o.strs[string(b)]
-	if !seen {
-		if len(o.strs) >= 1024 {
-			clear(o.strs)
+func (o *Observer) keyID(k Key) int32 {
+	if c := &o.key; c.set && c.ok && k.Value == c.val {
+		switch k.SAP {
+		case o.sap:
+			return c.local
+		case SAP{}:
+			return c.remote
 		}
-		s = string(b)
-		o.strs[s] = s
 	}
-	return s
+	return o.keys.id(k)
 }
 
 // retain keeps a violation, its event detached from the params buffer.

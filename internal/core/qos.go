@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"time"
 )
 
@@ -38,12 +39,13 @@ func (c *Capacity) Description() string {
 
 // NewMonitor implements Constraint.
 func (c *Capacity) NewMonitor() Monitor {
-	return &capacityMonitor{spec: c, holders: make(map[Key]map[SAP]struct{})}
+	return &capacityMonitor{spec: c}
 }
 
 type capacityMonitor struct {
-	spec    *Capacity
-	holders map[Key]map[SAP]struct{}
+	spec *Capacity
+	keyed
+	holders [][]SAP // key id → the SAPs holding it (at most Limit)
 }
 
 func (m *capacityMonitor) Observe(e Event) error {
@@ -51,41 +53,28 @@ func (m *capacityMonitor) Observe(e Event) error {
 	if !ok {
 		return nil
 	}
+	id := m.id(&e, key)
+	set := at(&m.holders, id)
+	i := slices.Index(*set, e.SAP)
 	switch e.Primitive {
 	case m.spec.Acquire:
-		set := m.holders[key]
-		if set == nil {
-			set = make(map[SAP]struct{})
-			m.holders[key] = set
+		if i >= 0 {
+			return violation(m.spec.ConstraintName, e, "%s already holds key %q", e.SAP, key)
 		}
-		if _, already := set[e.SAP]; already {
-			ev := e
-			return &ViolationError{
-				Constraint: m.spec.ConstraintName,
-				Event:      &ev,
-				Detail:     fmt.Sprintf("%s already holds key %q", e.SAP, key),
-			}
+		if len(*set) >= m.spec.Limit {
+			return violation(m.spec.ConstraintName, e, "capacity %d exceeded for key %q", m.spec.Limit, key)
 		}
-		if len(set) >= m.spec.Limit {
-			ev := e
-			return &ViolationError{
-				Constraint: m.spec.ConstraintName,
-				Event:      &ev,
-				Detail:     fmt.Sprintf("capacity %d exceeded for key %q", m.spec.Limit, key),
-			}
+		if len(*set) == 0 {
+			m.hold(id)
 		}
-		set[e.SAP] = struct{}{}
+		*set = append(*set, e.SAP)
 	case m.spec.Release:
-		set := m.holders[key]
-		if _, holds := set[e.SAP]; !holds {
-			ev := e
-			return &ViolationError{
-				Constraint: m.spec.ConstraintName,
-				Event:      &ev,
-				Detail:     fmt.Sprintf("%s releases key %q it does not hold", e.SAP, key),
-			}
+		if i < 0 {
+			return violation(m.spec.ConstraintName, e, "%s releases key %q it does not hold", e.SAP, key)
 		}
-		delete(set, e.SAP)
+		if *set = slices.Delete(*set, i, i+1); len(*set) == 0 {
+			m.drop(id)
+		}
 	}
 	return nil
 }
@@ -126,12 +115,13 @@ func (d *Deadline) Description() string {
 
 // NewMonitor implements Constraint.
 func (d *Deadline) NewMonitor() Monitor {
-	return &deadlineMonitor{spec: d, pending: make(map[Key][]time.Duration)}
+	return &deadlineMonitor{spec: d}
 }
 
 type deadlineMonitor struct {
-	spec    *Deadline
-	pending map[Key][]time.Duration
+	spec *Deadline
+	keyed
+	pending [][]time.Duration // key id → its unanswered triggers, oldest first
 	last    time.Duration
 }
 
@@ -145,21 +135,24 @@ func (m *deadlineMonitor) Observe(e Event) error {
 	}
 	switch e.Primitive {
 	case m.spec.Trigger:
-		m.pending[key] = append(m.pending[key], e.At)
+		id := m.id(&e, key)
+		q := at(&m.pending, id)
+		if len(*q) == 0 {
+			m.hold(id)
+		}
+		*q = append(*q, e.At)
 	case m.spec.Response:
-		q := m.pending[key]
-		if len(q) == 0 {
+		id := m.id(&e, key)
+		q := at(&m.pending, id)
+		if len(*q) == 0 {
 			return nil // unmatched response: Precedes' business, not ours
 		}
-		started := q[0]
-		m.pending[key] = q[1:]
+		started := (*q)[0]
+		if *q = (*q)[1:]; len(*q) == 0 {
+			m.drop(id)
+		}
 		if elapsed := e.At - started; elapsed > m.spec.Within {
-			ev := e
-			return &ViolationError{
-				Constraint: m.spec.ConstraintName,
-				Event:      &ev,
-				Detail:     fmt.Sprintf("response after %v, deadline %v (key %q)", elapsed, m.spec.Within, key),
-			}
+			return violation(m.spec.ConstraintName, e, "response after %v, deadline %v (key %q)", elapsed, m.spec.Within, key)
 		}
 	}
 	return nil
@@ -168,16 +161,16 @@ func (m *deadlineMonitor) Observe(e Event) error {
 func (m *deadlineMonitor) AtEnd() error {
 	// A key's queue is FIFO in trigger time, so its head is its oldest
 	// trigger: the key is overdue exactly when its head is.
-	key, q, ok := minKey(m.pending, func(q []time.Duration) bool {
+	id, ok := minKeyID(m.keys, m.pending, func(q []time.Duration) bool {
 		return len(q) > 0 && m.last-q[0] > m.spec.Within
 	})
 	if !ok {
 		return nil
 	}
-	started := q[0]
+	started := m.pending[id][0]
 	return &ViolationError{
 		Constraint: m.spec.ConstraintName,
 		Detail: fmt.Sprintf("trigger at %v for key %q still unanswered %v past its deadline",
-			started, key, m.last-started-m.spec.Within),
+			started, m.keys.keys[id], m.last-started-m.spec.Within),
 	}
 }

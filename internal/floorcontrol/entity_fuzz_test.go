@@ -142,6 +142,9 @@ func floorAfterGarbage(t *testing.T, sol Solution, data []byte, res string) {
 		t.Fatalf("%s: request for %q not granted after the fuzzed PDU", sol.Name(), res)
 	}
 	parts["s1"].Release(res)
+	if v := observer.Violations(); len(v) > 0 {
+		t.Fatalf("%s: the fuzzed PDU broke the service: %v", sol.Name(), v[0])
+	}
 }
 
 // chatAfterGarbage builds the chat sequencer protocol over an

@@ -95,42 +95,103 @@ func (b *paramBuf) of(res string) []byte {
 	return *b
 }
 
-// resNames interns resource ids read from encoded params: each of a
-// deployment's resources maps to itself, so resolving one by its bytes
-// (m[string(b)]) allocates nothing. An id outside the deployment is
-// copied.
-type resNames map[string]string
-
-func newResNames(resources []string) resNames {
-	n := make(resNames, len(resources))
-	for _, res := range resources {
-		n[res] = res
-	}
-	return n
+// waiter is one outstanding acquire: the resource, the completion to run
+// and the Seq of the request it belongs to (zero fault-free), so
+// duplicate grants from churn retries can be discarded.
+type waiter struct {
+	res  string
+	done func()
+	seq  uint64
 }
 
-// of returns the resid of a params or grant record ("" when it has none).
-func (n resNames) of(v codec.MsgView) string {
+// waiters is an owner's outstanding acquires keyed by resource: a list
+// scanned in place of a map. A cooperative subscriber has at most one
+// acquire outstanding (AppPart), so the list holds at most one entry.
+type waiters []waiter
+
+// find returns the index of res's entry, or -1.
+func (w waiters) find(res string) int {
+	for i := range w {
+		if w[i].res == res {
+			return i
+		}
+	}
+	return -1
+}
+
+// put records x, replacing the entry for its resource.
+func (w *waiters) put(x waiter) {
+	if i := w.find(x.res); i >= 0 {
+		(*w)[i] = x
+		return
+	}
+	*w = append(*w, x)
+}
+
+// remove deletes entry i.
+func (w *waiters) remove(i int) {
+	s := *w
+	last := len(s) - 1
+	s[i] = s[last]
+	s[last] = waiter{}
+	*w = s[:last]
+}
+
+// deployment holds a run's name tables: the subscriber and resource ids
+// by dense index, and the index of each. Run state is kept in slices by
+// these indices. A name read off the wire, a PDU's or a call's subid or
+// resid, is resolved once per message here, and what comes back is the
+// table's own string, so resolving allocates nothing.
+type deployment struct {
+	subs, res      []string
+	subIdx, resIdx map[string]int32
+}
+
+func newDeployment(subs, res []string) *deployment {
+	return &deployment{subs: subs, res: res, subIdx: indexOf(subs), resIdx: indexOf(res)}
+}
+
+// indexOf maps each name to its position.
+func indexOf(names []string) map[string]int32 {
+	m := make(map[string]int32, len(names))
+	for i, n := range names {
+		m[n] = int32(i)
+	}
+	return m
+}
+
+// lookup resolves name bytes through one of the tables: the index and the
+// table's string, or -1 and a copy for a name outside the deployment.
+//
+//repolint:hotpath
+func lookup(idx map[string]int32, names []string, b []byte) (int32, string) {
+	if i, ok := idx[string(b)]; ok { //repolint:allow strmap -- a wire name, resolved once per message
+		return i, names[i]
+	}
+	return -1, string(b)
+}
+
+// sub resolves a subscriber id read off the wire.
+func (d *deployment) sub(b []byte) (int32, string) { return lookup(d.subIdx, d.subs, b) }
+
+// resource resolves a resource id read off the wire.
+func (d *deployment) resource(b []byte) (int32, string) { return lookup(d.resIdx, d.res, b) }
+
+// resOf resolves the resid of a params or grant record (-1 and "" when
+// it has none).
+func (d *deployment) resOf(v codec.MsgView) (int32, string) {
 	var sl codec.Slots
 	sapParams.Resolve(&v, &sl)
-	return n.at(&sl)
-}
-
-// at returns the resid in slot slotResid of a record parsed against
-// sapParams ("" when it has none).
-func (n resNames) at(sl *codec.Slots) string {
 	b, _ := sl.StrAt(slotResid)
-	if res, ok := n[string(b)]; ok {
-		return res
-	}
-	return string(b)
+	return d.resource(b)
 }
 
-// resid returns the resid of encoded params.
-func (n resNames) resid(params []byte) string {
+// resid resolves the resid of encoded params.
+func (d *deployment) resid(params []byte) (int32, string) {
 	var sl codec.Slots
 	_ = sapParams.ParseRecord(params, &sl) //nolint:errcheck // malformed params have no resid
-	return n.at(&sl)
+	b, _ := sl.StrAt(slotResid)
+	return d.resource(b)
 }
 
 // SubscriberSAP names the SAP of one subscriber.

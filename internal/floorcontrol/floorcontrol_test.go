@@ -360,32 +360,37 @@ func TestBuildRequiresSubstrate(t *testing.T) {
 }
 
 func TestResourceQueue(t *testing.T) {
-	q := newResourceQueue([]string{"r1"})
-	if !q.known("r1") || q.known("r2") {
-		t.Fatal("known() wrong")
+	dep := newDeployment([]string{"s1", "s2", "s3"}, []string{"r1"})
+	if i, name := dep.resource([]byte("r1")); i != 0 || name != "r1" {
+		t.Fatalf("resource(r1) = %d, %q", i, name)
 	}
-	if !q.tryAcquire("s1", "r1") {
+	if i, name := dep.resource([]byte("r2")); i != -1 || name != "r2" {
+		t.Fatalf("resource(r2) = %d, %q, want -1 and a copy", i, name)
+	}
+	const s1, s2, s3, r1 = 0, 1, 2, 0
+	q := newResourceQueue(dep)
+	if !q.tryAcquire(s1, r1) {
 		t.Fatal("acquire of free resource failed")
 	}
-	if q.tryAcquire("s2", "r1") {
+	if q.tryAcquire(s2, r1) {
 		t.Fatal("double acquire succeeded")
 	}
-	q.enqueue("s2", "r1")
-	q.enqueue("s3", "r1")
-	next, ok, err := q.release("s1", "r1")
-	if err != nil || !ok || next != "s2" {
-		t.Fatalf("release = %q, %v, %v", next, ok, err)
+	q.enqueue(s2, r1)
+	q.enqueue(s3, r1)
+	next, ok, err := q.release(s1, r1)
+	if err != nil || !ok || next != s2 {
+		t.Fatalf("release = %d, %v, %v", next, ok, err)
 	}
-	if _, _, err := q.release("s1", "r1"); err == nil {
-		t.Fatal("foreign release accepted")
+	if _, _, err := q.release(s1, r1); err == nil || err.Error() != `floorcontrol: "s1" released "r1" held by "s2"` {
+		t.Fatalf("foreign release: %v", err)
 	}
-	next, ok, err = q.release("s2", "r1")
-	if err != nil || !ok || next != "s3" {
-		t.Fatalf("second release = %q, %v, %v", next, ok, err)
+	next, ok, err = q.release(s2, r1)
+	if err != nil || !ok || next != s3 {
+		t.Fatalf("second release = %d, %v, %v", next, ok, err)
 	}
-	next, ok, err = q.release("s3", "r1")
-	if err != nil || ok || next != "" {
-		t.Fatalf("final release = %q, %v, %v", next, ok, err)
+	next, ok, err = q.release(s3, r1)
+	if err != nil || ok || next != -1 {
+		t.Fatalf("final release = %d, %v, %v", next, ok, err)
 	}
 }
 

@@ -62,9 +62,9 @@ func (s *MWCallback) Build(env *Env) (map[string]AppPart, error) {
 	if err != nil {
 		return nil, err
 	}
-	ctrl := &callbackController{env: env, q: newResourceQueue(env.Resources),
-		grants: make(map[string]*svc.Port[grantArgs, ack], len(env.Subscribers)),
-		reqSeq: make(map[string]uint64)}
+	ctrl := &callbackController{env: env, q: newResourceQueue(env.names()),
+		grants: make([]*svc.Port[grantArgs, ack], len(env.Subscribers)),
+		reqSeq: make([]uint64, len(env.Subscribers))}
 	if err := ctrl.export(b); err != nil {
 		return nil, fmt.Errorf("floorcontrol: register controller: %w", err)
 	}
@@ -81,13 +81,12 @@ func (s *MWCallback) Build(env *Env) (map[string]AppPart, error) {
 		return nil, err
 	}
 	parts := make(map[string]AppPart, len(env.Subscribers))
-	for _, sub := range env.Subscribers {
-		part := &mwCallbackPart{env: env, sub: sub, pending: make(map[string]pendingGrant),
-			request: request, free: free}
+	for i, sub := range env.Subscribers {
+		part := &mwCallbackPart{env: env, sub: sub, request: request, free: free}
 		if err := part.export(b); err != nil {
 			return nil, fmt.Errorf("floorcontrol: register subscriber %q: %w", sub, err)
 		}
-		if ctrl.grants[sub], err = svc.NewPort[grantArgs, ack](b, subObjRef(sub), "grant", encGrantArgs, nil); err != nil {
+		if ctrl.grants[i], err = svc.NewPort[grantArgs, ack](b, subObjRef(sub), "grant", encGrantArgs, nil); err != nil {
 			return nil, err
 		}
 		parts[sub] = part
@@ -97,17 +96,18 @@ func (s *MWCallback) Build(env *Env) (map[string]AppPart, error) {
 
 // callbackController is the singleton controller component, exported as
 // typed request_permission/free operations; it grants through one typed
-// callback port per subscriber.
+// callback port per subscriber. Its state is indexed by the run's
+// subscriber and resource indices.
 type callbackController struct {
 	env    *Env
 	exp    *svc.Export // hosts the controller; moves on failover
-	grants map[string]*svc.Port[grantArgs, ack]
+	grants []*svc.Port[grantArgs, ack]
 
 	q *resourceQueue
 	// reqSeq remembers the Seq of each subscriber's outstanding request,
 	// so a grant issued later (when a waiter is promoted on free) echoes
 	// the request it answers.
-	reqSeq map[string]uint64
+	reqSeq []uint64
 }
 
 // export hosts the controller's typed operations at ctrlNode.
@@ -116,57 +116,59 @@ func (c *callbackController) export(b *svc.Binding) error {
 	if err != nil {
 		return err
 	}
-	if err := svc.HandleOp(e, "request_permission", decCtrlArgs, encAck, c.requestPermission); err != nil {
+	if err := svc.HandleOp(e, "request_permission", c.q.d.decCtrlArgs, encAck, c.requestPermission); err != nil {
 		return err
 	}
-	if err := svc.HandleOp(e, "free", decCtrlArgs, encAck, c.free); err != nil {
+	if err := svc.HandleOp(e, "free", c.q.d.decCtrlArgs, encAck, c.free); err != nil {
 		return err
 	}
 	c.exp = e
 	return e.Register()
 }
 
+//repolint:hotpath
 func (c *callbackController) requestPermission(a ctrlArgs, respond func(ack, error)) {
-	if !c.q.known(a.Res) {
-		respond(ack{}, fmt.Errorf("unknown resource %q", a.Res))
+	if err := a.unknown(); err != nil {
+		respond(ack{}, err)
 		return
 	}
-	if c.q.dup(a.Sub, a.Seq) {
+	if c.q.dup(a.sub, a.Seq) {
 		// At-least-once redelivery: the intention is already registered
 		// (the first ack was lost to a crash) and a grant is delivered
 		// or in retry. Ack again without touching the queue.
 		respond(ack{}, nil)
 		return
 	}
-	c.reqSeq[a.Sub] = a.Seq
-	granted := c.q.tryAcquire(a.Sub, a.Res)
+	c.reqSeq[a.sub] = a.Seq
+	granted := c.q.tryAcquire(a.sub, a.res)
 	if !granted {
-		c.q.enqueue(a.Sub, a.Res)
+		c.q.enqueue(a.sub, a.res)
 	}
 	respond(ack{}, nil) // intention registered
 	if granted {
-		c.grant(a.Sub, a.Res, a.Seq)
+		c.grant(a.sub, a.Res, a.Seq)
 	}
 }
 
+//repolint:hotpath
 func (c *callbackController) free(a ctrlArgs, respond func(ack, error)) {
-	if c.q.dup(a.Sub, a.Seq) {
+	if err := a.unknown(); err != nil {
+		respond(ack{}, err)
+		return
+	}
+	if c.q.dup(a.sub, a.Seq) {
 		// Redelivered free: already released (and possibly re-granted).
 		respond(ack{}, nil)
 		return
 	}
-	next, ok, err := c.q.release(a.Sub, a.Res)
-	var nextSeq uint64
-	if ok {
-		nextSeq = c.reqSeq[next]
-	}
+	next, ok, err := c.q.release(a.sub, a.res)
 	if err != nil {
 		respond(ack{}, err)
 		return
 	}
 	respond(ack{}, nil)
 	if ok {
-		c.grant(next, a.Res, nextSeq)
+		c.grant(next, a.Res, c.reqSeq[next])
 	}
 }
 
@@ -180,16 +182,10 @@ func (c *callbackController) free(a ctrlArgs, respond func(ack, error)) {
 // export's current node, so a retry after a failover leaves from the
 // standby. Redelivery is safe because the subscriber dedups grants by
 // Seq when the first copy did land.
-func (c *callbackController) grant(sub, res string, seq uint64) {
+//
+//repolint:hotpath
+func (c *callbackController) grant(sub int32, res string, seq uint64) {
 	c.grants[sub].CallRetry(c.exp, grantArgs{Res: res, Seq: seq}, 0, c.env.PollInterval, c.env.acked())
-}
-
-// pendingGrant is one outstanding acquire at a subscriber part: the
-// completion to run and the Seq of the request it belongs to (zero
-// fault-free), so duplicate grants from churn retries can be discarded.
-type pendingGrant struct {
-	done func()
-	seq  uint64
 }
 
 // mwCallbackPart is one subscriber's application part. The grant callback
@@ -198,35 +194,46 @@ type pendingGrant struct {
 type mwCallbackPart struct {
 	env     *Env
 	sub     string
+	node    int32 // the subscriber node's platform id, resolved by export
 	request *svc.Port[ctrlArgs, ack]
 	free    *svc.Port[ctrlArgs, ack]
 
-	pending map[string]pendingGrant // resource → outstanding acquire
-	seq     uint64                  // submission counter (churn only)
+	pending waiters // outstanding acquires
+	seq     uint64  // submission counter (churn only)
 }
 
 var _ AppPart = (*mwCallbackPart)(nil)
 
-// Node implements svc.Caller: the part calls from its subscriber's node.
-func (p *mwCallbackPart) Node() middleware.Addr { return middleware.Addr(p.sub) }
+// NodeID implements svc.Caller: the part calls from its subscriber's
+// node.
+func (p *mwCallbackPart) NodeID() int32 { return p.node }
 
-// export hosts the part's grant callback interface.
+// export hosts the part's grant callback interface and resolves the
+// part's node id.
 func (p *mwCallbackPart) export(b *svc.Binding) error {
 	e, err := b.NewExport(subObjRef(p.sub), middleware.Addr(p.sub))
 	if err != nil {
 		return err
 	}
-	if err := svc.HandleOp(e, "grant", decGrantArgs, encAck, p.onGrant); err != nil {
+	if err := svc.HandleOp(e, "grant", p.env.names().decGrantArgs, encAck, p.onGrant); err != nil {
 		return err
 	}
-	return e.Register()
+	if err := e.Register(); err != nil {
+		return err
+	}
+	p.node = e.NodeID()
+	return nil
 }
 
+//repolint:hotpath
 func (p *mwCallbackPart) onGrant(a grantArgs, respond func(ack, error)) {
-	pend, ok := p.pending[a.Res]
-	match := ok && pend.seq == a.Seq
-	if match {
-		delete(p.pending, a.Res)
+	var pend waiter
+	match := false
+	if i := p.pending.find(a.Res); i >= 0 {
+		pend = p.pending[i]
+		if match = pend.seq == a.Seq; match {
+			p.pending.remove(i)
+		}
 	}
 	respond(ack{}, nil)
 	if p.env.Churn && !match {
@@ -243,6 +250,8 @@ func (p *mwCallbackPart) onGrant(a grantArgs, respond func(ack, error)) {
 }
 
 // Acquire implements AppPart.
+//
+//repolint:hotpath
 func (p *mwCallbackPart) Acquire(res string, done func()) {
 	p.env.observe(p.sub, PrimRequest, res)
 	args := ctrlArgs{Sub: p.sub, Res: res}
@@ -250,11 +259,13 @@ func (p *mwCallbackPart) Acquire(res string, done func()) {
 		p.seq++
 		args.Seq = p.seq
 	}
-	p.pending[res] = pendingGrant{done: done, seq: args.Seq}
+	p.pending.put(waiter{res: res, done: done, seq: args.Seq})
 	p.request.CallRetry(p, args, 0, p.env.PollInterval, p.env.acked())
 }
 
 // Release implements AppPart.
+//
+//repolint:hotpath
 func (p *mwCallbackPart) Release(res string) {
 	p.env.observe(p.sub, PrimFree, res)
 	args := ctrlArgs{Sub: p.sub, Res: res}

@@ -88,12 +88,18 @@ func encAvailReply(buf []byte, a availReply) ([]byte, error) {
 	return e.Finish()
 }
 
-func decAvailReply(v codec.MsgView) (availReply, error) {
+// decAvailReply decodes a probe answer, resolving its resid (when it
+// carries one) through the run's tables.
+func (d *deployment) decAvailReply(v codec.MsgView) (availReply, error) {
 	var sl codec.Slots
 	recAvailRes.Resolve(&v, &sl)
 	res, _ := sl.StrAt(slotAvailRes)
 	avail, _ := sl.BoolAt(slotAvail)
-	return availReply{Res: string(res), Available: avail}, nil
+	r := availReply{Available: avail}
+	if len(res) > 0 {
+		_, r.Res = d.resource(res)
+	}
+	return r, nil
 }
 
 // Build implements Solution.
@@ -102,15 +108,15 @@ func (s *MWPolling) Build(env *Env) (map[string]AppPart, error) {
 	if err != nil {
 		return nil, err
 	}
-	ctrl := &pollingController{q: newResourceQueue(env.Resources),
-		holderSeq: make(map[string]uint64, len(env.Resources))}
+	ctrl := &pollingController{q: newResourceQueue(env.names()),
+		holderSeq: make([]uint64, len(env.Resources))}
 	if err := ctrl.export(b); err != nil {
 		return nil, fmt.Errorf("floorcontrol: register controller: %w", err)
 	}
 	s.ctrl = ctrl
 	// One shared port per controller operation: Call carries the polling
 	// subscriber's node, so the parts need no private ports.
-	isAvailable, err := svc.NewPort(b, "controller", "is_available", encCtrlArgs, decAvailReply)
+	isAvailable, err := svc.NewPort(b, "controller", "is_available", encCtrlArgs, env.names().decAvailReply)
 	if err != nil {
 		return nil, err
 	}
@@ -121,6 +127,9 @@ func (s *MWPolling) Build(env *Env) (map[string]AppPart, error) {
 	parts := make(map[string]AppPart, len(env.Subscribers))
 	for _, sub := range env.Subscribers {
 		part := &mwPollingPart{env: env, sub: sub, isAvailable: isAvailable, free: free}
+		if part.node, err = env.Platform.AttachRuntime(middleware.Addr(sub)); err != nil {
+			return nil, err
+		}
 		part.onProbe = part.probed
 		parts[sub] = part
 	}
@@ -139,8 +148,8 @@ type pollingController struct {
 	// was lost to a crash) is answered true again; a probe of a *new*
 	// acquire that finds the subscriber still registered as holder — its
 	// previous free is still in redelivery limbo — reads unavailable,
-	// exactly as if another subscriber held it.
-	holderSeq map[string]uint64
+	// exactly as if another subscriber held it. Indexed by resource.
+	holderSeq []uint64
 }
 
 // export hosts the controller's typed operations at ctrlNode.
@@ -149,10 +158,10 @@ func (c *pollingController) export(b *svc.Binding) error {
 	if err != nil {
 		return err
 	}
-	if err := svc.HandleOp(e, "is_available", decCtrlArgs, encAvailReply, c.isAvailable); err != nil {
+	if err := svc.HandleOp(e, "is_available", c.q.d.decCtrlArgs, encAvailReply, c.isAvailable); err != nil {
 		return err
 	}
-	if err := svc.HandleOp(e, "free", decCtrlArgs, encAck, c.free); err != nil {
+	if err := svc.HandleOp(e, "free", c.q.d.decCtrlArgs, encAck, c.free); err != nil {
 		return err
 	}
 	c.exp = e
@@ -160,29 +169,33 @@ func (c *pollingController) export(b *svc.Binding) error {
 }
 
 func (c *pollingController) isAvailable(a ctrlArgs, respond func(availReply, error)) {
-	if !c.q.known(a.Res) {
-		respond(availReply{}, fmt.Errorf("unknown resource %q", a.Res))
+	if err := a.unknown(); err != nil {
+		respond(availReply{}, err)
 		return
 	}
-	if a.Seq != 0 && c.q.holder[a.Res] == a.Sub && c.holderSeq[a.Res] == a.Seq {
+	if a.Seq != 0 && c.q.holder[a.res] == a.sub && c.holderSeq[a.res] == a.Seq {
 		// Redelivered probe of the test-and-set that already acquired.
 		respond(availReply{Available: true}, nil)
 		return
 	}
-	got := c.q.tryAcquire(a.Sub, a.Res)
+	got := c.q.tryAcquire(a.sub, a.res)
 	if got {
-		c.holderSeq[a.Res] = a.Seq
+		c.holderSeq[a.res] = a.Seq
 	}
 	respond(availReply{Available: got}, nil)
 }
 
 func (c *pollingController) free(a ctrlArgs, respond func(ack, error)) {
-	if c.q.dup(a.Sub, a.Seq) {
+	if err := a.unknown(); err != nil {
+		respond(ack{}, err)
+		return
+	}
+	if c.q.dup(a.sub, a.Seq) {
 		// Redelivered free: already released.
 		respond(ack{}, nil)
 		return
 	}
-	_, _, err := c.q.release(a.Sub, a.Res)
+	_, _, err := c.q.release(a.sub, a.res)
 	if err != nil {
 		respond(ack{}, err)
 		return
@@ -195,6 +208,7 @@ func (c *pollingController) free(a ctrlArgs, respond func(ack, error)) {
 type mwPollingPart struct {
 	env         *Env
 	sub         string
+	node        int32 // the subscriber node's platform id, attached by Build
 	isAvailable *svc.Port[ctrlArgs, availReply]
 	free        *svc.Port[ctrlArgs, ack]
 
@@ -206,8 +220,9 @@ type mwPollingPart struct {
 
 var _ AppPart = (*mwPollingPart)(nil)
 
-// Node implements svc.Caller: the part polls from its subscriber's node.
-func (p *mwPollingPart) Node() middleware.Addr { return middleware.Addr(p.sub) }
+// NodeID implements svc.Caller: the part polls from its subscriber's
+// node.
+func (p *mwPollingPart) NodeID() int32 { return p.node }
 
 // Acquire implements AppPart: poll until is_available returns true. The
 // loop is one at-least-once call whose every probe carries the acquire's

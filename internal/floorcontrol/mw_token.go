@@ -133,6 +133,7 @@ func (s *MWToken) Build(env *Env) (map[string]AppPart, error) {
 type mwTokenPart struct {
 	env  *Env
 	sub  string
+	node int32 // the subscriber node's platform id, resolved by export
 	next string
 	pass *svc.Port[tokenArgs, ack]
 
@@ -144,11 +145,12 @@ type mwTokenPart struct {
 
 var _ AppPart = (*mwTokenPart)(nil)
 
-// Node implements svc.Caller: the part passes from its subscriber's node.
-func (p *mwTokenPart) Node() middleware.Addr { return middleware.Addr(p.sub) }
+// NodeID implements svc.Caller: the part passes from its subscriber's
+// node.
+func (p *mwTokenPart) NodeID() int32 { return p.node }
 
 // export exposes the pass operation to the previous subscriber in the
-// ring.
+// ring and resolves the part's node id.
 func (p *mwTokenPart) export(b *svc.Binding) error {
 	e, err := b.NewExport(subObjRef(p.sub), middleware.Addr(p.sub))
 	if err != nil {
@@ -157,7 +159,11 @@ func (p *mwTokenPart) export(b *svc.Binding) error {
 	if err := svc.HandleOp(e, "pass", decTokenArgs, encAck, p.onPass); err != nil {
 		return err
 	}
-	return e.Register()
+	if err := e.Register(); err != nil {
+		return err
+	}
+	p.node = e.NodeID()
+	return nil
 }
 
 func (p *mwTokenPart) onPass(t tokenArgs, respond func(ack, error)) {

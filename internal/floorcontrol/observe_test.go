@@ -48,8 +48,8 @@ func TestTraceParity(t *testing.T) {
 
 // TestObserveAllocs pins that conformance observation without a trace
 // allocates nothing per steady-state request→granted→free cycle: every
-// monitor keys its state by core.Key, and drained keys are deleted, so
-// the monitors' maps neither grow nor rebuild.
+// monitor keeps its state by the key's dense id, so a key seen before
+// costs neither a string nor a slot.
 func TestObserveAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are pinned for non-race builds only")

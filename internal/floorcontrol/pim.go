@@ -25,7 +25,6 @@ const ParadigmMDA Paradigm = "mda"
 // RMI-like (async-over-sync) and MQ-like (async-over-queue).
 func PIM(resources []string) *mda.PIM {
 	resources = append([]string(nil), resources...)
-	names := newResNames(resources)
 	return &mda.PIM{
 		Name:    "floor-control-pim",
 		Service: Spec(),
@@ -42,11 +41,19 @@ func PIM(resources []string) *mda.PIM {
 				Placement:  make(map[mda.ComponentID]middleware.Addr),
 				SAPBinding: make(map[core.SAP]mda.ComponentID),
 			}
+			// The controller knows its subscribers by their agents'
+			// component ids.
+			agents := make([]string, len(plan.SAPs))
+			for i, sap := range plan.SAPs {
+				agents[i] = "agent:" + sap.ID
+			}
+			names := newDeployment(agents, resources)
 			const controller = mda.ComponentID("controller")
-			logic.Components[controller] = &pimController{callbackCtrl: callbackCtrl{q: newResourceQueue(resources)}}
+			logic.Components[controller] = &pimController{
+				callbackCtrl: callbackCtrl{q: newResourceQueue(names)}}
 			logic.Placement[controller] = ctrlNode
-			for _, sap := range plan.SAPs {
-				id := mda.ComponentID("agent:" + sap.ID)
+			for i, sap := range plan.SAPs {
+				id := mda.ComponentID(agents[i])
 				logic.Components[id] = &pimAgent{controller: controller, names: names}
 				logic.Placement[id] = middleware.Addr(sap.ID)
 				logic.SAPBinding[sap] = id
@@ -86,21 +93,28 @@ func (c *pimController) FromUser(primitive string, _ []byte) error {
 
 // OnMessage implements mda.Component.
 func (c *pimController) OnMessage(from mda.ComponentID, msg codec.MsgView) error {
-	a, _ := decGrantArgs(msg)
-	var to string
+	res, name := c.q.d.resOf(msg)
+	if res < 0 {
+		return fmt.Errorf("floorcontrol: unknown resource %q", name)
+	}
+	sub, ok := c.q.d.subIdx[string(from)]
+	if !ok {
+		return fmt.Errorf("floorcontrol: message from unknown component %q", from)
+	}
+	var to int32
 	var err error
 	switch {
 	case msg.NameIs(msgRequest.Name()):
-		to, err = c.request(string(from), a.Res)
+		to = c.request(sub, res)
 	case msg.NameIs(msgFree.Name()):
-		to, err = c.free(string(from), a.Res)
+		to, err = c.free(sub, res)
 	default:
 		return fmt.Errorf("floorcontrol: unexpected message %q at controller logic", msg.Name())
 	}
-	if to == "" {
+	if to < 0 {
 		return err
 	}
-	return mda.Send(c.ctx, mda.ComponentID(to), pduGranted, grantArgs{Res: a.Res})
+	return mda.Send(c.ctx, mda.ComponentID(c.q.d.subs[to]), pduGranted, grantArgs{Res: name})
 }
 
 // pimAgent is the per-SAP service logic: it maps service primitives to
@@ -108,7 +122,7 @@ func (c *pimController) OnMessage(from mda.ComponentID, msg codec.MsgView) error
 type pimAgent struct {
 	controller mda.ComponentID
 	ctx        *mda.LogicContext
-	names      resNames
+	names      *deployment
 	params     paramBuf
 }
 
@@ -122,7 +136,7 @@ func (a *pimAgent) Start(ctx *mda.LogicContext) error {
 
 // FromUser implements mda.Component.
 func (a *pimAgent) FromUser(primitive string, params []byte) error {
-	res := a.names.resid(params)
+	_, res := a.names.resid(params)
 	switch primitive {
 	case PrimRequest:
 		return mda.Send(a.ctx, a.controller, msgRequest, grantArgs{Res: res})
@@ -138,7 +152,8 @@ func (a *pimAgent) OnMessage(_ mda.ComponentID, msg codec.MsgView) error {
 	if !msg.NameIs(pduGranted.Name()) {
 		return fmt.Errorf("floorcontrol: unexpected message %q at agent logic", msg.Name())
 	}
-	a.ctx.DeliverToUser(PrimGranted, a.params.of(a.names.of(msg)))
+	_, res := a.names.resOf(msg)
+	a.ctx.DeliverToUser(PrimGranted, a.params.of(res))
 	return nil
 }
 
@@ -206,7 +221,7 @@ func (s *MDASolution) Build(env *Env) (map[string]AppPart, error) {
 	provider := env.Observer.Provider(dep)
 	parts := make(map[string]AppPart, len(env.Subscribers))
 	for _, sub := range env.Subscribers {
-		parts[sub] = newServiceAppPart(provider, SubscriberSAP(sub), env.names)
+		parts[sub] = newServiceAppPart(provider, SubscriberSAP(sub), env.names())
 	}
 	return parts, nil
 }

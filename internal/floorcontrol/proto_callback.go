@@ -45,12 +45,13 @@ func (*ProtoCallback) Scattering(n int) Scattering {
 // Build implements Solution.
 func (s *ProtoCallback) Build(env *Env) (map[string]AppPart, error) {
 	return buildProtocolSolution(env, s.Name(), func(layer *protocol.Layer) error {
-		ctrl := &callbackCtrlEntity{callbackCtrl: callbackCtrl{q: newResourceQueue(env.Resources)}}
+		dep := env.names()
+		ctrl := &callbackCtrlEntity{callbackCtrl: callbackCtrl{q: newResourceQueue(dep)}}
 		if err := layer.AddEntity(ctrlNode, ctrl); err != nil {
 			return fmt.Errorf("floorcontrol: add controller entity: %w", err)
 		}
 		for _, sub := range env.Subscribers {
-			if err := layer.AddEntity(protocol.Addr(sub), &callbackSubEntity{controller: ctrlNode, names: env.names}); err != nil {
+			if err := layer.AddEntity(protocol.Addr(sub), &callbackSubEntity{controller: ctrlNode, names: dep}); err != nil {
 				return fmt.Errorf("floorcontrol: add subscriber entity %q: %w", sub, err)
 			}
 		}
@@ -63,7 +64,7 @@ func (s *ProtoCallback) Build(env *Env) (map[string]AppPart, error) {
 type callbackSubEntity struct {
 	controller protocol.Addr
 	ctx        *protocol.Context
-	names      resNames
+	names      *deployment
 	params     paramBuf
 }
 
@@ -77,7 +78,8 @@ func (e *callbackSubEntity) Init(ctx *protocol.Context) error {
 
 // FromUser implements protocol.Entity.
 func (e *callbackSubEntity) FromUser(primitive string, params []byte) error {
-	args := ctrlArgs{Sub: string(e.ctx.Self()), Res: e.names.resid(params)}
+	_, res := e.names.resid(params)
+	args := ctrlArgs{Sub: string(e.ctx.Self()), Res: res}
 	switch primitive {
 	case PrimRequest:
 		return pduRequest.Send(e.ctx, e.controller, args)
@@ -88,35 +90,38 @@ func (e *callbackSubEntity) FromUser(primitive string, params []byte) error {
 	}
 }
 
-// FromPeer implements protocol.Entity.
-func (e *callbackSubEntity) FromPeer(_ protocol.Addr, pdu codec.MsgView) error {
+// FromPeer implements protocol.Entity. Only the controller grants: a
+// PDU from any other source is dropped.
+func (e *callbackSubEntity) FromPeer(src protocol.Addr, pdu codec.MsgView) error {
+	if src != e.controller {
+		return fmt.Errorf("floorcontrol: PDU %q from %s, not the controller", pdu.Name(), src)
+	}
 	if !pdu.NameIs(pduGranted.Name()) {
 		return fmt.Errorf("floorcontrol: unexpected PDU %q at subscriber entity", pdu.Name())
 	}
-	e.ctx.DeliverToUser(PrimGranted, e.params.of(e.names.of(pdu)))
+	_, res := e.names.resOf(pdu)
+	e.ctx.DeliverToUser(PrimGranted, e.params.of(res))
 	return nil
 }
 
 // callbackCtrl is the callback controller's coordination — holder and
 // FIFO queue per resource — shared by the controller protocol entity and
-// the PIM controller logic. request and free return the subscriber to
-// grant res to now ("" for none).
+// the PIM controller logic. request and free take a subscriber and a
+// resource known to the deployment, and return the subscriber to grant
+// res to now (-1 for none).
 type callbackCtrl struct {
 	q *resourceQueue
 }
 
-func (c *callbackCtrl) request(sub, res string) (string, error) {
-	if !c.q.known(res) {
-		return "", fmt.Errorf("floorcontrol: request for unknown resource %q", res)
-	}
+func (c *callbackCtrl) request(sub, res int32) int32 {
 	if c.q.tryAcquire(sub, res) {
-		return sub, nil
+		return sub
 	}
 	c.q.enqueue(sub, res)
-	return "", nil
+	return -1
 }
 
-func (c *callbackCtrl) free(sub, res string) (string, error) {
+func (c *callbackCtrl) free(sub, res int32) (int32, error) {
 	next, _, err := c.q.release(sub, res)
 	return next, err
 }
@@ -140,21 +145,28 @@ func (e *callbackCtrlEntity) FromUser(primitive string, _ []byte) error {
 	return fmt.Errorf("floorcontrol: controller entity has no service user (got %q)", primitive)
 }
 
-// FromPeer implements protocol.Entity.
+// FromPeer implements protocol.Entity. A subscriber speaks for itself
+// only: a PDU whose subid is not its source is dropped.
 func (e *callbackCtrlEntity) FromPeer(src protocol.Addr, pdu codec.MsgView) error {
-	a, _ := decCtrlArgs(pdu)
-	var to string
+	a, _ := e.q.d.decCtrlArgs(pdu)
+	if err := a.unknown(); err != nil {
+		return err
+	}
+	if string(src) != a.Sub {
+		return fmt.Errorf("floorcontrol: PDU %q for %q from %s", pdu.Name(), a.Sub, src)
+	}
+	var to int32
 	var err error
 	switch {
 	case pdu.NameIs(pduRequest.Name()):
-		to, err = e.request(a.Sub, a.Res)
+		to = e.request(a.sub, a.res)
 	case pdu.NameIs(pduFree.Name()):
-		to, err = e.free(a.Sub, a.Res)
+		to, err = e.free(a.sub, a.res)
 	default:
 		return fmt.Errorf("floorcontrol: unexpected PDU %q at controller entity from %s", pdu.Name(), src)
 	}
-	if to == "" {
+	if to < 0 {
 		return err
 	}
-	return pduGranted.Send(e.ctx, protocol.Addr(to), grantArgs{Res: a.Res})
+	return pduGranted.Send(e.ctx, protocol.Addr(e.q.d.subs[to]), grantArgs{Res: a.Res})
 }

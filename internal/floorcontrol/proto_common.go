@@ -16,17 +16,17 @@ import (
 type serviceAppPart struct {
 	provider core.Provider
 	sap      core.SAP
-	names    resNames
+	names    *deployment
 	params   paramBuf
 
-	pending map[string]func() // resource → completion
+	pending waiters // outstanding acquires
 }
 
 var _ AppPart = (*serviceAppPart)(nil)
 
 // newServiceAppPart attaches the part to its SAP.
-func newServiceAppPart(provider core.Provider, sap core.SAP, names resNames) *serviceAppPart {
-	p := &serviceAppPart{provider: provider, sap: sap, names: names, pending: make(map[string]func())}
+func newServiceAppPart(provider core.Provider, sap core.SAP, names *deployment) *serviceAppPart {
+	p := &serviceAppPart{provider: provider, sap: sap, names: names}
 	provider.Attach(sap, p.onPrimitive)
 	return p
 }
@@ -35,9 +35,13 @@ func (p *serviceAppPart) onPrimitive(primitive string, params []byte) {
 	if primitive != PrimGranted {
 		return
 	}
-	res := p.names.resid(params)
-	done := p.pending[res]
-	delete(p.pending, res)
+	_, res := p.names.resid(params)
+	i := p.pending.find(res)
+	if i < 0 {
+		return
+	}
+	done := p.pending[i].done
+	p.pending.remove(i)
 	if done != nil {
 		done()
 	}
@@ -45,7 +49,7 @@ func (p *serviceAppPart) onPrimitive(primitive string, params []byte) {
 
 // Acquire implements AppPart by executing the request primitive.
 func (p *serviceAppPart) Acquire(res string, done func()) {
-	p.pending[res] = done
+	p.pending.put(waiter{res: res, done: done})
 	if err := p.provider.Submit(p.sap, PrimRequest, p.params.of(res)); err != nil {
 		panic(fmt.Sprintf("floorcontrol: request at %s: %v", p.sap, err))
 	}
@@ -92,7 +96,7 @@ func buildProtocolSolution(env *Env, name string, install func(layer *protocol.L
 	provider := env.Observer.Provider(binding)
 	parts := make(map[string]AppPart, len(env.Subscribers))
 	for _, sub := range env.Subscribers {
-		parts[sub] = newServiceAppPart(provider, SubscriberSAP(sub), env.names)
+		parts[sub] = newServiceAppPart(provider, SubscriberSAP(sub), env.names())
 	}
 	return parts, nil
 }

@@ -47,12 +47,13 @@ func (*ProtoPolling) Scattering(n int) Scattering {
 // Build implements Solution.
 func (s *ProtoPolling) Build(env *Env) (map[string]AppPart, error) {
 	return buildProtocolSolution(env, s.Name(), func(layer *protocol.Layer) error {
-		ctrl := &pollingCtrlEntity{q: newResourceQueue(env.Resources)}
+		dep := env.names()
+		ctrl := &pollingCtrlEntity{q: newResourceQueue(dep)}
 		if err := layer.AddEntity(ctrlNode, ctrl); err != nil {
 			return fmt.Errorf("floorcontrol: add controller entity: %w", err)
 		}
 		for _, sub := range env.Subscribers {
-			e := &pollingSubEntity{controller: ctrlNode, interval: env.PollInterval, names: env.names}
+			e := &pollingSubEntity{controller: ctrlNode, interval: env.PollInterval, names: dep}
 			if err := layer.AddEntity(protocol.Addr(sub), e); err != nil {
 				return fmt.Errorf("floorcontrol: add subscriber entity %q: %w", sub, err)
 			}
@@ -66,10 +67,10 @@ type pollingSubEntity struct {
 	controller protocol.Addr
 	interval   time.Duration
 	ctx        *protocol.Context
-	names      resNames
+	names      *deployment
 	params     paramBuf
 
-	waiting map[string]bool // resources being polled for
+	waiting waiters // resources being polled for
 }
 
 var _ protocol.Entity = (*pollingSubEntity)(nil)
@@ -77,16 +78,15 @@ var _ protocol.Entity = (*pollingSubEntity)(nil)
 // Init implements protocol.Entity.
 func (e *pollingSubEntity) Init(ctx *protocol.Context) error {
 	e.ctx = ctx
-	e.waiting = make(map[string]bool)
 	return nil
 }
 
 // FromUser implements protocol.Entity.
 func (e *pollingSubEntity) FromUser(primitive string, params []byte) error {
-	res := e.names.resid(params)
+	_, res := e.names.resid(params)
 	switch primitive {
 	case PrimRequest:
-		e.waiting[res] = true
+		e.waiting.put(waiter{res: res})
 		return e.probe(res)
 	case PrimFree:
 		return pduFree.Send(e.ctx, e.controller, ctrlArgs{Sub: string(e.ctx.Self()), Res: res})
@@ -99,27 +99,28 @@ func (e *pollingSubEntity) probe(res string) error {
 	return pduAvailReq.Send(e.ctx, e.controller, ctrlArgs{Sub: string(e.ctx.Self()), Res: res})
 }
 
-// FromPeer implements protocol.Entity.
-func (e *pollingSubEntity) FromPeer(_ protocol.Addr, pdu codec.MsgView) error {
+// FromPeer implements protocol.Entity. Only the controller answers
+// probes: a PDU from any other source is dropped.
+func (e *pollingSubEntity) FromPeer(src protocol.Addr, pdu codec.MsgView) error {
+	if src != e.controller {
+		return fmt.Errorf("floorcontrol: PDU %q from %s, not the controller", pdu.Name(), src)
+	}
 	if !pdu.NameIs(pduAvailResp.Name()) {
 		return fmt.Errorf("floorcontrol: unexpected PDU %q at polling subscriber entity", pdu.Name())
 	}
-	r, _ := decAvailReply(pdu)
+	r, _ := e.names.decAvailReply(pdu)
 	res, avail := r.Res, r.Available
-	waiting := e.waiting[res]
-	if avail && waiting {
-		delete(e.waiting, res)
-	}
-	if !waiting {
+	i := e.waiting.find(res)
+	if i < 0 {
 		return nil // stale response
 	}
 	if avail {
+		e.waiting.remove(i)
 		e.ctx.DeliverToUser(PrimGranted, e.params.of(res))
 		return nil
 	}
 	e.ctx.Schedule(e.interval, func() {
-		still := e.waiting[res]
-		if still {
+		if e.waiting.find(res) >= 0 {
 			_ = e.probe(res) //nolint:errcheck // probe failure retried on next interval
 		}
 	})
@@ -147,19 +148,22 @@ func (e *pollingCtrlEntity) FromUser(primitive string, _ []byte) error {
 	return fmt.Errorf("floorcontrol: controller entity has no service user (got %q)", primitive)
 }
 
-// FromPeer implements protocol.Entity.
+// FromPeer implements protocol.Entity. A subscriber speaks for itself
+// only: a PDU whose subid is not its source is dropped.
 func (e *pollingCtrlEntity) FromPeer(src protocol.Addr, pdu codec.MsgView) error {
-	a, _ := decCtrlArgs(pdu)
-	sub, res := a.Sub, a.Res
+	a, _ := e.q.d.decCtrlArgs(pdu)
+	if err := a.unknown(); err != nil {
+		return err
+	}
+	if string(src) != a.Sub {
+		return fmt.Errorf("floorcontrol: PDU %q for %q from %s", pdu.Name(), a.Sub, src)
+	}
 	switch {
 	case pdu.NameIs(pduAvailReq.Name()):
-		if !e.q.known(res) {
-			return fmt.Errorf("floorcontrol: probe for unknown resource %q", res)
-		}
-		got := e.q.tryAcquire(sub, res)
-		return pduAvailResp.Send(e.ctx, protocol.Addr(sub), availReply{Res: res, Available: got})
+		got := e.q.tryAcquire(a.sub, a.res)
+		return pduAvailResp.Send(e.ctx, protocol.Addr(a.Sub), availReply{Res: a.Res, Available: got})
 	case pdu.NameIs(pduFree.Name()):
-		_, _, err := e.q.release(sub, res)
+		_, _, err := e.q.release(a.sub, a.res)
 		return err
 	default:
 		return fmt.Errorf("floorcontrol: unexpected PDU %q at polling controller from %s", pdu.Name(), src)

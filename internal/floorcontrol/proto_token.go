@@ -51,7 +51,7 @@ func (s *ProtoToken) Build(env *Env) (map[string]AppPart, error) {
 		entities := make([]*tokenSubEntity, len(env.Subscribers))
 		for i, sub := range env.Subscribers {
 			next := env.Subscribers[(i+1)%len(env.Subscribers)]
-			e := &tokenSubEntity{next: protocol.Addr(next), hop: env.TokenHopDelay, names: env.names}
+			e := &tokenSubEntity{next: protocol.Addr(next), hop: env.TokenHopDelay, names: env.names()}
 			if err := layer.AddEntity(protocol.Addr(sub), e); err != nil {
 				return fmt.Errorf("floorcontrol: add token entity %q: %w", sub, err)
 			}
@@ -70,7 +70,7 @@ type tokenSubEntity struct {
 	next   protocol.Addr
 	hop    time.Duration
 	ctx    *protocol.Context
-	names  resNames
+	names  *deployment
 	params paramBuf
 
 	wantRes   string
@@ -97,7 +97,7 @@ func (e *tokenSubEntity) Init(ctx *protocol.Context) error {
 
 // FromUser implements protocol.Entity.
 func (e *tokenSubEntity) FromUser(primitive string, params []byte) error {
-	res := e.names.resid(params)
+	_, res := e.names.resid(params)
 	switch primitive {
 	case PrimRequest:
 		if e.wantRes != "" {

@@ -86,12 +86,21 @@ type Env struct {
 	// deadlines and token redelivery dedup in their entities.
 	Churn bool
 
-	// names interns the run's resource ids (see resNames); obsBuf is the
-	// scratch buffer observe encodes params into.
-	names  resNames
+	// dep holds the run's name tables (see names); obsBuf is the scratch
+	// buffer observe encodes params into.
+	dep    *deployment
 	obsBuf paramBuf
 	// ackPolicy is again for void calls, built once (see acked).
 	ackPolicy func(ack, error) bool
+}
+
+// names returns the run's name tables, built on first use from
+// Subscribers and Resources.
+func (e *Env) names() *deployment {
+	if e.dep == nil {
+		e.dep = newDeployment(e.Subscribers, e.Resources)
+	}
+	return e.dep
 }
 
 // observe reports a service-primitive execution at a subscriber's SAP to
@@ -254,6 +263,9 @@ type ctrlArgs struct {
 	// never deduped and stay off the wire, keeping fault-free encodings
 	// byte-identical to the pre-churn protocol.
 	Seq uint64
+	// sub and res are Sub's and Res's indices in the run's deployment
+	// (-1 for a name outside it), set by deployment.decCtrlArgs.
+	sub, res int32
 }
 
 // Wire layouts of the argument records. Seq is kept off the wire when
@@ -272,6 +284,18 @@ var (
 	slotGrantSeq = recGrantSeq.Slot("seq")
 )
 
+// unknown reports a subscriber or resource outside the deployment, which
+// no controller can serve.
+func (a ctrlArgs) unknown() error {
+	switch {
+	case a.res < 0:
+		return fmt.Errorf("floorcontrol: unknown resource %q", a.Res)
+	case a.sub < 0:
+		return fmt.Errorf("floorcontrol: unknown subscriber %q", a.Sub)
+	}
+	return nil
+}
+
 // encCtrlArgs appends the controller operations' argument record.
 func encCtrlArgs(buf []byte, a ctrlArgs) ([]byte, error) {
 	if a.Seq == 0 {
@@ -285,17 +309,6 @@ func encCtrlArgs(buf []byte, a ctrlArgs) ([]byte, error) {
 	e.Int("seq", int64(a.Seq))
 	e.Str("subid", a.Sub)
 	return e.Finish()
-}
-
-// decCtrlArgs decodes a controller argument record; absent or mistyped
-// fields decode to zero values.
-func decCtrlArgs(v codec.MsgView) (ctrlArgs, error) {
-	var sl codec.Slots
-	recCtrlSeq.Resolve(&v, &sl)
-	sub, _ := sl.StrAt(slotCtrlSub)
-	res, _ := sl.StrAt(slotCtrlRes)
-	seq, _ := sl.IntAt(slotCtrlSeq)
-	return ctrlArgs{Sub: string(sub), Res: string(res), Seq: uint64(seq)}, nil
 }
 
 // grantArgs is the typed payload of the controller→subscriber grant
@@ -322,13 +335,16 @@ func encGrantArgs(buf []byte, a grantArgs) ([]byte, error) {
 	return e.Finish()
 }
 
-// decGrantArgs decodes a grant argument record.
-func decGrantArgs(v codec.MsgView) (grantArgs, error) {
+// decGrantArgs decodes a grant argument record, resolving its resid
+// through the run's tables.
+func (d *deployment) decGrantArgs(v codec.MsgView) (grantArgs, error) {
 	var sl codec.Slots
 	recGrantSeq.Resolve(&v, &sl)
 	res, _ := sl.StrAt(slotGrantRes)
 	seq, _ := sl.IntAt(slotGrantSeq)
-	return grantArgs{Res: string(res), Seq: uint64(seq)}, nil
+	a := grantArgs{Seq: uint64(seq)}
+	_, a.Res = d.resource(res)
+	return a, nil
 }
 
 // ack is the empty acknowledgement reply of void operations.
@@ -339,36 +355,57 @@ func encAck(buf []byte, _ ack) ([]byte, error) { return append(buf, codec.RawEmp
 
 // resourceQueue is the controller-side bookkeeping shared by the two
 // asymmetric coordination styles: current holder and FIFO waiters, per
-// resource, and the stamped submissions already processed.
+// resource, and the stamped submissions already processed. Subscribers
+// and resources are held by their indices in the deployment d.
 type resourceQueue struct {
-	holder  map[string]string   // resource → subscriber ("" = free)
-	waiters map[string][]string // resource → FIFO of subscribers
+	d       *deployment
+	holder  []int32   // resource → holding subscriber (-1 = free)
+	waiters [][]int32 // resource → FIFO of subscribers
 	// seen holds each subscriber's processed Seqs, absorbing
-	// at-least-once redelivery under churn. Retries can arrive after
-	// later fresh submissions from the same subscriber (a limbo free
-	// redelivered after the next cycle's request), so this must be an
-	// exact per-subscriber set — a high-watermark would silently drop
-	// the reordered original.
-	seen map[string]map[uint64]struct{}
+	// at-least-once redelivery under churn (nil until the first stamped
+	// submission). Retries can arrive after later fresh submissions from
+	// the same subscriber (a limbo free redelivered after the next
+	// cycle's request), so this must be an exact per-subscriber set — a
+	// high-watermark would silently drop the reordered original.
+	seen []map[uint64]struct{}
 }
 
-func newResourceQueue(resources []string) *resourceQueue {
-	q := &resourceQueue{
-		holder:  make(map[string]string, len(resources)),
-		waiters: make(map[string][]string, len(resources)),
-		seen:    make(map[string]map[uint64]struct{}),
+func newResourceQueue(d *deployment) *resourceQueue {
+	q := &resourceQueue{d: d,
+		holder:  make([]int32, len(d.res)),
+		waiters: make([][]int32, len(d.res)),
 	}
-	for _, r := range resources {
-		q.holder[r] = ""
+	for i := range q.holder {
+		q.holder[i] = -1
 	}
 	return q
 }
 
+// decCtrlArgs decodes a controller argument record, resolving its resid
+// and subid through the run's tables; absent or mistyped fields decode
+// to zero values (index -1).
+//
+//repolint:hotpath
+func (d *deployment) decCtrlArgs(v codec.MsgView) (ctrlArgs, error) {
+	var sl codec.Slots
+	recCtrlSeq.Resolve(&v, &sl)
+	sub, _ := sl.StrAt(slotCtrlSub)
+	res, _ := sl.StrAt(slotCtrlRes)
+	seq, _ := sl.IntAt(slotCtrlSeq)
+	a := ctrlArgs{Seq: uint64(seq)}
+	a.sub, a.Sub = d.sub(sub)
+	a.res, a.Res = d.resource(res)
+	return a, nil
+}
+
 // dup reports whether (sub, seq) was already processed, recording fresh
 // stamped submissions. Unstamped (fault-free) submissions never dedup.
-func (q *resourceQueue) dup(sub string, seq uint64) bool {
+func (q *resourceQueue) dup(sub int32, seq uint64) bool {
 	if seq == 0 {
 		return false
+	}
+	if q.seen == nil {
+		q.seen = make([]map[uint64]struct{}, len(q.d.subs))
 	}
 	m := q.seen[sub]
 	if m == nil {
@@ -382,15 +419,9 @@ func (q *resourceQueue) dup(sub string, seq uint64) bool {
 	return false
 }
 
-// known reports whether the resource is managed.
-func (q *resourceQueue) known(res string) bool {
-	_, ok := q.holder[res]
-	return ok
-}
-
 // tryAcquire grants res to sub if free, returning success.
-func (q *resourceQueue) tryAcquire(sub, res string) bool {
-	if q.holder[res] != "" {
+func (q *resourceQueue) tryAcquire(sub, res int32) bool {
+	if q.holder[res] >= 0 {
 		return false
 	}
 	q.holder[res] = sub
@@ -398,7 +429,7 @@ func (q *resourceQueue) tryAcquire(sub, res string) bool {
 }
 
 // enqueue adds sub to the FIFO for res.
-func (q *resourceQueue) enqueue(sub, res string) {
+func (q *resourceQueue) enqueue(sub, res int32) {
 	q.waiters[res] = append(q.waiters[res], sub)
 }
 
@@ -406,14 +437,18 @@ func (q *resourceQueue) enqueue(sub, res string) {
 // holder), returning the new holder and whether there is one. It returns
 // an error when sub does not hold res — a protocol violation by the
 // caller.
-func (q *resourceQueue) release(sub, res string) (string, bool, error) {
-	if q.holder[res] != sub {
-		return "", false, fmt.Errorf("floorcontrol: %q released %q held by %q", sub, res, q.holder[res])
+func (q *resourceQueue) release(sub, res int32) (int32, bool, error) {
+	if h := q.holder[res]; h != sub {
+		holder := ""
+		if h >= 0 {
+			holder = q.d.subs[h]
+		}
+		return -1, false, fmt.Errorf("floorcontrol: %q released %q held by %q", q.d.subs[sub], q.d.res[res], holder)
 	}
-	q.holder[res] = ""
+	q.holder[res] = -1
 	w := q.waiters[res]
 	if len(w) == 0 {
-		return "", false, nil
+		return -1, false, nil
 	}
 	next := w[0]
 	q.waiters[res] = w[1:]

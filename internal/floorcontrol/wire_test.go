@@ -64,12 +64,16 @@ func checkParity[T any](t *testing.T, name, pdu string, v T,
 // optional fields omitted when zero — so the typed path keeps the wire
 // (and the golden band hashes) unchanged.
 func TestRPCArgsWireParity(t *testing.T) {
+	// The decoders resolve names through a run's tables: s1 and r0 come
+	// back with their indices.
+	d := newDeployment([]string{"s1"}, []string{"r0", "r1"})
+	decCtrlArgs, decGrantArgs, decAvailReply := d.decCtrlArgs, d.decGrantArgs, d.decAvailReply
 	for _, seq := range []uint64{0, 7} {
 		legacy := codec.Record{"subid": "s1", ParamResource: "r0"}
 		if seq != 0 {
 			legacy["seq"] = int64(seq)
 		}
-		checkParity(t, "ctrlArgs", "", ctrlArgs{Sub: "s1", Res: "r0", Seq: seq}, encCtrlArgs, decCtrlArgs, legacy)
+		checkParity(t, "ctrlArgs", "", ctrlArgs{Sub: "s1", Res: "r0", Seq: seq, sub: 0, res: 0}, encCtrlArgs, decCtrlArgs, legacy)
 
 		legacy = codec.Record{ParamResource: "r0"}
 		if seq != 0 {
@@ -95,7 +99,7 @@ func TestRPCArgsWireParity(t *testing.T) {
 	// PIM's directed messages, whose name travels in the envelope.
 	ctrl := codec.Record{"subid": "s1", ParamResource: "r0"}
 	for name, p := range map[string]protocol.PDU[ctrlArgs]{"request": pduRequest, "free": pduFree, "is_available_req": pduAvailReq} {
-		checkParity(t, name, name, ctrlArgs{Sub: "s1", Res: "r0"}, p.Append, decCtrlArgs, ctrl)
+		checkParity(t, name, name, ctrlArgs{Sub: "s1", Res: "r0", sub: 0, res: 0}, p.Append, decCtrlArgs, ctrl)
 	}
 	res := codec.Record{ParamResource: "r0"}
 	checkParity(t, "granted", "granted", grantArgs{Res: "r0"}, pduGranted.Append, decGrantArgs, res)

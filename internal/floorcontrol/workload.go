@@ -217,7 +217,7 @@ const faultSeedSalt = 0x6661756c74 // "fault"
 // nodes churn. The plan is drawn from a salted RNG independent of the
 // engine's, so adding churn does not perturb the workload's own draws.
 func scheduleChurn(cfg Config, sol Solution, env *Env, res *Result,
-	transport protocol.LowerService, crashedSub map[string]bool, parked map[string]func()) error {
+	transport protocol.LowerService, crashedSub []bool, parked []func()) error {
 	rb, rebindable := sol.(ControllerFailover)
 	subjects := append([]string(nil), env.Subscribers...)
 	var ctrlHome middleware.Addr
@@ -226,12 +226,12 @@ func scheduleChurn(cfg Config, sol Solution, env *Env, res *Result,
 		subjects = append(subjects, string(ctrlHome))
 	}
 	if env.Platform != nil {
-		// Pure-client nodes (e.g. polling subscribers, which export no
-		// callback object) attach lazily on their first call — after the
-		// fault plan is scheduled. The plan may only reference nodes the
-		// network knows, so attach every subject now.
+		// The plan may only reference nodes the network knows. The
+		// middleware solutions attach every node at Build; attaching
+		// every subject again (a no-op then) keeps that a check here,
+		// not an assumption.
 		for _, s := range subjects {
-			if err := env.Platform.AttachNode(middleware.Addr(s)); err != nil {
+			if _, err := env.Platform.AttachRuntime(middleware.Addr(s)); err != nil {
 				return fmt.Errorf("floorcontrol: attach fault subject %q: %w", s, err)
 			}
 		}
@@ -243,10 +243,7 @@ func scheduleChurn(cfg Config, sol Solution, env *Env, res *Result,
 		return fmt.Errorf("floorcontrol: fault schedule: %w", err)
 	}
 	rdp, _ := transport.(*protocol.ReliableDatagram)
-	isSub := make(map[string]bool, len(env.Subscribers))
-	for _, s := range env.Subscribers {
-		isSub[s] = true
-	}
+	subIdx := env.names().subIdx
 	plan := &network.FaultPlan{
 		Events: events,
 		OnCrash: func(id network.NodeID) {
@@ -255,8 +252,8 @@ func scheduleChurn(cfg Config, sol Solution, env *Env, res *Result,
 			if env.Platform != nil {
 				env.Platform.NodeDown(middleware.Addr(name))
 			}
-			if isSub[name] {
-				crashedSub[name] = true
+			if i, ok := subIdx[name]; ok {
+				crashedSub[i] = true
 			}
 			if rebindable && cfg.RebindPolicy == RebindFailover && middleware.Addr(name) == ctrlHome {
 				// Live rebinding at the crash instant: the controller
@@ -280,10 +277,10 @@ func scheduleChurn(cfg Config, sol Solution, env *Env, res *Result,
 			if env.Platform != nil {
 				env.Platform.NodeUp(middleware.Addr(name))
 			}
-			if crashedSub[name] {
-				delete(crashedSub, name)
-				if k := parked[name]; k != nil {
-					delete(parked, name)
+			if i, ok := subIdx[name]; ok && crashedSub[i] {
+				crashedSub[i] = false
+				if k := parked[i]; k != nil {
+					parked[i] = nil
 					k()
 				}
 			}
@@ -340,7 +337,6 @@ func RunWorkloadWith(sol Solution, cfg Config) (*Result, error) {
 		TokenHopDelay: cfg.TokenHopDelay,
 		Churn:         churn,
 	}
-	env.names = newResNames(env.Resources)
 	var transport protocol.LowerService = protocol.NewReliableDatagram(engine, protocol.NewUnreliableDatagram(net), protocol.ReliableDatagramConfig{})
 	if cfg.RawTransport {
 		transport = protocol.NewUnreliableDatagram(net)
@@ -366,8 +362,10 @@ func RunWorkloadWith(sol Solution, cfg Config) (*Result, error) {
 		Scattering:          sol.Scattering(cfg.Subscribers),
 		LatencyBySubscriber: make(map[string]*metrics.Histogram, cfg.Subscribers),
 	}
-	for _, sub := range env.Subscribers {
-		res.LatencyBySubscriber[sub] = &metrics.Histogram{}
+	// The driver keeps its per-subscriber state by subscriber index.
+	latency := make([]metrics.Histogram, cfg.Subscribers)
+	for i, sub := range env.Subscribers {
+		res.LatencyBySubscriber[sub] = &latency[i]
 	}
 
 	// jitter returns d scaled uniformly into [0.5d, 1.5d).
@@ -382,10 +380,10 @@ func RunWorkloadWith(sol Solution, cfg Config) (*Result, error) {
 	// driver does nothing — a dead process neither acquires nor releases.
 	// The (at most one, the driver is sequential per subscriber) driver
 	// continuation that fires during the outage is parked and resumes at
-	// the restart instant. Both maps stay empty fault-free.
-	crashedSub := make(map[string]bool, cfg.Subscribers)
-	parked := make(map[string]func(), cfg.Subscribers)
-	step := func(sub string, fn func()) {
+	// the restart instant. Both stay clear fault-free.
+	crashedSub := make([]bool, cfg.Subscribers)
+	parked := make([]func(), cfg.Subscribers)
+	step := func(sub int, fn func()) {
 		if crashedSub[sub] {
 			parked[sub] = fn
 			return
@@ -394,8 +392,8 @@ func RunWorkloadWith(sol Solution, cfg Config) (*Result, error) {
 	}
 
 	remaining := res.Expected
-	var runCycle func(sub string, part AppPart, cycle int)
-	advance := func(sub string, part AppPart, cycle int) {
+	var runCycle func(sub int, part AppPart, cycle int)
+	advance := func(sub int, part AppPart, cycle int) {
 		remaining--
 		if remaining == 0 {
 			engine.Stop()
@@ -403,7 +401,7 @@ func RunWorkloadWith(sol Solution, cfg Config) (*Result, error) {
 			runCycle(sub, part, cycle+1)
 		}
 	}
-	runCycle = func(sub string, part AppPart, cycle int) {
+	runCycle = func(sub int, part AppPart, cycle int) {
 		engine.ScheduleFunc(jitter(cfg.ThinkTime), func() {
 			step(sub, func() {
 				target := env.Resources[engine.Rand().Intn(len(env.Resources))]
@@ -434,7 +432,7 @@ func RunWorkloadWith(sol Solution, cfg Config) (*Result, error) {
 						res.Served++
 					}
 					res.AcquireLatency.Add(elapsed)
-					res.LatencyBySubscriber[sub].Add(elapsed)
+					latency[sub].Add(elapsed)
 					engine.ScheduleFunc(jitter(cfg.HoldTime), func() {
 						step(sub, func() {
 							part.Release(target)
@@ -453,12 +451,12 @@ func RunWorkloadWith(sol Solution, cfg Config) (*Result, error) {
 			})
 		})
 	}
-	for _, sub := range env.Subscribers {
+	for i, sub := range env.Subscribers {
 		part, ok := parts[sub]
 		if !ok {
 			return nil, fmt.Errorf("floorcontrol: %s built no app part for %q", sol.Name(), sub)
 		}
-		runCycle(sub, part, 0)
+		runCycle(i, part, 0)
 	}
 	engine.ScheduleFunc(cfg.Deadline, func() { engine.Stop() })
 
@@ -504,9 +502,9 @@ func RunWorkloadWith(sol Solution, cfg Config) (*Result, error) {
 	// Collect means in deployment order, not map order: float addition is
 	// not associative, so Jain's index would otherwise wobble at the last
 	// ulp from run to run.
-	means := make([]float64, 0, len(res.LatencyBySubscriber))
-	for _, sub := range env.Subscribers {
-		means = append(means, float64(res.LatencyBySubscriber[sub].Mean()))
+	means := make([]float64, 0, len(latency))
+	for i := range latency {
+		means = append(means, float64(latency[i].Mean()))
 	}
 	res.FairnessIndex = metrics.Jain(means)
 	return res, nil

@@ -40,7 +40,7 @@ type unavailErrs struct {
 // network. Churn drivers call it from their crash hooks, alongside the
 // transport-level teardown (protocol.ReliableDatagram.NoteRestart).
 func (p *Platform) NodeDown(node Addr) {
-	id, ok := p.nodes[node]
+	id, ok := p.nodeID(node)
 	if !ok {
 		return
 	}
@@ -76,40 +76,30 @@ func (p *Platform) NodeDown(node Addr) {
 	}
 }
 
-// AttachNode eagerly attaches the platform runtime at node. Normally
-// attachment is lazy — the first Register or Invoke touching a node
-// brings its receiver up — but a fault plan must reference only nodes
-// the network already knows, so churn drivers pre-attach every fault
-// subject before scheduling crashes (a pure-client node like a polling
-// subscriber would otherwise not exist until its first call fires).
-// Idempotent.
-func (p *Platform) AttachNode(node Addr) error {
-	_, err := p.ensureRuntime(node)
-	return err
-}
-
 // NodeUp clears the down mark set by NodeDown. Churn drivers call it
 // from their restart hooks; objects hosted at the node become invokable
 // again (the restarted incarnation keeps its registrations — state
 // recovery is the application's concern, not the platform's).
 func (p *Platform) NodeUp(node Addr) {
-	if id, ok := p.nodes[node]; ok {
+	if id, ok := p.nodeID(node); ok {
 		p.downNodes[id] = false
 	}
 }
 
 // Down reports whether the node is currently marked down.
 func (p *Platform) Down(node Addr) bool {
-	id, ok := p.nodes[node]
+	id, ok := p.nodeID(node)
 	return ok && p.downNodes[id]
 }
 
 // Rebind migrates an object reference to a new hosting node — the live-
 // rebinding half of the churn story: a failover policy re-homes a
 // crashed component's reference and subsequent Invokes route to the new
-// node. Calls already in flight to the old home are unaffected (they
-// fail via NodeDown or time out). The object implementation itself is
-// replaced too, because the new home generally hosts a fresh instance.
+// node. The registration is updated in place, so callers holding it
+// (Lookup) re-route too. Calls already in flight to the old home are
+// unaffected (they fail via NodeDown or time out). The object
+// implementation itself is replaced too, because the new home generally
+// hosts a fresh instance.
 func (p *Platform) Rebind(ref ObjRef, node Addr, obj Object) error {
 	if obj == nil {
 		return fmt.Errorf("middleware: nil object for %q", ref)
@@ -118,10 +108,15 @@ func (p *Platform) Rebind(ref ObjRef, node Addr, obj Object) error {
 	if err != nil {
 		return err
 	}
-	if _, ok := p.objects[ref]; !ok {
+	reg, ok := p.objects[ref]
+	if !ok {
 		return fmt.Errorf("%w: %q", ErrUnknownObject, ref)
 	}
-	p.objects[ref] = registration{nodeID: nodeID, obj: obj}
+	old := p.hosted[reg.nodeID]
+	i := slices.Index(old, reg)
+	p.hosted[reg.nodeID] = slices.Delete(old, i, i+1)
+	p.hosted[nodeID] = append(p.hosted[nodeID], reg)
+	reg.nodeID, reg.obj = nodeID, obj
 	return nil
 }
 

@@ -15,7 +15,7 @@ func TestInvokeDownNodeFailsFast(t *testing.T) {
 	profile := ProfileRMILike
 	profile.CallTimeout = time.Second
 	k, p := newPlatform(t, profile, 0)
-	if err := p.Register("server", "node-s", echoObject()); err != nil {
+	if _, err := p.Register("server", "node-s", echoObject()); err != nil {
 		t.Fatal(err)
 	}
 	p.NodeDown("node-s")
@@ -52,7 +52,7 @@ func TestNodeDownFailsPendingCalls(t *testing.T) {
 	profile.CallTimeout = time.Second
 	k, p := newPlatform(t, profile, 0)
 	// A server that never replies: calls stay pending until churn.
-	if err := p.Register("server", "node-s", ObjectFunc(func([]byte, codec.MsgView, Reply) {})); err != nil {
+	if _, err := p.Register("server", "node-s", ObjectFunc(func([]byte, codec.MsgView, Reply) {})); err != nil {
 		t.Fatal(err)
 	}
 	var errs []error
@@ -90,7 +90,7 @@ func TestNodeDownFailsPendingCalls(t *testing.T) {
 // concern.
 func TestNodeUpRestoresService(t *testing.T) {
 	k, p := newPlatform(t, ProfileRMILike, 0)
-	if err := p.Register("server", "node-s", echoObject()); err != nil {
+	if _, err := p.Register("server", "node-s", echoObject()); err != nil {
 		t.Fatal(err)
 	}
 	p.NodeDown("node-s")
@@ -114,7 +114,7 @@ func TestNodeUpRestoresService(t *testing.T) {
 // instance; subsequent invokes route there.
 func TestRebindMovesObject(t *testing.T) {
 	k, p := newPlatform(t, ProfileRMILike, 0)
-	if err := p.Register("server", "node-s", echoObject()); err != nil {
+	if _, err := p.Register("server", "node-s", echoObject()); err != nil {
 		t.Fatal(err)
 	}
 	if err := p.Rebind("ghost", "node-t", echoObject()); !errors.Is(err, ErrUnknownObject) {
@@ -152,7 +152,7 @@ func TestRebindMovesObject(t *testing.T) {
 // new invocations while leaving completed ones untouched.
 func TestSetProfileMidRun(t *testing.T) {
 	k, p := newPlatform(t, ProfileCORBALike, 0)
-	if err := p.Register("server", "node-s", echoObject()); err != nil {
+	if _, err := p.Register("server", "node-s", echoObject()); err != nil {
 		t.Fatal(err)
 	}
 	if err := p.Invoke("node-c", "server", "echo", nil, nil); err != nil {

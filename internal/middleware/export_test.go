@@ -7,8 +7,8 @@ package middleware
 // as if it had arrived there from the runtime at src. Both nodes must be
 // attached.
 func (p *Platform) HandleWire(src, node Addr, data []byte) {
-	srcID, srcOK := p.nodes[src]
-	id, ok := p.nodes[node]
+	srcID, srcOK := p.nodeID(src)
+	id, ok := p.nodeID(node)
 	if !ok {
 		panic("middleware: HandleWire on an unattached node")
 	}

@@ -81,8 +81,11 @@ func (p *Platform) leafIndexOf(nodeID int32) int {
 }
 
 // AttachRuntime eagerly attaches the platform runtime at node and
-// returns its node id (its transport endpoint id).
-// Attachment normally happens lazily on first use; XL deployments call
+// returns its node id (its transport endpoint id). Idempotent.
+// Attachment normally happens lazily on first use. XL deployments call
 // this to pin attach order — and therefore endpoint ids and leaf
-// assignment — before traffic starts.
+// assignment — before traffic starts; callers resolve the node id they
+// invoke from (InvokeAt) once through it; and churn drivers pre-attach
+// every fault subject, since a fault plan may only reference nodes the
+// network already knows.
 func (p *Platform) AttachRuntime(node Addr) (int32, error) { return p.ensureRuntime(node) }

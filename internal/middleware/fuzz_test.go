@@ -102,7 +102,7 @@ func fuzzQueuePlatform(t *testing.T) (*sim.Kernel, *middleware.Platform) {
 	if _, err := svc.NewQueueSource(b, "jobs", "node-w", decFuzzArgs, func(fuzzArgs) {}); err != nil {
 		t.Fatal(err)
 	}
-	if err := p.AttachNode("node-p"); err != nil {
+	if _, err := p.AttachRuntime("node-p"); err != nil {
 		t.Fatal(err)
 	}
 	return k, p
@@ -133,12 +133,12 @@ func topicPlatform(t *testing.T, broker middleware.Addr, leaves ...middleware.Ad
 	p := middleware.New(k, protocol.NewUnreliableDatagram(network.New(k)), middleware.ProfileJMSLike, broker,
 		middleware.WithFederation(leaves...))
 	for _, node := range leaves {
-		if err := p.AttachNode(node); err != nil {
+		if _, err := p.AttachRuntime(node); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for _, node := range []middleware.Addr{broker, "node-p"} {
-		if err := p.AttachNode(node); err != nil {
+		if _, err := p.AttachRuntime(node); err != nil {
 			t.Fatal(err)
 		}
 	}

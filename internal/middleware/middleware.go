@@ -223,11 +223,18 @@ type Stats struct {
 	WireBytes    uint64
 }
 
-// registration is a hosted object; the hosting node is held by id.
-type registration struct {
+// Registration is a hosted object's routing entry: its reference, the
+// id of its hosting node and its dispatch object. Register creates it and
+// Rebind updates it in place, so a caller that resolved it once (Lookup)
+// follows every move and invokes it (InvokeAt) with no name lookup.
+type Registration struct {
+	ref    ObjRef
 	nodeID int32
 	obj    Object
 }
+
+// NodeID returns the id of the object's current hosting node.
+func (r *Registration) NodeID() int32 { return r.nodeID }
 
 // pendingCall tracks an outstanding RPC at the caller side. The callee
 // node id lets NodeDown fail calls whose server crashed before replying;
@@ -374,14 +381,15 @@ type Platform struct {
 
 	// A node id is the transport's endpoint id for the node. The
 	// node-indexed tables grow to cover every attached node's id.
-	objects  map[ObjRef]registration
-	nodes    map[Addr]int32 // attached runtimes: addr → node id
-	brokerID int32          // node id of the broker (-1 until attached)
+	objects  map[ObjRef]*Registration
+	brokerID int32 // node id of the broker (-1 until attached)
 
-	eventSinks [][]eventSink // node id → topic subscriptions at that node
-	queueSinks [][]queueSink // node id → consumed queues at that node
-	downNodes  []bool        // node id → marked down by NodeDown
-	unavail    []unavailErrs // node id → its ErrUnavailable errors; grown by NodeDown
+	attached   []bool            // node id → the platform runtime is attached there
+	hosted     [][]*Registration // node id → the objects hosted there
+	eventSinks [][]eventSink     // node id → topic subscriptions at that node
+	queueSinks [][]queueSink     // node id → consumed queues at that node
+	downNodes  []bool            // node id → marked down by NodeDown
+	unavail    []unavailErrs     // node id → its ErrUnavailable errors; grown by NodeDown
 
 	pending   map[uint64]*pendingCall
 	nextCall  uint64
@@ -410,8 +418,7 @@ func New(kern *sim.Kernel, transport protocol.LowerService, profile Profile, bro
 		profile:   profile,
 		broker:    broker,
 		brokerID:  -1,
-		objects:   make(map[ObjRef]registration),
-		nodes:     make(map[Addr]int32),
+		objects:   make(map[ObjRef]*Registration),
 		pending:   make(map[uint64]*pendingCall),
 		queues:    make(map[string]*queueState),
 		topics:    make(map[string]*topicTable),
@@ -433,10 +440,21 @@ func (p *Platform) Stats() Stats {
 	return p.stats
 }
 
+// nodeID resolves a node to its id, when the platform runtime is
+// attached there. Node ids are the transport's endpoint ids, so the
+// transport resolves the name.
+func (p *Platform) nodeID(node Addr) (int32, bool) {
+	id, ok := p.transport.EndpointID(node)
+	if !ok || int(id) >= len(p.attached) || !p.attached[id] {
+		return -1, false
+	}
+	return id, true
+}
+
 // ensureRuntime attaches the platform's wire-protocol receiver on a node
 // and returns the node's id.
 func (p *Platform) ensureRuntime(node Addr) (int32, error) {
-	if id, ok := p.nodes[node]; ok {
+	if id, ok := p.nodeID(node); ok {
 		return id, nil
 	}
 	var id int32
@@ -446,12 +464,14 @@ func (p *Platform) ensureRuntime(node Addr) (int32, error) {
 	if err != nil {
 		return -1, fmt.Errorf("middleware: attach runtime at %q: %w", node, err)
 	}
-	p.nodes[node] = id
 	for int(id) >= len(p.downNodes) {
+		p.attached = append(p.attached, false)
+		p.hosted = append(p.hosted, nil)
 		p.eventSinks = append(p.eventSinks, nil)
 		p.queueSinks = append(p.queueSinks, nil)
 		p.downNodes = append(p.downNodes, false)
 	}
+	p.attached[id] = true
 	if node == p.broker {
 		p.brokerID = id
 	}
@@ -463,21 +483,28 @@ func (p *Platform) ensureRuntime(node Addr) (int32, error) {
 	return id, nil
 }
 
-// Register hosts obj at node under ref.
-func (p *Platform) Register(ref ObjRef, node Addr, obj Object) error {
+// Register hosts obj at node under ref and returns its registration.
+func (p *Platform) Register(ref ObjRef, node Addr, obj Object) (*Registration, error) {
 	if obj == nil {
-		return fmt.Errorf("middleware: nil object for %q", ref)
+		return nil, fmt.Errorf("middleware: nil object for %q", ref)
 	}
 	nodeID, err := p.ensureRuntime(node)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	if _, dup := p.objects[ref]; dup {
-		return fmt.Errorf("%w: %q", ErrDuplicateObject, ref)
+		return nil, fmt.Errorf("%w: %q", ErrDuplicateObject, ref)
 	}
-	p.objects[ref] = registration{nodeID: nodeID, obj: obj}
-	return nil
+	reg := &Registration{ref: ref, nodeID: nodeID, obj: obj}
+	p.objects[ref] = reg
+	p.hosted[nodeID] = append(p.hosted[nodeID], reg)
+	return reg, nil
 }
+
+// Lookup returns the registration of an object reference, or nil when
+// none is registered. Resolve it once and invoke through InvokeAt: the
+// handle stays valid across Rebind.
+func (p *Platform) Lookup(ref ObjRef) *Registration { return p.objects[ref] }
 
 // Resolve reports the hosting node of an object reference — the naming
 // service every middleware provides.

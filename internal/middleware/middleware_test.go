@@ -68,7 +68,7 @@ func echoObject() Object {
 
 func TestRPCRoundTrip(t *testing.T) {
 	k, p := newPlatform(t, ProfileCORBALike, 0)
-	if err := p.Register("server", "node-s", echoObject()); err != nil {
+	if _, err := p.Register("server", "node-s", echoObject()); err != nil {
 		t.Fatal(err)
 	}
 	var result codec.Record
@@ -96,7 +96,7 @@ func TestRPCRoundTrip(t *testing.T) {
 
 func TestRPCRemoteError(t *testing.T) {
 	k, p := newPlatform(t, ProfileRMILike, 0)
-	if err := p.Register("server", "node-s", echoObject()); err != nil {
+	if _, err := p.Register("server", "node-s", echoObject()); err != nil {
 		t.Fatal(err)
 	}
 	var callErr error
@@ -127,7 +127,7 @@ func TestRPCDeferredReply(t *testing.T) {
 	deferred := ObjectFunc(func(op []byte, args codec.MsgView, reply Reply) {
 		saved = reply // grant later
 	})
-	if err := p.Register("ctrl", "node-s", deferred); err != nil {
+	if _, err := p.Register("ctrl", "node-s", deferred); err != nil {
 		t.Fatal(err)
 	}
 	done := false
@@ -154,7 +154,7 @@ func TestRPCTimeout(t *testing.T) {
 	profile.CallTimeout = 10 * time.Millisecond
 	k, p := newPlatform(t, profile, 0)
 	// Object that never replies.
-	if err := p.Register("hang", "node-s", ObjectFunc(func([]byte, codec.MsgView, Reply) {})); err != nil {
+	if _, err := p.Register("hang", "node-s", ObjectFunc(func([]byte, codec.MsgView, Reply) {})); err != nil {
 		t.Fatal(err)
 	}
 	var callErr error
@@ -200,13 +200,13 @@ func TestPatternGating(t *testing.T) {
 
 func TestRegisterErrors(t *testing.T) {
 	_, p := newPlatform(t, ProfileCORBALike, 0)
-	if err := p.Register("x", "n", nil); err == nil {
+	if _, err := p.Register("x", "n", nil); err == nil {
 		t.Fatal("nil object accepted")
 	}
-	if err := p.Register("x", "n", echoObject()); err != nil {
+	if _, err := p.Register("x", "n", echoObject()); err != nil {
 		t.Fatal(err)
 	}
-	if err := p.Register("x", "n2", echoObject()); !errors.Is(err, ErrDuplicateObject) {
+	if _, err := p.Register("x", "n2", echoObject()); !errors.Is(err, ErrDuplicateObject) {
 		t.Fatalf("err = %v, want ErrDuplicateObject", err)
 	}
 	if node, ok := p.Resolve("x"); !ok || node != "n" {
@@ -224,7 +224,7 @@ func TestOneway(t *testing.T) {
 		v, _ := args.Int("v")
 		got = append(got, fmt.Sprintf("%s:%d", op, v))
 	})
-	if err := p.Register("sink", "node-s", sink); err != nil {
+	if _, err := p.Register("sink", "node-s", sink); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
@@ -415,7 +415,7 @@ func TestEnqueueCorruptFields(t *testing.T) {
 	if err := p.QueueSubscribe("q", "w", func(v codec.MsgView) { got = append(got, msgName(v)) }); err != nil {
 		t.Fatal(err)
 	}
-	if err := p.AttachNode("prod"); err != nil {
+	if _, err := p.AttachRuntime("prod"); err != nil {
 		t.Fatal(err)
 	}
 	enqueue := func(fields codec.Record) []byte {
@@ -513,7 +513,7 @@ func TestPubSubNilSink(t *testing.T) {
 func TestRPCOverLossyNetwork(t *testing.T) {
 	// The reliable transport must mask 30% loss entirely.
 	k, p := newPlatform(t, ProfileCORBALike, 0.3)
-	if err := p.Register("server", "node-s", echoObject()); err != nil {
+	if _, err := p.Register("server", "node-s", echoObject()); err != nil {
 		t.Fatal(err)
 	}
 	completed := 0
@@ -539,7 +539,7 @@ func TestDispatchOverheadAddsLatency(t *testing.T) {
 	profile := ProfileRMILike
 	profile.DispatchOverhead = 5 * time.Millisecond
 	k, p := newPlatform(t, profile, 0)
-	if err := p.Register("server", "node-s", echoObject()); err != nil {
+	if _, err := p.Register("server", "node-s", echoObject()); err != nil {
 		t.Fatal(err)
 	}
 	var when time.Duration
@@ -583,7 +583,7 @@ func TestPatternString(t *testing.T) {
 func BenchmarkRPCRoundTrip(b *testing.B) {
 	b.ReportAllocs()
 	k, p := newPlatform(b, ProfileRMILike, 0)
-	if err := p.Register("server", "node-s", echoObject()); err != nil {
+	if _, err := p.Register("server", "node-s", echoObject()); err != nil {
 		b.Fatal(err)
 	}
 	for i := 0; i < b.N; i++ {
@@ -612,7 +612,7 @@ func TestPlatformOverStreamTransport(t *testing.T) {
 	transport := protocol.NewStreamTransport(k, protocol.NewUnreliableDatagram(net),
 		protocol.ReliableDatagramConfig{}, protocol.StreamConfig{ChunkSize: 32})
 	p := New(k, transport, ProfileCORBALike, "broker")
-	if err := p.Register("server", "node-s", echoObject()); err != nil {
+	if _, err := p.Register("server", "node-s", echoObject()); err != nil {
 		t.Fatal(err)
 	}
 	completed := 0

@@ -6,6 +6,7 @@ import (
 	"slices"
 
 	"repro/internal/codec"
+	"repro/internal/protocol"
 )
 
 // Compiled wire-message schemas of the implicit protocol. Encoding
@@ -72,24 +73,12 @@ func (p *Platform) finishSend(buf *codec.Buffer, e *codec.Encoder, from, to int3
 // caller's identity is the node it invokes from, matching the paper's
 // remote-invocation component middleware of §4.1.
 //
-// args is the operation's argument record already in wire form — one
-// complete encoded record value, as produced by a codec.CompileRecord
-// schema's Encoder or by codec.Append on a Record; nil sends the empty
-// record. It is spliced into the call message verbatim and copied before
-// Invoke returns, so it may live in a pooled buffer.
-//
-// Invoke is asynchronous in virtual time (the simulation has no blocking);
-// cont runs when the reply arrives, or with ErrCallTimeout if the profile
-// sets a timeout that expires first. The result view cont receives
-// aliases the delivery buffer and is valid only until cont returns.
-//
-//repolint:hotpath
+// Invoke resolves the calling node and the target by name and then runs
+// InvokeAt; a caller that calls repeatedly resolves both once
+// (AttachRuntime, Lookup) and calls InvokeAt itself.
 func (p *Platform) Invoke(from Addr, target ObjRef, op string, args []byte, cont func(codec.MsgView, error)) error {
 	if !p.profile.Supports(PatternRPC) {
-		return fmt.Errorf("%w: %s on %q", ErrPatternUnsupported, PatternRPC, p.profile.Name) //repolint:allow alloc -- cold: profile lacks RPC
-	}
-	if cont == nil {
-		cont = discardResult
+		return fmt.Errorf("%w: %s on %q", ErrPatternUnsupported, PatternRPC, p.profile.Name)
 	}
 	fromID, err := p.ensureRuntime(from)
 	if err != nil {
@@ -97,16 +86,45 @@ func (p *Platform) Invoke(from Addr, target ObjRef, op string, args []byte, cont
 	}
 	reg, ok := p.objects[target]
 	if !ok {
-		return fmt.Errorf("%w: %q", ErrUnknownObject, target) //repolint:allow alloc -- cold: unknown target
+		return fmt.Errorf("%w: %q", ErrUnknownObject, target)
 	}
-	if p.downNodes[reg.nodeID] || p.downNodes[fromID] {
-		p.failFast(reg.nodeID, fromID, cont)
+	return p.InvokeAt(fromID, reg, op, args, cont)
+}
+
+// InvokeAt is Invoke from the node with id fromID (see AttachRuntime) to
+// a resolved registration (see Lookup), with no name lookup.
+//
+// args is the operation's argument record already in wire form — one
+// complete encoded record value, as produced by a codec.CompileRecord
+// schema's Encoder or by codec.Append on a Record; nil sends the empty
+// record. It is spliced into the call message verbatim and copied before
+// InvokeAt returns, so it may live in a pooled buffer.
+//
+// The call is asynchronous in virtual time (the simulation has no
+// blocking); cont runs when the reply arrives, or with ErrCallTimeout if
+// the profile sets a timeout that expires first. The result view cont
+// receives aliases the delivery buffer and is valid only until cont
+// returns.
+//
+//repolint:hotpath
+func (p *Platform) InvokeAt(fromID int32, target *Registration, op string, args []byte, cont func(codec.MsgView, error)) error {
+	if !p.profile.Supports(PatternRPC) {
+		return fmt.Errorf("%w: %s on %q", ErrPatternUnsupported, PatternRPC, p.profile.Name) //repolint:allow alloc -- cold: profile lacks RPC
+	}
+	if fromID < 0 || int(fromID) >= len(p.downNodes) {
+		return fmt.Errorf("middleware: invoke from node %d: %w", fromID, protocol.ErrUnknownEntity) //repolint:allow alloc -- cold: caller not attached
+	}
+	if cont == nil {
+		cont = discardResult
+	}
+	if p.downNodes[target.nodeID] || p.downNodes[fromID] {
+		p.failFast(target.nodeID, fromID, cont)
 		return nil
 	}
 	p.nextCall++
 	id := p.nextCall
 	pc := p.getCall()
-	pc.id, pc.cont, pc.node, pc.caller = id, cont, reg.nodeID, fromID
+	pc.id, pc.cont, pc.node, pc.caller = id, cont, target.nodeID, fromID
 	if p.profile.CallTimeout > 0 {
 		pc.timer = p.kern.Schedule(p.profile.CallTimeout, pc.onTimeout)
 	}
@@ -120,8 +138,8 @@ func (p *Platform) Invoke(from Addr, target ObjRef, op string, args []byte, cont
 	e.Raw("args", args)
 	e.Uint("id", id)
 	e.Str("op", op)
-	e.Str("target", string(target))
-	if err := p.finishSend(buf, &e, fromID, reg.nodeID); err != nil {
+	e.Str("target", string(target.ref))
+	if err := p.finishSend(buf, &e, fromID, target.nodeID); err != nil {
 		if pc, ok := p.pending[id]; ok {
 			pc.timer.Cancel() // zero ref is an inert no-op
 			delete(p.pending, id)
@@ -387,8 +405,10 @@ func (p *Platform) subscribeTopic(topic string, node Addr, sink eventSink) error
 	if err != nil {
 		return err
 	}
-	if _, err := p.ensureRuntime(p.broker); err != nil {
-		return err
+	if p.brokerID < 0 {
+		if _, err := p.ensureRuntime(p.broker); err != nil {
+			return err
+		}
 	}
 	tt := p.topics[topic]
 	if tt == nil {
@@ -401,7 +421,7 @@ func (p *Platform) subscribeTopic(topic string, node Addr, sink eventSink) error
 	}
 	tt.enroll(nodeID, li)
 	p.eventSinks[nodeID] = append(p.eventSinks[nodeID], sink)
-	if li < len(p.leaves) {
+	if li < len(p.leaves) && p.leafIDs[li] < 0 {
 		// The leaf runtime must be live before the first publish reaches it.
 		if _, err := p.ensureRuntime(p.leaves[li]); err != nil {
 			return err
@@ -464,16 +484,18 @@ func (p *Platform) handleWire(src, atID int32, data []byte) {
 	}
 }
 
-// lookupLocal finds the object registration for a wire message's target,
-// verifying it is hosted at the receiving node (an id compare).
+// lookupLocal finds the object a wire message targets among those hosted
+// at the receiving node. A node hosts a handful of objects, so a scan
+// with the length-first string compare beats hashing the name.
 //
 //repolint:hotpath
 func (p *Platform) lookupLocal(atID int32, target []byte) (Object, bool) {
-	reg, ok := p.objects[ObjRef(target)]
-	if !ok || reg.nodeID != atID {
-		return nil, false
+	for _, reg := range p.hosted[atID] {
+		if string(reg.ref) == string(target) {
+			return reg.obj, true
+		}
 	}
-	return reg.obj, true
+	return nil, false
 }
 
 // recordField returns a record field of a wire message — the arguments
@@ -602,8 +624,8 @@ func (p *Platform) handleReply(sl *codec.Slots) {
 	pc, ok := p.pending[id]
 	var cont func(codec.MsgView, error)
 	if ok {
-		delete(p.pending, id)
 		pc.timer.Cancel() // zero ref is an inert no-op
+		delete(p.pending, id)
 		cont = pc.cont
 		p.putCall(pc)
 	}

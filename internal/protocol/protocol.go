@@ -143,7 +143,7 @@ type IncarnationProvider interface {
 type UnreliableDatagram struct {
 	net *network.Network
 
-	attached map[Addr]int32 // addr → network slot
+	attached []bool // network slot → attached through this service
 }
 
 var (
@@ -153,7 +153,7 @@ var (
 
 // NewUnreliableDatagram wraps a simulated network as a lower service.
 func NewUnreliableDatagram(net *network.Network) *UnreliableDatagram {
-	return &UnreliableDatagram{net: net, attached: make(map[Addr]int32)}
+	return &UnreliableDatagram{net: net}
 }
 
 // Name implements LowerService.
@@ -169,28 +169,35 @@ func (u *UnreliableDatagram) AttachIndexed(addr Addr, r IndexedReceiver) (int32,
 		return -1, fmt.Errorf("protocol: nil receiver for %q", addr)
 	}
 	h := network.SlotHandler(r)
-	if slot, ok := u.attached[addr]; ok {
-		return slot, u.net.SetSlotHandler(addr, h)
-	}
 	slot, err := u.net.Register(addr, h)
+	if errors.Is(err, network.ErrDuplicateNode) {
+		// Attached before, here or outside this service (or by a
+		// previous wrapper): take its handler over.
+		slot, _ = u.net.SlotOf(addr)
+		err = u.net.SetSlotHandler(addr, h)
+	}
 	if err != nil {
-		if errors.Is(err, network.ErrDuplicateNode) {
-			// The node exists but was registered outside this service
-			// (or by a previous wrapper): take its handler over.
-			slot, _ := u.net.SlotOf(addr)
-			u.attached[addr] = slot
-			return slot, u.net.SetSlotHandler(addr, h)
-		}
 		return -1, err
 	}
-	u.attached[addr] = slot
+	u.attach(slot)
 	return slot, nil
 }
 
-// EndpointID implements LowerService.
+// attach marks a network slot attached through this service.
+func (u *UnreliableDatagram) attach(slot int32) {
+	for int(slot) >= len(u.attached) {
+		u.attached = append(u.attached, false)
+	}
+	u.attached[slot] = true
+}
+
+// EndpointID implements LowerService. The network resolves the name.
 func (u *UnreliableDatagram) EndpointID(addr Addr) (int32, bool) {
-	slot, ok := u.attached[addr]
-	return slot, ok
+	slot, ok := u.net.SlotOf(addr)
+	if !ok || int(slot) >= len(u.attached) || !u.attached[slot] {
+		return -1, false
+	}
+	return slot, true
 }
 
 // EndpointAddr implements LowerService.

@@ -192,9 +192,10 @@ func BenchmarkSvcCallRetry(b *testing.B) {
 		done++
 		return false
 	}
+	from := svc.Caller(callerAt(b, p, "node-c"))
 	call := func(n uint64) {
 		p.NodeDown("node-s")
-		port.CallRetry(at("node-c"), benchReq{N: n}, 0, time.Microsecond, policy)
+		port.CallRetry(from, benchReq{N: n}, 0, time.Microsecond, policy)
 		drainB(b, kernel)
 	}
 	call(1)
@@ -215,7 +216,7 @@ func BenchmarkSvcCallRetry(b *testing.B) {
 // Platform.Invoke — the baseline the svc façade is gated against.
 func BenchmarkRawPlatformInvoke(b *testing.B) {
 	kernel, p := rpcStack(b)
-	if err := p.Register("server", "node-s", rawEcho()); err != nil {
+	if _, err := p.Register("server", "node-s", rawEcho()); err != nil {
 		b.Fatal(err)
 	}
 	done := 0
@@ -344,7 +345,7 @@ func TestSvcCallAddsNoAllocations(t *testing.T) {
 
 	// raw path.
 	kernel2, p2 := rpcStack(t)
-	if err := p2.Register("server", "node-s", rawEcho()); err != nil {
+	if _, err := p2.Register("server", "node-s", rawEcho()); err != nil {
 		t.Fatal(err)
 	}
 	var gotRaw uint64

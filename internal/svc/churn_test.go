@@ -211,8 +211,9 @@ func TestFailedCallAllocatesNothing(t *testing.T) {
 		tries++
 		return tries%3 != 0 && errors.Is(e, svc.ErrUnavailable)
 	}
+	from := svc.Caller(callerAt(t, p, "node-c"))
 	retried := func() {
-		port.CallRetry(at("node-c"), pingReq{N: 1}, 0, time.Millisecond, policy)
+		port.CallRetry(from, pingReq{N: 1}, 0, time.Millisecond, policy)
 		if _, err := k.Run(); err != nil {
 			t.Fatal(err)
 		}
@@ -235,10 +236,20 @@ func TestFailedCallAllocatesNothing(t *testing.T) {
 	}
 }
 
-// at is a caller fixed at one node.
-type at middleware.Addr
+// at is a caller fixed at one node, by its platform id.
+type at int32
 
-func (a at) Node() middleware.Addr { return middleware.Addr(a) }
+func (a at) NodeID() int32 { return int32(a) }
+
+// callerAt attaches node on p and returns a caller fixed there.
+func callerAt(tb testing.TB, p *middleware.Platform, node middleware.Addr) at {
+	tb.Helper()
+	id, err := p.AttachRuntime(node)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return at(id)
+}
 
 // outcome is one attempt's result as a CallRetry policy saw it.
 type outcome struct {
@@ -262,7 +273,7 @@ func retryUntilUp(t *testing.T, enc func([]byte, pingReq) ([]byte, error)) ([]ou
 	p.NodeDown("node-s")
 	k.ScheduleFunc(25*time.Millisecond, func() { p.NodeUp("node-s") })
 	var seen []outcome
-	port.CallRetry(at("node-c"), pingReq{N: 41}, 0, 10*time.Millisecond, func(r pingResp, err error) bool {
+	port.CallRetry(callerAt(t, p, "node-c"), pingReq{N: 41}, 0, 10*time.Millisecond, func(r pingResp, err error) bool {
 		seen = append(seen, outcome{k.Now(), r.N, err})
 		return errors.Is(err, svc.ErrUnavailable)
 	})
@@ -333,7 +344,7 @@ func TestCallRetryStopsWhenDoneSaysNo(t *testing.T) {
 		}
 		p.NodeDown("node-s")
 		var errs []error
-		port.CallRetry(at("node-c"), pingReq{N: 1}, 0, time.Millisecond, func(_ pingResp, err error) bool {
+		port.CallRetry(callerAt(t, p, "node-c"), pingReq{N: 1}, 0, time.Millisecond, func(_ pingResp, err error) bool {
 			errs = append(errs, err)
 			return false
 		})

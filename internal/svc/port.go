@@ -24,12 +24,17 @@ import (
 // binding shares, so a steady-state Call or CallRetry adds no heap
 // allocations over the raw platform invoke underneath it, and a port
 // per callee costs no records of its own.
+//
+// The port resolves its target's registration once, when it is created
+// or, for a target registered later, on its first call, and keeps the
+// handle, which follows a Rebind: later calls make no name lookup.
 type Port[Req, Resp any] struct {
 	b      *Binding
 	target middleware.ObjRef
 	op     string
 	enc    func([]byte, Req) ([]byte, error)
 	dec    func(codec.MsgView) (Resp, error)
+	reg    *middleware.Registration // nil until the target is registered
 
 	pool *callPool[Req, Resp]
 }
@@ -52,10 +57,11 @@ func poolFor[Req, Resp any](b *Binding) *callPool[Req, Resp] {
 }
 
 // Caller is the calling side of an at-least-once call: the component
-// whose hosting node each attempt leaves from. An Export is a Caller, so
-// a component re-homed by Rebind retries from its new node.
+// whose hosting node each attempt leaves from, by the node's platform id
+// (middleware.Platform.AttachRuntime). An Export is a Caller, so a
+// component re-homed by Rebind retries from its new node.
 type Caller interface {
-	Node() middleware.Addr
+	NodeID() int32
 }
 
 // callState is one logical call's pooled record: the request, encoded
@@ -91,7 +97,8 @@ func NewPort[Req, Resp any](b *Binding, target middleware.ObjRef, op string,
 	if enc == nil {
 		return nil, fmt.Errorf("svc: port %s.%s: nil request encoder", target, op)
 	}
-	return &Port[Req, Resp]{b: b, target: target, op: op, enc: enc, dec: dec, pool: poolFor[Req, Resp](b)}, nil
+	return &Port[Req, Resp]{b: b, target: target, op: op, enc: enc, dec: dec,
+		reg: b.plat.Lookup(target), pool: poolFor[Req, Resp](b)}, nil
 }
 
 // Target returns the port's target object reference.
@@ -154,7 +161,11 @@ func (p *Port[Req, Resp]) Call(from middleware.Addr, req Req, cont func(Resp, er
 		return err
 	}
 	s.cont = cont
-	if err := p.b.plat.Invoke(from, p.target, p.op, s.args, s.onReply); err != nil {
+	fromID, err := p.b.plat.AttachRuntime(from)
+	if err == nil {
+		err = p.invoke(fromID, s)
+	}
+	if err != nil {
 		s.cont = nil
 		p.putState(s)
 		return wrapErr(err)
@@ -162,10 +173,23 @@ func (p *Port[Req, Resp]) Call(from middleware.Addr, req Req, cont func(Resp, er
 	return nil
 }
 
+// invoke sends one attempt of s from the node with id fromID to the
+// port's target, resolving the target's registration on first use.
+//
+//repolint:hotpath
+func (p *Port[Req, Resp]) invoke(fromID int32, s *callState[Req, Resp]) error {
+	if p.reg == nil {
+		if p.reg = p.b.plat.Lookup(p.target); p.reg == nil {
+			return fmt.Errorf("%w: %q", middleware.ErrUnknownObject, p.target) //repolint:allow alloc -- cold: unknown target
+		}
+	}
+	return p.b.plat.InvokeAt(fromID, p.reg, p.op, s.args, s.onReply)
+}
+
 // CallRetry performs an at-least-once request/response interaction: the
 // retry mechanism, with the policy left to the caller. The request is
 // encoded once, and every attempt sends those same bytes from the node
-// from reports at that instant. The first attempt leaves after the
+// from reports at that instant, with no name lookup. The first attempt leaves after the
 // given delay (at once when it is zero). After each attempt done sees
 // its outcome, as Call's continuation would — a synchronous platform
 // refusal included — and answers whether to go again: true re-arms the
@@ -191,8 +215,7 @@ func (p *Port[Req, Resp]) CallRetry(from Caller, req Req, after, every time.Dura
 //
 //repolint:hotpath
 func (s *callState[Req, Resp]) attempt() {
-	p := s.p
-	if err := p.b.plat.Invoke(s.from.Node(), p.target, p.op, s.args, s.onReply); err != nil {
+	if err := s.p.invoke(s.from.NodeID(), s); err != nil {
 		s.reply(codec.MsgView{}, err)
 	}
 }
@@ -229,7 +252,8 @@ func (s *callState[Req, Resp]) reply(result codec.MsgView, err error) {
 type Export struct {
 	b    *Binding
 	ref  middleware.ObjRef
-	node middleware.Addr // current hosting node (moves on Rebind)
+	node middleware.Addr          // current hosting node (moves on Rebind)
+	reg  *middleware.Registration // set by Register; Rebind updates it in place
 
 	// ops is a small linear table (exports host a handful of operations):
 	// dispatch scans it with the length-first string compare, which beats
@@ -257,9 +281,18 @@ func (e *Export) lookup(op []byte) func(codec.MsgView, middleware.Reply) {
 	return nil
 }
 
-// Node returns the export's current hosting node. It makes an Export a
-// Caller: a component that retries from its export follows a Rebind.
+// Node returns the export's current hosting node.
 func (e *Export) Node() middleware.Addr { return e.node }
+
+// NodeID returns the platform id of the export's current hosting node
+// (-1 before Register). It makes an Export a Caller: a component that
+// retries from its export follows a Rebind.
+func (e *Export) NodeID() int32 {
+	if e.reg == nil {
+		return -1
+	}
+	return e.reg.NodeID()
+}
 
 // NewExport prepares a typed component object hosted at node under ref.
 func (b *Binding) NewExport(ref middleware.ObjRef, node middleware.Addr) (*Export, error) {
@@ -430,10 +463,11 @@ func (e *Export) Register() error {
 	if e.registered {
 		return &classed{class: ErrAlreadyBound, cause: fmt.Errorf("export %q already registered", e.ref)}
 	}
-	if err := e.b.plat.Register(e.ref, e.node, e.object()); err != nil {
+	reg, err := e.b.plat.Register(e.ref, e.node, e.object())
+	if err != nil {
 		return wrapErr(err)
 	}
-	e.registered = true
+	e.reg, e.registered = reg, true
 	return nil
 }
 
