@@ -169,28 +169,30 @@ func AppendOpenParams(buf []byte, p OpenParams) ([]byte, error) {
 }
 
 // DecodeOpenParams decodes a "open" parameter record from a view of its
-// wire form, copying what it keeps. Absent parameters decode to zero
-// values; mistyped ones are rejected.
+// wire form, read by slot through SchemaOpen, copying what it keeps.
+// Absent parameters decode to zero values; mistyped ones are rejected.
 func DecodeOpenParams(v codec.MsgView) (OpenParams, error) {
+	var sl codec.Slots
+	SchemaOpen.Resolve(&v, &sl)
 	var p OpenParams
-	if s, ok := v.Str("id"); ok {
+	if s, ok := sl.StrAt(0); ok { // id
 		p.Id = string(s)
-	} else if v.Has("id") {
+	} else if sl.Has(0) {
 		return p, fmt.Errorf("open: parameter %q: want string", "id")
 	}
-	if n, ok := v.Int("seq"); ok {
+	if n, ok := sl.IntAt(1); ok { // seq
 		p.Seq = n
-	} else if v.Has("seq") {
+	} else if sl.Has(1) {
 		return p, fmt.Errorf("open: parameter %q: want int", "seq")
 	}
-	if b, ok := v.Bool("urgent"); ok {
+	if b, ok := sl.BoolAt(3); ok { // urgent
 		p.Urgent = b
-	} else if v.Has("urgent") {
+	} else if sl.Has(3) {
 		return p, fmt.Errorf("open: parameter %q: want bool", "urgent")
 	}
-	if xs, ok := v.Strings("tags", nil); ok {
+	if xs, ok := sl.StringsAt(2, nil); ok { // tags
 		p.Tags = xs
-	} else if v.Has("tags") {
+	} else if sl.Has(2) {
 		return p, fmt.Errorf("open: parameter %q: want list of strings", "tags")
 	}
 	return p, nil
@@ -226,18 +228,20 @@ func AppendOpenedParams(buf []byte, p OpenedParams) ([]byte, error) {
 }
 
 // DecodeOpenedParams decodes a "opened" parameter record from a view of its
-// wire form, copying what it keeps. Absent parameters decode to zero
-// values; mistyped ones are rejected.
+// wire form, read by slot through SchemaOpened, copying what it keeps.
+// Absent parameters decode to zero values; mistyped ones are rejected.
 func DecodeOpenedParams(v codec.MsgView) (OpenedParams, error) {
+	var sl codec.Slots
+	SchemaOpened.Resolve(&v, &sl)
 	var p OpenedParams
-	if s, ok := v.Str("id"); ok {
+	if s, ok := sl.StrAt(0); ok { // id
 		p.Id = string(s)
-	} else if v.Has("id") {
+	} else if sl.Has(0) {
 		return p, fmt.Errorf("opened: parameter %q: want string", "id")
 	}
-	if n, ok := v.Int("seq"); ok {
+	if n, ok := sl.IntAt(1); ok { // seq
 		p.Seq = n
-	} else if v.Has("seq") {
+	} else if sl.Has(1) {
 		return p, fmt.Errorf("opened: parameter %q: want int", "seq")
 	}
 	return p, nil
@@ -254,20 +258,10 @@ func NewOpenedTopicSink(b *svc.Binding, topic string) (*svc.Sink[OpenedParams], 
 	return svc.NewTopicSink(b, topic, PrimOpened, AppendOpenedParams)
 }
 
-// DecodeOpenedView decodes a published "opened" event from the zero-copy
-// delivery plane.
-func DecodeOpenedView(v codec.MsgView) (OpenedParams, error) {
-	fields, ok := v.View("fields")
-	if !ok {
-		return OpenedParams{}, fmt.Errorf("opened: event carries no parameter record")
-	}
-	return DecodeOpenedParams(fields)
-}
-
 // NewOpenedTopicSource subscribes node to "opened" events on topic, delivering
-// decoded parameters to fn.
+// each event's decoded parameter record to fn.
 func NewOpenedTopicSource(b *svc.Binding, topic string, node middleware.Addr, fn func(OpenedParams)) (*svc.Source[OpenedParams], error) {
-	return svc.NewTopicSource(b, topic, node, DecodeOpenedView, fn)
+	return svc.NewTopicSource(b, topic, node, DecodeOpenedParams, fn)
 }
 
 // HandleOpened registers the user-part handler for primitive "opened"
@@ -291,13 +285,15 @@ func AppendCloseParams(buf []byte, p CloseParams) ([]byte, error) {
 }
 
 // DecodeCloseParams decodes a "close" parameter record from a view of its
-// wire form, copying what it keeps. Absent parameters decode to zero
-// values; mistyped ones are rejected.
+// wire form, read by slot through SchemaClose, copying what it keeps.
+// Absent parameters decode to zero values; mistyped ones are rejected.
 func DecodeCloseParams(v codec.MsgView) (CloseParams, error) {
+	var sl codec.Slots
+	SchemaClose.Resolve(&v, &sl)
 	var p CloseParams
-	if s, ok := v.Str("id"); ok {
+	if s, ok := sl.StrAt(0); ok { // id
 		p.Id = string(s)
-	} else if v.Has("id") {
+	} else if sl.Has(0) {
 		return p, fmt.Errorf("close: parameter %q: want string", "id")
 	}
 	return p, nil
@@ -328,8 +324,8 @@ func AppendPingParams(buf []byte, _ PingParams) ([]byte, error) {
 }
 
 // DecodePingParams decodes a "ping" parameter record from a view of its
-// wire form, copying what it keeps. Absent parameters decode to zero
-// values; mistyped ones are rejected.
+// wire form, read by slot through SchemaPing, copying what it keeps.
+// Absent parameters decode to zero values; mistyped ones are rejected.
 func DecodePingParams(codec.MsgView) (PingParams, error) {
 	return PingParams{}, nil
 }

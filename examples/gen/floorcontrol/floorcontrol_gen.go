@@ -147,13 +147,15 @@ func AppendRequestParams(buf []byte, p RequestParams) ([]byte, error) {
 }
 
 // DecodeRequestParams decodes a "request" parameter record from a view of its
-// wire form, copying what it keeps. Absent parameters decode to zero
-// values; mistyped ones are rejected.
+// wire form, read by slot through SchemaRequest, copying what it keeps.
+// Absent parameters decode to zero values; mistyped ones are rejected.
 func DecodeRequestParams(v codec.MsgView) (RequestParams, error) {
+	var sl codec.Slots
+	SchemaRequest.Resolve(&v, &sl)
 	var p RequestParams
-	if s, ok := v.Str("resid"); ok {
+	if s, ok := sl.StrAt(0); ok { // resid
 		p.Resid = string(s)
-	} else if v.Has("resid") {
+	} else if sl.Has(0) {
 		return p, fmt.Errorf("request: parameter %q: want string", "resid")
 	}
 	return p, nil
@@ -187,13 +189,15 @@ func AppendGrantedParams(buf []byte, p GrantedParams) ([]byte, error) {
 }
 
 // DecodeGrantedParams decodes a "granted" parameter record from a view of its
-// wire form, copying what it keeps. Absent parameters decode to zero
-// values; mistyped ones are rejected.
+// wire form, read by slot through SchemaGranted, copying what it keeps.
+// Absent parameters decode to zero values; mistyped ones are rejected.
 func DecodeGrantedParams(v codec.MsgView) (GrantedParams, error) {
+	var sl codec.Slots
+	SchemaGranted.Resolve(&v, &sl)
 	var p GrantedParams
-	if s, ok := v.Str("resid"); ok {
+	if s, ok := sl.StrAt(0); ok { // resid
 		p.Resid = string(s)
-	} else if v.Has("resid") {
+	} else if sl.Has(0) {
 		return p, fmt.Errorf("granted: parameter %q: want string", "resid")
 	}
 	return p, nil
@@ -210,20 +214,10 @@ func NewGrantedTopicSink(b *svc.Binding, topic string) (*svc.Sink[GrantedParams]
 	return svc.NewTopicSink(b, topic, PrimGranted, AppendGrantedParams)
 }
 
-// DecodeGrantedView decodes a published "granted" event from the zero-copy
-// delivery plane.
-func DecodeGrantedView(v codec.MsgView) (GrantedParams, error) {
-	fields, ok := v.View("fields")
-	if !ok {
-		return GrantedParams{}, fmt.Errorf("granted: event carries no parameter record")
-	}
-	return DecodeGrantedParams(fields)
-}
-
 // NewGrantedTopicSource subscribes node to "granted" events on topic, delivering
-// decoded parameters to fn.
+// each event's decoded parameter record to fn.
 func NewGrantedTopicSource(b *svc.Binding, topic string, node middleware.Addr, fn func(GrantedParams)) (*svc.Source[GrantedParams], error) {
-	return svc.NewTopicSource(b, topic, node, DecodeGrantedView, fn)
+	return svc.NewTopicSource(b, topic, node, DecodeGrantedParams, fn)
 }
 
 // HandleGranted registers the user-part handler for primitive "granted"
@@ -247,13 +241,15 @@ func AppendFreeParams(buf []byte, p FreeParams) ([]byte, error) {
 }
 
 // DecodeFreeParams decodes a "free" parameter record from a view of its
-// wire form, copying what it keeps. Absent parameters decode to zero
-// values; mistyped ones are rejected.
+// wire form, read by slot through SchemaFree, copying what it keeps.
+// Absent parameters decode to zero values; mistyped ones are rejected.
 func DecodeFreeParams(v codec.MsgView) (FreeParams, error) {
+	var sl codec.Slots
+	SchemaFree.Resolve(&v, &sl)
 	var p FreeParams
-	if s, ok := v.Str("resid"); ok {
+	if s, ok := sl.StrAt(0); ok { // resid
 		p.Resid = string(s)
-	} else if v.Has("resid") {
+	} else if sl.Has(0) {
 		return p, fmt.Errorf("free: parameter %q: want string", "resid")
 	}
 	return p, nil

@@ -22,8 +22,10 @@
 //     []byte received through a delivery callback (network.SlotHandler,
 //     protocol.Receiver, protocol.IndexedReceiver,
 //     protocol.StreamReceiver), the op parameter of a middleware.Object
-//     dispatch, or a codec.MsgView accessor must not be retained; every codec.GetBuffer must be
-//     released or handed off. Checks: poolalias, bufleak.
+//     dispatch, or a borrowing codec accessor (MsgView.Name,
+//     Slots.StrAt/BytesAt/RawAt) must not be retained; every
+//     codec.GetBuffer must be released or handed off. Checks: poolalias,
+//     bufleak.
 //   - hotpathalloc — in functions annotated //repolint:hotpath, reject
 //     allocating constructs (closures, fmt, interface boxing, map
 //     literals, un-presized appends into fresh slices), and probes,

@@ -15,8 +15,8 @@ import (
 //   - A []byte received through a delivery callback (network.SlotHandler,
 //     protocol.Receiver, protocol.IndexedReceiver, protocol.StreamReceiver)
 //     parameter, the op parameter of a middleware.Object dispatch, or a
-//     codec.MsgView borrowing accessor (Name/Str/Bytes/Raw) aliases a
-//     pooled delivery buffer. It is valid only until the function
+//     borrowing codec accessor (MsgView.Name, Slots.StrAt/BytesAt/RawAt)
+//     aliases a pooled delivery buffer. It is valid only until the function
 //     returns, so it must not be stored in a struct field or global,
 //     sent on a channel, captured by a goroutine closure, or returned —
 //     retain with an explicit copy (append/copy/string). Check:
@@ -45,11 +45,14 @@ const (
 	networkPath    = "repro/internal/network"
 )
 
-// msgViewBorrowers are the MsgView accessors documented to return
-// slices aliasing the input buffer (the materializing accessors
-// Fields/Value/Strings copy and are exempt).
-var msgViewBorrowers = map[string]bool{
-	"Name": true, "Str": true, "Bytes": true, "Raw": true,
+// viewBorrowers are the codec accessors documented to return slices
+// aliasing the input buffer, by receiver type: the message name of a
+// MsgView, and the string, bytes and raw values of a Slots. The
+// materializing accessors (StringsAt, ValueAt, All's values) copy and
+// are exempt.
+var viewBorrowers = map[string]map[string]bool{
+	"MsgView": {"Name": true},
+	"Slots":   {"StrAt": true, "BytesAt": true, "RawAt": true},
 }
 
 func runPoolalias(pass *analysis.Pass) (any, error) {
@@ -119,7 +122,7 @@ func isDeliverySource(t types.Type) bool {
 }
 
 // collectViewBorrows adds objects bound to the result of a borrowing
-// MsgView accessor call: `b, ok := view.Str("x")` marks b. Nested
+// codec accessor call: `b, ok := sl.StrAt(slotX)` marks b. Nested
 // function literals are skipped — each literal gets its own analysis
 // visit with its own borrow set.
 func collectViewBorrows(pass *analysis.Pass, body *ast.BlockStmt, borrowed map[types.Object]bool) {
@@ -140,11 +143,7 @@ func collectViewBorrows(pass *analysis.Pass, body *ast.BlockStmt, borrowed map[t
 			return true
 		}
 		fn, ok := pass.TypesInfo.Uses[sel.Sel].(*types.Func)
-		if !ok || !msgViewBorrowers[fn.Name()] {
-			return true
-		}
-		sig, ok := fn.Type().(*types.Signature)
-		if !ok || sig.Recv() == nil || !isNamed(deref(sig.Recv().Type()), codecPath, "MsgView") {
+		if !ok || !isViewBorrower(fn) {
 			return true
 		}
 		if id, ok := as.Lhs[0].(*ast.Ident); ok {
@@ -154,6 +153,19 @@ func collectViewBorrows(pass *analysis.Pass, body *ast.BlockStmt, borrowed map[t
 		}
 		return true
 	})
+}
+
+// isViewBorrower reports whether fn is one of the viewBorrowers.
+func isViewBorrower(fn *types.Func) bool {
+	sig, ok := fn.Type().(*types.Signature)
+	if !ok || sig.Recv() == nil {
+		return false
+	}
+	recv, ok := types.Unalias(deref(sig.Recv().Type())).(*types.Named)
+	if !ok || recv.Obj().Pkg() == nil || recv.Obj().Pkg().Path() != codecPath {
+		return false
+	}
+	return viewBorrowers[recv.Obj().Name()][fn.Name()]
 }
 
 // checkRetention reports each sink through which a borrowed []byte
@@ -230,8 +242,9 @@ func checkRetention(pass *analysis.Pass, allows *Allows, body *ast.BlockStmt, bo
 
 // findBorrowedRef reports whether expr references a borrowed object
 // outside of a sanctioned copying construct. Occurrences inside
-// append(dst, b...) spread position, copy(dst, b), string(b), and
-// scalar element reads b[i] are copies and do not count; append(dst, b)
+// append(dst, b...) spread position, copy(dst, b), string(b), the
+// arguments of a call of basic-typed results, and scalar element reads
+// b[i] are copies and do not count; append(dst, b)
 // without the ellipsis stores the slice header itself and does.
 func findBorrowedRef(info *types.Info, expr ast.Expr, borrowed map[types.Object]bool) (types.Object, bool) {
 	var found types.Object
@@ -265,6 +278,13 @@ func findBorrowedRef(info *types.Info, expr ast.Expr, borrowed map[types.Object]
 					return false
 				}
 			}
+			// A call whose results are all of basic type (numbers,
+			// strings, booleans) hands back values, not the slice:
+			// lookup(b) resolving a wire name to an index retains
+			// nothing.
+			if tv, ok := info.Types[n]; ok && basicResults(tv.Type) {
+				return false
+			}
 		case *ast.IndexExpr:
 			// b[i] reads one element by value: not an alias. (A
 			// sub-slice b[i:j] is a SliceExpr and still aliases.)
@@ -282,6 +302,21 @@ func findBorrowedRef(info *types.Info, expr ast.Expr, borrowed map[types.Object]
 	}
 	ast.Inspect(expr, walk)
 	return found, found != nil
+}
+
+// basicResults reports whether t, the type of a call, is one basic
+// type or a tuple of them.
+func basicResults(t types.Type) bool {
+	if tup, ok := t.(*types.Tuple); ok {
+		for i := 0; i < tup.Len(); i++ {
+			if !basicResults(tup.At(i).Type()) {
+				return false
+			}
+		}
+		return tup.Len() > 0
+	}
+	_, ok := t.Underlying().(*types.Basic)
+	return ok
 }
 
 // isIIFE reports whether lit is immediately invoked — the callee of a

@@ -13,6 +13,7 @@ import (
 
 type sink struct {
 	last []byte
+	n    int32
 	note string
 	ch   chan []byte
 	m    map[string][]byte
@@ -107,9 +108,52 @@ func (s *sink) notACallback(n int64, b []byte) {
 
 // firstName borrows from a MsgView accessor and returns the alias.
 func firstName(v *codec.MsgView) []byte {
-	b, _ := v.Str("name")
+	b := v.Name()
 	return b // want `poolalias: "b" .* must not be returned`
 }
+
+// slotStr retains a slot accessor's alias in a field.
+func (s *sink) slotStr(sl *codec.Slots) {
+	b, _ := sl.StrAt(0)
+	s.last = b // want `poolalias: "b" .* must not be stored in field "last"`
+}
+
+// slotRaw returns a slot accessor's alias.
+func slotRaw(sl *codec.Slots) []byte {
+	raw, _ := sl.RawAt(1)
+	return raw // want `poolalias: "raw" .* must not be returned`
+}
+
+// slotCopies keeps copies of what the slot accessors read: a string
+// conversion, a spread append, values a call of basic-typed results
+// computes from the alias, and StringsAt's fresh strings.
+func (s *sink) slotCopies(sl *codec.Slots) []string {
+	b, _ := sl.BytesAt(2)
+	s.last = append(s.last[:0], b...)
+	str, _ := sl.StrAt(0)
+	s.note = string(str)
+	s.n, s.note = resolve(str)
+	xs, _ := sl.StringsAt(3, nil)
+	return xs
+}
+
+// resolve maps a wire name to its index and name.
+func resolve(b []byte) (int32, string) { return int32(len(b)), string(b) }
+
+// slotID returns an index resolved from a slot accessor's alias.
+func slotID(sl *codec.Slots) int32 {
+	b, _ := sl.StrAt(0)
+	n, _ := resolve(b)
+	return n
+}
+
+// slotKept passes the alias through a call that returns it.
+func (s *sink) slotKept(sl *codec.Slots) {
+	b, _ := sl.StrAt(0)
+	s.last = trim(b) // want `poolalias: "b" .* must not be stored in field "last"`
+}
+
+func trim(b []byte) []byte { return b[1:] }
 
 // object implements the middleware.Object dispatch shape: op aliases
 // the delivery buffer like a handler payload.

@@ -1,6 +1,6 @@
 // Package codec is a type stub for the poolalias golden tests: the
-// pooled Buffer with its Release contract and the borrowing MsgView
-// accessors, signature-compatible with the real package.
+// pooled Buffer with its Release contract and the borrowing MsgView and
+// Slots accessors, signature-compatible with the real package.
 package codec
 
 // Buffer is a pooled byte buffer.
@@ -18,11 +18,20 @@ type MsgView struct{ raw []byte }
 // Name returns the message name, aliasing the input buffer.
 func (v *MsgView) Name() []byte { return v.raw }
 
-// Str returns a string field's bytes, aliasing the input buffer.
-func (v *MsgView) Str(field string) ([]byte, bool) { return v.raw, true }
+// Slot is the index of one field of a schema.
+type Slot uint8
 
-// Bytes returns a bytes field, aliasing the input buffer.
-func (v *MsgView) Bytes(field string) ([]byte, bool) { return v.raw, true }
+// Slots is a record parsed against a schema, read by slot.
+type Slots struct{ v MsgView }
 
-// Raw returns the field's raw encoding, aliasing the input buffer.
-func (v *MsgView) Raw(field string) ([]byte, bool) { return v.raw, true }
+// StrAt returns a string field's bytes, aliasing the input buffer.
+func (s *Slots) StrAt(i Slot) ([]byte, bool) { return s.v.raw, true }
+
+// BytesAt returns a bytes field, aliasing the input buffer.
+func (s *Slots) BytesAt(i Slot) ([]byte, bool) { return s.v.raw, true }
+
+// RawAt returns the field's raw encoding, aliasing the input buffer.
+func (s *Slots) RawAt(i Slot) ([]byte, bool) { return s.v.raw, true }
+
+// StringsAt copies a list of strings out of the input buffer.
+func (s *Slots) StringsAt(i Slot, dst []string) ([]string, bool) { return dst, true }

@@ -97,8 +97,9 @@ func (m *orderMonitor) Observe(e core.Event) error {
 	if e.Primitive != PrimDeliver {
 		return nil
 	}
-	v, _ := codec.ParseRecord(e.Params) //nolint:errcheck // a malformed record reads as an empty id
-	b, _ := v.Str(ParamMsgID)
+	var sl codec.Slots
+	_ = recOrdered.ParseRecord(e.Params, &sl) //nolint:errcheck // a malformed record reads as an empty id
+	b, _ := sl.StrAt(slotMsgID)
 	id := string(b)
 	seq := append(m.perSAP[e.SAP], id)
 	m.perSAP[e.SAP] = seq

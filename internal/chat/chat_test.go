@@ -285,7 +285,7 @@ func TestPDUWireParity(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		bcast := ordered{submit: view, speaker: "s1"}
+		bcast := newOrdered(&view, "s1")
 		got, err := pduOrdered.Append(nil, bcast)
 		if err != nil {
 			t.Fatal(err)

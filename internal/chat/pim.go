@@ -73,7 +73,7 @@ func (s *sequencerLogic) OnMessage(from mda.ComponentID, msg codec.MsgView) erro
 	if !msg.NameIs(pduSubmit.Name()) {
 		return fmt.Errorf("chat: unexpected message %q at sequencer logic", msg.Name())
 	}
-	out := ordered{submit: msg, speaker: strings.TrimPrefix(string(from), "member:")}
+	out := newOrdered(&msg, strings.TrimPrefix(string(from), "member:"))
 	for _, m := range s.members {
 		if err := mda.Send(s.ctx, m, pduOrdered, out); err != nil {
 			return err
@@ -110,7 +110,7 @@ func (m *memberLogic) OnMessage(_ mda.ComponentID, msg codec.MsgView) error {
 	if !msg.NameIs(pduOrdered.Name()) {
 		return fmt.Errorf("chat: unexpected message %q at member logic", msg.Name())
 	}
-	m.params, _ = deliverParams(m.params[:0], msg) //nolint:errcheck // raw splices of a parsed view always encode
+	m.params, _ = deliverParams(m.params[:0], &msg) //nolint:errcheck // raw splices of a parsed view always encode
 	m.ctx.DeliverToUser(PrimDeliver, m.params)
 	return nil
 }

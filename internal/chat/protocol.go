@@ -24,23 +24,37 @@ var (
 func appendVerbatim(buf, rec []byte) ([]byte, error) { return append(buf, rec...), nil }
 
 // ordered is one broadcast: the submit whose msgid and text it splices
-// verbatim (codec.RawNil when absent), and the speaker. The submit view
-// borrows its delivery buffer: encode before the delivery returns.
+// verbatim (codec.RawNil when absent), resolved against recOrdered, and
+// the speaker. The submit slots borrow their delivery buffer: encode
+// before the delivery returns.
 type ordered struct {
-	submit  codec.MsgView
+	submit  codec.Slots
 	speaker string
 }
 
 // recOrdered is the wire layout of the ordered record, which is also the
-// deliver primitive's parameter record.
-var recOrdered = codec.CompileRecord(ParamMsgID, ParamSpeaker, ParamText)
+// deliver primitive's parameter record; the submit record is read by its
+// slots too.
+var (
+	recOrdered  = codec.CompileRecord(ParamMsgID, ParamSpeaker, ParamText)
+	slotMsgID   = recOrdered.Slot(ParamMsgID)
+	slotSpeaker = recOrdered.Slot(ParamSpeaker)
+	slotText    = recOrdered.Slot(ParamText)
+)
+
+// newOrdered resolves the submit record of one broadcast.
+func newOrdered(submit *codec.MsgView, speaker string) ordered {
+	o := ordered{speaker: speaker}
+	recOrdered.Resolve(submit, &o.submit)
+	return o
+}
 
 func encOrdered(buf []byte, o ordered) ([]byte, error) {
-	msgID, ok := o.submit.Raw(ParamMsgID)
+	msgID, ok := o.submit.RawAt(slotMsgID)
 	if !ok {
 		msgID = codec.RawNil
 	}
-	text, ok := o.submit.Raw(ParamText)
+	text, ok := o.submit.RawAt(slotText)
 	if !ok {
 		text = codec.RawNil
 	}
@@ -52,9 +66,11 @@ func encOrdered(buf []byte, o ordered) ([]byte, error) {
 }
 
 // deliverParams re-encodes an ordered broadcast as the deliver params.
-func deliverParams(buf []byte, ord codec.MsgView) ([]byte, error) {
-	speaker, _ := ord.Str(ParamSpeaker)
-	return encOrdered(buf, ordered{submit: ord, speaker: string(speaker)})
+func deliverParams(buf []byte, pdu *codec.MsgView) ([]byte, error) {
+	o := newOrdered(pdu, "")
+	speaker, _ := o.submit.StrAt(slotSpeaker)
+	o.speaker = string(speaker)
+	return encOrdered(buf, o)
 }
 
 // SequencerEntity is the protocol's central entity: it imposes the total
@@ -89,7 +105,7 @@ func (e *SequencerEntity) FromPeer(src protocol.Addr, pdu codec.MsgView) error {
 	if !pdu.NameIs(pduSubmit.Name()) {
 		return fmt.Errorf("chat: unexpected PDU %q at sequencer", pdu.Name())
 	}
-	return pduOrdered.SendMulti(e.ctx, e.members, ordered{submit: pdu, speaker: string(src)})
+	return pduOrdered.SendMulti(e.ctx, e.members, newOrdered(&pdu, string(src)))
 }
 
 // ParticipantEntity translates between chat primitives and the sequencer
@@ -126,7 +142,7 @@ func (e *ParticipantEntity) FromPeer(_ protocol.Addr, pdu codec.MsgView) error {
 	if !pdu.NameIs(pduOrdered.Name()) {
 		return fmt.Errorf("chat: unexpected PDU %q at participant", pdu.Name())
 	}
-	e.params, _ = deliverParams(e.params[:0], pdu) //nolint:errcheck // raw splices of a parsed view always encode
+	e.params, _ = deliverParams(e.params[:0], &pdu) //nolint:errcheck // raw splices of a parsed view always encode
 	e.ctx.DeliverToUser(PrimDeliver, e.params)
 	return nil
 }

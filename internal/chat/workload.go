@@ -130,9 +130,10 @@ func Run(cfg Config) (*Result, error) {
 			}
 			res.Delivered++
 			res.PerParticipant[sap.ID]++
-			v, _ := codec.ParseRecord(params) //nolint:errcheck // a malformed record reads as empty fields
-			id, _ := v.Str(ParamMsgID)
-			speaker, _ := v.Str(ParamSpeaker)
+			var sl codec.Slots
+			_ = recOrdered.ParseRecord(params, &sl) //nolint:errcheck // a malformed record reads as empty fields
+			id, _ := sl.StrAt(slotMsgID)
+			speaker, _ := sl.StrAt(slotSpeaker)
 			if string(speaker) == sap.ID {
 				if t0, ok := saidAt[string(id)]; ok {
 					res.DeliveryLatency.Add(kernel.Now() - t0)

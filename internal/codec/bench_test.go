@@ -29,7 +29,13 @@ func BenchmarkCalibrate(b *testing.B) {
 
 var benchSink uint64
 
-var benchSchema = CompileSchema("mw.event", "topic", "name", "fields")
+var (
+	benchSchema = CompileSchema("mw.event", "topic", "name", "fields")
+	benchSet    = NewSchemaSet(benchSchema)
+	benchFields = benchSchema.Slot("fields")
+	benchNameAt = benchSchema.Slot("name")
+	benchTopAt  = benchSchema.Slot("topic")
+)
 
 const (
 	benchTopic = "floor/resource-3"
@@ -110,24 +116,24 @@ func BenchmarkSchemaEncode(b *testing.B) {
 	}
 }
 
-// BenchmarkViewDecode parses the event envelope and reads every field
-// through the zero-copy view. Steady state must be 0 allocs/op.
+// BenchmarkViewDecode parses the event envelope against its schema and
+// reads every field by slot. Steady state must be 0 allocs/op.
 func BenchmarkViewDecode(b *testing.B) {
 	data := benchEventWire(b)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		v, err := ParseMessage(data)
-		if err != nil {
+		var sl Slots
+		if err := benchSet.Parse(data, &sl); err != nil {
 			b.Fatal(err)
 		}
-		topic, ok := v.Str("topic")
+		topic, ok := sl.StrAt(benchTopAt)
 		if !ok || len(topic) == 0 {
 			b.Fatal("missing topic")
 		}
-		if _, ok := v.Str("name"); !ok {
+		if _, ok := sl.StrAt(benchNameAt); !ok {
 			b.Fatal("missing name")
 		}
-		if _, ok := v.Raw("fields"); !ok {
+		if _, ok := sl.RawAt(benchFields); !ok {
 			b.Fatal("missing fields")
 		}
 	}
@@ -135,7 +141,8 @@ func BenchmarkViewDecode(b *testing.B) {
 
 // BenchmarkCodecRoundTrip is the acceptance benchmark: encode one
 // representative middleware message through the compiled schema into a
-// pooled buffer, then decode it through the view, per op. Steady state
+// pooled buffer, then parse it against the schema and read it by slot,
+// per op. Steady state
 // must be 0 allocs/op and ≥2× faster than the legacy
 // EncodeMessage+DecodeMessage pair (BenchmarkLegacyRoundTrip).
 func BenchmarkCodecRoundTrip(b *testing.B) {
@@ -154,14 +161,14 @@ func BenchmarkCodecRoundTrip(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		v, err := ParseMessage(wire)
-		if err != nil {
+		var sl Slots
+		if err := benchSet.Parse(wire, &sl); err != nil {
 			b.Fatal(err)
 		}
-		if _, ok := v.Str("topic"); !ok {
+		if _, ok := sl.StrAt(benchTopAt); !ok {
 			b.Fatal("missing topic")
 		}
-		if _, ok := v.Raw("fields"); !ok {
+		if _, ok := sl.RawAt(benchFields); !ok {
 			b.Fatal("missing fields")
 		}
 		buf.B = wire

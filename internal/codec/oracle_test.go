@@ -69,21 +69,6 @@ func (m Message) Get(field string) (Value, bool) {
 	return v, ok
 }
 
-// Record materializes a nested record field as a boxed Record (copying;
-// safe to retain).
-func (v *MsgView) Record(name string) (Record, bool) {
-	raw := v.lookup(name)
-	if len(raw) == 0 || raw[0] != tagRecord {
-		return nil, false
-	}
-	val, _, err := decodeValue(raw, 0)
-	if err != nil {
-		return nil, false
-	}
-	rec, ok := val.(map[string]Value)
-	return rec, ok
-}
-
 // Message materializes the whole view as a boxed Message, the form the
 // view plane is checked against.
 func (v *MsgView) Message() (Message, error) {

@@ -55,30 +55,38 @@ func TestParseRecord(t *testing.T) {
 	if v.Len() != 4 || len(v.Name()) != 0 {
 		t.Fatalf("record view: %d fields, name %q", v.Len(), v.Name())
 	}
-	if s, ok := v.Str("s"); !ok || string(s) != "x" {
-		t.Fatalf("Str = %q, %v", s, ok)
+	rs := CompileRecord("bad", "in", "s", "tags", "zz")
+	var sl Slots
+	if err := rs.ParseRecord(data, &sl); err != nil {
+		t.Fatal(err)
 	}
-	nested, ok := v.View("in")
+	at := rs.Slot
+	if s, ok := sl.StrAt(at("s")); !ok || string(s) != "x" {
+		t.Fatalf("StrAt = %q, %v", s, ok)
+	}
+	nested, ok := sl.RecordAt(at("in"))
 	if !ok {
 		t.Fatal("nested record view missing")
 	}
-	if s, ok := nested.Str("k"); !ok || string(s) != "v" {
-		t.Fatalf("nested Str = %q, %v", s, ok)
+	var ns Slots
+	CompileRecord("k").Resolve(&nested, &ns)
+	if s, ok := ns.StrAt(0); !ok || string(s) != "v" {
+		t.Fatalf("nested StrAt = %q, %v", s, ok)
 	}
-	if _, ok := v.View("s"); ok {
-		t.Fatal("View of a string field succeeded")
+	if _, ok := sl.RecordAt(at("s")); ok {
+		t.Fatal("RecordAt of a string field succeeded")
 	}
-	if !v.Has("s") || v.Has("zz") {
+	if !sl.Has(at("s")) || sl.Has(at("zz")) {
 		t.Fatal("Has disagrees with the fields present")
 	}
-	if xs, ok := v.Strings("tags", []string{"pre"}); !ok || !reflect.DeepEqual(xs, []string{"pre", "a", "b"}) {
-		t.Fatalf("Strings = %v, %v", xs, ok)
+	if xs, ok := sl.StringsAt(at("tags"), []string{"pre"}); !ok || !reflect.DeepEqual(xs, []string{"pre", "a", "b"}) {
+		t.Fatalf("StringsAt = %v, %v", xs, ok)
 	}
-	if xs, ok := v.Strings("bad", nil); ok || xs != nil {
-		t.Fatalf("Strings over a mixed list = %v, %v", xs, ok)
+	if xs, ok := sl.StringsAt(at("bad"), nil); ok || xs != nil {
+		t.Fatalf("StringsAt over a mixed list = %v, %v", xs, ok)
 	}
-	if _, ok := v.Strings("s", nil); ok {
-		t.Fatal("Strings over a string field succeeded")
+	if _, ok := sl.StringsAt(at("s"), nil); ok {
+		t.Fatal("StringsAt over a string field succeeded")
 	}
 	fields, err := v.Fields()
 	if err != nil || !Equal(Value(fields), mustDecode(t, data)) {
@@ -101,15 +109,17 @@ func TestParseRecord(t *testing.T) {
 	if _, err := ParseRecord([]byte{tagRecord, 2, tagString, 1, 'b', tagNil, tagString, 1, 'a', tagNil}); !errors.Is(err, ErrNonCanonical) {
 		t.Fatalf("non-canonical record: %v, want ErrNonCanonical", err)
 	}
-	// A nested record out of canonical order is rejected by View too.
+	// A nested record out of canonical order is rejected by RecordAt too.
 	outer := append([]byte{tagRecord, 1}, mustEncode("in")...)
 	outer = append(outer, tagRecord, 2, tagString, 1, 'b', tagNil, tagString, 1, 'a', tagNil)
 	ov, err := ParseRecord(outer)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := ov.View("in"); ok {
-		t.Fatal("View accepted a non-canonical nested record")
+	var os Slots
+	CompileRecord("in").Resolve(&ov, &os)
+	if _, ok := os.RecordAt(0); ok {
+		t.Fatal("RecordAt accepted a non-canonical nested record")
 	}
 }
 

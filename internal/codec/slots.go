@@ -69,7 +69,7 @@ func (s *Schema) ParseRecord(data []byte, out *Slots) error {
 
 // Resolve fills out with the fields of s in v, a view already
 // validated by a parse: one walk of its pairs, with no re-validation,
-// in place of one walk per field read by name.
+// and every field then read by slot.
 //
 //repolint:hotpath
 func (s *Schema) Resolve(v *MsgView, out *Slots) {
@@ -139,7 +139,8 @@ func (set *SchemaSet) byName(name []byte) *Schema {
 }
 
 // View returns the parsed message or record, by pointer so it is not
-// copied. Its name accessors serve the fields outside the schema.
+// copied: its name, its field count, and the view another schema
+// resolves (Schema.Resolve) for fields outside this one.
 func (s *Slots) View() *MsgView { return &s.v }
 
 // Schema returns the schema the slots index, nil when a SchemaSet had
@@ -204,7 +205,19 @@ func (s *Slots) RawAt(i Slot) ([]byte, bool) {
 func (s *Slots) RecordAt(i Slot) (MsgView, bool) { return rawRecord(s.raw(i), s.v.depth+1) }
 
 // StringsAt appends the elements of the list of strings in slot i to
-// dst, as MsgView.Strings does.
+// dst as fresh strings (copies, safe to retain). It reports false, with
+// dst unchanged, when the slot is empty, not a list, or holds a
+// non-string element.
 func (s *Slots) StringsAt(i Slot, dst []string) ([]string, bool) {
 	return rawStrings(s.raw(i), dst)
+}
+
+// ValueAt materializes the value in slot i as a boxed Value (copying).
+func (s *Slots) ValueAt(i Slot) (Value, bool) {
+	raw := s.raw(i)
+	if raw == nil {
+		return nil, false
+	}
+	val, _, err := decodeValue(raw, s.v.depth+1)
+	return val, err == nil
 }

@@ -1,7 +1,7 @@
 package codec
 
 import (
-	"bytes"
+	"errors"
 	"reflect"
 	"testing"
 )
@@ -80,13 +80,14 @@ func slotSeeds(tb testing.TB) [][]byte {
 		finish(tb, replyErr), finish(tb, replyOK), finish(tb, params)}
 }
 
-// FuzzSchemaParse checks the slot plane against the name plane, run
-// bounded in CI (see .github/workflows/ci.yml, fuzz job): for arbitrary
-// bytes and every hot schema set, a slot parse accepts exactly what
-// ParseMessage (a set) or ParseRecord (a record schema) accepts; every
-// filled slot reads byte for byte what the named accessor reads, and
-// every empty slot is an absent field. Resolve on the name plane's view
-// agrees as well.
+// FuzzSchemaParse checks the slot plane against the boxed decoder of
+// oracle_test.go, run bounded in CI (see .github/workflows/ci.yml, fuzz
+// job): for arbitrary bytes and every hot schema set, a slot parse
+// accepts exactly what ParseMessage (a set) or ParseRecord (a record
+// schema) accepts; every filled slot holds the value DecodeMessage or
+// Decode materializes for its field, every typed accessor hits exactly
+// when that value has its type, and every empty slot is an absent
+// field. Resolve on the parsed view agrees as well.
 func FuzzSchemaParse(f *testing.F) {
 	for _, seed := range slotSeeds(f) {
 		f.Add(seed)
@@ -116,10 +117,14 @@ func FuzzSchemaParse(f *testing.F) {
 			if sl.Schema().Name() != string(view.Name()) {
 				t.Fatalf("message %q parsed against %s", view.Name(), sl.Schema())
 			}
-			checkSlots(t, &sl, &view)
+			m, err := DecodeMessage(data)
+			if err != nil {
+				t.Fatalf("ParseMessage accepted % x, DecodeMessage rejected: %v", data, err)
+			}
+			checkSlots(t, &sl, m.Fields)
 			var rs Slots
 			sl.Schema().Resolve(&view, &rs)
-			checkSlots(t, &rs, &view)
+			checkSlots(t, &rs, m.Fields)
 		}
 		rv, recErr := ParseRecord(data)
 		for _, s := range fuzzRecords {
@@ -132,10 +137,14 @@ func FuzzSchemaParse(f *testing.F) {
 				checkEmpty(t, &sl)
 				continue
 			}
-			checkSlots(t, &sl, &rv)
+			rec, ok := mustDecode(t, data).(Record)
+			if !ok {
+				t.Fatalf("ParseRecord accepted % x, which Decode reads as no record", data)
+			}
+			checkSlots(t, &sl, rec)
 			var rs Slots
 			s.Resolve(&rv, &rs)
-			checkSlots(t, &rs, &rv)
+			checkSlots(t, &rs, rec)
 		}
 	})
 }
@@ -153,43 +162,66 @@ func checkEmpty(t *testing.T, sl *Slots) {
 	}
 }
 
-// checkSlots fails unless every slot of sl's schema reads what the named
-// accessors of v read.
-func checkSlots(t *testing.T, sl *Slots, v *MsgView) {
+// checkSlots fails unless every slot of sl's schema reads what the boxed
+// decoder materialized for its field in fields.
+func checkSlots(t *testing.T, sl *Slots, fields Record) {
 	t.Helper()
 	for _, name := range sl.Schema().Fields() {
 		i := sl.Schema().Slot(name)
+		want, present := fields[name]
 		raw, ok := sl.RawAt(i)
-		nraw, nok := v.Raw(name)
-		if ok != nok || !bytes.Equal(raw, nraw) || sl.Has(i) != v.Has(name) {
-			t.Fatalf("%s: slot reads % x (%v), name reads % x (%v)", name, raw, ok, nraw, nok)
+		if ok != present || sl.Has(i) != present {
+			t.Fatalf("%s: slot filled %v, field present %v", name, ok, present)
 		}
-		agree := func(what string, a, b any) {
-			if !reflect.DeepEqual(a, b) {
-				t.Fatalf("%s: %s by slot %v, by name %v", name, what, a, b)
+		if !present {
+			continue
+		}
+		if got := mustDecode(t, raw); !Equal(got, want) {
+			t.Fatalf("%s: slot holds %v, field %v", name, got, want)
+		}
+		if got, ok := sl.ValueAt(i); !ok || !Equal(got, want) {
+			t.Fatalf("%s: ValueAt %v (%v), field %v", name, got, ok, want)
+		}
+		agree := func(what string, got any, ok bool, wantV any, wantOK bool) {
+			if ok != wantOK || (ok && !reflect.DeepEqual(got, wantV)) {
+				t.Fatalf("%s: %s by slot %v (%v), field %#v", name, what, got, ok, want)
 			}
 		}
 		u, uok := sl.UintAt(i)
-		nu, nuok := v.Uint(name)
-		agree("uint", [2]any{u, uok}, [2]any{nu, nuok})
-		n, nok2 := sl.IntAt(i)
-		nn, nnok := v.Int(name)
-		agree("int", [2]any{n, nok2}, [2]any{nn, nnok})
+		wu, wuok := want.(uint64)
+		agree("uint", u, uok, wu, wuok)
+		n, nok := sl.IntAt(i)
+		wn, wnok := want.(int64)
+		agree("int", n, nok, wn, wnok)
 		b, bok := sl.BoolAt(i)
-		nb, nbok := v.Bool(name)
-		agree("bool", [2]any{b, bok}, [2]any{nb, nbok})
-		s, sok := sl.StrAt(i)
-		ns, nsok := v.Str(name)
-		agree("str", [2]any{s, sok}, [2]any{ns, nsok})
+		wb, wbok := want.(bool)
+		agree("bool", b, bok, wb, wbok)
+		str, sok := sl.StrAt(i)
+		ws, wsok := want.(string)
+		agree("str", string(str), sok, ws, wsok)
 		by, byok := sl.BytesAt(i)
-		nby, nbyok := v.Bytes(name)
-		agree("bytes", [2]any{by, byok}, [2]any{nby, nbyok})
-		r, rok := sl.RecordAt(i)
-		nr, nrok := v.View(name)
-		agree("record", [2]any{r, rok}, [2]any{nr, nrok})
+		wby, wbyok := want.([]byte)
+		agree("bytes", string(by), byok, string(wby), wbyok)
 		l, lok := sl.StringsAt(i, nil)
-		nl, nlok := v.Strings(name, nil)
-		agree("strings", [2]any{l, lok}, [2]any{nl, nlok})
+		wl, wlErr := ToStringSlice(want)
+		if lok != (wlErr == nil) || len(l) != len(wl) || (lok && len(l) > 0 && !reflect.DeepEqual(l, wl)) {
+			t.Fatalf("%s: strings by slot %q (%v), field %#v", name, l, lok, want)
+		}
+		// A nested record reads as a view unless its own keys are out of
+		// canonical order, which the boxed decoder tolerates.
+		r, rok := sl.RecordAt(i)
+		wr, wrok := want.(Record)
+		switch _, nestedErr := ParseRecord(raw); {
+		case rok != (wrok && nestedErr == nil):
+			t.Fatalf("%s: record by slot %v, field %#v (nested parse %v)", name, rok, want, nestedErr)
+		case wrok && nestedErr != nil && !errors.Is(nestedErr, ErrNonCanonical):
+			t.Fatalf("%s: nested record rejected with %v, want ErrNonCanonical", name, nestedErr)
+		case rok:
+			got, err := r.Fields()
+			if err != nil || !Equal(Value(got), Value(wr)) {
+				t.Fatalf("%s: record by slot %v (%v), field %v", name, got, err, wr)
+			}
+		}
 	}
 }
 

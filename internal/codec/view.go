@@ -4,24 +4,23 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
-	"math"
 )
 
 // This file is the allocation-free decode plane: MsgView walks a message
 // or record in place without materializing boxed Value trees. One
 // parser, parseRecord, validates every message and record; given a
 // schema it also keeps the offsets of the schema's fields for the slot
-// accessors of slots.go.
+// accessors of slots.go, the one way a field is read.
 //
-// ALIASING RULES: every []byte returned by a MsgView accessor (Name, Str,
-// Bytes, Raw) aliases the input buffer. It is valid only until the caller returns control to whoever
-// owns that buffer — for wire messages, until the delivery callback
-// returns (the network recycles delivery buffers). Retain with an
-// explicit copy. A MsgView itself (including one returned by View) is a
-// borrowed window under the same rule. Materializing accessors (Fields,
-// Value, Strings) copy and are safe to retain. The same rules hold for a
-// Slots and for every value its slot accessors (StrAt, BytesAt, RawAt,
-// RecordAt, View) return; StringsAt copies.
+// ALIASING RULES: every []byte returned by a borrowing accessor
+// (MsgView.Name, the keys All yields, Slots.StrAt, BytesAt and RawAt)
+// aliases the input buffer. It is valid only until the caller returns
+// control to whoever owns that buffer — for wire messages, until the
+// delivery callback returns (the network recycles delivery buffers).
+// Retain with an explicit copy. A MsgView or a Slots itself (including
+// a view returned by RecordAt or View) is a borrowed window under the
+// same rule. The materializing accessors (the values All yields,
+// StringsAt, ValueAt) copy and are safe to retain.
 
 // RawNil is the complete wire encoding of the nil value — the fallback
 // for splicing an absent field into an Encoder with Raw. Callers must
@@ -111,9 +110,10 @@ func skipValue(data []byte, depth int) (int, error) {
 
 // MsgView is a zero-copy window on one encoded message (the wire form of
 // AppendMessage or a message Schema, via ParseMessage) or one encoded
-// record (via ParseRecord, or View on an enclosing view). Parsing validates the
-// whole value once; the typed accessors then read individual fields
-// directly from the wire bytes without allocating. See the package
+// record (via ParseRecord, or Slots.RecordAt on an enclosing record).
+// Parsing validates the whole value once; the slot accessors of a
+// schema resolved in the view then read individual fields directly from
+// the wire bytes without allocating. See the package
 // aliasing rules above: a view, and every view nested in it, is valid
 // only as long as the bytes it was parsed from.
 type MsgView struct {
@@ -125,15 +125,15 @@ type MsgView struct {
 
 // ParseMessage validates data as one complete message and returns a view
 // over it. The message is fully structure-checked here (well-formed
-// values, string keys, no trailing bytes), so accessor misses mean
+// values, string keys, no trailing bytes), so slot accessor misses mean
 // "field absent or wrong type", never "corrupt input".
 //
 // ParseMessage additionally requires the top-level field keys to be in
 // canonical form — strictly ascending, hence unique — which is the only
 // form any encoder in this package produces. Non-canonical messages fail
 // with ErrNonCanonical (a map-building decoder would tolerate them by
-// map overwrite); this is what lets the sorted-order early exit in field
-// lookup be exact rather than heuristic.
+// map overwrite); this is what lets a slot pass match the keys against
+// a schema's fields with a cursor that only moves forward.
 func ParseMessage(data []byte) (MsgView, error) {
 	var v MsgView
 	err := parseMessage(&v, data, nil, nil)
@@ -277,150 +277,22 @@ func (v *MsgView) NameIs(s string) bool { return string(v.name) == s }
 // Len returns the number of fields.
 func (v *MsgView) Len() int { return v.fields }
 
-// lookup returns the raw TLV bytes of the named field. Keys are sorted
-// on the wire, so the scan stops early once past name. The structure was
-// validated by ParseMessage, so navigation errors cannot occur.
-//
-//repolint:hotpath
-func (v *MsgView) lookup(name string) []byte {
-	p := v.pairs
-	for i := 0; i < v.fields; i++ {
-		key, kn, err := decodeLenPrefixed(p[1:]) // p[0] == tagString, validated
-		if err != nil {
-			return nil
-		}
-		p = p[1+kn:]
-		n, err := skipValue(p, 0)
-		if err != nil {
-			return nil
-		}
-		switch compareKey(key, name) {
-		case 0:
-			return p[:n]
-		case 1:
-			return nil // sorted: name cannot appear later
-		}
-		p = p[n:]
-	}
-	return nil
-}
-
-// compareKey orders a wire key against a field name without converting
-// either (bytes.Compare would need an allocating []byte(name)).
-//
-//repolint:hotpath
-func compareKey(key []byte, name string) int {
-	n := len(key)
-	if len(name) < n {
-		n = len(name)
-	}
-	for i := 0; i < n; i++ {
-		if key[i] != name[i] {
-			if key[i] < name[i] {
-				return -1
-			}
-			return 1
-		}
-	}
-	switch {
-	case len(key) < len(name):
-		return -1
-	case len(key) > len(name):
-		return 1
-	}
-	return 0
-}
-
-// Uint returns a tagUint field.
-//
-//repolint:hotpath
-func (v *MsgView) Uint(name string) (uint64, bool) { return rawUint(v.lookup(name)) }
-
-// Int returns a tagInt field.
-//
-//repolint:hotpath
-func (v *MsgView) Int(name string) (int64, bool) { return rawInt(v.lookup(name)) }
-
-// Bool returns a boolean field.
-//
-//repolint:hotpath
-func (v *MsgView) Bool(name string) (val, ok bool) { return rawBool(v.lookup(name)) }
-
-// Float returns a tagFloat field.
-//
-//repolint:hotpath
-func (v *MsgView) Float(name string) (float64, bool) {
-	raw := v.lookup(name)
-	if len(raw) != 9 || raw[0] != tagFloat {
-		return 0, false
-	}
-	return math.Float64frombits(binary.BigEndian.Uint64(raw[1:])), true
-}
-
-// Str returns the payload of a string field, aliasing the input buffer.
-//
-//repolint:hotpath
-func (v *MsgView) Str(name string) ([]byte, bool) { return rawLenPrefixed(v.lookup(name), tagString) }
-
-// Bytes returns the payload of a bytes field, aliasing the input buffer.
-//
-//repolint:hotpath
-func (v *MsgView) Bytes(name string) ([]byte, bool) { return rawLenPrefixed(v.lookup(name), tagBytes) }
-
-// Raw returns the complete TLV encoding of the named field's value,
-// aliasing the input buffer — ready to splice into an Encoder with Raw.
-//
-//repolint:hotpath
-func (v *MsgView) Raw(name string) ([]byte, bool) {
-	raw := v.lookup(name)
-	return raw, raw != nil
-}
-
-// Value materializes any field as a boxed Value (copying).
-func (v *MsgView) Value(name string) (Value, bool) {
-	raw := v.lookup(name)
-	if raw == nil {
-		return nil, false
-	}
-	val, _, err := decodeValue(raw, 0)
-	if err != nil {
-		return nil, false
-	}
-	return val, true
-}
-
-// View returns a view over a nested record field, validated like
-// ParseRecord (canonical keys included), aliasing the input buffer.
-func (v *MsgView) View(name string) (MsgView, bool) { return rawRecord(v.lookup(name), v.depth+1) }
-
-// Has reports whether the named field is present, whatever its type —
-// what tells an absent field from a mistyped one after a typed accessor
-// misses.
-func (v *MsgView) Has(name string) bool { return v.lookup(name) != nil }
-
-// Keys appends the view's field names to dst, in wire (canonical)
-// order, as fresh strings (copies, safe to retain).
-func (v *MsgView) Keys(dst []string) []string {
+// All yields every field of the view in wire (canonical) order: its key,
+// aliasing the input, and its value materialized as a boxed Value
+// (copying). Range over it: for key, val := range v.All.
+func (v *MsgView) All(yield func(key []byte, val Value) bool) {
 	for p, i := v.pairs, 0; i < v.fields; i++ {
-		key, kn, _ := decodeLenPrefixed(p[1:]) // validated at parse
-		n, _ := skipValue(p[1+kn:], 0)
-		dst = append(dst, string(key))
+		key, kn, _ := decodeLenPrefixed(p[1:])        // validated at parse
+		val, n, _ := decodeValue(p[1+kn:], v.depth+1) // likewise
+		if !yield(key, val) {
+			return
+		}
 		p = p[1+kn+n:]
 	}
-	return dst
 }
 
-// Strings appends the elements of a list-of-strings field to dst as
-// fresh strings (copies, safe to retain). It reports false, with dst
-// unchanged, when the field is absent, not a list, or holds a non-string
-// element.
-func (v *MsgView) Strings(name string, dst []string) ([]string, bool) {
-	return rawStrings(v.lookup(name), dst)
-}
-
-// The value readers below decode one complete TLV value (nil = absent
-// field) as the named and the slot accessors return it, so the two
-// planes cannot disagree on what a field holds.
+// The value readers below decode one complete TLV value (nil = an empty
+// slot) as the slot accessors return it.
 
 //repolint:hotpath
 func rawUint(raw []byte) (uint64, bool) {

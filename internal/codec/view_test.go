@@ -39,68 +39,81 @@ func TestViewTypedAccessors(t *testing.T) {
 	if v.Len() != 9 {
 		t.Fatalf("Len = %d", v.Len())
 	}
-	if u, ok := v.Uint("u"); !ok || u != 99 {
-		t.Fatalf("Uint(u) = %d, %v", u, ok)
+	// probe holds eight of the nine fields, MaxSlots; "no" is read
+	// through a one-field schema of its own.
+	probe := CompileSchema("probe", "b", "f", "i", "nil", "rec", "s", "u", "yes")
+	var sl Slots
+	probe.Resolve(&v, &sl)
+	at := probe.Slot
+	if u, ok := sl.UintAt(at("u")); !ok || u != 99 {
+		t.Fatalf("UintAt(u) = %d, %v", u, ok)
 	}
-	if i, ok := v.Int("i"); !ok || i != -4 {
-		t.Fatalf("Int(i) = %d, %v", i, ok)
+	if i, ok := sl.IntAt(at("i")); !ok || i != -4 {
+		t.Fatalf("IntAt(i) = %d, %v", i, ok)
 	}
-	if f, ok := v.Float("f"); !ok || f != 2.5 {
-		t.Fatalf("Float(f) = %v, %v", f, ok)
+	if f, ok := sl.ValueAt(at("f")); !ok || f != 2.5 {
+		t.Fatalf("ValueAt(f) = %v, %v", f, ok)
 	}
-	if b, ok := v.Bool("yes"); !ok || !b {
-		t.Fatalf("Bool(yes) = %v, %v", b, ok)
+	if b, ok := sl.BoolAt(at("yes")); !ok || !b {
+		t.Fatalf("BoolAt(yes) = %v, %v", b, ok)
 	}
-	if b, ok := v.Bool("no"); !ok || b {
-		t.Fatalf("Bool(no) = %v, %v", b, ok)
+	var no Slots
+	CompileRecord("no").Resolve(&v, &no)
+	if b, ok := no.BoolAt(0); !ok || b {
+		t.Fatalf("BoolAt(no) = %v, %v", b, ok)
 	}
-	if s, ok := v.Str("s"); !ok || string(s) != "hello" {
-		t.Fatalf("Str(s) = %q, %v", s, ok)
+	if s, ok := sl.StrAt(at("s")); !ok || string(s) != "hello" {
+		t.Fatalf("StrAt(s) = %q, %v", s, ok)
 	}
-	if b, ok := v.Bytes("b"); !ok || !bytes.Equal(b, []byte{7, 8}) {
-		t.Fatalf("Bytes(b) = %v, %v", b, ok)
+	if b, ok := sl.BytesAt(at("b")); !ok || !bytes.Equal(b, []byte{7, 8}) {
+		t.Fatalf("BytesAt(b) = %v, %v", b, ok)
 	}
-	if rec, ok := v.Record("rec"); !ok || !Equal(rec, Record{"inner": int64(1)}) {
-		t.Fatalf("Record(rec) = %v, %v", rec, ok)
+	rv, ok := sl.RecordAt(at("rec"))
+	if rec, err := rv.Fields(); !ok || err != nil || !Equal(rec, Record{"inner": int64(1)}) {
+		t.Fatalf("RecordAt(rec) = %v, %v, %v", rec, ok, err)
 	}
-	if val, ok := v.Value("nil"); !ok || val != nil {
-		t.Fatalf("Value(nil) = %v, %v", val, ok)
+	if val, ok := sl.ValueAt(at("nil")); !ok || val != nil {
+		t.Fatalf("ValueAt(nil) = %v, %v", val, ok)
 	}
-	if raw, ok := v.Raw("u"); !ok || !bytes.Equal(raw, mustEncode(uint64(99))) {
-		t.Fatalf("Raw(u) = %x, %v", raw, ok)
+	if raw, ok := sl.RawAt(at("u")); !ok || !bytes.Equal(raw, mustEncode(uint64(99))) {
+		t.Fatalf("RawAt(u) = %x, %v", raw, ok)
 	}
 }
 
 func TestViewMissesAndTypeMismatches(t *testing.T) {
 	data, _ := EncodeMessage(NewMessage("m", Record{"s": "x", "u": uint64(1)}))
 	v := mustParse(t, data)
-	if _, ok := v.Uint("absent"); ok {
-		t.Fatal("Uint(absent) hit")
+	// "zz" sorts after every present key: exercises the early-exit walk.
+	m := CompileSchema("m", "absent", "s", "u", "zz")
+	var sl Slots
+	m.Resolve(&v, &sl)
+	at := m.Slot
+	if _, ok := sl.UintAt(at("absent")); ok || sl.Has(at("absent")) {
+		t.Fatal("UintAt(absent) hit")
 	}
-	if _, ok := v.Uint("s"); ok {
-		t.Fatal("Uint on string field hit")
+	if _, ok := sl.UintAt(at("s")); ok {
+		t.Fatal("UintAt on string field hit")
 	}
-	if _, ok := v.Int("u"); ok {
-		t.Fatal("Int on uint field hit")
+	if _, ok := sl.IntAt(at("u")); ok {
+		t.Fatal("IntAt on uint field hit")
 	}
-	if _, ok := v.Str("u"); ok {
-		t.Fatal("Str on uint field hit")
+	if _, ok := sl.StrAt(at("u")); ok {
+		t.Fatal("StrAt on uint field hit")
 	}
-	if _, ok := v.Bytes("s"); ok {
-		t.Fatal("Bytes on string field hit")
+	if _, ok := sl.BytesAt(at("s")); ok {
+		t.Fatal("BytesAt on string field hit")
 	}
-	if _, ok := v.Bool("s"); ok {
-		t.Fatal("Bool on string field hit")
+	if _, ok := sl.BoolAt(at("s")); ok {
+		t.Fatal("BoolAt on string field hit")
 	}
-	if _, ok := v.Float("s"); ok {
-		t.Fatal("Float on string field hit")
+	if _, ok := sl.StringsAt(at("s"), nil); ok {
+		t.Fatal("StringsAt on string field hit")
 	}
-	if _, ok := v.Record("s"); ok {
-		t.Fatal("Record on string field hit")
+	if _, ok := sl.RecordAt(at("s")); ok {
+		t.Fatal("RecordAt on string field hit")
 	}
-	// "zz" sorts after every present key: exercises the early-exit scan.
-	if _, ok := v.Raw("zz"); ok {
-		t.Fatal("Raw(zz) hit")
+	if _, ok := sl.RawAt(at("zz")); ok || sl.Has(at("zz")) {
+		t.Fatal("RawAt(zz) hit")
 	}
 }
 
@@ -235,7 +248,10 @@ func TestSkipValueErrors(t *testing.T) {
 	}
 }
 
-func TestViewKeys(t *testing.T) {
+// TestViewAll: All yields every field, key and boxed value, in
+// canonical order, stops when the loop breaks, and yields nothing from
+// the zero view.
+func TestViewAll(t *testing.T) {
 	data, err := Append(nil, Record{"b": int64(1), "a": "x", "c": List{"y"}})
 	if err != nil {
 		t.Fatal(err)
@@ -244,11 +260,24 @@ func TestViewKeys(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := v.Keys([]string{"kept"}); !reflect.DeepEqual(got, []string{"kept", "a", "b", "c"}) {
-		t.Fatalf("Keys = %q, want the field names in canonical order after dst", got)
+	var keys []string
+	var vals List
+	for k, val := range v.All {
+		keys, vals = append(keys, string(k)), append(vals, val)
+	}
+	if !reflect.DeepEqual(keys, []string{"a", "b", "c"}) || !Equal(vals, List{"x", int64(1), List{"y"}}) {
+		t.Fatalf("All = %q %v, want the fields in canonical order", keys, vals)
+	}
+	n := 0
+	for range v.All {
+		n++
+		break
+	}
+	if n != 1 {
+		t.Fatalf("All went on %d times after a break", n)
 	}
 	var empty MsgView
-	if got := empty.Keys(nil); len(got) != 0 {
-		t.Fatalf("zero view Keys = %q", got)
+	for k := range empty.All {
+		t.Fatalf("zero view yields %q", k)
 	}
 }

@@ -2,6 +2,8 @@ package core
 
 import (
 	"fmt"
+
+	"repro/internal/codec"
 )
 
 // Key is a correlation key: a parameter value, optionally scoped to the
@@ -27,10 +29,27 @@ func (k Key) String() string {
 // result reports whether the event carries a key at all.
 type KeyFunc func(Event) (Key, bool)
 
+// keyParam is the string parameter a KeyFunc correlates by, with the
+// one-field record schema that reads it where no declared parameter's
+// slot does: outside an observer, or for a name the event's primitive
+// does not declare.
+type keyParam struct {
+	name   string
+	schema *codec.Schema
+}
+
+func newKeyParam(name string) *keyParam {
+	return &keyParam{name: name, schema: codec.CompileRecord(name)}
+}
+
+// keySlot is the slot of a keyParam's one field.
+const keySlot codec.Slot = 0
+
 // KeyParam correlates events by one string parameter (e.g. "resid").
 func KeyParam(param string) KeyFunc {
+	p := newKeyParam(param)
 	return func(e Event) (Key, bool) {
-		s, ok := e.str(param)
+		s, ok := e.str(p)
 		return Key{Value: s}, ok
 	}
 }
@@ -39,8 +58,9 @@ func KeyParam(param string) KeyFunc {
 // usual shape of the paper's *local* constraints ("for a given resource
 // identification", at a given access point).
 func KeySAPAndParam(param string) KeyFunc {
+	p := newKeyParam(param)
 	return func(e Event) (Key, bool) {
-		s, ok := e.str(param)
+		s, ok := e.str(p)
 		return Key{SAP: e.SAP, Value: s}, ok
 	}
 }

@@ -149,15 +149,18 @@ type Event struct {
 	obs *Observer
 }
 
-// str reads a string parameter. Under an Observer it reads the slot the
+// str reads the string parameter p. Under an Observer it reads what the
 // observer parsed (see Observer.param); otherwise it parses the params
-// and reads the parameter by name.
-func (e *Event) str(name string) (string, bool) {
+// against p's one-field schema. Malformed params carry no parameter.
+func (e *Event) str(p *keyParam) (string, bool) {
 	if e.obs != nil {
-		return e.obs.param(name)
+		return e.obs.param(p)
 	}
-	v, _ := codec.ParseRecord(e.Params) //nolint:errcheck // a malformed record has no parameters
-	b, ok := v.Str(name)
+	var sl codec.Slots
+	if p.schema.ParseRecord(e.Params, &sl) != nil {
+		return "", false
+	}
+	b, ok := sl.StrAt(keySlot)
 	return string(b), ok
 }
 
@@ -173,12 +176,10 @@ func (e Event) Label() string {
 	if err != nil {
 		sb.WriteString("<malformed params>")
 	}
-	for i, k := range v.Keys(nil) {
-		if i > 0 {
-			sb.WriteByte(',')
-		}
-		val, _ := v.Value(k)
-		fmt.Fprintf(&sb, "%s=%v", k, val)
+	sep := ""
+	for k, val := range v.All {
+		fmt.Fprintf(&sb, "%s%s=%v", sep, k, val)
+		sep = ","
 	}
 	sb.WriteByte(')')
 	return sb.String()

@@ -188,12 +188,13 @@ func (m *mapMonitor) AtEnd() error {
 // event's parameter yields as is — at a fixed SAP, and of a derived value.
 func denseSpec() *ServiceSpec {
 	hub := SAP{Role: "subscriber", ID: "hub"}
+	resid := newKeyParam("resid")
 	atHub := func(e Event) (Key, bool) {
-		s, ok := e.str("resid")
+		s, ok := e.str(resid)
 		return Key{SAP: hub, Value: s}, ok
 	}
 	derived := func(e Event) (Key, bool) {
-		s, ok := e.str("resid")
+		s, ok := e.str(resid)
 		return Key{SAP: e.SAP, Value: "x-" + s}, ok
 	}
 	res := []ParamDef{{Name: "resid", Kind: KindString}}

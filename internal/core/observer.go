@@ -158,20 +158,20 @@ func (o *Observer) Observe(sap SAP, primitive string, params []byte) error {
 	return first
 }
 
-// param reads the string parameter name of the event being observed.
+// param reads the string parameter p of the event being observed.
 // The first read of an event resolves it, and the ids of its keys (see
 // keyID); later reads of the same name (every monitor correlating by
 // it) return the cached value. The value is the key table's string, so
 // a value seen before costs no allocation.
 //
 //repolint:hotpath
-func (o *Observer) param(name string) (string, bool) {
+func (o *Observer) param(p *keyParam) (string, bool) {
 	c := &o.key
-	if c.set && c.name == name {
+	if c.set && c.name == p.name {
 		return c.val, c.ok
 	}
-	b, ok := o.paramBytes(name)
-	c.set, c.ok, c.name, c.val = true, ok, name, ""
+	b, ok := o.paramBytes(p)
+	c.set, c.ok, c.name, c.val = true, ok, p.name, ""
 	if ok {
 		c.local, c.remote = o.keys.pair(o.sap, b)
 		c.val = o.keys.keys[c.remote].Value
@@ -179,18 +179,21 @@ func (o *Observer) param(name string) (string, bool) {
 	return c.val, ok
 }
 
-// paramBytes reads the string parameter name: by slot when it is a
-// declared parameter, otherwise from the parsed view. Params that did
-// not parse leave every slot and the view empty, so they carry none.
-func (o *Observer) paramBytes(name string) ([]byte, bool) {
-	if p := o.cur; p != nil {
-		for i, decl := range p.def.Params {
-			if decl.Name == name {
-				return o.slots.StrAt(p.slots[i])
+// paramBytes reads the string parameter p: by the primitive's slot when
+// it is a declared parameter, otherwise by resolving p's one-field
+// schema in the parsed view. Params that did not parse leave every slot
+// and the view empty, so they carry none.
+func (o *Observer) paramBytes(p *keyParam) ([]byte, bool) {
+	if cur := o.cur; cur != nil {
+		for i, decl := range cur.def.Params {
+			if decl.Name == p.name {
+				return o.slots.StrAt(cur.slots[i])
 			}
 		}
 	}
-	return o.slots.View().Str(name)
+	var sl codec.Slots
+	p.schema.Resolve(o.slots.View(), &sl)
+	return sl.StrAt(keySlot)
 }
 
 // keyID returns the dense id of k, a key of the event being observed.

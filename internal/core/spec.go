@@ -186,7 +186,7 @@ func checkParams(prim *slottedPrim, sl *codec.Slots) error {
 			return fmt.Errorf("%w: %q missing parameter %q", ErrBadParams, p.Name, decl.Name)
 		}
 		if !kindAt(sl, slot, decl.Kind) {
-			return fmt.Errorf("%w: %q parameter %q: %v", ErrBadParams, p.Name, decl.Name, kindMismatch(sl.View(), decl))
+			return fmt.Errorf("%w: %q parameter %q: %v", ErrBadParams, p.Name, decl.Name, kindMismatch(sl, slot, decl))
 		}
 	}
 	return nil
@@ -207,10 +207,10 @@ func kindAt(sl *codec.Slots, i codec.Slot, k ParamKind) (ok bool) {
 	return ok
 }
 
-// kindMismatch renders why present parameter decl, which kindAt
-// rejected, is not of its declared kind.
-func kindMismatch(v *codec.MsgView, decl ParamDef) error {
-	got, _ := v.Value(decl.Name)
+// kindMismatch renders why parameter decl, present in slot i and
+// rejected by kindAt, is not of its declared kind.
+func kindMismatch(sl *codec.Slots, i codec.Slot, decl ParamDef) error {
+	got, _ := sl.ValueAt(i)
 	switch decl.Kind {
 	case KindString, KindInt, KindBool:
 		return fmt.Errorf("want %s, got %T", decl.Kind, got)

@@ -114,13 +114,16 @@ func Fig3MiddlewareParadigm(seed int64) (*Report, error) {
 	// {i}, marshalled through the echo primitive's compiled schema.
 	echo, _ := service.Spec().Primitive("echo")
 	schema := echo.Schema()
+	slotI := schema.Slot("i")
 	enc := func(buf []byte, i int64) ([]byte, error) {
 		e := schema.Encoder(buf)
 		e.Int("i", i)
 		return e.Finish()
 	}
 	dec := func(v codec.MsgView) (int64, error) {
-		i, _ := v.Int("i")
+		var sl codec.Slots
+		schema.Resolve(&v, &sl)
+		i, _ := sl.IntAt(slotI)
 		return i, nil
 	}
 	e, err := b.NewExport("server", "node-s")

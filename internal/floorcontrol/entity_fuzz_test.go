@@ -44,7 +44,9 @@ func freshName(data []byte) string {
 // the chat sequencer protocol, through the real Layer receive path over
 // an UnreliableDatagram. No entity may panic, and afterwards a
 // well-formed request→granted exchange (say→deliver for chat) must
-// still complete. Run bounded in CI (see .github/workflows/ci.yml, fuzz
+// still complete, and both subscribers contending for r0, a resource
+// the fuzzed bytes may name (a forged pass token carries it), must
+// violate no constraint. Run bounded in CI (see .github/workflows/ci.yml, fuzz
 // job) and by `make fuzz`.
 func FuzzEntityReceive(f *testing.F) {
 	ctrl := codec.Record{"subid": "s1", ParamResource: "r0"}
@@ -55,6 +57,7 @@ func FuzzEntityReceive(f *testing.F) {
 		legacyPDU(f, "is_available_req", ctrl),
 		legacyPDU(f, "is_available_resp", codec.Record{ParamResource: "r0", "available": true}),
 		legacyPDU(f, "pass", codec.Record{"available": codec.List{"r0"}}),
+		legacyPDU(f, "pass", codec.Record{"available": codec.List{"r0", "r0"}}),
 		legacyPDU(f, "pass", codec.Record{"available": "r0"}),
 		legacyPDU(f, "submit", codec.Record{chat.ParamMsgID: "m1", chat.ParamText: "hi"}),
 		legacyPDU(f, "ordered", codec.Record{chat.ParamMsgID: "m1", chat.ParamSpeaker: "s1", chat.ParamText: "hi"}),
@@ -109,7 +112,8 @@ func inject(t *testing.T, kernel *sim.Kernel, net *network.Network, data []byte,
 }
 
 // floorAfterGarbage builds sol over an UnreliableDatagram, injects data
-// into every entity, then requires s1's request for res to be granted.
+// into every entity, then requires s1's request for res to be granted;
+// s1 and s2 then request r0 at once, and no constraint may be violated.
 func floorAfterGarbage(t *testing.T, sol Solution, data []byte, res string) {
 	kernel, net := fuzzNet(t)
 	observer, err := core.NewObserver(Spec(), kernel)
@@ -142,8 +146,59 @@ func floorAfterGarbage(t *testing.T, sol Solution, data []byte, res string) {
 		t.Fatalf("%s: request for %q not granted after the fuzzed PDU", sol.Name(), res)
 	}
 	parts["s1"].Release(res)
+	// The fuzzed bytes may name r0, so its grants are not required, only
+	// safe: a forged token or grant must not hand it to both.
+	parts["s1"].Acquire("r0", func() {})
+	parts["s2"].Acquire("r0", func() {})
+	if _, err := kernel.RunUntil(kernel.Now() + time.Second); err != nil {
+		t.Fatal(err)
+	}
 	if v := observer.Violations(); len(v) > 0 {
 		t.Fatalf("%s: the fuzzed PDU broke the service: %v", sol.Name(), v[0])
+	}
+}
+
+// TestProtoTokenDropsForgedPass: a pass PDU from outside the ring is not
+// a second token. One pass {available: [r0]} injected at s2 of a
+// two-subscriber ring, then both subscribers acquiring r0, violates no
+// constraint and the ring's own token still serves both.
+func TestProtoTokenDropsForgedPass(t *testing.T) {
+	kernel, net := fuzzNet(t)
+	observer, err := core.NewObserver(Spec(), kernel)
+	if err != nil {
+		t.Fatal(err)
+	}
+	env := &Env{
+		Time: kernel, Net: net, Observer: observer,
+		Subscribers: []string{"s1", "s2"}, Resources: []string{"r0"},
+		TokenHopDelay: 2 * time.Millisecond,
+		Lower:         protocol.NewUnreliableDatagram(net),
+	}
+	parts, err := (&ProtoToken{}).Build(env)
+	if err != nil {
+		t.Fatal(err)
+	}
+	forged, err := codec.AppendMessage(nil, codec.NewMessage("pass", codec.Record{"available": codec.List{"r0"}}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	inject(t, kernel, net, forged, []protocol.Addr{"s2"})
+	granted := 0
+	for _, sub := range []string{"s1", "s2"} {
+		part := parts[sub]
+		part.Acquire("r0", func() {
+			granted++
+			kernel.ScheduleFunc(5*time.Millisecond, func() { part.Release("r0") })
+		})
+	}
+	if _, err := kernel.RunUntil(kernel.Now() + time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if v := observer.Violations(); len(v) > 0 {
+		t.Fatalf("a forged pass broke the ring: %v", v[0])
+	}
+	if granted != 2 {
+		t.Fatalf("%d of 2 requests for r0 granted", granted)
 	}
 }
 
@@ -161,9 +216,11 @@ func chatAfterGarbage(t *testing.T, data []byte, msgID string) {
 
 	sap := chat.ParticipantSAP("p1")
 	delivered := false
+	msgIDRec := codec.CompileRecord(chat.ParamMsgID)
 	provider.Attach(sap, func(prim string, params []byte) {
-		v, _ := codec.ParseRecord(params) //nolint:errcheck // a malformed record has no msgid
-		if id, _ := v.Str(chat.ParamMsgID); prim == chat.PrimDeliver && string(id) == msgID {
+		var sl codec.Slots
+		_ = msgIDRec.ParseRecord(params, &sl) //nolint:errcheck // a malformed record has no msgid
+		if id, _ := sl.StrAt(0); prim == chat.PrimDeliver && string(id) == msgID {
 			delivered = true
 		}
 	})

@@ -16,6 +16,12 @@ import (
 // middleware platform.
 const ParadigmMDA Paradigm = "mda"
 
+// pimAbstract is the abstract platform the PIM's service logic is
+// written against: directed asynchronous messaging.
+func pimAbstract() mda.AbstractPlatform {
+	return mda.AbstractPlatform{Name: "directed-messaging", Requires: []mda.Concept{mda.ConceptAsyncMessage}}
+}
+
 // PIM returns the platform-independent service design of the floor-control
 // service: the Figure 11 artifact. The service logic is callback-style
 // (controller + per-SAP agents) written against the abstract async-message
@@ -26,12 +32,9 @@ const ParadigmMDA Paradigm = "mda"
 func PIM(resources []string) *mda.PIM {
 	resources = append([]string(nil), resources...)
 	return &mda.PIM{
-		Name:    "floor-control-pim",
-		Service: Spec(),
-		Abstract: mda.AbstractPlatform{
-			Name:     "directed-messaging",
-			Requires: []mda.Concept{mda.ConceptAsyncMessage},
-		},
+		Name:     "floor-control-pim",
+		Service:  Spec(),
+		Abstract: pimAbstract(),
 		Build: func(plan mda.Plan) (*mda.Logic, error) {
 			if len(plan.SAPs) == 0 {
 				return nil, fmt.Errorf("floorcontrol: PIM needs at least one SAP")
@@ -197,7 +200,7 @@ func (*MDASolution) Figure() string { return "Fig 10-12" }
 // live behind the service boundary.
 func (s *MDASolution) Scattering(int) Scattering {
 	ops := 3 + 3 // controller logic + agent logic handlers
-	if real, err := mda.Realize(PIM(nil).Abstract, s.Target, mda.DefaultRules()); err == nil {
+	if real, err := mda.Realize(pimAbstract(), s.Target, mda.DefaultRules()); err == nil {
 		ops += len(real.Adapters)
 	}
 	return Scattering{InteractionSystemOps: ops}

@@ -48,10 +48,12 @@ func (s *ProtoToken) Build(env *Env) (map[string]AppPart, error) {
 		return nil, fmt.Errorf("floorcontrol: %s requires at least one subscriber", s.Name())
 	}
 	return buildProtocolSolution(env, s.Name(), func(layer *protocol.Layer) error {
-		entities := make([]*tokenSubEntity, len(env.Subscribers))
+		n := len(env.Subscribers)
+		entities := make([]*tokenSubEntity, n)
 		for i, sub := range env.Subscribers {
-			next := env.Subscribers[(i+1)%len(env.Subscribers)]
-			e := &tokenSubEntity{next: protocol.Addr(next), hop: env.TokenHopDelay, names: env.names()}
+			prev, next := env.Subscribers[(i+n-1)%n], env.Subscribers[(i+1)%n]
+			e := &tokenSubEntity{prev: protocol.Addr(prev), next: protocol.Addr(next),
+				hop: env.TokenHopDelay, names: env.names()}
 			if err := layer.AddEntity(protocol.Addr(sub), e); err != nil {
 				return fmt.Errorf("floorcontrol: add token entity %q: %w", sub, err)
 			}
@@ -67,6 +69,7 @@ func (s *ProtoToken) Build(env *Env) (map[string]AppPart, error) {
 
 // tokenSubEntity is one ring position.
 type tokenSubEntity struct {
+	prev   protocol.Addr // the ring predecessor, the one source of pass
 	next   protocol.Addr
 	hop    time.Duration
 	ctx    *protocol.Context
@@ -76,13 +79,11 @@ type tokenSubEntity struct {
 	wantRes   string
 	toRelease []string
 
-	// held holds the availability list of each token this entity
-	// forwards after its hop delay, oldest first; pass, built once in
-	// Init, forwards the oldest. The ring's own traffic keeps one token
-	// in circulation, so held has at most one entry, but a pass PDU
-	// forged by another sender is a second token: the queue gives each
-	// its own list, in the order the kernel fires the equal-delay hops.
-	held [][]string
+	// held is the availability list of the token this entity forwards
+	// after its hop delay; pass, built once in Init, forwards it. A pass
+	// from any source but the ring predecessor is dropped, so the ring
+	// keeps its one token and one slot holds it.
+	held []string
 	pass func()
 }
 
@@ -91,7 +92,7 @@ var _ protocol.Entity = (*tokenSubEntity)(nil)
 // Init implements protocol.Entity.
 func (e *tokenSubEntity) Init(ctx *protocol.Context) error {
 	e.ctx = ctx
-	e.pass = e.passOldest
+	e.pass = e.passHeld
 	return nil
 }
 
@@ -113,8 +114,13 @@ func (e *tokenSubEntity) FromUser(primitive string, params []byte) error {
 	}
 }
 
-// FromPeer implements protocol.Entity.
-func (e *tokenSubEntity) FromPeer(_ protocol.Addr, pdu codec.MsgView) error {
+// FromPeer implements protocol.Entity. The token comes from the ring
+// predecessor only: a pass from any other source would be a second
+// token, and is dropped.
+func (e *tokenSubEntity) FromPeer(src protocol.Addr, pdu codec.MsgView) error {
+	if src != e.prev {
+		return fmt.Errorf("floorcontrol: PDU %q from %s, not the ring predecessor %s", pdu.Name(), src, e.prev)
+	}
 	if !pdu.NameIs(pduPass.Name()) {
 		return fmt.Errorf("floorcontrol: unexpected PDU %q at token entity", pdu.Name())
 	}
@@ -145,16 +151,14 @@ func (e *tokenSubEntity) onToken(avail []string) {
 	if grantedRes != "" {
 		e.ctx.DeliverToUser(PrimGranted, e.params.of(grantedRes))
 	}
-	e.held = append(e.held, avail)
+	e.held = avail
 	e.ctx.Schedule(e.hop, e.pass)
 }
 
-// passOldest forwards the oldest held token to the next ring position.
-func (e *tokenSubEntity) passOldest() {
-	avail := e.held[0]
-	n := copy(e.held, e.held[1:])
-	e.held[n] = nil
-	e.held = e.held[:n]
+// passHeld forwards the held token to the next ring position.
+func (e *tokenSubEntity) passHeld() {
+	avail := e.held
+	e.held = nil
 	if err := pduPass.Send(e.ctx, e.next, tokenArgs{Available: avail}); err != nil {
 		panic(fmt.Sprintf("floorcontrol: token pass to %q: %v", e.next, err))
 	}

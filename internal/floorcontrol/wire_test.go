@@ -175,11 +175,11 @@ func TestObservationParamsReadOnly(t *testing.T) {
 				if len(e.Params) > 0 && &e.Params[0] == &c.env.obsBuf[0] {
 					t.Fatalf("traced %s shares the Env's params buffer", e.Label())
 				}
-				v, err := codec.ParseRecord(e.Params)
-				if err != nil {
+				var sl codec.Slots
+				if err := sapParams.ParseRecord(e.Params, &sl); err != nil {
 					t.Fatalf("traced %s: %v", e.Label(), err)
 				}
-				r, _ := v.Str(ParamResource)
+				r, _ := sl.StrAt(slotResid)
 				seen[string(r)] = true
 			}
 			if len(seen) != 3 || !seen["r1"] || !seen["r2"] || !seen["r3"] {

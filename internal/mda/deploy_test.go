@@ -53,8 +53,8 @@ func fieldsOf(params []byte) codec.Record {
 // recordOf materializes (copies) every field of a view.
 func recordOf(v codec.MsgView) codec.Record {
 	r := codec.Record{}
-	for _, k := range v.Keys(nil) {
-		r[k], _ = v.Value(k)
+	for k, val := range v.All {
+		r[string(k)] = val
 	}
 	return r
 }

@@ -40,15 +40,16 @@ func TestSubscribeTopicView(t *testing.T) {
 	events := 0
 	err := p.SubscribeTopicView("floor", "n1", func(v codec.MsgView) {
 		events++
-		topic, _ := v.Str("topic")
-		name, _ := v.Str("name")
+		sl := envelope(v)
+		topic, _ := sl.StrAt(envTopic)
+		name, _ := sl.StrAt(envName)
 		gotTopic, gotName = string(topic), string(name)
-		fields, ok := v.View("fields")
+		rec, ok := sl.RecordAt(envFields)
 		if !ok {
 			t.Error("event view has no fields record")
 			return
 		}
-		if s, ok := fields.Uint("seq"); ok {
+		if s, ok := fields(rec)["seq"].(uint64); ok {
 			gotSeq = s
 		}
 	})

@@ -47,7 +47,7 @@ func TestFederatedFanout(t *testing.T) {
 	for i := 0; i < nodes; i++ {
 		node := Addr(fmt.Sprintf("n%d", i))
 		if err := p.SubscribeTopicView("ticks", node, func(v codec.MsgView) {
-			if name, _ := v.Str("name"); string(name) != "tick" {
+			if name := msgName(v); name != "tick" {
 				t.Errorf("node %s got message %q", node, name)
 			}
 			got[string(node)]++
@@ -172,8 +172,9 @@ func TestFederatedMatchesFlatDeliveries(t *testing.T) {
 			node := Addr(fmt.Sprintf("n%d", i%6))
 			sink := fmt.Sprintf("%s/%d", node, i)
 			if err := p.SubscribeTopicView("x", node, func(v codec.MsgView) {
-				fields, _ := v.View("fields")
-				seq, _ := fields.Uint("seq")
+				sl := envelope(v)
+				rec, _ := sl.RecordAt(envFields)
+				seq, _ := fields(rec)["seq"].(uint64)
 				got[sink] = append(got[sink], seq)
 			}); err != nil {
 				t.Fatal(err)

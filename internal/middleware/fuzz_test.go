@@ -1,7 +1,6 @@
 package middleware_test
 
 import (
-	"errors"
 	"testing"
 
 	"repro/internal/codec"
@@ -21,7 +20,12 @@ type fuzzArgs struct {
 	Tags []string
 }
 
-var recFuzzArgs = codec.CompileRecord("seq", "subid", "tags")
+var (
+	recFuzzArgs = codec.CompileRecord("seq", "subid", "tags")
+	slotFuzzSeq = recFuzzArgs.Slot("seq")
+	slotFuzzSub = recFuzzArgs.Slot("subid")
+	slotFuzzTag = recFuzzArgs.Slot("tags")
+)
 
 func encFuzzArgs(buf []byte, a fuzzArgs) ([]byte, error) {
 	e := recFuzzArgs.Encoder(buf)
@@ -32,9 +36,11 @@ func encFuzzArgs(buf []byte, a fuzzArgs) ([]byte, error) {
 }
 
 func decFuzzArgs(v codec.MsgView) (fuzzArgs, error) {
-	sub, _ := v.Str("subid")
-	seq, _ := v.Int("seq")
-	tags, _ := v.Strings("tags", nil)
+	var sl codec.Slots
+	recFuzzArgs.Resolve(&v, &sl)
+	sub, _ := sl.StrAt(slotFuzzSub)
+	seq, _ := sl.IntAt(slotFuzzSeq)
+	tags, _ := sl.StringsAt(slotFuzzTag, nil)
 	return fuzzArgs{Sub: string(sub), Seq: seq, Tags: tags}, nil
 }
 
@@ -146,14 +152,7 @@ func topicPlatform(t *testing.T, broker middleware.Addr, leaves ...middleware.Ad
 	if err != nil {
 		t.Fatal(err)
 	}
-	dec := func(v codec.MsgView) (fuzzArgs, error) {
-		fields, ok := v.View("fields")
-		if !ok {
-			return fuzzArgs{}, errors.New("event fields are not a record")
-		}
-		return decFuzzArgs(fields)
-	}
-	if _, err := svc.NewTopicSource(b, "news", "node-w", dec, func(fuzzArgs) {}); err != nil {
+	if _, err := svc.NewTopicSource(b, "news", "node-w", decFuzzArgs, func(fuzzArgs) {}); err != nil {
 		t.Fatal(err)
 	}
 	return k, p

@@ -37,18 +37,33 @@ func wire(r codec.Record) []byte {
 	return b
 }
 
-// msgName copies the "name" field out of a borrowed queue-delivery or
-// event envelope view.
+// testEnvelope reads a borrowed queue-delivery (mw.deliver) or event
+// (mw.event) envelope view by slot: one superset of both field sets.
+var (
+	testEnvelope = codec.CompileRecord("fields", "name", "queue", "topic")
+	envFields    = testEnvelope.Slot("fields")
+	envName      = testEnvelope.Slot("name")
+	envTopic     = testEnvelope.Slot("topic")
+)
+
+// envelope resolves an envelope view against testEnvelope.
+func envelope(v codec.MsgView) (sl codec.Slots) {
+	testEnvelope.Resolve(&v, &sl)
+	return sl
+}
+
+// msgName copies the "name" field out of a borrowed envelope view.
 func msgName(v codec.MsgView) string {
-	name, _ := v.Str("name")
+	sl := envelope(v)
+	name, _ := sl.StrAt(envName)
 	return string(name)
 }
 
 // fields materializes a borrowed record view for assertions.
 func fields(v codec.MsgView) codec.Record {
 	r := codec.Record{}
-	for _, k := range v.Keys(nil) {
-		r[k], _ = v.Value(k)
+	for k, val := range v.All {
+		r[string(k)] = val
 	}
 	return r
 }
@@ -221,8 +236,7 @@ func TestOneway(t *testing.T) {
 	k, p := newPlatform(t, ProfileJMSLike, 0)
 	var got []string
 	sink := ObjectFunc(func(op []byte, args codec.MsgView, _ Reply) {
-		v, _ := args.Int("v")
-		got = append(got, fmt.Sprintf("%s:%d", op, v))
+		got = append(got, fmt.Sprintf("%s:%d", op, fields(args)["v"]))
 	})
 	if _, err := p.Register("sink", "node-s", sink); err != nil {
 		t.Fatal(err)
@@ -385,7 +399,8 @@ func TestQueueBacklogSurvivesBufferReuse(t *testing.T) {
 	var gotFields [][]byte
 	if err := p.QueueSubscribe("early", "w1", func(v codec.MsgView) {
 		gotNames = append(gotNames, msgName(v))
-		raw, _ := v.Raw("fields")
+		sl := envelope(v)
+		raw, _ := sl.RawAt(envFields)
 		gotFields = append(gotFields, append([]byte(nil), raw...))
 	}); err != nil {
 		t.Fatal(err)
@@ -468,7 +483,8 @@ func TestPublishRecordParity(t *testing.T) {
 	run := func(publish func(p *Platform) error) (seen []string, wire uint64) {
 		k, p := newPlatform(t, ProfileCORBALike, 0)
 		if err := p.SubscribeTopicView("news", "n1", func(v codec.MsgView) {
-			fields, _ := v.Raw("fields")
+			sl := envelope(v)
+			fields, _ := sl.RawAt(envFields)
 			seen = append(seen, fmt.Sprintf("%s % x", msgName(v), fields))
 		}); err != nil {
 			t.Fatal(err)

@@ -79,11 +79,12 @@ func FuzzReliableReceive(f *testing.F) {
 		var want []string
 		mustDeliver := false
 		if v, err := codec.ParseMessage(data); err == nil && v.NameIs("rdp.data") {
-			rinc, hasRinc := v.Uint("rinc")
-			if seq, ok := v.Uint("seq"); ok && seq == 0 && (!hasRinc || uint32(rinc) >= 1) {
-				payload, _ := v.Bytes("payload")
+			f := recordOf(v)
+			rinc, hasRinc := f["rinc"].(uint64)
+			if seq, ok := f["seq"].(uint64); ok && seq == 0 && (!hasRinc || uint32(rinc) >= 1) {
+				payload, _ := f["payload"].([]byte)
 				want = []string{"a:" + string(payload)}
-				_, hasInc := v.Uint("inc")
+				_, hasInc := f["inc"].(uint64)
 				mustDeliver = !hasInc && !hasRinc
 			}
 		}

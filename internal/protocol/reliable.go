@@ -146,14 +146,13 @@ type pending struct {
 // recvFlow tracks one directed receive flow. Out-of-order PDUs wait in a
 // ring keyed by seq modulo the ring size: conforming senders only emit
 // within Window of the receiver's expectation, so the ring covers every
-// reachable distance without hashing. PDUs beyond the ring's horizon
-// (possible only for non-conforming senders) spill into a lazily
-// allocated overflow map, preserving the exact pre-ring semantics.
+// reachable distance without hashing. A PDU beyond the ring's horizon
+// (possible only for non-conforming senders) is dropped, as a lost one
+// is.
 type recvFlow struct {
 	expected uint64
 	ring     []heldPDU
-	held     int // ring + overflow occupancy, capped at ReorderBuffer
-	overflow map[uint64]*codec.Buffer
+	held     int    // ring occupancy, capped at ReorderBuffer
 	peerInc  uint32 // sender incarnation this flow tracks (0 until first data)
 	free     *recvFlow
 }
@@ -546,81 +545,39 @@ func (r *ReliableDatagram) onData(src, dst int32, sl *codec.Slots) {
 	}
 }
 
-// hold buffers one out-of-order PDU, respecting the ReorderBuffer
-// occupancy cap and duplicate-hold semantics of the original map-based
-// buffer.
+// hold buffers one out-of-order PDU in the ring, up to the
+// ReorderBuffer occupancy cap. Within the ring's horizon every seq has
+// a slot of its own, so an occupied slot holds this seq already. A PDU
+// beyond the horizon, which only a sender breaking go-back-N's window
+// can send, is dropped: its retransmission is held or delivered once
+// the window reaches it.
 func (f *recvFlow) hold(seq uint64, payload []byte, limit int) {
-	if limit <= 0 {
-		return
-	}
 	ringCap := uint64(len(f.ring))
-	if dist := seq - f.expected; ringCap > 0 && dist <= ringCap {
-		slot := &f.ring[seq%ringCap]
-		if slot.buf != nil {
-			// Occupied: same seq = duplicate hold (drop); a different
-			// seq cannot collide within the window horizon, but a
-			// non-conforming sender could force it — spill over.
-			if slot.seq == seq {
-				return
-			}
-		} else {
-			if f.held >= limit {
-				return
-			}
-			if len(f.overflow) > 0 {
-				// The seq may have been overflow-held while it was
-				// beyond the ring horizon and re-sent now that the
-				// window moved: still a duplicate hold.
-				if _, dup := f.overflow[seq]; dup {
-					return
-				}
-			}
-			b := codec.GetBuffer()
-			b.B = append(b.B[:0], payload...)
-			*slot = heldPDU{seq: seq, buf: b}
-			f.held++
-			return
-		}
-	}
-	// Beyond the ring horizon (or a forced collision): overflow map,
-	// lazily allocated — never touched by conforming traffic.
-	if _, dup := f.overflow[seq]; dup || f.held >= limit {
+	if limit <= 0 || f.held >= limit || seq-f.expected > ringCap {
 		return
 	}
-	if f.overflow == nil {
-		f.overflow = make(map[uint64]*codec.Buffer)
+	slot := &f.ring[seq%ringCap]
+	if slot.buf != nil {
+		return // a duplicate hold
 	}
 	b := codec.GetBuffer()
 	b.B = append(b.B[:0], payload...)
-	f.overflow[seq] = b
+	*slot = heldPDU{seq: seq, buf: b}
 	f.held++
 }
 
 // drain pops consecutively held PDUs starting at f.expected,
 // advancing it past each.
 func (f *recvFlow) drain(drained []*codec.Buffer) []*codec.Buffer {
-	ringCap := uint64(len(f.ring))
 	for f.held > 0 {
-		if ringCap > 0 {
-			slot := &f.ring[f.expected%ringCap]
-			if slot.buf != nil && slot.seq == f.expected {
-				drained = append(drained, slot.buf)
-				*slot = heldPDU{}
-				f.held--
-				f.expected++
-				continue
-			}
+		slot := &f.ring[f.expected%uint64(len(f.ring))]
+		if slot.buf == nil || slot.seq != f.expected {
+			break
 		}
-		if len(f.overflow) > 0 {
-			if b, ok := f.overflow[f.expected]; ok {
-				delete(f.overflow, f.expected)
-				drained = append(drained, b)
-				f.held--
-				f.expected++
-				continue
-			}
-		}
-		break
+		drained = append(drained, slot.buf)
+		*slot = heldPDU{}
+		f.held--
+		f.expected++
 	}
 	return drained
 }
@@ -803,10 +760,6 @@ func (f *recvFlow) reset() {
 			f.ring[i].buf.Release()
 			f.ring[i] = heldPDU{}
 		}
-	}
-	for seq, b := range f.overflow {
-		b.Release()
-		delete(f.overflow, seq)
 	}
 	f.held = 0
 	f.expected = 0

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"go/format"
+	"slices"
 	"sort"
 	"time"
 
@@ -335,34 +336,38 @@ func (m *Model) emitPrimitive(e *emitter, p Primitive) {
 	e.p("}")
 	e.emptyLine()
 
-	// View decoder.
+	// Slot decoder: the schema's slots are its fields in canonical order.
 	e.p("// Decode%sParams decodes a %q parameter record from a view of its", p.Go, name)
-	e.p("// wire form, copying what it keeps. Absent parameters decode to zero")
-	e.p("// values; mistyped ones are rejected.")
+	e.p("// wire form, read by slot through Schema%s, copying what it keeps.", p.Go)
+	e.p("// Absent parameters decode to zero values; mistyped ones are rejected.")
 	if len(p.Params) == 0 {
 		e.p("func Decode%sParams(codec.MsgView) (%sParams, error) {", p.Go, p.Go)
 		e.p("\treturn %sParams{}, nil", p.Go)
 		e.p("}")
 	} else {
 		e.p("func Decode%sParams(v codec.MsgView) (%sParams, error) {", p.Go, p.Go)
+		e.p("\tvar sl codec.Slots")
+		e.p("\tSchema%s.Resolve(&v, &sl)", p.Go)
 		e.p("\tvar p %sParams", p.Go)
+		sorted := sortedParams(p.Params)
 		for _, param := range p.Params {
 			pn := param.Decl.Name
+			slot := slices.IndexFunc(sorted, func(q Param) bool { return q.Decl.Name == pn })
 			switch param.Decl.Kind {
 			case core.KindInt:
-				e.p("\tif n, ok := v.Int(%q); ok {", pn)
+				e.p("\tif n, ok := sl.IntAt(%d); ok { // %s", slot, pn)
 				e.p("\t\tp.%s = n", param.Go)
 			case core.KindBool:
-				e.p("\tif b, ok := v.Bool(%q); ok {", pn)
+				e.p("\tif b, ok := sl.BoolAt(%d); ok { // %s", slot, pn)
 				e.p("\t\tp.%s = b", param.Go)
 			case core.KindStringList:
-				e.p("\tif xs, ok := v.Strings(%q, nil); ok {", pn)
+				e.p("\tif xs, ok := sl.StringsAt(%d, nil); ok { // %s", slot, pn)
 				e.p("\t\tp.%s = xs", param.Go)
 			default:
-				e.p("\tif s, ok := v.Str(%q); ok {", pn)
+				e.p("\tif s, ok := sl.StrAt(%d); ok { // %s", slot, pn)
 				e.p("\t\tp.%s = string(s)", param.Go)
 			}
-			e.p("\t} else if v.Has(%q) {", pn)
+			e.p("\t} else if sl.Has(%d) {", slot)
 			e.p("\t\treturn p, fmt.Errorf(\"%s: parameter %%q: want %s\", %q)", name, kindLabel(param.Decl.Kind), pn)
 			e.p("\t}")
 		}
@@ -393,20 +398,10 @@ func (m *Model) emitPrimitive(e *emitter, p Primitive) {
 		e.p("\treturn svc.NewTopicSink(b, topic, Prim%s, Append%sParams)", p.Go, p.Go)
 		e.p("}")
 		e.emptyLine()
-		e.p("// Decode%sView decodes a published %q event from the zero-copy", p.Go, name)
-		e.p("// delivery plane.")
-		e.p("func Decode%sView(v codec.MsgView) (%sParams, error) {", p.Go, p.Go)
-		e.p("\tfields, ok := v.View(\"fields\")")
-		e.p("\tif !ok {")
-		e.p("\t\treturn %sParams{}, fmt.Errorf(\"%s: event carries no parameter record\")", p.Go, name)
-		e.p("\t}")
-		e.p("\treturn Decode%sParams(fields)", p.Go)
-		e.p("}")
-		e.emptyLine()
 		e.p("// New%sTopicSource subscribes node to %q events on topic, delivering", p.Go, name)
-		e.p("// decoded parameters to fn.")
+		e.p("// each event's decoded parameter record to fn.")
 		e.p("func New%sTopicSource(b *svc.Binding, topic string, node middleware.Addr, fn func(%sParams)) (*svc.Source[%sParams], error) {", p.Go, p.Go, p.Go)
-		e.p("\treturn svc.NewTopicSource(b, topic, node, Decode%sView, fn)", p.Go)
+		e.p("\treturn svc.NewTopicSource(b, topic, node, Decode%sParams, fn)", p.Go)
 		e.p("}")
 		e.emptyLine()
 		e.p("// Handle%s registers the user-part handler for primitive %q", p.Go, name)

@@ -159,7 +159,7 @@ func Build(doc *sdl.Document, pkg, source string) (*Model, error) {
 			stems = append(stems, "New"+g+"Port")
 		} else {
 			stems = append(stems,
-				"New"+g+"Sink", "New"+g+"TopicSink", "New"+g+"TopicSource", "Decode"+g+"View")
+				"New"+g+"Sink", "New"+g+"TopicSink", "New"+g+"TopicSource")
 		}
 		for _, s := range stems {
 			if err := reserve(s, owner); err != nil {

@@ -51,7 +51,10 @@ type benchResp struct{ N uint64 }
 
 // recBench is the wire layout of the benchmark request and response:
 // one unsigned field "n".
-var recBench = codec.CompileRecord("n")
+var (
+	recBench   = codec.CompileRecord("n")
+	slotBenchN = recBench.Slot("n")
+)
 
 func appendBenchN(buf []byte, n uint64) ([]byte, error) {
 	e := recBench.Encoder(buf)
@@ -63,15 +66,17 @@ func encBenchReq(buf []byte, r benchReq) ([]byte, error) { return appendBenchN(b
 
 func encBenchResp(buf []byte, r benchResp) ([]byte, error) { return appendBenchN(buf, r.N) }
 
-func decBenchReq(v codec.MsgView) (benchReq, error) {
-	n, _ := v.Uint("n")
-	return benchReq{N: n}, nil
+// benchN reads the n field of a request or response record by slot.
+func benchN(v *codec.MsgView) uint64 {
+	var sl codec.Slots
+	recBench.Resolve(v, &sl)
+	n, _ := sl.UintAt(slotBenchN)
+	return n
 }
 
-func decBenchResp(v codec.MsgView) (benchResp, error) {
-	n, _ := v.Uint("n")
-	return benchResp{N: n}, nil
-}
+func decBenchReq(v codec.MsgView) (benchReq, error) { return benchReq{N: benchN(&v)}, nil }
+
+func decBenchResp(v codec.MsgView) (benchResp, error) { return benchResp{N: benchN(&v)}, nil }
 
 // rawEcho is the hand-written dispatch object of the raw-platform
 // baseline: it answers "echo" with n+1, encoding into one reused buffer.
@@ -82,8 +87,7 @@ func rawEcho() middleware.Object {
 			reply(nil, fmt.Errorf("%w: %q", middleware.ErrUnknownOperation, op))
 			return
 		}
-		n, _ := args.Uint("n")
-		out, _ = appendBenchN(out[:0], n+1)
+		out, _ = appendBenchN(out[:0], benchN(&args)+1)
 		reply(out, nil)
 	})
 }
@@ -353,7 +357,7 @@ func TestSvcCallAddsNoAllocations(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		gotRaw, _ = r.Uint("n")
+		gotRaw = benchN(&r)
 	}
 	args, _ := appendBenchN(nil, 1)
 	warmRaw := func() {

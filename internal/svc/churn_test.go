@@ -123,8 +123,7 @@ func TestExportRebindFailover(t *testing.T) {
 		// Failover: re-home the crashed export, then retry.
 		if err := p.Rebind("server", "node-t", middleware.ObjectFunc(
 			func(op []byte, args codec.MsgView, reply middleware.Reply) {
-				n, _ := args.Int("n")
-				out, _ := appendN(nil, n+100)
+				out, _ := appendN(nil, readN(&args)+100)
 				reply(out, nil)
 			})); err != nil {
 			t.Error(err)

@@ -82,8 +82,8 @@ func (s *Sink[T]) Send(from middleware.Addr, v T) error {
 }
 
 // Source is a typed receive endpoint: a queue consumption or topic
-// subscription whose deliveries are decoded and handed to the
-// application handler. Decode failures are counted and dropped (wire
+// subscription whose deliveries' field records are decoded and handed
+// to the application handler. Decode failures are counted and dropped (wire
 // corruption below the service boundary is not the application's
 // concern).
 type Source[T any] struct {
@@ -97,11 +97,37 @@ func (s *Source[T]) Received() uint64 { return s.received }
 // Dropped reports how many deliveries failed to decode.
 func (s *Source[T]) Dropped() uint64 { return s.dropped }
 
+// schemaEnvelope reads the field record of a queue or topic delivery's
+// envelope (mw.deliver, mw.event), the one field a source needs.
+var (
+	schemaEnvelope = codec.CompileRecord("fields")
+	slotFields     = schemaEnvelope.Slot("fields")
+)
+
+// deliver hands the field record of envelope v to dec and the decoded
+// value to fn. A delivery whose fields are not a record, or that dec
+// rejects, counts as dropped.
+func (s *Source[T]) deliver(v *codec.MsgView, dec func(codec.MsgView) (T, error), fn func(T)) {
+	var sl codec.Slots
+	schemaEnvelope.Resolve(v, &sl)
+	fields, ok := sl.RecordAt(slotFields)
+	if !ok {
+		s.dropped++
+		return
+	}
+	val, err := dec(fields)
+	if err != nil {
+		s.dropped++
+		return
+	}
+	s.received++
+	fn(val)
+}
+
 // NewQueueSource subscribes node as a consumer of a declared queue,
 // delivering decoded values to fn in arrival order. dec decodes the
 // message's field record from a view of the delivery buffer (the
-// HandleOp contract: valid only while dec runs); a delivery whose fields
-// are not a record counts as dropped.
+// HandleOp contract: valid only while dec runs).
 func NewQueueSource[T any](b *Binding, queue string, node middleware.Addr,
 	dec func(codec.MsgView) (T, error), fn func(T)) (*Source[T], error) {
 	if err := b.supports(middleware.PatternQueue); err != nil {
@@ -112,27 +138,16 @@ func NewQueueSource[T any](b *Binding, queue string, node middleware.Addr,
 	}
 	src := &Source[T]{}
 	if err := b.plat.QueueSubscribe(queue, node, func(v codec.MsgView) {
-		fields, ok := v.View("fields")
-		if !ok {
-			src.dropped++
-			return
-		}
-		val, derr := dec(fields)
-		if derr != nil {
-			src.dropped++
-			return
-		}
-		src.received++
-		fn(val)
+		src.deliver(&v, dec, fn)
 	}); err != nil {
 		return nil, wrapErr(err)
 	}
 	return src, nil
 }
 
-// NewTopicSource subscribes node to a topic on the zero-copy plane: the
-// decoder reads the event through a codec.MsgView aliasing the
-// transport's pooled delivery buffer (valid only until it returns), so a
+// NewTopicSource subscribes node to a topic on the zero-copy plane: dec
+// decodes the event's field record from a view aliasing the transport's
+// pooled delivery buffer (valid only until it returns), so a
 // steady-state delivery costs no allocations beyond what the decoded T
 // itself retains.
 func NewTopicSource[T any](b *Binding, topic string, node middleware.Addr,
@@ -145,13 +160,7 @@ func NewTopicSource[T any](b *Binding, topic string, node middleware.Addr,
 	}
 	src := &Source[T]{}
 	if err := b.plat.SubscribeTopicView(topic, node, func(v codec.MsgView) {
-		val, derr := dec(v)
-		if derr != nil {
-			src.dropped++
-			return
-		}
-		src.received++
-		fn(val)
+		src.deliver(&v, dec, fn)
 	}); err != nil {
 		return nil, wrapErr(err)
 	}

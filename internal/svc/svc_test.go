@@ -2,7 +2,6 @@ package svc_test
 
 import (
 	"errors"
-	"fmt"
 	"testing"
 	"time"
 
@@ -61,7 +60,18 @@ type pingResp struct{ N int64 }
 
 // recN is the wire layout of every test request and response: one int
 // field "n".
-var recN = codec.CompileRecord("n")
+var (
+	recN  = codec.CompileRecord("n")
+	slotN = recN.Slot("n")
+)
+
+// readN reads the n field of a request or response record by slot.
+func readN(v *codec.MsgView) int64 {
+	var sl codec.Slots
+	recN.Resolve(v, &sl)
+	n, _ := sl.IntAt(slotN)
+	return n
+}
 
 func appendN(buf []byte, n int64) ([]byte, error) {
 	e := recN.Encoder(buf)
@@ -73,15 +83,9 @@ func encPing(buf []byte, r pingReq) ([]byte, error) { return appendN(buf, r.N) }
 
 func encPong(buf []byte, r pingResp) ([]byte, error) { return appendN(buf, r.N) }
 
-func decPing(v codec.MsgView) (pingResp, error) {
-	n, _ := v.Int("n")
-	return pingResp{N: n}, nil
-}
+func decPing(v codec.MsgView) (pingResp, error) { return pingResp{N: readN(&v)}, nil }
 
-func decPingReq(v codec.MsgView) (pingReq, error) {
-	n, _ := v.Int("n")
-	return pingReq{N: n}, nil
-}
+func decPingReq(v codec.MsgView) (pingReq, error) { return pingReq{N: readN(&v)}, nil }
 
 // exportEcho registers an export whose "ping" handler echoes n+1.
 func exportEcho(t testing.TB, b *svc.Binding) {
@@ -348,18 +352,18 @@ func TestTypedPubSubAndQueue(t *testing.T) {
 
 	type note struct{ Seq uint64 }
 	encNote := func(buf []byte, n note) ([]byte, error) { return codec.Append(buf, codec.Record{"seq": n.Seq}) }
+	recNote := codec.CompileRecord("seq")
+	decNote := func(v codec.MsgView) (note, error) {
+		var sl codec.Slots
+		recNote.Resolve(&v, &sl)
+		seq, _ := sl.UintAt(0)
+		return note{Seq: seq}, nil
+	}
 
-	// Topic: typed publisher, zero-copy typed subscriber.
+	// Topic: typed publisher, zero-copy typed subscriber of the event's
+	// field record.
 	var topicGot []uint64
-	src, err := svc.NewTopicSource(b, "news", "sub-1",
-		func(v codec.MsgView) (note, error) {
-			fields, ok := v.View("fields")
-			if !ok {
-				return note{}, fmt.Errorf("no fields")
-			}
-			seq, _ := fields.Uint("seq")
-			return note{Seq: seq}, nil
-		},
+	src, err := svc.NewTopicSource(b, "news", "sub-1", decNote,
 		func(n note) { topicGot = append(topicGot, n.Seq) })
 	if err != nil {
 		t.Fatal(err)
@@ -374,11 +378,7 @@ func TestTypedPubSubAndQueue(t *testing.T) {
 		t.Fatal(err)
 	}
 	var queueGot []uint64
-	if _, err := svc.NewQueueSource(b, "jobs", "worker",
-		func(v codec.MsgView) (note, error) {
-			seq, _ := v.Uint("seq")
-			return note{Seq: seq}, nil
-		},
+	if _, err := svc.NewQueueSource(b, "jobs", "worker", decNote,
 		func(n note) { queueGot = append(queueGot, n.Seq) }); err != nil {
 		t.Fatal(err)
 	}
