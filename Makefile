@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test generate bench bench-smoke bench-kernel bench-codec bench-path bench-svc bench-xl bench-baseline bench-baseline-codec bench-baseline-path bench-baseline-svc bench-baseline-xl bench-regression sweep sweep-large sweep-xl sweep-churn linkcheck profile profile-floor-xl fig fuzz cover fmt vet repolint lint check clean help
+.PHONY: all build test generate bench bench-smoke bench-kernel bench-codec bench-path bench-svc bench-xl bench-baseline bench-baseline-codec bench-baseline-path bench-baseline-svc bench-baseline-xl bench-regression sweep sweep-large sweep-xl sweep-churn linkcheck profile profile-floor-xl profile-fanout-xl fig fuzz cover fmt vet repolint lint check clean help
 
 all: check
 
@@ -150,6 +150,20 @@ profile-floor-xl:
 	$(GO) tool pprof -top -focus='runtime\.map(access|assign|delete)' \
 		bin/repro.test cpu-floor-xl.pprof | sed -n '1,20p'
 
+# CPU profile of the XL band's fan-out scenario at full population
+# (1,048,576 sinks on 16,384 nodes: the shape of perfbench's fanout-xl),
+# 8 passes on one processor (writes cpu-fanout-xl.pprof), and the
+# cumulative share of each repro function under fanout.Run: subscription
+# by node id (SubscribeTopicAt), delivery (handleEvent) and the sink's
+# metrics. perfbench's traced re-drive subscribes by name, so this is
+# where the id path's split is read.
+profile-fanout-xl:
+	@mkdir -p bin
+	$(GO) test -run XXX -bench BenchmarkXLFanout -benchtime 8x -cpu 1 \
+		-cpuprofile cpu-fanout-xl.pprof -o bin/repro.test .
+	$(GO) tool pprof -top -cum -focus='fanout\.Run' -show='^repro/' \
+		bin/repro.test cpu-fanout-xl.pprof | sed -n '1,25p'
+
 # Regenerate every paper figure.
 fig:
 	$(GO) run ./cmd/benchfig
@@ -200,6 +214,7 @@ help:
 	@echo "linkcheck        verify relative links + anchors in the top-level docs"
 	@echo "profile          CPU+alloc profiles of the full sweep"
 	@echo "profile-floor-xl CPU profile of floor-xl's shape + its map-operation share"
+	@echo "profile-fanout-xl CPU profile of fanout-xl's shape, split by function under fanout.Run"
 	@echo "fuzz             bounded kernel + codec + SDL + middleware-wire + reliable-receive + entity-receive + band-file + observer fuzzing"
 	@echo "cover            coverage profile + per-function summary"
 	@echo "fig              regenerate every paper figure"

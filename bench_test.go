@@ -247,3 +247,30 @@ func BenchmarkXLFloor(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkXLFanout runs the XL band's fan-out scenario at full
+// population — 1,048,576 sinks on 16,384 subscriber nodes behind four
+// leaf brokers, four events, the shape of perfbench's fanout-xl — once
+// per iteration on one sweep worker. `make profile-fanout-xl` profiles
+// it.
+func BenchmarkXLFanout(b *testing.B) {
+	var fan []runner.Scenario
+	for _, sc := range runner.XLBand(1) {
+		if sc.Params["workload"] == "fanout" {
+			fan = append(fan, sc)
+		}
+	}
+	if len(fan) != 1 {
+		b.Fatalf("the XL band holds %d fan-out scenarios, want 1", len(fan))
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		rep, err := runner.Sweep(fan, runner.Options{Workers: 1, BaseSeed: 42})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := rep.Err(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

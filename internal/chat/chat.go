@@ -58,9 +58,14 @@ func Spec() *core.ServiceSpec {
 	return spec
 }
 
+// runSpec is the service definition every run observes and the PIM
+// carries into every deployment. Nothing in a run writes to a
+// ServiceSpec, so runs share this one compile read-only.
+var runSpec = Spec()
+
 // saySchema is the layout of the say primitive's parameter record.
 var saySchema = func() *codec.Schema {
-	p, _ := Spec().Primitive(PrimSay)
+	p, _ := runSpec.Primitive(PrimSay)
 	return p.Schema()
 }()
 

@@ -1,6 +1,8 @@
 package chat
 
 import (
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -99,6 +101,30 @@ func TestPIMTrajectory(t *testing.T) {
 		if len(steps) != 5 {
 			t.Fatalf("%s: %d steps", target.Name, len(steps))
 		}
+	}
+}
+
+// TestPIMSharesRunSpec checks that the PIM carries the package's one
+// spec compile, and that deploying through it on every concrete
+// platform leaves that spec as compiled.
+func TestPIMSharesRunSpec(t *testing.T) {
+	if got := PIM().Service; got != runSpec {
+		t.Fatal("PIM().Service is not the shared runSpec")
+	}
+	doc, constraints := runSpec.Document(), slices.Clone(runSpec.Constraints)
+	for _, target := range mda.ConcretePlatforms() {
+		res, err := Run(Config{Participants: 3, MessagesEach: 2, Seed: 5, Platform: target.Name})
+		if err != nil {
+			t.Fatalf("%s: %v", target.Name, err)
+		}
+		if res.ConformanceErr != nil {
+			t.Fatalf("%s: %v", target.Name, res.ConformanceErr)
+		}
+	}
+	fresh := Spec()
+	if runSpec.Document() != doc || !slices.Equal(runSpec.Constraints, constraints) ||
+		!reflect.DeepEqual(runSpec.Primitives, fresh.Primitives) || !reflect.DeepEqual(runSpec.Roles, fresh.Roles) {
+		t.Fatal("deploying through the PIM changed the shared spec")
 	}
 }
 

@@ -15,11 +15,11 @@ import (
 // over abstract directed messaging. Through the Figure 10 trajectory it
 // deploys on all four concrete platforms, with recursion bridging the
 // RMI-like and MQ-like concept gaps — a second, independent exercise of
-// the MDA engine.
+// the MDA engine. Its service definition is runSpec, shared read-only.
 func PIM() *mda.PIM {
 	return &mda.PIM{
 		Name:    "ordered-chat-pim",
-		Service: Spec(),
+		Service: runSpec,
 		Abstract: mda.AbstractPlatform{
 			Name:     "directed-messaging",
 			Requires: []mda.Concept{mda.ConceptAsyncMessage},

@@ -113,7 +113,7 @@ func Run(cfg Config) (*Result, error) {
 	if cfg.Trace != nil {
 		obsOpts = append(obsOpts, core.WithTrace(cfg.Trace))
 	}
-	observer, err := core.NewObserver(Spec(), kernel, obsOpts...)
+	observer, err := core.NewObserver(runSpec, kernel, obsOpts...)
 	if err != nil {
 		return nil, err
 	}

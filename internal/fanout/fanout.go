@@ -9,7 +9,8 @@
 // The workload is deterministic in Config: equal configs produce equal
 // Results. Deployment order is pinned so transport endpoint ids equal
 // network slots equal attach order: leaves first (slots 0..L-1), then
-// the root broker, then the publisher, then the subscriber nodes.
+// the root broker, then the publisher, then the subscriber nodes, which
+// subscribe by node id.
 package fanout
 
 import (
@@ -129,8 +130,8 @@ func Run(cfg Config) (*Result, error) {
 	p := middleware.New(engine, transport, profile, "root", opts...)
 
 	// Pin attach order — and therefore transport lows / network slots:
-	// leaves 0..L-1, root, publisher, then subscriber nodes. leaf = low
-	// mod L then maps leaf i to slot residue i.
+	// leaves 0..L-1, root, publisher, then subscriber nodes h0..h{N-1}.
+	// leaf = low mod L then maps leaf i to slot residue i.
 	for _, leaf := range leaves {
 		if _, err := p.AttachRuntime(leaf); err != nil {
 			return nil, fmt.Errorf("fanout: attach %s: %w", leaf, err)
@@ -142,6 +143,15 @@ func Run(cfg Config) (*Result, error) {
 	pub := middleware.Addr("pub")
 	if _, err := p.AttachRuntime(pub); err != nil {
 		return nil, fmt.Errorf("fanout: attach pub: %w", err)
+	}
+	nodes := make([]int32, cfg.Nodes)
+	for i := range nodes {
+		node := middleware.Addr(fmt.Sprintf("h%d", i))
+		id, err := p.AttachRuntime(node)
+		if err != nil {
+			return nil, fmt.Errorf("fanout: attach %s: %w", node, err)
+		}
+		nodes[i] = id
 	}
 
 	res := &Result{Expected: uint64(cfg.Subscribers) * uint64(cfg.Events)}
@@ -157,14 +167,9 @@ func Run(cfg Config) (*Result, error) {
 		res.Latency.Add(engine.Now() - curPub)
 	}
 	const topic = "feed"
-	nodes := make([]middleware.Addr, cfg.Nodes)
-	for i := range nodes {
-		nodes[i] = middleware.Addr(fmt.Sprintf("h%d", i))
-	}
 	for s := 0; s < cfg.Subscribers; s++ {
-		node := nodes[s%cfg.Nodes]
-		if err := p.SubscribeTopicView(topic, node, sink); err != nil {
-			return nil, fmt.Errorf("fanout: subscribe %s: %w", node, err)
+		if err := p.SubscribeTopicAt(topic, nodes[s%cfg.Nodes], sink); err != nil {
+			return nil, fmt.Errorf("fanout: subscribe h%d: %w", s%cfg.Nodes, err)
 		}
 	}
 

@@ -28,12 +28,14 @@ func pimAbstract() mda.AbstractPlatform {
 // concept; the abstract platform requires exactly that concept, so the
 // Figure 10 trajectory can realize it on all four concrete platforms —
 // directly on CORBA-like/JMS-like, recursively (Figure 12) on
-// RMI-like (async-over-sync) and MQ-like (async-over-queue).
+// RMI-like (async-over-sync) and MQ-like (async-over-queue). The PIM's
+// service definition is runSpec, the one compile every run shares
+// read-only.
 func PIM(resources []string) *mda.PIM {
 	resources = append([]string(nil), resources...)
 	return &mda.PIM{
 		Name:     "floor-control-pim",
-		Service:  Spec(),
+		Service:  runSpec,
 		Abstract: pimAbstract(),
 		Build: func(plan mda.Plan) (*mda.Logic, error) {
 			if len(plan.SAPs) == 0 {

@@ -1,6 +1,8 @@
 package floorcontrol
 
 import (
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -10,6 +12,30 @@ import (
 func TestPIMValidates(t *testing.T) {
 	if err := PIM(ResourceNames(2)).Validate(); err != nil {
 		t.Fatalf("floor-control PIM invalid: %v", err)
+	}
+}
+
+// TestPIMSharesRunSpec checks that the PIM carries the one spec compile
+// every run shares, and that deploying through it on every concrete
+// platform leaves that spec as compiled.
+func TestPIMSharesRunSpec(t *testing.T) {
+	if got := PIM(ResourceNames(2)).Service; got != runSpec {
+		t.Fatal("PIM(...).Service is not the shared runSpec")
+	}
+	doc, constraints := runSpec.Document(), slices.Clone(runSpec.Constraints)
+	for _, s := range MDASolutions() {
+		res, err := RunWorkload(Config{Solution: s.Name(), Subscribers: 3, Resources: 2, Cycles: 2, Seed: 5})
+		if err != nil {
+			t.Fatalf("%s: %v", s.Name(), err)
+		}
+		if res.ConformanceErr != nil {
+			t.Fatalf("%s: %v", s.Name(), res.ConformanceErr)
+		}
+	}
+	fresh := Spec()
+	if runSpec.Document() != doc || !slices.Equal(runSpec.Constraints, constraints) ||
+		!reflect.DeepEqual(runSpec.Primitives, fresh.Primitives) || !reflect.DeepEqual(runSpec.Roles, fresh.Roles) {
+		t.Fatal("deploying through the PIM changed the shared spec")
 	}
 }
 

@@ -331,11 +331,12 @@ type queuedMsg struct {
 	name, fields []byte
 }
 
-// eventSink is one node-local topic subscription (the demux side of the
-// pub/sub pattern).
+// eventSink is one topic's sinks at a node, in subscription order (the
+// demux side of the pub/sub pattern): an event is matched against the
+// topic once per node, however many sinks the node holds.
 type eventSink struct {
 	topic string
-	fn    func(codec.MsgView)
+	fns   []func(codec.MsgView)
 }
 
 // queueSink is one queue's consumers at a node, in subscription order.
@@ -386,7 +387,7 @@ type Platform struct {
 
 	attached   []bool            // node id → the platform runtime is attached there
 	hosted     [][]*Registration // node id → the objects hosted there
-	eventSinks [][]eventSink     // node id → topic subscriptions at that node
+	eventSinks [][]eventSink     // node id → subscribed topics at that node, each with its sinks
 	queueSinks [][]queueSink     // node id → consumed queues at that node
 	downNodes  []bool            // node id → marked down by NodeDown
 	unavail    []unavailErrs     // node id → its ErrUnavailable errors; grown by NodeDown

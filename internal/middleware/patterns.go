@@ -371,27 +371,14 @@ func (p *Platform) PublishRecord(from Addr, topic, name string, fields []byte) e
 	return p.finishSend(buf, &e, fromID, p.brokerID)
 }
 
-// SubscribeTopicView registers a zero-copy event sink: the sink receives
-// a codec.MsgView over the mw.event envelope (fields "topic", "name",
-// "fields") aliasing the transport's pooled delivery buffer. The view
-// and every byte slice read through it are valid only until the sink
-// returns; retain with an explicit copy. This is the demux path with
-// zero per-event allocations.
+// SubscribeTopicView registers a zero-copy event sink at a node named
+// by its address: it refuses the broker tree's addresses (the root and
+// every leaf) without attaching them, attaches the node's runtime, and
+// runs SubscribeTopicAt. A caller that subscribes repeatedly resolves
+// the node once (AttachRuntime) and calls SubscribeTopicAt itself.
 func (p *Platform) SubscribeTopicView(topic string, node Addr, fn func(v codec.MsgView)) error {
-	if fn == nil {
-		return fmt.Errorf("middleware: nil sink for topic %q", topic)
-	}
-	return p.subscribeTopic(topic, node, eventSink{topic: topic, fn: fn})
-}
-
-// subscribeTopic resolves the subscriber node to its id, enrols it
-// in its row of the topic's broker-tree table, and appends the sink to
-// the node's demux table — the "resolved once at subscribe time" half
-// of the pub/sub fast path. Broker addresses (the root, and any leaf)
-// cannot subscribe.
-func (p *Platform) subscribeTopic(topic string, node Addr, sink eventSink) error {
-	if !p.profile.Supports(PatternPubSub) {
-		return fmt.Errorf("%w: %s on %q", ErrPatternUnsupported, PatternPubSub, p.profile.Name)
+	if err := p.checkSubscribe(topic, fn); err != nil {
+		return err
 	}
 	if node == p.broker {
 		return fmt.Errorf("%w: %q is the root broker; it cannot subscribe", ErrFederation, node)
@@ -404,6 +391,34 @@ func (p *Platform) subscribeTopic(topic string, node Addr, sink eventSink) error
 	nodeID, err := p.ensureRuntime(node)
 	if err != nil {
 		return err
+	}
+	return p.SubscribeTopicAt(topic, nodeID, fn)
+}
+
+// SubscribeTopicAt registers a zero-copy event sink at the node with id
+// nodeID, which AttachRuntime has attached. The sink receives a
+// codec.MsgView over the mw.event envelope (fields "topic", "name",
+// "fields") aliasing the transport's pooled delivery buffer. The view
+// and every byte slice read through it are valid only until the sink
+// returns; retain with an explicit copy. This is the demux path with
+// zero per-event allocations.
+//
+// The node is enrolled in its row of the topic's broker-tree table and
+// the sink joins the node's sinks for the topic — the "resolved once at
+// subscribe time" half of the pub/sub fast path. The broker tree's
+// nodes (the root, and any leaf) cannot subscribe.
+func (p *Platform) SubscribeTopicAt(topic string, nodeID int32, fn func(v codec.MsgView)) error {
+	if err := p.checkSubscribe(topic, fn); err != nil {
+		return err
+	}
+	if nodeID < 0 || int(nodeID) >= len(p.attached) || !p.attached[nodeID] {
+		return fmt.Errorf("middleware: subscribe node %d to %q: %w", nodeID, topic, protocol.ErrUnknownEntity)
+	}
+	if nodeID == p.brokerID {
+		return fmt.Errorf("%w: node %d is the root broker; it cannot subscribe", ErrFederation, nodeID)
+	}
+	if p.leafIndexOf(nodeID) >= 0 {
+		return fmt.Errorf("%w: node %d is a leaf broker; it cannot subscribe", ErrFederation, nodeID)
 	}
 	if p.brokerID < 0 {
 		if _, err := p.ensureRuntime(p.broker); err != nil {
@@ -420,12 +435,31 @@ func (p *Platform) subscribeTopic(topic string, node Addr, sink eventSink) error
 		li = int(nodeID) % len(p.leaves)
 	}
 	tt.enroll(nodeID, li)
-	p.eventSinks[nodeID] = append(p.eventSinks[nodeID], sink)
+	sinks := p.eventSinks[nodeID]
+	i := slices.IndexFunc(sinks, func(s eventSink) bool { return s.topic == topic })
+	if i < 0 {
+		i = len(sinks)
+		sinks = append(sinks, eventSink{topic: topic})
+	}
+	sinks[i].fns = append(sinks[i].fns, fn)
+	p.eventSinks[nodeID] = sinks
 	if li < len(p.leaves) && p.leafIDs[li] < 0 {
 		// The leaf runtime must be live before the first publish reaches it.
 		if _, err := p.ensureRuntime(p.leaves[li]); err != nil {
 			return err
 		}
+	}
+	return nil
+}
+
+// checkSubscribe refuses a subscription no node could take: a nil sink,
+// or a profile without pub/sub.
+func (p *Platform) checkSubscribe(topic string, fn func(codec.MsgView)) error {
+	if fn == nil {
+		return fmt.Errorf("middleware: nil sink for topic %q", topic)
+	}
+	if !p.profile.Supports(PatternPubSub) {
+		return fmt.Errorf("%w: %s on %q", ErrPatternUnsupported, PatternPubSub, p.profile.Name)
 	}
 	return nil
 }
@@ -747,14 +781,16 @@ func (p *Platform) handlePublish(sl *codec.Slots) {
 // leaf's row of subscriber nodes (legal because the transport copies
 // synchronously, so the pooled delivery buffer the bytes alias is free
 // to recycle afterwards). At a subscriber node the event is demuxed
-// over the node's dense sink table: every sink matching the topic
-// receives the envelope in place (zero-copy, zero-alloc), in
-// subscription order.
+// over the node's sink table, which groups the node's sinks by topic:
+// the topic is found once, and each of its sinks receives the envelope
+// in place (zero-copy, zero-alloc), in subscription order.
+//
+//repolint:hotpath
 func (p *Platform) handleEvent(atID int32, sl *codec.Slots, data []byte) {
 	topic, _ := sl.StrAt(slotEventTopic)
 	if li := p.leafIndexOf(atID); li >= 0 {
 		var row []int32
-		if tt := p.topics[string(topic)]; tt != nil {
+		if tt := p.topics[string(topic)]; tt != nil { //repolint:allow strmap -- a leaf's one topic probe per event, not one per subscriber
 			row = tt.rows[li]
 		}
 		p.forward(atID, row, data)
@@ -763,7 +799,11 @@ func (p *Platform) handleEvent(atID int32, sl *codec.Slots, data []byte) {
 	sinks := p.eventSinks[atID]
 	for i := range sinks {
 		if sinks[i].topic == string(topic) {
-			sinks[i].fn(*sl.View())
+			v := *sl.View()
+			for _, fn := range sinks[i].fns {
+				fn(v)
+			}
+			return
 		}
 	}
 }

@@ -15,7 +15,8 @@
 //     decides after each outcome whether to go again;
 //   - Sink[T] / Source[T]: oneway, queue and topic endpoints built on the
 //     platform's dense fan-out and zero-copy demux planes
-//     (SendMultiIndexed / SubscribeTopicView underneath);
+//     (SendMultiIndexed, and SubscribeTopicView — the by-name wrapper
+//     of SubscribeTopicAt — underneath);
 //   - Export: the server side — typed operation handlers hosted as one
 //     platform object.
 //
