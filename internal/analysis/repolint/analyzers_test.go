@@ -16,9 +16,10 @@ func TestSimdeterminism(t *testing.T) {
 }
 
 // TestSimdeterminismSync proves the sync check's edges: a sync import
-// in a simulated layer is reported, and the runner's is not.
+// in a simulated layer or in codec is reported, and the runner's is not.
 func TestSimdeterminismSync(t *testing.T) {
 	analysistest.Run(t, "testdata", "repro/internal/network", repolint.Simdeterminism)
+	analysistest.Run(t, "testdata", "repro/internal/codec", repolint.Simdeterminism)
 	analysistest.Run(t, "testdata", "repro/internal/runner", repolint.Simdeterminism)
 }
 

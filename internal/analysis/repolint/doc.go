@@ -23,9 +23,9 @@
 //     protocol.Receiver, protocol.IndexedReceiver,
 //     protocol.StreamReceiver), the op parameter of a middleware.Object
 //     dispatch, or a borrowing codec accessor (MsgView.Name,
-//     Slots.StrAt/BytesAt/RawAt) must not be retained; every
-//     codec.GetBuffer must be released or handed off. Checks: poolalias,
-//     bufleak.
+//     Slots.StrAt/BytesAt/RawAt) must not be retained; every buffer
+//     taken with codec.BufferList.Get must be released or handed off.
+//     Checks: poolalias, bufleak.
 //   - hotpathalloc — in functions annotated //repolint:hotpath, reject
 //     allocating constructs (closures, fmt, interface boxing, map
 //     literals, un-presized appends into fresh slices), and probes,

@@ -21,11 +21,12 @@ import (
 //     sent on a channel, captured by a goroutine closure, or returned —
 //     retain with an explicit copy (append/copy/string). Check:
 //     poolalias.
-//   - Every codec.GetBuffer result must reach a Release on some path in
+//   - Every buffer taken from a free list ((*codec.BufferList).Get, as
+//     in kern.Buffers().Get()) must reach a Release on some path in
 //     the same function, or be handed off (passed, stored, returned,
 //     sent, or captured — APIs that receive a *codec.Buffer take
 //     ownership). A buffer that is neither released nor handed off is
-//     leaked from the pool. Check: bufleak.
+//     leaked from its list. Check: bufleak.
 //
 // The analysis is function-local and deliberately conservative: it
 // reports only retention through the specific sinks above, so a clean
@@ -33,7 +34,7 @@ import (
 // carries an //repolint:allow with its justification).
 var Poolalias = &analysis.Analyzer{
 	Name:     "poolalias",
-	Doc:      "enforce pooled-buffer aliasing contracts: no retention of borrowed []byte, GetBuffer must be released or handed off (checks: poolalias, bufleak)",
+	Doc:      "enforce pooled-buffer aliasing contracts: no retention of borrowed []byte, a BufferList.Get result must be released or handed off (checks: poolalias, bufleak)",
 	Requires: []*analysis.Analyzer{inspect.Analyzer},
 	Run:      runPoolalias,
 }
@@ -342,7 +343,7 @@ func isIIFE(body *ast.BlockStmt, lit *ast.FuncLit) bool {
 	return iife
 }
 
-// checkBufferLeaks reports codec.GetBuffer results that are neither
+// checkBufferLeaks reports BufferList.Get results that are neither
 // released nor handed off anywhere in the function. Nested function
 // literals are skipped — each gets its own analysis visit.
 func checkBufferLeaks(pass *analysis.Pass, allows *Allows, body *ast.BlockStmt) {
@@ -356,13 +357,13 @@ func checkBufferLeaks(pass *analysis.Pass, allows *Allows, body *ast.BlockStmt) 
 			return true
 		}
 		call, ok := as.Rhs[0].(*ast.CallExpr)
-		if !ok || !isPkgFunc(info, call, codecPath, "GetBuffer") {
+		if !ok || !isBufferGet(info, call) {
 			return true
 		}
 		id, ok := as.Lhs[0].(*ast.Ident)
 		if !ok || id.Name == "_" {
 			allows.Report(pass, as.Pos(), "bufleak",
-				"result of codec.GetBuffer is discarded and can never be released")
+				"result of BufferList.Get is discarded and can never be released")
 			return true
 		}
 		obj := info.ObjectOf(id)
@@ -371,13 +372,13 @@ func checkBufferLeaks(pass *analysis.Pass, allows *Allows, body *ast.BlockStmt) 
 		}
 		if !releasedOrHandedOff(info, body, as, obj) {
 			allows.Report(pass, as.Pos(), "bufleak",
-				"%q from codec.GetBuffer is neither released nor handed off in this function; add %s.Release() (deferred, or on every path) or pass the buffer to an owner", id.Name, id.Name)
+				"%q from BufferList.Get is neither released nor handed off in this function; add %s.Release() (deferred, or on every path) or pass the buffer to an owner", id.Name, id.Name)
 		}
 		return true
 	})
 }
 
-// releasedOrHandedOff scans the function body after the GetBuffer
+// releasedOrHandedOff scans the function body after the Get
 // assignment for a Release call on obj, or any construct that moves
 // the buffer out of this function's hands: appearing in a call
 // argument, return value, channel send, closure body, or the
@@ -512,15 +513,13 @@ func deref(t types.Type) types.Type {
 	return t
 }
 
-// isPkgFunc reports whether call invokes the package-level function
-// pkgPath.name.
-func isPkgFunc(info *types.Info, call *ast.CallExpr, pkgPath, name string) bool {
+// isBufferGet reports whether call takes a buffer from a codec free
+// list: the Get method of codec.BufferList.
+func isBufferGet(info *types.Info, call *ast.CallExpr) bool {
 	fn := calleeFunc(info, call)
-	if fn == nil || fn.Pkg() == nil {
+	if fn == nil || fn.Name() != "Get" {
 		return false
 	}
-	if sig, ok := fn.Type().(*types.Signature); ok && sig.Recv() != nil {
-		return false
-	}
-	return fn.Pkg().Path() == pkgPath && fn.Name() == name
+	sig, ok := fn.Type().(*types.Signature)
+	return ok && sig.Recv() != nil && isNamed(deref(sig.Recv().Type()), codecPath, "BufferList")
 }

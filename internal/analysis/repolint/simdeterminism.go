@@ -34,6 +34,7 @@ var Simdeterminism = &analysis.Analyzer{
 // subpackage of it.
 var deterministicPkgs = []string{
 	"repro/internal/sim",
+	"repro/internal/codec",
 	"repro/internal/core",
 	"repro/internal/protocol",
 	"repro/internal/network",

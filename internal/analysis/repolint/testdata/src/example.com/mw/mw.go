@@ -1,6 +1,6 @@
 // Package mw is golden test data for the poolalias analyzer: handlers,
 // dispatch objects, and MsgView consumers that retain borrowed []byte slices,
-// next to the copy idioms that legalize retention, and GetBuffer
+// next to the copy idioms that legalize retention, and BufferList.Get
 // acquisitions that leak, release, or hand off.
 package mw
 
@@ -185,19 +185,30 @@ func (s *sink) allowed(src network.NodeID, payload []byte) {
 
 // --- bufleak ---
 
-func leak() {
-	buf := codec.GetBuffer() // want `bufleak: "buf" from codec\.GetBuffer is neither released nor handed off`
+// notAList has a Get of its own; its results are not tracked.
+type notAList struct{}
+
+func (notAList) Get() *codec.Buffer { return nil }
+
+func leak(bufs *codec.BufferList) {
+	buf := bufs.Get() // want `bufleak: "buf" from BufferList\.Get is neither released nor handed off`
 	buf.B = append(buf.B[:0], 'x')
 }
 
-func releases() {
-	buf := codec.GetBuffer()
+func leakFromValue() {
+	var bufs codec.BufferList
+	buf := bufs.Get() // want `bufleak: "buf" from BufferList\.Get is neither released nor handed off`
+	buf.B = append(buf.B[:0], 'x')
+}
+
+func releases(bufs *codec.BufferList) {
+	buf := bufs.Get()
 	defer buf.Release()
 	buf.B = append(buf.B[:0], 'x')
 }
 
-func handsOff(send func(*codec.Buffer)) {
-	buf := codec.GetBuffer()
+func handsOff(bufs *codec.BufferList, send func(*codec.Buffer)) {
+	buf := bufs.Get()
 	buf.B = append(buf.B[:0], 'y')
 	send(buf)
 }
@@ -206,16 +217,21 @@ type pending struct{ buf *codec.Buffer }
 
 var inflight []pending
 
-func storesOwner() {
-	buf := codec.GetBuffer()
+func storesOwner(bufs *codec.BufferList) {
+	buf := bufs.Get()
 	inflight = append(inflight, pending{buf: buf})
 }
 
-func discards() {
-	_ = codec.GetBuffer() // want `bufleak: result of codec\.GetBuffer is discarded`
+func discards(bufs *codec.BufferList) {
+	_ = bufs.Get() // want `bufleak: result of BufferList\.Get is discarded`
 }
 
-func suppressedLeak() {
-	buf := codec.GetBuffer() //repolint:allow bufleak -- released by the test harness; golden test of the escape hatch
+func otherGet(l notAList) {
+	buf := l.Get()
+	buf.B = buf.B[:0]
+}
+
+func suppressedLeak(bufs *codec.BufferList) {
+	buf := bufs.Get() //repolint:allow bufleak -- released by the test harness; golden test of the escape hatch
 	buf.B = buf.B[:0]
 }

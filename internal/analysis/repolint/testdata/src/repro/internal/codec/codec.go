@@ -1,15 +1,26 @@
 // Package codec is a type stub for the poolalias golden tests: the
-// pooled Buffer with its Release contract and the borrowing MsgView and
-// Slots accessors, signature-compatible with the real package.
+// free-listed Buffer with its Release contract and the borrowing MsgView
+// and Slots accessors, signature-compatible with the real package. It
+// is also golden test data for the simdeterminism sync check: codec is
+// a deterministic package, so a sync import is reported.
 package codec
 
-// Buffer is a pooled byte buffer.
+import "sync" // want `sync: sync imported in deterministic package repro/internal/codec`
+
+// shared is the process-wide cache the sync check keeps out of codec:
+// buffers belong to the kernel that owns their BufferList.
+var shared sync.Pool
+
+// Buffer is a recycled byte buffer.
 type Buffer struct{ B []byte }
 
-// GetBuffer acquires a buffer from the pool.
-func GetBuffer() *Buffer { return &Buffer{} }
+// BufferList is a free list of buffers.
+type BufferList struct{ free []*Buffer }
 
-// Release returns the buffer to the pool.
+// Get takes a buffer from the list.
+func (l *BufferList) Get() *Buffer { return &Buffer{} }
+
+// Release returns the buffer to its list.
 func (b *Buffer) Release() {}
 
 // MsgView is a zero-copy view over an encoded message.

@@ -150,9 +150,10 @@ func BenchmarkCodecRoundTrip(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	var bufs BufferList
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		buf := GetBuffer()
+		buf := bufs.Get()
 		e := benchSchema.Encoder(buf.B[:0])
 		e.Raw("fields", inner)
 		e.Str("name", benchName)

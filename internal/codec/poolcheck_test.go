@@ -6,9 +6,10 @@ import "testing"
 
 // TestPoolcheckPoisonsRetainedAlias pins the poolcheck build: a slice
 // kept past Release reads the poison byte, and a second Release before
-// the next GetBuffer panics.
+// the next Get panics.
 func TestPoolcheckPoisonsRetainedAlias(t *testing.T) {
-	buf := GetBuffer()
+	var l BufferList
+	buf := l.Get()
 	buf.B = append(buf.B[:0], "retained"...)
 	alias := buf.B
 	buf.Release()
@@ -25,12 +26,14 @@ func TestPoolcheckPoisonsRetainedAlias(t *testing.T) {
 	buf.Release()
 }
 
-// TestPoolcheckRearmsOnGet pins that a buffer taken from the pool again
-// may be released again. The buffer is oversized, so Release never
-// pools it and the test cannot leak it into the shared pool.
+// TestPoolcheckRearmsOnGet pins that a buffer taken from its list again
+// may be released again.
 func TestPoolcheckRearmsOnGet(t *testing.T) {
-	b := &Buffer{B: make([]byte, 0, maxPooledCap+1)}
+	var l BufferList
+	b := l.Get()
 	b.Release()
-	b.checkGet()
+	if l.Get() != b {
+		t.Fatal("Get after Release returned a different buffer")
+	}
 	b.Release() // must not panic
 }

@@ -2,6 +2,7 @@ package fanout_test
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"repro/internal/codec"
@@ -26,16 +27,19 @@ func BenchmarkCalibrate(b *testing.B) {
 
 var benchSink uint64
 
-// benchFanout measures the steady-state publish path of a pre-built
-// fan-out world: one publish fully drained per iteration, delivered to
-// subs sinks spread over nodes subscriber nodes, through a broker tree
-// with the given leaf count (0 = the root-only baseline). Reports
-// bytes/client — simulated wire bytes per subscriber per event, the
-// encode-once number BENCH_xl.json gates.
-func benchFanout(b *testing.B, subs, nodes, leaves int) {
-	b.Helper()
+// world is a pre-built fan-out world: subs sinks spread over nodes
+// subscriber nodes, behind a broker tree with the given leaf count
+// (0 = the root-only baseline), warmed by one publish fully drained.
+type world struct {
+	net       *network.Network
+	publish   func() // one publish, fully drained
+	delivered int
+}
+
+func newWorld(tb testing.TB, subs, nodes, leaves int) *world {
+	tb.Helper()
 	kernel := sim.NewKernel(sim.WithSeed(1))
-	net := network.New(kernel)
+	w := &world{net: network.New(kernel)}
 	profile := middleware.Profile{
 		Name:     "bench-fanout",
 		Patterns: []middleware.Pattern{middleware.PatternPubSub},
@@ -48,50 +52,78 @@ func benchFanout(b *testing.B, subs, nodes, leaves int) {
 	if leaves > 0 {
 		opts = append(opts, middleware.WithFederation(leafAddrs...))
 	}
-	p := middleware.New(kernel, protocol.NewUnreliableDatagram(net), profile, "root", opts...)
+	p := middleware.New(kernel, protocol.NewUnreliableDatagram(w.net), profile, "root", opts...)
 	for _, leaf := range leafAddrs {
 		if _, err := p.AttachRuntime(leaf); err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 	}
 	if _, err := p.AttachRuntime("root"); err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	delivered := 0
-	sink := func(v codec.MsgView) { delivered++ }
+	sink := func(v codec.MsgView) { w.delivered++ }
 	for s := 0; s < subs; s++ {
 		node := middleware.Addr(fmt.Sprintf("h%d", s%nodes))
 		if err := p.SubscribeTopicView("feed", node, sink); err != nil {
-			b.Fatal(err)
-		}
-	}
-	drain := func() {
-		if _, err := kernel.Run(); err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 	}
 	ev := codec.NewMessage("ev", codec.Record{"seq": uint64(7), "pad": make([]byte, 128)})
-	if err := p.Publish("pub", "feed", ev); err != nil {
-		b.Fatal(err)
+	w.publish = func() {
+		if err := p.Publish("pub", "feed", ev); err != nil {
+			tb.Fatal(err)
+		}
+		if _, err := kernel.Run(); err != nil {
+			tb.Fatal(err)
+		}
 	}
-	drain()
-	delivered = 0
-	base := net.Stats().BytesSent
+	w.publish()
+	w.delivered = 0
+	return w
+}
+
+// benchFanout measures the steady-state publish path of a pre-built
+// fan-out world: one publish fully drained per iteration. Reports
+// bytes/client — simulated wire bytes per subscriber per event, the
+// encode-once number BENCH_xl.json gates.
+func benchFanout(b *testing.B, subs, nodes, leaves int) {
+	b.Helper()
+	w := newWorld(b, subs, nodes, leaves)
+	base := w.net.Stats().BytesSent
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := p.Publish("pub", "feed", ev); err != nil {
-			b.Fatal(err)
-		}
-		drain()
+		w.publish()
 	}
 	b.StopTimer()
-	if delivered != subs*b.N {
-		b.Fatalf("delivered %d events, want %d", delivered, subs*b.N)
+	if w.delivered != subs*b.N {
+		b.Fatalf("delivered %d events, want %d", w.delivered, subs*b.N)
 	}
-	bytes := net.Stats().BytesSent - base
+	bytes := w.net.Stats().BytesSent - base
 	b.ReportMetric(float64(bytes)/float64(b.N)/float64(subs), "bytes/client")
 	b.ReportMetric(float64(subs), "subscribers")
+}
+
+// TestFanoutFlatPublishAllocatesNothing pins BenchmarkFanoutFlat's
+// steady state as a hard zero: once warm, a flat publish to 65,536 sinks
+// (65,536 deliveries in flight, each in its own kernel buffer) allocates
+// nothing, even when garbage collections run between publishes, as
+// they do in the benchmark. The buffers belong to the kernel, so no
+// collection can take them back.
+func TestFanoutFlatPublishAllocatesNothing(t *testing.T) {
+	const subs = 65536
+	w := newWorld(t, subs, subs, 0)
+	allocs := testing.AllocsPerRun(2, func() {
+		runtime.GC()
+		runtime.GC()
+		w.publish()
+	})
+	if allocs != 0 {
+		t.Fatalf("warm flat publish to %d sinks allocates %v times per publish, want 0", subs, allocs)
+	}
+	if want := subs * 3; w.delivered != want {
+		t.Fatalf("delivered %d events, want %d", w.delivered, want)
+	}
 }
 
 // BenchmarkFanoutFederated is the XL headline: 65,536 sinks on 1,024

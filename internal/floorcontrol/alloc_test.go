@@ -18,9 +18,6 @@ import (
 // what the first cycle made, and every name on the way was resolved
 // when the deployment was built.
 func TestMWCallbackCycleAllocs(t *testing.T) {
-	if raceEnabled {
-		t.Skip("allocation counts are pinned for non-race builds only")
-	}
 	engine := sim.NewKernel(sim.WithSeed(1))
 	net := network.New(engine, network.WithDefaultLink(network.LinkConfig{Latency: time.Millisecond}))
 	observer, err := core.NewObserver(runSpec, engine)

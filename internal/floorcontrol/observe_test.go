@@ -51,9 +51,6 @@ func TestTraceParity(t *testing.T) {
 // monitor keeps its state by the key's dense id, so a key seen before
 // costs neither a string nor a slot.
 func TestObserveAllocs(t *testing.T) {
-	if raceEnabled {
-		t.Skip("allocation counts are pinned for non-race builds only")
-	}
 	obs, err := core.NewObserver(Spec(), sim.NewKernel())
 	if err != nil {
 		t.Fatal(err)

@@ -62,7 +62,7 @@ func (c *LogicContext) Self() ComponentID { return c.self }
 // type is declared like a PDU type — a name and a record encoder — and
 // its record is encoded into a pooled buffer the platform copies from.
 func Send[T any](c *LogicContext, to ComponentID, msg protocol.PDU[T], v T) error {
-	buf := codec.GetBuffer()
+	buf := c.dep.kern.Buffers().Get()
 	defer buf.Release()
 	fields, err := msg.AppendRecord(buf.B[:0], v)
 	if err != nil {

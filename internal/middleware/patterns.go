@@ -133,7 +133,7 @@ func (p *Platform) InvokeAt(fromID int32, target *Registration, op string, args 
 	if args == nil {
 		args = codec.RawEmptyRecord
 	}
-	buf := codec.GetBuffer()
+	buf := p.kern.Buffers().Get()
 	e := schemaCall.Encoder(buf.B[:0])
 	e.Raw("args", args)
 	e.Uint("id", id)
@@ -211,7 +211,7 @@ func (p *Platform) InvokeOneway(from Addr, target ObjRef, op string, args []byte
 	if args == nil {
 		args = codec.RawEmptyRecord
 	}
-	buf := codec.GetBuffer()
+	buf := p.kern.Buffers().Get()
 	e := schemaOneway.Encoder(buf.B[:0])
 	e.Raw("args", args)
 	e.Str("op", op)
@@ -255,7 +255,7 @@ func (p *Platform) QueuePut(from Addr, queue, name string, fields []byte) error 
 	if fields == nil {
 		fields = codec.RawEmptyRecord
 	}
-	buf := codec.GetBuffer()
+	buf := p.kern.Buffers().Get()
 	e := schemaEnqueue.Encoder(buf.B[:0])
 	e.Raw("fields", fields)
 	e.Str("name", name)
@@ -327,7 +327,7 @@ func (p *Platform) deliverQueued(queue string, name, fields []byte) {
 	c := q.consumers[q.nextRR%len(q.consumers)]
 	q.nextRR++
 	p.stats.QueueDeliver++
-	buf := codec.GetBuffer()
+	buf := p.kern.Buffers().Get()
 	e := schemaDeliver.Encoder(buf.B[:0])
 	e.Raw("fields", fields)
 	e.Str("name", string(name))
@@ -339,7 +339,7 @@ func (p *Platform) deliverQueued(queue string, name, fields []byte) {
 // Publish sends a message to every subscriber of a topic (event
 // source/sink pattern): PublishRecord of its encoded field record.
 func (p *Platform) Publish(from Addr, topic string, m codec.Message) error {
-	buf := codec.GetBuffer()
+	buf := p.kern.Buffers().Get()
 	defer buf.Release()
 	fields, err := codec.Append(buf.B[:0], m.Fields)
 	if err != nil {
@@ -363,7 +363,7 @@ func (p *Platform) PublishRecord(from Addr, topic, name string, fields []byte) e
 	if fields == nil {
 		fields = codec.RawEmptyRecord
 	}
-	buf := codec.GetBuffer()
+	buf := p.kern.Buffers().Get()
 	e := schemaPublish.Encoder(buf.B[:0])
 	e.Raw("fields", fields)
 	e.Str("name", name)
@@ -482,7 +482,7 @@ func (p *Platform) onWire(src, atID int32, data []byte) {
 			d.fn = d.run
 		}
 		d.src, d.atID = src, atID
-		buf := codec.GetBuffer()
+		buf := p.kern.Buffers().Get()
 		buf.B = append(buf.B[:0], data...)
 		d.buf = buf
 		p.kern.ScheduleFunc(overhead, d.fn)
@@ -621,7 +621,7 @@ func (c *replyCell) respond(result []byte, err error) {
 //
 //repolint:hotpath
 func (p *Platform) sendReply(id uint64, at, to int32, result []byte, err error) {
-	buf := codec.GetBuffer()
+	buf := p.kern.Buffers().Get()
 	if err != nil {
 		e := schemaReplyErr.Encoder(buf.B[:0])
 		e.Str("error", err.Error())
@@ -753,7 +753,7 @@ func (p *Platform) handlePublish(sl *codec.Slots) {
 	if !ok {
 		rawTopic = codec.RawNil
 	}
-	buf := codec.GetBuffer()
+	buf := p.kern.Buffers().Get()
 	e := schemaEvent.Encoder(buf.B[:0])
 	e.Raw("fields", rawFields)
 	e.Raw("name", rawName)

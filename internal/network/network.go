@@ -455,11 +455,11 @@ func (n *Network) transmit(src, dst Slot, payload []byte) error {
 		n.stats.Dropped++
 		return nil
 	}
-	buf := codec.GetBuffer()
+	buf := n.kern.Buffers().Get()
 	buf.B = append(buf.B[:0], payload...)
 	n.newDelivery(src, dst, cfg, buf)
 	if cfg.DuplicateRate > 0 && rng.Float64() < cfg.DuplicateRate {
-		dup := codec.GetBuffer()
+		dup := n.kern.Buffers().Get()
 		dup.B = append(dup.B[:0], payload...)
 		n.newDelivery(src, dst, cfg, dup)
 	}

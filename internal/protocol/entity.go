@@ -88,7 +88,7 @@ func (p PDU[T]) AppendRecord(buf []byte, v T) ([]byte, error) { return p.enc(buf
 // pooled scratch buffer: lower services copy synchronously (see
 // LowerService.Send), so the buffer is recycled before Send returns.
 func (p PDU[T]) Send(c *Context, dst Addr, v T) error {
-	buf := codec.GetBuffer()
+	buf := c.layer.kern.Buffers().Get()
 	defer buf.Release()
 	data, err := p.Append(buf.B[:0], v)
 	if err != nil {
@@ -111,7 +111,7 @@ func (p PDU[T]) SendMulti(c *Context, dsts []Addr, v T) error {
 	if len(dsts) == 0 {
 		return nil
 	}
-	buf := codec.GetBuffer()
+	buf := c.layer.kern.Buffers().Get()
 	defer buf.Release()
 	data, err := p.Append(buf.B[:0], v)
 	if err != nil {

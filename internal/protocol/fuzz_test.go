@@ -139,7 +139,7 @@ func FuzzFramingReassembly(f *testing.F) {
 			return int(cuts[i%len(cuts)]) % (m + 1)
 		}
 		lower := newCaptureLower()
-		fr := NewFraming(NewStream(lower, StreamConfig{}), maxFrame)
+		fr := NewFraming(sim.NewKernel(), NewStream(lower, StreamConfig{}), maxFrame)
 		var got [][]byte
 		b, err := fr.AttachIndexed("b", func(_ int32, frame []byte) {
 			if len(frame) > maxFrame {

@@ -38,9 +38,6 @@ func (*discardLower) SendMultiIndexed(int32, []int32, []byte) error { return nil
 // compiled-record PDU through a Layer — to one peer or fanned out —
 // allocates nothing.
 func TestPDUSendAllocs(t *testing.T) {
-	if raceEnabled {
-		t.Skip("the race runtime drops sync.Pool items at random")
-	}
 	layer := NewLayer("allocs", sim.NewKernel(), &discardLower{})
 	hub := &ctxEntity{}
 	peers := []Addr{"p1", "p2", "p3"}

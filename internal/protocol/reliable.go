@@ -323,7 +323,7 @@ func (r *ReliableDatagram) SendIndexed(src, dst int32, payload []byte) error {
 	}
 	seq := f.next
 	f.next++
-	buf := codec.GetBuffer()
+	buf := r.kern.Buffers().Get()
 	buf.B = append(buf.B[:0], payload...)
 	f.inFlight = append(f.inFlight, pending{seq: seq, buf: buf})
 	// Transmit immediately if within window.
@@ -353,7 +353,7 @@ func (r *ReliableDatagram) SendMultiIndexed(src int32, dsts []int32, payload []b
 // ride only when a value exceeds 1, so fault-free traffic keeps the
 // legacy wire shape byte for byte.
 func (r *ReliableDatagram) transmit(src, dst int32, f *sendFlow, seq uint64, payload []byte) {
-	buf := codec.GetBuffer()
+	buf := r.kern.Buffers().Get()
 	var data []byte
 	var err error
 	if inc := r.incs[src]; inc > 1 || f.peerInc > 1 {
@@ -521,7 +521,7 @@ func (r *ReliableDatagram) onData(src, dst int32, sl *codec.Slots) {
 		r.stats.Duplicates++
 	default:
 		r.stats.OutOfOrder++
-		f.hold(seq, payload, r.cfg.ReorderBuffer)
+		f.hold(r.kern.Buffers(), seq, payload, r.cfg.ReorderBuffer)
 	}
 	if deliver {
 		r.stats.DataDelivered += 1 + uint64(len(drained))
@@ -551,7 +551,7 @@ func (r *ReliableDatagram) onData(src, dst int32, sl *codec.Slots) {
 // beyond the horizon, which only a sender breaking go-back-N's window
 // can send, is dropped: its retransmission is held or delivered once
 // the window reaches it.
-func (f *recvFlow) hold(seq uint64, payload []byte, limit int) {
+func (f *recvFlow) hold(bufs *codec.BufferList, seq uint64, payload []byte, limit int) {
 	ringCap := uint64(len(f.ring))
 	if limit <= 0 || f.held >= limit || seq-f.expected > ringCap {
 		return
@@ -560,7 +560,7 @@ func (f *recvFlow) hold(seq uint64, payload []byte, limit int) {
 	if slot.buf != nil {
 		return // a duplicate hold
 	}
-	b := codec.GetBuffer()
+	b := bufs.Get()
 	b.B = append(b.B[:0], payload...)
 	*slot = heldPDU{seq: seq, buf: b}
 	f.held++
@@ -587,7 +587,7 @@ func (f *recvFlow) drain(drained []*codec.Buffer) []*codec.Buffer {
 // the data sender's; both ride the wire only when either exceeds 1, so
 // fault-free acks keep the legacy shape.
 func (r *ReliableDatagram) sendAck(from, to int32, cum uint64, inc, rinc uint32) {
-	ackBuf := codec.GetBuffer()
+	ackBuf := r.kern.Buffers().Get()
 	var data []byte
 	var err error
 	if inc > 1 || rinc > 1 {

@@ -85,6 +85,7 @@ func (s *Stream) Write(src, dst int32, data []byte) error {
 // octet stream. Its endpoint ids are the stream's.
 type Framing struct {
 	stream *Stream
+	bufs   *codec.BufferList // the kernel's, for frames
 
 	receivers []IndexedReceiver // endpoint id → receiver
 	// buffers holds partial frames per (sender, receiver) pair.
@@ -98,13 +99,14 @@ type flowKey struct{ src, dst int32 }
 
 var _ LowerService = (*Framing)(nil)
 
-// NewFraming wraps a stream in length-prefix framing. maxFrame bounds the
+// NewFraming wraps a stream in length-prefix framing; frames are
+// assembled and carved in buffers from kern's list. maxFrame bounds the
 // accepted frame size; zero means 16 MiB.
-func NewFraming(stream *Stream, maxFrame uint32) *Framing {
+func NewFraming(kern *sim.Kernel, stream *Stream, maxFrame uint32) *Framing {
 	if maxFrame == 0 {
 		maxFrame = 16 << 20
 	}
-	return &Framing{stream: stream, buffers: make(map[flowKey][]byte), maxFrame: maxFrame}
+	return &Framing{stream: stream, bufs: kern.Buffers(), buffers: make(map[flowKey][]byte), maxFrame: maxFrame}
 }
 
 // Name implements LowerService.
@@ -147,7 +149,7 @@ func (f *Framing) SendIndexed(src, dst int32, pdu []byte) error {
 	if uint32(len(pdu)) > f.maxFrame {
 		return fmt.Errorf("protocol: frame of %d bytes exceeds limit %d", len(pdu), f.maxFrame)
 	}
-	fb := codec.GetBuffer()
+	fb := f.bufs.Get()
 	fb.B = binary.BigEndian.AppendUint32(fb.B[:0], uint32(len(pdu)))
 	fb.B = append(fb.B, pdu...)
 	err := f.stream.Write(src, dst, fb.B)
@@ -189,7 +191,7 @@ func (f *Framing) onSegment(src, dst int32, segment []byte) {
 		if uint32(len(buf)-4) < size {
 			break
 		}
-		frame := codec.GetBuffer()
+		frame := f.bufs.Get()
 		frame.B = append(frame.B[:0], buf[4:4+size]...)
 		recv(src, frame.B)
 		frame.Release()
@@ -204,5 +206,5 @@ func (f *Framing) onSegment(src, dst int32, segment []byte) {
 // for application protocols or the middleware platform.
 func NewStreamTransport(kern *sim.Kernel, base LowerService, rcfg ReliableDatagramConfig, scfg StreamConfig) *Framing {
 	reliable := NewReliableDatagram(kern, base, rcfg)
-	return NewFraming(NewStream(reliable, scfg), 0)
+	return NewFraming(kern, NewStream(reliable, scfg), 0)
 }

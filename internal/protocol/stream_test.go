@@ -166,7 +166,7 @@ func TestFramingFrameTooLarge(t *testing.T) {
 	k := sim.NewKernel()
 	net := network.New(k)
 	stream := NewStream(NewReliableDatagram(k, NewUnreliableDatagram(net), ReliableDatagramConfig{}), StreamConfig{})
-	f := NewFraming(stream, 8)
+	f := NewFraming(k, stream, 8)
 	if err := f.Attach("a", func(Addr, []byte) {}); err != nil {
 		t.Fatal(err)
 	}

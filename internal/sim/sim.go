@@ -36,6 +36,13 @@
 //
 // A [TimerRef] names its timer by sequence number, so a ref kept after
 // its event fired or was cancelled stays inert when the timer is reused.
+//
+// # Buffers
+//
+// The kernel also owns the free list of codec buffers ([Kernel.Buffers])
+// that every layer built on it encodes into and delivers from. Like the
+// timers, the buffers belong to the kernel's goroutine: the list takes
+// no lock, and no two kernels exchange buffers.
 package sim
 
 import (
@@ -44,6 +51,8 @@ import (
 	"math"
 	"math/rand"
 	"time"
+
+	"repro/internal/codec"
 )
 
 // ErrStopped is returned by Run variants when the kernel was explicitly
@@ -118,6 +127,7 @@ type Kernel struct {
 	seq        uint64
 	queue      timerHeap
 	free       []*timer // recycled timers
+	bufs       codec.BufferList
 	rng        *rand.Rand
 	seed       int64 // of rng, set by WithSeed
 	eventLimit int
@@ -150,6 +160,10 @@ func (k *Kernel) Pending() int { return k.queue.len() }
 // used from inside event handlers (or before the simulation starts) to keep
 // runs reproducible.
 func (k *Kernel) Rand() *rand.Rand { return k.rng }
+
+// Buffers returns the kernel's buffer free list. Every layer running on
+// the kernel takes its encode and delivery buffers from it.
+func (k *Kernel) Buffers() *codec.BufferList { return &k.bufs }
 
 // Schedule arranges for fn to run after delay of virtual time and
 // returns a handle that can cancel it. A negative delay is treated as

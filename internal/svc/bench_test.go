@@ -303,9 +303,7 @@ const (
 )
 
 // TestSvcCallAddsNoAllocations is the alloc half of the acceptance gate
-// as absolute bounds on both round trips. Under -race the bounds are
-// not asserted (raceEnabled): the race runtime drops sync.Pool items at
-// random, so pooled buffers and cells reallocate nondeterministically.
+// as absolute bounds on both round trips.
 func TestSvcCallAddsNoAllocations(t *testing.T) {
 	// svc path.
 	kernel, p := rpcStack(t)
@@ -375,9 +373,6 @@ func TestSvcCallAddsNoAllocations(t *testing.T) {
 	}
 
 	t.Logf("allocs/op: svc port call %.1f, raw platform invoke %.1f", svcAllocs, rawAllocs)
-	if raceEnabled {
-		return
-	}
 	if svcAllocs > maxSvcCallAllocs {
 		t.Errorf("svc port call allocates %.1f/op, bound %d", svcAllocs, maxSvcCallAllocs)
 	}

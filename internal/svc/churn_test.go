@@ -199,7 +199,7 @@ func TestFailedCallAllocatesNothing(t *testing.T) {
 	if failed != 202 {
 		t.Fatalf("%d continuations saw a retryable error, want 202", failed)
 	}
-	if !raceEnabled && allocs != 0 {
+	if allocs != 0 {
 		t.Errorf("a failed call allocates %.1f/op, want 0", allocs)
 	}
 
@@ -222,7 +222,7 @@ func TestFailedCallAllocatesNothing(t *testing.T) {
 	if tries != 3*202 {
 		t.Fatalf("the policy ran %d times, want %d", tries, 3*202)
 	}
-	if !raceEnabled && allocs != 0 {
+	if allocs != 0 {
 		t.Errorf("a retried call allocates %.1f/op, want 0", allocs)
 	}
 

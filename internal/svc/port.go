@@ -311,6 +311,7 @@ func (b *Binding) NewExport(ref middleware.ObjRef, node middleware.Addr) (*Expor
 // dispatch hands the handler a respond function without allocating.
 type respondPool[Resp any] struct {
 	enc  func([]byte, Resp) ([]byte, error)
+	bufs *codec.BufferList // the platform kernel's, for reply encoding
 	free *respondCell[Resp]
 }
 
@@ -341,7 +342,7 @@ func (c *respondCell[Resp]) respond(resp Resp, err error) {
 		reply(nil, err)
 		return
 	}
-	buf := codec.GetBuffer()
+	buf := c.pool.bufs.Get()
 	out, err := enc(buf.B[:0], resp)
 	if err != nil {
 		buf.Release()
@@ -435,7 +436,7 @@ func HandleOp[Req, Resp any](e *Export, op string,
 			return fmt.Errorf("svc: export %q: duplicate handler for %q", e.ref, op)
 		}
 	}
-	o := &opHandler[Req, Resp]{dec: dec, h: h, pool: respondPool[Resp]{enc: enc}}
+	o := &opHandler[Req, Resp]{dec: dec, h: h, pool: respondPool[Resp]{enc: enc, bufs: e.b.plat.Time().Buffers()}}
 	e.ops = append(e.ops, exportOp{name: op, fn: o.dispatch})
 	return nil
 }

@@ -65,7 +65,7 @@ func NewTopicSink[T any](b *Binding, topic, name string,
 // is encoded into a pooled buffer and handed to the platform, which
 // copies it onto the wire. Errors follow the port taxonomy.
 func (s *Sink[T]) Send(from middleware.Addr, v T) error {
-	buf := codec.GetBuffer()
+	buf := s.b.plat.Time().Buffers().Get()
 	defer buf.Release()
 	rec, err := s.enc(buf.B[:0], v)
 	if err != nil {
