@@ -3,7 +3,7 @@
 // typed internal/svc service ports, protocol solutions over the
 // core.Provider boundary), checks the run online against the service
 // constraints, and checks the recorded trace offline against the
-// generated service LTS (trace refinement).
+// service LTS compiled from the same constraints (trace refinement).
 //
 // Usage:
 //
@@ -13,28 +13,35 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"repro/internal/core"
 	"repro/internal/floorcontrol"
-	"repro/internal/lts"
 )
 
 func main() {
-	os.Exit(run())
+	os.Exit(run(os.Args[1:], os.Stdout))
 }
 
-func run() int {
-	solution := flag.String("solution", "proto-callback", "solution to verify")
-	subs := flag.Int("subs", 2, "subscribers (LTS state space is exponential; keep small)")
-	resources := flag.Int("resources", 1, "resources")
-	cycles := flag.Int("cycles", 3, "cycles per subscriber")
-	seed := flag.Int64("seed", 1, "simulation seed")
-	all := flag.Bool("all", false, "verify every solution, including the MDA trajectory deployments")
-	dot := flag.Bool("dot", false, "print the service LTS in Graphviz dot format and exit")
-	flag.Parse()
+func run(args []string, stdout io.Writer) int {
+	fs := flag.NewFlagSet("svcverify", flag.ContinueOnError)
+	solution := fs.String("solution", "proto-callback", "solution to verify")
+	subs := fs.Int("subs", 2, "subscribers (LTS state space is exponential; keep small)")
+	resources := fs.Int("resources", 1, "resources")
+	cycles := fs.Int("cycles", 3, "cycles per subscriber")
+	seed := fs.Int64("seed", 1, "simulation seed")
+	all := fs.Bool("all", false, "verify every solution, including the MDA trajectory deployments")
+	dot := fs.Bool("dot", false, "print the service LTS in Graphviz dot format and exit")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
 
 	if err := checkFlags(*subs, *resources, *cycles); err != nil {
 		fmt.Fprintf(os.Stderr, "svcverify: %v\n", err)
@@ -51,14 +58,18 @@ func run() int {
 		}
 	}
 
-	spec := floorcontrol.ServiceLTS(
+	spec, err := floorcontrol.SafetyLTS(
 		floorcontrol.SubscriberNames(*subs),
 		floorcontrol.ResourceNames(*resources))
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "svcverify: %v\n", err)
+		return 1
+	}
 	if *dot {
-		fmt.Print(spec.DOT())
+		fmt.Fprint(stdout, spec.DOT())
 		return 0
 	}
-	fmt.Printf("service LTS: %d states, %d transitions (for %d subscribers × %d resources)\n\n",
+	fmt.Fprintf(stdout, "service LTS: %d states, %d transitions (for %d subscribers × %d resources)\n\n",
 		spec.NumStates(), spec.NumTransitions(), *subs, *resources)
 
 	failures := 0
@@ -82,36 +93,23 @@ func run() int {
 			online = "FAIL: " + res.ConformanceErr.Error()
 		}
 		offline := "pass"
-		impl := traceLTS(res.Solution, tr)
-		r := lts.TraceRefines(impl, spec)
-		if !r.Holds {
-			offline = fmt.Sprintf("FAIL at %v", r.Counterexample)
+		labels := tr.Labels()
+		rejected := spec.FirstRejected(labels)
+		if rejected >= 0 {
+			offline = fmt.Sprintf("FAIL at %v", labels[:rejected+1])
 		}
-		fmt.Printf("%-22s events=%-4d online(constraints)=%s offline(trace⊑LTS)=%s (explored %d product states)\n",
-			name, len(tr), online, offline, r.StatesExplored)
-		if res.ConformanceErr != nil || !r.Holds {
+		fmt.Fprintf(stdout, "%-22s events=%-4d online(constraints)=%s offline(trace⊑LTS)=%s\n",
+			name, len(tr), online, offline)
+		if res.ConformanceErr != nil || rejected >= 0 {
 			failures++
 		}
 	}
 	if failures > 0 {
-		fmt.Printf("\n%d verification failure(s)\n", failures)
+		fmt.Fprintf(stdout, "\n%d verification failure(s)\n", failures)
 		return 1
 	}
-	fmt.Println("\nall verifications passed")
+	fmt.Fprintln(stdout, "\nall verifications passed")
 	return 0
-}
-
-// traceLTS turns an executed trace into a linear LTS for refinement.
-func traceLTS(solution string, tr core.Trace) *lts.LTS {
-	b := lts.NewBuilder(solution + "-trace")
-	prev := b.State("t0")
-	for i, label := range tr.Labels() {
-		next := b.State(fmt.Sprintf("t%d", i+1))
-		b.Transition(prev, label, next)
-		prev = next
-	}
-	b.Final(prev)
-	return b.MustBuild()
 }
 
 // checkFlags rejects counts ≤ 0: the service LTS would be built over

@@ -55,6 +55,54 @@ func TestProtocolRunConforms(t *testing.T) {
 	}
 }
 
+// TestRecordedTraceInSafetyLTS checks a chat run's trace against the
+// safety LTS compiled from chat's own spec, so the compiler is not
+// specific to floor control. The application-defined TotalOrder has no
+// LTS encoding and is left out, as the liveness constraint is by the
+// compiler; the deployment is what the run used: its participants and
+// the msgids, texts and speakers its events carry.
+func TestRecordedTraceInSafetyLTS(t *testing.T) {
+	var tr core.Trace
+	if _, err := Run(Config{Participants: 2, MessagesEach: 2, Seed: 3, Trace: &tr}); err != nil {
+		t.Fatal(err)
+	}
+	spec := Spec()
+	spec.Constraints = slices.DeleteFunc(spec.Constraints, func(c core.Constraint) bool {
+		_, app := c.(*TotalOrder)
+		return app
+	})
+	var saps []core.SAP
+	values := make(map[string][]string)
+	for _, e := range tr {
+		if !slices.Contains(saps, e.SAP) {
+			saps = append(saps, e.SAP)
+		}
+		v, err := codec.ParseRecord(e.Params)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for k, val := range v.All {
+			if s := val.(string); !slices.Contains(values[string(k)], s) {
+				values[string(k)] = append(values[string(k)], s)
+			}
+		}
+	}
+	l, err := spec.SafetyLTS("ordered-chat-safety", saps, values)
+	if err != nil {
+		t.Fatal(err)
+	}
+	labels := tr.Labels()
+	if i := l.FirstRejected(labels); i >= 0 {
+		t.Fatalf("recorded trace rejected at %d: %v", i, labels[:i+1])
+	}
+	// No message is delivered before it is said.
+	deliver := slices.IndexFunc(tr, func(e core.Event) bool { return e.Primitive == PrimDeliver })
+	if l.Accepts([]string{labels[deliver]}) {
+		t.Fatalf("delivery before any say accepted: %s", labels[deliver])
+	}
+	t.Logf("%d events in an LTS of %d states, %d transitions", len(tr), l.NumStates(), l.NumTransitions())
+}
+
 func TestMDARunsOnAllPlatforms(t *testing.T) {
 	for _, target := range mda.ConcretePlatforms() {
 		target := target

@@ -17,10 +17,12 @@
 // useful: an Observer that watches primitive executions at runtime and
 // checks every constraint online (keeping only monitor state; the global
 // trace is recorded for offline analysis only on request, see WithTrace),
-// and a Provider interface that lets application parts be written once
+// a Provider interface that lets application parts be written once
 // against the service and executed over any conforming implementation —
 // the paper's core argument for why "the design of the application is not
-// influenced by the choice of a protocol solution" (§5).
+// influenced by the choice of a protocol solution" (§5) — and SafetyLTS,
+// which compiles the same constraints into the LTS that recorded traces
+// are checked against offline.
 package core
 
 import (

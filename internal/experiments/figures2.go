@@ -266,7 +266,10 @@ func traceLabelsEqual(a, b core.Trace) bool {
 // (one shared implementation) and their SAP-local disciplines are
 // unchanged, and every run satisfies the same service.
 func Fig9InteractionSystemView(seed int64) (*Report, error) {
-	spec := floorcontrol.ServiceLTS(floorcontrol.SubscriberNames(2), floorcontrol.ResourceNames(1))
+	spec, err := floorcontrol.SafetyLTS(floorcontrol.SubscriberNames(2), floorcontrol.ResourceNames(1))
+	if err != nil {
+		return nil, err
+	}
 	table := metrics.NewTable("Figure 9 — protocol swapped behind the same floor-control service",
 		"interaction system", "PDU types", "net msgs", "service trace in service LTS", "app part impl")
 	for _, name := range []string{"proto-callback", "proto-polling", "proto-token"} {

@@ -269,7 +269,7 @@ func TestChurnFaultFreeResultOmitsChurnFields(t *testing.T) {
 // prefix).
 func TestChurnTraceRefinesSafetyLTS(t *testing.T) {
 	subs, ress := 3, 2
-	spec := ServiceLTS(SubscriberNames(subs), ResourceNames(ress))
+	spec := safetyLTS(t, subs, ress)
 	for _, name := range AllSolutionNames() {
 		for seed := int64(0); seed < 3; seed++ {
 			cfg := Config{

@@ -1,12 +1,14 @@
 package floorcontrol
 
 import (
-	"math/rand"
+	"fmt"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/lts"
 	"repro/internal/sim"
 )
 
@@ -25,48 +27,157 @@ func safetySpec() *core.ServiceSpec {
 	return s
 }
 
-// TestPropertyLTSAgreesWithMonitors is the formal cross-validation: two
-// independent encodings of the floor-control service — the generated
-// behaviour LTS and the online constraint monitors — must accept exactly
-// the same event sequences. Random traces (valid and invalid alike)
-// exercise both.
-func TestPropertyLTSAgreesWithMonitors(t *testing.T) {
-	subs := SubscriberNames(2)
-	ress := ResourceNames(2)
-	spec := ServiceLTS(subs, ress)
+// eventLabel renders an event label in the same form core.Event.Label
+// produces, for the oracle's construction.
+func eventLabel(prim, sub, res string) string {
+	return fmt.Sprintf("%s@%s:%s(%s=%s)", prim, RoleSubscriber, sub, ParamResource, res)
+}
 
-	prop := func(seed int64, length uint8) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := int(length%20) + 1
+// ServiceLTS is the test oracle for SafetyLTS and the monitors: the
+// floor-control service's behaviour LTS built by hand for a concrete
+// deployment (subscriber ids × resource ids), the state space of all
+// constraint-respecting interleavings, written apart from the .svc
+// constraints that SafetyLTS compiles.
+func ServiceLTS(subscribers, resources []string) *lts.LTS {
+	b := lts.NewBuilder("floor-control-service")
 
-		kernel := sim.NewKernel()
-		obs, err := core.NewObserver(safetySpec(), kernel)
-		if err != nil {
-			return false
-		}
-		var labels []string
-		var params paramBuf
-		monitorsOK := true
-		for i := 0; i < n; i++ {
-			sub := subs[rng.Intn(len(subs))]
-			res := ress[rng.Intn(len(ress))]
-			prim := []string{PrimRequest, PrimGranted, PrimFree}[rng.Intn(3)]
-			e := core.Event{
-				SAP:       SubscriberSAP(sub),
-				Primitive: prim,
-				Params:    params.of(res),
-			}
-			labels = append(labels, e.Label())
-			if obs.Observe(e.SAP, e.Primitive, e.Params) != nil {
-				monitorsOK = false
-				break // monitors reject at first violation; LTS must reject the same prefix
+	// A subscriber's state per resource: 0 idle, 1 requested, 2 held;
+	// index = sub*len(resources)+res.
+	idle := strings.Repeat("0", len(subscribers)*len(resources))
+	b.State(idle)
+	work, created := []string{idle}, 1
+	heldBy := func(c string, res int) int {
+		for s := range subscribers {
+			if c[s*len(resources)+res] == '2' {
+				return s
 			}
 		}
-		ltsOK := spec.Accepts(labels)
-		return ltsOK == monitorsOK
+		return -1
 	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 400}); err != nil {
+	for len(work) > 0 {
+		c := work[0]
+		work = work[1:]
+		from := b.State(c)
+		step := func(label string, i int, state byte) {
+			next := []byte(c)
+			next[i] = state
+			to := b.State(string(next))
+			if int(to) == created {
+				created++
+				work = append(work, string(next))
+			}
+			b.Transition(from, label, to)
+		}
+		for s, sub := range subscribers {
+			for r, res := range resources {
+				i := s*len(resources) + r
+				switch c[i] {
+				case '0': // idle: may request
+					step(eventLabel(PrimRequest, sub, res), i, '1')
+				case '1': // requested: may be granted if nobody holds res
+					if heldBy(c, r) == -1 {
+						step(eventLabel(PrimGranted, sub, res), i, '2')
+					}
+				case '2': // held: may free
+					step(eventLabel(PrimFree, sub, res), i, '0')
+				}
+			}
+		}
+	}
+	l, err := b.Build()
+	if err != nil {
+		panic(err)
+	}
+	return l
+}
+
+// safetyLTS is SafetyLTS for a test deployment of the named sizes.
+func safetyLTS(t testing.TB, subs, ress int) *lts.LTS {
+	t.Helper()
+	l, err := SafetyLTS(SubscriberNames(subs), ResourceNames(ress))
+	if err != nil {
 		t.Fatal(err)
+	}
+	return l
+}
+
+// TestSafetyLTSMatchesOracle pins the compiled LTS to the oracle's size
+// at three deployments; the exhaustive check below pins their behaviour.
+func TestSafetyLTSMatchesOracle(t *testing.T) {
+	for _, tc := range []struct{ subs, ress, states, transitions int }{
+		{2, 1, 8, 14},
+		{2, 2, 64, 224},
+		{3, 2, 400, 1920},
+	} {
+		compiled := safetyLTS(t, tc.subs, tc.ress)
+		oracle := ServiceLTS(SubscriberNames(tc.subs), ResourceNames(tc.ress))
+		for _, l := range []*lts.LTS{compiled, oracle} {
+			if l.NumStates() != tc.states || l.NumTransitions() != tc.transitions {
+				t.Errorf("%d×%d: %d states, %d transitions, want %d, %d\n%s",
+					tc.subs, tc.ress, l.NumStates(), l.NumTransitions(), tc.states, tc.transitions, l)
+			}
+		}
+	}
+}
+
+// TestPropertyLTSAgreesWithMonitors is the formal cross-validation, made
+// exhaustive at small scope: three independent checkers of the
+// floor-control service — the LTS compiled from the spec, the
+// hand-built ServiceLTS oracle and the online monitors of safetySpec —
+// must agree on every event sequence up to a length. Starting from the
+// empty sequence, every label of the alphabet is appended to every
+// sequence all three accept, and the three verdicts on the result must
+// be equal. It checks 2×1 up to length 7 and 2×2 up to length 5 in well
+// under a second.
+func TestPropertyLTSAgreesWithMonitors(t *testing.T) {
+	spec := safetySpec()
+	for _, tc := range []struct{ subs, ress, maxLen int }{{2, 1, 7}, {2, 2, 5}} {
+		compiled := safetyLTS(t, tc.subs, tc.ress)
+		oracle := ServiceLTS(SubscriberNames(tc.subs), ResourceNames(tc.ress))
+		var alphabet []core.Event
+		for _, prim := range []string{PrimRequest, PrimGranted, PrimFree} {
+			for _, sub := range SubscriberNames(tc.subs) {
+				for _, res := range ResourceNames(tc.ress) {
+					var params paramBuf
+					alphabet = append(alphabet, core.Event{SAP: SubscriberSAP(sub), Primitive: prim, Params: params.of(res)})
+				}
+			}
+		}
+		monitorsAccept := func(seq []core.Event) bool {
+			obs, err := core.NewObserver(spec, sim.NewKernel())
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, e := range seq {
+				if obs.Observe(e.SAP, e.Primitive, e.Params) != nil {
+					return false
+				}
+			}
+			return true
+		}
+		var (
+			seq     []core.Event
+			labels  []string
+			checked int
+		)
+		var extend func()
+		extend = func() {
+			for _, e := range alphabet {
+				seq, labels = append(seq, e), append(labels, e.Label())
+				c, o, m := compiled.Accepts(labels), oracle.Accepts(labels), monitorsAccept(seq)
+				checked++
+				if c != o || c != m {
+					t.Fatalf("%d×%d: compiled LTS %v, oracle %v, monitors %v on\n%s",
+						tc.subs, tc.ress, c, o, m, core.Trace(seq))
+				}
+				if c && len(seq) < tc.maxLen {
+					extend()
+				}
+				seq, labels = seq[:len(seq)-1], labels[:len(labels)-1]
+			}
+		}
+		extend()
+		t.Logf("%d×%d up to length %d: %d sequences agree", tc.subs, tc.ress, tc.maxLen, checked)
 	}
 }
 
@@ -79,7 +190,7 @@ func TestPropertyExecutedTracesAlwaysAccepted(t *testing.T) {
 		"proto-callback", "proto-polling", "proto-token",
 		"mda-rpc-rmi-like", "mda-queue-mq-like",
 	}
-	spec := ServiceLTS(SubscriberNames(2), ResourceNames(1))
+	spec := safetyLTS(t, 2, 1)
 	prop := func(seed int64, which uint8, cycles uint8) bool {
 		res, tr, err := runTraced(Config{
 			Solution:    names[int(which)%len(names)],
@@ -115,7 +226,7 @@ func TestPropertyChurnedTracesRefineSafetyLTS(t *testing.T) {
 		"proto-callback", "proto-polling", "proto-token",
 		"mda-rpc-corba-like", "mda-msg-jms-like",
 	}
-	spec := ServiceLTS(SubscriberNames(3), ResourceNames(2))
+	spec := safetyLTS(t, 3, 2)
 	prop := func(seed int64, which, sev uint8) bool {
 		res, tr, err := runTraced(Config{
 			Solution:    names[int(which)%len(names)],

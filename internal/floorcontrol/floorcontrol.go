@@ -7,7 +7,7 @@
 //
 //   - the floor-control *service definition* (Figure 5): primitives
 //     request/granted/free with the paper's two local constraints and one
-//     remote constraint, plus a generated behaviour LTS;
+//     remote constraint, and the safety LTS compiled from them;
 //   - the three middleware-centred solutions of Figure 4 — (a)
 //     callback-based, (b) polling-based, (c) token-based — built on the
 //     internal/middleware component platform;
@@ -22,8 +22,6 @@
 package floorcontrol
 
 import (
-	"fmt"
-
 	"repro/examples/specs"
 	"repro/internal/codec"
 	"repro/internal/core"
@@ -197,92 +195,20 @@ func (d *deployment) resid(params []byte) (int32, string) {
 // SubscriberSAP names the SAP of one subscriber.
 func SubscriberSAP(id string) core.SAP { return core.SAP{Role: RoleSubscriber, ID: id} }
 
-// eventLabel renders an event label in the same form core.Event.Label
-// produces, for LTS construction.
-func eventLabel(prim, sub, res string) string {
-	return fmt.Sprintf("%s@%s:%s(%s=%s)", prim, RoleSubscriber, sub, ParamResource, res)
-}
-
-// ServiceLTS generates the behaviour LTS of the floor-control service for
-// a concrete deployment (subscriber ids × resource ids): the state space
-// of all constraint-respecting interleavings. Recorded execution traces
-// are checked against it by trace refinement — the formal assessment the
-// paper asks for ("this can be assessed formally", §2).
+// SafetyLTS compiles the floor-control service's safety constraints into
+// the LTS of a concrete deployment (subscriber ids × resource ids): every
+// constraint-respecting interleaving of request, granted and free.
+// Recorded execution traces are checked against it — the formal
+// assessment the paper asks for ("this can be assessed formally", §2).
 //
 // The state space is exponential in subscribers × resources; keep the
 // deployment small (it is a specification artifact, not a runtime one).
-func ServiceLTS(subscribers, resources []string) *lts.LTS {
-	b := lts.NewBuilder("floor-control-service")
-
-	// A subscriber's state per resource: 0 idle, 1 requested, 2 held.
-	type cfg struct {
-		state string // concatenated digits, index = sub*len(resources)+res
+func SafetyLTS(subscribers, resources []string) (*lts.LTS, error) {
+	saps := make([]core.SAP, len(subscribers))
+	for i, id := range subscribers {
+		saps[i] = SubscriberSAP(id)
 	}
-	idle := make([]byte, len(subscribers)*len(resources))
-	for i := range idle {
-		idle[i] = '0'
-	}
-	start := cfg{string(idle)}
-	name := func(c cfg) string { return c.state }
-
-	created := map[cfg]lts.State{start: b.State(name(start))}
-	b.Final(created[start])
-	work := []cfg{start}
-	heldBy := func(c cfg, res int) int {
-		for s := range subscribers {
-			if c.state[s*len(resources)+res] == '2' {
-				return s
-			}
-		}
-		return -1
-	}
-	for len(work) > 0 {
-		c := work[0]
-		work = work[1:]
-		from := created[c]
-		step := func(label string, next cfg) {
-			to, ok := created[next]
-			if !ok {
-				to = b.State(name(next))
-				created[next] = to
-				// Final whenever nothing is requested or held.
-				allIdle := true
-				for i := 0; i < len(next.state); i++ {
-					if next.state[i] != '0' {
-						allIdle = false
-						break
-					}
-				}
-				if allIdle {
-					b.Final(to)
-				}
-				work = append(work, next)
-			}
-			b.Transition(from, label, to)
-		}
-		for s, sub := range subscribers {
-			for r, res := range resources {
-				i := s*len(resources) + r
-				switch c.state[i] {
-				case '0': // idle: may request
-					next := []byte(c.state)
-					next[i] = '1'
-					step(eventLabel(PrimRequest, sub, res), cfg{string(next)})
-				case '1': // requested: may be granted if nobody holds res
-					if heldBy(c, r) == -1 {
-						next := []byte(c.state)
-						next[i] = '2'
-						step(eventLabel(PrimGranted, sub, res), cfg{string(next)})
-					}
-				case '2': // held: may free
-					next := []byte(c.state)
-					next[i] = '0'
-					step(eventLabel(PrimFree, sub, res), cfg{string(next)})
-				}
-			}
-		}
-	}
-	return b.MustBuild()
+	return runSpec.SafetyLTS("floor-control-service", saps, map[string][]string{ParamResource: resources})
 }
 
 // Scattering quantifies the paper's Figure 7: where does the interaction

@@ -1,10 +1,11 @@
 package floorcontrol
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
-	"repro/internal/lts"
+	"repro/internal/core"
 	"repro/internal/middleware"
 )
 
@@ -63,9 +64,6 @@ func TestServiceLTSSmallDeployment(t *testing.T) {
 	// 3*3 - 1 = 8 states.
 	if l.NumStates() != 8 {
 		t.Fatalf("NumStates = %d, want 8", l.NumStates())
-	}
-	if dl := l.Deadlocks(); len(dl) != 0 {
-		t.Fatalf("service LTS has deadlocks: %v", dl)
 	}
 	ok := []string{
 		eventLabel(PrimRequest, "s1", "r1"),
@@ -229,7 +227,7 @@ func TestRunWorkloadSeedsDiffer(t *testing.T) {
 // execution trace of every solution is a trace of the service LTS.
 func TestTraceRefinesServiceLTS(t *testing.T) {
 	subs, ress := 2, 1
-	spec := ServiceLTS(SubscriberNames(subs), ResourceNames(ress))
+	spec := safetyLTS(t, subs, ress)
 	for _, s := range Solutions() {
 		s := s
 		t.Run(s.Name(), func(t *testing.T) {
@@ -424,38 +422,31 @@ func TestMiddlewareSolutionsRequireMatchingProfile(t *testing.T) {
 	}
 }
 
+// TestTraceRefinementViaLTSRefines pins what the offline check reports:
+// a recorded trace, being linear, refines the service LTS exactly when
+// the LTS accepts it, and a trace it rejects is cut at its first
+// offending label, the shortest counterexample.
 func TestTraceRefinementViaLTSRefines(t *testing.T) {
-	// Build a linear LTS from an executed trace and check full trace
-	// refinement (not just membership) against the service LTS.
 	_, tr, err := runTraced(Config{Solution: "proto-polling", Subscribers: 2, Resources: 1, Cycles: 2, Seed: 17})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b := lts.NewBuilder("executed-trace")
-	prev := b.State("t0")
-	for i, label := range tr.Labels() {
-		next := b.State("t" + string(rune('a'+i%26)) + SubscriberNames(1)[0] + fmtInt(i))
-		b.Transition(prev, label, next)
-		prev = next
+	spec := safetyLTS(t, 2, 1)
+	labels := tr.Labels()
+	if i := spec.FirstRejected(labels); i >= 0 {
+		t.Fatalf("trace rejected at %d: %v", i, labels[:i+1])
 	}
-	b.Final(prev)
-	impl := b.MustBuild()
-	spec := ServiceLTS(SubscriberNames(2), ResourceNames(1))
-	r := lts.TraceRefines(impl, spec)
-	if !r.Holds {
-		t.Fatalf("trace refinement failed: %v", r.Counterexample)
+	// A second grant of the resource while it is held.
+	g := slices.IndexFunc(tr, func(e core.Event) bool { return e.Primitive == PrimGranted })
+	other := SubscriberNames(2)[0]
+	if tr[g].SAP.ID == other {
+		other = SubscriberNames(2)[1]
 	}
-}
-
-// fmtInt avoids importing strconv in tests for one call site.
-func fmtInt(i int) string {
-	if i == 0 {
-		return "0"
+	var params paramBuf
+	forged := append(slices.Clone(labels[:g+1]),
+		core.Event{SAP: SubscriberSAP(other), Primitive: PrimGranted, Params: params.of(ResourceNames(1)[0])}.Label())
+	forged = append(forged, labels[g+1:]...)
+	if i := spec.FirstRejected(forged); i != g+1 {
+		t.Fatalf("forged grant at %d, first rejected %d", g+1, i)
 	}
-	var digits []byte
-	for i > 0 {
-		digits = append([]byte{byte('0' + i%10)}, digits...)
-		i /= 10
-	}
-	return string(digits)
 }

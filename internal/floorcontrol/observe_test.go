@@ -20,7 +20,7 @@ func runTraced(cfg Config) (*Result, core.Trace, error) {
 // for every solution the trace holds exactly the events the observer
 // checked, and the service LTS accepts them.
 func TestTraceParity(t *testing.T) {
-	spec := ServiceLTS(SubscriberNames(2), ResourceNames(1))
+	spec := safetyLTS(t, 2, 1)
 	for _, name := range AllSolutionNames() {
 		t.Run(name, func(t *testing.T) {
 			sol, ok := SolutionByName(name)

@@ -92,7 +92,7 @@ func TestMDASolutionsRegistry(t *testing.T) {
 }
 
 func TestMDAWorkloadsConformOnAllPlatforms(t *testing.T) {
-	spec := ServiceLTS(SubscriberNames(2), ResourceNames(1))
+	spec := safetyLTS(t, 2, 1)
 	for _, s := range MDASolutions() {
 		s := s
 		t.Run(s.Name(), func(t *testing.T) {

@@ -2,64 +2,51 @@
 // the paper calls for in its conclusions ("a formal basis to develop
 // techniques for testing or proving the correctness of service designs").
 //
-// A service specification induces an LTS over service-primitive labels; a
-// protocol or middleware solution, executed in simulation, produces traces
-// over the same labels. Conformance is trace inclusion: every visible trace
-// of the implementation must be a trace of the service. The package
-// provides construction, tau-abstraction, determinization, parallel
-// composition, bounded trace enumeration, deadlock detection and a
-// trace-refinement check with counterexample extraction.
+// A service specification induces an LTS over service-primitive labels
+// (core.ServiceSpec.SafetyLTS); a protocol or middleware solution,
+// executed in simulation, produces traces over the same labels.
+// Conformance is trace inclusion: every recorded trace must be a trace of
+// the service, which FirstRejected checks and, when it fails, locates.
 package lts
 
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 )
-
-// Tau is the invisible (internal) action label. Tau transitions are
-// skipped by trace semantics.
-const Tau = "τ"
 
 // ErrNoStates is returned when an operation requires a non-empty LTS.
 var ErrNoStates = errors.New("lts: system has no states")
 
 // State identifies a state within one LTS. States are dense indices
-// assigned by the builder.
+// assigned by the builder; state 0 is the initial state.
 type State int
 
-// Transition is a labelled edge.
-type Transition struct {
-	Label string
-	To    State
+// edge is a labelled transition.
+type edge struct {
+	label string
+	to    State
 }
 
 // LTS is an immutable labelled transition system. Build one with Builder.
 type LTS struct {
-	name    string
-	initial State
-	names   []string           // state index → display name
-	out     [][]Transition     // state index → ordered transitions
-	final   map[State]struct{} // states where termination is acceptable
+	name  string
+	names []string // state index → display name
+	out   [][]edge // state index → ordered transitions
 }
 
-// Builder constructs an LTS incrementally. The zero value is ready to use.
+// Builder constructs an LTS incrementally.
 type Builder struct {
 	name   string
 	names  []string
-	out    [][]Transition
-	final  map[State]struct{}
+	out    [][]edge
 	byName map[string]State
 }
 
 // NewBuilder returns a builder for a system with the given display name.
 func NewBuilder(name string) *Builder {
-	return &Builder{
-		name:   name,
-		final:  make(map[State]struct{}),
-		byName: make(map[string]State),
-	}
+	return &Builder{name: name, byName: make(map[string]State)}
 }
 
 // State returns the state with the given display name, creating it on first
@@ -77,12 +64,8 @@ func (b *Builder) State(name string) State {
 
 // Transition adds an edge from → to with the given label.
 func (b *Builder) Transition(from State, label string, to State) {
-	b.out[from] = append(b.out[from], Transition{Label: label, To: to})
+	b.out[from] = append(b.out[from], edge{label, to})
 }
-
-// Final marks a state as an acceptable termination point; Deadlocks will
-// not report it.
-func (b *Builder) Final(s State) { b.final[s] = struct{}{} }
 
 // Build freezes the builder into an immutable LTS. It returns ErrNoStates
 // for an empty builder.
@@ -90,32 +73,12 @@ func (b *Builder) Build() (*LTS, error) {
 	if len(b.names) == 0 {
 		return nil, ErrNoStates
 	}
-	out := make([][]Transition, len(b.out))
+	out := make([][]edge, len(b.out))
 	for i, ts := range b.out {
-		out[i] = append([]Transition(nil), ts...)
+		out[i] = slices.Clone(ts)
 	}
-	final := make(map[State]struct{}, len(b.final))
-	for s := range b.final {
-		final[s] = struct{}{}
-	}
-	return &LTS{name: b.name, initial: 0, names: append([]string(nil), b.names...), out: out, final: final}, nil
+	return &LTS{name: b.name, names: slices.Clone(b.names), out: out}, nil
 }
-
-// MustBuild is Build for statically correct construction; it panics on
-// error.
-func (b *Builder) MustBuild() *LTS {
-	l, err := b.Build()
-	if err != nil {
-		panic(err)
-	}
-	return l
-}
-
-// Name returns the display name of the system.
-func (l *LTS) Name() string { return l.name }
-
-// Initial returns the initial state.
-func (l *LTS) Initial() State { return l.initial }
 
 // NumStates returns the number of states.
 func (l *LTS) NumStates() int { return len(l.names) }
@@ -137,404 +100,30 @@ func (l *LTS) StateName(s State) string {
 	return l.names[s]
 }
 
-// Outgoing returns a copy of a state's transitions.
-func (l *LTS) Outgoing(s State) []Transition {
-	if int(s) < 0 || int(s) >= len(l.out) {
-		return nil
-	}
-	return append([]Transition(nil), l.out[s]...)
-}
+// Accepts reports whether trace is a trace of l: whether some run of l
+// from the initial state exhibits it.
+func (l *LTS) Accepts(trace []string) bool { return l.FirstRejected(trace) < 0 }
 
-// Alphabet returns the sorted set of visible (non-tau) labels.
-func (l *LTS) Alphabet() []string {
-	set := make(map[string]struct{})
-	for _, ts := range l.out {
-		for _, tr := range ts {
-			if tr.Label != Tau {
-				set[tr.Label] = struct{}{}
-			}
-		}
-	}
-	out := make([]string, 0, len(set))
-	for lab := range set {
-		out = append(out, lab)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// tauClosure expands a state set with everything reachable via tau
-// transitions. The result is sorted and deduplicated.
-func (l *LTS) tauClosure(states []State) []State {
-	seen := make(map[State]struct{}, len(states))
-	stack := append([]State(nil), states...)
-	for len(stack) > 0 {
-		s := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if _, ok := seen[s]; ok {
-			continue
-		}
-		seen[s] = struct{}{}
-		for _, tr := range l.out[s] {
-			if tr.Label == Tau {
-				stack = append(stack, tr.To)
-			}
-		}
-	}
-	out := make([]State, 0, len(seen))
-	for s := range seen {
-		out = append(out, s)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-// after returns the tau-closed state set reached from set by one visible
-// label. Tau is not a visible label and yields no successor set.
-func (l *LTS) after(set []State, label string) []State {
-	if label == Tau {
-		return nil
-	}
-	var next []State
-	for _, s := range set {
-		for _, tr := range l.out[s] {
-			if tr.Label == label {
-				next = append(next, tr.To)
-			}
-		}
-	}
-	if len(next) == 0 {
-		return nil
-	}
-	return l.tauClosure(next)
-}
-
-// Accepts reports whether trace (a sequence of visible labels) is a trace
-// of l, i.e. whether some run of l exhibits it modulo tau.
-func (l *LTS) Accepts(trace []string) bool {
-	set := l.tauClosure([]State{l.initial})
-	for _, label := range trace {
-		set = l.after(set, label)
-		if len(set) == 0 {
-			return false
-		}
-	}
-	return true
-}
-
-// Traces enumerates all visible traces of length <= maxLen, lexicographically
-// sorted and deduplicated. It is intended for small specification systems;
-// the result size is bounded by maxTraces to stay safe on cyclic systems.
-func (l *LTS) Traces(maxLen, maxTraces int) [][]string {
-	type node struct {
-		set   []State
-		trace []string
-	}
-	seen := make(map[string]struct{})
-	var out [][]string
-	queue := []node{{set: l.tauClosure([]State{l.initial})}}
-	record := func(tr []string) bool {
-		key := strings.Join(tr, "\x00")
-		if _, ok := seen[key]; ok {
-			return true
-		}
-		seen[key] = struct{}{}
-		out = append(out, append([]string(nil), tr...))
-		return len(out) < maxTraces
-	}
-	if !record(nil) {
-		return out
-	}
-	for len(queue) > 0 {
-		n := queue[0]
-		queue = queue[1:]
-		if len(n.trace) >= maxLen {
-			continue
-		}
-		labels := make(map[string]struct{})
-		for _, s := range n.set {
-			for _, tr := range l.out[s] {
-				if tr.Label != Tau {
-					labels[tr.Label] = struct{}{}
-				}
-			}
-		}
-		sorted := make([]string, 0, len(labels))
-		for lab := range labels {
-			sorted = append(sorted, lab)
-		}
-		sort.Strings(sorted)
-		for _, lab := range sorted {
-			next := l.after(n.set, lab)
-			tr := append(append([]string(nil), n.trace...), lab)
-			if !record(tr) {
-				return out
-			}
-			queue = append(queue, node{set: next, trace: tr})
-		}
-	}
-	sort.Slice(out, func(i, j int) bool {
-		return strings.Join(out[i], "\x00") < strings.Join(out[j], "\x00")
-	})
-	return out
-}
-
-// Deadlocks returns reachable non-final states with no outgoing
-// transitions, in state order.
-func (l *LTS) Deadlocks() []State {
-	var out []State
-	seen := make(map[State]struct{})
-	stack := []State{l.initial}
-	for len(stack) > 0 {
-		s := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if _, ok := seen[s]; ok {
-			continue
-		}
-		seen[s] = struct{}{}
-		if len(l.out[s]) == 0 {
-			if _, isFinal := l.final[s]; !isFinal {
-				out = append(out, s)
-			}
-		}
-		for _, tr := range l.out[s] {
-			stack = append(stack, tr.To)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-// Determinize applies the subset construction over visible labels,
-// producing a deterministic LTS that accepts exactly the same traces.
-func (l *LTS) Determinize() *LTS {
-	b := NewBuilder(l.name + " (det)")
-	key := func(set []State) string {
-		parts := make([]string, len(set))
-		for i, s := range set {
-			parts[i] = fmt.Sprintf("%d", int(s))
-		}
-		return "{" + strings.Join(parts, ",") + "}"
-	}
-	start := l.tauClosure([]State{l.initial})
-	work := [][]State{start}
-	created := map[string]State{key(start): b.State(key(start))}
-	for len(work) > 0 {
-		set := work[0]
-		work = work[1:]
-		from := created[key(set)]
-		labels := make(map[string]struct{})
+// FirstRejected returns the index of the first label of trace that no run
+// of l exhibiting the labels before it can take, or -1 when l accepts the
+// whole trace. trace[:i+1] is then a shortest counterexample.
+func (l *LTS) FirstRejected(trace []string) int {
+	set := []State{0}
+	for i, label := range trace {
+		var next []State
 		for _, s := range set {
 			for _, tr := range l.out[s] {
-				if tr.Label != Tau {
-					labels[tr.Label] = struct{}{}
+				if tr.label == label && !slices.Contains(next, tr.to) {
+					next = append(next, tr.to)
 				}
 			}
 		}
-		sorted := make([]string, 0, len(labels))
-		for lab := range labels {
-			sorted = append(sorted, lab)
+		if len(next) == 0 {
+			return i
 		}
-		sort.Strings(sorted)
-		for _, lab := range sorted {
-			next := l.after(set, lab)
-			k := key(next)
-			to, ok := created[k]
-			if !ok {
-				to = b.State(k)
-				created[k] = to
-				work = append(work, next)
-			}
-			b.Transition(from, lab, to)
-		}
+		set = next
 	}
-	return b.MustBuild()
-}
-
-// Compose builds the parallel composition of a and b synchronizing on the
-// given label set: synchronized labels fire jointly; all other labels
-// (including tau) interleave.
-func Compose(a, b *LTS, sync []string) *LTS {
-	syncSet := make(map[string]struct{}, len(sync))
-	for _, s := range sync {
-		syncSet[s] = struct{}{}
-	}
-	type pair struct{ sa, sb State }
-	builder := NewBuilder(a.name + " || " + b.name)
-	name := func(p pair) string {
-		return "(" + a.StateName(p.sa) + "," + b.StateName(p.sb) + ")"
-	}
-	start := pair{a.initial, b.initial}
-	created := map[pair]State{start: builder.State(name(start))}
-	work := []pair{start}
-	for len(work) > 0 {
-		p := work[0]
-		work = work[1:]
-		from := created[p]
-		add := func(label string, q pair) {
-			to, ok := created[q]
-			if !ok {
-				to = builder.State(name(q))
-				created[q] = to
-				work = append(work, q)
-			}
-			builder.Transition(from, label, to)
-		}
-		for _, tr := range a.out[p.sa] {
-			if _, isSync := syncSet[tr.Label]; isSync {
-				for _, tb := range b.out[p.sb] {
-					if tb.Label == tr.Label {
-						add(tr.Label, pair{tr.To, tb.To})
-					}
-				}
-			} else {
-				add(tr.Label, pair{tr.To, p.sb})
-			}
-		}
-		for _, tb := range b.out[p.sb] {
-			if _, isSync := syncSet[tb.Label]; !isSync {
-				add(tb.Label, pair{p.sa, tb.To})
-			}
-		}
-	}
-	// Composite state is final when both components are final.
-	for p, s := range created {
-		_, fa := a.final[p.sa]
-		_, fb := b.final[p.sb]
-		if fa && fb {
-			builder.Final(s)
-		}
-	}
-	return builder.MustBuild()
-}
-
-// Hide replaces the given labels with tau, abstracting them from the
-// visible behaviour (service boundary abstraction: hiding PDU exchanges
-// leaves only service primitives visible).
-func (l *LTS) Hide(labels ...string) *LTS {
-	hidden := make(map[string]struct{}, len(labels))
-	for _, lab := range labels {
-		hidden[lab] = struct{}{}
-	}
-	b := NewBuilder(l.name)
-	for i := range l.names {
-		b.State(l.names[i])
-	}
-	for s, ts := range l.out {
-		for _, tr := range ts {
-			label := tr.Label
-			if _, ok := hidden[label]; ok {
-				label = Tau
-			}
-			b.Transition(State(s), label, tr.To)
-		}
-	}
-	for s := range l.final {
-		b.Final(s)
-	}
-	return b.MustBuild()
-}
-
-// HidePrefix is Hide for every visible label with the given prefix. It is
-// the usual way to hide a whole PDU alphabet ("pdu:").
-func (l *LTS) HidePrefix(prefix string) *LTS {
-	var labels []string
-	for _, lab := range l.Alphabet() {
-		if strings.HasPrefix(lab, prefix) {
-			labels = append(labels, lab)
-		}
-	}
-	return l.Hide(labels...)
-}
-
-// RefinementResult reports the outcome of a trace-refinement check.
-type RefinementResult struct {
-	// Holds is true when every trace of the implementation is a trace of
-	// the specification.
-	Holds bool
-	// Counterexample, when Holds is false, is a shortest implementation
-	// trace rejected by the specification (the last label is the offending
-	// one).
-	Counterexample []string
-	// StatesExplored counts product states visited by the check.
-	StatesExplored int
-}
-
-// TraceRefines checks trace refinement: impl ⊑tr spec. Both systems may be
-// nondeterministic and contain tau. The check walks the synchronous product
-// of impl against the determinized spec, breadth-first, so a reported
-// counterexample is shortest.
-func TraceRefines(impl, spec *LTS) RefinementResult {
-	dspec := spec.Determinize()
-	type cfg struct {
-		implSet string
-		specSt  State
-	}
-	key := func(set []State) string {
-		parts := make([]string, len(set))
-		for i, s := range set {
-			parts[i] = fmt.Sprintf("%d", int(s))
-		}
-		return strings.Join(parts, ",")
-	}
-	// Map determinized spec states to transition lookup.
-	specNext := func(s State, label string) (State, bool) {
-		for _, tr := range dspec.out[s] {
-			if tr.Label == label {
-				return tr.To, true
-			}
-		}
-		return 0, false
-	}
-	type node struct {
-		implSet []State
-		specSt  State
-		trace   []string
-	}
-	start := node{implSet: impl.tauClosure([]State{impl.initial}), specSt: dspec.initial}
-	seen := map[cfg]struct{}{{key(start.implSet), start.specSt}: {}}
-	queue := []node{start}
-	explored := 0
-	for len(queue) > 0 {
-		n := queue[0]
-		queue = queue[1:]
-		explored++
-		labels := make(map[string]struct{})
-		for _, s := range n.implSet {
-			for _, tr := range impl.out[s] {
-				if tr.Label != Tau {
-					labels[tr.Label] = struct{}{}
-				}
-			}
-		}
-		sorted := make([]string, 0, len(labels))
-		for lab := range labels {
-			sorted = append(sorted, lab)
-		}
-		sort.Strings(sorted)
-		for _, lab := range sorted {
-			specTo, ok := specNext(n.specSt, lab)
-			if !ok {
-				return RefinementResult{
-					Holds:          false,
-					Counterexample: append(append([]string(nil), n.trace...), lab),
-					StatesExplored: explored,
-				}
-			}
-			implNext := impl.after(n.implSet, lab)
-			c := cfg{key(implNext), specTo}
-			if _, dup := seen[c]; dup {
-				continue
-			}
-			seen[c] = struct{}{}
-			queue = append(queue, node{
-				implSet: implNext,
-				specSt:  specTo,
-				trace:   append(append([]string(nil), n.trace...), lab),
-			})
-		}
-	}
-	return RefinementResult{Holds: true, StatesExplored: explored}
+	return -1
 }
 
 // String renders the LTS in a stable textual form useful in tests and
@@ -544,13 +133,31 @@ func (l *LTS) String() string {
 	fmt.Fprintf(&sb, "lts %q: %d states, %d transitions\n", l.name, l.NumStates(), l.NumTransitions())
 	for s := range l.names {
 		marker := " "
-		if State(s) == l.initial {
+		if s == 0 {
 			marker = ">"
 		}
 		fmt.Fprintf(&sb, "%s %s\n", marker, l.names[s])
 		for _, tr := range l.out[s] {
-			fmt.Fprintf(&sb, "    --%s--> %s\n", tr.Label, l.names[tr.To])
+			fmt.Fprintf(&sb, "    --%s--> %s\n", tr.label, l.names[tr.to])
 		}
 	}
+	return sb.String()
+}
+
+// DOT renders the LTS in Graphviz dot format for visualization.
+func (l *LTS) DOT() string {
+	var sb strings.Builder
+	fmt.Fprintf(&sb, "digraph %q {\n  rankdir=LR;\n", l.name)
+	fmt.Fprintf(&sb, "  __start [shape=point];\n")
+	for s := range l.names {
+		fmt.Fprintf(&sb, "  s%d [label=%q, shape=circle];\n", s, l.names[s])
+	}
+	fmt.Fprintf(&sb, "  __start -> s0;\n")
+	for s, ts := range l.out {
+		for _, tr := range ts {
+			fmt.Fprintf(&sb, "  s%d -> s%d [label=%q];\n", s, int(tr.to), tr.label)
+		}
+	}
+	sb.WriteString("}\n")
 	return sb.String()
 }

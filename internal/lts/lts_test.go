@@ -2,11 +2,18 @@ package lts
 
 import (
 	"errors"
-	"reflect"
 	"strings"
 	"testing"
-	"testing/quick"
 )
+
+// build is Builder.Build for statically correct construction.
+func build(b *Builder) *LTS {
+	l, err := b.Build()
+	if err != nil {
+		panic(err)
+	}
+	return l
+}
 
 // simpleSpec builds the canonical request→granted→free cycle over one
 // resource — the skeleton of the floor-control service behaviour.
@@ -18,8 +25,7 @@ func simpleSpec() *LTS {
 	b.Transition(idle, "request", requested)
 	b.Transition(requested, "granted", held)
 	b.Transition(held, "free", idle)
-	b.Final(idle)
-	return b.MustBuild()
+	return build(b)
 }
 
 func TestBuilderBasics(t *testing.T) {
@@ -27,11 +33,8 @@ func TestBuilderBasics(t *testing.T) {
 	if l.NumStates() != 3 || l.NumTransitions() != 3 {
 		t.Fatalf("states=%d transitions=%d", l.NumStates(), l.NumTransitions())
 	}
-	if l.StateName(l.Initial()) != "idle" {
-		t.Fatalf("initial = %q", l.StateName(l.Initial()))
-	}
-	if got := l.Alphabet(); !reflect.DeepEqual(got, []string{"free", "granted", "request"}) {
-		t.Fatalf("alphabet = %v", got)
+	if l.StateName(0) != "idle" {
+		t.Fatalf("initial = %q", l.StateName(0))
 	}
 }
 
@@ -54,9 +57,6 @@ func TestStateNameOutOfRange(t *testing.T) {
 	l := simpleSpec()
 	if got := l.StateName(State(99)); !strings.Contains(got, "invalid") {
 		t.Fatalf("StateName(99) = %q", got)
-	}
-	if l.Outgoing(State(99)) != nil {
-		t.Fatal("Outgoing out of range should be nil")
 	}
 }
 
@@ -83,248 +83,66 @@ func TestAccepts(t *testing.T) {
 	}
 }
 
-func TestTauAbstraction(t *testing.T) {
-	b := NewBuilder("with-tau")
-	s0 := b.State("0")
-	s1 := b.State("1")
-	s2 := b.State("2")
-	b.Transition(s0, Tau, s1)
-	b.Transition(s1, "a", s2)
-	l := b.MustBuild()
-	if !l.Accepts([]string{"a"}) {
-		t.Fatal("tau prefix should be invisible")
-	}
-	if l.Accepts([]string{Tau}) {
-		t.Fatal("tau must not be a visible label")
-	}
-}
-
-func TestHide(t *testing.T) {
-	b := NewBuilder("proto")
-	s0 := b.State("0")
-	s1 := b.State("1")
-	s2 := b.State("2")
-	b.Transition(s0, "request", s1)
-	b.Transition(s1, "pdu:grant", s2)
-	b.Transition(s2, "granted", s0)
-	l := b.MustBuild()
-	hidden := l.HidePrefix("pdu:")
-	if !hidden.Accepts([]string{"request", "granted"}) {
-		t.Fatal("hidden PDU label should become tau")
-	}
-	if hidden.Accepts([]string{"request", "pdu:grant"}) {
-		t.Fatal("hidden label still visible")
-	}
-	// Original is untouched.
-	if !l.Accepts([]string{"request", "pdu:grant", "granted"}) {
-		t.Fatal("Hide mutated the receiver")
-	}
-}
-
-func TestTraces(t *testing.T) {
-	l := simpleSpec()
-	got := l.Traces(3, 100)
-	want := [][]string{
-		nil,
-		{"request"},
-		{"request", "granted"},
-		{"request", "granted", "free"},
-	}
-	if len(got) != len(want) {
-		t.Fatalf("Traces = %v, want %v", got, want)
-	}
-	for i := range want {
-		if strings.Join(got[i], " ") != strings.Join(want[i], " ") {
-			t.Fatalf("Traces[%d] = %v, want %v", i, got[i], want[i])
-		}
-	}
-}
-
-func TestTracesBounded(t *testing.T) {
-	l := simpleSpec()
-	got := l.Traces(100, 10)
-	if len(got) > 10 {
-		t.Fatalf("maxTraces not honoured: %d", len(got))
-	}
-}
-
-func TestDeadlocks(t *testing.T) {
-	b := NewBuilder("dead")
-	s0 := b.State("0")
-	stuck := b.State("stuck")
-	done := b.State("done")
-	b.Transition(s0, "a", stuck)
-	b.Transition(s0, "b", done)
-	b.Final(done)
-	l := b.MustBuild()
-	dl := l.Deadlocks()
-	if len(dl) != 1 || l.StateName(dl[0]) != "stuck" {
-		t.Fatalf("Deadlocks = %v", dl)
-	}
-}
-
-func TestDeadlocksNoneInCycle(t *testing.T) {
-	if dl := simpleSpec().Deadlocks(); len(dl) != 0 {
-		t.Fatalf("cycle has no deadlock, got %v", dl)
-	}
-}
-
-func TestDeterminize(t *testing.T) {
-	// Nondeterministic: two 'a' edges to different continuations.
-	b := NewBuilder("nd")
-	s0 := b.State("0")
-	s1 := b.State("1")
-	s2 := b.State("2")
-	s3 := b.State("3")
-	b.Transition(s0, "a", s1)
-	b.Transition(s0, "a", s2)
-	b.Transition(s1, "b", s3)
-	b.Transition(s2, "c", s3)
-	l := b.MustBuild()
-	d := l.Determinize()
-	for _, trace := range [][]string{{"a"}, {"a", "b"}, {"a", "c"}} {
-		if !d.Accepts(trace) {
-			t.Fatalf("determinized rejects %v", trace)
-		}
-	}
-	if d.Accepts([]string{"b"}) {
-		t.Fatal("determinized accepts bogus trace")
-	}
-	// Determinism: no state has two edges with one label.
-	for s := 0; s < d.NumStates(); s++ {
-		seen := map[string]bool{}
-		for _, tr := range d.Outgoing(State(s)) {
-			if seen[tr.Label] {
-				t.Fatalf("state %d has duplicate label %q", s, tr.Label)
-			}
-			seen[tr.Label] = true
-		}
-	}
-}
-
-func TestCompose(t *testing.T) {
-	// Two users of one shared action "sync"; local actions interleave.
-	ab := NewBuilder("A")
-	a0 := ab.State("a0")
-	a1 := ab.State("a1")
-	a2 := ab.State("a2")
-	ab.Transition(a0, "localA", a1)
-	ab.Transition(a1, "sync", a2)
-	bb := NewBuilder("B")
-	b0 := bb.State("b0")
-	b1 := bb.State("b1")
-	b2 := bb.State("b2")
-	bb.Transition(b0, "localB", b1)
-	bb.Transition(b1, "sync", b2)
-	c := Compose(ab.MustBuild(), bb.MustBuild(), []string{"sync"})
-	if !c.Accepts([]string{"localA", "localB", "sync"}) {
-		t.Fatal("composition rejects valid interleaving")
-	}
-	if !c.Accepts([]string{"localB", "localA", "sync"}) {
-		t.Fatal("composition rejects other interleaving")
-	}
-	if c.Accepts([]string{"sync"}) {
-		t.Fatal("sync fired before both components ready")
-	}
-	if c.Accepts([]string{"localA", "sync"}) {
-		t.Fatal("sync fired with B not ready")
-	}
-}
-
-func TestComposeFinalStates(t *testing.T) {
-	ab := NewBuilder("A")
-	a0 := ab.State("a0")
-	ab.Final(a0)
-	bb := NewBuilder("B")
-	b0 := bb.State("b0")
-	bb.Final(b0)
-	c := Compose(ab.MustBuild(), bb.MustBuild(), nil)
-	if len(c.Deadlocks()) != 0 {
-		t.Fatal("composition of two final states should be final (no deadlock)")
-	}
-}
+// The TraceRefines tests check a recorded trace against a specification:
+// the trace refines it when FirstRejected finds no label the specification
+// cannot take, and otherwise FirstRejected is the length of the shortest
+// rejected prefix minus one — the counterexample a failed check reports.
 
 func TestTraceRefinesHolds(t *testing.T) {
 	spec := simpleSpec()
-	// Implementation with internal steps between request and granted.
-	b := NewBuilder("impl")
-	i0 := b.State("0")
-	i1 := b.State("1")
-	i2 := b.State("2")
-	i3 := b.State("3")
-	i4 := b.State("4")
-	b.Transition(i0, "request", i1)
-	b.Transition(i1, Tau, i2) // e.g. PDU exchange, hidden
-	b.Transition(i2, "granted", i3)
-	b.Transition(i3, "free", i4)
-	b.Transition(i4, Tau, i0)
-	res := TraceRefines(b.MustBuild(), spec)
-	if !res.Holds {
-		t.Fatalf("refinement should hold, counterexample %v", res.Counterexample)
+	trace := []string{"request", "granted", "free", "request", "granted"}
+	if got := spec.FirstRejected(trace); got != -1 {
+		t.Fatalf("FirstRejected(%v) = %d, want -1 (refinement holds)", trace, got)
 	}
-	if res.StatesExplored == 0 {
-		t.Fatal("no states explored")
+	if got := spec.FirstRejected(nil); got != -1 {
+		t.Fatalf("FirstRejected(nil) = %d, want -1", got)
 	}
 }
 
 func TestTraceRefinesCounterexample(t *testing.T) {
 	spec := simpleSpec()
-	// Implementation that can grant without a request.
-	b := NewBuilder("bad")
-	i0 := b.State("0")
-	i1 := b.State("1")
-	b.Transition(i0, "granted", i1)
-	res := TraceRefines(b.MustBuild(), spec)
-	if res.Holds {
-		t.Fatal("refinement should fail")
-	}
-	if len(res.Counterexample) != 1 || res.Counterexample[0] != "granted" {
-		t.Fatalf("counterexample = %v, want [granted]", res.Counterexample)
+	// A grant without a request.
+	trace := []string{"granted", "free"}
+	got := spec.FirstRejected(trace)
+	if got != 0 || trace[got] != "granted" {
+		t.Fatalf("FirstRejected(%v) = %d, want 0 (granted)", trace, got)
 	}
 }
 
 func TestTraceRefinesShortestCounterexample(t *testing.T) {
 	spec := simpleSpec()
-	b := NewBuilder("bad2")
-	i0 := b.State("0")
-	i1 := b.State("1")
-	i2 := b.State("2")
-	i3 := b.State("3")
-	// Long valid path plus a short invalid one.
-	b.Transition(i0, "request", i1)
-	b.Transition(i1, "granted", i2)
-	b.Transition(i2, "granted", i3) // double grant: invalid at depth 3
-	b.Transition(i0, "free", i3)    // invalid at depth 1
-	res := TraceRefines(b.MustBuild(), spec)
-	if res.Holds {
-		t.Fatal("refinement should fail")
-	}
-	if len(res.Counterexample) != 1 {
-		t.Fatalf("counterexample %v not shortest", res.Counterexample)
+	// A long valid prefix, then a double free at index 3; the later
+	// double request at index 5 is not reported.
+	trace := []string{"request", "granted", "free", "free", "request", "request"}
+	if got := spec.FirstRejected(trace); got != 3 {
+		t.Fatalf("FirstRejected(%v) = %d, want 3 (shortest rejected prefix)", trace, got)
 	}
 }
 
 func TestTraceRefinesWithNondeterministicSpec(t *testing.T) {
-	// Spec: after "a", either "b" or "c" depending on invisible choice.
+	// Spec: after "a", either "b" or "c" depending on an invisible choice.
 	sb := NewBuilder("ndspec")
-	s0 := sb.State("0")
-	s1 := sb.State("1")
-	s2 := sb.State("2")
-	s3 := sb.State("3")
+	s0, s1, s2, s3 := sb.State("0"), sb.State("1"), sb.State("2"), sb.State("3")
 	sb.Transition(s0, "a", s1)
 	sb.Transition(s0, "a", s2)
 	sb.Transition(s1, "b", s3)
 	sb.Transition(s2, "c", s3)
-	spec := sb.MustBuild()
-	ib := NewBuilder("impl")
-	i0 := ib.State("0")
-	i1 := ib.State("1")
-	i2 := ib.State("2")
-	ib.Transition(i0, "a", i1)
-	ib.Transition(i1, "c", i2)
-	res := TraceRefines(ib.MustBuild(), spec)
-	if !res.Holds {
-		t.Fatalf("trace refinement over nondeterministic spec should hold; cex %v", res.Counterexample)
+	sb.Transition(s3, "a", s1)
+	sb.Transition(s3, "a", s2)
+	spec := build(sb)
+	tests := []struct {
+		trace []string
+		want  int
+	}{
+		{[]string{"a", "c"}, -1},
+		{[]string{"a", "b", "a", "c"}, -1},
+		{[]string{"a", "b", "c"}, 2},
+		{[]string{"a", "c", "a", "d"}, 3},
+	}
+	for _, tt := range tests {
+		if got := spec.FirstRejected(tt.trace); got != tt.want {
+			t.Errorf("FirstRejected(%v) = %d, want %d", tt.trace, got, tt.want)
+		}
 	}
 }
 
@@ -337,43 +155,11 @@ func TestStringRendering(t *testing.T) {
 	}
 }
 
-// Property: every enumerated trace is accepted, and refinement against self
-// always holds.
-func TestPropertyTracesAcceptedAndSelfRefine(t *testing.T) {
-	prop := func(edges []struct {
-		From, To uint8
-		Label    uint8
-	}) bool {
-		if len(edges) == 0 {
-			return true
-		}
-		b := NewBuilder("rand")
-		labels := []string{"a", "b", "c", Tau}
-		for _, e := range edges {
-			from := b.State(string(rune('A' + e.From%5)))
-			to := b.State(string(rune('A' + e.To%5)))
-			b.Transition(from, labels[e.Label%4], to)
-		}
-		l := b.MustBuild()
-		for _, tr := range l.Traces(4, 200) {
-			if !l.Accepts(tr) {
-				return false
-			}
-		}
-		return TraceRefines(l, l).Holds
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 100}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func BenchmarkTraceRefines(b *testing.B) {
-	spec := simpleSpec()
-	impl := simpleSpec()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if !TraceRefines(impl, spec).Holds {
-			b.Fatal("refinement failed")
+func TestDOT(t *testing.T) {
+	dot := simpleSpec().DOT()
+	for _, want := range []string{"digraph", "rankdir=LR", `label="request"`, `label="idle"`, "__start -> s0"} {
+		if !strings.Contains(dot, want) {
+			t.Fatalf("DOT missing %q:\n%s", want, dot)
 		}
 	}
 }
